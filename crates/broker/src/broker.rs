@@ -1,5 +1,5 @@
-//! The broker: topic registry, dispatcher thread, publisher and subscriber
-//! handles.
+//! The broker's public API: topic registry, subscriptions, publisher and
+//! subscriber handles.
 //!
 //! The broker mirrors the structure the paper measured:
 //!
@@ -10,7 +10,8 @@
 //!   single-CPU machine) pops each message, evaluates **every** subscription
 //!   filter of the message's topic — FioranoMQ performs no filter-identity
 //!   optimization, and the paper verified identical and distinct filters cost
-//!   the same — and enqueues one copy per matching subscriber.
+//!   the same — and enqueues one copy per matching subscriber. That loop is
+//!   [`crate::dispatch`].
 //! * Subscribers consume from bounded per-subscription queues.
 //!
 //! With a [`CostModel`](crate::cost::CostModel) installed, the dispatcher
@@ -19,31 +20,31 @@
 //! clock time.
 //!
 //! With [`MetricsConfig`](crate::config::MetricsConfig) installed, the
-//! dispatcher measures itself: per-message waiting, service and sojourn
-//! times land in lock-free histograms (see [`crate::metrics`]), with the
-//! Eq. 1 stage decomposition sampled every Nth message.
+//! dispatcher measures itself through its probe ([`crate::probe`]):
+//! per-message waiting, service and sojourn times land in lock-free
+//! histograms (see [`crate::metrics`]), with the Eq. 1 stage decomposition
+//! sampled every Nth message.
 
-use crate::config::{BrokerConfig, MetricsConfig, OverflowPolicy};
+use crate::config::{BrokerConfig, MetricsConfig};
+use crate::dispatch;
+use crate::durable::DurableState;
 use crate::error::{Error, TryPublishError};
 use crate::filter::Filter;
 use crate::message::Message;
-use crate::metrics::{time_stage, BrokerMetrics, DispatchTimer, DispatcherScratch};
+use crate::metrics::BrokerMetrics;
 use crate::pattern::TopicPattern;
-use crate::persist::{encode_publish, JournalRecord};
-use crate::stats::{
-    BrokerSnapshot, BrokerStats, MessageCounters, ShardSnapshot, SubscriptionCounters,
-};
-use crate::topic_obs::{TopicObsScratch, TopicObservatory, TopicObservatorySnapshot};
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
+use crate::persist::{recover_topics, JournalRecord};
+use crate::probe::{NoProbe, Telemetry};
+use crate::reports::{cost_anchor, flow_refresh_loop, shard_reports_of, snapshot_of, ShardReport};
+use crate::stats::{BrokerSnapshot, BrokerStats};
+use crate::topic_obs::{TopicObservatory, TopicObservatorySnapshot};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
-use rjms_core::{
-    CostParams, DriftTolerance, ModelMonitor, ModelVerdict, ReplicationModel, ServerModel,
-};
 use rjms_flow::{AdmissionOutcome, FlowGate};
 use rjms_journal::Journal;
-use rjms_metrics::{labeled, Counter, MetricsRegistry};
-use rjms_trace::{FlightRecorder, SpanEvent, Stage};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use rjms_metrics::MetricsRegistry;
+use rjms_trace::FlightRecorder;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -61,29 +62,29 @@ impl fmt::Display for SubscriptionId {
 }
 
 /// One subscriber's registration on a topic.
-struct Subscription {
-    filter: Filter,
-    sender: Sender<Arc<Message>>,
+pub(crate) struct Subscription {
+    pub(crate) filter: Filter,
+    pub(crate) sender: Sender<Arc<Message>>,
     /// Cleared when the subscriber handle is dropped; the dispatcher prunes
     /// inactive subscriptions lazily.
-    active: Arc<AtomicBool>,
+    pub(crate) active: Arc<AtomicBool>,
 }
 
 /// A topic: a named set of subscriptions plus named durable subscriptions.
-struct Topic {
-    name: String,
+pub(crate) struct Topic {
+    pub(crate) name: String,
     /// The dispatcher shard this topic is pinned to ([`shard_of`]); all of
     /// a topic's messages flow through one dispatcher, preserving
     /// per-topic FIFO order under sharded dispatch.
-    shard: usize,
-    subscriptions: RwLock<Vec<Arc<Subscription>>>,
-    durables: RwLock<Vec<Arc<DurableState>>>,
-    received: AtomicU64,
-    dispatched: AtomicU64,
+    pub(crate) shard: usize,
+    pub(crate) subscriptions: RwLock<Vec<Arc<Subscription>>>,
+    pub(crate) durables: RwLock<Vec<Arc<DurableState>>>,
+    pub(crate) received: AtomicU64,
+    pub(crate) dispatched: AtomicU64,
 }
 
 impl Topic {
-    fn new(name: &str, shard: usize) -> Self {
+    pub(crate) fn new(name: &str, shard: usize) -> Self {
         Self {
             name: name.to_owned(),
             shard,
@@ -132,42 +133,8 @@ pub fn shard_of(topic: &str, shards: usize) -> usize {
     (hash % shards as u64) as usize
 }
 
-/// Per-topic message counters (see [`BrokerSnapshot::per_topic`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TopicStats {
-    /// Messages received on this topic.
-    pub received: u64,
-    /// Message copies dispatched from this topic.
-    pub dispatched: u64,
-}
-
-impl TopicStats {
-    /// Mean replication grade on this topic; `None` before the first
-    /// message.
-    pub fn replication_grade(&self) -> Option<f64> {
-        if self.received > 0 {
-            Some(self.dispatched as f64 / self.received as f64)
-        } else {
-            None
-        }
-    }
-}
-
-/// Server-side state of a named durable subscription (paper §II-A: in the
-/// durable mode, messages are also forwarded to subscribers that are
-/// currently not connected — the broker retains them).
-struct DurableState {
-    name: String,
-    filter: Mutex<Filter>,
-    /// Messages retained while no consumer is connected (bounded by
-    /// `durable_buffer_capacity`, oldest dropped on overflow).
-    retained: Mutex<VecDeque<Arc<Message>>>,
-    /// The connected consumer's queue, if any.
-    connection: Mutex<Option<Sender<Arc<Message>>>>,
-}
-
 /// Work items for the dispatcher thread.
-enum DispatchItem {
+pub(crate) enum DispatchItem {
     Publish {
         topic: Arc<Topic>,
         message: Arc<Message>,
@@ -181,42 +148,43 @@ enum DispatchItem {
 /// One dispatcher shard's message counters, recorded by that shard's
 /// dispatcher alone (plain relaxed atomics; no cross-shard contention).
 #[derive(Default)]
-struct ShardStats {
-    received: AtomicU64,
-    dispatched: AtomicU64,
-    filter_evaluations: AtomicU64,
+pub(crate) struct ShardStats {
+    pub(crate) received: AtomicU64,
+    pub(crate) dispatched: AtomicU64,
+    pub(crate) filter_evaluations: AtomicU64,
 }
 
 /// Shared broker state.
-struct BrokerInner {
-    config: BrokerConfig,
-    stats: Arc<BrokerStats>,
+pub(crate) struct BrokerInner {
+    pub(crate) config: BrokerConfig,
+    pub(crate) stats: Arc<BrokerStats>,
     /// Per-shard message counters, one slot per dispatcher; length equals
     /// the configured shard count.
-    shard_stats: Vec<ShardStats>,
+    pub(crate) shard_stats: Vec<ShardStats>,
     /// When the broker started; per-shard arrival rates in
     /// [`Broker::shard_reports`] are derived against this origin, matching
     /// the flow-refresh loop's convention.
-    started: Instant,
-    topics: RwLock<HashMap<String, Arc<Topic>>>,
+    pub(crate) started: Instant,
+    pub(crate) topics: RwLock<HashMap<String, Arc<Topic>>>,
     /// Wildcard subscriptions, attached to future topics on creation.
     patterns: RwLock<Vec<PatternSubscription>>,
     next_subscription_id: AtomicU64,
-    stopped: AtomicBool,
+    pub(crate) stopped: AtomicBool,
     /// The write-ahead journal, when persistence is enabled. The dispatcher
     /// appends publishes and checkpoints; API threads append topology
-    /// records (topic/durable lifecycle).
-    journal: Option<Mutex<Journal>>,
+    /// records (topic/durable lifecycle). Written through
+    /// `append_record`/`sync_journal` ([`crate::persist`]).
+    pub(crate) journal: Option<Mutex<Journal>>,
     /// Live instruments, when metrics are enabled.
-    metrics: Option<BrokerMetrics>,
+    pub(crate) metrics: Option<BrokerMetrics>,
     /// The span-event flight recorder, when tracing is enabled. The
     /// dispatcher commits broker-stage chains; the net layer appends
     /// wire-flush events for sampled trace ids.
-    tracer: Option<Arc<FlightRecorder>>,
+    pub(crate) tracer: Option<Arc<FlightRecorder>>,
     /// The admission gate, when flow control is enabled. Publishers
     /// consult it before enqueueing; the flow-refresh thread re-calibrates
     /// its arrival budget against the live histograms.
-    flow: Option<Arc<FlowGate>>,
+    pub(crate) flow: Option<Arc<FlowGate>>,
     /// Id source for publisher handles: the flow gate rate-limits per
     /// producer, so each [`Broker::publisher`] call gets a fresh identity.
     next_producer_id: AtomicU64,
@@ -224,34 +192,7 @@ struct BrokerInner {
     /// observations thread-locally and merge on the histogram-flush
     /// cadence; snapshots feed the `/topics` endpoint and the skew
     /// analyzer.
-    topic_obs: Option<TopicObservatory>,
-}
-
-impl BrokerInner {
-    /// Appends one record to the journal (no-op without persistence),
-    /// refreshing the journal gauges in [`BrokerStats`]. Returns the
-    /// record's journal offset.
-    ///
-    /// A journal write failure is fatal: the broker cannot honor the
-    /// durability contract without its write-ahead log.
-    fn append_record(&self, payload: &[u8]) -> Option<u64> {
-        let journal = self.journal.as_ref()?;
-        let mut journal = journal.lock();
-        let offset = journal
-            .append(payload)
-            .expect("write-ahead journal append failed; cannot continue durably");
-        self.stats.update_journal(&journal.stats());
-        Some(offset)
-    }
-
-    /// Forces the journal to stable storage (no-op without persistence).
-    fn sync_journal(&self) {
-        if let Some(journal) = &self.journal {
-            let mut journal = journal.lock();
-            journal.sync().expect("write-ahead journal sync failed; cannot continue durably");
-            self.stats.update_journal(&journal.stats());
-        }
-    }
+    pub(crate) topic_obs: Option<TopicObservatory>,
 }
 
 /// A wildcard subscription waiting to be attached to future topics.
@@ -285,7 +226,7 @@ struct PatternSubscription {
 /// # }
 /// ```
 pub struct Broker {
-    inner: Arc<BrokerInner>,
+    pub(crate) inner: Arc<BrokerInner>,
     /// One bounded publish queue per dispatcher shard; a topic's messages
     /// always enter `publish_txs[topic.shard]`.
     publish_txs: Vec<Sender<DispatchItem>>,
@@ -326,20 +267,13 @@ impl Broker {
         // Defensive: the builder rejects zero, but the fields are public.
         let shards = config.shards.max(1);
         config.shards = shards;
-        // Tracing tail-samples against the live sojourn histogram, so it
-        // cannot run without metrics: enable the default set implicitly.
-        if config.trace.is_some() && config.metrics.is_none() {
-            config.metrics = Some(MetricsConfig::default());
-        }
-        // The flow controller re-calibrates against the live waiting and
-        // service histograms, so it cannot run without metrics either.
-        if config.flow.is_some() && config.metrics.is_none() {
-            config.metrics = Some(MetricsConfig::default());
-        }
-        // The topic observatory regresses over the dispatcher's per-message
-        // service timings, so it too needs metrics.
-        if config.topic_obs.is_some() && config.metrics.is_none() {
-            config.metrics = Some(MetricsConfig::default());
+        // None of these runs without metrics, so they enable the default
+        // set implicitly: tracing tail-samples against the live sojourn
+        // histogram, the flow controller re-calibrates against the waiting
+        // and service histograms, and the topic observatory regresses over
+        // the dispatcher's per-message service timings.
+        if config.trace.is_some() || config.flow.is_some() || config.topic_obs.is_some() {
+            config.metrics.get_or_insert_with(MetricsConfig::default);
         }
         // The admission budget is split per shard (each dispatcher is one
         // M/GI/1 server); keep the flow controller's shard count in sync
@@ -372,23 +306,8 @@ impl Broker {
             gate.bind_registry(&metrics.registry);
         }
 
-        // The observatory's verdict anchor follows the same resolution as
-        // the shard reports: the flow model's calibrated params when flow
-        // control is on, the synthetic cost model otherwise, none when the
-        // broker runs at native speed unmodeled.
-        let topic_obs = config.topic_obs.map(|t| {
-            let anchor = if let Some(f) = &config.flow {
-                Some(f.params)
-            } else {
-                config.cost_model.map(|c| CostParams {
-                    t_rcv: c.t_rcv,
-                    t_fltr: c.t_fltr,
-                    t_tx: c.t_tx,
-                    t_store: 0.0,
-                })
-            };
-            TopicObservatory::new(t, anchor, shards)
-        });
+        let topic_obs =
+            config.topic_obs.map(|t| TopicObservatory::new(t, cost_anchor(&config), shards));
 
         let mut publish_txs = Vec::with_capacity(shards);
         let mut publish_rxs = Vec::with_capacity(shards);
@@ -425,9 +344,14 @@ impl Broker {
                 } else {
                     format!("rjms-dispatcher-{shard}")
                 };
+                // The probe is chosen here, once per thread: the no-op
+                // probe unless the broker holds live instruments.
                 std::thread::Builder::new()
                     .name(name)
-                    .spawn(move || dispatch_loop(dispatcher_inner, shard, publish_rx))
+                    .spawn(move || match Telemetry::new(&dispatcher_inner, shard) {
+                        Some(probe) => dispatch::run(&dispatcher_inner, shard, &publish_rx, probe),
+                        None => dispatch::run(&dispatcher_inner, shard, &publish_rx, NoProbe),
+                    })
                     .expect("failed to spawn dispatcher thread")
             })
             .collect();
@@ -662,69 +586,13 @@ impl Broker {
         let topic = self.lookup(topic)?;
         let (tx, rx) = bounded(queue_capacity);
         let id = SubscriptionId(self.inner.next_subscription_id.fetch_add(1, Ordering::Relaxed));
-
-        let mut durables = topic.durables.write();
-        let state = match durables.iter().find(|d| d.name == name) {
-            Some(existing) => {
-                let mut connection = existing.connection.lock();
-                if connection.is_some() {
-                    return Err(Error::DurableNameInUse {
-                        topic: topic.name.clone(),
-                        name: name.to_owned(),
-                    });
-                }
-                let mut existing_filter = existing.filter.lock();
-                if *existing_filter != filter {
-                    // JMS: changing the selector is equivalent to deleting
-                    // and recreating the subscription. A re-registration
-                    // record makes replay discard the stale backlog too.
-                    existing.retained.lock().clear();
-                    *existing_filter = filter.clone();
-                    self.inner.append_record(
-                        &JournalRecord::DurableRegistered {
-                            topic: topic.name.clone(),
-                            name: name.to_owned(),
-                            filter,
-                        }
-                        .encode(),
-                    );
-                }
-                *connection = Some(tx);
-                Arc::clone(existing)
-            }
-            None => {
-                let state = Arc::new(DurableState {
-                    name: name.to_owned(),
-                    filter: Mutex::new(filter.clone()),
-                    retained: Mutex::new(VecDeque::new()),
-                    connection: Mutex::new(Some(tx)),
-                });
-                durables.push(Arc::clone(&state));
-                self.inner.append_record(
-                    &JournalRecord::DurableRegistered {
-                        topic: topic.name.clone(),
-                        name: name.to_owned(),
-                        filter,
-                    }
-                    .encode(),
-                );
-                state
-            }
-        };
-
-        // Move the retained backlog into the subscriber handle; it is
-        // consumed before live messages.
-        let pending: VecDeque<Arc<Message>> = {
-            let mut retained = state.retained.lock();
-            retained.drain(..).filter(|m| !m.is_expired()).collect()
-        };
-
+        let (state, pending) = DurableState::connect(&self.inner, &topic, name, filter, tx)?;
         Ok(Subscriber {
             id,
             topic_name: topic.name.clone(),
             receiver: rx,
             active: Arc::new(AtomicBool::new(true)),
-            durable: Some(Arc::clone(&state)),
+            durable: Some(state),
             pending: Mutex::new(pending),
             pattern_registration: None,
         })
@@ -921,7 +789,7 @@ impl Broker {
         }
     }
 
-    fn lookup(&self, name: &str) -> Result<Arc<Topic>, Error> {
+    pub(crate) fn lookup(&self, name: &str) -> Result<Arc<Topic>, Error> {
         self.inner
             .topics
             .read()
@@ -934,121 +802,6 @@ impl Broker {
 impl Drop for Broker {
     fn drop(&mut self) {
         self.shutdown_in_place();
-    }
-}
-
-/// Builds a [`BrokerSnapshot`] from the shared broker state; the one
-/// implementation behind [`Broker::snapshot`] and [`BrokerObserver`].
-fn snapshot_of(inner: &BrokerInner) -> BrokerSnapshot {
-    let stats = &inner.stats;
-    let topics = inner.topics.read();
-    let mut per_topic = BTreeMap::new();
-    let mut live = 0usize;
-    let mut durable = 0usize;
-    for (name, t) in topics.iter() {
-        live += t.subscriptions.read().iter().filter(|s| s.active.load(Ordering::Relaxed)).count();
-        durable += t.durables.read().len();
-        per_topic.insert(
-            name.clone(),
-            TopicStats {
-                received: t.received.load(Ordering::Relaxed),
-                dispatched: t.dispatched.load(Ordering::Relaxed),
-            },
-        );
-    }
-    BrokerSnapshot {
-        messages: MessageCounters {
-            received: stats.received(),
-            dispatched: stats.dispatched(),
-            filter_evaluations: stats.filter_evaluations(),
-            dropped: stats.dropped(),
-            retained: stats.retained(),
-            expired: stats.expired_messages(),
-        },
-        subscriptions: SubscriptionCounters {
-            topics: topics.len(),
-            live,
-            durable,
-            expired: stats.expired_subscriptions(),
-        },
-        journal: inner.journal.as_ref().map(|j| j.lock().stats()),
-        flow: inner.flow.as_ref().map(|_| stats.flow_counters()),
-        shards: (inner.config.shards > 1).then(|| {
-            let mut topics_per = vec![0usize; inner.shard_stats.len()];
-            for t in topics.values() {
-                topics_per[t.shard] += 1;
-            }
-            inner
-                .shard_stats
-                .iter()
-                .enumerate()
-                .map(|(shard, s)| ShardSnapshot {
-                    shard,
-                    topics: topics_per[shard],
-                    received: s.received.load(Ordering::Relaxed),
-                    dispatched: s.dispatched.load(Ordering::Relaxed),
-                    filter_evaluations: s.filter_evaluations.load(Ordering::Relaxed),
-                })
-                .collect()
-        }),
-        per_topic,
-        topics_overflowed: stats.topics_overflowed(),
-    }
-}
-
-/// Periodically re-calibrates the flow gate's arrival budget from the
-/// live waiting/service histograms: every refresh interval it snapshots
-/// the registry, rebuilds a [`ModelMonitor`] at the *measured* operating
-/// point (mean filter count and replication grade from the broker's own
-/// counters), and feeds the verdict to [`FlowGate::refresh`] — drift
-/// re-derives λ_max from measured moments, overload tightens the budget.
-fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
-    let Some(metrics) = &inner.metrics else { return };
-    let config = *gate.config();
-    let interval = Duration::from_millis(config.refresh_interval_ms.max(1));
-    let started = Instant::now();
-    loop {
-        // Sleep in short slices so shutdown is prompt.
-        let deadline = Instant::now() + interval;
-        while Instant::now() < deadline {
-            if inner.stopped.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        let snap = metrics.registry.snapshot();
-        let (Some(waiting), Some(service)) =
-            (snap.histogram("broker.waiting_ns"), snap.histogram("broker.service_ns"))
-        else {
-            continue;
-        };
-        let received = inner.stats.received();
-        if received == 0 {
-            continue;
-        }
-        let filters = (inner.stats.filter_evaluations() / received).min(u64::from(u32::MAX));
-        let grade = inner.stats.dispatched() as f64 / received as f64;
-        // Journal-aware budget: with persistence on, feed the *measured*
-        // per-message store cost (mean append plus amortized fsync time)
-        // into the gate's analytic seed, closing Eq. 1's t_store term
-        // over the live journal instead of a configured guess.
-        if inner.journal.is_some() {
-            if let Some(append) = snap.histogram("journal.append_ns") {
-                if append.count > 0 {
-                    let mut store_ns = append.mean();
-                    if let Some(fsync) = snap.histogram("journal.fsync_ns") {
-                        store_ns += fsync.mean() * fsync.count as f64 / append.count as f64;
-                    }
-                    gate.reseed_store_cost(store_ns * 1e-9);
-                }
-            }
-        }
-        let monitor = ModelMonitor::new(
-            ServerModel::new(config.params, filters as u32),
-            ReplicationModel::deterministic(grade),
-        );
-        let verdict = monitor.assess(waiting, service, started.elapsed());
-        gate.refresh(&verdict);
     }
 }
 
@@ -1082,113 +835,6 @@ impl BrokerObserver {
     pub fn topic_observatory(&self) -> Option<TopicObservatorySnapshot> {
         self.inner.topic_obs.as_ref().map(|o| o.snapshot())
     }
-}
-
-/// One dispatcher shard's live model assessment: the shard's measured
-/// operating point (arrival rate, filter count, replication grade from its
-/// own counters and histograms) compared against the Eq. 1 + M/GI/1 model
-/// evaluated *per shard* — each dispatcher is one of the `k` servers of
-/// the paper's clustered scenario
-/// ([`ClusterScenario`](rjms_core::ClusterScenario)).
-///
-/// Produced by [`Broker::shard_reports`]; served by the `/shards` HTTP
-/// endpoint.
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Shard index in `0..shards`.
-    pub shard: usize,
-    /// Waiting-time samples behind this assessment.
-    pub samples: u64,
-    /// Measured per-shard arrival rate λ, messages per second, over the
-    /// broker's whole lifetime.
-    pub arrival_rate: f64,
-    /// Measured mean filter evaluations per message on this shard.
-    pub filters: f64,
-    /// Measured replication grade `E[R]` on this shard.
-    pub replication_grade: f64,
-    /// The model verdict at the shard's measured operating point; the
-    /// `Calibrated`/`Drift` variants carry the full measured-vs-predicted
-    /// comparison.
-    pub verdict: ModelVerdict,
-}
-
-/// Builds the per-shard model reports behind [`Broker::shard_reports`].
-///
-/// Returns an empty vector when metrics are off (nothing measured) or when
-/// no cost anchor exists (neither [`BrokerConfig::flow`] nor
-/// [`BrokerConfig::cost_model`] is set, so Eq. 1 has no constants to
-/// predict with).
-fn shard_reports_of(inner: &BrokerInner) -> Vec<ShardReport> {
-    let Some(metrics) = &inner.metrics else { return Vec::new() };
-    let params = if let Some(gate) = &inner.flow {
-        gate.config().params
-    } else if let Some(cost) = inner.config.cost_model {
-        CostParams { t_rcv: cost.t_rcv, t_fltr: cost.t_fltr, t_tx: cost.t_tx, t_store: 0.0 }
-    } else {
-        return Vec::new();
-    };
-    let snap = metrics.registry.snapshot();
-    let elapsed = inner.started.elapsed();
-    let shards = inner.config.shards;
-    (0..shards)
-        .map(|shard| {
-            // The single-dispatcher broker publishes no shard-labeled
-            // series; its shard 0 *is* the aggregate.
-            let (waiting, service) = if shards == 1 {
-                (snap.histogram("broker.waiting_ns"), snap.histogram("broker.service_ns"))
-            } else {
-                let label = shard.to_string();
-                let pairs = [("shard", label.as_str())];
-                (
-                    snap.histogram(&labeled("broker.waiting_ns", &pairs)),
-                    snap.histogram(&labeled("broker.service_ns", &pairs)),
-                )
-            };
-            let counters = &inner.shard_stats[shard];
-            let received = counters.received.load(Ordering::Relaxed);
-            let per_message = |total: u64| {
-                if received > 0 {
-                    total as f64 / received as f64
-                } else {
-                    0.0
-                }
-            };
-            let filters = per_message(counters.filter_evaluations.load(Ordering::Relaxed));
-            let grade = per_message(counters.dispatched.load(Ordering::Relaxed));
-            // A shard whose histograms have not materialized yet (no
-            // dispatch flushed) is an idle server, not a missing one.
-            let (Some(waiting), Some(service)) = (waiting, service) else {
-                return ShardReport {
-                    shard,
-                    samples: 0,
-                    arrival_rate: 0.0,
-                    filters,
-                    replication_grade: grade,
-                    verdict: ModelVerdict::Insufficient {
-                        samples: 0,
-                        required: DriftTolerance::default().min_samples,
-                    },
-                };
-            };
-            let monitor = ModelMonitor::new(
-                ServerModel::new(params, filters.round() as u32),
-                ReplicationModel::deterministic(grade),
-            );
-            let arrival_rate = if elapsed.as_secs_f64() > 0.0 {
-                waiting.count as f64 / elapsed.as_secs_f64()
-            } else {
-                0.0
-            };
-            ShardReport {
-                shard,
-                samples: waiting.count,
-                arrival_rate,
-                filters,
-                replication_grade: grade,
-                verdict: monitor.assess(waiting, service, elapsed),
-            }
-        })
-        .collect()
 }
 
 /// Configures and opens one subscription; created by
@@ -1253,589 +899,6 @@ impl SubscriptionBuilder<'_> {
             (None, Some(pattern)) => broker.open_pattern(&pattern, filter, capacity),
             (None, None) => broker.open_literal(&target, filter, capacity),
         }
-    }
-}
-
-/// Durable-consumer progress not yet written to the journal: the highest
-/// delivered offset plus the number of deliveries since the last
-/// checkpoint record.
-struct PendingCheckpoint {
-    offset: u64,
-    deliveries: u64,
-}
-
-/// The labeled counter pair of one exported topic series.
-struct TopicCounters {
-    received: Arc<Counter>,
-    dispatched: Arc<Counter>,
-}
-
-/// Bumps the broker-wide overflow counter for distinct topics the
-/// observatory's accounting table collapsed into `__other__` during one
-/// scratch flush.
-fn record_obs_spill(inner: &BrokerInner, metrics: Option<&BrokerMetrics>, spilled: u64) {
-    if spilled == 0 {
-        return;
-    }
-    inner.stats.record_topics_overflowed(spilled);
-    if let Some(m) = metrics {
-        m.registry.counter("broker.topics_overflowed").add(spilled);
-    }
-}
-
-/// One dispatcher thread: pops publish items from its shard's queue and
-/// fans out message copies. The single-dispatcher broker runs exactly one
-/// of these (shard 0); sharded brokers run one per shard, each with its
-/// own histogram staging and checkpoint bookkeeping.
-fn dispatch_loop(inner: Arc<BrokerInner>, shard: usize, publish_rx: Receiver<DispatchItem>) {
-    let cost = inner.config.cost_model;
-    let metrics = inner.metrics.as_ref();
-    let shard_stats = &inner.shard_stats[shard];
-    let checkpoint_every =
-        inner.config.persistence.as_ref().map_or(u64::MAX, |p| p.checkpoint_every);
-    // Checkpoint bookkeeping, keyed by (topic, durable name). Only the
-    // dispatcher writes checkpoints, so this needs no locking.
-    let mut checkpoints: HashMap<(String, String), PendingCheckpoint> = HashMap::new();
-    // Countdown to the next stage-sampled message (cheaper than a modulo
-    // on the hot path).
-    let mut stage_countdown = metrics.map_or(u64::MAX, |m| m.stage_sample_every);
-    // Tail-sampled tracing state. The keep/discard decision is made after
-    // fan-out, when the sojourn time is known; the threshold refreshes
-    // periodically from the live sojourn histogram and starts at 0 so
-    // every chain is kept until the first refresh has data.
-    let tracer = inner.tracer.as_ref().zip(inner.config.trace);
-    let mut trace_threshold_ns: u64 = 0;
-    let mut trace_refresh_countdown = tracer.map_or(u64::MAX, |(_, t)| t.refresh_every);
-    let mut trace_uniform_countdown =
-        tracer.map_or(
-            u64::MAX,
-            |(_, t)| if t.uniform_every == 0 { u64::MAX } else { t.uniform_every },
-        );
-    let trace_counters = tracer.and_then(|_| {
-        metrics.map(|m| {
-            (m.registry.counter("trace.chains.tail"), m.registry.counter("trace.chains.uniform"))
-        })
-    });
-    // Per-topic labeled counter series, capped at `per_topic_series`
-    // distinct topics; overflow traffic lands in the `__other__` series.
-    let per_topic_cap = inner.config.metrics.map_or(0, |m| m.per_topic_series);
-    let mut topic_counters: HashMap<String, TopicCounters> = HashMap::new();
-    // The previous message's fan-out end: when the next message is already
-    // queued its dispatch starts right here, so the reading is reused as
-    // the next dispatch start instead of a second clock read per message.
-    let mut last_end: Option<u64> = None;
-    // Local staging for the per-message histograms, flushed on idle and
-    // every FLUSH_EVERY samples. Sharded dispatchers additionally stage
-    // into shard-labeled series; the single-dispatcher broker publishes
-    // none, keeping its metric surface byte-identical to the pre-shard
-    // layout.
-    let mut scratch = metrics.map(|m| {
-        if inner.config.shards > 1 {
-            DispatcherScratch::for_shard(m, shard)
-        } else {
-            DispatcherScratch::new(m)
-        }
-    });
-    // Per-topic workload observations, staged thread-locally like the
-    // histogram scratch and merged into the observatory on the same
-    // idle/FLUSH_EVERY cadence.
-    let observatory = inner.topic_obs.as_ref();
-    let mut obs_scratch = TopicObsScratch::new();
-    loop {
-        let (item, was_queued) = match publish_rx.try_recv() {
-            Ok(item) => (item, true),
-            Err(TryRecvError::Empty) => {
-                // About to block: publish staged samples so observers see
-                // an up-to-date picture whenever the dispatcher is idle.
-                if let (Some(m), Some(s)) = (metrics, scratch.as_mut()) {
-                    s.flush(m);
-                    s.mark_idle();
-                }
-                if let Some(obs) = observatory {
-                    record_obs_spill(&inner, metrics, obs_scratch.flush(obs));
-                }
-                match publish_rx.recv() {
-                    Ok(item) => (item, false),
-                    Err(_) => break,
-                }
-            }
-            Err(TryRecvError::Disconnected) => break,
-        };
-        let (topic, message, enqueued_at) = match item {
-            DispatchItem::Shutdown => break,
-            DispatchItem::Publish { topic, message, enqueued_at } => (topic, message, enqueued_at),
-        };
-        // Backlog sample at the dispatch epoch: the queue now holds exactly
-        // the messages that arrived during this message's waiting time, so
-        // the window mean of these samples estimates L_q = λ·E[W] — the
-        // measured side of the observatory's Little's-law self-check.
-        if let Some(s) = scratch.as_mut() {
-            s.record_backlog(publish_rx.len() as u64);
-        }
-        let timer = metrics.map(|m| {
-            stage_countdown -= 1;
-            let sample = stage_countdown == 0;
-            if sample {
-                stage_countdown = m.stage_sample_every;
-            }
-            let reuse = if was_queued { last_end } else { None };
-            DispatchTimer::start_at(reuse, sample)
-        });
-        let sample = timer.as_ref().is_some_and(|t| t.sample_stages);
-        // With tracing on, stage durations are measured for *every* message:
-        // the tail sampler decides after fan-out which chains to keep, so
-        // any message may need its durations. Stage *histograms* stay
-        // sampled (`sample`) — only the local accumulation is exhaustive.
-        let timed = sample || tracer.is_some();
-        let mut rcv_ns = 0u64;
-        let mut journal_ns = 0u64;
-        let mut filter_ns = 0u64;
-        let mut fanout_ns = 0u64;
-
-        // Uniform-baseline decision is interval-driven and thus known
-        // up front, before the message's sojourn time is.
-        let uniform_keep = tracer.is_some() && {
-            trace_uniform_countdown -= 1;
-            if trace_uniform_countdown == 0 {
-                trace_uniform_countdown = tracer.map_or(u64::MAX, |(_, t)| t.uniform_every);
-                true
-            } else {
-                false
-            }
-        };
-        // Pre-mark for the wire layer: when the message's *waiting* time
-        // already clears the tail threshold the chain is guaranteed to be
-        // kept (sojourn ≥ waiting), so mark the id sampled before fan-out —
-        // the per-connection writers this message fans out to may flush it
-        // before the dispatcher reaches its commit point below.
-        if let (Some(t), Some((recorder, _)), Some(enq)) = (&timer, tracer, enqueued_at) {
-            let ns_per_tick = metrics.map_or(1.0, |m| m.ns_per_tick);
-            let waiting_ns = (t.dispatch_start().saturating_sub(enq) as f64 * ns_per_tick) as u64;
-            if uniform_keep || waiting_ns >= trace_threshold_ns {
-                recorder.mark_sampled(message.trace_id());
-            }
-        }
-
-        inner.stats.record_received();
-        shard_stats.received.fetch_add(1, Ordering::Relaxed);
-        time_stage(timed, &mut rcv_ns, || {
-            if let Some(c) = &cost {
-                c.spin_receive();
-            }
-        });
-
-        // TTL: expired messages are never delivered (JMS §4.8); the receive
-        // work has already been paid. Expired messages are dropped before
-        // fan-out, so they do not enter the timing histograms either.
-        if message.is_expired() {
-            inner.stats.record_expired_message();
-            continue;
-        }
-
-        // Write-ahead: the message is on disk (per the fsync policy) before
-        // any subscriber sees it. This append is the real-I/O counterpart
-        // of the synthetic `t_rcv`/`t_fltr`/`t_tx` spins — the `t_store`
-        // term of the extended cost model.
-        let publish_offset = time_stage(timed, &mut journal_ns, || {
-            inner.append_record(&encode_publish(&topic.name, &message))
-        });
-
-        let mut copies = 0u64;
-        let mut evaluations = 0u64;
-        let mut needs_prune = false;
-        {
-            let subs = topic.subscriptions.read();
-            // The scan is timed as one block (two clock reads) rather than
-            // per filter, so sampled messages stay cheap even with hundreds
-            // of subscriptions; the fan-out time inside the block is timed
-            // separately and subtracted afterwards.
-            let scan_start = if timed { Some(Instant::now()) } else { None };
-            let fanout_before = fanout_ns;
-            for sub in subs.iter() {
-                if !sub.active.load(Ordering::Relaxed) {
-                    needs_prune = true;
-                    continue;
-                }
-                evaluations += 1;
-                if let Some(c) = &cost {
-                    c.spin_filters(1);
-                }
-                if !sub.filter.matches(&message) {
-                    continue;
-                }
-                let delivery = time_stage(timed, &mut fanout_ns, || {
-                    if let Some(c) = &cost {
-                        c.spin_transmit();
-                    }
-                    deliver(sub, Arc::clone(&message), inner.config.overflow_policy)
-                });
-                match delivery {
-                    Delivery::Sent => copies += 1,
-                    Delivery::Dropped => inner.stats.record_dropped(),
-                    Delivery::Disconnected => {
-                        sub.active.store(false, Ordering::Relaxed);
-                        inner.stats.record_expired_subscription();
-                        needs_prune = true;
-                    }
-                }
-            }
-            if let Some(start) = scan_start {
-                let total = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                filter_ns += total.saturating_sub(fanout_ns - fanout_before);
-            }
-        }
-        // Durable subscriptions: deliver when connected, retain otherwise.
-        {
-            let durables = topic.durables.read();
-            for durable in durables.iter() {
-                evaluations += 1;
-                let matched = time_stage(timed, &mut filter_ns, || {
-                    if let Some(c) = &cost {
-                        c.spin_filters(1);
-                    }
-                    durable.filter.lock().matches(&message)
-                });
-                if !matched {
-                    continue;
-                }
-                if let Some(c) = &cost {
-                    c.spin_transmit();
-                }
-                let mut connection = durable.connection.lock();
-                let delivered = match connection.as_ref() {
-                    Some(sender) => {
-                        let delivery = time_stage(timed, &mut fanout_ns, || {
-                            deliver_to(sender, Arc::clone(&message), inner.config.overflow_policy)
-                        });
-                        match delivery {
-                            Delivery::Sent => {
-                                copies += 1;
-                                true
-                            }
-                            Delivery::Dropped => {
-                                inner.stats.record_dropped();
-                                true
-                            }
-                            Delivery::Disconnected => {
-                                *connection = None;
-                                false
-                            }
-                        }
-                    }
-                    None => false,
-                };
-                if delivered {
-                    // Handed to a connected consumer (or consciously
-                    // dropped by the overflow policy): progress that a
-                    // checkpoint record may cover. Messages retained for
-                    // offline consumers are deliberately NOT checkpointed,
-                    // so replay rebuilds the retained backlog.
-                    if let Some(offset) = publish_offset {
-                        let key = (topic.name.clone(), durable.name.clone());
-                        let entry = checkpoints
-                            .entry(key)
-                            .or_insert(PendingCheckpoint { offset, deliveries: 0 });
-                        entry.offset = offset;
-                        entry.deliveries += 1;
-                        if entry.deliveries >= checkpoint_every {
-                            inner.append_record(
-                                &JournalRecord::DurableCheckpoint {
-                                    topic: topic.name.clone(),
-                                    name: durable.name.clone(),
-                                    offset,
-                                }
-                                .encode(),
-                            );
-                            entry.deliveries = 0;
-                        }
-                    }
-                } else {
-                    // Retain for the offline consumer, dropping the oldest
-                    // message beyond the buffer capacity.
-                    let mut retained = durable.retained.lock();
-                    if retained.len() >= inner.config.durable_buffer_capacity {
-                        retained.pop_front();
-                        inner.stats.record_dropped();
-                    }
-                    retained.push_back(Arc::clone(&message));
-                    inner.stats.record_retained();
-                }
-            }
-        }
-
-        inner.stats.record_filter_evaluations(evaluations);
-        inner.stats.record_dispatched(copies);
-        shard_stats.filter_evaluations.fetch_add(evaluations, Ordering::Relaxed);
-        shard_stats.dispatched.fetch_add(copies, Ordering::Relaxed);
-        let first_message = topic.received.fetch_add(1, Ordering::Relaxed) == 0;
-        topic.dispatched.fetch_add(copies, Ordering::Relaxed);
-
-        if let Some(m) = metrics {
-            if per_topic_cap > 0 {
-                // Topic names are client-controlled, so labeled series are
-                // capped: the first `per_topic_cap` topics get their own
-                // series, the rest share `__other__`.
-                let name = if topic_counters.contains_key(topic.name.as_str())
-                    || topic_counters.len() < per_topic_cap
-                {
-                    topic.name.as_str()
-                } else {
-                    // Count each topic folded into `__other__` exactly once
-                    // (on its first message) so the overflow counter tracks
-                    // distinct topics, not suppressed traffic. When the
-                    // observatory is on, its accounting-table cap drives
-                    // the counter instead (see `record_obs_spill`).
-                    if first_message && observatory.is_none() {
-                        inner.stats.record_topic_overflowed();
-                        m.registry.counter("broker.topics_overflowed").inc();
-                    }
-                    "__other__"
-                };
-                let counters =
-                    topic_counters.entry(name.to_owned()).or_insert_with(|| TopicCounters {
-                        received: m
-                            .registry
-                            .counter(&labeled("broker.topic.received", &[("topic", name)])),
-                        dispatched: m
-                            .registry
-                            .counter(&labeled("broker.topic.dispatched", &[("topic", name)])),
-                    });
-                counters.received.inc();
-                counters.dispatched.add(copies);
-            }
-        }
-
-        if needs_prune {
-            topic.subscriptions.write().retain(|s| s.active.load(Ordering::Relaxed));
-        }
-
-        if let (Some(m), Some(mut timer), Some(scratch)) = (metrics, timer, scratch.as_mut()) {
-            if timer.sample_stages {
-                m.stage_rcv.record(rcv_ns);
-                m.stage_journal.record(journal_ns);
-                timer.filter_elapsed = filter_ns;
-                timer.fanout_elapsed = fanout_ns;
-            }
-            // Without an enqueue stamp (metrics enabled mid-flight is
-            // impossible, but recovery replays have none) waiting is zero.
-            let dispatch_start = timer.dispatch_start();
-            let enqueued_at = enqueued_at.unwrap_or(dispatch_start);
-            let end = timer.finish(m, scratch, enqueued_at);
-            last_end = Some(end);
-            if scratch.pending() >= crate::metrics::FLUSH_EVERY {
-                scratch.flush(m);
-            }
-            if let Some(obs) = observatory {
-                let service_secs = end.saturating_sub(dispatch_start) as f64 * m.ns_per_tick * 1e-9;
-                obs_scratch.record(
-                    &topic.name,
-                    shard,
-                    evaluations.min(u64::from(u32::MAX)) as u32,
-                    copies.min(u64::from(u32::MAX)) as u32,
-                    service_secs,
-                );
-                if obs_scratch.pending() >= crate::metrics::FLUSH_EVERY {
-                    record_obs_spill(&inner, metrics, obs_scratch.flush(obs));
-                }
-            }
-
-            // Tail-sampling commit point: the sojourn time is now known.
-            if let Some((recorder, tcfg)) = tracer {
-                let to_ns = |ticks: u64| (ticks as f64 * m.ns_per_tick) as u64;
-                let waiting_ns = to_ns(dispatch_start.saturating_sub(enqueued_at));
-                let sojourn_ns = to_ns(end.saturating_sub(enqueued_at));
-                trace_refresh_countdown -= 1;
-                if trace_refresh_countdown == 0 {
-                    trace_refresh_countdown = tcfg.refresh_every;
-                    scratch.flush(m);
-                    if let Some(q) = m.sojourn.snapshot().quantile(tcfg.tail_quantile) {
-                        trace_threshold_ns = q;
-                    }
-                }
-                let tail_keep = sojourn_ns >= trace_threshold_ns;
-                if tail_keep || uniform_keep {
-                    // Stage timestamps are synthesized as cumulative tick
-                    // offsets from the dispatch start, so a chain is
-                    // monotone by construction even though the stages were
-                    // measured with duration-only Instant reads.
-                    let ns_to_ticks = |ns: u64| (ns as f64 / m.ns_per_tick) as u64;
-                    let trace_id = message.trace_id();
-                    let mut at = dispatch_start;
-                    for (stage, duration_ns, aux) in [
-                        (Stage::Receive, rcv_ns, waiting_ns),
-                        (Stage::Journal, journal_ns, publish_offset.unwrap_or(0)),
-                        (Stage::Filter, filter_ns, evaluations),
-                        (Stage::Fanout, fanout_ns, copies),
-                    ] {
-                        recorder.record(SpanEvent {
-                            trace_id,
-                            stage,
-                            start_ticks: at,
-                            duration_ns,
-                            aux,
-                        });
-                        at += ns_to_ticks(duration_ns);
-                    }
-                    recorder.mark_sampled(trace_id);
-                    if let Some((tail, uniform)) = &trace_counters {
-                        if tail_keep {
-                            tail.inc();
-                        } else {
-                            uniform.inc();
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Final histogram flush: every staged sample is visible after shutdown.
-    if let Some(obs) = observatory {
-        record_obs_spill(&inner, metrics, obs_scratch.flush(obs));
-    }
-    if let (Some(m), Some(s)) = (metrics, scratch.as_mut()) {
-        s.flush(m);
-        s.mark_idle();
-    }
-
-    // Shutdown: write the final checkpoints and force the journal to disk
-    // so a clean stop never re-delivers already-consumed messages.
-    for ((topic, name), pending) in checkpoints {
-        if pending.deliveries > 0 {
-            inner.append_record(
-                &JournalRecord::DurableCheckpoint { topic, name, offset: pending.offset }.encode(),
-            );
-        }
-    }
-    inner.sync_journal();
-
-    // Drop the subscriptions of this shard's topics so that blocked or
-    // future subscriber receives observe disconnection once their queues
-    // drain. Each dispatcher clears only its own shard: another shard may
-    // still be draining its queue into its topics.
-    for topic in inner.topics.read().values() {
-        if topic.shard == shard {
-            topic.subscriptions.write().clear();
-        }
-    }
-}
-
-/// Replays the journal into a fresh topic registry: topics and durable
-/// subscriptions are re-created, and every publish logged after a durable
-/// subscription's registration but not covered by one of its checkpoint
-/// records goes back into its retained backlog (at-least-once
-/// re-delivery). Expired messages and backlog beyond
-/// `durable_buffer_capacity` are discarded, mirroring live behaviour.
-fn recover_topics(journal: &Journal, config: &BrokerConfig) -> HashMap<String, Arc<Topic>> {
-    struct DurableRecovery {
-        filter: Filter,
-        /// `(journal offset, message)` publishes awaiting a checkpoint.
-        backlog: VecDeque<(u64, Arc<Message>)>,
-    }
-
-    let mut recovered: HashMap<String, HashMap<String, DurableRecovery>> = HashMap::new();
-    for item in journal.replay(journal.first_offset()) {
-        let (offset, payload) = item.expect("failed to read back the write-ahead journal");
-        let record = JournalRecord::decode(&payload).unwrap_or_else(|e| {
-            // The frame passed its CRC, so this is version skew or a bug,
-            // not a torn write — refuse to guess at broker state.
-            panic!("journal frame {offset} is checksummed but undecodable: {e}")
-        });
-        match record {
-            JournalRecord::TopicCreated { topic } => {
-                recovered.entry(topic).or_default();
-            }
-            JournalRecord::Publish { topic, message } => {
-                let message = Arc::new(message);
-                if let Some(durables) = recovered.get_mut(&topic) {
-                    for durable in durables.values_mut() {
-                        if durable.filter.matches(&message) {
-                            durable.backlog.push_back((offset, Arc::clone(&message)));
-                        }
-                    }
-                }
-            }
-            JournalRecord::DurableRegistered { topic, name, filter } => {
-                // (Re-)registration starts from an empty backlog — a
-                // changed filter discards retained messages (JMS
-                // change-of-selector semantics).
-                recovered
-                    .entry(topic)
-                    .or_default()
-                    .insert(name, DurableRecovery { filter, backlog: VecDeque::new() });
-            }
-            JournalRecord::DurableCheckpoint { topic, name, offset } => {
-                if let Some(durable) =
-                    recovered.get_mut(&topic).and_then(|durables| durables.get_mut(&name))
-                {
-                    while durable.backlog.front().is_some_and(|(o, _)| *o <= offset) {
-                        durable.backlog.pop_front();
-                    }
-                }
-            }
-            JournalRecord::DurableUnsubscribed { topic, name } => {
-                if let Some(durables) = recovered.get_mut(&topic) {
-                    durables.remove(&name);
-                }
-            }
-        }
-    }
-
-    let mut topics = HashMap::with_capacity(recovered.len());
-    for (topic_name, durables) in recovered {
-        let topic = Arc::new(Topic::new(&topic_name, shard_of(&topic_name, config.shards.max(1))));
-        {
-            let mut topic_durables = topic.durables.write();
-            for (durable_name, recovery) in durables {
-                let mut retained: VecDeque<Arc<Message>> = recovery
-                    .backlog
-                    .into_iter()
-                    .map(|(_, message)| message)
-                    .filter(|message| !message.is_expired())
-                    .collect();
-                while retained.len() > config.durable_buffer_capacity {
-                    retained.pop_front();
-                }
-                topic_durables.push(Arc::new(DurableState {
-                    name: durable_name,
-                    filter: Mutex::new(recovery.filter),
-                    retained: Mutex::new(retained),
-                    connection: Mutex::new(None),
-                }));
-            }
-        }
-        topics.insert(topic_name, topic);
-    }
-    topics
-}
-
-enum Delivery {
-    Sent,
-    Dropped,
-    Disconnected,
-}
-
-/// Delivers one copy according to the overflow policy.
-fn deliver(sub: &Subscription, message: Arc<Message>, policy: OverflowPolicy) -> Delivery {
-    deliver_to(&sub.sender, message, policy)
-}
-
-/// Delivers one copy into an arbitrary subscriber queue.
-fn deliver_to(
-    sender: &Sender<Arc<Message>>,
-    message: Arc<Message>,
-    policy: OverflowPolicy,
-) -> Delivery {
-    match policy {
-        OverflowPolicy::Block => match sender.send(message) {
-            Ok(()) => Delivery::Sent,
-            Err(_) => Delivery::Disconnected,
-        },
-        OverflowPolicy::DropNew => match sender.try_send(message) {
-            Ok(()) => Delivery::Sent,
-            Err(TrySendError::Full(_)) => Delivery::Dropped,
-            Err(TrySendError::Disconnected(_)) => Delivery::Disconnected,
-        },
     }
 }
 
@@ -2064,18 +1127,7 @@ impl Drop for Subscriber {
         // Mark inactive; the dispatcher prunes plain subscriptions lazily.
         self.active.store(false, Ordering::Relaxed);
         if let Some(durable) = &self.durable {
-            // Disconnect: future matches are retained again. Unconsumed
-            // backlog and queued-but-unreceived messages go back into the
-            // retained buffer so that nothing is lost on reconnect.
-            let mut connection = durable.connection.lock();
-            *connection = None;
-            let mut retained = durable.retained.lock();
-            for m in self.pending.lock().drain(..) {
-                retained.push_back(m);
-            }
-            while let Ok(m) = self.receiver.try_recv() {
-                retained.push_back(m);
-            }
+            durable.disconnect(self.pending.lock().drain(..), &self.receiver);
         }
     }
 }
@@ -2083,8 +1135,9 @@ impl Drop for Subscriber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MetricsConfig;
+    use crate::config::{MetricsConfig, OverflowPolicy};
     use crate::message::Priority;
+    use rjms_core::ModelVerdict;
 
     fn broker() -> Broker {
         let b = Broker::start(BrokerConfig::default());

@@ -1,0 +1,245 @@
+//! Durable subscriptions (paper §II-A: in the durable mode, messages are
+//! also forwarded to subscribers that are currently not connected — the
+//! broker retains them): the server-side state of one named subscription,
+//! its connect/disconnect protocol, the dispatcher's delivery step and the
+//! checkpoint bookkeeping that lets journal replay skip what a consumer
+//! already received.
+
+use crate::broker::{BrokerInner, Topic};
+use crate::dispatch::{deliver_to, Delivery};
+use crate::error::Error;
+use crate::filter::Filter;
+use crate::message::Message;
+use crate::persist::JournalRecord;
+use crate::probe::DispatchProbe;
+use crossbeam::channel::{Receiver, Sender};
+use parking_lot::Mutex;
+use rjms_trace::Stage;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+
+/// Server-side state of a named durable subscription.
+pub(crate) struct DurableState {
+    pub(crate) name: String,
+    pub(crate) filter: Mutex<Filter>,
+    /// Messages retained while no consumer is connected (bounded by
+    /// `durable_buffer_capacity`, oldest dropped on overflow).
+    pub(crate) retained: Mutex<VecDeque<Arc<Message>>>,
+    /// The connected consumer's queue, if any.
+    pub(crate) connection: Mutex<Option<Sender<Arc<Message>>>>,
+}
+
+impl DurableState {
+    /// Connects `tx` as the consumer of `topic`'s durable subscription
+    /// `name`, creating the subscription on first use. Returns the state
+    /// plus the retained backlog the consumer must see before live
+    /// messages (expired messages already discarded).
+    ///
+    /// Reconnecting with a different filter discards the retained backlog
+    /// (JMS change-of-selector semantics).
+    pub(crate) fn connect(
+        inner: &BrokerInner,
+        topic: &Topic,
+        name: &str,
+        filter: Filter,
+        tx: Sender<Arc<Message>>,
+    ) -> Result<(Arc<DurableState>, VecDeque<Arc<Message>>), Error> {
+        let registered = |filter: Filter| {
+            JournalRecord::DurableRegistered {
+                topic: topic.name.clone(),
+                name: name.to_owned(),
+                filter,
+            }
+            .encode()
+        };
+        let mut durables = topic.durables.write();
+        let state = match durables.iter().find(|d| d.name == name) {
+            Some(existing) => {
+                let mut connection = existing.connection.lock();
+                if connection.is_some() {
+                    return Err(Error::DurableNameInUse {
+                        topic: topic.name.clone(),
+                        name: name.to_owned(),
+                    });
+                }
+                let mut existing_filter = existing.filter.lock();
+                if *existing_filter != filter {
+                    // JMS: changing the selector is equivalent to deleting
+                    // and recreating the subscription. A re-registration
+                    // record makes replay discard the stale backlog too.
+                    existing.retained.lock().clear();
+                    *existing_filter = filter.clone();
+                    inner.append_record(&registered(filter));
+                }
+                *connection = Some(tx);
+                Arc::clone(existing)
+            }
+            None => {
+                let state = Arc::new(DurableState {
+                    name: name.to_owned(),
+                    filter: Mutex::new(filter.clone()),
+                    retained: Mutex::new(VecDeque::new()),
+                    connection: Mutex::new(Some(tx)),
+                });
+                durables.push(Arc::clone(&state));
+                inner.append_record(&registered(filter));
+                state
+            }
+        };
+        // The retained backlog moves into the subscriber handle; it is
+        // consumed before live messages.
+        let pending = state.retained.lock().drain(..).filter(|m| !m.is_expired()).collect();
+        Ok((state, pending))
+    }
+
+    /// Disconnects the consumer: future matches are retained again, and
+    /// its unconsumed backlog (`pending`) plus everything still queued in
+    /// `receiver` goes back into the retained buffer so that nothing is
+    /// lost on reconnect.
+    pub(crate) fn disconnect(
+        &self,
+        pending: impl Iterator<Item = Arc<Message>>,
+        receiver: &Receiver<Arc<Message>>,
+    ) {
+        let mut connection = self.connection.lock();
+        *connection = None;
+        let mut retained = self.retained.lock();
+        retained.extend(pending);
+        while let Ok(m) = receiver.try_recv() {
+            retained.push_back(m);
+        }
+    }
+}
+
+/// Durable-consumer progress not yet written to the journal: the highest
+/// delivered offset plus the number of deliveries since the last
+/// checkpoint record.
+struct PendingCheckpoint {
+    offset: u64,
+    deliveries: u64,
+}
+
+/// One dispatcher's checkpoint bookkeeping, keyed by (topic, durable
+/// name). Only the dispatcher writes checkpoints, so this needs no locking.
+pub(crate) struct Checkpoints {
+    every: u64,
+    pending: HashMap<(String, String), PendingCheckpoint>,
+}
+
+impl Checkpoints {
+    pub(crate) fn new(inner: &BrokerInner) -> Self {
+        let every = inner.config.persistence.as_ref().map_or(u64::MAX, |p| p.checkpoint_every);
+        Self { every, pending: HashMap::new() }
+    }
+
+    /// Notes that the publish at journal `offset` reached `name`'s
+    /// consumer; every `checkpoint_every` deliveries this becomes a
+    /// checkpoint record.
+    fn delivered(&mut self, inner: &BrokerInner, topic: &str, name: &str, offset: u64) {
+        let entry = self
+            .pending
+            .entry((topic.to_owned(), name.to_owned()))
+            .or_insert(PendingCheckpoint { offset, deliveries: 0 });
+        entry.offset = offset;
+        entry.deliveries += 1;
+        if entry.deliveries >= self.every {
+            inner.append_record(
+                &JournalRecord::DurableCheckpoint {
+                    topic: topic.to_owned(),
+                    name: name.to_owned(),
+                    offset,
+                }
+                .encode(),
+            );
+            entry.deliveries = 0;
+        }
+    }
+
+    /// Shutdown: writes the final checkpoints and forces the journal to
+    /// disk so a clean stop never re-delivers already-consumed messages.
+    pub(crate) fn finish(self, inner: &BrokerInner) {
+        for ((topic, name), pending) in self.pending {
+            if pending.deliveries > 0 {
+                inner.append_record(
+                    &JournalRecord::DurableCheckpoint { topic, name, offset: pending.offset }
+                        .encode(),
+                );
+            }
+        }
+        inner.sync_journal();
+    }
+}
+
+/// The durable half of one message's fan-out: every durable subscription
+/// of `topic` is evaluated; a match is delivered when its consumer is
+/// connected and retained otherwise. Returns `(evaluations, copies)`.
+pub(crate) fn deliver<P: DispatchProbe>(
+    inner: &BrokerInner,
+    topic: &Topic,
+    message: &Arc<Message>,
+    publish_offset: Option<u64>,
+    checkpoints: &mut Checkpoints,
+    probe: &mut P,
+) -> (u64, u64) {
+    let cost = inner.config.cost_model;
+    let (mut evaluations, mut copies) = (0u64, 0u64);
+    for durable in topic.durables.read().iter() {
+        evaluations += 1;
+        let matched = probe.stage(Stage::Filter, |_| {
+            if let Some(c) = &cost {
+                c.spin_filters(1);
+            }
+            durable.filter.lock().matches(message)
+        });
+        if !matched {
+            continue;
+        }
+        if let Some(c) = &cost {
+            c.spin_transmit();
+        }
+        let mut connection = durable.connection.lock();
+        let delivered = match connection.as_ref() {
+            Some(sender) => {
+                let delivery = probe.stage(Stage::Fanout, |_| {
+                    deliver_to(sender, Arc::clone(message), inner.config.overflow_policy)
+                });
+                match delivery {
+                    Delivery::Sent => {
+                        copies += 1;
+                        true
+                    }
+                    Delivery::Dropped => {
+                        inner.stats.record_dropped();
+                        true
+                    }
+                    Delivery::Disconnected => {
+                        *connection = None;
+                        false
+                    }
+                }
+            }
+            None => false,
+        };
+        if delivered {
+            // Handed to a connected consumer (or consciously dropped by
+            // the overflow policy): progress that a checkpoint record may
+            // cover. Messages retained for offline consumers are
+            // deliberately NOT checkpointed, so replay rebuilds the
+            // retained backlog.
+            if let Some(offset) = publish_offset {
+                checkpoints.delivered(inner, &topic.name, &durable.name, offset);
+            }
+        } else {
+            // Retain for the offline consumer, dropping the oldest
+            // message beyond the buffer capacity.
+            let mut retained = durable.retained.lock();
+            if retained.len() >= inner.config.durable_buffer_capacity {
+                retained.pop_front();
+                inner.stats.record_dropped();
+            }
+            retained.push_back(Arc::clone(message));
+            inner.stats.record_retained();
+        }
+    }
+    (evaluations, copies)
+}

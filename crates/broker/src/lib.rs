@@ -61,18 +61,21 @@
 mod broker;
 pub mod config;
 pub mod cost;
+mod dispatch;
+mod durable;
 pub mod error;
 pub mod filter;
 pub mod message;
 pub mod metrics;
 pub mod pattern;
 pub mod persist;
+mod probe;
+mod reports;
 pub mod stats;
 pub mod topic_obs;
 
 pub use broker::{
-    shard_of, Broker, BrokerObserver, Publisher, ShardReport, Subscriber, SubscriptionBuilder,
-    SubscriptionId, TopicStats,
+    shard_of, Broker, BrokerObserver, Publisher, Subscriber, SubscriptionBuilder, SubscriptionId,
 };
 pub use config::{
     BrokerConfig, BrokerConfigBuilder, FlowConfig, MetricsConfig, OverflowPolicy,
@@ -83,11 +86,12 @@ pub use error::{Error, TryPublishError};
 pub use filter::Filter;
 pub use message::{Message, MessageBuilder, MessageId, Priority};
 pub use pattern::TopicPattern;
+pub use reports::ShardReport;
 pub use rjms_flow::{AdmissionOutcome, FlowGate, FlowSnapshot};
 pub use rjms_journal::{FsyncPolicy, JournalConfig, JournalStats, RecoveryReport};
 pub use rjms_metrics::MetricsRegistry;
 pub use stats::{
     BrokerSnapshot, BrokerStats, FlowCounters, MessageCounters, ShardSnapshot, StatsSnapshot,
-    SubscriptionCounters, Throughput, ThroughputProbe,
+    SubscriptionCounters, Throughput, ThroughputProbe, TopicStats,
 };
 pub use topic_obs::{TopicObsRow, TopicObservatorySnapshot, OTHER_TOPIC};

@@ -24,10 +24,8 @@
 //! | `journal.append_ns` | histogram | every journal append (always on, from `rjms-journal`) |
 //! | `journal.fsync_ns` | histogram | every explicit fsync (always on, from `rjms-journal`) |
 
-use rjms_metrics::clock;
-use rjms_metrics::{labeled, Gauge, Histogram, LocalHistogram, MetricsRegistry};
+use rjms_metrics::{clock, labeled, Gauge, Histogram, LocalHistogram, MetricsRegistry};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Dispatcher-local staging flushed into the shared histograms every this
 /// many samples (and whenever the dispatcher goes idle), bounding snapshot
@@ -143,7 +141,7 @@ impl DispatcherScratch {
     }
 
     /// Stages one message's waiting/service/sojourn sample.
-    fn record(&mut self, waiting: u64, service: u64, sojourn: u64) {
+    pub(crate) fn record(&mut self, waiting: u64, service: u64, sojourn: u64) {
         self.waiting.record(waiting);
         self.service.record(service);
         self.sojourn.record(sojourn);
@@ -193,104 +191,9 @@ impl DispatcherScratch {
     }
 }
 
-/// Dispatcher-local timing state for one message: created when the message
-/// is popped, consumed when its fan-out completes. Timestamps are
-/// instrumentation-clock ticks ([`clock::now`]); stage timing is only
-/// armed on sampled messages, so the per-message cost on unsampled ones is
-/// at most one tick read plus local histogram records.
-pub(crate) struct DispatchTimer {
-    dispatch_start: u64,
-    /// Whether this message records the per-stage decomposition.
-    pub(crate) sample_stages: bool,
-    /// Accumulated filter-scan time on sampled messages.
-    pub(crate) filter_elapsed: u64,
-    /// Accumulated copy/transmit time on sampled messages.
-    pub(crate) fanout_elapsed: u64,
-}
-
-impl DispatchTimer {
-    /// Starts the timer, reusing `reuse` as the dispatch start when given.
-    ///
-    /// The dispatcher passes the previous message's fan-out end here when
-    /// the next message was already queued: the two moments coincide up to
-    /// loop bookkeeping, and reusing the reading halves the per-message
-    /// clock cost of the metrics layer.
-    pub(crate) fn start_at(reuse: Option<u64>, sample_stages: bool) -> Self {
-        Self {
-            dispatch_start: reuse.unwrap_or_else(clock::now),
-            sample_stages,
-            filter_elapsed: 0,
-            fanout_elapsed: 0,
-        }
-    }
-
-    pub(crate) fn dispatch_start(&self) -> u64 {
-        self.dispatch_start
-    }
-
-    /// Finishes the message: stages waiting/service/sojourn into `scratch`
-    /// and, on sampled messages, records the accumulated stage times
-    /// directly (they are rare enough that atomics are fine). Returns the
-    /// fan-out end reading so the dispatcher can reuse it as the next
-    /// message's start.
-    pub(crate) fn finish(
-        self,
-        metrics: &BrokerMetrics,
-        scratch: &mut DispatcherScratch,
-        enqueued_at: u64,
-    ) -> u64 {
-        let end = clock::now();
-        // Saturating differences: cross-core tick skew must clamp to zero
-        // rather than wrap into a 500-year sample.
-        let to_ns = |ticks: u64| (ticks as f64 * metrics.ns_per_tick) as u64;
-        let waiting = to_ns(self.dispatch_start.saturating_sub(enqueued_at));
-        let service = to_ns(end.saturating_sub(self.dispatch_start));
-        scratch.record(waiting, service, waiting.saturating_add(service));
-        if self.sample_stages {
-            metrics.stage_filter.record(self.filter_elapsed);
-            metrics.stage_fanout.record(self.fanout_elapsed);
-        }
-        end
-    }
-}
-
-/// Times one stage into `elapsed_ns` when `armed`; free otherwise.
-#[inline]
-pub(crate) fn time_stage<T>(armed: bool, elapsed_ns: &mut u64, work: impl FnOnce() -> T) -> T {
-    if armed {
-        let start = Instant::now();
-        let out = work();
-        *elapsed_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        out
-    } else {
-        work()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn timer_records_waiting_service_sojourn() {
-        let m = BrokerMetrics::new(1);
-        let enqueued = clock::now();
-        std::thread::sleep(Duration::from_millis(2));
-        let timer = DispatchTimer::start_at(None, true);
-        std::thread::sleep(Duration::from_millis(2));
-        let mut scratch = DispatcherScratch::new(&m);
-        timer.finish(&m, &mut scratch, enqueued);
-        assert_eq!(scratch.pending(), 1);
-        scratch.flush(&m);
-        let snap = m.registry.snapshot();
-        let waiting = snap.histogram("broker.waiting_ns").unwrap();
-        let service = snap.histogram("broker.service_ns").unwrap();
-        let sojourn = snap.histogram("broker.sojourn_ns").unwrap();
-        assert!(waiting.max >= 2_000_000);
-        assert!(service.max >= 2_000_000);
-        assert!(sojourn.max >= waiting.max.max(service.max));
-    }
 
     #[test]
     fn shard_scratch_feeds_labeled_twins() {
@@ -338,18 +241,5 @@ mod tests {
         assert_eq!(snap.histogram("broker.backlog{shard=\"1\"}").unwrap().count, 1);
         assert_eq!(m.registry.gauge("broker.queue_depth{shard=\"1\"}").get(), 7);
         assert_eq!(m.registry.gauge("broker.in_flight{shard=\"1\"}").get(), 1);
-    }
-
-    #[test]
-    fn stage_timing_only_when_armed() {
-        let mut elapsed = 0u64;
-        let out = time_stage(false, &mut elapsed, || 7);
-        assert_eq!((out, elapsed), (7, 0));
-        let out = time_stage(true, &mut elapsed, || {
-            std::thread::sleep(Duration::from_millis(1));
-            9
-        });
-        assert_eq!(out, 9);
-        assert!(elapsed >= 1_000_000);
     }
 }

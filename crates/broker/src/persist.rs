@@ -1,19 +1,28 @@
-//! Journal record encoding for broker persistence.
+//! Broker persistence: the journal record encoding, the broker's write
+//! path into the journal, and recovery of the topic registry from it.
 //!
 //! Every state change the broker must survive is one [`JournalRecord`],
 //! serialized into a journal frame payload with a compact little-endian,
 //! length-prefixed binary format. The journal layer adds checksums and
-//! torn-tail recovery; this module only defines what is stored.
+//! torn-tail recovery; this module defines what is stored, appends it
+//! (`BrokerInner::append_record`) and replays it at start-up
+//! (`recover_topics`).
 //!
 //! Filters are persisted by their textual form ([`Filter::correlation_id`]
 //! pattern syntax / selector source) and re-parsed on recovery, so the
 //! journal format is decoupled from the selector AST.
 
+use crate::broker::{shard_of, BrokerInner, Topic};
+use crate::config::BrokerConfig;
+use crate::durable::DurableState;
 use crate::filter::Filter;
 use crate::message::{Message, Priority};
+use parking_lot::Mutex;
+use rjms_journal::Journal;
 use rjms_selector::value::Value;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// One durable broker state change.
 #[derive(Debug, Clone, PartialEq)]
@@ -383,6 +392,125 @@ impl JournalRecord {
         cursor.finish()?;
         Ok(record)
     }
+}
+
+impl BrokerInner {
+    /// Appends one record to the journal (no-op without persistence),
+    /// refreshing the journal gauges in `BrokerStats`. Returns the
+    /// record's journal offset.
+    ///
+    /// A journal write failure is fatal: the broker cannot honor the
+    /// durability contract without its write-ahead log.
+    pub(crate) fn append_record(&self, payload: &[u8]) -> Option<u64> {
+        let journal = self.journal.as_ref()?;
+        let mut journal = journal.lock();
+        let offset = journal
+            .append(payload)
+            .expect("write-ahead journal append failed; cannot continue durably");
+        self.stats.update_journal(&journal.stats());
+        Some(offset)
+    }
+
+    /// Forces the journal to stable storage (no-op without persistence).
+    pub(crate) fn sync_journal(&self) {
+        if let Some(journal) = &self.journal {
+            let mut journal = journal.lock();
+            journal.sync().expect("write-ahead journal sync failed; cannot continue durably");
+            self.stats.update_journal(&journal.stats());
+        }
+    }
+}
+
+/// Replays the journal into a fresh topic registry: topics and durable
+/// subscriptions are re-created, and every publish logged after a durable
+/// subscription's registration but not covered by one of its checkpoint
+/// records goes back into its retained backlog (at-least-once
+/// re-delivery). Expired messages and backlog beyond
+/// `durable_buffer_capacity` are discarded, mirroring live behaviour.
+pub(crate) fn recover_topics(
+    journal: &Journal,
+    config: &BrokerConfig,
+) -> HashMap<String, Arc<Topic>> {
+    struct DurableRecovery {
+        filter: Filter,
+        /// `(journal offset, message)` publishes awaiting a checkpoint.
+        backlog: VecDeque<(u64, Arc<Message>)>,
+    }
+
+    let mut recovered: HashMap<String, HashMap<String, DurableRecovery>> = HashMap::new();
+    for item in journal.replay(journal.first_offset()) {
+        let (offset, payload) = item.expect("failed to read back the write-ahead journal");
+        let record = JournalRecord::decode(&payload).unwrap_or_else(|e| {
+            // The frame passed its CRC, so this is version skew or a bug,
+            // not a torn write — refuse to guess at broker state.
+            panic!("journal frame {offset} is checksummed but undecodable: {e}")
+        });
+        match record {
+            JournalRecord::TopicCreated { topic } => {
+                recovered.entry(topic).or_default();
+            }
+            JournalRecord::Publish { topic, message } => {
+                let message = Arc::new(message);
+                if let Some(durables) = recovered.get_mut(&topic) {
+                    for durable in durables.values_mut() {
+                        if durable.filter.matches(&message) {
+                            durable.backlog.push_back((offset, Arc::clone(&message)));
+                        }
+                    }
+                }
+            }
+            JournalRecord::DurableRegistered { topic, name, filter } => {
+                // (Re-)registration starts from an empty backlog — a
+                // changed filter discards retained messages (JMS
+                // change-of-selector semantics).
+                recovered
+                    .entry(topic)
+                    .or_default()
+                    .insert(name, DurableRecovery { filter, backlog: VecDeque::new() });
+            }
+            JournalRecord::DurableCheckpoint { topic, name, offset } => {
+                if let Some(durable) =
+                    recovered.get_mut(&topic).and_then(|durables| durables.get_mut(&name))
+                {
+                    while durable.backlog.front().is_some_and(|(o, _)| *o <= offset) {
+                        durable.backlog.pop_front();
+                    }
+                }
+            }
+            JournalRecord::DurableUnsubscribed { topic, name } => {
+                if let Some(durables) = recovered.get_mut(&topic) {
+                    durables.remove(&name);
+                }
+            }
+        }
+    }
+
+    let mut topics = HashMap::with_capacity(recovered.len());
+    for (topic_name, durables) in recovered {
+        let topic = Arc::new(Topic::new(&topic_name, shard_of(&topic_name, config.shards.max(1))));
+        {
+            let mut topic_durables = topic.durables.write();
+            for (durable_name, recovery) in durables {
+                let mut retained: VecDeque<Arc<Message>> = recovery
+                    .backlog
+                    .into_iter()
+                    .map(|(_, message)| message)
+                    .filter(|message| !message.is_expired())
+                    .collect();
+                while retained.len() > config.durable_buffer_capacity {
+                    retained.pop_front();
+                }
+                topic_durables.push(Arc::new(DurableState {
+                    name: durable_name,
+                    filter: Mutex::new(recovery.filter),
+                    retained: Mutex::new(retained),
+                    connection: Mutex::new(None),
+                }));
+            }
+        }
+        topics.insert(topic_name, topic);
+    }
+    topics
 }
 
 #[cfg(test)]

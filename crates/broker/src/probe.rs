@@ -1,0 +1,497 @@
+//! The dispatcher's single telemetry seam.
+//!
+//! The dispatch core ([`crate::dispatch`]) does the paper's loop and
+//! nothing else; everything that *observes* the loop hangs off one
+//! [`DispatchProbe`], statically dispatched and picked once per dispatcher
+//! thread:
+//!
+//! * [`NoProbe`] — zero-sized, every hook an empty inline body. The core
+//!   monomorphised over it is the un-instrumented broker.
+//! * [`Telemetry`] — everything `MetricsConfig`, `TraceConfig` and
+//!   `TopicObsConfig` turn on. One struct rather than one probe per
+//!   feature: `Broker::start` forces metrics on whenever tracing, flow
+//!   control or the topic observatory is set, and both the trace sampler
+//!   and the observatory are computed *from* the metrics timer, so separate
+//!   probes would have to reach into each other.
+//!
+//! Hook contract, per message: `on_dequeue`, then any number of (possibly
+//! nested) `stage` calls, then exactly one of `on_expired` or `on_done`.
+//! `on_idle` runs each time the publish queue is found empty, before the
+//! dispatcher blocks; `on_exit` runs once, after the last message.
+
+use crate::broker::BrokerInner;
+use crate::config::TraceConfig;
+use crate::message::Message;
+use crate::metrics::{BrokerMetrics, DispatcherScratch, FLUSH_EVERY};
+use crate::stats::BrokerStats;
+use crate::topic_obs::{TopicObsScratch, TopicObservatory, OTHER_TOPIC};
+use rjms_metrics::{clock, labeled, Counter};
+use rjms_trace::{FlightRecorder, SpanEvent, Stage};
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// What the core knows about a message once its fan-out is complete.
+pub(crate) struct Dispatched<'a> {
+    pub(crate) topic: &'a str,
+    pub(crate) message: &'a Message,
+    /// Filters evaluated (`n_fltr`) and copies delivered (`R`).
+    pub(crate) evaluations: u64,
+    pub(crate) copies: u64,
+    /// Journal offset of the publish record; `None` without persistence.
+    pub(crate) publish_offset: Option<u64>,
+    /// Whether this was the topic's first message since broker start.
+    pub(crate) first_on_topic: bool,
+}
+
+/// Observer of one dispatcher thread (see the module docs for the call
+/// order). Hooks take `&mut self`: a probe is owned by its thread.
+pub(crate) trait DispatchProbe {
+    /// A message was popped. `was_queued` is false when the dispatcher
+    /// had to block for it; `backlog` reads the queue depth left behind
+    /// (it takes the queue's lock, so only a probe that wants it pays).
+    fn on_dequeue(
+        &mut self,
+        message: &Message,
+        enqueued_at: Option<u64>,
+        was_queued: bool,
+        backlog: impl FnOnce() -> usize,
+    );
+
+    /// Runs one Eq. 1 stage of the current message. The probe is handed
+    /// back to `work` so stages can nest; time spent in a nested stage
+    /// counts towards that stage only.
+    fn stage<T>(&mut self, stage: Stage, work: impl FnOnce(&mut Self) -> T) -> T;
+
+    /// The current message's TTL had elapsed; it was dropped after the
+    /// receive stage and will see no `on_done`.
+    fn on_expired(&mut self);
+
+    /// The current message is fully fanned out and accounted.
+    fn on_done(&mut self, done: &Dispatched<'_>);
+
+    /// The publish queue is empty; the dispatcher is about to block.
+    fn on_idle(&mut self);
+
+    /// The dispatcher is shutting down; no further hook will run.
+    fn on_exit(&mut self);
+}
+
+/// The probe of a broker without metrics: observes nothing, costs nothing.
+pub(crate) struct NoProbe;
+
+impl DispatchProbe for NoProbe {
+    #[inline]
+    fn on_dequeue(&mut self, _: &Message, _: Option<u64>, _: bool, _: impl FnOnce() -> usize) {}
+
+    #[inline]
+    fn stage<T>(&mut self, _: Stage, work: impl FnOnce(&mut Self) -> T) -> T {
+        work(self)
+    }
+
+    #[inline]
+    fn on_expired(&mut self) {}
+
+    #[inline]
+    fn on_done(&mut self, _: &Dispatched<'_>) {}
+
+    #[inline]
+    fn on_idle(&mut self) {}
+
+    #[inline]
+    fn on_exit(&mut self) {}
+}
+
+/// Fires once every `every` ticks (cheaper than a modulo on the hot
+/// path); never when `every` is 0.
+struct Countdown {
+    every: u64,
+    left: u64,
+}
+
+impl Countdown {
+    fn new(every: u64) -> Self {
+        let every = if every == 0 { u64::MAX } else { every };
+        Self { every, left: every }
+    }
+
+    fn tick(&mut self) -> bool {
+        self.left -= 1;
+        let fire = self.left == 0;
+        if fire {
+            self.left = self.every;
+        }
+        fire
+    }
+
+    /// Makes the next tick fire.
+    fn fire_next(&mut self) {
+        self.left = 1;
+    }
+}
+
+/// Tail-sampled tracing state. The keep/discard decision is made after
+/// fan-out, when the sojourn time is known; the threshold refreshes
+/// periodically from the live sojourn histogram and starts at 0 so every
+/// chain is kept until the first refresh has data.
+struct TraceSampler<'a> {
+    recorder: &'a FlightRecorder,
+    config: TraceConfig,
+    threshold_ns: u64,
+    refresh: Countdown,
+    /// The uniform baseline is interval-driven and thus known up front,
+    /// before the message's sojourn time is.
+    uniform: Countdown,
+    kept_tail: Arc<Counter>,
+    kept_uniform: Arc<Counter>,
+}
+
+/// The labeled counter pair of one exported topic series.
+struct TopicCounters {
+    received: Arc<Counter>,
+    dispatched: Arc<Counter>,
+}
+
+/// The probe of a broker with metrics on: histogram staging, sampled stage
+/// timing, tail-sampled tracing, per-topic counters and the topic
+/// observatory's staging, for one dispatcher thread.
+pub(crate) struct Telemetry<'a> {
+    metrics: &'a BrokerMetrics,
+    stats: &'a BrokerStats,
+    shard: usize,
+    /// Local staging for the per-message histograms, flushed on idle and
+    /// every [`FLUSH_EVERY`] samples.
+    scratch: DispatcherScratch,
+    stage_sampler: Countdown,
+    /// The previous message's fan-out end: when the next message is
+    /// already queued its dispatch starts right there, so the reading is
+    /// reused as the next dispatch start instead of a second clock read
+    /// per message.
+    last_end: Option<u64>,
+    trace: Option<TraceSampler<'a>>,
+    /// Per-topic labeled counter series, capped at `per_topic_series`
+    /// distinct topics; overflow traffic lands in the `__other__` series.
+    per_topic_cap: usize,
+    topic_counters: HashMap<String, TopicCounters>,
+    /// The observatory and this thread's staging for it, merged on the
+    /// same cadence as the histogram scratch.
+    topic_obs: Option<(&'a TopicObservatory, TopicObsScratch)>,
+
+    // State of the message in flight, reset by `on_dequeue`. Timestamps
+    // are instrumentation-clock ticks (`clock::now`).
+    dispatch_start: u64,
+    /// Publish-queue entry stamp; the dispatch start for a message that
+    /// carries none (waiting is then zero).
+    enqueued_at: u64,
+    /// Whether this message records the per-stage histograms.
+    sample_stages: bool,
+    uniform_keep: bool,
+    /// Nanoseconds per stage, indexed in [`Stage::BROKER_STAGES`] order.
+    stage_ns: [u64; 4],
+}
+
+impl<'a> Telemetry<'a> {
+    /// The telemetry probe for dispatcher `shard`; `None` when the broker
+    /// runs without metrics.
+    pub(crate) fn new(inner: &'a BrokerInner, shard: usize) -> Option<Self> {
+        let metrics = inner.metrics.as_ref()?;
+        // Sharded dispatchers additionally stage into shard-labeled
+        // series; the single-dispatcher broker publishes none, keeping its
+        // metric surface identical to the pre-shard layout.
+        let scratch = if inner.config.shards > 1 {
+            DispatcherScratch::for_shard(metrics, shard)
+        } else {
+            DispatcherScratch::new(metrics)
+        };
+        let trace = inner.tracer.as_deref().zip(inner.config.trace).map(|(recorder, config)| {
+            TraceSampler {
+                recorder,
+                config,
+                threshold_ns: 0,
+                refresh: Countdown::new(config.refresh_every),
+                uniform: Countdown::new(config.uniform_every),
+                kept_tail: metrics.registry.counter("trace.chains.tail"),
+                kept_uniform: metrics.registry.counter("trace.chains.uniform"),
+            }
+        });
+        Some(Self {
+            metrics,
+            stats: &inner.stats,
+            shard,
+            scratch,
+            stage_sampler: Countdown::new(metrics.stage_sample_every),
+            last_end: None,
+            trace,
+            per_topic_cap: inner.config.metrics.map_or(0, |m| m.per_topic_series),
+            topic_counters: HashMap::new(),
+            topic_obs: inner.topic_obs.as_ref().map(|o| (o, TopicObsScratch::new())),
+            dispatch_start: 0,
+            enqueued_at: 0,
+            sample_stages: false,
+            uniform_keep: false,
+            stage_ns: [0; 4],
+        })
+    }
+
+    fn to_ns(&self, ticks: u64) -> u64 {
+        (ticks as f64 * self.metrics.ns_per_tick) as u64
+    }
+
+    /// Whether stages are clocked for the current message. With tracing on
+    /// that is every message — the tail sampler decides after fan-out
+    /// which chains to keep, so any message may need its durations; the
+    /// stage *histograms* stay sampled.
+    fn timed(&self) -> bool {
+        self.sample_stages || self.trace.is_some()
+    }
+
+    /// Publishes everything staged: the histogram scratch and the
+    /// observatory staging, which therefore always hold the same number
+    /// of pending samples.
+    fn flush(&mut self) {
+        self.scratch.flush(self.metrics);
+        if let Some((observatory, staged)) = &mut self.topic_obs {
+            // Distinct topics the accounting table collapsed into
+            // `__other__` during this merge.
+            let spilled = staged.flush(observatory);
+            if spilled > 0 {
+                self.stats.record_topics_overflowed(spilled);
+                self.metrics.registry.counter("broker.topics_overflowed").add(spilled);
+            }
+        }
+    }
+
+    /// Bumps the labeled per-topic series for one dispatched message.
+    fn count_topic(&mut self, done: &Dispatched<'_>) {
+        if self.per_topic_cap == 0 {
+            return;
+        }
+        // Topic names are client-controlled, so labeled series are
+        // capped: the first `per_topic_cap` topics get their own series,
+        // the rest share `__other__`.
+        let name = if self.topic_counters.contains_key(done.topic)
+            || self.topic_counters.len() < self.per_topic_cap
+        {
+            done.topic
+        } else {
+            // Count each topic folded into `__other__` exactly once (on
+            // its first message) so the overflow counter tracks distinct
+            // topics, not suppressed traffic. When the observatory is on,
+            // its accounting-table cap drives the counter instead (see
+            // `flush`).
+            if done.first_on_topic && self.topic_obs.is_none() {
+                self.stats.record_topic_overflowed();
+                self.metrics.registry.counter("broker.topics_overflowed").inc();
+            }
+            OTHER_TOPIC
+        };
+        let registry = &self.metrics.registry;
+        let counters = self.topic_counters.entry(name.to_owned()).or_insert_with(|| {
+            let series = |base| registry.counter(&labeled(base, &[("topic", name)]));
+            TopicCounters {
+                received: series("broker.topic.received"),
+                dispatched: series("broker.topic.dispatched"),
+            }
+        });
+        counters.received.inc();
+        counters.dispatched.add(done.copies);
+    }
+
+    /// Tail-sampling commit point: the waiting and sojourn times (ns) are
+    /// now known. `refresh` says the histograms were just flushed for a
+    /// threshold update.
+    fn commit_trace(&mut self, done: &Dispatched<'_>, waiting: u64, sojourn: u64, refresh: bool) {
+        let Some(trace) = &mut self.trace else { return };
+        let metrics = self.metrics;
+        if refresh {
+            let tail = metrics.sojourn.snapshot().quantile(trace.config.tail_quantile);
+            if let Some(q) = tail {
+                trace.threshold_ns = q;
+            }
+        }
+        let tail_keep = sojourn >= trace.threshold_ns;
+        if !(tail_keep || self.uniform_keep) {
+            return;
+        }
+        // Stage timestamps are synthesized as cumulative tick offsets from
+        // the dispatch start, so a chain is monotone by construction even
+        // though the stages were measured with duration-only Instant reads.
+        let trace_id = done.message.trace_id();
+        let aux = [waiting, done.publish_offset.unwrap_or(0), done.evaluations, done.copies];
+        let mut start_ticks = self.dispatch_start;
+        for ((stage, duration_ns), aux) in
+            Stage::BROKER_STAGES.into_iter().zip(self.stage_ns).zip(aux)
+        {
+            trace.recorder.record(SpanEvent { trace_id, stage, start_ticks, duration_ns, aux });
+            start_ticks += (duration_ns as f64 / metrics.ns_per_tick) as u64;
+        }
+        trace.recorder.mark_sampled(trace_id);
+        if tail_keep {
+            trace.kept_tail.inc();
+        } else {
+            trace.kept_uniform.inc();
+        }
+    }
+}
+
+impl DispatchProbe for Telemetry<'_> {
+    fn on_dequeue(
+        &mut self,
+        message: &Message,
+        enqueued_at: Option<u64>,
+        was_queued: bool,
+        backlog: impl FnOnce() -> usize,
+    ) {
+        // Backlog sample at the dispatch epoch: the queue now holds exactly
+        // the messages that arrived during this message's waiting time, so
+        // the window mean of these samples estimates L_q = λ·E[W] — the
+        // measured side of the observatory's Little's-law self-check.
+        self.scratch.record_backlog(backlog() as u64);
+        self.sample_stages = self.stage_sampler.tick();
+        let reuse = if was_queued { self.last_end } else { None };
+        self.dispatch_start = reuse.unwrap_or_else(clock::now);
+        // Without an enqueue stamp (metrics enabled mid-flight is
+        // impossible, but recovery replays have none) waiting is zero.
+        self.enqueued_at = enqueued_at.unwrap_or(self.dispatch_start);
+        self.stage_ns = [0; 4];
+        self.uniform_keep = self.trace.as_mut().is_some_and(|t| t.uniform.tick());
+        // Pre-mark for the wire layer: when the message's *waiting* time
+        // already clears the tail threshold the chain is guaranteed to be
+        // kept (sojourn ≥ waiting), so mark the id sampled before fan-out —
+        // the per-connection writers this message fans out to may flush it
+        // before the dispatcher reaches its commit point in `on_done`.
+        if let Some(trace) = &self.trace {
+            let waiting_ns = self.to_ns(self.dispatch_start.saturating_sub(self.enqueued_at));
+            if self.uniform_keep || waiting_ns >= trace.threshold_ns {
+                trace.recorder.mark_sampled(message.trace_id());
+            }
+        }
+    }
+
+    #[inline]
+    fn stage<T>(&mut self, stage: Stage, work: impl FnOnce(&mut Self) -> T) -> T {
+        if !self.timed() {
+            return work(self);
+        }
+        // An enclosing stage is clocked as one block (two clock reads, so
+        // a scan over hundreds of filters stays cheap) and the time of the
+        // stages nested inside it is subtracted afterwards.
+        let nested_before: u64 = self.stage_ns.iter().sum();
+        let start = Instant::now();
+        let out = work(self);
+        let total = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let nested = self.stage_ns.iter().sum::<u64>() - nested_before;
+        self.stage_ns[stage as usize] += total.saturating_sub(nested);
+        out
+    }
+
+    fn on_expired(&mut self) {
+        // The next message's dispatch does not start where the previous
+        // fan-out ended — this message's receive work lies in between — so
+        // the end stamp must not be reused; and an expired message that
+        // drew the stage sample hands it on instead of swallowing it.
+        self.last_end = None;
+        if self.sample_stages {
+            self.stage_sampler.fire_next();
+        }
+    }
+
+    fn on_done(&mut self, done: &Dispatched<'_>) {
+        self.count_topic(done);
+        let metrics = self.metrics;
+        if self.sample_stages {
+            let [rcv, journal, filter, fanout] = self.stage_ns;
+            metrics.stage_rcv.record(rcv);
+            metrics.stage_journal.record(journal);
+            metrics.stage_filter.record(filter);
+            metrics.stage_fanout.record(fanout);
+        }
+        let end = clock::now();
+        self.last_end = Some(end);
+        let dispatch_start = self.dispatch_start;
+        // Saturating differences: cross-core tick skew must clamp to zero
+        // rather than wrap into a 500-year sample.
+        let waiting = self.to_ns(dispatch_start.saturating_sub(self.enqueued_at));
+        let service = self.to_ns(end.saturating_sub(dispatch_start));
+        let sojourn = waiting.saturating_add(service);
+        self.scratch.record(waiting, service, sojourn);
+        if let Some((_, staged)) = &mut self.topic_obs {
+            let service_secs =
+                end.saturating_sub(dispatch_start) as f64 * metrics.ns_per_tick * 1e-9;
+            staged.record(
+                done.topic,
+                self.shard,
+                done.evaluations.min(u64::from(u32::MAX)) as u32,
+                done.copies.min(u64::from(u32::MAX)) as u32,
+                service_secs,
+            );
+        }
+        // The tail threshold refreshes from the shared sojourn histogram,
+        // so a refresh forces a flush first.
+        let refresh = self.trace.as_mut().is_some_and(|t| t.refresh.tick());
+        if refresh || self.scratch.pending() >= FLUSH_EVERY {
+            self.flush();
+        }
+        self.commit_trace(done, waiting, sojourn, refresh);
+    }
+
+    fn on_idle(&mut self) {
+        // About to block: publish staged samples so observers see an
+        // up-to-date picture whenever the dispatcher is idle.
+        self.flush();
+        self.scratch.mark_idle();
+    }
+
+    fn on_exit(&mut self) {
+        // Every staged sample is visible after shutdown.
+        self.on_idle();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::MetricsConfig;
+    use crate::{Broker, BrokerConfig};
+    use rjms_metrics::clock;
+
+    fn done(message: &Message) -> Dispatched<'_> {
+        Dispatched {
+            topic: "t",
+            message,
+            evaluations: 0,
+            copies: 0,
+            publish_offset: None,
+            first_on_topic: false,
+        }
+    }
+
+    /// An expired message sits between the previous fan-out end and the
+    /// next dispatch start, so that end stamp must not become the start;
+    /// and the stage sample it drew passes to the next message.
+    #[test]
+    fn expired_message_neither_lends_its_timestamp_nor_swallows_the_stage_sample() {
+        let broker = Broker::start(
+            BrokerConfig::builder().metrics(MetricsConfig::default().stage_sample_every(2)).build(),
+        );
+        // A second probe over the idle broker's instruments.
+        let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let message = Message::builder().build();
+
+        probe.on_dequeue(&message, Some(clock::now()), false, || 0);
+        assert!(!probe.sample_stages);
+        probe.on_done(&done(&message));
+        assert!(probe.last_end.is_some());
+
+        probe.on_dequeue(&message, Some(clock::now()), true, || 0);
+        assert!(probe.sample_stages, "every second message is sampled");
+        probe.on_expired();
+        let after_expiry = clock::now();
+
+        probe.on_dequeue(&message, Some(clock::now()), true, || 0);
+        assert!(probe.dispatch_start >= after_expiry, "stale dispatch start");
+        assert!(probe.sample_stages, "the expired message's sample slot moved on");
+        probe.on_done(&done(&message));
+        broker.shutdown();
+    }
+}

@@ -7,7 +7,7 @@
 //! off. [`BrokerStats`] holds the lock-free counters; [`ThroughputProbe`]
 //! implements the trimmed-window measurement.
 
-use crate::broker::{Broker, TopicStats};
+use crate::broker::Broker;
 use rjms_journal::JournalStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -89,6 +89,27 @@ pub struct ShardSnapshot {
 
 impl ShardSnapshot {
     /// Mean replication grade on this shard; `None` before the first
+    /// message.
+    pub fn replication_grade(&self) -> Option<f64> {
+        if self.received > 0 {
+            Some(self.dispatched as f64 / self.received as f64)
+        } else {
+            None
+        }
+    }
+}
+
+/// Per-topic message counters (see [`BrokerSnapshot::per_topic`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TopicStats {
+    /// Messages received on this topic.
+    pub received: u64,
+    /// Message copies dispatched from this topic.
+    pub dispatched: u64,
+}
+
+impl TopicStats {
+    /// Mean replication grade on this topic; `None` before the first
     /// message.
     pub fn replication_grade(&self) -> Option<f64> {
         if self.received > 0 {

@@ -260,7 +260,6 @@ impl TopicObservatory {
 #[derive(Debug, Default)]
 pub(crate) struct TopicObsScratch {
     staged: HashMap<String, TopicAccount>,
-    pending: u64,
 }
 
 impl TopicObsScratch {
@@ -282,18 +281,11 @@ impl TopicObsScratch {
         }
         let account = self.staged.get_mut(topic).expect("just inserted");
         account.regression.observe(evaluations, copies as f64, service_secs);
-        self.pending += 1;
-    }
-
-    /// Staged observations since the last flush.
-    pub(crate) fn pending(&self) -> u64 {
-        self.pending
     }
 
     /// Merges everything staged into the shared table; returns the number
     /// of distinct topic names this flush collapsed into `__other__`.
     pub(crate) fn flush(&mut self, observatory: &TopicObservatory) -> u64 {
-        self.pending = 0;
         observatory.merge(&mut self.staged)
     }
 }
@@ -371,9 +363,7 @@ mod tests {
         let mut scratch = TopicObsScratch::new();
         drive(&mut scratch, "a", 0, 10, 3, 50);
         drive(&mut scratch, "b", 1, 40, 1, 20);
-        assert_eq!(scratch.pending(), 70);
         assert_eq!(scratch.flush(&obs), 0);
-        assert_eq!(scratch.pending(), 0);
 
         let snap = obs.snapshot();
         assert_eq!(snap.topics.len(), 2);

@@ -8,6 +8,7 @@
 //! pivoting, plus residual diagnostics.
 
 use crate::params::CostParams;
+use crate::regression::CostRegression;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -127,63 +128,15 @@ pub struct Calibration {
 /// assert!(cal.r_squared > 0.999999);
 /// ```
 pub fn fit_cost_params(observations: &[Observation]) -> Result<Calibration, CalibrationError> {
-    if observations.len() < 3 {
-        return Err(CalibrationError::TooFewObservations { got: observations.len() });
-    }
-    for (i, o) in observations.iter().enumerate() {
-        if o.received_per_sec <= 0.0
-            || !o.received_per_sec.is_finite()
-            || o.mean_replication.is_nan()
-            || o.mean_replication < 0.0
-        {
-            return Err(CalibrationError::InvalidObservation { index: i });
-        }
-    }
-
-    // Normal equations AᵀA x = Aᵀy with rows [1, n_fltr, E[R]] and
-    // y = 1/throughput.
-    let mut ata = [[0.0f64; 3]; 3];
-    let mut aty = [0.0f64; 3];
-    for o in observations {
-        let row = [1.0, o.n_fltr as f64, o.mean_replication];
-        let y = o.mean_service_time();
-        for i in 0..3 {
-            for j in 0..3 {
-                ata[i][j] += row[i] * row[j];
-            }
-            aty[i] += row[i] * y;
-        }
-    }
-
-    let x = solve_3x3(ata, aty).ok_or(CalibrationError::SingularDesign)?;
-    let (t_rcv, t_fltr, t_tx) = (x[0], x[1], x[2]);
+    let sums = accumulate(observations, 3)?;
+    let [t_rcv, t_fltr, t_tx] = sums.solve_full().ok_or(CalibrationError::SingularDesign)?;
     // Tiny negative intercepts can emerge from noise; tolerate a small
     // negative t_rcv by clamping, reject anything materially negative.
-    let tol = -1e-7;
-    if t_rcv < tol || t_fltr < tol || t_tx < tol {
+    if t_rcv < NEG_TOL || t_fltr < NEG_TOL || t_tx < NEG_TOL {
         return Err(CalibrationError::NegativeCost { fitted: (t_rcv, t_fltr, t_tx) });
     }
     let params = CostParams::new(t_rcv.max(0.0), t_fltr.max(0.0), t_tx.max(0.0));
-
-    // Residual diagnostics.
-    let n = observations.len() as f64;
-    let mean_y: f64 = observations.iter().map(|o| o.mean_service_time()).sum::<f64>() / n;
-    let mut ss_res = 0.0;
-    let mut ss_tot = 0.0;
-    for o in observations {
-        let y = o.mean_service_time();
-        let y_hat = params.mean_service_time(o.n_fltr, o.mean_replication);
-        ss_res += (y - y_hat) * (y - y_hat);
-        ss_tot += (y - mean_y) * (y - mean_y);
-    }
-    let r_squared = if ss_tot > 0.0 { 1.0 - ss_res / ss_tot } else { 1.0 };
-
-    Ok(Calibration {
-        params,
-        residual_rms: (ss_res / n).sqrt(),
-        r_squared,
-        observations: observations.len(),
-    })
+    Ok(diagnose(params, observations))
 }
 
 /// Fits only the slopes `(t_fltr, t_tx)` with a *fixed* receive overhead
@@ -203,41 +156,39 @@ pub fn fit_cost_params_fixed_rcv(
     observations: &[Observation],
     t_rcv: f64,
 ) -> Result<Calibration, CalibrationError> {
-    if observations.len() < 2 {
-        return Err(CalibrationError::TooFewObservations { got: observations.len() });
-    }
-    for (i, o) in observations.iter().enumerate() {
-        if o.received_per_sec <= 0.0
-            || !o.received_per_sec.is_finite()
-            || o.mean_replication.is_nan()
-            || o.mean_replication < 0.0
-        {
-            return Err(CalibrationError::InvalidObservation { index: i });
-        }
-    }
-    // 2×2 normal equations over rows [n_fltr, E[R]], target y − t_rcv.
-    let (mut a11, mut a12, mut a22, mut b1, mut b2) = (0.0, 0.0, 0.0, 0.0, 0.0);
-    for o in observations {
-        let (x1, x2) = (o.n_fltr as f64, o.mean_replication);
-        let y = o.mean_service_time() - t_rcv;
-        a11 += x1 * x1;
-        a12 += x1 * x2;
-        a22 += x2 * x2;
-        b1 += x1 * y;
-        b2 += x2 * y;
-    }
-    let det = a11 * a22 - a12 * a12;
-    let scale = a11.abs().max(a22.abs()).max(a12.abs());
-    if scale == 0.0 || det.abs() < 1e-12 * scale * scale {
-        return Err(CalibrationError::SingularDesign);
-    }
-    let t_fltr = (b1 * a22 - b2 * a12) / det;
-    let t_tx = (a11 * b2 - a12 * b1) / det;
-    if t_fltr < -1e-7 || t_tx < -1e-7 {
+    let sums = accumulate(observations, 2)?;
+    let (t_fltr, t_tx) = sums.solve_slopes(t_rcv).ok_or(CalibrationError::SingularDesign)?;
+    if t_fltr < NEG_TOL || t_tx < NEG_TOL {
         return Err(CalibrationError::NegativeCost { fitted: (t_rcv, t_fltr, t_tx) });
     }
     let params = CostParams::new(t_rcv, t_fltr.max(0.0), t_tx.max(0.0));
+    Ok(diagnose(params, observations))
+}
 
+/// Validates the observations and folds them into the `[1, n_fltr, E[R]]`
+/// normal-equation sums with `y = 1/throughput`.
+fn accumulate(
+    observations: &[Observation],
+    parameters: usize,
+) -> Result<CostRegression, CalibrationError> {
+    if observations.len() < parameters {
+        return Err(CalibrationError::TooFewObservations { got: observations.len() });
+    }
+    let mut sums = CostRegression::new();
+    for (index, o) in observations.iter().enumerate() {
+        let valid =
+            o.received_per_sec > 0.0 && o.received_per_sec.is_finite() && o.mean_replication >= 0.0;
+        if !valid {
+            return Err(CalibrationError::InvalidObservation { index });
+        }
+        sums.accumulate(o.n_fltr as f64, o.mean_replication, o.mean_service_time());
+    }
+    Ok(sums)
+}
+
+/// Residual diagnostics of a fit, taken point by point (the closed-form
+/// sums lose the last digits an exact fit is tested to).
+fn diagnose(params: CostParams, observations: &[Observation]) -> Calibration {
     let n = observations.len() as f64;
     let mean_y: f64 = observations.iter().map(|o| o.mean_service_time()).sum::<f64>() / n;
     let (mut ss_res, mut ss_tot) = (0.0, 0.0);
@@ -247,12 +198,29 @@ pub fn fit_cost_params_fixed_rcv(
         ss_res += (y - y_hat) * (y - y_hat);
         ss_tot += (y - mean_y) * (y - mean_y);
     }
-    Ok(Calibration {
+    Calibration {
         params,
         residual_rms: (ss_res / n).sqrt(),
         r_squared: if ss_tot > 0.0 { 1.0 - ss_res / ss_tot } else { 1.0 },
         observations: observations.len(),
-    })
+    }
+}
+
+/// Noise-driven tiny negative components are clamped to 0 rather than
+/// rejected; anything below this is a failed fit.
+pub(crate) const NEG_TOL: f64 = -1e-7;
+/// Scale-relative singularity threshold of both solvers.
+const SINGULAR_EPS: f64 = 1e-12;
+
+/// Solves the symmetric 2×2 system `[[a11, a12], [a12, a22]] x = b` by
+/// Cramer's rule; `None` when (numerically) singular.
+pub(crate) fn solve_2x2(a11: f64, a12: f64, a22: f64, b: [f64; 2]) -> Option<(f64, f64)> {
+    let det = a11 * a22 - a12 * a12;
+    let scale = a11.abs().max(a22.abs()).max(a12.abs());
+    if scale == 0.0 || det.abs() < SINGULAR_EPS * scale * scale {
+        return None;
+    }
+    Some(((b[0] * a22 - b[1] * a12) / det, (a11 * b[1] - a12 * b[0]) / det))
 }
 
 /// Solves a 3×3 linear system by Gaussian elimination with partial
@@ -263,7 +231,7 @@ pub(crate) fn solve_3x3(mut a: [[f64; 3]; 3], mut b: [f64; 3]) -> Option<[f64; 3
     if scale == 0.0 {
         return None;
     }
-    let eps = 1e-12 * scale;
+    let eps = SINGULAR_EPS * scale;
 
     for col in 0..3 {
         // Pivot.

@@ -43,7 +43,7 @@
 //! assert!(matches!(verdict, RegressionVerdict::Stable(_)));
 //! ```
 
-use crate::calibrate::solve_3x3;
+use crate::calibrate::{solve_2x2, solve_3x3, NEG_TOL};
 use crate::params::CostParams;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -247,12 +247,6 @@ pub struct CostRegression {
     syy: f64,
 }
 
-// Matches the offline calibrator's tolerance for noise-driven tiny
-// negative components (clamped to 0 rather than rejected).
-const NEG_TOL: f64 = -1e-7;
-// Scale-relative singularity threshold, as in `calibrate`.
-const SINGULAR_EPS: f64 = 1e-12;
-
 impl CostRegression {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
@@ -272,17 +266,37 @@ impl CostRegression {
             self.rejected += 1;
             return;
         }
-        let f = n_fltr as f64;
+        self.accumulate(n_fltr as f64, r, service_time);
+    }
+
+    /// Adds one already validated design row `[1, f, r]` with target `y`.
+    pub(crate) fn accumulate(&mut self, f: f64, r: f64, y: f64) {
         self.n += 1;
         self.sf += f;
         self.sr += r;
-        self.sy += service_time;
+        self.sy += y;
         self.sff += f * f;
         self.sfr += f * r;
         self.srr += r * r;
-        self.sfy += f * service_time;
-        self.sry += r * service_time;
-        self.syy += service_time * service_time;
+        self.sfy += f * y;
+        self.sry += r * y;
+        self.syy += y * y;
+    }
+
+    /// Least-squares `[c0, c1, c2]` of `y = c0 + c1·f + c2·r`; `None` when
+    /// the design is (numerically) singular.
+    pub(crate) fn solve_full(&self) -> Option<[f64; 3]> {
+        let n = self.n as f64;
+        let ata =
+            [[n, self.sf, self.sr], [self.sf, self.sff, self.sfr], [self.sr, self.sfr, self.srr]];
+        solve_3x3(ata, [self.sy, self.sfy, self.sry])
+    }
+
+    /// Least-squares slopes `(c1, c2)` of `y − intercept = c1·f + c2·r`
+    /// for a fixed intercept; `None` when `f` and `r` are collinear.
+    pub(crate) fn solve_slopes(&self, intercept: f64) -> Option<(f64, f64)> {
+        let b = [self.sfy - intercept * self.sf, self.sry - intercept * self.sr];
+        solve_2x2(self.sff, self.sfr, self.srr, b)
     }
 
     /// Folds another accumulator into this one (sums are additive).
@@ -355,20 +369,13 @@ impl CostRegression {
         if self.n < 2 {
             return Err(RegressionError::TooFewObservations { got: self.n });
         }
-        let n = self.n as f64;
         // Anchored deterministic intercept: receive + storage overhead.
         let d0 = anchor.t_rcv + anchor.t_store;
 
         // 1. Full 3-parameter solve (needs n >= 3 and a non-singular
         //    design: variation in both n_fltr and R).
         if self.n >= 3 {
-            let ata = [
-                [n, self.sf, self.sr],
-                [self.sf, self.sff, self.sfr],
-                [self.sr, self.sfr, self.srr],
-            ];
-            let aty = [self.sy, self.sfy, self.sry];
-            if let Some([c0, c1, c2]) = solve_3x3(ata, aty) {
+            if let Some([c0, c1, c2]) = self.solve_full() {
                 if c0 >= NEG_TOL && c1 >= NEG_TOL && c2 >= NEG_TOL {
                     let params = CostParams::new(c0.max(0.0), c1.max(0.0), c2.max(0.0));
                     return Ok(self.diagnose(params, FitMode::Full));
@@ -380,14 +387,7 @@ impl CostRegression {
 
         // 2. Anchored intercept, 2×2 over rows [n_fltr, R] against
         //    y − (t_rcv + t_store).
-        let (a11, a12, a22) = (self.sff, self.sfr, self.srr);
-        let b1 = self.sfy - d0 * self.sf;
-        let b2 = self.sry - d0 * self.sr;
-        let det = a11 * a22 - a12 * a12;
-        let scale = a11.abs().max(a22.abs()).max(a12.abs());
-        if scale > 0.0 && det.abs() >= SINGULAR_EPS * scale * scale {
-            let t_fltr = (b1 * a22 - b2 * a12) / det;
-            let t_tx = (a11 * b2 - a12 * b1) / det;
+        if let Some((t_fltr, t_tx)) = self.solve_slopes(d0) {
             if t_fltr < NEG_TOL || t_tx < NEG_TOL {
                 return Err(RegressionError::NegativeCost { fitted: (anchor.t_rcv, t_fltr, t_tx) });
             }

@@ -142,7 +142,8 @@ impl JsonWriter {
     // this comment documents the invariant rather than code.
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted, escaped JSON string.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -53,6 +53,7 @@ use rjms_broker::{
 };
 use rjms_core::regression::{FittedCosts, RegressionVerdict};
 use rjms_core::ModelVerdict;
+use rjms_metrics::json::write_escaped;
 use rjms_metrics::{clock, labeled, MetricsRegistry};
 use rjms_obs::slo::{SERVICE_METRIC, WAITING_METRIC};
 use rjms_obs::topics::{analyze_skew, SkewConfig, TopicLoad};
@@ -600,7 +601,7 @@ fn render_broker_json(out: &mut String, snap: &BrokerSnapshot) {
         if i > 0 {
             out.push(',');
         }
-        json_escape_into(out, name);
+        write_escaped(out, name);
         let _ = write!(out, ":{{\"received\":{},\"dispatched\":{}}}", t.received, t.dispatched);
     }
     out.push('}');
@@ -752,7 +753,7 @@ fn render_rebalance_json(out: &mut String, snap: &TopicObservatorySnapshot) {
             out.push(',');
         }
         out.push_str("{\"topic\":");
-        json_escape_into(out, &m.topic);
+        write_escaped(out, &m.topic);
         let _ = write!(out, ",\"from\":{},\"to\":{},\"load\":{}}}", m.from, m.to, m.load);
     }
     out.push_str("]}");
@@ -800,7 +801,7 @@ fn render_topics_json(snap: &TopicObservatorySnapshot) -> String {
 fn render_topic_row_json(out: &mut String, t: &TopicObsRow) {
     use std::fmt::Write;
     out.push_str("{\"name\":");
-    json_escape_into(out, &t.name);
+    write_escaped(out, &t.name);
     let _ = write!(
         out,
         ",\"shard\":{},\"messages\":{},\"arrival_rate\":{},\"mean_filters\":{},\
@@ -907,23 +908,6 @@ fn render_flow_json(gate: &FlowGate) -> String {
     }
     out.push_str("]}");
     out
-}
-
-/// Appends `s` as a quoted JSON string (topic names are user input).
-fn json_escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

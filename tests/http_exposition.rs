@@ -2,11 +2,12 @@
 //! workload, and the HTTP endpoint serving Prometheus metrics, the JSON
 //! snapshot, and complete span chains.
 
-use rjms::broker::{BrokerConfig, Message, TraceConfig};
+use rjms::broker::{Broker, BrokerConfig, Message, TopicObsConfig, TraceConfig};
 use rjms::http::{HttpServer, HttpState};
 use rjms::net::client::RemoteBroker;
 use rjms::net::server::BrokerServer;
 use rjms::net::wire::WireFilter;
+use rjms::obs::minijson;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -187,4 +188,43 @@ fn traces_endpoint_is_404_without_tracing() {
     assert_eq!(status, "HTTP/1.1 404 Not Found");
     http.shutdown();
     server.shutdown();
+}
+
+/// The JSON twin of `prometheus.rs::hostile_topic_name_round_trips_through_exposition`:
+/// a topic name carrying both characters JSON strings must escape survives
+/// `/snapshot.json` and `/topics` and parses back to itself.
+#[test]
+fn hostile_topic_name_round_trips_through_json_endpoints() {
+    let topic = "a\\b\"c{d=\"e\",f}";
+    let broker =
+        Broker::start(BrokerConfig::builder().topic_obs(TopicObsConfig::default()).build());
+    broker.create_topic(topic).unwrap();
+    let sub = broker.subscription(topic).open().unwrap();
+    broker.publisher(topic).unwrap().publish(Message::builder().build()).unwrap();
+    sub.receive_timeout(Duration::from_secs(5)).expect("delivery");
+    let http = HttpServer::start(HttpState::new().observer(broker.observer()), "127.0.0.1:0")
+        .expect("bind http");
+    // Shutdown runs the dispatcher's final flush, so the observatory row
+    // is in place; the observer keeps serving the stopped broker's state.
+    broker.shutdown();
+
+    let (status, body) = http_get(http.local_addr(), "/snapshot.json");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let snapshot = minijson::parse(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    let per_topic = snapshot.get("broker").and_then(|b| b.get("per_topic")).expect("per_topic");
+    let received = per_topic.get(topic).and_then(|t| t.get("received"));
+    assert_eq!(received.and_then(|v| v.as_u64()), Some(1), "body: {body}");
+
+    let (status, body) = http_get(http.local_addr(), "/topics");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let topics = minijson::parse(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    let names: Vec<&str> = topics
+        .get("topics")
+        .expect("topics")
+        .items()
+        .iter()
+        .filter_map(|row| row.get("name")?.as_str())
+        .collect();
+    assert_eq!(names, [topic], "body: {body}");
+    http.shutdown();
 }
