@@ -262,8 +262,7 @@ impl Broker {
     /// Panics if the journal cannot be opened or replayed (I/O failure or
     /// corruption in a sealed segment) — a broker that cannot read its
     /// write-ahead log must not silently start empty.
-    pub fn start(config: BrokerConfig) -> Broker {
-        let mut config = config;
+    pub fn start(mut config: BrokerConfig) -> Broker {
         // Defensive: the builder rejects zero, but the fields are public.
         let shards = config.shards.max(1);
         config.shards = shards;
@@ -451,9 +450,6 @@ impl Broker {
     /// [`SubscriptionBuilder::queue_capacity`], then call
     /// [`SubscriptionBuilder::open`].
     ///
-    /// This replaces the `subscribe` / `subscribe_pattern` /
-    /// `subscribe_durable` trio.
-    ///
     /// # Examples
     ///
     /// ```
@@ -490,79 +486,52 @@ impl Broker {
         }
     }
 
-    /// Opens a non-durable subscription on one literal topic (the paper's
-    /// *non-durable* mode: messages are only forwarded to subscribers that
-    /// are presently online). The subscription is removed automatically
-    /// when the returned [`Subscriber`] is dropped.
-    fn open_literal(
+    /// Opens a non-durable subscription (the paper's *non-durable* mode:
+    /// messages are only forwarded to subscribers that are presently
+    /// online), removed again when the returned [`Subscriber`] is dropped.
+    /// Without a `pattern` the target is one literal topic, which must
+    /// exist; with one, every topic — current *and future* — whose name
+    /// matches the hierarchical [`TopicPattern`] (`orders.*`, `sensors.>`)
+    /// feeds the one subscriber, and matching no topic yet is not an error.
+    fn open_plain(
         &self,
-        topic: &str,
-        filter: Filter,
-        queue_capacity: usize,
-    ) -> Result<Subscriber, Error> {
-        self.ensure_running()?;
-        let topic = self.lookup(topic)?;
-        let (tx, rx) = bounded(queue_capacity);
-        let id = SubscriptionId(self.inner.next_subscription_id.fetch_add(1, Ordering::Relaxed));
-        let active = Arc::new(AtomicBool::new(true));
-        let sub = Arc::new(Subscription { filter, sender: tx, active: Arc::clone(&active) });
-        topic.subscriptions.write().push(sub);
-        Ok(Subscriber {
-            id,
-            topic_name: topic.name.clone(),
-            receiver: rx,
-            active,
-            durable: None,
-            pending: Mutex::new(VecDeque::new()),
-            pattern_registration: None,
-        })
-    }
-
-    /// Opens a subscription on every topic — current *and future* — whose
-    /// name matches a hierarchical [`TopicPattern`] (`orders.*`,
-    /// `sensors.>`). All matching topics feed the one returned
-    /// [`Subscriber`]; dropping it cancels the subscription everywhere.
-    /// Unknown (not-yet-created) topics are not an error — matching is by
-    /// pattern.
-    fn open_pattern(
-        &self,
-        pattern: &TopicPattern,
+        target: &str,
+        pattern: Option<TopicPattern>,
         filter: Filter,
         queue_capacity: usize,
     ) -> Result<Subscriber, Error> {
         self.ensure_running()?;
         let (tx, rx) = bounded(queue_capacity);
-        let id = SubscriptionId(self.inner.next_subscription_id.fetch_add(1, Ordering::Relaxed));
         let active = Arc::new(AtomicBool::new(true));
         let sub = Arc::new(Subscription { filter, sender: tx, active: Arc::clone(&active) });
-
-        // Attach to all existing matching topics.
-        {
-            let topics = self.inner.topics.read();
-            for (name, topic) in topics.iter() {
-                if pattern.matches(name) {
-                    topic.subscriptions.write().push(Arc::clone(&sub));
-                }
+        let pattern_registration = match pattern {
+            None => {
+                self.lookup(target)?.subscriptions.write().push(sub);
+                None
             }
-        }
-        // Register for topics created later.
-        self.inner.patterns.write().push(PatternSubscription {
-            pattern: pattern.clone(),
-            subscription: Arc::downgrade(&sub),
-        });
-
+            Some(pattern) => {
+                for (name, topic) in self.inner.topics.read().iter() {
+                    if pattern.matches(name) {
+                        topic.subscriptions.write().push(Arc::clone(&sub));
+                    }
+                }
+                // Register for topics created later. The topic lists only
+                // hold clones for *currently existing* matching topics, so
+                // the handle itself keeps the registration alive: a pattern
+                // matching no topic yet still catches the first one created.
+                let subscription = Arc::downgrade(&sub);
+                self.inner.patterns.write().push(PatternSubscription { pattern, subscription });
+                Some(sub)
+            }
+        };
         Ok(Subscriber {
-            id,
-            topic_name: pattern.to_string(),
+            id: self.next_subscription_id(),
+            topic_name: target.to_owned(),
             receiver: rx,
             active,
             durable: None,
             pending: Mutex::new(VecDeque::new()),
-            // The topic lists only hold clones for *currently existing*
-            // matching topics; the handle itself must keep the
-            // registration alive so a pattern matching no topic yet still
-            // catches the first one created.
-            pattern_registration: Some(sub),
+            pattern_registration,
         })
     }
 
@@ -585,10 +554,9 @@ impl Broker {
         self.ensure_running()?;
         let topic = self.lookup(topic)?;
         let (tx, rx) = bounded(queue_capacity);
-        let id = SubscriptionId(self.inner.next_subscription_id.fetch_add(1, Ordering::Relaxed));
         let (state, pending) = DurableState::connect(&self.inner, &topic, name, filter, tx)?;
         Ok(Subscriber {
-            id,
+            id: self.next_subscription_id(),
             topic_name: topic.name.clone(),
             receiver: rx,
             active: Arc::new(AtomicBool::new(true)),
@@ -648,33 +616,25 @@ impl Broker {
     /// Whether a consumer is currently connected to the named durable
     /// subscription (`false` for unknown names).
     pub fn durable_connected(&self, topic: &str, name: &str) -> bool {
-        self.inner
-            .topics
-            .read()
-            .get(topic)
-            .map(|t| {
-                t.durables.read().iter().any(|d| d.name == name && d.connection.lock().is_some())
-            })
-            .unwrap_or(false)
+        self.with_durable(topic, name, |d| d.connection.lock().is_some()).unwrap_or(false)
     }
 
     /// The number of messages currently retained for a disconnected
     /// durable subscription (0 for unknown names).
     pub fn retained_count(&self, topic: &str, name: &str) -> usize {
-        self.inner
-            .topics
-            .read()
-            .get(topic)
-            .and_then(|t| {
-                t.durables.read().iter().find(|d| d.name == name).map(|d| d.retained.lock().len())
-            })
-            .unwrap_or(0)
+        self.with_durable(topic, name, |d| d.retained.lock().len()).unwrap_or(0)
+    }
+
+    /// Reads the named durable subscription's state; `None` when unknown.
+    fn with_durable<T>(&self, topic: &str, name: &str, read: fn(&DurableState) -> T) -> Option<T> {
+        let topic = self.inner.topics.read().get(topic).cloned()?;
+        let durables = topic.durables.read();
+        durables.iter().find(|d| d.name == name).map(|d| read(d))
     }
 
     /// A typed point-in-time snapshot of the whole broker: message
     /// counters, subscription counts, journal state and per-topic
-    /// statistics. This replaces the `stats` / `journal_stats` /
-    /// `topic_stats` getter trio.
+    /// statistics.
     ///
     /// # Examples
     ///
@@ -779,6 +739,10 @@ impl Broker {
         if let Some(handle) = self.flow_refresh.take() {
             let _ = handle.join();
         }
+    }
+
+    fn next_subscription_id(&self) -> SubscriptionId {
+        SubscriptionId(self.inner.next_subscription_id.fetch_add(1, Ordering::Relaxed))
     }
 
     fn ensure_running(&self) -> Result<(), Error> {
@@ -896,8 +860,7 @@ impl SubscriptionBuilder<'_> {
         match (durable, pattern) {
             (Some(_), Some(pattern)) => Err(Error::DurablePattern { pattern: pattern.to_string() }),
             (Some(name), None) => broker.open_durable(&target, &name, filter, capacity),
-            (None, Some(pattern)) => broker.open_pattern(&pattern, filter, capacity),
-            (None, None) => broker.open_literal(&target, filter, capacity),
+            (None, pattern) => broker.open_plain(&target, pattern, filter, capacity),
         }
     }
 }
@@ -929,10 +892,15 @@ impl Publisher {
         &self.topic.name
     }
 
-    /// The publish-queue entry stamp for a new message; `Some` only with
-    /// metrics enabled so the disabled path stays free of clock reads.
-    fn enqueue_stamp(&self) -> Option<u64> {
-        self.inner.metrics.as_ref().map(|_| rjms_metrics::clock::now())
+    /// The queue item for a new message, stamped with its publish-queue
+    /// entry time — only with metrics enabled, so the disabled path stays
+    /// free of clock reads.
+    fn item(&self, message: Message) -> DispatchItem {
+        DispatchItem::Publish {
+            topic: Arc::clone(&self.topic),
+            message: Arc::new(message),
+            enqueued_at: self.inner.metrics.as_ref().map(|_| rjms_metrics::clock::now()),
+        }
     }
 
     /// Runs the admission gate (no-op when flow control is off),
@@ -976,13 +944,7 @@ impl Publisher {
             return Err(Error::Stopped);
         }
         self.admit(&message)?;
-        self.publish_tx
-            .send(DispatchItem::Publish {
-                topic: Arc::clone(&self.topic),
-                message: Arc::new(message),
-                enqueued_at: self.enqueue_stamp(),
-            })
-            .map_err(|_| Error::Stopped)
+        self.publish_tx.send(self.item(message)).map_err(|_| Error::Stopped)
     }
 
     /// Publishes without blocking; hands the message back if the publish
@@ -1002,19 +964,13 @@ impl Publisher {
         if let Err(reason) = self.admit(&message) {
             return Err(TryPublishError::Denied { message, reason });
         }
-        self.publish_tx
-            .try_send(DispatchItem::Publish {
-                topic: Arc::clone(&self.topic),
-                message: Arc::new(message),
-                enqueued_at: self.enqueue_stamp(),
-            })
-            .map_err(|e| match e {
-                TrySendError::Full(DispatchItem::Publish { message, .. }) => {
-                    // Hand the message back; it was never shared.
-                    TryPublishError::Full(Arc::try_unwrap(message).expect("unshared message"))
-                }
-                _ => TryPublishError::Stopped,
-            })
+        self.publish_tx.try_send(self.item(message)).map_err(|e| match e {
+            TrySendError::Full(DispatchItem::Publish { message, .. }) => {
+                // Hand the message back; it was never shared.
+                TryPublishError::Full(Arc::try_unwrap(message).expect("unshared message"))
+            }
+            _ => TryPublishError::Stopped,
+        })
     }
 }
 

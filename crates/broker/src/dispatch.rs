@@ -20,9 +20,8 @@ use std::sync::Arc;
 
 /// One dispatcher thread: pops publish items from its shard's queue and
 /// fans out message copies until it pops `Shutdown` or every sender is
-/// gone. The single-dispatcher broker runs exactly one of these (shard
-/// 0); sharded brokers run one per shard, each with its own probe and
-/// checkpoint bookkeeping.
+/// gone. A broker runs one per shard (the single-dispatcher broker: shard
+/// 0), each with its own probe and checkpoint bookkeeping.
 pub(crate) fn run<P: DispatchProbe>(
     inner: &BrokerInner,
     shard: usize,
@@ -71,7 +70,6 @@ pub(crate) fn run<P: DispatchProbe>(
             .stage(Stage::Journal, |_| inner.append_record(&encode_publish(&topic.name, &message)));
 
         let (plain_evaluations, plain_copies) = fan_out(inner, &topic, &message, &mut probe);
-        // Durable subscriptions: deliver when connected, retain otherwise.
         let (durable_evaluations, durable_copies) =
             durable::deliver(inner, &topic, &message, publish_offset, &mut checkpoints, &mut probe);
         let evaluations = plain_evaluations + durable_evaluations;
@@ -167,8 +165,7 @@ pub(crate) enum Delivery {
     Disconnected,
 }
 
-/// Delivers one copy into a subscriber queue according to the overflow
-/// policy.
+/// Enqueues one copy for a subscriber, per the overflow policy.
 pub(crate) fn deliver_to(
     sender: &Sender<Arc<Message>>,
     message: Arc<Message>,

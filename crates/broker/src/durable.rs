@@ -64,9 +64,8 @@ impl DurableState {
                 }
                 let mut existing_filter = existing.filter.lock();
                 if *existing_filter != filter {
-                    // JMS: changing the selector is equivalent to deleting
-                    // and recreating the subscription. A re-registration
-                    // record makes replay discard the stale backlog too.
+                    // A changed selector deletes and recreates the
+                    // subscription; re-registering makes replay agree.
                     existing.retained.lock().clear();
                     *existing_filter = filter.clone();
                     inner.append_record(&registered(filter));
@@ -86,8 +85,6 @@ impl DurableState {
                 state
             }
         };
-        // The retained backlog moves into the subscriber handle; it is
-        // consumed before live messages.
         let pending = state.retained.lock().drain(..).filter(|m| !m.is_expired()).collect();
         Ok((state, pending))
     }
@@ -143,14 +140,7 @@ impl Checkpoints {
         entry.offset = offset;
         entry.deliveries += 1;
         if entry.deliveries >= self.every {
-            inner.append_record(
-                &JournalRecord::DurableCheckpoint {
-                    topic: topic.to_owned(),
-                    name: name.to_owned(),
-                    offset,
-                }
-                .encode(),
-            );
+            write_checkpoint(inner, topic.to_owned(), name.to_owned(), offset);
             entry.deliveries = 0;
         }
     }
@@ -160,14 +150,15 @@ impl Checkpoints {
     pub(crate) fn finish(self, inner: &BrokerInner) {
         for ((topic, name), pending) in self.pending {
             if pending.deliveries > 0 {
-                inner.append_record(
-                    &JournalRecord::DurableCheckpoint { topic, name, offset: pending.offset }
-                        .encode(),
-                );
+                write_checkpoint(inner, topic, name, pending.offset);
             }
         }
         inner.sync_journal();
     }
+}
+
+fn write_checkpoint(inner: &BrokerInner, topic: String, name: String, offset: u64) {
+    inner.append_record(&JournalRecord::DurableCheckpoint { topic, name, offset }.encode());
 }
 
 /// The durable half of one message's fan-out: every durable subscription
@@ -198,47 +189,34 @@ pub(crate) fn deliver<P: DispatchProbe>(
             c.spin_transmit();
         }
         let mut connection = durable.connection.lock();
-        let delivered = match connection.as_ref() {
-            Some(sender) => {
-                let delivery = probe.stage(Stage::Fanout, |_| {
-                    deliver_to(sender, Arc::clone(message), inner.config.overflow_policy)
-                });
-                match delivery {
-                    Delivery::Sent => {
-                        copies += 1;
-                        true
-                    }
-                    Delivery::Dropped => {
-                        inner.stats.record_dropped();
-                        true
-                    }
-                    Delivery::Disconnected => {
-                        *connection = None;
-                        false
-                    }
+        let delivery = connection.as_ref().map(|sender| {
+            probe.stage(Stage::Fanout, |_| {
+                deliver_to(sender, Arc::clone(message), inner.config.overflow_policy)
+            })
+        });
+        match delivery {
+            Some(Delivery::Sent) => copies += 1,
+            Some(Delivery::Dropped) => inner.stats.record_dropped(),
+            Some(Delivery::Disconnected) | None => {
+                // Retain for the offline consumer, dropping the oldest
+                // message beyond the buffer capacity.
+                *connection = None;
+                let mut retained = durable.retained.lock();
+                if retained.len() >= inner.config.durable_buffer_capacity {
+                    retained.pop_front();
+                    inner.stats.record_dropped();
                 }
+                retained.push_back(Arc::clone(message));
+                inner.stats.record_retained();
+                continue;
             }
-            None => false,
-        };
-        if delivered {
-            // Handed to a connected consumer (or consciously dropped by
-            // the overflow policy): progress that a checkpoint record may
-            // cover. Messages retained for offline consumers are
-            // deliberately NOT checkpointed, so replay rebuilds the
-            // retained backlog.
-            if let Some(offset) = publish_offset {
-                checkpoints.delivered(inner, &topic.name, &durable.name, offset);
-            }
-        } else {
-            // Retain for the offline consumer, dropping the oldest
-            // message beyond the buffer capacity.
-            let mut retained = durable.retained.lock();
-            if retained.len() >= inner.config.durable_buffer_capacity {
-                retained.pop_front();
-                inner.stats.record_dropped();
-            }
-            retained.push_back(Arc::clone(message));
-            inner.stats.record_retained();
+        }
+        // Handed to a connected consumer (or consciously dropped by the
+        // overflow policy): progress a checkpoint record may cover.
+        // Retained messages are deliberately NOT checkpointed, so replay
+        // rebuilds the retained backlog.
+        if let Some(offset) = publish_offset {
+            checkpoints.delivered(inner, &topic.name, &durable.name, offset);
         }
     }
     (evaluations, copies)

@@ -171,11 +171,6 @@ impl DispatcherScratch {
         self.in_flight_gauge.set(0);
     }
 
-    /// Samples staged since the last flush.
-    pub(crate) fn pending(&self) -> u64 {
-        self.waiting.pending()
-    }
-
     /// Publishes every staged sample into the shared instruments.
     pub(crate) fn flush(&mut self, metrics: &BrokerMetrics) {
         self.waiting.flush_into(&metrics.waiting);

@@ -331,11 +331,7 @@ impl JournalRecord {
                 out.push(TAG_TOPIC_CREATED);
                 put_str(&mut out, topic);
             }
-            JournalRecord::Publish { topic, message } => {
-                out.push(TAG_PUBLISH);
-                put_str(&mut out, topic);
-                put_message(&mut out, message);
-            }
+            JournalRecord::Publish { topic, message } => return encode_publish(topic, message),
             JournalRecord::DurableRegistered { topic, name, filter } => {
                 out.push(TAG_DURABLE_REGISTERED);
                 put_str(&mut out, topic);
@@ -488,26 +484,22 @@ pub(crate) fn recover_topics(
     let mut topics = HashMap::with_capacity(recovered.len());
     for (topic_name, durables) in recovered {
         let topic = Arc::new(Topic::new(&topic_name, shard_of(&topic_name, config.shards.max(1))));
-        {
-            let mut topic_durables = topic.durables.write();
-            for (durable_name, recovery) in durables {
-                let mut retained: VecDeque<Arc<Message>> = recovery
-                    .backlog
-                    .into_iter()
-                    .map(|(_, message)| message)
-                    .filter(|message| !message.is_expired())
-                    .collect();
-                while retained.len() > config.durable_buffer_capacity {
-                    retained.pop_front();
-                }
-                topic_durables.push(Arc::new(DurableState {
-                    name: durable_name,
-                    filter: Mutex::new(recovery.filter),
-                    retained: Mutex::new(retained),
-                    connection: Mutex::new(None),
-                }));
-            }
-        }
+        topic.durables.write().extend(durables.into_iter().map(|(name, recovery)| {
+            let mut retained: VecDeque<Arc<Message>> = recovery
+                .backlog
+                .into_iter()
+                .map(|(_, message)| message)
+                .filter(|message| !message.is_expired())
+                .collect();
+            // Oldest first out, as on a live overflow.
+            retained.drain(..retained.len().saturating_sub(config.durable_buffer_capacity));
+            Arc::new(DurableState {
+                name,
+                filter: Mutex::new(recovery.filter),
+                retained: Mutex::new(retained),
+                connection: Mutex::new(None),
+            })
+        }));
         topics.insert(topic_name, topic);
     }
     topics

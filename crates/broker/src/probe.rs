@@ -1,18 +1,14 @@
-//! The dispatcher's single telemetry seam.
+//! The dispatcher's single telemetry seam (DESIGN.md §3.3c).
 //!
 //! The dispatch core ([`crate::dispatch`]) does the paper's loop and
 //! nothing else; everything that *observes* the loop hangs off one
-//! [`DispatchProbe`], statically dispatched and picked once per dispatcher
-//! thread:
-//!
-//! * [`NoProbe`] — zero-sized, every hook an empty inline body. The core
-//!   monomorphised over it is the un-instrumented broker.
-//! * [`Telemetry`] — everything `MetricsConfig`, `TraceConfig` and
-//!   `TopicObsConfig` turn on. One struct rather than one probe per
-//!   feature: `Broker::start` forces metrics on whenever tracing, flow
-//!   control or the topic observatory is set, and both the trace sampler
-//!   and the observatory are computed *from* the metrics timer, so separate
-//!   probes would have to reach into each other.
+//! statically dispatched [`DispatchProbe`], picked once per dispatcher
+//! thread: zero-sized [`NoProbe`], or [`Telemetry`] for everything
+//! `MetricsConfig`, `TraceConfig` and `TopicObsConfig` turn on. One struct
+//! rather than one probe per feature: `Broker::start` forces metrics on
+//! whenever tracing, flow control or the observatory is set, and the trace
+//! sampler and the observatory are computed *from* the metrics timer, so
+//! separate probes would have to reach into each other.
 //!
 //! Hook contract, per message: `on_dequeue`, then any number of (possibly
 //! nested) `stage` calls, then exactly one of `on_expired` or `on_done`.
@@ -44,63 +40,46 @@ pub(crate) struct Dispatched<'a> {
     pub(crate) first_on_topic: bool,
 }
 
-/// Observer of one dispatcher thread (see the module docs for the call
-/// order). Hooks take `&mut self`: a probe is owned by its thread.
+/// Observer of one dispatcher thread, owned by it (hence `&mut self`). The
+/// default bodies observe nothing.
 pub(crate) trait DispatchProbe {
     /// A message was popped. `was_queued` is false when the dispatcher
     /// had to block for it; `backlog` reads the queue depth left behind
     /// (it takes the queue's lock, so only a probe that wants it pays).
-    fn on_dequeue(
-        &mut self,
-        message: &Message,
-        enqueued_at: Option<u64>,
-        was_queued: bool,
-        backlog: impl FnOnce() -> usize,
-    );
+    #[inline]
+    fn on_dequeue(&mut self, _: &Message, _: Option<u64>, _: bool, _: impl FnOnce() -> usize) {}
 
     /// Runs one Eq. 1 stage of the current message. The probe is handed
     /// back to `work` so stages can nest; time spent in a nested stage
     /// counts towards that stage only.
-    fn stage<T>(&mut self, stage: Stage, work: impl FnOnce(&mut Self) -> T) -> T;
-
-    /// The current message's TTL had elapsed; it was dropped after the
-    /// receive stage and will see no `on_done`.
-    fn on_expired(&mut self);
-
-    /// The current message is fully fanned out and accounted.
-    fn on_done(&mut self, done: &Dispatched<'_>);
-
-    /// The publish queue is empty; the dispatcher is about to block.
-    fn on_idle(&mut self);
-
-    /// The dispatcher is shutting down; no further hook will run.
-    fn on_exit(&mut self);
-}
-
-/// The probe of a broker without metrics: observes nothing, costs nothing.
-pub(crate) struct NoProbe;
-
-impl DispatchProbe for NoProbe {
-    #[inline]
-    fn on_dequeue(&mut self, _: &Message, _: Option<u64>, _: bool, _: impl FnOnce() -> usize) {}
-
     #[inline]
     fn stage<T>(&mut self, _: Stage, work: impl FnOnce(&mut Self) -> T) -> T {
         work(self)
     }
 
+    /// The current message's TTL had elapsed; it was dropped after the
+    /// receive stage and will see no `on_done`.
     #[inline]
     fn on_expired(&mut self) {}
 
+    /// The current message is fully fanned out and accounted.
     #[inline]
     fn on_done(&mut self, _: &Dispatched<'_>) {}
 
+    /// The publish queue is empty; the dispatcher is about to block.
     #[inline]
     fn on_idle(&mut self) {}
 
+    /// The dispatcher is shutting down; no further hook will run.
     #[inline]
     fn on_exit(&mut self) {}
 }
+
+/// The probe of a broker without metrics: the trait's empty defaults, so
+/// the core monomorphised over it is the un-instrumented broker.
+pub(crate) struct NoProbe;
+
+impl DispatchProbe for NoProbe {}
 
 /// Fires once every `every` ticks (cheaper than a modulo on the hot
 /// path); never when `every` is 0.
@@ -160,28 +139,29 @@ pub(crate) struct Telemetry<'a> {
     stats: &'a BrokerStats,
     shard: usize,
     /// Local staging for the per-message histograms, flushed on idle and
-    /// every [`FLUSH_EVERY`] samples.
+    /// every [`FLUSH_EVERY`] messages (`staged` counts them).
     scratch: DispatcherScratch,
+    staged: u64,
     stage_sampler: Countdown,
-    /// The previous message's fan-out end: when the next message is
-    /// already queued its dispatch starts right there, so the reading is
-    /// reused as the next dispatch start instead of a second clock read
-    /// per message.
+    /// The previous message's fan-out end. An already queued next message
+    /// starts its dispatch right there, so the reading is reused instead of
+    /// a second clock read per message.
     last_end: Option<u64>,
     trace: Option<TraceSampler<'a>>,
-    /// Per-topic labeled counter series, capped at `per_topic_series`
-    /// distinct topics; overflow traffic lands in the `__other__` series.
+    /// Per-topic labeled counter series. Topic names are client-controlled,
+    /// so only the first `per_topic_series` topics get their own; the rest
+    /// share the `__other__` series.
     per_topic_cap: usize,
     topic_counters: HashMap<String, TopicCounters>,
-    /// The observatory and this thread's staging for it, merged on the
-    /// same cadence as the histogram scratch.
+    /// The observatory and this thread's staging for it, merged with the
+    /// histogram scratch.
     topic_obs: Option<(&'a TopicObservatory, TopicObsScratch)>,
 
     // State of the message in flight, reset by `on_dequeue`. Timestamps
     // are instrumentation-clock ticks (`clock::now`).
     dispatch_start: u64,
-    /// Publish-queue entry stamp; the dispatch start for a message that
-    /// carries none (waiting is then zero).
+    /// Publish-queue entry stamp; the dispatch start (so waiting is zero)
+    /// for a message that carries none.
     enqueued_at: u64,
     /// Whether this message records the per-stage histograms.
     sample_stages: bool,
@@ -195,9 +175,6 @@ impl<'a> Telemetry<'a> {
     /// runs without metrics.
     pub(crate) fn new(inner: &'a BrokerInner, shard: usize) -> Option<Self> {
         let metrics = inner.metrics.as_ref()?;
-        // Sharded dispatchers additionally stage into shard-labeled
-        // series; the single-dispatcher broker publishes none, keeping its
-        // metric surface identical to the pre-shard layout.
         let scratch = if inner.config.shards > 1 {
             DispatcherScratch::for_shard(metrics, shard)
         } else {
@@ -219,12 +196,13 @@ impl<'a> Telemetry<'a> {
             stats: &inner.stats,
             shard,
             scratch,
+            staged: 0,
             stage_sampler: Countdown::new(metrics.stage_sample_every),
             last_end: None,
             trace,
             per_topic_cap: inner.config.metrics.map_or(0, |m| m.per_topic_series),
             topic_counters: HashMap::new(),
-            topic_obs: inner.topic_obs.as_ref().map(|o| (o, TopicObsScratch::new())),
+            topic_obs: inner.topic_obs.as_ref().map(|o| (o, TopicObsScratch::default())),
             dispatch_start: 0,
             enqueued_at: 0,
             sample_stages: false,
@@ -246,13 +224,11 @@ impl<'a> Telemetry<'a> {
     }
 
     /// Publishes everything staged: the histogram scratch and the
-    /// observatory staging, which therefore always hold the same number
-    /// of pending samples.
+    /// observatory staging.
     fn flush(&mut self) {
+        self.staged = 0;
         self.scratch.flush(self.metrics);
         if let Some((observatory, staged)) = &mut self.topic_obs {
-            // Distinct topics the accounting table collapsed into
-            // `__other__` during this merge.
             let spilled = staged.flush(observatory);
             if spilled > 0 {
                 self.stats.record_topics_overflowed(spilled);
@@ -266,9 +242,6 @@ impl<'a> Telemetry<'a> {
         if self.per_topic_cap == 0 {
             return;
         }
-        // Topic names are client-controlled, so labeled series are
-        // capped: the first `per_topic_cap` topics get their own series,
-        // the rest share `__other__`.
         let name = if self.topic_counters.contains_key(done.topic)
             || self.topic_counters.len() < self.per_topic_cap
         {
@@ -298,12 +271,14 @@ impl<'a> Telemetry<'a> {
     }
 
     /// Tail-sampling commit point: the waiting and sojourn times (ns) are
-    /// now known. `refresh` says the histograms were just flushed for a
-    /// threshold update.
-    fn commit_trace(&mut self, done: &Dispatched<'_>, waiting: u64, sojourn: u64, refresh: bool) {
+    /// now known.
+    fn commit_trace(&mut self, done: &Dispatched<'_>, waiting: u64, sojourn: u64) {
         let Some(trace) = &mut self.trace else { return };
         let metrics = self.metrics;
-        if refresh {
+        if trace.refresh.tick() {
+            // The threshold refreshes from the shared sojourn histogram, so
+            // this thread's staged samples go in first.
+            self.scratch.flush(metrics);
             let tail = metrics.sojourn.snapshot().quantile(trace.config.tail_quantile);
             if let Some(q) = tail {
                 trace.threshold_ns = q;
@@ -342,16 +317,12 @@ impl DispatchProbe for Telemetry<'_> {
         was_queued: bool,
         backlog: impl FnOnce() -> usize,
     ) {
-        // Backlog sample at the dispatch epoch: the queue now holds exactly
-        // the messages that arrived during this message's waiting time, so
-        // the window mean of these samples estimates L_q = λ·E[W] — the
-        // measured side of the observatory's Little's-law self-check.
+        // Sampled at the dispatch epoch: the queue now holds exactly the
+        // messages that arrived during this message's waiting time.
         self.scratch.record_backlog(backlog() as u64);
         self.sample_stages = self.stage_sampler.tick();
         let reuse = if was_queued { self.last_end } else { None };
         self.dispatch_start = reuse.unwrap_or_else(clock::now);
-        // Without an enqueue stamp (metrics enabled mid-flight is
-        // impossible, but recovery replays have none) waiting is zero.
         self.enqueued_at = enqueued_at.unwrap_or(self.dispatch_start);
         self.stage_ns = [0; 4];
         self.uniform_keep = self.trace.as_mut().is_some_and(|t| t.uniform.tick());
@@ -426,13 +397,11 @@ impl DispatchProbe for Telemetry<'_> {
                 service_secs,
             );
         }
-        // The tail threshold refreshes from the shared sojourn histogram,
-        // so a refresh forces a flush first.
-        let refresh = self.trace.as_mut().is_some_and(|t| t.refresh.tick());
-        if refresh || self.scratch.pending() >= FLUSH_EVERY {
+        self.staged += 1;
+        if self.staged >= FLUSH_EVERY {
             self.flush();
         }
-        self.commit_trace(done, waiting, sojourn, refresh);
+        self.commit_trace(done, waiting, sojourn);
     }
 
     fn on_idle(&mut self) {
@@ -453,7 +422,13 @@ mod tests {
     use super::*;
     use crate::config::MetricsConfig;
     use crate::{Broker, BrokerConfig};
-    use rjms_metrics::clock;
+    use std::time::Duration;
+
+    /// An idle broker whose instruments a second, test-driven probe feeds.
+    fn broker(stage_sample_every: u64) -> Broker {
+        let metrics = MetricsConfig::default().stage_sample_every(stage_sample_every);
+        Broker::start(BrokerConfig::builder().metrics(metrics).build())
+    }
 
     fn done(message: &Message) -> Dispatched<'_> {
         Dispatched {
@@ -471,10 +446,7 @@ mod tests {
     /// and the stage sample it drew passes to the next message.
     #[test]
     fn expired_message_neither_lends_its_timestamp_nor_swallows_the_stage_sample() {
-        let broker = Broker::start(
-            BrokerConfig::builder().metrics(MetricsConfig::default().stage_sample_every(2)).build(),
-        );
-        // A second probe over the idle broker's instruments.
+        let broker = broker(2);
         let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
         let message = Message::builder().build();
 
@@ -492,6 +464,71 @@ mod tests {
         assert!(probe.dispatch_start >= after_expiry, "stale dispatch start");
         assert!(probe.sample_stages, "the expired message's sample slot moved on");
         probe.on_done(&done(&message));
+        broker.shutdown();
+    }
+
+    /// Tick stamps become nanosecond waiting, service and sojourn samples
+    /// (the old `DispatchTimer` test).
+    #[test]
+    fn records_waiting_service_and_sojourn() {
+        let broker = broker(1);
+        let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let message = Message::builder().build();
+        let pause = Duration::from_millis(2);
+
+        let enqueued = clock::now();
+        std::thread::sleep(pause);
+        probe.on_dequeue(&message, Some(enqueued), false, || 0);
+        std::thread::sleep(pause);
+        probe.on_done(&done(&message));
+        probe.on_exit();
+
+        let snap = broker.metrics().unwrap().snapshot();
+        let max = |name| snap.histogram(name).unwrap().max;
+        let (waiting, service) = (max("broker.waiting_ns"), max("broker.service_ns"));
+        assert!(waiting >= 2_000_000 && service >= 2_000_000, "{waiting} {service}");
+        assert_eq!(max("broker.sojourn_ns"), waiting + service);
+        broker.shutdown();
+    }
+
+    /// Stages are clocked only on timed messages, and an enclosing stage
+    /// books its own time without the stage nested in it (the old
+    /// `time_stage` test plus the scan-minus-fan-out arithmetic).
+    #[test]
+    fn stage_clocks_timed_messages_only_and_books_nested_time_once() {
+        let broker = broker(2);
+        let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let message = Message::builder().build();
+        let pause = Duration::from_millis(2);
+        let scan = |probe: &mut Telemetry<'_>| {
+            probe.stage(Stage::Filter, |probe| {
+                std::thread::sleep(pause);
+                probe.stage(Stage::Fanout, |_| std::thread::sleep(pause));
+                7
+            })
+        };
+
+        // The first of every two messages is not sampled, so not clocked.
+        probe.on_dequeue(&message, None, false, || 0);
+        assert_eq!((scan(&mut probe), probe.stage_ns), (7, [0; 4]));
+        probe.on_done(&done(&message));
+
+        probe.on_dequeue(&message, None, true, || 0);
+        let outer = Instant::now();
+        scan(&mut probe);
+        let outer = outer.elapsed().as_nanos() as u64;
+        let [rcv, journal, filter, fanout] = probe.stage_ns;
+        assert_eq!((rcv, journal), (0, 0));
+        assert!(filter >= 2_000_000 && fanout >= 2_000_000, "{filter} {fanout}");
+        assert!(filter + fanout <= outer, "nested time booked twice: {filter} + {fanout}");
+        probe.on_done(&done(&message));
+
+        // Only the sampled message reached the stage histograms.
+        let snap = broker.metrics().unwrap().snapshot();
+        let stage = |name| snap.histogram(name).unwrap();
+        assert_eq!(stage("broker.stage.filter_ns").count, 1);
+        assert_eq!(stage("broker.stage.filter_ns").max, filter);
+        assert_eq!(stage("broker.stage.fanout_ns").max, fanout);
         broker.shutdown();
     }
 }

@@ -24,8 +24,7 @@ pub(crate) fn snapshot_of(inner: &BrokerInner) -> BrokerSnapshot {
     let stats = &inner.stats;
     let topics = inner.topics.read();
     let mut per_topic = BTreeMap::new();
-    let mut live = 0usize;
-    let mut durable = 0usize;
+    let (mut live, mut durable) = (0usize, 0usize);
     for (name, t) in topics.iter() {
         live += t.subscriptions.read().iter().filter(|s| s.active.load(Ordering::Relaxed)).count();
         durable += t.durables.read().len();
@@ -112,17 +111,14 @@ pub(crate) fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
         // Journal-aware budget: with persistence on, feed the *measured*
         // per-message store cost (mean append plus amortized fsync time)
         // into the gate's analytic seed, closing Eq. 1's t_store term
-        // over the live journal instead of a configured guess.
-        if inner.journal.is_some() {
-            if let Some(append) = snap.histogram("journal.append_ns") {
-                if append.count > 0 {
-                    let mut store_ns = append.mean();
-                    if let Some(fsync) = snap.histogram("journal.fsync_ns") {
-                        store_ns += fsync.mean() * fsync.count as f64 / append.count as f64;
-                    }
-                    gate.reseed_store_cost(store_ns * 1e-9);
-                }
+        // over the live journal instead of a configured guess. (The
+        // series exists only with a journal and reads `None` while empty.)
+        if let Some(append) = snap.histogram("journal.append_ns") {
+            let mut store_ns = append.mean();
+            if let Some(fsync) = snap.histogram("journal.fsync_ns") {
+                store_ns += fsync.mean() * fsync.count as f64 / append.count as f64;
             }
+            gate.reseed_store_cost(store_ns * 1e-9);
         }
         let monitor = ModelMonitor::new(
             ServerModel::new(config.params, filters as u32),
@@ -175,12 +171,9 @@ pub(crate) fn cost_anchor(config: &BrokerConfig) -> Option<CostParams> {
 }
 
 /// Builds the per-shard model reports behind
-/// [`Broker::shard_reports`](crate::Broker::shard_reports).
-///
-/// Returns an empty vector when metrics are off (nothing measured) or when
-/// no cost anchor exists (neither `BrokerConfig::flow` nor
-/// `BrokerConfig::cost_model` is set, so Eq. 1 has no constants to
-/// predict with).
+/// [`Broker::shard_reports`](crate::Broker::shard_reports): none when
+/// metrics are off (nothing measured) or no cost anchor exists (Eq. 1 has
+/// no constants to predict with).
 pub(crate) fn shard_reports_of(inner: &BrokerInner) -> Vec<ShardReport> {
     let (Some(metrics), Some(params)) = (&inner.metrics, cost_anchor(&inner.config)) else {
         return Vec::new();
@@ -215,36 +208,22 @@ pub(crate) fn shard_reports_of(inner: &BrokerInner) -> Vec<ShardReport> {
             let grade = per_message(counters.dispatched.load(Ordering::Relaxed));
             // A shard whose histograms have not materialized yet (no
             // dispatch flushed) is an idle server, not a missing one.
-            let (Some(waiting), Some(service)) = (waiting, service) else {
-                return ShardReport {
-                    shard,
-                    samples: 0,
-                    arrival_rate: 0.0,
-                    filters,
-                    replication_grade: grade,
-                    verdict: ModelVerdict::Insufficient {
-                        samples: 0,
-                        required: DriftTolerance::default().min_samples,
-                    },
-                };
+            let (samples, verdict) = match (waiting, service) {
+                (Some(waiting), Some(service)) => {
+                    let monitor = ModelMonitor::new(
+                        ServerModel::new(params, filters.round() as u32),
+                        ReplicationModel::deterministic(grade),
+                    );
+                    (waiting.count, monitor.assess(waiting, service, elapsed))
+                }
+                _ => {
+                    let required = DriftTolerance::default().min_samples;
+                    (0, ModelVerdict::Insufficient { samples: 0, required })
+                }
             };
-            let monitor = ModelMonitor::new(
-                ServerModel::new(params, filters.round() as u32),
-                ReplicationModel::deterministic(grade),
-            );
-            let arrival_rate = if elapsed.as_secs_f64() > 0.0 {
-                waiting.count as f64 / elapsed.as_secs_f64()
-            } else {
-                0.0
-            };
-            ShardReport {
-                shard,
-                samples: waiting.count,
-                arrival_rate,
-                filters,
-                replication_grade: grade,
-                verdict: monitor.assess(waiting, service, elapsed),
-            }
+            let secs = elapsed.as_secs_f64();
+            let arrival_rate = if secs > 0.0 { samples as f64 / secs } else { 0.0 };
+            ShardReport { shard, samples, arrival_rate, filters, replication_grade: grade, verdict }
         })
         .collect()
 }

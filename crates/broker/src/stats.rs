@@ -14,6 +14,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+/// `dispatched / received`; `None` before the first message.
+fn replication_grade(received: u64, dispatched: u64) -> Option<f64> {
+    (received > 0).then(|| dispatched as f64 / received as f64)
+}
+
 /// Message-flow counters within a [`BrokerSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MessageCounters {
@@ -37,11 +42,7 @@ impl MessageCounters {
     /// Mean replication grade so far (`dispatched / received`); `None`
     /// before the first message.
     pub fn replication_grade(&self) -> Option<f64> {
-        if self.received > 0 {
-            Some(self.dispatched as f64 / self.received as f64)
-        } else {
-            None
-        }
+        replication_grade(self.received, self.dispatched)
     }
 }
 
@@ -91,11 +92,7 @@ impl ShardSnapshot {
     /// Mean replication grade on this shard; `None` before the first
     /// message.
     pub fn replication_grade(&self) -> Option<f64> {
-        if self.received > 0 {
-            Some(self.dispatched as f64 / self.received as f64)
-        } else {
-            None
-        }
+        replication_grade(self.received, self.dispatched)
     }
 }
 
@@ -112,17 +109,12 @@ impl TopicStats {
     /// Mean replication grade on this topic; `None` before the first
     /// message.
     pub fn replication_grade(&self) -> Option<f64> {
-        if self.received > 0 {
-            Some(self.dispatched as f64 / self.received as f64)
-        } else {
-            None
-        }
+        replication_grade(self.received, self.dispatched)
     }
 }
 
 /// A typed point-in-time snapshot of the whole broker, returned by
-/// [`Broker::snapshot`]: one value instead of the old `stats` /
-/// `journal_stats` / `topic_stats` getter trio.
+/// [`Broker::snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BrokerSnapshot {
     /// Message-flow counters.

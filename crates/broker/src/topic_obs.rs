@@ -263,10 +263,6 @@ pub(crate) struct TopicObsScratch {
 }
 
 impl TopicObsScratch {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Stages one dispatched message's observation.
     pub(crate) fn record(
         &mut self,
@@ -360,7 +356,7 @@ mod tests {
     #[test]
     fn staged_observations_land_in_the_table() {
         let obs = observatory(8, 2);
-        let mut scratch = TopicObsScratch::new();
+        let mut scratch = TopicObsScratch::default();
         drive(&mut scratch, "a", 0, 10, 3, 50);
         drive(&mut scratch, "b", 1, 40, 1, 20);
         assert_eq!(scratch.flush(&obs), 0);
@@ -378,7 +374,7 @@ mod tests {
     #[test]
     fn cap_collapses_into_per_shard_other() {
         let obs = observatory(2, 2);
-        let mut scratch = TopicObsScratch::new();
+        let mut scratch = TopicObsScratch::default();
         drive(&mut scratch, "a", 0, 10, 1, 5);
         drive(&mut scratch, "b", 0, 10, 1, 5);
         scratch.flush(&obs);
@@ -401,7 +397,7 @@ mod tests {
     fn per_topic_fit_converges_on_the_true_slopes() {
         let obs = observatory(8, 1);
         let truth = CostParams::CORRELATION_ID;
-        let mut scratch = TopicObsScratch::new();
+        let mut scratch = TopicObsScratch::default();
         // Vary R within the topic so the anchored 2-parameter fit is
         // identifiable.
         for i in 0..600u32 {
@@ -420,7 +416,7 @@ mod tests {
     fn global_fit_pools_across_topics() {
         let obs = observatory(8, 1);
         let truth = CostParams::CORRELATION_ID;
-        let mut scratch = TopicObsScratch::new();
+        let mut scratch = TopicObsScratch::default();
         for (topic, n) in [("lo", 5u32), ("mid", 50), ("hi", 150)] {
             for i in 0..400u32 {
                 let r = 1 + (i % 8);
@@ -438,7 +434,7 @@ mod tests {
     #[test]
     fn no_anchor_means_no_verdict_but_still_rates() {
         let obs = TopicObservatory::new(TopicObsConfig::default(), None, 1);
-        let mut scratch = TopicObsScratch::new();
+        let mut scratch = TopicObsScratch::default();
         drive(&mut scratch, "t", 0, 10, 2, 400);
         scratch.flush(&obs);
         let snap = obs.snapshot();

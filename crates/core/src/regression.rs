@@ -329,32 +329,28 @@ impl CostRegression {
         self.rejected
     }
 
-    /// Mean filter count over the accumulated stream (0 when empty).
-    pub fn mean_filters(&self) -> f64 {
+    fn mean(&self, sum: f64) -> f64 {
         if self.n == 0 {
             0.0
         } else {
-            self.sf / self.n as f64
+            sum / self.n as f64
         }
+    }
+
+    /// Mean filter count over the accumulated stream (0 when empty).
+    pub fn mean_filters(&self) -> f64 {
+        self.mean(self.sf)
     }
 
     /// Mean replication grade over the accumulated stream (0 when empty).
     pub fn mean_replication(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sr / self.n as f64
-        }
+        self.mean(self.sr)
     }
 
     /// Mean service time over the accumulated stream, seconds (0 when
     /// empty).
     pub fn mean_service_time(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sy / self.n as f64
-        }
+        self.mean(self.sy)
     }
 
     /// Runs the adaptive fit: [`FitMode::Full`] when the design identifies
@@ -473,26 +469,20 @@ impl CostRegression {
                 });
             }
         };
-        match fitted.mode {
-            FitMode::Full => {
-                // The fitted intercept lumps receive + storage cost.
-                check(
-                    "t_rcv",
-                    fitted.params.t_rcv + fitted.params.t_store,
-                    anchor.t_rcv + anchor.t_store,
-                    tolerance.t_rcv,
-                );
-                check("t_fltr", fitted.params.t_fltr, anchor.t_fltr, tolerance.t_fltr);
-                check("t_tx", fitted.params.t_tx, anchor.t_tx, tolerance.t_tx);
-            }
-            FitMode::FixedReceive => {
-                check("t_fltr", fitted.params.t_fltr, anchor.t_fltr, tolerance.t_fltr);
-                check("t_tx", fitted.params.t_tx, anchor.t_tx, tolerance.t_tx);
-            }
-            FitMode::FixedFilter => {
-                check("t_tx", fitted.params.t_tx, anchor.t_tx, tolerance.t_tx);
-            }
+        // Only the components the mode actually fitted can deviate.
+        if fitted.mode == FitMode::Full {
+            // The fitted intercept lumps receive + storage cost.
+            check(
+                "t_rcv",
+                fitted.params.t_rcv + fitted.params.t_store,
+                anchor.t_rcv + anchor.t_store,
+                tolerance.t_rcv,
+            );
         }
+        if fitted.mode != FitMode::FixedFilter {
+            check("t_fltr", fitted.params.t_fltr, anchor.t_fltr, tolerance.t_fltr);
+        }
+        check("t_tx", fitted.params.t_tx, anchor.t_tx, tolerance.t_tx);
 
         let report = RegressionReport { fitted, anchor: *anchor, deviations };
         if report.deviations.is_empty() {

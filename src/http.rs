@@ -213,43 +213,41 @@ impl Drop for HttpServer {
     }
 }
 
+/// Why a JSON endpoint has no body: the status line and a plain-text reason.
+type Refusal = (&'static str, &'static str);
+
+const NOT_FOUND: &str = "404 Not Found";
+const BAD_REQUEST: &str = "400 Bad Request";
+
 fn serve_connection(mut stream: TcpStream, state: &HttpState) {
     stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
+    let refuse =
+        |stream: &mut TcpStream, status, reason| respond(stream, status, "text/plain", reason);
     let (method, target) = match read_request_head(&mut stream) {
         RequestHead::Ok { method, target } => (method, target),
         RequestHead::Closed => return, // nothing readable: don't guess a reply
-        RequestHead::Malformed => {
-            respond(&mut stream, "400 Bad Request", "text/plain", "malformed request\n");
-            return;
-        }
+        RequestHead::Malformed => return refuse(&mut stream, BAD_REQUEST, "malformed request\n"),
         RequestHead::LineTooLong => {
-            respond(&mut stream, "414 URI Too Long", "text/plain", "request line too long\n");
-            return;
+            return refuse(&mut stream, "414 URI Too Long", "request line too long\n")
         }
         RequestHead::HeadTooLarge => {
-            respond(
-                &mut stream,
-                "431 Request Header Fields Too Large",
-                "text/plain",
-                "request head too large\n",
-            );
-            return;
+            let status = "431 Request Header Fields Too Large";
+            return refuse(&mut stream, status, "request head too large\n");
         }
     };
     if method != "GET" {
-        respond(&mut stream, "405 Method Not Allowed", "text/plain", "only GET is supported\n");
-        return;
+        return refuse(&mut stream, "405 Method Not Allowed", "only GET is supported\n");
     }
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target.as_str(), ""),
     };
-    match path {
-        "/" => respond(
-            &mut stream,
-            "200 OK",
-            "text/plain; charset=utf-8",
-            "rjms exposition endpoints:\n\
+    // The text endpoints answer directly; every JSON endpoint yields its
+    // body, or the reason there is none.
+    let observer = state.observer.as_ref().ok_or((NOT_FOUND, "no broker attached\n"));
+    let json: Result<String, Refusal> = match path {
+        "/" => {
+            let index = "rjms exposition endpoints:\n\
              /metrics        Prometheus text format\n\
              /snapshot.json  broker + registry snapshot (JSON)\n\
              /traces         tail-sampled message span chains (JSON)\n\
@@ -260,94 +258,57 @@ fn serve_connection(mut stream: TcpStream, state: &HttpState) {
              /alerts         alert states and transition feed (JSON)\n\
              /flow           admission-gate calibration and counters (JSON)\n\
              /shards         per-shard model assessments + rebalance advice (JSON)\n\
-             /topics         per-topic workload observatory (JSON)\n",
-        ),
+             /topics         per-topic workload observatory (JSON)\n";
+            return respond(&mut stream, "200 OK", "text/plain; charset=utf-8", index);
+        }
         "/metrics" => {
             let mut body = String::new();
             for registry in &state.registries {
                 body.push_str(&registry.snapshot().render_prometheus());
             }
-            respond(&mut stream, "200 OK", "text/plain; version=0.0.4; charset=utf-8", &body);
+            let content_type = "text/plain; version=0.0.4; charset=utf-8";
+            return respond(&mut stream, "200 OK", content_type, &body);
         }
-        "/snapshot.json" => {
-            let body = render_snapshot_json(state);
-            respond(&mut stream, "200 OK", "application/json", &body);
-        }
-        "/traces" => match &state.recorder {
-            Some(recorder) => {
-                let snap = recorder.snapshot();
-                let chains = group_chains(snap.events);
-                let body =
-                    render_chains_json(&chains, clock::ns_per_tick(), snap.recorded, snap.capacity);
-                respond(&mut stream, "200 OK", "application/json", &body);
-            }
-            None => respond(&mut stream, "404 Not Found", "text/plain", "tracing disabled\n"),
-        },
         "/model" => {
             let text = state.model.lock().map(|t| t.clone()).unwrap_or_default();
             let body = if text.is_empty() { "no model assessment yet\n" } else { &text };
-            respond(&mut stream, "200 OK", "text/plain; charset=utf-8", body);
+            return respond(&mut stream, "200 OK", "text/plain; charset=utf-8", body);
         }
-        "/slo" => match &state.obs {
-            Some(obs) => {
-                let body = obs.lock().map(|core| core.render_slo_json()).unwrap_or_default();
-                respond(&mut stream, "200 OK", "application/json", &body);
-            }
-            None => respond(&mut stream, "404 Not Found", "text/plain", "slo engine disabled\n"),
-        },
-        "/forecast" => match &state.obs {
-            Some(obs) => {
-                let body = obs.lock().map(|core| core.render_forecast_json()).unwrap_or_default();
-                respond(&mut stream, "200 OK", "application/json", &body);
-            }
-            None => respond(&mut stream, "404 Not Found", "text/plain", "slo engine disabled\n"),
-        },
-        "/alerts" => match &state.obs {
-            Some(obs) => {
-                let body = obs.lock().map(|core| core.render_alerts_json()).unwrap_or_default();
-                respond(&mut stream, "200 OK", "application/json", &body);
-            }
-            None => respond(&mut stream, "404 Not Found", "text/plain", "slo engine disabled\n"),
-        },
-        "/history" => match &state.obs {
-            Some(obs) => serve_history(&mut stream, obs, query),
-            None => respond(&mut stream, "404 Not Found", "text/plain", "slo engine disabled\n"),
-        },
+        "/snapshot.json" => Ok(render_snapshot_json(state)),
+        "/traces" => state.recorder.as_ref().ok_or((NOT_FOUND, "tracing disabled\n")).map(|r| {
+            let snap = r.snapshot();
+            let chains = group_chains(snap.events);
+            render_chains_json(&chains, clock::ns_per_tick(), snap.recorded, snap.capacity)
+        }),
+        "/slo" => obs_json(state, |core| Ok(core.render_slo_json())),
+        "/forecast" => obs_json(state, |core| Ok(core.render_forecast_json())),
+        "/alerts" => obs_json(state, |core| Ok(core.render_alerts_json())),
+        "/history" => obs_json(state, |core| history_json(core, query)),
         "/flow" => match &state.flow {
-            Some(gate) => {
-                let body = render_flow_json(gate);
-                respond(&mut stream, "200 OK", "application/json", &body);
-            }
-            None => respond(&mut stream, "404 Not Found", "text/plain", "flow control disabled\n"),
+            Some(gate) => Ok(render_flow_json(gate)),
+            None => Err((NOT_FOUND, "flow control disabled\n")),
         },
-        "/shards" => match &state.observer {
-            Some(observer) => {
-                let body = render_shards_json(
-                    &observer.shard_reports(),
-                    observer.topic_observatory().as_ref(),
-                    state,
-                );
-                respond(&mut stream, "200 OK", "application/json", &body);
-            }
-            None => respond(&mut stream, "404 Not Found", "text/plain", "no broker attached\n"),
-        },
-        "/topics" => match &state.observer {
-            Some(observer) => match observer.topic_observatory() {
-                Some(snap) => {
-                    let body = render_topics_json(&snap);
-                    respond(&mut stream, "200 OK", "application/json", &body);
-                }
-                None => respond(
-                    &mut stream,
-                    "404 Not Found",
-                    "text/plain",
-                    "topic observatory disabled\n",
-                ),
-            },
-            None => respond(&mut stream, "404 Not Found", "text/plain", "no broker attached\n"),
-        },
-        _ => respond(&mut stream, "404 Not Found", "text/plain", "unknown path\n"),
+        "/shards" => observer
+            .map(|o| render_shards_json(&o.shard_reports(), o.topic_observatory().as_ref(), state)),
+        "/topics" => observer.and_then(|o| match o.topic_observatory() {
+            Some(snap) => Ok(render_topics_json(&snap)),
+            None => Err((NOT_FOUND, "topic observatory disabled\n")),
+        }),
+        _ => Err((NOT_FOUND, "unknown path\n")),
+    };
+    match json {
+        Ok(body) => respond(&mut stream, "200 OK", "application/json", &body),
+        Err((status, reason)) => refuse(&mut stream, status, reason),
     }
+}
+
+/// The body `render` makes from the SLO engine's state, when there is one.
+fn obs_json(
+    state: &HttpState,
+    render: impl FnOnce(&ObsCore) -> Result<String, Refusal>,
+) -> Result<String, Refusal> {
+    let obs = state.obs.as_ref().ok_or((NOT_FOUND, "slo engine disabled\n"))?;
+    obs.lock().map_or(Ok(String::new()), |core| render(&core))
 }
 
 /// Answers `/history?metric=…[&window=…][&reduce=…]`.
@@ -355,40 +316,22 @@ fn serve_connection(mut stream: TcpStream, state: &HttpState) {
 /// `window` accepts plain seconds or an `s`/`m`/`h` suffix (default
 /// `60s`); `reduce` is `rate`, `level`, `count`, or a quantile like `q99`
 /// (default: `q99` for `*_ns` instruments, `rate` otherwise).
-fn serve_history(stream: &mut TcpStream, obs: &Arc<Mutex<ObsCore>>, query: &str) {
-    let Some(metric) = query_param(query, "metric") else {
-        respond(stream, "400 Bad Request", "text/plain", "missing ?metric= parameter\n");
-        return;
-    };
+fn history_json(core: &ObsCore, query: &str) -> Result<String, Refusal> {
+    let metric =
+        query_param(query, "metric").ok_or((BAD_REQUEST, "missing ?metric= parameter\n"))?;
     let window = match query_param(query, "window") {
         None => Duration::from_secs(60),
-        Some(raw) => match parse_window(raw) {
-            Some(w) => w,
-            None => {
-                respond(stream, "400 Bad Request", "text/plain", "bad window (try 90s, 5m, 2h)\n");
-                return;
-            }
-        },
+        Some(raw) => parse_window(raw).ok_or((BAD_REQUEST, "bad window (try 90s, 5m, 2h)\n"))?,
     };
     let reduce = match query_param(query, "reduce") {
         None if metric.ends_with("_ns") => Reduce::Quantile(0.99),
         None => Reduce::Rate,
-        Some(raw) => match parse_reduce(raw) {
-            Some(r) => r,
-            None => {
-                respond(
-                    stream,
-                    "400 Bad Request",
-                    "text/plain",
-                    "bad reduce (rate, level, count, mean, or q99-style quantile)\n",
-                );
-                return;
-            }
-        },
+        Some(raw) => parse_reduce(raw).ok_or((
+            BAD_REQUEST,
+            "bad reduce (rate, level, count, mean, or q99-style quantile)\n",
+        ))?,
     };
-    let body =
-        obs.lock().map(|core| core.render_history_json(metric, window, reduce)).unwrap_or_default();
-    respond(stream, "200 OK", "application/json", &body);
+    Ok(core.render_history_json(metric, window, reduce))
 }
 
 /// First value of a `key=value` pair in a query string (no
