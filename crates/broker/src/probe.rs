@@ -467,8 +467,7 @@ mod tests {
         broker.shutdown();
     }
 
-    /// Tick stamps become nanosecond waiting, service and sojourn samples
-    /// (the old `DispatchTimer` test).
+    /// Tick stamps become nanosecond waiting, service and sojourn samples.
     #[test]
     fn records_waiting_service_and_sojourn() {
         let broker = broker(1);
@@ -492,8 +491,8 @@ mod tests {
     }
 
     /// Stages are clocked only on timed messages, and an enclosing stage
-    /// books its own time without the stage nested in it (the old
-    /// `time_stage` test plus the scan-minus-fan-out arithmetic).
+    /// books its own time without the stage nested in it (the filter scan
+    /// minus the fan-out inside it).
     #[test]
     fn stage_clocks_timed_messages_only_and_books_nested_time_once() {
         let broker = broker(2);
