@@ -4,10 +4,18 @@
 //!   (even if the buffer has space) — delivery would be pointless.
 //! * `recv` drains queued messages even after every sender is gone, and
 //!   only then reports disconnection.
+//!
+//! A `send` or `recv` that finds nobody asleep on the other side makes no
+//! syscall: the number of parked receivers and senders is kept in the
+//! state the mutex guards, and a condvar is notified only when that number
+//! is non-zero (std's futex condvar would otherwise pay a `futex_wake` per
+//! call). A sleeper raises its count under the lock that `wait` releases,
+//! and the other side reads the count under the same lock after changing
+//! the queue, so it either sees the sleeper or the sleeper saw the change.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 struct State<T> {
@@ -16,6 +24,9 @@ struct State<T> {
     capacity: Option<usize>,
     senders: usize,
     receivers: usize,
+    /// Receivers parked on `not_empty` / senders parked on `not_full`.
+    sleeping_receivers: usize,
+    sleeping_senders: usize,
 }
 
 struct Shared<T> {
@@ -27,10 +38,35 @@ struct Shared<T> {
 impl<T> Shared<T> {
     fn new(capacity: Option<usize>) -> Arc<Self> {
         Arc::new(Shared {
-            state: Mutex::new(State { queue: VecDeque::new(), capacity, senders: 1, receivers: 1 }),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                capacity,
+                senders: 1,
+                receivers: 1,
+                sleeping_receivers: 0,
+                sleeping_senders: 0,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         })
+    }
+
+    /// Unlocks after a push and wakes one parked receiver, if any.
+    fn pushed(&self, state: MutexGuard<'_, State<T>>) {
+        let wake = state.sleeping_receivers > 0;
+        drop(state);
+        if wake {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Unlocks after a pop and wakes one parked sender, if any.
+    fn popped(&self, state: MutexGuard<'_, State<T>>) {
+        let wake = state.sleeping_senders > 0;
+        drop(state);
+        if wake {
+            self.not_full.notify_one();
+        }
     }
 }
 
@@ -135,11 +171,12 @@ impl<T> Sender<T> {
             let full = state.capacity.is_some_and(|c| state.queue.len() >= c);
             if !full {
                 state.queue.push_back(value);
-                drop(state);
-                self.shared.not_empty.notify_one();
+                self.shared.pushed(state);
                 return Ok(());
             }
+            state.sleeping_senders += 1;
             state = self.shared.not_full.wait(state).unwrap();
+            state.sleeping_senders -= 1;
         }
     }
 
@@ -158,8 +195,7 @@ impl<T> Sender<T> {
             return Err(TrySendError::Full(value));
         }
         state.queue.push_back(value);
-        drop(state);
-        self.shared.not_empty.notify_one();
+        self.shared.pushed(state);
         Ok(())
     }
 
@@ -210,14 +246,15 @@ impl<T> Receiver<T> {
         let mut state = self.shared.state.lock().unwrap();
         loop {
             if let Some(value) = state.queue.pop_front() {
-                drop(state);
-                self.shared.not_full.notify_one();
+                self.shared.popped(state);
                 return Ok(value);
             }
             if state.senders == 0 {
                 return Err(RecvError);
             }
+            state.sleeping_receivers += 1;
             state = self.shared.not_empty.wait(state).unwrap();
+            state.sleeping_receivers -= 1;
         }
     }
 
@@ -232,8 +269,7 @@ impl<T> Receiver<T> {
         let mut state = self.shared.state.lock().unwrap();
         match state.queue.pop_front() {
             Some(value) => {
-                drop(state);
-                self.shared.not_full.notify_one();
+                self.shared.popped(state);
                 Ok(value)
             }
             None if state.senders == 0 => Err(TryRecvError::Disconnected),
@@ -253,8 +289,7 @@ impl<T> Receiver<T> {
         let mut state = self.shared.state.lock().unwrap();
         loop {
             if let Some(value) = state.queue.pop_front() {
-                drop(state);
-                self.shared.not_full.notify_one();
+                self.shared.popped(state);
                 return Ok(value);
             }
             if state.senders == 0 {
@@ -264,9 +299,11 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
+            state.sleeping_receivers += 1;
             let (guard, result) =
                 self.shared.not_empty.wait_timeout(state, deadline - now).unwrap();
             state = guard;
+            state.sleeping_receivers -= 1;
             if result.timed_out() && state.queue.is_empty() {
                 if state.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
@@ -364,6 +401,137 @@ mod tests {
         assert_eq!(rx.recv(), Ok(1));
         handle.join().unwrap().unwrap();
         assert_eq!(rx.recv(), Ok(2));
+    }
+
+    /// Spins until `ready` holds for the channel state; the tests below use
+    /// it to know a thread is parked before they act, instead of sleeping.
+    fn wait_until<T>(shared: &Shared<T>, ready: impl Fn(&State<T>) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ready(&shared.state.lock().unwrap()) {
+            assert!(Instant::now() < deadline, "channel never reached the awaited state");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Joins a thread that must already be on its way out; a thread still
+    /// parked after ten seconds fails the test instead of hanging it.
+    fn join<T>(handle: std::thread::JoinHandle<T>) -> T {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !handle.is_finished() {
+            assert!(Instant::now() < deadline, "thread was never woken");
+            std::thread::yield_now();
+        }
+        handle.join().unwrap()
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_under_contention() {
+        const SENDERS: u64 = 4;
+        const PER_SENDER: u64 = 50_000;
+        let (tx, rx) = bounded::<u64>(1);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for s in 0..SENDERS {
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                for i in 0..PER_SENDER {
+                    tx.send(s * PER_SENDER + i).unwrap();
+                }
+            });
+        }
+        drop(tx);
+        for _ in 0..4 {
+            let rx = rx.clone();
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                let (mut count, mut sum) = (0u64, 0u64);
+                while let Ok(v) = rx.recv() {
+                    count += 1;
+                    sum += v;
+                }
+                done_tx.send((count, sum)).unwrap();
+            });
+        }
+        // A lost wake-up parks a thread for good; fail instead of hanging.
+        let (mut count, mut sum) = (0u64, 0u64);
+        for _ in 0..4 {
+            let (c, s) = done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a receiver never finished: lost wake-up");
+            count += c;
+            sum += s;
+        }
+        let total = SENDERS * PER_SENDER;
+        assert_eq!((count, sum), (total, total * (total - 1) / 2));
+        let state = rx.shared.state.lock().unwrap();
+        assert_eq!((state.sleeping_receivers, state.sleeping_senders), (0, 0));
+    }
+
+    #[test]
+    fn expired_recv_timeout_leaves_the_sleeper_count_balanced() {
+        let (tx, rx) = bounded::<i32>(1);
+        assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Err(RecvTimeoutError::Timeout));
+        assert_eq!(rx.shared.state.lock().unwrap().sleeping_receivers, 0);
+        // A later blocked `recv` is counted once and woken by one `send`.
+        let blocked = std::thread::spawn({
+            let rx = rx.clone();
+            move || rx.recv()
+        });
+        wait_until(&rx.shared, |s| s.sleeping_receivers == 1);
+        tx.send(3).unwrap();
+        assert_eq!(join(blocked), Ok(3));
+        assert_eq!(rx.shared.state.lock().unwrap().sleeping_receivers, 0);
+    }
+
+    #[test]
+    fn blocked_send_is_woken_by_try_recv_and_recv_timeout() {
+        let (tx, rx) = bounded(1);
+        tx.send(0).unwrap();
+        for (value, woken_by_try_recv) in [(1, true), (2, false)] {
+            let blocked = std::thread::spawn({
+                let tx = tx.clone();
+                move || tx.send(value)
+            });
+            wait_until(&rx.shared, |s| s.sleeping_senders == 1);
+            let popped = if woken_by_try_recv {
+                rx.try_recv().unwrap()
+            } else {
+                rx.recv_timeout(Duration::from_secs(10)).unwrap()
+            };
+            assert_eq!(popped, value - 1);
+            join(blocked).unwrap();
+        }
+        assert_eq!(rx.try_recv(), Ok(2));
+        assert_eq!(rx.shared.state.lock().unwrap().sleeping_senders, 0);
+    }
+
+    #[test]
+    fn disconnect_wakes_every_sleeper() {
+        let (tx, rx) = bounded::<i32>(1);
+        let receivers: Vec<_> = (0..3)
+            .map(|_| {
+                let rx = rx.clone();
+                std::thread::spawn(move || rx.recv())
+            })
+            .collect();
+        wait_until(&rx.shared, |s| s.sleeping_receivers == 3);
+        drop(tx);
+        for r in receivers {
+            assert_eq!(join(r), Err(RecvError));
+        }
+
+        let (tx, rx) = bounded(1);
+        tx.send(0).unwrap();
+        let senders: Vec<_> = (1..=3)
+            .map(|v| {
+                let tx = tx.clone();
+                std::thread::spawn(move || tx.send(v).is_err())
+            })
+            .collect();
+        wait_until(&tx.shared, |s| s.sleeping_senders == 3);
+        drop(rx);
+        for s in senders {
+            assert!(join(s), "send on a disconnected channel must fail");
+        }
     }
 
     #[test]
