@@ -12,15 +12,17 @@
 //! connection's outbound response backlog — the wire-side analogue of the
 //! broker's publish queue, so a saturated subscriber link shows up as a
 //! growing depth instead of silently inflating delivery latency.
+//! Histogram `net.writer.batch_frames` has the number of frames per
+//! socket write: the batch-size distribution `X` a client sees.
 
 use crate::wire::{
-    decode_request, encode_response, read_frame, Request, Response, WireFilter, WireMessage,
+    decode_request, encode_response_into, read_frame, Request, Response, WireFilter, WireMessage,
     FEATURE_FLOW, FEATURE_TRACE,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rjms_broker::{Broker, BrokerConfig, Error, Filter, FlowGate, Publisher, TopicPattern};
 use rjms_flow::CreditWindow;
-use rjms_metrics::{clock, Gauge, MetricsRegistry};
+use rjms_metrics::{clock, Gauge, Histogram, MetricsRegistry};
 use rjms_trace::{FlightRecorder, SpanEvent, Stage};
 use std::collections::HashMap;
 use std::io::Write;
@@ -140,9 +142,11 @@ impl BrokerServer {
     }
 
     /// The server's wire-level instrument registry: gauge
-    /// `net.connections.active`, and per-connection outbound queue depths
+    /// `net.connections.active`, per-connection outbound queue depths
     /// under `net.conn.<id>.queue_depth` (reset to 0 when the connection
-    /// closes). Broker-side instruments live in
+    /// closes), and histogram `net.writer.batch_frames`, the frames each
+    /// socket write carried (all connections; one sample per write).
+    /// Broker-side instruments live in
     /// [`Broker::metrics`](rjms_broker::Broker::metrics) instead.
     pub fn metrics(&self) -> MetricsRegistry {
         self.metrics.clone()
@@ -225,6 +229,9 @@ fn handle_connection(
         return;
     }
     let Ok(write_stream) = stream.try_clone() else { return };
+    // The writer batches by itself; Nagle would only add a delayed-ACK
+    // stall to a batch that ends in a partial segment.
+    stream.set_nodelay(true).ok();
     let (out_tx, out_rx) = unbounded::<Response>();
     let closed = Arc::new(AtomicBool::new(false));
 
@@ -235,9 +242,12 @@ fn handle_connection(
     // Writer thread: serializes every outgoing response.
     let writer_closed = Arc::clone(&closed);
     let writer_depth = Arc::clone(&depth);
+    let batch_frames = metrics.histogram("net.writer.batch_frames");
     let writer = std::thread::Builder::new()
         .name("rjms-net-writer".to_owned())
-        .spawn(move || writer_loop(write_stream, out_rx, writer_closed, writer_depth, recorder))
+        .spawn(move || {
+            writer_loop(write_stream, out_rx, writer_closed, writer_depth, batch_frames, recorder)
+        })
         .expect("failed to spawn writer thread");
 
     let gate = broker.flow();
@@ -265,44 +275,69 @@ fn handle_connection(
     active.add(-1);
 }
 
+/// Most bytes the writer gathers before it writes. A constant, not a
+/// setting: it only has to be large enough that the syscall is shared by
+/// hundreds of small frames and small enough that the first frame of a
+/// batch is not held back for long (64 KiB leave a loopback socket in tens
+/// of microseconds). A single larger frame is still written whole.
+const WRITE_BATCH_BYTES: usize = 64 * 1024;
+
+/// Drains the connection's outbound queue onto the socket: blocks for one
+/// response, then takes whatever else is already queued (up to
+/// [`WRITE_BATCH_BYTES`]) and sends the lot with one `write_all`, so a
+/// backlog costs one syscall per batch and an idle connection still sends
+/// a lone response at once.
 fn writer_loop(
     mut stream: TcpStream,
     out_rx: Receiver<Response>,
     closed: Arc<AtomicBool>,
     depth: Arc<Gauge>,
+    batch_frames: Arc<Histogram>,
     recorder: Option<Arc<FlightRecorder>>,
 ) {
-    while let Ok(resp) = out_rx.recv() {
-        // Responses still queued behind the one just pulled: the
-        // connection's outbound backlog.
+    let mut batch = Vec::with_capacity(WRITE_BATCH_BYTES);
+    // `(trace id, subscription id)` of the batch's tail-sampled deliveries.
+    let mut sampled = Vec::new();
+    while let Ok(first) = out_rx.recv() {
+        let mut frames = 0;
+        let mut next = Some(first);
+        while let Some(resp) = next {
+            encode_response_into(&mut batch, &resp);
+            frames += 1;
+            if let (Some(r), Response::Delivery { subscription_id, message }) = (&recorder, &resp) {
+                if let Some(t) = message.trace.filter(|t| r.is_sampled(t.trace_id)) {
+                    sampled.push((t.trace_id, *subscription_id));
+                }
+            }
+            next = if batch.len() < WRITE_BATCH_BYTES { out_rx.try_recv().ok() } else { None };
+        }
+        // Responses still queued behind the batch: the connection's
+        // outbound backlog.
         depth.set(out_rx.len() as i64);
-        let frame = encode_response(&resp);
-        // A delivery whose trace id the broker tail-sampled gets a
-        // wire-flush span appended to its chain, stamping the moment its
-        // bytes left the server.
-        let sampled = recorder.as_ref().and_then(|r| match &resp {
-            Response::Delivery { subscription_id, message } => message
-                .trace
-                .filter(|t| r.is_sampled(t.trace_id))
-                .map(|t| (t.trace_id, *subscription_id)),
-            _ => None,
-        });
-        let flush_start = sampled.map(|_| (clock::now(), Instant::now()));
-        if stream.write_all(&frame).is_err() {
+        batch_frames.record(frames);
+        // Every sampled delivery in the batch gets a wire-flush span
+        // appended to its chain: the one write that carried its bytes off
+        // the server.
+        let flush_start = (!sampled.is_empty()).then(|| (clock::now(), Instant::now()));
+        if stream.write_all(&batch).is_err() {
             closed.store(true, Ordering::Relaxed);
             break;
         }
-        if let (Some(r), Some((trace_id, subscription_id)), Some((start_ticks, t0))) =
-            (recorder.as_ref(), sampled, flush_start)
-        {
-            r.record(SpanEvent {
-                trace_id,
-                stage: Stage::WireFlush,
-                start_ticks,
-                duration_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                aux: u64::from(subscription_id),
-            });
+        if let (Some(r), Some((start_ticks, t0))) = (&recorder, flush_start) {
+            let duration_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            for (trace_id, subscription_id) in sampled.drain(..) {
+                r.record(SpanEvent {
+                    trace_id,
+                    stage: Stage::WireFlush,
+                    start_ticks,
+                    duration_ns,
+                    aux: u64::from(subscription_id),
+                });
+            }
         }
+        batch.clear();
+        // One oversized frame must not pin its allocation to the connection.
+        batch.shrink_to(2 * WRITE_BATCH_BYTES);
     }
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }

@@ -6,7 +6,7 @@
 //! workspace deliberately carries no serde wire backend — and round-trip
 //! property tested.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use rjms_broker::message::{Message, Priority};
 use rjms_selector::Value;
 use std::fmt;
@@ -285,7 +285,7 @@ impl WireMessage {
 
 // --- primitive encoders/decoders -----------------------------------------
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
@@ -320,7 +320,7 @@ fn get_u8(buf: &mut Bytes) -> Result<u8, DecodeError> {
     Ok(buf.get_u8())
 }
 
-fn put_opt_str(buf: &mut BytesMut, s: &Option<String>) {
+fn put_opt_str(buf: &mut impl BufMut, s: &Option<String>) {
     match s {
         None => buf.put_u8(0),
         Some(v) => {
@@ -338,7 +338,7 @@ fn get_opt_str(buf: &mut Bytes) -> Result<Option<String>, DecodeError> {
     }
 }
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+fn put_value(buf: &mut impl BufMut, v: &Value) {
     match v {
         Value::Bool(b) => {
             buf.put_u8(0);
@@ -379,7 +379,7 @@ fn get_value(buf: &mut Bytes) -> Result<Value, DecodeError> {
     }
 }
 
-fn put_message(buf: &mut BytesMut, m: &WireMessage) {
+fn put_message(buf: &mut impl BufMut, m: &WireMessage) {
     put_opt_str(buf, &m.correlation_id);
     put_opt_str(buf, &m.message_type);
     buf.put_u8(m.priority);
@@ -434,7 +434,7 @@ fn get_message(buf: &mut Bytes) -> Result<WireMessage, DecodeError> {
     })
 }
 
-fn put_trace(buf: &mut BytesMut, t: &WireTrace) {
+fn put_trace(buf: &mut impl BufMut, t: &WireTrace) {
     buf.put_u64(t.trace_id);
     buf.put_u64(t.origin_ns);
 }
@@ -448,7 +448,7 @@ fn get_trace(buf: &mut Bytes) -> Result<WireTrace, DecodeError> {
     Ok(WireTrace { trace_id, origin_ns })
 }
 
-fn put_filter(buf: &mut BytesMut, f: &WireFilter) {
+fn put_filter(buf: &mut impl BufMut, f: &WireFilter) {
     match f {
         WireFilter::None => buf.put_u8(0),
         WireFilter::CorrelationId(p) => {
@@ -473,118 +473,134 @@ fn get_filter(buf: &mut Bytes) -> Result<WireFilter, DecodeError> {
 
 // --- frame encoders/decoders ----------------------------------------------
 
+/// Reserves a frame's length prefix at the end of `out`; [`end_frame`]
+/// fills it in once the body has been appended behind it.
+fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.put_u32(0);
+    start
+}
+
+fn end_frame(out: &mut Vec<u8>, start: usize) {
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+}
+
 /// Encodes a request into one length-prefixed frame.
 pub fn encode_request(req: &Request) -> Bytes {
-    let mut body = BytesMut::with_capacity(64);
+    let mut out = Vec::with_capacity(64);
+    let start = begin_frame(&mut out);
     match req {
         Request::CreateTopic { request_id, topic } => {
-            body.put_u8(0x01);
-            body.put_u32(*request_id);
-            put_str(&mut body, topic);
+            out.put_u8(0x01);
+            out.put_u32(*request_id);
+            put_str(&mut out, topic);
         }
         Request::Publish { request_id, topic, message } => {
             // A trace-bearing message selects the traced opcode (0x0A) with
             // the context appended after the message; without one the frame
             // is byte-identical to the pre-trace format.
-            body.put_u8(if message.trace.is_some() { 0x0A } else { 0x02 });
-            body.put_u32(*request_id);
-            put_str(&mut body, topic);
-            put_message(&mut body, message);
+            out.put_u8(if message.trace.is_some() { 0x0A } else { 0x02 });
+            out.put_u32(*request_id);
+            put_str(&mut out, topic);
+            put_message(&mut out, message);
             if let Some(t) = &message.trace {
-                put_trace(&mut body, t);
+                put_trace(&mut out, t);
             }
         }
         Request::Subscribe { request_id, subscription_id, topic, filter } => {
-            body.put_u8(0x03);
-            body.put_u32(*request_id);
-            body.put_u32(*subscription_id);
-            put_str(&mut body, topic);
-            put_filter(&mut body, filter);
+            out.put_u8(0x03);
+            out.put_u32(*request_id);
+            out.put_u32(*subscription_id);
+            put_str(&mut out, topic);
+            put_filter(&mut out, filter);
         }
         Request::SubscribePattern { request_id, subscription_id, pattern, filter } => {
-            body.put_u8(0x04);
-            body.put_u32(*request_id);
-            body.put_u32(*subscription_id);
-            put_str(&mut body, pattern);
-            put_filter(&mut body, filter);
+            out.put_u8(0x04);
+            out.put_u32(*request_id);
+            out.put_u32(*subscription_id);
+            put_str(&mut out, pattern);
+            put_filter(&mut out, filter);
         }
         Request::Unsubscribe { request_id, subscription_id } => {
-            body.put_u8(0x05);
-            body.put_u32(*request_id);
-            body.put_u32(*subscription_id);
+            out.put_u8(0x05);
+            out.put_u32(*request_id);
+            out.put_u32(*subscription_id);
         }
         Request::SubscribeDurable { request_id, subscription_id, topic, name, filter } => {
-            body.put_u8(0x07);
-            body.put_u32(*request_id);
-            body.put_u32(*subscription_id);
-            put_str(&mut body, topic);
-            put_str(&mut body, name);
-            put_filter(&mut body, filter);
+            out.put_u8(0x07);
+            out.put_u32(*request_id);
+            out.put_u32(*subscription_id);
+            put_str(&mut out, topic);
+            put_str(&mut out, name);
+            put_filter(&mut out, filter);
         }
         Request::UnsubscribeDurable { request_id, topic, name } => {
-            body.put_u8(0x08);
-            body.put_u32(*request_id);
-            put_str(&mut body, topic);
-            put_str(&mut body, name);
+            out.put_u8(0x08);
+            out.put_u32(*request_id);
+            put_str(&mut out, topic);
+            put_str(&mut out, name);
         }
         Request::Ping { request_id } => {
-            body.put_u8(0x06);
-            body.put_u32(*request_id);
+            out.put_u8(0x06);
+            out.put_u32(*request_id);
         }
         Request::Hello { request_id, features } => {
-            body.put_u8(0x09);
-            body.put_u32(*request_id);
-            body.put_u32(*features);
+            out.put_u8(0x09);
+            out.put_u32(*request_id);
+            out.put_u32(*features);
         }
     }
-    finish_frame(body)
+    end_frame(&mut out, start);
+    Bytes::from(out)
 }
 
 /// Encodes a response into one length-prefixed frame.
 pub fn encode_response(resp: &Response) -> Bytes {
-    let mut body = BytesMut::with_capacity(64);
+    let mut frame = Vec::with_capacity(64);
+    encode_response_into(&mut frame, resp);
+    Bytes::from(frame)
+}
+
+/// Appends a response to `out` as one length-prefixed frame, so a writer
+/// can gather many frames into one buffer and one socket write.
+pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
+    let start = begin_frame(out);
     match resp {
         Response::Ok { request_id } => {
-            body.put_u8(0x81);
-            body.put_u32(*request_id);
+            out.put_u8(0x81);
+            out.put_u32(*request_id);
         }
         Response::Error { request_id, message } => {
-            body.put_u8(0x82);
-            body.put_u32(*request_id);
-            put_str(&mut body, message);
+            out.put_u8(0x82);
+            out.put_u32(*request_id);
+            put_str(out, message);
         }
         Response::Delivery { subscription_id, message } => {
-            body.put_u8(if message.trace.is_some() { 0x85 } else { 0x83 });
-            body.put_u32(*subscription_id);
-            put_message(&mut body, message);
+            out.put_u8(if message.trace.is_some() { 0x85 } else { 0x83 });
+            out.put_u32(*subscription_id);
+            put_message(out, message);
             if let Some(t) = &message.trace {
-                put_trace(&mut body, t);
+                put_trace(out, t);
             }
         }
         Response::Pong { request_id } => {
-            body.put_u8(0x84);
-            body.put_u32(*request_id);
+            out.put_u8(0x84);
+            out.put_u32(*request_id);
         }
         Response::CreditGrant { credits } => {
-            body.put_u8(0x86);
-            body.put_u32(*credits);
+            out.put_u8(0x86);
+            out.put_u32(*credits);
         }
         Response::PublishDenied { request_id, class, deferred, retry_after_ms } => {
-            body.put_u8(0x87);
-            body.put_u32(*request_id);
-            body.put_u8(*class);
-            body.put_u8(u8::from(*deferred));
-            body.put_u64(*retry_after_ms);
+            out.put_u8(0x87);
+            out.put_u32(*request_id);
+            out.put_u8(*class);
+            out.put_u8(u8::from(*deferred));
+            out.put_u64(*retry_after_ms);
         }
     }
-    finish_frame(body)
-}
-
-fn finish_frame(body: BytesMut) -> Bytes {
-    let mut frame = BytesMut::with_capacity(4 + body.len());
-    frame.put_u32(body.len() as u32);
-    frame.extend_from_slice(&body);
-    frame.freeze()
+    end_frame(out, start);
 }
 
 /// Decodes a request frame *body* (the bytes after the length prefix).
@@ -718,6 +734,7 @@ pub fn read_frame<R: std::io::Read>(reader: &mut R) -> std::io::Result<Option<By
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn roundtrip_request(req: Request) {
         let frame = encode_request(&req);
