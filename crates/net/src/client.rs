@@ -9,7 +9,7 @@
 
 use crate::error::Error;
 use crate::wire::{
-    decode_response, encode_request, read_frame, Request, Response, WireFilter, WireMessage,
+    decode_response, encode_request, FrameReader, Request, Response, WireFilter, WireMessage,
     FEATURE_FLOW, FEATURE_TRACE,
 };
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -392,8 +392,9 @@ impl Drop for RemoteBroker {
 
 /// Background reader: dispatches responses to pending calls and deliveries
 /// to subscriber channels.
-fn client_reader_loop(mut stream: TcpStream, shared: Arc<ClientShared>) {
-    while let Ok(Some(body)) = read_frame(&mut stream) {
+fn client_reader_loop(stream: TcpStream, shared: Arc<ClientShared>) {
+    let mut frames = FrameReader::new(stream);
+    while let Ok(Some(body)) = frames.next_frame() {
         let response = match decode_response(body) {
             Ok(r) => r,
             Err(_) => break,

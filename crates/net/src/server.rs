@@ -16,7 +16,7 @@
 //! socket write: the batch-size distribution `X` a client sees.
 
 use crate::wire::{
-    decode_request, encode_response_into, read_frame, Request, Response, WireFilter, WireMessage,
+    decode_request, encode_response_into, FrameReader, Request, Response, WireFilter, WireMessage,
     FEATURE_FLOW, FEATURE_TRACE,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -342,12 +342,13 @@ fn writer_loop(
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-fn reader_loop(mut stream: TcpStream, conn: &mut Connection) {
+fn reader_loop(stream: TcpStream, conn: &mut Connection) {
+    let mut frames = FrameReader::new(stream);
     loop {
         if conn.closed.load(Ordering::Relaxed) {
             break;
         }
-        let body = match read_frame(&mut stream) {
+        let body = match frames.next_frame() {
             Ok(Some(body)) => body,
             Ok(None) | Err(_) => break,
         };

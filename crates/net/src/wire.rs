@@ -701,8 +701,101 @@ fn ensure_drained(body: &Bytes) -> Result<(), DecodeError> {
     }
 }
 
+/// Size of a [`FrameReader`]'s buffer: one `read` can bring in this many
+/// bytes of frames. Frames that do not fit get an allocation of their own.
+const READ_BUFFER_LEN: usize = 64 * 1024;
+
+fn oversized(len: usize) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("frame of {len} bytes exceeds limit"),
+    )
+}
+
+/// Reads frame bodies from a blocking reader through one reusable buffer:
+/// one `read` takes whatever the reader has, and every complete frame in
+/// it is handed out before the next `read`. The connection loops of the
+/// server and the client read through this.
+///
+/// Whatever the reader returns per call — down to one byte — the frames
+/// come out exactly as [`read_frame`] would return them: a frame is handed
+/// out only once all of it has arrived, `Ok(None)` means EOF at a frame
+/// boundary, EOF inside a prefix or a body is `UnexpectedEof`, and a
+/// length above [`MAX_FRAME_LEN`] is `InvalidData` before anything is
+/// allocated for it. After an error the reader's position is unspecified.
+pub struct FrameReader<R> {
+    reader: R,
+    /// Zero-filled once; `buf[start..end]` holds bytes read and not yet
+    /// handed out.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl<R> fmt::Debug for FrameReader<R> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FrameReader").field("buffered", &(self.end - self.start)).finish()
+    }
+}
+
+impl<R: std::io::Read> FrameReader<R> {
+    /// Wraps `reader`; nothing is read until the first
+    /// [`next_frame`](Self::next_frame).
+    pub fn new(reader: R) -> Self {
+        FrameReader { reader, buf: vec![0; READ_BUFFER_LEN], start: 0, end: 0 }
+    }
+
+    /// The next frame body (the bytes after the length prefix), blocking
+    /// until all of it has arrived. `Ok(None)` on clean EOF.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors, oversized frames, or EOF mid-frame.
+    pub fn next_frame(&mut self) -> std::io::Result<Option<Bytes>> {
+        use std::io::{Error, ErrorKind};
+        loop {
+            let unread = &self.buf[self.start..self.end];
+            if let Some((prefix, rest)) = unread.split_first_chunk::<4>() {
+                let len = u32::from_be_bytes(*prefix) as usize;
+                if len > MAX_FRAME_LEN {
+                    return Err(oversized(len));
+                }
+                if let Some(body) = rest.get(..len) {
+                    let body = Bytes::copy_from_slice(body);
+                    self.start += 4 + len;
+                    return Ok(Some(body));
+                }
+                if 4 + len > self.buf.len() {
+                    // Larger than the buffer: finish it in place of its own.
+                    let mut body = vec![0; len];
+                    body[..rest.len()].copy_from_slice(rest);
+                    let filled = rest.len();
+                    self.start = self.end;
+                    self.reader.read_exact(&mut body[filled..])?;
+                    return Ok(Some(Bytes::from(body)));
+                }
+            }
+            // A partial frame moves to the front, so that the rest of it
+            // (at most `buf.len()` bytes in all) has room behind it.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            match self.reader.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.end == 0 => return Ok(None),
+                Ok(0) => return Err(Error::new(ErrorKind::UnexpectedEof, "truncated frame")),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
 /// Reads one frame body from a blocking reader (consuming the length
-/// prefix). Returns `Ok(None)` on clean EOF at a frame boundary.
+/// prefix) without reading past it. Returns `Ok(None)` on clean EOF at a
+/// frame boundary. This is the unbuffered reference for [`FrameReader`],
+/// which the connection loops use; a caller that reads single replies
+/// from a raw stream can still use it.
 ///
 /// # Errors
 ///
@@ -721,10 +814,7 @@ pub fn read_frame<R: std::io::Read>(reader: &mut R) -> std::io::Result<Option<By
     }
     let len = u32::from_be_bytes(len_buf) as usize;
     if len > MAX_FRAME_LEN {
-        return Err(Error::new(
-            ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds limit"),
-        ));
+        return Err(oversized(len));
     }
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body)?;
