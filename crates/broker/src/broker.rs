@@ -398,7 +398,8 @@ impl Broker {
         }
         // Logged while holding the topics lock so the TopicCreated record
         // precedes any Publish record for this topic in journal order.
-        self.inner.append_record(&JournalRecord::TopicCreated { topic: name.to_owned() }.encode());
+        self.inner
+            .append_record(|| JournalRecord::TopicCreated { topic: name.to_owned() }.encode());
         topics.insert(name.to_owned(), topic);
         Ok(())
     }
@@ -590,13 +591,10 @@ impl Broker {
             });
         }
         durables.remove(index);
-        self.inner.append_record(
-            &JournalRecord::DurableUnsubscribed {
-                topic: topic.name.clone(),
-                name: name.to_owned(),
-            }
-            .encode(),
-        );
+        self.inner.append_record(|| {
+            JournalRecord::DurableUnsubscribed { topic: topic.name.clone(), name: name.to_owned() }
+                .encode()
+        });
         Ok(())
     }
 

@@ -66,8 +66,9 @@ pub(crate) fn run<P: DispatchProbe>(
         // any subscriber sees it. This append is the real-I/O counterpart
         // of the synthetic `t_rcv`/`t_fltr`/`t_tx` spins — the `t_store`
         // term of the extended cost model.
-        let publish_offset = probe
-            .stage(Stage::Journal, |_| inner.append_record(&encode_publish(&topic.name, &message)));
+        let publish_offset = probe.stage(Stage::Journal, |_| {
+            inner.append_record(|| encode_publish(&topic.name, &message))
+        });
 
         let (plain_evaluations, plain_copies) = fan_out(inner, &topic, &message, &mut probe);
         let (durable_evaluations, durable_copies) =

@@ -68,7 +68,7 @@ impl DurableState {
                     // subscription; re-registering makes replay agree.
                     existing.retained.lock().clear();
                     *existing_filter = filter.clone();
-                    inner.append_record(&registered(filter));
+                    inner.append_record(|| registered(filter));
                 }
                 *connection = Some(tx);
                 Arc::clone(existing)
@@ -81,7 +81,7 @@ impl DurableState {
                     connection: Mutex::new(Some(tx)),
                 });
                 durables.push(Arc::clone(&state));
-                inner.append_record(&registered(filter));
+                inner.append_record(|| registered(filter));
                 state
             }
         };
@@ -158,7 +158,7 @@ impl Checkpoints {
 }
 
 fn write_checkpoint(inner: &BrokerInner, topic: String, name: String, offset: u64) {
-    inner.append_record(&JournalRecord::DurableCheckpoint { topic, name, offset }.encode());
+    inner.append_record(|| JournalRecord::DurableCheckpoint { topic, name, offset }.encode());
 }
 
 /// The durable half of one message's fan-out: every durable subscription

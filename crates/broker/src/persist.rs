@@ -391,17 +391,19 @@ impl JournalRecord {
 }
 
 impl BrokerInner {
-    /// Appends one record to the journal (no-op without persistence),
-    /// refreshing the journal gauges in `BrokerStats`. Returns the
-    /// record's journal offset.
+    /// Appends one record to the journal, refreshing the journal gauges in
+    /// `BrokerStats`, and returns the record's journal offset. Without
+    /// persistence this is a no-op and `payload` is never called, so a
+    /// broker with no journal does not serialise what it would not store.
     ///
     /// A journal write failure is fatal: the broker cannot honor the
     /// durability contract without its write-ahead log.
-    pub(crate) fn append_record(&self, payload: &[u8]) -> Option<u64> {
+    pub(crate) fn append_record(&self, payload: impl FnOnce() -> Vec<u8>) -> Option<u64> {
         let journal = self.journal.as_ref()?;
+        let payload = payload();
         let mut journal = journal.lock();
         let offset = journal
-            .append(payload)
+            .append(&payload)
             .expect("write-ahead journal append failed; cannot continue durably");
         self.stats.update_journal(&journal.stats());
         Some(offset)
@@ -579,6 +581,13 @@ mod tests {
         let via_record =
             JournalRecord::Publish { topic: "t".into(), message: message.clone() }.encode();
         assert_eq!(encode_publish("t", &message), via_record);
+    }
+
+    #[test]
+    fn without_a_journal_no_payload_is_built() {
+        let broker = crate::Broker::start(BrokerConfig::default());
+        let offset = broker.inner.append_record(|| unreachable!("nothing would store it"));
+        assert_eq!(offset, None);
     }
 
     #[test]
