@@ -13,15 +13,24 @@ fn persistent_config(dir: &Path) -> BrokerConfig {
         .build()
 }
 
-/// Waits until the broker has processed `n` received messages.
-fn sync(b: &Broker, n: u64) {
+/// Polls until `ready` holds, for at most two seconds.
+fn wait_for(what: &str, ready: impl Fn() -> bool) {
     for _ in 0..400 {
-        if b.snapshot().messages.received >= n {
+        if ready() {
             return;
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    panic!("broker did not process {n} messages in time");
+    panic!("timed out waiting for {what}");
+}
+
+/// Waits until the dispatcher has *taken* `n` messages off the publish
+/// queue. It counts a message before it journals, retains or delivers it,
+/// so this orders nothing but a following `shutdown` (which drains); a
+/// test that asserts on what processing leaves behind waits for that
+/// with [`wait_for`].
+fn sync(b: &Broker, n: u64) {
+    wait_for("the broker to receive the messages", || b.snapshot().messages.received >= n);
 }
 
 fn cleanup(dir: &Path) {
@@ -208,8 +217,7 @@ fn filter_change_discards_backlog_across_restart() {
         );
         let p = b.publisher("t").unwrap();
         p.publish(Message::builder().property("color", "red").build()).unwrap();
-        sync(&b, 1);
-        assert_eq!(b.retained_count("t", "w"), 1);
+        wait_for("the message to be retained", || b.retained_count("t", "w") == 1);
         // Reconnect with a different selector: JMS discards the backlog,
         // and the re-registration record makes replay do the same.
         drop(
@@ -256,10 +264,10 @@ fn journal_counters_flow_into_broker_stats() {
     for _ in 0..10 {
         p.publish(Message::builder().build()).unwrap();
     }
-    sync(&b, 10);
-
-    let journal = b.snapshot().journal.expect("persistence enabled");
     // 1 TopicCreated + 10 Publish records, synced on every append.
+    let journal = || b.snapshot().journal.expect("persistence enabled");
+    wait_for("the publish records", || journal().appends >= 11);
+    let journal = journal();
     assert_eq!(journal.appends, 11);
     assert!(journal.bytes_appended > 0);
     assert!(journal.fsyncs >= 11);

@@ -209,17 +209,24 @@ mod wire_compat {
         // three Oks and one untraced delivery. In particular no
         // CreditGrant (0x86) or PublishDenied (0x87) frame may appear on
         // a connection that never negotiated FEATURE_FLOW.
+        //
+        // Replies come back in request order, but a delivery is not a
+        // reply: the dispatcher and the forwarder can put it on the wire
+        // before the connection thread has queued the Ok of the publish
+        // that caused it. So the delivery is accepted at either side of
+        // the third Ok.
         let mut oks = 0;
-        let delivery = loop {
+        let mut delivery = None;
+        while oks < 3 || delivery.is_none() {
             let body = read_frame(&mut stream).expect("read frame").expect("connection open");
             match body[0] {
                 0x81 => oks += 1,
-                0x83 => break body,
+                0x83 if delivery.is_none() => delivery = Some(body),
                 other => panic!("unexpected response opcode {other:#x} for a pre-flow client"),
             }
-        };
+        }
         assert_eq!(oks, 3, "all three pre-flow requests answered with plain Ok");
-        match decode_response(delivery).expect("delivery decodes") {
+        match decode_response(delivery.expect("loop ends with one")).expect("delivery decodes") {
             Response::Delivery { subscription_id, message } => {
                 assert_eq!(subscription_id, 1);
                 assert_eq!(message.into_message().property("k"), Some(&7i64.into()));
