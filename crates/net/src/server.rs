@@ -557,3 +557,65 @@ fn subscribe(
         .expect("failed to spawn forwarder thread");
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::encode_response;
+    use std::io::Read;
+
+    #[test]
+    fn writer_puts_queued_responses_on_the_socket_in_order_and_in_batches() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+
+        // Every kind of response, then deliveries enough to pass the batch
+        // cap a few times, all queued before the writer starts.
+        let delivery = |subscription_id, len| Response::Delivery {
+            subscription_id,
+            message: WireMessage::from_message(
+                &rjms_broker::Message::builder().correlation_id("#1").body(vec![7; len]).build(),
+            ),
+        };
+        let mut queued = vec![
+            Response::Ok { request_id: 1 },
+            Response::Error { request_id: 2, message: "no".into() },
+            Response::Pong { request_id: 3 },
+            Response::CreditGrant { credits: 4 },
+            Response::PublishDenied { request_id: 5, class: 1, deferred: true, retry_after_ms: 6 },
+            delivery(6, 3 * WRITE_BATCH_BYTES),
+        ];
+        queued.extend((0..2_000).map(|i| delivery(i, 100)));
+        let (out_tx, out_rx) = unbounded();
+        for response in &queued {
+            out_tx.send(response.clone()).unwrap();
+        }
+        drop(out_tx);
+
+        let reader = std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            peer.read_to_end(&mut bytes).unwrap();
+            bytes
+        });
+        let metrics = MetricsRegistry::new();
+        let batch_frames = metrics.histogram("net.writer.batch_frames");
+        let closed = Arc::new(AtomicBool::new(false));
+        writer_loop(
+            stream,
+            out_rx,
+            closed,
+            metrics.gauge("depth"),
+            Arc::clone(&batch_frames),
+            None,
+        );
+
+        let expected: Vec<u8> = queued.iter().flat_map(|r| encode_response(r).to_vec()).collect();
+        assert!(reader.join().unwrap() == expected, "bytes differ from the frames in queue order");
+        // One sample per write, each frame counted once: the oversized
+        // delivery closes the first batch, the rest go out a cap at a time.
+        let batches = batch_frames.snapshot();
+        assert_eq!(batches.sum, queued.len() as u64);
+        assert!(batches.count < 10, "{} writes for {} frames", batches.count, queued.len());
+    }
+}

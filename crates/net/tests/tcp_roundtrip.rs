@@ -5,7 +5,7 @@ use rjms_net::client::RemoteBroker;
 use rjms_net::error::Error;
 use rjms_net::server::BrokerServer;
 use rjms_net::wire::WireFilter;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn server() -> BrokerServer {
     BrokerServer::start(BrokerConfig::default(), "127.0.0.1:0").expect("bind")
@@ -295,5 +295,37 @@ fn wire_metrics_record_rtt_and_connections() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(server.metrics().snapshot().gauges["net.connections.active"], 0);
+    server.shutdown();
+}
+
+#[test]
+fn deliveries_in_flight_do_not_wait_for_a_delayed_ack() {
+    // Closed loop on the delivery, four messages in flight, publisher and
+    // subscriber on one connection: every message makes the server write
+    // two small frames, the publish's Ok and the delivery. Written one by
+    // one on a socket with Nagle on, the second waits for the ACK of the
+    // first, which the client delays by tens of milliseconds because it
+    // has nothing to send until that second frame arrives. One write per
+    // batch on a TCP_NODELAY socket leaves nothing to wait for.
+    let server = server();
+    let client = RemoteBroker::connect(server.local_addr()).unwrap();
+    client.create_topic("t").unwrap();
+    let sub = client.subscribe("t", WireFilter::None).unwrap();
+
+    let publish = || {
+        let sent = Instant::now();
+        client.publish("t", &Message::builder().body(&b"0123456789abcdef"[..]).build()).unwrap();
+        sent
+    };
+    let mut sent: std::collections::VecDeque<Instant> = (0..4).map(|_| publish()).collect();
+    let mut round_trips = Vec::with_capacity(500);
+    for _ in 0..500 {
+        sub.receive_timeout(Duration::from_secs(5)).expect("delivery");
+        round_trips.push(sent.pop_front().expect("one per delivery").elapsed());
+        sent.push_back(publish());
+    }
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(median < Duration::from_millis(10), "median round trip {median:?}");
     server.shutdown();
 }

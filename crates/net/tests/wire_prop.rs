@@ -4,8 +4,8 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use rjms_net::wire::{
-    decode_request, decode_response, encode_request, encode_response, Request, Response,
-    WireFilter, WireMessage, WireTrace,
+    decode_request, decode_response, encode_request, encode_response, read_frame, FrameReader,
+    Request, Response, WireFilter, WireMessage, WireTrace,
 };
 use rjms_selector::Value;
 
@@ -105,8 +105,51 @@ fn response_strategy() -> impl Strategy<Value = Response> {
     ]
 }
 
+/// A reader that returns the stream in pieces of the given sizes (cycled),
+/// the way a socket hands out whatever has arrived.
+struct Chunked<'a> {
+    data: &'a [u8],
+    sizes: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+}
+
+impl std::io::Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = *self.sizes.next().expect("cycle of a non-empty list");
+        let n = size.min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn frame_reader_agrees_with_read_frame_on_any_chunking(
+        requests in prop::collection::vec(request_strategy(), 0..6),
+        responses in prop::collection::vec(response_strategy(), 0..6),
+        sizes in prop::collection::vec(1usize..48, 1..8),
+    ) {
+        let mut stream = Vec::new();
+        for (i, request) in requests.iter().enumerate() {
+            stream.extend_from_slice(&encode_request(request));
+            if let Some(response) = responses.get(i) {
+                stream.extend_from_slice(&encode_response(response));
+            }
+        }
+        let mut reference = std::io::Cursor::new(&stream);
+        let mut expected = Vec::new();
+        while let Some(frame) = read_frame(&mut reference).unwrap() {
+            expected.push(frame);
+        }
+        let mut reader = FrameReader::new(Chunked { data: &stream, sizes: sizes.iter().cycle() });
+        let mut frames = Vec::new();
+        while let Some(frame) = reader.next_frame().unwrap() {
+            frames.push(frame);
+        }
+        prop_assert_eq!(frames, expected);
+    }
 
     #[test]
     fn request_roundtrip(req in request_strategy()) {
