@@ -271,6 +271,60 @@ mod tests {
         assert!((res.waiting.mean() - 0.75).abs() < 0.05, "E[W] = {}", res.waiting.mean());
     }
 
+    /// Mean wait in `M^X/G/1` by the Lindley recursion: a message that
+    /// shares its batch with the next one is followed at distance 0, the
+    /// last of a batch by an exponential gap. Batch sizes are geometric
+    /// with mean `1/p`.
+    fn batched_mean_wait<S: ServiceSampler>(service: &S, message_rate: f64, p: f64) -> f64 {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut waiting = OnlineStats::new();
+        let (mut w, mut behind_in_batch) = (0.0f64, 0u32);
+        for i in 0..1_050_000 {
+            if i >= 50_000 {
+                waiting.push(w);
+            }
+            let gap = if behind_in_batch > 0 {
+                behind_in_batch -= 1;
+                0.0
+            } else {
+                while !rng.gen_bool(p) {
+                    behind_in_batch += 1;
+                }
+                crate::random::sample_exponential(&mut rng, message_rate * p)
+            };
+            w = (w + service.sample(&mut rng) - gap).max(0.0);
+        }
+        waiting.mean()
+    }
+
+    #[test]
+    fn geometric_batches_match_the_batched_mean_waiting_time() {
+        use rjms_queueing::{Mg1, Moments3};
+        // Batches of mean 4 at message rate 0.6, unit mean service.
+        let (p, message_rate) = (0.25, 0.6);
+        let (batch_m1, batch_m2) = (1.0 / p, (2.0 - p) / (p * p));
+        let simulated = [
+            (
+                batched_mean_wait(&DeterministicService { duration: 1.0 }, message_rate, p),
+                Moments3::constant(1.0),
+            ),
+            (
+                batched_mean_wait(&ExponentialService { mean: 1.0 }, message_rate, p),
+                Moments3::new(1.0, 2.0, 6.0),
+            ),
+        ];
+        for (simulated, service) in simulated {
+            let model = Mg1::new(message_rate, service).unwrap();
+            let batched = model.mean_waiting_time_batched(batch_m1, batch_m2);
+            let error = (simulated - batched) / batched;
+            assert!(error.abs() < 0.05, "simulated {simulated} vs model {batched}");
+            // Most of this wait is the batching: arriving singly, the same
+            // messages would wait less than a quarter as long.
+            assert!(model.mean_waiting_time() < 0.25 * simulated);
+        }
+    }
+
     #[test]
     fn event_driven_agrees_with_lindley() {
         let cfg = Mg1SimConfig { arrival_rate: 0.7, samples: 150_000, warmup: 20_000, seed: 11 };

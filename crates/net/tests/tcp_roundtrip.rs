@@ -285,6 +285,9 @@ fn wire_metrics_record_rtt_and_connections() {
     let server_snap = server.metrics().snapshot();
     assert_eq!(server_snap.gauges["net.connections.active"], 1);
     assert!(server_snap.gauges.keys().any(|k| k.ends_with(".queue_depth")));
+    // Ten synchronous requests, ten replies: each was a write of one frame.
+    let batches = server_snap.histogram("net.writer.batch_frames").expect("writes recorded");
+    assert_eq!((batches.count, batches.sum), (10, 10));
 
     // Connection teardown returns the gauge to zero.
     drop(client);

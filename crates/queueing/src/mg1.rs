@@ -137,6 +137,32 @@ impl Mg1 {
         self.lambda * self.service.m2 / (2.0 * (1.0 - rho))
     }
 
+    /// Mean waiting time when the same messages arrive in Poisson *batches*
+    /// of `X` at a time (`M^X/G/1`), which is what the client of a
+    /// coalescing writer sees; `batch_m1 = E[X]`, `batch_m2 = E[X²]`.
+    /// This queue's `λ` stays the message rate, so batches come at rate
+    /// `λ/E[X]` and `ρ` is unchanged:
+    ///
+    /// `E[W] = λ·E[B²]/(2(1−ρ)) + E[X(X−1)]·E[B]/(2·E[X]·(1−ρ))`.
+    ///
+    /// The first term is [`mean_waiting_time`](Self::mean_waiting_time); the
+    /// second is the wait behind the earlier messages of the same batch and
+    /// what their service adds to the backlog, and vanishes at `X ≡ 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no batch size `X ≥ 1` has these moments
+    /// (`batch_m1 < 1` or `batch_m2 < batch_m1²`).
+    pub fn mean_waiting_time_batched(&self, batch_m1: f64, batch_m2: f64) -> f64 {
+        assert!(
+            batch_m1 >= 1.0 && batch_m2 >= batch_m1 * batch_m1,
+            "no batch size has E[X] = {batch_m1}, E[X^2] = {batch_m2}"
+        );
+        let within_batch =
+            (batch_m2 - batch_m1) * self.service.m1 / (2.0 * batch_m1 * (1.0 - self.utilization()));
+        self.mean_waiting_time() + within_batch
+    }
+
     /// Second raw moment of the waiting time `E[W²]` (Eq. 5).
     pub fn waiting_time_m2(&self) -> f64 {
         let rho = self.utilization();
@@ -324,6 +350,16 @@ mod tests {
             let expect = rho / (mu - lambda);
             assert!((q.mean_waiting_time() - expect).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn batched_mean_reduces_to_pollaczek_khinchine_for_single_arrivals() {
+        let q = Mg1::new(0.7, exp_moments(1.0)).unwrap();
+        assert_eq!(q.mean_waiting_time_batched(1.0, 1.0), q.mean_waiting_time());
+        // M^X/M/1 with X ≡ 2 at message rate 0.7, μ = 1: half the messages
+        // also wait for their batch mate, E[W] = (ρ + 1/2)/(μ(1−ρ)).
+        let expect = (0.7 + 0.5) / 0.3;
+        assert!((q.mean_waiting_time_batched(2.0, 4.0) - expect).abs() < 1e-12);
     }
 
     #[test]
