@@ -481,7 +481,7 @@ fn begin_frame(out: &mut Vec<u8>) -> usize {
     start
 }
 
-fn end_frame(out: &mut Vec<u8>, start: usize) {
+fn end_frame(out: &mut [u8], start: usize) {
     let len = (out.len() - start - 4) as u32;
     out[start..start + 4].copy_from_slice(&len.to_be_bytes());
 }
