@@ -37,6 +37,7 @@ use crate::persist::{recover_topics, JournalRecord};
 use crate::probe::{NoProbe, Telemetry};
 use crate::reports::{cost_anchor, flow_refresh_loop, shard_reports_of, snapshot_of, ShardReport};
 use crate::stats::{BrokerSnapshot, BrokerStats};
+use crate::subscriptions::Subscriptions;
 use crate::topic_obs::{TopicObservatory, TopicObservatorySnapshot};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
@@ -70,15 +71,14 @@ pub(crate) struct Subscription {
     pub(crate) active: Arc<AtomicBool>,
 }
 
-/// A topic: a named set of subscriptions plus named durable subscriptions.
+/// A topic: a named set of subscriptions, plain and durable.
 pub(crate) struct Topic {
     pub(crate) name: String,
     /// The dispatcher shard this topic is pinned to ([`shard_of`]); all of
     /// a topic's messages flow through one dispatcher, preserving
     /// per-topic FIFO order under sharded dispatch.
     pub(crate) shard: usize,
-    pub(crate) subscriptions: RwLock<Vec<Arc<Subscription>>>,
-    pub(crate) durables: RwLock<Vec<Arc<DurableState>>>,
+    pub(crate) subs: RwLock<Subscriptions>,
     pub(crate) received: AtomicU64,
     pub(crate) dispatched: AtomicU64,
 }
@@ -88,8 +88,7 @@ impl Topic {
         Self {
             name: name.to_owned(),
             shard,
-            subscriptions: RwLock::new(Vec::new()),
-            durables: RwLock::new(Vec::new()),
+            subs: RwLock::new(Subscriptions::default()),
             received: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
         }
@@ -389,7 +388,7 @@ impl Broker {
             patterns.retain(|p| match p.subscription.upgrade() {
                 Some(sub) if sub.active.load(Ordering::Relaxed) => {
                     if p.pattern.matches(name) {
-                        topic.subscriptions.write().push(sub);
+                        topic.subs.write().add_plain(sub);
                     }
                     true
                 }
@@ -415,9 +414,7 @@ impl Broker {
     pub fn subscription_count(&self, topic: &str) -> usize {
         match self.inner.topics.read().get(topic) {
             None => 0,
-            Some(t) => {
-                t.subscriptions.read().iter().filter(|s| s.active.load(Ordering::Relaxed)).count()
-            }
+            Some(t) => t.subs.read().live_plain(),
         }
     }
 
@@ -507,13 +504,13 @@ impl Broker {
         let sub = Arc::new(Subscription { filter, sender: tx, active: Arc::clone(&active) });
         let pattern_registration = match pattern {
             None => {
-                self.lookup(target)?.subscriptions.write().push(sub);
+                self.lookup(target)?.subs.write().add_plain(sub);
                 None
             }
             Some(pattern) => {
                 for (name, topic) in self.inner.topics.read().iter() {
                     if pattern.matches(name) {
-                        topic.subscriptions.write().push(Arc::clone(&sub));
+                        topic.subs.write().add_plain(Arc::clone(&sub));
                     }
                 }
                 // Register for topics created later. The topic lists only
@@ -577,20 +574,20 @@ impl Broker {
     pub fn unsubscribe_durable(&self, topic: &str, name: &str) -> Result<(), Error> {
         self.ensure_running()?;
         let topic = self.lookup(topic)?;
-        let mut durables = topic.durables.write();
-        let Some(index) = durables.iter().position(|d| d.name == name) else {
+        let mut subs = topic.subs.write();
+        let Some(durable) = subs.durable(name) else {
             return Err(Error::DurableNotFound {
                 topic: topic.name.clone(),
                 name: name.to_owned(),
             });
         };
-        if durables[index].connection.lock().is_some() {
+        if durable.state.connection.lock().is_some() {
             return Err(Error::DurableStillConnected {
                 topic: topic.name.clone(),
                 name: name.to_owned(),
             });
         }
-        durables.remove(index);
+        subs.remove_durable(name);
         self.inner.append_record(|| {
             JournalRecord::DurableUnsubscribed { topic: topic.name.clone(), name: name.to_owned() }
                 .encode()
@@ -604,7 +601,7 @@ impl Broker {
             None => Vec::new(),
             Some(t) => {
                 let mut names: Vec<String> =
-                    t.durables.read().iter().map(|d| d.name.clone()).collect();
+                    t.subs.read().durables().iter().map(|d| d.state.name.clone()).collect();
                 names.sort();
                 names
             }
@@ -626,8 +623,8 @@ impl Broker {
     /// Reads the named durable subscription's state; `None` when unknown.
     fn with_durable<T>(&self, topic: &str, name: &str, read: fn(&DurableState) -> T) -> Option<T> {
         let topic = self.inner.topics.read().get(topic).cloned()?;
-        let durables = topic.durables.read();
-        durables.iter().find(|d| d.name == name).map(|d| read(d))
+        let subs = topic.subs.read();
+        subs.durable(name).map(|d| read(&d.state))
     }
 
     /// A typed point-in-time snapshot of the whole broker: message
@@ -854,7 +851,13 @@ impl SubscriptionBuilder<'_> {
     pub fn open(self) -> Result<Subscriber, Error> {
         let SubscriptionBuilder { broker, target, filter, durable, queue_capacity } = self;
         let capacity = queue_capacity.unwrap_or(broker.inner.config.subscriber_queue_capacity);
-        let pattern = target.parse::<TopicPattern>().ok().filter(|p| !p.is_literal());
+        // A target without a wildcard character is a literal topic (or not
+        // a valid pattern at all): no need to parse it to find that out.
+        let pattern = if target.contains(['*', '>']) {
+            target.parse::<TopicPattern>().ok().filter(|p| !p.is_literal())
+        } else {
+            None
+        };
         match (durable, pattern) {
             (Some(_), Some(pattern)) => Err(Error::DurablePattern { pattern: pattern.to_string() }),
             (Some(name), None) => broker.open_durable(&target, &name, filter, capacity),

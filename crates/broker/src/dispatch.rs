@@ -1,19 +1,23 @@
 //! The dispatch core: the one loop the paper's model rests on.
 //!
-//! Per message: dequeue → expire → journal → match → deliver → account,
-//! i.e. `E[B] = t_rcv + n_fltr·t_fltr + E[R]·t_tx` (plus `t_store` with a
-//! journal). The loop observes nothing about itself; every measurement
-//! goes through the [`DispatchProbe`] it is generic over
-//! ([`crate::probe`]), so this file is what a broker without
-//! instrumentation executes.
+//! Per message: dequeue → expire → journal → resolve → match → deliver →
+//! account, i.e. `E[B] = t_rcv + n_fltr·t_fltr + E[R]·t_tx` (plus `t_store`
+//! with a journal). "Resolve" reads the properties the topic's selectors
+//! reference off the message once ([`crate::subscriptions`]); it is part
+//! of the filter stage and a topic without selectors skips it. The loop
+//! observes nothing about itself; every measurement goes through the
+//! [`DispatchProbe`] it is generic over ([`crate::probe`]), so this file
+//! is what a broker without instrumentation executes.
 
-use crate::broker::{BrokerInner, DispatchItem, Topic};
+use crate::broker::{BrokerInner, DispatchItem};
 use crate::config::OverflowPolicy;
 use crate::durable::{self, Checkpoints};
 use crate::message::Message;
 use crate::persist::encode_publish;
 use crate::probe::{DispatchProbe, Dispatched};
+use crate::subscriptions::PlainEntry;
 use crossbeam::channel::{Receiver, Sender, TryRecvError, TrySendError};
+use rjms_selector::ValueRef;
 use rjms_trace::Stage;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -70,11 +74,31 @@ pub(crate) fn run<P: DispatchProbe>(
             inner.append_record(|| encode_publish(&topic.name, &message))
         });
 
-        let (plain_evaluations, plain_copies) = fan_out(inner, &topic, &message, &mut probe);
-        let (durable_evaluations, durable_copies) =
-            durable::deliver(inner, &topic, &message, publish_offset, &mut checkpoints, &mut probe);
-        let evaluations = plain_evaluations + durable_evaluations;
-        let copies = plain_copies + durable_copies;
+        let (evaluations, copies, needs_prune) = {
+            let subs = topic.subs.read();
+            let resolved;
+            let resolved: &[Option<ValueRef<'_>>] = if subs.slots().is_empty() {
+                &[]
+            } else {
+                resolved = probe.stage(Stage::Filter, |_| subs.slots().resolve(&message));
+                resolved.as_slice()
+            };
+            let plain = fan_out(inner, subs.plain(), &message, resolved, &mut probe);
+            let durable = durable::deliver(
+                inner,
+                &topic.name,
+                subs.durables(),
+                &message,
+                resolved,
+                publish_offset,
+                &mut checkpoints,
+                &mut probe,
+            );
+            (plain.evaluations + durable.0, plain.copies + durable.1, plain.needs_prune)
+        };
+        if needs_prune {
+            topic.subs.write().prune();
+        }
 
         inner.stats.record_filter_evaluations(evaluations);
         inner.stats.record_dispatched(copies);
@@ -101,63 +125,67 @@ pub(crate) fn run<P: DispatchProbe>(
     // still be draining its queue into its topics.
     for topic in inner.topics.read().values() {
         if topic.shard == shard {
-            topic.subscriptions.write().clear();
+            topic.subs.write().clear_plain();
         }
     }
 }
 
+/// What [`fan_out`] did with one message.
+struct FanOut {
+    evaluations: u64,
+    copies: u64,
+    /// A subscription was found dead; the caller prunes once it has let go
+    /// of the read lock.
+    needs_prune: bool,
+}
+
 /// The non-durable half of one message's fan-out: evaluates **every**
-/// live subscription filter of the topic (brute force, as measured) and
-/// enqueues one copy per match. Subscriptions found dead are pruned on
-/// the way out. Returns `(evaluations, copies)`.
+/// live subscription filter of the topic (brute force, as measured)
+/// against the message's `resolved` properties and enqueues one copy per
+/// match.
 fn fan_out<P: DispatchProbe>(
     inner: &BrokerInner,
-    topic: &Topic,
+    subs: &[PlainEntry],
     message: &Arc<Message>,
+    resolved: &[Option<ValueRef<'_>>],
     probe: &mut P,
-) -> (u64, u64) {
+) -> FanOut {
     let cost = inner.config.cost_model;
-    let (mut evaluations, mut copies) = (0u64, 0u64);
-    let mut needs_prune = false;
-    {
-        let subs = topic.subscriptions.read();
-        // The scan is one stage with the deliveries nested inside it; what
-        // the probe books to the scan excludes them.
-        probe.stage(Stage::Filter, |probe| {
-            for sub in subs.iter() {
-                if !sub.active.load(Ordering::Relaxed) {
-                    needs_prune = true;
-                    continue;
-                }
-                evaluations += 1;
+    let mut out = FanOut { evaluations: 0, copies: 0, needs_prune: false };
+    // The scan is one stage with the deliveries nested inside it; what
+    // the probe books to the scan excludes them.
+    probe.stage(Stage::Filter, |probe| {
+        for entry in subs {
+            if !entry.is_active() {
+                out.needs_prune = true;
+                continue;
+            }
+            out.evaluations += 1;
+            if let Some(c) = &cost {
+                c.spin_filters(1);
+            }
+            if !entry.matches(message, resolved) {
+                continue;
+            }
+            let sub = &entry.sub;
+            let delivery = probe.stage(Stage::Fanout, |_| {
                 if let Some(c) = &cost {
-                    c.spin_filters(1);
+                    c.spin_transmit();
                 }
-                if !sub.filter.matches(message) {
-                    continue;
-                }
-                let delivery = probe.stage(Stage::Fanout, |_| {
-                    if let Some(c) = &cost {
-                        c.spin_transmit();
-                    }
-                    deliver_to(&sub.sender, Arc::clone(message), inner.config.overflow_policy)
-                });
-                match delivery {
-                    Delivery::Sent => copies += 1,
-                    Delivery::Dropped => inner.stats.record_dropped(),
-                    Delivery::Disconnected => {
-                        sub.active.store(false, Ordering::Relaxed);
-                        inner.stats.record_expired_subscription();
-                        needs_prune = true;
-                    }
+                deliver_to(&sub.sender, Arc::clone(message), inner.config.overflow_policy)
+            });
+            match delivery {
+                Delivery::Sent => out.copies += 1,
+                Delivery::Dropped => inner.stats.record_dropped(),
+                Delivery::Disconnected => {
+                    sub.active.store(false, Ordering::Relaxed);
+                    inner.stats.record_expired_subscription();
+                    out.needs_prune = true;
                 }
             }
-        });
-    }
-    if needs_prune {
-        topic.subscriptions.write().retain(|s| s.active.load(Ordering::Relaxed));
-    }
-    (evaluations, copies)
+        }
+    });
+    out
 }
 
 pub(crate) enum Delivery {

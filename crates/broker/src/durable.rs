@@ -12,16 +12,19 @@ use crate::filter::Filter;
 use crate::message::Message;
 use crate::persist::JournalRecord;
 use crate::probe::DispatchProbe;
+use crate::subscriptions::DurableEntry;
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
+use rjms_selector::ValueRef;
 use rjms_trace::Stage;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Server-side state of a named durable subscription.
+/// Server-side state of a named durable subscription. Its filter lives
+/// beside it in the topic's [`crate::subscriptions::Subscriptions`], bound
+/// to the topic's slot table.
 pub(crate) struct DurableState {
     pub(crate) name: String,
-    pub(crate) filter: Mutex<Filter>,
     /// Messages retained while no consumer is connected (bounded by
     /// `durable_buffer_capacity`, oldest dropped on overflow).
     pub(crate) retained: Mutex<VecDeque<Arc<Message>>>,
@@ -52,35 +55,35 @@ impl DurableState {
             }
             .encode()
         };
-        let mut durables = topic.durables.write();
-        let state = match durables.iter().find(|d| d.name == name) {
+        let mut subs = topic.subs.write();
+        let state = match subs.durable(name) {
             Some(existing) => {
-                let mut connection = existing.connection.lock();
+                let state = Arc::clone(&existing.state);
+                let mut connection = state.connection.lock();
                 if connection.is_some() {
                     return Err(Error::DurableNameInUse {
                         topic: topic.name.clone(),
                         name: name.to_owned(),
                     });
                 }
-                let mut existing_filter = existing.filter.lock();
-                if *existing_filter != filter {
+                if *existing.filter() != filter {
                     // A changed selector deletes and recreates the
                     // subscription; re-registering makes replay agree.
-                    existing.retained.lock().clear();
-                    *existing_filter = filter.clone();
+                    state.retained.lock().clear();
+                    subs.set_durable_filter(name, filter.clone());
                     inner.append_record(|| registered(filter));
                 }
                 *connection = Some(tx);
-                Arc::clone(existing)
+                drop(connection);
+                state
             }
             None => {
                 let state = Arc::new(DurableState {
                     name: name.to_owned(),
-                    filter: Mutex::new(filter.clone()),
                     retained: Mutex::new(VecDeque::new()),
                     connection: Mutex::new(Some(tx)),
                 });
-                durables.push(Arc::clone(&state));
+                subs.add_durable(Arc::clone(&state), filter.clone());
                 inner.append_record(|| registered(filter));
                 state
             }
@@ -162,25 +165,29 @@ fn write_checkpoint(inner: &BrokerInner, topic: String, name: String, offset: u6
 }
 
 /// The durable half of one message's fan-out: every durable subscription
-/// of `topic` is evaluated; a match is delivered when its consumer is
-/// connected and retained otherwise. Returns `(evaluations, copies)`.
+/// of the topic is evaluated against the message's `resolved` properties;
+/// a match is delivered when its consumer is connected and retained
+/// otherwise. Returns `(evaluations, copies)`.
+#[allow(clippy::too_many_arguments)] // the dispatcher's per-message context
 pub(crate) fn deliver<P: DispatchProbe>(
     inner: &BrokerInner,
-    topic: &Topic,
+    topic: &str,
+    durables: &[DurableEntry],
     message: &Arc<Message>,
+    resolved: &[Option<ValueRef<'_>>],
     publish_offset: Option<u64>,
     checkpoints: &mut Checkpoints,
     probe: &mut P,
 ) -> (u64, u64) {
     let cost = inner.config.cost_model;
     let (mut evaluations, mut copies) = (0u64, 0u64);
-    for durable in topic.durables.read().iter() {
+    for entry in durables {
         evaluations += 1;
         let matched = probe.stage(Stage::Filter, |_| {
             if let Some(c) = &cost {
                 c.spin_filters(1);
             }
-            durable.filter.lock().matches(message)
+            entry.matches(message, resolved)
         });
         if !matched {
             continue;
@@ -188,6 +195,7 @@ pub(crate) fn deliver<P: DispatchProbe>(
         if let Some(c) = &cost {
             c.spin_transmit();
         }
+        let durable = &entry.state;
         let mut connection = durable.connection.lock();
         let delivery = connection.as_ref().map(|sender| {
             probe.stage(Stage::Fanout, |_| {
@@ -216,7 +224,7 @@ pub(crate) fn deliver<P: DispatchProbe>(
         // Retained messages are deliberately NOT checkpointed, so replay
         // rebuilds the retained backlog.
         if let Some(offset) = publish_offset {
-            checkpoints.delivered(inner, &topic.name, &durable.name, offset);
+            checkpoints.delivered(inner, topic, &durable.name, offset);
         }
     }
     (evaluations, copies)

@@ -72,6 +72,7 @@ pub mod persist;
 mod probe;
 mod reports;
 pub mod stats;
+mod subscriptions;
 pub mod topic_obs;
 
 pub use broker::{

@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use rjms_selector::eval::PropertySource;
-use rjms_selector::value::Value;
+use rjms_selector::value::{Value, ValueRef};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -47,6 +47,75 @@ impl MessageId {
 impl fmt::Display for MessageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ID:{}", self.0)
+    }
+}
+
+/// The `ID:<n>` spelling of a [`MessageId`], written once when the message
+/// is built and kept inline, so that a selector on `JMSMessageID` borrows
+/// it like any other string and no message pays a heap allocation for it.
+#[derive(Clone, Copy, PartialEq)]
+struct MessageIdText {
+    len: u8,
+    /// `ID:` plus at most the 20 digits of `u64::MAX`.
+    bytes: [u8; 23],
+}
+
+impl MessageIdText {
+    fn new(id: MessageId) -> Self {
+        let mut digits = [0u8; 20];
+        let mut first = digits.len();
+        let mut rest = id.0;
+        loop {
+            first -= 1;
+            digits[first] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        let digits = &digits[first..];
+        let mut bytes = [0u8; 23];
+        bytes[..3].copy_from_slice(b"ID:");
+        bytes[3..3 + digits.len()].copy_from_slice(digits);
+        Self { len: 3 + digits.len() as u8, bytes }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..usize::from(self.len)])
+            .expect("the id text is ASCII by construction")
+    }
+}
+
+impl fmt::Debug for MessageIdText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// The header fields a selector may reference (JMS 1.1 §3.8.1.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HeaderField {
+    MessageId,
+    Timestamp,
+    CorrelationId,
+    Type,
+    Priority,
+    Expiration,
+}
+
+impl HeaderField {
+    /// The header field `name` spells, if any; every other identifier is a
+    /// user property.
+    pub(crate) fn named(name: &str) -> Option<Self> {
+        Some(match name {
+            "JMSMessageID" => Self::MessageId,
+            "JMSTimestamp" => Self::Timestamp,
+            "JMSCorrelationID" => Self::CorrelationId,
+            "JMSType" => Self::Type,
+            "JMSPriority" => Self::Priority,
+            "JMSExpiration" => Self::Expiration,
+            _ => return None,
+        })
     }
 }
 
@@ -103,6 +172,7 @@ impl Default for Priority {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     id: MessageId,
+    id_text: MessageIdText,
     timestamp_millis: u64,
     correlation_id: Option<String>,
     message_type: Option<String>,
@@ -220,8 +290,10 @@ impl Message {
         trace_origin_ns: u64,
     ) -> Message {
         MessageId::observe(id_raw);
+        let id = MessageId::from_raw(id_raw);
         Message {
-            id: MessageId::from_raw(id_raw),
+            id,
+            id_text: MessageIdText::new(id),
             timestamp_millis,
             correlation_id,
             message_type,
@@ -256,21 +328,30 @@ impl Message {
     }
 }
 
+impl Message {
+    /// A header field as selectors see it; the strings are borrowed.
+    pub(crate) fn header(&self, field: HeaderField) -> Option<ValueRef<'_>> {
+        match field {
+            HeaderField::MessageId => Some(ValueRef::Str(self.id_text.as_str())),
+            HeaderField::Timestamp => Some(ValueRef::Int(self.timestamp_millis as i64)),
+            HeaderField::CorrelationId => self.correlation_id().map(ValueRef::Str),
+            HeaderField::Type => self.message_type().map(ValueRef::Str),
+            HeaderField::Priority => Some(ValueRef::Int(i64::from(self.priority.level()))),
+            // JMS encodes "never expires" as 0.
+            HeaderField::Expiration => {
+                Some(ValueRef::Int(self.expiration_millis.unwrap_or(0) as i64))
+            }
+        }
+    }
+}
+
 impl PropertySource for Message {
     /// Exposes user properties and the `JMS*` header fields to selectors,
     /// per JMS 1.1 §3.8.1.1 (only the selectable header fields are mapped).
-    fn property(&self, name: &str) -> Option<Value> {
-        match name {
-            "JMSMessageID" => Some(Value::Str(self.id.to_string())),
-            "JMSTimestamp" => Some(Value::Int(self.timestamp_millis as i64)),
-            "JMSCorrelationID" => self.correlation_id.clone().map(Value::Str),
-            "JMSType" => self.message_type.clone().map(Value::Str),
-            "JMSPriority" => Some(Value::Int(self.priority.level() as i64)),
-            "JMSExpiration" => {
-                // JMS encodes "never expires" as 0.
-                Some(Value::Int(self.expiration_millis.unwrap_or(0) as i64))
-            }
-            _ => self.properties.get(name).cloned(),
+    fn property(&self, name: &str) -> Option<ValueRef<'_>> {
+        match HeaderField::named(name) {
+            Some(field) => self.header(field),
+            None => self.properties.get(name).map(Value::as_ref),
         }
     }
 }
@@ -357,8 +438,10 @@ impl MessageBuilder {
         let timestamp_millis = now_unix_millis();
         let (trace_id, trace_origin_ns) =
             self.trace.unwrap_or_else(|| (next_trace_id(), now_unix_nanos()));
+        let id = MessageId::next();
         Message {
-            id: MessageId::next(),
+            id,
+            id_text: MessageIdText::new(id),
             timestamp_millis,
             correlation_id: self.correlation_id,
             message_type: self.message_type,
@@ -458,6 +541,18 @@ mod tests {
         let plain = Message::builder().build();
         assert!(!Selector::parse("JMSType = 'alert'").unwrap().matches(&plain));
         assert!(Selector::parse("JMSType IS NULL").unwrap().matches(&plain));
+    }
+
+    #[test]
+    fn selectors_borrow_the_message_id_text() {
+        let m = Message::builder().build();
+        assert_eq!(m.header(HeaderField::MessageId), Some(ValueRef::Str(&m.id().to_string())));
+        assert!(Selector::parse(&format!("JMSMessageID = '{}'", m.id())).unwrap().matches(&m));
+        assert!(Selector::parse("JMSMessageID LIKE 'ID:%'").unwrap().matches(&m));
+        for raw in [0, 9, 10, u64::MAX] {
+            let id = MessageId::from_raw(raw);
+            assert_eq!(MessageIdText::new(id).as_str(), id.to_string());
+        }
     }
 
     #[test]

@@ -486,7 +486,8 @@ pub(crate) fn recover_topics(
     let mut topics = HashMap::with_capacity(recovered.len());
     for (topic_name, durables) in recovered {
         let topic = Arc::new(Topic::new(&topic_name, shard_of(&topic_name, config.shards.max(1))));
-        topic.durables.write().extend(durables.into_iter().map(|(name, recovery)| {
+        let mut subs = topic.subs.write();
+        for (name, recovery) in durables {
             let mut retained: VecDeque<Arc<Message>> = recovery
                 .backlog
                 .into_iter()
@@ -495,13 +496,11 @@ pub(crate) fn recover_topics(
                 .collect();
             // Oldest first out, as on a live overflow.
             retained.drain(..retained.len().saturating_sub(config.durable_buffer_capacity));
-            Arc::new(DurableState {
-                name,
-                filter: Mutex::new(recovery.filter),
-                retained: Mutex::new(retained),
-                connection: Mutex::new(None),
-            })
-        }));
+            let state =
+                DurableState { name, retained: Mutex::new(retained), connection: Mutex::new(None) };
+            subs.add_durable(Arc::new(state), recovery.filter);
+        }
+        drop(subs);
         topics.insert(topic_name, topic);
     }
     topics

@@ -26,8 +26,9 @@ pub(crate) fn snapshot_of(inner: &BrokerInner) -> BrokerSnapshot {
     let mut per_topic = BTreeMap::new();
     let (mut live, mut durable) = (0usize, 0usize);
     for (name, t) in topics.iter() {
-        live += t.subscriptions.read().iter().filter(|s| s.active.load(Ordering::Relaxed)).count();
-        durable += t.durables.read().len();
+        let subs = t.subs.read();
+        live += subs.live_plain();
+        durable += subs.durables().len();
         per_topic.insert(
             name.clone(),
             TopicStats {

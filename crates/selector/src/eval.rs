@@ -6,7 +6,8 @@
 //! tables; the message is forwarded only if the whole selector is *true*.
 
 use crate::ast::{ArithOp, CmpOp, Expr};
-use crate::value::{Truth, Value};
+pub use crate::like::like_match;
+use crate::value::{Truth, Value, ValueRef};
 
 /// Source of property values for selector evaluation.
 ///
@@ -26,30 +27,31 @@ use crate::value::{Truth, Value};
 /// assert_eq!(evaluate(&expr, &props), Truth::True);
 /// ```
 pub trait PropertySource {
-    /// The value of the named property, or `None` if it is not set.
-    fn property(&self, name: &str) -> Option<Value>;
+    /// The value of the named property, or `None` if it is not set. The
+    /// view borrows from the source: a lookup never clones.
+    fn property(&self, name: &str) -> Option<ValueRef<'_>>;
 }
 
 impl PropertySource for std::collections::HashMap<String, Value> {
-    fn property(&self, name: &str) -> Option<Value> {
-        self.get(name).cloned()
+    fn property(&self, name: &str) -> Option<ValueRef<'_>> {
+        self.get(name).map(Value::as_ref)
     }
 }
 
 impl PropertySource for std::collections::BTreeMap<String, Value> {
-    fn property(&self, name: &str) -> Option<Value> {
-        self.get(name).cloned()
+    fn property(&self, name: &str) -> Option<ValueRef<'_>> {
+        self.get(name).map(Value::as_ref)
     }
 }
 
 impl PropertySource for [(String, Value)] {
-    fn property(&self, name: &str) -> Option<Value> {
-        self.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
+    fn property(&self, name: &str) -> Option<ValueRef<'_>> {
+        self.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_ref())
     }
 }
 
 impl<T: PropertySource + ?Sized> PropertySource for &T {
-    fn property(&self, name: &str) -> Option<Value> {
+    fn property(&self, name: &str) -> Option<ValueRef<'_>> {
         (**self).property(name)
     }
 }
@@ -62,12 +64,15 @@ impl<T: PropertySource + ?Sized> PropertySource for &T {
 pub struct NoProperties;
 
 impl PropertySource for NoProperties {
-    fn property(&self, _name: &str) -> Option<Value> {
+    fn property(&self, _name: &str) -> Option<ValueRef<'_>> {
         None
     }
 }
 
-/// Evaluates a selector expression against a property source.
+/// Evaluates a selector expression against a property source by walking
+/// the tree: the reference semantics. [`crate::Selector`] runs the
+/// compiled [`crate::Program`] instead, and `tests/proptests.rs` holds the
+/// two to the same answers.
 ///
 /// Never panics, regardless of the expression or message contents: all type
 /// mismatches yield [`Truth::Unknown`], as the JMS specification requires.
@@ -82,56 +87,63 @@ pub fn matches<P: PropertySource + ?Sized>(expr: &Expr, props: &P) -> bool {
 }
 
 /// Evaluates an expression to a *value* (`None` = unknown/null).
-fn value_of<P: PropertySource + ?Sized>(expr: &Expr, props: &P) -> Option<Value> {
+fn value_of<'a, P: PropertySource + ?Sized>(expr: &'a Expr, props: &'a P) -> Option<ValueRef<'a>> {
     match expr {
-        Expr::Literal(v) => Some(v.clone()),
+        Expr::Literal(v) => Some(v.as_ref()),
         Expr::Ident(name) => props.property(name),
-        Expr::Neg(e) => match value_of(e, props)? {
-            Value::Int(v) => Some(Value::Int(-v)),
-            Value::Float(v) => Some(Value::Float(-v)),
-            _ => None,
-        },
-        Expr::Arith { op, lhs, rhs } => {
-            let (a, b) = (value_of(lhs, props)?, value_of(rhs, props)?);
-            arith(*op, &a, &b)
-        }
-        // Boolean-valued sub-expressions used as values (e.g. a bare
-        // identifier in `flag = TRUE` is handled above; a nested predicate
-        // has no value semantics in JMS, so it maps onto booleans with
-        // unknown → None).
-        other => match truth_of(other, props) {
-            Truth::True => Some(Value::Bool(true)),
-            Truth::False => Some(Value::Bool(false)),
-            Truth::Unknown => None,
-        },
+        Expr::Neg(e) => negate(value_of(e, props)?),
+        Expr::Arith { op, lhs, rhs } => arith(*op, value_of(lhs, props)?, value_of(rhs, props)?),
+        // A nested predicate has no value semantics in JMS, so it maps
+        // onto booleans with unknown → None.
+        other => truth_value(truth_of(other, props)),
+    }
+}
+
+/// Unary minus: wrapping on integers, unknown on non-numbers.
+pub(crate) fn negate(v: ValueRef<'_>) -> Option<ValueRef<'static>> {
+    match v {
+        ValueRef::Int(v) => Some(ValueRef::Int(v.wrapping_neg())),
+        ValueRef::Float(v) => Some(ValueRef::Float(-v)),
+        ValueRef::Bool(_) | ValueRef::Str(_) => None,
+    }
+}
+
+/// A predicate's result in value position.
+pub(crate) fn truth_value(t: Truth) -> Option<ValueRef<'static>> {
+    match t {
+        Truth::True => Some(ValueRef::Bool(true)),
+        Truth::False => Some(ValueRef::Bool(false)),
+        Truth::Unknown => None,
+    }
+}
+
+/// A value in boolean position: only a boolean has a truth.
+pub(crate) fn value_truth(v: Option<ValueRef<'_>>) -> Truth {
+    match v {
+        Some(ValueRef::Bool(b)) => Truth::from(b),
+        _ => Truth::Unknown,
     }
 }
 
 /// SQL-92 arithmetic: exact on integers, promoting to float when mixed;
 /// non-numeric operands and division by integer zero yield unknown.
-fn arith(op: ArithOp, a: &Value, b: &Value) -> Option<Value> {
+pub(crate) fn arith(op: ArithOp, a: ValueRef<'_>, b: ValueRef<'_>) -> Option<ValueRef<'static>> {
     match (a, b) {
-        (Value::Int(x), Value::Int(y)) => match op {
-            ArithOp::Add => Some(Value::Int(x.wrapping_add(*y))),
-            ArithOp::Sub => Some(Value::Int(x.wrapping_sub(*y))),
-            ArithOp::Mul => Some(Value::Int(x.wrapping_mul(*y))),
-            ArithOp::Div => {
-                if *y == 0 {
-                    None
-                } else {
-                    Some(Value::Int(x.wrapping_div(*y)))
-                }
-            }
-        },
+        (ValueRef::Int(x), ValueRef::Int(y)) => Some(ValueRef::Int(match op {
+            ArithOp::Add => x.wrapping_add(y),
+            ArithOp::Sub => x.wrapping_sub(y),
+            ArithOp::Mul => x.wrapping_mul(y),
+            ArithOp::Div if y == 0 => return None,
+            ArithOp::Div => x.wrapping_div(y),
+        })),
         _ => {
             let (x, y) = (a.numeric()?, b.numeric()?);
-            let r = match op {
+            Some(ValueRef::Float(match op {
                 ArithOp::Add => x + y,
                 ArithOp::Sub => x - y,
                 ArithOp::Mul => x * y,
                 ArithOp::Div => x / y,
-            };
-            Some(Value::Float(r))
+            }))
         }
     }
 }
@@ -156,155 +168,65 @@ fn truth_of<P: PropertySource + ?Sized>(expr: &Expr, props: &P) -> Truth {
             }
             ta.or(truth_of(b, props))
         }
-        Expr::Cmp { op, lhs, rhs } => {
-            let (a, b) = match (value_of(lhs, props), value_of(rhs, props)) {
-                (Some(a), Some(b)) => (a, b),
-                _ => return Truth::Unknown,
-            };
-            compare(*op, &a, &b)
-        }
+        Expr::Cmp { op, lhs, rhs } => match (value_of(lhs, props), value_of(rhs, props)) {
+            (Some(a), Some(b)) => compare(*op, a, b),
+            _ => Truth::Unknown,
+        },
         Expr::Between { expr, lo, hi, negated } => {
-            let v = value_of(expr, props);
-            let l = value_of(lo, props);
-            let h = value_of(hi, props);
-            let (v, l, h) = match (v, l, h) {
-                (Some(v), Some(l), Some(h)) => (v, l, h),
-                _ => return Truth::Unknown,
-            };
-            let ge_lo = compare(CmpOp::Ge, &v, &l);
-            let le_hi = compare(CmpOp::Le, &v, &h);
-            let t = ge_lo.and(le_hi);
-            if *negated {
-                t.not()
-            } else {
-                t
+            let (v, l, h) = (value_of(expr, props), value_of(lo, props), value_of(hi, props));
+            match (v, l, h) {
+                (Some(v), Some(l), Some(h)) => between(v, l, h).negated_if(*negated),
+                _ => Truth::Unknown,
             }
         }
-        Expr::InList { expr, list, negated } => {
-            let v = match value_of(expr, props) {
-                Some(Value::Str(s)) => s,
-                Some(_) => return Truth::Unknown, // IN applies to strings only
-                None => return Truth::Unknown,
-            };
-            let t = Truth::from(list.contains(&v));
-            if *negated {
-                t.not()
-            } else {
-                t
+        // IN and LIKE apply to strings only.
+        Expr::InList { expr, list, negated } => match value_of(expr, props) {
+            Some(ValueRef::Str(s)) => Truth::from(list.iter().any(|c| c == s)).negated_if(*negated),
+            _ => Truth::Unknown,
+        },
+        Expr::Like { expr, pattern, escape, negated } => match value_of(expr, props) {
+            Some(ValueRef::Str(s)) => {
+                Truth::from(like_match(s, pattern, *escape)).negated_if(*negated)
             }
-        }
-        Expr::Like { expr, pattern, escape, negated } => {
-            let v = match value_of(expr, props) {
-                Some(Value::Str(s)) => s,
-                Some(_) => return Truth::Unknown, // LIKE applies to strings only
-                None => return Truth::Unknown,
-            };
-            let t = Truth::from(like_match(&v, pattern, *escape));
-            if *negated {
-                t.not()
-            } else {
-                t
-            }
-        }
+            _ => Truth::Unknown,
+        },
         Expr::IsNull { expr, negated } => {
             let is_null = value_of(expr, props).is_none();
             // IS NULL is the one operator that never yields unknown.
             Truth::from(is_null != *negated)
         }
         // A bare value in boolean position: TRUE literal or boolean property.
-        other => match value_of(other, props) {
-            Some(Value::Bool(b)) => Truth::from(b),
-            Some(_) => Truth::Unknown,
-            None => Truth::Unknown,
+        other => value_truth(value_of(other, props)),
+    }
+}
+
+/// `v BETWEEN lo AND hi`: sugar for `v >= lo AND v <= hi`.
+pub(crate) fn between(v: ValueRef<'_>, lo: ValueRef<'_>, hi: ValueRef<'_>) -> Truth {
+    compare(CmpOp::Ge, v, lo).and(compare(CmpOp::Le, v, hi))
+}
+
+/// SQL-92 comparison: two integers compare exactly, an integer and a float
+/// after numeric promotion; strings and booleans know `=` and `<>` only.
+#[inline]
+pub(crate) fn compare(op: CmpOp, a: ValueRef<'_>, b: ValueRef<'_>) -> Truth {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let ordering = match (op, a, b) {
+        (CmpOp::Eq, ..) => return Truth::from(a.sql_eq(b)),
+        (CmpOp::Ne, ..) => return Truth::from(a.sql_eq(b).map(|equal| !equal)),
+        (_, ValueRef::Int(x), ValueRef::Int(y)) => Some(x.cmp(&y)),
+        _ => match (a.numeric(), b.numeric()) {
+            // `None` for a NaN operand: every ordering test is then false.
+            (Some(x), Some(y)) => x.partial_cmp(&y),
+            _ => return Truth::Unknown,
         },
-    }
-}
-
-/// SQL-92 comparison with numeric promotion.
-fn compare(op: CmpOp, a: &Value, b: &Value) -> Truth {
-    match op {
-        CmpOp::Eq => Truth::from(a.sql_eq(b)),
-        CmpOp::Ne => Truth::from(a.sql_eq(b).map(|e| !e)),
-        _ => {
-            let (x, y) = match (a.numeric(), b.numeric()) {
-                (Some(x), Some(y)) => (x, y),
-                _ => return Truth::Unknown,
-            };
-            Truth::from(match op {
-                CmpOp::Lt => x < y,
-                CmpOp::Le => x <= y,
-                CmpOp::Gt => x > y,
-                CmpOp::Ge => x >= y,
-                CmpOp::Eq | CmpOp::Ne => unreachable!("handled above"),
-            })
-        }
-    }
-}
-
-/// SQL `LIKE` pattern matching: `%` matches any run of characters, `_` any
-/// single character; an escape character (if given) makes the following
-/// wildcard literal.
-///
-/// Implemented with the classic two-pointer algorithm (linear in practice,
-/// no recursion, no allocation beyond the char vectors).
-pub fn like_match(text: &str, pattern: &str, escape: Option<char>) -> bool {
-    let text: Vec<char> = text.chars().collect();
-
-    /// A compiled pattern element.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Pat {
-        AnyRun,    // %
-        AnyOne,    // _
-        Lit(char), // literal character
-    }
-
-    let mut pat = Vec::with_capacity(pattern.len());
-    let mut chars = pattern.chars();
-    while let Some(c) = chars.next() {
-        if Some(c) == escape {
-            match chars.next() {
-                // An escaped character is literal — including the escape
-                // character itself and both wildcards.
-                Some(next) => pat.push(Pat::Lit(next)),
-                // Trailing escape: treat it as a literal escape character
-                // (JMS leaves this unspecified; matching SQL engines vary).
-                None => pat.push(Pat::Lit(c)),
-            }
-        } else if c == '%' {
-            // Collapse runs of % — they are equivalent to one.
-            if pat.last() != Some(&Pat::AnyRun) {
-                pat.push(Pat::AnyRun);
-            }
-        } else if c == '_' {
-            pat.push(Pat::AnyOne);
-        } else {
-            pat.push(Pat::Lit(c));
-        }
-    }
-
-    // Two-pointer matching with backtracking to the last %.
-    let (mut t, mut p) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None; // (pat index of %, text index)
-    while t < text.len() {
-        if p < pat.len() && (pat[p] == Pat::AnyOne || pat[p] == Pat::Lit(text[t])) {
-            t += 1;
-            p += 1;
-        } else if p < pat.len() && pat[p] == Pat::AnyRun {
-            star = Some((p, t));
-            p += 1;
-        } else if let Some((sp, st)) = star {
-            // Backtrack: let the last % absorb one more character.
-            p = sp + 1;
-            t = st + 1;
-            star = Some((sp, st + 1));
-        } else {
-            return false;
-        }
-    }
-    while p < pat.len() && pat[p] == Pat::AnyRun {
-        p += 1;
-    }
-    p == pat.len()
+    };
+    Truth::from(match op {
+        CmpOp::Lt => ordering == Some(Less),
+        CmpOp::Le => matches!(ordering, Some(Less | Equal)),
+        CmpOp::Gt => ordering == Some(Greater),
+        CmpOp::Ge => matches!(ordering, Some(Greater | Equal)),
+        CmpOp::Eq | CmpOp::Ne => unreachable!("handled above"),
+    })
 }
 
 #[cfg(test)]
@@ -405,41 +327,6 @@ mod tests {
         assert_eq!(eval_str("urgent", &[]), Truth::Unknown);
         // Non-boolean property in boolean position is unknown, not an error.
         assert_eq!(eval_str("urgent", &[("urgent", 1i64.into())]), Truth::Unknown);
-    }
-
-    #[test]
-    fn like_basic_wildcards() {
-        assert!(like_match("abc", "abc", None));
-        assert!(like_match("abc", "a%", None));
-        assert!(like_match("abc", "%c", None));
-        assert!(like_match("abc", "a_c", None));
-        assert!(!like_match("abc", "a_b", None));
-        assert!(like_match("", "%", None));
-        assert!(!like_match("", "_", None));
-    }
-
-    #[test]
-    fn like_multiple_percent_runs() {
-        assert!(like_match("abcdefg", "a%d%g", None));
-        assert!(!like_match("abcdefg", "a%x%g", None));
-        assert!(like_match("aaa", "%%%", None));
-        assert!(like_match("mississippi", "%ss%ss%", None));
-    }
-
-    #[test]
-    fn like_escape_makes_wildcards_literal() {
-        assert!(like_match("50%", r"50\%", Some('\\')));
-        assert!(!like_match("50x", r"50\%", Some('\\')));
-        assert!(like_match("a_b", r"a\_b", Some('\\')));
-        assert!(!like_match("axb", r"a\_b", Some('\\')));
-        // Escaped escape char.
-        assert!(like_match(r"a\b", r"a\\b", Some('\\')));
-    }
-
-    #[test]
-    fn like_unicode() {
-        assert!(like_match("grüße", "gr_ße", None));
-        assert!(like_match("grüße", "gr%e", None));
     }
 
     #[test]

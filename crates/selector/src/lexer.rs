@@ -105,20 +105,20 @@ impl Keyword {
     /// Parses a keyword case-insensitively; `None` for ordinary identifiers.
     pub fn from_ident(s: &str) -> Option<Keyword> {
         // JMS reserves these words regardless of case.
-        Some(match s.to_ascii_uppercase().as_str() {
-            "AND" => Keyword::And,
-            "OR" => Keyword::Or,
-            "NOT" => Keyword::Not,
-            "BETWEEN" => Keyword::Between,
-            "IN" => Keyword::In,
-            "LIKE" => Keyword::Like,
-            "ESCAPE" => Keyword::Escape,
-            "IS" => Keyword::Is,
-            "NULL" => Keyword::Null,
-            "TRUE" => Keyword::True,
-            "FALSE" => Keyword::False,
-            _ => return None,
-        })
+        const RESERVED: [(&str, Keyword); 11] = [
+            ("AND", Keyword::And),
+            ("OR", Keyword::Or),
+            ("NOT", Keyword::Not),
+            ("BETWEEN", Keyword::Between),
+            ("IN", Keyword::In),
+            ("LIKE", Keyword::Like),
+            ("ESCAPE", Keyword::Escape),
+            ("IS", Keyword::Is),
+            ("NULL", Keyword::Null),
+            ("TRUE", Keyword::True),
+            ("FALSE", Keyword::False),
+        ];
+        RESERVED.iter().find(|(word, _)| s.eq_ignore_ascii_case(word)).map(|(_, keyword)| *keyword)
     }
 }
 

@@ -11,11 +11,14 @@
 //! provides:
 //!
 //! * [`parse`] — selector string → [`ast::Expr`], with precise errors,
-//! * [`eval::evaluate`] / [`eval::matches`] — three-valued-logic evaluation
-//!   against any [`eval::PropertySource`],
+//! * [`Program`] — the expression compiled for repeated, clone-free
+//!   evaluation against any [`eval::PropertySource`] or against property
+//!   values the caller resolved once for many selectors,
+//! * [`eval::evaluate`] / [`eval::matches`] — the tree-walking reference
+//!   of the three-valued-logic semantics,
 //! * [`corrid::CorrelationFilter`] — exact / range (`[7;13]`) / prefix
 //!   correlation-ID filters,
-//! * [`Selector`] — a parsed, reusable selector handle.
+//! * [`Selector`] — a parsed and compiled, reusable selector handle.
 //!
 //! ## Example
 //!
@@ -42,7 +45,9 @@ pub mod ast;
 pub mod corrid;
 pub mod eval;
 pub mod lexer;
+pub mod like;
 pub mod parser;
+pub mod program;
 pub mod typecheck;
 pub mod value;
 
@@ -50,20 +55,22 @@ pub use ast::Expr;
 pub use corrid::CorrelationFilter;
 pub use eval::{evaluate, matches, PropertySource};
 pub use parser::{parse, ParseError};
+pub use program::Program;
 pub use typecheck::{analyze, PropType, TypeIssue, TypeReport};
-pub use value::{Truth, Value};
+pub use value::{Truth, Value, ValueRef};
 
 use serde::{Deserialize, Serialize};
 
 /// A parsed message selector, ready for repeated evaluation.
 ///
-/// Wraps the AST together with the original source text; cloning is cheap
-/// relative to parsing, and [`std::fmt::Display`] returns the original
-/// selector string.
+/// Wraps the AST and the [`Program`] compiled from it together with the
+/// original source text; cloning is cheap relative to parsing, and
+/// [`std::fmt::Display`] returns the original selector string.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Selector {
     source: String,
     expr: Expr,
+    program: Program,
 }
 
 impl Selector {
@@ -75,7 +82,8 @@ impl Selector {
     /// as a JMS provider must reject them when the subscription is created.
     pub fn parse(source: &str) -> Result<Self, ParseError> {
         let expr = parse(source)?;
-        Ok(Self { source: source.to_owned(), expr })
+        let program = Program::compile(&expr);
+        Ok(Self { source: source.to_owned(), expr, program })
     }
 
     /// The original selector text.
@@ -88,14 +96,19 @@ impl Selector {
         &self.expr
     }
 
+    /// The compiled expression.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
     /// Evaluates the selector; `true` iff the message must be forwarded.
     pub fn matches<P: PropertySource + ?Sized>(&self, props: &P) -> bool {
-        eval::matches(&self.expr, props)
+        self.evaluate(props).is_true()
     }
 
     /// Full three-valued evaluation result.
     pub fn evaluate<P: PropertySource + ?Sized>(&self, props: &P) -> Truth {
-        eval::evaluate(&self.expr, props)
+        self.program.evaluate(props)
     }
 }
 

@@ -87,11 +87,12 @@ impl Parser {
     }
 
     fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        let token = self.tokens.get_mut(self.pos)?;
+        self.pos += 1;
+        // The parser never goes back: of a consumed token only the offset
+        // is read again, so its kind (and string) moves out.
+        let kind = std::mem::replace(&mut token.kind, TokenKind::Comma);
+        Some(Token { kind, offset: token.offset })
     }
 
     fn eof_error(&self, expected: &str) -> ParseError {

@@ -1,0 +1,448 @@
+//! Compiled selectors.
+//!
+//! [`Program::compile`] flattens an [`Expr`] tree, in one pass, into a
+//! vector of [`Op`]s that refer to each other by index:
+//!
+//! * an identifier becomes a *slot*, an index into the program's own list
+//!   of the distinct names it references ([`Program::names`]).
+//!   [`Program::evaluate`] looks a slot's name up in a property source;
+//!   [`Program::bind`] renumbers the slots onto a table of [`Names`] that many
+//!   programs share, and the [`BoundProgram`] reads an array its caller
+//!   resolved against that table once for all of them;
+//! * a literal is stored once and borrowed;
+//! * a `LIKE` pattern is parsed and an `IN` list sorted;
+//! * `identifier <cmp> literal`, by far the most common selector, is one
+//!   instruction.
+//!
+//! Running a program computes on [`ValueRef`]s only: it clones nothing and
+//! allocates nothing. Its semantics are those of [`crate::eval::evaluate`],
+//! the tree walker it is tested against.
+
+use crate::ast::{ArithOp, CmpOp, Expr};
+use crate::eval::{arith, between, compare, negate, truth_value, value_truth, PropertySource};
+use crate::like::LikePattern;
+use crate::value::{Truth, Value, ValueRef};
+use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+
+/// Index of an [`Op`] in its program.
+type Idx = u32;
+
+/// One instruction. Operands are the indices of earlier instructions.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Op {
+    Literal(Value),
+    Slot(u32),
+    Not(Idx),
+    And(Idx, Idx),
+    Or(Idx, Idx),
+    Cmp {
+        op: CmpOp,
+        lhs: Idx,
+        rhs: Idx,
+    },
+    /// `Cmp` of a `Slot` with a `Literal`, without the two indirections.
+    CmpSlotLiteral {
+        op: CmpOp,
+        slot: u32,
+        literal: Value,
+    },
+    Arith {
+        op: ArithOp,
+        lhs: Idx,
+        rhs: Idx,
+    },
+    Neg(Idx),
+    Between {
+        expr: Idx,
+        lo: Idx,
+        hi: Idx,
+        negated: bool,
+    },
+    /// `list` is sorted.
+    In {
+        expr: Idx,
+        list: Box<[Box<str>]>,
+        negated: bool,
+    },
+    Like {
+        expr: Idx,
+        pattern: LikePattern,
+        negated: bool,
+    },
+    IsNull {
+        expr: Idx,
+        negated: bool,
+    },
+}
+
+/// Distinct names in order of first use; a name's position is its slot.
+/// A program keeps the identifiers of its selector in one, and a broker
+/// topic the names of all the programs bound to it ([`Program::bind`]).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Names {
+    names: Vec<String>,
+    /// `names` by name, once there are more than [`SEARCHED_NAMES`]: a
+    /// handful is searched faster than hashed, and thousands (a selector
+    /// off the wire may bring them) still intern in linear time.
+    index: Option<HashMap<String, u32>>,
+}
+
+/// Up to this many names are searched rather than hashed.
+const SEARCHED_NAMES: usize = 8;
+
+impl Names {
+    /// The slot of `name`, which is added if it is new.
+    pub fn intern(&mut self, name: &str) -> u32 {
+        let known = match &self.index {
+            None => self.names.iter().position(|n| n == name).map(|at| at as u32),
+            Some(index) => index.get(name).copied(),
+        };
+        known.unwrap_or_else(|| {
+            let slot = self.names.len() as u32;
+            self.names.push(name.to_owned());
+            if let Some(index) = &mut self.index {
+                index.insert(name.to_owned(), slot);
+            } else if self.names.len() > SEARCHED_NAMES {
+                self.index = Some(self.names.iter().cloned().zip(0..).collect());
+            }
+            slot
+        })
+    }
+
+    /// The names, by slot.
+    pub fn as_slice(&self) -> &[String] {
+        &self.names
+    }
+
+    /// Forgets every name.
+    pub fn clear(&mut self) {
+        self.names.clear();
+        self.index = None;
+    }
+}
+
+/// A selector compiled for repeated evaluation.
+///
+/// # Examples
+///
+/// ```
+/// use rjms_selector::{parse, Program};
+/// use rjms_selector::value::{Truth, Value};
+///
+/// let program = Program::compile(&parse("weight > 2 AND color = 'red'").unwrap());
+/// assert_eq!(program.names(), ["weight", "color"]);
+/// let props = [("color".to_owned(), Value::from("red")), ("weight".to_owned(), Value::Int(3))];
+/// assert_eq!(program.evaluate(props.as_slice()), Truth::True);
+/// ```
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Program {
+    /// In post-order: the root is last.
+    ops: Vec<Op>,
+    names: Names,
+}
+
+impl Program {
+    /// Compiles an expression: one pass over the tree.
+    pub fn compile(expr: &Expr) -> Self {
+        let mut program = Self { ops: Vec::new(), names: Names::default() };
+        program.push(expr);
+        program
+    }
+
+    /// Emits the instructions of `expr`, operands first; returns the index
+    /// of its own instruction.
+    fn push(&mut self, expr: &Expr) -> Idx {
+        let op = match expr {
+            Expr::Literal(v) => Op::Literal(v.clone()),
+            Expr::Ident(name) => Op::Slot(self.names.intern(name)),
+            Expr::Not(e) => Op::Not(self.push(e)),
+            Expr::And(a, b) => Op::And(self.push(a), self.push(b)),
+            Expr::Or(a, b) => Op::Or(self.push(a), self.push(b)),
+            Expr::Cmp { op, lhs, rhs } => match (&**lhs, &**rhs) {
+                (Expr::Ident(name), Expr::Literal(literal)) => Op::CmpSlotLiteral {
+                    op: *op,
+                    slot: self.names.intern(name),
+                    literal: literal.clone(),
+                },
+                _ => Op::Cmp { op: *op, lhs: self.push(lhs), rhs: self.push(rhs) },
+            },
+            Expr::Arith { op, lhs, rhs } => {
+                Op::Arith { op: *op, lhs: self.push(lhs), rhs: self.push(rhs) }
+            }
+            Expr::Neg(e) => Op::Neg(self.push(e)),
+            Expr::Between { expr, lo, hi, negated } => Op::Between {
+                expr: self.push(expr),
+                lo: self.push(lo),
+                hi: self.push(hi),
+                negated: *negated,
+            },
+            Expr::InList { expr, list, negated } => {
+                let mut list: Box<[Box<str>]> = list.iter().map(|s| s.as_str().into()).collect();
+                list.sort_unstable();
+                Op::In { expr: self.push(expr), list, negated: *negated }
+            }
+            Expr::Like { expr, pattern, escape, negated } => Op::Like {
+                expr: self.push(expr),
+                pattern: LikePattern::parse(pattern, *escape),
+                negated: *negated,
+            },
+            Expr::IsNull { expr, negated } => {
+                Op::IsNull { expr: self.push(expr), negated: *negated }
+            }
+        };
+        self.ops.push(op);
+        self.ops.len() as Idx - 1
+    }
+
+    /// The distinct identifiers the selector references, in order of first
+    /// appearance: slot `i` stands for `names()[i]`.
+    pub fn names(&self) -> &[String] {
+        self.names.as_slice()
+    }
+
+    /// Runs the program against a property source, looking each referenced
+    /// name up as it is reached.
+    pub fn evaluate<P: PropertySource + ?Sized>(&self, props: &P) -> Truth {
+        truth(&self.ops, &|slot| props.property(&self.names()[slot]))
+    }
+
+    /// A copy of the program for a `table` of names shared with other
+    /// programs, which gains the names it does not hold yet.
+    pub fn bind(&self, table: &mut Names) -> BoundProgram {
+        let mut bound = |slot: u32| table.intern(&self.names()[slot as usize]);
+        let ops = self.ops.iter().map(|op| match op {
+            Op::Slot(slot) => Op::Slot(bound(*slot)),
+            Op::CmpSlotLiteral { op, slot, literal } => {
+                Op::CmpSlotLiteral { op: *op, slot: bound(*slot), literal: literal.clone() }
+            }
+            other => other.clone(),
+        });
+        BoundProgram { ops: ops.collect() }
+    }
+}
+
+/// A [`Program`] whose slots index a table of names its caller keeps (see
+/// [`Program::bind`]): the caller resolves the table against a message
+/// once and every program bound to it reads the resolved values.
+///
+/// # Examples
+///
+/// ```
+/// use rjms_selector::program::{Names, Program};
+/// use rjms_selector::value::{Truth, ValueRef};
+/// use rjms_selector::parse;
+///
+/// let mut table = Names::default();
+/// let by_size = Program::compile(&parse("size > 2").unwrap()).bind(&mut table);
+/// let red = Program::compile(&parse("weight > 2 AND color = 'red'").unwrap()).bind(&mut table);
+/// assert_eq!(table.as_slice(), ["size", "weight", "color"]);
+/// let resolved = [None, Some(ValueRef::Int(3)), Some(ValueRef::Str("red"))];
+/// assert_eq!(by_size.run(&resolved), Truth::Unknown);
+/// assert_eq!(red.run(&resolved), Truth::True);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundProgram {
+    ops: Box<[Op]>,
+}
+
+impl BoundProgram {
+    /// Runs the program; `resolved[slot]` is the value of the table's
+    /// name `slot`, `None` when the message does not set it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `resolved` is shorter than the table the program was
+    /// bound to.
+    #[inline]
+    pub fn run(&self, resolved: &[Option<ValueRef<'_>>]) -> Truth {
+        truth(&self.ops, &|slot| resolved[slot])
+    }
+}
+
+/// The truth of the program `ops` (its root is last); `read` supplies the
+/// value of a slot, `None` when the property is not set.
+#[inline]
+fn truth<'a>(ops: &'a [Op], read: &impl Fn(usize) -> Option<ValueRef<'a>>) -> Truth {
+    match ops {
+        // The one-instruction program runs without the interpreter's
+        // call frame: a scan over hundreds of `key = i` is this line.
+        [Op::CmpSlotLiteral { op, slot, literal }] => {
+            compare_slot(*op, read(*slot as usize), literal)
+        }
+        _ => truth_at(ops, ops.len() as Idx - 1, read),
+    }
+}
+
+#[inline]
+fn compare_slot(op: CmpOp, value: Option<ValueRef<'_>>, literal: &Value) -> Truth {
+    match value {
+        Some(value) => compare(op, value, literal.as_ref()),
+        None => Truth::Unknown,
+    }
+}
+
+fn truth_at<'a>(ops: &'a [Op], at: Idx, read: &impl Fn(usize) -> Option<ValueRef<'a>>) -> Truth {
+    match &ops[at as usize] {
+        Op::CmpSlotLiteral { op, slot, literal } => {
+            compare_slot(*op, read(*slot as usize), literal)
+        }
+        Op::Not(e) => truth_at(ops, *e, read).not(),
+        Op::And(a, b) => {
+            // False AND anything = False, so the right side can be
+            // skipped; Unknown AND b still needs b.
+            let ta = truth_at(ops, *a, read);
+            if ta == Truth::False {
+                return Truth::False;
+            }
+            ta.and(truth_at(ops, *b, read))
+        }
+        Op::Or(a, b) => {
+            let ta = truth_at(ops, *a, read);
+            if ta == Truth::True {
+                return Truth::True;
+            }
+            ta.or(truth_at(ops, *b, read))
+        }
+        Op::Cmp { op, lhs, rhs } => match (value_at(ops, *lhs, read), value_at(ops, *rhs, read)) {
+            (Some(a), Some(b)) => compare(*op, a, b),
+            _ => Truth::Unknown,
+        },
+        Op::Between { expr, lo, hi, negated } => {
+            match (value_at(ops, *expr, read), value_at(ops, *lo, read), value_at(ops, *hi, read)) {
+                (Some(v), Some(l), Some(h)) => between(v, l, h).negated_if(*negated),
+                _ => Truth::Unknown,
+            }
+        }
+        // IN and LIKE apply to strings only.
+        Op::In { expr, list, negated } => match value_at(ops, *expr, read) {
+            Some(ValueRef::Str(s)) => {
+                Truth::from(list.binary_search_by(|c| (**c).cmp(s)).is_ok()).negated_if(*negated)
+            }
+            _ => Truth::Unknown,
+        },
+        Op::Like { expr, pattern, negated } => match value_at(ops, *expr, read) {
+            Some(ValueRef::Str(s)) => Truth::from(pattern.matches(s)).negated_if(*negated),
+            _ => Truth::Unknown,
+        },
+        // IS NULL is the one operator that never yields unknown.
+        Op::IsNull { expr, negated } => {
+            Truth::from(value_at(ops, *expr, read).is_none() != *negated)
+        }
+        Op::Literal(_) | Op::Slot(_) | Op::Arith { .. } | Op::Neg(_) => {
+            value_truth(value_at(ops, at, read))
+        }
+    }
+}
+
+fn value_at<'a>(
+    ops: &'a [Op],
+    at: Idx,
+    read: &impl Fn(usize) -> Option<ValueRef<'a>>,
+) -> Option<ValueRef<'a>> {
+    match &ops[at as usize] {
+        Op::Literal(v) => Some(v.as_ref()),
+        Op::Slot(slot) => read(*slot as usize),
+        Op::Neg(e) => negate(value_at(ops, *e, read)?),
+        Op::Arith { op, lhs, rhs } => {
+            arith(*op, value_at(ops, *lhs, read)?, value_at(ops, *rhs, read)?)
+        }
+        _ => truth_value(truth_at(ops, at, read)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse;
+
+    fn compile(selector: &str) -> Program {
+        Program::compile(&parse(selector).unwrap())
+    }
+
+    #[test]
+    fn the_dominant_shape_is_one_instruction() {
+        let program = compile("key = 7");
+        assert_eq!(
+            program.ops,
+            [Op::CmpSlotLiteral { op: CmpOp::Eq, slot: 0, literal: Value::Int(7) }]
+        );
+        assert_eq!(program.names(), ["key"]);
+        // The mirrored form takes the general instruction.
+        assert_eq!(compile("7 = key").ops.len(), 3);
+    }
+
+    #[test]
+    fn a_repeated_identifier_shares_one_slot() {
+        let program = compile("a > 1 AND b = 2 AND a < 9 AND JMSPriority > a");
+        assert_eq!(program.names(), ["a", "b", "JMSPriority"]);
+    }
+
+    #[test]
+    fn operands_precede_their_instruction() {
+        let program = compile("NOT (a + 1 BETWEEN b AND 9) OR c LIKE 'x%' OR d IN ('q', 'p')");
+        for (at, op) in program.ops.iter().enumerate() {
+            let operands: Vec<Idx> = match op {
+                Op::Not(e) | Op::Neg(e) => vec![*e],
+                Op::And(a, b) | Op::Or(a, b) => vec![*a, *b],
+                Op::Cmp { lhs, rhs, .. } | Op::Arith { lhs, rhs, .. } => vec![*lhs, *rhs],
+                Op::Between { expr, lo, hi, .. } => vec![*expr, *lo, *hi],
+                Op::In { expr, .. } | Op::Like { expr, .. } | Op::IsNull { expr, .. } => {
+                    vec![*expr]
+                }
+                Op::Literal(_) | Op::Slot(_) | Op::CmpSlotLiteral { .. } => vec![],
+            };
+            assert!(operands.iter().all(|&o| (o as usize) < at), "{at}: {op:?}");
+        }
+    }
+
+    #[test]
+    fn in_lists_are_sorted_for_the_binary_search() {
+        let program = compile("c IN ('UK', 'DE', 'US', 'DE')");
+        let Some(Op::In { list, .. }) = program.ops.last() else { panic!("{:?}", program.ops) };
+        assert_eq!(list.iter().map(|s| &**s).collect::<Vec<_>>(), ["DE", "DE", "UK", "US"]);
+        let bound = program.bind(&mut Names::default());
+        for (country, expect) in [("DE", Truth::True), ("US", Truth::True), ("FR", Truth::False)] {
+            assert_eq!(bound.run(&[Some(ValueRef::Str(country))]), expect);
+        }
+    }
+
+    #[test]
+    fn evaluate_reads_names_and_a_bound_program_reads_its_table() {
+        let program = compile("weight * 2 > limit AND weight < 9");
+        assert_eq!(program.names(), ["weight", "limit"]);
+        let props = [("limit".to_owned(), Value::Int(6)), ("weight".to_owned(), Value::Int(3))];
+        assert_eq!(program.evaluate(props.as_slice()), Truth::False);
+
+        // A table that holds the two names in other places, among others.
+        let mut table = Names::default();
+        for name in ["limit", "color"] {
+            table.intern(name);
+        }
+        let bound = program.bind(&mut table);
+        assert_eq!(table.as_slice(), ["limit", "color", "weight"]);
+        let resolved = [Some(ValueRef::Float(5.5)), None, Some(ValueRef::Int(3))];
+        assert_eq!(bound.run(&resolved), Truth::True);
+        assert_eq!(bound.run(&[None, None, None]), Truth::Unknown);
+        // Binding leaves the program itself as it was.
+        assert_eq!(program.evaluate(props.as_slice()), Truth::False);
+    }
+
+    #[test]
+    fn many_names_are_still_interned_once_each() {
+        let n = 4 * SEARCHED_NAMES;
+        let terms: Vec<String> =
+            (0..n).map(|i| format!("p{i} = {i} AND p{} >= 0", i / 2)).collect();
+        let program = compile(&terms.join(" AND "));
+        let expected: Vec<String> = (0..n).map(|i| format!("p{i}")).collect();
+        assert_eq!(program.names(), expected);
+        let props: Vec<(String, Value)> =
+            (0..n).map(|i| (format!("p{i}"), Value::Int(i as i64))).collect();
+        assert_eq!(program.evaluate(props.as_slice()), Truth::True);
+    }
+
+    #[test]
+    fn an_instruction_stays_within_a_cache_line() {
+        assert!(std::mem::size_of::<Op>() <= 48, "{}", std::mem::size_of::<Op>());
+    }
+}

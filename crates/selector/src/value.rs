@@ -33,13 +33,19 @@ pub enum Value {
 }
 
 impl Value {
+    /// The borrowed view evaluation works on.
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+
     /// Numeric view after SQL-92 promotion; `None` for strings and booleans.
     pub fn numeric(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            Value::Bool(_) | Value::Str(_) => None,
-        }
+        self.as_ref().numeric()
     }
 
     /// Whether two values are comparable with an ordering operator
@@ -48,18 +54,9 @@ impl Value {
         self.numeric().is_some() && other.numeric().is_some()
     }
 
-    /// SQL-92 equality: numeric promotion between `Int` and `Float`;
-    /// same-type comparison for `Bool` and `Str`; everything else is
-    /// *unknown* (`None`).
+    /// SQL-92 equality, see [`ValueRef::sql_eq`].
     pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        match (self, other) {
-            (Value::Bool(a), Value::Bool(b)) => Some(a == b),
-            (Value::Str(a), Value::Str(b)) => Some(a == b),
-            _ => {
-                let (a, b) = (self.numeric()?, other.numeric()?);
-                Some(a == b)
-            }
-        }
+        self.as_ref().sql_eq(other.as_ref())
     }
 
     /// A short name of the type, used in error messages.
@@ -69,6 +66,55 @@ impl Value {
             Value::Int(_) => "integer",
             Value::Float(_) => "float",
             Value::Str(_) => "string",
+        }
+    }
+}
+
+/// A borrowed, `Copy` view of a [`Value`]: what a [`crate::PropertySource`]
+/// hands out and what both evaluators compute on, so that evaluating a
+/// selector neither clones a property nor allocates.
+///
+/// # Examples
+///
+/// ```
+/// use rjms_selector::value::{Value, ValueRef};
+/// let owned = Value::from("red");
+/// assert_eq!(owned.as_ref(), ValueRef::Str("red"));
+/// assert_eq!(ValueRef::Int(3).sql_eq(ValueRef::Float(3.0)), Some(true));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// Boolean.
+    Bool(bool),
+    /// Integer.
+    Int(i64),
+    /// Floating point.
+    Float(f64),
+    /// String, borrowed from the message or from the selector's literal.
+    Str(&'a str),
+}
+
+impl ValueRef<'_> {
+    /// Numeric view after SQL-92 promotion; `None` for strings and booleans.
+    pub fn numeric(self) -> Option<f64> {
+        match self {
+            ValueRef::Int(i) => Some(i as f64),
+            ValueRef::Float(f) => Some(f),
+            ValueRef::Bool(_) | ValueRef::Str(_) => None,
+        }
+    }
+
+    /// SQL-92 equality: two integers compare exactly (an `f64` cannot tell
+    /// neighbours above 2⁵³ apart), `Int` with `Float` after numeric
+    /// promotion, `Bool` and `Str` with their own type; everything else is
+    /// *unknown* (`None`).
+    #[inline]
+    pub fn sql_eq(self, other: ValueRef<'_>) -> Option<bool> {
+        match (self, other) {
+            (ValueRef::Bool(a), ValueRef::Bool(b)) => Some(a == b),
+            (ValueRef::Str(a), ValueRef::Str(b)) => Some(a == b),
+            (ValueRef::Int(a), ValueRef::Int(b)) => Some(a == b),
+            _ => Some(self.numeric()? == other.numeric()?),
         }
     }
 }
@@ -180,6 +226,16 @@ impl Truth {
         }
     }
 
+    /// `self.not()` when `negated`, for the `NOT` variants of `BETWEEN`,
+    /// `IN` and `LIKE`.
+    pub fn negated_if(self, negated: bool) -> Truth {
+        if negated {
+            self.not()
+        } else {
+            self
+        }
+    }
+
     /// `true` only for [`Truth::True`] — the message-forwarding criterion.
     pub fn is_true(self) -> bool {
         self == Truth::True
@@ -229,6 +285,18 @@ mod tests {
     fn sql_eq_numeric_promotion() {
         assert_eq!(Value::Int(3).sql_eq(&Value::Float(3.0)), Some(true));
         assert_eq!(Value::Float(2.5).sql_eq(&Value::Int(2)), Some(false));
+    }
+
+    #[test]
+    fn sql_eq_is_exact_on_integers_beyond_f64_precision() {
+        // 2^53 and 2^53 + 1 are one f64.
+        let (a, b) = (9_007_199_254_740_992i64, 9_007_199_254_740_993i64);
+        assert_eq!(a as f64, b as f64);
+        assert_eq!(Value::Int(a).sql_eq(&Value::Int(b)), Some(false));
+        assert_eq!(Value::Int(b).sql_eq(&Value::Int(b)), Some(true));
+        assert_eq!(Value::Int(i64::MAX).sql_eq(&Value::Int(i64::MAX - 1)), Some(false));
+        // Mixed operands still promote: the float cannot tell them apart.
+        assert_eq!(Value::Int(b).sql_eq(&Value::Float(a as f64)), Some(true));
     }
 
     #[test]

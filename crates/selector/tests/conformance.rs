@@ -1,6 +1,7 @@
 //! JMS 1.1 §3.8.1 conformance table: selector syntax and semantics cases
 //! drawn from the specification text and its examples, evaluated against
-//! fixed property sets.
+//! fixed property sets by both evaluators: the tree-walking reference and
+//! the compiled program a [`Selector`] runs.
 
 use rjms_selector::value::{Truth, Value};
 use rjms_selector::{evaluate, parse, Selector};
@@ -13,8 +14,11 @@ fn props(pairs: &[(&str, Value)]) -> HashMap<String, Value> {
 #[track_caller]
 fn check(selector: &str, pairs: &[(&str, Value)], expect: Truth) {
     let expr = parse(selector).unwrap_or_else(|e| panic!("`{selector}` must parse: {e}"));
-    let got = evaluate(&expr, &props(pairs));
-    assert_eq!(got, expect, "selector `{selector}`");
+    let props = props(pairs);
+    assert_eq!(evaluate(&expr, &props), expect, "selector `{selector}`, tree walker");
+    let compiled = Selector::parse(selector).unwrap();
+    assert_eq!(compiled.evaluate(&props), expect, "selector `{selector}`, program");
+    assert_eq!(compiled.matches(&props), expect == Truth::True, "selector `{selector}`");
 }
 
 #[test]
@@ -162,6 +166,27 @@ fn comparison_of_exact_and_approximate_numerics() {
     check("f > 2", &[("f", 2.5f64.into())], Truth::True);
     check("i < 2.7", &[("i", 2i64.into())], Truth::True);
     check("i = 2.0", &[("i", 2i64.into())], Truth::True);
+}
+
+#[test]
+fn integers_compare_exactly_beyond_f64_precision() {
+    // 2^53 and 2^53 + 1 round to the same f64; as integers they differ.
+    let (even, odd) = (9_007_199_254_740_992i64, 9_007_199_254_740_993i64);
+    let id = |v: i64| [("id", Value::from(v))];
+    check("id = 9007199254740993", &id(even), Truth::False);
+    check("id <> 9007199254740993", &id(even), Truth::True);
+    check("id = 9007199254740993", &id(odd), Truth::True);
+    check("id < 9007199254740993", &id(even), Truth::True);
+    check("id >= 9007199254740993", &id(even), Truth::False);
+    check("id > 9007199254740992", &id(odd), Truth::True);
+    check("id <= 9007199254740992", &id(odd), Truth::False);
+    check("id BETWEEN 9007199254740993 AND 9007199254740993", &id(even), Truth::False);
+    check("id BETWEEN 9007199254740993 AND 9007199254740993", &id(odd), Truth::True);
+    check("id + 1 = 9007199254740994", &id(odd), Truth::True);
+    check("id + 1 > 9007199254740993", &id(even), Truth::False);
+    // An integer against a float still promotes (SQL-92), where the two
+    // neighbours are one value.
+    check("id = 9007199254740992.0", &id(odd), Truth::True);
 }
 
 #[test]

@@ -1,16 +1,20 @@
 //! Property-based tests for the selector language.
 //!
-//! Two core invariants:
+//! Three core invariants:
 //! 1. **Display → reparse round-trip**: pretty-printing any AST produces a
 //!    selector string that parses back to the identical AST.
 //! 2. **Evaluator totality**: evaluation never panics, for arbitrary ASTs
 //!    against arbitrary property maps.
+//! 3. **Program ≡ tree walker**: the compiled program gives the reference
+//!    evaluator's answer, on operands chosen to disagree if anything can
+//!    (the last block; `PROPTEST_CASES` sets its case count).
 
 use proptest::prelude::*;
 use rjms_selector::ast::{ArithOp, CmpOp, Expr};
 use rjms_selector::eval::evaluate;
+use rjms_selector::program::Names;
 use rjms_selector::value::Value;
-use rjms_selector::{parse, Selector};
+use rjms_selector::{parse, Program, Selector};
 use std::collections::HashMap;
 
 /// Strategy for property identifiers that are not reserved words.
@@ -53,23 +57,24 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
         value_strategy().prop_map(Expr::Literal),
         ident_strategy().prop_map(Expr::Ident),
     ];
-    leaf.prop_recursive(5, 64, 4, |inner| {
+    expr_strategy_over(leaf, "[a-zA-Z0-9']{0,8}", "[a-zA-Z0-9%_]{0,10}", Just(None))
+}
+
+/// Expressions over the given leaves, `IN` list members, `LIKE` patterns
+/// and `LIKE` escapes.
+fn expr_strategy_over(
+    leaf: impl Strategy<Value = Expr> + 'static,
+    in_member: &'static str,
+    like_pattern: &'static str,
+    like_escape: impl Strategy<Value = Option<char>> + Clone + 'static,
+) -> impl Strategy<Value = Expr> {
+    leaf.prop_recursive(5, 64, 4, move |inner| {
+        let like_escape = like_escape.clone();
         prop_oneof![
             inner.clone().prop_map(|e| Expr::Not(Box::new(e))),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::And(Box::new(a), Box::new(b))),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Or(Box::new(a), Box::new(b))),
-            (
-                prop_oneof![
-                    Just(CmpOp::Eq),
-                    Just(CmpOp::Ne),
-                    Just(CmpOp::Lt),
-                    Just(CmpOp::Le),
-                    Just(CmpOp::Gt),
-                    Just(CmpOp::Ge)
-                ],
-                inner.clone(),
-                inner.clone()
-            )
+            (cmp_op_strategy(), inner.clone(), inner.clone())
                 .prop_map(|(op, a, b)| Expr::cmp(op, a, b)),
             (
                 prop_oneof![
@@ -92,13 +97,13 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
                     negated,
                 }
             ),
-            (inner.clone(), prop::collection::vec("[a-zA-Z0-9']{0,8}", 1..4), any::<bool>())
+            (inner.clone(), prop::collection::vec(in_member, 1..4), any::<bool>())
                 .prop_map(|(e, list, negated)| Expr::InList { expr: Box::new(e), list, negated }),
-            (inner.clone(), "[a-zA-Z0-9%_]{0,10}", any::<bool>()).prop_map(
-                |(e, pattern, negated)| Expr::Like {
+            (inner.clone(), like_pattern, like_escape, any::<bool>()).prop_map(
+                |(e, pattern, escape, negated)| Expr::Like {
                     expr: Box::new(e),
                     pattern,
-                    escape: None,
+                    escape,
                     negated,
                 }
             ),
@@ -188,6 +193,117 @@ proptest! {
         use rjms_selector::value::Truth;
         let m = rjms_selector::eval::matches(&expr, &props);
         prop_assert_eq!(m, evaluate(&expr, &props) == Truth::True);
+    }
+}
+
+/// The identifiers of the differential test: few enough that a selector
+/// and a property map often meet, and every `JMS*` header among them.
+const NAMES: [&str; 10] = [
+    "a",
+    "b",
+    "c",
+    "name",
+    "JMSMessageID",
+    "JMSTimestamp",
+    "JMSCorrelationID",
+    "JMSType",
+    "JMSPriority",
+    "JMSExpiration",
+];
+
+/// Operands where an evaluator is most likely to slip: the ends of `i64`,
+/// integers an `f64` cannot tell apart, zero divisors, NaN and the
+/// infinities, and strings that `LIKE` and `IN` can hit.
+fn edge_value_strategy() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        any::<bool>().prop_map(Value::Bool),
+        prop::sample::select(vec![
+            i64::MIN,
+            i64::MIN + 1,
+            -1,
+            0,
+            1,
+            2,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            i64::MAX - 1,
+            i64::MAX,
+        ])
+        .prop_map(Value::Int),
+        (-4i64..4).prop_map(Value::Int),
+        prop::sample::select(vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            (1u64 << 53) as f64,
+            i64::MAX as f64,
+        ])
+        .prop_map(Value::Float),
+        "[ab%_\\\\]{0,3}".prop_map(Value::Str),
+    ]
+}
+
+/// `=`, `<>`, `<`, `<=`, `>`, `>=`.
+fn cmp_op_strategy() -> impl Strategy<Value = CmpOp> {
+    prop::sample::select(vec![CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge])
+}
+
+/// Besides literals and identifiers, the leaves are the predicates a
+/// program treats specially, on an identifier so that they often meet a
+/// property: `ident <cmp> literal` (one instruction), `IN` (binary search)
+/// and `LIKE` (pre-parsed pattern, with and without an escape).
+fn edge_expr_strategy() -> impl Strategy<Value = Expr> {
+    const WORD: &str = "[ab%_\\\\]{0,2}";
+    const PATTERN: &str = "[ab%_\\\\]{0,5}";
+    let ident = || prop::sample::select(NAMES.to_vec()).prop_map(|n| Expr::Ident(n.to_owned()));
+    let literal = || edge_value_strategy().prop_map(Expr::Literal);
+    let escape = || prop::option::of(prop::sample::select(vec!['\\', '%', 'a']));
+    let leaf = prop_oneof![
+        literal(),
+        ident(),
+        (cmp_op_strategy(), ident(), literal()).prop_map(|(op, a, b)| Expr::cmp(op, a, b)),
+        (ident(), prop::collection::vec(WORD, 1..6), any::<bool>())
+            .prop_map(|(e, list, negated)| Expr::InList { expr: Box::new(e), list, negated }),
+        (ident(), PATTERN, escape(), any::<bool>()).prop_map(|(e, pattern, escape, negated)| {
+            Expr::Like { expr: Box::new(e), pattern, escape, negated }
+        }),
+    ];
+    expr_strategy_over(leaf, WORD, PATTERN, escape())
+}
+
+/// Some of [`NAMES`] set, the rest missing.
+fn edge_props_strategy() -> impl Strategy<Value = HashMap<String, Value>> {
+    prop::collection::hash_map(
+        prop::sample::select(NAMES.to_vec()).prop_map(str::to_owned),
+        edge_value_strategy(),
+        0..8,
+    )
+}
+
+proptest! {
+    #[test]
+    fn program_agrees_with_the_tree_walker(
+        expr in edge_expr_strategy(),
+        props in edge_props_strategy()
+    ) {
+        let reference = evaluate(&expr, &props);
+        let program = Program::compile(&expr);
+        prop_assert_eq!(program.evaluate(&props), reference, "by name: {}", expr);
+        // The broker's way: bound to a table that other selectors share,
+        // which is resolved against the message once and read by slot.
+        let mut table = Names::default();
+        for name in NAMES.iter().rev() {
+            table.intern(name);
+        }
+        let bound = program.bind(&mut table);
+        let resolved: Vec<_> =
+            table.as_slice().iter().map(|n| props.get(n).map(Value::as_ref)).collect();
+        prop_assert_eq!(bound.run(&resolved), reference, "by slot: {}", expr);
     }
 }
 

@@ -19,8 +19,15 @@ pub struct ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 256 cases, or `PROPTEST_CASES` from the environment, as in real
+    /// proptest; [`ProptestConfig::with_cases`] overrides both.
     fn default() -> Self {
-        ProptestConfig { cases: 256, max_shrink_iters: 0, max_global_rejects: 65_536 }
+        let cases = std::env::var("PROPTEST_CASES").ok().and_then(|n| n.parse().ok());
+        ProptestConfig {
+            cases: cases.unwrap_or(256),
+            max_shrink_iters: 0,
+            max_global_rejects: 65_536,
+        }
     }
 }
 
