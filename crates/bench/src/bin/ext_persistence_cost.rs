@@ -8,9 +8,18 @@
 //! `E[B] = t_rcv + n_fltr·t_fltr + E[R]·t_tx + t_store`, and reports how
 //! server capacity (Eq. 2) and the mean waiting time (Fig. 10 pipeline)
 //! move as durability is tightened from `Never` to `Always`.
+//!
+//! The broker's dispatcher writes the publishes it finds queued as one
+//! *run* (group commit, DESIGN.md §3.3b), so the second table prices a
+//! record as a function of the run it is written in and fits
+//! `t_store(run) ≈ t_frame + t_write/run`: the fixed cost per commit that
+//! `Mg1::mean_waiting_time_batched` amortises over a batch.
+//!
+//! Exits 1 if, without fsync, a record in a run of 64 is not cheaper than
+//! a single append (the CI smoke check).
 
 use rjms_bench::{experiment_header, BenchReport, Table};
-use rjms_broker::persist::encode_publish;
+use rjms_broker::persist::{encode_publish, encode_publish_into};
 use rjms_broker::Message;
 use rjms_core::capacity::server_capacity;
 use rjms_core::model::ServerModel;
@@ -20,53 +29,102 @@ use rjms_journal::{scratch_dir, FsyncPolicy, Journal, JournalConfig};
 use rjms_queueing::replication::ReplicationModel;
 use std::time::{Duration, Instant};
 
+/// The runs the batched cost is measured at: a lone message, a short run
+/// and the dispatcher's bound.
+const RUNS: [u64; 3] = [1, 8, 64];
+
 /// Measured storage cost for one fsync policy.
 struct StoreCost {
     policy: FsyncPolicy,
-    /// Mean wall-clock seconds per journal append (including its share of
-    /// fsyncs), i.e. the measured `t_store`.
+    /// Mean wall-clock seconds per single journal append (including its
+    /// share of fsyncs), i.e. the measured `t_store` of a run of one whose
+    /// payload is already encoded.
     t_store: f64,
     fsyncs_per_msg: f64,
     frame_bytes: usize,
+    /// Mean seconds per record, encoded in place and committed in runs of
+    /// [`RUNS`].
+    batched: [f64; 3],
 }
 
-/// Appends `n` copies of a representative publish record and returns the
-/// mean per-append wall-clock cost.
-fn measure(policy: FsyncPolicy, n: u64) -> StoreCost {
-    let payload = encode_publish(
-        "stocks",
-        &Message::builder()
-            .correlation_id("order-4711")
-            .property("symbol", "ACME")
-            .property("price", 42.5)
-            .body(vec![0xA5; 64])
-            .build(),
-    );
+impl StoreCost {
+    /// `(t_frame, t_write)` of `t_store(run) = t_frame + t_write/run`
+    /// through the shortest and the longest of [`RUNS`]: what every record
+    /// costs, and what every commit costs (the `write`, and the `fdatasync`
+    /// when the policy has one per commit).
+    fn fit(&self) -> (f64, f64) {
+        let (lone, full) = (self.batched[0], self.batched[2]);
+        let run = RUNS[2] as f64;
+        let t_write = (lone - full) * run / (run - 1.0);
+        (lone - t_write, t_write)
+    }
+}
+
+fn representative_message() -> Message {
+    Message::builder()
+        .correlation_id("order-4711")
+        .property("symbol", "ACME")
+        .property("price", 42.5)
+        .body(vec![0xA5; 64])
+        .build()
+}
+
+/// Opens a warmed-up scratch journal, times `timed` on it and returns the
+/// elapsed seconds and the fsyncs issued meanwhile.
+fn timed_on_scratch_journal(policy: FsyncPolicy, timed: impl FnOnce(&mut Journal)) -> (f64, u64) {
     let dir = scratch_dir("ext-persistence");
     let config = JournalConfig::new(&dir).fsync(policy);
     let (mut journal, _) = Journal::open(config).expect("open scratch journal");
 
-    // Warm up the file and the allocator outside the timed window.
+    // Warm up the file and the frame buffer outside the timed window.
+    let warmup = encode_publish("stocks", &representative_message());
     for _ in 0..64 {
-        journal.append(&payload).expect("warmup append");
+        journal.append(&warmup).expect("warmup append");
     }
     journal.sync().expect("warmup sync");
     let base = journal.stats();
 
     let start = Instant::now();
-    for _ in 0..n {
-        journal.append(&payload).expect("timed append");
-    }
+    timed(&mut journal);
     let elapsed = start.elapsed().as_secs_f64();
-    let stats = journal.stats();
+    let fsyncs = journal.stats().fsyncs - base.fsyncs;
     drop(journal);
     let _ = std::fs::remove_dir_all(&dir);
+    (elapsed, fsyncs)
+}
 
+/// Appends `n` copies of a representative publish record one by one, then
+/// again in runs, and returns the mean per-record wall-clock costs.
+fn measure(policy: FsyncPolicy, n: u64) -> StoreCost {
+    let message = representative_message();
+    let payload = encode_publish("stocks", &message);
+    let (elapsed, fsyncs) = timed_on_scratch_journal(policy, |journal| {
+        for _ in 0..n {
+            journal.append(&payload).expect("timed append");
+        }
+    });
+    let batched = RUNS.map(|run| {
+        let (elapsed, _) = timed_on_scratch_journal(policy, |journal| {
+            for _ in 0..n / run {
+                journal
+                    .batch(|batch| {
+                        for _ in 0..run {
+                            batch
+                                .append_with(|out| encode_publish_into(out, "stocks", &message))?;
+                        }
+                        Ok(())
+                    })
+                    .expect("timed run");
+            }
+        });
+        elapsed / n as f64
+    });
     StoreCost {
         policy,
         t_store: elapsed / n as f64,
-        fsyncs_per_msg: (stats.fsyncs - base.fsyncs) as f64 / n as f64,
+        fsyncs_per_msg: fsyncs as f64 / n as f64,
         frame_bytes: payload.len(),
+        batched,
     }
 }
 
@@ -77,13 +135,14 @@ fn main() {
         "measured journal t_store per fsync policy and its capacity/waiting-time impact",
     );
 
-    // Fewer timed appends where every append pays a disk round-trip.
+    // Fewer timed appends where every append pays a disk round-trip
+    // (multiples of 64, so that every run length divides them).
     let sweep: &[(FsyncPolicy, u64)] = &[
-        (FsyncPolicy::Never, 50_000),
-        (FsyncPolicy::Interval(Duration::from_millis(1)), 20_000),
-        (FsyncPolicy::EveryN(64), 20_000),
-        (FsyncPolicy::EveryN(8), 5_000),
-        (FsyncPolicy::Always, 1_000),
+        (FsyncPolicy::Never, 51_200),
+        (FsyncPolicy::Interval(Duration::from_millis(1)), 19_200),
+        (FsyncPolicy::EveryN(64), 19_200),
+        (FsyncPolicy::EveryN(8), 5_120),
+        (FsyncPolicy::Always, 1_024),
     ];
     let costs: Vec<StoreCost> = sweep.iter().map(|&(policy, n)| measure(policy, n)).collect();
 
@@ -134,6 +193,39 @@ fn main() {
         ]);
     }
     table.print();
+
+    // What a record costs as a function of the run it is committed in.
+    println!();
+    let mut runs = Table::new(&[
+        "fsync policy",
+        "single append",
+        "run of 1",
+        "run of 8",
+        "run of 64",
+        "t_frame",
+        "t_write",
+    ]);
+    for cost in &costs {
+        let us = |seconds: f64| format!("{:.3}us", seconds * 1e6);
+        let (t_frame, t_write) = cost.fit();
+        runs.row_strings(vec![
+            cost.policy.label(),
+            us(cost.t_store),
+            us(cost.batched[0]),
+            us(cost.batched[1]),
+            us(cost.batched[2]),
+            us(t_frame),
+            us(t_write),
+        ]);
+    }
+    runs.print();
+    let never = &costs[0];
+    let (t_frame, t_write) = never.fit();
+    artifact.num("t_store_us_never_run1", never.batched[0] * 1e6);
+    artifact.num("t_store_us_never_run8", never.batched[1] * 1e6);
+    artifact.num("t_store_us_never_run64", never.batched[2] * 1e6);
+    artifact.num("t_frame_us_never", t_frame * 1e6);
+    artifact.num("t_write_us_never", t_write * 1e6);
     artifact.emit();
 
     println!();
@@ -149,12 +241,28 @@ fn main() {
     println!("    as n_fltr or E[R] grow: at the paper's operating point the service");
     println!("    time is dominated by filtering + replication, and only fsync-heavy");
     println!("    policies move the capacity curve materially,");
-    println!("  - group commit (every-N / interval) amortizes the disk round-trip and");
-    println!("    keeps t_store within a small factor of the no-sync append cost,");
+    println!("  - syncing every N records or every interval amortizes the disk");
+    println!("    round-trip and keeps t_store within a small factor of the no-sync cost,");
+    println!("  - t_store(run) = t_frame + t_write/run: a record written in a run of");
+    println!(
+        "    64 costs {:.2}x a single append without fsync; the per-commit cost",
+        never.batched[2] / never.t_store
+    );
+    println!("    t_write is this repository's batch overhead (the M^X/G/1 shape of");
+    println!("    Mg1::mean_waiting_time_batched), and under fsync=always it is the flush,");
     println!("  - fsync=always prices each message at a full disk flush; the measured");
     println!("    t_store then dominates E[B] and capacity collapses accordingly —");
     println!("    quantifying the durability/throughput trade the paper left out.");
     println!();
     println!("note: wall-clock measurements; absolute numbers vary with the machine");
     println!("and filesystem, ratios between policies are the robust signal.");
+
+    if never.batched[2] >= never.t_store {
+        eprintln!(
+            "FAIL: without fsync a record in a run of 64 costs {:.3}us, a single append {:.3}us",
+            never.batched[2] * 1e6,
+            never.t_store * 1e6
+        );
+        std::process::exit(1);
+    }
 }

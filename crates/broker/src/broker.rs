@@ -397,8 +397,9 @@ impl Broker {
         }
         // Logged while holding the topics lock so the TopicCreated record
         // precedes any Publish record for this topic in journal order.
-        self.inner
-            .append_record(|| JournalRecord::TopicCreated { topic: name.to_owned() }.encode());
+        self.inner.append_record(|out| {
+            JournalRecord::TopicCreated { topic: name.to_owned() }.encode_into(out);
+        });
         topics.insert(name.to_owned(), topic);
         Ok(())
     }
@@ -588,9 +589,9 @@ impl Broker {
             });
         }
         subs.remove_durable(name);
-        self.inner.append_record(|| {
+        self.inner.append_record(|out| {
             JournalRecord::DurableUnsubscribed { topic: topic.name.clone(), name: name.to_owned() }
-                .encode()
+                .encode_into(out);
         });
         Ok(())
     }

@@ -10,7 +10,7 @@ use crate::dispatch::{deliver_to, Delivery};
 use crate::error::Error;
 use crate::filter::Filter;
 use crate::message::Message;
-use crate::persist::JournalRecord;
+use crate::persist::{encode_checkpoint_into, JournalRecord};
 use crate::probe::DispatchProbe;
 use crate::subscriptions::DurableEntry;
 use crossbeam::channel::{Receiver, Sender};
@@ -47,13 +47,13 @@ impl DurableState {
         filter: Filter,
         tx: Sender<Arc<Message>>,
     ) -> Result<(Arc<DurableState>, VecDeque<Arc<Message>>), Error> {
-        let registered = |filter: Filter| {
+        let registered = |filter: Filter, out: &mut Vec<u8>| {
             JournalRecord::DurableRegistered {
                 topic: topic.name.clone(),
                 name: name.to_owned(),
                 filter,
             }
-            .encode()
+            .encode_into(out);
         };
         let mut subs = topic.subs.write();
         let state = match subs.durable(name) {
@@ -71,7 +71,7 @@ impl DurableState {
                     // subscription; re-registering makes replay agree.
                     state.retained.lock().clear();
                     subs.set_durable_filter(name, filter.clone());
-                    inner.append_record(|| registered(filter));
+                    inner.append_record(|out| registered(filter, out));
                 }
                 *connection = Some(tx);
                 drop(connection);
@@ -84,7 +84,7 @@ impl DurableState {
                     connection: Mutex::new(Some(tx)),
                 });
                 subs.add_durable(Arc::clone(&state), filter.clone());
-                inner.append_record(|| registered(filter));
+                inner.append_record(|out| registered(filter, out));
                 state
             }
         };
@@ -111,19 +111,35 @@ impl DurableState {
     }
 }
 
-/// Durable-consumer progress not yet written to the journal: the highest
-/// delivered offset plus the number of deliveries since the last
-/// checkpoint record.
+/// Progress of one durable subscription's consumer that no checkpoint
+/// record covers yet.
 struct PendingCheckpoint {
+    /// Keeps the subscription, and with it the address it is keyed by,
+    /// alive; its name and the topic's are read when a record is written.
+    durable: Arc<DurableState>,
+    topic: String,
+    /// The highest delivered publish offset.
     offset: u64,
+    /// Deliveries since the last checkpoint record.
     deliveries: u64,
 }
 
-/// One dispatcher's checkpoint bookkeeping, keyed by (topic, durable
-/// name). Only the dispatcher writes checkpoints, so this needs no locking.
+impl PendingCheckpoint {
+    fn write(&mut self, inner: &BrokerInner) {
+        inner.append_record(|out| {
+            encode_checkpoint_into(out, &self.topic, &self.durable.name, self.offset);
+        });
+        self.deliveries = 0;
+    }
+}
+
+/// One dispatcher's checkpoint bookkeeping, keyed by the identity (the
+/// address) of the durable subscription's state, so that a delivery
+/// hashes one word and clones nothing. Only the dispatcher writes
+/// checkpoints, so this needs no locking.
 pub(crate) struct Checkpoints {
     every: u64,
-    pending: HashMap<(String, String), PendingCheckpoint>,
+    pending: HashMap<usize, PendingCheckpoint>,
 }
 
 impl Checkpoints {
@@ -132,36 +148,41 @@ impl Checkpoints {
         Self { every, pending: HashMap::new() }
     }
 
-    /// Notes that the publish at journal `offset` reached `name`'s
+    /// Notes that the publish at journal `offset` reached `durable`'s
     /// consumer; every `checkpoint_every` deliveries this becomes a
     /// checkpoint record.
-    fn delivered(&mut self, inner: &BrokerInner, topic: &str, name: &str, offset: u64) {
-        let entry = self
-            .pending
-            .entry((topic.to_owned(), name.to_owned()))
-            .or_insert(PendingCheckpoint { offset, deliveries: 0 });
+    fn delivered(
+        &mut self,
+        inner: &BrokerInner,
+        topic: &str,
+        durable: &Arc<DurableState>,
+        offset: u64,
+    ) {
+        let entry = self.pending.entry(Arc::as_ptr(durable) as usize).or_insert_with(|| {
+            PendingCheckpoint {
+                durable: Arc::clone(durable),
+                topic: topic.to_owned(),
+                offset,
+                deliveries: 0,
+            }
+        });
         entry.offset = offset;
         entry.deliveries += 1;
         if entry.deliveries >= self.every {
-            write_checkpoint(inner, topic.to_owned(), name.to_owned(), offset);
-            entry.deliveries = 0;
+            entry.write(inner);
         }
     }
 
     /// Shutdown: writes the final checkpoints and forces the journal to
     /// disk so a clean stop never re-delivers already-consumed messages.
     pub(crate) fn finish(self, inner: &BrokerInner) {
-        for ((topic, name), pending) in self.pending {
+        for mut pending in self.pending.into_values() {
             if pending.deliveries > 0 {
-                write_checkpoint(inner, topic, name, pending.offset);
+                pending.write(inner);
             }
         }
         inner.sync_journal();
     }
-}
-
-fn write_checkpoint(inner: &BrokerInner, topic: String, name: String, offset: u64) {
-    inner.append_record(|| JournalRecord::DurableCheckpoint { topic, name, offset }.encode());
 }
 
 /// The durable half of one message's fan-out: every durable subscription
@@ -224,7 +245,7 @@ pub(crate) fn deliver<P: DispatchProbe>(
         // Retained messages are deliberately NOT checkpointed, so replay
         // rebuilds the retained backlog.
         if let Some(offset) = publish_offset {
-            checkpoints.delivered(inner, topic, &durable.name, offset);
+            checkpoints.delivered(inner, topic, durable, offset);
         }
     }
     (evaluations, copies)

@@ -14,6 +14,7 @@
 
 use crate::broker::{shard_of, BrokerInner, Topic};
 use crate::config::BrokerConfig;
+use crate::dispatch::Queued;
 use crate::durable::DurableState;
 use crate::filter::Filter;
 use crate::message::{Message, Priority};
@@ -312,45 +313,61 @@ fn read_message(cursor: &mut Cursor<'_>) -> Result<Message, DecodeError> {
     ))
 }
 
-/// Encodes a [`JournalRecord::Publish`] without cloning the message — the
-/// dispatcher's per-message hot path.
+/// Encodes a [`JournalRecord::Publish`] without cloning the message.
 pub fn encode_publish(topic: &str, message: &Message) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + message.approximate_size());
-    out.push(TAG_PUBLISH);
-    put_str(&mut out, topic);
-    put_message(&mut out, message);
+    encode_publish_into(&mut out, topic, message);
     out
+}
+
+/// [`encode_publish`] appended to `out` — the dispatcher's per-message hot
+/// path, where `out` is the journal's own frame buffer.
+pub fn encode_publish_into(out: &mut Vec<u8>, topic: &str, message: &Message) {
+    out.push(TAG_PUBLISH);
+    put_str(out, topic);
+    put_message(out, message);
+}
+
+/// A [`JournalRecord::DurableCheckpoint`] appended to `out` from borrowed
+/// names: the dispatcher writes one every `checkpoint_every` deliveries.
+pub(crate) fn encode_checkpoint_into(out: &mut Vec<u8>, topic: &str, name: &str, offset: u64) {
+    out.push(TAG_DURABLE_CHECKPOINT);
+    put_str(out, topic);
+    put_str(out, name);
+    out.extend_from_slice(&offset.to_le_bytes());
 }
 
 impl JournalRecord {
     /// Serializes the record into a journal frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`JournalRecord::encode`] appended to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             JournalRecord::TopicCreated { topic } => {
                 out.push(TAG_TOPIC_CREATED);
-                put_str(&mut out, topic);
+                put_str(out, topic);
             }
-            JournalRecord::Publish { topic, message } => return encode_publish(topic, message),
+            JournalRecord::Publish { topic, message } => encode_publish_into(out, topic, message),
             JournalRecord::DurableRegistered { topic, name, filter } => {
                 out.push(TAG_DURABLE_REGISTERED);
-                put_str(&mut out, topic);
-                put_str(&mut out, name);
-                put_filter(&mut out, filter);
+                put_str(out, topic);
+                put_str(out, name);
+                put_filter(out, filter);
             }
             JournalRecord::DurableCheckpoint { topic, name, offset } => {
-                out.push(TAG_DURABLE_CHECKPOINT);
-                put_str(&mut out, topic);
-                put_str(&mut out, name);
-                out.extend_from_slice(&offset.to_le_bytes());
+                encode_checkpoint_into(out, topic, name, *offset);
             }
             JournalRecord::DurableUnsubscribed { topic, name } => {
                 out.push(TAG_DURABLE_UNSUBSCRIBED);
-                put_str(&mut out, topic);
-                put_str(&mut out, name);
+                put_str(out, topic);
+                put_str(out, name);
             }
         }
-        out
     }
 
     /// Deserializes a record from a journal frame payload.
@@ -390,21 +407,54 @@ impl JournalRecord {
     }
 }
 
+/// A journal write failure is fatal: the broker cannot honor the
+/// durability contract without its write-ahead log.
+const APPEND_FAILED: &str = "write-ahead journal append failed; cannot continue durably";
+
 impl BrokerInner {
-    /// Appends one record to the journal, refreshing the journal gauges in
-    /// `BrokerStats`, and returns the record's journal offset. Without
-    /// persistence this is a no-op and `payload` is never called, so a
-    /// broker with no journal does not serialise what it would not store.
-    ///
-    /// A journal write failure is fatal: the broker cannot honor the
-    /// durability contract without its write-ahead log.
-    pub(crate) fn append_record(&self, payload: impl FnOnce() -> Vec<u8>) -> Option<u64> {
-        let journal = self.journal.as_ref()?;
-        let payload = payload();
-        let mut journal = journal.lock();
+    /// Appends one record to the journal — a commit of its own, for the
+    /// rare records (topic, durable registration, checkpoint) — refreshing
+    /// the journal gauges in `BrokerStats`, and returns the record's
+    /// journal offset. `payload` writes the record into the journal's
+    /// frame buffer. Without persistence this is a no-op and `payload` is
+    /// never called, so a broker with no journal does not serialise what
+    /// it would not store.
+    pub(crate) fn append_record(&self, payload: impl FnOnce(&mut Vec<u8>)) -> Option<u64> {
+        let mut journal = self.journal.as_ref()?.lock();
+        let offset = journal.batch(|batch| batch.append_with(payload)).expect(APPEND_FAILED);
+        self.stats.update_journal(&journal.stats());
+        Some(offset)
+    }
+
+    /// The write-ahead step of a run (DESIGN.md §3.3b "Group commit"):
+    /// appends the publish record of `first` and of every message of
+    /// `rest` that is neither journalled yet nor expired, under one journal
+    /// lock and as one commit, notes each one's offset on it and returns
+    /// `first`'s. When this returns, every live message of the run is on
+    /// the file (per the fsync policy) and none of them has been
+    /// delivered. `None` without persistence.
+    pub(crate) fn append_publishes(
+        &self,
+        first: &Queued,
+        rest: &mut VecDeque<Queued>,
+    ) -> Option<u64> {
+        let mut journal = self.journal.as_ref()?.lock();
         let offset = journal
-            .append(&payload)
-            .expect("write-ahead journal append failed; cannot continue durably");
+            .batch(|batch| {
+                let mut append = |queued: &Queued| {
+                    batch.append_with(|out| {
+                        encode_publish_into(out, &queued.topic.name, &queued.message);
+                    })
+                };
+                let offset = append(first)?;
+                for queued in rest.iter_mut() {
+                    if queued.publish_offset.is_none() && !queued.message.is_expired() {
+                        queued.publish_offset = Some(append(queued)?);
+                    }
+                }
+                Ok(offset)
+            })
+            .expect(APPEND_FAILED);
         self.stats.update_journal(&journal.stats());
         Some(offset)
     }
@@ -585,7 +635,7 @@ mod tests {
     #[test]
     fn without_a_journal_no_payload_is_built() {
         let broker = crate::Broker::start(BrokerConfig::default());
-        let offset = broker.inner.append_record(|| unreachable!("nothing would store it"));
+        let offset = broker.inner.append_record(|_| unreachable!("nothing would store it"));
         assert_eq!(offset, None);
     }
 

@@ -86,21 +86,44 @@ impl DispatchProbe for NoProbe {}
 struct Countdown {
     every: u64,
     left: u64,
+    /// Xorshift state of a jittered countdown; 0 for a regular one.
+    jitter: u64,
 }
 
 impl Countdown {
     fn new(every: u64) -> Self {
         let every = if every == 0 { u64::MAX } else { every };
-        Self { every, left: every }
+        Self { every, left: every, jitter: 0 }
+    }
+
+    /// A countdown whose gaps after the first vary uniformly over
+    /// `every ± every/2`, so they still average `every`. Under saturation
+    /// the dispatcher works in runs of a fixed length, and a fixed gap that
+    /// shares a factor with it would sample the same run positions for
+    /// ever — with the run's one journal write either in all of them or in
+    /// none.
+    fn jittered(every: u64) -> Self {
+        Self { jitter: 0x9E37_79B9_7F4A_7C15, ..Self::new(every) }
     }
 
     fn tick(&mut self) -> bool {
         self.left -= 1;
         let fire = self.left == 0;
         if fire {
-            self.left = self.every;
+            self.left = self.next_gap();
         }
         fire
+    }
+
+    fn next_gap(&mut self) -> u64 {
+        if self.jitter == 0 {
+            return self.every;
+        }
+        self.jitter ^= self.jitter << 13;
+        self.jitter ^= self.jitter >> 7;
+        self.jitter ^= self.jitter << 17;
+        let half = self.every / 2;
+        (self.every - half).saturating_add(self.jitter % (2 * half + 1))
     }
 
     /// Makes the next tick fire.
@@ -197,7 +220,7 @@ impl<'a> Telemetry<'a> {
             shard,
             scratch,
             staged: 0,
-            stage_sampler: Countdown::new(metrics.stage_sample_every),
+            stage_sampler: Countdown::jittered(metrics.stage_sample_every),
             last_end: None,
             trace,
             per_topic_cap: inner.config.metrics.map_or(0, |m| m.per_topic_series),
@@ -528,6 +551,29 @@ mod tests {
         assert_eq!(stage("broker.stage.filter_ns").count, 1);
         assert_eq!(stage("broker.stage.filter_ns").max, filter);
         assert_eq!(stage("broker.stage.fanout_ns").max, fanout);
+        broker.shutdown();
+    }
+    /// Saturated, a persistent dispatcher works through runs of 64 and the
+    /// default sampling interval is 64: a fixed gap would look at one run
+    /// position for ever. The jittered gaps reach every position, and
+    /// still sample one message in 64.
+    #[test]
+    fn stage_sampler_covers_every_position_of_a_run() {
+        const RUN: usize = 64;
+        const RUNS: usize = 4096;
+        let broker =
+            Broker::start(BrokerConfig::builder().metrics(MetricsConfig::default()).build());
+        let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let message = Message::builder().build();
+        let mut sampled_at = [0u32; RUN];
+        for index in 0..RUN * RUNS {
+            probe.on_dequeue(&message, None, true, || 0);
+            sampled_at[index % RUN] += u32::from(probe.sample_stages);
+            probe.on_done(&done(&message));
+        }
+        assert!(sampled_at.iter().all(|&n| n > 0), "positions never sampled: {sampled_at:?}");
+        let samples: u32 = sampled_at.iter().sum();
+        assert!((samples as f64 / RUNS as f64 - 1.0).abs() < 0.03, "{samples} samples");
         broker.shutdown();
     }
 }

@@ -264,13 +264,14 @@ fn journal_counters_flow_into_broker_stats() {
     for _ in 0..10 {
         p.publish(Message::builder().build()).unwrap();
     }
-    // 1 TopicCreated + 10 Publish records, synced on every append.
+    // 1 TopicCreated + 10 Publish records, synced on every commit: the
+    // topic record's own, and one per run of queued publishes.
     let journal = || b.snapshot().journal.expect("persistence enabled");
     wait_for("the publish records", || journal().appends >= 11);
     let journal = journal();
     assert_eq!(journal.appends, 11);
     assert!(journal.bytes_appended > 0);
-    assert!(journal.fsyncs >= 11);
+    assert!((2..=11).contains(&journal.fsyncs), "{} fsyncs", journal.fsyncs);
     b.shutdown();
     cleanup(&dir);
 }

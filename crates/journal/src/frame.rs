@@ -33,15 +33,31 @@ pub fn frame_len(payload_len: usize) -> u64 {
 ///
 /// Panics if the payload exceeds [`MAX_PAYLOAD_LEN`].
 pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
+    encode_frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Appends one frame to `out` whose payload is whatever `write` appends:
+/// the header is reserved first and filled in once the payload's length
+/// and checksum are known, so the payload is built in place.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds [`MAX_PAYLOAD_LEN`], or if `write` left
+/// `out` shorter than it found it.
+pub fn encode_frame_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    write(out);
+    let payload_start = start + FRAME_HEADER_LEN;
+    assert!(out.len() >= payload_start, "the payload writer truncated the frame buffer");
+    let payload_len = out.len() - payload_start;
     assert!(
-        payload.len() <= MAX_PAYLOAD_LEN as usize,
-        "journal payload of {} bytes exceeds the {} byte frame limit",
-        payload.len(),
-        MAX_PAYLOAD_LEN
+        payload_len <= MAX_PAYLOAD_LEN as usize,
+        "journal payload of {payload_len} bytes exceeds the {MAX_PAYLOAD_LEN} byte frame limit"
     );
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    let crc = crc32(&out[payload_start..]);
+    out[start..start + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    out[start + 4..payload_start].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Outcome of decoding the frame at the start of `buf`.
@@ -104,6 +120,21 @@ mod tests {
             }
             other => panic!("first frame: {other:?}"),
         }
+    }
+
+    /// The bytes on disk are the format: journals written before frames were
+    /// encoded in place must stay readable, and the other way round.
+    #[test]
+    fn encoding_is_length_then_crc_then_payload() {
+        let mut buf = vec![0xEE];
+        encode_frame(b"hello", &mut buf);
+        assert_eq!(buf, [0xEE, 5, 0, 0, 0, 0x86, 0xA6, 0x10, 0x36, b'h', b'e', b'l', b'l', b'o']);
+        let mut in_place = vec![0xEE];
+        encode_frame_with(&mut in_place, |out| {
+            out.extend_from_slice(b"hel");
+            out.extend_from_slice(b"lo");
+        });
+        assert_eq!(in_place, buf);
     }
 
     #[test]

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::config::{FsyncPolicy, JournalConfig};
+use crate::frame::encode_frame_with;
 use crate::segment::{parse_segment_file_name, ScanTail, Segment};
 use rjms_metrics::Histogram;
 
@@ -105,11 +106,20 @@ pub struct RecoveryReport {
     pub next_offset: u64,
 }
 
+/// A batch commits early once it has buffered this much, so a run of large
+/// bodies is written as it goes instead of sitting in memory (the cap
+/// `rjms-net`'s writer uses for the same reason, `WRITE_BATCH_BYTES`).
+const COMMIT_BYTES: usize = 64 * 1024;
+
 /// A segmented, append-only, checksummed write-ahead log.
 ///
 /// Offsets are dense monotonically increasing frame sequence numbers,
 /// starting at 0 for the first frame ever appended; retention may remove
 /// whole sealed segments from the low end.
+///
+/// Frames are appended through [`Journal::batch`], which encodes any
+/// number of them into one buffer and writes it with one `write_all`
+/// (group commit); [`Journal::append`] is the batch of one.
 ///
 /// # Examples
 ///
@@ -133,12 +143,19 @@ pub struct Journal {
     config: JournalConfig,
     /// Ordered by base offset; the last entry is the active segment.
     segments: Vec<Segment>,
+    /// The encoded frames of the batch in progress, not written yet, and
+    /// where each of them starts. Both are reused from batch to batch; no
+    /// method but the batch itself can see them.
+    buf: Vec<u8>,
+    starts: Vec<usize>,
     appends_since_sync: u32,
     last_sync: Instant,
     stats: JournalStats,
-    /// Wall-clock latency of every [`Journal::append`] call, nanoseconds.
-    /// Always on (a histogram record is a handful of relaxed atomic adds);
-    /// the broker registers it as `journal.append_ns` when metrics are
+    /// Wall-clock cost per appended frame, nanoseconds: one sample per
+    /// frame, each its commit's wall time (encoding, write, policy sync,
+    /// a rotation before it) divided by the frames committed together.
+    /// Always on (the clock is read per commit, not per frame); the
+    /// broker registers it as `journal.append_ns` when metrics are
     /// enabled, and it feeds the measured `t_store` cost term.
     append_latency: Arc<Histogram>,
     /// Wall-clock latency of every explicit [`Journal::sync`], nanoseconds
@@ -198,6 +215,8 @@ impl Journal {
 
         let journal = Journal {
             config,
+            buf: Vec::new(),
+            starts: Vec::new(),
             appends_since_sync: 0,
             last_sync: Instant::now(),
             stats: JournalStats {
@@ -237,9 +256,9 @@ impl Journal {
         self.stats
     }
 
-    /// The shared append-latency histogram (nanoseconds per
-    /// [`Journal::append`] call, including rotation and policy-driven
-    /// syncs). Snapshot it — or register it in a
+    /// The shared append-latency histogram (nanoseconds per appended
+    /// frame, including its share of rotation and policy-driven syncs).
+    /// Snapshot it — or register it in a
     /// [`rjms_metrics::MetricsRegistry`] — to observe the `t_store` cost
     /// term live.
     pub fn append_latency(&self) -> Arc<Histogram> {
@@ -281,30 +300,42 @@ impl Journal {
     }
 
     /// Appends one record, applying rotation and the fsync policy, and
-    /// returns the record's offset.
+    /// returns the record's offset: a batch of one frame.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64> {
-        let start = Instant::now();
-        let result = self.append_inner(payload);
-        self.append_latency.record_duration(start.elapsed());
-        result
+        self.batch(|batch| batch.append_with(|out| out.extend_from_slice(payload)))
     }
 
-    fn append_inner(&mut self, payload: &[u8]) -> Result<u64> {
-        let frame_bytes = crate::frame::frame_len(payload.len());
-        let needs_rotation = !self.active().is_empty()
-            && (self.active().len() + frame_bytes > self.config.segment_max_bytes
-                || self
-                    .config
-                    .segment_max_age
-                    .is_some_and(|age| self.segments.last().expect("active").age() >= age));
-        if needs_rotation {
-            self.rotate()?;
-        }
+    /// Group commit: every frame `fill` appends to the [`Batch`] is encoded
+    /// into one buffer, and when `fill` returns the buffer is written with
+    /// one `write_all` and the fsync policy is applied once. While `fill`
+    /// runs the journal is borrowed, so nothing can read, sync, rotate or
+    /// drop it between a frame's buffering and its commit; if `fill` fails
+    /// or panics, the frames not yet committed are discarded.
+    pub fn batch<T>(&mut self, fill: impl FnOnce(&mut Batch<'_>) -> Result<T>) -> Result<T> {
+        // What a failed batch left behind was never written.
+        self.buf.clear();
+        self.starts.clear();
+        let mut batch = Batch { journal: self, mark: Instant::now() };
+        let out = fill(&mut batch)?;
+        batch.commit()?;
+        Ok(out)
+    }
 
-        let offset = self.active().append(payload)?;
-        self.stats.appends += 1;
-        self.stats.bytes_appended += frame_bytes;
-        self.appends_since_sync += 1;
+    /// Writes the buffered frames, which are `buf[..end]`, to the active
+    /// segment and applies the fsync policy, once for all of them.
+    fn write_buffered(&mut self, end: usize) -> Result<()> {
+        let frames = self.starts.len() as u64;
+        let active = self.segments.last_mut().expect("journal always has an active segment");
+        active.write_frames(&self.buf[..end], &self.starts)?;
+        self.buf.drain(..end);
+        self.starts.clear();
+        if self.buf.capacity() > 4 * COMMIT_BYTES {
+            // One huge body must not pin its size for the journal's lifetime.
+            self.buf.shrink_to(COMMIT_BYTES);
+        }
+        self.stats.appends += frames;
+        self.stats.bytes_appended += end as u64;
+        self.appends_since_sync = self.appends_since_sync.saturating_add(frames as u32);
 
         let due = match self.config.fsync {
             FsyncPolicy::Always => true,
@@ -315,7 +346,7 @@ impl Journal {
         if due {
             self.sync()?;
         }
-        Ok(offset)
+        Ok(())
     }
 
     /// Forces everything appended so far to stable storage.
@@ -364,6 +395,72 @@ impl Journal {
             removed += 1;
         }
         Ok(removed)
+    }
+}
+
+/// The append side of a [`Journal`] for the length of one
+/// [`Journal::batch`] call.
+#[derive(Debug)]
+pub struct Batch<'a> {
+    journal: &'a mut Journal,
+    /// Since when wall time has not been booked to a commit.
+    mark: Instant,
+}
+
+impl Batch<'_> {
+    /// Buffers one frame whose payload is whatever `write` appends to the
+    /// vector it is handed (the journal's own buffer, so the payload is
+    /// never copied), and returns the frame's offset. The frame is on the
+    /// file when the batch ends, or earlier: a batch commits what it holds
+    /// before it rotates the active segment and whenever it has buffered
+    /// 64 KiB.
+    pub fn append_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> Result<u64> {
+        let journal = &mut *self.journal;
+        let start = journal.buf.len();
+        encode_frame_with(&mut journal.buf, write);
+
+        // Rotation happens between frames: what is buffered before this
+        // one belongs to the segment being sealed, this one opens the next.
+        let active = journal.segments.last().expect("journal always has an active segment");
+        let holds_frames = !active.is_empty() || start > 0;
+        let needs_rotation = holds_frames
+            && (active.len() + journal.buf.len() as u64 > journal.config.segment_max_bytes
+                || journal.config.segment_max_age.is_some_and(|age| active.age() >= age));
+        let start = if needs_rotation {
+            // The commit takes the written bytes off the buffer's front.
+            self.commit_to(start)?;
+            self.journal.rotate()?;
+            0
+        } else {
+            start
+        };
+
+        let journal = &mut *self.journal;
+        let offset = journal.next_offset() + journal.starts.len() as u64;
+        journal.starts.push(start);
+        if journal.buf.len() >= COMMIT_BYTES {
+            self.commit()?;
+        }
+        Ok(offset)
+    }
+
+    fn commit(&mut self) -> Result<()> {
+        self.commit_to(self.journal.buf.len())
+    }
+
+    /// Commits the frames registered so far, which end at `buf[end]`, and
+    /// books the wall time since the last commit to them in equal shares.
+    fn commit_to(&mut self, end: usize) -> Result<()> {
+        let frames = self.journal.starts.len() as u64;
+        if frames == 0 {
+            return Ok(());
+        }
+        let written = self.journal.write_buffered(end);
+        let now = Instant::now();
+        let elapsed = u64::try_from((now - self.mark).as_nanos()).unwrap_or(u64::MAX);
+        self.journal.append_latency.record_n(elapsed / frames, frames);
+        self.mark = now;
+        written
     }
 }
 

@@ -13,8 +13,8 @@
 //!
 //! - [`frame`] — the `[len | crc32 | payload]` on-disk record format.
 //! - [`segment`] — one append-only file plus its frame index.
-//! - [`Journal`] — the segment chain: offsets, durability, recovery,
-//!   retention.
+//! - [`Journal`] — the segment chain: offsets, group commit
+//!   ([`Journal::batch`]), durability, recovery, retention.
 //!
 //! The broker appends publishes before dispatch and checkpoints durable
 //! consumer progress; `rjms-core` turns the measured append cost into the
@@ -29,7 +29,7 @@ pub mod segment;
 
 pub use config::{FsyncPolicy, JournalConfig};
 pub use crc32::crc32;
-pub use journal::{Journal, JournalError, JournalStats, RecoveryReport, Replay, Result};
+pub use journal::{Batch, Journal, JournalError, JournalStats, RecoveryReport, Replay, Result};
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -208,6 +208,146 @@ mod tests {
         }
         assert_eq!(journal.stats().fsyncs, 0);
         drop(journal);
+        cleanup(&dir);
+    }
+
+    /// The bytes of every segment file in `dir`, in offset order.
+    fn bytes_on_file(dir: &std::path::Path) -> Vec<u8> {
+        let mut files: Vec<_> =
+            std::fs::read_dir(dir).unwrap().map(|entry| entry.unwrap().path()).collect();
+        files.sort();
+        files.iter().flat_map(|path| std::fs::read(path).unwrap()).collect()
+    }
+
+    #[test]
+    fn buffered_frames_reach_the_file_at_commit_and_not_before() {
+        let dir = scratch_dir("batch");
+        let (mut journal, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        journal.append(b"before").unwrap();
+        let committed = bytes_on_file(&dir);
+
+        let offsets = journal
+            .batch(|batch| {
+                let mut offsets = Vec::new();
+                for i in 0..5u8 {
+                    offsets.push(batch.append_with(|out| out.extend_from_slice(&[i; 20]))?);
+                    // Buffered, not written: the file is as the last commit
+                    // left it (and the borrow keeps `read` and `replay` out).
+                    assert_eq!(bytes_on_file(&dir), committed);
+                }
+                Ok(offsets)
+            })
+            .unwrap();
+        assert_eq!(offsets, [1, 2, 3, 4, 5]);
+        assert_eq!(journal.next_offset(), 6);
+        assert_eq!(bytes_on_file(&dir).len(), committed.len() + 5 * 28);
+        for (i, offset) in offsets.into_iter().enumerate() {
+            assert_eq!(journal.read(offset).unwrap(), [i as u8; 20]);
+        }
+        assert_eq!(journal.stats().appends, 6);
+        // One sample per frame, whatever the commit they shared.
+        assert_eq!(journal.append_latency().count(), 6);
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn a_failed_batch_leaves_nothing_behind() {
+        let dir = scratch_dir("batch-failed");
+        let (mut journal, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        journal.append(b"kept").unwrap();
+        let failed: Result<()> = journal.batch(|batch| {
+            batch.append_with(|out| out.extend_from_slice(b"lost"))?;
+            Err(JournalError::UnknownOffset(0))
+        });
+        assert!(failed.is_err());
+        assert_eq!(journal.next_offset(), 1);
+        assert_eq!(journal.append(b"next").unwrap(), 1);
+        let replayed: Vec<_> = journal.replay(0).map(|r| r.unwrap().1).collect();
+        assert_eq!(replayed, [b"kept".to_vec(), b"next".to_vec()]);
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn rotation_and_the_byte_cap_inside_a_batch_keep_offsets_dense() {
+        let dir = scratch_dir("batch-rotate");
+        // 1 KiB frames: the 16 KiB segments rotate every 16 frames and the
+        // 64 KiB commit cap falls every 64, both inside the batch.
+        let config =
+            JournalConfig::new(&dir).segment_max_bytes(16 * 1024).fsync(FsyncPolicy::Never);
+        let (mut journal, _) = Journal::open(config.clone()).unwrap();
+        let payload = |i: u64| {
+            let mut payload = vec![i as u8; 1016];
+            payload[..8].copy_from_slice(&i.to_le_bytes());
+            payload
+        };
+        journal
+            .batch(|batch| {
+                for i in 0..200u64 {
+                    assert_eq!(batch.append_with(|out| out.extend_from_slice(&payload(i)))?, i);
+                }
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(journal.stats().segments_rotated, 200 / 16);
+        assert_eq!(journal.next_offset(), 200);
+        drop(journal);
+
+        let (journal, recovery) = Journal::open(config).unwrap();
+        assert_eq!(recovery.frames_recovered, 200);
+        for (i, record) in journal.replay(0).enumerate() {
+            assert_eq!(record.unwrap(), (i as u64, payload(i as u64)));
+        }
+        cleanup(&dir);
+
+        // With room in the segment the cap alone splits the batch: a commit
+        // as soon as 64 KiB are buffered, and one for the rest.
+        let dir = scratch_dir("batch-cap");
+        let config = JournalConfig::new(&dir).fsync(FsyncPolicy::Always);
+        let (mut journal, _) = Journal::open(config).unwrap();
+        journal
+            .batch(|batch| {
+                for i in 0..100u64 {
+                    batch.append_with(|out| out.extend_from_slice(&payload(i)))?;
+                }
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(journal.stats().fsyncs, 2);
+        assert_eq!(journal.read(99).unwrap(), payload(99));
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn fsync_policy_is_applied_once_per_commit() {
+        let frames = |journal: &mut Journal, n: usize| {
+            journal
+                .batch(|batch| {
+                    for _ in 0..n {
+                        batch.append_with(|out| out.push(b'x'))?;
+                    }
+                    Ok(())
+                })
+                .unwrap();
+            journal.stats().fsyncs
+        };
+
+        let dir = scratch_dir("commit-always");
+        let config = JournalConfig::new(&dir).fsync(FsyncPolicy::Always);
+        let (mut journal, _) = Journal::open(config).unwrap();
+        assert_eq!(frames(&mut journal, 10), 1);
+        assert_eq!(frames(&mut journal, 1), 2);
+        assert_eq!(frames(&mut journal, 0), 2, "an empty batch commits nothing");
+        cleanup(&dir);
+
+        // `EveryN` counts frames, checks at the commit and syncs at most
+        // once there, which covers everything written so far.
+        let dir = scratch_dir("commit-every-n");
+        let config = JournalConfig::new(&dir).fsync(FsyncPolicy::EveryN(4));
+        let (mut journal, _) = Journal::open(config).unwrap();
+        assert_eq!(frames(&mut journal, 10), 1);
+        assert_eq!(frames(&mut journal, 3), 1, "three frames since the last sync");
+        assert_eq!(frames(&mut journal, 3), 2, "six");
+        assert_eq!(frames(&mut journal, 4), 3);
         cleanup(&dir);
     }
 

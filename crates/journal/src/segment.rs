@@ -6,7 +6,7 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::frame::{decode_frame, encode_frame, frame_len, FrameDecode};
+use crate::frame::{decode_frame, FrameDecode};
 
 /// File extension for segment files.
 pub const SEGMENT_EXTENSION: &str = "wal";
@@ -167,16 +167,14 @@ impl Segment {
         self.created.elapsed()
     }
 
-    /// Appends one frame and returns its offset. The write is buffered by
-    /// the OS until [`Segment::sync`].
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
-        let mut encoded = Vec::with_capacity(frame_len(payload.len()) as usize);
-        encode_frame(payload, &mut encoded);
-        self.file.write_all(&encoded)?;
-        let offset = self.end_offset();
-        self.positions.push(self.len);
-        self.len += encoded.len() as u64;
-        Ok(offset)
+    /// Writes `frames` (whole encoded frames, the `i`-th beginning at
+    /// `starts[i]`) with one `write_all` and indexes them. The write is
+    /// buffered by the OS until [`Segment::sync`].
+    pub fn write_frames(&mut self, frames: &[u8], starts: &[usize]) -> io::Result<()> {
+        self.file.write_all(frames)?;
+        self.positions.extend(starts.iter().map(|&start| self.len + start as u64));
+        self.len += frames.len() as u64;
+        Ok(())
     }
 
     /// Forces written frames to stable storage.

@@ -128,8 +128,15 @@ impl Histogram {
     /// maintained here.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` ≥ 1 samples of the same value `v` at the cost of one:
+    /// what a batch does with the per-item share of a cost it paid once.
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         if v < self.min.load(Ordering::Relaxed) {
             self.min.fetch_min(v, Ordering::Relaxed);
         }
@@ -544,6 +551,18 @@ mod tests {
         assert_eq!(bucket_index(31), 31);
         assert_eq!(bucket_index(32), 32);
         assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
+    }
+
+    #[test]
+    fn record_n_is_n_records() {
+        let (batched, single) = (Histogram::new(), Histogram::new());
+        for (v, n) in [(7u64, 3u64), (1_000, 64), (0, 1), (123_456_789, 2)] {
+            batched.record_n(v, n);
+            for _ in 0..n {
+                single.record(v);
+            }
+        }
+        assert_eq!(batched.snapshot(), single.snapshot());
     }
 
     #[test]
