@@ -15,17 +15,18 @@
 //! true, `gated` records false) — the measurement is still emitted for
 //! the record.
 //!
-//! Methodology matches the other `ext_*` gates: fixed message counts,
-//! alternating order between repetitions, median ratio, JSON artifact
-//! via [`BenchReport`], non-zero exit on a blown gate:
+//! Methodology is that of [`rjms_bench::overhead`] — the same saturated
+//! fixed-count run, the same alternating pairs — with the median *ratio*
+//! in place of the relative difference; JSON artifact via [`BenchReport`],
+//! non-zero exit on a blown gate:
 //!
 //! ```text
 //! cargo run --release -p rjms-bench --bin ext_shard_scaling -- --smoke
 //! ```
 
+use rjms_bench::overhead::{median, paired, saturated_run};
 use rjms_bench::{experiment_header, BenchReport, Table};
-use rjms_broker::{shard_of, Broker, BrokerConfig, CostModel, Message, OverflowPolicy};
-use std::time::{Duration, Instant};
+use rjms_broker::{shard_of, Broker, BrokerConfig, CostModel, OverflowPolicy};
 
 /// Acceptance gate: 4-shard throughput over 1-shard throughput.
 const MIN_RATIO: f64 = 2.0;
@@ -91,23 +92,7 @@ fn measure(shards: usize, n_per_topic: u64) -> f64 {
         publishers.push(broker.publisher(topic).unwrap());
     }
 
-    let total = n_per_topic * TOPICS as u64;
-    let warmup = total / 10;
-    for i in 0..warmup {
-        publishers[i as usize % TOPICS].publish(Message::builder().build()).unwrap();
-    }
-    while broker.snapshot().messages.received < warmup {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-
-    let t0 = Instant::now();
-    for i in 0..total {
-        publishers[i as usize % TOPICS].publish(Message::builder().build()).unwrap();
-    }
-    while broker.snapshot().messages.received < warmup + total {
-        std::thread::yield_now();
-    }
-    let rate = total as f64 / t0.elapsed().as_secs_f64();
+    let rate = saturated_run(&broker, &publishers, n_per_topic * TOPICS as u64);
     broker.shutdown();
     rate
 }
@@ -137,30 +122,17 @@ fn main() {
     }
 
     let mut table = Table::new(&["rep", "1 shard (msg/s)", "4 shards (msg/s)", "ratio"]);
-    let mut ratios = Vec::with_capacity(reps);
-    for rep in 0..reps {
-        // Alternate order so slow drift (thermal, background load) cancels.
-        let (single, sharded) = if rep % 2 == 0 {
-            let single = measure(1, n_per_topic);
-            let sharded = measure(4, n_per_topic);
-            (single, sharded)
-        } else {
-            let sharded = measure(4, n_per_topic);
-            let single = measure(1, n_per_topic);
-            (single, sharded)
-        };
-        let ratio = sharded / single;
-        ratios.push(ratio);
+    let pairs = paired(reps, |sharded| measure(if sharded { 4 } else { 1 }, n_per_topic));
+    for (rep, pair) in pairs.iter().enumerate() {
         table.row(&[
             &(rep + 1),
-            &format!("{single:.0}"),
-            &format!("{sharded:.0}"),
-            &format!("{ratio:.2}x"),
+            &format!("{:.0}", pair.off),
+            &format!("{:.0}", pair.on),
+            &format!("{:.2}x", pair.on / pair.off),
         ]);
     }
     table.print();
-    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let ratio = ratios[ratios.len() / 2];
+    let ratio = median(pairs.iter().map(|pair| pair.on / pair.off).collect());
 
     println!();
     println!(

@@ -8,12 +8,14 @@
 //! micro-benchmarks for the runtime-critical components.
 //!
 //! This library crate carries the shared plumbing: a fixed-width text-table
-//! writer and the experiment registry used to index the binaries.
+//! writer, the experiment registry used to index the binaries, and the
+//! paired overhead gates ([`overhead`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod overhead;
 pub mod report;
 pub mod table;
 

@@ -149,8 +149,8 @@ impl MetricsConfig {
 /// lock-free flight recorder. Tail sampling decides **after** dispatch,
 /// when the sojourn time is known: chains are kept for messages slower
 /// than the live `tail_quantile` of the sojourn histogram, plus a small
-/// uniform baseline (every `uniform_every`-th message) so typical-latency
-/// chains stay inspectable. Tracing requires metrics: enabling it
+/// uniform baseline (every 128th message) so typical-latency chains stay
+/// inspectable. Tracing requires metrics: enabling it
 /// auto-enables a default [`MetricsConfig`] if none is set.
 ///
 /// # Examples
@@ -170,17 +170,11 @@ pub struct TraceConfig {
     /// Sojourn-time quantile above which a message's chain is kept
     /// (tail sampling); e.g. 0.99 keeps the slowest ~1%.
     pub tail_quantile: f64,
-    /// Messages between refreshes of the tail threshold from the live
-    /// sojourn histogram.
-    pub refresh_every: u64,
-    /// Uniform baseline: unconditionally keep every Nth message's chain
-    /// regardless of its sojourn time. 0 disables the baseline.
-    pub uniform_every: u64,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        Self { capacity: 8192, tail_quantile: 0.99, refresh_every: 1024, uniform_every: 128 }
+        Self { capacity: 8192, tail_quantile: 0.99 }
     }
 }
 
@@ -204,23 +198,6 @@ impl TraceConfig {
     pub fn tail_quantile(mut self, q: f64) -> Self {
         assert!((0.0..1.0).contains(&q), "tail_quantile must be in [0, 1), got {q}");
         self.tail_quantile = q;
-        self
-    }
-
-    /// Sets the threshold refresh interval in messages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is 0.
-    pub fn refresh_every(mut self, every: u64) -> Self {
-        assert!(every > 0, "refresh_every must be > 0");
-        self.refresh_every = every;
-        self
-    }
-
-    /// Sets the uniform baseline interval (0 disables the baseline).
-    pub fn uniform_every(mut self, every: u64) -> Self {
-        self.uniform_every = every;
         self
     }
 }
@@ -529,11 +506,11 @@ mod tests {
         assert_eq!(t.capacity, 8192);
         assert_eq!(t.tail_quantile, 0.99);
         let c = BrokerConfig::builder()
-            .trace(TraceConfig::default().capacity(64).tail_quantile(0.5).uniform_every(0))
+            .trace(TraceConfig::default().capacity(64).tail_quantile(0.5))
             .build();
         let t = c.trace.expect("trace set");
         assert_eq!(t.capacity, 64);
-        assert_eq!(t.uniform_every, 0);
+        assert_eq!(t.tail_quantile, 0.5);
         assert!(BrokerConfig::default().trace.is_none());
     }
 

@@ -132,6 +132,16 @@ impl Countdown {
     }
 }
 
+/// Messages between refreshes of the tail threshold from the live sojourn
+/// histogram: often enough to follow a load change within a second at
+/// 1k msg/s, rare enough that the quantile walk stays off the per-message
+/// cost.
+const TRACE_REFRESH_EVERY: u64 = 1024;
+
+/// Every this-many-th message's chain is kept whatever its sojourn time,
+/// so typical-latency chains stay inspectable beside the tail.
+const TRACE_UNIFORM_EVERY: u64 = 128;
+
 /// Tail-sampled tracing state. The keep/discard decision is made after
 /// fan-out, when the sojourn time is known; the threshold refreshes
 /// periodically from the live sojourn histogram and starts at 0 so every
@@ -208,8 +218,8 @@ impl<'a> Telemetry<'a> {
                 recorder,
                 config,
                 threshold_ns: 0,
-                refresh: Countdown::new(config.refresh_every),
-                uniform: Countdown::new(config.uniform_every),
+                refresh: Countdown::new(TRACE_REFRESH_EVERY),
+                uniform: Countdown::new(TRACE_UNIFORM_EVERY),
                 kept_tail: metrics.registry.counter("trace.chains.tail"),
                 kept_uniform: metrics.registry.counter("trace.chains.uniform"),
             }

@@ -56,18 +56,11 @@ pub struct TopicObsConfig {
     pub flag_ratio: f64,
     /// Ratio the rebalance advisor's moves aim to get under.
     pub target_ratio: f64,
-    /// Confidence gates for the per-topic regression verdicts.
-    pub tolerance: RegressionTolerance,
 }
 
 impl Default for TopicObsConfig {
     fn default() -> Self {
-        Self {
-            per_topic_cap: 64,
-            flag_ratio: 1.25,
-            target_ratio: 1.10,
-            tolerance: RegressionTolerance::default(),
-        }
+        Self { per_topic_cap: 64, flag_ratio: 1.25, target_ratio: 1.10 }
     }
 }
 
@@ -102,12 +95,6 @@ impl TopicObsConfig {
     pub fn target_ratio(mut self, ratio: f64) -> Self {
         assert!(ratio >= 1.0 && ratio.is_finite(), "target_ratio must be >= 1, got {ratio}");
         self.target_ratio = ratio;
-        self
-    }
-
-    /// Replaces the regression verdict tolerances.
-    pub fn tolerance(mut self, tolerance: RegressionTolerance) -> Self {
-        self.tolerance = tolerance;
         self
     }
 }
@@ -250,7 +237,7 @@ impl TopicObservatory {
             mean_replication: reg.mean_replication(),
             mean_service_time: reg.mean_service_time(),
             fitted: reg.fit(&fit_anchor).ok(),
-            verdict: self.anchor.map(|a| reg.assess(&a, &self.config.tolerance)),
+            verdict: self.anchor.map(|a| reg.assess(&a, &RegressionTolerance::default())),
         }
     }
 }

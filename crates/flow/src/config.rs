@@ -9,8 +9,7 @@ use serde::{Deserialize, Serialize};
 /// `w99_objective`, `headroom`) seeds the
 /// [`FlowController`](crate::FlowController) until live drift verdicts
 /// recalibrate it; the mechanism half (`classes`, `burst_seconds`,
-/// `producer_share`, `credit_window`, …) shapes how the budget is
-/// enforced.
+/// `producer_share`, …) shapes how the budget is enforced.
 ///
 /// # Examples
 ///
@@ -54,19 +53,9 @@ pub struct FlowConfig {
     /// effectively disables per-producer limiting (the global gate still
     /// applies).
     pub producer_share: f64,
-    /// Multiplicative emergency cut applied to `λ_max` on an `Overloaded`
-    /// drift verdict, in `(0, 1)`.
-    pub overload_tighten: f64,
     /// How often the broker re-assesses drift and refreshes the budget,
     /// in milliseconds.
     pub refresh_interval_ms: u64,
-    /// Publish credits granted per window to `FEATURE_FLOW` clients; the
-    /// server replenishes at half-window.
-    pub credit_window: u32,
-    /// Longest total delay the compatibility throttle imposes on a
-    /// pre-flow client's deferred publish before giving up with an error
-    /// frame, in milliseconds.
-    pub compat_max_wait_ms: u64,
 }
 
 impl Default for FlowConfig {
@@ -81,10 +70,7 @@ impl Default for FlowConfig {
             replication_grade: 1.0,
             burst_seconds: 0.05,
             producer_share: 0.5,
-            overload_tighten: 0.5,
             refresh_interval_ms: 1000,
-            credit_window: 64,
-            compat_max_wait_ms: 250,
         }
     }
 }
@@ -191,20 +177,6 @@ impl FlowConfig {
         self
     }
 
-    /// Sets the emergency tightening factor for `Overloaded` verdicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `factor` is in `(0, 1)`.
-    pub fn overload_tighten(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0 && factor < 1.0,
-            "overload tighten factor must be in (0, 1), got {factor}"
-        );
-        self.overload_tighten = factor;
-        self
-    }
-
     /// Sets the drift-refresh interval in milliseconds.
     ///
     /// # Panics
@@ -213,24 +185,6 @@ impl FlowConfig {
     pub fn refresh_interval_ms(mut self, millis: u64) -> Self {
         assert!(millis > 0, "refresh interval must be > 0 ms");
         self.refresh_interval_ms = millis;
-        self
-    }
-
-    /// Sets the credit window for `FEATURE_FLOW` clients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn credit_window(mut self, window: u32) -> Self {
-        assert!(window > 0, "credit window must be > 0");
-        self.credit_window = window;
-        self
-    }
-
-    /// Sets the compatibility-throttle budget for pre-flow clients, in
-    /// milliseconds.
-    pub fn compat_max_wait_ms(mut self, millis: u64) -> Self {
-        self.compat_max_wait_ms = millis;
         self
     }
 }
@@ -249,14 +203,10 @@ mod tests {
             .replication_grade(3.0)
             .burst_seconds(0.1)
             .producer_share(0.25)
-            .overload_tighten(0.8)
-            .refresh_interval_ms(500)
-            .credit_window(32)
-            .compat_max_wait_ms(100);
+            .refresh_interval_ms(500);
         assert_eq!(c.w99_objective, 0.02);
         assert_eq!(c.classes, 5);
-        assert_eq!(c.credit_window, 32);
-        assert_eq!(c.compat_max_wait_ms, 100);
+        assert_eq!(c.refresh_interval_ms, 500);
     }
 
     #[test]

@@ -94,7 +94,6 @@ pub struct FlowController {
     target: f64,
     objective: f64,
     headroom: f64,
-    overload_tighten: f64,
     /// Seed cost constants (without `t_store`, which the seed model
     /// tracks) and operating point, kept so the seed can be rebuilt when
     /// the measured journal cost arrives.
@@ -115,6 +114,11 @@ impl FlowController {
     /// monitor can gather the samples needed to recover.
     const TIGHTEN_FLOOR: f64 = 0.05;
 
+    /// An `Overloaded` verdict halves `λ_max`: measured ρ > 1 leaves no
+    /// model to invert, and halving reaches any sustainable rate within a
+    /// few refreshes.
+    const OVERLOAD_TIGHTEN: f64 = 0.5;
+
     /// Builds the controller from the seed model in `config` and performs
     /// the initial analytic inversion.
     pub fn new(config: &FlowConfig) -> Self {
@@ -128,7 +132,6 @@ impl FlowController {
             target,
             objective: config.w99_objective,
             headroom: config.headroom,
-            overload_tighten: config.overload_tighten,
             params: config.params,
             filters: config.filters,
             replication_grade: config.replication_grade,
@@ -196,7 +199,7 @@ impl FlowController {
             }
             ModelVerdict::Overloaded { .. } => {
                 let floor = self.seed.lock().unwrap().analytic_lambda * Self::TIGHTEN_FLOOR;
-                let cut = (state.lambda_max * self.overload_tighten).max(floor);
+                let cut = (state.lambda_max * Self::OVERLOAD_TIGHTEN).max(floor);
                 (state.rho_max, cut, CalibrationSource::Tightened)
             }
             // `ModelVerdict` is non_exhaustive: unknown future verdicts
@@ -388,7 +391,7 @@ mod tests {
         assert!(matches!(v, ModelVerdict::Overloaded { .. }), "expected overload, got {v:?}");
         controller.refresh(&v).expect("overload must cut the budget");
         assert_eq!(controller.source(), CalibrationSource::Tightened);
-        assert!((controller.lambda_max() - before * c.overload_tighten).abs() < 1e-9);
+        assert!((controller.lambda_max() - before * FlowController::OVERLOAD_TIGHTEN).abs() < 1e-9);
         // Repeated cuts bottom out at the floor instead of collapsing to 0.
         for _ in 0..64 {
             controller.refresh(&v);

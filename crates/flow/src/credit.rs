@@ -12,6 +12,10 @@
 //!   balance that has never received a grant is *inactive* (the server is
 //!   pre-flow or flow is disabled) and admits everything.
 
+/// Publish credits a `FEATURE_FLOW` connection is granted per window: a
+/// client may run this many publishes ahead of the server's admission.
+pub const CREDIT_WINDOW: u32 = 64;
+
 /// Server-side per-connection credit window.
 ///
 /// The server sends an initial grant of the full window right after the

@@ -356,7 +356,7 @@ impl FlowGate {
             classes: self.config.classes,
             bucket_level,
             bucket_burst,
-            credit_window: self.config.credit_window,
+            credit_window: crate::CREDIT_WINDOW,
             producers: self.producers.lock().unwrap().len() as u64,
             per_class: self
                 .counters

@@ -44,7 +44,7 @@ pub mod gate;
 pub use bucket::TokenBucket;
 pub use config::FlowConfig;
 pub use controller::{CalibrationSource, FlowController};
-pub use credit::{CreditBalance, CreditWindow};
+pub use credit::{CreditBalance, CreditWindow, CREDIT_WINDOW};
 pub use gate::{AdmissionOutcome, ClassSnapshot, FlowGate, FlowSnapshot};
 
 // Re-exported so callers configuring a gate don't need a direct rjms-core

@@ -21,7 +21,7 @@ use crate::wire::{
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rjms_broker::{Broker, BrokerConfig, Error, Filter, FlowGate, Publisher, TopicPattern};
-use rjms_flow::CreditWindow;
+use rjms_flow::{CreditWindow, CREDIT_WINDOW};
 use rjms_metrics::{clock, Gauge, Histogram, MetricsRegistry};
 use rjms_trace::{FlightRecorder, SpanEvent, Stage};
 use std::collections::HashMap;
@@ -376,11 +376,10 @@ fn handle_request(conn: &mut Connection, request: Request) -> bool {
             if conn.out.send(Response::Ok { request_id }).is_err() {
                 return false;
             }
-            if let (true, Some(gate)) = (conn.flow_negotiated, &conn.gate) {
+            if conn.flow_negotiated {
                 // Open the credit window with a full initial grant.
-                let window = gate.config().credit_window;
-                conn.credit = Some(CreditWindow::new(window));
-                return conn.out.send(Response::CreditGrant { credits: window }).is_ok();
+                conn.credit = Some(CreditWindow::new(CREDIT_WINDOW));
+                return conn.out.send(Response::CreditGrant { credits: CREDIT_WINDOW }).is_ok();
             }
             return true;
         }
@@ -454,6 +453,11 @@ fn handle_publish(
     }
 }
 
+/// Longest total delay the compatibility throttle puts on a pre-flow
+/// client's deferred publish before it answers with an error frame: long
+/// enough for a burst to drain, short of a client's request timeout.
+const COMPAT_MAX_WAIT: Duration = Duration::from_millis(250);
+
 fn publish(conn: &mut Connection, topic: &str, message: WireMessage) -> Result<(), Error> {
     if !conn.publishers.contains_key(topic) {
         let publisher = conn.broker.publisher(topic)?;
@@ -465,14 +469,9 @@ fn publish(conn: &mut Connection, topic: &str, message: WireMessage) -> Result<(
     }
     // Compatibility throttle: a pre-flow peer cannot understand the flow
     // opcodes, so deferred publishes are absorbed server-side — retry up
-    // to `compat_max_wait_ms`, then fall back to a plain error frame.
+    // to `COMPAT_MAX_WAIT`, then fall back to a plain error frame.
     // Shed publishes fail immediately (waiting would not help).
-    let max_wait = conn
-        .gate
-        .as_ref()
-        .map(|g| Duration::from_millis(g.config().compat_max_wait_ms))
-        .unwrap_or_default();
-    let deadline = Instant::now() + max_wait;
+    let deadline = Instant::now() + COMPAT_MAX_WAIT;
     loop {
         match publisher.publish(message.clone().into_message()) {
             Err(Error::PublishDeferred { class, retry_after_ms }) => {

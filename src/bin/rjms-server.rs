@@ -1,102 +1,38 @@
 //! `rjms-server` — run a standalone broker listening on TCP.
 //!
-//! ```text
-//! rjms-server [--config FILE] [--listen ADDR] [--topic NAME]...
-//!             [--shards N] [--stats-every SECS]
-//!             [--metrics-interval SECS] [--cost-model corr|app]
-//!             [--http ADDR] [--trace] [--trace-quantile Q]
-//!             [--forecast] [--forecast-horizon SECS] [--forecast-confidence LEVEL]
-//!             [--flow] [--flow-w99 MS] [--flow-classes N]
-//!             [--topic-obs] [--topic-obs-cap N] [--topic-obs-target RATIO]
-//! ```
+//! `rjms-server --help` lists every flag with its key in a `--config`
+//! file, its default and the feature it implies. That text, the flag
+//! parser and the file loader are generated from one table,
+//! `rjms::settings`, whose docs hold the file schema and the precedence
+//! rules: flags over file over defaults; `enabled = false` keeps a
+//! section's tuning and leaves its feature off; a tuning *flag* switches
+//! its feature on, a tuning key in a file does not. README.md's operator
+//! guide walks through the features; below is only what neither says.
 //!
-//! `--config FILE` loads a TOML-subset configuration file covering the
-//! whole flag surface (see `rjms::config_file` for the schema). Precedence
-//! is strictly *flags over file over built-in defaults*: any flag given on
-//! the command line overrides the file's value for that setting, list
-//! settings (`--topic`, `--alert-sink`) append to the file's lists, and
-//! feature toggles (`--trace`, `--slo`, `--flow`) OR with the file's
-//! sections — a section's presence enables the feature unless it says
-//! `enabled = false`.
+//! **Sharding.** Topics hash onto the `--shards` dispatcher threads
+//! (`rjms::broker::shard_of`) and each shard is modeled as its own M/GI/1
+//! server — the clustered scenario of the paper's §V applied to one
+//! process.
 //!
-//! Topics can be pre-created with `--topic` (repeatable) or created later
-//! by clients. With `--shards N` the broker runs N dispatcher threads;
-//! topics hash onto shards (`rjms::broker::shard_of`) and each shard is
-//! modeled as its own M/GI/1 server (the clustered scenario of the paper's
-//! §V applied to one process). With `--stats-every N` the server prints a
-//! throughput line every N seconds, in the spirit of the paper's
-//! measurement logs. With `--metrics-interval N` the broker's live
-//! observability layer is enabled (waiting/service/sojourn histograms,
-//! sampled Eq. 1 stage decomposition) and a full instrument report —
-//! broker and wire-level registries — is printed every N seconds.
+//! **The model as a runtime check.** With `--cost-model` the broker burns
+//! the paper's Table I per-message CPU costs, and — when
+//! `--metrics-interval` is also set — each instrument report ends with a
+//! `ModelMonitor` drift verdict: the measured waiting/service
+//! distributions against the Eq. 1 + M/GI/1 prediction at the measured
+//! arrival rate, filter count and replication grade (the paper's
+//! Figs. 10–12, live). On a DRIFT verdict the `--trace` flight recorder is
+//! dumped, so the span chains of the slow tail that produced the anomaly
+//! survive. `--flow` seeds its admission model from the same constants,
+//! and `--topic-obs` judges each topic's fitted costs against them.
 //!
-//! With `--cost-model corr|app` the broker burns the paper's Table I
-//! per-message CPU costs (correlation-ID or application-property
-//! constants), and — when `--metrics-interval` is also set — each report
-//! ends with a `ModelMonitor` drift verdict: the measured waiting/service
-//! distributions are checked against the Eq. 1 + M/GI/1 prediction at the
-//! measured arrival rate, filter count, and replication grade. The paper's
-//! Figs. 10–12 as a runtime check.
+//! **Forecasting** rides on the SLO engine and runs whenever the engine
+//! does. Because it is already the default, `--forecast` and its tuning
+//! flags can only mean "I want this", so they switch the engine on; only
+//! `[forecast] enabled = false` in a file switches forecasting off.
 //!
-//! `--trace` enables the tail-sampled flight recorder: full per-message
-//! span chains (receive → journal → filter → fan-out → wire-flush) are
-//! kept for messages whose sojourn time exceeds a live quantile threshold
-//! (`--trace-quantile`, default 0.99) plus a uniform 1-in-128 baseline.
-//! On a DRIFT verdict the recorder is dumped so the spans that produced
-//! the anomaly survive for inspection.
-//!
-//! `--flow` enables model-driven admission control (`rjms::flow`): the
-//! broker inverts Eq. 1 + the M/GI/1 waiting-time model into a maximum
-//! admissible arrival rate `λ_max` for the configured `W99` objective
-//! (`--flow-w99`, milliseconds, default 10; implies `--flow`) and
-//! enforces it with priority-class token buckets (`--flow-classes`,
-//! default 3; implies `--flow`) plus credit-based wire flow control for
-//! `FEATURE_FLOW` clients. A background thread re-assesses model drift
-//! every second and recalibrates — or tightens — the budget. With
-//! `--cost-model app` the flow gate seeds its model from the same
-//! application-property cost constants.
-//!
-//! `--topic-obs` enables the per-topic workload observatory: the
-//! dispatchers keep a bounded per-topic accounting table (cap set by
-//! `--topic-obs-cap`, default 64; implies `--topic-obs`) with an online
-//! least-squares fit of each topic's Eq. 1 cost constants, served on
-//! `/topics`, plus the shard-skew analyzer and rebalance advisor
-//! (`/shards` gains a `rebalance` block; `--topic-obs-target` sets the
-//! max/mean shard-load ratio the advised moves aim under, default 1.10;
-//! implies `--topic-obs`). When `--cost-model` or `--flow` is on, the
-//! fits are compared against those reference constants and each topic
-//! gets a stable/drift verdict.
-//!
-//! `--http ADDR` serves `/metrics` (Prometheus text), `/snapshot.json`,
-//! `/traces`, `/model`, `/shards` (per-shard model assessments), `/topics`
-//! (the per-topic observatory, when `--topic-obs` is on), `/flow`
-//! (admission-control state, when `--flow` is on), and — when the SLO
-//! engine is on — `/history`, `/slo`, and `/alerts` — see `rjms::http`.
-//!
-//! `--slo` enables the waiting-time SLO engine (`rjms::obs`): a
-//! background sampler keeps a multi-resolution metric history and
-//! evaluates the default objectives (W99 ≤ 10 ms, W99.99 ≤ 100 ms,
-//! ρ ≤ 0.9, model health) as fast/slow burn rates, with alert
-//! transitions delivered to stderr and any sinks added with
-//! `--alert-sink` (repeatable: `stderr`, or `webhook:HOST:PORT/PATH` for
-//! a JSON POST per transition). `--history SECS` tunes the sampling
-//! interval (default 1 s; implies `--slo`).
-//!
-//! Forecasting rides on the SLO engine and is on by default when the
-//! engine runs: the λ(t) trend over the metric history is projected into
-//! the analytic breach points (W99 exhaustion, ρ saturation) and a
-//! high-confidence breach inside the horizon raises the proactive
-//! `pending` alert state before any burn. `--forecast` requests it
-//! explicitly (implies `--slo`); `--forecast-horizon SECS` sets the
-//! look-ahead (default 900) and `--forecast-confidence low|medium|high`
-//! the gate a forecast must clear to page (default medium). The
-//! `[forecast]` config section can also set `trend_window_secs` or turn
-//! the layer off with `enabled = false`. `/forecast`, `/slo`, and
-//! `/shards` expose the projections.
-//!
-//! Periodic reports go to **stderr**, each as one pre-built buffer written
-//! with a single `write_all`, so concurrent stats and metrics reports
-//! never interleave mid-line and stdout stays machine-parseable.
+//! **Reports** go to stderr, each as one pre-built buffer written with a
+//! single `write_all`, so concurrent stats and metrics reports never
+//! interleave mid-line and stdout stays machine-parseable.
 
 use rjms::broker::{
     BrokerConfig, CostModel, FlowConfig, MetricsConfig, ThroughputProbe, TopicObsConfig,
@@ -113,281 +49,80 @@ use rjms::obs::{
     WebhookSink,
 };
 use rjms::queueing::replication::ReplicationModel;
+use rjms::settings::{self, Key, Values};
 use rjms::trace::group_chains;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-/// Raw command-line flags: `None`/`false` means "not given", so the merge
-/// with a `--config` file can tell explicit flags from defaults.
-#[derive(Default)]
-struct Args {
-    config: Option<String>,
-    listen: Option<String>,
-    topics: Vec<String>,
-    shards: Option<usize>,
-    stats_every: Option<u64>,
-    metrics_interval: Option<u64>,
-    cost_model: Option<(CostModel, CostParams)>,
-    http: Option<String>,
-    trace: bool,
-    trace_quantile: Option<f64>,
-    slo: bool,
-    history: Option<u64>,
-    alert_sinks: Vec<String>,
-    forecast: bool,
-    forecast_horizon: Option<u64>,
-    forecast_confidence: Option<String>,
-    flow: bool,
-    flow_w99_ms: Option<u64>,
-    flow_classes: Option<u8>,
-    topic_obs: bool,
-    topic_obs_cap: Option<usize>,
-    topic_obs_target: Option<f64>,
-}
+/// Why a getter of a key the settings table defaults cannot come back empty.
+const DEFAULTED: &str = "the settings table gives this key a default";
 
-/// The server's effective settings: flags merged over the file merged
-/// over built-in defaults.
-struct Settings {
-    listen: String,
-    topics: Vec<String>,
-    shards: usize,
-    stats_every: Option<u64>,
-    metrics_interval: Option<u64>,
-    cost_model: Option<(CostModel, CostParams)>,
-    http: Option<String>,
-    trace: bool,
-    trace_quantile: f64,
-    slo: bool,
-    history: Option<u64>,
-    alert_sinks: Vec<String>,
-    /// Effective forecasting switch (on by default when the SLO engine
-    /// runs; `[forecast] enabled = false` turns it off).
-    forecast: bool,
-    /// Whether forecasting was explicitly requested (flag or enabled
-    /// file section) — an explicit request implies `--slo`.
-    forecast_requested: bool,
-    forecast_horizon: Option<u64>,
-    forecast_trend_window: Option<u64>,
-    forecast_confidence: Option<Confidence>,
-    flow: bool,
-    flow_w99_ms: Option<u64>,
-    flow_classes: Option<u8>,
-    topic_obs: bool,
-    topic_obs_cap: Option<usize>,
-    topic_obs_target: Option<f64>,
-}
-
-/// Merges command-line flags over file values over built-in defaults (see
-/// the module docs for the precedence contract).
-fn merge(args: Args, file: rjms::config_file::ServerFileConfig) -> Result<Settings, String> {
-    let cost_model = match (args.cost_model, file.cost_model.as_deref()) {
-        (Some(pair), _) => Some(pair),
-        (None, Some("corr")) => Some((CostModel::CORRELATION_ID, CostParams::CORRELATION_ID)),
-        (None, Some("app")) => {
-            Some((CostModel::APPLICATION_PROPERTY, CostParams::APPLICATION_PROPERTY))
-        }
-        (None, Some(other)) => return Err(format!("bad cost_model `{other}` in config file")),
-        (None, None) => None,
-    };
-    let mut topics = file.topics;
-    for topic in args.topics {
-        if !topics.contains(&topic) {
-            topics.push(topic);
-        }
-    }
-    let mut alert_sinks = file.slo.as_ref().map(|s| s.alert_sinks.clone()).unwrap_or_default();
-    for sink in args.alert_sinks {
-        if !alert_sinks.contains(&sink) {
-            alert_sinks.push(sink);
-        }
-    }
-    let forecast_requested = args.forecast
-        || args.forecast_horizon.is_some()
-        || args.forecast_confidence.is_some()
-        || file.forecast.as_ref().is_some_and(|f| f.enabled);
-    let forecast_confidence = match args
-        .forecast_confidence
-        .as_deref()
-        .or(file.forecast.as_ref().and_then(|f| f.min_confidence.as_deref()))
-    {
-        None => None,
-        Some(level) => match Confidence::parse(level) {
-            Some(c) => Some(c),
-            None => return Err(format!("bad forecast confidence `{level}` (low|medium|high)")),
-        },
-    };
-    Ok(Settings {
-        listen: args.listen.or(file.listen).unwrap_or_else(|| "127.0.0.1:7670".to_owned()),
-        topics,
-        shards: args.shards.or(file.shards).unwrap_or(1),
-        stats_every: args.stats_every.or(file.stats_every),
-        metrics_interval: args.metrics_interval.or(file.metrics_interval),
-        cost_model,
-        http: args.http.or(file.http),
-        trace: args.trace || file.trace.as_ref().is_some_and(|t| t.enabled),
-        trace_quantile: args
-            .trace_quantile
-            .or(file.trace.as_ref().and_then(|t| t.tail_quantile))
-            .unwrap_or(0.99),
-        slo: args.slo || file.slo.as_ref().is_some_and(|s| s.enabled),
-        history: args.history.or(file.slo.as_ref().and_then(|s| s.history_secs)),
-        alert_sinks,
-        forecast: forecast_requested || file.forecast.as_ref().is_none_or(|f| f.enabled),
-        forecast_requested,
-        forecast_horizon: args
-            .forecast_horizon
-            .or(file.forecast.as_ref().and_then(|f| f.horizon_secs)),
-        forecast_trend_window: file.forecast.as_ref().and_then(|f| f.trend_window_secs),
-        forecast_confidence,
-        flow: args.flow || file.flow.as_ref().is_some_and(|f| f.enabled),
-        flow_w99_ms: args.flow_w99_ms.or(file.flow.as_ref().and_then(|f| f.w99_ms)),
-        flow_classes: args.flow_classes.or(file.flow.as_ref().and_then(|f| f.classes)),
-        topic_obs: args.topic_obs || file.topic_obs.as_ref().is_some_and(|t| t.enabled),
-        topic_obs_cap: args.topic_obs_cap.or(file.topic_obs.as_ref().and_then(|t| t.cap)),
-        topic_obs_target: args
-            .topic_obs_target
-            .or(file.topic_obs.as_ref().and_then(|t| t.target_ratio)),
+/// The Table I constants `--cost-model` names: what the dispatcher burns,
+/// and the same numbers as the analytic model's parameters.
+fn cost_model(values: &Values) -> Option<(CostModel, CostParams)> {
+    values.text(Key::CostModel).map(|name| match name {
+        "corr" => (CostModel::CORRELATION_ID, CostParams::CORRELATION_ID),
+        _ => (CostModel::APPLICATION_PROPERTY, CostParams::APPLICATION_PROPERTY),
     })
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--config" => {
-                args.config = Some(it.next().ok_or("--config needs a file path")?);
-            }
-            "--listen" => {
-                args.listen = Some(it.next().ok_or("--listen needs an address")?);
-            }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a count")?;
-                let n: usize = v.parse().map_err(|e| format!("bad --shards value: {e}"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".to_owned());
-                }
-                args.shards = Some(n);
-            }
-            "--topic" => {
-                args.topics.push(it.next().ok_or("--topic needs a name")?);
-            }
-            "--stats-every" => {
-                let v = it.next().ok_or("--stats-every needs a number of seconds")?;
-                args.stats_every =
-                    Some(v.parse().map_err(|e| format!("bad --stats-every value: {e}"))?);
-            }
-            "--metrics-interval" => {
-                let v = it.next().ok_or("--metrics-interval needs a number of seconds")?;
-                args.metrics_interval =
-                    Some(v.parse().map_err(|e| format!("bad --metrics-interval value: {e}"))?);
-            }
-            "--cost-model" => {
-                let v = it.next().ok_or("--cost-model needs `corr` or `app`")?;
-                args.cost_model = Some(match v.as_str() {
-                    "corr" => (CostModel::CORRELATION_ID, CostParams::CORRELATION_ID),
-                    "app" => (CostModel::APPLICATION_PROPERTY, CostParams::APPLICATION_PROPERTY),
-                    other => return Err(format!("bad --cost-model `{other}` (corr|app)")),
-                });
-            }
-            "--http" => {
-                args.http = Some(it.next().ok_or("--http needs an address")?);
-            }
-            "--trace" => args.trace = true,
-            "--slo" => args.slo = true,
-            "--flow" => args.flow = true,
-            "--flow-w99" => {
-                let v = it.next().ok_or("--flow-w99 needs a number of milliseconds")?;
-                let ms: u64 = v.parse().map_err(|e| format!("bad --flow-w99 value: {e}"))?;
-                if ms == 0 {
-                    return Err("--flow-w99 must be at least 1 millisecond".to_owned());
-                }
-                args.flow_w99_ms = Some(ms);
-            }
-            "--flow-classes" => {
-                let v = it.next().ok_or("--flow-classes needs a count in 1..=10")?;
-                let n: u8 = v.parse().map_err(|e| format!("bad --flow-classes value: {e}"))?;
-                if !(1..=10).contains(&n) {
-                    return Err(format!("--flow-classes must be in 1..=10, got {n}"));
-                }
-                args.flow_classes = Some(n);
-            }
-            "--topic-obs" => args.topic_obs = true,
-            "--topic-obs-cap" => {
-                let v = it.next().ok_or("--topic-obs-cap needs a count")?;
-                let n: usize = v.parse().map_err(|e| format!("bad --topic-obs-cap value: {e}"))?;
-                if n == 0 {
-                    return Err("--topic-obs-cap must be at least 1".to_owned());
-                }
-                args.topic_obs_cap = Some(n);
-            }
-            "--topic-obs-target" => {
-                let v = it.next().ok_or("--topic-obs-target needs a ratio >= 1")?;
-                let r: f64 = v.parse().map_err(|e| format!("bad --topic-obs-target value: {e}"))?;
-                if !(r >= 1.0 && r.is_finite()) {
-                    return Err(format!("--topic-obs-target must be >= 1, got {r}"));
-                }
-                args.topic_obs_target = Some(r);
-            }
-            "--history" => {
-                let v = it.next().ok_or("--history needs a number of seconds")?;
-                let secs: u64 = v.parse().map_err(|e| format!("bad --history value: {e}"))?;
-                if secs == 0 {
-                    return Err("--history must be at least 1 second".to_owned());
-                }
-                args.history = Some(secs);
-            }
-            "--forecast" => args.forecast = true,
-            "--forecast-horizon" => {
-                let v = it.next().ok_or("--forecast-horizon needs a number of seconds")?;
-                let secs: u64 =
-                    v.parse().map_err(|e| format!("bad --forecast-horizon value: {e}"))?;
-                if secs == 0 {
-                    return Err("--forecast-horizon must be at least 1 second".to_owned());
-                }
-                args.forecast_horizon = Some(secs);
-            }
-            "--forecast-confidence" => {
-                let v = it.next().ok_or("--forecast-confidence needs low|medium|high")?;
-                if Confidence::parse(&v).is_none() {
-                    return Err(format!("bad --forecast-confidence `{v}` (low|medium|high)"));
-                }
-                args.forecast_confidence = Some(v);
-            }
-            "--alert-sink" => {
-                let v = it.next().ok_or("--alert-sink needs `stderr` or `webhook:ADDR/PATH`")?;
-                if v != "stderr" && !v.starts_with("webhook:") {
-                    return Err(format!("bad --alert-sink `{v}` (stderr|webhook:ADDR/PATH)"));
-                }
-                args.alert_sinks.push(v);
-            }
-            "--trace-quantile" => {
-                let v = it.next().ok_or("--trace-quantile needs a value in (0, 1)")?;
-                let q: f64 = v.parse().map_err(|e| format!("bad --trace-quantile value: {e}"))?;
-                if !(q > 0.0 && q < 1.0) {
-                    return Err(format!("--trace-quantile must be in (0, 1), got {q}"));
-                }
-                args.trace_quantile = Some(q);
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: rjms-server [--config FILE] [--listen ADDR] [--topic NAME]... \
-                     [--shards N] \
-                     [--stats-every SECS] [--metrics-interval SECS] [--cost-model corr|app] \
-                     [--http ADDR] [--trace] [--trace-quantile Q] \
-                     [--slo] [--history SECS] [--alert-sink stderr|webhook:ADDR/PATH]... \
-                     [--forecast] [--forecast-horizon SECS] [--forecast-confidence LEVEL] \
-                     [--flow] [--flow-w99 MS] [--flow-classes N] \
-                     [--topic-obs] [--topic-obs-cap N] [--topic-obs-target RATIO]\n\
-                     flags override --config file values; see rjms::config_file for the schema"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag `{other}` (try --help)")),
-        }
+/// Maps the effective settings onto the library's own config types: the
+/// broker's, and the SLO engine's when that is on.
+fn configs(values: &Values) -> (BrokerConfig, Option<ObsConfig>) {
+    let count = |key| values.count(key).expect(DEFAULTED);
+    let secs = |key| Duration::from_secs(count(key));
+    let cost = cost_model(values);
+
+    let shards = usize::try_from(count(Key::Shards)).unwrap_or(usize::MAX);
+    let mut builder = BrokerConfig::builder().shards(shards);
+    if values.count(Key::MetricsInterval).is_some() || values.on(Key::Slo) {
+        // The SLO engine samples the broker's registry, so it needs the
+        // dispatch instruments even without a periodic text report.
+        builder = builder.metrics(MetricsConfig::default());
     }
-    Ok(args)
+    if values.on(Key::Trace) {
+        // Trace implies metrics: the tail threshold needs the sojourn
+        // histogram, and Broker::start enables a default MetricsConfig.
+        let quantile = values.number(Key::TraceQuantile).expect(DEFAULTED);
+        builder = builder.trace(TraceConfig::default().tail_quantile(quantile));
+    }
+    if let Some((cost, _)) = cost {
+        builder = builder.cost_model(cost);
+    }
+    if values.on(Key::Flow) {
+        let mut flow = FlowConfig::default()
+            .w99_objective(count(Key::FlowW99) as f64 / 1e3)
+            .classes(u8::try_from(count(Key::FlowClasses)).expect("checked to be in 1..=10"));
+        if let Some((_, params)) = cost {
+            // Seed the gate's analytic model with the same cost constants
+            // the broker burns, so λ_max matches the machine it polices.
+            flow = flow.params(params);
+        }
+        builder = builder.flow(flow);
+    }
+    if values.on(Key::TopicObs) {
+        let cap = usize::try_from(count(Key::TopicObsCap)).unwrap_or(usize::MAX);
+        let target = values.number(Key::TopicObsTarget).expect(DEFAULTED);
+        builder =
+            builder.topic_obs(TopicObsConfig::default().per_topic_cap(cap).target_ratio(target));
+    }
+
+    let obs = values.on(Key::Slo).then(|| ObsConfig {
+        history: HistoryConfig { fine_interval: secs(Key::History), ..HistoryConfig::default() },
+        forecast: ForecastConfig {
+            enabled: values.on(Key::Forecast),
+            horizon: secs(Key::ForecastHorizon),
+            trend_window: secs(Key::ForecastTrendWindow),
+            min_confidence: values
+                .text(Key::ForecastConfidence)
+                .and_then(Confidence::parse)
+                .expect(DEFAULTED),
+            ..ForecastConfig::default()
+        },
+        ..ObsConfig::default()
+    });
+    (builder.build(), obs)
 }
 
 /// Writes a pre-built report to stderr in one `write_all`: reports from
@@ -399,93 +134,47 @@ fn report(text: &str) {
     let _ = handle.flush();
 }
 
-fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let file = match args.config.as_deref().map(rjms::config_file::load).transpose() {
-        Ok(f) => f.unwrap_or_default(),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let args = match merge(args, file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+/// Flags over the `--config` file over the built-in defaults.
+fn effective_settings(args: Vec<String>) -> Result<Values, String> {
+    let flags = settings::parse_flags(args)?;
+    let file = flags.text(Key::Config).map(settings::load).transpose()?.unwrap_or_default();
+    Ok(flags.over(file))
+}
 
-    let slo_enabled = args.slo || args.history.is_some() || args.forecast_requested;
-    let mut builder = BrokerConfig::builder().shards(args.shards);
-    if args.metrics_interval.is_some() || slo_enabled {
-        // The SLO engine samples the broker's registry, so it needs the
-        // dispatch instruments even without a periodic text report.
-        builder = builder.metrics(MetricsConfig::default());
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        print!("{}", settings::usage());
+        return;
     }
-    if args.trace {
-        // Trace implies metrics: the tail threshold needs the sojourn
-        // histogram (Broker::start enables a default MetricsConfig too,
-        // but being explicit keeps --metrics-interval-less runs obvious).
-        builder = builder.trace(TraceConfig::default().tail_quantile(args.trace_quantile));
-    }
-    if let Some((cost, _)) = args.cost_model {
-        builder = builder.cost_model(cost);
-    }
-    let flow_enabled = args.flow || args.flow_w99_ms.is_some() || args.flow_classes.is_some();
-    if flow_enabled {
-        let mut flow = FlowConfig::default();
-        if let Some(ms) = args.flow_w99_ms {
-            flow = flow.w99_objective(ms as f64 / 1e3);
-        }
-        if let Some(n) = args.flow_classes {
-            flow = flow.classes(n);
-        }
-        if let Some((_, params)) = args.cost_model {
-            // Seed the gate's analytic model with the same cost constants
-            // the broker burns, so λ_max matches the machine it polices.
-            flow = flow.params(params);
-        }
-        builder = builder.flow(flow);
-    }
-    let topic_obs_enabled =
-        args.topic_obs || args.topic_obs_cap.is_some() || args.topic_obs_target.is_some();
-    if topic_obs_enabled {
-        let mut obs = TopicObsConfig::default();
-        if let Some(cap) = args.topic_obs_cap {
-            obs = obs.per_topic_cap(cap);
-        }
-        if let Some(ratio) = args.topic_obs_target {
-            obs = obs.target_ratio(ratio);
-        }
-        builder = builder.topic_obs(obs);
-    }
-    let config = builder.build();
-    let server = match BrokerServer::start(config, args.listen.as_str()) {
+    let values = effective_settings(args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let (config, obs_config) = configs(&values);
+    let listen = values.text(Key::Listen).expect(DEFAULTED);
+    let shards = config.shards;
+    let topics = values.list(Key::Topics);
+
+    let server = match BrokerServer::start(config, listen) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("error: cannot listen on {}: {e}", args.listen);
+            eprintln!("error: cannot listen on {listen}: {e}");
             std::process::exit(1);
         }
     };
-    for topic in &args.topics {
+    for topic in topics {
         if let Err(e) = server.broker().create_topic(topic) {
             eprintln!("error: cannot create topic `{topic}`: {e}");
             std::process::exit(1);
         }
     }
     println!("rjms-server listening on {}", server.local_addr());
-    if !args.topics.is_empty() {
-        println!("topics: {}", args.topics.join(", "));
+    if !topics.is_empty() {
+        println!("topics: {}", topics.join(", "));
     }
-    if args.shards > 1 {
-        println!("sharded dispatch: {} dispatcher threads (topics hash onto shards)", args.shards);
+    if shards > 1 {
+        println!("sharded dispatch: {shards} dispatcher threads (topics hash onto shards)");
     }
     if let Some(gate) = server.broker().flow() {
         println!(
@@ -504,36 +193,20 @@ fn main() {
 
     // SLO engine: background sampler + burn-rate alerting over the
     // broker's dispatch instruments.
-    let obs_runtime = if slo_enabled {
-        let registry = server.broker().metrics().expect("metrics enabled above");
-        let interval = Duration::from_secs(args.history.unwrap_or(1));
-        let mut forecast = ForecastConfig { enabled: args.forecast, ..ForecastConfig::default() };
-        if let Some(secs) = args.forecast_horizon {
-            forecast.horizon = Duration::from_secs(secs);
-        }
-        if let Some(secs) = args.forecast_trend_window {
-            forecast.trend_window = Duration::from_secs(secs);
-        }
-        if let Some(level) = args.forecast_confidence {
-            forecast.min_confidence = level;
-        }
-        let mut core = ObsCore::new(ObsConfig {
-            history: HistoryConfig { fine_interval: interval, ..HistoryConfig::default() },
-            forecast,
-            ..ObsConfig::default()
-        });
+    let obs_runtime = obs_config.map(|obs_config| {
+        let registry = server.broker().metrics().expect("metrics enabled with the SLO engine");
+        let interval = obs_config.history.fine_interval;
+        let forecast = obs_config.forecast;
+        let mut core = ObsCore::new(obs_config);
         core.add_sink(Box::new(StderrSink));
-        for sink in &args.alert_sinks {
-            match sink.as_str() {
-                "stderr" => {} // always attached above
-                spec => {
-                    let rest = spec.strip_prefix("webhook:").expect("validated in parse_args");
-                    let (addr, path) = match rest.find('/') {
-                        Some(i) => (rest[..i].to_owned(), rest[i..].to_owned()),
-                        None => (rest.to_owned(), "/".to_owned()),
-                    };
-                    core.add_sink(Box::new(WebhookSink { addr, path }));
-                }
+        for sink in values.list(Key::AlertSinks) {
+            // `stderr` is always attached above; the rest are webhooks.
+            if let Some(rest) = sink.strip_prefix("webhook:") {
+                let (addr, path) = match rest.find('/') {
+                    Some(i) => (rest[..i].to_owned(), rest[i..].to_owned()),
+                    None => (rest.to_owned(), "/".to_owned()),
+                };
+                core.add_sink(Box::new(WebhookSink { addr, path }));
             }
         }
         let runtime = ObsRuntime::start(core, registry, server.broker().tracer(), interval);
@@ -547,10 +220,8 @@ fn main() {
         } else {
             println!("slo engine on ({}s sampling, forecasting off)", interval.as_secs());
         }
-        Some(runtime)
-    } else {
-        None
-    };
+        runtime
+    });
 
     // HTTP exposition: /metrics, /snapshot.json, /traces, /model, and the
     // SLO surfaces when the engine is on.
@@ -570,7 +241,7 @@ fn main() {
     }
     let model_text = http_state.model_text();
     let _http =
-        args.http.as_ref().map(|addr| match HttpServer::start(http_state.clone(), addr.as_str()) {
+        values.text(Key::Http).map(|addr| match HttpServer::start(http_state.clone(), addr) {
             Ok(h) => {
                 println!("http exposition on http://{}/", h.local_addr());
                 h
@@ -583,12 +254,12 @@ fn main() {
 
     // Metrics exporter: dumps every instrument (broker-side dispatch
     // histograms + wire-side gauges) as an aligned text report.
-    if let Some(secs) = args.metrics_interval {
+    if let Some(secs) = values.count(Key::MetricsInterval) {
         let broker_metrics = server.broker().metrics().expect("metrics enabled above");
         let wire_metrics = server.metrics();
         let observer = server.broker().observer();
         let recorder = server.broker().tracer();
-        let params = args.cost_model.map(|(_, p)| p);
+        let params = cost_model(&values).map(|(_, p)| p);
         let obs_core = obs_runtime.as_ref().map(|r| r.core());
         let started = Instant::now();
         std::thread::Builder::new()
@@ -661,7 +332,7 @@ fn main() {
             .expect("failed to spawn metrics exporter");
     }
 
-    match args.stats_every {
+    match values.count(Key::StatsEvery) {
         None => loop {
             std::thread::sleep(Duration::from_secs(3600));
         },
@@ -708,42 +379,68 @@ fn render_drift_traces(recorder: &rjms::trace::FlightRecorder) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rjms::config_file;
 
+    fn configs_for(argv: &[&str]) -> (BrokerConfig, Option<ObsConfig>) {
+        let flags = settings::parse_flags(argv.iter().map(|s| (*s).to_owned())).unwrap();
+        configs(&flags.over(Values::default()))
+    }
+
+    /// The table restates the library's defaults so that `--help` can
+    /// print them; switching a feature on without tuning it must give the
+    /// library's own default config.
     #[test]
-    fn topic_obs_flags_override_file_values() {
-        let file = config_file::parse("[topic_obs]\ncap = 32\ntarget_ratio = 1.5\n").unwrap();
-        let args =
-            Args { topic_obs_cap: Some(256), topic_obs_target: Some(1.05), ..Args::default() };
-        let settings = merge(args, file).unwrap();
-        assert!(settings.topic_obs, "section presence enables the observatory");
-        assert_eq!(settings.topic_obs_cap, Some(256), "flag beats file cap");
-        assert_eq!(settings.topic_obs_target, Some(1.05), "flag beats file ratio");
+    fn table_defaults_are_the_librarys() {
+        let (broker, obs) = configs_for(&["--trace", "--slo", "--flow", "--topic-obs"]);
+        assert_eq!(broker.shards, BrokerConfig::default().shards);
+        assert_eq!(broker.metrics, Some(MetricsConfig::default()));
+        assert_eq!(broker.trace, Some(TraceConfig::default()));
+        assert_eq!(broker.flow, Some(FlowConfig::default()));
+        assert_eq!(broker.topic_obs, Some(TopicObsConfig::default()));
+        let obs = obs.expect("--slo");
+        assert_eq!(obs.history, HistoryConfig::default());
+        assert_eq!(obs.forecast, ForecastConfig::default());
     }
 
     #[test]
-    fn topic_obs_file_values_fill_flag_gaps() {
-        let file =
-            config_file::parse("[topic_obs]\nenabled = false\ncap = 32\ntarget_ratio = 1.5\n")
-                .unwrap();
-        let settings = merge(Args::default(), file).unwrap();
-        assert!(!settings.topic_obs, "enabled = false keeps tuning without the feature");
-        assert_eq!(settings.topic_obs_cap, Some(32));
-        assert_eq!(settings.topic_obs_target, Some(1.5));
+    fn nothing_runs_unless_asked_for_and_tuning_reaches_the_configs() {
+        let (broker, obs) = configs_for(&[]);
+        assert!(broker.metrics.is_none() && broker.trace.is_none() && broker.flow.is_none());
+        assert!(broker.topic_obs.is_none() && broker.cost_model.is_none() && obs.is_none());
 
-        // `--topic-obs` alone re-enables it over the file's `enabled = false`.
-        let file = config_file::parse("[topic_obs]\nenabled = false\ncap = 32\n").unwrap();
-        let args = Args { topic_obs: true, ..Args::default() };
-        let settings = merge(args, file).unwrap();
-        assert!(settings.topic_obs);
-        assert_eq!(settings.topic_obs_cap, Some(32));
-    }
-
-    #[test]
-    fn topic_obs_defaults_stay_off() {
-        let settings = merge(Args::default(), config_file::ServerFileConfig::default()).unwrap();
-        assert!(!settings.topic_obs);
-        assert_eq!(settings.topic_obs_cap, None);
-        assert_eq!(settings.topic_obs_target, None);
+        let (broker, obs) = configs_for(&[
+            "--shards",
+            "2",
+            "--cost-model",
+            "app",
+            "--trace-quantile",
+            "0.5",
+            "--flow-w99",
+            "5",
+            "--flow-classes",
+            "4",
+            "--topic-obs-cap",
+            "9",
+            "--topic-obs-target",
+            "2",
+            "--history",
+            "3",
+            "--forecast-horizon",
+            "60",
+            "--forecast-confidence",
+            "high",
+        ]);
+        assert_eq!(broker.shards, 2);
+        assert_eq!(broker.cost_model, Some(CostModel::APPLICATION_PROPERTY));
+        assert!(broker.trace.is_none(), "a trace tuning flag implies nothing, as at the parent");
+        let flow = broker.flow.expect("--flow-w99 implies --flow");
+        assert_eq!((flow.w99_objective, flow.classes), (0.005, 4));
+        assert_eq!(flow.params, CostParams::APPLICATION_PROPERTY);
+        let topic_obs = broker.topic_obs.expect("--topic-obs-cap implies --topic-obs");
+        assert_eq!((topic_obs.per_topic_cap, topic_obs.target_ratio), (9, 2.0));
+        let obs = obs.expect("--history implies --slo");
+        assert_eq!(obs.history.fine_interval, Duration::from_secs(3));
+        assert_eq!(obs.forecast.horizon, Duration::from_secs(60));
+        assert_eq!(obs.forecast.min_confidence, Confidence::High);
+        assert!(obs.forecast.enabled);
     }
 }

@@ -20,8 +20,8 @@
 //!   alerting, evidence-bearing alerts ([`rjms_obs`]),
 //! * [`http`] — the HTTP metrics/trace/SLO exposition endpoint (this
 //!   crate),
-//! * [`config_file`] — the `rjms-server --config` file loader (this
-//!   crate).
+//! * [`settings`] — the one table behind `rjms-server`'s flags, `--config`
+//!   file and `--help` (this crate).
 //!
 //! See `README.md` for the architecture overview, `DESIGN.md` for the system
 //! inventory, and `EXPERIMENTS.md` for the paper-vs-measured record of every
@@ -123,5 +123,5 @@ pub mod obs {
     pub use rjms_obs::*;
 }
 
-pub mod config_file;
 pub mod http;
+pub mod settings;
