@@ -26,7 +26,7 @@
 //! sampled every Nth message.
 
 use crate::config::{BrokerConfig, MetricsConfig};
-use crate::dispatch;
+use crate::dispatch::{self, SubscriberQueue, Wake};
 use crate::durable::DurableState;
 use crate::error::{Error, TryPublishError};
 use crate::filter::Filter;
@@ -65,7 +65,7 @@ impl fmt::Display for SubscriptionId {
 /// One subscriber's registration on a topic.
 pub(crate) struct Subscription {
     pub(crate) filter: Filter,
-    pub(crate) sender: Sender<Arc<Message>>,
+    pub(crate) queue: SubscriberQueue,
     /// Cleared when the subscriber handle is dropped; the dispatcher prunes
     /// inactive subscriptions lazily.
     pub(crate) active: Arc<AtomicBool>,
@@ -482,6 +482,7 @@ impl Broker {
             filter: Filter::None,
             durable: None,
             queue_capacity: None,
+            wake: None,
         }
     }
 
@@ -497,12 +498,12 @@ impl Broker {
         target: &str,
         pattern: Option<TopicPattern>,
         filter: Filter,
-        queue_capacity: usize,
+        queue: SubscriberQueue,
+        rx: Receiver<Arc<Message>>,
     ) -> Result<Subscriber, Error> {
         self.ensure_running()?;
-        let (tx, rx) = bounded(queue_capacity);
         let active = Arc::new(AtomicBool::new(true));
-        let sub = Arc::new(Subscription { filter, sender: tx, active: Arc::clone(&active) });
+        let sub = Arc::new(Subscription { filter, queue, active: Arc::clone(&active) });
         let pattern_registration = match pattern {
             None => {
                 self.lookup(target)?.subs.write().add_plain(sub);
@@ -548,12 +549,12 @@ impl Broker {
         topic: &str,
         name: &str,
         filter: Filter,
-        queue_capacity: usize,
+        queue: SubscriberQueue,
+        rx: Receiver<Arc<Message>>,
     ) -> Result<Subscriber, Error> {
         self.ensure_running()?;
         let topic = self.lookup(topic)?;
-        let (tx, rx) = bounded(queue_capacity);
-        let (state, pending) = DurableState::connect(&self.inner, &topic, name, filter, tx)?;
+        let (state, pending) = DurableState::connect(&self.inner, &topic, name, filter, queue)?;
         Ok(Subscriber {
             id: self.next_subscription_id(),
             topic_name: topic.name.clone(),
@@ -799,13 +800,19 @@ impl BrokerObserver {
 
 /// Configures and opens one subscription; created by
 /// [`Broker::subscription`].
-#[derive(Debug)]
 pub struct SubscriptionBuilder<'a> {
     broker: &'a Broker,
     target: String,
     filter: Filter,
     durable: Option<String>,
     queue_capacity: Option<usize>,
+    wake: Option<Wake>,
+}
+
+impl fmt::Debug for SubscriptionBuilder<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SubscriptionBuilder").field("target", &self.target).finish_non_exhaustive()
+    }
 }
 
 impl SubscriptionBuilder<'_> {
@@ -836,6 +843,15 @@ impl SubscriptionBuilder<'_> {
         self
     }
 
+    /// Has the dispatcher call `wake` after each copy it queues for this
+    /// subscription: for a consumer that serves several queues and so polls
+    /// them with [`Subscriber::try_receive`] when rung (a connection's
+    /// writer). It runs on the dispatcher's thread: cheap, never blocking.
+    pub fn wake(mut self, wake: Wake) -> Self {
+        self.wake = Some(wake);
+        self
+    }
+
     /// Opens the subscription and returns the consuming [`Subscriber`].
     ///
     /// A `target` that parses as a wildcard [`TopicPattern`] subscribes to
@@ -850,8 +866,10 @@ impl SubscriptionBuilder<'_> {
     /// connected under the durable name, and [`Error::Stopped`] after
     /// shutdown.
     pub fn open(self) -> Result<Subscriber, Error> {
-        let SubscriptionBuilder { broker, target, filter, durable, queue_capacity } = self;
+        let SubscriptionBuilder { broker, target, filter, durable, queue_capacity, wake } = self;
         let capacity = queue_capacity.unwrap_or(broker.inner.config.subscriber_queue_capacity);
+        let (sender, rx) = bounded(capacity);
+        let queue = SubscriberQueue { sender, wake };
         // A target without a wildcard character is a literal topic (or not
         // a valid pattern at all): no need to parse it to find that out.
         let pattern = if target.contains(['*', '>']) {
@@ -861,8 +879,8 @@ impl SubscriptionBuilder<'_> {
         };
         match (durable, pattern) {
             (Some(_), Some(pattern)) => Err(Error::DurablePattern { pattern: pattern.to_string() }),
-            (Some(name), None) => broker.open_durable(&target, &name, filter, capacity),
-            (None, pattern) => broker.open_plain(&target, pattern, filter, capacity),
+            (Some(name), None) => broker.open_durable(&target, &name, filter, queue, rx),
+            (None, pattern) => broker.open_plain(&target, pattern, filter, queue, rx),
         }
     }
 }
@@ -1059,7 +1077,7 @@ impl Subscriber {
     /// subscriber that disconnects, the first one re-retained).
     ///
     /// Intended for consumers that pulled a message but could not process
-    /// it — e.g. a network forwarder whose connection died mid-delivery.
+    /// it — e.g. a connection's writer whose socket died mid-delivery.
     pub fn return_message(&self, message: Arc<Message>) {
         self.pending.lock().push_front(message);
     }

@@ -244,7 +244,7 @@ fn fan_out<P: DispatchProbe>(
                 if let Some(c) = &cost {
                     c.spin_transmit();
                 }
-                deliver_to(&sub.sender, Arc::clone(message), inner.config.overflow_policy)
+                sub.queue.deliver(Arc::clone(message), inner.config.overflow_policy)
             });
             match delivery {
                 Delivery::Sent => out.copies += 1,
@@ -266,22 +266,36 @@ pub(crate) enum Delivery {
     Disconnected,
 }
 
-/// Enqueues one copy for a subscriber, per the overflow policy.
-pub(crate) fn deliver_to(
-    sender: &Sender<Arc<Message>>,
-    message: Arc<Message>,
-    policy: OverflowPolicy,
-) -> Delivery {
-    match policy {
-        OverflowPolicy::Block => match sender.send(message) {
-            Ok(()) => Delivery::Sent,
-            Err(_) => Delivery::Disconnected,
-        },
-        OverflowPolicy::DropNew => match sender.try_send(message) {
-            Ok(()) => Delivery::Sent,
-            Err(TrySendError::Full(_)) => Delivery::Dropped,
-            Err(TrySendError::Disconnected(_)) => Delivery::Disconnected,
-        },
+/// Rings a subscription's consumer: the dispatcher calls it after each copy
+/// it queues for the subscription ([`crate::SubscriptionBuilder::wake`]).
+pub type Wake = Arc<dyn Fn() + Send + Sync>;
+
+/// The dispatcher's end of one subscriber's bounded queue. Both delivery
+/// steps, plain and durable, hand their copies to [`Self::deliver`].
+pub(crate) struct SubscriberQueue {
+    pub(crate) sender: Sender<Arc<Message>>,
+    /// `None` for every in-process consumer: one never-taken test per copy.
+    pub(crate) wake: Option<Wake>,
+}
+
+impl SubscriberQueue {
+    /// Enqueues one copy, per the overflow policy, then rings the consumer.
+    pub(crate) fn deliver(&self, message: Arc<Message>, policy: OverflowPolicy) -> Delivery {
+        let delivery = match policy {
+            OverflowPolicy::Block => match self.sender.send(message) {
+                Ok(()) => Delivery::Sent,
+                Err(_) => Delivery::Disconnected,
+            },
+            OverflowPolicy::DropNew => match self.sender.try_send(message) {
+                Ok(()) => Delivery::Sent,
+                Err(TrySendError::Full(_)) => Delivery::Dropped,
+                Err(TrySendError::Disconnected(_)) => Delivery::Disconnected,
+            },
+        };
+        if let (Delivery::Sent, Some(wake)) = (&delivery, &self.wake) {
+            wake();
+        }
+        delivery
     }
 }
 

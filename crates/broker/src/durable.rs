@@ -6,14 +6,14 @@
 //! already received.
 
 use crate::broker::{BrokerInner, Topic};
-use crate::dispatch::{deliver_to, Delivery};
+use crate::dispatch::{Delivery, SubscriberQueue};
 use crate::error::Error;
 use crate::filter::Filter;
 use crate::message::Message;
 use crate::persist::{encode_checkpoint_into, JournalRecord};
 use crate::probe::DispatchProbe;
 use crate::subscriptions::DurableEntry;
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 use rjms_selector::ValueRef;
 use rjms_trace::Stage;
@@ -29,11 +29,11 @@ pub(crate) struct DurableState {
     /// `durable_buffer_capacity`, oldest dropped on overflow).
     pub(crate) retained: Mutex<VecDeque<Arc<Message>>>,
     /// The connected consumer's queue, if any.
-    pub(crate) connection: Mutex<Option<Sender<Arc<Message>>>>,
+    pub(crate) connection: Mutex<Option<SubscriberQueue>>,
 }
 
 impl DurableState {
-    /// Connects `tx` as the consumer of `topic`'s durable subscription
+    /// Connects `queue` as the consumer of `topic`'s durable subscription
     /// `name`, creating the subscription on first use. Returns the state
     /// plus the retained backlog the consumer must see before live
     /// messages (expired messages already discarded).
@@ -45,7 +45,7 @@ impl DurableState {
         topic: &Topic,
         name: &str,
         filter: Filter,
-        tx: Sender<Arc<Message>>,
+        queue: SubscriberQueue,
     ) -> Result<(Arc<DurableState>, VecDeque<Arc<Message>>), Error> {
         let registered = |filter: Filter, out: &mut Vec<u8>| {
             JournalRecord::DurableRegistered {
@@ -73,7 +73,7 @@ impl DurableState {
                     subs.set_durable_filter(name, filter.clone());
                     inner.append_record(|out| registered(filter, out));
                 }
-                *connection = Some(tx);
+                *connection = Some(queue);
                 drop(connection);
                 state
             }
@@ -81,7 +81,7 @@ impl DurableState {
                 let state = Arc::new(DurableState {
                     name: name.to_owned(),
                     retained: Mutex::new(VecDeque::new()),
-                    connection: Mutex::new(Some(tx)),
+                    connection: Mutex::new(Some(queue)),
                 });
                 subs.add_durable(Arc::clone(&state), filter.clone());
                 inner.append_record(|out| registered(filter, out));
@@ -94,20 +94,30 @@ impl DurableState {
 
     /// Disconnects the consumer: future matches are retained again, and
     /// its unconsumed backlog (`pending`) plus everything still queued in
-    /// `receiver` goes back into the retained buffer so that nothing is
-    /// lost on reconnect.
+    /// `receiver` goes back into the retained buffer, in that order, so
+    /// that nothing is lost on reconnect.
+    ///
+    /// Never waits on the dispatcher, which under `OverflowPolicy::Block`
+    /// may sit in `send` on this consumer's full queue *holding*
+    /// `connection`: the queue is emptied until the lock is free. The
+    /// dispatcher only appends while it holds the lock, so what is queued
+    /// once the lock is ours is all there will be.
     pub(crate) fn disconnect(
         &self,
         pending: impl Iterator<Item = Arc<Message>>,
         receiver: &Receiver<Arc<Message>>,
     ) {
-        let mut connection = self.connection.lock();
+        let mut backlog: Vec<_> = pending.collect();
+        let mut connection = loop {
+            backlog.extend(std::iter::from_fn(|| receiver.try_recv().ok()));
+            match self.connection.try_lock() {
+                Some(connection) => break connection,
+                None => std::thread::yield_now(),
+            }
+        };
         *connection = None;
-        let mut retained = self.retained.lock();
-        retained.extend(pending);
-        while let Ok(m) = receiver.try_recv() {
-            retained.push_back(m);
-        }
+        backlog.extend(std::iter::from_fn(|| receiver.try_recv().ok()));
+        self.retained.lock().extend(backlog);
     }
 }
 
@@ -218,9 +228,9 @@ pub(crate) fn deliver<P: DispatchProbe>(
         }
         let durable = &entry.state;
         let mut connection = durable.connection.lock();
-        let delivery = connection.as_ref().map(|sender| {
+        let delivery = connection.as_ref().map(|queue| {
             probe.stage(Stage::Fanout, |_| {
-                deliver_to(sender, Arc::clone(message), inner.config.overflow_policy)
+                queue.deliver(Arc::clone(message), inner.config.overflow_policy)
             })
         });
         match delivery {

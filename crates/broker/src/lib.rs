@@ -83,6 +83,7 @@ pub use config::{
     PersistenceConfig, TopicObsConfig, TraceConfig,
 };
 pub use cost::CostModel;
+pub use dispatch::Wake;
 pub use error::{Error, TryPublishError};
 pub use filter::Filter;
 pub use message::{Message, MessageBuilder, MessageId, Priority};

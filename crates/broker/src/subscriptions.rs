@@ -235,13 +235,15 @@ impl Subscriptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::SubscriberQueue;
     use crate::message::Priority;
     use crossbeam::channel::bounded;
     use rjms_selector::{eval, parse};
 
     fn subscription(filter: Filter) -> Arc<Subscription> {
         let (sender, _) = bounded(1);
-        Arc::new(Subscription { filter, sender, active: Arc::new(AtomicBool::new(true)) })
+        let queue = SubscriberQueue { sender, wake: None };
+        Arc::new(Subscription { filter, queue, active: Arc::new(AtomicBool::new(true)) })
     }
 
     fn selector(source: &str) -> Filter {

@@ -292,3 +292,48 @@ fn returned_message_is_received_next_and_survives_disconnect() {
     assert_eq!(m.property("seq"), Some(&1i64.into()));
     b.shutdown();
 }
+
+/// Under `Block` (the default) the dispatcher waits inside `send` on a full
+/// consumer queue while it holds the durable's connection; the consumer
+/// that disconnects is the only thread that can make room, so it must not
+/// wait for that lock. Nothing it had is lost, and the order on reconnect
+/// is its backlog, what was queued, then what was published later.
+#[test]
+fn dropping_a_durable_with_a_full_queue_does_not_wait_for_the_blocked_dispatcher() {
+    let b = broker();
+    drop(b.subscription("t").durable("d").open().unwrap());
+    let p = b.publisher("t").unwrap();
+    let publish = |seq: i64| p.publish(Message::builder().property("seq", seq).build()).unwrap();
+    publish(0);
+    sync(&b, 1);
+    // seq 0 is the backlog; 1 fills the queue, the dispatcher blocks on 2
+    // and 3 waits in the publish queue.
+    let sub = b.subscription("t").durable("d").queue_capacity(1).open().unwrap();
+    (1..=3).for_each(publish);
+    sync(&b, 3);
+
+    let dropping = std::thread::spawn(move || drop(sub));
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while !dropping.is_finished() {
+        if std::time::Instant::now() > deadline {
+            // Shutting the broker down would hang behind the dispatcher.
+            std::mem::forget(b);
+            panic!("dropping the subscriber waits on the dispatcher it blocks");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // `received` is counted before the message is retained: poll the count.
+    for _ in 0..400 {
+        if b.retained_count("t", "d") == 4 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(b.retained_count("t", "d"), 4);
+    let sub = b.subscription("t").durable("d").open().unwrap();
+    for seq in 0..=3i64 {
+        let m = sub.receive_timeout(Duration::from_secs(2)).expect("retained message");
+        assert_eq!(m.property("seq"), Some(&seq.into()));
+    }
+    b.shutdown();
+}

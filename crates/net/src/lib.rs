@@ -14,7 +14,7 @@
 //!
 //! Failures surface through the unified workspace [`enum@Error`]; the wire
 //! layer records round-trip latency (`net.rtt_ns`, client side) and
-//! per-connection outbound queue depths (`net.conn.<id>.queue_depth`,
+//! per-connection write backlogs (`net.conn.<id>.queue_depth`,
 //! server side) into `rjms-metrics` registries — see
 //! [`client::RemoteBroker::metrics`] and [`server::BrokerServer::metrics`].
 //!

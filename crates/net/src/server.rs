@@ -1,26 +1,46 @@
 //! The broker server: accepts TCP connections and bridges them onto an
 //! embedded [`Broker`].
 //!
-//! One thread per connection direction (reader / writer) plus one forwarder
-//! thread per remote subscription — the same thread-per-component structure
-//! as the 2006 testbed clients ("each publisher or subscriber is realized
-//! as a single Java thread").
+//! Two threads per connection, whatever it subscribes to: `rjms-net-conn`
+//! handles the client's requests, `rjms-net-writer` owns the socket's write
+//! half. A delivery takes the in-process path up to the socket: dispatcher
+//! → the subscription's bounded queue → the writer, which drains its
+//! connection's subscriptions itself and encodes each frame in place from
+//! the broker's `&Message` (DESIGN.md §3.6).
+//!
+//! The writer sleeps on one channel of [`Outbound`]s: replies, and a `Ring`
+//! token. Every subscription is opened with the connection's doorbell as
+//! its [`wake`](rjms_broker::SubscriptionBuilder::wake) hook — `if
+//! !rung.swap(true) { send(Ring) }` after each copy queued — and the writer
+//! clears `rung` *before* it reads the queues: at most one token is in
+//! flight, a copy queued after the clear rings again, one queued before it
+//! is seen by the drain that follows.
+//!
+//! A client that stops reading fills its *bounded* subscriber queues and
+//! gets the broker's [`OverflowPolicy`](rjms_broker::OverflowPolicy) like
+//! an in-process consumer: `Block` pushes back on publishers, `DropNew`
+//! counts `dropped`. A connection holds at most R × the queue capacity in
+//! messages, one batch, and the replies owed to its own requests (not
+//! bounded yet). A failed write hands the batch back and releases the
+//! subscriptions, so a durable one retains all that was not written.
 //!
 //! The server keeps its own [`MetricsRegistry`] (see
 //! [`BrokerServer::metrics`]): gauge `net.connections.active` counts live
-//! connections and gauge `net.conn.<id>.queue_depth` tracks each
-//! connection's outbound response backlog — the wire-side analogue of the
-//! broker's publish queue, so a saturated subscriber link shows up as a
-//! growing depth instead of silently inflating delivery latency.
-//! Histogram `net.writer.batch_frames` has the number of frames per
-//! socket write: the batch-size distribution `X` a client sees.
+//! connections, gauge `net.conn.<id>.queue_depth` is what a connection has
+//! still to write (replies queued plus copies waiting in its subscriptions'
+//! queues), so a saturated subscriber link shows up as a depth at its
+//! bound, and histogram `net.writer.batch_frames` has the frames per socket
+//! write: the batch-size distribution `X` a client sees.
 
 use crate::wire::{
-    decode_request, encode_response_into, FrameReader, Request, Response, WireFilter, WireMessage,
-    FEATURE_FLOW, FEATURE_TRACE,
+    decode_request, encode_delivery_into, encode_response_into, FrameReader, Request, Response,
+    WireFilter, WireMessage, FEATURE_FLOW, FEATURE_TRACE,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use rjms_broker::{Broker, BrokerConfig, Error, Filter, FlowGate, Publisher, TopicPattern};
+use rjms_broker::{
+    Broker, BrokerConfig, Error, Filter, FlowGate, Message, Publisher, Subscriber, TopicPattern,
+    Wake,
+};
 use rjms_flow::{CreditWindow, CREDIT_WINDOW};
 use rjms_metrics::{clock, Gauge, Histogram, MetricsRegistry};
 use rjms_trace::{FlightRecorder, SpanEvent, Stage};
@@ -49,9 +69,10 @@ pub struct BrokerServer {
     local_addr: SocketAddr,
     stopping: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    /// Clones of accepted streams, so shutdown can tear live connections
-    /// down (a closed stream ends the connection's reader loop).
-    connections: Arc<parking_lot::Mutex<Vec<TcpStream>>>,
+    /// Clones of the live connections' streams, so shutdown can tear them
+    /// down (a closed stream ends the connection's reader loop); each
+    /// connection's handler removes its own on the way out.
+    connections: Arc<parking_lot::Mutex<HashMap<u64, TcpStream>>>,
     metrics: MetricsRegistry,
 }
 
@@ -78,7 +99,7 @@ impl BrokerServer {
         let stopping = Arc::new(AtomicBool::new(false));
         let metrics = MetricsRegistry::new();
 
-        let connections = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let connections = Arc::new(parking_lot::Mutex::new(HashMap::new()));
         let accept_broker = Arc::clone(&broker);
         let accept_stopping = Arc::clone(&stopping);
         let accept_connections = Arc::clone(&connections);
@@ -93,25 +114,27 @@ impl BrokerServer {
                     }
                     match stream {
                         Ok(stream) => {
-                            if let Ok(clone) = stream.try_clone() {
-                                accept_connections.lock().push(clone);
-                            }
+                            let connections = Arc::clone(&accept_connections);
                             let broker = Arc::clone(&accept_broker);
-                            let recorder = accept_broker.tracer();
                             let stopping = Arc::clone(&accept_stopping);
                             let metrics = accept_metrics.clone();
                             let connection_id = next_connection_id.fetch_add(1, Ordering::Relaxed);
                             let _ = std::thread::Builder::new()
                                 .name("rjms-net-conn".to_owned())
                                 .spawn(move || {
+                                    // Listed before `stopping` is read: a
+                                    // shutdown that missed it is seen there.
+                                    if let Ok(clone) = stream.try_clone() {
+                                        connections.lock().insert(connection_id, clone);
+                                    }
                                     handle_connection(
                                         broker,
-                                        recorder,
                                         stopping,
                                         stream,
                                         metrics,
                                         connection_id,
-                                    )
+                                    );
+                                    connections.lock().remove(&connection_id);
                                 });
                         }
                         Err(_) => break,
@@ -142,7 +165,7 @@ impl BrokerServer {
     }
 
     /// The server's wire-level instrument registry: gauge
-    /// `net.connections.active`, per-connection outbound queue depths
+    /// `net.connections.active`, what each connection has still to write
     /// under `net.conn.<id>.queue_depth` (reset to 0 when the connection
     /// closes), and histogram `net.writer.batch_frames`, the frames each
     /// socket write carried (all connections; one sample per write).
@@ -173,7 +196,7 @@ impl BrokerServer {
         // Tear down live connections; their reader loops exit on the
         // closed streams and the embedded broker stops once the last
         // connection handler drops its handle.
-        for stream in self.connections.lock().drain(..) {
+        for (_, stream) in self.connections.lock().drain() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
     }
@@ -194,18 +217,47 @@ fn build_filter(filter: WireFilter) -> Result<Filter, String> {
     }
 }
 
-/// State of one client connection.
+/// What a connection's writer blocks on.
+enum Outbound {
+    /// A reply to one of the client's requests, or a credit grant.
+    Reply(Response),
+    /// Whether the client negotiated [`FEATURE_TRACE`]: deliveries behind
+    /// this carry trace context, or go in the pre-trace opcodes as before it.
+    Traced(bool),
+    /// The doorbell's token: a subscription may have a copy queued.
+    Ring,
+    /// The reader is done: write the replies queued before this and stop.
+    Close,
+}
+
+/// A connection's subscriptions by client-chosen id, shared by its reader
+/// (subscribe, unsubscribe) and its writer (drain). A connection has few;
+/// the writer holds the lock while it encodes, never across a write.
+type Subscriptions = Arc<parking_lot::Mutex<Vec<(u32, Subscriber)>>>;
+
+/// A connection's doorbell: the flag the writer clears, and the hook that
+/// sets it and queues one [`Outbound::Ring`] on `out` if it was clear.
+fn doorbell(out: Sender<Outbound>) -> (Arc<AtomicBool>, Wake) {
+    let rung = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&rung);
+    let ring = move || {
+        // ORD: AcqRel swap, read by the writer's clearing swap: the copy
+        // queued before this ring happens-before the drain after the clear.
+        if !flag.swap(true, Ordering::AcqRel) {
+            let _ = out.send(Outbound::Ring);
+        }
+    };
+    (rung, Arc::new(ring))
+}
+
+/// The reader's half of one client connection.
 struct Connection {
     broker: Arc<Broker>,
-    out: Sender<Response>,
+    out: Sender<Outbound>,
     publishers: HashMap<String, Publisher>,
-    /// subscription id → cancel flag for its forwarder thread.
-    subscriptions: HashMap<u32, Arc<AtomicBool>>,
-    closed: Arc<AtomicBool>,
-    /// Whether the client negotiated [`FEATURE_TRACE`] via
-    /// [`Request::Hello`]. Deliveries to pre-handshake clients have their
-    /// trace context stripped so they only ever see pre-trace opcodes.
-    traced: Arc<AtomicBool>,
+    subscriptions: Subscriptions,
+    /// The doorbell hook every subscription is opened with.
+    ring: Wake,
     /// The broker's admission gate, when flow control is enabled.
     gate: Option<Arc<FlowGate>>,
     /// Whether the client negotiated [`FEATURE_FLOW`] *and* the broker has
@@ -219,7 +271,6 @@ struct Connection {
 
 fn handle_connection(
     broker: Arc<Broker>,
-    recorder: Option<Arc<FlightRecorder>>,
     stopping: Arc<AtomicBool>,
     stream: TcpStream,
     metrics: MetricsRegistry,
@@ -232,46 +283,40 @@ fn handle_connection(
     // The writer batches by itself; Nagle would only add a delayed-ACK
     // stall to a batch that ends in a partial segment.
     stream.set_nodelay(true).ok();
-    let (out_tx, out_rx) = unbounded::<Response>();
-    let closed = Arc::new(AtomicBool::new(false));
-
-    let active = metrics.gauge("net.connections.active");
-    active.add(1);
-    let depth = metrics.gauge(&format!("net.conn.{connection_id}.queue_depth"));
-
-    // Writer thread: serializes every outgoing response.
-    let writer_closed = Arc::clone(&closed);
-    let writer_depth = Arc::clone(&depth);
-    let batch_frames = metrics.histogram("net.writer.batch_frames");
-    let writer = std::thread::Builder::new()
-        .name("rjms-net-writer".to_owned())
-        .spawn(move || {
-            writer_loop(write_stream, out_rx, writer_closed, writer_depth, batch_frames, recorder)
-        })
-        .expect("failed to spawn writer thread");
-
+    let (out_tx, out_rx) = unbounded();
+    let (rung, ring) = doorbell(out_tx.clone());
     let gate = broker.flow();
     let mut conn = Connection {
         broker,
         out: out_tx,
         publishers: HashMap::new(),
-        subscriptions: HashMap::new(),
-        closed: Arc::clone(&closed),
-        traced: Arc::new(AtomicBool::new(false)),
+        subscriptions: Subscriptions::default(),
+        ring,
         gate,
         flow_negotiated: false,
         credit: None,
     };
+
+    let active = metrics.gauge("net.connections.active");
+    active.add(1);
+    let subscriptions = Arc::clone(&conn.subscriptions);
+    let bell = (rung, Arc::clone(&conn.ring));
+    let recorder = conn.broker.tracer();
+    let depth = metrics.gauge(&format!("net.conn.{connection_id}.queue_depth"));
+    let batch_frames = metrics.histogram("net.writer.batch_frames");
+    let writer = std::thread::Builder::new()
+        .name("rjms-net-writer".to_owned())
+        .spawn(move || {
+            writer_loop(write_stream, out_rx, subscriptions, bell, depth, batch_frames, recorder)
+        })
+        .expect("failed to spawn writer thread");
+
     reader_loop(stream, &mut conn);
 
-    // Tear down: cancel forwarders, close the writer.
-    closed.store(true, Ordering::Relaxed);
-    for flag in conn.subscriptions.values() {
-        flag.store(true, Ordering::Relaxed);
-    }
-    drop(conn); // drops the out sender; writer exits once forwarders do
+    // Tear down: the writer sends the replies it still owes, releases the
+    // subscriptions and stops.
+    let _ = conn.out.send(Outbound::Close);
     let _ = writer.join();
-    depth.set(0);
     active.add(-1);
 }
 
@@ -282,76 +327,114 @@ fn handle_connection(
 /// of microseconds). A single larger frame is still written whole.
 const WRITE_BATCH_BYTES: usize = 64 * 1024;
 
-/// Drains the connection's outbound queue onto the socket: blocks for one
-/// response, then takes whatever else is already queued (up to
-/// [`WRITE_BATCH_BYTES`]) and sends the lot with one `write_all`, so a
-/// backlog costs one syscall per batch and an idle connection still sends
-/// a lone response at once.
+/// The connection's writer: blocks for one [`Outbound`], encodes the
+/// replies already queued, then its subscriptions' copies in turn (one
+/// message each per pass, a durable's retained backlog first) until they
+/// are empty or the batch has [`WRITE_BATCH_BYTES`], and sends the lot with
+/// one `write_all`: a backlog costs one syscall per batch, an idle connection
+/// still sends a lone reply at once, a reply waits behind one batch at most.
 fn writer_loop(
     mut stream: TcpStream,
-    out_rx: Receiver<Response>,
-    closed: Arc<AtomicBool>,
+    out: Receiver<Outbound>,
+    subscriptions: Subscriptions,
+    (rung, ring): (Arc<AtomicBool>, Wake),
     depth: Arc<Gauge>,
     batch_frames: Arc<Histogram>,
     recorder: Option<Arc<FlightRecorder>>,
 ) {
     let mut batch = Vec::with_capacity(WRITE_BATCH_BYTES);
-    // `(trace id, subscription id)` of the batch's tail-sampled deliveries.
-    let mut sampled = Vec::new();
-    while let Ok(first) = out_rx.recv() {
-        let mut frames = 0;
+    // The batch's deliveries, kept until the write has returned.
+    let mut taken: Vec<(u32, Arc<Message>)> = Vec::new();
+    let mut open = true;
+    let mut traced = false;
+    while open {
+        let Ok(first) = out.recv() else { break };
+        let mut replies = 0;
         let mut next = Some(first);
-        while let Some(resp) = next {
-            encode_response_into(&mut batch, &resp);
-            frames += 1;
-            if let (Some(r), Response::Delivery { subscription_id, message }) = (&recorder, &resp) {
-                if let Some(t) = message.trace.filter(|t| r.is_sampled(t.trace_id)) {
-                    sampled.push((t.trace_id, *subscription_id));
+        while let Some(outbound) = next {
+            match outbound {
+                Outbound::Reply(response) => {
+                    encode_response_into(&mut batch, &response);
+                    replies += 1;
+                }
+                // ORD: AcqRel swap, reads the doorbell's. Cleared before
+                // the queues are read, so a later copy rings again.
+                Outbound::Ring => _ = rung.swap(false, Ordering::AcqRel),
+                Outbound::Traced(negotiated) => traced = negotiated,
+                Outbound::Close => open = false,
+            }
+            let more = open && batch.len() < WRITE_BATCH_BYTES;
+            next = if more { out.try_recv().ok() } else { None };
+        }
+        if open {
+            let subscriptions = subscriptions.lock();
+            let mut found = true;
+            while found && batch.len() < WRITE_BATCH_BYTES {
+                found = false;
+                for (id, subscriber) in subscriptions.iter() {
+                    let Some(message) = subscriber.try_receive() else { continue };
+                    encode_delivery_into(&mut batch, *id, &message, traced);
+                    taken.push((*id, message));
+                    found = true;
                 }
             }
-            next = if batch.len() < WRITE_BATCH_BYTES { out_rx.try_recv().ok() } else { None };
-        }
-        // Responses still queued behind the batch: the connection's
-        // outbound backlog.
-        depth.set(out_rx.len() as i64);
-        batch_frames.record(frames);
-        // Every sampled delivery in the batch gets a wire-flush span
-        // appended to its chain: the one write that carried its bytes off
-        // the server.
-        let flush_start = (!sampled.is_empty()).then(|| (clock::now(), Instant::now()));
-        if stream.write_all(&batch).is_err() {
-            closed.store(true, Ordering::Relaxed);
-            break;
-        }
-        if let (Some(r), Some((start_ticks, t0))) = (&recorder, flush_start) {
-            let duration_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            for (trace_id, subscription_id) in sampled.drain(..) {
-                r.record(SpanEvent {
-                    trace_id,
-                    stage: Stage::WireFlush,
-                    start_ticks,
-                    duration_ns,
-                    aux: u64::from(subscription_id),
-                });
+            let left: usize = subscriptions.iter().map(|(_, s)| s.queued()).sum();
+            depth.set((out.len() + left) as i64);
+            if left > 0 {
+                ring(); // the batch filled up first
             }
         }
+        if batch.is_empty() {
+            continue; // a ring whose copy an earlier drain had taken
+        }
+        batch_frames.record(replies + taken.len() as u64);
+        // Every tail-sampled delivery of the batch gets a wire-flush span
+        // on its chain: the one write that carried its bytes off the server.
+        let recorder = recorder.as_ref().filter(|_| traced && !taken.is_empty());
+        let flush = recorder.map(|r| (r, clock::now(), Instant::now()));
+        if stream.write_all(&batch).is_err() {
+            // Not written: back to the front of their queues, newest first,
+            // so every subscription has them in order again.
+            let subscriptions = subscriptions.lock();
+            for (id, message) in taken.drain(..).rev() {
+                if let Some((_, s)) = subscriptions.iter().find(|(i, _)| *i == id) {
+                    s.return_message(message);
+                }
+            }
+            break;
+        }
+        if let Some((recorder, start_ticks, t0)) = flush {
+            let duration_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            for (id, message) in &taken {
+                let trace_id = message.trace_id();
+                if recorder.is_sampled(trace_id) {
+                    recorder.record(SpanEvent {
+                        trace_id,
+                        stage: Stage::WireFlush,
+                        start_ticks,
+                        duration_ns,
+                        aux: u64::from(*id),
+                    });
+                }
+            }
+        }
+        taken.clear();
         batch.clear();
         // One oversized frame must not pin its allocation to the connection.
         batch.shrink_to(2 * WRITE_BATCH_BYTES);
     }
+    // Over, whichever side ended it: a durable subscription retains what it
+    // had, and a dispatcher waiting on one of these queues is freed (the
+    // reader may itself be waiting on it to publish).
+    subscriptions.lock().clear();
+    depth.set(0);
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 fn reader_loop(stream: TcpStream, conn: &mut Connection) {
     let mut frames = FrameReader::new(stream);
-    loop {
-        if conn.closed.load(Ordering::Relaxed) {
-            break;
-        }
-        let body = match frames.next_frame() {
-            Ok(Some(body)) => body,
-            Ok(None) | Err(_) => break,
-        };
+    // A writer that failed shuts the socket down, which ends the read.
+    while let Ok(Some(body)) = frames.next_frame() {
         let request = match decode_request(body) {
             Ok(r) => r,
             Err(_) => break, // protocol violation: drop the connection
@@ -366,20 +449,21 @@ fn reader_loop(stream: TcpStream, conn: &mut Connection) {
 fn handle_request(conn: &mut Connection, request: Request) -> bool {
     let (request_id, outcome) = match request {
         Request::Ping { request_id } => {
-            return conn.out.send(Response::Pong { request_id }).is_ok();
+            return conn.out.send(Outbound::Reply(Response::Pong { request_id })).is_ok();
         }
         Request::Hello { request_id, features } => {
-            conn.traced.store(features & FEATURE_TRACE != 0, Ordering::Relaxed);
+            let _ = conn.out.send(Outbound::Traced(features & FEATURE_TRACE != 0));
             // Flow control is only negotiated when both sides support it;
             // otherwise the client is paced by the compatibility throttle.
             conn.flow_negotiated = features & FEATURE_FLOW != 0 && conn.gate.is_some();
-            if conn.out.send(Response::Ok { request_id }).is_err() {
+            if conn.out.send(Outbound::Reply(Response::Ok { request_id })).is_err() {
                 return false;
             }
             if conn.flow_negotiated {
                 // Open the credit window with a full initial grant.
                 conn.credit = Some(CreditWindow::new(CREDIT_WINDOW));
-                return conn.out.send(Response::CreditGrant { credits: CREDIT_WINDOW }).is_ok();
+                let grant = Response::CreditGrant { credits: CREDIT_WINDOW };
+                return conn.out.send(Outbound::Reply(grant)).is_ok();
             }
             return true;
         }
@@ -404,21 +488,22 @@ fn handle_request(conn: &mut Connection, request: Request) -> bool {
             (request_id, conn.broker.unsubscribe_durable(&topic, &name).map_err(|e| e.to_string()))
         }
         Request::Unsubscribe { request_id, subscription_id } => {
-            let outcome = match conn.subscriptions.remove(&subscription_id) {
-                Some(flag) => {
-                    flag.store(true, Ordering::Relaxed);
-                    Ok(())
-                }
-                None => Err(format!("unknown subscription {subscription_id}")),
+            let removed = {
+                let mut subscriptions = conn.subscriptions.lock();
+                let at = subscriptions.iter().position(|(id, _)| *id == subscription_id);
+                at.map(|at| subscriptions.remove(at))
             };
-            (request_id, outcome)
+            // Dropped here, outside the lock and before the `Ok` is queued:
+            // `Ok` means the broker-side subscription is released.
+            let unknown = || format!("unknown subscription {subscription_id}");
+            (request_id, removed.map(drop).ok_or_else(unknown))
         }
     };
     let response = match outcome {
         Ok(()) => Response::Ok { request_id },
         Err(message) => Response::Error { request_id, message },
     };
-    conn.out.send(response).is_ok()
+    conn.out.send(Outbound::Reply(response)).is_ok()
 }
 
 /// Handles one publish request end to end: credit replenishment for flow
@@ -444,11 +529,11 @@ fn handle_publish(
         // Pre-flow peers only ever see the original error frame.
         Err(e) => Response::Error { request_id, message: e.to_string() },
     };
-    if conn.out.send(response).is_err() {
+    if conn.out.send(Outbound::Reply(response)).is_err() {
         return false;
     }
     match grant {
-        Some(credits) => conn.out.send(Response::CreditGrant { credits }).is_ok(),
+        Some(credits) => conn.out.send(Outbound::Reply(Response::CreditGrant { credits })).is_ok(),
         None => true,
     }
 }
@@ -498,7 +583,7 @@ fn subscribe(
     target: SubscribeTarget,
     filter: WireFilter,
 ) -> Result<(), String> {
-    if conn.subscriptions.contains_key(&subscription_id) {
+    if conn.subscriptions.lock().iter().any(|(id, _)| *id == subscription_id) {
         return Err(format!("subscription id {subscription_id} already in use"));
     }
     let filter = build_filter(filter)?;
@@ -514,107 +599,107 @@ fn subscribe(
         }
         SubscribeTarget::Durable { topic, name } => conn.broker.subscription(&topic).durable(&name),
     };
-    let subscriber = builder.filter(filter).open().map_err(|e| e.to_string())?;
-
-    let cancel = Arc::new(AtomicBool::new(false));
-    conn.subscriptions.insert(subscription_id, Arc::clone(&cancel));
-
-    // Forwarder: pumps deliveries into the connection's writer.
-    let out = conn.out.clone();
-    let closed = Arc::clone(&conn.closed);
-    let traced = Arc::clone(&conn.traced);
-    std::thread::Builder::new()
-        .name(format!("rjms-net-fwd-{subscription_id}"))
-        .spawn(move || {
-            while !cancel.load(Ordering::Relaxed) && !closed.load(Ordering::Relaxed) {
-                match subscriber.receive_timeout(Duration::from_millis(50)) {
-                    Some(message) => {
-                        let mut wire = WireMessage::from_message(&message);
-                        if !traced.load(Ordering::Relaxed) {
-                            // Pre-handshake client: strip the context so the
-                            // frame encodes with the original opcode.
-                            wire = wire.without_trace();
-                        }
-                        let delivery = Response::Delivery { subscription_id, message: wire };
-                        if out.send(delivery).is_err() {
-                            // Connection died mid-delivery: hand the pulled
-                            // message back so a durable subscription retains
-                            // it instead of losing it.
-                            subscriber.return_message(message);
-                            break;
-                        }
-                    }
-                    None => {
-                        // Timeout: loop to re-check the cancel flags. A
-                        // closed broker also lands here via the drained
-                        // channel; detect it through the closed flag.
-                    }
-                }
-            }
-            // Dropping `subscriber` cancels the broker-side subscription.
-        })
-        .expect("failed to spawn forwarder thread");
+    let subscriber =
+        builder.filter(filter).wake(Arc::clone(&conn.ring)).open().map_err(|e| e.to_string())?;
+    conn.subscriptions.lock().push((subscription_id, subscriber));
+    // Rung after the push: a copy queued before it (a durable's backlog,
+    // a match right behind `open`) rang when the writer could not find it.
+    (conn.ring)();
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::encode_response;
-    use std::io::Read;
+    use crate::wire::{encode_response, read_frame};
+    use bytes::Bytes;
 
+    /// The writer against a raw socket, everything queued before it starts:
+    /// every kind of reply on its channel, and in four subscriptions'
+    /// queues deliveries enough to pass the batch cap a few times, one of
+    /// them larger than the cap. The reference for a delivery's bytes is
+    /// the `WireMessage` route.
     #[test]
-    fn writer_puts_queued_responses_on_the_socket_in_order_and_in_batches() {
+    fn writer_puts_replies_and_queued_deliveries_on_the_socket_in_order_and_in_batches() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
 
-        // Every kind of response, then deliveries enough to pass the batch
-        // cap a few times, all queued before the writer starts.
-        let delivery = |subscription_id, len| Response::Delivery {
-            subscription_id,
-            message: WireMessage::from_message(
-                &rjms_broker::Message::builder().correlation_id("#1").body(vec![7; len]).build(),
-            ),
+        let broker = Broker::start(BrokerConfig::default());
+        broker.create_topic("t").unwrap();
+        let open = |id: u32, filter: &str| {
+            let filter = Filter::correlation_id(filter).unwrap();
+            (id, broker.subscription("t").filter(filter).open().unwrap())
         };
-        let mut queued = vec![
+        let subscriptions = vec![open(6, "#9"), open(0, "#1"), open(1, "#1"), open(2, "#1")];
+        let publisher = broker.publisher("t").unwrap();
+        let mut expected: HashMap<u32, Vec<Bytes>> = HashMap::new();
+        let mut publish = |ids: &[u32], correlation_id: &str, len: usize| {
+            let message = Message::builder().correlation_id(correlation_id).body(vec![7; len]);
+            let message = message.build();
+            for &subscription_id in ids {
+                let message = WireMessage::from_message(&message);
+                let frame = encode_response(&Response::Delivery { subscription_id, message });
+                expected.entry(subscription_id).or_default().push(frame);
+            }
+            publisher.publish(message).unwrap();
+        };
+        publish(&[6], "#9", 3 * WRITE_BATCH_BYTES);
+        (0..700).for_each(|_| publish(&[0, 1, 2], "#1", 100));
+        let deliveries = 1 + 3 * 700;
+        while subscriptions.iter().map(|(_, s)| s.queued()).sum::<usize>() < deliveries {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let replies = [
             Response::Ok { request_id: 1 },
             Response::Error { request_id: 2, message: "no".into() },
             Response::Pong { request_id: 3 },
             Response::CreditGrant { credits: 4 },
             Response::PublishDenied { request_id: 5, class: 1, deferred: true, retry_after_ms: 6 },
-            delivery(6, 3 * WRITE_BATCH_BYTES),
         ];
-        queued.extend((0..2_000).map(|i| delivery(i, 100)));
         let (out_tx, out_rx) = unbounded();
-        for response in &queued {
-            out_tx.send(response.clone()).unwrap();
+        for reply in &replies {
+            out_tx.send(Outbound::Reply(reply.clone())).unwrap();
         }
-        drop(out_tx);
+        out_tx.send(Outbound::Traced(true)).unwrap();
+        let (rung, ring) = doorbell(out_tx.clone());
+        ring();
 
-        let reader = std::thread::spawn(move || {
-            let mut bytes = Vec::new();
-            peer.read_to_end(&mut bytes).unwrap();
-            bytes
-        });
         let metrics = MetricsRegistry::new();
         let batch_frames = metrics.histogram("net.writer.batch_frames");
-        let closed = Arc::new(AtomicBool::new(false));
-        writer_loop(
-            stream,
-            out_rx,
-            closed,
-            metrics.gauge("depth"),
-            Arc::clone(&batch_frames),
-            None,
-        );
+        let subscriptions = Arc::new(parking_lot::Mutex::new(subscriptions));
+        let (depth, frames) = (metrics.gauge("depth"), Arc::clone(&batch_frames));
+        let writer = std::thread::spawn(move || {
+            writer_loop(stream, out_rx, subscriptions, (rung, ring), depth, frames, None)
+        });
 
-        let expected: Vec<u8> = queued.iter().flat_map(|r| encode_response(r).to_vec()).collect();
-        assert!(reader.join().unwrap() == expected, "bytes differ from the frames in queue order");
+        let mut reply_frames = Vec::new();
+        let mut delivered: HashMap<u32, Vec<Bytes>> = HashMap::new();
+        for _ in 0..replies.len() + deliveries {
+            let body = read_frame(&mut peer).unwrap().expect("a frame");
+            let frame = [&(body.len() as u32).to_be_bytes()[..], &body[..]].concat();
+            match body[0] {
+                0x83 | 0x85 => {
+                    let subscription_id = u32::from_be_bytes(body[1..5].try_into().unwrap());
+                    delivered.entry(subscription_id).or_default().push(frame.into());
+                }
+                _ => reply_frames.push(Bytes::from(frame)),
+            }
+        }
+        out_tx.send(Outbound::Close).unwrap();
+        writer.join().unwrap();
+        assert!(read_frame(&mut peer).unwrap().is_none(), "bytes behind the last frame");
+
+        let expected_replies: Vec<Bytes> = replies.iter().map(encode_response).collect();
+        assert!(reply_frames == expected_replies, "replies differ from the frames in queue order");
+        assert!(delivered == expected, "a subscription's bytes differ from its frames in order");
         // One sample per write, each frame counted once: the oversized
         // delivery closes the first batch, the rest go out a cap at a time.
         let batches = batch_frames.snapshot();
-        assert_eq!(batches.sum, queued.len() as u64);
-        assert!(batches.count < 10, "{} writes for {} frames", batches.count, queued.len());
+        assert_eq!(batches.sum, (replies.len() + deliveries) as u64);
+        assert!(batches.count < 10, "{} writes for {} frames", batches.count, batches.sum);
+        assert_eq!(metrics.snapshot().gauges["depth"], 0);
+        broker.shutdown();
     }
 }

@@ -263,12 +263,11 @@ impl WireMessage {
     /// Builds the wire form of a broker message (drops id/timestamp, which
     /// the receiving broker re-stamps).
     pub fn from_message(m: &Message) -> Self {
-        let remaining_ttl = m.expiration_millis().map(|e| e.saturating_sub(m.timestamp_millis()));
         WireMessage {
             correlation_id: m.correlation_id().map(str::to_owned),
             message_type: m.message_type().map(str::to_owned),
             priority: m.priority().level(),
-            ttl_millis: remaining_ttl,
+            ttl_millis: remaining_ttl(m),
             properties: m.properties().iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
             body: m.body().clone(),
             trace: Some(WireTrace { trace_id: m.trace_id(), origin_ns: m.trace_origin_ns() }),
@@ -281,6 +280,11 @@ impl WireMessage {
         self.trace = None;
         self
     }
+}
+
+/// The time to live a message goes on the wire with.
+fn remaining_ttl(m: &Message) -> Option<u64> {
+    m.expiration_millis().map(|e| e.saturating_sub(m.timestamp_millis()))
 }
 
 // --- primitive encoders/decoders -----------------------------------------
@@ -320,7 +324,7 @@ fn get_u8(buf: &mut Bytes) -> Result<u8, DecodeError> {
     Ok(buf.get_u8())
 }
 
-fn put_opt_str(buf: &mut impl BufMut, s: &Option<String>) {
+fn put_opt_str(buf: &mut impl BufMut, s: Option<&str>) {
     match s {
         None => buf.put_u8(0),
         Some(v) => {
@@ -380,23 +384,46 @@ fn get_value(buf: &mut Bytes) -> Result<Value, DecodeError> {
 }
 
 fn put_message(buf: &mut impl BufMut, m: &WireMessage) {
-    put_opt_str(buf, &m.correlation_id);
-    put_opt_str(buf, &m.message_type);
-    buf.put_u8(m.priority);
-    match m.ttl_millis {
+    put_fields(
+        buf,
+        m.correlation_id.as_deref(),
+        m.message_type.as_deref(),
+        m.priority,
+        m.ttl_millis,
+        m.properties.iter().map(|(k, v)| (k.as_str(), v)),
+        &m.body,
+    );
+}
+
+/// A message's fields in wire order, which nothing else knows: borrowed
+/// from a [`WireMessage`] by [`put_message`] and straight from a broker
+/// [`Message`] by [`encode_delivery_into`].
+fn put_fields<'a>(
+    buf: &mut impl BufMut,
+    correlation_id: Option<&str>,
+    message_type: Option<&str>,
+    priority: u8,
+    ttl_millis: Option<u64>,
+    properties: impl ExactSizeIterator<Item = (&'a str, &'a Value)>,
+    body: &[u8],
+) {
+    put_opt_str(buf, correlation_id);
+    put_opt_str(buf, message_type);
+    buf.put_u8(priority);
+    match ttl_millis {
         None => buf.put_u8(0),
         Some(ttl) => {
             buf.put_u8(1);
             buf.put_u64(ttl);
         }
     }
-    buf.put_u32(m.properties.len() as u32);
-    for (k, v) in &m.properties {
+    buf.put_u32(properties.len() as u32);
+    for (k, v) in properties {
         put_str(buf, k);
         put_value(buf, v);
     }
-    buf.put_u32(m.body.len() as u32);
-    buf.put_slice(&m.body);
+    buf.put_u32(body.len() as u32);
+    buf.put_slice(body);
 }
 
 fn get_message(buf: &mut Bytes) -> Result<WireMessage, DecodeError> {
@@ -599,6 +626,35 @@ pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
             out.put_u8(u8::from(*deferred));
             out.put_u64(*retry_after_ms);
         }
+    }
+    end_frame(out, start);
+}
+
+/// Appends the frame [`encode_response_into`] gives for a
+/// [`Response::Delivery`] of [`WireMessage::from_message`]`(message)`
+/// (`.without_trace()` unless `traced`), encoding from the broker's message
+/// in place: no header string, property or body is copied on the way.
+pub fn encode_delivery_into(
+    out: &mut Vec<u8>,
+    subscription_id: u32,
+    message: &Message,
+    traced: bool,
+) {
+    let start = begin_frame(out);
+    out.put_u8(if traced { 0x85 } else { 0x83 });
+    out.put_u32(subscription_id);
+    put_fields(
+        out,
+        message.correlation_id(),
+        message.message_type(),
+        message.priority().level(),
+        remaining_ttl(message),
+        message.properties().iter().map(|(k, v)| (k.as_str(), v)),
+        message.body(),
+    );
+    if traced {
+        let trace_id = message.trace_id();
+        put_trace(out, &WireTrace { trace_id, origin_ns: message.trace_origin_ns() });
     }
     end_frame(out, start);
 }

@@ -151,7 +151,7 @@ fn dropping_client_cleans_up_server_side_subscriptions() {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(server.broker().subscription_count("t"), 1);
-    } // client drops: connection closes, forwarder exits, subscriber drops
+    } // client drops: connection closes, its writer releases the subscriptions
 
     for _ in 0..200 {
         if server.broker().subscription_count("t") == 0 {
@@ -219,11 +219,9 @@ fn durable_subscription_over_tcp() {
             Err(Error::Remote { .. })
         ));
     }
-    // The drop above only detached locally; the server-side forwarder
-    // notices on its next poll. Give it a moment, then check retention by
-    // publishing while offline. We need the *server-side* connection to drop
-    // the broker subscriber; that happens when this client connection
-    // closes — so use a second connection for the offline-publish phase.
+    // Close the whole connection, too, and check retention by publishing
+    // from a second one while the subscription is offline. The server
+    // notices a closed connection on its own time.
     drop(client);
     let client2 = RemoteBroker::connect(server.local_addr()).unwrap();
     for _ in 0..200 {
@@ -250,20 +248,10 @@ fn durable_subscription_over_tcp() {
     }
 
     // Clean up: disconnect, then remove the durable subscription remotely.
+    // The server handles a connection's requests in order and releases the
+    // subscription while it handles the unsubscribe: no waiting, no retry.
     drop(worker);
-    // The server-side forwarder polls every 50 ms; retry until it let go.
-    let mut removed = false;
-    for _ in 0..100 {
-        match client2.unsubscribe_durable("jobs", "worker-1") {
-            Ok(()) => {
-                removed = true;
-                break;
-            }
-            Err(Error::Remote { .. }) => std::thread::sleep(Duration::from_millis(20)),
-            Err(other) => panic!("unexpected error {other:?}"),
-        }
-    }
-    assert!(removed, "durable subscription was never released");
+    client2.unsubscribe_durable("jobs", "worker-1").expect("released by the unsubscribe before it");
     assert!(server.broker().durable_names("jobs").is_empty());
     server.shutdown();
 }

@@ -5,8 +5,8 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use rjms_net::wire::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, FrameReader,
-    Request, Response, WireFilter, WireMessage, WireTrace, MAX_FRAME_LEN,
+    decode_request, decode_response, encode_delivery_into, encode_request, encode_response,
+    read_frame, FrameReader, Request, Response, WireFilter, WireMessage, WireTrace, MAX_FRAME_LEN,
 };
 use rjms_selector::Value;
 use std::io::ErrorKind;
@@ -225,6 +225,29 @@ proptest! {
         let frame = encode_response(&resp);
         let body = frame.slice(4..);
         prop_assert_eq!(decode_response(body).unwrap(), resp);
+    }
+
+    /// The server's writer encodes deliveries straight from the broker's
+    /// message; the `WireMessage` route is the reference it must equal.
+    #[test]
+    fn delivery_encoded_in_place_is_the_wire_messages_frame(
+        subscription_id in any::<u32>(),
+        wire in message_strategy(),
+        behind in prop::collection::vec(any::<u8>(), 0..8),
+    ) {
+        // A broker message adds the TTL to its timestamp: keep the sum in range.
+        let ttl_millis = wire.ttl_millis.map(|ttl| ttl >> 24);
+        let message = WireMessage { ttl_millis, ..wire }.into_message();
+        for traced in [false, true] {
+            let reference = WireMessage::from_message(&message);
+            let reference = if traced { reference } else { reference.without_trace() };
+            let expected = encode_response(&Response::Delivery { subscription_id, message: reference });
+            // Appended: what is already in the buffer stays.
+            let mut out = behind.clone();
+            encode_delivery_into(&mut out, subscription_id, &message, traced);
+            prop_assert_eq!(&out[..behind.len()], &behind[..]);
+            prop_assert_eq!(&out[behind.len()..], &expected[..]);
+        }
     }
 
     #[test]
