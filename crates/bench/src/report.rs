@@ -71,27 +71,24 @@ impl BenchReport {
     /// time, or `GITHUB_SHA`, or `"unknown"`), `unix_time` (seconds since
     /// the epoch) and `wall_clock_s` (elapsed since [`BenchReport::new`]).
     pub fn render(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("bench");
-        w.string(&self.name);
-        for (key, field) in &self.fields {
-            w.key(key);
-            match field {
-                Field::Num(v) => w.float(*v),
-                Field::Uint(v) => w.uint(*v),
-                Field::Text(v) => w.string(v),
-                Field::Flag(v) => w.bool(*v),
-            }
-        }
-        w.key("git_sha");
-        w.string(&git_sha());
-        w.key("unix_time");
-        w.uint(SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs()));
-        w.key("wall_clock_s");
-        w.float(self.started.elapsed().as_secs_f64());
-        w.end_object();
-        w.finish()
+        JsonWriter::document(|w| {
+            w.object(|w| {
+                w.field("bench", &self.name);
+                for (key, field) in &self.fields {
+                    match field {
+                        Field::Num(v) => w.field(key, *v),
+                        Field::Uint(v) => w.field(key, *v),
+                        Field::Text(v) => w.field(key, v),
+                        Field::Flag(v) => w.field(key, *v),
+                    }
+                }
+                w.field("git_sha", git_sha());
+                let unix_time =
+                    SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
+                w.field("unix_time", unix_time);
+                w.field("wall_clock_s", self.started.elapsed().as_secs_f64());
+            });
+        })
     }
 
     /// Writes `BENCH_<name>.json` at the repository root and returns its

@@ -35,12 +35,16 @@ use crate::metrics::BrokerMetrics;
 use crate::pattern::TopicPattern;
 use crate::persist::{recover_topics, JournalRecord};
 use crate::probe::{NoProbe, Telemetry};
-use crate::reports::{cost_anchor, flow_refresh_loop, shard_reports_of, snapshot_of, ShardReport};
+use crate::reports::{
+    cost_anchor, flow_refresh_loop, model_text, monitor_of, shard_reports_of, snapshot_of,
+    ShardReport,
+};
 use crate::stats::{BrokerSnapshot, BrokerStats};
 use crate::subscriptions::Subscriptions;
 use crate::topic_obs::{TopicObservatory, TopicObservatorySnapshot};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
+use rjms_core::ModelMonitor;
 use rjms_flow::{AdmissionOutcome, FlowGate};
 use rjms_journal::Journal;
 use rjms_metrics::MetricsRegistry;
@@ -285,7 +289,6 @@ impl Broker {
             let (journal, _report) = Journal::open(persistence.journal.clone())
                 .expect("failed to open the write-ahead journal");
             topics = recover_topics(&journal, &config);
-            stats.update_journal(&journal.stats());
             Mutex::new(journal)
         });
         let metrics = config.metrics.map(|m| BrokerMetrics::new(m.stage_sample_every));
@@ -795,6 +798,21 @@ impl BrokerObserver {
     /// A per-topic observatory snapshot (see [`Broker::topic_observatory`]).
     pub fn topic_observatory(&self) -> Option<TopicObservatorySnapshot> {
         self.inner.topic_obs.as_ref().map(|o| o.snapshot())
+    }
+
+    /// The analytic model at the broker's measured operating point (mean
+    /// filter evaluations and replication grade per message so far),
+    /// anchored like the shard reports: on the flow model's constants, else
+    /// the cost model's. `None` without either, or before any traffic.
+    pub fn monitor(&self) -> Option<ModelMonitor> {
+        monitor_of(&self.inner)
+    }
+
+    /// The model check as text: per shard the verdict and the
+    /// measured-vs-predicted table, plus the flight recorder's slowest
+    /// chains after a drift verdict. Empty when there is nothing to assess.
+    pub fn model_text(&self) -> String {
+        model_text(&shard_reports_of(&self.inner), self.inner.tracer.as_deref())
     }
 }
 

@@ -93,7 +93,7 @@ pub use rjms_flow::{AdmissionOutcome, FlowGate, FlowSnapshot};
 pub use rjms_journal::{FsyncPolicy, JournalConfig, JournalStats, RecoveryReport};
 pub use rjms_metrics::MetricsRegistry;
 pub use stats::{
-    BrokerSnapshot, BrokerStats, FlowCounters, MessageCounters, ShardSnapshot, StatsSnapshot,
+    BrokerSnapshot, BrokerStats, FlowCounters, MessageCounters, ShardSnapshot,
     SubscriptionCounters, Throughput, ThroughputProbe, TopicStats,
 };
 pub use topic_obs::{TopicObsRow, TopicObservatorySnapshot, OTHER_TOPIC};

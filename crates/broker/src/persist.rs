@@ -413,16 +413,14 @@ const APPEND_FAILED: &str = "write-ahead journal append failed; cannot continue 
 
 impl BrokerInner {
     /// Appends one record to the journal — a commit of its own, for the
-    /// rare records (topic, durable registration, checkpoint) — refreshing
-    /// the journal gauges in `BrokerStats`, and returns the record's
-    /// journal offset. `payload` writes the record into the journal's
-    /// frame buffer. Without persistence this is a no-op and `payload` is
-    /// never called, so a broker with no journal does not serialise what
-    /// it would not store.
+    /// rare records (topic, durable registration, checkpoint) — and returns
+    /// the record's journal offset. `payload` writes the record into the
+    /// journal's frame buffer. Without persistence this is a no-op and
+    /// `payload` is never called, so a broker with no journal does not
+    /// serialise what it would not store.
     pub(crate) fn append_record(&self, payload: impl FnOnce(&mut Vec<u8>)) -> Option<u64> {
         let mut journal = self.journal.as_ref()?.lock();
         let offset = journal.batch(|batch| batch.append_with(payload)).expect(APPEND_FAILED);
-        self.stats.update_journal(&journal.stats());
         Some(offset)
     }
 
@@ -455,7 +453,6 @@ impl BrokerInner {
                 Ok(offset)
             })
             .expect(APPEND_FAILED);
-        self.stats.update_journal(&journal.stats());
         Some(offset)
     }
 
@@ -464,7 +461,6 @@ impl BrokerInner {
         if let Some(journal) = &self.journal {
             let mut journal = journal.lock();
             journal.sync().expect("write-ahead journal sync failed; cannot continue durably");
-            self.stats.update_journal(&journal.stats());
         }
     }
 }

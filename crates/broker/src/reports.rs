@@ -1,19 +1,22 @@
 //! Read-side views over the shared broker state: the typed
-//! [`BrokerSnapshot`], the per-shard model reports and the flow-refresh
-//! thread that re-calibrates the admission gate from the same live
-//! histograms. Nothing here runs on the dispatch path.
+//! [`BrokerSnapshot`] and the per-shard model reports — the one place the
+//! paper's method (measure an operating point, evaluate Eq. 1 + M/GI/1
+//! *for that server*, compare) is spelled. `/shards`, `/model`, the
+//! periodic text report, the flow-refresh thread and the monitor handed to
+//! the SLO engine all read it from here. Nothing here runs on the dispatch
+//! path.
 
 use crate::broker::BrokerInner;
 use crate::config::BrokerConfig;
 use crate::stats::{
     BrokerSnapshot, MessageCounters, ShardSnapshot, SubscriptionCounters, TopicStats,
 };
-use rjms_core::{
-    CostParams, DriftTolerance, ModelMonitor, ModelVerdict, ReplicationModel, ServerModel,
-};
+use rjms_core::{CostParams, ModelMonitor, ModelVerdict, ReplicationModel, ServerModel};
 use rjms_flow::FlowGate;
-use rjms_metrics::labeled;
+use rjms_metrics::{clock, labeled, RegistrySnapshot};
+use rjms_trace::{group_chains, FlightRecorder};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -78,16 +81,13 @@ pub(crate) fn snapshot_of(inner: &BrokerInner) -> BrokerSnapshot {
 }
 
 /// Periodically re-calibrates the flow gate's arrival budget from the
-/// live waiting/service histograms: every refresh interval it snapshots
-/// the registry, rebuilds a [`ModelMonitor`] at the *measured* operating
-/// point (mean filter count and replication grade from the broker's own
-/// counters), and feeds the verdict to [`FlowGate::refresh`] — drift
-/// re-derives λ_max from measured moments, overload tightens the budget.
+/// per-shard model reports: every refresh interval it assesses each shard
+/// at its *measured* operating point ([`shard_reports_in`]) and feeds
+/// [`gate_verdict`]'s pick to [`FlowGate::refresh`] — drift re-derives
+/// λ_max from that shard's measured moments, overload tightens the budget.
 pub(crate) fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
     let Some(metrics) = &inner.metrics else { return };
-    let config = *gate.config();
-    let interval = Duration::from_millis(config.refresh_interval_ms.max(1));
-    let started = Instant::now();
+    let interval = Duration::from_millis(gate.config().refresh_interval_ms.max(1));
     loop {
         // Sleep in short slices so shutdown is prompt.
         let deadline = Instant::now() + interval;
@@ -98,17 +98,6 @@ pub(crate) fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
             std::thread::sleep(Duration::from_millis(25));
         }
         let snap = metrics.registry.snapshot();
-        let (Some(waiting), Some(service)) =
-            (snap.histogram("broker.waiting_ns"), snap.histogram("broker.service_ns"))
-        else {
-            continue;
-        };
-        let received = inner.stats.received();
-        if received == 0 {
-            continue;
-        }
-        let filters = (inner.stats.filter_evaluations() / received).min(u64::from(u32::MAX));
-        let grade = inner.stats.dispatched() as f64 / received as f64;
         // Journal-aware budget: with persistence on, feed the *measured*
         // per-message store cost (mean append plus amortized fsync time)
         // into the gate's analytic seed, closing Eq. 1's t_store term
@@ -121,13 +110,27 @@ pub(crate) fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
             }
             gate.reseed_store_cost(store_ns * 1e-9);
         }
-        let monitor = ModelMonitor::new(
-            ServerModel::new(config.params, filters as u32),
-            ReplicationModel::deterministic(grade),
-        );
-        let verdict = monitor.assess(waiting, service, started.elapsed());
-        gate.refresh(&verdict);
+        if let Some(verdict) = gate_verdict(&shard_reports_in(inner, &snap)) {
+            gate.refresh(verdict);
+        }
     }
+}
+
+/// The verdict the admission gate is refreshed from. The shards are `k`
+/// independent M/GI/1 servers and the gate's budget is `k · λ_per_shard`,
+/// so the shard that bounds W99 decides: an overloaded shard (the most
+/// overloaded one) before any other, else the shard with the highest
+/// measured utilisation. `None` while no shard has enough samples.
+pub(crate) fn gate_verdict(reports: &[ShardReport]) -> Option<&ModelVerdict> {
+    let load = |verdict: &ModelVerdict| match verdict {
+        ModelVerdict::Overloaded { utilization } => Some((true, *utilization)),
+        verdict => verdict.report().map(|r| (false, r.measured.utilization)),
+    };
+    reports
+        .iter()
+        .filter_map(|r| Some((load(&r.verdict)?, &r.verdict)))
+        .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(_, verdict)| verdict)
 }
 
 /// One dispatcher shard's live model assessment: the shard's measured
@@ -138,7 +141,8 @@ pub(crate) fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
 /// ([`ClusterScenario`](rjms_core::ClusterScenario)).
 ///
 /// Produced by [`Broker::shard_reports`](crate::Broker::shard_reports);
-/// served by the `/shards` HTTP endpoint.
+/// served by the `/shards` and `/model` HTTP endpoints, and what the flow
+/// gate is refreshed from.
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     /// Shard index in `0..shards`.
@@ -171,15 +175,51 @@ pub(crate) fn cost_anchor(config: &BrokerConfig) -> Option<CostParams> {
     }
 }
 
+/// `total / received`, the per-message mean of a counter (0 before the
+/// first message).
+fn per_message(total: u64, received: u64) -> f64 {
+    if received > 0 {
+        total as f64 / received as f64
+    } else {
+        0.0
+    }
+}
+
+/// The workspace's one assessment: Eq. 1 + M/GI/1 anchored on `params`,
+/// evaluated at a server's measured operating point — its mean filter
+/// evaluations per message (rounded) and its replication grade.
+fn monitor_at(params: CostParams, filters: f64, grade: f64) -> ModelMonitor {
+    let model = ServerModel::new(params, filters.round() as u32);
+    ModelMonitor::new(model, ReplicationModel::deterministic(grade))
+}
+
+/// The monitor behind
+/// [`BrokerObserver::monitor`](crate::BrokerObserver::monitor): the whole
+/// broker's measured operating point; `None` without a cost anchor or
+/// before the first message.
+pub(crate) fn monitor_of(inner: &BrokerInner) -> Option<ModelMonitor> {
+    let params = cost_anchor(&inner.config)?;
+    let stats = &inner.stats;
+    let received = stats.received();
+    let filters = per_message(stats.filter_evaluations(), received);
+    let grade = per_message(stats.dispatched(), received);
+    (received > 0).then(|| monitor_at(params, filters, grade))
+}
+
 /// Builds the per-shard model reports behind
 /// [`Broker::shard_reports`](crate::Broker::shard_reports): none when
 /// metrics are off (nothing measured) or no cost anchor exists (Eq. 1 has
 /// no constants to predict with).
 pub(crate) fn shard_reports_of(inner: &BrokerInner) -> Vec<ShardReport> {
-    let (Some(metrics), Some(params)) = (&inner.metrics, cost_anchor(&inner.config)) else {
-        return Vec::new();
-    };
-    let snap = metrics.registry.snapshot();
+    match &inner.metrics {
+        Some(metrics) => shard_reports_in(inner, &metrics.registry.snapshot()),
+        None => Vec::new(),
+    }
+}
+
+/// [`shard_reports_of`] over an already-taken registry snapshot.
+fn shard_reports_in(inner: &BrokerInner, snap: &RegistrySnapshot) -> Vec<ShardReport> {
+    let Some(params) = cost_anchor(&inner.config) else { return Vec::new() };
     let elapsed = inner.started.elapsed();
     let shards = inner.config.shards;
     (0..shards)
@@ -198,33 +238,153 @@ pub(crate) fn shard_reports_of(inner: &BrokerInner) -> Vec<ShardReport> {
             };
             let counters = &inner.shard_stats[shard];
             let received = counters.received.load(Ordering::Relaxed);
-            let per_message = |total: u64| {
-                if received > 0 {
-                    total as f64 / received as f64
-                } else {
-                    0.0
-                }
-            };
-            let filters = per_message(counters.filter_evaluations.load(Ordering::Relaxed));
-            let grade = per_message(counters.dispatched.load(Ordering::Relaxed));
+            let filters =
+                per_message(counters.filter_evaluations.load(Ordering::Relaxed), received);
+            let replication_grade =
+                per_message(counters.dispatched.load(Ordering::Relaxed), received);
+            let monitor = monitor_at(params, filters, replication_grade);
             // A shard whose histograms have not materialized yet (no
             // dispatch flushed) is an idle server, not a missing one.
             let (samples, verdict) = match (waiting, service) {
                 (Some(waiting), Some(service)) => {
-                    let monitor = ModelMonitor::new(
-                        ServerModel::new(params, filters.round() as u32),
-                        ReplicationModel::deterministic(grade),
-                    );
                     (waiting.count, monitor.assess(waiting, service, elapsed))
                 }
                 _ => {
-                    let required = DriftTolerance::default().min_samples;
+                    let required = monitor.tolerance().min_samples;
                     (0, ModelVerdict::Insufficient { samples: 0, required })
                 }
             };
             let secs = elapsed.as_secs_f64();
             let arrival_rate = if secs > 0.0 { samples as f64 / secs } else { 0.0 };
-            ShardReport { shard, samples, arrival_rate, filters, replication_grade: grade, verdict }
+            ShardReport { shard, samples, arrival_rate, filters, replication_grade, verdict }
         })
         .collect()
+}
+
+/// Renders the `/model` text and the periodic report's model check from
+/// the per-shard reports: per shard that has served messages, the verdict
+/// line and the measured-vs-predicted table (prefixed `shard i` on a
+/// sharded broker); after a `Drift`, the recorder's slowest chains, so the
+/// spans of the tail that produced the anomaly survive. Empty when there
+/// is nothing to assess.
+pub(crate) fn model_text(reports: &[ShardReport], recorder: Option<&FlightRecorder>) -> String {
+    let mut out = String::new();
+    for r in reports.iter().filter(|r| r.samples > 0) {
+        if reports.len() > 1 {
+            let _ = write!(out, "shard {} ", r.shard);
+        }
+        match &r.verdict {
+            ModelVerdict::Calibrated(report) => {
+                out.push_str("model check: CALIBRATED (all within tolerance)\n");
+                out.push_str(&report.render_text());
+            }
+            ModelVerdict::Drift(report) => {
+                out.push_str("model check: DRIFT\n");
+                out.push_str(&report.render_text());
+            }
+            verdict => {
+                let _ = writeln!(out, "model check: {verdict:?}");
+            }
+        }
+    }
+    let drift = reports.iter().any(|r| matches!(r.verdict, ModelVerdict::Drift(_)));
+    if let Some(recorder) = recorder.filter(|_| drift) {
+        let mut chains = group_chains(recorder.snapshot().events);
+        chains.sort_by_key(|c| std::cmp::Reverse(c.total_duration_ns()));
+        out.push_str("drift traces (slowest sampled chains):\n");
+        for chain in chains.iter().take(8) {
+            let total = chain.total_duration_ns();
+            let _ = write!(out, "  trace {:016x}  total {total:>9}ns ", chain.trace_id);
+            for e in &chain.events {
+                let _ = write!(out, " {}={}ns", e.stage.name(), e.duration_ns);
+            }
+            out.push('\n');
+        }
+        if chains.is_empty() {
+            out.push_str("  (recorder empty)\n");
+        }
+        let _ = writeln!(out, "  ns_per_tick {:.4}", clock::ns_per_tick());
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rjms_core::monitor::{DriftReport, MeasuredSummary};
+    use rjms_core::ModelVerdict::{Calibrated, Drift};
+    use rjms_core::WaitingTimeAnalysis;
+
+    const IDLE: ModelVerdict = ModelVerdict::Insufficient { samples: 3, required: 1000 };
+
+    /// A `kind` verdict whose report measured the given utilisation.
+    fn busy(utilization: f64, kind: fn(DriftReport) -> ModelVerdict) -> ModelVerdict {
+        let service = ServerModel::new(CostParams::CORRELATION_ID, 1)
+            .service_time(ReplicationModel::deterministic(1.0));
+        let predicted = WaitingTimeAnalysis::for_service_time(service, 0.5).unwrap().report();
+        let measured = MeasuredSummary {
+            samples: 5000,
+            arrival_rate: predicted.arrival_rate,
+            mean_service_time: predicted.mean_service_time,
+            service_cvar: 0.0,
+            utilization,
+            mean_waiting_time: predicted.mean_waiting_time,
+            q99: predicted.q99,
+            q9999: predicted.q9999,
+        };
+        kind(DriftReport { measured, predicted, violations: Vec::new() })
+    }
+
+    fn reports(verdicts: Vec<ModelVerdict>) -> Vec<ShardReport> {
+        let report = |(shard, verdict)| ShardReport {
+            shard,
+            samples: 5000,
+            arrival_rate: 12_000.0,
+            filters: 1.0,
+            replication_grade: 1.0,
+            verdict,
+        };
+        verdicts.into_iter().enumerate().map(report).collect()
+    }
+
+    #[test]
+    fn the_gate_follows_the_shard_that_bounds_w99() {
+        let overloaded = |utilization| ModelVerdict::Overloaded { utilization };
+        // Overloaded beats busy (the worst overload when there are two).
+        let r = reports(vec![busy(0.9, Drift), overloaded(1.1), IDLE, overloaded(1.4)]);
+        assert_eq!(gate_verdict(&r), Some(&overloaded(1.4)));
+        // The busiest shard beats an idler one, whatever their kinds.
+        let r = reports(vec![busy(0.2, Drift), IDLE, busy(0.6, Calibrated), busy(0.4, Drift)]);
+        assert_eq!(gate_verdict(&r), Some(&busy(0.6, Calibrated)));
+        // Nothing to go on refreshes nothing.
+        assert_eq!(gate_verdict(&reports(vec![IDLE, IDLE])), None);
+        assert_eq!(gate_verdict(&[]), None);
+        // One shard is that shard: the single-dispatcher broker's behaviour.
+        for verdict in [busy(0.3, Drift), busy(0.3, Calibrated), overloaded(1.2)] {
+            assert_eq!(gate_verdict(&reports(vec![verdict.clone()])), Some(&verdict));
+        }
+    }
+
+    #[test]
+    fn model_text_is_one_block_per_shard_that_served() {
+        let table = |v: &ModelVerdict| v.report().expect("busy").render_text();
+        // One shard: the text the periodic report has always ended with.
+        let calibrated = busy(0.3, Calibrated);
+        let expected =
+            format!("model check: CALIBRATED (all within tolerance)\n{}", table(&calibrated));
+        assert_eq!(model_text(&reports(vec![calibrated]), None), expected);
+        // Several: a block each, labeled; recorder chains after a drift.
+        let recorder = FlightRecorder::new(16);
+        let overloaded = ModelVerdict::Overloaded { utilization: 1.25 };
+        let text = model_text(&reports(vec![busy(0.4, Drift), overloaded]), Some(&recorder));
+        let drift = format!("shard 0 model check: DRIFT\n{}", table(&busy(0.4, Drift)));
+        assert!(text.starts_with(&drift), "{text}");
+        assert!(text.contains("\nshard 1 model check: Overloaded { utilization: 1.25 }\n"));
+        assert!(text.contains("drift traces (slowest sampled chains):\n  (recorder empty)\n"));
+        // A shard that has served nothing has nothing to assess.
+        let mut idle = reports(vec![IDLE]);
+        idle[0].samples = 0;
+        assert_eq!(model_text(&idle, Some(&recorder)), "");
+        assert_eq!(model_text(&[], None), "");
+    }
 }

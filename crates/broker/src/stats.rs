@@ -142,11 +142,9 @@ pub struct BrokerSnapshot {
     pub topics_overflowed: u64,
 }
 
-/// Lock-free counters shared between broker threads and observers.
-///
-/// The `journal_*` gauges mirror the write-ahead journal's own
-/// [`JournalStats`] when persistence is enabled (see
-/// [`crate::config::PersistenceConfig`]); they stay zero otherwise.
+/// Lock-free counters shared between broker threads and observers. (The
+/// journal's counters are read from the journal itself: see
+/// [`BrokerSnapshot::journal`].)
 #[derive(Debug, Default)]
 pub struct BrokerStats {
     received: AtomicU64,
@@ -156,11 +154,6 @@ pub struct BrokerStats {
     expired_subscriptions: AtomicU64,
     retained: AtomicU64,
     expired_messages: AtomicU64,
-    journal_appends: AtomicU64,
-    journal_bytes_appended: AtomicU64,
-    journal_fsyncs: AtomicU64,
-    journal_frames_recovered: AtomicU64,
-    journal_segments_rotated: AtomicU64,
     flow_granted: AtomicU64,
     flow_deferred: AtomicU64,
     flow_shed: AtomicU64,
@@ -301,105 +294,6 @@ impl BrokerStats {
             shed: self.flow_shed(),
         }
     }
-
-    /// Copies the journal's counters into the broker-level gauges. Called
-    /// by the broker after journal activity; observers read the result via
-    /// the `journal_*` accessors and [`BrokerStats::snapshot`].
-    pub fn update_journal(&self, stats: &JournalStats) {
-        self.journal_appends.store(stats.appends, Ordering::Relaxed);
-        self.journal_bytes_appended.store(stats.bytes_appended, Ordering::Relaxed);
-        self.journal_fsyncs.store(stats.fsyncs, Ordering::Relaxed);
-        self.journal_frames_recovered.store(stats.frames_recovered, Ordering::Relaxed);
-        self.journal_segments_rotated.store(stats.segments_rotated, Ordering::Relaxed);
-    }
-
-    /// Frames appended to the journal so far (0 without persistence).
-    pub fn journal_appends(&self) -> u64 {
-        self.journal_appends.load(Ordering::Relaxed)
-    }
-
-    /// Bytes appended to the journal so far (0 without persistence).
-    pub fn journal_bytes_appended(&self) -> u64 {
-        self.journal_bytes_appended.load(Ordering::Relaxed)
-    }
-
-    /// `fdatasync` calls issued by the journal so far (0 without
-    /// persistence).
-    pub fn journal_fsyncs(&self) -> u64 {
-        self.journal_fsyncs.load(Ordering::Relaxed)
-    }
-
-    /// Intact frames recovered from the journal at startup (0 without
-    /// persistence).
-    pub fn journal_frames_recovered(&self) -> u64 {
-        self.journal_frames_recovered.load(Ordering::Relaxed)
-    }
-
-    /// Journal segments sealed and rotated so far (0 without persistence).
-    pub fn journal_segments_rotated(&self) -> u64 {
-        self.journal_segments_rotated.load(Ordering::Relaxed)
-    }
-
-    /// An instantaneous snapshot of all counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            received: self.received(),
-            dispatched: self.dispatched(),
-            filter_evaluations: self.filter_evaluations(),
-            dropped: self.dropped(),
-            journal_appends: self.journal_appends(),
-            journal_bytes_appended: self.journal_bytes_appended(),
-            journal_fsyncs: self.journal_fsyncs(),
-            journal_frames_recovered: self.journal_frames_recovered(),
-            journal_segments_rotated: self.journal_segments_rotated(),
-        }
-    }
-}
-
-/// A point-in-time copy of the counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StatsSnapshot {
-    /// Messages received from publishers.
-    pub received: u64,
-    /// Message copies dispatched to subscribers.
-    pub dispatched: u64,
-    /// Filter evaluations performed.
-    pub filter_evaluations: u64,
-    /// Message copies dropped on overflow.
-    pub dropped: u64,
-    /// Frames appended to the write-ahead journal.
-    pub journal_appends: u64,
-    /// Bytes appended to the write-ahead journal.
-    pub journal_bytes_appended: u64,
-    /// `fdatasync` calls issued by the journal.
-    pub journal_fsyncs: u64,
-    /// Intact frames recovered from the journal at startup.
-    pub journal_frames_recovered: u64,
-    /// Journal segments sealed and rotated.
-    pub journal_segments_rotated: u64,
-}
-
-impl StatsSnapshot {
-    /// Counter deltas `self - earlier` (saturating). Recovery happens once
-    /// at startup, so `journal_frames_recovered` is carried over as-is
-    /// rather than differenced.
-    pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            received: self.received.saturating_sub(earlier.received),
-            dispatched: self.dispatched.saturating_sub(earlier.dispatched),
-            filter_evaluations: self.filter_evaluations.saturating_sub(earlier.filter_evaluations),
-            dropped: self.dropped.saturating_sub(earlier.dropped),
-            journal_appends: self.journal_appends.saturating_sub(earlier.journal_appends),
-            journal_bytes_appended: self
-                .journal_bytes_appended
-                .saturating_sub(earlier.journal_bytes_appended),
-            journal_fsyncs: self.journal_fsyncs.saturating_sub(earlier.journal_fsyncs),
-            journal_frames_recovered: self.journal_frames_recovered,
-            journal_segments_rotated: self
-                .journal_segments_rotated
-                .saturating_sub(earlier.journal_segments_rotated),
-        }
-    }
 }
 
 /// Throughput over a measurement window (messages per second).
@@ -439,34 +333,30 @@ impl Throughput {
 /// methodology (100 s run, first and last 5 s cut off).
 #[derive(Debug)]
 pub struct ThroughputProbe {
-    start_snapshot: StatsSnapshot,
+    received: u64,
+    dispatched: u64,
     started_at: Instant,
 }
 
 impl ThroughputProbe {
     /// Starts measuring from the broker's current counter values.
     pub fn begin(broker: &Broker) -> Self {
-        Self::start(broker.raw_stats())
+        let stats = broker.raw_stats();
+        Self {
+            received: stats.received(),
+            dispatched: stats.dispatched(),
+            started_at: Instant::now(),
+        }
     }
 
     /// Finishes measuring against the same broker and returns the window
     /// throughput.
     pub fn end(self, broker: &Broker) -> Throughput {
-        self.finish(broker.raw_stats())
-    }
-
-    /// Starts measuring from the current counter values.
-    pub fn start(stats: &BrokerStats) -> Self {
-        Self { start_snapshot: stats.snapshot(), started_at: Instant::now() }
-    }
-
-    /// Finishes measuring and returns the window throughput.
-    pub fn finish(self, stats: &BrokerStats) -> Throughput {
         let elapsed = self.started_at.elapsed().as_secs_f64().max(1e-9);
-        let delta = stats.snapshot().delta(&self.start_snapshot);
+        let stats = broker.raw_stats();
         Throughput {
-            received_per_sec: delta.received as f64 / elapsed,
-            dispatched_per_sec: delta.dispatched as f64 / elapsed,
+            received_per_sec: stats.received().saturating_sub(self.received) as f64 / elapsed,
+            dispatched_per_sec: stats.dispatched().saturating_sub(self.dispatched) as f64 / elapsed,
             window_secs: elapsed,
         }
     }
@@ -495,45 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_gauges_mirror_journal_stats() {
-        let s = BrokerStats::new();
-        assert_eq!(s.journal_appends(), 0);
-        s.update_journal(&JournalStats {
-            appends: 12,
-            bytes_appended: 340,
-            fsyncs: 3,
-            frames_recovered: 7,
-            torn_bytes_truncated: 0,
-            segments_rotated: 2,
-            segments_removed: 0,
-        });
-        assert_eq!(s.journal_appends(), 12);
-        assert_eq!(s.journal_bytes_appended(), 340);
-        assert_eq!(s.journal_fsyncs(), 3);
-        assert_eq!(s.journal_frames_recovered(), 7);
-        assert_eq!(s.journal_segments_rotated(), 2);
-        let snap = s.snapshot();
-        assert_eq!(snap.journal_appends, 12);
-        // Recovery is a startup-time fact, not a rate: delta keeps it.
-        let d = snap.delta(&snap);
-        assert_eq!(d.journal_appends, 0);
-        assert_eq!(d.journal_frames_recovered, 7);
-    }
-
-    #[test]
-    fn snapshot_delta() {
-        let s = BrokerStats::new();
-        s.record_received();
-        let a = s.snapshot();
-        s.record_received();
-        s.record_dispatched(3);
-        let b = s.snapshot();
-        let d = b.delta(&a);
-        assert_eq!(d.received, 1);
-        assert_eq!(d.dispatched, 3);
-    }
-
-    #[test]
     fn throughput_derived_metrics() {
         let t = Throughput { received_per_sec: 100.0, dispatched_per_sec: 500.0, window_secs: 1.0 };
         assert_eq!(t.overall_per_sec(), 600.0);
@@ -544,15 +395,16 @@ mod tests {
 
     #[test]
     fn probe_measures_deltas_only() {
-        let s = BrokerStats::new();
+        let broker = Broker::start(crate::BrokerConfig::default());
+        let s = broker.raw_stats();
         s.record_received(); // before the probe starts — must not count
-        let probe = ThroughputProbe::start(&s);
+        let probe = ThroughputProbe::begin(&broker);
         for _ in 0..10 {
             s.record_received();
             s.record_dispatched(2);
         }
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let t = probe.finish(&s);
+        let t = probe.end(&broker);
         assert!(t.window_secs >= 0.02);
         assert!((t.replication_grade().unwrap() - 2.0).abs() < 1e-12);
         assert!(t.received_per_sec > 0.0 && t.received_per_sec < 10.0 / 0.02);

@@ -1,24 +1,86 @@
 //! Minimal hand-rolled JSON emission.
 //!
-//! The workspace's `serde` shim provides marker traits only, so snapshot
-//! export builds its JSON text directly. Only the constructs the
-//! observability surfaces need are implemented: objects, arrays, strings,
-//! integers, and floats. The writer is public so downstream exposition
-//! layers (`rjms-obs`, `rjms::http`) render with the same escaping rules
-//! as the registry snapshots.
+//! The workspace's `serde` shim provides marker traits only, so every JSON
+//! body the workspace emits — registry snapshots, the SLO engine's
+//! payloads, the HTTP endpoints, bench artifacts — is built with the one
+//! [`JsonWriter`] here. A body, or a block of one, is rendered by a function
+//! `(&value, &mut JsonWriter)` that writes one JSON value at the writer's
+//! position — a `write_json` method where the crate owns the type, a free
+//! `*_json` function where it does not — so a block that appears in
+//! several bodies is one function its parents call.
 
-/// Incrementally builds a JSON document into an owned `String`.
+/// A scalar the writer can emit: integers, `f64`, `bool`, strings, and
+/// `Option`s of those (`None` is `null`).
+pub trait JsonScalar {
+    /// Appends the value's JSON token to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+macro_rules! display_scalars {
+    ($($t:ty),*) => {$(
+        impl JsonScalar for $t {
+            fn write_json(&self, out: &mut String) {
+                out.push_str(&self.to_string());
+            }
+        }
+    )*};
+}
+display_scalars!(u8, u32, u64, usize, i64, bool);
+
+impl JsonScalar for f64 {
+    /// NaN and infinities become `null` (JSON has no representation for
+    /// them).
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            // `{:?}` round-trips f64 exactly and always includes a decimal
+            // point or exponent, keeping the token a valid JSON number.
+            out.push_str(&format!("{self:?}"));
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+impl JsonScalar for str {
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
+    }
+}
+
+impl JsonScalar for String {
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
+    }
+}
+
+impl<T: JsonScalar + ?Sized> JsonScalar for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: JsonScalar> JsonScalar for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+/// Builds a JSON document into an owned `String`.
 ///
 /// # Examples
 ///
 /// ```
 /// use rjms_metrics::JsonWriter;
-/// let mut w = JsonWriter::new();
-/// w.begin_object();
-/// w.key("count");
-/// w.uint(3);
-/// w.end_object();
-/// assert_eq!(w.finish(), r#"{"count":3}"#);
+/// let json = JsonWriter::document(|w| {
+///     w.object(|w| {
+///         w.field("count", 3u64);
+///         w.key("tags").array(|w| w.value("a"));
+///     });
+/// });
+/// assert_eq!(json, r#"{"count":3,"tags":["a"]}"#);
 /// ```
 #[derive(Debug, Default)]
 pub struct JsonWriter {
@@ -29,15 +91,12 @@ pub struct JsonWriter {
 }
 
 impl JsonWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the finished document.
-    pub fn finish(self) -> String {
-        debug_assert!(self.needs_comma.is_empty(), "unbalanced JSON nesting");
-        self.out
+    /// The document `body` writes: one value, usually an
+    /// [`object`](Self::object).
+    pub fn document(body: impl FnOnce(&mut Self)) -> String {
+        let mut w = Self::default();
+        body(&mut w);
+        w.out
     }
 
     fn pre_value(&mut self) {
@@ -49,97 +108,59 @@ impl JsonWriter {
         }
     }
 
-    /// Opens an object (`{`).
-    pub fn begin_object(&mut self) {
+    fn scope(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) {
         self.pre_value();
-        self.out.push('{');
+        self.out.push(open);
         self.needs_comma.push(false);
-    }
-
-    /// Closes the innermost object (`}`).
-    pub fn end_object(&mut self) {
+        body(self);
         self.needs_comma.pop();
-        self.out.push('}');
+        self.out.push(close);
     }
 
-    /// Opens an array (`[`).
-    pub fn begin_array(&mut self) {
-        self.pre_value();
-        self.out.push('[');
-        self.needs_comma.push(false);
+    /// Writes an object whose members `body` writes.
+    pub fn object(&mut self, body: impl FnOnce(&mut Self)) {
+        self.scope('{', '}', body);
     }
 
-    /// Closes the innermost array (`]`).
-    pub fn end_array(&mut self) {
-        self.needs_comma.pop();
-        self.out.push(']');
+    /// Writes an array whose elements `body` writes.
+    pub fn array(&mut self, body: impl FnOnce(&mut Self)) {
+        self.scope('[', ']', body);
     }
 
-    /// Writes an object key; the next call must write its value.
-    pub fn key(&mut self, name: &str) {
+    /// Writes an object key; the next call must write its value
+    /// ([`object`](Self::object), [`array`](Self::array),
+    /// [`optional`](Self::optional), or a block's rendering function).
+    pub fn key(&mut self, name: &str) -> &mut Self {
         self.pre_value();
         write_escaped(&mut self.out, name);
         self.out.push(':');
-        // The value that follows must not emit another comma.
+        // The value that follows must not emit another comma; its own
+        // `pre_value` sets the flag again.
         if let Some(seen) = self.needs_comma.last_mut() {
             *seen = false;
         }
+        self
     }
 
-    /// Writes an escaped string value.
-    pub fn string(&mut self, v: &str) {
+    /// Writes a scalar: an array element, or the value after a
+    /// [`key`](Self::key).
+    pub fn value(&mut self, v: impl JsonScalar) {
         self.pre_value();
-        write_escaped(&mut self.out, v);
+        v.write_json(&mut self.out);
     }
 
-    /// Writes an unsigned integer value.
-    pub fn uint(&mut self, v: u64) {
-        self.pre_value();
-        self.out.push_str(&v.to_string());
+    /// Writes an object member with a scalar value.
+    pub fn field(&mut self, name: &str, v: impl JsonScalar) {
+        self.key(name).value(v);
     }
 
-    /// Writes a signed integer value.
-    pub fn int(&mut self, v: i64) {
-        self.pre_value();
-        self.out.push_str(&v.to_string());
-    }
-
-    /// Writes a boolean value.
-    pub fn bool(&mut self, v: bool) {
-        self.pre_value();
-        self.out.push_str(if v { "true" } else { "false" });
-    }
-
-    /// Writes a `null` value.
-    pub fn null(&mut self) {
-        self.pre_value();
-        self.out.push_str("null");
-    }
-
-    /// Writes a finite float; NaN and infinities become `null` (JSON has no
-    /// representation for them).
-    pub fn float(&mut self, v: f64) {
-        self.pre_value();
-        if v.is_finite() {
-            // `{:?}` round-trips f64 exactly and always includes a decimal
-            // point or exponent, keeping the token a valid JSON number.
-            self.out.push_str(&format!("{v:?}"));
-        } else {
-            self.out.push_str("null");
+    /// Writes what `render` makes of `v`, or `null` when there is none.
+    pub fn optional<T>(&mut self, v: Option<T>, render: impl FnOnce(T, &mut Self)) {
+        match v {
+            Some(v) => render(v, self),
+            None => self.value(None::<bool>),
         }
     }
-
-    /// Writes a pre-rendered JSON fragment verbatim (the caller vouches for
-    /// its validity — e.g. a nested document produced by another writer).
-    pub fn raw(&mut self, fragment: &str) {
-        self.pre_value();
-        self.out.push_str(fragment);
-    }
-
-    // After `key(..)`, the comma state of the enclosing object was cleared;
-    // restore it after the value. Object/array/scalar writers all call
-    // `pre_value`, which leaves the flag set, so nothing extra is needed —
-    // this comment documents the invariant rather than code.
 }
 
 /// Appends `s` to `out` as a quoted, escaped JSON string.
@@ -167,59 +188,60 @@ mod tests {
 
     #[test]
     fn builds_nested_document() {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("name");
-        w.string("dispatch.waiting_ns");
-        w.key("count");
-        w.uint(42);
-        w.key("mean");
-        w.float(1.5);
-        w.key("buckets");
-        w.begin_array();
-        w.begin_object();
-        w.key("upper");
-        w.uint(32);
-        w.key("n");
-        w.uint(7);
-        w.end_object();
-        w.uint(9);
-        w.end_array();
-        w.key("gauge");
-        w.int(-3);
-        w.end_object();
+        let json = JsonWriter::document(|w| {
+            w.object(|w| {
+                w.field("name", "dispatch.waiting_ns");
+                w.field("count", 42u64);
+                w.field("mean", 1.5);
+                w.key("buckets").array(|w| {
+                    w.object(|w| {
+                        w.field("upper", 32u32);
+                        w.field("n", 7usize);
+                    });
+                    w.value(9u8);
+                });
+                w.field("gauge", -3i64);
+            });
+        });
         assert_eq!(
-            w.finish(),
+            json,
             r#"{"name":"dispatch.waiting_ns","count":42,"mean":1.5,"buckets":[{"upper":32,"n":7},9],"gauge":-3}"#
         );
     }
 
     #[test]
     fn escapes_strings() {
-        let mut w = JsonWriter::new();
-        w.string("a\"b\\c\nd\u{1}");
-        assert_eq!(w.finish(), r#""a\"b\\c\nd\u0001""#);
+        let json = JsonWriter::document(|w| w.value("a\"b\\c\nd\u{1}"));
+        assert_eq!(json, r#""a\"b\\c\nd\u0001""#);
     }
 
     #[test]
     fn non_finite_floats_become_null() {
-        let mut w = JsonWriter::new();
-        w.begin_array();
-        w.float(f64::NAN);
-        w.float(f64::INFINITY);
-        w.float(2.0);
-        w.end_array();
-        assert_eq!(w.finish(), "[null,null,2.0]");
+        let json = JsonWriter::document(|w| {
+            w.array(|w| {
+                w.value(f64::NAN);
+                w.value(f64::INFINITY);
+                w.value(2.0);
+            });
+        });
+        assert_eq!(json, "[null,null,2.0]");
     }
 
     #[test]
-    fn bool_null_and_raw() {
-        let mut w = JsonWriter::new();
-        w.begin_array();
-        w.bool(true);
-        w.null();
-        w.raw(r#"{"nested":1}"#);
-        w.end_array();
-        assert_eq!(w.finish(), r#"[true,null,{"nested":1}]"#);
+    fn bool_and_options() {
+        let json = JsonWriter::document(|w| {
+            w.object(|w| {
+                w.field("on", true);
+                w.field("none", None::<u64>);
+                w.field("some", Some(1e-7));
+                w.field("name", Some(&String::from("x")));
+                w.key("absent").optional(None::<u64>, |v, w| w.value(v));
+                w.key("block").optional(Some(3u64), |v, w| w.object(|w| w.field("v", v)));
+            });
+        });
+        assert_eq!(
+            json,
+            r#"{"on":true,"none":null,"some":1e-7,"name":"x","absent":null,"block":{"v":3}}"#
+        );
     }
 }

@@ -140,59 +140,38 @@ impl RegistrySnapshot {
 
     /// Renders the snapshot as a JSON document.
     pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("counters");
-        w.begin_object();
-        for (name, v) in &self.counters {
-            w.key(name);
-            w.uint(*v);
-        }
-        w.end_object();
-        w.key("gauges");
-        w.begin_object();
-        for (name, v) in &self.gauges {
-            w.key(name);
-            w.int(*v);
-        }
-        w.end_object();
-        w.key("histograms");
-        w.begin_object();
-        for (name, h) in &self.histograms {
-            w.key(name);
-            w.begin_object();
-            w.key("count");
-            w.uint(h.count);
-            w.key("sum");
-            w.uint(h.sum);
-            w.key("min");
-            w.uint(h.min);
-            w.key("max");
-            w.uint(h.max);
-            w.key("mean");
-            w.float(h.mean());
-            w.key("cvar");
-            w.float(h.cvar());
-            w.key("p50");
-            w.uint(h.quantile(0.5).unwrap_or(0));
-            w.key("p99");
-            w.uint(h.quantile(0.99).unwrap_or(0));
-            w.key("p9999");
-            w.uint(h.quantile(0.9999).unwrap_or(0));
-            w.key("buckets");
-            w.begin_array();
-            for b in &h.buckets {
-                w.begin_array();
-                w.uint(b.upper);
-                w.uint(b.count);
-                w.end_array();
-            }
-            w.end_array();
-            w.end_object();
-        }
-        w.end_object();
-        w.end_object();
-        w.finish()
+        JsonWriter::document(|w| self.write_json(w))
+    }
+
+    /// Writes the snapshot as one JSON object at the writer's position.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("counters").object(|w| self.counters.iter().for_each(|(k, v)| w.field(k, *v)));
+            w.key("gauges").object(|w| self.gauges.iter().for_each(|(k, v)| w.field(k, *v)));
+            w.key("histograms").object(|w| {
+                for (name, h) in &self.histograms {
+                    w.key(name).object(|w| {
+                        w.field("count", h.count);
+                        w.field("sum", h.sum);
+                        w.field("min", h.min);
+                        w.field("max", h.max);
+                        w.field("mean", h.mean());
+                        w.field("cvar", h.cvar());
+                        w.field("p50", h.quantile(0.5).unwrap_or(0));
+                        w.field("p99", h.quantile(0.99).unwrap_or(0));
+                        w.field("p9999", h.quantile(0.9999).unwrap_or(0));
+                        w.key("buckets").array(|w| {
+                            for b in &h.buckets {
+                                w.array(|w| {
+                                    w.value(b.upper);
+                                    w.value(b.count);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+        });
     }
 }
 

@@ -166,115 +166,67 @@ impl AlertEvent {
         line
     }
 
-    /// Renders the event as a self-contained JSON object (webhook payload
-    /// and `/alerts` feed entry).
+    /// Renders the event as a self-contained JSON object: the webhook
+    /// payload.
     pub fn render_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("name");
-        w.string(&self.name);
-        w.key("from");
-        w.string(self.from.name());
-        w.key("to");
-        w.string(self.to.name());
-        w.key("at_ms");
-        w.uint(self.at.as_millis() as u64);
-        w.key("fast_burn");
-        w.float(self.fast_burn);
-        w.key("slow_burn");
-        w.float(self.slow_burn);
-        match &self.evidence {
-            None => {
-                w.key("evidence");
-                w.null();
-            }
-            Some(e) => {
-                w.key("evidence");
-                w.begin_object();
-                match &e.window_histogram {
-                    None => {
-                        w.key("window");
-                        w.null();
-                    }
-                    Some(h) => {
-                        w.key("window");
-                        w.begin_object();
-                        w.key("count");
-                        w.uint(h.count);
-                        w.key("q50_ns");
-                        w.uint(h.quantile(0.50).unwrap_or(0));
-                        w.key("q99_ns");
-                        w.uint(h.quantile(0.99).unwrap_or(0));
-                        w.key("q9999_ns");
-                        w.uint(h.quantile(0.9999).unwrap_or(0));
-                        w.key("max_ns");
-                        w.uint(h.max);
-                        w.end_object();
-                    }
-                }
-                match &e.prediction {
-                    None => {
-                        w.key("prediction");
-                        w.null();
-                    }
-                    Some(p) => {
-                        w.key("prediction");
-                        w.begin_object();
-                        w.key("utilization");
-                        w.float(p.utilization);
-                        w.key("mean_waiting_s");
-                        w.float(p.mean_waiting_time);
-                        w.key("q99_s");
-                        w.float(p.q99);
-                        w.key("q9999_s");
-                        w.float(p.q9999);
-                        w.end_object();
-                    }
-                }
-                w.key("model_verdict");
-                match &e.model_verdict {
-                    Some(v) => w.string(v),
-                    None => w.null(),
-                }
-                w.key("trace_ids");
-                w.begin_array();
-                for id in &e.trace_ids {
-                    w.uint(*id);
-                }
-                w.end_array();
-                match &e.forecast {
-                    None => {
-                        w.key("forecast");
-                        w.null();
-                    }
-                    Some(f) => {
-                        w.key("forecast");
-                        w.begin_object();
-                        w.key("target");
-                        w.string(&f.target);
-                        w.key("eta_ms");
-                        w.uint(f.eta.as_millis() as u64);
-                        w.key("eta_early_ms");
-                        w.uint(f.eta_early.as_millis() as u64);
-                        w.key("eta_late_ms");
-                        match f.eta_late {
-                            Some(late) => w.uint(late.as_millis() as u64),
-                            None => w.null(),
-                        }
-                        w.key("lambda_now");
-                        w.float(f.lambda_now);
-                        w.key("lambda_slope_per_s");
-                        w.float(f.lambda_slope);
-                        w.key("confidence");
-                        w.string(&f.confidence);
-                        w.end_object();
-                    }
-                }
-                w.end_object();
-            }
-        }
-        w.end_object();
-        w.finish()
+        JsonWriter::document(|w| self.write_json(w))
+    }
+
+    /// Writes the event as one JSON object (the webhook payload and the
+    /// `/slo` feed entry).
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("name", &self.name);
+            w.field("from", self.from.name());
+            w.field("to", self.to.name());
+            w.field("at_ms", self.at.as_millis() as u64);
+            w.field("fast_burn", self.fast_burn);
+            w.field("slow_burn", self.slow_burn);
+            w.key("evidence").optional(self.evidence.as_ref(), Evidence::write_json);
+        });
+    }
+}
+
+impl Evidence {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("window").optional(self.window_histogram.as_ref(), |h, w| {
+                w.object(|w| {
+                    quantile_members(h, w);
+                    w.field("max_ns", h.max);
+                });
+            });
+            w.key("prediction").optional(self.prediction.as_ref(), |p, w| {
+                w.object(|w| {
+                    w.field("utilization", p.utilization);
+                    w.field("mean_waiting_s", p.mean_waiting_time);
+                    w.field("q99_s", p.q99);
+                    w.field("q9999_s", p.q9999);
+                });
+            });
+            w.field("model_verdict", self.model_verdict.as_ref());
+            w.key("trace_ids").array(|w| self.trace_ids.iter().for_each(|id| w.value(*id)));
+            w.key("forecast").optional(self.forecast.as_ref(), |f, w| {
+                w.object(|w| {
+                    w.field("target", &f.target);
+                    w.field("eta_ms", f.eta.as_millis() as u64);
+                    w.field("eta_early_ms", f.eta_early.as_millis() as u64);
+                    w.field("eta_late_ms", f.eta_late.map(|late| late.as_millis() as u64));
+                    w.field("lambda_now", f.lambda_now);
+                    w.field("lambda_slope_per_s", f.lambda_slope);
+                    w.field("confidence", &f.confidence);
+                });
+            });
+        });
+    }
+}
+
+/// Writes the `count` / `q50_ns` / `q99_ns` / `q9999_ns` members of a
+/// nanosecond histogram's window summary into the open object.
+pub(crate) fn quantile_members(h: &HistogramSnapshot, w: &mut JsonWriter) {
+    w.field("count", h.count);
+    for (name, p) in [("q50_ns", 0.50), ("q99_ns", 0.99), ("q9999_ns", 0.9999)] {
+        w.field(name, h.quantile(p).unwrap_or(0));
     }
 }
 
@@ -479,7 +431,7 @@ impl AlertSink for WebhookSink {
     }
 }
 
-/// Retains events in memory — the `/alerts` feed and the test harness.
+/// Retains events in memory — the test harness's sink.
 #[derive(Debug, Clone, Default)]
 pub struct MemorySink {
     events: Arc<Mutex<Vec<AlertEvent>>>,
@@ -653,6 +605,36 @@ mod tests {
         assert!(json.contains("\"trace_ids\":[7,9]"));
         assert!(json.contains("\"window\":null"));
         assert!(json.contains("\"forecast\":null"));
+    }
+
+    /// The webhook payload leaves the process: with every evidence block
+    /// present it is, byte for byte, what PR 19 (`38e064e`) sent.
+    #[test]
+    fn webhook_payload_is_byte_identical_to_the_parents() {
+        let h = rjms_metrics::Histogram::new();
+        for v in [1_000u64, 2_000, 50_000_000] {
+            h.record(v);
+        }
+        let mut evidence = forecast_evidence();
+        evidence.window_histogram = Some(h.snapshot());
+        evidence.prediction = Some(WaitingTimeReport {
+            utilization: 0.1 + 0.2,
+            mean_service_time: 2.49e-5,
+            service_cvar: 0.0,
+            arrival_rate: 12_000.0,
+            mean_waiting_time: 1e-7,
+            q99: 1.0,
+            q9999: 2e-4,
+            mean_queue_length: 0.064,
+        });
+        evidence.model_verdict = Some("drift: \"Q99[W]\"".into());
+        evidence.trace_ids = vec![7, 9];
+        let mut m = AlertMachine::new("w99", 2.0, policy());
+        let e = m.step(Duration::from_secs(3), burn(3.0), burn(2.5), || evidence).unwrap();
+        assert_eq!(
+            e.render_json(),
+            r#"{"name":"w99","from":"ok","to":"firing","at_ms":3000,"fast_burn":3.0,"slow_burn":2.5,"evidence":{"window":{"count":3,"q50_ns":2015,"q99_ns":50000000,"q9999_ns":50000000,"max_ns":50000000},"prediction":{"utilization":0.30000000000000004,"mean_waiting_s":1e-7,"q99_s":1.0,"q9999_s":0.0002},"model_verdict":"drift: \"Q99[W]\"","trace_ids":[7,9],"forecast":{"target":"w99-breach","eta_ms":45000,"eta_early_ms":30000,"eta_late_ms":null,"lambda_now":800.0,"lambda_slope_per_s":12.5,"confidence":"high"}}}"#
+        );
     }
 
     fn forecast_evidence() -> Evidence {

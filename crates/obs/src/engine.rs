@@ -11,9 +11,11 @@
 //! [`ObsRuntime`] wraps the core in a sampling thread for production: one
 //! registry snapshot per interval, one tick, sinks notified on
 //! transitions, and the shared core handed to the HTTP layer for the
-//! `/history`, `/slo` and `/alerts` endpoints.
+//! `/history` and `/slo` endpoints.
 
-use crate::alert::{AlertEvent, AlertMachine, AlertPolicy, AlertSink, AlertState, Evidence};
+use crate::alert::{
+    quantile_members, AlertEvent, AlertMachine, AlertPolicy, AlertSink, AlertState, Evidence,
+};
 use crate::forecast::{BreachTargets, Forecast, ForecastConfig, Forecaster, BACKLOG_METRIC};
 use crate::history::{HistoryConfig, MetricHistory, Reduce, Window};
 use crate::slo::{evaluate_window, Objective, SloSpec, WindowBurn, SERVICE_METRIC, WAITING_METRIC};
@@ -25,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Events retained for the `/alerts` feed.
+/// Events retained for the `/slo` transition feed.
 const EVENT_RING: usize = 256;
 /// Trace chains attached to one piece of firing evidence.
 const EVIDENCE_TRACES: usize = 8;
@@ -288,106 +290,43 @@ impl ObsCore {
         transitions
     }
 
-    /// Renders the `/slo` JSON payload.
+    /// Renders the `/slo` JSON payload: per-objective burn rates and
+    /// states, the latest saturation forecast with the knobs it was
+    /// computed under, and the recent transition feed (newest last,
+    /// evidence included).
     pub fn render_slo_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("elapsed_ms");
-        w.uint(self.history.latest().map(|t| t.as_millis() as u64).unwrap_or(0));
-        w.key("model_verdict");
-        match &self.latest_verdict {
-            Some(v) => w.string(&verdict_summary(v)),
-            None => w.null(),
-        }
-        w.key("objectives");
-        w.begin_array();
-        for s in &self.latest_status {
-            w.begin_object();
-            w.key("name");
-            w.string(&s.name);
-            w.key("state");
-            w.string(s.state.name());
-            w.key("since_ms");
-            w.uint(s.since.as_millis() as u64);
-            w.key("threshold");
-            w.float(s.threshold);
-            w.key("fast_burn");
-            w.float(s.fast.burn);
-            w.key("slow_burn");
-            w.float(s.slow.burn);
-            w.key("fast_samples");
-            w.uint(s.fast.samples);
-            w.key("slow_samples");
-            w.uint(s.slow.samples);
-            w.key("fast_bad");
-            w.uint(s.fast.bad);
-            w.key("slow_bad");
-            w.uint(s.slow.bad);
-            w.key("budget_remaining");
-            w.float(s.budget_remaining);
-            w.end_object();
-        }
-        w.end_array();
-        w.key("forecast");
-        match &self.latest_forecast {
-            Some(f) => w.raw(&f.render_json()),
-            None => w.null(),
-        }
-        w.end_object();
-        w.finish()
-    }
-
-    /// Renders the `/forecast` JSON payload: the aggregate forecast plus
-    /// the knobs it was computed under.
-    pub fn render_forecast_json(&self) -> String {
         let config = self.forecaster.config();
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("elapsed_ms");
-        w.uint(self.history.latest().map(|t| t.as_millis() as u64).unwrap_or(0));
-        w.key("enabled");
-        w.bool(config.enabled);
-        w.key("horizon_ms");
-        w.uint(config.horizon.as_millis() as u64);
-        w.key("trend_window_ms");
-        w.uint(config.trend_window.as_millis() as u64);
-        w.key("min_confidence");
-        w.string(config.min_confidence.name());
-        w.key("forecast");
-        match &self.latest_forecast {
-            Some(f) => w.raw(&f.render_json()),
-            None => w.null(),
-        }
-        w.end_object();
-        w.finish()
-    }
-
-    /// Renders the `/alerts` JSON payload: current per-objective states
-    /// plus the recent transition feed (newest last), evidence included.
-    pub fn render_alerts_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("active");
-        w.begin_array();
-        for s in &self.latest_status {
-            w.begin_object();
-            w.key("name");
-            w.string(&s.name);
-            w.key("state");
-            w.string(s.state.name());
-            w.key("since_ms");
-            w.uint(s.since.as_millis() as u64);
-            w.end_object();
-        }
-        w.end_array();
-        w.key("events");
-        w.begin_array();
-        for event in &self.events {
-            w.raw(&event.render_json());
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
+        JsonWriter::document(|w| {
+            w.object(|w| {
+                w.field("elapsed_ms", self.history.latest().map_or(0, |t| t.as_millis() as u64));
+                w.field("model_verdict", self.latest_verdict.as_ref().map(verdict_summary));
+                w.key("objectives").array(|w| {
+                    for s in &self.latest_status {
+                        w.object(|w| {
+                            w.field("name", &s.name);
+                            w.field("state", s.state.name());
+                            w.field("since_ms", s.since.as_millis() as u64);
+                            w.field("threshold", s.threshold);
+                            w.field("fast_burn", s.fast.burn);
+                            w.field("slow_burn", s.slow.burn);
+                            w.field("fast_samples", s.fast.samples);
+                            w.field("slow_samples", s.slow.samples);
+                            w.field("fast_bad", s.fast.bad);
+                            w.field("slow_bad", s.slow.bad);
+                            w.field("budget_remaining", s.budget_remaining);
+                        });
+                    }
+                });
+                w.key("forecast").optional(self.latest_forecast.as_ref(), Forecast::write_json);
+                w.key("forecast_config").object(|w| {
+                    w.field("enabled", config.enabled);
+                    w.field("horizon_ms", config.horizon.as_millis() as u64);
+                    w.field("trend_window_ms", config.trend_window.as_millis() as u64);
+                    w.field("min_confidence", config.min_confidence.name());
+                });
+                w.key("events").array(|w| self.events.iter().for_each(|e| e.write_json(w)));
+            });
+        })
     }
 
     /// Renders the `/history` JSON payload for one metric: the per-slot
@@ -395,66 +334,41 @@ impl ObsCore {
     pub fn render_history_json(&self, metric: &str, span: Duration, reduce: Reduce) -> String {
         let points = self.history.series(metric, span, reduce);
         let window = self.history.window(span);
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("metric");
-        w.string(metric);
-        w.key("window_ms");
-        w.uint(span.as_millis() as u64);
-        w.key("covered_ms");
-        w.uint(window.span().as_millis() as u64);
-        w.key("reduce");
-        w.string(match reduce {
-            Reduce::Rate => "rate",
-            Reduce::Level => "level",
-            Reduce::Quantile(_) => "quantile",
-            Reduce::Count => "count",
-            Reduce::Mean => "mean",
-        });
-        w.key("points");
-        w.begin_array();
-        for p in &points {
-            w.begin_object();
-            w.key("t_ms");
-            w.uint(p.elapsed_ms);
-            w.key("v");
-            w.float(p.value);
-            w.end_object();
-        }
-        w.end_array();
-        w.key("summary");
-        match window.histogram(metric) {
-            Some(h) => {
-                w.begin_object();
-                w.key("count");
-                w.uint(h.count);
-                w.key("q50_ns");
-                w.uint(h.quantile(0.50).unwrap_or(0));
-                w.key("q99_ns");
-                w.uint(h.quantile(0.99).unwrap_or(0));
-                w.key("q9999_ns");
-                w.uint(h.quantile(0.9999).unwrap_or(0));
-                w.key("mean_ns");
-                w.float(h.mean());
-                w.end_object();
-            }
-            None => {
-                let total = window.counters.get(metric).copied();
-                match total {
-                    Some(total) => {
-                        w.begin_object();
-                        w.key("total");
-                        w.uint(total);
-                        w.key("rate");
-                        w.float(window.rate(metric));
-                        w.end_object();
+        JsonWriter::document(|w| {
+            w.object(|w| {
+                w.field("metric", metric);
+                w.field("window_ms", span.as_millis() as u64);
+                w.field("covered_ms", window.span().as_millis() as u64);
+                let reduce = match reduce {
+                    Reduce::Rate => "rate",
+                    Reduce::Level => "level",
+                    Reduce::Quantile(_) => "quantile",
+                    Reduce::Count => "count",
+                    Reduce::Mean => "mean",
+                };
+                w.field("reduce", reduce);
+                w.key("points").array(|w| {
+                    for p in &points {
+                        w.object(|w| {
+                            w.field("t_ms", p.elapsed_ms);
+                            w.field("v", p.value);
+                        });
                     }
-                    None => w.null(),
+                });
+                w.key("summary");
+                match (window.histogram(metric), window.counters.get(metric)) {
+                    (Some(h), _) => w.object(|w| {
+                        quantile_members(h, w);
+                        w.field("mean_ns", h.mean());
+                    }),
+                    (None, Some(total)) => w.object(|w| {
+                        w.field("total", *total);
+                        w.field("rate", window.rate(metric));
+                    }),
+                    (None, None) => w.value(None::<u64>),
                 }
-            }
-        }
-        w.end_object();
-        w.finish()
+            });
+        })
     }
 }
 
@@ -720,9 +634,7 @@ mod tests {
         let slo = core.render_slo_json();
         assert!(slo.contains("\"objectives\":["));
         assert!(slo.contains("\"name\":\"w99\""));
-        let alerts = core.render_alerts_json();
-        assert!(alerts.contains("\"active\":["));
-        assert!(alerts.contains("\"events\":["));
+        assert!(slo.contains("\"events\":["));
         let hist = core.render_history_json(
             WAITING_METRIC,
             Duration::from_secs(60),
@@ -781,8 +693,8 @@ mod tests {
         let forecast = evidence.forecast.as_ref().expect("pending carries the forecast");
         assert_eq!(forecast.target, "w99-breach");
         assert!(forecast.eta > Duration::ZERO);
-        assert!(core.render_forecast_json().contains("\"eta_breach\":{"));
-        assert!(core.render_slo_json().contains("\"forecast\":{"));
+        assert!(core.render_slo_json().contains("\"forecast\":{\"at_ms\":"));
+        assert!(core.render_slo_json().contains("\"eta_breach\":{"));
         // The predicted breach arrives: violating samples drive the same
         // machine through Warning into Firing.
         for _ in 0..9 {
@@ -820,7 +732,7 @@ mod tests {
         }
         assert_eq!(core.status()[0].state, AlertState::Ok);
         assert!(core.latest_forecast().is_none());
-        assert!(core.render_forecast_json().contains("\"enabled\":false"));
+        assert!(core.render_slo_json().contains("\"forecast_config\":{\"enabled\":false"));
         assert!(core.forecast_for(WAITING_METRIC, SERVICE_METRIC, BACKLOG_METRIC).is_none());
     }
 

@@ -272,75 +272,39 @@ impl Forecast {
         })
     }
 
-    /// Renders the forecast as a self-contained JSON object (the
-    /// `/forecast` payload body and the `/slo`/`/shards` forecast
-    /// blocks).
-    pub fn render_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("at_ms");
-        w.uint(self.at.as_millis() as u64);
-        w.key("lambda_now");
-        w.float(self.lambda_now);
-        w.key("lambda_slope_per_s");
-        w.float(self.lambda_slope);
-        w.key("rho_now");
-        w.float(self.rho_now);
-        w.key("service_mean_s");
-        w.float(self.service_mean_s);
-        w.key("service_cvar");
-        w.float(self.service_cvar);
-        w.key("lambda_saturation");
-        w.float(self.lambda_saturation);
-        w.key("lambda_breach");
-        match self.lambda_breach {
-            Some(v) => w.float(v),
-            None => w.null(),
-        }
-        let eta = |w: &mut JsonWriter, band: Option<EtaBand>| match band {
-            None => w.null(),
-            Some(b) => {
-                w.begin_object();
-                w.key("eta_ms");
-                w.uint(b.eta.as_millis() as u64);
-                w.key("early_ms");
-                w.uint(b.early.as_millis() as u64);
-                w.key("late_ms");
-                match b.late {
-                    Some(late) => w.uint(late.as_millis() as u64),
-                    None => w.null(),
-                }
-                w.end_object();
-            }
+    /// Writes the forecast as one JSON object: the `forecast` block of
+    /// `/slo` and of each `/shards` row.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        let eta = |band: EtaBand, w: &mut JsonWriter| {
+            w.object(|w| {
+                w.field("eta_ms", band.eta.as_millis() as u64);
+                w.field("early_ms", band.early.as_millis() as u64);
+                w.field("late_ms", band.late.map(|late| late.as_millis() as u64));
+            });
         };
-        w.key("eta_saturation");
-        eta(&mut w, self.eta_saturation);
-        w.key("eta_breach");
-        eta(&mut w, self.eta_breach);
-        w.key("confidence");
-        w.string(self.confidence.name());
-        w.key("littles_law");
-        match &self.littles_law {
-            None => w.null(),
-            Some(check) => {
-                w.begin_object();
-                w.key("measured_l");
-                w.float(check.measured_l);
-                w.key("predicted_l");
-                w.float(check.predicted_l);
-                w.key("error");
-                w.float(check.error);
-                w.key("consistent");
-                w.bool(check.consistent);
-                w.end_object();
-            }
-        }
-        w.key("trend_points");
-        w.uint(self.trend_points as u64);
-        w.key("model_residual");
-        w.float(self.model_residual);
-        w.end_object();
-        w.finish()
+        w.object(|w| {
+            w.field("at_ms", self.at.as_millis() as u64);
+            w.field("lambda_now", self.lambda_now);
+            w.field("lambda_slope_per_s", self.lambda_slope);
+            w.field("rho_now", self.rho_now);
+            w.field("service_mean_s", self.service_mean_s);
+            w.field("service_cvar", self.service_cvar);
+            w.field("lambda_saturation", self.lambda_saturation);
+            w.field("lambda_breach", self.lambda_breach);
+            w.key("eta_saturation").optional(self.eta_saturation, eta);
+            w.key("eta_breach").optional(self.eta_breach, eta);
+            w.field("confidence", self.confidence.name());
+            w.key("littles_law").optional(self.littles_law.as_ref(), |check, w| {
+                w.object(|w| {
+                    w.field("measured_l", check.measured_l);
+                    w.field("predicted_l", check.predicted_l);
+                    w.field("error", check.error);
+                    w.field("consistent", check.consistent);
+                });
+            });
+            w.field("trend_points", self.trend_points);
+            w.field("model_residual", self.model_residual);
+        });
     }
 }
 
@@ -867,7 +831,7 @@ mod tests {
                 Duration::from_secs(30),
             )
             .expect("forecast");
-        let json = fc.render_json();
+        let json = JsonWriter::document(|w| fc.write_json(w));
         for key in [
             "\"lambda_now\":",
             "\"lambda_slope_per_s\":",

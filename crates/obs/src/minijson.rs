@@ -303,12 +303,8 @@ mod tests {
     fn round_trips_writer_escapes() {
         use rjms_metrics::JsonWriter;
         let hostile = "a\"b\\c\nd\u{1}é";
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("s");
-        w.string(hostile);
-        w.end_object();
-        let v = parse(&w.finish()).unwrap();
+        let json = JsonWriter::document(|w| w.object(|w| w.field("s", hostile)));
+        let v = parse(&json).unwrap();
         assert_eq!(v.get("s").unwrap().as_str(), Some(hostile));
     }
 

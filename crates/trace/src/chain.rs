@@ -1,4 +1,4 @@
-//! Span-chain reconstruction and JSON exposition.
+//! Span-chain reconstruction.
 //!
 //! The ring stores flat events; readers group them by trace id into
 //! [`TraceChain`]s at snapshot time. Within a chain, events are sorted
@@ -71,61 +71,6 @@ pub fn group_chains(events: Vec<SpanEvent>) -> Vec<TraceChain> {
     chains
 }
 
-/// Renders chains as a JSON document for the HTTP exposition endpoint.
-///
-/// `ns_per_tick` converts the stored tick timestamps into per-event
-/// `offset_ns` values relative to each chain's start; `recorded` and
-/// `capacity` come from the [`crate::RecorderSnapshot`] the chains were
-/// grouped from. All values are numeric or fixed stage names, so no string
-/// escaping is needed.
-pub fn render_chains_json(
-    chains: &[TraceChain],
-    ns_per_tick: f64,
-    recorded: u64,
-    capacity: usize,
-) -> String {
-    use std::fmt::Write;
-    let mut out = String::with_capacity(256 + chains.len() * 256);
-    let _ = write!(
-        out,
-        "{{\"recorded\":{recorded},\"capacity\":{capacity},\"ns_per_tick\":{ns_per_tick:.6},\"chains\":["
-    );
-    for (i, chain) in chains.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let start = chain.start_ticks();
-        let _ = write!(
-            out,
-            "{{\"trace_id\":{},\"start_ticks\":{},\"complete\":{},\"monotone\":{},\
-             \"total_duration_ns\":{},\"events\":[",
-            chain.trace_id,
-            start,
-            chain.is_complete(),
-            chain.timestamps_monotone(),
-            chain.total_duration_ns(),
-        );
-        for (j, e) in chain.events.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let offset_ns = (e.start_ticks.saturating_sub(start) as f64 * ns_per_tick) as u64;
-            let _ = write!(
-                out,
-                "{{\"stage\":\"{}\",\"start_ticks\":{},\"offset_ns\":{offset_ns},\
-                 \"duration_ns\":{},\"aux\":{}}}",
-                e.stage.name(),
-                e.start_ticks,
-                e.duration_ns,
-                e.aux,
-            );
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,30 +141,5 @@ mod tests {
         let chains = group_chains(full_chain(1, 1000));
         assert_eq!(chains[0].start_ticks(), 1000);
         assert_eq!(chains[0].total_duration_ns(), 20);
-    }
-
-    #[test]
-    fn json_is_balanced_and_carries_stages() {
-        let mut events = full_chain(7, 100);
-        events.extend(full_chain(8, 900));
-        let chains = group_chains(events);
-        let json = render_chains_json(&chains, 1.0, 8, 1024);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches(['{', '[']).count(), json.matches(['}', ']']).count());
-        assert!(json.contains("\"trace_id\":7"));
-        assert!(json.contains("\"trace_id\":8"));
-        for stage in Stage::BROKER_STAGES {
-            assert!(json.contains(&format!("\"stage\":\"{}\"", stage.name())));
-        }
-        assert!(json.contains("\"complete\":true"));
-        assert!(json.contains("\"recorded\":8"));
-        // Second chain's first event offset is 0 relative to its own start.
-        assert!(json.contains("\"start_ticks\":900,\"offset_ns\":0"));
-    }
-
-    #[test]
-    fn empty_chain_list_renders() {
-        let json = render_chains_json(&[], 0.5, 0, 16);
-        assert!(json.contains("\"chains\":[]"));
     }
 }

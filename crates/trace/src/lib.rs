@@ -50,5 +50,5 @@
 pub mod chain;
 pub mod recorder;
 
-pub use chain::{group_chains, render_chains_json, TraceChain};
+pub use chain::{group_chains, TraceChain};
 pub use recorder::{FlightRecorder, RecorderSnapshot, SpanEvent, Stage};

@@ -2,9 +2,10 @@
 # HTTP exposition smoke test: start a traced two-shard rjms-server with
 # the HTTP endpoint, the SLO engine, the saturation forecaster, flow
 # control, and the per-topic observatory, drive a workload through the
-# TCP clients, then validate the /metrics, /snapshot.json, /traces,
-# /model, /flow, /history, /slo, /alerts, /forecast, /shards, and
-# /topics responses.
+# TCP clients, then validate every route of the table in src/http.rs:
+# /metrics, /snapshot.json, /traces, /model, /flow, /history, /slo
+# (objectives, forecast, alert feed), /shards and /topics — and that
+# /alerts and /forecast, folded into /slo, are gone.
 #
 # Usage: scripts/http_smoke.sh [path-to-target-dir]
 # Exits non-zero on any failed check.
@@ -104,8 +105,10 @@ echo "complete chains: $COMPLETE / $COUNT"
 [ "$COMPLETE" -ge $((COUNT * 99 / 100)) ] \
   || fail "only $COMPLETE/$COUNT published messages have complete 5-stage chains"
 
-# --- /model ------------------------------------------------------------
-curl -sf "http://$HTTP_ADDR/model" >/dev/null || fail "/model not served"
+# --- /model: computed from the shard reports (flow control anchors it) ---
+curl -sf "http://$HTTP_ADDR/model" > "$WORKDIR/model.txt" || fail "/model not served"
+grep -q 'model check: ' "$WORKDIR/model.txt" \
+  || fail "/model has no assessment after traffic: $(cat "$WORKDIR/model.txt")"
 
 # --- /flow: admission-control state ------------------------------------
 curl -sf "http://$HTTP_ADDR/flow" > "$WORKDIR/flow.json" || fail "/flow not served"
@@ -116,14 +119,33 @@ GRANTED=$(tr ',' '\n' < "$WORKDIR/flow.json" | awk -F: '/"granted"/ { n += $2 } 
 SHED=$(tr -d '}]' < "$WORKDIR/flow.json" | tr ',' '\n' | awk -F: '/"shed"/ { n += $2 } END { print n + 0 }')
 [ "$GRANTED" -ge "$COUNT" ] || fail "/flow granted $GRANTED < published $COUNT"
 [ "$SHED" = 0 ] || fail "/flow shed $SHED messages from an under-budget workload"
+# Two shards are two servers: the aggregate arrival rate of an
+# under-budget workload must not read as overload and tighten the gate.
+if grep -q '"source":"tightened"' "$WORKDIR/flow.json"; then
+  fail "/flow: the gate tightened under an under-budget workload"
+fi
 grep -q '"flow":{"granted":' "$WORKDIR/snapshot.json" \
   || fail "/snapshot.json missing the flow counters"
 
-# --- /slo, /history, /alerts: the SLO engine ---------------------------
+# --- /slo, /history: the SLO engine ------------------------------------
 curl -sf "http://$HTTP_ADDR/slo" > "$WORKDIR/slo.json" || fail "/slo not served"
 grep -q '"name":"w99"' "$WORKDIR/slo.json" || fail "/slo missing the derived w99 objective"
 grep -q '"model_verdict":' "$WORKDIR/slo.json" || fail "/slo missing the model verdict"
+grep -q '"events":\[' "$WORKDIR/slo.json" || fail "/slo missing the alert event log"
+# The saturation forecaster: the smoke run is short, so the trend fit may
+# still be warming up ("forecast":null); the knobs and the enabled switch
+# must be present either way.
 grep -q '"forecast":' "$WORKDIR/slo.json" || fail "/slo missing the forecast block"
+grep -q '"forecast_config":{"enabled":true' "$WORKDIR/slo.json" \
+  || fail "/slo reports forecasting disabled"
+for knob in horizon_ms trend_window_ms min_confidence; do
+  grep -q "\"$knob\":" "$WORKDIR/slo.json" || fail "/slo forecast_config missing $knob"
+done
+# Both were folded into /slo and answer like any unknown path.
+for gone in alerts forecast; do
+  [ "$(curl -s -o /dev/null -w '%{http_code}' "http://$HTTP_ADDR/$gone")" = 404 ] \
+    || fail "/$gone is still served"
+done
 
 # Poll until the sampler ticks past the workload and the dispatched
 # messages show up as a non-zero point in the waiting-time history.
@@ -137,20 +159,6 @@ done
 grep -q '"metric":"broker.waiting_ns"' "$WORKDIR/history.json" \
   || fail "/history missing the metric name"
 [ "$HISTORY_OK" = 1 ] || fail "/history never showed the dispatched workload"
-
-curl -sf "http://$HTTP_ADDR/alerts" > "$WORKDIR/alerts.json" || fail "/alerts not served"
-grep -q '"events":\[' "$WORKDIR/alerts.json" || fail "/alerts missing the event log"
-
-# --- /forecast: the saturation forecaster ------------------------------
-# The smoke run is short, so the trend fit may still be warming up
-# ("forecast":null); the knobs and the enabled switch must be present
-# either way.
-curl -sf "http://$HTTP_ADDR/forecast" > "$WORKDIR/forecast.json" || fail "/forecast not served"
-grep -q '"enabled":true' "$WORKDIR/forecast.json" || fail "/forecast reports forecasting disabled"
-grep -q '"horizon_ms":' "$WORKDIR/forecast.json" || fail "/forecast missing the horizon knob"
-grep -q '"trend_window_ms":' "$WORKDIR/forecast.json" || fail "/forecast missing the trend window knob"
-grep -q '"min_confidence":' "$WORKDIR/forecast.json" || fail "/forecast missing the confidence gate"
-grep -q '"forecast":' "$WORKDIR/forecast.json" || fail "/forecast missing the forecast body"
 
 # --- /shards: per-shard model assessments ------------------------------
 curl -sf "http://$HTTP_ADDR/shards" > "$WORKDIR/shards.json" || fail "/shards not served"

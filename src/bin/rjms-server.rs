@@ -15,15 +15,17 @@
 //! process.
 //!
 //! **The model as a runtime check.** With `--cost-model` the broker burns
-//! the paper's Table I per-message CPU costs, and — when
-//! `--metrics-interval` is also set — each instrument report ends with a
-//! `ModelMonitor` drift verdict: the measured waiting/service
-//! distributions against the Eq. 1 + M/GI/1 prediction at the measured
-//! arrival rate, filter count and replication grade (the paper's
-//! Figs. 10–12, live). On a DRIFT verdict the `--trace` flight recorder is
-//! dumped, so the span chains of the slow tail that produced the anomaly
-//! survive. `--flow` seeds its admission model from the same constants,
-//! and `--topic-obs` judges each topic's fitted costs against them.
+//! the paper's Table I per-message CPU costs, and `--flow` seeds its
+//! admission model from the same constants. Either gives the broker an
+//! anchor for its per-shard model check: the measured waiting/service
+//! distributions against the Eq. 1 + M/GI/1 prediction at each shard's
+//! measured arrival rate, filter count and replication grade (the paper's
+//! Figs. 10–12, live). `/model` and `/shards` compute it on request, the
+//! flow gate is refreshed from it, and with `--metrics-interval` each
+//! instrument report ends with it. On a DRIFT verdict the `--trace` flight
+//! recorder is dumped, so the span chains of the slow tail that produced
+//! the anomaly survive. `--topic-obs` judges each topic's fitted costs
+//! against the same constants.
 //!
 //! **Forecasting** rides on the SLO engine and runs whenever the engine
 //! does. Because it is already the default, `--forecast` and its tuning
@@ -39,27 +41,21 @@ use rjms::broker::{
     TraceConfig,
 };
 use rjms::http::{HttpServer, HttpState};
-use rjms::metrics::clock;
-use rjms::model::model::ServerModel;
-use rjms::model::monitor::{ModelMonitor, ModelVerdict};
 use rjms::model::params::CostParams;
 use rjms::net::server::BrokerServer;
 use rjms::obs::{
     Confidence, ForecastConfig, HistoryConfig, ObsConfig, ObsCore, ObsRuntime, StderrSink,
     WebhookSink,
 };
-use rjms::queueing::replication::ReplicationModel;
 use rjms::settings::{self, Key, Values};
-use rjms::trace::group_chains;
-use std::fmt::Write as _;
 use std::io::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Why a getter of a key the settings table defaults cannot come back empty.
 const DEFAULTED: &str = "the settings table gives this key a default";
 
 /// The Table I constants `--cost-model` names: what the dispatcher burns,
-/// and the same numbers as the analytic model's parameters.
+/// and the same numbers as the flow model's parameters.
 fn cost_model(values: &Values) -> Option<(CostModel, CostParams)> {
     values.text(Key::CostModel).map(|name| match name {
         "corr" => (CostModel::CORRELATION_ID, CostParams::CORRELATION_ID),
@@ -239,94 +235,40 @@ fn main() {
     if let Some(gate) = server.broker().flow() {
         http_state = http_state.flow(gate);
     }
-    let model_text = http_state.model_text();
-    let _http =
-        values.text(Key::Http).map(|addr| match HttpServer::start(http_state.clone(), addr) {
-            Ok(h) => {
-                println!("http exposition on http://{}/", h.local_addr());
-                h
-            }
-            Err(e) => {
-                eprintln!("error: cannot bind http endpoint {addr}: {e}");
-                std::process::exit(1);
-            }
-        });
+    let _http = values.text(Key::Http).map(|addr| match HttpServer::start(http_state, addr) {
+        Ok(h) => {
+            println!("http exposition on http://{}/", h.local_addr());
+            h
+        }
+        Err(e) => {
+            eprintln!("error: cannot bind http endpoint {addr}: {e}");
+            std::process::exit(1);
+        }
+    });
 
     // Metrics exporter: dumps every instrument (broker-side dispatch
-    // histograms + wire-side gauges) as an aligned text report.
+    // histograms + wire-side gauges) as an aligned text report, closed by
+    // the per-shard model check.
     if let Some(secs) = values.count(Key::MetricsInterval) {
         let broker_metrics = server.broker().metrics().expect("metrics enabled above");
         let wire_metrics = server.metrics();
         let observer = server.broker().observer();
-        let recorder = server.broker().tracer();
-        let params = cost_model(&values).map(|(_, p)| p);
         let obs_core = obs_runtime.as_ref().map(|r| r.core());
-        let started = Instant::now();
         std::thread::Builder::new()
             .name("rjms-metrics-export".to_owned())
             .spawn(move || loop {
                 std::thread::sleep(Duration::from_secs(secs));
                 let mut out = String::from("--- metrics ---\n");
-                let snap = broker_metrics.snapshot();
-                out.push_str(&snap.render_text());
+                out.push_str(&broker_metrics.snapshot().render_text());
                 out.push_str(&wire_metrics.snapshot().render_text());
-                // Drift check: Eq. 1 + M/GI/1 at the *measured* operating
-                // point (arrival rate, filters per message, replication
-                // grade) vs the measured distributions.
-                'check: {
-                    let Some(params) = params else { break 'check };
-                    let counters = observer.snapshot().messages;
-                    if counters.received == 0 {
-                        break 'check;
-                    }
-                    let n_fltr =
-                        (counters.filter_evaluations / counters.received).min(u32::MAX as u64);
-                    let grade = counters.dispatched as f64 / counters.received as f64;
-                    let monitor = ModelMonitor::new(
-                        ServerModel::new(params, n_fltr as u32),
-                        ReplicationModel::deterministic(grade),
-                    );
-                    // Keep the SLO engine's drift objective on the same
-                    // measured operating point as this report.
-                    if let Some(core) = &obs_core {
-                        if let Ok(mut c) = core.lock() {
-                            c.set_monitor(ModelMonitor::new(
-                                ServerModel::new(params, n_fltr as u32),
-                                ReplicationModel::deterministic(grade),
-                            ));
-                        }
-                    }
-                    let (Some(waiting), Some(service)) =
-                        (snap.histogram("broker.waiting_ns"), snap.histogram("broker.service_ns"))
-                    else {
-                        break 'check;
-                    };
-                    let mut verdict_text = String::new();
-                    match monitor.assess(waiting, service, started.elapsed()) {
-                        ModelVerdict::Calibrated(report) => {
-                            verdict_text
-                                .push_str("model check: CALIBRATED (all within tolerance)\n");
-                            verdict_text.push_str(&report.render_text());
-                        }
-                        ModelVerdict::Drift(report) => {
-                            verdict_text.push_str("model check: DRIFT\n");
-                            verdict_text.push_str(&report.render_text());
-                            // Drift hook: dump the flight recorder so the
-                            // span chains of the slow tail that produced
-                            // the anomaly survive for inspection.
-                            if let Some(r) = &recorder {
-                                verdict_text.push_str(&render_drift_traces(r));
-                            }
-                        }
-                        verdict => {
-                            let _ = writeln!(verdict_text, "model check: {verdict:?}");
-                        }
-                    }
-                    out.push_str(&verdict_text);
-                    if let Ok(mut m) = model_text.lock() {
-                        *m = verdict_text;
+                // Keep the SLO engine's drift objective on the same
+                // measured operating point as this report.
+                if let (Some(core), Some(monitor)) = (&obs_core, observer.monitor()) {
+                    if let Ok(mut core) = core.lock() {
+                        core.set_monitor(monitor);
                     }
                 }
+                out.push_str(&observer.model_text());
                 report(&out);
             })
             .expect("failed to spawn metrics exporter");
@@ -349,31 +291,6 @@ fn main() {
             ));
         },
     }
-}
-
-/// Summarizes the recorder's slowest chains for a drift report: the spans
-/// behind the tail the model check just flagged.
-fn render_drift_traces(recorder: &rjms::trace::FlightRecorder) -> String {
-    let mut chains = group_chains(recorder.snapshot().events);
-    chains.sort_by_key(|c| std::cmp::Reverse(c.total_duration_ns()));
-    let mut out = String::from("drift traces (slowest sampled chains):\n");
-    for chain in chains.iter().take(8) {
-        let _ = write!(
-            out,
-            "  trace {:016x}  total {:>9}ns ",
-            chain.trace_id,
-            chain.total_duration_ns()
-        );
-        for e in &chain.events {
-            let _ = write!(out, " {}={}ns", e.stage.name(), e.duration_ns);
-        }
-        out.push('\n');
-    }
-    if chains.is_empty() {
-        out.push_str("  (recorder empty)\n");
-    }
-    let _ = writeln!(out, "  ns_per_tick {:.4}", clock::ns_per_tick());
-    out
 }
 
 #[cfg(test)]

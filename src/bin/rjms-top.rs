@@ -33,6 +33,9 @@
 //! * an **alert feed**: the most recent state transitions with their
 //!   burn rates.
 //!
+//! The header, the forecast pane, the SLO table and the alert feed all
+//! come from one `/slo` fetch per frame.
+//!
 //! `--once` renders a single frame without clearing the screen and exits
 //! with a scriptable status code:
 //!
@@ -206,8 +209,9 @@ fn fmt_elapsed(ms: u64) -> String {
 /// `1` when an objective is firing, or pending while the forecaster
 /// reports high confidence; `0` otherwise.
 fn render_frame(addr: &str) -> Result<(String, i32), String> {
+    // One fetch feeds the header, the forecast pane, the SLO table and the
+    // alert feed.
     let slo = get_json(addr, "/slo")?;
-    let alerts = get_json(addr, "/alerts")?;
     let w99 = get_json(addr, "/history?metric=broker.waiting_ns&window=10m&reduce=q99")?;
     let load = get_json(addr, "/history?metric=broker.waiting_ns&window=10m&reduce=count")?;
 
@@ -238,87 +242,80 @@ fn render_frame(addr: &str) -> Result<(String, i32), String> {
     out.push_str(&format!("  msgs/slot   {spark}  peak {top:.0}\n\n"));
 
     // Forecast pane: the model-driven time-to-breach projection, when the
-    // server runs --forecast. /forecast is 404 while the slo engine is
-    // off; skip the pane quietly.
+    // server runs --forecast.
     let mut forecast_high = false;
-    if let Ok(fc) = get_json(addr, "/forecast") {
-        if matches!(fc.get("enabled"), Some(Value::Bool(true))) {
-            match fc.get("forecast") {
-                Some(f) if !matches!(f, Value::Null) => {
-                    let lambda = f.get("lambda_now").and_then(Value::as_f64).unwrap_or(0.0);
-                    let slope = f.get("lambda_slope_per_s").and_then(Value::as_f64).unwrap_or(0.0);
-                    let rho = f.get("rho_now").and_then(Value::as_f64).unwrap_or(0.0);
-                    let confidence =
-                        f.get("confidence").and_then(Value::as_str).unwrap_or("?").to_owned();
-                    forecast_high = confidence == "high";
-                    let lambda_sat =
-                        f.get("lambda_saturation").and_then(Value::as_f64).unwrap_or(0.0);
-                    out.push_str(&format!(
+    let forecasting = slo.get("forecast_config").and_then(|c| c.get("enabled"));
+    if matches!(forecasting, Some(Value::Bool(true))) {
+        match slo.get("forecast") {
+            Some(f) if !matches!(f, Value::Null) => {
+                let lambda = f.get("lambda_now").and_then(Value::as_f64).unwrap_or(0.0);
+                let slope = f.get("lambda_slope_per_s").and_then(Value::as_f64).unwrap_or(0.0);
+                let rho = f.get("rho_now").and_then(Value::as_f64).unwrap_or(0.0);
+                let confidence =
+                    f.get("confidence").and_then(Value::as_str).unwrap_or("?").to_owned();
+                forecast_high = confidence == "high";
+                let lambda_sat = f.get("lambda_saturation").and_then(Value::as_f64).unwrap_or(0.0);
+                out.push_str(&format!(
                         "  forecast    lambda {lambda:.0}/s  trend {slope:+.2}/s\u{00b2}  rho {rho:.3}  confidence {confidence}\n"
                     ));
-                    let breach = match f.get("lambda_breach").and_then(Value::as_f64) {
-                        Some(v) => format!("{v:.0}/s"),
-                        None => "-".to_owned(),
-                    };
-                    out.push_str(&format!(
-                        "              breach rates: w99 {breach}  saturation {lambda_sat:.0}/s\n"
-                    ));
-                    // ETA countdowns with their confidence bands; an open
-                    // late edge means the slope's error bars reach zero.
-                    let fmt_band = |band: &Value| {
-                        let eta = band.get("eta_ms").and_then(Value::as_u64).unwrap_or(0);
-                        let early = band.get("early_ms").and_then(Value::as_u64).unwrap_or(eta);
-                        match band.get("late_ms").and_then(Value::as_u64) {
-                            Some(late) => format!(
-                                "{} in {} (band {}..{})",
-                                if eta == 0 { "BREACHED" } else { "breach" },
-                                fmt_elapsed(eta),
-                                fmt_elapsed(early),
-                                fmt_elapsed(late)
-                            ),
-                            None => format!(
-                                "breach in {} (band {}..\u{221e})",
-                                fmt_elapsed(eta),
-                                fmt_elapsed(early)
-                            ),
-                        }
-                    };
-                    for (label, key) in
-                        [("w99-breach", "eta_breach"), ("saturation", "eta_saturation")]
-                    {
-                        if let Some(band) = f.get(key).filter(|b| !matches!(b, Value::Null)) {
-                            let line = format!("              ETA {label:<11} {}", fmt_band(band));
-                            if forecast_high {
-                                out.push_str(&format!("\x1b[31m{line}\x1b[0m\n"));
-                            } else {
-                                out.push_str(&line);
-                                out.push('\n');
-                            }
+                let breach = match f.get("lambda_breach").and_then(Value::as_f64) {
+                    Some(v) => format!("{v:.0}/s"),
+                    None => "-".to_owned(),
+                };
+                out.push_str(&format!(
+                    "              breach rates: w99 {breach}  saturation {lambda_sat:.0}/s\n"
+                ));
+                // ETA countdowns with their confidence bands; an open
+                // late edge means the slope's error bars reach zero.
+                let fmt_band = |band: &Value| {
+                    let eta = band.get("eta_ms").and_then(Value::as_u64).unwrap_or(0);
+                    let early = band.get("early_ms").and_then(Value::as_u64).unwrap_or(eta);
+                    match band.get("late_ms").and_then(Value::as_u64) {
+                        Some(late) => format!(
+                            "{} in {} (band {}..{})",
+                            if eta == 0 { "BREACHED" } else { "breach" },
+                            fmt_elapsed(eta),
+                            fmt_elapsed(early),
+                            fmt_elapsed(late)
+                        ),
+                        None => format!(
+                            "breach in {} (band {}..\u{221e})",
+                            fmt_elapsed(eta),
+                            fmt_elapsed(early)
+                        ),
+                    }
+                };
+                for (label, key) in [("w99-breach", "eta_breach"), ("saturation", "eta_saturation")]
+                {
+                    if let Some(band) = f.get(key).filter(|b| !matches!(b, Value::Null)) {
+                        let line = format!("              ETA {label:<11} {}", fmt_band(band));
+                        if forecast_high {
+                            out.push_str(&format!("\x1b[31m{line}\x1b[0m\n"));
+                        } else {
+                            out.push_str(&line);
+                            out.push('\n');
                         }
                     }
-                    // The Little's-law self-check backing the grade.
-                    if let Some(ll) = f.get("littles_law").filter(|v| !matches!(v, Value::Null)) {
-                        let measured = ll.get("measured_l").and_then(Value::as_f64).unwrap_or(0.0);
-                        let predicted =
-                            ll.get("predicted_l").and_then(Value::as_f64).unwrap_or(0.0);
-                        let err = ll.get("error").and_then(Value::as_f64).unwrap_or(0.0);
-                        let tag = if matches!(ll.get("consistent"), Some(Value::Bool(true))) {
-                            "\x1b[32mconsistent\x1b[0m"
-                        } else {
-                            "\x1b[33mDISAGREES\x1b[0m"
-                        };
-                        out.push_str(&format!(
+                }
+                // The Little's-law self-check backing the grade.
+                if let Some(ll) = f.get("littles_law").filter(|v| !matches!(v, Value::Null)) {
+                    let measured = ll.get("measured_l").and_then(Value::as_f64).unwrap_or(0.0);
+                    let predicted = ll.get("predicted_l").and_then(Value::as_f64).unwrap_or(0.0);
+                    let err = ll.get("error").and_then(Value::as_f64).unwrap_or(0.0);
+                    let tag = if matches!(ll.get("consistent"), Some(Value::Bool(true))) {
+                        "\x1b[32mconsistent\x1b[0m"
+                    } else {
+                        "\x1b[33mDISAGREES\x1b[0m"
+                    };
+                    out.push_str(&format!(
                             "              littles-law L {measured:.1} vs lambda*E[W] {predicted:.1} (err {:.0}%) {tag}\n",
                             err * 100.0
                         ));
-                    }
-                    out.push('\n');
                 }
-                _ => {
-                    out.push_str(
-                        "  forecast    (warming up \u{2014} not enough trend history)\n\n",
-                    );
-                }
+                out.push('\n');
+            }
+            _ => {
+                out.push_str("  forecast    (warming up \u{2014} not enough trend history)\n\n");
             }
         }
     }
@@ -461,7 +458,7 @@ fn render_frame(addr: &str) -> Result<(String, i32), String> {
 
     // Alert feed, newest last in the payload; show the tail.
     out.push_str("\n  recent transitions\n");
-    let events = alerts.get("events").map(Value::items).unwrap_or_default();
+    let events = slo.get("events").map(Value::items).unwrap_or_default();
     if events.is_empty() {
         out.push_str("    (none)\n");
     }

@@ -1,42 +1,11 @@
 //! Dependency-free HTTP/1.1 exposition endpoint.
 //!
-//! Serves the broker's observability surfaces to scrapers and humans:
-//!
-//! * `GET /metrics` — Prometheus text format (version 0.0.4) rendered from
-//!   every attached [`MetricsRegistry`]: counters, gauges, and histograms
-//!   with cumulative buckets (`_ns` instruments are rewritten to
-//!   `_seconds` base units).
-//! * `GET /snapshot.json` — the typed broker snapshot (message counters,
-//!   subscription topology, journal state, per-topic totals) plus the full
-//!   JSON form of every registry.
-//! * `GET /traces` — the flight recorder's span chains as JSON (see
-//!   [`rjms_trace`]): tail-sampled slow messages plus the uniform baseline,
-//!   grouped per trace id in pipeline order.
-//! * `GET /model` — the latest analytic-model verdict text (Eq. 1 +
-//!   M/GI/1 drift check), when the host wires one in.
-//! * `GET /history?metric=…&window=…&reduce=…` — per-slot series and
-//!   merged-window summary from the SLO engine's metric history
-//!   ([`rjms_obs::history`]), when one is attached.
-//! * `GET /slo` — burn rates, states, and budget remaining for every
-//!   objective, plus the engine's latest saturation forecast.
-//! * `GET /forecast` — the predictive layer on its own: λ(t) trend,
-//!   analytic breach points, time-to-breach ETAs with confidence bands,
-//!   and the Little's-law telemetry self-check.
-//! * `GET /alerts` — active alert states plus the recent transition feed
-//!   with evidence.
-//! * `GET /flow` — the admission gate's live calibration (λ_max, its
-//!   source, bucket fill, per-class grant/defer/shed counters) as JSON,
-//!   when flow control is enabled.
-//! * `GET /shards` — per-shard model assessments (measured operating
-//!   point vs Eq. 1 + M/GI/1 evaluated per dispatcher shard) as JSON,
-//!   when a broker observer is attached and the broker can anchor the
-//!   model (a cost model or flow control). With the topic observatory on,
-//!   the body also carries a `rebalance` block: per-shard load shares,
-//!   the max/mean skew ratio, and the advisor's topic moves.
-//! * `GET /topics` — the per-topic workload observatory (arrival rates,
-//!   mean filter/replication/service observations, online-fitted Eq. 1
-//!   cost constants and drift verdicts per topic plus the pooled global
-//!   fit), when the broker runs with `topic_obs` enabled.
+//! Serves the broker's observability surfaces to scrapers and humans. The
+//! routes are the rows of one table in this file, `ROUTES` — it drives
+//! dispatch and the `/` index — and each row's handler documents what its
+//! body carries and when the route is a 404 instead. Every JSON body is
+//! written with [`rjms_metrics::JsonWriter`], each block that appears in
+//! more than one body by one function (DESIGN.md §3.8 has the map).
 //!
 //! The server is deliberately minimal — blocking I/O, one thread per
 //! connection, `Connection: close` on every response — because its
@@ -49,16 +18,15 @@
 //! read timeout instead of hanging the connection thread.
 
 use rjms_broker::{
-    BrokerObserver, BrokerSnapshot, FlowGate, ShardReport, TopicObsRow, TopicObservatorySnapshot,
+    BrokerObserver, BrokerSnapshot, FlowGate, FlowSnapshot, ShardReport, TopicObservatorySnapshot,
 };
 use rjms_core::regression::{FittedCosts, RegressionVerdict};
-use rjms_core::ModelVerdict;
-use rjms_metrics::json::write_escaped;
-use rjms_metrics::{clock, labeled, MetricsRegistry};
+use rjms_core::{CostParams, ModelVerdict};
+use rjms_metrics::{clock, labeled, JsonWriter, MetricsRegistry};
 use rjms_obs::slo::{SERVICE_METRIC, WAITING_METRIC};
 use rjms_obs::topics::{analyze_skew, SkewConfig, TopicLoad};
-use rjms_obs::{ObsCore, Reduce, BACKLOG_METRIC};
-use rjms_trace::{group_chains, render_chains_json, FlightRecorder};
+use rjms_obs::{Forecast, ObsCore, Reduce, BACKLOG_METRIC};
+use rjms_trace::{group_chains, FlightRecorder, TraceChain};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,7 +41,6 @@ pub struct HttpState {
     registries: Vec<MetricsRegistry>,
     observer: Option<BrokerObserver>,
     recorder: Option<Arc<FlightRecorder>>,
-    model: Arc<Mutex<String>>,
     obs: Option<Arc<Mutex<ObsCore>>>,
     flow: Option<Arc<FlowGate>>,
 }
@@ -103,7 +70,9 @@ impl HttpState {
         self
     }
 
-    /// Attaches the broker counter snapshot source for `/snapshot.json`.
+    /// Attaches the broker's read side: the counter snapshot for
+    /// `/snapshot.json`, the model reports for `/shards` and `/model`, the
+    /// observatory for `/topics`.
     #[must_use]
     pub fn observer(mut self, observer: BrokerObserver) -> Self {
         self.observer = Some(observer);
@@ -117,15 +86,7 @@ impl HttpState {
         self
     }
 
-    /// The shared text buffer behind `/model`. A monitoring thread can
-    /// lock it and replace the contents with each new verdict; the
-    /// endpoint serves whatever is current.
-    pub fn model_text(&self) -> Arc<Mutex<String>> {
-        Arc::clone(&self.model)
-    }
-
-    /// Attaches the SLO engine for `/history`, `/slo`, and `/alerts`
-    /// (typically [`rjms_obs::ObsRuntime::core`]).
+    /// Attaches the SLO engine for `/history` and `/slo` (typically [`rjms_obs::ObsRuntime::core`]).
     #[must_use]
     pub fn obs(mut self, core: Arc<Mutex<ObsCore>>) -> Self {
         self.obs = Some(core);
@@ -213,16 +174,38 @@ impl Drop for HttpServer {
     }
 }
 
-/// Why a JSON endpoint has no body: the status line and a plain-text reason.
+/// Why an endpoint has no body: the status line and a plain-text reason.
 type Refusal = (&'static str, &'static str);
+/// What a route's handler makes of the state and the query string.
+type Reply = Result<String, Refusal>;
+/// One route: its path, the content type of its 200, its line in the `/`
+/// index, and the handler.
+type Route = (&'static str, &'static str, &'static str, fn(&HttpState, &str) -> Reply);
 
 const NOT_FOUND: &str = "404 Not Found";
 const BAD_REQUEST: &str = "400 Bad Request";
+const TEXT: &str = "text/plain; charset=utf-8";
+const PROMETHEUS: &str = "text/plain; version=0.0.4; charset=utf-8";
+const JSON: &str = "application/json";
+
+/// Every route the endpoint serves: dispatch and the `/` index both read
+/// this table (README.md and DESIGN.md §3.8 describe the same ten rows).
+const ROUTES: &[Route] = &[
+    ("/", TEXT, "this index", index),
+    ("/metrics", PROMETHEUS, "Prometheus text format", metrics),
+    ("/snapshot.json", JSON, "broker + registry snapshot (JSON)", snapshot),
+    ("/traces", JSON, "tail-sampled message span chains (JSON)", traces),
+    ("/model", TEXT, "per-shard analytic-model drift verdicts", model),
+    ("/history", JSON, "metric history series (?metric=&window=&reduce=)", history),
+    ("/slo", JSON, "objective burn rates, forecast and alert feed (JSON)", slo),
+    ("/flow", JSON, "admission-gate calibration and counters (JSON)", flow),
+    ("/shards", JSON, "per-shard model assessments + rebalance advice (JSON)", shards),
+    ("/topics", JSON, "per-topic workload observatory (JSON)", topics),
+];
 
 fn serve_connection(mut stream: TcpStream, state: &HttpState) {
     stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
-    let refuse =
-        |stream: &mut TcpStream, status, reason| respond(stream, status, "text/plain", reason);
+    let refuse = |stream: &mut TcpStream, status, reason| respond(stream, status, TEXT, reason);
     let (method, target) = match read_request_head(&mut stream) {
         RequestHead::Ok { method, target } => (method, target),
         RequestHead::Closed => return, // nothing readable: don't guess a reply
@@ -238,75 +221,121 @@ fn serve_connection(mut stream: TcpStream, state: &HttpState) {
     if method != "GET" {
         return refuse(&mut stream, "405 Method Not Allowed", "only GET is supported\n");
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target.as_str(), ""),
+    let (path, query) = target.split_once('?').unwrap_or((target.as_str(), ""));
+    let Some(&(_, content_type, _, handler)) = ROUTES.iter().find(|route| route.0 == path) else {
+        return refuse(&mut stream, NOT_FOUND, "unknown path\n");
     };
-    // The text endpoints answer directly; every JSON endpoint yields its
-    // body, or the reason there is none.
-    let observer = state.observer.as_ref().ok_or((NOT_FOUND, "no broker attached\n"));
-    let json: Result<String, Refusal> = match path {
-        "/" => {
-            let index = "rjms exposition endpoints:\n\
-             /metrics        Prometheus text format\n\
-             /snapshot.json  broker + registry snapshot (JSON)\n\
-             /traces         tail-sampled message span chains (JSON)\n\
-             /model          latest analytic-model drift verdict\n\
-             /history        metric history series (?metric=&window=&reduce=)\n\
-             /slo            objective burn rates and budgets (JSON)\n\
-             /forecast       time-to-breach saturation forecast (JSON)\n\
-             /alerts         alert states and transition feed (JSON)\n\
-             /flow           admission-gate calibration and counters (JSON)\n\
-             /shards         per-shard model assessments + rebalance advice (JSON)\n\
-             /topics         per-topic workload observatory (JSON)\n";
-            return respond(&mut stream, "200 OK", "text/plain; charset=utf-8", index);
-        }
-        "/metrics" => {
-            let mut body = String::new();
-            for registry in &state.registries {
-                body.push_str(&registry.snapshot().render_prometheus());
-            }
-            let content_type = "text/plain; version=0.0.4; charset=utf-8";
-            return respond(&mut stream, "200 OK", content_type, &body);
-        }
-        "/model" => {
-            let text = state.model.lock().map(|t| t.clone()).unwrap_or_default();
-            let body = if text.is_empty() { "no model assessment yet\n" } else { &text };
-            return respond(&mut stream, "200 OK", "text/plain; charset=utf-8", body);
-        }
-        "/snapshot.json" => Ok(render_snapshot_json(state)),
-        "/traces" => state.recorder.as_ref().ok_or((NOT_FOUND, "tracing disabled\n")).map(|r| {
-            let snap = r.snapshot();
-            let chains = group_chains(snap.events);
-            render_chains_json(&chains, clock::ns_per_tick(), snap.recorded, snap.capacity)
-        }),
-        "/slo" => obs_json(state, |core| Ok(core.render_slo_json())),
-        "/forecast" => obs_json(state, |core| Ok(core.render_forecast_json())),
-        "/alerts" => obs_json(state, |core| Ok(core.render_alerts_json())),
-        "/history" => obs_json(state, |core| history_json(core, query)),
-        "/flow" => match &state.flow {
-            Some(gate) => Ok(render_flow_json(gate)),
-            None => Err((NOT_FOUND, "flow control disabled\n")),
-        },
-        "/shards" => observer
-            .map(|o| render_shards_json(&o.shard_reports(), o.topic_observatory().as_ref(), state)),
-        "/topics" => observer.and_then(|o| match o.topic_observatory() {
-            Some(snap) => Ok(render_topics_json(&snap)),
-            None => Err((NOT_FOUND, "topic observatory disabled\n")),
-        }),
-        _ => Err((NOT_FOUND, "unknown path\n")),
-    };
-    match json {
-        Ok(body) => respond(&mut stream, "200 OK", "application/json", &body),
+    match handler(state, query) {
+        Ok(body) => respond(&mut stream, "200 OK", content_type, &body),
         Err((status, reason)) => refuse(&mut stream, status, reason),
     }
 }
 
+/// `/` — the routes of [`ROUTES`], one per line.
+fn index(_: &HttpState, _: &str) -> Reply {
+    let mut out = String::from("rjms exposition endpoints:\n");
+    for (path, _, about, _) in ROUTES {
+        out.push_str(&format!("{path:<16}{about}\n"));
+    }
+    Ok(out)
+}
+
+/// `/metrics` — Prometheus text format (version 0.0.4) rendered from every
+/// attached [`MetricsRegistry`], in order: counters, gauges, and
+/// histograms with cumulative buckets (`_ns` instruments are rewritten to
+/// `_seconds` base units).
+fn metrics(state: &HttpState, _: &str) -> Reply {
+    Ok(state.registries.iter().map(|r| r.snapshot().render_prometheus()).collect())
+}
+
+/// `/snapshot.json` — the typed broker snapshot (message counters,
+/// subscription topology, journal state, per-topic totals; `null` with no
+/// broker attached) plus the full JSON form of every registry.
+fn snapshot(state: &HttpState, _: &str) -> Reply {
+    Ok(JsonWriter::document(|w| {
+        w.object(|w| {
+            let broker = state.observer.as_ref().map(BrokerObserver::snapshot);
+            w.key("broker").optional(broker.as_ref(), broker_json);
+            w.key("registries").array(|w| {
+                state.registries.iter().for_each(|r| r.snapshot().write_json(w));
+            });
+        });
+    }))
+}
+
+/// `/traces` — the flight recorder's span chains (see [`rjms_trace`]):
+/// tail-sampled slow messages plus the uniform baseline, grouped per trace
+/// id in pipeline order. 404 without tracing.
+fn traces(state: &HttpState, _: &str) -> Reply {
+    let recorder = state.recorder.as_ref().ok_or((NOT_FOUND, "tracing disabled\n"))?;
+    let snap = recorder.snapshot();
+    let chains = group_chains(snap.events);
+    Ok(JsonWriter::document(|w| {
+        chains_json(&chains, clock::ns_per_tick(), snap.recorded, snap.capacity, w);
+    }))
+}
+
+/// `/model` — the analytic-model check as text, computed at request time
+/// from the attached broker's per-shard reports: per shard that has served
+/// messages, the Eq. 1 + M/GI/1 verdict and the measured-vs-predicted
+/// table, then the slowest traced chains after a drift verdict.
+fn model(state: &HttpState, _: &str) -> Reply {
+    let text = state.observer.as_ref().map(BrokerObserver::model_text).unwrap_or_default();
+    Ok(if text.is_empty() { "no model assessment yet\n".to_owned() } else { text })
+}
+
+/// `/slo` — burn rates, states and budget remaining for every objective,
+/// the engine's latest saturation forecast (λ(t) trend, analytic breach
+/// points, time-to-breach ETAs with confidence bands, the Little's-law
+/// telemetry self-check) with the knobs it was computed under, and the
+/// recent alert transitions with their evidence. 404 without the engine.
+fn slo(state: &HttpState, _: &str) -> Reply {
+    with_obs(state, |core| Ok(core.render_slo_json()))
+}
+
+/// `/history?metric=…&window=…&reduce=…` — per-slot series and
+/// merged-window summary from the SLO engine's metric history
+/// ([`rjms_obs::history`]). 404 without the engine.
+fn history(state: &HttpState, query: &str) -> Reply {
+    with_obs(state, |core| history_json(core, query))
+}
+
+/// `/flow` — the admission gate's live calibration (λ_max, its source,
+/// bucket fill, per-class grant/defer/shed counters). 404 without flow
+/// control.
+fn flow(state: &HttpState, _: &str) -> Reply {
+    let gate = state.flow.as_ref().ok_or((NOT_FOUND, "flow control disabled\n"))?;
+    Ok(JsonWriter::document(|w| flow_json(&gate.snapshot(), w)))
+}
+
+/// `/shards` — per-shard model assessments (measured operating point vs
+/// Eq. 1 + M/GI/1 evaluated per dispatcher shard; empty unless the broker
+/// can anchor the model on a cost model or flow control). With the topic
+/// observatory on, the body also carries a `rebalance` block: per-shard
+/// load shares, the max/mean skew ratio, and the advisor's topic moves.
+/// 404 with no broker attached.
+fn shards(state: &HttpState, _: &str) -> Reply {
+    let observer = observer(state)?;
+    let (reports, observatory) = (observer.shard_reports(), observer.topic_observatory());
+    Ok(JsonWriter::document(|w| shards_json(&reports, observatory.as_ref(), state, w)))
+}
+
+/// `/topics` — the per-topic workload observatory: arrival rates, mean
+/// filter/replication/service observations, online-fitted Eq. 1 cost
+/// constants and drift verdicts per topic plus the pooled global fit. 404
+/// unless the broker runs with `topic_obs` enabled.
+fn topics(state: &HttpState, _: &str) -> Reply {
+    let snap = observer(state)?.topic_observatory();
+    let snap = snap.ok_or((NOT_FOUND, "topic observatory disabled\n"))?;
+    Ok(JsonWriter::document(|w| topics_json(&snap, w)))
+}
+
+fn observer(state: &HttpState) -> Result<&BrokerObserver, Refusal> {
+    state.observer.as_ref().ok_or((NOT_FOUND, "no broker attached\n"))
+}
+
 /// The body `render` makes from the SLO engine's state, when there is one.
-fn obs_json(
-    state: &HttpState,
-    render: impl FnOnce(&ObsCore) -> Result<String, Refusal>,
-) -> Result<String, Refusal> {
+fn with_obs(state: &HttpState, render: impl FnOnce(&ObsCore) -> Reply) -> Reply {
     let obs = state.obs.as_ref().ok_or((NOT_FOUND, "slo engine disabled\n"))?;
     obs.lock().map_or(Ok(String::new()), |core| render(&core))
 }
@@ -316,7 +345,7 @@ fn obs_json(
 /// `window` accepts plain seconds or an `s`/`m`/`h` suffix (default
 /// `60s`); `reduce` is `rate`, `level`, `count`, or a quantile like `q99`
 /// (default: `q99` for `*_ns` instruments, `rate` otherwise).
-fn history_json(core: &ObsCore, query: &str) -> Result<String, Refusal> {
+fn history_json(core: &ObsCore, query: &str) -> Reply {
     let metric =
         query_param(query, "metric").ok_or((BAD_REQUEST, "missing ?metric= parameter\n"))?;
     let window = match query_param(query, "window") {
@@ -461,198 +490,211 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
     let _ = stream.flush();
 }
 
-fn render_snapshot_json(state: &HttpState) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\"broker\":");
-    match &state.observer {
-        Some(observer) => render_broker_json(&mut out, &observer.snapshot()),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"registries\":[");
-    for (i, registry) in state.registries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&registry.snapshot().to_json());
-    }
-    out.push_str("]}");
-    out
+/// The `granted` / `deferred` / `shed` members of an admission counter
+/// block, written into the open object.
+fn outcome_members(granted: u64, deferred: u64, shed: u64, w: &mut JsonWriter) {
+    w.field("granted", granted);
+    w.field("deferred", deferred);
+    w.field("shed", shed);
 }
 
-fn render_broker_json(out: &mut String, snap: &BrokerSnapshot) {
-    use std::fmt::Write;
-    let m = &snap.messages;
-    let _ = write!(
-        out,
-        "{{\"messages\":{{\"received\":{},\"dispatched\":{},\"filter_evaluations\":{},\
-         \"dropped\":{},\"retained\":{},\"expired\":{}}}",
-        m.received, m.dispatched, m.filter_evaluations, m.dropped, m.retained, m.expired
-    );
-    let s = &snap.subscriptions;
-    let _ = write!(
-        out,
-        ",\"subscriptions\":{{\"topics\":{},\"live\":{},\"durable\":{},\"expired\":{}}}",
-        s.topics, s.live, s.durable, s.expired
-    );
-    match &snap.journal {
-        Some(j) => {
-            let _ = write!(
-                out,
-                ",\"journal\":{{\"appends\":{},\"bytes_appended\":{},\"fsyncs\":{},\
-                 \"frames_recovered\":{},\"torn_bytes_truncated\":{},\"segments_rotated\":{},\
-                 \"segments_removed\":{}}}",
-                j.appends,
-                j.bytes_appended,
-                j.fsyncs,
-                j.frames_recovered,
-                j.torn_bytes_truncated,
-                j.segments_rotated,
-                j.segments_removed
-            );
+/// The `t_rcv` / `t_fltr` / `t_tx` / `t_store` members of a set of Eq. 1
+/// constants, written into the open object.
+fn cost_members(p: &CostParams, w: &mut JsonWriter) {
+    w.field("t_rcv", p.t_rcv);
+    w.field("t_fltr", p.t_fltr);
+    w.field("t_tx", p.t_tx);
+    w.field("t_store", p.t_store);
+}
+
+/// One side of a model comparison — measured or predicted — as an object.
+fn operating_point_json(rho: f64, service: f64, waiting: f64, q99: f64, w: &mut JsonWriter) {
+    w.object(|w| {
+        w.field("utilization", rho);
+        w.field("mean_service_time", service);
+        w.field("mean_waiting_time", waiting);
+        w.field("q99", q99);
+    });
+}
+
+/// The `broker` object of `/snapshot.json`.
+fn broker_json(snap: &BrokerSnapshot, w: &mut JsonWriter) {
+    w.object(|w| {
+        let m = &snap.messages;
+        w.key("messages").object(|w| {
+            w.field("received", m.received);
+            w.field("dispatched", m.dispatched);
+            w.field("filter_evaluations", m.filter_evaluations);
+            w.field("dropped", m.dropped);
+            w.field("retained", m.retained);
+            w.field("expired", m.expired);
+        });
+        let s = &snap.subscriptions;
+        w.key("subscriptions").object(|w| {
+            w.field("topics", s.topics);
+            w.field("live", s.live);
+            w.field("durable", s.durable);
+            w.field("expired", s.expired);
+        });
+        w.key("journal").optional(snap.journal.as_ref(), |j, w| {
+            w.object(|w| {
+                w.field("appends", j.appends);
+                w.field("bytes_appended", j.bytes_appended);
+                w.field("fsyncs", j.fsyncs);
+                w.field("frames_recovered", j.frames_recovered);
+                w.field("torn_bytes_truncated", j.torn_bytes_truncated);
+                w.field("segments_rotated", j.segments_rotated);
+                w.field("segments_removed", j.segments_removed);
+            });
+        });
+        w.key("flow").optional(snap.flow.as_ref(), |f, w| {
+            w.object(|w| outcome_members(f.granted, f.deferred, f.shed, w));
+        });
+        // The `shards` key only appears for sharded brokers, keeping the
+        // single-dispatcher snapshot body byte-identical to earlier releases.
+        if let Some(shards) = &snap.shards {
+            w.key("shards").array(|w| {
+                for s in shards {
+                    w.object(|w| {
+                        w.field("shard", s.shard);
+                        w.field("topics", s.topics);
+                        w.field("received", s.received);
+                        w.field("dispatched", s.dispatched);
+                        w.field("filter_evaluations", s.filter_evaluations);
+                    });
+                }
+            });
         }
-        None => out.push_str(",\"journal\":null"),
-    }
-    match &snap.flow {
-        Some(fc) => {
-            let _ = write!(
-                out,
-                ",\"flow\":{{\"granted\":{},\"deferred\":{},\"shed\":{}}}",
-                fc.granted, fc.deferred, fc.shed
-            );
-        }
-        None => out.push_str(",\"flow\":null"),
-    }
-    // The `shards` key only appears for sharded brokers, keeping the
-    // single-dispatcher snapshot body byte-identical to earlier releases.
-    if let Some(shards) = &snap.shards {
-        out.push_str(",\"shards\":[");
-        for (i, s) in shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        w.key("per_topic").object(|w| {
+            for (name, t) in &snap.per_topic {
+                w.key(name).object(|w| {
+                    w.field("received", t.received);
+                    w.field("dispatched", t.dispatched);
+                });
             }
-            let _ = write!(
-                out,
-                "{{\"shard\":{},\"topics\":{},\"received\":{},\"dispatched\":{},\
-                 \"filter_evaluations\":{}}}",
-                s.shard, s.topics, s.received, s.dispatched, s.filter_evaluations
-            );
-        }
-        out.push(']');
-    }
-    out.push_str(",\"per_topic\":{");
-    for (i, (name, t)) in snap.per_topic.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_escaped(out, name);
-        let _ = write!(out, ":{{\"received\":{},\"dispatched\":{}}}", t.received, t.dispatched);
-    }
-    out.push('}');
-    let _ = write!(out, ",\"topics_overflowed\":{}", snap.topics_overflowed);
-    out.push('}');
+        });
+        w.field("topics_overflowed", snap.topics_overflowed);
+    });
 }
 
-/// Renders the per-shard model reports as the `/shards` JSON body. When
-/// flow control is attached, each shard also carries its slice of the
-/// admission budget (`lambda_max / shards` — the controller holds every
-/// shard at the same inverted utilisation). When the topic observatory is
-/// on, the body also carries the skew analyzer's `rebalance` block. When
+/// The `/traces` body. `ns_per_tick` converts the stored tick timestamps
+/// into per-event `offset_ns` values relative to each chain's start;
+/// `recorded` and `capacity` come from the recorder snapshot the chains
+/// were grouped from.
+fn chains_json(
+    chains: &[TraceChain],
+    ns_per_tick: f64,
+    recorded: u64,
+    capacity: usize,
+    w: &mut JsonWriter,
+) {
+    w.object(|w| {
+        w.field("recorded", recorded);
+        w.field("capacity", capacity);
+        w.field("ns_per_tick", ns_per_tick);
+        w.key("chains").array(|w| {
+            for chain in chains {
+                let start = chain.start_ticks();
+                w.object(|w| {
+                    w.field("trace_id", chain.trace_id);
+                    w.field("start_ticks", start);
+                    w.field("complete", chain.is_complete());
+                    w.field("monotone", chain.timestamps_monotone());
+                    w.field("total_duration_ns", chain.total_duration_ns());
+                    w.key("events").array(|w| {
+                        for e in &chain.events {
+                            let offset = e.start_ticks.saturating_sub(start) as f64 * ns_per_tick;
+                            w.object(|w| {
+                                w.field("stage", e.stage.name());
+                                w.field("start_ticks", e.start_ticks);
+                                w.field("offset_ns", offset as u64);
+                                w.field("duration_ns", e.duration_ns);
+                                w.field("aux", e.aux);
+                            });
+                        }
+                    });
+                });
+            }
+        });
+    });
+}
+
+/// The `/shards` body. When flow control is attached, each shard also
+/// carries its slice of the admission budget (`lambda_max / shards` — the
+/// controller holds every shard at the same inverted utilisation). When
 /// the SLO engine is attached, each shard carries its own saturation
-/// forecast computed over its labeled instrument twins.
-fn render_shards_json(
+/// forecast computed over its labeled instrument twins. When the topic
+/// observatory is on, the body also carries the skew analyzer's
+/// `rebalance` block.
+fn shards_json(
     reports: &[ShardReport],
     observatory: Option<&TopicObservatorySnapshot>,
     state: &HttpState,
-) -> String {
-    use std::fmt::Write;
+    w: &mut JsonWriter,
+) {
     let obs_core = state.obs.as_ref().and_then(|o| o.lock().ok());
     let lambda_budget = state
         .flow
         .as_ref()
         .filter(|_| !reports.is_empty())
         .map(|gate| gate.snapshot().lambda_max / reports.len() as f64);
-    let mut out = String::with_capacity(512);
-    out.push_str("{\"shards\":[");
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"shard\":{},\"samples\":{},\"arrival_rate\":{},\"filters\":{},\
-             \"replication_grade\":{}",
-            r.shard, r.samples, r.arrival_rate, r.filters, r.replication_grade
-        );
-        match lambda_budget {
-            Some(b) => {
-                let _ = write!(out, ",\"lambda_budget\":{b}");
+    w.object(|w| {
+        w.key("shards").array(|w| {
+            for r in reports {
+                let forecast = obs_core.as_ref().and_then(|core| {
+                    let shard = r.shard.to_string();
+                    let twin = |base: &str| labeled(base, &[("shard", &shard)]);
+                    let (waiting, service) = (twin(WAITING_METRIC), twin(SERVICE_METRIC));
+                    core.forecast_for(&waiting, &service, &twin(BACKLOG_METRIC))
+                });
+                w.object(|w| {
+                    w.field("shard", r.shard);
+                    w.field("samples", r.samples);
+                    w.field("arrival_rate", r.arrival_rate);
+                    w.field("filters", r.filters);
+                    w.field("replication_grade", r.replication_grade);
+                    w.field("lambda_budget", lambda_budget);
+                    w.key("verdict");
+                    model_verdict_json(&r.verdict, w);
+                    w.key("forecast").optional(forecast.as_ref(), Forecast::write_json);
+                });
             }
-            None => out.push_str(",\"lambda_budget\":null"),
-        }
-        out.push_str(",\"verdict\":");
-        match &r.verdict {
-            ModelVerdict::Insufficient { samples, required } => {
-                let _ = write!(
-                    out,
-                    "{{\"kind\":\"insufficient\",\"samples\":{samples},\"required\":{required}}}"
-                );
-            }
-            ModelVerdict::Overloaded { utilization } => {
-                let _ = write!(out, "{{\"kind\":\"overloaded\",\"utilization\":{utilization}}}");
-            }
-            verdict @ (ModelVerdict::Calibrated(report) | ModelVerdict::Drift(report)) => {
-                let kind = if verdict.is_calibrated() { "calibrated" } else { "drift" };
-                let m = &report.measured;
-                let p = &report.predicted;
-                let _ = write!(
-                    out,
-                    "{{\"kind\":\"{kind}\",\"measured\":{{\"utilization\":{},\
-                     \"mean_service_time\":{},\"mean_waiting_time\":{},\"q99\":{}}},\
-                     \"predicted\":{{\"utilization\":{},\"mean_service_time\":{},\
-                     \"mean_waiting_time\":{},\"q99\":{}}},\"violations\":{}}}",
-                    m.utilization,
-                    m.mean_service_time,
-                    m.mean_waiting_time,
-                    m.q99,
-                    p.utilization,
-                    p.mean_service_time,
-                    p.mean_waiting_time,
-                    p.q99,
-                    report.violations.len()
-                );
-            }
-            // `ModelVerdict` is non-exhaustive: future variants degrade to
-            // their kind name only.
-            other => {
-                let _ = write!(out, "{{\"kind\":\"{other:?}\"}}");
-            }
-        }
-        out.push_str(",\"forecast\":");
-        let forecast = obs_core.as_ref().and_then(|core| {
-            let shard = r.shard.to_string();
-            let twin = |base: &str| labeled(base, &[("shard", &shard)]);
-            core.forecast_for(&twin(WAITING_METRIC), &twin(SERVICE_METRIC), &twin(BACKLOG_METRIC))
         });
-        match forecast {
-            Some(f) => out.push_str(&f.render_json()),
-            None => out.push_str("null"),
-        }
-        out.push('}');
-    }
-    out.push(']');
-    out.push_str(",\"rebalance\":");
-    match observatory {
-        Some(snap) => render_rebalance_json(&mut out, snap),
-        None => out.push_str("null"),
-    }
-    out.push('}');
-    out
+        w.key("rebalance").optional(observatory, rebalance_json);
+    });
 }
 
-/// Renders the skew analyzer's report (shares, ratio, advised moves) from
-/// an observatory snapshot.
-fn render_rebalance_json(out: &mut String, snap: &TopicObservatorySnapshot) {
-    use std::fmt::Write;
+/// A shard's model verdict: its kind plus, for calibrated/drift, both
+/// sides of the comparison and the number of violated tolerances.
+fn model_verdict_json(verdict: &ModelVerdict, w: &mut JsonWriter) {
+    w.object(|w| match verdict {
+        ModelVerdict::Insufficient { samples, required } => {
+            w.field("kind", "insufficient");
+            w.field("samples", *samples);
+            w.field("required", *required);
+        }
+        ModelVerdict::Overloaded { utilization } => {
+            w.field("kind", "overloaded");
+            w.field("utilization", *utilization);
+        }
+        ModelVerdict::Calibrated(report) | ModelVerdict::Drift(report) => {
+            w.field("kind", if verdict.is_calibrated() { "calibrated" } else { "drift" });
+            let (m, p) = (&report.measured, &report.predicted);
+            let (service, waiting) = (m.mean_service_time, m.mean_waiting_time);
+            operating_point_json(m.utilization, service, waiting, m.q99, w.key("measured"));
+            let (service, waiting) = (p.mean_service_time, p.mean_waiting_time);
+            operating_point_json(p.utilization, service, waiting, p.q99, w.key("predicted"));
+            w.field("violations", report.violations.len());
+        }
+        // `ModelVerdict` is non-exhaustive: future variants degrade to
+        // their kind name only.
+        other => w.field("kind", format!("{other:?}")),
+    });
+}
+
+/// The skew analyzer's report (shares, ratio, advised moves) from an
+/// observatory snapshot: the `rebalance` block of `/shards`.
+fn rebalance_json(snap: &TopicObservatorySnapshot, w: &mut JsonWriter) {
     let loads: Vec<TopicLoad> = snap
         .topics
         .iter()
@@ -669,188 +711,125 @@ fn render_rebalance_json(out: &mut String, snap: &TopicObservatorySnapshot) {
         target_ratio: snap.config.target_ratio,
     };
     let report = analyze_skew(&loads, &config);
-    let _ = write!(
-        out,
-        "{{\"max_mean_ratio\":{},\"skewed\":{},\"flag_ratio\":{},\"target_ratio\":{},\
-         \"post_ratio\":{},\"shares\":[",
-        report.max_mean_ratio,
-        report.skewed,
-        config.flag_ratio,
-        config.target_ratio,
-        report.post_ratio
-    );
-    for (i, s) in report.shares.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"shard\":{},\"offered_load\":{},\"arrival_share\":{},\"load_share\":{},\
-             \"topics\":{}}}",
-            s.shard, s.offered_load, s.arrival_share, s.load_share, s.topics
-        );
-    }
-    out.push_str("],\"moves\":[");
-    for (i, m) in report.moves.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"topic\":");
-        write_escaped(out, &m.topic);
-        let _ = write!(out, ",\"from\":{},\"to\":{},\"load\":{}}}", m.from, m.to, m.load);
-    }
-    out.push_str("]}");
-}
-
-/// Renders the observatory snapshot as the `/topics` JSON body.
-fn render_topics_json(snap: &TopicObservatorySnapshot) -> String {
-    use std::fmt::Write;
-    let mut out = String::with_capacity(1024);
-    let _ = write!(
-        out,
-        "{{\"elapsed_secs\":{},\"shards\":{},\"per_topic_cap\":{},\"overflowed_topics\":{},",
-        snap.elapsed.as_secs_f64(),
-        snap.shards,
-        snap.config.per_topic_cap,
-        snap.overflowed_topics
-    );
-    out.push_str("\"anchor\":");
-    match &snap.anchor {
-        Some(a) => {
-            let _ = write!(
-                out,
-                "{{\"t_rcv\":{},\"t_fltr\":{},\"t_tx\":{},\"t_store\":{}}}",
-                a.t_rcv, a.t_fltr, a.t_tx, a.t_store
-            );
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"global\":{\"fitted\":");
-    render_fitted_json(&mut out, snap.global_fitted.as_ref());
-    out.push_str(",\"verdict\":");
-    render_regression_verdict_json(&mut out, snap.global_verdict.as_ref());
-    out.push_str("},\"topics\":[");
-    for (i, t) in snap.topics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        render_topic_row_json(&mut out, t);
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Renders one observatory row.
-fn render_topic_row_json(out: &mut String, t: &TopicObsRow) {
-    use std::fmt::Write;
-    out.push_str("{\"name\":");
-    write_escaped(out, &t.name);
-    let _ = write!(
-        out,
-        ",\"shard\":{},\"messages\":{},\"arrival_rate\":{},\"mean_filters\":{},\
-         \"mean_replication\":{},\"mean_service_time\":{},\"fitted\":",
-        t.shard,
-        t.messages,
-        t.arrival_rate,
-        t.mean_filters,
-        t.mean_replication,
-        t.mean_service_time
-    );
-    render_fitted_json(out, t.fitted.as_ref());
-    out.push_str(",\"verdict\":");
-    render_regression_verdict_json(out, t.verdict.as_ref());
-    out.push('}');
-}
-
-/// Renders an adaptive fit (or `null`).
-fn render_fitted_json(out: &mut String, fitted: Option<&FittedCosts>) {
-    use std::fmt::Write;
-    match fitted {
-        Some(f) => {
-            let p = &f.params;
-            let _ = write!(
-                out,
-                "{{\"mode\":\"{}\",\"t_rcv\":{},\"t_fltr\":{},\"t_tx\":{},\"t_store\":{},\
-                 \"residual_rms\":{},\"r_squared\":{},\"observations\":{}}}",
-                f.mode,
-                p.t_rcv,
-                p.t_fltr,
-                p.t_tx,
-                p.t_store,
-                f.residual_rms,
-                f.r_squared,
-                f.observations
-            );
-        }
-        None => out.push_str("null"),
-    }
-}
-
-/// Renders a regression verdict (or `null`): its kind plus, for
-/// stable/drift, the out-of-tolerance components.
-fn render_regression_verdict_json(out: &mut String, verdict: Option<&RegressionVerdict>) {
-    use std::fmt::Write;
-    let Some(verdict) = verdict else {
-        out.push_str("null");
-        return;
-    };
-    let _ = write!(out, "{{\"kind\":\"{}\"", verdict.kind());
-    if let RegressionVerdict::Insufficient { samples, required } = verdict {
-        let _ = write!(out, ",\"samples\":{samples},\"required\":{required}");
-    }
-    if let Some(report) = verdict.report() {
-        out.push_str(",\"deviations\":[");
-        for (i, d) in report.deviations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    w.object(|w| {
+        w.field("max_mean_ratio", report.max_mean_ratio);
+        w.field("skewed", report.skewed);
+        w.field("flag_ratio", config.flag_ratio);
+        w.field("target_ratio", config.target_ratio);
+        w.field("post_ratio", report.post_ratio);
+        w.key("shares").array(|w| {
+            for s in &report.shares {
+                w.object(|w| {
+                    w.field("shard", s.shard);
+                    w.field("offered_load", s.offered_load);
+                    w.field("arrival_share", s.arrival_share);
+                    w.field("load_share", s.load_share);
+                    w.field("topics", s.topics);
+                });
             }
-            let _ = write!(
-                out,
-                "{{\"component\":\"{}\",\"fitted\":{},\"configured\":{},\"error\":{},\
-                 \"tolerance\":{}}}",
-                d.component, d.fitted, d.configured, d.error, d.tolerance
-            );
-        }
-        out.push(']');
-    }
-    out.push('}');
+        });
+        w.key("moves").array(|w| {
+            for m in &report.moves {
+                w.object(|w| {
+                    w.field("topic", &m.topic);
+                    w.field("from", m.from);
+                    w.field("to", m.to);
+                    w.field("load", m.load);
+                });
+            }
+        });
+    });
 }
 
-/// Renders the admission gate's [`FlowSnapshot`](rjms_broker::FlowSnapshot)
-/// as the `/flow` JSON body.
-fn render_flow_json(gate: &FlowGate) -> String {
-    use std::fmt::Write;
-    let s = gate.snapshot();
-    let mut out = String::with_capacity(512);
-    let _ = write!(
-        out,
-        "{{\"lambda_max\":{},\"rho_max\":{},\"w99_objective\":{},\"headroom\":{},\
-         \"source\":\"{}\",\"refreshes\":{},\"classes\":{},\"bucket_level\":{},\
-         \"bucket_burst\":{},\"credit_window\":{},\"producers\":{},\"per_class\":[",
-        s.lambda_max,
-        s.rho_max,
-        s.w99_objective,
-        s.headroom,
-        s.source,
-        s.refreshes,
-        s.classes,
-        s.bucket_level,
-        s.bucket_burst,
-        s.credit_window,
-        s.producers
-    );
-    for (i, c) in s.per_class.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// The `/topics` body.
+fn topics_json(snap: &TopicObservatorySnapshot, w: &mut JsonWriter) {
+    w.object(|w| {
+        w.field("elapsed_secs", snap.elapsed.as_secs_f64());
+        w.field("shards", snap.shards);
+        w.field("per_topic_cap", snap.config.per_topic_cap);
+        w.field("overflowed_topics", snap.overflowed_topics);
+        w.key("anchor").optional(snap.anchor.as_ref(), |a, w| w.object(|w| cost_members(a, w)));
+        w.key("global").object(|w| {
+            w.key("fitted").optional(snap.global_fitted.as_ref(), fitted_json);
+            w.key("verdict").optional(snap.global_verdict.as_ref(), regression_verdict_json);
+        });
+        w.key("topics").array(|w| {
+            for t in &snap.topics {
+                w.object(|w| {
+                    w.field("name", &t.name);
+                    w.field("shard", t.shard);
+                    w.field("messages", t.messages);
+                    w.field("arrival_rate", t.arrival_rate);
+                    w.field("mean_filters", t.mean_filters);
+                    w.field("mean_replication", t.mean_replication);
+                    w.field("mean_service_time", t.mean_service_time);
+                    w.key("fitted").optional(t.fitted.as_ref(), fitted_json);
+                    w.key("verdict").optional(t.verdict.as_ref(), regression_verdict_json);
+                });
+            }
+        });
+    });
+}
+
+/// An adaptive fit.
+fn fitted_json(f: &FittedCosts, w: &mut JsonWriter) {
+    w.object(|w| {
+        w.field("mode", f.mode.to_string());
+        cost_members(&f.params, w);
+        w.field("residual_rms", f.residual_rms);
+        w.field("r_squared", f.r_squared);
+        w.field("observations", f.observations);
+    });
+}
+
+/// A regression verdict: its kind plus, for stable/drift, the
+/// out-of-tolerance components.
+fn regression_verdict_json(verdict: &RegressionVerdict, w: &mut JsonWriter) {
+    w.object(|w| {
+        w.field("kind", verdict.kind());
+        if let RegressionVerdict::Insufficient { samples, required } = verdict {
+            w.field("samples", *samples);
+            w.field("required", *required);
         }
-        let _ = write!(
-            out,
-            "{{\"class\":{},\"granted\":{},\"deferred\":{},\"shed\":{}}}",
-            c.class, c.granted, c.deferred, c.shed
-        );
-    }
-    out.push_str("]}");
-    out
+        if let Some(report) = verdict.report() {
+            w.key("deviations").array(|w| {
+                for d in &report.deviations {
+                    w.object(|w| {
+                        w.field("component", d.component);
+                        w.field("fitted", d.fitted);
+                        w.field("configured", d.configured);
+                        w.field("error", d.error);
+                        w.field("tolerance", d.tolerance);
+                    });
+                }
+            });
+        }
+    });
+}
+
+/// The `/flow` body.
+fn flow_json(s: &FlowSnapshot, w: &mut JsonWriter) {
+    w.object(|w| {
+        w.field("lambda_max", s.lambda_max);
+        w.field("rho_max", s.rho_max);
+        w.field("w99_objective", s.w99_objective);
+        w.field("headroom", s.headroom);
+        w.field("source", s.source);
+        w.field("refreshes", s.refreshes);
+        w.field("classes", s.classes);
+        w.field("bucket_level", s.bucket_level);
+        w.field("bucket_burst", s.bucket_burst);
+        w.field("credit_window", s.credit_window);
+        w.field("producers", s.producers);
+        w.key("per_class").array(|w| {
+            for c in &s.per_class {
+                w.object(|w| {
+                    w.field("class", c.class);
+                    outcome_members(c.granted, c.deferred, c.shed, w);
+                });
+            }
+        });
+    });
 }
 
 #[cfg(test)]
@@ -955,9 +934,40 @@ mod tests {
     #[test]
     fn slo_endpoints_404_without_engine() {
         let s = server(HttpState::new());
-        for path in ["/slo", "/alerts", "/forecast", "/history?metric=x", "/flow"] {
+        for path in ["/slo", "/history?metric=x", "/flow"] {
             let r = get(s.local_addr(), path);
             assert_eq!(status_of(&r), "HTTP/1.1 404 Not Found", "path {path}");
+        }
+        s.shutdown();
+    }
+
+    /// The `/` index lists exactly the table's paths, and on an empty state
+    /// every one of them answers 200 or the 404 its handler documents.
+    #[test]
+    fn index_lists_the_route_table_and_every_route_answers() {
+        let s = server(HttpState::new());
+        let r = get(s.local_addr(), "/");
+        let listed: Vec<&str> =
+            r.lines().filter(|l| l.starts_with('/')).filter_map(|l| l.split(' ').next()).collect();
+        let table: Vec<&str> = ROUTES.iter().map(|route| route.0).collect();
+        assert_eq!(listed, table);
+        assert_eq!(table.len(), 10);
+        for path in table {
+            let refusal = match path {
+                "/traces" => Some("tracing disabled"),
+                "/history" | "/slo" => Some("slo engine disabled"),
+                "/flow" => Some("flow control disabled"),
+                "/shards" | "/topics" => Some("no broker attached"),
+                _ => None,
+            };
+            let r = get(s.local_addr(), path);
+            match refusal {
+                None => assert_eq!(status_of(&r), "HTTP/1.1 200 OK", "path {path}"),
+                Some(reason) => {
+                    assert_eq!(status_of(&r), "HTTP/1.1 404 Not Found", "path {path}");
+                    assert!(r.ends_with(&format!("{reason}\n")), "path {path}: {r}");
+                }
+            }
         }
         s.shutdown();
     }
@@ -986,25 +996,37 @@ mod tests {
         HttpState::new().registry(registry).obs(Arc::new(Mutex::new(core)))
     }
 
+    /// `/slo` carries what `/alerts` served (the transition feed; its
+    /// `active` list was a projection of `objectives`), and both old routes
+    /// are unknown paths now.
     #[test]
     fn slo_and_alerts_render_json() {
         let s = server(obs_state());
         let r = get(s.local_addr(), "/slo");
         assert_eq!(status_of(&r), "HTTP/1.1 200 OK");
-        assert!(r.contains("\"objectives\":["), "body: {r}");
-        assert!(r.contains("\"forecast\":"), "body: {r}");
-        let r = get(s.local_addr(), "/alerts");
-        assert_eq!(status_of(&r), "HTTP/1.1 200 OK");
-        assert!(r.contains("\"active\":["), "body: {r}");
+        for key in ["\"objectives\":[{\"name\":", "\"state\":", "\"since_ms\":", "\"events\":["] {
+            assert!(r.contains(key), "missing {key} in body: {r}");
+        }
+        for path in ["/alerts", "/forecast"] {
+            let r = get(s.local_addr(), path);
+            assert_eq!(status_of(&r), "HTTP/1.1 404 Not Found", "path {path}");
+            assert!(r.ends_with("unknown path\n"), "path {path}: {r}");
+        }
         s.shutdown();
     }
 
+    /// `/slo` carries what `/forecast` served: the forecast and its knobs.
     #[test]
     fn forecast_endpoint_renders_knobs_and_forecast() {
         let s = server(obs_state());
-        let r = get(s.local_addr(), "/forecast");
+        let r = get(s.local_addr(), "/slo");
         assert_eq!(status_of(&r), "HTTP/1.1 200 OK");
-        for key in ["\"enabled\":true", "\"horizon_ms\":", "\"min_confidence\":", "\"forecast\":"] {
+        for key in [
+            "\"forecast_config\":{\"enabled\":true,\"horizon_ms\":",
+            "\"trend_window_ms\":",
+            "\"min_confidence\":",
+            "\"forecast\":",
+        ] {
             assert!(r.contains(key), "missing {key} in body: {r}");
         }
         s.shutdown();
@@ -1123,5 +1145,271 @@ mod tests {
         assert_eq!(parse_reduce("q"), None);
         assert_eq!(parse_reduce("q0"), None);
         assert_eq!(parse_reduce("p99"), None);
+    }
+
+    /// The keys of a JSON text, in document order.
+    fn member_order(json: &str) -> Vec<&str> {
+        let mut keys = Vec::new();
+        let mut rest = json;
+        while let Some(open) = rest.find('"') {
+            let body = &rest[open + 1..];
+            let mut close = 0;
+            while body.as_bytes()[close] != b'"' {
+                close += if body.as_bytes()[close] == b'\\' { 2 } else { 1 };
+            }
+            rest = &body[close + 1..];
+            if rest.starts_with(':') {
+                keys.push(&body[..close]);
+            }
+        }
+        keys
+    }
+
+    /// Each body against the one PR 19 (`38e064e`) rendered from the same
+    /// input: equal parsed values and the same member order everywhere,
+    /// the same bytes where no float is printed. The parent printed `f64`
+    /// with `{}`; what it made of a NaN or an infinity did not parse.
+    #[test]
+    fn bodies_match_the_parents_goldens() {
+        use rjms_obs::minijson::parse;
+        let state = HttpState::new();
+        let body = |bad: bool, name: &str| {
+            JsonWriter::document(|w| match name {
+                "broker" => broker_json(&fixture::broker(), w),
+                "flow" => flow_json(&fixture::flow(bad), w),
+                "topics" => topics_json(&fixture::observatory(bad), w),
+                "shards" => {
+                    let observatory = fixture::observatory(bad);
+                    shards_json(&fixture::shard_reports(bad), Some(&observatory), &state, w);
+                }
+                _ => {
+                    let ns_per_tick = if bad { f64::NAN } else { 0.25 };
+                    chains_json(&fixture::chains(), ns_per_tick, 6, 1024, w);
+                }
+            })
+        };
+        for (name, parent) in [
+            ("broker", BROKER),
+            ("flow", FLOW),
+            ("topics", TOPICS),
+            ("shards", SHARDS),
+            ("traces", TRACES),
+        ] {
+            let ours = body(false, name);
+            assert_eq!(parse(&ours).unwrap(), parse(parent).unwrap(), "{name}: {ours}");
+            assert_eq!(member_order(&ours), member_order(parent), "{name}: {ours}");
+            if name == "broker" {
+                assert_eq!(ours, parent, "integer-only bodies keep their bytes");
+            }
+            let hostile = body(true, name);
+            assert!(parse(&hostile).is_ok(), "{name} with NaN and inf inputs: {hostile}");
+        }
+        // What the parent made of `fixture::flow(true)`'s `headroom`.
+        assert!(parse(r#"{"headroom":NaN}"#).is_err());
+        let empty = JsonWriter::document(|w| chains_json(&[], f64::INFINITY, 0, 16, w));
+        assert_eq!(empty, r#"{"recorded":0,"capacity":16,"ns_per_tick":null,"chains":[]}"#);
+    }
+
+    const BROKER: &str = r#"{"messages":{"received":7,"dispatched":21,"filter_evaluations":14,"dropped":1,"retained":2,"expired":3},"subscriptions":{"topics":2,"live":3,"durable":1,"expired":4},"journal":{"appends":12,"bytes_appended":340,"fsyncs":3,"frames_recovered":7,"torn_bytes_truncated":5,"segments_rotated":2,"segments_removed":1},"flow":{"granted":6,"deferred":1,"shed":0},"shards":[{"shard":0,"topics":1,"received":3,"dispatched":9,"filter_evaluations":7},{"shard":1,"topics":1,"received":4,"dispatched":9,"filter_evaluations":7}],"per_topic":{"a\\b\"c{d=\"e\",f}":{"received":7,"dispatched":21},"plain":{"received":0,"dispatched":0}},"topics_overflowed":1}"#;
+    const FLOW: &str = r#"{"lambda_max":159677.25,"rho_max":0.30000000000000004,"w99_objective":0.01,"headroom":1,"source":"analytic","refreshes":9,"classes":2,"bucket_level":0.0000001,"bucket_burst":1596,"credit_window":64,"producers":4,"per_class":[{"class":0,"granted":5,"deferred":1,"shed":0},{"class":1,"granted":5,"deferred":1,"shed":0}]}"#;
+    const TOPICS: &str = r#"{"elapsed_secs":2.5,"shards":2,"per_topic_cap":64,"overflowed_topics":3,"anchor":{"t_rcv":0.000000852,"t_fltr":0.00000702,"t_tx":0.000017,"t_store":0},"global":{"fitted":{"mode":"full","t_rcv":0.00000085,"t_fltr":0.000007,"t_tx":0.000017,"t_store":0,"residual_rms":0.0000001,"r_squared":1,"observations":4096},"verdict":{"kind":"drift","deviations":[{"component":"t_fltr","fitted":0.000009,"configured":0.00000702,"error":0.30000000000000004,"tolerance":0.25}]}},"topics":[{"name":"a\\b\"c{d=\"e\",f}","shard":0,"messages":4096,"arrival_rate":20000,"mean_filters":1,"mean_replication":2.5,"mean_service_time":0.000024999999999999998,"fitted":{"mode":"full","t_rcv":0.00000085,"t_fltr":0.000009,"t_tx":0.000017,"t_store":0,"residual_rms":0.0000001,"r_squared":1,"observations":4096},"verdict":{"kind":"drift","deviations":[{"component":"t_fltr","fitted":0.000009,"configured":0.00000702,"error":0.30000000000000004,"tolerance":0.25}]}},{"name":"b","shard":0,"messages":4096,"arrival_rate":12000,"mean_filters":1,"mean_replication":2.5,"mean_service_time":0.000024999999999999998,"fitted":null,"verdict":{"kind":"insufficient","samples":12,"required":256}},{"name":"c","shard":1,"messages":4096,"arrival_rate":4000,"mean_filters":1,"mean_replication":2.5,"mean_service_time":0.000024999999999999998,"fitted":null,"verdict":null}]}"#;
+    const SHARDS: &str = r#"{"shards":[{"shard":0,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"insufficient","samples":3,"required":1000},"forecast":null},{"shard":1,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"overloaded","utilization":1.25},"forecast":null},{"shard":2,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"calibrated","measured":{"utilization":0.30000000000000004,"mean_service_time":0.0000249,"mean_waiting_time":0.0000001,"q99":0.0001},"predicted":{"utilization":0.3,"mean_service_time":0.0000249,"mean_waiting_time":0.0000053,"q99":0.00006},"violations":0},"forecast":null},{"shard":3,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"drift","measured":{"utilization":0.30000000000000004,"mean_service_time":0.0000249,"mean_waiting_time":0.0000001,"q99":0.0001},"predicted":{"utilization":0.3,"mean_service_time":0.0000249,"mean_waiting_time":0.0000053,"q99":0.00006},"violations":0},"forecast":null}],"rebalance":{"max_mean_ratio":1.777777777777778,"skewed":true,"flag_ratio":1.25,"target_ratio":1.1,"post_ratio":1.1111111111111112,"shares":[{"shard":0,"offered_load":0.7999999999999999,"arrival_share":0.8888888888888888,"load_share":0.888888888888889,"topics":2},{"shard":1,"offered_load":0.09999999999999999,"arrival_share":0.1111111111111111,"load_share":0.11111111111111112,"topics":1}],"moves":[{"topic":"b","from":0,"to":1,"load":0.3}]}}"#;
+    const TRACES: &str = r#"{"recorded":6,"capacity":1024,"ns_per_tick":0.250000,"chains":[{"trace_id":7,"start_ticks":1000,"complete":true,"monotone":true,"total_duration_ns":1000,"events":[{"stage":"receive","start_ticks":1000,"offset_ns":0,"duration_ns":250,"aux":3},{"stage":"journal","start_ticks":1010,"offset_ns":2,"duration_ns":250,"aux":3},{"stage":"filter","start_ticks":1020,"offset_ns":5,"duration_ns":250,"aux":3},{"stage":"fanout","start_ticks":1030,"offset_ns":7,"duration_ns":250,"aux":3}]},{"trace_id":8,"start_ticks":2000,"complete":false,"monotone":true,"total_duration_ns":500,"events":[{"stage":"filter","start_ticks":2000,"offset_ns":0,"duration_ns":250,"aux":3},{"stage":"wire_flush","start_ticks":2040,"offset_ns":10,"duration_ns":250,"aux":3}]}]}"#;
+
+    /// Fixed inputs for the golden bodies: values include `1.0`, `1e-7` and
+    /// `0.1 + 0.2`; `bad` swaps two floats for NaN and +inf.
+    mod fixture {
+        use rjms_broker::{
+            BrokerSnapshot, FlowCounters, FlowSnapshot, JournalStats, MessageCounters, ShardReport,
+            ShardSnapshot, SubscriptionCounters, TopicObsConfig, TopicObsRow,
+            TopicObservatorySnapshot, TopicStats,
+        };
+        use rjms_core::monitor::{DriftReport, MeasuredSummary};
+        use rjms_core::regression::{
+            CostDeviation, FitMode, FittedCosts, RegressionReport, RegressionVerdict,
+        };
+        use rjms_core::{CostParams, ModelVerdict, WaitingTimeReport};
+        use rjms_flow::ClassSnapshot;
+        use rjms_trace::{group_chains, SpanEvent, Stage, TraceChain};
+        use std::time::Duration;
+
+        pub const HOSTILE: &str = "a\\b\"c{d=\"e\",f}";
+
+        pub fn floats(bad: bool) -> (f64, f64) {
+            [(1.0, 1e-7), (f64::NAN, f64::INFINITY)][usize::from(bad)]
+        }
+
+        pub fn broker() -> BrokerSnapshot {
+            BrokerSnapshot {
+                messages: MessageCounters {
+                    received: 7,
+                    dispatched: 21,
+                    filter_evaluations: 14,
+                    dropped: 1,
+                    retained: 2,
+                    expired: 3,
+                },
+                subscriptions: SubscriptionCounters { topics: 2, live: 3, durable: 1, expired: 4 },
+                journal: Some(JournalStats {
+                    appends: 12,
+                    bytes_appended: 340,
+                    fsyncs: 3,
+                    frames_recovered: 7,
+                    torn_bytes_truncated: 5,
+                    segments_rotated: 2,
+                    segments_removed: 1,
+                }),
+                flow: Some(FlowCounters { granted: 6, deferred: 1, shed: 0 }),
+                shards: Some(
+                    (0..2)
+                        .map(|shard| ShardSnapshot {
+                            shard,
+                            topics: 1,
+                            received: 3 + shard as u64,
+                            dispatched: 9,
+                            filter_evaluations: 7,
+                        })
+                        .collect(),
+                ),
+                per_topic: [
+                    (HOSTILE.to_owned(), TopicStats { received: 7, dispatched: 21 }),
+                    ("plain".to_owned(), TopicStats { received: 0, dispatched: 0 }),
+                ]
+                .into(),
+                topics_overflowed: 1,
+            }
+        }
+
+        pub fn flow(bad: bool) -> FlowSnapshot {
+            let (one, tiny) = floats(bad);
+            FlowSnapshot {
+                lambda_max: 159_677.25,
+                rho_max: 0.1 + 0.2,
+                w99_objective: 0.01,
+                headroom: one,
+                source: "analytic",
+                refreshes: 9,
+                classes: 2,
+                bucket_level: tiny,
+                bucket_burst: 1596.0,
+                credit_window: 64,
+                producers: 4,
+                per_class: (0..2)
+                    .map(|class| ClassSnapshot { class, granted: 5, deferred: 1, shed: 0 })
+                    .collect(),
+            }
+        }
+
+        fn fitted(t_fltr: f64) -> FittedCosts {
+            FittedCosts {
+                params: CostParams { t_rcv: 8.5e-7, t_fltr, t_tx: 1.7e-5, t_store: 0.0 },
+                mode: FitMode::Full,
+                residual_rms: 1e-7,
+                r_squared: 1.0,
+                observations: 4096,
+            }
+        }
+
+        pub fn observatory(bad: bool) -> TopicObservatorySnapshot {
+            let (one, tiny) = floats(bad);
+            let anchor = CostParams::CORRELATION_ID;
+            let drift = RegressionVerdict::Drift(RegressionReport {
+                fitted: fitted(9e-6),
+                anchor,
+                deviations: vec![CostDeviation {
+                    component: "t_fltr",
+                    fitted: 9e-6,
+                    configured: 7.02e-6,
+                    error: 0.1 + 0.2,
+                    tolerance: 0.25,
+                }],
+            });
+            let row = |name: &str, shard, arrival_rate, fitted, verdict| TopicObsRow {
+                name: name.to_owned(),
+                shard,
+                messages: 4096,
+                arrival_rate,
+                mean_filters: one,
+                mean_replication: 2.5,
+                mean_service_time: tiny * 250.0,
+                fitted,
+                verdict,
+            };
+            let warming = RegressionVerdict::Insufficient { samples: 12, required: 256 };
+            TopicObservatorySnapshot {
+                elapsed: Duration::from_millis(2500),
+                anchor: Some(anchor),
+                config: TopicObsConfig::default(),
+                shards: 2,
+                overflowed_topics: 3,
+                global_fitted: Some(fitted(7e-6)),
+                global_verdict: Some(drift.clone()),
+                topics: vec![
+                    row(HOSTILE, 0, 20_000.0, Some(fitted(9e-6)), Some(drift)),
+                    row("b", 0, 12_000.0, None, Some(warming)),
+                    row("c", 1, 4_000.0, None, None),
+                ],
+            }
+        }
+
+        pub fn shard_reports(bad: bool) -> Vec<ShardReport> {
+            let (one, tiny) = floats(bad);
+            let measured = MeasuredSummary {
+                samples: 5000,
+                arrival_rate: 12_000.0,
+                mean_service_time: 2.49e-5,
+                service_cvar: 0.0,
+                utilization: 0.1 + 0.2,
+                mean_waiting_time: tiny,
+                q99: 1e-4,
+                q9999: 2e-4,
+            };
+            let predicted = WaitingTimeReport {
+                utilization: 0.3,
+                mean_service_time: 2.49e-5,
+                service_cvar: 0.0,
+                arrival_rate: 12_000.0,
+                mean_waiting_time: 5.3e-6,
+                q99: 6e-5,
+                q9999: 1.2e-4,
+                mean_queue_length: 0.064,
+            };
+            let report = DriftReport { measured, predicted, violations: Vec::new() };
+            [
+                ModelVerdict::Insufficient { samples: 3, required: 1000 },
+                ModelVerdict::Overloaded { utilization: 1.25 },
+                ModelVerdict::Calibrated(report.clone()),
+                ModelVerdict::Drift(report),
+            ]
+            .into_iter()
+            .enumerate()
+            .map(|(shard, verdict)| ShardReport {
+                shard,
+                samples: 5000,
+                arrival_rate: 12_000.0,
+                filters: one,
+                replication_grade: 2.5,
+                verdict,
+            })
+            .collect()
+        }
+
+        pub fn chains() -> Vec<TraceChain> {
+            let event = |trace_id, stage, start_ticks| SpanEvent {
+                trace_id,
+                stage,
+                start_ticks,
+                duration_ns: 250,
+                aux: 3,
+            };
+            let mut events: Vec<SpanEvent> = Stage::BROKER_STAGES
+                .iter()
+                .enumerate()
+                .map(|(i, stage)| event(7, *stage, 1000 + 10 * i as u64))
+                .collect();
+            events.push(event(8, Stage::Filter, 2000));
+            events.push(event(8, Stage::WireFlush, 2040));
+            group_chains(events)
+        }
     }
 }

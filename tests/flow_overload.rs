@@ -236,3 +236,103 @@ mod wire_compat {
         server.shutdown();
     }
 }
+
+mod sharded {
+    //! Flow control on a sharded broker. `k` dispatchers are `k` independent
+    //! M/GI/1 servers, so the gate's budget is `k · λ_per_shard` and the
+    //! verdict that bounds W99 is the busiest shard's — never one server
+    //! assessed at the aggregate arrival rate `Σλ`.
+
+    use rjms::broker::{shard_of, Broker, BrokerConfig, Filter, FlowConfig, Message};
+    use rjms::model::monitor::ModelVerdict;
+    use rjms::model::params::CostParams;
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn gate_is_not_tightened_by_the_aggregate_arrival_rate() {
+        const SHARDS: usize = 4;
+        const PER_SHARD_RATE: f64 = 1_200.0;
+        // The gate's model says 250 µs per message (one filter, one copy):
+        // at 1 200 msgs/s a shard is 30 % busy by the model, and the four
+        // together are 120 % of *one* server — the operating point a
+        // single-server reading of the aggregate histograms calls overloaded.
+        // (The filter term is small, so that reading does not hinge on how
+        // n_fltr = 0.99… is rounded.) The broker itself runs at native speed,
+        // so what each shard measures is a few microseconds of service, far
+        // from overload on any host: nothing here times the machine.
+        let params = CostParams { t_rcv: 100e-6, t_fltr: 10e-6, t_tx: 140e-6, t_store: 0.0 };
+        let flow = FlowConfig::default()
+            .params(params)
+            .filters(1)
+            .w99_objective(0.050)
+            .refresh_interval_ms(300)
+            .producer_share(1.0);
+        let broker = Broker::start(BrokerConfig::builder().shards(SHARDS).flow(flow).build());
+        let gate = broker.flow().expect("flow control on");
+
+        // One topic per shard, one matching correlation-ID subscriber each.
+        let mut topics = vec![None; SHARDS];
+        for name in (0..).map(|i| format!("orders-{i}")) {
+            topics[shard_of(&name, SHARDS)].get_or_insert(name);
+            if topics.iter().all(Option::is_some) {
+                break;
+            }
+        }
+        let mut lanes = Vec::new();
+        for topic in topics.iter().flatten() {
+            broker.create_topic(topic).unwrap();
+            let filter = Filter::correlation_id("#1").unwrap();
+            let sub = broker.subscription(topic).filter(filter).open().unwrap();
+            lanes.push((broker.publisher(topic).unwrap(), sub));
+        }
+
+        // Three seconds at 1 200 msgs/s per shard: some seven refresh ticks
+        // after every shard has the 1 000 samples a verdict needs.
+        let offered = PER_SHARD_RATE * SHARDS as f64;
+        let started = Instant::now();
+        let (mut sent, mut denied) = (0u64, 0u64);
+        let (mut tightened, mut lowest_budget) = (false, f64::INFINITY);
+        while started.elapsed() < Duration::from_secs(3) {
+            while (sent as f64) < offered * started.elapsed().as_secs_f64() {
+                let (publisher, _) = &lanes[sent as usize % SHARDS];
+                let message = Message::builder().correlation_id("#1").build();
+                denied += u64::from(publisher.publish(message).is_err());
+                sent += 1;
+            }
+            for (_, sub) in &lanes {
+                sub.drain();
+            }
+            let now = gate.snapshot();
+            tightened |= now.source == "tightened";
+            lowest_budget = lowest_budget.min(now.lambda_max);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let reports = broker.shard_reports();
+        let snapshot = gate.snapshot();
+        eprintln!(
+            "offered {offered}/s for 3 s: sent {sent}, denied {denied}; gate lambda_max {:.0}/s \
+             (lowest {lowest_budget:.0}/s) source {} (tightened seen: {tightened}) after {} refreshes",
+            snapshot.lambda_max, snapshot.source, snapshot.refreshes
+        );
+        for r in &reports {
+            let kind = format!("{:?}", r.verdict);
+            let kind = kind.split([' ', '(']).next().unwrap_or_default();
+            let rho = r.verdict.report().map(|d| d.measured.utilization);
+            eprintln!("  shard {}: {} samples, {kind}, utilisation {rho:?}", r.shard, r.samples);
+        }
+        assert_eq!(reports.len(), SHARDS);
+        assert!(
+            reports.iter().all(|r| r.verdict.report().is_some()),
+            "every shard has a measured-vs-predicted verdict, none overloaded: {reports:?}"
+        );
+        assert!(!reports.iter().any(|r| matches!(r.verdict, ModelVerdict::Overloaded { .. })));
+        assert!(!tightened, "no shard is overloaded, yet the gate tightened its budget");
+        assert!(
+            lowest_budget >= offered,
+            "the budget fell to {lowest_budget:.0}/s, below the {offered}/s the shards carry easily"
+        );
+        assert_eq!(denied, 0, "an under-budget workload was shed or deferred");
+        broker.shutdown();
+    }
+}

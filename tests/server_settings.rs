@@ -1,8 +1,13 @@
 //! `rjms-server` as a process: what a `--config` file switches on is what
 //! the running server reports, not what an intermediate struct says.
 
-use std::io::{BufRead, BufReader};
-use std::process::{Command, Stdio};
+use rjms::broker::Message;
+use rjms::net::client::RemoteBroker;
+use rjms::net::wire::WireFilter;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 /// Three sections, each switched off, each with a tuning key.
 const SWITCHED_OFF: &str = "\
@@ -19,13 +24,26 @@ enabled = false
 history_secs = 2
 ";
 
-/// Starts the server on ephemeral ports with `config` and `flags`, and
-/// returns its start-up lines. The HTTP line is printed after every
-/// feature's line, so reading up to it sees them all.
-fn startup_lines(test: &str, config: &str, flags: &[&str]) -> Vec<String> {
+/// A running server and its start-up lines; killed when dropped.
+struct Server {
+    process: Child,
+    lines: Vec<String>,
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.process.kill().unwrap();
+        self.process.wait().unwrap();
+    }
+}
+
+/// Starts the server on ephemeral ports with `config` and `flags`. The HTTP
+/// line is printed after every feature's line, so reading up to it sees
+/// them all.
+fn start(test: &str, config: &str, flags: &[&str]) -> Server {
     let path = std::env::temp_dir().join(format!("rjms-{test}-{}.toml", std::process::id()));
     std::fs::write(&path, config).unwrap();
-    let mut server = Command::new(env!("CARGO_BIN_EXE_rjms-server"))
+    let mut process = Command::new(env!("CARGO_BIN_EXE_rjms-server"))
         .args(["--listen", "127.0.0.1:0", "--http", "127.0.0.1:0", "--config"])
         .arg(&path)
         .args(flags)
@@ -33,17 +51,19 @@ fn startup_lines(test: &str, config: &str, flags: &[&str]) -> Vec<String> {
         .spawn()
         .unwrap();
     let mut lines = Vec::new();
-    for line in BufReader::new(server.stdout.take().unwrap()).lines() {
+    for line in BufReader::new(process.stdout.take().unwrap()).lines() {
         lines.push(line.unwrap());
         if lines.last().unwrap().starts_with("http exposition on") {
             break;
         }
     }
-    server.kill().unwrap();
-    server.wait().unwrap();
     std::fs::remove_file(path).unwrap();
     assert!(lines.iter().any(|l| l.starts_with("http exposition on")), "no start-up: {lines:?}");
-    lines
+    Server { process, lines }
+}
+
+fn startup_lines(test: &str, config: &str, flags: &[&str]) -> Vec<String> {
+    start(test, config, flags).lines.clone()
 }
 
 #[test]
@@ -64,4 +84,34 @@ fn the_toggle_flag_switches_it_on_with_the_files_tuning() {
     ] {
         assert!(lines.iter().any(|l| l.contains(line)), "`{line}` not in {lines:?}");
     }
+}
+
+/// `/model` is computed from the broker's shard reports at request time:
+/// flow control alone gives the model its anchor, and no report thread
+/// (`--metrics-interval`) or `--cost-model` has to be on for it to answer.
+#[test]
+fn model_endpoint_answers_with_flow_control_alone() {
+    let server = start("model", "", &["--slo", "--flow", "--topic", "t"]);
+    let address = |prefix: &str| {
+        let line = server.lines.iter().find(|l| l.starts_with(prefix)).expect("start-up line");
+        line[prefix.len()..].trim_end_matches('/').to_owned()
+    };
+    let client = RemoteBroker::connect(address("rjms-server listening on ")).unwrap();
+    let sub = client.subscribe("t", WireFilter::None).unwrap();
+    // Paced under the default gate's per-producer burst.
+    for _ in 0..50 {
+        client.publish("t", &Message::builder().build()).unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    for _ in 0..50 {
+        sub.receive_timeout(Duration::from_secs(5)).expect("delivery");
+    }
+    // The dispatcher flushes its histograms when it goes idle.
+    std::thread::sleep(Duration::from_millis(200));
+    let mut http = TcpStream::connect(address("http exposition on http://")).unwrap();
+    write!(http, "GET /model HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+    let mut response = String::new();
+    http.read_to_string(&mut response).unwrap();
+    let body = response.split_once("\r\n\r\n").expect("header/body split").1;
+    assert!(body.starts_with("model check: "), "/model after traffic: {body:?}");
 }

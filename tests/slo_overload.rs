@@ -9,7 +9,7 @@
 //! 2. fire within two fast windows of saturation,
 //! 3. resolve after the load drops and the slow window drains,
 //!
-//! and the `/alerts` HTTP endpoint must return the firing record carrying
+//! and the `/slo` HTTP endpoint must return the firing record carrying
 //! its evidence: the offending window's histogram and the analytic model's
 //! prediction at the measured (overloaded) operating point.
 
@@ -156,14 +156,14 @@ fn overload_drives_w99_through_the_alert_lifecycle() {
     // The exposition layer returns the firing record with its evidence.
     let http =
         HttpServer::start(HttpState::new().obs(Arc::clone(&core)), "127.0.0.1:0").expect("bind");
-    let (status, body) = http_get(http.local_addr(), "/alerts");
-    assert!(status.contains(" 200 "), "unexpected /alerts status: {status}");
-    let doc = minijson::parse(&body).expect("/alerts body parses");
+    let (status, body) = http_get(http.local_addr(), "/slo");
+    assert!(status.contains(" 200 "), "unexpected /slo status: {status}");
+    let doc = minijson::parse(&body).expect("/slo body parses");
     let events_json = doc.get("events").map(Value::items).unwrap_or_default();
     let firing = events_json
         .iter()
         .find(|e| e.get("to").and_then(Value::as_str) == Some("firing"))
-        .expect("no firing record in /alerts");
+        .expect("no firing record in /slo");
     let evidence = firing.get("evidence").expect("firing record carries evidence");
     let count = evidence
         .get("window")
