@@ -9,16 +9,17 @@
 
 use crate::error::Error;
 use crate::wire::{
-    decode_response, encode_request, FrameReader, Request, Response, WireFilter, WireMessage,
-    FEATURE_FLOW, FEATURE_TRACE,
+    decode_response, delivery_subscription, encode_request, FrameReader, Request, Response,
+    WireFilter, WireMessage, FEATURE_FLOW, FEATURE_TRACE,
 };
+use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rjms_broker::Message;
 use rjms_flow::CreditBalance;
-use rjms_metrics::{Histogram, MetricsRegistry};
-use std::collections::HashMap;
-use std::io::Write;
+use rjms_metrics::{Counter, Histogram, MetricsRegistry};
+use std::collections::{HashMap, VecDeque};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Condvar};
@@ -27,6 +28,9 @@ use std::time::{Duration, Instant};
 
 /// How long [`RemoteBroker`] waits for a request's response.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Undecoded delivery frames in wire order: what one read held for one subscription.
+type Frames = VecDeque<Bytes>;
 
 /// Client-side credit state for a [`FEATURE_FLOW`] connection: the
 /// balance, plus a condvar publishers park on while the window is
@@ -44,12 +48,19 @@ struct ClientShared {
     stream: Mutex<TcpStream>,
     /// request id → one-shot response channel.
     pending: Mutex<HashMap<u32, Sender<Response>>>,
-    /// subscription id → delivery channel.
-    subscriptions: Mutex<HashMap<u32, Sender<Message>>>,
+    /// subscription id → delivery channel, one send per read that held frames for it.
+    subscriptions: Mutex<HashMap<u32, Sender<Frames>>>,
     /// Publish credits; inactive (no pacing) until the server's first
     /// [`Response::CreditGrant`] arrives.
     credit: CreditState,
     closed: AtomicBool,
+}
+
+/// Ends the connection from this side, once; the reader's exit wakes every caller.
+fn shut_down(shared: &ClientShared) {
+    if !shared.closed.swap(true, Ordering::Relaxed) {
+        let _ = shared.stream.lock().shutdown(std::net::Shutdown::Both);
+    }
 }
 
 /// A connection to a remote broker.
@@ -63,6 +74,7 @@ pub struct RemoteBroker {
     reader: Option<JoinHandle<()>>,
     metrics: MetricsRegistry,
     rtt: Arc<Histogram>,
+    requests: Arc<Counter>,
     /// Whether the server acknowledged the [`FEATURE_TRACE`] handshake.
     /// Decided once during [`RemoteBroker::connect`]; when false, publishes
     /// are stripped of their trace context so the frames stay in the
@@ -87,7 +99,12 @@ impl RemoteBroker {
     pub fn connect(addr: impl std::net::ToSocketAddrs) -> Result<RemoteBroker, Error> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let read_stream = stream.try_clone()?;
+        Self::over(stream.try_clone()?, stream)
+    }
+
+    /// [`connect`](Self::connect) reading from `reader`: the seam for tests that script reads.
+    #[doc(hidden)]
+    pub fn over(reader: impl Read + Send + 'static, stream: TcpStream) -> Result<Self, Error> {
         let shared = Arc::new(ClientShared {
             stream: Mutex::new(stream),
             pending: Mutex::new(HashMap::new()),
@@ -98,20 +115,21 @@ impl RemoteBroker {
             },
             closed: AtomicBool::new(false),
         });
+        let metrics = MetricsRegistry::new();
         let reader_shared = Arc::clone(&shared);
+        let batch_frames = metrics.histogram("net.client.batch_frames");
         let reader = std::thread::Builder::new()
             .name("rjms-net-client-reader".to_owned())
-            .spawn(move || client_reader_loop(read_stream, reader_shared))
+            .spawn(move || client_reader_loop(reader, &reader_shared, &batch_frames))
             .expect("failed to spawn client reader");
-        let metrics = MetricsRegistry::new();
-        let rtt = metrics.histogram("net.rtt_ns");
         let mut client = RemoteBroker {
             shared,
             next_request_id: AtomicU32::new(1),
             next_subscription_id: AtomicU32::new(1),
             reader: Some(reader),
+            rtt: metrics.histogram("net.rtt_ns"),
+            requests: metrics.counter("net.requests"),
             metrics,
-            rtt,
             traced: false,
         };
         // Capability handshake: a server that understands the Hello opcode
@@ -149,7 +167,8 @@ impl RemoteBroker {
 
     /// This client's instrument registry: histogram `net.rtt_ns` holds the
     /// wire round-trip latency of every answered request (send to response,
-    /// in nanoseconds), counter `net.requests` the number sent.
+    /// in nanoseconds), counter `net.requests` the number sent, histogram
+    /// `net.client.batch_frames` the delivery frames per hand-over to a subscriber.
     pub fn metrics(&self) -> MetricsRegistry {
         self.metrics.clone()
     }
@@ -321,6 +340,7 @@ impl RemoteBroker {
             Ok(()) => Ok(RemoteSubscriber {
                 subscription_id,
                 deliveries: rx,
+                batch: Mutex::new(VecDeque::new()),
                 shared: Arc::clone(&self.shared),
             }),
             Err(e) => {
@@ -351,7 +371,7 @@ impl RemoteBroker {
         self.shared.pending.lock().insert(request_id, tx);
 
         let frame = encode_request(&request);
-        self.metrics.counter("net.requests").inc();
+        self.requests.inc();
         let sent_at = Instant::now();
         {
             let mut stream = self.shared.stream.lock();
@@ -379,52 +399,59 @@ impl RemoteBroker {
 
 impl Drop for RemoteBroker {
     fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::Relaxed);
-        self.shared.credit.replenished.notify_all();
-        if let Ok(stream) = self.shared.stream.lock().try_clone() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
+        shut_down(&self.shared);
         if let Some(handle) = self.reader.take() {
             let _ = handle.join();
         }
     }
 }
 
-/// Background reader: dispatches responses to pending calls and deliveries
-/// to subscriber channels.
-fn client_reader_loop(stream: TcpStream, shared: Arc<ClientShared>) {
+/// Background reader: dispatches responses to pending calls and routes delivery
+/// frames, undecoded, to subscriber channels, once per read or when a reply is next.
+fn client_reader_loop(stream: impl Read, shared: &ClientShared, batch_frames: &Histogram) {
     let mut frames = FrameReader::new(stream);
+    let mut routed: HashMap<u32, Frames> = HashMap::new();
+    let hand_over = |routed: &mut HashMap<u32, Frames>| {
+        for (subscription_id, batch) in routed.drain() {
+            if let Some(tx) = shared.subscriptions.lock().get(&subscription_id) {
+                batch_frames.record(batch.len() as u64);
+                let _ = tx.send(batch);
+            }
+        }
+    };
     while let Ok(Some(body)) = frames.next_frame() {
-        let response = match decode_response(body) {
-            Ok(r) => r,
-            Err(_) => break,
-        };
-        match response {
-            Response::Delivery { subscription_id, message } => {
-                let subs = shared.subscriptions.lock();
-                if let Some(tx) = subs.get(&subscription_id) {
-                    let _ = tx.send(message.into_message());
+        if let Some(subscription_id) = delivery_subscription(&body) {
+            routed.entry(subscription_id).or_default().push_back(body);
+        } else {
+            let Ok(response) = decode_response(body) else { break };
+            match response {
+                Response::Delivery { .. } => break, // too short to route: not a delivery
+                Response::CreditGrant { credits } => {
+                    // Uncorrelated, like a delivery: top up the balance and
+                    // wake any publisher parked on an exhausted window.
+                    if let Ok(mut balance) = shared.credit.balance.lock() {
+                        balance.grant(credits);
+                    }
+                    shared.credit.replenished.notify_all();
                 }
-            }
-            Response::CreditGrant { credits } => {
-                // Uncorrelated, like a delivery: top up the balance and
-                // wake any publisher parked on an exhausted window.
-                if let Ok(mut balance) = shared.credit.balance.lock() {
-                    balance.grant(credits);
-                }
-                shared.credit.replenished.notify_all();
-            }
-            Response::Ok { request_id }
-            | Response::Pong { request_id }
-            | Response::Error { request_id, .. }
-            | Response::PublishDenied { request_id, .. } => {
-                if let Some(tx) = shared.pending.lock().remove(&request_id) {
-                    let _ = tx.send(response);
+                Response::Ok { request_id }
+                | Response::Pong { request_id }
+                | Response::Error { request_id, .. }
+                | Response::PublishDenied { request_id, .. } => {
+                    // What preceded a reply on the wire is receivable when its call returns.
+                    hand_over(&mut routed);
+                    if let Some(tx) = shared.pending.lock().remove(&request_id) {
+                        let _ = tx.send(response);
+                    }
                 }
             }
         }
+        if !frames.buffered() {
+            hand_over(&mut routed);
+        }
     }
-    shared.closed.store(true, Ordering::Relaxed);
+    hand_over(&mut routed);
+    shut_down(shared);
     // Wake all blocked receivers by dropping their senders, and any
     // publisher parked on the credit window.
     shared.subscriptions.lock().clear();
@@ -434,11 +461,19 @@ fn client_reader_loop(stream: TcpStream, shared: Arc<ClientShared>) {
 
 /// A remote subscription's consuming handle.
 ///
-/// Messages are re-materialized locally (fresh id/timestamp); dropping the
-/// handle cancels the remote subscription best-effort.
+/// `receive*` decodes the delivery frames, on the consumer's thread. So a
+/// message gets its id, `JMSTimestamp` and expiration base when it is
+/// *received*, not when it reached the socket; and a frame that does not decode
+/// is found when it is reached: the messages before it were delivered, that call
+/// and every later one fail as on a closed connection, which is then shut down.
+/// Threads sharing the handle take turns, a message each: a call waits behind
+/// another thread's wait, except `try_receive`, which returns `None`.
+/// Dropping the handle cancels the remote subscription best-effort.
 pub struct RemoteSubscriber {
     subscription_id: u32,
-    deliveries: Receiver<Message>,
+    deliveries: Receiver<Frames>,
+    /// Frames handed over and not yet decoded, next one first; locked for a turn.
+    batch: Mutex<Frames>,
     shared: Arc<ClientShared>,
 }
 
@@ -461,17 +496,31 @@ impl RemoteSubscriber {
     /// [`Error::Closed`] once the connection is gone and the local
     /// buffer is drained.
     pub fn receive(&self) -> Result<Message, Error> {
-        self.deliveries.recv().map_err(|_| Error::Closed)
+        self.next(&mut self.batch.lock(), || self.deliveries.recv().ok()).ok_or(Error::Closed)
     }
 
     /// Receive with a timeout; `None` on timeout or closed connection.
     pub fn receive_timeout(&self, timeout: Duration) -> Option<Message> {
-        self.deliveries.recv_timeout(timeout).ok()
+        self.next(&mut self.batch.lock(), || self.deliveries.recv_timeout(timeout).ok())
     }
 
     /// Non-blocking receive.
     pub fn try_receive(&self) -> Option<Message> {
-        self.deliveries.try_recv().ok()
+        self.next(&mut *self.batch.try_lock()?, || self.deliveries.try_recv().ok())
+    }
+
+    /// Decodes the frame at the front of `batch`, which `more` refills when it is empty.
+    /// A frame that does not decode stays there, and the subscription with it.
+    fn next(&self, batch: &mut Frames, more: impl Fn() -> Option<Frames>) -> Option<Message> {
+        if batch.is_empty() {
+            *batch = more()?;
+        }
+        if let Ok(Response::Delivery { message, .. }) = decode_response(batch.front()?.clone()) {
+            batch.pop_front();
+            return Some(message.into_message());
+        }
+        shut_down(&self.shared);
+        None
     }
 }
 

@@ -299,8 +299,9 @@ fn get_str(buf: &mut Bytes) -> Result<String, DecodeError> {
     if buf.remaining() < len {
         return Err(DecodeError::new("string length exceeds frame"));
     }
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::new("invalid UTF-8 string"))
+    let raw = buf[..len].to_vec();
+    buf.advance(len);
+    String::from_utf8(raw).map_err(|_| DecodeError::new("invalid UTF-8 string"))
 }
 
 fn get_u32(buf: &mut Bytes) -> Result<u32, DecodeError> {
@@ -393,6 +394,9 @@ fn put_message(buf: &mut impl BufMut, m: &WireMessage) {
         m.properties.iter().map(|(k, v)| (k.as_str(), v)),
         &m.body,
     );
+    if let Some(t) = &m.trace {
+        put_trace(buf, t);
+    }
 }
 
 /// A message's fields in wire order, which nothing else knows: borrowed
@@ -426,7 +430,8 @@ fn put_fields<'a>(
     buf.put_slice(body);
 }
 
-fn get_message(buf: &mut Bytes) -> Result<WireMessage, DecodeError> {
+/// A message and, under the `traced` opcodes, the context behind it.
+fn get_message(buf: &mut Bytes, traced: bool) -> Result<WireMessage, DecodeError> {
     let correlation_id = get_opt_str(buf)?;
     let message_type = get_opt_str(buf)?;
     let priority = get_u8(buf)?;
@@ -449,16 +454,12 @@ fn get_message(buf: &mut Bytes) -> Result<WireMessage, DecodeError> {
     if buf.remaining() < body_len {
         return Err(DecodeError::new("body length exceeds frame"));
     }
-    let body = buf.split_to(body_len);
-    Ok(WireMessage {
-        correlation_id,
-        message_type,
-        priority,
-        ttl_millis,
-        properties,
-        body,
-        trace: None,
-    })
+    // Copied out, as the strings are: a message that outlives its frame must
+    // not pin the read chunk (up to 64 KiB) the frame is a slice of.
+    let body = Bytes::copy_from_slice(&buf[..body_len]);
+    buf.advance(body_len);
+    let trace = if traced { Some(get_trace(buf)?) } else { None };
+    Ok(WireMessage { correlation_id, message_type, priority, ttl_millis, properties, body, trace })
 }
 
 fn put_trace(buf: &mut impl BufMut, t: &WireTrace) {
@@ -531,9 +532,6 @@ pub fn encode_request(req: &Request) -> Bytes {
             out.put_u32(*request_id);
             put_str(&mut out, topic);
             put_message(&mut out, message);
-            if let Some(t) = &message.trace {
-                put_trace(&mut out, t);
-            }
         }
         Request::Subscribe { request_id, subscription_id, topic, filter } => {
             out.put_u8(0x03);
@@ -607,9 +605,6 @@ pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
             out.put_u8(if message.trace.is_some() { 0x85 } else { 0x83 });
             out.put_u32(*subscription_id);
             put_message(out, message);
-            if let Some(t) = &message.trace {
-                put_trace(out, t);
-            }
         }
         Response::Pong { request_id } => {
             out.put_u8(0x84);
@@ -666,10 +661,10 @@ pub fn decode_request(mut body: Bytes) -> Result<Request, DecodeError> {
         0x01 => {
             Request::CreateTopic { request_id: get_u32(&mut body)?, topic: get_str(&mut body)? }
         }
-        0x02 => Request::Publish {
+        0x02 | 0x0A => Request::Publish {
             request_id: get_u32(&mut body)?,
             topic: get_str(&mut body)?,
-            message: get_message(&mut body)?,
+            message: get_message(&mut body, op == 0x0A)?,
         },
         0x03 => Request::Subscribe {
             request_id: get_u32(&mut body)?,
@@ -701,13 +696,6 @@ pub fn decode_request(mut body: Bytes) -> Result<Request, DecodeError> {
             name: get_str(&mut body)?,
         },
         0x09 => Request::Hello { request_id: get_u32(&mut body)?, features: get_u32(&mut body)? },
-        0x0A => {
-            let request_id = get_u32(&mut body)?;
-            let topic = get_str(&mut body)?;
-            let mut message = get_message(&mut body)?;
-            message.trace = Some(get_trace(&mut body)?);
-            Request::Publish { request_id, topic, message }
-        }
         other => return Err(DecodeError::new(format!("unknown request opcode {other:#x}"))),
     };
     ensure_drained(&body)?;
@@ -720,17 +708,11 @@ pub fn decode_response(mut body: Bytes) -> Result<Response, DecodeError> {
     let resp = match op {
         0x81 => Response::Ok { request_id: get_u32(&mut body)? },
         0x82 => Response::Error { request_id: get_u32(&mut body)?, message: get_str(&mut body)? },
-        0x83 => Response::Delivery {
+        0x83 | 0x85 => Response::Delivery {
             subscription_id: get_u32(&mut body)?,
-            message: get_message(&mut body)?,
+            message: get_message(&mut body, op == 0x85)?,
         },
         0x84 => Response::Pong { request_id: get_u32(&mut body)? },
-        0x85 => {
-            let subscription_id = get_u32(&mut body)?;
-            let mut message = get_message(&mut body)?;
-            message.trace = Some(get_trace(&mut body)?);
-            Response::Delivery { subscription_id, message }
-        }
         0x86 => Response::CreditGrant { credits: get_u32(&mut body)? },
         0x87 => {
             let request_id = get_u32(&mut body)?;
@@ -747,6 +729,15 @@ pub fn decode_response(mut body: Bytes) -> Result<Response, DecodeError> {
     };
     ensure_drained(&body)?;
     Ok(resp)
+}
+
+/// The subscription a response frame body is a delivery for, from the opcode and the four
+/// bytes behind it: all a reader needs to route it. `None` for any other frame, or a short one.
+pub fn delivery_subscription(body: &[u8]) -> Option<u32> {
+    match *body {
+        [0x83 | 0x85, a, b, c, d, ..] => Some(u32::from_be_bytes([a, b, c, d])),
+        _ => None,
+    }
 }
 
 fn ensure_drained(body: &Bytes) -> Result<(), DecodeError> {
@@ -768,29 +759,32 @@ fn oversized(len: usize) -> std::io::Error {
     )
 }
 
-/// Reads frame bodies from a blocking reader through one reusable buffer:
-/// one `read` takes whatever the reader has, and every complete frame in
-/// it is handed out before the next `read`. The connection loops of the
-/// server and the client read through this.
+/// Reads frame bodies from a blocking reader: one `read` takes whatever the
+/// reader has, the complete frames in it leave the buffer as one shared copy
+/// (a *chunk*, prefixes included) and are handed out as slices of it before
+/// the next `read`; a queued frame keeps its chunk alive, the decoders copy out
+/// of it. The connection loops of the server and the client read through this.
 ///
 /// Whatever the reader returns per call — down to one byte — the frames
 /// come out exactly as [`read_frame`] would return them: a frame is handed
 /// out only once all of it has arrived, `Ok(None)` means EOF at a frame
 /// boundary, EOF inside a prefix or a body is `UnexpectedEof`, and a
-/// length above [`MAX_FRAME_LEN`] is `InvalidData` before anything is
-/// allocated for it. After an error the reader's position is unspecified.
+/// length above [`MAX_FRAME_LEN`] is `InvalidData` once the frames before
+/// it have come out and before anything is allocated for it. After an error
+/// the reader's position is unspecified.
 pub struct FrameReader<R> {
     reader: R,
-    /// Zero-filled once; `buf[start..end]` holds bytes read and not yet
-    /// handed out.
+    /// Zero-filled once; `buf[..end]` holds the bytes read behind the last
+    /// chunk: between calls, no complete frame.
     buf: Vec<u8>,
-    start: usize,
     end: usize,
+    /// Complete frames with their prefixes, not yet handed out.
+    chunk: Bytes,
 }
 
 impl<R> fmt::Debug for FrameReader<R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FrameReader").field("buffered", &(self.end - self.start)).finish()
+        f.debug_struct("FrameReader").field("buffered", &(self.chunk.len() + self.end)).finish()
     }
 }
 
@@ -798,7 +792,19 @@ impl<R: std::io::Read> FrameReader<R> {
     /// Wraps `reader`; nothing is read until the first
     /// [`next_frame`](Self::next_frame).
     pub fn new(reader: R) -> Self {
-        FrameReader { reader, buf: vec![0; READ_BUFFER_LEN], start: 0, end: 0 }
+        FrameReader { reader, buf: vec![0; READ_BUFFER_LEN], end: 0, chunk: Bytes::new() }
+    }
+
+    /// The length prefix at `buf[at..]` and the bytes read behind it.
+    fn prefix_at(&self, at: usize) -> Option<(usize, &[u8])> {
+        let (prefix, rest) = self.buf[at..self.end].split_first_chunk::<4>()?;
+        Some((u32::from_be_bytes(*prefix) as usize, rest))
+    }
+
+    /// Whether the next [`next_frame`](Self::next_frame) returns without a
+    /// `read`: with a frame of the last read, or refusing an oversized one.
+    pub fn buffered(&self) -> bool {
+        !self.chunk.is_empty() || self.prefix_at(0).is_some_and(|(len, _)| len > MAX_FRAME_LEN)
     }
 
     /// The next frame body (the bytes after the length prefix), blocking
@@ -810,16 +816,14 @@ impl<R: std::io::Read> FrameReader<R> {
     pub fn next_frame(&mut self) -> std::io::Result<Option<Bytes>> {
         use std::io::{Error, ErrorKind};
         loop {
-            let unread = &self.buf[self.start..self.end];
-            if let Some((prefix, rest)) = unread.split_first_chunk::<4>() {
-                let len = u32::from_be_bytes(*prefix) as usize;
+            if let Some(prefix) = self.chunk.first_chunk::<4>() {
+                let mut frame = self.chunk.split_to(4 + u32::from_be_bytes(*prefix) as usize);
+                frame.advance(4);
+                return Ok(Some(frame));
+            }
+            if let Some((len, rest)) = self.prefix_at(0) {
                 if len > MAX_FRAME_LEN {
                     return Err(oversized(len));
-                }
-                if let Some(body) = rest.get(..len) {
-                    let body = Bytes::copy_from_slice(body);
-                    self.start += 4 + len;
-                    return Ok(Some(body));
                 }
                 if 4 + len > self.buf.len() {
                     // Larger than the buffer: it gets an allocation of its
@@ -827,17 +831,10 @@ impl<R: std::io::Read> FrameReader<R> {
                     let mut body = vec![0; len];
                     let (head, tail) = body.split_at_mut(rest.len());
                     head.copy_from_slice(rest);
-                    self.start = self.end;
+                    self.end = 0;
                     self.reader.read_exact(tail)?;
                     return Ok(Some(Bytes::from(body)));
                 }
-            }
-            // A partial frame moves to the front, so that the rest of it
-            // (at most `buf.len()` bytes in all) has room behind it.
-            if self.start > 0 {
-                self.buf.copy_within(self.start..self.end, 0);
-                self.end -= self.start;
-                self.start = 0;
             }
             match self.reader.read(&mut self.buf[self.end..]) {
                 Ok(0) if self.end == 0 => return Ok(None),
@@ -845,6 +842,20 @@ impl<R: std::io::Read> FrameReader<R> {
                 Ok(n) => self.end += n,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
+            }
+            let mut complete = 0;
+            while let Some((len, rest)) = self.prefix_at(complete) {
+                if rest.len() < len {
+                    break;
+                }
+                complete += 4 + len;
+            }
+            if complete > 0 {
+                self.chunk = Bytes::copy_from_slice(&self.buf[..complete]);
+                // The partial frame behind them moves to the front, so that
+                // the rest of it (at most `buf.len()` bytes in all) has room.
+                self.buf.copy_within(complete..self.end, 0);
+                self.end -= complete;
             }
         }
     }

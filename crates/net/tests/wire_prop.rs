@@ -9,6 +9,7 @@ use rjms_net::wire::{
     read_frame, FrameReader, Request, Response, WireFilter, WireMessage, WireTrace, MAX_FRAME_LEN,
 };
 use rjms_selector::Value;
+use std::cell::Cell;
 use std::io::ErrorKind;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -108,14 +109,16 @@ fn response_strategy() -> impl Strategy<Value = Response> {
 }
 
 /// A reader that returns the stream in pieces of the given sizes (cycled),
-/// the way a socket hands out whatever has arrived.
+/// the way a socket hands out whatever has arrived, and counts its `read`s.
 struct Chunked<'a> {
     data: &'a [u8],
     sizes: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+    reads: &'a Cell<usize>,
 }
 
 impl std::io::Read for Chunked<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads.set(self.reads.get() + 1);
         let size = *self.sizes.next().expect("cycle of a non-empty list");
         let n = size.min(buf.len()).min(self.data.len());
         buf[..n].copy_from_slice(&self.data[..n]);
@@ -124,14 +127,19 @@ impl std::io::Read for Chunked<'_> {
     }
 }
 
-/// The frames a [`FrameReader`] finds in `data` when every `read` returns
-/// at most `chunk` bytes, and how the stream ended.
-fn frames_in(data: &[u8], chunk: usize) -> (Vec<Bytes>, std::io::Result<()>) {
-    let sizes = [chunk];
-    let mut reader = FrameReader::new(Chunked { data, sizes: sizes.iter().cycle() });
+/// The frames a [`FrameReader`] finds in `data` when `read` returns pieces
+/// of `sizes` (cycled), and how the stream ended. On the way, `buffered()`
+/// must say before every `next_frame()` whether it will get by without a
+/// `read`.
+fn frames_in(data: &[u8], sizes: &[usize]) -> (Vec<Bytes>, std::io::Result<()>) {
+    let reads = Cell::new(0);
+    let mut reader = FrameReader::new(Chunked { data, sizes: sizes.iter().cycle(), reads: &reads });
     let mut frames = Vec::new();
     loop {
-        match reader.next_frame() {
+        let (buffered, reads_before) = (reader.buffered(), reads.get());
+        let next = reader.next_frame();
+        assert_eq!(buffered, reads.get() == reads_before, "after {} frames", frames.len());
+        match next {
             Ok(Some(frame)) => frames.push(frame),
             Ok(None) => return (frames, Ok(())),
             Err(e) => return (frames, Err(e)),
@@ -144,20 +152,20 @@ fn frame_reader_ends_like_read_frame() {
     let ping = encode_request(&Request::Ping { request_id: 9 }).to_vec();
     for chunk in [1, 3, 1 << 20] {
         // Clean EOF, with and without frames before it.
-        assert!(matches!(frames_in(&[], chunk), (f, Ok(())) if f.is_empty()));
-        let (frames, end) = frames_in(&[ping.clone(), ping.clone()].concat(), chunk);
+        assert!(matches!(frames_in(&[], &[chunk]), (f, Ok(())) if f.is_empty()));
+        let (frames, end) = frames_in(&[ping.clone(), ping.clone()].concat(), &[chunk]);
         assert_eq!(frames, [Bytes::from(&ping[4..]), Bytes::from(&ping[4..])]);
         assert!(end.is_ok());
         // EOF mid-prefix and mid-body: the whole frames still come out.
         for cut in [2, 6] {
-            let (frames, end) = frames_in(&[&ping[..], &ping[..cut]].concat(), chunk);
+            let (frames, end) = frames_in(&[&ping[..], &ping[..cut]].concat(), &[chunk]);
             assert_eq!(frames.len(), 1);
             assert_eq!(end.unwrap_err().kind(), ErrorKind::UnexpectedEof, "cut at {cut}");
         }
         // An oversized length is refused on sight: no body follows it
         // here, so waiting or allocating for one would not get this far.
         let oversized = (MAX_FRAME_LEN as u32 + 1).to_be_bytes();
-        let (frames, end) = frames_in(&[&ping[..], &oversized[..]].concat(), chunk);
+        let (frames, end) = frames_in(&[&ping[..], &oversized[..]].concat(), &[chunk]);
         assert_eq!(frames.len(), 1);
         assert_eq!(end.unwrap_err().kind(), ErrorKind::InvalidData);
     }
@@ -173,13 +181,13 @@ fn frame_reader_passes_frames_larger_than_its_buffer() {
     // 1000-byte reads leave the large frame's head in the buffer and its
     // tail on the reader; one huge read has the buffer cut it instead.
     for chunk in [1000, usize::MAX] {
-        let (frames, end) = frames_in(&stream, chunk);
+        let (frames, end) = frames_in(&stream, &[chunk]);
         assert!(end.is_ok());
         let received: Vec<_> = frames.into_iter().map(|f| decode_response(f).unwrap()).collect();
         assert_eq!(received.iter().collect::<Vec<_>>(), sent);
     }
     // EOF inside the tail of a large frame.
-    let (frames, end) = frames_in(&stream[..stream.len() / 2], 1000);
+    let (frames, end) = frames_in(&stream[..stream.len() / 2], &[1000]);
     assert_eq!(frames.len(), 2);
     assert_eq!(end.unwrap_err().kind(), ErrorKind::UnexpectedEof);
 }
@@ -191,7 +199,8 @@ proptest! {
     fn frame_reader_agrees_with_read_frame_on_any_chunking(
         requests in prop::collection::vec(request_strategy(), 0..6),
         responses in prop::collection::vec(response_strategy(), 0..6),
-        sizes in prop::collection::vec(1usize..48, 1..8),
+        sizes in prop::collection::vec(1usize..300, 1..8),
+        oversized_tail in any::<bool>(),
     ) {
         let mut stream = Vec::new();
         for (i, request) in requests.iter().enumerate() {
@@ -200,17 +209,33 @@ proptest! {
                 stream.extend_from_slice(&encode_response(response));
             }
         }
+        if oversized_tail {
+            stream.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_be_bytes());
+        }
         let mut reference = std::io::Cursor::new(&stream);
         let mut expected = Vec::new();
-        while let Some(frame) = read_frame(&mut reference).unwrap() {
-            expected.push(frame);
-        }
-        let mut reader = FrameReader::new(Chunked { data: &stream, sizes: sizes.iter().cycle() });
-        let mut frames = Vec::new();
-        while let Some(frame) = reader.next_frame().unwrap() {
-            frames.push(frame);
-        }
-        prop_assert_eq!(frames, expected);
+        let expected_end = loop {
+            match read_frame(&mut reference) {
+                Ok(Some(frame)) => expected.push(frame),
+                Ok(None) => break None,
+                Err(e) => break Some(e.kind()),
+            }
+        };
+        // Complete frames in front of an oversized prefix come out first,
+        // however many of them shared a read with it.
+        prop_assert_eq!(expected_end, oversized_tail.then_some(ErrorKind::InvalidData));
+        let (frames, end) = frames_in(&stream, &sizes);
+        prop_assert_eq!(end.err().map(|e| e.kind()), expected_end);
+        prop_assert_eq!(&frames, &expected);
+        // A frame that is a slice of a read's chunk decodes to what its
+        // standalone copy decodes to, which is what was sent.
+        let responses_of = |frames: Vec<Bytes>| -> Vec<Response> {
+            let responses = frames.into_iter().filter(|f| f[0] >= 0x80);
+            responses.map(|f| decode_response(f).unwrap()).collect()
+        };
+        let sent = &responses[..responses.len().min(requests.len())];
+        prop_assert_eq!(&responses_of(frames)[..], sent);
+        prop_assert_eq!(&responses_of(expected)[..], sent);
     }
 
     #[test]

@@ -114,8 +114,8 @@ fn main() {
                 }
             }
             None => {
-                // Timeout: keep waiting (also detects closed connections).
-                if sub.try_receive().is_none() && received == 0 && client.ping().is_err() {
+                // Timeout: keep waiting, unless the broker has gone and nothing can follow.
+                if client.ping().is_err() {
                     eprintln!("error: connection lost");
                     std::process::exit(1);
                 }

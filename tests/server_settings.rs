@@ -1,5 +1,6 @@
 //! `rjms-server` as a process: what a `--config` file switches on is what
-//! the running server reports, not what an intermediate struct says.
+//! the running server reports, not what an intermediate struct says — and
+//! what `rjms-sub` does when that process goes away.
 
 use rjms::broker::Message;
 use rjms::net::client::RemoteBroker;
@@ -7,7 +8,7 @@ use rjms::net::wire::WireFilter;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Three sections, each switched off, each with a tuning key.
 const SWITCHED_OFF: &str = "\
@@ -62,6 +63,14 @@ fn start(test: &str, config: &str, flags: &[&str]) -> Server {
     Server { process, lines }
 }
 
+impl Server {
+    /// What follows `prefix` on the start-up line that begins with it.
+    fn address(&self, prefix: &str) -> String {
+        let line = self.lines.iter().find(|l| l.starts_with(prefix)).expect("start-up line");
+        line[prefix.len()..].trim_end_matches('/').to_owned()
+    }
+}
+
 fn startup_lines(test: &str, config: &str, flags: &[&str]) -> Vec<String> {
     start(test, config, flags).lines.clone()
 }
@@ -92,11 +101,7 @@ fn the_toggle_flag_switches_it_on_with_the_files_tuning() {
 #[test]
 fn model_endpoint_answers_with_flow_control_alone() {
     let server = start("model", "", &["--slo", "--flow", "--topic", "t"]);
-    let address = |prefix: &str| {
-        let line = server.lines.iter().find(|l| l.starts_with(prefix)).expect("start-up line");
-        line[prefix.len()..].trim_end_matches('/').to_owned()
-    };
-    let client = RemoteBroker::connect(address("rjms-server listening on ")).unwrap();
+    let client = RemoteBroker::connect(server.address("rjms-server listening on ")).unwrap();
     let sub = client.subscribe("t", WireFilter::None).unwrap();
     // Paced under the default gate's per-producer burst.
     for _ in 0..50 {
@@ -108,10 +113,52 @@ fn model_endpoint_answers_with_flow_control_alone() {
     }
     // The dispatcher flushes its histograms when it goes idle.
     std::thread::sleep(Duration::from_millis(200));
-    let mut http = TcpStream::connect(address("http exposition on http://")).unwrap();
+    let mut http = TcpStream::connect(server.address("http exposition on http://")).unwrap();
     write!(http, "GET /model HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
     let mut response = String::new();
     http.read_to_string(&mut response).unwrap();
     let body = response.split_once("\r\n\r\n").expect("header/body split").1;
     assert!(body.starts_with("model check: "), "/model after traffic: {body:?}");
+}
+
+/// `rjms-sub --count 2` has printed one message when the broker dies: no
+/// second one can come, so it says so and exits 1 instead of waiting on.
+#[test]
+fn rjms_sub_exits_when_the_broker_dies_short_of_its_count() {
+    let server = start("sub", "", &["--topic", "t"]);
+    let broker = server.address("rjms-server listening on ");
+    let mut sub = Command::new(env!("CARGO_BIN_EXE_rjms-sub"))
+        .args(["--connect", &broker, "--topic", "t", "--count", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stderr = BufReader::new(sub.stderr.take().unwrap());
+    let mut stdout = BufReader::new(sub.stdout.take().unwrap());
+    let mut line = String::new();
+    stderr.read_line(&mut line).unwrap();
+    assert!(line.starts_with("subscribed to t"), "{line:?}");
+    let client = RemoteBroker::connect(broker.as_str()).unwrap();
+    client.publish("t", &Message::builder().correlation_id("only").build()).unwrap();
+    line.clear();
+    stdout.read_line(&mut line).unwrap();
+    assert!(line.starts_with("[1] corr=only"), "{line:?}");
+
+    drop(server);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = sub.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            sub.kill().unwrap();
+            sub.wait().unwrap();
+            panic!("rjms-sub still waiting 10 s after the broker died");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).unwrap();
+    assert_eq!(status.code(), Some(1), "stderr: {rest:?}");
+    assert!(rest.contains("connection lost"), "stderr: {rest:?}");
 }
