@@ -40,7 +40,7 @@ use crate::reports::{
     ShardReport,
 };
 use crate::stats::{BrokerSnapshot, BrokerStats};
-use crate::subscriptions::Subscriptions;
+use crate::subscriptions::{LiveFlag, LiveFlags, Subscriptions};
 use crate::topic_obs::{TopicObservatory, TopicObservatorySnapshot};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
@@ -72,7 +72,7 @@ pub(crate) struct Subscription {
     pub(crate) queue: SubscriberQueue,
     /// Cleared when the subscriber handle is dropped; the dispatcher prunes
     /// inactive subscriptions lazily.
-    pub(crate) active: Arc<AtomicBool>,
+    pub(crate) active: LiveFlag,
 }
 
 /// A topic: a named set of subscriptions, plain and durable.
@@ -172,6 +172,8 @@ pub(crate) struct BrokerInner {
     /// Wildcard subscriptions, attached to future topics on creation.
     patterns: RwLock<Vec<PatternSubscription>>,
     next_subscription_id: AtomicU64,
+    /// Where subscriptions get their liveness flags.
+    live_flags: Mutex<LiveFlags>,
     pub(crate) stopped: AtomicBool,
     /// The write-ahead journal, when persistence is enabled. The dispatcher
     /// appends publishes and checkpoints; API threads append topology
@@ -325,6 +327,7 @@ impl Broker {
             topics: RwLock::new(topics),
             patterns: RwLock::new(Vec::new()),
             next_subscription_id: AtomicU64::new(1),
+            live_flags: Mutex::default(),
             stopped: AtomicBool::new(false),
             journal,
             metrics,
@@ -389,7 +392,7 @@ impl Broker {
         {
             let mut patterns = self.inner.patterns.write();
             patterns.retain(|p| match p.subscription.upgrade() {
-                Some(sub) if sub.active.load(Ordering::Relaxed) => {
+                Some(sub) if sub.active.is_set() => {
                     if p.pattern.matches(name) {
                         topic.subs.write().add_plain(sub);
                     }
@@ -505,8 +508,8 @@ impl Broker {
         rx: Receiver<Arc<Message>>,
     ) -> Result<Subscriber, Error> {
         self.ensure_running()?;
-        let active = Arc::new(AtomicBool::new(true));
-        let sub = Arc::new(Subscription { filter, queue, active: Arc::clone(&active) });
+        let active = self.inner.live_flags.lock().next();
+        let sub = Arc::new(Subscription { filter, queue, active: active.clone() });
         let pattern_registration = match pattern {
             None => {
                 self.lookup(target)?.subs.write().add_plain(sub);
@@ -562,7 +565,7 @@ impl Broker {
             id: self.next_subscription_id(),
             topic_name: topic.name.clone(),
             receiver: rx,
-            active: Arc::new(AtomicBool::new(true)),
+            active: self.inner.live_flags.lock().next(),
             durable: Some(state),
             pending: Mutex::new(pending),
             pattern_registration: None,
@@ -1019,7 +1022,7 @@ pub struct Subscriber {
     id: SubscriptionId,
     topic_name: String,
     receiver: Receiver<Arc<Message>>,
-    active: Arc<AtomicBool>,
+    active: LiveFlag,
     /// Durable-subscription state, if this is a durable consumer.
     durable: Option<Arc<DurableState>>,
     /// Retained backlog moved in at (durable) connect time; consumed before
@@ -1119,7 +1122,7 @@ impl Subscriber {
 impl Drop for Subscriber {
     fn drop(&mut self) {
         // Mark inactive; the dispatcher prunes plain subscriptions lazily.
-        self.active.store(false, Ordering::Relaxed);
+        self.active.clear();
         if let Some(durable) = &self.durable {
             durable.disconnect(self.pending.lock().drain(..), &self.receiver);
         }

@@ -19,7 +19,7 @@ use crate::config::OverflowPolicy;
 use crate::durable::{self, Checkpoints};
 use crate::message::Message;
 use crate::probe::{DispatchProbe, Dispatched};
-use crate::subscriptions::PlainEntry;
+use crate::subscriptions::Subscriptions;
 use crossbeam::channel::{Receiver, Sender, TryRecvError, TrySendError};
 use rjms_selector::ValueRef;
 use rjms_trace::Stage;
@@ -154,7 +154,7 @@ pub(crate) fn run<P: DispatchProbe>(
                     resolved = probe.stage(Stage::Filter, |_| subs.slots().resolve(message));
                     resolved.as_slice()
                 };
-                let plain = fan_out(inner, subs.plain(), message, resolved, &mut probe);
+                let plain = fan_out(inner, &subs, message, resolved, &mut probe);
                 let durable = durable::deliver(
                     inner,
                     &topic.name,
@@ -214,10 +214,10 @@ struct FanOut {
 /// The non-durable half of one message's fan-out: evaluates **every**
 /// live subscription filter of the topic (brute force, as measured)
 /// against the message's `resolved` properties and enqueues one copy per
-/// match.
+/// match. It walks the scan table; an entry is read on a hit or a fallback.
 fn fan_out<P: DispatchProbe>(
     inner: &BrokerInner,
-    subs: &[PlainEntry],
+    subs: &Subscriptions,
     message: &Arc<Message>,
     resolved: &[Option<ValueRef<'_>>],
     probe: &mut P,
@@ -227,8 +227,8 @@ fn fan_out<P: DispatchProbe>(
     // The scan is one stage with the deliveries nested inside it; what
     // the probe books to the scan excludes them.
     probe.stage(Stage::Filter, |probe| {
-        for entry in subs {
-            if !entry.is_active() {
+        for (row, entry) in subs.scan() {
+            if !row.live.is_set() {
                 out.needs_prune = true;
                 continue;
             }
@@ -236,7 +236,11 @@ fn fan_out<P: DispatchProbe>(
             if let Some(c) = &cost {
                 c.spin_filters(1);
             }
-            if !entry.matches(message, resolved) {
+            let hit = match &row.cmp {
+                Some(cmp) => cmp.run(resolved).is_true(),
+                None => entry.matches(message, resolved),
+            };
+            if !hit {
                 continue;
             }
             let sub = &entry.sub;
@@ -250,7 +254,7 @@ fn fan_out<P: DispatchProbe>(
                 Delivery::Sent => out.copies += 1,
                 Delivery::Dropped => inner.stats.record_dropped(),
                 Delivery::Disconnected => {
-                    sub.active.store(false, Ordering::Relaxed);
+                    row.live.clear();
                     inner.stats.record_expired_subscription();
                     out.needs_prune = true;
                 }

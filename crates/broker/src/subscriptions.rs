@@ -9,10 +9,11 @@
 //! array. The scan itself stays brute force: each live filter is
 //! evaluated and counted (paper §II-B).
 //!
-//! An entry holds what the scan reads of a subscription — its liveness
-//! flag and its bound program — so that a filter costs the scan the entry,
-//! the flag and the program's instructions, not a walk through the
-//! subscription to its filter to its selector.
+//! What the scan reads of a plain subscription is its 32-byte [`ScanRow`]
+//! in the topic's *scan table*: a liveness flag (a cell of a page of 64)
+//! and, for a selector that is one comparison with a scalar literal, that
+//! comparison by value. The rows are read front to back; the [`PlainEntry`]
+//! beside one on a hit, or to run a filter that has no compact form.
 //!
 //! The table lives inside [`Subscriptions`], under the topic's one lock,
 //! so a bound program can never outlive the table it indexes. It holds
@@ -25,10 +26,55 @@ use crate::broker::Subscription;
 use crate::durable::DurableState;
 use crate::filter::Filter;
 use crate::message::{HeaderField, Message};
-use rjms_selector::program::{BoundProgram, Names};
+use rjms_selector::program::{BoundProgram, CmpRow, Names};
 use rjms_selector::ValueRef;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Liveness flags per page: two cache lines per this many subscriptions.
+const PAGE_FLAGS: usize = 64;
+
+/// One subscription's liveness flag, set until its subscriber is dropped or
+/// found disconnected; subscription, subscriber and scan rows share the cell.
+#[derive(Clone)]
+pub(crate) struct LiveFlag {
+    page: Arc<[AtomicBool; PAGE_FLAGS]>,
+    index: u8,
+}
+
+impl LiveFlag {
+    pub(crate) fn is_set(&self) -> bool {
+        self.page[usize::from(self.index)].load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn clear(&self) {
+        self.page[usize::from(self.index)].store(false, Ordering::Relaxed);
+    }
+}
+
+/// A broker's source of [`LiveFlag`]s: consecutive cells, so subscriptions
+/// opened together sit side by side, and none twice: a cleared flag stays
+/// cleared for whoever still holds it. A page is freed with its last holder.
+pub(crate) struct LiveFlags {
+    page: Arc<[AtomicBool; PAGE_FLAGS]>,
+    used: u8,
+}
+
+impl Default for LiveFlags {
+    fn default() -> Self {
+        Self { page: Arc::new(std::array::from_fn(|_| AtomicBool::new(true))), used: 0 }
+    }
+}
+
+impl LiveFlags {
+    pub(crate) fn next(&mut self) -> LiveFlag {
+        if usize::from(self.used) == PAGE_FLAGS {
+            *self = Self::default();
+        }
+        self.used += 1;
+        LiveFlag { page: Arc::clone(&self.page), index: self.used - 1 }
+    }
+}
 
 /// The distinct property names a topic's selectors reference.
 #[derive(Default)]
@@ -118,15 +164,21 @@ fn matches(
 /// one entry per matching topic, each bound to that topic's table.
 pub(crate) struct PlainEntry {
     pub(crate) sub: Arc<Subscription>,
-    /// `sub.active`, one pointer nearer.
-    active: Arc<AtomicBool>,
     bound: Option<BoundProgram>,
 }
 
+/// What the dispatcher's scan reads of a [`PlainEntry`].
+pub(crate) struct ScanRow {
+    /// `sub.active`.
+    pub(crate) live: LiveFlag,
+    /// `bound` by value ([`BoundProgram::as_row`]): the scan runs it instead.
+    pub(crate) cmp: Option<CmpRow>,
+}
+
 impl PlainEntry {
-    /// Whether the subscriber handle is still alive.
-    pub(crate) fn is_active(&self) -> bool {
-        self.active.load(Ordering::Relaxed)
+    fn row(&self) -> ScanRow {
+        let cmp = self.bound.as_ref().and_then(BoundProgram::as_row);
+        ScanRow { live: self.sub.active.clone(), cmp }
     }
 
     pub(crate) fn matches(&self, message: &Message, resolved: &[Option<ValueRef<'_>>]) -> bool {
@@ -156,6 +208,8 @@ impl DurableEntry {
 #[derive(Default)]
 pub(crate) struct Subscriptions {
     plain: Vec<PlainEntry>,
+    /// The scan table: `rows[i]` is `plain[i].row()`.
+    rows: Vec<ScanRow>,
     durables: Vec<DurableEntry>,
     slots: SlotTable,
 }
@@ -165,8 +219,9 @@ impl Subscriptions {
         &self.slots
     }
 
-    pub(crate) fn plain(&self) -> &[PlainEntry] {
-        &self.plain
+    /// The plain subscriptions in subscription order, each behind its row.
+    pub(crate) fn scan(&self) -> impl Iterator<Item = (&ScanRow, &PlainEntry)> {
+        self.rows.iter().zip(&self.plain)
     }
 
     pub(crate) fn durables(&self) -> &[DurableEntry] {
@@ -179,12 +234,14 @@ impl Subscriptions {
 
     /// Subscriptions whose subscriber handle is still alive.
     pub(crate) fn live_plain(&self) -> usize {
-        self.plain.iter().filter(|e| e.is_active()).count()
+        self.rows.iter().filter(|row| row.live.is_set()).count()
     }
 
     pub(crate) fn add_plain(&mut self, sub: Arc<Subscription>) {
         let bound = self.slots.bind(&sub.filter);
-        self.plain.push(PlainEntry { active: Arc::clone(&sub.active), sub, bound });
+        let entry = PlainEntry { sub, bound };
+        self.rows.push(entry.row());
+        self.plain.push(entry);
     }
 
     pub(crate) fn add_durable(&mut self, state: Arc<DurableState>, filter: Filter) {
@@ -194,7 +251,7 @@ impl Subscriptions {
 
     /// Drops the plain subscriptions whose subscriber is gone.
     pub(crate) fn prune(&mut self) {
-        self.plain.retain(PlainEntry::is_active);
+        self.plain.retain(|entry| entry.sub.active.is_set());
         self.rebind();
     }
 
@@ -220,11 +277,13 @@ impl Subscriptions {
 
     /// Rebuilds the slot table from the entries that are left and binds
     /// each of them again: the table forgets names nobody references any
-    /// more, which may renumber the ones that stay.
+    /// more, which may renumber the ones that stay; the scan table follows.
     fn rebind(&mut self) {
         self.slots.clear();
+        self.rows.clear();
         for entry in &mut self.plain {
             entry.bound = self.slots.bind(&entry.sub.filter);
+            self.rows.push(entry.row());
         }
         for entry in &mut self.durables {
             entry.bound = self.slots.bind(&entry.filter);
@@ -243,7 +302,7 @@ mod tests {
     fn subscription(filter: Filter) -> Arc<Subscription> {
         let (sender, _) = bounded(1);
         let queue = SubscriberQueue { sender, wake: None };
-        Arc::new(Subscription { filter, queue, active: Arc::new(AtomicBool::new(true)) })
+        Arc::new(Subscription { filter, queue, active: LiveFlags::default().next() })
     }
 
     fn selector(source: &str) -> Filter {
@@ -263,8 +322,42 @@ mod tests {
         subs.add_plain(subscription(selector("b = 1 AND a = 2")));
         subs.add_plain(subscription(selector("a = 1 AND JMSType = 'x' AND b > a")));
         assert_eq!(names(&subs), ["b", "a", "JMSType"]);
-        let bound: Vec<bool> = subs.plain().iter().map(|e| e.bound.is_some()).collect();
+        let bound: Vec<bool> = subs.plain.iter().map(|e| e.bound.is_some()).collect();
         assert_eq!(bound, [false, false, true, true]);
+    }
+
+    #[test]
+    fn one_comparison_with_a_number_is_a_compact_row_and_nothing_else_is() {
+        assert!(std::mem::size_of::<ScanRow>() <= 32, "{}", std::mem::size_of::<ScanRow>());
+        let mut subs = Subscriptions::default();
+        for i in 0..256 {
+            subs.add_plain(subscription(selector(&format!("key = {i}"))));
+        }
+        subs.add_plain(subscription(Filter::correlation_id("#1").unwrap()));
+        for other in ["color = 'red'", "key = 1 AND key < 2"] {
+            subs.add_plain(subscription(selector(other)));
+        }
+        let compact: Vec<bool> = subs.scan().map(|(row, _)| row.cmp.is_some()).collect();
+        assert_eq!(compact.len(), 259);
+        assert!(compact[..256].iter().all(|c| *c) && compact[256..].iter().all(|c| !*c));
+    }
+
+    #[test]
+    fn flags_fill_one_page_after_the_other_and_no_cell_twice() {
+        let mut flags = LiveFlags::default();
+        let handed: Vec<LiveFlag> = (0..2 * PAGE_FLAGS + 1).map(|_| flags.next()).collect();
+        for (at, flag) in handed.iter().enumerate() {
+            assert!(flag.is_set());
+            assert_eq!(usize::from(flag.index), at % PAGE_FLAGS);
+            assert!(Arc::ptr_eq(&flag.page, &handed[at - at % PAGE_FLAGS].page));
+        }
+        assert!(!Arc::ptr_eq(&handed[0].page, &handed[PAGE_FLAGS].page));
+        // A clone is the same cell; its neighbours are not.
+        handed[1].clone().clear();
+        assert!(!handed[1].is_set() && handed[0].is_set() && handed[2].is_set());
+        // The source holds the page it is filling and no other.
+        assert_eq!(Arc::strong_count(&handed[0].page), PAGE_FLAGS);
+        assert_eq!(Arc::strong_count(&handed[2 * PAGE_FLAGS].page), 2);
     }
 
     #[test]
@@ -274,13 +367,16 @@ mod tests {
         subs.add_plain(Arc::clone(&dead));
         subs.add_plain(subscription(selector("kept = 2 AND late = 3")));
         assert_eq!(names(&subs), ["gone", "kept", "late"]);
-        dead.active.store(false, Ordering::Relaxed);
+        dead.active.clear();
+        assert_eq!(subs.live_plain(), 1);
         subs.prune();
         assert_eq!(names(&subs), ["kept", "late"]);
+        assert_eq!((subs.plain.len(), subs.rows.len()), (1, 1));
+        assert!(Arc::ptr_eq(&subs.rows[0].live.page, &subs.plain[0].sub.active.page));
         let message = Message::builder().property("kept", 2i64).property("late", 3i64).build();
-        assert!(subs.plain()[0].matches(&message, subs.slots().resolve(&message).as_slice()));
+        assert!(subs.plain[0].matches(&message, subs.slots().resolve(&message).as_slice()));
         subs.clear_plain();
-        assert!(subs.slots().is_empty());
+        assert!(subs.slots().is_empty() && subs.rows.is_empty());
     }
 
     /// Everything a bound filter can read, against the reference
@@ -295,6 +391,8 @@ mod tests {
             "JMSMessageID LIKE 'ID:%' AND JMSTimestamp > 0 AND JMSExpiration = 0",
             "missing IS NULL AND color IN ('red', 'green')",
             "weight * 2 = 6 OR NOT urgent",
+            "weight >= 3",
+            "TRUE = urgent",
         ];
         let messages = [
             Message::builder().build(),
@@ -313,9 +411,11 @@ mod tests {
         }
         for message in &messages {
             let resolved = subs.slots().resolve(message);
-            for (entry, source) in subs.plain().iter().zip(selectors) {
+            for ((row, entry), source) in subs.scan().zip(selectors) {
                 let reference = eval::matches(&parse(source).unwrap(), message);
                 assert_eq!(entry.matches(message, resolved.as_slice()), reference, "{source}");
+                let by_row = row.cmp.map(|cmp| cmp.run(resolved.as_slice()).is_true());
+                assert_eq!(by_row.unwrap_or(reference), reference, "{source}");
                 assert_eq!(entry.sub.filter.matches(message), reference, "{source}");
             }
         }
@@ -334,7 +434,7 @@ mod tests {
         let message = message.build();
         let resolved = subs.slots().resolve(&message);
         assert_eq!(resolved.as_slice().len(), 2 * INLINE_SLOTS);
-        assert!(subs.plain()[0].matches(&message, resolved.as_slice()));
-        assert!(!subs.plain()[1].matches(&message, resolved.as_slice()));
+        assert!(subs.plain[0].matches(&message, resolved.as_slice()));
+        assert!(!subs.plain[1].matches(&message, resolved.as_slice()));
     }
 }

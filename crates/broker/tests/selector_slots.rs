@@ -236,3 +236,90 @@ fn a_wildcard_subscription_is_bound_to_each_topic_s_own_table() {
     assert_eq!(received(&wild), [1, 4, 7]);
     b.shutdown();
 }
+
+#[test]
+fn subscribers_dropped_mid_stream_leave_the_scan_to_the_survivors() {
+    // 130 liveness flags are three pages; every third one is cleared.
+    const N: usize = 130;
+    let b = broker(&["t"]);
+    let p = b.publisher("t").unwrap();
+    let publish_all = |seq: i64| {
+        for key in 0..N as i64 {
+            p.publish(numbered(seq).property("key", key).build()).unwrap();
+        }
+    };
+    let mut subs: Vec<Option<Subscriber>> =
+        (0..N).map(|i| Some(subscribe(&b, "t", &format!("key = {i}")))).collect();
+    publish_all(1);
+    expect_evaluations(&b, (N * N) as u64);
+
+    let dropped: Vec<Subscriber> = subs.iter_mut().step_by(3).filter_map(Option::take).collect();
+    let live = N - dropped.len();
+    drop(dropped);
+    // The first scan after the drop skips the dead and prunes them; the
+    // later ones no longer meet them. Either way: the living, once each.
+    publish_all(2);
+    expect_evaluations(&b, (N * N + N * live) as u64);
+    assert_eq!(b.subscription_count("t"), live);
+    for sub in subs.iter().flatten() {
+        assert_eq!(received(sub), [1, 2]);
+    }
+    // A newcomer's row goes behind the rebuilt ones.
+    let late = subscribe(&b, "t", "key = 0");
+    publish_all(3);
+    expect_evaluations(&b, (N * N + N * live + N * (live + 1)) as u64);
+    assert_eq!(received(&late), [3]);
+    for sub in subs.iter().flatten() {
+        assert_eq!(received(sub), [3]);
+    }
+    b.shutdown();
+}
+
+#[test]
+fn a_wildcard_subscriber_dropped_once_goes_quiet_on_every_topic() {
+    let b = broker(&["x.a", "x.b"]);
+    let (on_a, on_b) = (b.publisher("x.a").unwrap(), b.publisher("x.b").unwrap());
+    let stays = subscribe(&b, "x.b", "key = 1");
+    let wild = subscribe(&b, "x.*", "key = 1");
+    on_a.publish(numbered(1).property("key", 1i64).build()).unwrap();
+    on_b.publish(numbered(2).property("key", 1i64).build()).unwrap();
+    expect_evaluations(&b, 1 + 2);
+    assert_eq!(received(&wild), [1, 2]);
+
+    // One flag, one row per topic: both scans see it cleared.
+    drop(wild);
+    on_a.publish(numbered(3).property("key", 1i64).build()).unwrap();
+    on_b.publish(numbered(4).property("key", 1i64).build()).unwrap();
+    expect_evaluations(&b, 3 + 1);
+    assert_eq!((b.subscription_count("x.a"), b.subscription_count("x.b")), (0, 1));
+    assert_eq!(received(&stays), [2, 4]);
+    b.shutdown();
+}
+
+#[test]
+fn a_durable_changing_its_selector_rebinds_the_compact_rows() {
+    // `level` is the table's second name while the durable holds `kind`
+    // and its first once the durable has let go of it: a row left with the
+    // old slot would read `region`.
+    let b = broker(&["t"]);
+    let p = b.publisher("t").unwrap();
+    let message = |seq, level: i64| {
+        numbered(seq).property("kind", 1i64).property("level", level).property("region", 5i64)
+    };
+    let worker = durable(&b, "worker", selector("kind = 1"));
+    let high = subscribe(&b, "t", "level > 3");
+    let low = subscribe(&b, "t", "3 >= level");
+    p.publish(message(1, 5).build()).unwrap();
+    expect_evaluations(&b, 3);
+
+    drop(worker);
+    let worker = durable(&b, "worker", selector("region = 5 AND level > 0"));
+    p.publish(message(2, 1).build()).unwrap();
+    p.publish(message(3, 4).build()).unwrap();
+    expect_evaluations(&b, 3 + 2 * 3);
+    assert_eq!(received(&high), [1, 3]);
+    assert_eq!(received(&low), [2]);
+    // A change of selector discards what the durable had retained.
+    assert_eq!(received(&worker), [2, 3]);
+    b.shutdown();
+}

@@ -63,18 +63,24 @@ fn old_format_client_interoperates_with_new_server() {
     assert_eq!(publish_frame[4], 0x02, "stripped publish keeps the original opcode");
     old.stream.write_all(&publish_frame).expect("write publish");
 
-    // Collect responses until the delivery arrives: the delivery to a
-    // client that never sent Hello must use the pre-trace opcode.
+    // Collect responses until the delivery and all three replies have
+    // arrived. Replies come in request order, but a delivery is not a reply:
+    // the writer may take it before the Ok of the publish that caused it
+    // (DESIGN.md §3.6b), so it is accepted at either side of the third Ok.
+    // The delivery to a client that never sent Hello must use the
+    // pre-trace opcode.
     let mut oks = 0;
-    let delivery_body = loop {
+    let mut delivery = None;
+    while oks < 3 || delivery.is_none() {
         let body = old.read_raw();
         match body[0] {
             0x81 => oks += 1, // Ok
-            0x83 | 0x85 => break body,
+            0x83 | 0x85 if delivery.is_none() => delivery = Some(body),
             other => panic!("unexpected response opcode {other:#x}"),
         }
-    };
+    }
     assert_eq!(oks, 3, "all three pre-trace requests answered Ok");
+    let delivery_body = delivery.expect("one delivery");
     assert_eq!(delivery_body[0], 0x83, "delivery to an old client stays untraced");
     let decoded = decode_response(delivery_body).expect("decodable");
     match decoded {

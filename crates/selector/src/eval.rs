@@ -209,24 +209,31 @@ pub(crate) fn between(v: ValueRef<'_>, lo: ValueRef<'_>, hi: ValueRef<'_>) -> Tr
 /// after numeric promotion; strings and booleans know `=` and `<>` only.
 #[inline]
 pub(crate) fn compare(op: CmpOp, a: ValueRef<'_>, b: ValueRef<'_>) -> Truth {
-    use std::cmp::Ordering::{Equal, Greater, Less};
     let ordering = match (op, a, b) {
         (CmpOp::Eq, ..) => return Truth::from(a.sql_eq(b)),
         (CmpOp::Ne, ..) => return Truth::from(a.sql_eq(b).map(|equal| !equal)),
         (_, ValueRef::Int(x), ValueRef::Int(y)) => Some(x.cmp(&y)),
         _ => match (a.numeric(), b.numeric()) {
-            // `None` for a NaN operand: every ordering test is then false.
             (Some(x), Some(y)) => x.partial_cmp(&y),
             _ => return Truth::Unknown,
         },
     };
-    Truth::from(match op {
+    Truth::from(holds(op, ordering))
+}
+
+/// Whether `op` holds of two operands in this `ordering`; `None` when one
+/// is a NaN: every ordering test and `=` are then false, `<>` true.
+#[inline]
+pub(crate) fn holds(op: CmpOp, ordering: Option<std::cmp::Ordering>) -> bool {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    match op {
+        CmpOp::Eq => ordering == Some(Equal),
+        CmpOp::Ne => ordering != Some(Equal),
         CmpOp::Lt => ordering == Some(Less),
         CmpOp::Le => matches!(ordering, Some(Less | Equal)),
         CmpOp::Gt => ordering == Some(Greater),
         CmpOp::Ge => matches!(ordering, Some(Greater | Equal)),
-        CmpOp::Eq | CmpOp::Ne => unreachable!("handled above"),
-    })
+    }
 }
 
 #[cfg(test)]

@@ -12,14 +12,17 @@
 //! * a literal is stored once and borrowed;
 //! * a `LIKE` pattern is parsed and an `IN` list sorted;
 //! * `identifier <cmp> literal`, by far the most common selector, is one
-//!   instruction.
+//!   instruction (`literal <cmp> identifier` the same one, mirrored);
+//!   bound, and with a scalar literal, it is also a 16-byte [`CmpRow`].
 //!
 //! Running a program computes on [`ValueRef`]s only: it clones nothing and
 //! allocates nothing. Its semantics are those of [`crate::eval::evaluate`],
 //! the tree walker it is tested against.
 
 use crate::ast::{ArithOp, CmpOp, Expr};
-use crate::eval::{arith, between, compare, negate, truth_value, value_truth, PropertySource};
+use crate::eval::{
+    arith, between, compare, holds, negate, truth_value, value_truth, PropertySource,
+};
 use crate::like::LikePattern;
 use crate::value::{Truth, Value, ValueRef};
 use serde::{Deserialize, Serialize};
@@ -160,11 +163,11 @@ impl Program {
             Expr::And(a, b) => Op::And(self.push(a), self.push(b)),
             Expr::Or(a, b) => Op::Or(self.push(a), self.push(b)),
             Expr::Cmp { op, lhs, rhs } => match (&**lhs, &**rhs) {
-                (Expr::Ident(name), Expr::Literal(literal)) => Op::CmpSlotLiteral {
-                    op: *op,
-                    slot: self.names.intern(name),
-                    literal: literal.clone(),
-                },
+                (Expr::Ident(name), Expr::Literal(literal)) => self.cmp_slot(*op, name, literal),
+                // `7 < key` is `key > 7`.
+                (Expr::Literal(literal), Expr::Ident(name)) => {
+                    self.cmp_slot(mirrored(*op), name, literal)
+                }
                 _ => Op::Cmp { op: *op, lhs: self.push(lhs), rhs: self.push(rhs) },
             },
             Expr::Arith { op, lhs, rhs } => {
@@ -193,6 +196,10 @@ impl Program {
         };
         self.ops.push(op);
         self.ops.len() as Idx - 1
+    }
+
+    fn cmp_slot(&mut self, op: CmpOp, name: &str, literal: &Value) -> Op {
+        Op::CmpSlotLiteral { op, slot: self.names.intern(name), literal: literal.clone() }
     }
 
     /// The distinct identifiers the selector references, in order of first
@@ -240,6 +247,9 @@ impl Program {
 /// let resolved = [None, Some(ValueRef::Int(3)), Some(ValueRef::Str("red"))];
 /// assert_eq!(by_size.run(&resolved), Truth::Unknown);
 /// assert_eq!(red.run(&resolved), Truth::True);
+/// // One comparison with a number is also a row; nothing else is.
+/// assert_eq!(by_size.as_row().unwrap().run(&resolved), Truth::Unknown);
+/// assert!(red.as_row().is_none());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundProgram {
@@ -257,6 +267,62 @@ impl BoundProgram {
     #[inline]
     pub fn run(&self, resolved: &[Option<ValueRef<'_>>]) -> Truth {
         truth(&self.ops, &|slot| resolved[slot])
+    }
+
+    /// The program as a [`CmpRow`]: `Some` exactly for the one instruction
+    /// `slot <cmp> literal` with a scalar literal and a slot below 2¹⁶.
+    pub fn as_row(&self) -> Option<CmpRow> {
+        let [Op::CmpSlotLiteral { op, slot, literal }] = &*self.ops else { return None };
+        let (kind, bits) = match literal {
+            Value::Bool(b) => (LiteralKind::Bool, u64::from(*b)),
+            Value::Int(i) => (LiteralKind::Int, *i as u64),
+            Value::Float(f) => (LiteralKind::Float, f.to_bits()),
+            Value::Str(_) => return None,
+        };
+        Some(CmpRow { bits, slot: u16::try_from(*slot).ok()?, op: *op, kind })
+    }
+}
+
+/// A bound `slot <cmp> scalar-literal` by value ([`BoundProgram::as_row`]),
+/// 16 bytes: a scan over many selectors reads rows, not each one's program.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CmpRow {
+    /// The literal: 0 or 1, an `i64`'s bits or an `f64`'s, by `kind`.
+    bits: u64,
+    slot: u16,
+    op: CmpOp,
+    kind: LiteralKind,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum LiteralKind {
+    Bool,
+    Int,
+    Float,
+}
+
+impl CmpRow {
+    /// What the [`BoundProgram`] it was taken from returns for `resolved`,
+    /// its panic on a `resolved` shorter than the table included.
+    // Always inline: this is the body of the broker's scan loop, where a
+    // call and its spills cost as much as the comparison.
+    #[inline(always)]
+    pub fn run(&self, resolved: &[Option<ValueRef<'_>>]) -> Truth {
+        use LiteralKind::{Bool, Float, Int};
+        let (int, float) = (self.bits as i64, f64::from_bits(self.bits));
+        // `eval::compare` with the literal's type known: exact on two
+        // integers, promoted with a float, `=` and `<>` only on booleans.
+        let ordering = match (resolved[usize::from(self.slot)], self.kind) {
+            (Some(ValueRef::Int(v)), Int) => Some(v.cmp(&int)),
+            (Some(ValueRef::Int(v)), Float) => (v as f64).partial_cmp(&float),
+            (Some(ValueRef::Float(v)), Int) => v.partial_cmp(&(int as f64)),
+            (Some(ValueRef::Float(v)), Float) => v.partial_cmp(&float),
+            (Some(ValueRef::Bool(v)), Bool) if matches!(self.op, CmpOp::Eq | CmpOp::Ne) => {
+                Some(v.cmp(&(int != 0)))
+            }
+            _ => return Truth::Unknown,
+        };
+        Truth::from(holds(self.op, ordering))
     }
 }
 
@@ -279,6 +345,17 @@ fn compare_slot(op: CmpOp, value: Option<ValueRef<'_>>, literal: &Value) -> Trut
     match value {
         Some(value) => compare(op, value, literal.as_ref()),
         None => Truth::Unknown,
+    }
+}
+
+/// The operator that holds of `(b, a)` exactly when `op` holds of `(a, b)`.
+fn mirrored(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Le => CmpOp::Ge,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Ge => CmpOp::Le,
+        CmpOp::Eq | CmpOp::Ne => op,
     }
 }
 
@@ -368,8 +445,43 @@ mod tests {
             [Op::CmpSlotLiteral { op: CmpOp::Eq, slot: 0, literal: Value::Int(7) }]
         );
         assert_eq!(program.names(), ["key"]);
-        // The mirrored form takes the general instruction.
-        assert_eq!(compile("7 = key").ops.len(), 3);
+        // The mirrored form is the same instruction, its operator turned.
+        assert_eq!(compile("7 = key").ops, program.ops);
+        assert_eq!(compile("7 <= key").ops, compile("key >= 7").ops);
+        assert_eq!(compile("key = other").ops.len(), 3);
+    }
+
+    /// Six operators × scalar literals × what a property can hold that a
+    /// comparison treats differently, the literal on either side: the row,
+    /// the program and the tree walker give one answer.
+    #[test]
+    fn a_row_agrees_with_its_program_and_the_tree_walker() {
+        use CmpOp::*;
+        const BIG: i64 = (1 << 53) + 1;
+        let ints = [1, 0, -3, BIG].map(Value::Int);
+        let floats = [2.5, 1.0, f64::NAN].map(Value::Float);
+        let literals: Vec<Value> =
+            ints.into_iter().chain(floats).chain([true, false].map(Value::Bool)).collect();
+        let mut values = vec![None, Some(Value::from("1"))];
+        values.extend([1, 0, BIG - 1, BIG].map(|i| Some(Value::Int(i))));
+        values.extend([1.0, 2.5, f64::NAN].map(|f| Some(Value::Float(f))));
+        values.extend([true, false].map(|b| Some(Value::Bool(b))));
+        let sides = |op, literal: &Value| {
+            let (key, literal) = (Expr::Ident("key".to_owned()), Expr::Literal(literal.clone()));
+            [Expr::cmp(op, key.clone(), literal.clone()), Expr::cmp(op, literal, key)]
+        };
+        let operators = [Eq, Ne, Lt, Le, Gt, Ge];
+        for expr in operators.iter().flat_map(|op| literals.iter().flat_map(|l| sides(*op, l))) {
+            let bound = Program::compile(&expr).bind(&mut Names::default());
+            let row = bound.as_row().unwrap_or_else(|| panic!("no row for {expr}"));
+            for value in &values {
+                let props: Vec<_> = value.iter().map(|v| ("key".to_owned(), v.clone())).collect();
+                let reference = crate::eval::evaluate(&expr, props.as_slice());
+                let resolved = [value.as_ref().map(Value::as_ref)];
+                assert_eq!(bound.run(&resolved), reference, "{expr} on {value:?}");
+                assert_eq!(row.run(&resolved), reference, "{expr} on {value:?}");
+            }
+        }
     }
 
     #[test]
@@ -444,5 +556,7 @@ mod tests {
     #[test]
     fn an_instruction_stays_within_a_cache_line() {
         assert!(std::mem::size_of::<Op>() <= 48, "{}", std::mem::size_of::<Op>());
+        assert_eq!(std::mem::size_of::<CmpRow>(), 16);
+        assert_eq!(std::mem::size_of::<Option<CmpRow>>(), 16);
     }
 }

@@ -255,8 +255,9 @@ fn cmp_op_strategy() -> impl Strategy<Value = CmpOp> {
 
 /// Besides literals and identifiers, the leaves are the predicates a
 /// program treats specially, on an identifier so that they often meet a
-/// property: `ident <cmp> literal` (one instruction), `IN` (binary search)
-/// and `LIKE` (pre-parsed pattern, with and without an escape).
+/// property: `ident <cmp> literal` and `literal <cmp> ident` (one
+/// instruction, and a row when it is the whole selector), `IN` (binary
+/// search) and `LIKE` (pre-parsed pattern, with and without an escape).
 fn edge_expr_strategy() -> impl Strategy<Value = Expr> {
     const WORD: &str = "[ab%_\\\\]{0,2}";
     const PATTERN: &str = "[ab%_\\\\]{0,5}";
@@ -267,6 +268,7 @@ fn edge_expr_strategy() -> impl Strategy<Value = Expr> {
         literal(),
         ident(),
         (cmp_op_strategy(), ident(), literal()).prop_map(|(op, a, b)| Expr::cmp(op, a, b)),
+        (cmp_op_strategy(), literal(), ident()).prop_map(|(op, a, b)| Expr::cmp(op, a, b)),
         (ident(), prop::collection::vec(WORD, 1..6), any::<bool>())
             .prop_map(|(e, list, negated)| Expr::InList { expr: Box::new(e), list, negated }),
         (ident(), PATTERN, escape(), any::<bool>()).prop_map(|(e, pattern, escape, negated)| {
@@ -304,7 +306,27 @@ proptest! {
         let resolved: Vec<_> =
             table.as_slice().iter().map(|n| props.get(n).map(Value::as_ref)).collect();
         prop_assert_eq!(bound.run(&resolved), reference, "by slot: {}", expr);
+        if let Some(row) = bound.as_row() {
+            prop_assert_eq!(row.run(&resolved), reference, "by row: {}", expr);
+        }
     }
+}
+
+/// What keeps its program: anything but one comparison of an identifier
+/// with a number or a boolean, and a slot a `u16` cannot hold.
+#[test]
+fn only_one_comparison_with_a_scalar_literal_has_a_row() {
+    let compile = |source: &str| Program::compile(&parse(source).unwrap());
+    let mut table = Names::default();
+    for source in ["key = 'red'", "key = 7 AND key = 7", "key = other", "key + 1 = 2", "key"] {
+        assert_eq!(compile(source).bind(&mut table).as_row(), None, "{source}");
+    }
+    let mut wide = Names::default();
+    for i in 0..=u32::from(u16::MAX) {
+        wide.intern(&format!("p{i}"));
+    }
+    assert!(compile("p65535 = 7").bind(&mut wide).as_row().is_some());
+    assert!(compile("late = 7").bind(&mut wide).as_row().is_none());
 }
 
 #[test]

@@ -9,9 +9,12 @@
 #
 # Without workloads, the gated ones of BENCHMARK.json. Prints the table
 # EXPERIMENTS.md carries (median [q1–q3] per side, ratio, wins, the parent's
-# quartile spread) and appends one JSON line per workload × metric to
-# BENCH_HISTORY.jsonl, which is committed: the ledger's trajectory. Traced
-# runs (TRACE=1) are diagnostics: tabulated, not recorded.
+# quartile spread, and the median [q1–q3] of the per-pair ratio change ÷
+# parent: the host's slow and fast stretches take both runs of a pair
+# together, so the ratio is steadier than either side) and appends one JSON
+# line per workload × metric to BENCH_HISTORY.jsonl, which is committed: the
+# ledger's trajectory. Traced runs (TRACE=1) are diagnostics: tabulated, not
+# recorded.
 #
 # Environment: PAIRS (10), RUN_SECONDS (BENCHMARK.json's run_seconds),
 # TRACE (0; 1 tabulates the per-layer metrics of traced runs), SEED_BASE
@@ -72,8 +75,8 @@ for workload in "${workloads[@]}"; do
   done
 done
 
-echo "| workload | metric | parent median [q1–q3] | change median [q1–q3] | change/parent | change wins | parent IQR | medians apart | parent IQR ÷ median |"
-echo "|---|---|---|---|---|---|---|---|---|"
+echo "| workload | metric | parent median [q1–q3] | change median [q1–q3] | change/parent | change wins | parent IQR | medians apart | parent IQR ÷ median | per-pair change/parent median [q1–q3] |"
+echo "|---|---|---|---|---|---|---|---|---|---|"
 for workload in "${workloads[@]}"; do
   # One line per run and metric: side pair metric value unit; then the
   # counts of the run under the metric names "attempted", "failed", "correct".
@@ -124,22 +127,28 @@ for workload in "${workloads[@]}"; do
           a = value["parent", metric, i] + 0; b = value["change", metric, i] + 0
           if (a == b) ties++
           else if ((better[metric] == "higher") == (b > a)) wins++
+          if (a) value["ratio", metric, i] = b / a
         }
+        nr = sorted("ratio", metric, r)
+        rm = r1 = r3 = 0
+        if (nr >= 2) { rm = cut(r, nr, 2); r1 = cut(r, nr, 1); r3 = cut(r, nr, 3) }
         pm = cut(p, np, 2); p1 = cut(p, np, 1); p3 = cut(p, np, 3)
         cm = cut(c, nc, 2); c1 = cut(c, nc, 1); c3 = cut(c, nc, 3)
         apart = cm > pm ? cm - pm : pm - cm
-        printf "| %s | %s (%s) | %s [%s–%s] | %s [%s–%s] | %s | %d/%d%s | %s | %s | %s |\n", workload, metric,
+        printf "| %s | %s (%s) | %s [%s–%s] | %s [%s–%s] | %s | %d/%d%s | %s | %s | %s | %s |\n", workload, metric,
           unit[metric], show(pm), show(p1), show(p3), show(cm), show(c1), show(c3),
           pm ? sprintf("%.2f×", cm / pm) : "–", wins, pairs, ties ? " (+" ties " ties)" : "",
-          show(p3 - p1), show(apart), pm ? sprintf("%.0f%%", 100 * (p3 - p1) / pm) : "–"
+          show(p3 - p1), show(apart), pm ? sprintf("%.0f%%", 100 * (p3 - p1) / pm) : "–",
+          (nr < 2 ? "–" : sprintf("%.2f× [%.2f–%.2f]", rm, r1, r3))
         if (trace) continue
         printf "{\"date\": \"%s\", \"pr\": \"%s\", \"parent\": \"%s\", \"change\": \"%s\", \"workload\": \"%s\", " \
           "\"metric\": \"%s\", \"unit\": \"%s\", \"better\": \"%s\", \"pairs\": %d, \"seconds\": %d, " \
           "\"seeds\": [%d, %d], \"parent_median\": %.6g, \"parent_q1\": %.6g, \"parent_q3\": %.6g, " \
           "\"change_median\": %.6g, \"change_q1\": %.6g, \"change_q3\": %.6g, \"wins\": %d, \"ties\": %d, " \
-          "\"failed_parent\": %d, \"failed_change\": %d}\n", date, pr, parent, change, workload, metric,
+          "\"failed_parent\": %d, \"failed_change\": %d, \"ratio_median\": %.4g, \"ratio_q1\": %.4g, " \
+          "\"ratio_q3\": %.4g}\n", date, pr, parent, change, workload, metric,
           unit[metric], better[metric], pairs, seconds, first, last, pm, p1, p3, cm, c1, c3, wins, ties,
-          total("failed", "parent"), total("failed", "change") >>history
+          total("failed", "parent"), total("failed", "change"), rm, r1, r3 >>history
       }
       printf "<!-- %s: %d pairs, attempted %d, failed %d, incorrect runs %d -->\n", workload, pairs,
         total("attempted", "parent") + total("attempted", "change"), total("failed", "parent") + total("failed", "change"),
