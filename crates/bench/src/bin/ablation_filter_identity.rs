@@ -18,9 +18,8 @@
 //! filter stage.
 
 use rjms_bench::{experiment_header, Table};
-use rjms_broker::{
-    Broker, BrokerConfig, CostModel, Filter, Message, MetricsConfig, ThroughputProbe,
-};
+use rjms_broker::{Broker, BrokerConfig, Filter, Message, MetricsConfig, ThroughputProbe};
+use rjms_core::CostParams;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,7 +37,7 @@ struct Measured {
 /// matches; one extra matching subscriber keeps the replication grade 1.
 /// Without a cost model the broker runs at native speed and the filters'
 /// own evaluation is the work.
-fn measure(filters: Vec<Filter>, cost_model: Option<CostModel>) -> Measured {
+fn measure(filters: Vec<Filter>, cost_model: Option<CostParams>) -> Measured {
     let mut config = BrokerConfig::builder()
         .publish_queue_capacity(64)
         .subscriber_queue_capacity(1 << 15)
@@ -107,7 +106,7 @@ fn main() {
     let mut table = Table::new(&["n filters", "identical msgs/s", "distinct msgs/s", "ratio"]);
     for n in [8usize, 32, 96] {
         let filter = |i: usize| Filter::correlation_id(&format!("#{i}")).unwrap();
-        let cost = Some(CostModel::CORRELATION_ID);
+        let cost = Some(CostParams::CORRELATION_ID);
         let identical = measure((0..n).map(|_| filter(1)).collect(), cost).msgs_per_s;
         let distinct = measure((0..n).map(|i| filter(i + 1)).collect(), cost).msgs_per_s;
         table.row_strings(vec![

@@ -26,7 +26,8 @@
 
 use rjms_bench::overhead::{median, paired, saturated_run};
 use rjms_bench::{experiment_header, BenchReport, Table};
-use rjms_broker::{shard_of, Broker, BrokerConfig, CostModel, OverflowPolicy};
+use rjms_broker::{shard_of, Broker, BrokerConfig, OverflowPolicy};
+use rjms_core::CostParams;
 
 /// Acceptance gate: 4-shard throughput over 1-shard throughput.
 const MIN_RATIO: f64 = 2.0;
@@ -43,8 +44,8 @@ const FILTERS: usize = 50;
 /// Per-message constants: Table-I correlation-ID shape, inflated so the
 /// spin dominates native dispatch overhead (`E[B] ≈ 370 µs` at 50
 /// filters — one dispatcher saturates near 2.7k msg/s).
-fn cost() -> CostModel {
-    CostModel::new(0.85e-6, 7.02e-6, 17.0e-6)
+fn cost() -> CostParams {
+    CostParams::new(0.85e-6, 7.02e-6, 17.0e-6)
 }
 
 fn cores() -> usize {
@@ -112,7 +113,7 @@ fn main() {
     }
     println!(
         "workload: {TOPICS} topics x {FILTERS} filters, E[B] = {:.0} us/msg; host cores: {}",
-        cost().processing_time(FILTERS, 1) * 1e6,
+        cost().mean_service_time(FILTERS as u32, 1.0) * 1e6,
         cores(),
     );
     if !gated {

@@ -36,8 +36,8 @@
 
 use crate::{experiment_header, BenchReport, Table};
 use rjms_broker::{
-    Broker, BrokerConfig, BrokerConfigBuilder, CostModel, Filter, FlowConfig, Message,
-    MetricsConfig, OverflowPolicy, Publisher, TopicObsConfig, TraceConfig,
+    Broker, BrokerConfig, BrokerConfigBuilder, Filter, FlowConfig, Message, MetricsConfig,
+    OverflowPolicy, Publisher, TopicObsConfig, TraceConfig,
 };
 use rjms_core::CostParams;
 use rjms_obs::{ForecastConfig, ObsConfig, ObsCore, ObsRuntime};
@@ -198,7 +198,7 @@ fn sampler(broker: &Broker, forecast: bool) -> Box<dyn Any> {
         ..ObsConfig::default()
     };
     let registry = broker.metrics().expect("both arms run with metrics");
-    Box::new(ObsRuntime::start(ObsCore::new(config), registry, None, SAMPLE_EVERY))
+    Box::new(ObsRuntime::start(ObsCore::new(config), registry, None, SAMPLE_EVERY, || None))
 }
 
 /// The flow gate's seed model is the calibrated workload scaled by this,
@@ -409,7 +409,7 @@ pub static GATES: [Gate; 6] = [
 impl Gate {
     /// One arm's run on a broker of its own: msgs/s, and the `after`
     /// reading of an `on` arm.
-    fn measure(&self, on: bool, cost: Option<CostModel>, n: u64) -> (f64, Option<f64>) {
+    fn measure(&self, on: bool, cost: Option<CostParams>, n: u64) -> (f64, Option<f64>) {
         let mut builder = BrokerConfig::builder()
             .publish_queue_capacity(256)
             .subscriber_queue_capacity(1 << 18)
@@ -451,8 +451,8 @@ impl Gate {
             println!("smoke mode: reduced counts and repetitions, CI regression gate\n");
         }
 
-        let table1 = CostModel::CORRELATION_ID;
-        let calibrated = CostModel::new(
+        let table1 = CostParams::CORRELATION_ID;
+        let calibrated = CostParams::new(
             table1.t_rcv / COST_SCALE,
             table1.t_fltr / COST_SCALE,
             table1.t_tx / COST_SCALE,
@@ -464,7 +464,7 @@ impl Gate {
         println!(
             "calibrated workload: Table I (correlation ID) / {COST_SCALE:.0}, \
              {N_FILTERS} filters{spread} -> E[B] = {:.1} us/msg",
-            calibrated.processing_time(N_FILTERS as usize, 1) * 1e6
+            calibrated.mean_service_time(N_FILTERS, 1.0) * 1e6
         );
         if counts.null_work.is_some() {
             println!("null-work workload:  no cost model, dispatch machinery only");
@@ -488,7 +488,7 @@ impl Gate {
         let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
         let mut table = Table::new(&headers);
         let mut readings = Vec::new();
-        let mut workload = |name: &str, cost: Option<CostModel>, n: u64| {
+        let mut workload = |name: &str, cost: Option<CostParams>, n: u64| {
             let first = readings.len();
             let pairs = paired(counts.reps, |on| {
                 let (rate, reading) = self.measure(on, cost, n);

@@ -14,7 +14,7 @@
 //!   [`crate::dispatch`].
 //! * Subscribers consume from bounded per-subscription queues.
 //!
-//! With a [`CostModel`](crate::cost::CostModel) installed, the dispatcher
+//! With [`BrokerConfig::cost_model`] set ([`crate::cost`]), the dispatcher
 //! additionally burns `t_rcv` per message, `t_fltr` per filter evaluation and
 //! `t_tx` per forwarded copy, so a saturated broker reproduces Eq. 1 in wall
 //! clock time.
@@ -41,13 +41,13 @@ use crate::reports::{
 };
 use crate::stats::{BrokerSnapshot, BrokerStats};
 use crate::subscriptions::{LiveFlag, LiveFlags, Subscriptions};
-use crate::topic_obs::{TopicObservatory, TopicObservatorySnapshot};
+use crate::topic_obs::{TopicObservatory, TopicObservatorySnapshot, OTHER_TOPIC};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
 use rjms_core::ModelMonitor;
 use rjms_flow::{AdmissionOutcome, FlowGate};
 use rjms_journal::Journal;
-use rjms_metrics::MetricsRegistry;
+use rjms_metrics::{labeled, Counter, MetricsRegistry};
 use rjms_trace::FlightRecorder;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -75,7 +75,9 @@ pub(crate) struct Subscription {
     pub(crate) active: LiveFlag,
 }
 
-/// A topic: a named set of subscriptions, plain and durable.
+/// A topic: a named set of subscriptions, plain and durable, and the one
+/// home of the per-message counters ([`BrokerInner::new_topic`] builds it).
+#[derive(Default)]
 pub(crate) struct Topic {
     pub(crate) name: String,
     /// The dispatcher shard this topic is pinned to ([`shard_of`]); all of
@@ -83,20 +85,22 @@ pub(crate) struct Topic {
     /// per-topic FIFO order under sharded dispatch.
     pub(crate) shard: usize,
     pub(crate) subs: RwLock<Subscriptions>,
+    /// Messages popped off the publish queue (expired ones too), copies
+    /// delivered, filters evaluated: written by the shard's dispatcher alone,
+    /// summed where totals are read ([`crate::reports::totals`]).
     pub(crate) received: AtomicU64,
     pub(crate) dispatched: AtomicU64,
+    pub(crate) filter_evaluations: AtomicU64,
+    /// The labeled pair the telemetry probe bumps; `None` without metrics
+    /// or with a series cap of 0.
+    pub(crate) series: Option<TopicSeries>,
 }
 
-impl Topic {
-    pub(crate) fn new(name: &str, shard: usize) -> Self {
-        Self {
-            name: name.to_owned(),
-            shard,
-            subs: RwLock::new(Subscriptions::default()),
-            received: AtomicU64::new(0),
-            dispatched: AtomicU64::new(0),
-        }
-    }
+/// One exported `broker.topic.received|dispatched{topic=…}` counter pair: a
+/// topic's own, or the shared `__other__` pair.
+pub(crate) struct TopicSeries {
+    pub(crate) received: Arc<Counter>,
+    pub(crate) dispatched: Arc<Counter>,
 }
 
 /// Maps a topic name onto a dispatcher shard: a stable FNV-1a hash of the
@@ -148,22 +152,10 @@ pub(crate) enum DispatchItem {
     Shutdown,
 }
 
-/// One dispatcher shard's message counters, recorded by that shard's
-/// dispatcher alone (plain relaxed atomics; no cross-shard contention).
-#[derive(Default)]
-pub(crate) struct ShardStats {
-    pub(crate) received: AtomicU64,
-    pub(crate) dispatched: AtomicU64,
-    pub(crate) filter_evaluations: AtomicU64,
-}
-
 /// Shared broker state.
 pub(crate) struct BrokerInner {
     pub(crate) config: BrokerConfig,
     pub(crate) stats: Arc<BrokerStats>,
-    /// Per-shard message counters, one slot per dispatcher; length equals
-    /// the configured shard count.
-    pub(crate) shard_stats: Vec<ShardStats>,
     /// When the broker started; per-shard arrival rates in
     /// [`Broker::shard_reports`] are derived against this origin, matching
     /// the flow-refresh loop's convention.
@@ -198,6 +190,38 @@ pub(crate) struct BrokerInner {
     /// cadence; snapshots feed the `/topics` endpoint and the skew
     /// analyzer.
     pub(crate) topic_obs: Option<TopicObservatory>,
+}
+
+impl BrokerInner {
+    /// Builds a topic, created or recovered, and assigns its labeled series:
+    /// the first [`MetricsConfig::per_topic_series`] of the broker's topics
+    /// (`existing` came before this one) get a pair of their own, every later
+    /// one shares `__other__` and is counted in `topics_overflowed` once, here
+    /// (unless the observatory is on: its table governs that counter).
+    fn new_topic(&self, name: &str, subs: Subscriptions, existing: usize) -> Arc<Topic> {
+        let cap = self.config.metrics.map_or(0, |m| m.per_topic_series);
+        let series = self.metrics.as_ref().filter(|_| cap > 0).map(|metrics| {
+            let registry = &metrics.registry;
+            let own = existing < cap;
+            if !own && self.topic_obs.is_none() {
+                self.stats.record_topic_overflowed();
+                registry.counter("broker.topics_overflowed").inc();
+            }
+            let label = if own { name } else { OTHER_TOPIC };
+            let counter = |base| registry.counter(&labeled(base, &[("topic", label)]));
+            TopicSeries {
+                received: counter("broker.topic.received"),
+                dispatched: counter("broker.topic.dispatched"),
+            }
+        });
+        Arc::new(Topic {
+            name: name.to_owned(),
+            shard: shard_of(name, self.config.shards),
+            subs: RwLock::new(subs),
+            series,
+            ..Topic::default()
+        })
+    }
 }
 
 /// A wildcard subscription waiting to be attached to future topics.
@@ -286,11 +310,11 @@ impl Broker {
             flow.shards = shards as u32;
         }
         let stats = Arc::new(BrokerStats::new());
-        let mut topics = HashMap::new();
+        let mut recovered = Vec::new(); // in name order
         let journal = config.persistence.as_ref().map(|persistence| {
             let (journal, _report) = Journal::open(persistence.journal.clone())
                 .expect("failed to open the write-ahead journal");
-            topics = recover_topics(&journal, &config);
+            recovered = recover_topics(&journal, &config);
             Mutex::new(journal)
         });
         let metrics = config.metrics.map(|m| BrokerMetrics::new(m.stage_sample_every));
@@ -322,9 +346,8 @@ impl Broker {
         let inner = Arc::new(BrokerInner {
             config,
             stats,
-            shard_stats: (0..shards).map(|_| ShardStats::default()).collect(),
             started: Instant::now(),
-            topics: RwLock::new(topics),
+            topics: RwLock::new(HashMap::new()),
             patterns: RwLock::new(Vec::new()),
             next_subscription_id: AtomicU64::new(1),
             live_flags: Mutex::default(),
@@ -336,6 +359,12 @@ impl Broker {
             next_producer_id: AtomicU64::new(1),
             topic_obs,
         });
+        let mut topics = inner.topics.write();
+        for (name, subs) in recovered {
+            let topic = inner.new_topic(&name, subs, topics.len());
+            topics.insert(name, topic);
+        }
+        drop(topics);
         let dispatchers = publish_rxs
             .into_iter()
             .enumerate()
@@ -386,7 +415,7 @@ impl Broker {
         if topics.contains_key(name) {
             return Err(Error::TopicExists { topic: name.to_owned() });
         }
-        let topic = Arc::new(Topic::new(name, shard_of(name, self.inner.config.shards)));
+        let topic = self.inner.new_topic(name, Subscriptions::default(), topics.len());
         // Attach live wildcard subscriptions that match the new topic,
         // pruning dead pattern entries on the way.
         {
@@ -705,11 +734,6 @@ impl Broker {
     /// drift verdicts (see [`TopicObservatorySnapshot`]).
     pub fn topic_observatory(&self) -> Option<TopicObservatorySnapshot> {
         self.inner.topic_obs.as_ref().map(|o| o.snapshot())
-    }
-
-    /// The raw shared counters, for crate-internal probes.
-    pub(crate) fn raw_stats(&self) -> &BrokerStats {
-        &self.inner.stats
     }
 
     /// Stops the broker: publishers fail fast, the dispatcher drains the
@@ -1343,7 +1367,7 @@ mod tests {
         let b = Broker::start(
             BrokerConfig::builder()
                 .publish_queue_capacity(1)
-                .cost_model(crate::cost::CostModel::new(0.05, 0.0, 0.0))
+                .cost_model(rjms_core::CostParams::new(0.05, 0.0, 0.0))
                 .build(),
         );
         b.create_topic("t").unwrap();
@@ -1690,7 +1714,7 @@ mod tests {
         let b = Broker::start(
             BrokerConfig::builder()
                 .shards(SHARDS)
-                .cost_model(crate::cost::CostModel::CORRELATION_ID)
+                .cost_model(rjms_core::CostParams::CORRELATION_ID)
                 .metrics(MetricsConfig::default())
                 .build(),
         );

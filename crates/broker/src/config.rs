@@ -1,6 +1,6 @@
 //! Broker configuration.
 
-use crate::cost::CostModel;
+use rjms_core::CostParams;
 use rjms_journal::JournalConfig;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -108,11 +108,11 @@ pub struct MetricsConfig {
     /// dispatched message (1 = every message).
     pub stage_sample_every: u64,
     /// Maximum number of distinct topics exported as labeled
-    /// `broker.topic.*` counter series. Topic names are unbounded
-    /// client-controlled input, so the label cardinality is capped: once
-    /// this many topics have their own series, traffic on further topics is
-    /// collapsed into a single `topic="__other__"` series. 0 disables
-    /// per-topic series entirely.
+    /// `broker.topic.*` counter series, broker-wide. Topic names are
+    /// unbounded client-controlled input, so the label cardinality is capped:
+    /// the first this-many topics created (or recovered, in name order) get
+    /// their own series, traffic on later topics is collapsed into a single
+    /// `topic="__other__"` series. 0 disables per-topic series entirely.
     pub per_topic_series: usize,
 }
 
@@ -236,9 +236,10 @@ pub struct BrokerConfig {
     pub subscriber_queue_capacity: usize,
     /// Behaviour on full subscriber queues.
     pub overflow_policy: OverflowPolicy,
-    /// Optional synthetic CPU cost per message (see [`CostModel`]); `None`
+    /// Optional synthetic CPU cost per message (see [`crate::cost`]): the
+    /// dispatcher burns these Eq. 1 constants, `t_store` excepted. `None`
     /// runs the broker at native speed.
-    pub cost_model: Option<CostModel>,
+    pub cost_model: Option<CostParams>,
     /// Maximum number of messages retained per *disconnected durable
     /// subscription*; the oldest retained message is dropped on overflow.
     pub durable_buffer_capacity: usize,
@@ -355,7 +356,7 @@ impl BrokerConfigBuilder {
     }
 
     /// Enables the synthetic CPU cost model.
-    pub fn cost_model(mut self, model: CostModel) -> Self {
+    pub fn cost_model(mut self, model: CostParams) -> Self {
         self.config.cost_model = Some(model);
         self
     }
@@ -429,7 +430,7 @@ mod tests {
             .publish_queue_capacity(10)
             .subscriber_queue_capacity(20)
             .overflow_policy(OverflowPolicy::DropNew)
-            .cost_model(CostModel::CORRELATION_ID)
+            .cost_model(CostParams::CORRELATION_ID)
             .build();
         assert_eq!(c.shards, 4);
         assert_eq!(c.publish_queue_capacity, 10);

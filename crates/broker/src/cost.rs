@@ -1,71 +1,21 @@
-//! Synthetic per-message CPU cost model.
+//! Synthetic per-message CPU cost.
 //!
 //! The paper's measurements ran a commercial JMS server on 2006-era hardware
 //! whose per-message costs are the Table I constants. To reproduce the
 //! *shape* of those measurements on arbitrary modern hardware, the broker can
-//! be configured with a [`CostModel`] that burns a calibrated amount of CPU
-//! per received message, per filter evaluation, and per dispatched copy —
-//! exactly the three cost components of the paper's Eq. 1. With the cost
-//! model enabled, a saturated broker's wall-clock throughput follows
-//! `1 / (t_rcv + n_fltr·t_fltr + R·t_tx)` like the original server.
+//! be configured with [`CostParams`](rjms_core::CostParams)
+//! ([`BrokerConfig::cost_model`](crate::BrokerConfig::cost_model)): the
+//! dispatcher then burns `t_rcv` per received message, `t_fltr` per filter
+//! evaluation and `t_tx` per dispatched copy — the three cost components of
+//! the paper's Eq. 1 — so a saturated broker's wall-clock throughput follows
+//! `1 / (t_rcv + n_fltr·t_fltr + R·t_tx)` like the original server. `t_store`
+//! is never spun: the journal stage is real I/O.
 
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-/// Per-message CPU cost parameters, in seconds (mirrors `CostParams` in
-/// `rjms-core`, duplicated here to keep the broker substrate free of a
-/// dependency on the model crate).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CostModel {
-    /// Fixed receive overhead per message (`t_rcv`).
-    pub t_rcv: f64,
-    /// Overhead per installed filter checked (`t_fltr`).
-    pub t_fltr: f64,
-    /// Overhead per dispatched message copy (`t_tx`).
-    pub t_tx: f64,
-}
-
-impl CostModel {
-    /// The paper's Table I constants for correlation-ID filtering.
-    pub const CORRELATION_ID: CostModel =
-        CostModel { t_rcv: 8.52e-7, t_fltr: 7.02e-6, t_tx: 1.70e-5 };
-
-    /// The paper's Table I constants for application-property filtering.
-    pub const APPLICATION_PROPERTY: CostModel =
-        CostModel { t_rcv: 4.10e-6, t_fltr: 1.46e-5, t_tx: 1.62e-5 };
-
-    /// Creates a cost model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any component is negative or non-finite.
-    pub fn new(t_rcv: f64, t_fltr: f64, t_tx: f64) -> Self {
-        for (name, v) in [("t_rcv", t_rcv), ("t_fltr", t_fltr), ("t_tx", t_tx)] {
-            assert!(v >= 0.0 && v.is_finite(), "{name} must be finite and >= 0, got {v}");
-        }
-        Self { t_rcv, t_fltr, t_tx }
-    }
-
-    /// Mean processing time of a message given the number of installed
-    /// filters and its replication grade (Eq. 1 with a concrete `R`).
-    pub fn processing_time(&self, n_fltr: usize, replication: usize) -> f64 {
-        self.t_rcv + n_fltr as f64 * self.t_fltr + replication as f64 * self.t_tx
-    }
-
-    /// Burns CPU for the receive overhead.
-    pub fn spin_receive(&self) {
-        spin_for(Duration::from_secs_f64(self.t_rcv));
-    }
-
-    /// Burns CPU for `count` filter evaluations.
-    pub fn spin_filters(&self, count: usize) {
-        spin_for(Duration::from_secs_f64(self.t_fltr * count as f64));
-    }
-
-    /// Burns CPU for one dispatched copy.
-    pub fn spin_transmit(&self) {
-        spin_for(Duration::from_secs_f64(self.t_tx));
-    }
+/// Burns CPU for one Eq. 1 term of `seconds`.
+pub(crate) fn spin_secs(seconds: f64) {
+    spin_for(Duration::from_secs_f64(seconds));
 }
 
 /// Busy-waits for the given duration.
@@ -87,25 +37,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_one_constants() {
-        let c = CostModel::CORRELATION_ID;
-        assert!((c.t_rcv - 8.52e-7).abs() < 1e-12);
-        assert!((c.t_fltr - 7.02e-6).abs() < 1e-12);
-        assert!((c.t_tx - 1.70e-5).abs() < 1e-12);
-        let a = CostModel::APPLICATION_PROPERTY;
-        assert!(a.t_rcv > c.t_rcv);
-        assert!(a.t_fltr > c.t_fltr);
-    }
-
-    #[test]
-    fn processing_time_is_eq1() {
-        let c = CostModel::new(1e-6, 2e-6, 3e-6);
-        // t_rcv + 10·t_fltr + 4·t_tx
-        assert!((c.processing_time(10, 4) - (1e-6 + 20e-6 + 12e-6)).abs() < 1e-15);
-        assert!((c.processing_time(0, 0) - 1e-6).abs() < 1e-15);
-    }
-
-    #[test]
     fn spin_for_waits_at_least_duration() {
         let d = Duration::from_micros(300);
         let start = Instant::now();
@@ -116,11 +47,6 @@ mod tests {
     #[test]
     fn spin_for_zero_returns_immediately() {
         spin_for(Duration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "t_fltr must be finite")]
-    fn rejects_negative_cost() {
-        CostModel::new(1e-6, -1.0, 1e-6);
+        spin_secs(0.0);
     }
 }

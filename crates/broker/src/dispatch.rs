@@ -16,6 +16,7 @@
 
 use crate::broker::{BrokerInner, DispatchItem, Topic};
 use crate::config::OverflowPolicy;
+use crate::cost::spin_secs;
 use crate::durable::{self, Checkpoints};
 use crate::message::Message;
 use crate::probe::{DispatchProbe, Dispatched};
@@ -103,7 +104,6 @@ pub(crate) fn run<P: DispatchProbe>(
     mut probe: P,
 ) {
     let cost = inner.config.cost_model;
-    let shard_stats = &inner.shard_stats[shard];
     let mut checkpoints = Checkpoints::new(inner);
     // A run is what one journal write covers. Without a journal there is
     // nothing to share, and a run of one is the paper's M/GI/1 server: one
@@ -115,15 +115,15 @@ pub(crate) fn run<P: DispatchProbe>(
         open = gather(publish_rx, &mut run, run_max, &mut probe);
         while let Some(current) = run.pop_front() {
             let (topic, message) = (&current.topic, &current.message);
-            probe.on_dequeue(message, current.enqueued_at, current.was_queued, || {
+            probe.on_dequeue(topic, message, current.enqueued_at, current.was_queued, || {
                 publish_rx.len() + run.len()
             });
 
-            inner.stats.record_received();
-            shard_stats.received.fetch_add(1, Ordering::Relaxed);
+            // Counted at dequeue: an expired message was received too.
+            topic.received.fetch_add(1, Ordering::Relaxed);
             probe.stage(Stage::Receive, |_| {
                 if let Some(c) = &cost {
-                    c.spin_receive();
+                    spin_secs(c.t_rcv);
                 }
             });
 
@@ -171,21 +171,10 @@ pub(crate) fn run<P: DispatchProbe>(
                 topic.subs.write().prune();
             }
 
-            inner.stats.record_filter_evaluations(evaluations);
-            inner.stats.record_dispatched(copies);
-            shard_stats.filter_evaluations.fetch_add(evaluations, Ordering::Relaxed);
-            shard_stats.dispatched.fetch_add(copies, Ordering::Relaxed);
-            let first_on_topic = topic.received.fetch_add(1, Ordering::Relaxed) == 0;
+            topic.filter_evaluations.fetch_add(evaluations, Ordering::Relaxed);
             topic.dispatched.fetch_add(copies, Ordering::Relaxed);
 
-            probe.on_done(&Dispatched {
-                topic: &topic.name,
-                message,
-                evaluations,
-                copies,
-                publish_offset,
-                first_on_topic,
-            });
+            probe.on_done(&Dispatched { topic, message, evaluations, copies, publish_offset });
         }
     }
     probe.on_exit();
@@ -234,7 +223,7 @@ fn fan_out<P: DispatchProbe>(
             }
             out.evaluations += 1;
             if let Some(c) = &cost {
-                c.spin_filters(1);
+                spin_secs(c.t_fltr);
             }
             let hit = match &row.cmp {
                 Some(cmp) => cmp.run(resolved).is_true(),
@@ -246,7 +235,7 @@ fn fan_out<P: DispatchProbe>(
             let sub = &entry.sub;
             let delivery = probe.stage(Stage::Fanout, |_| {
                 if let Some(c) = &cost {
-                    c.spin_transmit();
+                    spin_secs(c.t_tx);
                 }
                 sub.queue.deliver(Arc::clone(message), inner.config.overflow_policy)
             });
@@ -334,6 +323,7 @@ mod tests {
     impl DispatchProbe for RecordingProbe<'_> {
         fn on_dequeue(
             &mut self,
+            _: &Topic,
             _: &Message,
             _: Option<u64>,
             was_queued: bool,

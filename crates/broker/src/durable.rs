@@ -6,6 +6,7 @@
 //! already received.
 
 use crate::broker::{BrokerInner, Topic};
+use crate::cost::spin_secs;
 use crate::dispatch::{Delivery, SubscriberQueue};
 use crate::error::Error;
 use crate::filter::Filter;
@@ -216,7 +217,7 @@ pub(crate) fn deliver<P: DispatchProbe>(
         evaluations += 1;
         let matched = probe.stage(Stage::Filter, |_| {
             if let Some(c) = &cost {
-                c.spin_filters(1);
+                spin_secs(c.t_fltr);
             }
             entry.matches(message, resolved)
         });
@@ -224,7 +225,7 @@ pub(crate) fn deliver<P: DispatchProbe>(
             continue;
         }
         if let Some(c) = &cost {
-            c.spin_transmit();
+            spin_secs(c.t_tx);
         }
         let durable = &entry.state;
         let mut connection = durable.connection.lock();

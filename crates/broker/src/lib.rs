@@ -16,9 +16,9 @@
 //!   FioranoMQ performs no identical-filter optimization,
 //! * one enqueue per matching subscriber (the replication grade `R`).
 //!
-//! An optional [`cost::CostModel`] burns calibrated CPU per message /
-//! filter / copy so that saturated wall-clock throughput reproduces the
-//! paper's measurements on modern hardware. An optional
+//! An optional cost model ([`BrokerConfig::cost_model`], [`cost`]) burns
+//! calibrated CPU per message / filter / copy so that saturated wall-clock
+//! throughput reproduces the paper's measurements on modern hardware. An optional
 //! [`config::MetricsConfig`] turns on live observability: the dispatcher
 //! records per-message waiting/service/sojourn times (and a sampled Eq. 1
 //! stage decomposition) into the lock-free histograms of `rjms-metrics`,
@@ -82,7 +82,6 @@ pub use config::{
     BrokerConfig, BrokerConfigBuilder, FlowConfig, MetricsConfig, OverflowPolicy,
     PersistenceConfig, TopicObsConfig, TraceConfig,
 };
-pub use cost::CostModel;
 pub use dispatch::Wake;
 pub use error::{Error, TryPublishError};
 pub use filter::Filter;

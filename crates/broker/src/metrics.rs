@@ -21,6 +21,9 @@
 //! | `broker.stage.journal_ns` | histogram | write-ahead append (`t_store`), sampled |
 //! | `broker.stage.filter_ns` | histogram | filter-scan stage (`n_fltr · t_fltr`), sampled |
 //! | `broker.stage.fanout_ns` | histogram | copy/transmit stage (`R · t_tx`), sampled |
+//! | `broker.topic.received{topic="…"}` | counter | messages popped off the publish queue on the topic, expired ones included; the first `per_topic_series` topics created get their own series, later ones share `topic="__other__"` |
+//! | `broker.topic.dispatched{topic="…"}` | counter | copies delivered from the topic (same labels) |
+//! | `broker.topics_overflowed` | counter | distinct topics folded into `__other__`: topics created beyond the series cap, or, with the topic observatory on, what its accounting table spilled |
 //! | `journal.append_ns` | histogram | every journal append (always on, from `rjms-journal`) |
 //! | `journal.fsync_ns` | histogram | every explicit fsync (always on, from `rjms-journal`) |
 

@@ -12,12 +12,13 @@
 //! pattern syntax / selector source) and re-parsed on recovery, so the
 //! journal format is decoupled from the selector AST.
 
-use crate::broker::{shard_of, BrokerInner, Topic};
+use crate::broker::BrokerInner;
 use crate::config::BrokerConfig;
 use crate::dispatch::Queued;
 use crate::durable::DurableState;
 use crate::filter::Filter;
 use crate::message::{Message, Priority};
+use crate::subscriptions::Subscriptions;
 use parking_lot::Mutex;
 use rjms_journal::Journal;
 use rjms_selector::value::Value;
@@ -465,23 +466,25 @@ impl BrokerInner {
     }
 }
 
-/// Replays the journal into a fresh topic registry: topics and durable
-/// subscriptions are re-created, and every publish logged after a durable
-/// subscription's registration but not covered by one of its checkpoint
-/// records goes back into its retained backlog (at-least-once
-/// re-delivery). Expired messages and backlog beyond
+/// Replays the journal into the recovered topics' names (in order) and
+/// durable subscriptions, from which `Broker::start` builds the topics: every
+/// publish logged after a durable subscription's registration but not
+/// covered by one of its checkpoint records goes back into its retained
+/// backlog (at-least-once re-delivery). Expired messages and backlog beyond
 /// `durable_buffer_capacity` are discarded, mirroring live behaviour.
 pub(crate) fn recover_topics(
     journal: &Journal,
     config: &BrokerConfig,
-) -> HashMap<String, Arc<Topic>> {
+) -> Vec<(String, Subscriptions)> {
     struct DurableRecovery {
         filter: Filter,
         /// `(journal offset, message)` publishes awaiting a checkpoint.
         backlog: VecDeque<(u64, Arc<Message>)>,
     }
 
-    let mut recovered: HashMap<String, HashMap<String, DurableRecovery>> = HashMap::new();
+    // By name, so that which topics get a metric series of their own does
+    // not depend on the run.
+    let mut recovered: BTreeMap<String, HashMap<String, DurableRecovery>> = BTreeMap::new();
     for item in journal.replay(journal.first_offset()) {
         let (offset, payload) = item.expect("failed to read back the write-ahead journal");
         let record = JournalRecord::decode(&payload).unwrap_or_else(|e| {
@@ -529,10 +532,9 @@ pub(crate) fn recover_topics(
         }
     }
 
-    let mut topics = HashMap::with_capacity(recovered.len());
+    let mut topics = Vec::with_capacity(recovered.len());
     for (topic_name, durables) in recovered {
-        let topic = Arc::new(Topic::new(&topic_name, shard_of(&topic_name, config.shards.max(1))));
-        let mut subs = topic.subs.write();
+        let mut subs = Subscriptions::default();
         for (name, recovery) in durables {
             let mut retained: VecDeque<Arc<Message>> = recovery
                 .backlog
@@ -546,8 +548,7 @@ pub(crate) fn recover_topics(
                 DurableState { name, retained: Mutex::new(retained), connection: Mutex::new(None) };
             subs.add_durable(Arc::new(state), recovery.filter);
         }
-        drop(subs);
-        topics.insert(topic_name, topic);
+        topics.push((topic_name, subs));
     }
     topics
 }

@@ -10,44 +10,51 @@
 //! sampler and the observatory are computed *from* the metrics timer, so
 //! separate probes would have to reach into each other.
 //!
-//! Hook contract, per message: `on_dequeue`, then any number of (possibly
-//! nested) `stage` calls, then exactly one of `on_expired` or `on_done`.
+//! Hook contract, per message: `on_dequeue` (handed the message's topic, on
+//! which the core itself counts received, evaluations and copies), then any
+//! number of (possibly nested) `stage` calls, then exactly one of
+//! `on_expired` or `on_done`.
 //! `on_idle` runs each time the publish queue is found empty, before the
 //! dispatcher blocks; `on_exit` runs once, after the last message.
 
-use crate::broker::BrokerInner;
+use crate::broker::{BrokerInner, Topic};
 use crate::config::TraceConfig;
 use crate::message::Message;
 use crate::metrics::{BrokerMetrics, DispatcherScratch, FLUSH_EVERY};
 use crate::stats::BrokerStats;
-use crate::topic_obs::{TopicObsScratch, TopicObservatory, OTHER_TOPIC};
-use rjms_metrics::{clock, labeled, Counter};
+use crate::topic_obs::{TopicObsScratch, TopicObservatory};
+use rjms_metrics::{clock, Counter};
 use rjms_trace::{FlightRecorder, SpanEvent, Stage};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// What the core knows about a message once its fan-out is complete.
 pub(crate) struct Dispatched<'a> {
-    pub(crate) topic: &'a str,
+    pub(crate) topic: &'a Topic,
     pub(crate) message: &'a Message,
     /// Filters evaluated (`n_fltr`) and copies delivered (`R`).
     pub(crate) evaluations: u64,
     pub(crate) copies: u64,
     /// Journal offset of the publish record; `None` without persistence.
     pub(crate) publish_offset: Option<u64>,
-    /// Whether this was the topic's first message since broker start.
-    pub(crate) first_on_topic: bool,
 }
 
 /// Observer of one dispatcher thread, owned by it (hence `&mut self`). The
 /// default bodies observe nothing.
 pub(crate) trait DispatchProbe {
-    /// A message was popped. `was_queued` is false when the dispatcher
-    /// had to block for it; `backlog` reads the queue depth left behind
-    /// (it takes the queue's lock, so only a probe that wants it pays).
+    /// A message of `Topic` was popped. `was_queued` is false when the
+    /// dispatcher had to block for it; `backlog` reads the queue depth left
+    /// behind (it takes the queue's lock, so only a probe that wants it pays).
     #[inline]
-    fn on_dequeue(&mut self, _: &Message, _: Option<u64>, _: bool, _: impl FnOnce() -> usize) {}
+    fn on_dequeue(
+        &mut self,
+        _: &Topic,
+        _: &Message,
+        _: Option<u64>,
+        _: bool,
+        _: impl FnOnce() -> usize,
+    ) {
+    }
 
     /// Runs one Eq. 1 stage of the current message. The probe is handed
     /// back to `work` so stages can nest; time spent in a nested stage
@@ -158,19 +165,12 @@ struct TraceSampler<'a> {
     kept_uniform: Arc<Counter>,
 }
 
-/// The labeled counter pair of one exported topic series.
-struct TopicCounters {
-    received: Arc<Counter>,
-    dispatched: Arc<Counter>,
-}
-
 /// The probe of a broker with metrics on: histogram staging, sampled stage
-/// timing, tail-sampled tracing, per-topic counters and the topic
+/// timing, tail-sampled tracing, the topics' exported series and the topic
 /// observatory's staging, for one dispatcher thread.
 pub(crate) struct Telemetry<'a> {
     metrics: &'a BrokerMetrics,
     stats: &'a BrokerStats,
-    shard: usize,
     /// Local staging for the per-message histograms, flushed on idle and
     /// every [`FLUSH_EVERY`] messages (`staged` counts them).
     scratch: DispatcherScratch,
@@ -181,11 +181,6 @@ pub(crate) struct Telemetry<'a> {
     /// a second clock read per message.
     last_end: Option<u64>,
     trace: Option<TraceSampler<'a>>,
-    /// Per-topic labeled counter series. Topic names are client-controlled,
-    /// so only the first `per_topic_series` topics get their own; the rest
-    /// share the `__other__` series.
-    per_topic_cap: usize,
-    topic_counters: HashMap<String, TopicCounters>,
     /// The observatory and this thread's staging for it, merged with the
     /// histogram scratch.
     topic_obs: Option<(&'a TopicObservatory, TopicObsScratch)>,
@@ -227,14 +222,11 @@ impl<'a> Telemetry<'a> {
         Some(Self {
             metrics,
             stats: &inner.stats,
-            shard,
             scratch,
             staged: 0,
             stage_sampler: Countdown::jittered(metrics.stage_sample_every),
             last_end: None,
             trace,
-            per_topic_cap: inner.config.metrics.map_or(0, |m| m.per_topic_series),
-            topic_counters: HashMap::new(),
             topic_obs: inner.topic_obs.as_ref().map(|o| (o, TopicObsScratch::default())),
             dispatch_start: 0,
             enqueued_at: 0,
@@ -268,39 +260,6 @@ impl<'a> Telemetry<'a> {
                 self.metrics.registry.counter("broker.topics_overflowed").add(spilled);
             }
         }
-    }
-
-    /// Bumps the labeled per-topic series for one dispatched message.
-    fn count_topic(&mut self, done: &Dispatched<'_>) {
-        if self.per_topic_cap == 0 {
-            return;
-        }
-        let name = if self.topic_counters.contains_key(done.topic)
-            || self.topic_counters.len() < self.per_topic_cap
-        {
-            done.topic
-        } else {
-            // Count each topic folded into `__other__` exactly once (on
-            // its first message) so the overflow counter tracks distinct
-            // topics, not suppressed traffic. When the observatory is on,
-            // its accounting-table cap drives the counter instead (see
-            // `flush`).
-            if done.first_on_topic && self.topic_obs.is_none() {
-                self.stats.record_topic_overflowed();
-                self.metrics.registry.counter("broker.topics_overflowed").inc();
-            }
-            OTHER_TOPIC
-        };
-        let registry = &self.metrics.registry;
-        let counters = self.topic_counters.entry(name.to_owned()).or_insert_with(|| {
-            let series = |base| registry.counter(&labeled(base, &[("topic", name)]));
-            TopicCounters {
-                received: series("broker.topic.received"),
-                dispatched: series("broker.topic.dispatched"),
-            }
-        });
-        counters.received.inc();
-        counters.dispatched.add(done.copies);
     }
 
     /// Tail-sampling commit point: the waiting and sojourn times (ns) are
@@ -345,11 +304,15 @@ impl<'a> Telemetry<'a> {
 impl DispatchProbe for Telemetry<'_> {
     fn on_dequeue(
         &mut self,
+        topic: &Topic,
         message: &Message,
         enqueued_at: Option<u64>,
         was_queued: bool,
         backlog: impl FnOnce() -> usize,
     ) {
+        if let Some(series) = &topic.series {
+            series.received.inc();
+        }
         // Sampled at the dispatch epoch: the queue now holds exactly the
         // messages that arrived during this message's waiting time.
         self.scratch.record_backlog(backlog() as u64);
@@ -401,7 +364,9 @@ impl DispatchProbe for Telemetry<'_> {
     }
 
     fn on_done(&mut self, done: &Dispatched<'_>) {
-        self.count_topic(done);
+        if let Some(series) = &done.topic.series {
+            series.dispatched.add(done.copies);
+        }
         let metrics = self.metrics;
         if self.sample_stages {
             let [rcv, journal, filter, fanout] = self.stage_ns;
@@ -423,8 +388,8 @@ impl DispatchProbe for Telemetry<'_> {
             let service_secs =
                 end.saturating_sub(dispatch_start) as f64 * metrics.ns_per_tick * 1e-9;
             staged.record(
-                done.topic,
-                self.shard,
+                &done.topic.name,
+                done.topic.shard,
                 done.evaluations.min(u64::from(u32::MAX)) as u32,
                 done.copies.min(u64::from(u32::MAX)) as u32,
                 service_secs,
@@ -457,21 +422,17 @@ mod tests {
     use crate::{Broker, BrokerConfig};
     use std::time::Duration;
 
-    /// An idle broker whose instruments a second, test-driven probe feeds.
-    fn broker(stage_sample_every: u64) -> Broker {
+    /// An idle broker whose instruments a test-driven probe feeds; its topic.
+    fn broker(stage_sample_every: u64) -> (Broker, Arc<Topic>) {
         let metrics = MetricsConfig::default().stage_sample_every(stage_sample_every);
-        Broker::start(BrokerConfig::builder().metrics(metrics).build())
+        let broker = Broker::start(BrokerConfig::builder().metrics(metrics).build());
+        broker.create_topic("t").unwrap();
+        let topic = broker.lookup("t").unwrap();
+        (broker, topic)
     }
 
-    fn done(message: &Message) -> Dispatched<'_> {
-        Dispatched {
-            topic: "t",
-            message,
-            evaluations: 0,
-            copies: 0,
-            publish_offset: None,
-            first_on_topic: false,
-        }
+    fn done<'a>(topic: &'a Topic, message: &'a Message) -> Dispatched<'a> {
+        Dispatched { topic, message, evaluations: 0, copies: 0, publish_offset: None }
     }
 
     /// An expired message sits between the previous fan-out end and the
@@ -479,40 +440,40 @@ mod tests {
     /// and the stage sample it drew passes to the next message.
     #[test]
     fn expired_message_neither_lends_its_timestamp_nor_swallows_the_stage_sample() {
-        let broker = broker(2);
+        let (broker, topic) = broker(2);
         let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
         let message = Message::builder().build();
 
-        probe.on_dequeue(&message, Some(clock::now()), false, || 0);
+        probe.on_dequeue(&topic, &message, Some(clock::now()), false, || 0);
         assert!(!probe.sample_stages);
-        probe.on_done(&done(&message));
+        probe.on_done(&done(&topic, &message));
         assert!(probe.last_end.is_some());
 
-        probe.on_dequeue(&message, Some(clock::now()), true, || 0);
+        probe.on_dequeue(&topic, &message, Some(clock::now()), true, || 0);
         assert!(probe.sample_stages, "every second message is sampled");
         probe.on_expired();
         let after_expiry = clock::now();
 
-        probe.on_dequeue(&message, Some(clock::now()), true, || 0);
+        probe.on_dequeue(&topic, &message, Some(clock::now()), true, || 0);
         assert!(probe.dispatch_start >= after_expiry, "stale dispatch start");
         assert!(probe.sample_stages, "the expired message's sample slot moved on");
-        probe.on_done(&done(&message));
+        probe.on_done(&done(&topic, &message));
         broker.shutdown();
     }
 
     /// Tick stamps become nanosecond waiting, service and sojourn samples.
     #[test]
     fn records_waiting_service_and_sojourn() {
-        let broker = broker(1);
+        let (broker, topic) = broker(1);
         let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
         let message = Message::builder().build();
         let pause = Duration::from_millis(2);
 
         let enqueued = clock::now();
         std::thread::sleep(pause);
-        probe.on_dequeue(&message, Some(enqueued), false, || 0);
+        probe.on_dequeue(&topic, &message, Some(enqueued), false, || 0);
         std::thread::sleep(pause);
-        probe.on_done(&done(&message));
+        probe.on_done(&done(&topic, &message));
         probe.on_exit();
 
         let snap = broker.metrics().unwrap().snapshot();
@@ -528,7 +489,7 @@ mod tests {
     /// minus the fan-out inside it).
     #[test]
     fn stage_clocks_timed_messages_only_and_books_nested_time_once() {
-        let broker = broker(2);
+        let (broker, topic) = broker(2);
         let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
         let message = Message::builder().build();
         let pause = Duration::from_millis(2);
@@ -541,11 +502,11 @@ mod tests {
         };
 
         // The first of every two messages is not sampled, so not clocked.
-        probe.on_dequeue(&message, None, false, || 0);
+        probe.on_dequeue(&topic, &message, None, false, || 0);
         assert_eq!((scan(&mut probe), probe.stage_ns), (7, [0; 4]));
-        probe.on_done(&done(&message));
+        probe.on_done(&done(&topic, &message));
 
-        probe.on_dequeue(&message, None, true, || 0);
+        probe.on_dequeue(&topic, &message, None, true, || 0);
         let outer = Instant::now();
         scan(&mut probe);
         let outer = outer.elapsed().as_nanos() as u64;
@@ -553,7 +514,7 @@ mod tests {
         assert_eq!((rcv, journal), (0, 0));
         assert!(filter >= 2_000_000 && fanout >= 2_000_000, "{filter} {fanout}");
         assert!(filter + fanout <= outer, "nested time booked twice: {filter} + {fanout}");
-        probe.on_done(&done(&message));
+        probe.on_done(&done(&topic, &message));
 
         // Only the sampled message reached the stage histograms.
         let snap = broker.metrics().unwrap().snapshot();
@@ -563,6 +524,36 @@ mod tests {
         assert_eq!(stage("broker.stage.fanout_ns").max, fanout);
         broker.shutdown();
     }
+    /// The probe bumps the pair each topic was given when it was created and
+    /// keeps no per-topic state of its own: 10 000 messages over three
+    /// topics leave three exact pairs.
+    #[test]
+    fn counts_into_the_series_the_topics_hold() {
+        let (broker, _) = broker(64);
+        let topics: Vec<Arc<Topic>> = ["a", "b", "c"]
+            .iter()
+            .map(|name| {
+                broker.create_topic(name).unwrap();
+                broker.lookup(name).unwrap()
+            })
+            .collect();
+        let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let message = Message::builder().build();
+        for index in 0..10_000usize {
+            let topic = &topics[index % 3];
+            probe.on_dequeue(topic, &message, None, true, || 0);
+            probe.on_done(&Dispatched { copies: (index % 3) as u64, ..done(topic, &message) });
+        }
+        let counters = broker.metrics().unwrap().snapshot().counters;
+        let pair = |topic: &str| {
+            let series = |base: &str| counters[&format!("{base}{{topic=\"{topic}\"}}")];
+            (series("broker.topic.received"), series("broker.topic.dispatched"))
+        };
+        assert_eq!([pair("a"), pair("b"), pair("c")], [(3334, 0), (3333, 3333), (3333, 6666)]);
+        assert_eq!(pair("t"), (0, 0), "a topic's series exists from its creation");
+        broker.shutdown();
+    }
+
     /// Saturated, a persistent dispatcher works through runs of 64 and the
     /// default sampling interval is 64: a fixed gap would look at one run
     /// position for ever. The jittered gaps reach every position, and
@@ -571,15 +562,14 @@ mod tests {
     fn stage_sampler_covers_every_position_of_a_run() {
         const RUN: usize = 64;
         const RUNS: usize = 4096;
-        let broker =
-            Broker::start(BrokerConfig::builder().metrics(MetricsConfig::default()).build());
+        let (broker, topic) = broker(MetricsConfig::default().stage_sample_every);
         let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
         let message = Message::builder().build();
         let mut sampled_at = [0u32; RUN];
         for index in 0..RUN * RUNS {
-            probe.on_dequeue(&message, None, true, || 0);
+            probe.on_dequeue(&topic, &message, None, true, || 0);
             sampled_at[index % RUN] += u32::from(probe.sample_stages);
-            probe.on_done(&done(&message));
+            probe.on_done(&done(&topic, &message));
         }
         assert!(sampled_at.iter().all(|&n| n > 0), "positions never sampled: {sampled_at:?}");
         let samples: u32 = sampled_at.iter().sum();

@@ -6,19 +6,60 @@
 //! the SLO engine all read it from here. Nothing here runs on the dispatch
 //! path.
 
-use crate::broker::BrokerInner;
+use crate::broker::{BrokerInner, Topic};
 use crate::config::BrokerConfig;
 use crate::stats::{
-    BrokerSnapshot, MessageCounters, ShardSnapshot, SubscriptionCounters, TopicStats,
+    per_message, BrokerSnapshot, MessageCounters, ShardSnapshot, SubscriptionCounters, TopicStats,
 };
 use rjms_core::{CostParams, ModelMonitor, ModelVerdict, ReplicationModel, ServerModel};
 use rjms_flow::FlowGate;
 use rjms_metrics::{clock, labeled, RegistrySnapshot};
 use rjms_trace::{group_chains, FlightRecorder};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Folds the topics' counters — the only place the per-message facts are
+/// written — into the broker's total (its `shard` reads 0) and one total per
+/// dispatcher shard, showing `each` topic the values that went into them.
+/// Every total the broker reports is read through here (the snapshot's
+/// `messages`, `shards` and `per_topic`, the model reports,
+/// [`ThroughputProbe`](crate::ThroughputProbe)), so within one reading the
+/// broker is the sum of its shards and of its topics.
+pub(crate) fn totals(
+    topics: &HashMap<String, Arc<Topic>>,
+    shards: usize,
+    mut each: impl FnMut(&Topic, TopicStats),
+) -> (ShardSnapshot, Vec<ShardSnapshot>) {
+    let zero = |shard| ShardSnapshot {
+        shard,
+        topics: 0,
+        received: 0,
+        dispatched: 0,
+        filter_evaluations: 0,
+    };
+    let (mut all, mut per_shard) = (zero(0), (0..shards).map(zero).collect::<Vec<_>>());
+    for t in topics.values() {
+        let received = t.received.load(Ordering::Relaxed);
+        let dispatched = t.dispatched.load(Ordering::Relaxed);
+        let filter_evaluations = t.filter_evaluations.load(Ordering::Relaxed);
+        for total in [&mut all, &mut per_shard[t.shard]] {
+            total.topics += 1;
+            total.received += received;
+            total.dispatched += dispatched;
+            total.filter_evaluations += filter_evaluations;
+        }
+        each(t, TopicStats { received, dispatched });
+    }
+    (all, per_shard)
+}
+
+/// The broker's [`totals`], for a reader that holds no lock.
+pub(crate) fn broker_totals(inner: &BrokerInner) -> ShardSnapshot {
+    totals(&inner.topics.read(), inner.config.shards, |_, _| {}).0
+}
 
 /// Builds a [`BrokerSnapshot`] from the shared broker state; the one
 /// implementation behind [`Broker::snapshot`](crate::Broker::snapshot) and
@@ -28,23 +69,17 @@ pub(crate) fn snapshot_of(inner: &BrokerInner) -> BrokerSnapshot {
     let topics = inner.topics.read();
     let mut per_topic = BTreeMap::new();
     let (mut live, mut durable) = (0usize, 0usize);
-    for (name, t) in topics.iter() {
+    let (all, shards) = totals(&topics, inner.config.shards, |t, counted| {
         let subs = t.subs.read();
         live += subs.live_plain();
         durable += subs.durables().len();
-        per_topic.insert(
-            name.clone(),
-            TopicStats {
-                received: t.received.load(Ordering::Relaxed),
-                dispatched: t.dispatched.load(Ordering::Relaxed),
-            },
-        );
-    }
+        per_topic.insert(t.name.clone(), counted);
+    });
     BrokerSnapshot {
         messages: MessageCounters {
-            received: stats.received(),
-            dispatched: stats.dispatched(),
-            filter_evaluations: stats.filter_evaluations(),
+            received: all.received,
+            dispatched: all.dispatched,
+            filter_evaluations: all.filter_evaluations,
             dropped: stats.dropped(),
             retained: stats.retained(),
             expired: stats.expired_messages(),
@@ -57,24 +92,7 @@ pub(crate) fn snapshot_of(inner: &BrokerInner) -> BrokerSnapshot {
         },
         journal: inner.journal.as_ref().map(|j| j.lock().stats()),
         flow: inner.flow.as_ref().map(|_| stats.flow_counters()),
-        shards: (inner.config.shards > 1).then(|| {
-            let mut topics_per = vec![0usize; inner.shard_stats.len()];
-            for t in topics.values() {
-                topics_per[t.shard] += 1;
-            }
-            inner
-                .shard_stats
-                .iter()
-                .enumerate()
-                .map(|(shard, s)| ShardSnapshot {
-                    shard,
-                    topics: topics_per[shard],
-                    received: s.received.load(Ordering::Relaxed),
-                    dispatched: s.dispatched.load(Ordering::Relaxed),
-                    filter_evaluations: s.filter_evaluations.load(Ordering::Relaxed),
-                })
-                .collect()
-        }),
+        shards: (inner.config.shards > 1).then_some(shards),
         per_topic,
         topics_overflowed: stats.topics_overflowed(),
     }
@@ -166,23 +184,7 @@ pub struct ShardReport {
 /// calibrated params when flow control is on, the synthetic cost model
 /// otherwise, none when the broker runs at native speed unmodeled.
 pub(crate) fn cost_anchor(config: &BrokerConfig) -> Option<CostParams> {
-    match (&config.flow, config.cost_model) {
-        (Some(flow), _) => Some(flow.params),
-        (None, Some(c)) => {
-            Some(CostParams { t_rcv: c.t_rcv, t_fltr: c.t_fltr, t_tx: c.t_tx, t_store: 0.0 })
-        }
-        (None, None) => None,
-    }
-}
-
-/// `total / received`, the per-message mean of a counter (0 before the
-/// first message).
-fn per_message(total: u64, received: u64) -> f64 {
-    if received > 0 {
-        total as f64 / received as f64
-    } else {
-        0.0
-    }
+    config.flow.as_ref().map(|flow| flow.params).or(config.cost_model)
 }
 
 /// The workspace's one assessment: Eq. 1 + M/GI/1 anchored on `params`,
@@ -199,11 +201,9 @@ fn monitor_at(params: CostParams, filters: f64, grade: f64) -> ModelMonitor {
 /// before the first message.
 pub(crate) fn monitor_of(inner: &BrokerInner) -> Option<ModelMonitor> {
     let params = cost_anchor(&inner.config)?;
-    let stats = &inner.stats;
-    let received = stats.received();
-    let filters = per_message(stats.filter_evaluations(), received);
-    let grade = per_message(stats.dispatched(), received);
-    (received > 0).then(|| monitor_at(params, filters, grade))
+    let all = broker_totals(inner);
+    let filters = per_message(all.filter_evaluations, all.received)?;
+    Some(monitor_at(params, filters, all.replication_grade()?))
 }
 
 /// Builds the per-shard model reports behind
@@ -222,6 +222,7 @@ fn shard_reports_in(inner: &BrokerInner, snap: &RegistrySnapshot) -> Vec<ShardRe
     let Some(params) = cost_anchor(&inner.config) else { return Vec::new() };
     let elapsed = inner.started.elapsed();
     let shards = inner.config.shards;
+    let (_, per_shard) = totals(&inner.topics.read(), shards, |_, _| {});
     (0..shards)
         .map(|shard| {
             // The single-dispatcher broker publishes no shard-labeled
@@ -236,12 +237,10 @@ fn shard_reports_in(inner: &BrokerInner, snap: &RegistrySnapshot) -> Vec<ShardRe
                     snap.histogram(&labeled("broker.service_ns", &pairs)),
                 )
             };
-            let counters = &inner.shard_stats[shard];
-            let received = counters.received.load(Ordering::Relaxed);
-            let filters =
-                per_message(counters.filter_evaluations.load(Ordering::Relaxed), received);
-            let replication_grade =
-                per_message(counters.dispatched.load(Ordering::Relaxed), received);
+            let total = &per_shard[shard];
+            // An idle shard is assessed at 0 filters, 0 copies.
+            let filters = per_message(total.filter_evaluations, total.received).unwrap_or(0.0);
+            let replication_grade = total.replication_grade().unwrap_or(0.0);
             let monitor = monitor_at(params, filters, replication_grade);
             // A shard whose histograms have not materialized yet (no
             // dispatch flushed) is an idle server, not a missing one.

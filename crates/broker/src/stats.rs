@@ -8,15 +8,17 @@
 //! implements the trimmed-window measurement.
 
 use crate::broker::Broker;
+use crate::reports::broker_totals;
 use rjms_journal::JournalStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// `dispatched / received`; `None` before the first message.
-fn replication_grade(received: u64, dispatched: u64) -> Option<f64> {
-    (received > 0).then(|| dispatched as f64 / received as f64)
+/// `total / received`, a counter's per-message mean (`dispatched`: the
+/// replication grade); `None` before the first message.
+pub(crate) fn per_message(total: u64, received: u64) -> Option<f64> {
+    (received > 0).then(|| total as f64 / received as f64)
 }
 
 /// Message-flow counters within a [`BrokerSnapshot`].
@@ -42,7 +44,7 @@ impl MessageCounters {
     /// Mean replication grade so far (`dispatched / received`); `None`
     /// before the first message.
     pub fn replication_grade(&self) -> Option<f64> {
-        replication_grade(self.received, self.dispatched)
+        per_message(self.dispatched, self.received)
     }
 }
 
@@ -92,7 +94,7 @@ impl ShardSnapshot {
     /// Mean replication grade on this shard; `None` before the first
     /// message.
     pub fn replication_grade(&self) -> Option<f64> {
-        replication_grade(self.received, self.dispatched)
+        per_message(self.dispatched, self.received)
     }
 }
 
@@ -109,7 +111,7 @@ impl TopicStats {
     /// Mean replication grade on this topic; `None` before the first
     /// message.
     pub fn replication_grade(&self) -> Option<f64> {
-        replication_grade(self.received, self.dispatched)
+        per_message(self.dispatched, self.received)
     }
 }
 
@@ -142,14 +144,12 @@ pub struct BrokerSnapshot {
     pub topics_overflowed: u64,
 }
 
-/// Lock-free counters shared between broker threads and observers. (The
-/// journal's counters are read from the journal itself: see
-/// [`BrokerSnapshot::journal`].)
+/// Lock-free counters of the broker's rare events, shared between broker
+/// threads and observers. (Received, dispatched and filter evaluations are
+/// counted per topic and summed where read; the journal's counters are read
+/// from the journal itself: see [`BrokerSnapshot::journal`].)
 #[derive(Debug, Default)]
 pub struct BrokerStats {
-    received: AtomicU64,
-    dispatched: AtomicU64,
-    filter_evaluations: AtomicU64,
     dropped: AtomicU64,
     expired_subscriptions: AtomicU64,
     retained: AtomicU64,
@@ -164,21 +164,6 @@ impl BrokerStats {
     /// Creates zeroed counters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Records one message received from a publisher.
-    pub fn record_received(&self) {
-        self.received.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `copies` message copies dispatched to subscribers.
-    pub fn record_dispatched(&self, copies: u64) {
-        self.dispatched.fetch_add(copies, Ordering::Relaxed);
-    }
-
-    /// Records `count` filter evaluations performed for one message.
-    pub fn record_filter_evaluations(&self, count: u64) {
-        self.filter_evaluations.fetch_add(count, Ordering::Relaxed);
     }
 
     /// Records a message copy dropped because a subscriber queue was full
@@ -219,7 +204,7 @@ impl BrokerStats {
 
     /// Records a topic folded into the `__other__` labeled metric series
     /// because the per-topic series cap was reached. Called once per
-    /// overflowed topic (on its first message), not per message.
+    /// overflowed topic, when it is created or recovered.
     pub fn record_topic_overflowed(&self) {
         self.topics_overflowed.fetch_add(1, Ordering::Relaxed);
     }
@@ -228,21 +213,6 @@ impl BrokerStats {
     /// `__other__` bucket by one accounting-table flush.
     pub fn record_topics_overflowed(&self, n: u64) {
         self.topics_overflowed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Messages received from publishers so far.
-    pub fn received(&self) -> u64 {
-        self.received.load(Ordering::Relaxed)
-    }
-
-    /// Message copies dispatched to subscribers so far.
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched.load(Ordering::Relaxed)
-    }
-
-    /// Filter evaluations performed so far.
-    pub fn filter_evaluations(&self) -> u64 {
-        self.filter_evaluations.load(Ordering::Relaxed)
     }
 
     /// Message copies dropped on full subscriber queues so far.
@@ -341,22 +311,18 @@ pub struct ThroughputProbe {
 impl ThroughputProbe {
     /// Starts measuring from the broker's current counter values.
     pub fn begin(broker: &Broker) -> Self {
-        let stats = broker.raw_stats();
-        Self {
-            received: stats.received(),
-            dispatched: stats.dispatched(),
-            started_at: Instant::now(),
-        }
+        let all = broker_totals(&broker.inner);
+        Self { received: all.received, dispatched: all.dispatched, started_at: Instant::now() }
     }
 
     /// Finishes measuring against the same broker and returns the window
     /// throughput.
     pub fn end(self, broker: &Broker) -> Throughput {
         let elapsed = self.started_at.elapsed().as_secs_f64().max(1e-9);
-        let stats = broker.raw_stats();
+        let all = broker_totals(&broker.inner);
         Throughput {
-            received_per_sec: stats.received().saturating_sub(self.received) as f64 / elapsed,
-            dispatched_per_sec: stats.dispatched().saturating_sub(self.dispatched) as f64 / elapsed,
+            received_per_sec: all.received.saturating_sub(self.received) as f64 / elapsed,
+            dispatched_per_sec: all.dispatched.saturating_sub(self.dispatched) as f64 / elapsed,
             window_secs: elapsed,
         }
     }
@@ -369,19 +335,15 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = BrokerStats::new();
-        s.record_received();
-        s.record_received();
-        s.record_dispatched(5);
-        s.record_filter_evaluations(7);
         s.record_dropped();
         s.record_retained();
         s.record_expired_message();
+        s.record_topic_overflowed();
+        s.record_topics_overflowed(2);
         assert_eq!(s.retained(), 1);
         assert_eq!(s.expired_messages(), 1);
-        assert_eq!(s.received(), 2);
-        assert_eq!(s.dispatched(), 5);
-        assert_eq!(s.filter_evaluations(), 7);
         assert_eq!(s.dropped(), 1);
+        assert_eq!(s.topics_overflowed(), 3);
     }
 
     #[test]
@@ -396,13 +358,12 @@ mod tests {
     #[test]
     fn probe_measures_deltas_only() {
         let broker = Broker::start(crate::BrokerConfig::default());
-        let s = broker.raw_stats();
-        s.record_received(); // before the probe starts — must not count
+        broker.create_topic("t").unwrap();
+        let topic = broker.lookup("t").unwrap();
+        topic.received.fetch_add(1, Ordering::Relaxed); // before the probe starts — must not count
         let probe = ThroughputProbe::begin(&broker);
-        for _ in 0..10 {
-            s.record_received();
-            s.record_dispatched(2);
-        }
+        topic.received.fetch_add(10, Ordering::Relaxed);
+        topic.dispatched.fetch_add(20, Ordering::Relaxed);
         std::thread::sleep(std::time::Duration::from_millis(20));
         let t = probe.end(&broker);
         assert!(t.window_secs >= 0.02);

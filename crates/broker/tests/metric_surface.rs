@@ -17,7 +17,8 @@ const TOPICS: [&str; 3] = ["alpha", "beta", "gamma"];
 ///
 /// Two labeled topic series plus an observatory table of two rows against
 /// three topics force both `__other__` paths, so the lazily created
-/// overflow series are part of the surface too.
+/// overflow series are part of the surface too. The series cap is the
+/// broker's, not a dispatcher's: both surfaces name the same topic series.
 fn surface(shards: usize) -> Vec<String> {
     let dir = scratch_dir(&format!("bkr-surface-{shards}"));
     let broker = Broker::start(
@@ -112,12 +113,12 @@ broker.stage.fanout_ns histogram
 broker.stage.filter_ns histogram
 broker.stage.journal_ns histogram
 broker.stage.rcv_ns histogram
+broker.topic.dispatched{topic="__other__"} counter
 broker.topic.dispatched{topic="alpha"} counter
 broker.topic.dispatched{topic="beta"} counter
-broker.topic.dispatched{topic="gamma"} counter
+broker.topic.received{topic="__other__"} counter
 broker.topic.received{topic="alpha"} counter
 broker.topic.received{topic="beta"} counter
-broker.topic.received{topic="gamma"} counter
 broker.topics_overflowed counter
 broker.waiting_ns histogram
 broker.waiting_ns{shard="0"} histogram
@@ -162,4 +163,39 @@ fn single_dispatcher_surface() {
 #[test]
 fn two_shard_surface() {
     assert_surface(2, TWO_SHARDS);
+}
+
+/// The series cap bounds the registry whatever the shard count: of eight
+/// topics on four shards, the first two created get a pair of their own and
+/// the other six share `__other__`, each counted as overflowed once.
+#[test]
+fn the_series_cap_is_broker_wide() {
+    let broker = Broker::start(
+        BrokerConfig::builder()
+            .shards(4)
+            .metrics(MetricsConfig::default().per_topic_series(2))
+            .build(),
+    );
+    let registry = broker.metrics().expect("metrics on");
+    let topics: Vec<String> = (0..8).map(|i| format!("t{i}")).collect();
+    for (i, topic) in topics.iter().enumerate() {
+        broker.create_topic(topic).unwrap();
+        let publisher = broker.publisher(topic).unwrap();
+        for _ in 0..=i {
+            publisher.publish(Message::builder().build()).unwrap();
+        }
+    }
+    let overflowed = broker.snapshot().topics_overflowed;
+    broker.shutdown();
+
+    let counters = registry.snapshot().counters;
+    let received: Vec<(&str, u64)> = counters
+        .iter()
+        .filter_map(|(name, v)| Some((name.strip_prefix("broker.topic.received")?, *v)))
+        .collect();
+    // t0 and t1 saw 1 and 2 messages, t2..t7 saw 3 + 4 + … + 8 = 33.
+    let expected = [(r#"{topic="__other__"}"#, 33), (r#"{topic="t0"}"#, 1), (r#"{topic="t1"}"#, 2)];
+    assert_eq!(received, expected);
+    assert_eq!(counters.keys().filter(|k| k.starts_with("broker.topic.dispatched")).count(), 3);
+    assert_eq!((overflowed, counters["broker.topics_overflowed"]), (6, 6));
 }

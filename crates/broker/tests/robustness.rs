@@ -1,6 +1,9 @@
 //! Failure injection and back-pressure behaviour of the broker.
 
-use rjms_broker::{Broker, BrokerConfig, CostModel, Filter, Message, OverflowPolicy};
+use rjms_broker::{
+    Broker, BrokerConfig, Filter, Message, MetricsConfig, OverflowPolicy, ShardSnapshot,
+};
+use rjms_core::CostParams;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,7 +18,7 @@ fn publisher_is_throttled_to_dispatch_rate() {
     let broker = Broker::start(
         BrokerConfig::builder()
             .publish_queue_capacity(4)
-            .cost_model(CostModel::new(per_message.as_secs_f64(), 0.0, 0.0))
+            .cost_model(CostParams::new(per_message.as_secs_f64(), 0.0, 0.0))
             .build(),
     );
     broker.create_topic("t").unwrap();
@@ -231,4 +234,59 @@ fn topic_stats_are_per_topic() {
     assert_eq!(b.dispatched, 0); // the only filter did not match
     assert!(!per_topic.contains_key("missing"));
     broker.shutdown();
+}
+
+/// Each per-message fact has one counter, on the topic; the broker's and
+/// the shards' totals are sums of those, so they agree exactly — expired
+/// messages included, which count as received ("popped off the publish
+/// queue") everywhere, and with metrics on the exported series say the same.
+#[test]
+fn broker_shard_and_topic_totals_are_one_count() {
+    let broker =
+        Broker::start(BrokerConfig::builder().shards(2).metrics(MetricsConfig::default()).build());
+    // With two shards, `alpha` and `beta` hash to one and `gamma` to the other.
+    let topics = ["alpha", "beta", "gamma"];
+    let mut subscribers = Vec::new();
+    let (mut published, mut expired) = (0u64, 0u64);
+    for (i, topic) in topics.iter().enumerate() {
+        broker.create_topic(topic).unwrap();
+        for _ in 0..=i {
+            subscribers.push(broker.subscription(topic).open().unwrap());
+        }
+        let miss = Filter::correlation_id("x").unwrap();
+        subscribers.push(broker.subscription(topic).filter(miss).open().unwrap());
+        let publisher = broker.publisher(topic).unwrap();
+        for n in 0..10 * (i as u64 + 1) {
+            let message = Message::builder();
+            let dead = n % 3 == 0;
+            let message = if dead { message.time_to_live(Duration::ZERO) } else { message };
+            publisher.publish(message.build()).unwrap();
+            published += 1;
+            expired += u64::from(dead);
+        }
+    }
+    let (observer, registry) = (broker.observer(), broker.metrics().expect("metrics on"));
+    broker.shutdown();
+
+    let snap = observer.snapshot();
+    let shards = snap.shards.as_ref().expect("two shards");
+    assert!(shards.iter().all(|s| s.received > 0), "{shards:?}");
+    let messages = snap.messages;
+    assert_eq!((messages.received, messages.expired), (published, expired));
+    let over_shards = |field: fn(&ShardSnapshot) -> u64| shards.iter().map(field).sum::<u64>();
+    assert_eq!(over_shards(|s| s.received), published);
+    assert_eq!(over_shards(|s| s.dispatched), messages.dispatched);
+    assert_eq!(over_shards(|s| s.filter_evaluations), messages.filter_evaluations);
+    assert_eq!(snap.per_topic.values().map(|t| t.received).sum::<u64>(), published);
+    assert_eq!(snap.per_topic.values().map(|t| t.dispatched).sum::<u64>(), messages.dispatched);
+    // 6, 13 and 20 live messages on topics with 1, 2 and 3 matching
+    // subscriptions and one that does not match.
+    assert_eq!((messages.dispatched, messages.filter_evaluations), (92, 131));
+
+    let counters = registry.snapshot().counters;
+    let series = |base: &str| {
+        counters.iter().filter(|(name, _)| name.starts_with(base)).map(|(_, v)| *v).sum::<u64>()
+    };
+    assert_eq!(series("broker.topic.received{"), published);
+    assert_eq!(series("broker.topic.dispatched{"), messages.dispatched);
 }

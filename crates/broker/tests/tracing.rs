@@ -75,7 +75,7 @@ fn chains_are_complete_and_monotone_for_all_published_messages() {
 }
 
 #[test]
-fn per_topic_counters_are_exported_and_capped() {
+fn per_topic_series_are_exported_and_capped() {
     let broker = Broker::start(
         BrokerConfig::builder().metrics(MetricsConfig::default().per_topic_series(2)).build(),
     );

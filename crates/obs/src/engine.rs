@@ -472,12 +472,15 @@ impl std::fmt::Debug for ObsRuntime {
 
 impl ObsRuntime {
     /// Starts the sampling thread: one `registry.snapshot()` and one
-    /// [`ObsCore::tick`] every `interval` until [`ObsRuntime::stop`].
+    /// [`ObsCore::tick`] every `interval` until [`ObsRuntime::stop`]. Before
+    /// each tick `monitor` is asked for the model at the host's measured
+    /// operating point ([`ObsCore::set_monitor`]); `None` keeps the last one.
     pub fn start(
         core: ObsCore,
         registry: MetricsRegistry,
         recorder: Option<Arc<FlightRecorder>>,
         interval: Duration,
+        monitor: impl Fn() -> Option<ModelMonitor> + Send + 'static,
     ) -> Self {
         let core = Arc::new(Mutex::new(core));
         let stop = Arc::new(AtomicBool::new(false));
@@ -491,7 +494,11 @@ impl ObsRuntime {
                     thread::sleep(interval);
                     let snapshot = registry.snapshot();
                     let elapsed = epoch.elapsed();
+                    let refreshed = monitor();
                     let mut core = thread_core.lock().expect("obs core lock");
+                    if let Some(monitor) = refreshed {
+                        core.set_monitor(monitor);
+                    }
                     core.tick(elapsed, &snapshot, recorder.as_deref());
                 }
             })
@@ -742,7 +749,7 @@ mod tests {
         let waiting = registry.histogram(WAITING_METRIC);
         waiting.record(1_000);
         let core = ObsCore::new(ObsConfig { slos: quick_specs(), ..ObsConfig::default() });
-        let runtime = ObsRuntime::start(core, registry, None, Duration::from_millis(5));
+        let runtime = ObsRuntime::start(core, registry, None, Duration::from_millis(5), || None);
         let shared = runtime.core();
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example broker_saturation`
 
-use rjms::broker::{Broker, BrokerConfig, CostModel, Filter, Message, ThroughputProbe};
+use rjms::broker::{Broker, BrokerConfig, Filter, Message, ThroughputProbe};
 use rjms::model::calibrate::{fit_cost_params_fixed_rcv, Observation};
 use rjms::model::model::ServerModel;
 use rjms::model::params::CostParams;
@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn measure(n_fltr: u32, replication: u32, window: Duration) -> (f64, f64) {
-    let cost = CostModel::CORRELATION_ID;
+    let cost = CostParams::CORRELATION_ID;
     let broker = Broker::start(
         BrokerConfig::builder()
             .publish_queue_capacity(64)
@@ -126,7 +126,7 @@ fn main() {
     // The intercept is fixed at the configured spin t_rcv: it is orders of
     // magnitude below the slope terms and a free intercept soaks up the
     // broker's mild non-linearity instead.
-    let calibration = fit_cost_params_fixed_rcv(&observations, CostModel::CORRELATION_ID.t_rcv)
+    let calibration = fit_cost_params_fixed_rcv(&observations, CostParams::CORRELATION_ID.t_rcv)
         .expect("well-conditioned grid");
     println!("configured spin costs : {}", CostParams::CORRELATION_ID);
     println!("fitted broker costs   : {}", calibration.params);

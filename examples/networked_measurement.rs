@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example networked_measurement`
 
-use rjms::broker::{BrokerConfig, CostModel, Message, ThroughputProbe};
+use rjms::broker::{BrokerConfig, Message, ThroughputProbe};
 use rjms::model::model::ServerModel;
 use rjms::model::params::CostParams;
 use rjms::net::client::RemoteBroker;
@@ -22,14 +22,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Inflate the paper's costs 20× so that TCP overhead is negligible
     // relative to the modeled CPU costs, keeping the run short.
     let scale = 20.0;
-    let cost = CostModel::new(8.52e-7 * scale, 7.02e-6 * scale, 1.70e-5 * scale);
-    let params = CostParams::new(cost.t_rcv, cost.t_fltr, cost.t_tx);
+    let params = CostParams::new(8.52e-7 * scale, 7.02e-6 * scale, 1.70e-5 * scale);
 
     let n_fltr = 30u32;
     let replication = 5u32;
 
     let server = BrokerServer::start(
-        BrokerConfig::builder().publish_queue_capacity(64).cost_model(cost).build(),
+        BrokerConfig::builder().publish_queue_capacity(64).cost_model(params).build(),
         "127.0.0.1:0",
     )?;
     let addr = server.local_addr();

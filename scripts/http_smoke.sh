@@ -79,8 +79,12 @@ awk '
 
 # --- /snapshot.json ----------------------------------------------------
 curl -sf "http://$HTTP_ADDR/snapshot.json" > "$WORKDIR/snapshot.json" || fail "/snapshot.json not served"
-grep -q "\"received\":$COUNT" "$WORKDIR/snapshot.json" || fail "/snapshot.json missing message counters"
-grep -q '"per_topic":{"smoke"' "$WORKDIR/snapshot.json" || fail "/snapshot.json missing per-topic stats"
+# One count, three readings: the broker's total, the topic's own and (above)
+# the topic's exported series all say $COUNT.
+grep -q "\"messages\":{\"received\":$COUNT," "$WORKDIR/snapshot.json" \
+  || fail "/snapshot.json messages.received is not $COUNT"
+grep -q "\"per_topic\":{\"smoke\":{\"received\":$COUNT," "$WORKDIR/snapshot.json" \
+  || fail "/snapshot.json per_topic.smoke.received is not $COUNT"
 
 # --- /traces: complete 5-stage chains for >=99% of published ids -------
 curl -sf "http://$HTTP_ADDR/traces" > "$WORKDIR/traces.json" || fail "/traces not served"

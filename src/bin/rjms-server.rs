@@ -37,8 +37,7 @@
 //! interleave mid-line and stdout stays machine-parseable.
 
 use rjms::broker::{
-    BrokerConfig, CostModel, FlowConfig, MetricsConfig, ThroughputProbe, TopicObsConfig,
-    TraceConfig,
+    BrokerConfig, FlowConfig, MetricsConfig, ThroughputProbe, TopicObsConfig, TraceConfig,
 };
 use rjms::http::{HttpServer, HttpState};
 use rjms::model::params::CostParams;
@@ -54,12 +53,12 @@ use std::time::Duration;
 /// Why a getter of a key the settings table defaults cannot come back empty.
 const DEFAULTED: &str = "the settings table gives this key a default";
 
-/// The Table I constants `--cost-model` names: what the dispatcher burns,
-/// and the same numbers as the flow model's parameters.
-fn cost_model(values: &Values) -> Option<(CostModel, CostParams)> {
-    values.text(Key::CostModel).map(|name| match name {
-        "corr" => (CostModel::CORRELATION_ID, CostParams::CORRELATION_ID),
-        _ => (CostModel::APPLICATION_PROPERTY, CostParams::APPLICATION_PROPERTY),
+/// The Table I constants `--cost-model` names: what the dispatcher burns
+/// and what the flow model is seeded with.
+fn cost_model(values: &Values) -> Option<CostParams> {
+    values.text(Key::CostPreset).map(|name| match name {
+        "corr" => CostParams::CORRELATION_ID,
+        _ => CostParams::APPLICATION_PROPERTY,
     })
 }
 
@@ -83,14 +82,14 @@ fn configs(values: &Values) -> (BrokerConfig, Option<ObsConfig>) {
         let quantile = values.number(Key::TraceQuantile).expect(DEFAULTED);
         builder = builder.trace(TraceConfig::default().tail_quantile(quantile));
     }
-    if let Some((cost, _)) = cost {
+    if let Some(cost) = cost {
         builder = builder.cost_model(cost);
     }
     if values.on(Key::Flow) {
         let mut flow = FlowConfig::default()
             .w99_objective(count(Key::FlowW99) as f64 / 1e3)
             .classes(u8::try_from(count(Key::FlowClasses)).expect("checked to be in 1..=10"));
-        if let Some((_, params)) = cost {
+        if let Some(params) = cost {
             // Seed the gate's analytic model with the same cost constants
             // the broker burns, so λ_max matches the machine it polices.
             flow = flow.params(params);
@@ -205,7 +204,11 @@ fn main() {
                 core.add_sink(Box::new(WebhookSink { addr, path }));
             }
         }
-        let runtime = ObsRuntime::start(core, registry, server.broker().tracer(), interval);
+        // The drift objective follows the broker's measured operating point.
+        let observer = server.broker().observer();
+        let monitor = move || observer.monitor();
+        let runtime =
+            ObsRuntime::start(core, registry, server.broker().tracer(), interval, monitor);
         if forecast.enabled {
             println!(
                 "slo engine on ({}s sampling, forecast horizon {}s at >= {} confidence)",
@@ -253,7 +256,6 @@ fn main() {
         let broker_metrics = server.broker().metrics().expect("metrics enabled above");
         let wire_metrics = server.metrics();
         let observer = server.broker().observer();
-        let obs_core = obs_runtime.as_ref().map(|r| r.core());
         std::thread::Builder::new()
             .name("rjms-metrics-export".to_owned())
             .spawn(move || loop {
@@ -261,13 +263,6 @@ fn main() {
                 let mut out = String::from("--- metrics ---\n");
                 out.push_str(&broker_metrics.snapshot().render_text());
                 out.push_str(&wire_metrics.snapshot().render_text());
-                // Keep the SLO engine's drift objective on the same
-                // measured operating point as this report.
-                if let (Some(core), Some(monitor)) = (&obs_core, observer.monitor()) {
-                    if let Ok(mut core) = core.lock() {
-                        core.set_monitor(monitor);
-                    }
-                }
                 out.push_str(&observer.model_text());
                 report(&out);
             })
@@ -347,7 +342,7 @@ mod tests {
             "high",
         ]);
         assert_eq!(broker.shards, 2);
-        assert_eq!(broker.cost_model, Some(CostModel::APPLICATION_PROPERTY));
+        assert_eq!(broker.cost_model, Some(CostParams::APPLICATION_PROPERTY));
         assert!(broker.trace.is_none(), "a trace tuning flag implies nothing, as at the parent");
         let flow = broker.flow.expect("--flow-w99 implies --flow");
         assert_eq!((flow.w99_objective, flow.classes), (0.005, 4));

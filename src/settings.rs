@@ -68,7 +68,7 @@ pub enum Key {
     Shards,
     StatsEvery,
     MetricsInterval,
-    CostModel,
+    CostPreset,
     Http,
     Trace,
     TraceQuantile,
@@ -205,7 +205,7 @@ pub static SETTINGS: [Row; ROWS] = [
         "print a throughput line to stderr at this interval"),
     row(Key::MetricsInterval, "--metrics-interval SECS", "metrics_interval", Kind::Count { min: 0, max: ANY }, "", None,
         "enable the dispatch instruments and print the full report at this interval"),
-    row(Key::CostModel, "--cost-model MODEL", "cost_model", Kind::Choice(&["corr", "app"]), "", None,
+    row(Key::CostPreset, "--cost-model MODEL", "cost_model", Kind::Choice(&["corr", "app"]), "", None,
         "burn the paper's Table I per-message costs (corr|app) and check the model against them"),
     row(Key::Http, "--http ADDR", "http", Kind::Text, "", None,
         "serve /metrics, /snapshot.json and the other rjms::http routes here"),
@@ -741,7 +741,7 @@ mod tests {
             (Key::Shards, "four", "non-negative integer"),
             (Key::Shards, "-1", "non-negative integer"),
             (Key::StatsEvery, "2.5", "non-negative integer"),
-            (Key::CostModel, "fast", "corr"),
+            (Key::CostPreset, "fast", "corr"),
             (Key::TraceQuantile, "1.5", "(0, 1)"),
             (Key::TraceQuantile, "0", "(0, 1)"),
             (Key::TraceQuantile, "high", "a number"),
@@ -838,7 +838,7 @@ mod tests {
             (Key::Http, "10.0.0.1:3", "10.0.0.2:4"),
             (Key::Shards, "2", "4"),
             (Key::StatsEvery, "5", "0"),
-            (Key::CostModel, "app", "corr"),
+            (Key::CostPreset, "app", "corr"),
             (Key::ForecastConfidence, "high", "low"),
             (Key::TraceQuantile, "0.9", "0.5"),
             (Key::TopicObsTarget, "2", "1.5"),
@@ -951,7 +951,7 @@ mod tests {
                 "",
                 "",
                 "Listen=127.0.0.1:7670 Topics=- Shards=1 StatsEvery=- MetricsInterval=- \
-                 CostModel=- Http=- Trace=- TraceQuantile=0.99 Slo=- AlertSinks=- Forecast=on \
+                 CostPreset=- Http=- Trace=- TraceQuantile=0.99 Slo=- AlertSinks=- Forecast=on \
                  Flow=- TopicObs=-",
             ),
             // 2: the schema example of the module docs
@@ -959,7 +959,7 @@ mod tests {
                 "",
                 &example,
                 "Listen=127.0.0.1:7670 Topics=orders,audit Shards=4 StatsEvery=10 \
-                 MetricsInterval=30 CostModel=corr Http=127.0.0.1:9100 Trace=on \
+                 MetricsInterval=30 CostPreset=corr Http=127.0.0.1:9100 Trace=on \
                  TraceQuantile=0.99 Slo=on History=2 \
                  AlertSinks=stderr,webhook:127.0.0.1:9200/alerts Forecast=on \
                  ForecastHorizon=600 ForecastTrendWindow=120 ForecastConfidence=high Flow=off \
@@ -971,7 +971,7 @@ mod tests {
                  --trace-quantile 0.5 --alert-sink stderr --forecast-confidence low \
                  --flow-classes 5",
                 &example,
-                "Listen=0.0.0.0:1 Topics=orders,audit,new Shards=2 CostModel=app \
+                "Listen=0.0.0.0:1 Topics=orders,audit,new Shards=2 CostPreset=app \
                  TraceQuantile=0.5 AlertSinks=stderr,webhook:127.0.0.1:9200/alerts \
                  ForecastConfidence=low ForecastHorizon=600 Flow=on FlowClasses=5 FlowW99=5",
             ),

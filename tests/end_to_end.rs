@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the real broker, the selector language,
 //! the cost model and the analytic model working together.
 
-use rjms::broker::{Broker, BrokerConfig, CostModel, Filter, Message, ThroughputProbe};
+use rjms::broker::{Broker, BrokerConfig, Filter, Message, ThroughputProbe};
 use rjms::model::calibrate::{fit_cost_params_fixed_rcv, Observation};
 use rjms::model::model::ServerModel;
 use rjms::model::params::CostParams;
@@ -116,7 +116,7 @@ fn saturated_broker_follows_linear_cost_model() {
     fn measure(n_fltr: u32, replication: u32) -> f64 {
         // Inflated costs so native overhead is negligible and windows stay
         // short.
-        let cost = CostModel::new(5e-6, 2e-5, 5e-5);
+        let cost = CostParams::new(5e-6, 2e-5, 5e-5);
         let broker = Broker::start(
             BrokerConfig::builder()
                 .publish_queue_capacity(32)

@@ -30,10 +30,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rjms::broker::{
-    shard_of, Broker, BrokerConfig, CostModel, Filter, Message, MetricsConfig, OverflowPolicy,
+    shard_of, Broker, BrokerConfig, Filter, Message, MetricsConfig, OverflowPolicy,
 };
 use rjms::desim::random::sample_exponential;
 use rjms::metrics::labeled;
+use rjms::model::params::CostParams;
 use rjms::obs::slo::{SERVICE_METRIC, WAITING_METRIC};
 use rjms::obs::{AlertPolicy, ForecastConfig, HistoryConfig, ObsConfig, ObsCore, BACKLOG_METRIC};
 use std::time::{Duration, Instant};
@@ -63,12 +64,12 @@ const TREND_WINDOW: Duration = Duration::from_millis(2500);
 
 #[test]
 fn paced_poisson_workload_satisfies_littles_law_per_shard() {
-    let cost = CostModel::new(
-        CostModel::CORRELATION_ID.t_rcv * COST_STRETCH,
-        CostModel::CORRELATION_ID.t_fltr * COST_STRETCH,
-        CostModel::CORRELATION_ID.t_tx * COST_STRETCH,
+    let cost = CostParams::new(
+        CostParams::CORRELATION_ID.t_rcv * COST_STRETCH,
+        CostParams::CORRELATION_ID.t_fltr * COST_STRETCH,
+        CostParams::CORRELATION_ID.t_tx * COST_STRETCH,
     );
-    let e_b = cost.processing_time(N_FILTERS as usize, 1);
+    let e_b = cost.mean_service_time(N_FILTERS, 1.0);
 
     // One topic per shard, found by probing the stable topic hash.
     let topic_for = |shard: usize| {

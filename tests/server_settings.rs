@@ -95,15 +95,12 @@ fn the_toggle_flag_switches_it_on_with_the_files_tuning() {
     }
 }
 
-/// `/model` is computed from the broker's shard reports at request time:
-/// flow control alone gives the model its anchor, and no report thread
-/// (`--metrics-interval`) or `--cost-model` has to be on for it to answer.
-#[test]
-fn model_endpoint_answers_with_flow_control_alone() {
-    let server = start("model", "", &["--slo", "--flow", "--topic", "t"]);
+/// Fifty paced publishes on `t` (under the default gate's per-producer
+/// burst), all delivered, and the dispatcher idle again so that its
+/// histograms are flushed.
+fn traffic(server: &Server) {
     let client = RemoteBroker::connect(server.address("rjms-server listening on ")).unwrap();
     let sub = client.subscribe("t", WireFilter::None).unwrap();
-    // Paced under the default gate's per-producer burst.
     for _ in 0..50 {
         client.publish("t", &Message::builder().build()).unwrap();
         std::thread::sleep(Duration::from_millis(2));
@@ -111,14 +108,45 @@ fn model_endpoint_answers_with_flow_control_alone() {
     for _ in 0..50 {
         sub.receive_timeout(Duration::from_secs(5)).expect("delivery");
     }
-    // The dispatcher flushes its histograms when it goes idle.
     std::thread::sleep(Duration::from_millis(200));
+}
+
+/// The body the server's HTTP endpoint answers `GET path` with.
+fn get(server: &Server, path: &str) -> String {
     let mut http = TcpStream::connect(server.address("http exposition on http://")).unwrap();
-    write!(http, "GET /model HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+    write!(http, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
     let mut response = String::new();
     http.read_to_string(&mut response).unwrap();
-    let body = response.split_once("\r\n\r\n").expect("header/body split").1;
+    response.split_once("\r\n\r\n").expect("header/body split").1.to_owned()
+}
+
+/// `/model` is computed from the broker's shard reports at request time:
+/// flow control alone gives the model its anchor, and no report thread
+/// (`--metrics-interval`) or `--cost-model` has to be on for it to answer.
+#[test]
+fn model_endpoint_answers_with_flow_control_alone() {
+    let server = start("model", "", &["--slo", "--flow", "--topic", "t"]);
+    traffic(&server);
+    let body = get(&server, "/model");
     assert!(body.starts_with("model check: "), "/model after traffic: {body:?}");
+}
+
+/// The SLO engine's sampling thread fetches the model monitor itself: with
+/// the engine on and the report thread (`--metrics-interval`) off, `/slo`
+/// carries a model verdict once two of its samples have traffic between
+/// them (the first sample, a second after start-up, is only the baseline).
+#[test]
+fn slo_engine_has_a_model_verdict_without_the_report_thread() {
+    let server = start("slo-verdict", "", &["--slo", "--flow", "--topic", "t"]);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        traffic(&server);
+        let body = get(&server, "/slo");
+        if body.contains("\"model_verdict\":\"") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "/slo never showed a verdict: {body}");
+    }
 }
 
 /// `rjms-sub --count 2` has printed one message when the broker dies: no

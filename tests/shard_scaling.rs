@@ -24,9 +24,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rjms::broker::{
-    shard_of, Broker, BrokerConfig, CostModel, Message, MetricsConfig, OverflowPolicy,
-};
+use rjms::broker::{shard_of, Broker, BrokerConfig, Message, MetricsConfig, OverflowPolicy};
 use rjms::desim::random::sample_exponential;
 use rjms::model::params::CostParams;
 use rjms::model::ClusterScenario;
@@ -102,7 +100,7 @@ fn four_shards_partition_topics_and_preserve_totals() {
     let broker = Broker::start(
         BrokerConfig::builder()
             .shards(SHARDS)
-            .cost_model(CostModel::CORRELATION_ID)
+            .cost_model(CostParams::CORRELATION_ID)
             .subscriber_queue_capacity(256)
             .build(),
     );
@@ -160,7 +158,7 @@ fn per_shard_waiting_time_matches_cluster_scenario() {
     const SHARDS: usize = 2;
     const SUBS_PER_TOPIC: usize = 4;
     const MSGS_PER_SHARD: u64 = 1_300;
-    let cost = CostModel::new(500e-6, 250e-6, 375e-6);
+    let cost = CostParams::new(500e-6, 250e-6, 375e-6);
     let service_mean = 3.0e-3; // 500µs + 4·250µs + 4·375µs
     let rho = 0.55;
     let per_shard_rate = rho / service_mean;
@@ -217,12 +215,7 @@ fn per_shard_waiting_time_matches_cluster_scenario() {
     };
 
     let scenario = ClusterScenario {
-        params: CostParams {
-            t_rcv: cost.t_rcv,
-            t_fltr: cost.t_fltr,
-            t_tx: cost.t_tx,
-            t_store: 0.0,
-        },
+        params: cost,
         brokers: SHARDS as u32,
         subscribers: (SHARDS * SUBS_PER_TOPIC) as u32,
         filters_per_subscriber: 1,
@@ -278,7 +271,7 @@ fn sharded_throughput_scales_with_dispatchers() {
         let broker = Broker::start(
             BrokerConfig::builder()
                 .shards(shards)
-                .cost_model(CostModel::new(0.85e-6, 7.02e-6, 17.0e-6))
+                .cost_model(CostParams::new(0.85e-6, 7.02e-6, 17.0e-6))
                 .publish_queue_capacity(64)
                 .subscriber_queue_capacity(1 << 10)
                 .overflow_policy(OverflowPolicy::DropNew)

@@ -17,9 +17,10 @@
 //!    the snapshot's `topics_overflowed`).
 
 use rjms::broker::{
-    shard_of, Broker, BrokerConfig, CostModel, Filter, Message, TopicObsConfig,
-    TopicObservatorySnapshot, OTHER_TOPIC,
+    shard_of, Broker, BrokerConfig, Filter, Message, TopicObsConfig, TopicObservatorySnapshot,
+    OTHER_TOPIC,
 };
+use rjms::model::params::CostParams;
 use rjms::obs::topics::{analyze_skew, SkewConfig, TopicLoad};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -70,7 +71,7 @@ fn regressor_converges_on_two_population_workload() {
 
     let broker = Broker::start(
         BrokerConfig::builder()
-            .cost_model(CostModel::new(T_RCV, T_FLTR, T_TX))
+            .cost_model(CostParams::new(T_RCV, T_FLTR, T_TX))
             .topic_obs(TopicObsConfig::default())
             .subscriber_queue_capacity(1 << 10)
             .build(),
@@ -182,7 +183,7 @@ fn advisor_moves_rebalance_a_skewed_placement() {
     let broker = Broker::start(
         BrokerConfig::builder()
             .shards(SHARDS)
-            .cost_model(CostModel::new(100e-6, 50e-6, 100e-6))
+            .cost_model(CostParams::new(100e-6, 50e-6, 100e-6))
             .topic_obs(TopicObsConfig::default())
             .subscriber_queue_capacity(1 << 10)
             .build(),

@@ -3,31 +3,55 @@
 //! these numbers repeat on any machine, so a change that adds or skips a
 //! filter evaluation or a copy fails here whatever it does to msgs/s
 //! (ROADMAP 4 (b); `perf_ledger/src/workloads.rs` has the timed versions).
+//! Each count is kept once, on the topic, so every run also checks that
+//! the broker's totals are exactly the sums of its shards' and its topics'.
 
-use rjms::broker::{Broker, BrokerConfig, Filter, Message, OverflowPolicy, Subscriber};
+use rjms::broker::{
+    shard_of, Broker, BrokerConfig, BrokerSnapshot, Filter, Message, OverflowPolicy, ShardSnapshot,
+    Subscriber, TopicStats,
+};
 use std::time::Duration;
 
 const MESSAGES: u64 = 1_000;
 
-/// The ledger's broker: one dispatcher, blocking subscriber queues that
-/// hold the whole run.
-fn broker() -> Broker {
+/// The ledger's broker (one dispatcher, unless told otherwise): blocking
+/// subscriber queues that hold the whole run.
+fn broker(shards: usize, topics: &[&str]) -> Broker {
     let config = BrokerConfig::builder()
-        .shards(1)
+        .shards(shards)
         .subscriber_queue_capacity(MESSAGES as usize)
         .overflow_policy(OverflowPolicy::Block)
         .build();
     let broker = Broker::start(config);
-    broker.create_topic("t").unwrap();
+    for topic in topics {
+        broker.create_topic(topic).unwrap();
+    }
     broker
 }
 
-/// Publishes the run — every message carries correlation ID `#0` and
-/// `key = 0`, as the ledger's do — waits for the last copy and checks the
-/// broker's counters: every subscription evaluated for every message, a
-/// copy to each of `matching`, nothing to `idle`, nothing dropped.
-fn run_and_count(broker: &Broker, matching: &[Subscriber], idle: &[Subscriber]) {
-    let publisher = broker.publisher("t").unwrap();
+/// Broker = Σ shards = Σ topics, for received, copies and (the snapshot has
+/// them per shard only) filter evaluations.
+fn assert_totals_are_sums(snap: &BrokerSnapshot) {
+    let m = snap.messages;
+    let topics = |field: fn(&TopicStats) -> u64| snap.per_topic.values().map(field).sum::<u64>();
+    assert_eq!((topics(|t| t.received), topics(|t| t.dispatched)), (m.received, m.dispatched));
+    if let Some(shards) = &snap.shards {
+        let shards = |field: fn(&ShardSnapshot) -> u64| shards.iter().map(field).sum::<u64>();
+        assert_eq!(
+            (shards(|s| s.received), shards(|s| s.dispatched), shards(|s| s.filter_evaluations)),
+            (m.received, m.dispatched, m.filter_evaluations)
+        );
+    }
+}
+
+/// Publishes the run on `topic` — every message carries correlation ID `#0`
+/// and `key = 0`, as the ledger's do — waits for the last copy and checks
+/// what the broker's counters gained: every subscription evaluated for
+/// every message, a copy to each of `matching`, nothing to `idle`, nothing
+/// dropped.
+fn run_and_count(broker: &Broker, topic: &str, matching: &[Subscriber], idle: &[Subscriber]) {
+    let before = broker.snapshot().messages;
+    let publisher = broker.publisher(topic).unwrap();
     for seq in 0..MESSAGES as i64 {
         let message =
             Message::builder().correlation_id("#0").property("key", 0i64).property("seq", seq);
@@ -41,7 +65,12 @@ fn run_and_count(broker: &Broker, matching: &[Subscriber], idle: &[Subscriber]) 
         assert_eq!(message.property("seq"), Some(&seq.into()));
     }
     let filters = (matching.len() + idle.len()) as u64;
-    let expected = (MESSAGES, MESSAGES * filters, MESSAGES * matching.len() as u64, 0);
+    let expected = (
+        before.received + MESSAGES,
+        before.filter_evaluations + MESSAGES * filters,
+        before.dispatched + MESSAGES * matching.len() as u64,
+        0,
+    );
     let counted = || {
         let m = broker.snapshot().messages;
         (m.received, m.filter_evaluations, m.dispatched, m.dropped)
@@ -53,24 +82,25 @@ fn run_and_count(broker: &Broker, matching: &[Subscriber], idle: &[Subscriber]) 
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(counted(), expected, "(received, filter evaluations, copies, dropped)");
+    assert_totals_are_sums(&broker.snapshot());
     for sub in &matching[..matching.len() - 1] {
         assert_eq!(sub.queued() as u64, MESSAGES);
     }
     assert!(idle.iter().all(|sub| sub.queued() == 0));
 }
 
-fn subscribe(broker: &Broker, filter: Filter) -> Subscriber {
-    broker.subscription("t").filter(filter).open().unwrap()
+fn subscribe(broker: &Broker, topic: &str, filter: Filter) -> Subscriber {
+    broker.subscription(topic).filter(filter).open().unwrap()
 }
 
 /// `inproc_filter`: 256 selectors `key = i`, one of them hit.
 #[test]
 fn the_filter_shape_evaluates_256_selectors_per_message_and_copies_once() {
-    let broker = broker();
+    let broker = broker(1, &["t"]);
     let selector = |key: u32| Filter::selector(&format!("key = {key}")).unwrap();
-    let idle: Vec<_> = (1..256).map(|key| subscribe(&broker, selector(key))).collect();
-    let matching = [subscribe(&broker, selector(0))];
-    run_and_count(&broker, &matching, &idle);
+    let idle: Vec<_> = (1..256).map(|key| subscribe(&broker, "t", selector(key))).collect();
+    let matching = [subscribe(&broker, "t", selector(0))];
+    run_and_count(&broker, "t", &matching, &idle);
     assert_eq!(broker.snapshot().messages.filter_evaluations, 256_000);
     broker.shutdown();
 }
@@ -78,11 +108,33 @@ fn the_filter_shape_evaluates_256_selectors_per_message_and_copies_once() {
 /// `inproc_fanout`: 32 correlation-ID filters, all of them hit.
 #[test]
 fn the_fanout_shape_evaluates_32_filters_per_message_and_copies_32_times() {
-    let broker = broker();
+    let broker = broker(1, &["t"]);
     let matching: Vec<_> =
-        (0..32).map(|_| subscribe(&broker, Filter::correlation_id("#0").unwrap())).collect();
-    run_and_count(&broker, &matching, &[]);
+        (0..32).map(|_| subscribe(&broker, "t", Filter::correlation_id("#0").unwrap())).collect();
+    run_and_count(&broker, "t", &matching, &[]);
     let messages = broker.snapshot().messages;
     assert_eq!((messages.filter_evaluations, messages.dispatched), (32_000, 32_000));
+    broker.shutdown();
+}
+
+/// Two shards with a topic each: every shard counts what a single
+/// dispatcher would, and the broker's totals are their sums.
+#[test]
+fn two_shards_count_their_own_topics_and_the_broker_is_their_sum() {
+    let topics = ["beta", "gamma"];
+    assert_ne!(shard_of(topics[0], 2), shard_of(topics[1], 2));
+    let broker = broker(2, &topics);
+    for topic in topics {
+        let corr = |id: &str| subscribe(&broker, topic, Filter::correlation_id(id).unwrap());
+        let idle: Vec<_> = (0..8).map(|_| corr("#1")).collect();
+        let matching: Vec<_> = (0..4).map(|_| corr("#0")).collect();
+        run_and_count(&broker, topic, &matching, &idle);
+    }
+    let snap = broker.snapshot();
+    for shard in snap.shards.as_ref().expect("two shards") {
+        let counted = (shard.topics, shard.received, shard.filter_evaluations, shard.dispatched);
+        assert_eq!(counted, (1, MESSAGES, 12 * MESSAGES, 4 * MESSAGES), "shard {}", shard.shard);
+    }
+    assert_eq!(snap.messages.filter_evaluations, 24_000);
     broker.shutdown();
 }
