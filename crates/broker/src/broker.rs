@@ -40,8 +40,8 @@ use crate::reports::{
     ShardReport,
 };
 use crate::stats::{BrokerSnapshot, BrokerStats};
-use crate::subscriptions::{LiveFlag, LiveFlags, Subscriptions};
-use crate::topic_obs::{TopicObservatory, TopicObservatorySnapshot, OTHER_TOPIC};
+use crate::subscriptions::{LiveFlag, LiveFlags, Sink, Subscriptions};
+use crate::topic_obs::{Account, TopicObservatory, TopicObservatorySnapshot, OTHER_TOPIC};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
 use rjms_core::ModelMonitor;
@@ -66,18 +66,27 @@ impl fmt::Display for SubscriptionId {
     }
 }
 
-/// One subscriber's registration on a topic.
+/// One subscription's registration on a topic: a plain subscriber's, or a
+/// named durable subscription's under its current filter.
 pub(crate) struct Subscription {
     pub(crate) filter: Filter,
-    pub(crate) queue: SubscriberQueue,
+    pub(crate) sink: Sink,
     /// Cleared when the subscriber handle is dropped; the dispatcher prunes
-    /// inactive subscriptions lazily.
+    /// inactive subscriptions lazily. A durable subscription's never is.
     pub(crate) active: LiveFlag,
 }
 
 /// A topic: a named set of subscriptions, plain and durable, and the one
 /// home of the per-message counters ([`BrokerInner::new_topic`] builds it).
+///
+/// Aligned to a cache line so that, inside the `Arc` every publish clones,
+/// no field shares the line of the reference counts: the publisher's clone
+/// and the dispatcher's drop bounce that line between their cores once per
+/// message, and which of the dispatcher's own fields (`subs`' lock word, the
+/// counters) happened to sit on it moved `inproc_bare` by −12 % to +6 % as
+/// fields were added (EXPERIMENTS.md "PR 24").
 #[derive(Default)]
+#[repr(align(64))]
 pub(crate) struct Topic {
     pub(crate) name: String,
     /// The dispatcher shard this topic is pinned to ([`shard_of`]); all of
@@ -94,6 +103,9 @@ pub(crate) struct Topic {
     /// The labeled pair the telemetry probe bumps; `None` without metrics
     /// or with a series cap of 0.
     pub(crate) series: Option<TopicSeries>,
+    /// The topic's own observatory account; `None` without an observatory
+    /// or beyond its cap ([`TopicObservatory::account_of`]).
+    pub(crate) account: Option<Account>,
 }
 
 /// One exported `broker.topic.received|dispatched{topic=…}` counter pair: a
@@ -165,7 +177,7 @@ pub(crate) struct BrokerInner {
     patterns: RwLock<Vec<PatternSubscription>>,
     next_subscription_id: AtomicU64,
     /// Where subscriptions get their liveness flags.
-    live_flags: Mutex<LiveFlags>,
+    pub(crate) live_flags: Mutex<LiveFlags>,
     pub(crate) stopped: AtomicBool,
     /// The write-ahead journal, when persistence is enabled. The dispatcher
     /// appends publishes and checkpoints; API threads append topology
@@ -193,32 +205,39 @@ pub(crate) struct BrokerInner {
 }
 
 impl BrokerInner {
-    /// Builds a topic, created or recovered, and assigns its labeled series:
-    /// the first [`MetricsConfig::per_topic_series`] of the broker's topics
-    /// (`existing` came before this one) get a pair of their own, every later
-    /// one shares `__other__` and is counted in `topics_overflowed` once, here
-    /// (unless the observatory is on: its table governs that counter).
+    fn topic_observatory(&self) -> Option<TopicObservatorySnapshot> {
+        self.topic_obs.as_ref().map(|o| o.snapshot(self.topics.read().values()))
+    }
+
+    /// Builds a topic, created or recovered, and assigns what it owns in each
+    /// enabled per-topic table: the first [`MetricsConfig::per_topic_series`]
+    /// of the broker's topics (`existing` came before this one) get a labeled
+    /// series pair of their own, the first `per_topic_cap` an observatory
+    /// account; later ones share `__other__`. A topic denied a slot of its
+    /// own in either table is counted in `topics_overflowed` once, here.
     fn new_topic(&self, name: &str, subs: Subscriptions, existing: usize) -> Arc<Topic> {
-        let cap = self.config.metrics.map_or(0, |m| m.per_topic_series);
-        let series = self.metrics.as_ref().filter(|_| cap > 0).map(|metrics| {
-            let registry = &metrics.registry;
-            let own = existing < cap;
-            if !own && self.topic_obs.is_none() {
-                self.stats.record_topic_overflowed();
-                registry.counter("broker.topics_overflowed").inc();
-            }
-            let label = if own { name } else { OTHER_TOPIC };
-            let counter = |base| registry.counter(&labeled(base, &[("topic", label)]));
+        let series_cap = self.config.metrics.map(|m| m.per_topic_series).filter(|cap| *cap > 0);
+        let account_cap = self.config.topic_obs.map(|o| o.per_topic_cap);
+        let series = series_cap.zip(self.metrics.as_ref()).map(|(cap, metrics)| {
+            let label = if existing < cap { name } else { OTHER_TOPIC };
+            let counter = |base| metrics.registry.counter(&labeled(base, &[("topic", label)]));
             TopicSeries {
                 received: counter("broker.topic.received"),
                 dispatched: counter("broker.topic.dispatched"),
             }
         });
+        if [series_cap, account_cap].into_iter().flatten().any(|cap| existing >= cap) {
+            self.stats.record_topic_overflowed();
+            if let Some(metrics) = &self.metrics {
+                metrics.registry.counter("broker.topics_overflowed").inc();
+            }
+        }
         Arc::new(Topic {
             name: name.to_owned(),
             shard: shard_of(name, self.config.shards),
             subs: RwLock::new(subs),
             series,
+            account: account_cap.filter(|cap| existing < *cap).map(|_| Account::default()),
             ..Topic::default()
         })
     }
@@ -310,11 +329,12 @@ impl Broker {
             flow.shards = shards as u32;
         }
         let stats = Arc::new(BrokerStats::new());
+        let mut live_flags = LiveFlags::default();
         let mut recovered = Vec::new(); // in name order
         let journal = config.persistence.as_ref().map(|persistence| {
             let (journal, _report) = Journal::open(persistence.journal.clone())
                 .expect("failed to open the write-ahead journal");
-            recovered = recover_topics(&journal, &config);
+            recovered = recover_topics(&journal, &config, &mut live_flags);
             Mutex::new(journal)
         });
         let metrics = config.metrics.map(|m| BrokerMetrics::new(m.stage_sample_every));
@@ -350,7 +370,7 @@ impl Broker {
             topics: RwLock::new(HashMap::new()),
             patterns: RwLock::new(Vec::new()),
             next_subscription_id: AtomicU64::new(1),
-            live_flags: Mutex::default(),
+            live_flags: Mutex::new(live_flags),
             stopped: AtomicBool::new(false),
             journal,
             metrics,
@@ -423,7 +443,7 @@ impl Broker {
             patterns.retain(|p| match p.subscription.upgrade() {
                 Some(sub) if sub.active.is_set() => {
                     if p.pattern.matches(name) {
-                        topic.subs.write().add_plain(sub);
+                        topic.subs.write().add(sub);
                     }
                     true
                 }
@@ -538,16 +558,17 @@ impl Broker {
     ) -> Result<Subscriber, Error> {
         self.ensure_running()?;
         let active = self.inner.live_flags.lock().next();
-        let sub = Arc::new(Subscription { filter, queue, active: active.clone() });
+        let sink = Sink::Plain(queue);
+        let sub = Arc::new(Subscription { filter, sink, active: active.clone() });
         let pattern_registration = match pattern {
             None => {
-                self.lookup(target)?.subs.write().add_plain(sub);
+                self.lookup(target)?.subs.write().add(sub);
                 None
             }
             Some(pattern) => {
                 for (name, topic) in self.inner.topics.read().iter() {
                     if pattern.matches(name) {
-                        topic.subs.write().add_plain(Arc::clone(&sub));
+                        topic.subs.write().add(Arc::clone(&sub));
                     }
                 }
                 // Register for topics created later. The topic lists only
@@ -612,13 +633,13 @@ impl Broker {
         self.ensure_running()?;
         let topic = self.lookup(topic)?;
         let mut subs = topic.subs.write();
-        let Some(durable) = subs.durable(name) else {
+        let Some((durable, _)) = subs.durable(name) else {
             return Err(Error::DurableNotFound {
                 topic: topic.name.clone(),
                 name: name.to_owned(),
             });
         };
-        if durable.state.connection.lock().is_some() {
+        if durable.connection.lock().is_some() {
             return Err(Error::DurableStillConnected {
                 topic: topic.name.clone(),
                 name: name.to_owned(),
@@ -638,7 +659,7 @@ impl Broker {
             None => Vec::new(),
             Some(t) => {
                 let mut names: Vec<String> =
-                    t.subs.read().durables().iter().map(|d| d.state.name.clone()).collect();
+                    t.subs.read().durables().map(|(d, _)| d.name.clone()).collect();
                 names.sort();
                 names
             }
@@ -661,7 +682,7 @@ impl Broker {
     fn with_durable<T>(&self, topic: &str, name: &str, read: fn(&DurableState) -> T) -> Option<T> {
         let topic = self.inner.topics.read().get(topic).cloned()?;
         let subs = topic.subs.read();
-        subs.durable(name).map(|d| read(&d.state))
+        subs.durable(name).map(|(d, _)| read(d))
     }
 
     /// A typed point-in-time snapshot of the whole broker: message
@@ -733,7 +754,7 @@ impl Broker {
     /// per-topic arrival rates, fitted Eq. 1 cost parameters and
     /// drift verdicts (see [`TopicObservatorySnapshot`]).
     pub fn topic_observatory(&self) -> Option<TopicObservatorySnapshot> {
-        self.inner.topic_obs.as_ref().map(|o| o.snapshot())
+        self.inner.topic_observatory()
     }
 
     /// Stops the broker: publishers fail fast, the dispatcher drains the
@@ -824,7 +845,7 @@ impl BrokerObserver {
 
     /// A per-topic observatory snapshot (see [`Broker::topic_observatory`]).
     pub fn topic_observatory(&self) -> Option<TopicObservatorySnapshot> {
-        self.inner.topic_obs.as_ref().map(|o| o.snapshot())
+        self.inner.topic_observatory()
     }
 
     /// The analytic model at the broker's measured operating point (mean
@@ -1756,6 +1777,29 @@ mod tests {
             // Far too few samples for a calibration verdict.
             assert!(matches!(r.verdict, ModelVerdict::Insufficient { .. }));
         }
+        b.shutdown();
+    }
+
+    /// A topic denied a slot of its own in either per-topic table is one
+    /// overflowed topic, counted when it is created: of five topics under a
+    /// series cap of 2 and an observatory cap of 3, the last three share the
+    /// `__other__` series and the last two the `__other__` account.
+    #[test]
+    fn a_topic_beyond_either_cap_is_counted_as_overflowed_once() {
+        let config = BrokerConfig::builder()
+            .shards(2)
+            .metrics(MetricsConfig::default().per_topic_series(2))
+            .topic_obs(crate::TopicObsConfig::default().per_topic_cap(3))
+            .build();
+        let b = Broker::start(config);
+        for (created, topic) in ["a", "b", "c", "d", "e"].iter().enumerate() {
+            b.create_topic(topic).unwrap();
+            assert_eq!(b.snapshot().topics_overflowed, created.saturating_sub(1) as u64);
+        }
+        let overflowed = b.metrics().unwrap().snapshot().counters["broker.topics_overflowed"];
+        let observatory = b.topic_observatory().unwrap();
+        assert_eq!((overflowed, observatory.overflowed_topics), (3, 2));
+        assert!(observatory.topics.is_empty(), "no topic has seen a message");
         b.shutdown();
     }
 }

@@ -17,10 +17,10 @@
 use crate::broker::{BrokerInner, DispatchItem, Topic};
 use crate::config::OverflowPolicy;
 use crate::cost::spin_secs;
-use crate::durable::{self, Checkpoints};
+use crate::durable::Checkpoints;
 use crate::message::Message;
 use crate::probe::{DispatchProbe, Dispatched};
-use crate::subscriptions::Subscriptions;
+use crate::subscriptions::{Sink, Subscriptions};
 use crossbeam::channel::{Receiver, Sender, TryRecvError, TrySendError};
 use rjms_selector::ValueRef;
 use rjms_trace::Stage;
@@ -145,7 +145,7 @@ pub(crate) fn run<P: DispatchProbe>(
                 current.publish_offset.or_else(|| inner.append_publishes(&current, &mut run))
             });
 
-            let (evaluations, copies, needs_prune) = {
+            let FanOut { evaluations, copies, needs_prune } = {
                 let subs = topic.subs.read();
                 let resolved;
                 let resolved: &[Option<ValueRef<'_>>] = if subs.slots().is_empty() {
@@ -154,18 +154,15 @@ pub(crate) fn run<P: DispatchProbe>(
                     resolved = probe.stage(Stage::Filter, |_| subs.slots().resolve(message));
                     resolved.as_slice()
                 };
-                let plain = fan_out(inner, &subs, message, resolved, &mut probe);
-                let durable = durable::deliver(
+                fan_out(
                     inner,
-                    &topic.name,
-                    subs.durables(),
-                    message,
+                    &current,
+                    &subs,
                     resolved,
                     publish_offset,
                     &mut checkpoints,
                     &mut probe,
-                );
-                (plain.evaluations + durable.0, plain.copies + durable.1, plain.needs_prune)
+                )
             };
             if needs_prune {
                 topic.subs.write().prune();
@@ -200,18 +197,23 @@ struct FanOut {
     needs_prune: bool,
 }
 
-/// The non-durable half of one message's fan-out: evaluates **every**
-/// live subscription filter of the topic (brute force, as measured)
-/// against the message's `resolved` properties and enqueues one copy per
-/// match. It walks the scan table; an entry is read on a hit or a fallback.
+/// One message's fan-out: evaluates **every** live subscription filter of
+/// the topic, durable or not (brute force, as measured), against the
+/// message's `resolved` properties and hands one copy per match to the
+/// entry's sink. It walks the scan table; an entry is read on a hit or a
+/// fallback. `publish_offset` and `checkpoints` are what only a durable
+/// sink needs.
 fn fan_out<P: DispatchProbe>(
     inner: &BrokerInner,
+    current: &Queued,
     subs: &Subscriptions,
-    message: &Arc<Message>,
     resolved: &[Option<ValueRef<'_>>],
+    publish_offset: Option<u64>,
+    checkpoints: &mut Checkpoints,
     probe: &mut P,
 ) -> FanOut {
     let cost = inner.config.cost_model;
+    let (topic, message) = (&current.topic.name, &current.message);
     let mut out = FanOut { evaluations: 0, copies: 0, needs_prune: false };
     // The scan is one stage with the deliveries nested inside it; what
     // the probe books to the scan excludes them.
@@ -232,16 +234,23 @@ fn fan_out<P: DispatchProbe>(
             if !hit {
                 continue;
             }
-            let sub = &entry.sub;
             let delivery = probe.stage(Stage::Fanout, |_| {
                 if let Some(c) = &cost {
                     spin_secs(c.t_tx);
                 }
-                sub.queue.deliver(Arc::clone(message), inner.config.overflow_policy)
+                match &entry.sub.sink {
+                    Sink::Plain(queue) => {
+                        queue.deliver(Arc::clone(message), inner.config.overflow_policy)
+                    }
+                    Sink::Durable(state) => {
+                        state.deliver(inner, topic, message, publish_offset, checkpoints)
+                    }
+                }
             });
             match delivery {
                 Delivery::Sent => out.copies += 1,
                 Delivery::Dropped => inner.stats.record_dropped(),
+                Delivery::Retained => inner.stats.record_retained(),
                 Delivery::Disconnected => {
                     row.live.clear();
                     inner.stats.record_expired_subscription();
@@ -256,15 +265,18 @@ fn fan_out<P: DispatchProbe>(
 pub(crate) enum Delivery {
     Sent,
     Dropped,
+    /// A plain subscriber's handle is gone.
     Disconnected,
+    /// Kept for a durable subscription nobody is connected to.
+    Retained,
 }
 
 /// Rings a subscription's consumer: the dispatcher calls it after each copy
 /// it queues for the subscription ([`crate::SubscriptionBuilder::wake`]).
 pub type Wake = Arc<dyn Fn() + Send + Sync>;
 
-/// The dispatcher's end of one subscriber's bounded queue. Both delivery
-/// steps, plain and durable, hand their copies to [`Self::deliver`].
+/// The dispatcher's end of one subscriber's bounded queue: a plain
+/// subscription's, or a durable one's connected consumer's.
 pub(crate) struct SubscriberQueue {
     pub(crate) sender: Sender<Arc<Message>>,
     /// `None` for every in-process consumer: one never-taken test per copy.
@@ -409,11 +421,10 @@ mod tests {
             Dequeue { was_queued: true, backlog: 1 },
             Enter(Stage::Receive),
             Expired,
-            // An empty plain scan, then the durable's filter and delivery.
+            // A durable subscription is a row of the one scan.
             Dequeue { was_queued: true, backlog: 0 },
             Enter(Stage::Receive),
             Enter(Stage::Journal),
-            Enter(Stage::Filter),
             Enter(Stage::Filter),
             Enter(Stage::Fanout),
             Done { evaluations: 1, copies: 1 },

@@ -1,23 +1,20 @@
 //! Durable subscriptions (paper §II-A: in the durable mode, messages are
 //! also forwarded to subscribers that are currently not connected — the
 //! broker retains them): the server-side state of one named subscription,
-//! its connect/disconnect protocol, the dispatcher's delivery step and the
+//! its connect/disconnect protocol, what the dispatcher's one fan-out loop
+//! ([`crate::dispatch`]) does with a match whose sink is durable, and the
 //! checkpoint bookkeeping that lets journal replay skip what a consumer
 //! already received.
 
-use crate::broker::{BrokerInner, Topic};
-use crate::cost::spin_secs;
+use crate::broker::{BrokerInner, Subscription, Topic};
 use crate::dispatch::{Delivery, SubscriberQueue};
 use crate::error::Error;
 use crate::filter::Filter;
 use crate::message::Message;
 use crate::persist::{encode_checkpoint_into, JournalRecord};
-use crate::probe::DispatchProbe;
-use crate::subscriptions::DurableEntry;
+use crate::subscriptions::{LiveFlag, Sink};
 use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
-use rjms_selector::ValueRef;
-use rjms_trace::Stage;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -34,6 +31,16 @@ pub(crate) struct DurableState {
 }
 
 impl DurableState {
+    /// This durable subscription's entry in its topic's scan, under
+    /// `filter`; `active` is never cleared.
+    pub(crate) fn subscription(
+        self: &Arc<Self>,
+        filter: Filter,
+        active: LiveFlag,
+    ) -> Arc<Subscription> {
+        Arc::new(Subscription { filter, sink: Sink::Durable(Arc::clone(self)), active })
+    }
+
     /// Connects `queue` as the consumer of `topic`'s durable subscription
     /// `name`, creating the subscription on first use. Returns the state
     /// plus the retained backlog the consumer must see before live
@@ -58,8 +65,8 @@ impl DurableState {
         };
         let mut subs = topic.subs.write();
         let state = match subs.durable(name) {
-            Some(existing) => {
-                let state = Arc::clone(&existing.state);
+            Some((state, current)) => {
+                let state = Arc::clone(state);
                 let mut connection = state.connection.lock();
                 if connection.is_some() {
                     return Err(Error::DurableNameInUse {
@@ -67,11 +74,12 @@ impl DurableState {
                         name: name.to_owned(),
                     });
                 }
-                if *existing.filter() != filter {
+                if *current != filter {
                     // A changed selector deletes and recreates the
                     // subscription; re-registering makes replay agree.
                     state.retained.lock().clear();
-                    subs.set_durable_filter(name, filter.clone());
+                    subs.remove_durable(name);
+                    subs.add(state.subscription(filter.clone(), inner.live_flags.lock().next()));
                     inner.append_record(|out| registered(filter, out));
                 }
                 *connection = Some(queue);
@@ -84,7 +92,7 @@ impl DurableState {
                     retained: Mutex::new(VecDeque::new()),
                     connection: Mutex::new(Some(queue)),
                 });
-                subs.add_durable(Arc::clone(&state), filter.clone());
+                subs.add(state.subscription(filter.clone(), inner.live_flags.lock().next()));
                 inner.append_record(|out| registered(filter, out));
                 state
             }
@@ -119,6 +127,45 @@ impl DurableState {
         *connection = None;
         backlog.extend(std::iter::from_fn(|| receiver.try_recv().ok()));
         self.retained.lock().extend(backlog);
+    }
+
+    /// The dispatcher's hand-over of one matching `message`, all under the
+    /// `connection` lock: to the connected consumer's queue, else (nobody
+    /// connected, or the consumer found gone) into the retained buffer,
+    /// dropping the oldest message beyond its capacity.
+    ///
+    /// A message handed to a consumer — or consciously dropped by the
+    /// overflow policy — is progress a checkpoint record may cover, noted
+    /// under its journal offset when it has one. Retained messages are
+    /// deliberately NOT checkpointed, so replay rebuilds the backlog.
+    pub(crate) fn deliver(
+        self: &Arc<Self>,
+        inner: &BrokerInner,
+        topic: &str,
+        message: &Arc<Message>,
+        publish_offset: Option<u64>,
+        checkpoints: &mut Checkpoints,
+    ) -> Delivery {
+        let mut connection = self.connection.lock();
+        let policy = inner.config.overflow_policy;
+        match connection.as_ref().map(|queue| queue.deliver(Arc::clone(message), policy)) {
+            Some(Delivery::Disconnected) | None => {
+                *connection = None;
+                let mut retained = self.retained.lock();
+                if retained.len() >= inner.config.durable_buffer_capacity {
+                    retained.pop_front();
+                    inner.stats.record_dropped();
+                }
+                retained.push_back(Arc::clone(message));
+                Delivery::Retained
+            }
+            Some(delivery) => {
+                if let Some(offset) = publish_offset {
+                    checkpoints.delivered(inner, topic, self, offset);
+                }
+                delivery
+            }
+        }
     }
 }
 
@@ -194,70 +241,4 @@ impl Checkpoints {
         }
         inner.sync_journal();
     }
-}
-
-/// The durable half of one message's fan-out: every durable subscription
-/// of the topic is evaluated against the message's `resolved` properties;
-/// a match is delivered when its consumer is connected and retained
-/// otherwise. Returns `(evaluations, copies)`.
-#[allow(clippy::too_many_arguments)] // the dispatcher's per-message context
-pub(crate) fn deliver<P: DispatchProbe>(
-    inner: &BrokerInner,
-    topic: &str,
-    durables: &[DurableEntry],
-    message: &Arc<Message>,
-    resolved: &[Option<ValueRef<'_>>],
-    publish_offset: Option<u64>,
-    checkpoints: &mut Checkpoints,
-    probe: &mut P,
-) -> (u64, u64) {
-    let cost = inner.config.cost_model;
-    let (mut evaluations, mut copies) = (0u64, 0u64);
-    for entry in durables {
-        evaluations += 1;
-        let matched = probe.stage(Stage::Filter, |_| {
-            if let Some(c) = &cost {
-                spin_secs(c.t_fltr);
-            }
-            entry.matches(message, resolved)
-        });
-        if !matched {
-            continue;
-        }
-        if let Some(c) = &cost {
-            spin_secs(c.t_tx);
-        }
-        let durable = &entry.state;
-        let mut connection = durable.connection.lock();
-        let delivery = connection.as_ref().map(|queue| {
-            probe.stage(Stage::Fanout, |_| {
-                queue.deliver(Arc::clone(message), inner.config.overflow_policy)
-            })
-        });
-        match delivery {
-            Some(Delivery::Sent) => copies += 1,
-            Some(Delivery::Dropped) => inner.stats.record_dropped(),
-            Some(Delivery::Disconnected) | None => {
-                // Retain for the offline consumer, dropping the oldest
-                // message beyond the buffer capacity.
-                *connection = None;
-                let mut retained = durable.retained.lock();
-                if retained.len() >= inner.config.durable_buffer_capacity {
-                    retained.pop_front();
-                    inner.stats.record_dropped();
-                }
-                retained.push_back(Arc::clone(message));
-                inner.stats.record_retained();
-                continue;
-            }
-        }
-        // Handed to a connected consumer (or consciously dropped by the
-        // overflow policy): progress a checkpoint record may cover.
-        // Retained messages are deliberately NOT checkpointed, so replay
-        // rebuilds the retained backlog.
-        if let Some(offset) = publish_offset {
-            checkpoints.delivered(inner, topic, durable, offset);
-        }
-    }
-    (evaluations, copies)
 }

@@ -23,7 +23,7 @@
 //! | `broker.stage.fanout_ns` | histogram | copy/transmit stage (`R · t_tx`), sampled |
 //! | `broker.topic.received{topic="…"}` | counter | messages popped off the publish queue on the topic, expired ones included; the first `per_topic_series` topics created get their own series, later ones share `topic="__other__"` |
 //! | `broker.topic.dispatched{topic="…"}` | counter | copies delivered from the topic (same labels) |
-//! | `broker.topics_overflowed` | counter | distinct topics folded into `__other__`: topics created beyond the series cap, or, with the topic observatory on, what its accounting table spilled |
+//! | `broker.topics_overflowed` | counter | topics created beyond the cap of an enabled per-topic table (`per_topic_series`, the observatory's `per_topic_cap`), which share that table's `__other__`; each counted once, when it is created |
 //! | `journal.append_ns` | histogram | every journal append (always on, from `rjms-journal`) |
 //! | `journal.fsync_ns` | histogram | every explicit fsync (always on, from `rjms-journal`) |
 

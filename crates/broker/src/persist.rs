@@ -18,7 +18,7 @@ use crate::dispatch::Queued;
 use crate::durable::DurableState;
 use crate::filter::Filter;
 use crate::message::{Message, Priority};
-use crate::subscriptions::Subscriptions;
+use crate::subscriptions::{LiveFlags, Subscriptions};
 use parking_lot::Mutex;
 use rjms_journal::Journal;
 use rjms_selector::value::Value;
@@ -475,6 +475,7 @@ impl BrokerInner {
 pub(crate) fn recover_topics(
     journal: &Journal,
     config: &BrokerConfig,
+    live_flags: &mut LiveFlags,
 ) -> Vec<(String, Subscriptions)> {
     struct DurableRecovery {
         filter: Filter,
@@ -546,7 +547,7 @@ pub(crate) fn recover_topics(
             retained.drain(..retained.len().saturating_sub(config.durable_buffer_capacity));
             let state =
                 DurableState { name, retained: Mutex::new(retained), connection: Mutex::new(None) };
-            subs.add_durable(Arc::new(state), recovery.filter);
+            subs.add(Arc::new(state).subscription(recovery.filter, live_flags.next()));
         }
         topics.push((topic_name, subs));
     }

@@ -13,7 +13,11 @@
 //! Hook contract, per message: `on_dequeue` (handed the message's topic, on
 //! which the core itself counts received, evaluations and copies), then any
 //! number of (possibly nested) `stage` calls, then exactly one of
-//! `on_expired` or `on_done`.
+//! `on_expired` or `on_done`. The stages of a message that is fanned out:
+//! `Receive`, `Journal`, `Filter` once for the resolve step if the topic has
+//! selectors, then `Filter` once around the whole scan with one `Fanout`
+//! nested in it per match — whether the match's sink is a plain subscriber
+//! or a durable subscription.
 //! `on_idle` runs each time the publish queue is found empty, before the
 //! dispatcher blocks; `on_exit` runs once, after the last message.
 
@@ -21,8 +25,7 @@ use crate::broker::{BrokerInner, Topic};
 use crate::config::TraceConfig;
 use crate::message::Message;
 use crate::metrics::{BrokerMetrics, DispatcherScratch, FLUSH_EVERY};
-use crate::stats::BrokerStats;
-use crate::topic_obs::{TopicObsScratch, TopicObservatory};
+use crate::topic_obs::TopicObservatory;
 use rjms_metrics::{clock, Counter};
 use rjms_trace::{FlightRecorder, SpanEvent, Stage};
 use std::sync::Arc;
@@ -166,11 +169,10 @@ struct TraceSampler<'a> {
 }
 
 /// The probe of a broker with metrics on: histogram staging, sampled stage
-/// timing, tail-sampled tracing, the topics' exported series and the topic
-/// observatory's staging, for one dispatcher thread.
+/// timing, tail-sampled tracing, the topics' exported series and their
+/// observatory accounts, for one dispatcher thread.
 pub(crate) struct Telemetry<'a> {
     metrics: &'a BrokerMetrics,
-    stats: &'a BrokerStats,
     /// Local staging for the per-message histograms, flushed on idle and
     /// every [`FLUSH_EVERY`] messages (`staged` counts them).
     scratch: DispatcherScratch,
@@ -181,9 +183,7 @@ pub(crate) struct Telemetry<'a> {
     /// a second clock read per message.
     last_end: Option<u64>,
     trace: Option<TraceSampler<'a>>,
-    /// The observatory and this thread's staging for it, merged with the
-    /// histogram scratch.
-    topic_obs: Option<(&'a TopicObservatory, TopicObsScratch)>,
+    topic_obs: Option<&'a TopicObservatory>,
 
     // State of the message in flight, reset by `on_dequeue`. Timestamps
     // are instrumentation-clock ticks (`clock::now`).
@@ -221,13 +221,12 @@ impl<'a> Telemetry<'a> {
         });
         Some(Self {
             metrics,
-            stats: &inner.stats,
             scratch,
             staged: 0,
             stage_sampler: Countdown::jittered(metrics.stage_sample_every),
             last_end: None,
             trace,
-            topic_obs: inner.topic_obs.as_ref().map(|o| (o, TopicObsScratch::default())),
+            topic_obs: inner.topic_obs.as_ref(),
             dispatch_start: 0,
             enqueued_at: 0,
             sample_stages: false,
@@ -248,18 +247,10 @@ impl<'a> Telemetry<'a> {
         self.sample_stages || self.trace.is_some()
     }
 
-    /// Publishes everything staged: the histogram scratch and the
-    /// observatory staging.
+    /// Publishes the staged histogram samples.
     fn flush(&mut self) {
         self.staged = 0;
         self.scratch.flush(self.metrics);
-        if let Some((observatory, staged)) = &mut self.topic_obs {
-            let spilled = staged.flush(observatory);
-            if spilled > 0 {
-                self.stats.record_topics_overflowed(spilled);
-                self.metrics.registry.counter("broker.topics_overflowed").add(spilled);
-            }
-        }
     }
 
     /// Tail-sampling commit point: the waiting and sojourn times (ns) are
@@ -384,14 +375,13 @@ impl DispatchProbe for Telemetry<'_> {
         let service = self.to_ns(end.saturating_sub(dispatch_start));
         let sojourn = waiting.saturating_add(service);
         self.scratch.record(waiting, service, sojourn);
-        if let Some((_, staged)) = &mut self.topic_obs {
+        if let Some(observatory) = self.topic_obs {
             let service_secs =
                 end.saturating_sub(dispatch_start) as f64 * metrics.ns_per_tick * 1e-9;
-            staged.record(
-                &done.topic.name,
-                done.topic.shard,
-                done.evaluations.min(u64::from(u32::MAX)) as u32,
-                done.copies.min(u64::from(u32::MAX)) as u32,
+            let evaluations = done.evaluations.min(u64::from(u32::MAX)) as u32;
+            observatory.account_of(done.topic).lock().observe(
+                evaluations,
+                done.copies as f64,
                 service_secs,
             );
         }

@@ -72,7 +72,7 @@ pub(crate) fn snapshot_of(inner: &BrokerInner) -> BrokerSnapshot {
     let (all, shards) = totals(&topics, inner.config.shards, |t, counted| {
         let subs = t.subs.read();
         live += subs.live_plain();
-        durable += subs.durables().len();
+        durable += subs.durables().count();
         per_topic.insert(t.name.clone(), counted);
     });
     BrokerSnapshot {

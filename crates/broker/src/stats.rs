@@ -133,13 +133,12 @@ pub struct BrokerSnapshot {
     pub shards: Option<Vec<ShardSnapshot>>,
     /// Per-topic message counters, keyed by topic name.
     pub per_topic: BTreeMap<String, TopicStats>,
-    /// Distinct topics folded into an `__other__` bucket: the labeled
-    /// metric series when the per-topic series cap
-    /// ([`crate::config::MetricsConfig::per_topic_series`]) is reached —
-    /// or, when the per-topic observatory is enabled, its accounting
-    /// table when [`crate::TopicObsConfig::per_topic_cap`] is (the
-    /// observatory's cap governs the counter while it is on). 0 when
-    /// every topic got its own row (or both features are off).
+    /// Topics folded into an `__other__` bucket of any enabled per-topic
+    /// table — the labeled metric series beyond
+    /// [`crate::config::MetricsConfig::per_topic_series`], the observatory's
+    /// rows beyond [`crate::TopicObsConfig::per_topic_cap`] — each counted
+    /// once, when it is created. 0 when every topic got a slot of its own
+    /// everywhere (or both features are off).
     #[serde(default)]
     pub topics_overflowed: u64,
 }
@@ -202,17 +201,12 @@ impl BrokerStats {
         self.flow_shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a topic folded into the `__other__` labeled metric series
-    /// because the per-topic series cap was reached. Called once per
-    /// overflowed topic, when it is created or recovered.
+    /// Records a topic denied a slot of its own in a per-topic table (the
+    /// labeled metric series, the observatory's rows) because the table's
+    /// cap was reached. Called once per such topic, when it is created or
+    /// recovered.
     pub fn record_topic_overflowed(&self) {
         self.topics_overflowed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` distinct topics collapsed into the observatory's
-    /// `__other__` bucket by one accounting-table flush.
-    pub fn record_topics_overflowed(&self, n: u64) {
-        self.topics_overflowed.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Message copies dropped on full subscriber queues so far.
@@ -339,11 +333,10 @@ mod tests {
         s.record_retained();
         s.record_expired_message();
         s.record_topic_overflowed();
-        s.record_topics_overflowed(2);
         assert_eq!(s.retained(), 1);
         assert_eq!(s.expired_messages(), 1);
         assert_eq!(s.dropped(), 1);
-        assert_eq!(s.topics_overflowed(), 3);
+        assert_eq!(s.topics_overflowed(), 1);
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! array. The scan itself stays brute force: each live filter is
 //! evaluated and counted (paper §II-B).
 //!
-//! What the scan reads of a plain subscription is its 32-byte [`ScanRow`]
-//! in the topic's *scan table*: a liveness flag (a cell of a page of 64)
-//! and, for a selector that is one comparison with a scalar literal, that
-//! comparison by value. The rows are read front to back; the [`PlainEntry`]
-//! beside one on a hit, or to run a filter that has no compact form.
+//! What the scan reads of a subscription, plain or durable, is its 32-byte
+//! [`ScanRow`] in the topic's *scan table*: a liveness flag (a cell of a
+//! page of 64; a durable's is never cleared) and, for a selector that is one
+//! comparison with a scalar literal, that comparison by value. The rows are
+//! read front to back; the [`Entry`] beside one on a hit, for its [`Sink`],
+//! or to run a filter that has no compact form.
 //!
 //! The table lives inside [`Subscriptions`], under the topic's one lock,
 //! so a bound program can never outlive the table it indexes. It holds
@@ -23,6 +24,7 @@
 //! what they keep open.
 
 use crate::broker::Subscription;
+use crate::dispatch::SubscriberQueue;
 use crate::durable::DurableState;
 use crate::filter::Filter;
 use crate::message::{HeaderField, Message};
@@ -146,28 +148,25 @@ impl SlotTable {
     }
 }
 
-/// Whether `filter` forwards `message`: a selector by its program `bound`
-/// to the table that `resolved` holds the message's values for.
-fn matches(
-    filter: &Filter,
-    bound: &Option<BoundProgram>,
-    message: &Message,
-    resolved: &[Option<ValueRef<'_>>],
-) -> bool {
-    match bound {
-        Some(program) => program.run(resolved).is_true(),
-        None => filter.matches(message),
-    }
+/// Where a subscription's matches go: what is different about a durable
+/// subscription is its sink, not its place in the scan.
+pub(crate) enum Sink {
+    /// A plain subscriber's queue.
+    Plain(SubscriberQueue),
+    /// A named durable subscription: its consumer's queue while one is
+    /// connected, its retained buffer otherwise.
+    Durable(Arc<DurableState>),
 }
 
-/// A non-durable subscription on one topic. A wildcard subscription has
-/// one entry per matching topic, each bound to that topic's table.
-pub(crate) struct PlainEntry {
+/// One subscription on one topic, with its filter's program bound to the
+/// topic's table. A wildcard subscription is one `Subscription` in an entry
+/// per matching topic.
+pub(crate) struct Entry {
     pub(crate) sub: Arc<Subscription>,
     bound: Option<BoundProgram>,
 }
 
-/// What the dispatcher's scan reads of a [`PlainEntry`].
+/// What the dispatcher's scan reads of an [`Entry`].
 pub(crate) struct ScanRow {
     /// `sub.active`.
     pub(crate) live: LiveFlag,
@@ -175,42 +174,36 @@ pub(crate) struct ScanRow {
     pub(crate) cmp: Option<CmpRow>,
 }
 
-impl PlainEntry {
+impl Entry {
+    /// The durable subscription this entry feeds; `None` for a plain one.
+    fn durable(&self) -> Option<&Arc<DurableState>> {
+        match &self.sub.sink {
+            Sink::Plain(_) => None,
+            Sink::Durable(state) => Some(state),
+        }
+    }
+
     fn row(&self) -> ScanRow {
         let cmp = self.bound.as_ref().and_then(BoundProgram::as_row);
         ScanRow { live: self.sub.active.clone(), cmp }
     }
 
+    /// Whether the entry's filter forwards `message`: a selector by its
+    /// program bound to the table that `resolved` holds the values for.
     pub(crate) fn matches(&self, message: &Message, resolved: &[Option<ValueRef<'_>>]) -> bool {
-        matches(&self.sub.filter, &self.bound, message, resolved)
-    }
-}
-
-/// A durable subscription and its current filter, which a reconnecting
-/// consumer may replace.
-pub(crate) struct DurableEntry {
-    pub(crate) state: Arc<DurableState>,
-    filter: Filter,
-    bound: Option<BoundProgram>,
-}
-
-impl DurableEntry {
-    pub(crate) fn filter(&self) -> &Filter {
-        &self.filter
-    }
-
-    pub(crate) fn matches(&self, message: &Message, resolved: &[Option<ValueRef<'_>>]) -> bool {
-        matches(&self.filter, &self.bound, message, resolved)
+        match &self.bound {
+            Some(program) => program.run(resolved).is_true(),
+            None => self.sub.filter.matches(message),
+        }
     }
 }
 
 /// Everything subscribed to one topic.
 #[derive(Default)]
 pub(crate) struct Subscriptions {
-    plain: Vec<PlainEntry>,
-    /// The scan table: `rows[i]` is `plain[i].row()`.
+    entries: Vec<Entry>,
+    /// The scan table: `rows[i]` is `entries[i].row()`.
     rows: Vec<ScanRow>,
-    durables: Vec<DurableEntry>,
     slots: SlotTable,
 }
 
@@ -219,59 +212,49 @@ impl Subscriptions {
         &self.slots
     }
 
-    /// The plain subscriptions in subscription order, each behind its row.
-    pub(crate) fn scan(&self) -> impl Iterator<Item = (&ScanRow, &PlainEntry)> {
-        self.rows.iter().zip(&self.plain)
+    /// The subscriptions in subscription order, each behind its row.
+    pub(crate) fn scan(&self) -> impl Iterator<Item = (&ScanRow, &Entry)> {
+        self.rows.iter().zip(&self.entries)
     }
 
-    pub(crate) fn durables(&self) -> &[DurableEntry] {
-        &self.durables
+    /// The durable subscriptions, each with its current filter.
+    pub(crate) fn durables(&self) -> impl Iterator<Item = (&Arc<DurableState>, &Filter)> {
+        self.entries.iter().filter_map(|entry| Some((entry.durable()?, &entry.sub.filter)))
     }
 
-    pub(crate) fn durable(&self, name: &str) -> Option<&DurableEntry> {
-        self.durables.iter().find(|d| d.state.name == name)
+    pub(crate) fn durable(&self, name: &str) -> Option<(&Arc<DurableState>, &Filter)> {
+        self.durables().find(|(state, _)| state.name == name)
     }
 
-    /// Subscriptions whose subscriber handle is still alive.
+    /// Plain subscriptions whose subscriber handle is still alive.
     pub(crate) fn live_plain(&self) -> usize {
-        self.rows.iter().filter(|row| row.live.is_set()).count()
+        self.entries.iter().filter(|e| e.durable().is_none() && e.sub.active.is_set()).count()
     }
 
-    pub(crate) fn add_plain(&mut self, sub: Arc<Subscription>) {
-        let bound = self.slots.bind(&sub.filter);
-        let entry = PlainEntry { sub, bound };
+    /// Adds a subscription: a plain subscriber's, or a durable one
+    /// ([`DurableState::subscription`]), whose `active` flag is never
+    /// cleared: [`Self::remove_durable`] is its one way out of the scan.
+    pub(crate) fn add(&mut self, sub: Arc<Subscription>) {
+        let entry = Entry { bound: self.slots.bind(&sub.filter), sub };
         self.rows.push(entry.row());
-        self.plain.push(entry);
-    }
-
-    pub(crate) fn add_durable(&mut self, state: Arc<DurableState>, filter: Filter) {
-        let bound = self.slots.bind(&filter);
-        self.durables.push(DurableEntry { state, filter, bound });
+        self.entries.push(entry);
     }
 
     /// Drops the plain subscriptions whose subscriber is gone.
     pub(crate) fn prune(&mut self) {
-        self.plain.retain(|entry| entry.sub.active.is_set());
+        self.entries.retain(|entry| entry.sub.active.is_set());
         self.rebind();
     }
 
     /// Drops every plain subscription (dispatcher shutdown).
     pub(crate) fn clear_plain(&mut self) {
-        self.plain.clear();
+        self.entries.retain(|entry| entry.durable().is_some());
         self.rebind();
-    }
-
-    /// Replaces the filter of the durable subscription `name`.
-    pub(crate) fn set_durable_filter(&mut self, name: &str, filter: Filter) {
-        if let Some(entry) = self.durables.iter_mut().find(|d| d.state.name == name) {
-            entry.filter = filter;
-            self.rebind();
-        }
     }
 
     /// Removes the durable subscription `name`, if there is one.
     pub(crate) fn remove_durable(&mut self, name: &str) {
-        self.durables.retain(|d| d.state.name != name);
+        self.entries.retain(|entry| entry.durable().is_none_or(|d| d.name != name));
         self.rebind();
     }
 
@@ -281,12 +264,9 @@ impl Subscriptions {
     fn rebind(&mut self) {
         self.slots.clear();
         self.rows.clear();
-        for entry in &mut self.plain {
+        for entry in &mut self.entries {
             entry.bound = self.slots.bind(&entry.sub.filter);
             self.rows.push(entry.row());
-        }
-        for entry in &mut self.durables {
-            entry.bound = self.slots.bind(&entry.filter);
         }
     }
 }
@@ -294,15 +274,14 @@ impl Subscriptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::SubscriberQueue;
     use crate::message::Priority;
     use crossbeam::channel::bounded;
     use rjms_selector::{eval, parse};
 
     fn subscription(filter: Filter) -> Arc<Subscription> {
         let (sender, _) = bounded(1);
-        let queue = SubscriberQueue { sender, wake: None };
-        Arc::new(Subscription { filter, queue, active: LiveFlags::default().next() })
+        let sink = Sink::Plain(SubscriberQueue { sender, wake: None });
+        Arc::new(Subscription { filter, sink, active: LiveFlags::default().next() })
     }
 
     fn selector(source: &str) -> Filter {
@@ -316,13 +295,13 @@ mod tests {
     #[test]
     fn the_table_holds_each_name_once_in_order_of_first_use() {
         let mut subs = Subscriptions::default();
-        subs.add_plain(subscription(Filter::None));
-        subs.add_plain(subscription(Filter::correlation_id("#1").unwrap()));
+        subs.add(subscription(Filter::None));
+        subs.add(subscription(Filter::correlation_id("#1").unwrap()));
         assert!(subs.slots().is_empty());
-        subs.add_plain(subscription(selector("b = 1 AND a = 2")));
-        subs.add_plain(subscription(selector("a = 1 AND JMSType = 'x' AND b > a")));
+        subs.add(subscription(selector("b = 1 AND a = 2")));
+        subs.add(subscription(selector("a = 1 AND JMSType = 'x' AND b > a")));
         assert_eq!(names(&subs), ["b", "a", "JMSType"]);
-        let bound: Vec<bool> = subs.plain.iter().map(|e| e.bound.is_some()).collect();
+        let bound: Vec<bool> = subs.entries.iter().map(|e| e.bound.is_some()).collect();
         assert_eq!(bound, [false, false, true, true]);
     }
 
@@ -331,15 +310,48 @@ mod tests {
         assert!(std::mem::size_of::<ScanRow>() <= 32, "{}", std::mem::size_of::<ScanRow>());
         let mut subs = Subscriptions::default();
         for i in 0..256 {
-            subs.add_plain(subscription(selector(&format!("key = {i}"))));
+            subs.add(subscription(selector(&format!("key = {i}"))));
         }
-        subs.add_plain(subscription(Filter::correlation_id("#1").unwrap()));
+        subs.add(subscription(Filter::correlation_id("#1").unwrap()));
         for other in ["color = 'red'", "key = 1 AND key < 2"] {
-            subs.add_plain(subscription(selector(other)));
+            subs.add(subscription(selector(other)));
         }
         let compact: Vec<bool> = subs.scan().map(|(row, _)| row.cmp.is_some()).collect();
         assert_eq!(compact.len(), 259);
         assert!(compact[..256].iter().all(|c| *c) && compact[256..].iter().all(|c| !*c));
+    }
+
+    /// A durable subscription is a row of the same table: scanned in
+    /// subscription order, compact when a plain one would be, and neither a
+    /// prune nor the dispatcher's exit takes it out.
+    #[test]
+    fn a_durable_subscription_has_a_row_like_the_plain_one_beside_it() {
+        let mut subs = Subscriptions::default();
+        subs.add(subscription(selector("key = 3")));
+        let state = Arc::new(DurableState {
+            name: "d".to_owned(),
+            retained: Default::default(),
+            connection: Default::default(),
+        });
+        let durable = |source| state.subscription(selector(source), LiveFlags::default().next());
+        subs.add(durable("key = 3"));
+        subs.add(subscription(selector("color = 'red'")));
+        let compact: Vec<bool> = subs.scan().map(|(row, _)| row.cmp.is_some()).collect();
+        assert_eq!(compact, [true, true, false]);
+        assert_eq!((subs.live_plain(), subs.durables().count()), (2, 1));
+
+        // A changed selector deletes and recreates the subscription.
+        subs.remove_durable("d");
+        subs.add(durable("color = 'red'"));
+        let compact: Vec<bool> = subs.scan().map(|(row, _)| row.cmp.is_some()).collect();
+        assert_eq!(compact, [true, false, false]);
+        subs.prune();
+        assert_eq!(subs.rows.len(), 3);
+        subs.clear_plain();
+        assert_eq!((subs.rows.len(), subs.durables().count()), (1, 1));
+        assert_eq!(names(&subs), ["color"]);
+        subs.remove_durable("d");
+        assert!(subs.rows.is_empty() && subs.slots().is_empty());
     }
 
     #[test]
@@ -364,17 +376,17 @@ mod tests {
     fn a_prune_forgets_the_names_of_the_dead_and_rebinds_the_living() {
         let mut subs = Subscriptions::default();
         let dead = subscription(selector("gone = 1 AND kept = 2"));
-        subs.add_plain(Arc::clone(&dead));
-        subs.add_plain(subscription(selector("kept = 2 AND late = 3")));
+        subs.add(Arc::clone(&dead));
+        subs.add(subscription(selector("kept = 2 AND late = 3")));
         assert_eq!(names(&subs), ["gone", "kept", "late"]);
         dead.active.clear();
         assert_eq!(subs.live_plain(), 1);
         subs.prune();
         assert_eq!(names(&subs), ["kept", "late"]);
-        assert_eq!((subs.plain.len(), subs.rows.len()), (1, 1));
-        assert!(Arc::ptr_eq(&subs.rows[0].live.page, &subs.plain[0].sub.active.page));
+        assert_eq!((subs.entries.len(), subs.rows.len()), (1, 1));
+        assert!(Arc::ptr_eq(&subs.rows[0].live.page, &subs.entries[0].sub.active.page));
         let message = Message::builder().property("kept", 2i64).property("late", 3i64).build();
-        assert!(subs.plain[0].matches(&message, subs.slots().resolve(&message).as_slice()));
+        assert!(subs.entries[0].matches(&message, subs.slots().resolve(&message).as_slice()));
         subs.clear_plain();
         assert!(subs.slots().is_empty() && subs.rows.is_empty());
     }
@@ -407,7 +419,7 @@ mod tests {
         ];
         let mut subs = Subscriptions::default();
         for source in selectors {
-            subs.add_plain(subscription(selector(source)));
+            subs.add(subscription(selector(source)));
         }
         for message in &messages {
             let resolved = subs.slots().resolve(message);
@@ -425,8 +437,8 @@ mod tests {
     fn a_table_larger_than_the_inline_array_spills_to_the_heap() {
         let mut subs = Subscriptions::default();
         let wide = (0..2 * INLINE_SLOTS).map(|i| format!("p{i} = {i}")).collect::<Vec<_>>();
-        subs.add_plain(subscription(selector(&wide.join(" AND "))));
-        subs.add_plain(subscription(selector(&format!("p{} = 0", 2 * INLINE_SLOTS - 1))));
+        subs.add(subscription(selector(&wide.join(" AND "))));
+        subs.add(subscription(selector(&format!("p{} = 0", 2 * INLINE_SLOTS - 1))));
         let mut message = Message::builder();
         for i in 0..2 * INLINE_SLOTS {
             message = message.property(format!("p{i}"), i as i64);
@@ -434,7 +446,7 @@ mod tests {
         let message = message.build();
         let resolved = subs.slots().resolve(&message);
         assert_eq!(resolved.as_slice().len(), 2 * INLINE_SLOTS);
-        assert!(subs.plain[0].matches(&message, resolved.as_slice()));
-        assert!(!subs.plain[1].matches(&message, resolved.as_slice()));
+        assert!(subs.entries[0].matches(&message, resolved.as_slice()));
+        assert!(!subs.entries[1].matches(&message, resolved.as_slice()));
     }
 }

@@ -11,21 +11,24 @@
 //! `rjms-obs`).
 //!
 //! Cardinality is capped exactly like the Prometheus exporter's per-topic
-//! series: once `per_topic_cap` distinct topics have rows, further topics
-//! collapse into a per-shard `__other__` bucket (so their load still lands
-//! on the right shard in the skew analysis), and the collapse is counted.
+//! series, and in the same place: the first `per_topic_cap` topics are
+//! given an [`Account`] of their own when they are created (by the broker's
+//! one topic constructor), every later topic accounts into its shard's
+//! `__other__` (so its load still lands on the right shard in the skew
+//! analysis).
 //!
-//! The dispatcher never touches the shared table on the per-message path:
-//! it stages observations into a thread-local [`TopicObsScratch`] and
-//! merges on the same idle/every-1024-messages cadence as the histogram
-//! scratch, keeping the hot-path cost to a hash lookup and a dozen
-//! floating-point adds (gated by the `ext_topic_obs_overhead` benchmark).
+//! An account has one writer: a topic's messages all pass through its
+//! shard's dispatcher, and so do those of every topic sharing that shard's
+//! `__other__`. The per-message cost is therefore an uncontended lock and a
+//! dozen floating-point adds (gated by the `ext_topic_obs_overhead`
+//! benchmark); only a snapshot ever makes a dispatcher wait.
 
+use crate::broker::Topic;
 use parking_lot::Mutex;
 use rjms_core::params::CostParams;
 use rjms_core::regression::{CostRegression, FittedCosts, RegressionTolerance, RegressionVerdict};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Name of the overflow bucket rows (same label as the metrics exporter).
@@ -99,129 +102,81 @@ impl TopicObsConfig {
     }
 }
 
-/// One topic's accumulated workload observations.
-#[derive(Debug, Clone, Default)]
-struct TopicAccount {
-    shard: usize,
-    regression: CostRegression,
-}
-
-/// The shared accounting table, merged into by every dispatcher.
-#[derive(Debug)]
-struct ObsTable {
-    topics: HashMap<String, TopicAccount>,
-    /// Per-shard overflow buckets, so collapsed topics still contribute
-    /// their load to the right shard.
-    other: Vec<TopicAccount>,
-    /// Distinct topic names that have been routed into `__other__`.
-    overflowed: u64,
-}
+/// The accumulated workload observations of one topic, or of the topics
+/// that share a shard's `__other__`; written by that shard's dispatcher.
+pub(crate) type Account = Mutex<CostRegression>;
 
 /// The broker's per-topic workload observatory: configuration, reference
-/// params, and the shared table.
+/// params and the accounts no single topic owns.
 #[derive(Debug)]
 pub(crate) struct TopicObservatory {
     config: TopicObsConfig,
     anchor: Option<CostParams>,
-    shards: usize,
     started: Instant,
-    table: Mutex<ObsTable>,
+    /// Per-shard overflow buckets, so collapsed topics still contribute
+    /// their load to the right shard.
+    other: Vec<Account>,
 }
 
 impl TopicObservatory {
     pub(crate) fn new(config: TopicObsConfig, anchor: Option<CostParams>, shards: usize) -> Self {
-        let shards = shards.max(1);
-        Self {
-            config,
-            anchor,
-            shards,
-            started: Instant::now(),
-            table: Mutex::new(ObsTable {
-                topics: HashMap::new(),
-                other: (0..shards)
-                    .map(|s| TopicAccount { shard: s, ..Default::default() })
-                    .collect(),
-                overflowed: 0,
-            }),
-        }
+        let other = (0..shards.max(1)).map(|_| Account::default()).collect();
+        Self { config, anchor, started: Instant::now(), other }
     }
 
-    /// Merges a dispatcher's staged observations into the shared table,
-    /// applying the cardinality cap. Returns how many *new* distinct
-    /// topics were collapsed into `__other__` by this merge (so the caller
-    /// can bump the broker-wide overflow counter).
-    fn merge(&self, staged: &mut HashMap<String, TopicAccount>) -> u64 {
-        if staged.is_empty() {
-            return 0;
-        }
-        let mut newly_overflowed = 0;
-        let mut table = self.table.lock();
-        for (name, account) in staged.drain() {
-            if let Some(row) = table.topics.get_mut(&name) {
-                row.regression.merge(&account.regression);
-            } else if table.topics.len() < self.config.per_topic_cap {
-                table.topics.insert(name, account);
-            } else {
-                // Collapsed: fold into the shard's overflow bucket. Count
-                // each merge of an unseen name once per dispatcher flush —
-                // cheap and bounded, at the cost of over-counting a topic
-                // that overflows from several dispatchers; the counter is
-                // a "your cap is too small" signal, not an exact census.
-                newly_overflowed += 1;
-                let shard = account.shard.min(self.shards - 1);
-                table.other[shard].regression.merge(&account.regression);
-            }
-        }
-        table.overflowed += newly_overflowed;
-        newly_overflowed
+    /// Where `topic`'s messages are accounted: its own account, else its
+    /// shard's `__other__`.
+    pub(crate) fn account_of<'a>(&'a self, topic: &'a Topic) -> &'a Account {
+        topic.account.as_ref().unwrap_or(&self.other[topic.shard])
     }
 
-    /// Snapshots the table into self-contained rows.
-    pub(crate) fn snapshot(&self) -> TopicObservatorySnapshot {
+    /// Snapshots the accounts into self-contained rows, one per account
+    /// that has seen a message; `topics` are the broker's.
+    pub(crate) fn snapshot<'a>(
+        &self,
+        topics: impl Iterator<Item = &'a Arc<Topic>>,
+    ) -> TopicObservatorySnapshot {
         let elapsed = self.started.elapsed();
-        let table = self.table.lock();
-        let mut global = CostRegression::new();
-        let mut topics: Vec<TopicObsRow> = table
-            .topics
-            .iter()
-            .map(|(name, account)| self.row(name, account, elapsed, &mut global))
-            .collect();
-        for bucket in &table.other {
-            if !bucket.regression.is_empty() {
-                topics.push(self.row(OTHER_TOPIC, bucket, elapsed, &mut global));
+        let other = self.other.iter().enumerate();
+        let mut accounts: Vec<_> =
+            other.map(|(shard, a)| (OTHER_TOPIC, shard, *a.lock())).collect();
+        let mut overflowed_topics = 0;
+        for topic in topics {
+            match &topic.account {
+                Some(own) => accounts.push((&topic.name, topic.shard, *own.lock())),
+                None => overflowed_topics += 1,
             }
         }
-        let overflowed = table.overflowed;
-        drop(table);
+        let mut global = CostRegression::new();
+        let mut rows = Vec::new();
+        for (name, shard, regression) in &accounts {
+            if regression.len() + regression.rejected() > 0 {
+                global.merge(regression);
+                rows.push(self.summarize(name, *shard, regression, elapsed));
+            }
+        }
         // Deterministic order: busiest first, name as tie-break.
-        topics.sort_by(|a, b| b.messages.cmp(&a.messages).then_with(|| a.name.cmp(&b.name)));
-        let global_row = self.summarize(OTHER_TOPIC, &global, elapsed);
+        rows.sort_by(|a, b| b.messages.cmp(&a.messages).then_with(|| a.name.cmp(&b.name)));
+        let global_row = self.summarize(OTHER_TOPIC, 0, &global, elapsed);
         TopicObservatorySnapshot {
             elapsed,
             anchor: self.anchor,
             config: self.config,
-            shards: self.shards,
-            overflowed_topics: overflowed,
+            shards: self.other.len(),
+            overflowed_topics,
             global_fitted: global_row.fitted,
             global_verdict: global_row.verdict,
-            topics,
+            topics: rows,
         }
     }
 
-    fn row(
+    fn summarize(
         &self,
         name: &str,
-        account: &TopicAccount,
+        shard: usize,
+        reg: &CostRegression,
         elapsed: Duration,
-        global: &mut CostRegression,
     ) -> TopicObsRow {
-        global.merge(&account.regression);
-        let mut row = self.summarize(name, &account.regression, elapsed);
-        row.shard = account.shard;
-        row
-    }
-
-    fn summarize(&self, name: &str, reg: &CostRegression, elapsed: Duration) -> TopicObsRow {
         // Anchored fits need reference params; without any configured cost
         // model the zero anchor lets the slopes absorb the (native,
         // sub-microsecond) intercept, and no verdict is rendered.
@@ -230,7 +185,7 @@ impl TopicObservatory {
         let secs = elapsed.as_secs_f64();
         TopicObsRow {
             name: name.to_string(),
-            shard: 0,
+            shard,
             messages,
             arrival_rate: if secs > 0.0 { messages as f64 / secs } else { 0.0 },
             mean_filters: reg.mean_filters(),
@@ -239,37 +194,6 @@ impl TopicObservatory {
             fitted: reg.fit(&fit_anchor).ok(),
             verdict: self.anchor.map(|a| reg.assess(&a, &RegressionTolerance::default())),
         }
-    }
-}
-
-/// Dispatcher-local staging for the observatory: plain `HashMap` writes on
-/// the per-message path, merged into the shared table on the flush cadence.
-#[derive(Debug, Default)]
-pub(crate) struct TopicObsScratch {
-    staged: HashMap<String, TopicAccount>,
-}
-
-impl TopicObsScratch {
-    /// Stages one dispatched message's observation.
-    pub(crate) fn record(
-        &mut self,
-        topic: &str,
-        shard: usize,
-        evaluations: u32,
-        copies: u32,
-        service_secs: f64,
-    ) {
-        if !self.staged.contains_key(topic) {
-            self.staged.insert(topic.to_string(), TopicAccount { shard, ..Default::default() });
-        }
-        let account = self.staged.get_mut(topic).expect("just inserted");
-        account.regression.observe(evaluations, copies as f64, service_secs);
-    }
-
-    /// Merges everything staged into the shared table; returns the number
-    /// of distinct topic names this flush collapsed into `__other__`.
-    pub(crate) fn flush(&mut self, observatory: &TopicObservatory) -> u64 {
-        observatory.merge(&mut self.staged)
     }
 }
 
@@ -285,8 +209,8 @@ pub struct TopicObservatorySnapshot {
     pub config: TopicObsConfig,
     /// Number of dispatcher shards.
     pub shards: usize,
-    /// Distinct topic-name collapses into `__other__` so far (a signal the
-    /// cap is too small; may over-count topics seen by several shards).
+    /// Topics created beyond the cap, which account into their shard's
+    /// `__other__` row (a signal the cap is too small).
     pub overflowed_topics: u64,
     /// The fit over *all* observations pooled (n_fltr varies across
     /// topics, so this is where the full 3-parameter fit is identifiable).
@@ -333,66 +257,75 @@ mod tests {
         )
     }
 
-    fn drive(scratch: &mut TopicObsScratch, topic: &str, shard: usize, n: u32, r: u32, count: u32) {
+    /// A topic on `shard`, with an account of its own if `own`.
+    fn topic(name: &str, shard: usize, own: bool) -> Arc<Topic> {
+        let account = own.then(Account::default);
+        Arc::new(Topic { name: name.to_owned(), shard, account, ..Topic::default() })
+    }
+
+    /// What the probe does per message: `count` times `(n, r)` on `topic`.
+    fn drive(obs: &TopicObservatory, topic: &Topic, n: u32, rs: impl Fn(u32) -> u32, count: u32) {
         let truth = CostParams::CORRELATION_ID;
-        for _ in 0..count {
-            scratch.record(topic, shard, n, r, truth.mean_service_time(n, r as f64));
+        for i in 0..count {
+            let r = rs(i);
+            let service = truth.mean_service_time(n, r as f64);
+            obs.account_of(topic).lock().observe(n, r as f64, service);
         }
     }
 
     #[test]
-    fn staged_observations_land_in_the_table() {
+    fn observations_land_in_the_topics_own_account() {
         let obs = observatory(8, 2);
-        let mut scratch = TopicObsScratch::default();
-        drive(&mut scratch, "a", 0, 10, 3, 50);
-        drive(&mut scratch, "b", 1, 40, 1, 20);
-        assert_eq!(scratch.flush(&obs), 0);
+        let topics = [topic("a", 0, true), topic("b", 1, true), topic("idle", 1, true)];
+        drive(&obs, &topics[0], 10, |_| 3, 50);
+        drive(&obs, &topics[1], 40, |_| 1, 20);
 
-        let snap = obs.snapshot();
+        let snap = obs.snapshot(topics.iter());
+        // A topic that has seen no message has an account and no row.
         assert_eq!(snap.topics.len(), 2);
         assert_eq!(snap.topics[0].name, "a"); // busiest first
         assert_eq!(snap.topics[0].messages, 50);
-        assert_eq!(snap.topics[0].shard, 0);
+        assert_eq!((snap.topics[0].shard, snap.topics[1].shard), (0, 1));
         assert!((snap.topics[0].mean_filters - 10.0).abs() < 1e-12);
         assert!((snap.topics[0].mean_replication - 3.0).abs() < 1e-12);
-        assert_eq!(snap.overflowed_topics, 0);
+        assert_eq!((snap.shards, snap.overflowed_topics), (2, 0));
     }
 
+    /// A topic without an account of its own is counted once, whatever it
+    /// receives, and its messages pool with its shard's other such topics.
     #[test]
-    fn cap_collapses_into_per_shard_other() {
+    fn topics_beyond_the_cap_pool_in_their_shards_other() {
         let obs = observatory(2, 2);
-        let mut scratch = TopicObsScratch::default();
-        drive(&mut scratch, "a", 0, 10, 1, 5);
-        drive(&mut scratch, "b", 0, 10, 1, 5);
-        scratch.flush(&obs);
-        // Two more topics beyond the cap, on different shards.
-        drive(&mut scratch, "c", 0, 10, 1, 7);
-        drive(&mut scratch, "d", 1, 10, 1, 9);
-        let collapsed = scratch.flush(&obs);
-        assert_eq!(collapsed, 2);
+        let topics = [
+            topic("a", 0, true),
+            topic("b", 0, true),
+            topic("c", 0, false),
+            topic("d", 1, false),
+            topic("e", 1, false),
+        ];
+        for (topic, count) in topics.iter().zip([5, 5, 7, 9, 0]) {
+            drive(&obs, topic, 10, |_| 1, count);
+            drive(&obs, topic, 10, |_| 1, count);
+        }
 
-        let snap = obs.snapshot();
-        assert_eq!(snap.overflowed_topics, 2);
+        let snap = obs.snapshot(topics.iter());
+        assert_eq!(snap.overflowed_topics, 3);
         let others: Vec<_> = snap.topics.iter().filter(|t| t.name == OTHER_TOPIC).collect();
         assert_eq!(others.len(), 2);
         let by_shard = |s: usize| others.iter().find(|t| t.shard == s).expect("bucket").messages;
-        assert_eq!(by_shard(0), 7);
-        assert_eq!(by_shard(1), 9);
+        assert_eq!((by_shard(0), by_shard(1)), (14, 18));
+        assert_eq!(snap.topics.len(), 4);
     }
 
     #[test]
     fn per_topic_fit_converges_on_the_true_slopes() {
         let obs = observatory(8, 1);
         let truth = CostParams::CORRELATION_ID;
-        let mut scratch = TopicObsScratch::default();
+        let t = topic("t", 0, true);
         // Vary R within the topic so the anchored 2-parameter fit is
         // identifiable.
-        for i in 0..600u32 {
-            let r = 1 + (i % 6);
-            scratch.record("t", 0, 25, r, truth.mean_service_time(25, r as f64));
-        }
-        scratch.flush(&obs);
-        let snap = obs.snapshot();
+        drive(&obs, &t, 25, |i| 1 + (i % 6), 600);
+        let snap = obs.snapshot([&t].into_iter());
         let row = &snap.topics[0];
         let fitted = row.fitted.expect("identifiable").params;
         assert!((fitted.t_tx - truth.t_tx).abs() / truth.t_tx < 0.01);
@@ -403,15 +336,12 @@ mod tests {
     fn global_fit_pools_across_topics() {
         let obs = observatory(8, 1);
         let truth = CostParams::CORRELATION_ID;
-        let mut scratch = TopicObsScratch::default();
-        for (topic, n) in [("lo", 5u32), ("mid", 50), ("hi", 150)] {
-            for i in 0..400u32 {
-                let r = 1 + (i % 8);
-                scratch.record(topic, 0, n, r, truth.mean_service_time(n, r as f64));
-            }
-        }
-        scratch.flush(&obs);
-        let snap = obs.snapshot();
+        let topics = [("lo", 5u32), ("mid", 50), ("hi", 150)].map(|(name, n)| {
+            let topic = topic(name, 0, true);
+            drive(&obs, &topic, n, |i| 1 + (i % 8), 400);
+            topic
+        });
+        let snap = obs.snapshot(topics.iter());
         let global = snap.global_fitted.expect("identifiable").params;
         assert!((global.t_fltr - truth.t_fltr).abs() / truth.t_fltr < 0.01);
         assert!((global.t_tx - truth.t_tx).abs() / truth.t_tx < 0.01);
@@ -421,10 +351,9 @@ mod tests {
     #[test]
     fn no_anchor_means_no_verdict_but_still_rates() {
         let obs = TopicObservatory::new(TopicObsConfig::default(), None, 1);
-        let mut scratch = TopicObsScratch::default();
-        drive(&mut scratch, "t", 0, 10, 2, 400);
-        scratch.flush(&obs);
-        let snap = obs.snapshot();
+        let t = topic("t", 0, true);
+        drive(&obs, &t, 10, |_| 2, 400);
+        let snap = obs.snapshot([&t].into_iter());
         assert!(snap.anchor.is_none());
         assert!(snap.topics[0].verdict.is_none());
         assert_eq!(snap.topics[0].messages, 400);

@@ -65,7 +65,7 @@ pub use regression::{
 };
 pub use report::plan_report;
 pub use scenario::{ApplicationScenario, ApplicationScenarioBuilder};
-pub use slo::{max_utilization_for_quantile, AnalyticSlo};
+pub use slo::{max_utilization_for_quantile, measured_service, AnalyticSlo};
 pub use sweep::{Series, SeriesPoint};
 pub use waiting::{WaitingTimeAnalysis, WaitingTimeReport};
 

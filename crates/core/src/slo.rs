@@ -113,6 +113,19 @@ pub fn max_utilization_for_quantile(service: &ServiceTime, p: f64, limit_seconds
     lo
 }
 
+/// A service-time model rebuilt from measured moments, for the inversion
+/// above: `B = mean · R` with `E[R] = 1` and `Var[R] = c_var²` moment-matched
+/// onto a scaled Bernoulli. `None` for degenerate measurements (a mean that
+/// is not positive and finite, a `c_var` that is negative or not finite).
+pub fn measured_service(mean_seconds: f64, cvar: f64) -> Option<ServiceTime> {
+    if !(mean_seconds.is_finite() && mean_seconds > 0.0 && cvar.is_finite() && cvar >= 0.0) {
+        return None;
+    }
+    let replication =
+        ReplicationModel::scaled_bernoulli_from_moments(1.0, 1.0 + cvar * cvar).ok()?;
+    Some(ServiceTime::new(0.0, mean_seconds, replication))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,8 +24,8 @@
 
 use crate::config::FlowConfig;
 use rjms_core::{
-    max_utilization_for_quantile, CostParams, ModelVerdict, ReplicationModel, ServerModel,
-    ServiceTime,
+    max_utilization_for_quantile, measured_service, CostParams, ModelVerdict, ReplicationModel,
+    ServerModel, ServiceTime,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
@@ -267,18 +267,6 @@ impl FlowController {
 fn invert(service: &ServiceTime, target: f64) -> (f64, f64) {
     let rho = max_utilization_for_quantile(service, 0.99, target);
     (rho, rho / service.mean())
-}
-
-/// Rebuilds a service-time model from measured moments: `B = mean · R`
-/// with `E[R] = 1` and `Var[R] = c_var²` moment-matched onto a scaled
-/// Bernoulli. Returns `None` for degenerate measurements.
-fn measured_service(mean: f64, cvar: f64) -> Option<ServiceTime> {
-    if !(mean.is_finite() && mean > 0.0 && cvar.is_finite() && cvar >= 0.0) {
-        return None;
-    }
-    let replication =
-        ReplicationModel::scaled_bernoulli_from_moments(1.0, 1.0 + cvar * cvar).ok()?;
-    Some(ServiceTime::new(0.0, mean, replication))
 }
 
 #[cfg(test)]

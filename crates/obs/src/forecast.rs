@@ -32,7 +32,7 @@
 
 use crate::history::{MetricHistory, Reduce};
 use crate::slo::{Objective, SloSpec};
-use rjms_core::{max_utilization_for_quantile, ModelVerdict, ReplicationModel, ServiceTime};
+use rjms_core::{max_utilization_for_quantile, measured_service, ModelVerdict};
 use rjms_metrics::JsonWriter;
 use std::time::Duration;
 
@@ -545,19 +545,6 @@ fn littles_law_check(
     Some(LittlesLawCheck { measured_l, predicted_l, error, consistent })
 }
 
-/// Moment-matches a service time from measured mean and `c_var` — the
-/// same construction the flow controller recalibrates with: a scaled
-/// Bernoulli replication reproducing `E[R] = 1`, `E[R²] = 1 + c_var²`
-/// scaled by the measured mean.
-fn measured_service(mean_s: f64, cvar: f64) -> Option<ServiceTime> {
-    if mean_s.is_nan() || mean_s <= 0.0 || !cvar.is_finite() {
-        return None;
-    }
-    let replication =
-        ReplicationModel::scaled_bernoulli_from_moments(1.0, 1.0 + cvar * cvar).ok()?;
-    Some(ServiceTime::new(0.0, mean_s, replication))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,6 +631,34 @@ mod tests {
         let sat = fc.eta_saturation.expect("saturation ETA");
         assert!(sat.eta >= band.eta);
         assert_eq!(fc.soonest().unwrap().0, "w99-breach");
+
+        // The same history under a verdict whose measured service time is
+        // not a number to plan with: no forecast rather than λ targets of 0.
+        let monitor = rjms_core::ModelMonitor::new(
+            rjms_core::ServerModel::new(rjms_core::CostParams::CORRELATION_ID, 10),
+            rjms_core::ReplicationModel::deterministic(1.0),
+        );
+        let snapshot = registry.snapshot();
+        let (waiting, service) =
+            (&snapshot.histograms[WAITING_METRIC], &snapshot.histograms[SERVICE_METRIC]);
+        let mut verdict = monitor.assess(waiting, service, Duration::from_secs(30));
+        let (ModelVerdict::Calibrated(report) | ModelVerdict::Drift(report)) = &mut verdict else {
+            panic!("enough samples for a report: {verdict:?}");
+        };
+        for (mean, forecast) in [(0.001, true), (f64::INFINITY, false), (f64::NAN, false)] {
+            report.measured.mean_service_time = mean;
+            let verdict = ModelVerdict::Drift(report.clone());
+            let fc = f.forecast(
+                &h,
+                WAITING_METRIC,
+                SERVICE_METRIC,
+                BACKLOG_METRIC,
+                &targets(),
+                Some(&verdict),
+                Duration::from_secs(30),
+            );
+            assert_eq!(fc.is_some(), forecast, "measured mean {mean}");
+        }
     }
 
     #[test]

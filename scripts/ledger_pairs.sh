@@ -11,7 +11,9 @@
 # EXPERIMENTS.md carries (median [q1–q3] per side, ratio, wins, the parent's
 # quartile spread, and the median [q1–q3] of the per-pair ratio change ÷
 # parent: the host's slow and fast stretches take both runs of a pair
-# together, so the ratio is steadier than either side) and appends one JSON
+# together, so the ratio is steadier than either side — and the two-sided
+# exact sign test of those pairs, ties dropped: the probability of a split of
+# wins at least this lopsided if neither side were better) and appends one JSON
 # line per workload × metric to BENCH_HISTORY.jsonl, which is committed: the
 # ledger's trajectory. Traced runs (TRACE=1) are diagnostics: tabulated, not
 # recorded.
@@ -75,8 +77,8 @@ for workload in "${workloads[@]}"; do
   done
 done
 
-echo "| workload | metric | parent median [q1–q3] | change median [q1–q3] | change/parent | change wins | parent IQR | medians apart | parent IQR ÷ median | per-pair change/parent median [q1–q3] |"
-echo "|---|---|---|---|---|---|---|---|---|---|"
+echo "| workload | metric | parent median [q1–q3] | change median [q1–q3] | change/parent | change wins | parent IQR | medians apart | parent IQR ÷ median | per-pair change/parent median [q1–q3] | sign test p |"
+echo "|---|---|---|---|---|---|---|---|---|---|---|"
 for workload in "${workloads[@]}"; do
   # One line per run and metric: side pair metric value unit; then the
   # counts of the run under the metric names "attempted", "failed", "correct".
@@ -114,6 +116,13 @@ for workload in "${workloads[@]}"; do
       delta = i * (n + 1) - j * 4
       return (v[j] * (4 - delta) + v[j + 1] * delta) / 4
     }
+    function sign_p(wins, n,    k, i, term, sum) { # P(split at least this uneven | p = 1/2), both tails
+      if (n < 1) return 1
+      k = wins < n - wins ? wins : n - wins
+      term = sum = 0.5 ^ n
+      for (i = 1; i <= k; i++) { term *= (n - i + 1) / i; sum += term }
+      return 2 * sum > 1 ? 1 : 2 * sum
+    }
     function show(x) { return x >= 1000 ? sprintf("%.0f", x) : x >= 10 ? sprintf("%.2f", x) : sprintf("%.4g", x) }
     function total(metric, side,    i, sum) { for (i = 1; i <= pairs; i++) sum += value[side, metric, i]; return sum + 0 }
     END {
@@ -135,20 +144,21 @@ for workload in "${workloads[@]}"; do
         pm = cut(p, np, 2); p1 = cut(p, np, 1); p3 = cut(p, np, 3)
         cm = cut(c, nc, 2); c1 = cut(c, nc, 1); c3 = cut(c, nc, 3)
         apart = cm > pm ? cm - pm : pm - cm
-        printf "| %s | %s (%s) | %s [%s–%s] | %s [%s–%s] | %s | %d/%d%s | %s | %s | %s | %s |\n", workload, metric,
+        sign = sign_p(wins, pairs - ties)
+        printf "| %s | %s (%s) | %s [%s–%s] | %s [%s–%s] | %s | %d/%d%s | %s | %s | %s | %s | %.3g |\n", workload, metric,
           unit[metric], show(pm), show(p1), show(p3), show(cm), show(c1), show(c3),
           pm ? sprintf("%.2f×", cm / pm) : "–", wins, pairs, ties ? " (+" ties " ties)" : "",
           show(p3 - p1), show(apart), pm ? sprintf("%.0f%%", 100 * (p3 - p1) / pm) : "–",
-          (nr < 2 ? "–" : sprintf("%.2f× [%.2f–%.2f]", rm, r1, r3))
+          (nr < 2 ? "–" : sprintf("%.2f× [%.2f–%.2f]", rm, r1, r3)), sign
         if (trace) continue
         printf "{\"date\": \"%s\", \"pr\": \"%s\", \"parent\": \"%s\", \"change\": \"%s\", \"workload\": \"%s\", " \
           "\"metric\": \"%s\", \"unit\": \"%s\", \"better\": \"%s\", \"pairs\": %d, \"seconds\": %d, " \
           "\"seeds\": [%d, %d], \"parent_median\": %.6g, \"parent_q1\": %.6g, \"parent_q3\": %.6g, " \
           "\"change_median\": %.6g, \"change_q1\": %.6g, \"change_q3\": %.6g, \"wins\": %d, \"ties\": %d, " \
           "\"failed_parent\": %d, \"failed_change\": %d, \"ratio_median\": %.4g, \"ratio_q1\": %.4g, " \
-          "\"ratio_q3\": %.4g}\n", date, pr, parent, change, workload, metric,
+          "\"ratio_q3\": %.4g, \"sign_p\": %.4g}\n", date, pr, parent, change, workload, metric,
           unit[metric], better[metric], pairs, seconds, first, last, pm, p1, p3, cm, c1, c3, wins, ties,
-          total("failed", "parent"), total("failed", "change"), rm, r1, r3 >>history
+          total("failed", "parent"), total("failed", "change"), rm, r1, r3, sign >>history
       }
       printf "<!-- %s: %d pairs, attempted %d, failed %d, incorrect runs %d -->\n", workload, pairs,
         total("attempted", "parent") + total("attempted", "change"), total("failed", "parent") + total("failed", "change"),

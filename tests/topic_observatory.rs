@@ -278,7 +278,7 @@ fn per_topic_cap_overflows_into_other() {
 
     let snap =
         wait_observatory(&broker, |s| s.topics.iter().map(|t| t.messages).sum::<u64>() >= 32);
-    assert!(snap.overflowed_topics >= 2, "two of four topics must spill, got {snap:?}");
+    assert_eq!(snap.overflowed_topics, 2, "two of four topics must spill, got {snap:?}");
     let other = snap.topics.iter().find(|t| t.name == OTHER_TOPIC).expect("spill bucket");
     assert_eq!(other.messages, 16, "the two spilled topics' messages pool in __other__");
     let named = snap.topics.iter().filter(|t| t.name != OTHER_TOPIC).count();

@@ -1,6 +1,6 @@
 //! Counted work: what the dispatcher does for N messages on the shapes of
-//! two ledger workloads, as exact counts. Wall time moves with the host;
-//! these numbers repeat on any machine, so a change that adds or skips a
+//! the ledger workloads, plain and durable, as exact counts. Wall time moves
+//! with the host; these numbers repeat on any machine, so a change that adds or skips a
 //! filter evaluation or a copy fails here whatever it does to msgs/s
 //! (ROADMAP 4 (b); `perf_ledger/src/workloads.rs` has the timed versions).
 //! Each count is kept once, on the topic, so every run also checks that
@@ -14,6 +14,9 @@ use std::time::Duration;
 
 const MESSAGES: u64 = 1_000;
 
+/// What a durable subscription retains for a consumer that is away.
+const RETAINED_MAX: u64 = 600;
+
 /// The ledger's broker (one dispatcher, unless told otherwise): blocking
 /// subscriber queues that hold the whole run.
 fn broker(shards: usize, topics: &[&str]) -> Broker {
@@ -21,6 +24,7 @@ fn broker(shards: usize, topics: &[&str]) -> Broker {
         .shards(shards)
         .subscriber_queue_capacity(MESSAGES as usize)
         .overflow_policy(OverflowPolicy::Block)
+        .durable_buffer_capacity(RETAINED_MAX as usize)
         .build();
     let broker = Broker::start(config);
     for topic in topics {
@@ -41,6 +45,16 @@ fn assert_totals_are_sums(snap: &BrokerSnapshot) {
             (shards(|s| s.received), shards(|s| s.dispatched), shards(|s| s.filter_evaluations)),
             (m.received, m.dispatched, m.filter_evaluations)
         );
+    }
+}
+
+/// Gives the dispatcher up to two seconds to book what it has delivered.
+fn wait_until(reached: impl Fn() -> bool) {
+    for _ in 0..400 {
+        if reached() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 
@@ -75,12 +89,7 @@ fn run_and_count(broker: &Broker, topic: &str, matching: &[Subscriber], idle: &[
         let m = broker.snapshot().messages;
         (m.received, m.filter_evaluations, m.dispatched, m.dropped)
     };
-    for _ in 0..400 {
-        if counted() == expected {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_until(|| counted() == expected);
     assert_eq!(counted(), expected, "(received, filter evaluations, copies, dropped)");
     assert_totals_are_sums(&broker.snapshot());
     for sub in &matching[..matching.len() - 1] {
@@ -114,6 +123,67 @@ fn the_fanout_shape_evaluates_32_filters_per_message_and_copies_32_times() {
     run_and_count(&broker, "t", &matching, &[]);
     let messages = broker.snapshot().messages;
     assert_eq!((messages.filter_evaluations, messages.dispatched), (32_000, 32_000));
+    broker.shutdown();
+}
+
+fn subscribe_durable(broker: &Broker, topic: &str, name: &str, filter: Filter) -> Subscriber {
+    broker.subscription(topic).durable(name).filter(filter).open().unwrap()
+}
+
+/// `inproc_journal`'s subscriptions: a connected durable consumer, here
+/// behind three plain filters that stay idle. A durable subscription is one
+/// more row of the scan: 4 evaluations and 1 copy per message.
+#[test]
+fn a_durable_among_plain_filters_is_one_more_evaluation_and_one_copy() {
+    let broker = broker(1, &["t"]);
+    let idle: Vec<_> =
+        (0..3).map(|_| subscribe(&broker, "t", Filter::correlation_id("#1").unwrap())).collect();
+    let matching = [subscribe_durable(&broker, "t", "d", Filter::correlation_id("#0").unwrap())];
+    run_and_count(&broker, "t", &matching, &idle);
+    let messages = broker.snapshot().messages;
+    assert_eq!((messages.filter_evaluations, messages.dispatched), (4_000, 1_000));
+    broker.shutdown();
+}
+
+/// The filter shape with every subscription durable: still 256 evaluations
+/// per message and one copy. With the one consumer that is hit away, every
+/// filter is still evaluated, the message is retained instead — one per
+/// message up to the buffer's capacity, the oldest dropped beyond it — and
+/// nothing counts as dispatched.
+#[test]
+fn durable_selectors_are_all_evaluated_and_a_disconnected_hit_is_retained_not_dispatched() {
+    let broker = broker(1, &["t"]);
+    let durable = |key: u32| {
+        let filter = Filter::selector(&format!("key = {key}")).unwrap();
+        subscribe_durable(&broker, "t", &format!("d{key}"), filter)
+    };
+    let idle: Vec<_> = (1..256).map(durable).collect();
+    let matching = [durable(0)];
+    run_and_count(&broker, "t", &matching, &idle);
+    let connected = broker.snapshot().messages;
+    assert_eq!((connected.filter_evaluations, connected.dispatched), (256_000, 1_000));
+
+    // The consumer leaves with nothing pending, so the buffer starts empty.
+    drop(matching);
+    let publisher = broker.publisher("t").unwrap();
+    for sent in 1..=MESSAGES {
+        publisher.publish(Message::builder().property("key", 0i64).build()).unwrap();
+        if sent <= 3 {
+            // One at a time: a retained message is one more in the buffer.
+            wait_until(|| broker.snapshot().messages.retained == sent);
+            assert_eq!(broker.retained_count("t", "d0") as u64, sent);
+        }
+    }
+    // Evaluations are booked after the scan that retained the message.
+    wait_until(|| broker.snapshot().messages.filter_evaluations == 2 * 256_000);
+    let away = broker.snapshot().messages;
+    assert_eq!(
+        (away.received, away.filter_evaluations, away.dispatched, away.retained, away.dropped),
+        (2 * MESSAGES, 2 * 256_000, connected.dispatched, MESSAGES, MESSAGES - RETAINED_MAX)
+    );
+    assert_eq!(broker.retained_count("t", "d0") as u64, RETAINED_MAX);
+    assert!(idle.iter().all(|sub| sub.queued() == 0));
+    assert_totals_are_sums(&broker.snapshot());
     broker.shutdown();
 }
 
