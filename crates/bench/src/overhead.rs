@@ -198,7 +198,7 @@ fn sampler(broker: &Broker, forecast: bool) -> Box<dyn Any> {
         ..ObsConfig::default()
     };
     let registry = broker.metrics().expect("both arms run with metrics");
-    Box::new(ObsRuntime::start(ObsCore::new(config), registry, None, SAMPLE_EVERY, || None))
+    Box::new(ObsRuntime::start(ObsCore::new(config), registry, None, SAMPLE_EVERY, Vec::new))
 }
 
 /// The flow gate's seed model is the calibrated workload scaled by this,

@@ -36,7 +36,7 @@ use crate::pattern::TopicPattern;
 use crate::persist::{recover_topics, JournalRecord};
 use crate::probe::{NoProbe, Telemetry};
 use crate::reports::{
-    cost_anchor, flow_refresh_loop, model_text, monitor_of, shard_reports_of, snapshot_of,
+    cost_anchor, flow_refresh_loop, model_text, shard_monitors_of, shard_reports_of, snapshot_of,
     ShardReport,
 };
 use crate::stats::{BrokerSnapshot, BrokerStats};
@@ -848,12 +848,14 @@ impl BrokerObserver {
         self.inner.topic_observatory()
     }
 
-    /// The analytic model at the broker's measured operating point (mean
-    /// filter evaluations and replication grade per message so far),
-    /// anchored like the shard reports: on the flow model's constants, else
-    /// the cost model's. `None` without either, or before any traffic.
-    pub fn monitor(&self) -> Option<ModelMonitor> {
-        monitor_of(&self.inner)
+    /// The analytic model of each dispatcher shard, at that shard's
+    /// measured operating point (mean filter evaluations and replication
+    /// grade per message so far; an idle shard's are 0): the models the
+    /// shard reports judge with, for the SLO engine
+    /// (`ObsCore::set_monitors`). One entry per shard, each `None` without
+    /// a cost anchor (the flow model's constants, else the cost model's).
+    pub fn shard_monitors(&self) -> Vec<Option<ModelMonitor>> {
+        shard_monitors_of(&self.inner)
     }
 
     /// The model check as text: per shard the verdict and the

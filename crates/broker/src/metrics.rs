@@ -27,7 +27,7 @@
 //! | `journal.append_ns` | histogram | every journal append (always on, from `rjms-journal`) |
 //! | `journal.fsync_ns` | histogram | every explicit fsync (always on, from `rjms-journal`) |
 
-use rjms_metrics::{clock, labeled, Gauge, Histogram, LocalHistogram, MetricsRegistry};
+use rjms_metrics::{clock, shard_series, Gauge, Histogram, LocalHistogram, MetricsRegistry};
 use std::sync::Arc;
 
 /// Dispatcher-local staging flushed into the shared histograms every this
@@ -56,6 +56,10 @@ pub(crate) struct BrokerMetrics {
 impl BrokerMetrics {
     pub(crate) fn new(stage_sample_every: u64) -> Self {
         let registry = MetricsRegistry::new();
+        // The unlabeled gauge pair is on the surface whatever the shard
+        // count; a sharded broker's dispatchers write their own pairs.
+        registry.gauge("broker.queue_depth");
+        registry.gauge("broker.in_flight");
         Self {
             waiting: registry.histogram("broker.waiting_ns"),
             service: registry.histogram("broker.service_ns"),
@@ -106,40 +110,28 @@ pub(crate) struct DispatcherScratch {
 }
 
 impl DispatcherScratch {
-    pub(crate) fn new(metrics: &BrokerMetrics) -> Self {
+    /// Staging for dispatcher `shard` of `shards`. Its gauge pair is that
+    /// shard's series ([`shard_series`]): each dispatcher is the single
+    /// writer of its own pair, so shards never stomp one another's readings.
+    /// On a sharded broker its samples also feed the shard's labeled
+    /// histogram twins (`broker.waiting_ns{shard="i"}`, …) beside the
+    /// aggregates; a single dispatcher's series are the aggregates.
+    pub(crate) fn new(metrics: &BrokerMetrics, shard: usize, shards: usize) -> Self {
+        let series = |base| shard_series(base, shard, shards);
+        let twin = |base| (LocalHistogram::new(), metrics.registry.histogram(&series(base)));
         Self {
             waiting: LocalHistogram::new(),
             service: LocalHistogram::new(),
             sojourn: LocalHistogram::new(),
             backlog: LocalHistogram::new(),
-            depth_gauge: metrics.registry.gauge("broker.queue_depth"),
-            in_flight_gauge: metrics.registry.gauge("broker.in_flight"),
-            shard: None,
-        }
-    }
-
-    /// Staging that additionally feeds shard `index`'s labeled series
-    /// (`broker.waiting_ns{shard="i"}`, …) in the broker registry. The
-    /// gauges are shard-labeled instead of aggregate — each dispatcher is
-    /// the single writer of its own gauge pair, so shards never stomp one
-    /// another's readings.
-    pub(crate) fn for_shard(metrics: &BrokerMetrics, index: usize) -> Self {
-        let label = index.to_string();
-        let hist = |base: &str| metrics.registry.histogram(&labeled(base, &[("shard", &label)]));
-        Self {
-            depth_gauge: metrics
-                .registry
-                .gauge(&labeled("broker.queue_depth", &[("shard", &label)])),
-            in_flight_gauge: metrics
-                .registry
-                .gauge(&labeled("broker.in_flight", &[("shard", &label)])),
-            shard: Some(ShardScratch {
-                waiting: (LocalHistogram::new(), hist("broker.waiting_ns")),
-                service: (LocalHistogram::new(), hist("broker.service_ns")),
-                sojourn: (LocalHistogram::new(), hist("broker.sojourn_ns")),
-                backlog: (LocalHistogram::new(), hist("broker.backlog")),
+            depth_gauge: metrics.registry.gauge(&series("broker.queue_depth")),
+            in_flight_gauge: metrics.registry.gauge(&series("broker.in_flight")),
+            shard: (shards > 1).then(|| ShardScratch {
+                waiting: twin("broker.waiting_ns"),
+                service: twin("broker.service_ns"),
+                sojourn: twin("broker.sojourn_ns"),
+                backlog: twin("broker.backlog"),
             }),
-            ..Self::new(metrics)
         }
     }
 
@@ -196,7 +188,7 @@ mod tests {
     #[test]
     fn shard_scratch_feeds_labeled_twins() {
         let m = BrokerMetrics::new(1);
-        let mut scratch = DispatcherScratch::for_shard(&m, 2);
+        let mut scratch = DispatcherScratch::new(&m, 2, 4);
         scratch.record(10, 20, 30);
         scratch.flush(&m);
         let snap = m.registry.snapshot();
@@ -211,7 +203,7 @@ mod tests {
     #[test]
     fn backlog_staging_feeds_histogram_and_gauges() {
         let m = BrokerMetrics::new(1);
-        let mut scratch = DispatcherScratch::new(&m);
+        let mut scratch = DispatcherScratch::new(&m, 0, 1);
         scratch.record_backlog(3);
         scratch.record_backlog(5);
         assert_eq!(m.registry.gauge("broker.queue_depth").get(), 5);
@@ -229,7 +221,7 @@ mod tests {
     #[test]
     fn sharded_backlog_uses_labeled_series_and_gauges() {
         let m = BrokerMetrics::new(1);
-        let mut scratch = DispatcherScratch::for_shard(&m, 1);
+        let mut scratch = DispatcherScratch::new(&m, 1, 2);
         scratch.record_backlog(7);
         scratch.flush(&m);
         let snap = m.registry.snapshot();

@@ -203,11 +203,7 @@ impl<'a> Telemetry<'a> {
     /// runs without metrics.
     pub(crate) fn new(inner: &'a BrokerInner, shard: usize) -> Option<Self> {
         let metrics = inner.metrics.as_ref()?;
-        let scratch = if inner.config.shards > 1 {
-            DispatcherScratch::for_shard(metrics, shard)
-        } else {
-            DispatcherScratch::new(metrics)
-        };
+        let scratch = DispatcherScratch::new(metrics, shard, inner.config.shards);
         let trace = inner.tracer.as_deref().zip(inner.config.trace).map(|(recorder, config)| {
             TraceSampler {
                 recorder,

@@ -2,9 +2,9 @@
 //! [`BrokerSnapshot`] and the per-shard model reports — the one place the
 //! paper's method (measure an operating point, evaluate Eq. 1 + M/GI/1
 //! *for that server*, compare) is spelled. `/shards`, `/model`, the
-//! periodic text report, the flow-refresh thread and the monitor handed to
-//! the SLO engine all read it from here. Nothing here runs on the dispatch
-//! path.
+//! periodic text report, the flow-refresh thread and the per-shard monitors
+//! handed to the SLO engine all read it from here. Nothing here runs on the
+//! dispatch path.
 
 use crate::broker::{BrokerInner, Topic};
 use crate::config::BrokerConfig;
@@ -13,7 +13,7 @@ use crate::stats::{
 };
 use rjms_core::{CostParams, ModelMonitor, ModelVerdict, ReplicationModel, ServerModel};
 use rjms_flow::FlowGate;
-use rjms_metrics::{clock, labeled, RegistrySnapshot};
+use rjms_metrics::{clock, shard_series, RegistrySnapshot};
 use rjms_trace::{group_chains, FlightRecorder};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -100,9 +100,10 @@ pub(crate) fn snapshot_of(inner: &BrokerInner) -> BrokerSnapshot {
 
 /// Periodically re-calibrates the flow gate's arrival budget from the
 /// per-shard model reports: every refresh interval it assesses each shard
-/// at its *measured* operating point ([`shard_reports_in`]) and feeds
-/// [`gate_verdict`]'s pick to [`FlowGate::refresh`] — drift re-derives
-/// λ_max from that shard's measured moments, overload tightens the budget.
+/// at its *measured* operating point ([`shard_reports_in`]) and feeds the
+/// shard that bounds W99 ([`ModelVerdict::bounding`]; the gate's budget is
+/// `k · λ_per_shard`) to [`FlowGate::refresh`] — drift re-derives λ_max
+/// from that shard's measured moments, overload tightens the budget.
 pub(crate) fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
     let Some(metrics) = &inner.metrics else { return };
     let interval = Duration::from_millis(gate.config().refresh_interval_ms.max(1));
@@ -128,27 +129,11 @@ pub(crate) fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
             }
             gate.reseed_store_cost(store_ns * 1e-9);
         }
-        if let Some(verdict) = gate_verdict(&shard_reports_in(inner, &snap)) {
+        let reports = shard_reports_in(inner, &snap);
+        if let Some(verdict) = ModelVerdict::bounding(reports.iter().map(|r| &r.verdict)) {
             gate.refresh(verdict);
         }
     }
-}
-
-/// The verdict the admission gate is refreshed from. The shards are `k`
-/// independent M/GI/1 servers and the gate's budget is `k · λ_per_shard`,
-/// so the shard that bounds W99 decides: an overloaded shard (the most
-/// overloaded one) before any other, else the shard with the highest
-/// measured utilisation. `None` while no shard has enough samples.
-pub(crate) fn gate_verdict(reports: &[ShardReport]) -> Option<&ModelVerdict> {
-    let load = |verdict: &ModelVerdict| match verdict {
-        ModelVerdict::Overloaded { utilization } => Some((true, *utilization)),
-        verdict => verdict.report().map(|r| (false, r.measured.utilization)),
-    };
-    reports
-        .iter()
-        .filter_map(|r| Some((load(&r.verdict)?, &r.verdict)))
-        .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(_, verdict)| verdict)
 }
 
 /// One dispatcher shard's live model assessment: the shard's measured
@@ -187,23 +172,31 @@ pub(crate) fn cost_anchor(config: &BrokerConfig) -> Option<CostParams> {
     config.flow.as_ref().map(|flow| flow.params).or(config.cost_model)
 }
 
+/// A shard's measured operating point: its mean filter evaluations and
+/// replication grade per message. An idle shard's are 0 and 0.
+fn operating_point(total: &ShardSnapshot) -> (f64, f64) {
+    let filters = per_message(total.filter_evaluations, total.received).unwrap_or(0.0);
+    (filters, total.replication_grade().unwrap_or(0.0))
+}
+
 /// The workspace's one assessment: Eq. 1 + M/GI/1 anchored on `params`,
-/// evaluated at a server's measured operating point — its mean filter
-/// evaluations per message (rounded) and its replication grade.
-fn monitor_at(params: CostParams, filters: f64, grade: f64) -> ModelMonitor {
+/// evaluated at one shard's measured operating point — its filters per
+/// message (rounded) and its replication grade. Each dispatcher is one
+/// server, so the shard reports and the SLO engine
+/// ([`shard_monitors_of`]) judge every shard with its own.
+fn shard_monitor(params: CostParams, total: &ShardSnapshot) -> ModelMonitor {
+    let (filters, grade) = operating_point(total);
     let model = ServerModel::new(params, filters.round() as u32);
     ModelMonitor::new(model, ReplicationModel::deterministic(grade))
 }
 
-/// The monitor behind
-/// [`BrokerObserver::monitor`](crate::BrokerObserver::monitor): the whole
-/// broker's measured operating point; `None` without a cost anchor or
-/// before the first message.
-pub(crate) fn monitor_of(inner: &BrokerInner) -> Option<ModelMonitor> {
-    let params = cost_anchor(&inner.config)?;
-    let all = broker_totals(inner);
-    let filters = per_message(all.filter_evaluations, all.received)?;
-    Some(monitor_at(params, filters, all.replication_grade()?))
+/// The models behind
+/// [`BrokerObserver::shard_monitors`](crate::BrokerObserver::shard_monitors):
+/// one entry per dispatcher shard, each `None` without a cost anchor.
+pub(crate) fn shard_monitors_of(inner: &BrokerInner) -> Vec<Option<ModelMonitor>> {
+    let params = cost_anchor(&inner.config);
+    let (_, per_shard) = totals(&inner.topics.read(), inner.config.shards, |_, _| {});
+    per_shard.iter().map(|total| Some(shard_monitor(params?, total))).collect()
 }
 
 /// Builds the per-shard model reports behind
@@ -225,23 +218,11 @@ fn shard_reports_in(inner: &BrokerInner, snap: &RegistrySnapshot) -> Vec<ShardRe
     let (_, per_shard) = totals(&inner.topics.read(), shards, |_, _| {});
     (0..shards)
         .map(|shard| {
-            // The single-dispatcher broker publishes no shard-labeled
-            // series; its shard 0 *is* the aggregate.
-            let (waiting, service) = if shards == 1 {
-                (snap.histogram("broker.waiting_ns"), snap.histogram("broker.service_ns"))
-            } else {
-                let label = shard.to_string();
-                let pairs = [("shard", label.as_str())];
-                (
-                    snap.histogram(&labeled("broker.waiting_ns", &pairs)),
-                    snap.histogram(&labeled("broker.service_ns", &pairs)),
-                )
-            };
+            let series = |base| snap.histogram(&shard_series(base, shard, shards));
+            let (waiting, service) = (series("broker.waiting_ns"), series("broker.service_ns"));
             let total = &per_shard[shard];
-            // An idle shard is assessed at 0 filters, 0 copies.
-            let filters = per_message(total.filter_evaluations, total.received).unwrap_or(0.0);
-            let replication_grade = total.replication_grade().unwrap_or(0.0);
-            let monitor = monitor_at(params, filters, replication_grade);
+            let (filters, replication_grade) = operating_point(total);
+            let monitor = shard_monitor(params, total);
             // A shard whose histograms have not materialized yet (no
             // dispatch flushed) is an idle server, not a missing one.
             let (samples, verdict) = match (waiting, service) {
@@ -344,24 +325,6 @@ mod tests {
             verdict,
         };
         verdicts.into_iter().enumerate().map(report).collect()
-    }
-
-    #[test]
-    fn the_gate_follows_the_shard_that_bounds_w99() {
-        let overloaded = |utilization| ModelVerdict::Overloaded { utilization };
-        // Overloaded beats busy (the worst overload when there are two).
-        let r = reports(vec![busy(0.9, Drift), overloaded(1.1), IDLE, overloaded(1.4)]);
-        assert_eq!(gate_verdict(&r), Some(&overloaded(1.4)));
-        // The busiest shard beats an idler one, whatever their kinds.
-        let r = reports(vec![busy(0.2, Drift), IDLE, busy(0.6, Calibrated), busy(0.4, Drift)]);
-        assert_eq!(gate_verdict(&r), Some(&busy(0.6, Calibrated)));
-        // Nothing to go on refreshes nothing.
-        assert_eq!(gate_verdict(&reports(vec![IDLE, IDLE])), None);
-        assert_eq!(gate_verdict(&[]), None);
-        // One shard is that shard: the single-dispatcher broker's behaviour.
-        for verdict in [busy(0.3, Drift), busy(0.3, Calibrated), overloaded(1.2)] {
-            assert_eq!(gate_verdict(&reports(vec![verdict.clone()])), Some(&verdict));
-        }
     }
 
     #[test]

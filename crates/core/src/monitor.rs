@@ -194,6 +194,24 @@ impl ModelVerdict {
             _ => None,
         }
     }
+
+    /// The verdict that speaks for `k` independent M/GI/1 servers, one
+    /// verdict each: the server that bounds W99. An overloaded server (the
+    /// most overloaded one) before any other, else the highest measured
+    /// utilisation, else — no server has enough samples yet — the one with
+    /// the most. One server's verdict is itself; `None` only for no verdicts.
+    /// The flow gate is refreshed from it and the SLO engine judges it.
+    pub fn bounding<'a>(verdicts: impl IntoIterator<Item = &'a Self>) -> Option<&'a Self> {
+        let load = |verdict: &Self| match verdict {
+            Self::Overloaded { utilization } => (2, *utilization),
+            Self::Insufficient { samples, .. } => (0, *samples as f64),
+            verdict => (1, verdict.report().map_or(0.0, |r| r.measured.utilization)),
+        };
+        verdicts.into_iter().max_by(|a, b| {
+            let (a, b) = (load(a), load(b));
+            a.0.cmp(&b.0).then(a.1.total_cmp(&b.1))
+        })
+    }
 }
 
 /// Continuously compares a live broker against its calibrated analytic
@@ -347,6 +365,45 @@ mod tests {
         match v {
             ModelVerdict::Overloaded { utilization } => assert!(utilization > 1.0),
             other => panic!("expected overload, got {other:?}"),
+        }
+    }
+
+    /// A `kind` verdict whose report measured the given utilisation.
+    fn busy(utilization: f64, kind: fn(DriftReport) -> ModelVerdict) -> ModelVerdict {
+        let service = ServerModel::new(CostParams::CORRELATION_ID, 1)
+            .service_time(ReplicationModel::deterministic(1.0));
+        let predicted = WaitingTimeAnalysis::for_service_time(service, 0.5).unwrap().report();
+        let measured = MeasuredSummary {
+            samples: 5000,
+            arrival_rate: predicted.arrival_rate,
+            mean_service_time: predicted.mean_service_time,
+            service_cvar: 0.0,
+            utilization,
+            mean_waiting_time: predicted.mean_waiting_time,
+            q99: predicted.q99,
+            q9999: predicted.q9999,
+        };
+        kind(DriftReport { measured, predicted, violations: Vec::new() })
+    }
+
+    #[test]
+    fn the_bounding_verdict_is_the_shard_that_bounds_w99() {
+        use ModelVerdict::{Calibrated, Drift};
+        let overloaded = |utilization| ModelVerdict::Overloaded { utilization };
+        let idle = |samples| ModelVerdict::Insufficient { samples, required: 1000 };
+        let bounding = |verdicts: &[ModelVerdict]| ModelVerdict::bounding(verdicts).cloned();
+        // Overloaded beats busy (the worst overload when there are two).
+        let v = [busy(0.9, Drift), overloaded(1.1), idle(3), overloaded(1.4)];
+        assert_eq!(bounding(&v), Some(overloaded(1.4)));
+        // The busiest shard beats an idler one, whatever their kinds.
+        let v = [busy(0.2, Drift), idle(3), busy(0.6, Calibrated), busy(0.4, Drift)];
+        assert_eq!(bounding(&v), Some(busy(0.6, Calibrated)));
+        // Before any shard can be judged, the one closest to it.
+        assert_eq!(bounding(&[idle(3), idle(700), idle(12)]), Some(idle(700)));
+        assert_eq!(bounding(&[]), None);
+        // One shard is that shard: the single-dispatcher broker's behaviour.
+        for verdict in [busy(0.3, Drift), busy(0.3, Calibrated), overloaded(1.2), idle(3)] {
+            assert_eq!(ModelVerdict::bounding([&verdict]), Some(&verdict));
         }
     }
 }

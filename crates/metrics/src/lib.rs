@@ -48,5 +48,5 @@ pub mod registry;
 pub use counter::{Counter, Gauge};
 pub use histogram::{Histogram, HistogramSnapshot, LocalHistogram, Stopwatch};
 pub use json::JsonWriter;
-pub use prometheus::labeled;
+pub use prometheus::{labeled, shard_series};
 pub use registry::{MetricsRegistry, RegistrySnapshot};

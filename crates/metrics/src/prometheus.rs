@@ -47,6 +47,18 @@ pub fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
     out
 }
 
+/// The name of dispatcher shard `shard`'s series of `base` on a broker of
+/// `shards` dispatchers: `base` itself when there is one (that dispatcher's
+/// series *is* the aggregate, and no labeled twin is published), the
+/// `{shard="i"}` twin otherwise.
+pub fn shard_series(base: &str, shard: usize, shards: usize) -> String {
+    if shards == 1 {
+        base.to_owned()
+    } else {
+        labeled(base, &[("shard", &shard.to_string())])
+    }
+}
+
 /// Splits a registry name into its sanitized Prometheus base name and the
 /// verbatim label suffix (without braces), if any.
 fn split_name(name: &str) -> (String, Option<&str>) {
@@ -176,6 +188,8 @@ mod tests {
             labeled("a", &[("k", "q\"u\\o\nte"), ("j", "x")]),
             "a{k=\"q\\\"u\\\\o\\nte\",j=\"x\"}"
         );
+        assert_eq!(shard_series("a.b", 0, 1), "a.b");
+        assert_eq!(shard_series("a.b", 2, 4), "a.b{shard=\"2\"}");
     }
 
     #[test]

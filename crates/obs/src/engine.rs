@@ -20,7 +20,7 @@ use crate::forecast::{BreachTargets, Forecast, ForecastConfig, Forecaster, BACKL
 use crate::history::{HistoryConfig, MetricHistory, Reduce, Window};
 use crate::slo::{evaluate_window, Objective, SloSpec, WindowBurn, SERVICE_METRIC, WAITING_METRIC};
 use rjms_core::{ModelMonitor, ModelVerdict};
-use rjms_metrics::{JsonWriter, MetricsRegistry, RegistrySnapshot};
+use rjms_metrics::{shard_series, JsonWriter, MetricsRegistry, RegistrySnapshot};
 use rjms_trace::{group_chains, FlightRecorder};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -78,16 +78,35 @@ pub struct ObjectiveStatus {
     pub budget_remaining: f64,
 }
 
+/// One dispatcher shard as the engine last judged it, over that shard's
+/// own series (see [`ObsCore::shards`]).
+#[derive(Debug, Clone)]
+pub struct ShardAssessment {
+    /// The model verdict; `None` without a model for the shard or samples
+    /// in the assessment window.
+    pub verdict: Option<ModelVerdict>,
+    /// The saturation forecast; `None` when forecasting is off or the
+    /// shard's trend data does not suffice.
+    pub forecast: Option<Forecast>,
+}
+
 /// The deterministic SLO engine. See the [module docs](self).
+///
+/// Eq. 1 and the M/GI/1 model describe one server, and a broker with `k`
+/// dispatchers is `k` of them: the engine assesses and forecasts each
+/// shard over its own series and judges the one that bounds the broker.
+/// The latency objectives count messages, not servers, and read the
+/// aggregate series.
 pub struct ObsCore {
     history: MetricHistory,
     specs: Vec<SloSpec>,
     machines: Vec<AlertMachine>,
-    monitor: Option<ModelMonitor>,
+    /// One model per shard ([`ObsCore::set_monitors`]); its length is the
+    /// shard count, and an engine never given any judges one server.
+    monitors: Vec<Option<ModelMonitor>>,
     forecaster: Forecaster,
     targets: BreachTargets,
-    latest_verdict: Option<ModelVerdict>,
-    latest_forecast: Option<Forecast>,
+    shards: Vec<ShardAssessment>,
     latest_status: Vec<ObjectiveStatus>,
     events: std::collections::VecDeque<AlertEvent>,
     sinks: Vec<Box<dyn AlertSink>>,
@@ -116,30 +135,26 @@ impl ObsCore {
             history: MetricHistory::new(config.history),
             specs: config.slos,
             machines,
-            monitor: None,
+            monitors: Vec::new(),
             forecaster: Forecaster::new(config.forecast),
             targets,
-            latest_verdict: None,
-            latest_forecast: None,
+            shards: Vec::new(),
             latest_status: Vec::new(),
             events: std::collections::VecDeque::with_capacity(EVENT_RING),
             sinks: Vec::new(),
         }
     }
 
-    /// Attaches the analytic model monitor: firing evidence gains the
-    /// model's prediction and the drift-health objective becomes live.
-    pub fn with_monitor(mut self, monitor: ModelMonitor) -> Self {
-        self.monitor = Some(monitor);
-        self
-    }
-
-    /// Replaces the model monitor at runtime. The measured operating point
-    /// (filters per message, replication grade) is only observable once
-    /// traffic flows, so hosts refresh the monitor as topology data
-    /// arrives.
-    pub fn set_monitor(&mut self, monitor: ModelMonitor) {
-        self.monitor = Some(monitor);
+    /// Sets the analytic model of each dispatcher shard, one entry per
+    /// shard (`None`: no model for it). The list's length is the broker's
+    /// shard count: shard `i` is judged over its own series
+    /// ([`shard_series`]). With models, firing evidence gains the bounding
+    /// shard's prediction and the drift-health objective becomes live. A
+    /// shard's measured operating point (filters per message, replication
+    /// grade) is only observable once traffic flows, so hosts refresh the
+    /// list as it moves.
+    pub fn set_monitors(&mut self, monitors: Vec<Option<ModelMonitor>>) {
+        self.monitors = monitors;
     }
 
     /// Adds a notification sink.
@@ -162,46 +177,29 @@ impl ObsCore {
         self.events.iter()
     }
 
-    /// The latest model verdict, when a monitor is attached and has seen
-    /// enough samples.
-    pub fn latest_verdict(&self) -> Option<&ModelVerdict> {
-        self.latest_verdict.as_ref()
+    /// Each shard as the latest tick judged it, in shard order.
+    pub fn shards(&self) -> &[ShardAssessment] {
+        &self.shards
     }
 
-    /// The latest saturation forecast (recomputed by each tick when
-    /// forecasting is enabled and trend data suffices).
+    /// The latest model verdict of the shard that bounds W99
+    /// ([`ModelVerdict::bounding`], the flow gate's rule), when a shard has
+    /// a model and samples.
+    pub fn latest_verdict(&self) -> Option<&ModelVerdict> {
+        bounding_verdict(&self.shards)
+    }
+
+    /// The latest saturation forecast that comes soonest: the shard whose
+    /// projected breach is nearest, else (no shard projects one) the
+    /// busiest shard's. Recomputed by each tick when forecasting is enabled
+    /// and trend data suffices.
     pub fn latest_forecast(&self) -> Option<&Forecast> {
-        self.latest_forecast.as_ref()
+        soonest_forecast(&self.shards)
     }
 
     /// The forecaster's knobs.
     pub fn forecast_config(&self) -> &ForecastConfig {
         self.forecaster.config()
-    }
-
-    /// Computes a forecast over arbitrary instrument names — the HTTP
-    /// layer uses this for per-shard forecasts over the labeled twins
-    /// (`broker.waiting_ns{shard="i"}` etc). The shard's own service
-    /// histogram is moment-matched rather than the aggregate monitor's
-    /// calibration, so each shard is judged at its own operating point.
-    pub fn forecast_for(
-        &self,
-        waiting_metric: &str,
-        service_metric: &str,
-        backlog_metric: &str,
-    ) -> Option<Forecast> {
-        if !self.forecaster.config().enabled {
-            return None;
-        }
-        self.forecaster.forecast(
-            &self.history,
-            waiting_metric,
-            service_metric,
-            backlog_metric,
-            &self.targets,
-            None,
-            self.history.latest().unwrap_or(Duration::ZERO),
-        )
     }
 
     /// Ingests one cumulative snapshot and evaluates every objective.
@@ -214,54 +212,50 @@ impl ObsCore {
     ) -> Vec<AlertEvent> {
         self.history.record(elapsed, snapshot);
 
-        // Model assessment over the fast window of the first latency
-        // objective (they share the default 5 m onset horizon).
+        // Per shard, over its own series: the model assessment over the
+        // fast window of the first latency objective (they share the
+        // default 5 m onset horizon), then the predictive pass — fit the
+        // λ(t) trend and project time-to-breach before any burn evaluation,
+        // so a clean-but-climbing system can enter Pending this very tick.
         let assess_span =
             self.specs.first().map(|s| s.fast_window).unwrap_or(Duration::from_secs(300));
         let assess_window = self.history.window(assess_span);
-        self.latest_verdict = self.monitor.as_ref().and_then(|m| {
-            let waiting = assess_window.histogram(WAITING_METRIC)?;
-            let service = assess_window.histogram(SERVICE_METRIC)?;
-            Some(m.assess(waiting, service, assess_window.span()))
-        });
-        let drift_red = matches!(
-            self.latest_verdict,
-            Some(ModelVerdict::Drift(_) | ModelVerdict::Overloaded { .. })
-        );
-
-        // Predictive pass: fit the λ(t) trend and project time-to-breach
-        // before any burn evaluation, so a clean-but-climbing system can
-        // enter Pending this very tick.
+        let shards = self.monitors.len().max(1);
         let forecast_config = *self.forecaster.config();
-        let forecast = forecast_config.enabled.then(|| {
-            self.forecaster.forecast(
-                &self.history,
-                WAITING_METRIC,
-                SERVICE_METRIC,
-                BACKLOG_METRIC,
-                &self.targets,
-                self.latest_verdict.as_ref(),
-                elapsed,
-            )
-        });
-        let forecast = forecast.flatten();
+        let assessed: Vec<ShardAssessment> = (0..shards)
+            .map(|shard| {
+                let series = |base| shard_series(base, shard, shards);
+                let (waiting, service) = (series(WAITING_METRIC), series(SERVICE_METRIC));
+                let monitor = self.monitors.get(shard).and_then(Option::as_ref);
+                let verdict = monitor.and_then(|m| {
+                    let waiting = assess_window.histogram(&waiting)?;
+                    let service = assess_window.histogram(&service)?;
+                    Some(m.assess(waiting, service, assess_window.span()))
+                });
+                let backlog = series(BACKLOG_METRIC);
+                let (history, targets) = (&self.history, &self.targets);
+                let forecast = forecast_config.enabled.then(|| {
+                    self.forecaster
+                        .forecast(history, &waiting, &service, &backlog, targets, elapsed)
+                });
+                ShardAssessment { verdict, forecast: forecast.flatten() }
+            })
+            .collect();
+        let verdict = bounding_verdict(&assessed);
+        let drift_red =
+            matches!(verdict, Some(ModelVerdict::Drift(_) | ModelVerdict::Overloaded { .. }));
+        let forecast = soonest_forecast(&assessed);
 
         let mut transitions = Vec::new();
         let mut status = Vec::with_capacity(self.specs.len());
         for (spec, machine) in self.specs.iter().zip(self.machines.iter_mut()) {
             let fast_window = self.history.window(spec.fast_window);
             let slow_window = self.history.window(spec.slow_window);
-            let fast = evaluate_window(&spec.objective, &fast_window, drift_red);
-            let slow = evaluate_window(&spec.objective, &slow_window, drift_red);
-            let hint = pending_hint(forecast.as_ref(), &forecast_config, &spec.objective);
+            let fast = evaluate_window(&spec.objective, &fast_window, shards, drift_red);
+            let slow = evaluate_window(&spec.objective, &slow_window, shards, drift_red);
+            let hint = forecast.is_some_and(|f| f.pending(&forecast_config, &spec.objective));
             let event = machine.step_with_forecast(elapsed, fast, slow, hint, || {
-                build_evidence(
-                    spec,
-                    &fast_window,
-                    self.latest_verdict.as_ref(),
-                    forecast.as_ref(),
-                    recorder,
-                )
+                build_evidence(spec, &fast_window, verdict, forecast, recorder)
             });
             if let Some(event) = event {
                 transitions.push(event);
@@ -273,10 +267,10 @@ impl ObsCore {
                 fast,
                 slow,
                 threshold: spec.burn_threshold,
-                budget_remaining: budget_remaining(&spec.objective, slow),
+                budget_remaining: 1.0 - slow.burn,
             });
         }
-        self.latest_forecast = forecast;
+        self.shards = assessed;
         self.latest_status = status;
         for event in &transitions {
             if self.events.len() == EVENT_RING {
@@ -299,7 +293,7 @@ impl ObsCore {
         JsonWriter::document(|w| {
             w.object(|w| {
                 w.field("elapsed_ms", self.history.latest().map_or(0, |t| t.as_millis() as u64));
-                w.field("model_verdict", self.latest_verdict.as_ref().map(verdict_summary));
+                w.field("model_verdict", self.latest_verdict().map(verdict_summary));
                 w.key("objectives").array(|w| {
                     for s in &self.latest_status {
                         w.object(|w| {
@@ -317,7 +311,7 @@ impl ObsCore {
                         });
                     }
                 });
-                w.key("forecast").optional(self.latest_forecast.as_ref(), Forecast::write_json);
+                w.key("forecast").optional(self.latest_forecast(), Forecast::write_json);
                 w.key("forecast_config").object(|w| {
                     w.field("enabled", config.enabled);
                     w.field("horizon_ms", config.horizon.as_millis() as u64);
@@ -372,13 +366,18 @@ impl ObsCore {
     }
 }
 
-/// Slow-window error budget remaining, as a fraction of the budget.
-fn budget_remaining(objective: &Objective, slow: WindowBurn) -> f64 {
-    match objective {
-        Objective::LatencyQuantile { .. } => 1.0 - slow.burn,
-        Objective::UtilizationCeiling { .. } => 1.0 - slow.burn,
-        Objective::DriftHealth => 1.0 - slow.burn,
-    }
+/// The verdict of the shard that bounds W99 (see [`ObsCore::latest_verdict`]).
+fn bounding_verdict(shards: &[ShardAssessment]) -> Option<&ModelVerdict> {
+    ModelVerdict::bounding(shards.iter().filter_map(|s| s.verdict.as_ref()))
+}
+
+/// The forecast whose breach comes soonest (see [`ObsCore::latest_forecast`]).
+fn soonest_forecast(shards: &[ShardAssessment]) -> Option<&Forecast> {
+    let eta = |f: &Forecast| f.soonest().map_or(Duration::MAX, |(_, band)| band.eta);
+    shards
+        .iter()
+        .filter_map(|s| s.forecast.as_ref())
+        .min_by(|a, b| eta(a).cmp(&eta(b)).then(b.rho_now.total_cmp(&a.rho_now)))
 }
 
 /// One-line human summary of a model verdict.
@@ -397,27 +396,6 @@ pub fn verdict_summary(verdict: &ModelVerdict) -> String {
         }
         _ => "unknown".to_string(),
     }
-}
-
-/// Whether the forecast justifies the proactive `Pending` state for one
-/// objective: latency objectives pend on the projected quantile breach,
-/// the utilization ceiling pends on projected saturation, and drift
-/// health (a model-consistency signal, not a load signal) never pends.
-fn pending_hint(
-    forecast: Option<&Forecast>,
-    config: &ForecastConfig,
-    objective: &Objective,
-) -> bool {
-    let Some(f) = forecast else { return false };
-    if f.confidence < config.min_confidence.max(crate::forecast::Confidence::Low) {
-        return false;
-    }
-    let band = match objective {
-        Objective::LatencyQuantile { .. } => f.eta_breach,
-        Objective::UtilizationCeiling { .. } => f.eta_saturation,
-        Objective::DriftHealth => None,
-    };
-    band.is_some_and(|b| b.eta <= config.horizon)
 }
 
 /// Builds firing evidence for one objective from the offending fast
@@ -473,14 +451,14 @@ impl std::fmt::Debug for ObsRuntime {
 impl ObsRuntime {
     /// Starts the sampling thread: one `registry.snapshot()` and one
     /// [`ObsCore::tick`] every `interval` until [`ObsRuntime::stop`]. Before
-    /// each tick `monitor` is asked for the model at the host's measured
-    /// operating point ([`ObsCore::set_monitor`]); `None` keeps the last one.
+    /// each tick `monitors` is asked for each shard's model at its measured
+    /// operating point ([`ObsCore::set_monitors`]).
     pub fn start(
         core: ObsCore,
         registry: MetricsRegistry,
         recorder: Option<Arc<FlightRecorder>>,
         interval: Duration,
-        monitor: impl Fn() -> Option<ModelMonitor> + Send + 'static,
+        monitors: impl Fn() -> Vec<Option<ModelMonitor>> + Send + 'static,
     ) -> Self {
         let core = Arc::new(Mutex::new(core));
         let stop = Arc::new(AtomicBool::new(false));
@@ -494,11 +472,9 @@ impl ObsRuntime {
                     thread::sleep(interval);
                     let snapshot = registry.snapshot();
                     let elapsed = epoch.elapsed();
-                    let refreshed = monitor();
+                    let refreshed = monitors();
                     let mut core = thread_core.lock().expect("obs core lock");
-                    if let Some(monitor) = refreshed {
-                        core.set_monitor(monitor);
-                    }
+                    core.set_monitors(refreshed);
                     core.tick(elapsed, &snapshot, recorder.as_deref());
                 }
             })
@@ -534,11 +510,25 @@ impl Drop for ObsRuntime {
 mod tests {
     use super::*;
     use crate::alert::MemorySink;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rjms_core::{CostParams, ReplicationModel, ServerModel};
     use rjms_metrics::MetricsRegistry;
 
-    fn quick_specs() -> Vec<SloSpec> {
-        vec![SloSpec::latency("w99", WAITING_METRIC, 0.99, 1_000_000)
-            .windows(Duration::from_secs(4), Duration::from_secs(8))]
+    /// One `W99 ≤ 1 ms` objective on 4 s / 8 s windows over a 32 s ring.
+    fn quick_config() -> ObsConfig {
+        ObsConfig {
+            history: HistoryConfig {
+                fine_interval: Duration::from_secs(1),
+                fine_slots: 32,
+                coarse_factor: 4,
+                coarse_slots: 16,
+            },
+            slos: vec![SloSpec::latency("w99", WAITING_METRIC, 0.99, 1_000_000)
+                .windows(Duration::from_secs(4), Duration::from_secs(8))],
+            policy: quick_policy(),
+            forecast: ForecastConfig::default(),
+        }
     }
 
     fn quick_policy() -> AlertPolicy {
@@ -553,18 +543,7 @@ mod tests {
     fn tick_drives_alert_through_overload_and_back() {
         let registry = MetricsRegistry::new();
         let waiting = registry.histogram(WAITING_METRIC);
-        let config = ObsConfig {
-            history: HistoryConfig {
-                fine_interval: Duration::from_secs(1),
-                fine_slots: 32,
-                coarse_factor: 4,
-                coarse_slots: 16,
-            },
-            slos: quick_specs(),
-            policy: quick_policy(),
-            forecast: ForecastConfig::default(),
-        };
-        let mut core = ObsCore::new(config);
+        let mut core = ObsCore::new(quick_config());
         let sink = MemorySink::new();
         core.add_sink(Box::new(sink.clone()));
 
@@ -601,18 +580,7 @@ mod tests {
     fn firing_event_carries_window_evidence() {
         let registry = MetricsRegistry::new();
         let waiting = registry.histogram(WAITING_METRIC);
-        let config = ObsConfig {
-            history: HistoryConfig {
-                fine_interval: Duration::from_secs(1),
-                fine_slots: 32,
-                coarse_factor: 4,
-                coarse_slots: 16,
-            },
-            slos: quick_specs(),
-            policy: quick_policy(),
-            forecast: ForecastConfig::default(),
-        };
-        let mut core = ObsCore::new(config);
+        let mut core = ObsCore::new(quick_config());
         let mut transitions = Vec::new();
         for t in 1..=8u64 {
             for _ in 0..50 {
@@ -632,7 +600,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let waiting = registry.histogram(WAITING_METRIC);
         registry.counter("broker.messages.received").add(5);
-        let mut core = ObsCore::new(ObsConfig { slos: quick_specs(), ..ObsConfig::default() });
+        let mut core = ObsCore::new(quick_config());
         for t in 1..=3u64 {
             waiting.record(500_000);
             registry.counter("broker.messages.received").add(10);
@@ -724,12 +692,8 @@ mod tests {
         let registry = MetricsRegistry::new();
         let waiting = registry.histogram(WAITING_METRIC);
         let service = registry.histogram(SERVICE_METRIC);
-        let config = ObsConfig {
-            slos: quick_specs(),
-            forecast: ForecastConfig { enabled: false, ..ForecastConfig::default() },
-            ..ObsConfig::default()
-        };
-        let mut core = ObsCore::new(config);
+        let forecast = ForecastConfig { enabled: false, ..ForecastConfig::default() };
+        let mut core = ObsCore::new(ObsConfig { forecast, ..quick_config() });
         for t in 1..=20u64 {
             for _ in 0..(50 + 25 * t) {
                 waiting.record(100_000);
@@ -740,7 +704,96 @@ mod tests {
         assert_eq!(core.status()[0].state, AlertState::Ok);
         assert!(core.latest_forecast().is_none());
         assert!(core.render_slo_json().contains("\"forecast_config\":{\"enabled\":false"));
-        assert!(core.forecast_for(WAITING_METRIC, SERVICE_METRIC, BACKLOG_METRIC).is_none());
+        assert!(core.shards().iter().all(|s| s.forecast.is_none()));
+    }
+
+    /// Dispatcher shards of the synthetic broker below.
+    const SHARDS: usize = 4;
+
+    /// An engine over a four-shard broker with each shard's model (Table I
+    /// correlation-ID constants, 100 filters, one copy), the default
+    /// objectives on 10 s / 20 s windows, a 10 s trend, and that model's
+    /// `E[B]`.
+    fn four_shard_engine() -> (ObsCore, f64) {
+        let model = ServerModel::new(CostParams::CORRELATION_ID, 100);
+        let replication = ReplicationModel::deterministic(1.0);
+        let e_b = model.service_time(replication).mean();
+        let (fast, slow) = (Duration::from_secs(10), Duration::from_secs(20));
+        let slos = SloSpec::defaults().into_iter().map(|s| s.windows(fast, slow)).collect();
+        let forecast = ForecastConfig { trend_window: fast, ..ForecastConfig::default() };
+        let mut core = ObsCore::new(ObsConfig { slos, forecast, ..ObsConfig::default() });
+        core.set_monitors(vec![Some(ModelMonitor::new(model, replication)); SHARDS]);
+        (core, e_b)
+    }
+
+    /// Twelve seconds of M/D/1 traffic (Lindley's recursion, service `e_b`)
+    /// into shard `i` at utilisation `rho[i]`, recorded as the dispatchers
+    /// record it — into the shard's labeled twins and into the aggregates,
+    /// which are their sums — with a tick a second. Returns the transitions.
+    fn drive_shards(core: &mut ObsCore, e_b: f64, rho: [f64; SHARDS]) -> Vec<AlertEvent> {
+        let registry = MetricsRegistry::new();
+        let twins = |base| -> Vec<_> {
+            (0..SHARDS).map(|i| registry.histogram(&shard_series(base, i, SHARDS))).collect()
+        };
+        let (waiting, service) = (twins(WAITING_METRIC), twins(SERVICE_METRIC));
+        let all = (registry.histogram(WAITING_METRIC), registry.histogram(SERVICE_METRIC));
+        let (mut rng, mut w, mut events) = (StdRng::seed_from_u64(26), [0.0; SHARDS], Vec::new());
+        for t in 1..=12 {
+            for (shard, rho) in rho.into_iter().enumerate() {
+                let rate = rho / e_b;
+                for _ in 0..rate.round() as u64 {
+                    let (wait_ns, service_ns) = ((w[shard] * 1e9) as u64, (e_b * 1e9) as u64);
+                    waiting[shard].record(wait_ns);
+                    all.0.record(wait_ns);
+                    service[shard].record(service_ns);
+                    all.1.record(service_ns);
+                    let interarrival = -(1.0 - rng.gen::<f64>()).ln() / rate;
+                    w[shard] = (w[shard] + e_b - interarrival).max(0.0);
+                }
+            }
+            events.extend(core.tick(Duration::from_secs(t), &registry.snapshot(), None));
+        }
+        events
+    }
+
+    fn rho_status(core: &ObsCore) -> &ObjectiveStatus {
+        core.status().iter().find(|s| s.name == "rho").expect("the default rho objective")
+    }
+
+    /// Four shards at ρ ≈ 0.3 are four servers at 0.3, not one at 1.2:
+    /// every shard calibrated, the ρ objective burning 0.3 / 0.9, each
+    /// forecast at its own shard's load, and no transition at all.
+    #[test]
+    #[cfg_attr(miri, ignore = "80k samples are interpreter-slow; the ramp tests tick under Miri")]
+    fn four_shards_at_a_third_are_four_servers_not_one_overloaded() {
+        let (mut core, e_b) = four_shard_engine();
+        let events = drive_shards(&mut core, e_b, [0.3; SHARDS]);
+        assert_eq!(core.shards().len(), SHARDS);
+        for shard in core.shards() {
+            let verdict = shard.verdict.as_ref().expect("every shard has samples");
+            assert!(verdict.is_calibrated(), "{verdict:?}");
+            let forecast = shard.forecast.as_ref().expect("every shard has a trend");
+            assert!((forecast.rho_now - 0.3).abs() < 0.03, "rho_now {}", forecast.rho_now);
+        }
+        let burn = rho_status(&core).fast.burn;
+        assert!((burn - 0.3 / 0.9).abs() < 0.02, "rho burn {burn}");
+        assert!(events.is_empty(), "{events:?}");
+        assert!(core.render_slo_json().contains("\"model_verdict\":\"calibrated\""));
+    }
+
+    /// One shard at ρ ≈ 0.95 beside three idle ones: the ρ objective burns
+    /// that shard's load and `/slo`'s verdict is that shard's.
+    #[test]
+    #[cfg_attr(miri, ignore = "80k samples are interpreter-slow; the ramp tests tick under Miri")]
+    fn one_busy_shard_bounds_the_broker() {
+        let (mut core, e_b) = four_shard_engine();
+        drive_shards(&mut core, e_b, [0.95, 0.0, 0.0, 0.0]);
+        assert!(rho_status(&core).fast.burn >= 1.0, "rho burn {}", rho_status(&core).fast.burn);
+        let busy = core.shards()[0].verdict.as_ref().expect("the busy shard is judged");
+        assert_eq!(core.latest_verdict(), Some(busy));
+        assert!(core.shards()[1..].iter().all(|s| s.verdict.is_none()), "idle shards have nothing");
+        let slo = core.render_slo_json();
+        assert!(slo.contains(&format!("\"model_verdict\":\"{}\"", verdict_summary(busy))), "{slo}");
     }
 
     #[test]
@@ -748,8 +801,8 @@ mod tests {
         let registry = MetricsRegistry::new();
         let waiting = registry.histogram(WAITING_METRIC);
         waiting.record(1_000);
-        let core = ObsCore::new(ObsConfig { slos: quick_specs(), ..ObsConfig::default() });
-        let runtime = ObsRuntime::start(core, registry, None, Duration::from_millis(5), || None);
+        let core = ObsCore::new(quick_config());
+        let runtime = ObsRuntime::start(core, registry, None, Duration::from_millis(5), Vec::new);
         let shared = runtime.core();
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {

@@ -17,8 +17,8 @@
 //!    E[B]` and the W99 budget exhaustion point via
 //!    [`max_utilization_for_quantile`] (the same bisection the
 //!    FlowController and [`rjms_core::AnalyticSlo`] use), both at the
-//!    *measured* service time (moment-matched like the flow layer's
-//!    recalibration).
+//!    *measured* service time: the window's service histogram,
+//!    moment-matched like the flow layer's recalibration.
 //! 3. **Projection** — ETAs where the fitted λ(t) line crosses each
 //!    breach point, with a band from the slope's standard error plus the
 //!    Gamma-tail residual measured by `ablation_gamma_accuracy`.
@@ -32,7 +32,7 @@
 
 use crate::history::{MetricHistory, Reduce};
 use crate::slo::{Objective, SloSpec};
-use rjms_core::{max_utilization_for_quantile, measured_service, ModelVerdict};
+use rjms_core::{max_utilization_for_quantile, measured_service};
 use rjms_metrics::JsonWriter;
 use std::time::Duration;
 
@@ -251,11 +251,19 @@ impl Forecast {
     }
 
     /// Whether this forecast justifies the proactive `Pending` state for
-    /// the given knobs: a breach projected inside the horizon at at least
-    /// the configured confidence.
-    pub fn pending(&self, config: &ForecastConfig) -> bool {
+    /// `objective` under the given knobs: its breach projected inside the
+    /// horizon at at least the configured confidence. Latency objectives
+    /// pend on the projected quantile breach, the utilization ceiling on
+    /// projected saturation, and drift health (a model-consistency signal,
+    /// not a load signal) never pends.
+    pub fn pending(&self, config: &ForecastConfig, objective: &Objective) -> bool {
+        let band = match objective {
+            Objective::LatencyQuantile { .. } => self.eta_breach,
+            Objective::UtilizationCeiling { .. } => self.eta_saturation,
+            Objective::DriftHealth => None,
+        };
         self.confidence >= config.min_confidence.max(Confidence::Low)
-            && self.soonest().is_some_and(|(_, band)| band.eta <= config.horizon)
+            && band.is_some_and(|band| band.eta <= config.horizon)
     }
 
     /// The forecast frozen as alert evidence.
@@ -309,7 +317,7 @@ impl Forecast {
 }
 
 /// The forecasting engine: stateless over the history rings, so the same
-/// instance serves the aggregate instruments and any shard-labeled twin.
+/// instance serves every shard's series.
 #[derive(Debug, Clone)]
 pub struct Forecaster {
     config: ForecastConfig,
@@ -334,16 +342,10 @@ impl Forecaster {
         &self.config
     }
 
-    /// Computes a forecast over the named instruments. Returns `None`
-    /// when there is no usable trend data at all; a flat or falling λ(t)
-    /// still produces a forecast (with empty ETAs) so the exposition can
-    /// show "no breach projected".
-    ///
-    /// `verdict` supplies the calibrated measured service moments when
-    /// the model monitor has them; otherwise the window's own service
-    /// histogram is moment-matched (the flow layer's recalibration
-    /// trick).
-    #[allow(clippy::too_many_arguments)] // three instrument names + model inputs
+    /// Computes a forecast over one server's named instruments. Returns
+    /// `None` when there is no usable trend data at all; a flat or falling
+    /// λ(t) still produces a forecast (with empty ETAs) so the exposition
+    /// can show "no breach projected".
     pub fn forecast(
         &self,
         history: &MetricHistory,
@@ -351,22 +353,12 @@ impl Forecaster {
         service_metric: &str,
         backlog_metric: &str,
         targets: &BreachTargets,
-        verdict: Option<&ModelVerdict>,
         now: Duration,
     ) -> Option<Forecast> {
         let trend = fit_trend(history, waiting_metric, self.config.trend_window)?;
         let window = history.window(self.config.trend_window);
-
-        // Measured service time: calibrated monitor moments when
-        // available, else the window's service histogram.
-        let (mean_s, cvar) = match verdict.and_then(|v| v.report()) {
-            Some(report) => (report.measured.mean_service_time, report.measured.service_cvar),
-            None => {
-                let h = window.histogram(service_metric)?;
-                (h.mean() / 1e9, h.cvar())
-            }
-        };
-        let service = measured_service(mean_s, cvar)?;
+        let h = window.histogram(service_metric)?;
+        let service = measured_service(h.mean() / 1e9, h.cvar())?;
 
         let littles_law = littles_law_check(
             &window,
@@ -594,24 +586,25 @@ mod tests {
         BreachTargets { latency: Some((0.99, 0.010)), rho_ceiling: 0.9 }
     }
 
+    /// The guarded latency of the default objectives.
+    fn w99() -> Objective {
+        SloSpec::defaults().swap_remove(0).objective
+    }
+
+    /// The default forecaster over `h`'s series at `now` seconds.
+    fn forecast(h: &MetricHistory, now: u64) -> Option<Forecast> {
+        let f = Forecaster::new(ForecastConfig::default());
+        let now = Duration::from_secs(now);
+        f.forecast(h, WAITING_METRIC, SERVICE_METRIC, BACKLOG_METRIC, &targets(), now)
+    }
+
     #[test]
     fn ramp_produces_breach_eta_with_band() {
         let registry = MetricsRegistry::new();
         let mut h = history();
         // λ ramps 100 → 400 msg/s over 30 s: slope ≈ 10.34 msg/s².
         drive(&registry, &mut h, 30, |t| 100 + 10 * t, 200_000);
-        let f = Forecaster::new(ForecastConfig::default());
-        let fc = f
-            .forecast(
-                &h,
-                WAITING_METRIC,
-                SERVICE_METRIC,
-                BACKLOG_METRIC,
-                &targets(),
-                None,
-                Duration::from_secs(30),
-            )
-            .expect("forecast");
+        let fc = forecast(&h, 30).expect("forecast");
         assert!(fc.lambda_slope > 8.0 && fc.lambda_slope < 12.0, "slope {}", fc.lambda_slope);
         assert!((fc.lambda_now - 400.0).abs() < 40.0, "lambda_now {}", fc.lambda_now);
         // E[B] = 1 ms → λ_sat = 900; the W99 budget dies earlier.
@@ -631,34 +624,6 @@ mod tests {
         let sat = fc.eta_saturation.expect("saturation ETA");
         assert!(sat.eta >= band.eta);
         assert_eq!(fc.soonest().unwrap().0, "w99-breach");
-
-        // The same history under a verdict whose measured service time is
-        // not a number to plan with: no forecast rather than λ targets of 0.
-        let monitor = rjms_core::ModelMonitor::new(
-            rjms_core::ServerModel::new(rjms_core::CostParams::CORRELATION_ID, 10),
-            rjms_core::ReplicationModel::deterministic(1.0),
-        );
-        let snapshot = registry.snapshot();
-        let (waiting, service) =
-            (&snapshot.histograms[WAITING_METRIC], &snapshot.histograms[SERVICE_METRIC]);
-        let mut verdict = monitor.assess(waiting, service, Duration::from_secs(30));
-        let (ModelVerdict::Calibrated(report) | ModelVerdict::Drift(report)) = &mut verdict else {
-            panic!("enough samples for a report: {verdict:?}");
-        };
-        for (mean, forecast) in [(0.001, true), (f64::INFINITY, false), (f64::NAN, false)] {
-            report.measured.mean_service_time = mean;
-            let verdict = ModelVerdict::Drift(report.clone());
-            let fc = f.forecast(
-                &h,
-                WAITING_METRIC,
-                SERVICE_METRIC,
-                BACKLOG_METRIC,
-                &targets(),
-                Some(&verdict),
-                Duration::from_secs(30),
-            );
-            assert_eq!(fc.is_some(), forecast, "measured mean {mean}");
-        }
     }
 
     #[test]
@@ -667,20 +632,10 @@ mod tests {
         let mut h = history();
         drive(&registry, &mut h, 30, |_| 200, 200_000);
         let config = ForecastConfig::default();
-        let fc = Forecaster::new(config)
-            .forecast(
-                &h,
-                WAITING_METRIC,
-                SERVICE_METRIC,
-                BACKLOG_METRIC,
-                &targets(),
-                None,
-                Duration::from_secs(30),
-            )
-            .expect("forecast");
+        let fc = forecast(&h, 30).expect("forecast");
         assert!(fc.eta_breach.is_none());
         assert!(fc.eta_saturation.is_none());
-        assert!(!fc.pending(&config));
+        assert!(!fc.pending(&config, &w99()));
     }
 
     #[test]
@@ -688,22 +643,12 @@ mod tests {
         let registry = MetricsRegistry::new();
         let mut h = history();
         drive(&registry, &mut h, 30, |t| 100 + 10 * t, 200_000);
-        let f = Forecaster::new(ForecastConfig::default());
-        let fc = f
-            .forecast(
-                &h,
-                WAITING_METRIC,
-                SERVICE_METRIC,
-                BACKLOG_METRIC,
-                &targets(),
-                None,
-                Duration::from_secs(30),
-            )
-            .expect("forecast");
+        let fc = forecast(&h, 30).expect("forecast");
         // The ramp breaches within ~40 s — inside a 15 m horizon.
-        assert!(fc.pending(f.config()));
+        assert!(fc.pending(&ForecastConfig::default(), &w99()));
         let tight = ForecastConfig { horizon: Duration::from_secs(5), ..ForecastConfig::default() };
-        assert!(!fc.pending(&tight), "breach beyond a 5 s horizon must not page");
+        assert!(!fc.pending(&tight, &w99()), "breach beyond a 5 s horizon must not page");
+        assert!(!fc.pending(&ForecastConfig::default(), &Objective::DriftHealth));
     }
 
     #[test]
@@ -723,18 +668,7 @@ mod tests {
             }
             h.record(Duration::from_secs(t), &registry.snapshot());
         }
-        let f = Forecaster::new(ForecastConfig::default());
-        let fc = f
-            .forecast(
-                &h,
-                WAITING_METRIC,
-                SERVICE_METRIC,
-                BACKLOG_METRIC,
-                &targets(),
-                None,
-                Duration::from_secs(30),
-            )
-            .expect("forecast");
+        let fc = forecast(&h, 30).expect("forecast");
         let check = fc.littles_law.expect("check present");
         assert!(!check.consistent);
         // The identical clean ramp grades High (the consistent-telemetry
@@ -756,17 +690,7 @@ mod tests {
             }
             h.record(Duration::from_secs(t), &registry.snapshot());
         }
-        let fc = Forecaster::new(ForecastConfig::default())
-            .forecast(
-                &h,
-                WAITING_METRIC,
-                SERVICE_METRIC,
-                BACKLOG_METRIC,
-                &targets(),
-                None,
-                Duration::from_secs(30),
-            )
-            .expect("forecast");
+        let fc = forecast(&h, 30).expect("forecast");
         assert!(fc.littles_law.is_none());
         assert!(fc.confidence >= Confidence::Medium);
     }
@@ -777,19 +701,9 @@ mod tests {
         let mut h = history();
         // Sawtooth: no identifiable slope.
         drive(&registry, &mut h, 30, |t| if t % 2 == 0 { 50 } else { 400 }, 200_000);
-        let fc = Forecaster::new(ForecastConfig::default())
-            .forecast(
-                &h,
-                WAITING_METRIC,
-                SERVICE_METRIC,
-                BACKLOG_METRIC,
-                &targets(),
-                None,
-                Duration::from_secs(30),
-            )
-            .expect("forecast");
+        let fc = forecast(&h, 30).expect("forecast");
         assert_eq!(fc.confidence, Confidence::Low);
-        assert!(!fc.pending(&ForecastConfig::default()));
+        assert!(!fc.pending(&ForecastConfig::default(), &w99()));
     }
 
     #[test]
@@ -797,17 +711,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let mut h = history();
         drive(&registry, &mut h, 3, |_| 100, 200_000);
-        assert!(Forecaster::new(ForecastConfig::default())
-            .forecast(
-                &h,
-                WAITING_METRIC,
-                SERVICE_METRIC,
-                BACKLOG_METRIC,
-                &targets(),
-                None,
-                Duration::from_secs(3)
-            )
-            .is_none());
+        assert!(forecast(&h, 3).is_none());
     }
 
     #[test]
@@ -816,17 +720,7 @@ mod tests {
         let mut h = history();
         // λ = 950 msg/s at E[B] = 1 ms → ρ > ceiling already.
         drive(&registry, &mut h, 30, |t| 900 + 5 * t, 200_000);
-        let fc = Forecaster::new(ForecastConfig::default())
-            .forecast(
-                &h,
-                WAITING_METRIC,
-                SERVICE_METRIC,
-                BACKLOG_METRIC,
-                &targets(),
-                None,
-                Duration::from_secs(30),
-            )
-            .expect("forecast");
+        let fc = forecast(&h, 30).expect("forecast");
         assert_eq!(fc.eta_saturation.expect("past ceiling").eta, Duration::ZERO);
     }
 
@@ -835,17 +729,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let mut h = history();
         drive(&registry, &mut h, 30, |t| 100 + 10 * t, 200_000);
-        let fc = Forecaster::new(ForecastConfig::default())
-            .forecast(
-                &h,
-                WAITING_METRIC,
-                SERVICE_METRIC,
-                BACKLOG_METRIC,
-                &targets(),
-                None,
-                Duration::from_secs(30),
-            )
-            .expect("forecast");
+        let fc = forecast(&h, 30).expect("forecast");
         let json = JsonWriter::document(|w| fc.write_json(w));
         for key in [
             "\"lambda_now\":",

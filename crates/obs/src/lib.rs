@@ -67,7 +67,9 @@ pub use alert::{
     AlertEvent, AlertMachine, AlertPolicy, AlertSink, AlertState, Evidence, ExitCodeSink,
     ForecastEvidence, MemorySink, StderrSink, WebhookSink,
 };
-pub use engine::{verdict_summary, ObjectiveStatus, ObsConfig, ObsCore, ObsRuntime};
+pub use engine::{
+    verdict_summary, ObjectiveStatus, ObsConfig, ObsCore, ObsRuntime, ShardAssessment,
+};
 pub use forecast::{
     BreachTargets, Confidence, EtaBand, Forecast, ForecastConfig, Forecaster, LittlesLawCheck,
     BACKLOG_METRIC,

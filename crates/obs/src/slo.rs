@@ -26,6 +26,7 @@
 
 use crate::history::Window;
 use rjms_core::slo::AnalyticSlo;
+use rjms_metrics::{shard_series, HistogramSnapshot};
 use std::time::Duration;
 
 /// Default instrument guarded by latency objectives.
@@ -47,8 +48,10 @@ pub enum Objective {
         /// The limit in nanoseconds.
         limit_ns: u64,
     },
-    /// Measured utilization `ρ = λ·E[B]` (from the window's waiting/service
-    /// instruments) must stay below `ceiling`: burn = ρ / ceiling.
+    /// Measured utilization `ρ = λ·E[B]` of the busiest dispatcher shard
+    /// (from each shard's service instrument over the window) must stay
+    /// below `ceiling`: burn = ρ / ceiling. A shard is one server, so `ρ`
+    /// is never summed across shards.
     UtilizationCeiling {
         /// The utilization ceiling in `(0, 1]`.
         ceiling: f64,
@@ -167,12 +170,18 @@ pub struct WindowBurn {
     pub bad: u64,
 }
 
-/// Evaluates one objective over one reconstructed window.
+/// Evaluates one objective over one reconstructed window of a broker with
+/// `shards` dispatchers.
 ///
 /// `drift_red` carries the latest model-health verdict for
 /// [`Objective::DriftHealth`] (the objective is windowless — the monitor
 /// already aggregates).
-pub fn evaluate_window(objective: &Objective, window: &Window, drift_red: bool) -> WindowBurn {
+pub fn evaluate_window(
+    objective: &Objective,
+    window: &Window,
+    shards: usize,
+    drift_red: bool,
+) -> WindowBurn {
     match objective {
         Objective::LatencyQuantile { metric, quantile, limit_ns } => {
             let Some(h) = window.histogram(metric) else {
@@ -184,16 +193,17 @@ pub fn evaluate_window(objective: &Objective, window: &Window, drift_red: bool) 
             WindowBurn { burn: bad_fraction / budget, samples: h.count, bad }
         }
         Objective::UtilizationCeiling { ceiling } => {
-            let Some(service) = window.histogram(SERVICE_METRIC) else {
-                return WindowBurn::default();
-            };
             let span = window.span().as_secs_f64();
-            if span <= 0.0 || service.count == 0 {
-                return WindowBurn::default();
-            }
-            let arrival_rate = service.count as f64 / span;
-            let rho = arrival_rate * (service.mean() / 1e9);
-            WindowBurn { burn: rho / ceiling, samples: service.count, bad: 0 }
+            let burn = |service: &HistogramSnapshot| {
+                let rho = service.count as f64 / span * (service.mean() / 1e9);
+                WindowBurn { burn: rho / ceiling, samples: service.count, bad: 0 }
+            };
+            (0..shards)
+                .filter_map(|shard| window.histogram(&shard_series(SERVICE_METRIC, shard, shards)))
+                .filter(|service| span > 0.0 && service.count > 0)
+                .map(burn)
+                .max_by(|a, b| a.burn.total_cmp(&b.burn))
+                .unwrap_or_default()
         }
         Objective::DriftHealth => WindowBurn {
             burn: if drift_red { 1.0 } else { 0.0 },
@@ -228,7 +238,7 @@ mod tests {
         samples.extend([5_000_000, 5_000_000, 5_000_000]);
         let w = window_with("lat_ns", &samples, Duration::from_secs(10));
         let spec = SloSpec::latency("w99", "lat_ns", 0.99, 1_000_000);
-        let burn = evaluate_window(&spec.objective, &w, false);
+        let burn = evaluate_window(&spec.objective, &w, 1, false);
         assert_eq!(burn.samples, 100);
         assert_eq!(burn.bad, 3);
         assert!((burn.burn - 3.0).abs() < 1e-9, "burn {}", burn.burn);
@@ -238,7 +248,7 @@ mod tests {
     fn empty_window_burns_nothing() {
         let w = Window::default();
         let spec = SloSpec::latency("w99", "lat_ns", 0.99, 1_000_000);
-        assert_eq!(evaluate_window(&spec.objective, &w, false).burn, 0.0);
+        assert_eq!(evaluate_window(&spec.objective, &w, 1, false).burn, 0.0);
     }
 
     #[test]
@@ -248,7 +258,7 @@ mod tests {
         let samples = vec![4_500_000u64; 1000];
         let w = window_with(SERVICE_METRIC, &samples, Duration::from_secs(10));
         let spec = SloSpec::utilization("rho", 0.9);
-        let burn = evaluate_window(&spec.objective, &w, false);
+        let burn = evaluate_window(&spec.objective, &w, 1, false);
         assert!((burn.burn - 0.5).abs() < 0.05, "burn {}", burn.burn);
     }
 
@@ -256,8 +266,8 @@ mod tests {
     fn drift_health_is_binary() {
         let w = Window::default();
         let spec = SloSpec::drift_health("model");
-        assert_eq!(evaluate_window(&spec.objective, &w, false).burn, 0.0);
-        assert_eq!(evaluate_window(&spec.objective, &w, true).burn, 1.0);
+        assert_eq!(evaluate_window(&spec.objective, &w, 1, false).burn, 0.0);
+        assert_eq!(evaluate_window(&spec.objective, &w, 1, true).burn, 1.0);
     }
 
     #[test]

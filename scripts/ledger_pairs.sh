@@ -11,12 +11,15 @@
 # EXPERIMENTS.md carries (median [q1–q3] per side, ratio, wins, the parent's
 # quartile spread, and the median [q1–q3] of the per-pair ratio change ÷
 # parent: the host's slow and fast stretches take both runs of a pair
-# together, so the ratio is steadier than either side — and the two-sided
-# exact sign test of those pairs, ties dropped: the probability of a split of
-# wins at least this lopsided if neither side were better) and appends one JSON
-# line per workload × metric to BENCH_HISTORY.jsonl, which is committed: the
-# ledger's trajectory. Traced runs (TRACE=1) are diagnostics: tabulated, not
-# recorded.
+# together, so the ratio is steadier than either side — then two two-sided
+# exact tests of those pairs, ties dropped: the sign test, the probability of a
+# split of wins at least this lopsided if neither side were better, and the
+# Wilcoxon signed-rank test of the per-pair log ratios, which also weighs how
+# far each pair moved: ten pairs cannot go below 0.002 on either, but 8 of 10
+# wins with the two losses the smallest moves read 0.0098 there, 0.11 on the
+# sign test) and appends one JSON line per workload × metric to
+# BENCH_HISTORY.jsonl, which is committed: the ledger's trajectory. Traced
+# runs (TRACE=1) are diagnostics: tabulated, not recorded.
 #
 # Environment: PAIRS (10), RUN_SECONDS (BENCHMARK.json's run_seconds),
 # TRACE (0; 1 tabulates the per-layer metrics of traced runs), SEED_BASE
@@ -77,8 +80,8 @@ for workload in "${workloads[@]}"; do
   done
 done
 
-echo "| workload | metric | parent median [q1–q3] | change median [q1–q3] | change/parent | change wins | parent IQR | medians apart | parent IQR ÷ median | per-pair change/parent median [q1–q3] | sign test p |"
-echo "|---|---|---|---|---|---|---|---|---|---|---|"
+echo "| workload | metric | parent median [q1–q3] | change median [q1–q3] | change/parent | change wins | parent IQR | medians apart | parent IQR ÷ median | per-pair change/parent median [q1–q3] | sign test p | signed-rank p |"
+echo "|---|---|---|---|---|---|---|---|---|---|---|---|"
 for workload in "${workloads[@]}"; do
   # One line per run and metric: side pair metric value unit; then the
   # counts of the run under the metric names "attempted", "failed", "correct".
@@ -123,6 +126,28 @@ for workload in "${workloads[@]}"; do
       for (i = 1; i <= k; i++) { term *= (n - i + 1) / i; sum += term }
       return 2 * sum > 1 ? 1 : 2 * sum
     }
+    function signed_rank_p(d, n,    a, up, r, cnt, i, j, k, t, s, top, obs, dev, hits) { # both tails, exact
+      if (n < 1) return 1
+      for (i = 1; i <= n; i++) { a[i] = d[i] < 0 ? -d[i] : d[i]; up[i] = d[i] > 0 }
+      for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) {
+        t = a[j]; a[j] = a[j - 1]; a[j - 1] = t; t = up[j]; up[j] = up[j - 1]; up[j - 1] = t
+      }
+      # Ranks of |d|, tied magnitudes sharing their average, doubled to stay integers.
+      for (i = 1; i <= n; i = j) {
+        for (j = i + 1; j <= n && a[j] == a[i]; j++) ;
+        for (k = i; k < j; k++) r[k] = i + j - 1
+      }
+      # How many of the 2^n sign patterns give each (doubled) sum of positive ranks.
+      cnt[0] = 1; top = 0 # not left unset: mawk would compare it with 0 as a string
+      for (k = 1; k <= n; k++) {
+        for (s = top; s >= 0; s--) if (cnt[s]) cnt[s + r[k]] += cnt[s]
+        top += r[k]
+      }
+      for (k = 1; k <= n; k++) if (up[k]) obs += r[k]
+      dev = 2 * obs - top; if (dev < 0) dev = -dev
+      for (s = 0; s <= top; s++) if (cnt[s] && (2 * s - top >= dev || top - 2 * s >= dev)) hits += cnt[s]
+      return hits / 2 ^ n
+    }
     function show(x) { return x >= 1000 ? sprintf("%.0f", x) : x >= 10 ? sprintf("%.2f", x) : sprintf("%.4g", x) }
     function total(metric, side,    i, sum) { for (i = 1; i <= pairs; i++) sum += value[side, metric, i]; return sum + 0 }
     END {
@@ -131,12 +156,13 @@ for workload in "${workloads[@]}"; do
         if (unit[metric] == "runs") continue
         np = sorted("parent", metric, p); nc = sorted("change", metric, c)
         if (np < 2 || nc < 2) continue
-        wins = ties = 0
+        wins = ties = nd = 0
         for (i = 1; i <= pairs; i++) {
           a = value["parent", metric, i] + 0; b = value["change", metric, i] + 0
           if (a == b) ties++
           else if ((better[metric] == "higher") == (b > a)) wins++
           if (a) value["ratio", metric, i] = b / a
+          if (a > 0 && b > 0 && a != b) d[++nd] = log(b / a)
         }
         nr = sorted("ratio", metric, r)
         rm = r1 = r3 = 0
@@ -144,21 +170,21 @@ for workload in "${workloads[@]}"; do
         pm = cut(p, np, 2); p1 = cut(p, np, 1); p3 = cut(p, np, 3)
         cm = cut(c, nc, 2); c1 = cut(c, nc, 1); c3 = cut(c, nc, 3)
         apart = cm > pm ? cm - pm : pm - cm
-        sign = sign_p(wins, pairs - ties)
-        printf "| %s | %s (%s) | %s [%s–%s] | %s [%s–%s] | %s | %d/%d%s | %s | %s | %s | %s | %.3g |\n", workload, metric,
+        sign = sign_p(wins, pairs - ties); rank = signed_rank_p(d, nd)
+        printf "| %s | %s (%s) | %s [%s–%s] | %s [%s–%s] | %s | %d/%d%s | %s | %s | %s | %s | %.3g | %.3g |\n", workload, metric,
           unit[metric], show(pm), show(p1), show(p3), show(cm), show(c1), show(c3),
           pm ? sprintf("%.2f×", cm / pm) : "–", wins, pairs, ties ? " (+" ties " ties)" : "",
           show(p3 - p1), show(apart), pm ? sprintf("%.0f%%", 100 * (p3 - p1) / pm) : "–",
-          (nr < 2 ? "–" : sprintf("%.2f× [%.2f–%.2f]", rm, r1, r3)), sign
+          (nr < 2 ? "–" : sprintf("%.2f× [%.2f–%.2f]", rm, r1, r3)), sign, rank
         if (trace) continue
         printf "{\"date\": \"%s\", \"pr\": \"%s\", \"parent\": \"%s\", \"change\": \"%s\", \"workload\": \"%s\", " \
           "\"metric\": \"%s\", \"unit\": \"%s\", \"better\": \"%s\", \"pairs\": %d, \"seconds\": %d, " \
           "\"seeds\": [%d, %d], \"parent_median\": %.6g, \"parent_q1\": %.6g, \"parent_q3\": %.6g, " \
           "\"change_median\": %.6g, \"change_q1\": %.6g, \"change_q3\": %.6g, \"wins\": %d, \"ties\": %d, " \
           "\"failed_parent\": %d, \"failed_change\": %d, \"ratio_median\": %.4g, \"ratio_q1\": %.4g, " \
-          "\"ratio_q3\": %.4g, \"sign_p\": %.4g}\n", date, pr, parent, change, workload, metric,
-          unit[metric], better[metric], pairs, seconds, first, last, pm, p1, p3, cm, c1, c3, wins, ties,
-          total("failed", "parent"), total("failed", "change"), rm, r1, r3, sign >>history
+          "\"ratio_q3\": %.4g, \"sign_p\": %.4g, \"signed_rank_p\": %.4g}\n", date, pr, parent, change,
+          workload, metric, unit[metric], better[metric], pairs, seconds, first, last, pm, p1, p3, cm, c1, c3,
+          wins, ties, total("failed", "parent"), total("failed", "change"), rm, r1, r3, sign, rank >>history
       }
       printf "<!-- %s: %d pairs, attempted %d, failed %d, incorrect runs %d -->\n", workload, pairs,
         total("attempted", "parent") + total("attempted", "change"), total("failed", "parent") + total("failed", "change"),

@@ -204,11 +204,12 @@ fn main() {
                 core.add_sink(Box::new(WebhookSink { addr, path }));
             }
         }
-        // The drift objective follows the broker's measured operating point.
+        // One model per dispatcher shard, each at its measured operating
+        // point: the drift and ρ objectives and the forecast judge servers.
         let observer = server.broker().observer();
-        let monitor = move || observer.monitor();
+        let monitors = move || observer.shard_monitors();
         let runtime =
-            ObsRuntime::start(core, registry, server.broker().tracer(), interval, monitor);
+            ObsRuntime::start(core, registry, server.broker().tracer(), interval, monitors);
         if forecast.enabled {
             println!(
                 "slo engine on ({}s sampling, forecast horizon {}s at >= {} confidence)",

@@ -22,10 +22,9 @@ use rjms_broker::{
 };
 use rjms_core::regression::{FittedCosts, RegressionVerdict};
 use rjms_core::{CostParams, ModelVerdict};
-use rjms_metrics::{clock, labeled, JsonWriter, MetricsRegistry};
-use rjms_obs::slo::{SERVICE_METRIC, WAITING_METRIC};
+use rjms_metrics::{clock, JsonWriter, MetricsRegistry};
 use rjms_obs::topics::{analyze_skew, SkewConfig, TopicLoad};
-use rjms_obs::{Forecast, ObsCore, Reduce, BACKLOG_METRIC};
+use rjms_obs::{Forecast, ObsCore, Reduce};
 use rjms_trace::{group_chains, FlightRecorder, TraceChain};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -622,9 +621,9 @@ fn chains_json(
 /// The `/shards` body. When flow control is attached, each shard also
 /// carries its slice of the admission budget (`lambda_max / shards` — the
 /// controller holds every shard at the same inverted utilisation). When
-/// the SLO engine is attached, each shard carries its own saturation
-/// forecast computed over its labeled instrument twins. When the topic
-/// observatory is on, the body also carries the skew analyzer's
+/// the SLO engine is attached and judges as many shards, each shard carries
+/// the engine's latest forecast for it ([`ObsCore::shards`]). When the
+/// topic observatory is on, the body also carries the skew analyzer's
 /// `rebalance` block.
 fn shards_json(
     reports: &[ShardReport],
@@ -633,6 +632,7 @@ fn shards_json(
     w: &mut JsonWriter,
 ) {
     let obs_core = state.obs.as_ref().and_then(|o| o.lock().ok());
+    let engine = obs_core.as_ref().map(|core| core.shards()).filter(|s| s.len() == reports.len());
     let lambda_budget = state
         .flow
         .as_ref()
@@ -641,12 +641,7 @@ fn shards_json(
     w.object(|w| {
         w.key("shards").array(|w| {
             for r in reports {
-                let forecast = obs_core.as_ref().and_then(|core| {
-                    let shard = r.shard.to_string();
-                    let twin = |base: &str| labeled(base, &[("shard", &shard)]);
-                    let (waiting, service) = (twin(WAITING_METRIC), twin(SERVICE_METRIC));
-                    core.forecast_for(&waiting, &service, &twin(BACKLOG_METRIC))
-                });
+                let forecast = engine.and_then(|shards| shards[r.shard].forecast.as_ref());
                 w.object(|w| {
                     w.field("shard", r.shard);
                     w.field("samples", r.samples);
@@ -656,7 +651,7 @@ fn shards_json(
                     w.field("lambda_budget", lambda_budget);
                     w.key("verdict");
                     model_verdict_json(&r.verdict, w);
-                    w.key("forecast").optional(forecast.as_ref(), Forecast::write_json);
+                    w.key("forecast").optional(forecast, Forecast::write_json);
                 });
             }
         });
@@ -835,7 +830,7 @@ fn flow_json(s: &FlowSnapshot, w: &mut JsonWriter) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rjms_obs::ObsConfig;
+    use rjms_obs::{ForecastConfig, ObsConfig};
 
     fn server(state: HttpState) -> HttpServer {
         HttpServer::start(state, "127.0.0.1:0").expect("bind")
@@ -1030,6 +1025,36 @@ mod tests {
             assert!(r.contains(key), "missing {key} in body: {r}");
         }
         s.shutdown();
+    }
+
+    /// A one-shard broker publishes no `{shard="0"}` twins: its one server's
+    /// series are the unlabeled ones, and its `/shards` row carries the
+    /// forecast `/slo` shows.
+    #[test]
+    fn a_single_shard_row_carries_the_slo_forecast() {
+        use rjms_obs::minijson::{parse, Value};
+        let registry = MetricsRegistry::new();
+        let waiting = registry.histogram("broker.waiting_ns");
+        let service = registry.histogram("broker.service_ns");
+        let forecast =
+            ForecastConfig { trend_window: Duration::from_secs(10), ..Default::default() };
+        let mut core = ObsCore::new(ObsConfig { forecast, ..ObsConfig::default() });
+        for t in 1..=12u64 {
+            for _ in 0..50 + 25 * t {
+                waiting.record(500_000);
+                service.record(1_000_000);
+            }
+            core.tick(Duration::from_secs(t), &registry.snapshot(), None);
+        }
+        let slo = parse(&core.render_slo_json()).unwrap();
+        let state = HttpState::new().obs(Arc::new(Mutex::new(core)));
+        let reports = &fixture::shard_reports(false)[..1];
+        let shards =
+            parse(&JsonWriter::document(|w| shards_json(reports, None, &state, w))).unwrap();
+        let row = shards.get("shards").map(Value::items).unwrap_or_default();
+        let forecast = row.first().and_then(|r| r.get("forecast")).expect("one row");
+        assert_ne!(forecast, &Value::Null, "the ramp is forecast");
+        assert_eq!(Some(forecast), slo.get("forecast"));
     }
 
     #[test]

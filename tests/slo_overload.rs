@@ -94,7 +94,9 @@ fn overload_drives_w99_through_the_alert_lifecycle() {
         forecast: ForecastConfig::default(),
     };
     let monitor = ModelMonitor::new(ServerModel::new(params, n_fltr), replication);
-    let core = Arc::new(Mutex::new(ObsCore::new(config).with_monitor(monitor)));
+    let mut core = ObsCore::new(config);
+    core.set_monitors(vec![Some(monitor)]);
+    let core = Arc::new(Mutex::new(core));
 
     let registry = MetricsRegistry::new();
     let waiting = registry.histogram("broker.waiting_ns");
