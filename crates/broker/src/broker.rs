@@ -1156,12 +1156,11 @@ impl Subscriber {
         self.pending.lock().len() + self.receiver.len()
     }
 
-    /// Drains all currently buffered messages.
+    /// The retained backlog, then what the queue held when this call took its
+    /// one lock of it: a snapshot, never more than the queue's capacity.
     pub fn drain(&self) -> Vec<Arc<Message>> {
         let mut out: Vec<Arc<Message>> = self.pending.lock().drain(..).collect();
-        while let Ok(m) = self.receiver.try_recv() {
-            out.push(m);
-        }
+        out.extend(self.receiver.try_iter());
         out
     }
 }
@@ -1362,15 +1361,18 @@ mod tests {
         assert!(matches!(sub.receive(), Err(Error::Disconnected)));
     }
 
+    /// A broker with topic `t` whose subscriber queues hold `capacity`.
+    fn broker_with(capacity: usize, policy: OverflowPolicy) -> Broker {
+        let config =
+            BrokerConfig::builder().subscriber_queue_capacity(capacity).overflow_policy(policy);
+        let b = Broker::start(config.build());
+        b.create_topic("t").unwrap();
+        b
+    }
+
     #[test]
     fn drop_new_policy_drops_on_full_queue() {
-        let b = Broker::start(
-            BrokerConfig::builder()
-                .subscriber_queue_capacity(1)
-                .overflow_policy(OverflowPolicy::DropNew)
-                .build(),
-        );
-        b.create_topic("t").unwrap();
+        let b = broker_with(1, OverflowPolicy::DropNew);
         let sub = b.subscription("t").open().unwrap();
         let p = b.publisher("t").unwrap();
         for _ in 0..10 {
@@ -1382,6 +1384,54 @@ mod tests {
         assert_eq!(snap.messages.dispatched + snap.messages.dropped, 10);
         drop(sub);
         b.shutdown();
+    }
+
+    /// The dispatcher parks in `send` on a full queue of 4 and only `drain`
+    /// frees it: a drain that did not wake it would stall the test.
+    #[test]
+    fn drain_wakes_a_dispatcher_blocked_on_a_full_queue() {
+        let b = broker_with(4, OverflowPolicy::Block);
+        let sub = b.subscription("t").open().unwrap();
+        let p = b.publisher("t").unwrap();
+        let publisher = std::thread::spawn(move || {
+            (0..64i64).for_each(|i| p.publish(Message::builder().property("i", i).build()).unwrap())
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while sub.queued() < 4 {
+            assert!(Instant::now() < deadline, "the queue never filled");
+            std::thread::yield_now();
+        }
+        let mut got = Vec::new();
+        while got.len() < 64 {
+            assert!(Instant::now() < deadline, "the dispatcher was never woken");
+            got.extend(sub.drain().into_iter().map(|m| m.property("i").cloned()));
+            std::thread::yield_now();
+        }
+        publisher.join().unwrap();
+        assert_eq!(got, (0..64i64).map(|i| Some(i.into())).collect::<Vec<_>>());
+        assert_eq!(b.snapshot().messages.dropped, 0);
+        b.shutdown();
+    }
+
+    /// A drain is a snapshot of the queue, not a chase of the dispatcher
+    /// refilling it: against a saturated dispatcher no call returns more
+    /// than the capacity.
+    #[test]
+    fn drain_returns_at_most_the_queue_capacity() {
+        let b = broker_with(8, OverflowPolicy::Block);
+        let sub = b.subscription("t").open().unwrap();
+        let p = b.publisher("t").unwrap();
+        let publisher =
+            std::thread::spawn(move || while p.publish(Message::builder().build()).is_ok() {});
+        for _ in 0..1_000 {
+            let taken = sub.drain().len();
+            assert!(taken <= 8, "one drain returned {taken} from a queue of 8");
+        }
+        // Gone, the subscription no longer holds the dispatcher in `send`;
+        // once the broker is stopped the publisher's next call fails.
+        drop(sub);
+        b.shutdown();
+        publisher.join().unwrap();
     }
 
     #[test]

@@ -118,14 +118,14 @@ impl DurableState {
     ) {
         let mut backlog: Vec<_> = pending.collect();
         let mut connection = loop {
-            backlog.extend(std::iter::from_fn(|| receiver.try_recv().ok()));
+            backlog.extend(receiver.try_iter());
             match self.connection.try_lock() {
                 Some(connection) => break connection,
                 None => std::thread::yield_now(),
             }
         };
         *connection = None;
-        backlog.extend(std::iter::from_fn(|| receiver.try_recv().ok()));
+        backlog.extend(receiver.try_iter());
         self.retained.lock().extend(backlog);
     }
 

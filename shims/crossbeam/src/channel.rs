@@ -27,6 +27,21 @@ struct State<T> {
     /// Receivers parked on `not_empty` / senders parked on `not_full`.
     sleeping_receivers: usize,
     sleeping_senders: usize,
+    /// Acquisitions of the mutex guarding this state through
+    /// [`Shared::lock`]; tests pin how many an operation takes.
+    #[cfg(test)]
+    acquisitions: u64,
+}
+
+impl<T> State<T> {
+    /// Counts one acquisition of the lock the caller holds (test builds).
+    #[inline(always)]
+    fn acquired(&mut self) {
+        #[cfg(test)]
+        {
+            self.acquisitions += 1;
+        }
+    }
 }
 
 struct Shared<T> {
@@ -36,6 +51,14 @@ struct Shared<T> {
 }
 
 impl<T> Shared<T> {
+    /// Takes the state lock: every operation of the channel comes through
+    /// here (re-acquisitions after a condvar wait are not counted).
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        let mut state = self.state.lock().unwrap();
+        state.acquired();
+        state
+    }
+
     fn new(capacity: Option<usize>) -> Arc<Self> {
         Arc::new(Shared {
             state: Mutex::new(State {
@@ -45,6 +68,8 @@ impl<T> Shared<T> {
                 receivers: 1,
                 sleeping_receivers: 0,
                 sleeping_senders: 0,
+                #[cfg(test)]
+                acquisitions: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -163,7 +188,7 @@ impl<T> Sender<T> {
     ///
     /// Returns the message if every receiver has been dropped.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut state = self.shared.state.lock().unwrap();
+        let mut state = self.shared.lock();
         loop {
             if state.receivers == 0 {
                 return Err(SendError(value));
@@ -187,7 +212,7 @@ impl<T> Sender<T> {
     /// [`TrySendError::Full`] when a bounded channel is at capacity,
     /// [`TrySendError::Disconnected`] when every receiver is gone.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut state = self.shared.state.lock().unwrap();
+        let mut state = self.shared.lock();
         if state.receivers == 0 {
             return Err(TrySendError::Disconnected(value));
         }
@@ -201,7 +226,7 @@ impl<T> Sender<T> {
 
     /// The number of queued messages.
     pub fn len(&self) -> usize {
-        self.shared.state.lock().unwrap().queue.len()
+        self.shared.lock().queue.len()
     }
 
     /// Whether the channel is currently empty.
@@ -212,14 +237,14 @@ impl<T> Sender<T> {
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        self.shared.state.lock().unwrap().senders += 1;
+        self.shared.lock().senders += 1;
         Sender { shared: Arc::clone(&self.shared) }
     }
 }
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut state = self.shared.state.lock().unwrap();
+        let mut state = self.shared.lock();
         state.senders -= 1;
         if state.senders == 0 {
             drop(state);
@@ -243,7 +268,7 @@ impl<T> Receiver<T> {
     /// Returns [`RecvError`] once the channel is empty *and* every sender
     /// has been dropped.
     pub fn recv(&self) -> Result<T, RecvError> {
-        let mut state = self.shared.state.lock().unwrap();
+        let mut state = self.shared.lock();
         loop {
             if let Some(value) = state.queue.pop_front() {
                 self.shared.popped(state);
@@ -266,7 +291,7 @@ impl<T> Receiver<T> {
     /// [`TryRecvError::Disconnected`] when additionally all senders are
     /// gone.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut state = self.shared.state.lock().unwrap();
+        let mut state = self.shared.lock();
         match state.queue.pop_front() {
             Some(value) => {
                 self.shared.popped(state);
@@ -286,7 +311,7 @@ impl<T> Receiver<T> {
     /// all senders are gone.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock().unwrap();
+        let mut state = self.shared.lock();
         loop {
             if let Some(value) = state.queue.pop_front() {
                 self.shared.popped(state);
@@ -315,25 +340,74 @@ impl<T> Receiver<T> {
 
     /// The number of queued messages.
     pub fn len(&self) -> usize {
-        self.shared.state.lock().unwrap().queue.len()
+        self.shared.lock().queue.len()
     }
 
     /// Whether the channel is currently empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// An iterator over the messages queued now, without blocking: it ends
+    /// at the first empty queue, disconnected or not.
+    ///
+    /// The iterator takes the channel's lock once and holds it while it
+    /// lives, so senders wait meanwhile and a send into the same channel
+    /// from inside the loop deadlocks: collect it at once, as
+    /// `Subscriber::drain` does. For that use the real crate's lock-free
+    /// `try_iter` gives the same messages in the same order (it may also
+    /// take ones sent while it runs).
+    pub fn try_iter(&self) -> TryIter<'_, T> {
+        TryIter { shared: &self.shared, state: Some(self.shared.lock()), taken: 0 }
+    }
+}
+
+/// The iterator [`Receiver::try_iter`] returns. Its size hint is exact, so
+/// `Vec::extend` reserves once; dropping it wakes as many parked senders as
+/// it made room for.
+pub struct TryIter<'a, T> {
+    shared: &'a Shared<T>,
+    /// Held from creation until `drop` takes it to unlock before notifying.
+    state: Option<MutexGuard<'a, State<T>>>,
+    taken: usize,
+}
+
+impl<T> Iterator for TryIter<'_, T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        let value = self.state.as_mut()?.queue.pop_front()?;
+        self.taken += 1;
+        Some(value)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.state.as_ref().map_or(0, |state| state.queue.len());
+        (len, Some(len))
+    }
+}
+
+impl<T> Drop for TryIter<'_, T> {
+    fn drop(&mut self) {
+        let Some(state) = self.state.take() else { return };
+        let wake = self.taken.min(state.sleeping_senders);
+        drop(state);
+        for _ in 0..wake {
+            self.shared.not_full.notify_one();
+        }
+    }
 }
 
 impl<T> Clone for Receiver<T> {
     fn clone(&self) -> Self {
-        self.shared.state.lock().unwrap().receivers += 1;
+        self.shared.lock().receivers += 1;
         Receiver { shared: Arc::clone(&self.shared) }
     }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut state = self.shared.state.lock().unwrap();
+        let mut state = self.shared.lock();
         state.receivers -= 1;
         if state.receivers == 0 {
             drop(state);
@@ -532,6 +606,88 @@ mod tests {
         for s in senders {
             assert!(join(s), "send on a disconnected channel must fail");
         }
+    }
+
+    fn acquisitions<T>(shared: &Shared<T>) -> u64 {
+        shared.state.lock().unwrap().acquisitions
+    }
+
+    /// Emptying a queue of k messages takes the lock once through
+    /// `try_iter`, k + 1 times through a `try_recv` loop (the last call
+    /// finds it empty), and once when there is nothing to take.
+    #[test]
+    fn try_iter_empties_the_queue_in_one_lock_acquisition() {
+        const K: u64 = 100;
+        let (tx, rx) = unbounded();
+        let taken_in = |take: &dyn Fn() -> Vec<u64>| {
+            (0..K).for_each(|i| tx.send(i).unwrap());
+            let before = acquisitions(&rx.shared);
+            assert_eq!(take(), (0..K).collect::<Vec<_>>());
+            acquisitions(&rx.shared) - before
+        };
+        assert_eq!(taken_in(&|| rx.try_iter().collect()), 1);
+        assert_eq!(taken_in(&|| std::iter::from_fn(|| rx.try_recv().ok()).collect()), K + 1);
+        let before = acquisitions(&rx.shared);
+        assert_eq!(rx.try_iter().count(), 0);
+        assert_eq!(acquisitions(&rx.shared) - before, 1);
+    }
+
+    #[test]
+    fn a_try_iter_wakes_the_senders_it_made_room_for() {
+        const PER_SENDER: u64 = 50;
+        let (tx, rx) = bounded(2);
+        tx.send(u64::MAX).unwrap();
+        tx.send(u64::MAX).unwrap();
+        let senders: Vec<_> = (0..3)
+            .map(|s| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    (0..PER_SENDER).for_each(|i| tx.send(s * PER_SENDER + i).unwrap())
+                })
+            })
+            .collect();
+        wait_until(&rx.shared, |s| s.sleeping_senders == 3);
+        // Nothing but `try_iter` ever frees a slot below: a sender it did
+        // not wake would stay parked and the deadline would fail the test.
+        let mut got: Vec<u64> = rx.try_iter().collect();
+        assert_eq!(got, [u64::MAX; 2]);
+        got.clear();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while got.len() < 3 * PER_SENDER as usize {
+            assert!(Instant::now() < deadline, "a sender was never woken");
+            got.extend(rx.try_iter());
+            std::thread::yield_now();
+        }
+        senders.into_iter().for_each(join);
+        for s in 0..3 {
+            let from_s: Vec<u64> = got.iter().copied().filter(|v| v / PER_SENDER == s).collect();
+            assert_eq!(from_s, (s * PER_SENDER..(s + 1) * PER_SENDER).collect::<Vec<_>>());
+        }
+        assert_eq!(rx.shared.state.lock().unwrap().sleeping_senders, 0);
+    }
+
+    #[test]
+    fn a_dropped_try_iter_leaves_the_rest_queued_in_order() {
+        let (tx, rx) = unbounded();
+        (0..5).for_each(|i| tx.send(i).unwrap());
+        let mut taking = rx.try_iter();
+        assert_eq!(taking.size_hint(), (5, Some(5)));
+        assert_eq!((taking.next(), taking.next()), (Some(0), Some(1)));
+        assert_eq!(taking.size_hint(), (3, Some(3)));
+        drop(taking);
+        assert_eq!(rx.len(), 3);
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), [2, 3, 4]);
+    }
+
+    #[test]
+    fn try_iter_on_a_disconnected_channel_yields_the_queue_then_ends() {
+        let (tx, rx) = bounded(4);
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        drop(tx);
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(rx.try_iter().next(), None);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]
