@@ -25,7 +25,7 @@
 //! histograms (see [`crate::metrics`]), with the Eq. 1 stage decomposition
 //! sampled every Nth message.
 
-use crate::config::{BrokerConfig, MetricsConfig};
+use crate::config::{BrokerConfig, MetricsConfig, TRACE_EVENTS};
 use crate::dispatch::{self, SubscriberQueue, Wake};
 use crate::durable::DurableState;
 use crate::error::{Error, TryPublishError};
@@ -322,12 +322,6 @@ impl Broker {
         if config.trace.is_some() || config.flow.is_some() || config.topic_obs.is_some() {
             config.metrics.get_or_insert_with(MetricsConfig::default);
         }
-        // The admission budget is split per shard (each dispatcher is one
-        // M/GI/1 server); keep the flow controller's shard count in sync
-        // with the broker's so the aggregate budget scales with N.
-        if let Some(flow) = &mut config.flow {
-            flow.shards = shards as u32;
-        }
         let stats = Arc::new(BrokerStats::new());
         let mut live_flags = LiveFlags::default();
         let mut recovered = Vec::new(); // in name order
@@ -346,9 +340,11 @@ impl Broker {
             metrics.registry.register_histogram("journal.fsync_ns", journal.fsync_latency());
         }
 
-        let tracer = config.trace.map(|t| Arc::new(FlightRecorder::new(t.capacity)));
+        let tracer = config.trace.map(|_| Arc::new(FlightRecorder::new(TRACE_EVENTS)));
 
-        let flow = config.flow.map(|f| Arc::new(FlowGate::new(f)));
+        // The admission budget is split per shard: each dispatcher is one
+        // M/GI/1 server, so the aggregate budget scales with their number.
+        let flow = config.flow.map(|f| Arc::new(FlowGate::new(f, shards)));
         if let (Some(gate), Some(metrics)) = (&flow, &metrics) {
             gate.bind_registry(&metrics.registry);
         }

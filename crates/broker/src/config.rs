@@ -160,36 +160,25 @@ impl MetricsConfig {
 ///
 /// let config = BrokerConfig::builder().trace(TraceConfig::default().tail_quantile(0.95)).build();
 /// assert_eq!(config.trace.unwrap().tail_quantile, 0.95);
-/// assert!(config.trace.unwrap().capacity > 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TraceConfig {
-    /// Flight-recorder ring capacity in span events (rounded up to a power
-    /// of two). Memory is fixed at ~48 bytes per slot.
-    pub capacity: usize,
     /// Sojourn-time quantile above which a message's chain is kept
     /// (tail sampling); e.g. 0.99 keeps the slowest ~1%.
     pub tail_quantile: f64,
 }
 
+/// The flight recorder's ring capacity in span events (a power of two).
+/// Memory is fixed at ~48 bytes per slot.
+pub(crate) const TRACE_EVENTS: usize = 8192;
+
 impl Default for TraceConfig {
     fn default() -> Self {
-        Self { capacity: 8192, tail_quantile: 0.99 }
+        Self { tail_quantile: 0.99 }
     }
 }
 
 impl TraceConfig {
-    /// Sets the flight-recorder capacity in events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is 0.
-    pub fn capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be > 0");
-        self.capacity = capacity;
-        self
-    }
-
     /// Sets the tail-sampling sojourn quantile.
     ///
     /// # Panics
@@ -442,11 +431,11 @@ mod tests {
     #[test]
     fn topic_obs_config_builder() {
         let c = BrokerConfig::builder()
-            .topic_obs(TopicObsConfig::default().per_topic_cap(16).flag_ratio(1.5))
+            .topic_obs(TopicObsConfig::default().per_topic_cap(16).target_ratio(1.5))
             .build();
         let t = c.topic_obs.expect("topic_obs set");
         assert_eq!(t.per_topic_cap, 16);
-        assert_eq!(t.flag_ratio, 1.5);
+        assert_eq!(t.target_ratio, 1.5);
         assert!(BrokerConfig::default().topic_obs.is_none());
     }
 
@@ -504,13 +493,9 @@ mod tests {
     #[test]
     fn trace_config_builders_and_defaults() {
         let t = TraceConfig::default();
-        assert_eq!(t.capacity, 8192);
         assert_eq!(t.tail_quantile, 0.99);
-        let c = BrokerConfig::builder()
-            .trace(TraceConfig::default().capacity(64).tail_quantile(0.5))
-            .build();
+        let c = BrokerConfig::builder().trace(TraceConfig::default().tail_quantile(0.5)).build();
         let t = c.trace.expect("trace set");
-        assert_eq!(t.capacity, 64);
         assert_eq!(t.tail_quantile, 0.5);
         assert!(BrokerConfig::default().trace.is_none());
     }

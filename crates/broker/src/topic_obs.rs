@@ -54,16 +54,13 @@ pub struct TopicObsConfig {
     /// Topic names are unbounded client-controlled input, so the table is
     /// capped: further topics collapse into a per-shard `__other__` row.
     pub per_topic_cap: usize,
-    /// Max/mean shard-load ratio above which the skew analyzer flags the
-    /// placement.
-    pub flag_ratio: f64,
     /// Ratio the rebalance advisor's moves aim to get under.
     pub target_ratio: f64,
 }
 
 impl Default for TopicObsConfig {
     fn default() -> Self {
-        Self { per_topic_cap: 64, flag_ratio: 1.25, target_ratio: 1.10 }
+        Self { per_topic_cap: 64, target_ratio: 1.10 }
     }
 }
 
@@ -76,17 +73,6 @@ impl TopicObsConfig {
     pub fn per_topic_cap(mut self, cap: usize) -> Self {
         assert!(cap > 0, "per_topic_cap must be > 0");
         self.per_topic_cap = cap;
-        self
-    }
-
-    /// Sets the skew flagging threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ratio >= 1.0`.
-    pub fn flag_ratio(mut self, ratio: f64) -> Self {
-        assert!(ratio >= 1.0 && ratio.is_finite(), "flag_ratio must be >= 1, got {ratio}");
-        self.flag_ratio = ratio;
         self
     }
 
@@ -361,9 +347,8 @@ mod tests {
 
     #[test]
     fn config_setters_validate() {
-        let c = TopicObsConfig::default().per_topic_cap(5).flag_ratio(2.0).target_ratio(1.5);
+        let c = TopicObsConfig::default().per_topic_cap(5).target_ratio(1.5);
         assert_eq!(c.per_topic_cap, 5);
-        assert_eq!(c.flag_ratio, 2.0);
         assert_eq!(c.target_ratio, 1.5);
     }
 
@@ -374,8 +359,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "flag_ratio must be >= 1")]
-    fn sub_unity_flag_ratio_rejected() {
-        TopicObsConfig::default().flag_ratio(0.9);
+    #[should_panic(expected = "target_ratio must be >= 1")]
+    fn sub_unity_target_ratio_rejected() {
+        TopicObsConfig::default().target_ratio(0.9);
     }
 }

@@ -26,12 +26,6 @@ pub struct FlowConfig {
     /// `W99` objective for admitted traffic, in seconds: the 99th
     /// percentile of the waiting time the controller budgets for.
     pub w99_objective: f64,
-    /// Number of dispatcher shards the admission budget is split across.
-    /// Each shard is one M/GI/1 server held at the inverted utilisation,
-    /// so the aggregate budget is `shards · λ_per_shard`. The broker sets
-    /// this automatically from its own shard count; `1` reproduces the
-    /// single-server budget exactly.
-    pub shards: u32,
     /// Safety headroom applied when inverting the model: the controller
     /// targets `w99_objective / headroom`, leaving margin for burst
     /// admission and estimation error. Must be `>= 1`.
@@ -62,7 +56,6 @@ impl Default for FlowConfig {
     fn default() -> Self {
         Self {
             w99_objective: 0.010,
-            shards: 1,
             headroom: 1.25,
             classes: 3,
             params: CostParams::CORRELATION_ID,
@@ -87,17 +80,6 @@ impl FlowConfig {
             "w99 objective must be finite and > 0 seconds, got {seconds}"
         );
         self.w99_objective = seconds;
-        self
-    }
-
-    /// Sets the number of dispatcher shards sharing the budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn shards(mut self, shards: u32) -> Self {
-        assert!(shards > 0, "shards must be > 0");
-        self.shards = shards;
         self
     }
 
@@ -207,18 +189,6 @@ mod tests {
         assert_eq!(c.w99_objective, 0.02);
         assert_eq!(c.classes, 5);
         assert_eq!(c.refresh_interval_ms, 500);
-    }
-
-    #[test]
-    fn shards_default_to_one() {
-        assert_eq!(FlowConfig::default().shards, 1);
-        assert_eq!(FlowConfig::default().shards(4).shards, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "shards must be > 0")]
-    fn rejects_zero_shards() {
-        FlowConfig::default().shards(0);
     }
 
     #[test]

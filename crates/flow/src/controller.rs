@@ -83,7 +83,7 @@ struct SeedModel {
 /// ```
 /// use rjms_flow::{FlowConfig, FlowController};
 ///
-/// let controller = FlowController::new(&FlowConfig::default());
+/// let controller = FlowController::new(&FlowConfig::default(), 1);
 /// // A finite budget exists for any positive objective.
 /// assert!(controller.lambda_max() > 0.0);
 /// assert!(controller.rho_max() <= 0.999);
@@ -120,12 +120,15 @@ impl FlowController {
     const OVERLOAD_TIGHTEN: f64 = 0.5;
 
     /// Builds the controller from the seed model in `config` and performs
-    /// the initial analytic inversion.
-    pub fn new(config: &FlowConfig) -> Self {
+    /// the initial analytic inversion. The budget is split across `shards`
+    /// dispatchers, each one M/GI/1 server held at the inverted
+    /// utilisation, so the aggregate budget is `shards · λ_per_shard`; `1`
+    /// is the single-server budget.
+    pub fn new(config: &FlowConfig, shards: usize) -> Self {
         let analytic = ServerModel::new(config.params, config.filters)
             .service_time(ReplicationModel::deterministic(config.replication_grade));
         let target = config.w99_objective / config.headroom;
-        let shards = config.shards.max(1) as f64;
+        let shards = shards.max(1) as f64;
         let (rho_max, per_shard) = invert(&analytic, target);
         let lambda_max = per_shard * shards;
         Self {
@@ -311,7 +314,7 @@ mod tests {
     #[test]
     fn inversion_meets_the_objective() {
         let c = config();
-        let controller = FlowController::new(&c);
+        let controller = FlowController::new(&c, 1);
         let service = ServerModel::new(c.params, c.filters)
             .service_time(ReplicationModel::deterministic(c.replication_grade));
         let rho = controller.rho_max();
@@ -324,8 +327,8 @@ mod tests {
 
     #[test]
     fn sharded_budget_scales_linearly() {
-        let one = FlowController::new(&config());
-        let four = FlowController::new(&config().shards(4));
+        let one = FlowController::new(&config(), 1);
+        let four = FlowController::new(&config(), 4);
         // Same per-shard utilisation ceiling, 4x the aggregate rate.
         assert_eq!(one.rho_max(), four.rho_max());
         assert!((four.lambda_max() - 4.0 * one.lambda_max()).abs() < 1e-9);
@@ -341,15 +344,15 @@ mod tests {
 
     #[test]
     fn tighter_objective_means_smaller_budget() {
-        let loose = FlowController::new(&config().w99_objective(0.01));
-        let tight = FlowController::new(&config().w99_objective(0.001));
+        let loose = FlowController::new(&config().w99_objective(0.01), 1);
+        let tight = FlowController::new(&config().w99_objective(0.001), 1);
         assert!(tight.lambda_max() < loose.lambda_max());
     }
 
     #[test]
     fn drift_with_slower_service_tightens_the_budget() {
         let c = config();
-        let controller = FlowController::new(&c);
+        let controller = FlowController::new(&c, 1);
         let before = controller.lambda_max();
         let e_b = c.params.mean_service_time(c.filters, c.replication_grade);
         // Server measured 3x slower than the model at a modest load: the
@@ -371,7 +374,7 @@ mod tests {
     #[test]
     fn overload_applies_emergency_cut_with_floor() {
         let c = config();
-        let controller = FlowController::new(&c);
+        let controller = FlowController::new(&c, 1);
         let before = controller.lambda_max();
         let e_b = c.params.mean_service_time(c.filters, c.replication_grade);
         // Measured rho > 1: no finite prediction, budget halves.
@@ -390,7 +393,7 @@ mod tests {
     #[test]
     fn reseed_store_cost_tightens_analytic_budget() {
         let c = config();
-        let controller = FlowController::new(&c);
+        let controller = FlowController::new(&c, 1);
         let before = controller.lambda_max();
         assert_eq!(controller.seeded_t_store(), 0.0);
         // A measured store cost comparable to E[B] roughly doubles the
@@ -413,7 +416,7 @@ mod tests {
     #[test]
     fn reseed_while_measured_waits_for_recalibration() {
         let c = config();
-        let controller = FlowController::new(&c);
+        let controller = FlowController::new(&c, 1);
         let e_b = c.params.mean_service_time(c.filters, c.replication_grade);
         // Drift first: the live budget comes from measured moments.
         let v = verdict(3.0 * e_b, 2.0 * e_b, 0.3 / e_b);
@@ -427,7 +430,7 @@ mod tests {
 
         // ...but the next calibrated verdict lands on the new seed, below
         // the original store-free analytic budget.
-        let analytic_free = FlowController::new(&c).lambda_max();
+        let analytic_free = FlowController::new(&c, 1).lambda_max();
         let v = verdict(e_b, 0.2 * e_b, 0.3 / e_b);
         assert!(matches!(v, ModelVerdict::Calibrated(_)), "expected calibrated, got {v:?}");
         controller.refresh(&v).expect("recovery refreshes");
@@ -437,7 +440,7 @@ mod tests {
 
     #[test]
     fn insufficient_samples_leave_the_budget_alone() {
-        let controller = FlowController::new(&config());
+        let controller = FlowController::new(&config(), 1);
         let before = controller.lambda_max();
         let v = ModelVerdict::Insufficient { samples: 1, required: 1000 };
         assert!(controller.refresh(&v).is_none());

@@ -129,7 +129,7 @@ pub struct FlowSnapshot {
 /// ```
 /// use rjms_flow::{AdmissionOutcome, FlowConfig, FlowGate};
 ///
-/// let gate = FlowGate::new(FlowConfig::default());
+/// let gate = FlowGate::new(FlowConfig::default(), 1);
 /// // A full bucket admits the first message of any class.
 /// assert!(gate.admit(1, 0, false).is_granted());
 /// assert!(gate.snapshot().per_class[0].granted >= 1);
@@ -154,10 +154,11 @@ impl std::fmt::Debug for FlowGate {
 }
 
 impl FlowGate {
-    /// Builds a gate from the config: runs the initial analytic inversion
+    /// Builds a gate from the config for a broker of `shards` dispatchers
+    /// (see [`FlowController::new`]): runs the initial analytic inversion
     /// and fills the global bucket.
-    pub fn new(config: FlowConfig) -> Self {
-        let controller = FlowController::new(&config);
+    pub fn new(config: FlowConfig, shards: usize) -> Self {
+        let controller = FlowController::new(&config, shards);
         let lambda = controller.lambda_max();
         let global = TokenBucket::new(lambda, burst_for(lambda, &config));
         let counters = (0..config.classes).map(|_| ClassCounters::default()).collect();
@@ -396,7 +397,10 @@ mod tests {
     fn gate() -> FlowGate {
         // Tight objective so lambda_max is small and tests drain the
         // bucket quickly; one producer share disables per-producer caps.
-        FlowGate::new(FlowConfig::default().w99_objective(0.002).headroom(1.0).producer_share(1.0))
+        FlowGate::new(
+            FlowConfig::default().w99_objective(0.002).headroom(1.0).producer_share(1.0),
+            1,
+        )
     }
 
     #[test]
@@ -446,6 +450,7 @@ mod tests {
     fn producer_share_defers_a_hog_while_others_proceed() {
         let g = FlowGate::new(
             FlowConfig::default().w99_objective(0.01).headroom(1.0).producer_share(0.1),
+            1,
         );
         // Producer 1 exhausts its 10% share; producer 2 is still granted.
         let mut outcome = g.admit_at(1, 9, false, 0);

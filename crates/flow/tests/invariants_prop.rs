@@ -78,6 +78,7 @@ proptest! {
                 .w99_objective(0.002)
                 .classes(classes)
                 .producer_share(share),
+            1,
         );
         let mut now = 0u64;
         let top = classes - 1;

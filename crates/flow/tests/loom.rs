@@ -66,7 +66,7 @@ fn credit_replenishment_conserves_in_flight_credit() {
 #[test]
 fn gate_accounts_for_every_racing_admission() {
     loom::model(|| {
-        let gate = Arc::new(FlowGate::new(FlowConfig::default()));
+        let gate = Arc::new(FlowGate::new(FlowConfig::default(), 1));
         let racer = {
             let gate = Arc::clone(&gate);
             thread::spawn(move || gate.admit_at(1, 9, true, 0))

@@ -53,9 +53,6 @@ pub struct JournalConfig {
     pub dir: PathBuf,
     /// Size at which the active segment is sealed and a new one started.
     pub segment_max_bytes: u64,
-    /// Seal the active segment when it gets older than this, even if it is
-    /// below the size threshold (bounds recovery work after long idle).
-    pub segment_max_age: Option<Duration>,
     /// Durability policy for appends.
     pub fsync: FsyncPolicy,
     /// Cap on *sealed* segments kept on disk; the oldest are removed first.
@@ -70,7 +67,6 @@ impl JournalConfig {
         JournalConfig {
             dir: dir.into(),
             segment_max_bytes: 8 * 1024 * 1024,
-            segment_max_age: None,
             fsync: FsyncPolicy::EveryN(64),
             max_sealed_segments: None,
         }
@@ -84,12 +80,6 @@ impl JournalConfig {
     pub fn segment_max_bytes(mut self, bytes: u64) -> Self {
         assert!(bytes > 0, "segment_max_bytes must be positive");
         self.segment_max_bytes = bytes;
-        self
-    }
-
-    /// Sets the segment age threshold.
-    pub fn segment_max_age(mut self, age: Duration) -> Self {
-        self.segment_max_age = Some(age);
         self
     }
 

@@ -424,8 +424,7 @@ impl Batch<'_> {
         let active = journal.segments.last().expect("journal always has an active segment");
         let holds_frames = !active.is_empty() || start > 0;
         let needs_rotation = holds_frames
-            && (active.len() + journal.buf.len() as u64 > journal.config.segment_max_bytes
-                || journal.config.segment_max_age.is_some_and(|age| active.age() >= age));
+            && active.len() + journal.buf.len() as u64 > journal.config.segment_max_bytes;
         let start = if needs_rotation {
             // The commit takes the written bytes off the buffer's front.
             self.commit_to(start)?;

@@ -4,7 +4,7 @@
 //! dispatcher; real deployments run durable subscriptions against a
 //! persistent store, which adds a per-message storage term to the service
 //! time. This crate supplies that store: an append-only log of
-//! CRC-checked, length-prefixed frames split across size/age-rotated
+//! CRC-checked, length-prefixed frames split across size-rotated
 //! segment files, with an in-memory offset index, a configurable fsync
 //! policy, and a recovery scan that cuts torn tails back to the last whole
 //! frame.
@@ -50,7 +50,6 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn cleanup(dir: &std::path::Path) {
         let _ = std::fs::remove_dir_all(dir);
@@ -388,18 +387,6 @@ mod tests {
         assert!(journal.first_offset() > 0);
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert!(files <= 3, "retention left {files} segment files");
-        cleanup(&dir);
-    }
-
-    #[test]
-    fn age_based_rotation() {
-        let dir = scratch_dir("age");
-        let config = JournalConfig::new(&dir).segment_max_age(Duration::from_millis(1));
-        let (mut journal, _) = Journal::open(config).unwrap();
-        journal.append(b"first").unwrap();
-        std::thread::sleep(Duration::from_millis(5));
-        journal.append(b"second").unwrap();
-        assert_eq!(journal.stats().segments_rotated, 1);
         cleanup(&dir);
     }
 }

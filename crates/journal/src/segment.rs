@@ -4,7 +4,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use crate::frame::{decode_frame, FrameDecode};
 
@@ -58,7 +57,6 @@ pub struct Segment {
     len: u64,
     /// Byte position of frame `base_offset + i` at index `i`.
     positions: Vec<u64>,
-    created: Instant,
 }
 
 impl Segment {
@@ -66,14 +64,7 @@ impl Segment {
     pub fn create(dir: &Path, base_offset: u64) -> io::Result<Segment> {
         let path = dir.join(segment_file_name(base_offset));
         let file = OpenOptions::new().create_new(true).read(true).write(true).open(&path)?;
-        Ok(Segment {
-            base_offset,
-            path,
-            file,
-            len: 0,
-            positions: Vec::new(),
-            created: Instant::now(),
-        })
+        Ok(Segment { base_offset, path, file, len: 0, positions: Vec::new() })
     }
 
     /// Opens an existing segment file, scanning and indexing its frames.
@@ -127,7 +118,6 @@ impl Segment {
             file,
             len,
             positions: positions.clone(),
-            created: Instant::now(),
         };
         Ok((segment, ScanReport { positions, tail }))
     }
@@ -160,11 +150,6 @@ impl Segment {
     /// Path of the backing file.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Age of the segment since it was created or opened.
-    pub fn age(&self) -> std::time::Duration {
-        self.created.elapsed()
     }
 
     /// Writes `frames` (whole encoded frames, the `i`-th beginning at

@@ -49,6 +49,10 @@ pub const BACKLOG_METRIC: &str = "broker.backlog";
 /// approximation's tail error is inside the band by construction.
 pub const GAMMA_TAIL_RESIDUAL: f64 = 0.02;
 
+/// Relative disagreement between the measured `L` and `λ·E[W]` beyond
+/// which the Little's-law self-check downgrades the forecast's confidence.
+pub const LITTLES_LAW_TOLERANCE: f64 = 0.10;
+
 /// Forecast confidence tiers, ordered so gating is a comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Confidence {
@@ -106,9 +110,6 @@ pub struct ForecastConfig {
     pub trend_window: Duration,
     /// Minimum confidence for a forecast to raise `Pending`.
     pub min_confidence: Confidence,
-    /// Relative disagreement between measured `L` and `λ·E[W]` beyond
-    /// which the Little's-law check downgrades confidence.
-    pub littles_tolerance: f64,
 }
 
 impl Default for ForecastConfig {
@@ -118,7 +119,6 @@ impl Default for ForecastConfig {
             horizon: Duration::from_secs(900),
             trend_window: Duration::from_secs(300),
             min_confidence: Confidence::Medium,
-            littles_tolerance: 0.10,
         }
     }
 }
@@ -360,12 +360,7 @@ impl Forecaster {
         let h = window.histogram(service_metric)?;
         let service = measured_service(h.mean() / 1e9, h.cvar())?;
 
-        let littles_law = littles_law_check(
-            &window,
-            waiting_metric,
-            backlog_metric,
-            self.config.littles_tolerance,
-        );
+        let littles_law = littles_law_check(&window, waiting_metric, backlog_metric);
 
         let mut confidence = grade(&trend);
         if littles_law.is_some_and(|c| !c.consistent) {
@@ -520,7 +515,6 @@ fn littles_law_check(
     window: &crate::history::Window,
     waiting_metric: &str,
     backlog_metric: &str,
-    tolerance: f64,
 ) -> Option<LittlesLawCheck> {
     let backlog = window.histogram(backlog_metric)?;
     let waiting = window.histogram(waiting_metric)?;
@@ -533,7 +527,8 @@ fn littles_law_check(
     let predicted_l = lambda * (waiting.mean() / 1e9);
     let scale = measured_l.max(predicted_l);
     let error = if scale > 0.0 { (measured_l - predicted_l).abs() / scale } else { 0.0 };
-    let consistent = error <= tolerance || (measured_l - predicted_l).abs() < LITTLES_FLOOR;
+    let consistent =
+        error <= LITTLES_LAW_TOLERANCE || (measured_l - predicted_l).abs() < LITTLES_FLOOR;
     Some(LittlesLawCheck { measured_l, predicted_l, error, consistent })
 }
 

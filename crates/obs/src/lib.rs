@@ -76,4 +76,4 @@ pub use forecast::{
 };
 pub use history::{HistoryConfig, MetricHistory, Reduce, SeriesPoint, Window};
 pub use slo::{evaluate_window, Objective, SloSpec, WindowBurn};
-pub use topics::{analyze_skew, ShardShare, SkewConfig, SkewReport, TopicLoad, TopicMove};
+pub use topics::{analyze_skew, ShardShare, SkewReport, TopicLoad, TopicMove, FLAG_RATIO};

@@ -6,7 +6,7 @@
 //! blind spot the per-topic observatory exists to close. This module takes
 //! the observatory's per-topic rows (`λ_t`, `E[B_t]`, current shard) and
 //! computes each shard's offered load `ρ_s = Σ λ_t·E[B_t]`, flags skew
-//! when the max/mean ratio exceeds a threshold, and proposes the smallest
+//! when the max/mean ratio exceeds [`FLAG_RATIO`], and proposes the smallest
 //! greedy set of topic moves that brings the ratio back under target.
 //!
 //! The greedy is largest-first: repeatedly move the heaviest topic on the
@@ -18,14 +18,14 @@
 //! ## Example
 //!
 //! ```
-//! use rjms_obs::topics::{analyze_skew, SkewConfig, TopicLoad};
+//! use rjms_obs::topics::{analyze_skew, TopicLoad};
 //!
 //! let topics = vec![
 //!     TopicLoad { name: "hot".into(), shard: 0, arrival_rate: 900.0, mean_service_time: 1e-3 },
 //!     TopicLoad { name: "warm".into(), shard: 0, arrival_rate: 300.0, mean_service_time: 1e-3 },
 //!     TopicLoad { name: "cold".into(), shard: 1, arrival_rate: 100.0, mean_service_time: 1e-3 },
 //! ];
-//! let report = analyze_skew(&topics, &SkewConfig { shards: 2, ..SkewConfig::default() });
+//! let report = analyze_skew(&topics, 2, 1.10);
 //! assert!(report.skewed);
 //! assert_eq!(report.moves.len(), 1); // move "warm" to shard 1
 //! assert!(report.post_ratio < report.max_mean_ratio);
@@ -55,23 +55,9 @@ impl TopicLoad {
     }
 }
 
-/// Thresholds for the skew analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SkewConfig {
-    /// Number of dispatcher shards.
-    pub shards: usize,
-    /// Max/mean shard-load ratio above which skew is flagged.
-    pub flag_ratio: f64,
-    /// Ratio the advisor's moves aim to get under (should be below
-    /// `flag_ratio` to give the advice hysteresis).
-    pub target_ratio: f64,
-}
-
-impl Default for SkewConfig {
-    fn default() -> Self {
-        Self { shards: 1, flag_ratio: 1.25, target_ratio: 1.10 }
-    }
-}
+/// Max/mean shard-load ratio above which skew is flagged. An advisor's
+/// target ratio below it gives the advice hysteresis.
+pub const FLAG_RATIO: f64 = 1.25;
 
 /// One shard's slice of the total offered work.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -108,7 +94,7 @@ pub struct SkewReport {
     pub shares: Vec<ShardShare>,
     /// Max/mean shard-load ratio as observed (1.0 = perfectly balanced).
     pub max_mean_ratio: f64,
-    /// Whether the observed ratio exceeds the configured flag threshold.
+    /// Whether the observed ratio exceeds [`FLAG_RATIO`].
     pub skewed: bool,
     /// Greedy largest-first moves bringing the ratio under target (empty
     /// when already under, or when no move helps).
@@ -117,13 +103,14 @@ pub struct SkewReport {
     pub post_ratio: f64,
 }
 
-/// Computes per-shard load shares from the per-topic table and advises
-/// rebalancing moves. See the [module docs](self) for the method.
+/// Computes per-shard load shares from the per-topic table over `shards`
+/// dispatcher shards and advises the moves that bring the max/mean ratio
+/// under `target_ratio`. See the [module docs](self) for the method.
 ///
 /// Topics whose `shard` is out of range, and non-finite or negative loads,
 /// are ignored. With `shards <= 1` the report is trivially balanced.
-pub fn analyze_skew(topics: &[TopicLoad], config: &SkewConfig) -> SkewReport {
-    let shards = config.shards.max(1);
+pub fn analyze_skew(topics: &[TopicLoad], shards: usize, target_ratio: f64) -> SkewReport {
+    let shards = shards.max(1);
     let mut load = vec![0.0f64; shards];
     let mut rate = vec![0.0f64; shards];
     let mut count = vec![0usize; shards];
@@ -167,7 +154,7 @@ pub fn analyze_skew(topics: &[TopicLoad], config: &SkewConfig) -> SkewReport {
     // a per-shard list of movable (load, topic) pairs.
     let mut moves = Vec::new();
     let mut post_ratio = max_mean_ratio;
-    if shards > 1 && mean > 0.0 && max_mean_ratio > config.target_ratio {
+    if shards > 1 && mean > 0.0 && max_mean_ratio > target_ratio {
         let mut pinned: Vec<Vec<(f64, usize)>> = vec![Vec::new(); shards];
         for &i in &usable {
             pinned[topics[i].shard].push((topics[i].offered_load(), i));
@@ -177,9 +164,9 @@ pub fn analyze_skew(topics: &[TopicLoad], config: &SkewConfig) -> SkewReport {
             list.sort_by(|a, b| a.0.total_cmp(&b.0));
         }
         // Each usable topic moves at most once, so this terminates.
-        let target_load = config.target_ratio * mean;
+        let target_load = target_ratio * mean;
         for _ in 0..usable.len() {
-            if ratio_of(&load) <= config.target_ratio {
+            if ratio_of(&load) <= target_ratio {
                 break;
             }
             let (max_s, _) =
@@ -208,18 +195,14 @@ pub fn analyze_skew(topics: &[TopicLoad], config: &SkewConfig) -> SkewReport {
         post_ratio = ratio_of(&load);
     }
 
-    SkewReport {
-        shares,
-        max_mean_ratio,
-        skewed: max_mean_ratio > config.flag_ratio,
-        moves,
-        post_ratio,
-    }
+    SkewReport { shares, max_mean_ratio, skewed: max_mean_ratio > FLAG_RATIO, moves, post_ratio }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const TARGET: f64 = 1.10;
 
     fn topic(name: &str, shard: usize, rate: f64, e_b: f64) -> TopicLoad {
         TopicLoad { name: name.into(), shard, arrival_rate: rate, mean_service_time: e_b }
@@ -232,7 +215,7 @@ mod tests {
             topic("b", 1, 100.0, 1e-3),
             topic("c", 2, 100.0, 1e-3),
         ];
-        let report = analyze_skew(&topics, &SkewConfig { shards: 3, ..SkewConfig::default() });
+        let report = analyze_skew(&topics, 3, TARGET);
         assert!(!report.skewed);
         assert!(report.moves.is_empty());
         assert!((report.max_mean_ratio - 1.0).abs() < 1e-12);
@@ -250,7 +233,7 @@ mod tests {
             topic("warm", 0, 300.0, 1e-3),
             topic("cool", 1, 200.0, 1e-3),
         ];
-        let report = analyze_skew(&topics, &SkewConfig { shards: 2, ..SkewConfig::default() });
+        let report = analyze_skew(&topics, 2, TARGET);
         assert!(report.skewed, "ratio {}", report.max_mean_ratio);
         // One move suffices: "warm" (the largest topic that fits on shard
         // 1 without overloading it) balances the pair exactly.
@@ -270,7 +253,7 @@ mod tests {
             topic("s", 1, 50.0, 1e-3),
             topic("t", 2, 50.0, 1e-3),
         ];
-        let report = analyze_skew(&topics, &SkewConfig { shards: 3, ..SkewConfig::default() });
+        let report = analyze_skew(&topics, 3, TARGET);
         // "xl" alone carries 0.4 of a 0.333 mean: ratio 1.2 is the best any
         // placement can do, and the advisor gets there.
         assert!(report.post_ratio <= 1.20 + 1e-12, "post {}", report.post_ratio);
@@ -286,7 +269,7 @@ mod tests {
         // One topic is the entire load: no move can help (moving it just
         // relocates the hot spot), the advisor must terminate empty.
         let topics = vec![topic("monolith", 0, 1000.0, 1e-3)];
-        let report = analyze_skew(&topics, &SkewConfig { shards: 4, ..SkewConfig::default() });
+        let report = analyze_skew(&topics, 4, TARGET);
         assert!(report.skewed);
         assert!(report.moves.is_empty());
         assert_eq!(report.post_ratio, report.max_mean_ratio);
@@ -295,7 +278,7 @@ mod tests {
     #[test]
     fn single_shard_is_trivially_balanced() {
         let topics = vec![topic("a", 0, 100.0, 1e-3)];
-        let report = analyze_skew(&topics, &SkewConfig::default());
+        let report = analyze_skew(&topics, 1, TARGET);
         assert!(!report.skewed);
         assert!((report.max_mean_ratio - 1.0).abs() < 1e-12);
         assert!(report.moves.is_empty());
@@ -309,14 +292,14 @@ mod tests {
             topic("nan", 1, f64::NAN, 1e-3),
             topic("neg", 1, -5.0, 1e-3),
         ];
-        let report = analyze_skew(&topics, &SkewConfig { shards: 2, ..SkewConfig::default() });
+        let report = analyze_skew(&topics, 2, TARGET);
         assert_eq!(report.shares[0].topics, 1);
         assert_eq!(report.shares[1].topics, 0);
     }
 
     #[test]
     fn empty_table_yields_neutral_report() {
-        let report = analyze_skew(&[], &SkewConfig { shards: 4, ..SkewConfig::default() });
+        let report = analyze_skew(&[], 4, TARGET);
         assert!(!report.skewed);
         assert_eq!(report.shares.len(), 4);
         assert!((report.max_mean_ratio - 1.0).abs() < 1e-12);
@@ -332,13 +315,12 @@ mod tests {
             topic("c", 0, 120.0, 1e-3),
             topic("d", 1, 100.0, 1e-3),
         ];
-        let config = SkewConfig { shards: 2, ..SkewConfig::default() };
-        let report = analyze_skew(&topics, &config);
+        let report = analyze_skew(&topics, 2, TARGET);
         let mut applied = topics.clone();
         for m in &report.moves {
             applied.iter_mut().find(|t| t.name == m.topic).unwrap().shard = m.to;
         }
-        let after = analyze_skew(&applied, &config);
+        let after = analyze_skew(&applied, 2, TARGET);
         assert!((after.max_mean_ratio - report.post_ratio).abs() < 1e-9);
         assert!(after.max_mean_ratio < report.max_mean_ratio);
     }

@@ -5,7 +5,8 @@
 # TCP clients, then validate every route of the table in src/http.rs:
 # /metrics, /snapshot.json, /traces, /model, /flow, /history, /slo
 # (objectives, forecast, alert feed), /shards and /topics — and that
-# /alerts and /forecast, folded into /slo, are gone.
+# /alerts and /forecast, folded into /slo, are gone. Last, `rjms-top
+# --once` draws a frame from the same server, and refuses an unknown flag.
 #
 # Usage: scripts/http_smoke.sh [path-to-target-dir]
 # Exits non-zero on any failed check.
@@ -16,6 +17,7 @@ TARGET="${1:-target/release}"
 SERVER="$TARGET/rjms-server"
 PUB="$TARGET/rjms-pub"
 SUB="$TARGET/rjms-sub"
+TOP="$TARGET/rjms-top"
 HTTP_ADDR="127.0.0.1:7881"
 LISTEN_ADDR="127.0.0.1:7871"
 COUNT=200
@@ -23,7 +25,7 @@ COUNT=200
 # Scratch space for captured responses, removed on exit.
 WORKDIR="$(mktemp -d "${TMPDIR:-/tmp}/rjms-http-smoke.XXXXXX")"
 
-for bin in "$SERVER" "$PUB" "$SUB"; do
+for bin in "$SERVER" "$PUB" "$SUB" "$TOP"; do
   [ -x "$bin" ] || { echo "missing binary: $bin (build with cargo build --release)"; exit 1; }
 done
 
@@ -195,5 +197,17 @@ done
 grep -q '"per_topic_cap":' "$WORKDIR/topics.json" || fail "/topics missing the cardinality cap"
 grep -q '"topics":\[' "$WORKDIR/topics.json" || fail "/topics missing the per-topic rows"
 grep -q '"global":{"fitted":' "$WORKDIR/topics.json" || fail "/topics missing the pooled fit"
+
+# --- rjms-top --once: 0 healthy, 1 firing/pending, 2 error --------------
+TOP_STATUS=0
+"$TOP" --url "$HTTP_ADDR" --once > "$WORKDIR/top.txt" 2>&1 || TOP_STATUS=$?
+[ "$TOP_STATUS" != 2 ] || fail "rjms-top --once exited 2: $(cat "$WORKDIR/top.txt")"
+grep -q "^rjms-top .* $HTTP_ADDR .* up " "$WORKDIR/top.txt" \
+  || fail "rjms-top --once drew no header line: $(head -3 "$WORKDIR/top.txt")"
+# A flag that is no row of rjms-top's table is a usage error.
+UNKNOWN_FLAG=--bogus
+TOP_STATUS=0
+"$TOP" "$UNKNOWN_FLAG" 2>/dev/null || TOP_STATUS=$?
+[ "$TOP_STATUS" = 2 ] || fail "rjms-top $UNKNOWN_FLAG exited $TOP_STATUS, not 2"
 
 echo "PASS: http exposition smoke ($COMPLETE/$COUNT complete chains)"

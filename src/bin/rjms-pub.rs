@@ -1,11 +1,6 @@
 //! `rjms-pub` — publish messages to a remote broker.
 //!
-//! ```text
-//! rjms-pub --topic NAME [--connect ADDR] [--count N] [--rate MSGS_PER_SEC]
-//!          [--corr-id ID] [--prop key=value]... [--body TEXT] [--create-topic]
-//!          [--print-trace-ids]
-//! ```
-//!
+//! `rjms-pub --help` lists the flags, the rows of `rjms::settings::PUB`.
 //! With `--rate`, publishes at that Poisson-free fixed rate; without it,
 //! publishes as fast as the broker's push-back allows (the paper's
 //! saturated-publisher mode). `--print-trace-ids` prints each published
@@ -22,23 +17,13 @@
 use rjms::broker::{Error, Message};
 use rjms::net::client::RemoteBroker;
 use rjms::selector::Value;
+use rjms::settings::{self, Pub, Values, PUB};
 use std::time::{Duration, Instant};
 
-struct Args {
-    connect: String,
-    topic: String,
-    count: u64,
-    rate: Option<f64>,
-    corr_id: Option<String>,
-    props: Vec<(String, Value)>,
-    body: Vec<u8>,
-    create_topic: bool,
-    print_trace_ids: bool,
-}
-
-fn parse_prop(s: &str) -> Result<(String, Value), String> {
-    let (k, v) = s.split_once('=').ok_or("property must be key=value")?;
-    // Typed literals: int, float, bool, else string.
+/// `key=value` with the value's typed literal: int, float, bool, else
+/// string. The table has checked the `=`.
+fn property(prop: &str) -> (String, Value) {
+    let (k, v) = prop.split_once('=').unwrap_or((prop, ""));
     let value = if let Ok(i) = v.parse::<i64>() {
         Value::Int(i)
     } else if let Ok(f) = v.parse::<f64>() {
@@ -48,91 +33,46 @@ fn parse_prop(s: &str) -> Result<(String, Value), String> {
     } else {
         Value::Str(v.to_owned())
     };
-    Ok((k.to_owned(), value))
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        connect: "127.0.0.1:7670".to_owned(),
-        topic: String::new(),
-        count: 1,
-        rate: None,
-        corr_id: None,
-        props: Vec::new(),
-        body: Vec::new(),
-        create_topic: false,
-        print_trace_ids: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut next = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-        match flag.as_str() {
-            "--connect" => args.connect = next("--connect")?,
-            "--topic" => args.topic = next("--topic")?,
-            "--count" => {
-                args.count = next("--count")?.parse().map_err(|e| format!("bad --count: {e}"))?
-            }
-            "--rate" => {
-                args.rate = Some(next("--rate")?.parse().map_err(|e| format!("bad --rate: {e}"))?)
-            }
-            "--corr-id" => args.corr_id = Some(next("--corr-id")?),
-            "--prop" => args.props.push(parse_prop(&next("--prop")?)?),
-            "--body" => args.body = next("--body")?.into_bytes(),
-            "--create-topic" => args.create_topic = true,
-            "--print-trace-ids" => args.print_trace_ids = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: rjms-pub --topic NAME [--connect ADDR] [--count N] \
-                     [--rate R] [--corr-id ID] [--prop k=v]... [--body TEXT] [--create-topic] \
-                     [--print-trace-ids]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag `{other}` (try --help)")),
-        }
-    }
-    if args.topic.is_empty() {
-        return Err("--topic is required".to_owned());
-    }
-    Ok(args)
+    (k.to_owned(), value)
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let client = match RemoteBroker::connect(args.connect.as_str()) {
+    let flags = settings::command_line("rjms-pub", &PUB, "").over(Values::new(&PUB));
+    let topic = flags.text(Pub::Topic).filter(|topic| !topic.is_empty());
+    let topic = topic.unwrap_or_else(|| settings::usage_error("--topic is required"));
+    let connect = flags.text(Pub::Connect).expect("defaulted");
+    let count = flags.count(Pub::Count).expect("defaulted");
+    let props: Vec<(String, Value)> = flags.list(Pub::Prop).iter().map(|p| property(p)).collect();
+    let body = flags.text(Pub::Body).unwrap_or_default().as_bytes().to_vec();
+
+    let client = match RemoteBroker::connect(connect) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: cannot connect to {}: {e}", args.connect);
+            eprintln!("error: cannot connect to {connect}: {e}");
             std::process::exit(1);
         }
     };
-    if args.create_topic {
+    if flags.on(Pub::CreateTopic) {
         // Ignore "already exists".
-        let _ = client.create_topic(&args.topic);
+        let _ = client.create_topic(topic);
     }
 
     let started = Instant::now();
     let mut deferrals = 0u64;
-    for i in 0..args.count {
-        let mut b = Message::builder().body(args.body.clone());
-        if let Some(c) = &args.corr_id {
-            b = b.correlation_id(c.clone());
+    for i in 0..count {
+        let mut b = Message::builder().body(body.clone());
+        if let Some(c) = flags.text(Pub::CorrId) {
+            b = b.correlation_id(c);
         }
-        for (k, v) in &args.props {
+        for (k, v) in &props {
             b = b.property(k.clone(), v.clone());
         }
         let message = b.build();
-        if args.print_trace_ids {
+        if flags.on(Pub::PrintTraceIds) {
             println!("trace {}", message.trace_id());
         }
         loop {
-            match client.publish(&args.topic, &message) {
+            match client.publish(topic, &message) {
                 Ok(()) => break,
                 Err(Error::PublishDeferred { retry_after_ms, .. }) => {
                     deferrals += 1;
@@ -144,7 +84,7 @@ fn main() {
                 }
             }
         }
-        if let Some(rate) = args.rate {
+        if let Some(rate) = flags.number(Pub::Rate) {
             let due = started + Duration::from_secs_f64((i + 1) as f64 / rate);
             if let Some(wait) = due.checked_duration_since(Instant::now()) {
                 std::thread::sleep(wait);
@@ -154,8 +94,8 @@ fn main() {
     let elapsed = started.elapsed().as_secs_f64();
     println!(
         "published {} message(s) in {elapsed:.3}s ({:.1}/s)",
-        args.count,
-        args.count as f64 / elapsed.max(1e-9)
+        count,
+        count as f64 / elapsed.max(1e-9)
     );
     if deferrals > 0 {
         eprintln!("admission control deferred {deferrals} publish attempt(s); all retried");

@@ -46,7 +46,7 @@ use rjms::obs::{
     Confidence, ForecastConfig, HistoryConfig, ObsConfig, ObsCore, ObsRuntime, StderrSink,
     WebhookSink,
 };
-use rjms::settings::{self, Key, Values};
+use rjms::settings::{self, Key, Values, SETTINGS};
 use std::io::Write as _;
 use std::time::Duration;
 
@@ -113,7 +113,6 @@ fn configs(values: &Values) -> (BrokerConfig, Option<ObsConfig>) {
                 .text(Key::ForecastConfidence)
                 .and_then(Confidence::parse)
                 .expect(DEFAULTED),
-            ..ForecastConfig::default()
         },
         ..ObsConfig::default()
     });
@@ -129,23 +128,12 @@ fn report(text: &str) {
     let _ = handle.flush();
 }
 
-/// Flags over the `--config` file over the built-in defaults.
-fn effective_settings(args: Vec<String>) -> Result<Values, String> {
-    let flags = settings::parse_flags(args)?;
-    let file = flags.text(Key::Config).map(settings::load).transpose()?.unwrap_or_default();
-    Ok(flags.over(file))
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
-        print!("{}", settings::usage());
-        return;
-    }
-    let values = effective_settings(args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    // Flags over the `--config` file over the built-in defaults.
+    let flags = settings::command_line("rjms-server", &SETTINGS, settings::SERVER_NOTES);
+    let file = flags.text(Key::Config).map(settings::load).transpose();
+    let file = file.unwrap_or_else(|e| settings::usage_error(e));
+    let values = flags.over(file.unwrap_or_else(|| Values::new(&SETTINGS)));
     let (config, obs_config) = configs(&values);
     let listen = values.text(Key::Listen).expect(DEFAULTED);
     let shards = config.shards;
@@ -294,8 +282,8 @@ mod tests {
     use super::*;
 
     fn configs_for(argv: &[&str]) -> (BrokerConfig, Option<ObsConfig>) {
-        let flags = settings::parse_flags(argv.iter().map(|s| (*s).to_owned())).unwrap();
-        configs(&flags.over(Values::default()))
+        let flags = settings::parse_flags(&SETTINGS, argv.iter().map(|s| (*s).to_owned())).unwrap();
+        configs(&flags.over(Values::new(&SETTINGS)))
     }
 
     /// The table restates the library's defaults so that `--help` can

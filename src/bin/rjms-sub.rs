@@ -1,86 +1,38 @@
 //! `rjms-sub` — subscribe to a remote broker and print received messages.
 //!
-//! ```text
-//! rjms-sub --topic NAME [--connect ADDR] [--selector EXPR | --corr-id PAT]
-//!          [--pattern] [--count N] [--quiet]
-//! ```
-//!
+//! `rjms-sub --help` lists the flags, the rows of `rjms::settings::SUB`.
 //! `--pattern` treats `--topic` as a wildcard pattern (`sensors.>`).
 //! With `--count N` the process exits after N messages (useful in scripts);
 //! otherwise it runs until killed.
 
 use rjms::net::client::{RemoteBroker, RemoteSubscriber};
 use rjms::net::wire::WireFilter;
+use rjms::settings::{self, Sub, Values, SUB};
 use std::time::Duration;
 
-struct Args {
-    connect: String,
-    topic: String,
-    filter: WireFilter,
-    pattern: bool,
-    count: Option<u64>,
-    quiet: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        connect: "127.0.0.1:7670".to_owned(),
-        topic: String::new(),
-        filter: WireFilter::None,
-        pattern: false,
-        count: None,
-        quiet: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut next = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-        match flag.as_str() {
-            "--connect" => args.connect = next("--connect")?,
-            "--topic" => args.topic = next("--topic")?,
-            "--selector" => args.filter = WireFilter::Selector(next("--selector")?),
-            "--corr-id" => args.filter = WireFilter::CorrelationId(next("--corr-id")?),
-            "--pattern" => args.pattern = true,
-            "--count" => {
-                args.count =
-                    Some(next("--count")?.parse().map_err(|e| format!("bad --count: {e}"))?)
-            }
-            "--quiet" => args.quiet = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: rjms-sub --topic NAME [--connect ADDR] \
-                     [--selector EXPR | --corr-id PAT] [--pattern] [--count N] [--quiet]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag `{other}` (try --help)")),
-        }
-    }
-    if args.topic.is_empty() {
-        return Err("--topic is required".to_owned());
-    }
-    Ok(args)
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+    let flags = settings::command_line("rjms-sub", &SUB, "").over(Values::new(&SUB));
+    let topic = flags.text(Sub::Topic).filter(|topic| !topic.is_empty());
+    let topic = topic.unwrap_or_else(|| settings::usage_error("--topic is required"));
+    let connect = flags.text(Sub::Connect).expect("defaulted");
+    let filter = match (flags.text(Sub::Selector), flags.text(Sub::CorrId)) {
+        (None, None) => WireFilter::None,
+        (Some(selector), None) => WireFilter::Selector(selector.to_owned()),
+        (None, Some(pattern)) => WireFilter::CorrelationId(pattern.to_owned()),
+        (Some(_), Some(_)) => settings::usage_error("give --selector or --corr-id, not both"),
     };
-    let client = match RemoteBroker::connect(args.connect.as_str()) {
+    let client = match RemoteBroker::connect(connect) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: cannot connect to {}: {e}", args.connect);
+            eprintln!("error: cannot connect to {connect}: {e}");
             std::process::exit(1);
         }
     };
     let sub: RemoteSubscriber = {
-        let result = if args.pattern {
-            client.subscribe_pattern(&args.topic, args.filter.clone())
+        let result = if flags.on(Sub::Pattern) {
+            client.subscribe_pattern(topic, filter)
         } else {
-            client.subscribe(&args.topic, args.filter.clone())
+            client.subscribe(topic, filter)
         };
         match result {
             Ok(s) => s,
@@ -90,14 +42,14 @@ fn main() {
             }
         }
     };
-    eprintln!("subscribed to {} — waiting for messages", args.topic);
+    eprintln!("subscribed to {topic} — waiting for messages");
 
     let mut received = 0u64;
     loop {
         match sub.receive_timeout(Duration::from_millis(500)) {
             Some(m) => {
                 received += 1;
-                if !args.quiet {
+                if !flags.on(Sub::Quiet) {
                     let props: Vec<String> =
                         m.properties().iter().map(|(k, v)| format!("{k}={v}")).collect();
                     println!(
@@ -109,7 +61,7 @@ fn main() {
                         m.trace_id()
                     );
                 }
-                if Some(received) == args.count {
+                if Some(received) == flags.count(Sub::Count) {
                     break;
                 }
             }

@@ -1,10 +1,7 @@
 //! `rjms-top` — a dependency-free terminal dashboard for the rjms SLO
 //! engine.
 //!
-//! ```text
-//! rjms-top [--url HOST:PORT] [--interval SECS] [--once]
-//! ```
-//!
+//! `rjms-top --help` lists the flags, the rows of `rjms::settings::TOP`.
 //! Polls the broker's HTTP exposition endpoint (`rjms-server --http ADDR
 //! --slo`) and redraws one screen per interval:
 //!
@@ -49,6 +46,7 @@
 //! `TcpStream`, the JSON reader is [`rjms::obs::minijson`].
 
 use rjms::obs::minijson::{self, Value};
+use rjms::settings::{self, Top, Values, TOP};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -59,45 +57,6 @@ const SPARK: [char; 8] = [
 const SPARK_WIDTH: usize = 60;
 const FEED_LINES: usize = 8;
 const TOPIC_LINES: usize = 6;
-
-struct Args {
-    url: String,
-    interval: u64,
-    once: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args { url: "127.0.0.1:7881".to_owned(), interval: 2, once: false };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--url" => {
-                let v = it.next().ok_or("--url needs HOST:PORT")?;
-                args.url = v.trim_start_matches("http://").trim_end_matches('/').to_owned();
-            }
-            "--interval" => {
-                let v = it.next().ok_or("--interval needs a number of seconds")?;
-                let secs: u64 = v.parse().map_err(|e| format!("bad --interval value: {e}"))?;
-                if secs == 0 {
-                    return Err("--interval must be at least 1 second".to_owned());
-                }
-                args.interval = secs;
-            }
-            "--once" => args.once = true,
-            "--help" | "-h" => {
-                println!("usage: rjms-top [--url HOST:PORT] [--interval SECS] [--once]");
-                println!();
-                println!("--once exit codes:");
-                println!("  0  all objectives healthy");
-                println!("  1  an objective is firing, or pending with a high-confidence forecast");
-                println!("  2  transport or usage error");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag `{other}` (try --help)")),
-        }
-    }
-    Ok(args)
-}
 
 /// One blocking HTTP/1.1 GET; returns the body of a 200 response.
 fn http_get(addr: &str, path: &str) -> Result<String, String> {
@@ -489,15 +448,13 @@ fn render_frame(addr: &str) -> Result<(String, i32), String> {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if args.once {
-        match render_frame(&args.url) {
+    let flags =
+        settings::command_line("rjms-top", &TOP, settings::TOP_NOTES).over(Values::new(&TOP));
+    let url = flags.text(Top::Url).expect("defaulted");
+    let url = url.trim_start_matches("http://").trim_end_matches('/');
+    let interval = flags.count(Top::Interval).expect("defaulted");
+    if flags.on(Top::Once) {
+        match render_frame(url) {
             Ok((frame, code)) => {
                 print!("{frame}");
                 std::process::exit(code);
@@ -509,12 +466,12 @@ fn main() {
         }
     }
     loop {
-        match render_frame(&args.url) {
+        match render_frame(url) {
             // Clear screen + home, then the frame: one flicker-free redraw.
             Ok((frame, _)) => print!("\x1b[2J\x1b[H{frame}"),
             Err(e) => eprintln!("rjms-top: {e} (retrying)"),
         }
         let _ = std::io::stdout().flush();
-        std::thread::sleep(Duration::from_secs(args.interval));
+        std::thread::sleep(Duration::from_secs(interval));
     }
 }

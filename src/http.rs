@@ -23,7 +23,7 @@ use rjms_broker::{
 use rjms_core::regression::{FittedCosts, RegressionVerdict};
 use rjms_core::{CostParams, ModelVerdict};
 use rjms_metrics::{clock, JsonWriter, MetricsRegistry};
-use rjms_obs::topics::{analyze_skew, SkewConfig, TopicLoad};
+use rjms_obs::topics::{analyze_skew, TopicLoad, FLAG_RATIO};
 use rjms_obs::{Forecast, ObsCore, Reduce};
 use rjms_trace::{group_chains, FlightRecorder, TraceChain};
 use std::io::{Read, Write};
@@ -700,17 +700,13 @@ fn rebalance_json(snap: &TopicObservatorySnapshot, w: &mut JsonWriter) {
             mean_service_time: t.mean_service_time,
         })
         .collect();
-    let config = SkewConfig {
-        shards: snap.shards,
-        flag_ratio: snap.config.flag_ratio,
-        target_ratio: snap.config.target_ratio,
-    };
-    let report = analyze_skew(&loads, &config);
+    let target_ratio = snap.config.target_ratio;
+    let report = analyze_skew(&loads, snap.shards, target_ratio);
     w.object(|w| {
         w.field("max_mean_ratio", report.max_mean_ratio);
         w.field("skewed", report.skewed);
-        w.field("flag_ratio", config.flag_ratio);
-        w.field("target_ratio", config.target_ratio);
+        w.field("flag_ratio", FLAG_RATIO);
+        w.field("target_ratio", target_ratio);
         w.field("post_ratio", report.post_ratio);
         w.key("shares").array(|w| {
             for s in &report.shares {
@@ -970,7 +966,7 @@ mod tests {
     #[test]
     fn flow_endpoint_renders_gate_snapshot() {
         use rjms_broker::FlowConfig;
-        let gate = Arc::new(FlowGate::new(FlowConfig::default()));
+        let gate = Arc::new(FlowGate::new(FlowConfig::default(), 1));
         let s = server(HttpState::new().flow(gate));
         let r = get(s.local_addr(), "/flow");
         assert_eq!(status_of(&r), "HTTP/1.1 200 OK");

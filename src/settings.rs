@@ -1,11 +1,14 @@
-//! `rjms-server`'s settings, declared once.
+//! The command lines of the rjms tools, declared once.
 //!
-//! [`SETTINGS`] has one row per setting. The row gives the command-line
-//! flag, the `--config` file's `section.key`, the kind of value with its
-//! one range check, the built-in default, the toggle a tuning flag
-//! switches on, and the `--help` line. [`parse_flags`], [`parse_file`] and
-//! [`usage`] walk the table; adding a setting is adding a row (and reading
-//! it where `rjms-server` builds its configs).
+//! Each tool's surface is a table with one [`Row`] per setting:
+//! [`SETTINGS`] for `rjms-server`, [`PUB`], [`SUB`] and [`TOP`] for
+//! `rjms-pub`, `rjms-sub` and `rjms-top`. The row gives the command-line
+//! flag, the `--config` file's `section.key` (the server's rows only), the
+//! kind of value with its one range check, the built-in default, the
+//! toggle a tuning flag switches on, and the `--help` line.
+//! [`parse_flags`], [`parse_file`], [`usage`] and [`command_line`] walk a
+//! table; adding a setting is adding a row (and reading it where the tool
+//! builds its configs).
 //!
 //! Precedence is [`Values::over`]: flags over file over built-in defaults.
 //! A scalar takes the flag's value when the flag was given; a list is the
@@ -19,10 +22,10 @@
 //! (`--forecast`, a forecast tuning flag, an enabled `[forecast]` section)
 //! switches the engine on.
 //!
-//! The file is a small, dependency-free TOML subset: `key = value` pairs
-//! one per line, `[section]` headers, values that are `"strings"`,
-//! `true`/`false`, integers, floats or single-line arrays of strings, `#`
-//! comments (outside strings) and blank lines.
+//! `rjms-server`'s file is a small, dependency-free TOML subset: `key =
+//! value` pairs one per line, `[section]` headers, values that are
+//! `"strings"`, `true`/`false`, integers, floats or single-line arrays of
+//! strings, `#` comments (outside strings) and blank lines.
 //!
 //! ```toml
 //! # rjms-server.toml
@@ -58,7 +61,7 @@
 
 use std::fmt::Write as _;
 
-/// Names one setting; indexes [`SETTINGS`] and [`Values`].
+/// Names one setting of `rjms-server`, in [`SETTINGS`] order.
 #[allow(missing_docs)] // each variant is documented by its row's help text
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Key {
@@ -113,11 +116,11 @@ pub enum Kind {
     Toggle,
 }
 
-/// One setting.
+/// One setting of a tool whose settings are named by `K`.
 #[derive(Debug, Clone, Copy)]
-pub struct Row {
+pub struct Row<K: 'static = Key> {
     /// The setting's name in code.
-    pub key: Key,
+    pub key: K,
     /// The flag and its argument's placeholder (`"--shards N"`); empty for
     /// a file-only setting.
     pub flag: &'static str,
@@ -131,12 +134,12 @@ pub struct Row {
     pub default: &'static str,
     /// The toggle this setting switches on: for a tuning setting when it
     /// is given *as a flag*, for a toggle whenever it is explicitly on.
-    pub implies: Option<Key>,
+    pub implies: Option<K>,
     /// The `--help` text.
     pub help: &'static str,
 }
 
-impl Row {
+impl<K> Row<K> {
     /// The flag without its placeholder.
     fn flag_name(&self) -> &'static str {
         self.flag.split(' ').next().unwrap_or("")
@@ -149,15 +152,15 @@ impl Row {
     }
 }
 
-const fn row(
-    key: Key,
+const fn row<K>(
+    key: K,
     flag: &'static str,
     file: &'static str,
     kind: Kind,
     default: &'static str,
-    implies: Option<Key>,
+    implies: Option<K>,
     help: &'static str,
-) -> Row {
+) -> Row<K> {
     Row { key, flag, file, kind, default, implies, help }
 }
 
@@ -241,6 +244,96 @@ pub static SETTINGS: [Row; ROWS] = [
         "max/mean shard-load ratio the advised moves aim under"),
 ];
 
+/// Names one flag of `rjms-pub`.
+#[allow(missing_docs)] // each variant is documented by its row's help text
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pub {
+    Connect,
+    Topic,
+    Count,
+    Rate,
+    CorrId,
+    Prop,
+    Body,
+    CreateTopic,
+    PrintTraceIds,
+}
+
+fn key_value(prop: &str) -> Result<(), String> {
+    prop.contains('=').then_some(()).ok_or_else(|| format!("property `{prop}` must be key=value"))
+}
+
+fn finite_positive(r: f64) -> bool {
+    r > 0.0 && r.is_finite()
+}
+
+/// `rjms-pub`'s flags. `--topic` is required; `rjms-pub` reads each
+/// `--prop` value as the first of int, float, bool, string it parses as.
+#[rustfmt::skip]
+pub static PUB: [Row<Pub>; 9] = [
+    row(Pub::Connect, "--connect ADDR", "", Kind::Text, "127.0.0.1:7670", None, "the broker's address"),
+    row(Pub::Topic, "--topic NAME", "", Kind::Text, "", None, "the topic to publish to (required)"),
+    row(Pub::Count, "--count N", "", Kind::Count { min: 0, max: ANY }, "1", None, "messages to publish"),
+    row(Pub::Rate, "--rate MSGS_PER_SEC", "", Kind::Number(finite_positive, "finite and > 0"), "", None,
+        "publish at this fixed rate; without it, as fast as the broker takes them"),
+    row(Pub::CorrId, "--corr-id ID", "", Kind::Text, "", None, "the messages' correlation ID"),
+    row(Pub::Prop, "--prop KEY=VALUE", "", Kind::List(key_value), "", None,
+        "a property: int, float, bool, else string (repeatable)"),
+    row(Pub::Body, "--body TEXT", "", Kind::Text, "", None, "the message body"),
+    row(Pub::CreateTopic, "--create-topic", "", Kind::Toggle, "", None, "create the topic first"),
+    row(Pub::PrintTraceIds, "--print-trace-ids", "", Kind::Toggle, "", None,
+        "print `trace <id>` for each message, as /traces names it"),
+];
+
+/// Names one flag of `rjms-sub`.
+#[allow(missing_docs)] // each variant is documented by its row's help text
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sub {
+    Connect,
+    Topic,
+    Selector,
+    CorrId,
+    Pattern,
+    Count,
+    Quiet,
+}
+
+/// `rjms-sub`'s flags. `--topic` is required; `--selector` and
+/// `--corr-id` are alternatives.
+#[rustfmt::skip]
+pub static SUB: [Row<Sub>; 7] = [
+    row(Sub::Connect, "--connect ADDR", "", Kind::Text, "127.0.0.1:7670", None, "the broker's address"),
+    row(Sub::Topic, "--topic NAME", "", Kind::Text, "", None, "the topic to subscribe to (required)"),
+    row(Sub::Selector, "--selector EXPR", "", Kind::Text, "", None, "a JMS message selector"),
+    row(Sub::CorrId, "--corr-id PAT", "", Kind::Text, "", None, "a correlation-ID pattern, instead of --selector"),
+    row(Sub::Pattern, "--pattern", "", Kind::Toggle, "", None, "read --topic as a wildcard pattern (sensors.>)"),
+    row(Sub::Count, "--count N", "", AT_LEAST_1, "", None, "exit after N messages; without it, run until killed"),
+    row(Sub::Quiet, "--quiet", "", Kind::Toggle, "", None, "do not print each message"),
+];
+
+/// Names one flag of `rjms-top`.
+#[allow(missing_docs)] // each variant is documented by its row's help text
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Top {
+    Url,
+    Interval,
+    Once,
+}
+
+/// `rjms-top`'s flags.
+#[rustfmt::skip]
+pub static TOP: [Row<Top>; 3] = [
+    row(Top::Url, "--url HOST:PORT", "", Kind::Text, "127.0.0.1:7881", None, "rjms-server's --http address"),
+    row(Top::Interval, "--interval SECS", "", AT_LEAST_1, "2", None, "redraw at this interval"),
+    row(Top::Once, "--once", "", Kind::Toggle, "", None, "draw one frame and exit with its status"),
+];
+
+/// `rjms-top --help`'s closing paragraph.
+pub const TOP_NOTES: &str = "\n--once exit codes:\n  \
+     0  all objectives healthy\n  \
+     1  an objective is firing, or pending with a high-confidence forecast\n  \
+     2  transport or usage error\n";
+
 /// One checked value.
 #[derive(Debug, Clone, PartialEq)]
 enum Value {
@@ -251,23 +344,37 @@ enum Value {
     On(bool),
 }
 
-/// Checked values by [`Key`]: what the flags said, what the file said, or
-/// — after [`Values::over`] — what the server runs with.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Values {
-    slots: [Option<Value>; ROWS],
+/// Checked values of one table's settings: what the flags said, what the
+/// file said, or — after [`Values::over`] — what the tool runs with.
+#[derive(Debug, Clone)]
+pub struct Values<K: 'static = Key> {
+    rows: &'static [Row<K>],
+    /// By row index.
+    slots: Vec<Option<Value>>,
 }
 
-impl Default for Values {
-    fn default() -> Self {
-        Self { slots: [const { None }; ROWS] }
+impl<K: Copy + PartialEq> Values<K> {
+    /// No value yet for any row of `rows`.
+    pub fn new(rows: &'static [Row<K>]) -> Self {
+        Self { rows, slots: vec![None; rows.len()] }
     }
-}
 
-impl Values {
+    fn slot(&mut self, key: K) -> &mut Option<Value> {
+        let index = self.index(key);
+        &mut self.slots[index]
+    }
+
+    fn get(&self, key: K) -> Option<&Value> {
+        self.slots[self.index(key)].as_ref()
+    }
+
+    fn index(&self, key: K) -> usize {
+        self.rows.iter().position(|row| row.key == key).expect("the key names a row of the table")
+    }
+
     /// The whole precedence contract (see the [module docs](self)):
     /// `self` holds the flags, `file` the file's values.
-    pub fn over(mut self, file: Values) -> Values {
+    pub fn over(mut self, file: Values<K>) -> Values<K> {
         for (slot, below) in self.slots.iter_mut().zip(file.slots) {
             *slot = match (slot.take(), below) {
                 (Some(Value::List(new)), below) => {
@@ -285,15 +392,16 @@ impl Values {
                 (given, below) => given.or(below),
             };
         }
-        for row in &SETTINGS {
+        let rows = self.rows;
+        for row in rows {
             if let (Kind::Toggle, Some(toggle)) = (row.kind, row.implies) {
                 if self.on(row.key) {
-                    self.slots[toggle as usize] = Some(Value::On(true));
+                    *self.slot(toggle) = Some(Value::On(true));
                 }
             }
         }
-        for row in SETTINGS.iter().filter(|row| !row.default.is_empty()) {
-            self.slots[row.key as usize].get_or_insert_with(|| {
+        for row in rows.iter().filter(|row| !row.default.is_empty()) {
+            self.slot(row.key).get_or_insert_with(|| {
                 check(&row.kind, "default", bare(&row.kind, row.default))
                     .expect("the table's defaults pass their own checks")
             });
@@ -302,37 +410,37 @@ impl Values {
     }
 
     /// Whether a toggle is on.
-    pub fn on(&self, key: Key) -> bool {
-        self.slots[key as usize] == Some(Value::On(true))
+    pub fn on(&self, key: K) -> bool {
+        self.get(key) == Some(&Value::On(true))
     }
 
     /// A `Text` or `Choice` setting, when it has a value.
-    pub fn text(&self, key: Key) -> Option<&str> {
-        match &self.slots[key as usize] {
+    pub fn text(&self, key: K) -> Option<&str> {
+        match self.get(key) {
             Some(Value::Text(text)) => Some(text),
             _ => None,
         }
     }
 
     /// A `Count` setting, when it has a value.
-    pub fn count(&self, key: Key) -> Option<u64> {
-        match self.slots[key as usize] {
-            Some(Value::Count(n)) => Some(n),
+    pub fn count(&self, key: K) -> Option<u64> {
+        match self.get(key) {
+            Some(&Value::Count(n)) => Some(n),
             _ => None,
         }
     }
 
     /// A `Number` setting, when it has a value.
-    pub fn number(&self, key: Key) -> Option<f64> {
-        match self.slots[key as usize] {
-            Some(Value::Number(x)) => Some(x),
+    pub fn number(&self, key: K) -> Option<f64> {
+        match self.get(key) {
+            Some(&Value::Number(x)) => Some(x),
             _ => None,
         }
     }
 
     /// A `List` setting; empty when nothing was given.
-    pub fn list(&self, key: Key) -> &[String] {
-        match &self.slots[key as usize] {
+    pub fn list(&self, key: K) -> &[String] {
+        match self.get(key) {
             Some(Value::List(items)) => items,
             _ => &[],
         }
@@ -426,16 +534,19 @@ fn bare(kind: &Kind, text: &str) -> Raw {
     }
 }
 
-/// Reads command-line flags (without the program name).
+/// Reads command-line flags (without the program name) against `rows`.
 ///
 /// # Errors
 ///
 /// An unknown flag, a missing argument, or a value its row's kind rejects.
-pub fn parse_flags(args: impl IntoIterator<Item = String>) -> Result<Values, String> {
-    let mut values = Values::default();
+pub fn parse_flags<K: Copy + PartialEq>(
+    rows: &'static [Row<K>],
+    args: impl IntoIterator<Item = String>,
+) -> Result<Values<K>, String> {
+    let mut values = Values::new(rows);
     let mut args = args.into_iter();
     while let Some(flag) = args.next() {
-        let row = SETTINGS
+        let row = rows
             .iter()
             .find(|row| !row.flag.is_empty() && row.flag_name() == flag)
             .ok_or_else(|| format!("unknown flag `{flag}` (try --help)"))?;
@@ -445,16 +556,39 @@ pub fn parse_flags(args: impl IntoIterator<Item = String>) -> Result<Values, Str
             let arg = args.next().ok_or_else(|| format!("{} needs its argument", row.flag))?;
             let value = check(&row.kind, &flag, bare(&row.kind, &arg))?;
             if let Some(toggle) = row.implies {
-                values.slots[toggle as usize] = Some(Value::On(true));
+                *values.slot(toggle) = Some(Value::On(true));
             }
             value
         };
-        match (&mut values.slots[row.key as usize], value) {
+        match (values.slot(row.key), value) {
             (Some(Value::List(items)), Value::List(new)) => items.extend(new),
             (slot, value) => *slot = Some(value),
         }
     }
     Ok(values)
+}
+
+/// The process's command line read against `rows`, for a tool's `main`:
+/// with `--help` or `-h` anywhere it prints the tool's [`usage`] and exits
+/// 0, and a flag the table rejects is a [`usage_error`].
+pub fn command_line<K: Copy + PartialEq>(
+    program: &str,
+    rows: &'static [Row<K>],
+    notes: &str,
+) -> Values<K> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|arg| arg == "--help" || arg == "-h") {
+        print!("{}", usage(program, rows, notes));
+        std::process::exit(0);
+    }
+    parse_flags(rows, args).unwrap_or_else(|e| usage_error(e))
+}
+
+/// Ends the process the way a bad command line does: the message on
+/// stderr, exit status 2.
+pub fn usage_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// Reads and parses a settings file.
@@ -476,7 +610,7 @@ pub fn load(path: &str) -> Result<Values, String> {
 /// A message naming the offending line number on malformed syntax, an
 /// unknown section or key, or a value its row's kind rejects.
 pub fn parse_file(text: &str) -> Result<Values, String> {
-    let mut values = Values::default();
+    let mut values = Values::new(&SETTINGS);
     let mut section = "";
     for (index, raw) in text.lines().enumerate() {
         let line = strip_comment(raw).trim();
@@ -493,7 +627,7 @@ pub fn parse_file(text: &str) -> Result<Values, String> {
                 .iter()
                 .find(|row| row.file_path() == (name, "enabled"))
                 .ok_or_else(|| at(format!("unknown section `[{name}]` ({})", sections())))?;
-            values.slots[toggle.key as usize] = Some(Value::On(true));
+            *values.slot(toggle.key) = Some(Value::On(true));
             section = toggle.file_path().0;
             continue;
         }
@@ -510,8 +644,7 @@ pub fn parse_file(text: &str) -> Result<Values, String> {
                     _ => format!("unknown key `{key}` in [{section}]"),
                 })
             })?;
-        values.slots[row.key as usize] =
-            Some(check(&row.kind, &format!("`{key}`"), value).map_err(at)?);
+        *values.slot(row.key) = Some(check(&row.kind, &format!("`{key}`"), value).map_err(at)?);
     }
     Ok(values)
 }
@@ -526,10 +659,16 @@ fn sections() -> String {
     names.join("|")
 }
 
-/// The `--help` text, one line per flag.
-pub fn usage() -> String {
-    let mut out = String::from("usage: rjms-server [FLAG]...\n\n");
-    for row in SETTINGS.iter().filter(|row| !row.flag.is_empty()) {
+/// `rjms-server --help`'s closing paragraph.
+pub const SERVER_NOTES: &str =
+    "\nFlags override the --config file, which overrides the defaults; a repeatable flag\n\
+     adds to the file's list; a [section] switches its feature on unless it says\n\
+     `enabled = false`. A file-only key: forecast.trend_window_secs.\n";
+
+/// `program`'s `--help` text: one line per flag of `rows`, then `notes`.
+pub fn usage<K: PartialEq>(program: &str, rows: &[Row<K>], notes: &str) -> String {
+    let mut out = format!("usage: {program} [FLAG]...\n\n");
+    for row in rows.iter().filter(|row| !row.flag.is_empty()) {
         let _ = write!(out, "  {:<28} {}", row.flag, row.help);
         if !row.file.is_empty() {
             let _ = write!(out, " [file: {}]", row.file);
@@ -537,17 +676,14 @@ pub fn usage() -> String {
         if !row.default.is_empty() {
             let _ = write!(out, " [default: {}]", row.default);
         }
-        if let Some(toggle) = row.implies {
-            let _ = write!(out, " [implies {}]", SETTINGS[toggle as usize].flag_name());
+        if let Some(toggle) = &row.implies {
+            let implied = rows.iter().find(|other| other.key == *toggle);
+            let _ = write!(out, " [implies {}]", implied.map_or("", Row::flag_name));
         }
         out.push('\n');
     }
     let _ = writeln!(out, "  {:<28} print this text", "--help");
-    out.push_str(
-        "\nFlags override the --config file, which overrides the defaults; a repeatable flag\n\
-         adds to the file's list; a [section] switches its feature on unless it says\n\
-         `enabled = false`. A file-only key: forecast.trend_window_secs.\n",
-    );
+    out.push_str(notes);
     out
 }
 
@@ -639,7 +775,7 @@ mod tests {
     use super::*;
 
     fn flags(argv: &[&str]) -> Result<Values, String> {
-        parse_flags(argv.iter().map(|s| (*s).to_owned()))
+        parse_flags(&SETTINGS, argv.iter().map(|s| (*s).to_owned()))
     }
 
     /// What `rjms-server` runs with, given this command line and file.
@@ -705,18 +841,33 @@ mod tests {
         }
     }
 
+    /// A table's flags, `--help` included, space-separated.
+    fn flag_list<K>(rows: &[Row<K>]) -> String {
+        let flags: Vec<&str> = rows.iter().map(Row::flag_name).filter(|f| !f.is_empty()).collect();
+        flags.join(" ") + " --help"
+    }
+
     /// The surface of the parent commit: nothing added, renamed or removed.
     #[test]
     fn flag_set_and_file_schema_are_pinned() {
-        let flags: Vec<&str> = SETTINGS.iter().map(Row::flag_name).collect();
         assert_eq!(
-            flags.join(" ").split_whitespace().collect::<Vec<_>>().join(" ") + " --help",
+            flag_list(&SETTINGS),
             "--config --listen --topic --shards --stats-every --metrics-interval --cost-model \
              --http --trace --trace-quantile --slo --history --alert-sink --forecast \
              --forecast-horizon --forecast-confidence --flow --flow-w99 --flow-classes \
              --topic-obs --topic-obs-cap --topic-obs-target --help",
             "23 flags"
         );
+        assert_eq!(
+            flag_list(&PUB),
+            "--connect --topic --count --rate --corr-id --prop --body --create-topic \
+             --print-trace-ids --help"
+        );
+        assert_eq!(
+            flag_list(&SUB),
+            "--connect --topic --selector --corr-id --pattern --count --quiet --help"
+        );
+        assert_eq!(flag_list(&TOP), "--url --interval --once --help");
         let keys: Vec<&str> = SETTINGS.iter().map(|row| row.file).collect();
         assert_eq!(
             keys.join(" ").split_whitespace().collect::<Vec<_>>().join(" "),
@@ -730,6 +881,13 @@ mod tests {
             "7 top-level keys, 5 sections"
         );
         assert_eq!(sections(), "trace|slo|forecast|flow|topic_obs");
+        let client_rows = PUB.iter().map(|r| (r.file, r.implies.is_some()));
+        let client_rows = client_rows
+            .chain(SUB.iter().map(|r| (r.file, r.implies.is_some())))
+            .chain(TOP.iter().map(|r| (r.file, r.implies.is_some())));
+        for (file, implies) in client_rows {
+            assert!(file.is_empty() && !implies, "a client tool's row is a flag and nothing else");
+        }
     }
 
     /// Every kind's rejections, once per spelling the row has: the same
@@ -821,8 +979,9 @@ mod tests {
 
     #[test]
     fn comments_blank_lines_and_escapes() {
-        assert_eq!(parse_file("").unwrap(), Values::default());
-        assert_eq!(parse_file("# only comments\n\n").unwrap(), Values::default());
+        for empty in ["", "# only comments\n\n"] {
+            assert!(parse_file(empty).unwrap().slots.iter().all(Option::is_none), "{empty:?}");
+        }
         let v = parse_file("listen = \"host#port\" # trailing comment\n").unwrap();
         assert_eq!(v.text(Key::Listen), Some("host#port"));
         let v = parse_file("topics = [\"a\\\"b\", \"tab\\tbed\"]\n").unwrap();
@@ -1053,22 +1212,46 @@ mod tests {
         found
     }
 
-    /// The flags the docs and the smoke script use exist, `--help` lists
-    /// every flag there is, and the schema example above is the real schema.
+    /// Every flag of `rows` is on its own line of the tool's `--help`.
+    fn help_lists_every_row<K: PartialEq>(program: &str, rows: &[Row<K>], notes: &str) {
+        let help = usage(program, rows, notes);
+        for flag in flag_list(rows).split(' ') {
+            assert!(
+                help.contains(&format!("\n  {flag} ")),
+                "{flag} is missing from {program} --help"
+            );
+        }
+    }
+
+    /// The flags the docs and the smoke script use exist, each tool's
+    /// `--help` lists every flag it has, and the schema example above is
+    /// the real schema.
     #[test]
     fn docs_script_and_help_agree_with_the_table() {
-        let known: Vec<&str> = SETTINGS.iter().map(Row::flag_name).chain(["--help"]).collect();
-        let readme = flags_following(include_str!("../README.md"), &["rjms-server -- "]);
-        let smoke = flags_following(include_str!("../scripts/http_smoke.sh"), &["\"$SERVER\" "]);
-        assert!(readme.len() >= 10 && smoke.len() >= 8, "extraction broke: {readme:?} {smoke:?}");
-        for flag in readme.iter().chain(&smoke) {
-            assert!(known.contains(&flag.as_str()), "{flag} is used in the docs but is no row");
+        let readme = include_str!("../README.md");
+        let smoke = include_str!("../scripts/http_smoke.sh");
+        let tools = [
+            ("rjms-server", flag_list(&SETTINGS), "\"$SERVER\" ", 10, 8),
+            ("rjms-pub", flag_list(&PUB), "\"$PUB\" ", 4, 3),
+            ("rjms-sub", flag_list(&SUB), "\"$SUB\" ", 2, 4),
+            ("rjms-top", flag_list(&TOP), "\"$TOP\" ", 2, 2),
+        ];
+        for (program, known, in_smoke, readme_min, smoke_min) in tools {
+            let known: Vec<&str> = known.split(' ').collect();
+            let readme = flags_following(readme, &[format!("{program} -- ").as_str()]);
+            let smoke = flags_following(smoke, &[in_smoke]);
+            assert!(
+                readme.len() >= readme_min && smoke.len() >= smoke_min,
+                "extraction broke for {program}: {readme:?} {smoke:?}"
+            );
+            for flag in readme.iter().chain(&smoke) {
+                assert!(known.contains(&flag.as_str()), "{program} {flag} is used but is no row");
+            }
         }
-
-        let help = usage();
-        for flag in known.iter().filter(|flag| !flag.is_empty()) {
-            assert!(help.contains(&format!("\n  {flag} ")), "{flag} is missing from --help");
-        }
+        help_lists_every_row("rjms-server", &SETTINGS, SERVER_NOTES);
+        help_lists_every_row("rjms-pub", &PUB, "");
+        help_lists_every_row("rjms-sub", &SUB, "");
+        help_lists_every_row("rjms-top", &TOP, TOP_NOTES);
 
         let values = parse_file(&schema_example()).expect("the schema example parses");
         for row in SETTINGS.iter().filter(|row| !row.file.is_empty()) {

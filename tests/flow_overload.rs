@@ -102,7 +102,7 @@ fn gate_keeps_admitted_w99_inside_objective_through_an_overload_wave() {
     // target comfortably inside the asserted objective.
     let config = FlowConfig::default().w99_objective(0.010).headroom(1.5).producer_share(1.0);
     let objective = config.w99_objective;
-    let gate = FlowGate::new(config);
+    let gate = FlowGate::new(config, 1);
     let lambda_max = gate.lambda_max();
     assert!(lambda_max > 100.0, "budget too small for a meaningful wave: {lambda_max}/s");
     let e_b = CostParams::CORRELATION_ID.mean_service_time(100, 1.0);

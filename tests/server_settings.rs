@@ -190,3 +190,42 @@ fn rjms_sub_exits_when_the_broker_dies_short_of_its_count() {
     assert_eq!(status.code(), Some(1), "stderr: {rest:?}");
     assert!(rest.contains("connection lost"), "stderr: {rest:?}");
 }
+
+/// A client tool run with `args` against a port nothing listens on: its
+/// exit status and stderr. A bad command line must be refused (exit 2)
+/// before the tool tries to connect (which would exit 1).
+fn refused(program: &str, args: &[&str]) -> (Option<i32>, String) {
+    let output = Command::new(program)
+        .args(["--connect", "127.0.0.1:1", "--topic", "t"])
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    (output.status.code(), String::from_utf8_lossy(&output.stderr).into_owned())
+}
+
+/// `--rate` takes a finite rate above zero: the pacing after each publish
+/// divides by it and hands the quotient to `Duration::from_secs_f64`,
+/// which panics on a negative or non-finite value.
+#[test]
+fn rjms_pub_refuses_a_rate_that_is_not_finite_and_positive() {
+    for rate in ["0", "-5", "nan", "inf"] {
+        let (code, stderr) = refused(env!("CARGO_BIN_EXE_rjms-pub"), &["--rate", rate]);
+        assert_eq!(code, Some(2), "--rate {rate}: {stderr:?}");
+        assert!(stderr.contains("--rate"), "--rate {rate}: {stderr:?}");
+    }
+}
+
+/// `--selector` and `--corr-id` are alternatives (a subscription has one
+/// filter), and `--count 0` is refused: the count is checked after each
+/// message received, so zero would never be reached.
+#[test]
+fn rjms_sub_refuses_two_filters_and_a_zero_count() {
+    let sub = env!("CARGO_BIN_EXE_rjms-sub");
+    let (code, stderr) = refused(sub, &["--selector", "color = 'red'", "--corr-id", "7"]);
+    assert_eq!(code, Some(2), "{stderr:?}");
+    assert!(stderr.contains("--selector") && stderr.contains("--corr-id"), "{stderr:?}");
+    let (code, stderr) = refused(sub, &["--count", "0"]);
+    assert_eq!(code, Some(2), "{stderr:?}");
+    assert!(stderr.contains("--count"), "{stderr:?}");
+}

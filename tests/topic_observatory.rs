@@ -21,7 +21,7 @@ use rjms::broker::{
     OTHER_TOPIC,
 };
 use rjms::model::params::CostParams;
-use rjms::obs::topics::{analyze_skew, SkewConfig, TopicLoad};
+use rjms::obs::topics::{analyze_skew, TopicLoad, FLAG_RATIO};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -218,12 +218,7 @@ fn advisor_moves_rebalance_a_skewed_placement() {
             mean_service_time: t.mean_service_time,
         })
         .collect();
-    let config = SkewConfig {
-        shards: SHARDS,
-        flag_ratio: snap.config.flag_ratio,
-        target_ratio: snap.config.target_ratio,
-    };
-    let report = analyze_skew(&loads, &config);
+    let report = analyze_skew(&loads, SHARDS, snap.config.target_ratio);
     eprintln!(
         "skew: ratio {:.2} -> post {:.2} via {} moves",
         report.max_mean_ratio,
@@ -245,9 +240,9 @@ fn advisor_moves_rebalance_a_skewed_placement() {
         assert_eq!(t.shard, m.from, "move lists the current shard");
         t.shard = m.to;
     }
-    let after = analyze_skew(&applied, &config);
+    let after = analyze_skew(&applied, SHARDS, snap.config.target_ratio);
     assert!(
-        after.max_mean_ratio < 1.25,
+        after.max_mean_ratio < FLAG_RATIO,
         "applied moves must clear the flag threshold, got {:.3}",
         after.max_mean_ratio
     );
