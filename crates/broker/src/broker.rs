@@ -71,8 +71,9 @@ impl fmt::Display for SubscriptionId {
 pub(crate) struct Subscription {
     pub(crate) filter: Filter,
     pub(crate) sink: Sink,
-    /// Cleared when the subscriber handle is dropped; the dispatcher prunes
-    /// inactive subscriptions lazily. A durable subscription's never is.
+    /// Cleared when the subscriber handle is dropped; the topic's dispatcher
+    /// prunes the subscription before its next message. A durable
+    /// subscription's never is.
     pub(crate) active: LiveFlag,
 }
 
@@ -100,6 +101,8 @@ pub(crate) struct Topic {
     pub(crate) received: AtomicU64,
     pub(crate) dispatched: AtomicU64,
     pub(crate) filter_evaluations: AtomicU64,
+    /// [`LiveFlags::cleared`] as of the dispatcher's last prune of `subs`.
+    pub(crate) pruned_at: AtomicU64,
     /// The labeled pair the telemetry probe bumps; `None` without metrics
     /// or with a series cap of 0.
     pub(crate) series: Option<TopicSeries>,
@@ -177,7 +180,7 @@ pub(crate) struct BrokerInner {
     patterns: RwLock<Vec<PatternSubscription>>,
     next_subscription_id: AtomicU64,
     /// Where subscriptions get their liveness flags.
-    pub(crate) live_flags: Mutex<LiveFlags>,
+    pub(crate) live_flags: LiveFlags,
     pub(crate) stopped: AtomicBool,
     /// The write-ahead journal, when persistence is enabled. The dispatcher
     /// appends publishes and checkpoints; API threads append topology
@@ -323,12 +326,12 @@ impl Broker {
             config.metrics.get_or_insert_with(MetricsConfig::default);
         }
         let stats = Arc::new(BrokerStats::new());
-        let mut live_flags = LiveFlags::default();
+        let live_flags = LiveFlags::default();
         let mut recovered = Vec::new(); // in name order
         let journal = config.persistence.as_ref().map(|persistence| {
             let (journal, _report) = Journal::open(persistence.journal.clone())
                 .expect("failed to open the write-ahead journal");
-            recovered = recover_topics(&journal, &config, &mut live_flags);
+            recovered = recover_topics(&journal, &config, &live_flags);
             Mutex::new(journal)
         });
         let metrics = config.metrics.map(|m| BrokerMetrics::new(m.stage_sample_every));
@@ -366,7 +369,7 @@ impl Broker {
             topics: RwLock::new(HashMap::new()),
             patterns: RwLock::new(Vec::new()),
             next_subscription_id: AtomicU64::new(1),
-            live_flags: Mutex::new(live_flags),
+            live_flags,
             stopped: AtomicBool::new(false),
             journal,
             metrics,
@@ -553,7 +556,7 @@ impl Broker {
         rx: Receiver<Arc<Message>>,
     ) -> Result<Subscriber, Error> {
         self.ensure_running()?;
-        let active = self.inner.live_flags.lock().next();
+        let active = self.inner.live_flags.next();
         let sink = Sink::Plain(queue);
         let sub = Arc::new(Subscription { filter, sink, active: active.clone() });
         let pattern_registration = match pattern {
@@ -611,7 +614,7 @@ impl Broker {
             id: self.next_subscription_id(),
             topic_name: topic.name.clone(),
             receiver: rx,
-            active: self.inner.live_flags.lock().next(),
+            active: self.inner.live_flags.next(),
             durable: Some(state),
             pending: Mutex::new(pending),
             pattern_registration: None,
@@ -1163,7 +1166,8 @@ impl Subscriber {
 
 impl Drop for Subscriber {
     fn drop(&mut self) {
-        // Mark inactive; the dispatcher prunes plain subscriptions lazily.
+        // Mark inactive; the dispatcher prunes the topic before its next
+        // message.
         self.active.clear();
         if let Some(durable) = &self.durable {
             durable.disconnect(self.pending.lock().drain(..), &self.receiver);

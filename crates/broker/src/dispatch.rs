@@ -20,7 +20,7 @@ use crate::cost::spin_secs;
 use crate::durable::Checkpoints;
 use crate::message::Message;
 use crate::probe::{DispatchProbe, Dispatched};
-use crate::subscriptions::{Sink, Subscriptions};
+use crate::subscriptions::{Entry, Sink, Subscriptions};
 use crossbeam::channel::{Receiver, Sender, TryRecvError, TrySendError};
 use rjms_selector::ValueRef;
 use rjms_trace::Stage;
@@ -145,7 +145,17 @@ pub(crate) fn run<P: DispatchProbe>(
                 current.publish_offset.or_else(|| inner.append_publishes(&current, &mut run))
             });
 
-            let FanOut { evaluations, copies, needs_prune } = {
+            // A subscription gone anywhere since this topic was last pruned:
+            // prune it now, before the scan, which then reads no liveness.
+            // ORD: Acquire — pairs with `LiveFlag::clear`'s Release count, so
+            // the prune finds every cell cleared before that count.
+            let cleared = inner.live_flags.cleared().load(Ordering::Acquire);
+            if topic.pruned_at.load(Ordering::Relaxed) != cleared {
+                topic.subs.write().prune();
+                topic.pruned_at.store(cleared, Ordering::Relaxed);
+            }
+
+            let (evaluations, copies) = {
                 let subs = topic.subs.read();
                 let resolved;
                 let resolved: &[Option<ValueRef<'_>>] = if subs.slots().is_empty() {
@@ -154,7 +164,7 @@ pub(crate) fn run<P: DispatchProbe>(
                     resolved = probe.stage(Stage::Filter, |_| subs.slots().resolve(message));
                     resolved.as_slice()
                 };
-                fan_out(
+                let copies = fan_out(
                     inner,
                     &current,
                     &subs,
@@ -162,11 +172,9 @@ pub(crate) fn run<P: DispatchProbe>(
                     publish_offset,
                     &mut checkpoints,
                     &mut probe,
-                )
+                );
+                (subs.len() as u64, copies)
             };
-            if needs_prune {
-                topic.subs.write().prune();
-            }
 
             topic.filter_evaluations.fetch_add(evaluations, Ordering::Relaxed);
             topic.dispatched.fetch_add(copies, Ordering::Relaxed);
@@ -188,21 +196,14 @@ pub(crate) fn run<P: DispatchProbe>(
     }
 }
 
-/// What [`fan_out`] did with one message.
-struct FanOut {
-    evaluations: u64,
-    copies: u64,
-    /// A subscription was found dead; the caller prunes once it has let go
-    /// of the read lock.
-    needs_prune: bool,
-}
-
-/// One message's fan-out: evaluates **every** live subscription filter of
-/// the topic, durable or not (brute force, as measured), against the
-/// message's `resolved` properties and hands one copy per match to the
-/// entry's sink. It walks the scan table; an entry is read on a hit or a
-/// fallback. `publish_offset` and `checkpoints` are what only a durable
-/// sink needs.
+/// One message's fan-out: evaluates **every** subscription filter of the
+/// topic, durable or not (brute force, as measured), against the message's
+/// `resolved` properties and hands one copy per match to the entry's sink,
+/// in subscription order; returns the copies sent. It walks the scan
+/// table's runs: a column of compact rows in one pass, whose hits are
+/// delivered before the next run is evaluated, any other run entry by
+/// entry. `publish_offset` and `checkpoints` are what only a durable sink
+/// needs.
 fn fan_out<P: DispatchProbe>(
     inner: &BrokerInner,
     current: &Queued,
@@ -211,55 +212,72 @@ fn fan_out<P: DispatchProbe>(
     publish_offset: Option<u64>,
     checkpoints: &mut Checkpoints,
     probe: &mut P,
-) -> FanOut {
+) -> u64 {
     let cost = inner.config.cost_model;
-    let (topic, message) = (&current.topic.name, &current.message);
-    let mut out = FanOut { evaluations: 0, copies: 0, needs_prune: false };
+    let mut copies = 0;
     // The scan is one stage with the deliveries nested inside it; what
     // the probe books to the scan excludes them.
     probe.stage(Stage::Filter, |probe| {
-        for (row, entry) in subs.scan() {
-            if !row.live.is_set() {
-                out.needs_prune = true;
-                continue;
-            }
-            out.evaluations += 1;
+        for (column, entries) in subs.scan() {
             if let Some(c) = &cost {
-                spin_secs(c.t_fltr);
+                entries.iter().for_each(|_| spin_secs(c.t_fltr));
             }
-            let hit = match &row.cmp {
-                Some(cmp) => cmp.run(resolved).is_true(),
-                None => entry.matches(message, resolved),
-            };
-            if !hit {
-                continue;
-            }
-            let delivery = probe.stage(Stage::Fanout, |_| {
-                if let Some(c) = &cost {
-                    spin_secs(c.t_tx);
-                }
-                match &entry.sub.sink {
-                    Sink::Plain(queue) => {
-                        queue.deliver(Arc::clone(message), inner.config.overflow_policy)
+            match column {
+                Some(column) => column.run(resolved, |at| {
+                    let entry = &entries[at];
+                    copies += deliver(inner, current, entry, publish_offset, checkpoints, probe);
+                }),
+                // Rows without a compact form: the loop stays this plain,
+                // each delivery inlined (`inproc_fanout` is this loop).
+                None => {
+                    for entry in entries {
+                        if entry.matches(&current.message, resolved) {
+                            copies +=
+                                deliver(inner, current, entry, publish_offset, checkpoints, probe);
+                        }
                     }
-                    Sink::Durable(state) => {
-                        state.deliver(inner, topic, message, publish_offset, checkpoints)
-                    }
-                }
-            });
-            match delivery {
-                Delivery::Sent => out.copies += 1,
-                Delivery::Dropped => inner.stats.record_dropped(),
-                Delivery::Retained => inner.stats.record_retained(),
-                Delivery::Disconnected => {
-                    row.live.clear();
-                    inner.stats.record_expired_subscription();
-                    out.needs_prune = true;
                 }
             }
         }
     });
-    out
+    copies
+}
+
+/// Hands one copy of the message to `entry`'s sink, as the fan-out stage,
+/// and books what became of it; returns 1 for a copy sent, else 0.
+#[inline(always)]
+fn deliver<P: DispatchProbe>(
+    inner: &BrokerInner,
+    current: &Queued,
+    entry: &Entry,
+    publish_offset: Option<u64>,
+    checkpoints: &mut Checkpoints,
+    probe: &mut P,
+) -> u64 {
+    let cost = inner.config.cost_model;
+    let (topic, message) = (&current.topic.name, &current.message);
+    let delivery = probe.stage(Stage::Fanout, |_| {
+        if let Some(c) = &cost {
+            spin_secs(c.t_tx);
+        }
+        match &entry.sub.sink {
+            Sink::Plain(queue) => queue.deliver(Arc::clone(message), inner.config.overflow_policy),
+            Sink::Durable(state) => {
+                state.deliver(inner, topic, message, publish_offset, checkpoints)
+            }
+        }
+    });
+    match delivery {
+        Delivery::Sent => return 1,
+        Delivery::Dropped => inner.stats.record_dropped(),
+        Delivery::Retained => inner.stats.record_retained(),
+        Delivery::Disconnected => {
+            // The next message's prune takes the entry out.
+            entry.sub.active.clear();
+            inner.stats.record_expired_subscription();
+        }
+    }
+    0
 }
 
 pub(crate) enum Delivery {
@@ -309,7 +327,8 @@ mod tests {
     use super::*;
     use crate::config::{MetricsConfig, PersistenceConfig};
     use crate::probe::NoProbe;
-    use crate::{Broker, BrokerConfig, Filter};
+    use crate::subscriptions::LiveFlag;
+    use crate::{Broker, BrokerConfig, Filter, Subscriber};
     use crossbeam::channel::unbounded;
     use rjms_journal::FsyncPolicy;
     use std::path::PathBuf;
@@ -438,6 +457,58 @@ mod tests {
         assert_eq!((messages.received, messages.expired, messages.dispatched), (3, 1, 2));
         broker.shutdown();
     }
+
+    /// Books each message's evaluations, copies and the liveness flags
+    /// read since the message before, and drops `doomed` after the third.
+    struct DroppingProbe<'a> {
+        doomed: &'a mut Vec<Subscriber>,
+        messages: &'a mut Vec<(u64, u64, u64)>,
+        loads: u64,
+    }
+
+    impl DispatchProbe for DroppingProbe<'_> {
+        fn on_done(&mut self, done: &Dispatched<'_>) {
+            let loads = LiveFlag::loads();
+            self.messages.push((done.evaluations, done.copies, loads - self.loads));
+            self.loads = loads;
+            if self.messages.len() == 3 {
+                self.doomed.clear();
+            }
+        }
+    }
+
+    /// Liveness costs the scan nothing per row: 256 filters and no drop
+    /// read no flag. Dropping 8 subscribers, the one hit among them, is
+    /// found by one prune before the next message, which reads each of the
+    /// 256 flags once; that message and the ones after it evaluate the 248
+    /// left and try no copy to a dropped one.
+    #[test]
+    fn a_drop_is_found_by_one_prune_and_no_message_reads_a_flag() {
+        let broker = Broker::start(BrokerConfig::default());
+        broker.create_topic("t").unwrap();
+        let mut subs: Vec<_> = (0..256)
+            .map(|key| {
+                let filter = Filter::selector(&format!("key = {key}")).unwrap();
+                broker.subscription("t").filter(filter).open().unwrap()
+            })
+            .collect();
+        let mut doomed: Vec<_> = subs.drain(..8).collect();
+        let (publish_tx, publish_rx) = unbounded();
+        for _ in 0..6 {
+            let message = Message::builder().property("key", 0i64).build();
+            publish_tx.send(item(&broker, "t", message)).unwrap();
+        }
+        publish_tx.send(DispatchItem::Shutdown).unwrap();
+        let mut messages = Vec::new();
+        let loads = LiveFlag::loads();
+        let probe = DroppingProbe { doomed: &mut doomed, messages: &mut messages, loads };
+        run(&broker.inner, 0, &publish_rx, probe);
+        let before = [(256, 1, 0); 3];
+        assert_eq!(messages, [before, [(248, 0, 256), (248, 0, 0), (248, 0, 0)]].concat());
+        assert_eq!(broker.snapshot().subscriptions.expired, 0);
+        broker.shutdown();
+    }
+
     fn persistent_broker(tag: &str, fsync: FsyncPolicy, config: BrokerConfig) -> (Broker, PathBuf) {
         let dir = rjms_journal::scratch_dir(tag);
         // One segment: a rotation syncs megabytes, an outlier that a test

@@ -79,7 +79,7 @@ impl DurableState {
                     // subscription; re-registering makes replay agree.
                     state.retained.lock().clear();
                     subs.remove_durable(name);
-                    subs.add(state.subscription(filter.clone(), inner.live_flags.lock().next()));
+                    subs.add(state.subscription(filter.clone(), inner.live_flags.next()));
                     inner.append_record(|out| registered(filter, out));
                 }
                 *connection = Some(queue);
@@ -92,7 +92,7 @@ impl DurableState {
                     retained: Mutex::new(VecDeque::new()),
                     connection: Mutex::new(Some(queue)),
                 });
-                subs.add(state.subscription(filter.clone(), inner.live_flags.lock().next()));
+                subs.add(state.subscription(filter.clone(), inner.live_flags.next()));
                 inner.append_record(|out| registered(filter, out));
                 state
             }

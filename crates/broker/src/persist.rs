@@ -475,7 +475,7 @@ impl BrokerInner {
 pub(crate) fn recover_topics(
     journal: &Journal,
     config: &BrokerConfig,
-    live_flags: &mut LiveFlags,
+    live_flags: &LiveFlags,
 ) -> Vec<(String, Subscriptions)> {
     struct DurableRecovery {
         filter: Filter,

@@ -9,12 +9,16 @@
 //! array. The scan itself stays brute force: each live filter is
 //! evaluated and counted (paper §II-B).
 //!
-//! What the scan reads of a subscription, plain or durable, is its 32-byte
-//! [`ScanRow`] in the topic's *scan table*: a liveness flag (a cell of a
-//! page of 64; a durable's is never cleared) and, for a selector that is one
-//! comparison with a scalar literal, that comparison by value. The rows are
-//! read front to back; the [`Entry`] beside one on a hit, for its [`Sink`],
-//! or to run a filter that has no compact form.
+//! The topic's *scan table* cuts its subscriptions, plain and durable, in
+//! subscription order, into runs: a run of consecutive selectors that are
+//! each one comparison of the same slot, by the same operator, with a
+//! scalar literal of the same kind is one [`CmpColumn`] of their literals,
+//! which the scan evaluates with one read of the slot; any other run is
+//! evaluated entry by entry. An [`Entry`] is read on a hit, for its
+//! [`Sink`], or to run a filter that has no compact form. Liveness is not
+//! read per row: clearing a [`LiveFlag`] counts one more clear broker-wide
+//! ([`LiveFlags::cleared`]), and a topic that has not been pruned since the
+//! count last moved is pruned before its next message.
 //!
 //! The table lives inside [`Subscriptions`], under the topic's one lock,
 //! so a bound program can never outlive the table it indexes. It holds
@@ -28,53 +32,61 @@ use crate::dispatch::SubscriberQueue;
 use crate::durable::DurableState;
 use crate::filter::Filter;
 use crate::message::{HeaderField, Message};
-use rjms_selector::program::{BoundProgram, CmpRow, Names};
+use rjms_selector::program::{BoundProgram, CmpColumn, Names};
 use rjms_selector::ValueRef;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Liveness flags per page: two cache lines per this many subscriptions.
-const PAGE_FLAGS: usize = 64;
-
 /// One subscription's liveness flag, set until its subscriber is dropped or
-/// found disconnected; subscription, subscriber and scan rows share the cell.
+/// found disconnected; subscription and subscriber share the cell, which is
+/// freed with its last holder and so never reused: a cleared flag stays
+/// cleared for whoever still holds it.
 #[derive(Clone)]
 pub(crate) struct LiveFlag {
-    page: Arc<[AtomicBool; PAGE_FLAGS]>,
-    index: u8,
+    cell: Arc<AtomicBool>,
+    /// [`LiveFlags::cleared`] of the broker that handed it out.
+    cleared: Arc<AtomicU64>,
 }
 
 impl LiveFlag {
     pub(crate) fn is_set(&self) -> bool {
-        self.page[usize::from(self.index)].load(Ordering::Relaxed)
+        #[cfg(test)]
+        tests::FLAG_LOADS.with(|loads| loads.set(loads.get() + 1));
+        self.cell.load(Ordering::Relaxed)
     }
 
+    /// How many liveness flags this thread has read (test builds).
+    #[cfg(test)]
+    pub(crate) fn loads() -> u64 {
+        tests::FLAG_LOADS.with(std::cell::Cell::get)
+    }
+
+    /// Clears the flag; the first clear is counted in [`LiveFlags::cleared`].
     pub(crate) fn clear(&self) {
-        self.page[usize::from(self.index)].store(false, Ordering::Relaxed);
+        if self.cell.swap(false, Ordering::Relaxed) {
+            // ORD: Release — a dispatcher that reads the new count with
+            // Acquire (`dispatch::run`) then finds this cell cleared.
+            self.cleared.fetch_add(1, Ordering::Release);
+        }
     }
 }
 
-/// A broker's source of [`LiveFlag`]s: consecutive cells, so subscriptions
-/// opened together sit side by side, and none twice: a cleared flag stays
-/// cleared for whoever still holds it. A page is freed with its last holder.
+/// A broker's source of [`LiveFlag`]s.
+#[derive(Default)]
 pub(crate) struct LiveFlags {
-    page: Arc<[AtomicBool; PAGE_FLAGS]>,
-    used: u8,
-}
-
-impl Default for LiveFlags {
-    fn default() -> Self {
-        Self { page: Arc::new(std::array::from_fn(|_| AtomicBool::new(true))), used: 0 }
-    }
+    cleared: Arc<AtomicU64>,
 }
 
 impl LiveFlags {
-    pub(crate) fn next(&mut self) -> LiveFlag {
-        if usize::from(self.used) == PAGE_FLAGS {
-            *self = Self::default();
-        }
-        self.used += 1;
-        LiveFlag { page: Arc::clone(&self.page), index: self.used - 1 }
+    pub(crate) fn next(&self) -> LiveFlag {
+        LiveFlag { cell: Arc::new(AtomicBool::new(true)), cleared: Arc::clone(&self.cleared) }
+    }
+
+    /// How many of the flags handed out have been cleared: while it stands
+    /// still, no subscription has gone.
+    pub(crate) fn cleared(&self) -> &AtomicU64 {
+        &self.cleared
     }
 }
 
@@ -166,14 +178,6 @@ pub(crate) struct Entry {
     bound: Option<BoundProgram>,
 }
 
-/// What the dispatcher's scan reads of an [`Entry`].
-pub(crate) struct ScanRow {
-    /// `sub.active`.
-    pub(crate) live: LiveFlag,
-    /// `bound` by value ([`BoundProgram::as_row`]): the scan runs it instead.
-    pub(crate) cmp: Option<CmpRow>,
-}
-
 impl Entry {
     /// The durable subscription this entry feeds; `None` for a plain one.
     fn durable(&self) -> Option<&Arc<DurableState>> {
@@ -181,11 +185,6 @@ impl Entry {
             Sink::Plain(_) => None,
             Sink::Durable(state) => Some(state),
         }
-    }
-
-    fn row(&self) -> ScanRow {
-        let cmp = self.bound.as_ref().and_then(BoundProgram::as_row);
-        ScanRow { live: self.sub.active.clone(), cmp }
     }
 
     /// Whether the entry's filter forwards `message`: a selector by its
@@ -198,12 +197,22 @@ impl Entry {
     }
 }
 
+/// Consecutive entries that the scan evaluates one way.
+struct Run {
+    /// Where they are in `Subscriptions::entries`.
+    entries: Range<usize>,
+    /// Their selectors as one column, when each is a compact row
+    /// ([`BoundProgram::as_row`]) of one shape; `None`: each entry runs its
+    /// own filter, as none of them has a compact row.
+    column: Option<CmpColumn>,
+}
+
 /// Everything subscribed to one topic.
 #[derive(Default)]
 pub(crate) struct Subscriptions {
     entries: Vec<Entry>,
-    /// The scan table: `rows[i]` is `entries[i].row()`.
-    rows: Vec<ScanRow>,
+    /// The scan table: `entries` cut into runs, in order.
+    runs: Vec<Run>,
     slots: SlotTable,
 }
 
@@ -212,9 +221,15 @@ impl Subscriptions {
         &self.slots
     }
 
-    /// The subscriptions in subscription order, each behind its row.
-    pub(crate) fn scan(&self) -> impl Iterator<Item = (&ScanRow, &Entry)> {
-        self.rows.iter().zip(&self.entries)
+    /// How many subscriptions the scan evaluates per message: all of them.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The runs in subscription order: each one's column, if it has one,
+    /// and its entries.
+    pub(crate) fn scan(&self) -> impl Iterator<Item = (Option<&CmpColumn>, &[Entry])> {
+        self.runs.iter().map(|run| (run.column.as_ref(), &self.entries[run.entries.clone()]))
     }
 
     /// The durable subscriptions, each with its current filter.
@@ -234,16 +249,33 @@ impl Subscriptions {
     /// Adds a subscription: a plain subscriber's, or a durable one
     /// ([`DurableState::subscription`]), whose `active` flag is never
     /// cleared: [`Self::remove_durable`] is its one way out of the scan.
+    /// It extends the last run or opens a new one.
     pub(crate) fn add(&mut self, sub: Arc<Subscription>) {
-        let entry = Entry { bound: self.slots.bind(&sub.filter), sub };
-        self.rows.push(entry.row());
-        self.entries.push(entry);
+        let bound = self.slots.bind(&sub.filter);
+        let row = bound.as_ref().and_then(BoundProgram::as_row);
+        self.entries.push(Entry { sub, bound });
+        let end = self.entries.len();
+        if let Some(run) = self.runs.last_mut() {
+            let extends = match (&mut run.column, row) {
+                (Some(column), Some(row)) => column.push(row).is_ok(),
+                (column, row) => column.is_none() && row.is_none(),
+            };
+            if extends {
+                run.entries.end = end;
+                return;
+            }
+        }
+        self.runs.push(Run { entries: end - 1..end, column: row.map(CmpColumn::new) });
     }
 
-    /// Drops the plain subscriptions whose subscriber is gone.
+    /// Drops the plain subscriptions whose subscriber is gone; rebinds only
+    /// when it found one.
     pub(crate) fn prune(&mut self) {
+        let before = self.entries.len();
         self.entries.retain(|entry| entry.sub.active.is_set());
-        self.rebind();
+        if self.entries.len() < before {
+            self.rebind();
+        }
     }
 
     /// Drops every plain subscription (dispatcher shutdown).
@@ -258,15 +290,14 @@ impl Subscriptions {
         self.rebind();
     }
 
-    /// Rebuilds the slot table from the entries that are left and binds
-    /// each of them again: the table forgets names nobody references any
-    /// more, which may renumber the ones that stay; the scan table follows.
+    /// Rebuilds the slot table from the entries that are left and adds each
+    /// of them again: the table forgets names nobody references any more,
+    /// which may renumber the ones that stay; the runs follow.
     fn rebind(&mut self) {
         self.slots.clear();
-        self.rows.clear();
-        for entry in &mut self.entries {
-            entry.bound = self.slots.bind(&entry.sub.filter);
-            self.rows.push(entry.row());
+        self.runs.clear();
+        for entry in std::mem::take(&mut self.entries) {
+            self.add(entry.sub);
         }
     }
 }
@@ -277,6 +308,12 @@ mod tests {
     use crate::message::Priority;
     use crossbeam::channel::bounded;
     use rjms_selector::{eval, parse};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// [`LiveFlag::loads`].
+        pub(super) static FLAG_LOADS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn subscription(filter: Filter) -> Arc<Subscription> {
         let (sender, _) = bounded(1);
@@ -292,6 +329,30 @@ mod tests {
         subs.slots.names.as_slice()
     }
 
+    /// The scan table's runs: whether each is a column, and its length.
+    fn runs(subs: &Subscriptions) -> Vec<(bool, usize)> {
+        subs.scan().map(|(column, entries)| (column.is_some(), entries.len())).collect()
+    }
+
+    /// Which entries the scan finds `message` matches, evaluated as the
+    /// dispatcher does: a column at once, any other run entry by entry.
+    fn scanned(subs: &Subscriptions, message: &Message) -> Vec<bool> {
+        let resolved = subs.slots().resolve(message);
+        let resolved = resolved.as_slice();
+        let mut hits = Vec::new();
+        for (column, entries) in subs.scan() {
+            let first = hits.len();
+            match column {
+                Some(column) => {
+                    hits.resize(first + entries.len(), false);
+                    column.run(resolved, |at| hits[first + at] = true);
+                }
+                None => hits.extend(entries.iter().map(|e| e.matches(message, resolved))),
+            }
+        }
+        hits
+    }
+
     #[test]
     fn the_table_holds_each_name_once_in_order_of_first_use() {
         let mut subs = Subscriptions::default();
@@ -305,9 +366,11 @@ mod tests {
         assert_eq!(bound, [false, false, true, true]);
     }
 
+    /// `add` extends the last run with a compact row of its shape (one slot,
+    /// one operator, one literal kind) or with a filter that has no compact
+    /// form, and opens a new run for anything else.
     #[test]
-    fn one_comparison_with_a_number_is_a_compact_row_and_nothing_else_is() {
-        assert!(std::mem::size_of::<ScanRow>() <= 32, "{}", std::mem::size_of::<ScanRow>());
+    fn consecutive_comparisons_of_one_shape_are_one_column_and_nothing_else_is() {
         let mut subs = Subscriptions::default();
         for i in 0..256 {
             subs.add(subscription(selector(&format!("key = {i}"))));
@@ -316,14 +379,19 @@ mod tests {
         for other in ["color = 'red'", "key = 1 AND key < 2"] {
             subs.add(subscription(selector(other)));
         }
-        let compact: Vec<bool> = subs.scan().map(|(row, _)| row.cmp.is_some()).collect();
-        assert_eq!(compact.len(), 259);
-        assert!(compact[..256].iter().all(|c| *c) && compact[256..].iter().all(|c| !*c));
+        for other in ["key > 1", "2 < key", "key > 2.5", "other > 1", "key > 3", "key > 4"] {
+            subs.add(subscription(selector(other)));
+        }
+        subs.add(subscription(Filter::None));
+        let expected =
+            [(true, 256), (false, 3), (true, 2), (true, 1), (true, 1), (true, 2), (false, 1)];
+        assert_eq!(runs(&subs), expected);
+        assert_eq!(subs.len(), 266);
     }
 
     /// A durable subscription is a row of the same table: scanned in
-    /// subscription order, compact when a plain one would be, and neither a
-    /// prune nor the dispatcher's exit takes it out.
+    /// subscription order, in a column when a plain one would be, and
+    /// neither a prune nor the dispatcher's exit takes it out.
     #[test]
     fn a_durable_subscription_has_a_row_like_the_plain_one_beside_it() {
         let mut subs = Subscriptions::default();
@@ -336,40 +404,34 @@ mod tests {
         let durable = |source| state.subscription(selector(source), LiveFlags::default().next());
         subs.add(durable("key = 3"));
         subs.add(subscription(selector("color = 'red'")));
-        let compact: Vec<bool> = subs.scan().map(|(row, _)| row.cmp.is_some()).collect();
-        assert_eq!(compact, [true, true, false]);
+        assert_eq!(runs(&subs), [(true, 2), (false, 1)]);
         assert_eq!((subs.live_plain(), subs.durables().count()), (2, 1));
 
         // A changed selector deletes and recreates the subscription.
         subs.remove_durable("d");
         subs.add(durable("color = 'red'"));
-        let compact: Vec<bool> = subs.scan().map(|(row, _)| row.cmp.is_some()).collect();
-        assert_eq!(compact, [true, false, false]);
+        assert_eq!(runs(&subs), [(true, 1), (false, 2)]);
         subs.prune();
-        assert_eq!(subs.rows.len(), 3);
+        assert_eq!(subs.len(), 3);
         subs.clear_plain();
-        assert_eq!((subs.rows.len(), subs.durables().count()), (1, 1));
+        assert_eq!((runs(&subs), subs.durables().count()), (vec![(false, 1)], 1));
         assert_eq!(names(&subs), ["color"]);
         subs.remove_durable("d");
-        assert!(subs.rows.is_empty() && subs.slots().is_empty());
+        assert!(subs.runs.is_empty() && subs.slots().is_empty());
     }
 
     #[test]
-    fn flags_fill_one_page_after_the_other_and_no_cell_twice() {
-        let mut flags = LiveFlags::default();
-        let handed: Vec<LiveFlag> = (0..2 * PAGE_FLAGS + 1).map(|_| flags.next()).collect();
-        for (at, flag) in handed.iter().enumerate() {
-            assert!(flag.is_set());
-            assert_eq!(usize::from(flag.index), at % PAGE_FLAGS);
-            assert!(Arc::ptr_eq(&flag.page, &handed[at - at % PAGE_FLAGS].page));
-        }
-        assert!(!Arc::ptr_eq(&handed[0].page, &handed[PAGE_FLAGS].page));
-        // A clone is the same cell; its neighbours are not.
-        handed[1].clone().clear();
-        assert!(!handed[1].is_set() && handed[0].is_set() && handed[2].is_set());
-        // The source holds the page it is filling and no other.
-        assert_eq!(Arc::strong_count(&handed[0].page), PAGE_FLAGS);
-        assert_eq!(Arc::strong_count(&handed[2 * PAGE_FLAGS].page), 2);
+    fn a_flag_s_first_clear_is_counted_for_its_broker() {
+        let (flags, other) = (LiveFlags::default(), LiveFlags::default());
+        let handed = [flags.next(), flags.next(), other.next()];
+        assert!(handed.iter().all(LiveFlag::is_set));
+        // A clone is the same cell; the other flags are not.
+        handed[0].clone().clear();
+        assert!(!handed[0].is_set() && handed[1].is_set() && handed[2].is_set());
+        handed[0].clear();
+        handed[1].clear();
+        let cleared = |flags: &LiveFlags| flags.cleared().load(Ordering::Relaxed);
+        assert_eq!((cleared(&flags), cleared(&other)), (2, 0));
     }
 
     #[test]
@@ -379,16 +441,19 @@ mod tests {
         subs.add(Arc::clone(&dead));
         subs.add(subscription(selector("kept = 2 AND late = 3")));
         assert_eq!(names(&subs), ["gone", "kept", "late"]);
+        // A prune that finds nobody gone leaves the table as it is.
+        let entries = subs.entries.as_ptr();
+        subs.prune();
+        assert_eq!(subs.entries.as_ptr(), entries);
         dead.active.clear();
         assert_eq!(subs.live_plain(), 1);
         subs.prune();
         assert_eq!(names(&subs), ["kept", "late"]);
-        assert_eq!((subs.entries.len(), subs.rows.len()), (1, 1));
-        assert!(Arc::ptr_eq(&subs.rows[0].live.page, &subs.entries[0].sub.active.page));
+        assert_eq!((subs.entries.len(), subs.runs.len()), (1, 1));
         let message = Message::builder().property("kept", 2i64).property("late", 3i64).build();
-        assert!(subs.entries[0].matches(&message, subs.slots().resolve(&message).as_slice()));
+        assert_eq!(scanned(&subs, &message), [true]);
         subs.clear_plain();
-        assert!(subs.slots().is_empty() && subs.rows.is_empty());
+        assert!(subs.slots().is_empty() && subs.runs.is_empty());
     }
 
     /// Everything a bound filter can read, against the reference
@@ -421,15 +486,17 @@ mod tests {
         for source in selectors {
             subs.add(subscription(selector(source)));
         }
+        assert_eq!(runs(&subs), [(false, 7), (true, 1), (true, 1)]);
         for message in &messages {
             let resolved = subs.slots().resolve(message);
-            for ((row, entry), source) in subs.scan().zip(selectors) {
-                let reference = eval::matches(&parse(source).unwrap(), message);
-                assert_eq!(entry.matches(message, resolved.as_slice()), reference, "{source}");
-                let by_row = row.cmp.map(|cmp| cmp.run(resolved.as_slice()).is_true());
-                assert_eq!(by_row.unwrap_or(reference), reference, "{source}");
-                assert_eq!(entry.sub.filter.matches(message), reference, "{source}");
+            let references: Vec<bool> =
+                selectors.iter().map(|s| eval::matches(&parse(s).unwrap(), message)).collect();
+            for ((entry, source), reference) in subs.entries.iter().zip(selectors).zip(&references)
+            {
+                assert_eq!(entry.matches(message, resolved.as_slice()), *reference, "{source}");
+                assert_eq!(entry.sub.filter.matches(message), *reference, "{source}");
             }
+            assert_eq!(scanned(&subs, message), references);
         }
     }
 

@@ -1,7 +1,8 @@
 //! Failure injection and back-pressure behaviour of the broker.
 
 use rjms_broker::{
-    Broker, BrokerConfig, Filter, Message, MetricsConfig, OverflowPolicy, ShardSnapshot,
+    Broker, BrokerConfig, BrokerSnapshot, Filter, Message, MetricsConfig, OverflowPolicy,
+    ShardSnapshot,
 };
 use rjms_core::CostParams;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -193,6 +194,83 @@ fn subscription_churn_under_load() {
         }
         stop.store(true, Ordering::Relaxed);
     });
+    broker.shutdown();
+}
+
+/// Half of 64 selector subscribers dropped one by one while two publishers
+/// saturate the topic: no panic and no failed publish; every survivor holds
+/// every message it matches; and once the drops are over, each message
+/// evaluates exactly the 32 survivors and copies to exactly its match.
+#[test]
+fn subscribers_dropped_while_saturated_leave_exact_counts() {
+    const KEYS: i64 = 64;
+    const PER_PUBLISHER: i64 = 300 * KEYS;
+    let broker = Broker::start(
+        BrokerConfig::builder()
+            .publish_queue_capacity(64)
+            .subscriber_queue_capacity(1 << 16)
+            .overflow_policy(OverflowPolicy::DropNew)
+            .build(),
+    );
+    broker.create_topic("t").unwrap();
+    broker.create_topic("fence").unwrap();
+    let selector = |key| Filter::selector(&format!("key = {key}")).unwrap();
+    let (survivors, doomed): (Vec<_>, Vec<_>) = (0..KEYS)
+        .map(|key| (key, broker.subscription("t").filter(selector(key)).open().unwrap()))
+        .partition(|(key, _)| key % 2 == 1);
+    let message = |i: i64| Message::builder().property("key", i % KEYS).build();
+
+    let failed: usize = std::thread::scope(|scope| {
+        let publishers: Vec<_> = (0..2)
+            .map(|_| {
+                let publisher = broker.publisher("t").unwrap();
+                scope.spawn(move || {
+                    (0..PER_PUBLISHER).filter(|i| publisher.publish(message(*i)).is_err()).count()
+                })
+            })
+            .collect();
+        scope.spawn(move || {
+            for sub in doomed {
+                drop(sub);
+                std::thread::sleep(Duration::from_micros(500));
+            }
+        });
+        publishers.into_iter().map(|p| p.join().unwrap()).sum()
+    });
+    assert_eq!(failed, 0);
+    // A message on a topic nobody subscribes to, once dequeued, shows that
+    // the dispatcher has booked everything published before it.
+    let fences = broker.publisher("fence").unwrap();
+    let fenced = |n: u64| {
+        fences.publish(Message::builder().build()).unwrap();
+        for _ in 0..2000 {
+            if broker.snapshot().per_topic["fence"].received == n {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let snap = broker.snapshot();
+        assert_eq!(snap.per_topic["fence"].received, n);
+        snap
+    };
+    let saturated = fenced(1);
+    let sent = 2 * PER_PUBLISHER as u64;
+    assert_eq!((saturated.per_topic["t"].received, saturated.messages.dropped), (sent, 0));
+    assert_eq!(broker.subscription_count("t"), KEYS as usize / 2);
+    for (key, sub) in &survivors {
+        let keys: Vec<_> = sub.drain().iter().map(|m| m.property("key").cloned()).collect();
+        assert_eq!(keys, vec![Some((*key).into()); 2 * PER_PUBLISHER as usize / KEYS as usize]);
+    }
+
+    let publisher = broker.publisher("t").unwrap();
+    (0..KEYS).for_each(|i| publisher.publish(message(i)).unwrap());
+    let after = fenced(2);
+    let gained = |count: fn(&BrokerSnapshot) -> u64| count(&after) - count(&saturated);
+    let evaluations = gained(|s| s.messages.filter_evaluations);
+    let copies = gained(|s| s.messages.dispatched);
+    assert_eq!((evaluations, copies), (KEYS as u64 * KEYS as u64 / 2, KEYS as u64 / 2));
+    assert_eq!((gained(|s| s.subscriptions.expired), after.messages.dropped), (0, 0));
+    assert!(survivors.iter().all(|(_, sub)| sub.queued() == 1));
     broker.shutdown();
 }
 

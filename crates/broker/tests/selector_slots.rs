@@ -7,6 +7,7 @@
 //! fails them. `filter_evaluations` shows the scan stayed brute force.
 
 use rjms_broker::{Broker, BrokerConfig, Filter, Message, MessageBuilder, Priority, Subscriber};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn broker(topics: &[&str]) -> Broker {
@@ -256,8 +257,8 @@ fn subscribers_dropped_mid_stream_leave_the_scan_to_the_survivors() {
     let dropped: Vec<Subscriber> = subs.iter_mut().step_by(3).filter_map(Option::take).collect();
     let live = N - dropped.len();
     drop(dropped);
-    // The first scan after the drop skips the dead and prunes them; the
-    // later ones no longer meet them. Either way: the living, once each.
+    // The first message after the drop prunes them before its scan; no
+    // scan meets them. The living, once each.
     publish_all(2);
     expect_evaluations(&b, (N * N + N * live) as u64);
     assert_eq!(b.subscription_count("t"), live);
@@ -321,5 +322,42 @@ fn a_durable_changing_its_selector_rebinds_the_compact_rows() {
     assert_eq!(received(&low), [2]);
     // A change of selector discards what the durable had retained.
     assert_eq!(received(&worker), [2, 3]);
+    b.shutdown();
+}
+
+/// A message's copies leave in subscription order, however its filters are
+/// evaluated: runs of one to three compact rows of two shapes (`key = i`,
+/// `key < i`), each a column, with a correlation-ID filter, a string
+/// literal and a durable subscription between them. Each subscription's
+/// wake hook records its name as the dispatcher queues its copy.
+#[test]
+fn copies_leave_in_subscription_order_across_columns_and_other_rows() {
+    let b = broker(&["t"]);
+    let woken = Arc::new(Mutex::new(Vec::new()));
+    let open = |name: &'static str, filter: Filter, durable: bool| {
+        let woken = Arc::clone(&woken);
+        let sub = b.subscription("t").filter(filter);
+        let sub = sub.wake(Arc::new(move || woken.lock().unwrap().push(name)));
+        if durable { sub.durable(name) } else { sub }.open().unwrap()
+    };
+    let _subs = [
+        open("a", selector("key = 1"), false),
+        open("b", selector("key = 4"), false),
+        open("c", selector("key = 1"), false),
+        open("d", selector("key < 5"), false),
+        open("e", selector("key < 2"), false),
+        open("f", Filter::correlation_id("#1").unwrap(), false),
+        open("g", selector("key = 4"), false),
+        open("h", selector("color = 'red'"), false),
+        open("i", selector("key = 1"), true),
+        open("j", selector("key < 9"), false),
+    ];
+    let p = b.publisher("t").unwrap();
+    let first = numbered(1).property("key", 1i64).property("color", "red").correlation_id("#1");
+    p.publish(first.build()).unwrap();
+    p.publish(numbered(2).property("key", 4i64).build()).unwrap();
+    expect_evaluations(&b, 2 * 10);
+    let order = ["a", "c", "d", "e", "f", "h", "i", "j", "b", "d", "g", "j"];
+    assert_eq!(*woken.lock().unwrap(), order);
     b.shutdown();
 }

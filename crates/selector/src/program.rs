@@ -13,7 +13,8 @@
 //! * a `LIKE` pattern is parsed and an `IN` list sorted;
 //! * `identifier <cmp> literal`, by far the most common selector, is one
 //!   instruction (`literal <cmp> identifier` the same one, mirrored);
-//!   bound, and with a scalar literal, it is also a 16-byte [`CmpRow`].
+//!   bound, and with a scalar literal, it is also a 16-byte [`CmpRow`], and
+//!   consecutive rows of one shape are a [`CmpColumn`].
 //!
 //! Running a program computes on [`ValueRef`]s only: it clones nothing and
 //! allocates nothing. Its semantics are those of [`crate::eval::evaluate`],
@@ -326,6 +327,116 @@ impl CmpRow {
     }
 }
 
+/// Consecutive [`CmpRow`]s of one shape — one slot, one operator, one
+/// literal kind — kept as a column of their literals: [`CmpColumn::run`]
+/// reads the slot and matches the value's type once for the column, then
+/// compares the value with each literal in a tight loop. Every row is still
+/// evaluated; none is skipped.
+///
+/// # Examples
+///
+/// ```
+/// use rjms_selector::program::{CmpColumn, Names, Program};
+/// use rjms_selector::{parse, ValueRef};
+///
+/// let mut table = Names::default();
+/// let mut row =
+///     |source: &str| Program::compile(&parse(source).unwrap()).bind(&mut table).as_row();
+/// let mut column = CmpColumn::new(row("key = 0").unwrap());
+/// (1..4).for_each(|i| column.push(row(&format!("key = {i}")).unwrap()).unwrap());
+/// // Another operator is another shape.
+/// assert!(column.push(row("key > 0").unwrap()).is_err());
+/// let mut hits = Vec::new();
+/// column.run(&[Some(ValueRef::Int(2))], |at| hits.push(at));
+/// assert_eq!(hits, [2]);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct CmpColumn {
+    /// Each row's literal, as its [`CmpRow`] keeps it.
+    literals: Vec<u64>,
+    slot: u16,
+    op: CmpOp,
+    kind: LiteralKind,
+}
+
+impl CmpColumn {
+    /// A column of one row.
+    pub fn new(row: CmpRow) -> Self {
+        Self { literals: vec![row.bits], slot: row.slot, op: row.op, kind: row.kind }
+    }
+
+    /// Appends `row` if it has the column's shape; hands it back if not.
+    pub fn push(&mut self, row: CmpRow) -> Result<(), CmpRow> {
+        if (row.slot, row.op, row.kind) != (self.slot, self.op, self.kind) {
+            return Err(row);
+        }
+        self.literals.push(row.bits);
+        Ok(())
+    }
+
+    /// The rows, in order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = CmpRow> + '_ {
+        let (slot, op, kind) = (self.slot, self.op, self.kind);
+        self.literals.iter().map(move |&bits| CmpRow { bits, slot, op, kind })
+    }
+
+    /// Calls `hit(i)`, in row order, for every row `i` whose
+    /// [`CmpRow::run`] is true for `resolved`, and for no other.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `resolved` is shorter than the table, as [`CmpRow::run`].
+    pub fn run(&self, resolved: &[Option<ValueRef<'_>>], mut hit: impl FnMut(usize)) {
+        // A call per hit, so that the loops below stay small.
+        let hit: &mut dyn FnMut(usize) = &mut hit;
+        let literals = self.literals.iter();
+        match (resolved[usize::from(self.slot)], self.kind) {
+            (Some(ValueRef::Int(v)), LiteralKind::Int) => {
+                each_holding(self.op, v, literals.map(|&bits| bits as i64), hit)
+            }
+            (Some(ValueRef::Float(v)), LiteralKind::Float) => {
+                each_holding(self.op, v, literals.map(|&bits| f64::from_bits(bits)), hit)
+            }
+            // Unknown under every operator.
+            (None, _) => {}
+            // The mixed pairings, row by row: an integer with a float,
+            // booleans, a string value.
+            _ => each(self.rows(), |row| row.run(resolved).is_true(), hit),
+        }
+    }
+}
+
+/// Calls `hit(i)` for each `i` with `value <op> literals[i]`. On two `i64`s
+/// and on two `f64`s `PartialOrd`'s operators are `eval::holds` of
+/// `partial_cmp`, NaN included: false under `=` and every ordering, true
+/// under `<>`.
+#[inline(always)]
+fn each_holding<T: PartialOrd + Copy>(
+    op: CmpOp,
+    value: T,
+    literals: impl Iterator<Item = T>,
+    hit: &mut dyn FnMut(usize),
+) {
+    match op {
+        CmpOp::Eq => each(literals, |literal| value == literal, hit),
+        CmpOp::Ne => each(literals, |literal| value != literal, hit),
+        CmpOp::Lt => each(literals, |literal| value < literal, hit),
+        CmpOp::Le => each(literals, |literal| value <= literal, hit),
+        CmpOp::Gt => each(literals, |literal| value > literal, hit),
+        CmpOp::Ge => each(literals, |literal| value >= literal, hit),
+    }
+}
+
+/// Calls `hit(i)` for each `i` whose `rows[i]` `holds`.
+#[inline(always)]
+fn each<T>(rows: impl Iterator<Item = T>, holds: impl Fn(T) -> bool, hit: &mut dyn FnMut(usize)) {
+    for (at, row) in rows.enumerate() {
+        if holds(row) {
+            hit(at);
+        }
+    }
+}
+
 /// The truth of the program `ops` (its root is last); `read` supplies the
 /// value of a slot, `None` when the property is not set.
 #[inline]
@@ -453,35 +564,71 @@ mod tests {
 
     /// Six operators × scalar literals × what a property can hold that a
     /// comparison treats differently, the literal on either side: the row,
-    /// the program and the tree walker give one answer.
+    /// the program and the tree walker give one answer, and the column of
+    /// one operator's rows of one literal kind hits exactly the rows whose
+    /// answer is true.
     #[test]
-    fn a_row_agrees_with_its_program_and_the_tree_walker() {
+    fn a_row_and_its_column_agree_with_the_program_and_the_tree_walker() {
         use CmpOp::*;
         const BIG: i64 = (1 << 53) + 1;
-        let ints = [1, 0, -3, BIG].map(Value::Int);
-        let floats = [2.5, 1.0, f64::NAN].map(Value::Float);
-        let literals: Vec<Value> =
-            ints.into_iter().chain(floats).chain([true, false].map(Value::Bool)).collect();
+        let kinds = [
+            [1, 0, -3, BIG].map(Value::Int).to_vec(),
+            [2.5, 1.0, f64::NAN, -0.0, f64::INFINITY].map(Value::Float).to_vec(),
+            [true, false].map(Value::Bool).to_vec(),
+        ];
         let mut values = vec![None, Some(Value::from("1"))];
         values.extend([1, 0, BIG - 1, BIG].map(|i| Some(Value::Int(i))));
-        values.extend([1.0, 2.5, f64::NAN].map(|f| Some(Value::Float(f))));
+        values.extend([1.0, 2.5, f64::NAN, 0.0, f64::NEG_INFINITY].map(|f| Some(Value::Float(f))));
         values.extend([true, false].map(|b| Some(Value::Bool(b))));
-        let sides = |op, literal: &Value| {
+        let cmp = |op, literal: &Value, literal_first| {
             let (key, literal) = (Expr::Ident("key".to_owned()), Expr::Literal(literal.clone()));
-            [Expr::cmp(op, key.clone(), literal.clone()), Expr::cmp(op, literal, key)]
+            if literal_first {
+                Expr::cmp(op, literal, key)
+            } else {
+                Expr::cmp(op, key, literal)
+            }
         };
-        let operators = [Eq, Ne, Lt, Le, Gt, Ge];
-        for expr in operators.iter().flat_map(|op| literals.iter().flat_map(|l| sides(*op, l))) {
-            let bound = Program::compile(&expr).bind(&mut Names::default());
-            let row = bound.as_row().unwrap_or_else(|| panic!("no row for {expr}"));
-            for value in &values {
-                let props: Vec<_> = value.iter().map(|v| ("key".to_owned(), v.clone())).collect();
-                let reference = crate::eval::evaluate(&expr, props.as_slice());
-                let resolved = [value.as_ref().map(Value::as_ref)];
-                assert_eq!(bound.run(&resolved), reference, "{expr} on {value:?}");
-                assert_eq!(row.run(&resolved), reference, "{expr} on {value:?}");
+        for op in [Eq, Ne, Lt, Le, Gt, Ge] {
+            for (literals, literal_first) in kinds.iter().flat_map(|k| [(k, false), (k, true)]) {
+                let exprs: Vec<Expr> = literals.iter().map(|l| cmp(op, l, literal_first)).collect();
+                let bound: Vec<BoundProgram> =
+                    exprs.iter().map(|e| Program::compile(e).bind(&mut Names::default())).collect();
+                let rows: Vec<CmpRow> = bound.iter().map(|b| b.as_row().expect("a row")).collect();
+                let mut column = CmpColumn::new(rows[0]);
+                rows[1..].iter().for_each(|row| column.push(*row).unwrap());
+                assert!(column.rows().eq(rows.iter().copied()));
+                for value in &values {
+                    let props: Vec<_> =
+                        value.iter().map(|v| ("key".to_owned(), v.clone())).collect();
+                    let resolved = [value.as_ref().map(Value::as_ref)];
+                    let mut holding = Vec::new();
+                    for (at, expr) in exprs.iter().enumerate() {
+                        let reference = crate::eval::evaluate(expr, props.as_slice());
+                        assert_eq!(bound[at].run(&resolved), reference, "{expr} on {value:?}");
+                        assert_eq!(rows[at].run(&resolved), reference, "{expr} on {value:?}");
+                        if reference.is_true() {
+                            holding.push(at);
+                        }
+                    }
+                    let mut hits = Vec::new();
+                    column.run(&resolved, |at| hits.push(at));
+                    assert_eq!(hits, holding, "{op:?} column of {literals:?} on {value:?}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_column_takes_only_rows_of_its_shape() {
+        let mut table = Names::default();
+        let mut row = |source| compile(source).bind(&mut table).as_row().unwrap();
+        let mut column = CmpColumn::new(row("key = 1"));
+        for other in ["key = 2.5", "key = TRUE", "key <> 1", "other = 1"] {
+            let other = row(other);
+            assert_eq!(column.push(other), Err(other));
+        }
+        assert_eq!(column.push(row("3 = key")), Ok(()));
+        assert_eq!(column.rows().collect::<Vec<_>>(), [row("key = 1"), row("key = 3")]);
     }
 
     #[test]

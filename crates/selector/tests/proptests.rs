@@ -1,18 +1,21 @@
 //! Property-based tests for the selector language.
 //!
-//! Three core invariants:
+//! Four core invariants:
 //! 1. **Display → reparse round-trip**: pretty-printing any AST produces a
 //!    selector string that parses back to the identical AST.
 //! 2. **Evaluator totality**: evaluation never panics, for arbitrary ASTs
 //!    against arbitrary property maps.
 //! 3. **Program ≡ tree walker**: the compiled program gives the reference
-//!    evaluator's answer, on operands chosen to disagree if anything can
-//!    (the last block; `PROPTEST_CASES` sets its case count).
+//!    evaluator's answer, on operands chosen to disagree if anything can.
+//! 4. **Column ≡ row by row ≡ program**: a run of compact rows evaluated as
+//!    a column hits exactly the rows that hold.
+//!
+//! `PROPTEST_CASES` sets the case count of the last two.
 
 use proptest::prelude::*;
 use rjms_selector::ast::{ArithOp, CmpOp, Expr};
 use rjms_selector::eval::evaluate;
-use rjms_selector::program::Names;
+use rjms_selector::program::{CmpColumn, Names};
 use rjms_selector::value::Value;
 use rjms_selector::{parse, Program, Selector};
 use std::collections::HashMap;
@@ -217,36 +220,41 @@ const NAMES: [&str; 10] = [
 fn edge_value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         any::<bool>().prop_map(Value::Bool),
-        prop::sample::select(vec![
-            i64::MIN,
-            i64::MIN + 1,
-            -1,
-            0,
-            1,
-            2,
-            (1 << 53) - 1,
-            1 << 53,
-            (1 << 53) + 1,
-            i64::MAX - 1,
-            i64::MAX,
-        ])
-        .prop_map(Value::Int),
+        prop::sample::select(EDGE_INTS.to_vec()).prop_map(Value::Int),
         (-4i64..4).prop_map(Value::Int),
-        prop::sample::select(vec![
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            -0.0,
-            0.0,
-            0.5,
-            1.0,
-            (1u64 << 53) as f64,
-            i64::MAX as f64,
-        ])
-        .prop_map(Value::Float),
+        prop::sample::select(EDGE_FLOATS.to_vec()).prop_map(Value::Float),
         "[ab%_\\\\]{0,3}".prop_map(Value::Str),
     ]
 }
+
+/// The ends of `i64` and the integers around 2⁵³, where an `f64` stops
+/// telling neighbours apart.
+const EDGE_INTS: [i64; 11] = [
+    i64::MIN,
+    i64::MIN + 1,
+    -1,
+    0,
+    1,
+    2,
+    (1 << 53) - 1,
+    1 << 53,
+    (1 << 53) + 1,
+    i64::MAX - 1,
+    i64::MAX,
+];
+
+/// NaN, the infinities, both zeros and floats equal to integers.
+const EDGE_FLOATS: [f64; 9] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    -0.0,
+    0.0,
+    0.5,
+    1.0,
+    (1u64 << 53) as f64,
+    i64::MAX as f64,
+];
 
 /// `=`, `<>`, `<`, `<=`, `>`, `>=`.
 fn cmp_op_strategy() -> impl Strategy<Value = CmpOp> {
@@ -308,6 +316,69 @@ proptest! {
         prop_assert_eq!(bound.run(&resolved), reference, "by slot: {}", expr);
         if let Some(row) = bound.as_row() {
             prop_assert_eq!(row.run(&resolved), reference, "by row: {}", expr);
+        }
+    }
+}
+
+/// The table of the column test: a run's slot is one of these names.
+const SLOTS: [&str; 4] = ["a", "b", "c", "d"];
+
+/// A run of compact rows of one shape: one slot, one operator, the literal
+/// on one side, and 1–40 literals of one kind.
+fn column_strategy() -> impl Strategy<Value = Vec<Expr>> {
+    let ints = prop_oneof![prop::sample::select(EDGE_INTS.to_vec()), -4i64..4];
+    let literals = prop_oneof![
+        prop::collection::vec(ints.prop_map(Value::Int), 1..40),
+        prop::collection::vec(
+            prop::sample::select(EDGE_FLOATS.to_vec()).prop_map(Value::Float),
+            1..40
+        ),
+        prop::collection::vec(any::<bool>().prop_map(Value::Bool), 1..40),
+    ];
+    let slot = prop::sample::select(SLOTS.to_vec());
+    (slot, cmp_op_strategy(), any::<bool>(), literals).prop_map(
+        |(name, op, literal_first, literals)| {
+            let cmp = |literal| {
+                let (ident, literal) = (Expr::Ident(name.to_owned()), Expr::Literal(literal));
+                if literal_first {
+                    Expr::cmp(op, literal, ident)
+                } else {
+                    Expr::cmp(op, ident, literal)
+                }
+            };
+            literals.into_iter().map(cmp).collect()
+        },
+    )
+}
+
+proptest! {
+    /// The kernel that evaluates a run as a column hits exactly the rows
+    /// whose own `CmpRow::run` is true, and each row answers what its
+    /// program does, on values that are missing, integers an `f64` cannot
+    /// tell apart, NaN, ±0, ±∞, booleans and strings.
+    #[test]
+    fn a_column_hits_exactly_the_rows_that_hold(
+        exprs in column_strategy(),
+        values in prop::collection::vec(prop::option::of(edge_value_strategy()), SLOTS.len())
+    ) {
+        let mut table = Names::default();
+        for name in SLOTS {
+            table.intern(name);
+        }
+        let bound: Vec<_> = exprs.iter().map(|e| Program::compile(e).bind(&mut table)).collect();
+        let rows: Vec<_> = bound.iter().map(|b| b.as_row().expect("a compact row")).collect();
+        let mut column = CmpColumn::new(rows[0]);
+        for row in &rows[1..] {
+            prop_assert_eq!(column.push(*row), Ok(()));
+        }
+        let resolved: Vec<_> = values.iter().map(|v| v.as_ref().map(Value::as_ref)).collect();
+        let mut hits = Vec::new();
+        column.run(&resolved, |at| hits.push(at));
+        let holding: Vec<usize> =
+            (0..rows.len()).filter(|at| rows[*at].run(&resolved).is_true()).collect();
+        prop_assert_eq!(hits, holding, "{:?} on {:?}", exprs, values);
+        for ((row, program), expr) in rows.iter().zip(&bound).zip(&exprs) {
+            prop_assert_eq!(row.run(&resolved), program.run(&resolved), "{} on {:?}", expr, values);
         }
     }
 }

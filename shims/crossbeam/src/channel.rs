@@ -12,6 +12,13 @@
 //! call). A sleeper raises its count under the lock that `wait` releases,
 //! and the other side reads the count under the same lock after changing
 //! the queue, so it either sees the sleeper or the sleeper saw the change.
+//! Nor does it notify a sleeper that already has a wake-up on its way: a
+//! woken thread leaves the count only once it holds the lock again, so the
+//! wake-ups in flight are counted too, and the other side notifies only
+//! while the sleepers outnumber them. Each sleeper that gets back the lock
+//! — woken, timed out or spuriously — takes one in-flight wake-up off the
+//! count, so there are never more of them than sleepers on their way back,
+//! each of whom looks at the queue before it parks again.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -25,12 +32,15 @@ struct State<T> {
     senders: usize,
     receivers: usize,
     /// Receivers parked on `not_empty` / senders parked on `not_full`.
-    sleeping_receivers: usize,
-    sleeping_senders: usize,
+    sleeping_receivers: Sleepers,
+    sleeping_senders: Sleepers,
     /// Acquisitions of the mutex guarding this state through
-    /// [`Shared::lock`]; tests pin how many an operation takes.
+    /// [`Shared::lock`], and condvar notifications other than a
+    /// disconnect's; tests pin how many an operation takes.
     #[cfg(test)]
     acquisitions: u64,
+    #[cfg(test)]
+    notifies: u64,
 }
 
 impl<T> State<T> {
@@ -41,6 +51,40 @@ impl<T> State<T> {
         {
             self.acquisitions += 1;
         }
+    }
+
+    /// Counts `n` notifications (test builds).
+    #[inline(always)]
+    fn notifying(&mut self, n: usize) {
+        #[cfg(test)]
+        {
+            self.notifies += n as u64;
+        }
+        let _ = n;
+    }
+}
+
+/// The threads parked on one condvar, and the wake-ups on their way to
+/// them (module docs).
+#[derive(Default)]
+struct Sleepers {
+    parked: usize,
+    waking: usize,
+}
+
+impl Sleepers {
+    /// How many of `n` wake-ups to send: as many as there are parked
+    /// threads without one on its way, at most; they are now on their way.
+    fn claim(&mut self, n: usize) -> usize {
+        let wake = n.min(self.parked - self.waking);
+        self.waking += wake;
+        wake
+    }
+
+    /// A parked thread holds the lock again.
+    fn woke(&mut self) {
+        self.parked -= 1;
+        self.waking = self.waking.saturating_sub(1);
     }
 }
 
@@ -66,30 +110,36 @@ impl<T> Shared<T> {
                 capacity,
                 senders: 1,
                 receivers: 1,
-                sleeping_receivers: 0,
-                sleeping_senders: 0,
+                sleeping_receivers: Sleepers::default(),
+                sleeping_senders: Sleepers::default(),
                 #[cfg(test)]
                 acquisitions: 0,
+                #[cfg(test)]
+                notifies: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         })
     }
 
-    /// Unlocks after a push and wakes one parked receiver, if any.
-    fn pushed(&self, state: MutexGuard<'_, State<T>>) {
-        let wake = state.sleeping_receivers > 0;
+    /// Unlocks after a push and wakes one parked receiver, if one has no
+    /// wake-up on its way.
+    fn pushed(&self, mut state: MutexGuard<'_, State<T>>) {
+        let wake = state.sleeping_receivers.claim(1);
+        state.notifying(wake);
         drop(state);
-        if wake {
+        if wake > 0 {
             self.not_empty.notify_one();
         }
     }
 
-    /// Unlocks after a pop and wakes one parked sender, if any.
-    fn popped(&self, state: MutexGuard<'_, State<T>>) {
-        let wake = state.sleeping_senders > 0;
+    /// Unlocks after `popped` pops and wakes as many parked senders, at
+    /// most, as have no wake-up on its way.
+    fn popped(&self, mut state: MutexGuard<'_, State<T>>, popped: usize) {
+        let wake = state.sleeping_senders.claim(popped);
+        state.notifying(wake);
         drop(state);
-        if wake {
+        for _ in 0..wake {
             self.not_full.notify_one();
         }
     }
@@ -199,9 +249,9 @@ impl<T> Sender<T> {
                 self.shared.pushed(state);
                 return Ok(());
             }
-            state.sleeping_senders += 1;
+            state.sleeping_senders.parked += 1;
             state = self.shared.not_full.wait(state).unwrap();
-            state.sleeping_senders -= 1;
+            state.sleeping_senders.woke();
         }
     }
 
@@ -271,15 +321,15 @@ impl<T> Receiver<T> {
         let mut state = self.shared.lock();
         loop {
             if let Some(value) = state.queue.pop_front() {
-                self.shared.popped(state);
+                self.shared.popped(state, 1);
                 return Ok(value);
             }
             if state.senders == 0 {
                 return Err(RecvError);
             }
-            state.sleeping_receivers += 1;
+            state.sleeping_receivers.parked += 1;
             state = self.shared.not_empty.wait(state).unwrap();
-            state.sleeping_receivers -= 1;
+            state.sleeping_receivers.woke();
         }
     }
 
@@ -294,7 +344,7 @@ impl<T> Receiver<T> {
         let mut state = self.shared.lock();
         match state.queue.pop_front() {
             Some(value) => {
-                self.shared.popped(state);
+                self.shared.popped(state, 1);
                 Ok(value)
             }
             None if state.senders == 0 => Err(TryRecvError::Disconnected),
@@ -314,7 +364,7 @@ impl<T> Receiver<T> {
         let mut state = self.shared.lock();
         loop {
             if let Some(value) = state.queue.pop_front() {
-                self.shared.popped(state);
+                self.shared.popped(state, 1);
                 return Ok(value);
             }
             if state.senders == 0 {
@@ -324,11 +374,11 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
-            state.sleeping_receivers += 1;
+            state.sleeping_receivers.parked += 1;
             let (guard, result) =
                 self.shared.not_empty.wait_timeout(state, deadline - now).unwrap();
             state = guard;
-            state.sleeping_receivers -= 1;
+            state.sleeping_receivers.woke();
             if result.timed_out() && state.queue.is_empty() {
                 if state.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
@@ -364,7 +414,7 @@ impl<T> Receiver<T> {
 
 /// The iterator [`Receiver::try_iter`] returns. Its size hint is exact, so
 /// `Vec::extend` reserves once; dropping it wakes as many parked senders as
-/// it made room for.
+/// it made room for, less those already on their way.
 pub struct TryIter<'a, T> {
     shared: &'a Shared<T>,
     /// Held from creation until `drop` takes it to unlock before notifying.
@@ -390,11 +440,7 @@ impl<T> Iterator for TryIter<'_, T> {
 impl<T> Drop for TryIter<'_, T> {
     fn drop(&mut self) {
         let Some(state) = self.state.take() else { return };
-        let wake = self.taken.min(state.sleeping_senders);
-        drop(state);
-        for _ in 0..wake {
-            self.shared.not_full.notify_one();
-        }
+        self.shared.popped(state, self.taken);
     }
 }
 
@@ -537,23 +583,23 @@ mod tests {
         let total = SENDERS * PER_SENDER;
         assert_eq!((count, sum), (total, total * (total - 1) / 2));
         let state = rx.shared.state.lock().unwrap();
-        assert_eq!((state.sleeping_receivers, state.sleeping_senders), (0, 0));
+        assert_eq!((state.sleeping_receivers.parked, state.sleeping_senders.parked), (0, 0));
     }
 
     #[test]
     fn expired_recv_timeout_leaves_the_sleeper_count_balanced() {
         let (tx, rx) = bounded::<i32>(1);
         assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Err(RecvTimeoutError::Timeout));
-        assert_eq!(rx.shared.state.lock().unwrap().sleeping_receivers, 0);
+        assert_eq!(rx.shared.state.lock().unwrap().sleeping_receivers.parked, 0);
         // A later blocked `recv` is counted once and woken by one `send`.
         let blocked = std::thread::spawn({
             let rx = rx.clone();
             move || rx.recv()
         });
-        wait_until(&rx.shared, |s| s.sleeping_receivers == 1);
+        wait_until(&rx.shared, |s| s.sleeping_receivers.parked == 1);
         tx.send(3).unwrap();
         assert_eq!(join(blocked), Ok(3));
-        assert_eq!(rx.shared.state.lock().unwrap().sleeping_receivers, 0);
+        assert_eq!(rx.shared.state.lock().unwrap().sleeping_receivers.parked, 0);
     }
 
     #[test]
@@ -565,7 +611,7 @@ mod tests {
                 let tx = tx.clone();
                 move || tx.send(value)
             });
-            wait_until(&rx.shared, |s| s.sleeping_senders == 1);
+            wait_until(&rx.shared, |s| s.sleeping_senders.parked == 1);
             let popped = if woken_by_try_recv {
                 rx.try_recv().unwrap()
             } else {
@@ -575,7 +621,7 @@ mod tests {
             join(blocked).unwrap();
         }
         assert_eq!(rx.try_recv(), Ok(2));
-        assert_eq!(rx.shared.state.lock().unwrap().sleeping_senders, 0);
+        assert_eq!(rx.shared.state.lock().unwrap().sleeping_senders.parked, 0);
     }
 
     #[test]
@@ -587,7 +633,7 @@ mod tests {
                 std::thread::spawn(move || rx.recv())
             })
             .collect();
-        wait_until(&rx.shared, |s| s.sleeping_receivers == 3);
+        wait_until(&rx.shared, |s| s.sleeping_receivers.parked == 3);
         drop(tx);
         for r in receivers {
             assert_eq!(join(r), Err(RecvError));
@@ -601,7 +647,7 @@ mod tests {
                 std::thread::spawn(move || tx.send(v).is_err())
             })
             .collect();
-        wait_until(&tx.shared, |s| s.sleeping_senders == 3);
+        wait_until(&tx.shared, |s| s.sleeping_senders.parked == 3);
         drop(rx);
         for s in senders {
             assert!(join(s), "send on a disconnected channel must fail");
@@ -632,6 +678,47 @@ mod tests {
         assert_eq!(acquisitions(&rx.shared) - before, 1);
     }
 
+    fn notifies<T>(shared: &Shared<T>) -> u64 {
+        shared.state.lock().unwrap().notifies
+    }
+
+    /// A parked thread is notified once however many operations of the
+    /// other side follow before it holds the lock again: the first sends
+    /// the wake-up, the rest find it on its way. Each thread here parks for
+    /// one operation and then leaves, so the count is exact on any host.
+    #[test]
+    fn a_sleeper_is_notified_once_whatever_follows_before_it_wakes() {
+        const K: u64 = 100;
+        let (tx, rx) = unbounded();
+        let receiver = std::thread::spawn({
+            let rx = rx.clone();
+            move || rx.recv()
+        });
+        wait_until(&rx.shared, |s| s.sleeping_receivers.parked == 1);
+        let before = notifies(&rx.shared);
+        (0..K).for_each(|i| tx.send(i).unwrap());
+        assert_eq!(join(receiver), Ok(0));
+        assert_eq!(notifies(&rx.shared) - before, 1);
+
+        // A sender parked on a full queue: by `try_recv`s, and by a
+        // `try_iter` that takes the whole queue.
+        for by_try_iter in [false, true] {
+            let (tx, rx) = bounded(K as usize);
+            (0..K).for_each(|i| tx.send(i).unwrap());
+            let sender = std::thread::spawn(move || tx.send(K));
+            wait_until(&rx.shared, |s| s.sleeping_senders.parked == 1);
+            let before = notifies(&rx.shared);
+            if by_try_iter {
+                assert_eq!(rx.try_iter().count() as u64, K);
+            } else {
+                (0..K).for_each(|_| assert!(rx.try_recv().is_ok()));
+            }
+            join(sender).unwrap();
+            assert_eq!(notifies(&rx.shared) - before, 1);
+            assert_eq!(rx.try_recv(), Ok(K));
+        }
+    }
+
     #[test]
     fn a_try_iter_wakes_the_senders_it_made_room_for() {
         const PER_SENDER: u64 = 50;
@@ -646,7 +733,7 @@ mod tests {
                 })
             })
             .collect();
-        wait_until(&rx.shared, |s| s.sleeping_senders == 3);
+        wait_until(&rx.shared, |s| s.sleeping_senders.parked == 3);
         // Nothing but `try_iter` ever frees a slot below: a sender it did
         // not wake would stay parked and the deadline would fail the test.
         let mut got: Vec<u64> = rx.try_iter().collect();
@@ -663,7 +750,7 @@ mod tests {
             let from_s: Vec<u64> = got.iter().copied().filter(|v| v / PER_SENDER == s).collect();
             assert_eq!(from_s, (s * PER_SENDER..(s + 1) * PER_SENDER).collect::<Vec<_>>());
         }
-        assert_eq!(rx.shared.state.lock().unwrap().sleeping_senders, 0);
+        assert_eq!(rx.shared.state.lock().unwrap().sleeping_senders.parked, 0);
     }
 
     #[test]

@@ -126,6 +126,37 @@ fn the_fanout_shape_evaluates_32_filters_per_message_and_copies_32_times() {
     broker.shutdown();
 }
 
+/// The filter shape with 16 of its 256 subscribers dropped — each a
+/// `key = 0` that every message would hit — before the run: every message
+/// evaluates the 240 left and tries no copy to a dropped one (no expired
+/// subscription). A subscriber dropped on another topic changes nothing.
+#[test]
+fn dropped_subscribers_are_not_evaluated_and_get_no_copy() {
+    const DROPPED: u64 = 16;
+    let broker = broker(1, &["t", "u"]);
+    let selector = |key: u32| Filter::selector(&format!("key = {key}")).unwrap();
+    let (mut idle, mut doomed) = (Vec::new(), Vec::new());
+    for key in 0..255 {
+        match key % 16 {
+            0 => doomed.push(subscribe(&broker, "t", selector(0))),
+            _ => idle.push(subscribe(&broker, "t", selector(key))),
+        }
+    }
+    let matching = [subscribe(&broker, "t", selector(0))];
+    let mut elsewhere: Vec<_> = (0..2).map(|_| subscribe(&broker, "u", selector(0))).collect();
+    assert_eq!((idle.len() + doomed.len() + 1, doomed.len()), (256, DROPPED as usize));
+
+    drop(doomed);
+    run_and_count(&broker, "t", &matching, &idle);
+    elsewhere.pop();
+    run_and_count(&broker, "t", &matching, &idle);
+    let snap = broker.snapshot();
+    assert_eq!(snap.messages.filter_evaluations, 2 * MESSAGES * (256 - DROPPED));
+    assert_eq!(snap.subscriptions.expired, 0);
+    assert_eq!(broker.subscription_count("t") as u64, 256 - DROPPED);
+    broker.shutdown();
+}
+
 fn subscribe_durable(broker: &Broker, topic: &str, name: &str, filter: Filter) -> Subscriber {
     broker.subscription(topic).durable(name).filter(filter).open().unwrap()
 }
