@@ -113,8 +113,6 @@ pub struct FlowSnapshot {
     pub bucket_level: f64,
     /// Global bucket ceiling, tokens.
     pub bucket_burst: f64,
-    /// Credit window granted to `FEATURE_FLOW` connections.
-    pub credit_window: u32,
     /// Producer buckets currently tracked.
     pub producers: u64,
     /// Per-class outcome counters.
@@ -357,7 +355,6 @@ impl FlowGate {
             classes: self.config.classes,
             bucket_level,
             bucket_burst,
-            credit_window: crate::CREDIT_WINDOW,
             producers: self.producers.lock().unwrap().len() as u64,
             per_class: self
                 .counters

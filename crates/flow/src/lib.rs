@@ -6,7 +6,7 @@
 //! waiting time (rjms-metrics, rjms-obs), it *acts* on the model by
 //! refusing work the model says would violate the objective.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`FlowController`] inverts the `M/GI/1-∞` waiting-time predictor: for
 //!   the current service-time calibration `B` and a configured `W99`
@@ -23,9 +23,9 @@
 //!   classes that shed the lowest class first while the top (durable /
 //!   persistent) class is deferred but never shed. Every decision is a
 //!   typed [`AdmissionOutcome`].
-//! * [`CreditWindow`] / [`CreditBalance`] carry the server- and client-side
-//!   halves of the credit-based wire flow control that rjms-net layers on
-//!   top (`FEATURE_FLOW`, CreditGrant / PublishDenied opcodes).
+//!
+//! On the wire (rjms-net) push-back is the publish reply; a peer that
+//! advertised `FEATURE_FLOW` gets a denial as a typed `PublishDenied` frame.
 //!
 //! The broker wires a gate in behind `BrokerConfig::flow`; embedded users
 //! can drive a [`FlowGate`] directly with a deterministic clock via
@@ -38,13 +38,11 @@
 pub mod bucket;
 pub mod config;
 pub mod controller;
-pub mod credit;
 pub mod gate;
 
 pub use bucket::TokenBucket;
 pub use config::FlowConfig;
 pub use controller::{CalibrationSource, FlowController};
-pub use credit::{CreditBalance, CreditWindow, CREDIT_WINDOW};
 pub use gate::{AdmissionOutcome, ClassSnapshot, FlowGate, FlowSnapshot};
 
 // Re-exported so callers configuring a gate don't need a direct rjms-core

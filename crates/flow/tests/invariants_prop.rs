@@ -3,13 +3,10 @@
 //! * a token bucket's level always stays in `[0, burst]` and refill is
 //!   monotone in time (a backwards clock never credits or debits),
 //! * the admission gate partitions offered load exactly — grants +
-//!   deferrals + sheds == offered — and never sheds the top class,
-//! * client credit balances never go negative under arbitrary
-//!   grant/consume interleavings, and the server's replenishment window
-//!   keeps a well-behaved client's outstanding credit inside the window.
+//!   deferrals + sheds == offered — and never sheds the top class.
 
 use proptest::prelude::*;
-use rjms_flow::{AdmissionOutcome, CreditBalance, CreditWindow, FlowConfig, FlowGate, TokenBucket};
+use rjms_flow::{AdmissionOutcome, FlowConfig, FlowGate, TokenBucket};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -93,53 +90,5 @@ proptest! {
         let snapshot = gate.snapshot();
         let total: u64 = snapshot.per_class.iter().map(|c| c.granted + c.deferred + c.shed).sum();
         prop_assert_eq!(total, offered.len() as u64, "outcomes do not partition offered load");
-    }
-
-    /// Client credits never go negative and consumption never exceeds
-    /// grants once metering is active.
-    #[test]
-    fn credit_balance_never_goes_negative(
-        ops in prop::collection::vec((any::<bool>(), 1u32..100), 1..300),
-    ) {
-        let mut balance = CreditBalance::new();
-        for (consume, amount) in ops {
-            if consume {
-                let before = balance.available();
-                let ok = balance.try_consume();
-                if let Some(0) = before {
-                    prop_assert!(!ok, "consumed from an empty balance");
-                }
-            } else {
-                balance.grant(amount);
-            }
-            if let Some(available) = balance.available() {
-                prop_assert_eq!(
-                    available,
-                    balance.total_granted() - balance.total_consumed(),
-                    "balance accounting identity broken"
-                );
-            }
-        }
-    }
-
-    /// A well-behaved client driven by the server's window keeps its
-    /// outstanding credit in (0, window] forever: the protocol can
-    /// neither starve nor over-credit it.
-    #[test]
-    fn credit_window_keeps_client_inside_the_window(
-        window in 1u32..256,
-        publishes in 1usize..2000,
-    ) {
-        let mut server = CreditWindow::new(window);
-        let mut client = CreditBalance::new();
-        client.grant(server.initial_grant());
-        for _ in 0..publishes {
-            prop_assert!(client.try_consume(), "client starved mid-window");
-            if let Some(grant) = server.consume() {
-                client.grant(grant);
-            }
-            let available = client.available().expect("active after initial grant");
-            prop_assert!(available <= u64::from(window), "over-credited past the window");
-        }
     }
 }

@@ -16,13 +16,12 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rjms_broker::Message;
-use rjms_flow::CreditBalance;
 use rjms_metrics::{Counter, Histogram, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -31,15 +30,6 @@ const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Undecoded delivery frames in wire order: what one read held for one subscription.
 type Frames = VecDeque<Bytes>;
-
-/// Client-side credit state for a [`FEATURE_FLOW`] connection: the
-/// balance, plus a condvar publishers park on while the window is
-/// exhausted (a `std` mutex because the `parking_lot` facade carries no
-/// condvar).
-struct CreditState {
-    balance: std::sync::Mutex<CreditBalance>,
-    replenished: Condvar,
-}
 
 /// Shared client state touched by the background reader and subscriber
 /// handles.
@@ -50,9 +40,6 @@ struct ClientShared {
     pending: Mutex<HashMap<u32, Sender<Response>>>,
     /// subscription id → delivery channel, one send per read that held frames for it.
     subscriptions: Mutex<HashMap<u32, Sender<Frames>>>,
-    /// Publish credits; inactive (no pacing) until the server's first
-    /// [`Response::CreditGrant`] arrives.
-    credit: CreditState,
     closed: AtomicBool,
 }
 
@@ -91,7 +78,9 @@ impl std::fmt::Debug for RemoteBroker {
 }
 
 impl RemoteBroker {
-    /// Connects to a broker server.
+    /// Connects to a broker server; a Hello offers it trace context and
+    /// typed admission denials ([`FEATURE_FLOW`]). There is no publish
+    /// window to open: a publish's reply is its push-back.
     ///
     /// # Errors
     ///
@@ -109,10 +98,6 @@ impl RemoteBroker {
             stream: Mutex::new(stream),
             pending: Mutex::new(HashMap::new()),
             subscriptions: Mutex::new(HashMap::new()),
-            credit: CreditState {
-                balance: std::sync::Mutex::new(CreditBalance::new()),
-                replenished: Condvar::new(),
-            },
             closed: AtomicBool::new(false),
         });
         let metrics = MetricsRegistry::new();
@@ -135,10 +120,8 @@ impl RemoteBroker {
         // Capability handshake: a server that understands the Hello opcode
         // answers Ok and from then on both sides may use the traced frame
         // variants. Anything else (an older server) leaves the connection
-        // in the pre-trace format. Flow control is advertised the same
-        // way, but engages only when the server opens the credit window
-        // (its first CreditGrant) — a flow-less server grants nothing and
-        // the connection stays unpaced client-side.
+        // in the pre-trace format. `FEATURE_FLOW` asks for admission
+        // denials as typed frames; a flow-less server never sends one.
         let request_id = client.next_request_id();
         client.traced = client
             .call(Request::Hello { request_id, features: FEATURE_TRACE | FEATURE_FLOW }, request_id)
@@ -150,19 +133,6 @@ impl RemoteBroker {
     /// the connect-time handshake.
     pub fn trace_negotiated(&self) -> bool {
         self.traced
-    }
-
-    /// True once the server has opened a publish-credit window (flow
-    /// control negotiated and enabled broker-side). `false` against
-    /// flow-less or older servers, whose connections stay unpaced.
-    pub fn flow_negotiated(&self) -> bool {
-        self.shared.credit.balance.lock().map(|b| b.active()).unwrap_or(false)
-    }
-
-    /// The current publish-credit balance; `None` while the connection is
-    /// unpaced (see [`RemoteBroker::flow_negotiated`]).
-    pub fn credits(&self) -> Option<u64> {
-        self.shared.credit.balance.lock().ok().and_then(|b| b.available())
     }
 
     /// This client's instrument registry: histogram `net.rtt_ns` holds the
@@ -185,17 +155,16 @@ impl RemoteBroker {
         self.call(Request::CreateTopic { request_id, topic: topic.to_owned() }, request_id)
     }
 
-    /// Publishes a message to a remote topic. The receiving broker
-    /// re-stamps the message id and timestamp.
+    /// Publishes a message to a remote topic and waits for the broker's
+    /// reply: that wait is the push-back, one publish in flight per calling
+    /// thread. The receiving broker re-stamps the message id and timestamp.
     ///
     /// # Errors
     ///
     /// [`Error::Remote`] for unknown topics; transport errors otherwise.
-    /// On a flow-controlled connection this blocks while the credit
-    /// window is exhausted, and surfaces server-side admission rejections
-    /// as [`Error::PublishShed`] / [`Error::PublishDeferred`].
+    /// With flow control on broker-side, admission rejections surface as
+    /// [`Error::PublishShed`] / [`Error::PublishDeferred`].
     pub fn publish(&self, topic: &str, message: &Message) -> Result<(), Error> {
-        self.take_credit()?;
         let request_id = self.next_request_id();
         let mut wire = WireMessage::from_message(message);
         if !self.traced {
@@ -211,30 +180,6 @@ impl RemoteBroker {
             Response::PublishDenied { class, .. } => Err(Error::PublishShed { class }),
             other => Err(Error::Decode { detail: format!("unexpected response {other:?}") }),
         }
-    }
-
-    /// Spends one publish credit, parking until the server replenishes
-    /// the window. A no-op while the connection is unpaced.
-    fn take_credit(&self) -> Result<(), Error> {
-        let mut balance = self.shared.credit.balance.lock().map_err(|_| Error::Closed)?;
-        let deadline = Instant::now() + REQUEST_TIMEOUT;
-        while !balance.try_consume() {
-            if self.shared.closed.load(Ordering::Relaxed) {
-                return Err(Error::Closed);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(Error::Timeout);
-            }
-            balance = self
-                .shared
-                .credit
-                .replenished
-                .wait_timeout(balance, deadline - now)
-                .map_err(|_| Error::Closed)?
-                .0;
-        }
-        Ok(())
     }
 
     /// Subscribes to a remote topic; messages arrive on the returned
@@ -426,14 +371,6 @@ fn client_reader_loop(stream: impl Read, shared: &ClientShared, batch_frames: &H
             let Ok(response) = decode_response(body) else { break };
             match response {
                 Response::Delivery { .. } => break, // too short to route: not a delivery
-                Response::CreditGrant { credits } => {
-                    // Uncorrelated, like a delivery: top up the balance and
-                    // wake any publisher parked on an exhausted window.
-                    if let Ok(mut balance) = shared.credit.balance.lock() {
-                        balance.grant(credits);
-                    }
-                    shared.credit.replenished.notify_all();
-                }
                 Response::Ok { request_id }
                 | Response::Pong { request_id }
                 | Response::Error { request_id, .. }
@@ -452,11 +389,9 @@ fn client_reader_loop(stream: impl Read, shared: &ClientShared, batch_frames: &H
     }
     hand_over(&mut routed);
     shut_down(shared);
-    // Wake all blocked receivers by dropping their senders, and any
-    // publisher parked on the credit window.
+    // Wake all blocked receivers by dropping their senders.
     shared.subscriptions.lock().clear();
     shared.pending.lock().clear();
-    shared.credit.replenished.notify_all();
 }
 
 /// A remote subscription's consuming handle.

@@ -41,7 +41,6 @@ use rjms_broker::{
     Broker, BrokerConfig, Error, Filter, FlowGate, Message, Publisher, Subscriber, TopicPattern,
     Wake,
 };
-use rjms_flow::{CreditWindow, CREDIT_WINDOW};
 use rjms_metrics::{clock, Gauge, Histogram, MetricsRegistry};
 use rjms_trace::{FlightRecorder, SpanEvent, Stage};
 use std::collections::HashMap;
@@ -219,7 +218,7 @@ fn build_filter(filter: WireFilter) -> Result<Filter, String> {
 
 /// What a connection's writer blocks on.
 enum Outbound {
-    /// A reply to one of the client's requests, or a credit grant.
+    /// A reply to one of the client's requests.
     Reply(Response),
     /// Whether the client negotiated [`FEATURE_TRACE`]: deliveries behind
     /// this carry trace context, or go in the pre-trace opcodes as before it.
@@ -261,12 +260,9 @@ struct Connection {
     /// The broker's admission gate, when flow control is enabled.
     gate: Option<Arc<FlowGate>>,
     /// Whether the client negotiated [`FEATURE_FLOW`] *and* the broker has
-    /// flow control on. Only then do flow opcodes go on the wire.
+    /// flow control on. Only then does a denial go out as
+    /// [`Response::PublishDenied`].
     flow_negotiated: bool,
-    /// Server-side credit accounting for a flow-negotiated peer: counts
-    /// publishes and replenishes the client with [`Response::CreditGrant`]
-    /// every half window.
-    credit: Option<CreditWindow>,
 }
 
 fn handle_connection(
@@ -294,7 +290,6 @@ fn handle_connection(
         ring,
         gate,
         flow_negotiated: false,
-        credit: None,
     };
 
     let active = metrics.gauge("net.connections.active");
@@ -456,16 +451,7 @@ fn handle_request(conn: &mut Connection, request: Request) -> bool {
             // Flow control is only negotiated when both sides support it;
             // otherwise the client is paced by the compatibility throttle.
             conn.flow_negotiated = features & FEATURE_FLOW != 0 && conn.gate.is_some();
-            if conn.out.send(Outbound::Reply(Response::Ok { request_id })).is_err() {
-                return false;
-            }
-            if conn.flow_negotiated {
-                // Open the credit window with a full initial grant.
-                conn.credit = Some(CreditWindow::new(CREDIT_WINDOW));
-                let grant = Response::CreditGrant { credits: CREDIT_WINDOW };
-                return conn.out.send(Outbound::Reply(grant)).is_ok();
-            }
-            return true;
+            return conn.out.send(Outbound::Reply(Response::Ok { request_id })).is_ok();
         }
         Request::CreateTopic { request_id, topic } => {
             (request_id, conn.broker.create_topic(&topic).map_err(|e| e.to_string()))
@@ -506,8 +492,8 @@ fn handle_request(conn: &mut Connection, request: Request) -> bool {
     conn.out.send(Outbound::Reply(response)).is_ok()
 }
 
-/// Handles one publish request end to end: credit replenishment for flow
-/// peers, admission, and the outcome response. Returns `false` when the
+/// Handles one publish request end to end: admission and the outcome
+/// response, the one push-back the wire carries. Returns `false` when the
 /// connection should close.
 fn handle_publish(
     conn: &mut Connection,
@@ -515,9 +501,6 @@ fn handle_publish(
     topic: &str,
     message: WireMessage,
 ) -> bool {
-    // The client spent one credit sending this publish, whatever its
-    // outcome; replenish every half window.
-    let grant = conn.credit.as_mut().and_then(CreditWindow::consume);
     let response = match publish(conn, topic, message) {
         Ok(()) => Response::Ok { request_id },
         Err(Error::PublishShed { class }) if conn.flow_negotiated => {
@@ -529,13 +512,7 @@ fn handle_publish(
         // Pre-flow peers only ever see the original error frame.
         Err(e) => Response::Error { request_id, message: e.to_string() },
     };
-    if conn.out.send(Outbound::Reply(response)).is_err() {
-        return false;
-    }
-    match grant {
-        Some(credits) => conn.out.send(Outbound::Reply(Response::CreditGrant { credits })).is_ok(),
-        None => true,
-    }
+    conn.out.send(Outbound::Reply(response)).is_ok()
 }
 
 /// Longest total delay the compatibility throttle puts on a pre-flow
@@ -655,7 +632,6 @@ mod tests {
             Response::Ok { request_id: 1 },
             Response::Error { request_id: 2, message: "no".into() },
             Response::Pong { request_id: 3 },
-            Response::CreditGrant { credits: 4 },
             Response::PublishDenied { request_id: 5, class: 1, deferred: true, retry_after_ms: 6 },
         ];
         let (out_tx, out_rx) = unbounded();

@@ -25,14 +25,16 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// frame, which the feature handshake guarantees.
 pub const FEATURE_TRACE: u32 = 1;
 
-/// [`Request::Hello`] feature bit: the client understands credit-based
-/// flow control — [`Response::CreditGrant`] (opcode 0x86) and
-/// [`Response::PublishDenied`] (opcode 0x87).
+/// [`Request::Hello`] feature bit: the client understands
+/// [`Response::PublishDenied`] (opcode 0x87), admission control's typed
+/// answer to a publish.
 ///
-/// Like tracing, flow control travels in *new* opcodes so the handshake
-/// keeps pre-flow peers byte-compatible: a client that never advertises
-/// this bit is paced server-side (the compatibility throttle) and only
-/// ever sees the original response frames.
+/// Push-back on the wire is the publish reply: a client waits for it, so
+/// its in-flight publishes are capped by its callers. Like tracing, the
+/// denial travels in a *new* opcode so the handshake keeps pre-flow peers
+/// byte-compatible: a client that never advertises this bit is paced
+/// server-side (the compatibility throttle) and only ever sees the
+/// original response frames.
 pub const FEATURE_FLOW: u32 = 2;
 
 /// A decoding failure.
@@ -169,14 +171,6 @@ pub enum Response {
     Pong {
         /// The request this answers.
         request_id: u32,
-    },
-    /// A publish-credit replenishment (not correlated to a request; only
-    /// sent to peers that negotiated [`FEATURE_FLOW`]). The client adds
-    /// `credits` to its balance and may publish while the balance is
-    /// positive.
-    CreditGrant {
-        /// Number of publish credits granted.
-        credits: u32,
     },
     /// Admission control rejected a publish (only sent to peers that
     /// negotiated [`FEATURE_FLOW`]; pre-flow peers get a plain
@@ -610,10 +604,6 @@ pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
             out.put_u8(0x84);
             out.put_u32(*request_id);
         }
-        Response::CreditGrant { credits } => {
-            out.put_u8(0x86);
-            out.put_u32(*credits);
-        }
         Response::PublishDenied { request_id, class, deferred, retry_after_ms } => {
             out.put_u8(0x87);
             out.put_u32(*request_id);
@@ -713,7 +703,6 @@ pub fn decode_response(mut body: Bytes) -> Result<Response, DecodeError> {
             message: get_message(&mut body, op == 0x85)?,
         },
         0x84 => Response::Pong { request_id: get_u32(&mut body)? },
-        0x86 => Response::CreditGrant { credits: get_u32(&mut body)? },
         0x87 => {
             let request_id = get_u32(&mut body)?;
             let class = get_u8(&mut body)?;
@@ -982,7 +971,6 @@ mod tests {
         roundtrip_response(Response::Delivery { subscription_id: 3, message: sample_message() });
         roundtrip_response(Response::Delivery { subscription_id: 5, message: traced_message() });
         roundtrip_response(Response::Pong { request_id: 4 });
-        roundtrip_response(Response::CreditGrant { credits: 64 });
         roundtrip_response(Response::PublishDenied {
             request_id: 7,
             class: 1,
@@ -999,10 +987,8 @@ mod tests {
 
     #[test]
     fn flow_frames_use_new_opcodes_and_reject_truncation() {
-        // New opcodes only: every frame a pre-flow peer can receive stays
+        // A new opcode only: every frame a pre-flow peer can receive stays
         // byte-identical, exactly as with tracing.
-        let grant = encode_response(&Response::CreditGrant { credits: 1 });
-        assert_eq!(grant[4], 0x86);
         let denied = encode_response(&Response::PublishDenied {
             request_id: 1,
             class: 2,
@@ -1010,11 +996,9 @@ mod tests {
             retry_after_ms: 0,
         });
         assert_eq!(denied[4], 0x87);
-        for frame in [grant, denied] {
-            let body = frame.slice(4..);
-            for cut in 0..body.len() {
-                assert!(decode_response(body.slice(..cut)).is_err(), "cut at {cut} did not error");
-            }
+        let body = denied.slice(4..);
+        for cut in 0..body.len() {
+            assert!(decode_response(body.slice(..cut)).is_err(), "cut at {cut} did not error");
         }
         // An out-of-range deferred tag is rejected.
         let mut forged = BytesMut::new();
@@ -1105,6 +1089,8 @@ mod tests {
         let body = Bytes::from_static(&[0x7f, 0, 0, 0, 1]);
         assert!(decode_request(body.clone()).is_err());
         assert!(decode_response(body).is_err());
+        // 0x86, the retired credit grant, is as unknown as any other.
+        assert!(decode_response(Bytes::from_static(&[0x86, 0, 0, 0, 64])).is_err());
     }
 
     #[test]

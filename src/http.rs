@@ -810,7 +810,6 @@ fn flow_json(s: &FlowSnapshot, w: &mut JsonWriter) {
         w.field("classes", s.classes);
         w.field("bucket_level", s.bucket_level);
         w.field("bucket_burst", s.bucket_burst);
-        w.field("credit_window", s.credit_window);
         w.field("producers", s.producers);
         w.key("per_class").array(|w| {
             for c in &s.per_class {
@@ -1232,7 +1231,8 @@ mod tests {
     }
 
     const BROKER: &str = r#"{"messages":{"received":7,"dispatched":21,"filter_evaluations":14,"dropped":1,"retained":2,"expired":3},"subscriptions":{"topics":2,"live":3,"durable":1,"expired":4},"journal":{"appends":12,"bytes_appended":340,"fsyncs":3,"frames_recovered":7,"torn_bytes_truncated":5,"segments_rotated":2,"segments_removed":1},"flow":{"granted":6,"deferred":1,"shed":0},"shards":[{"shard":0,"topics":1,"received":3,"dispatched":9,"filter_evaluations":7},{"shard":1,"topics":1,"received":4,"dispatched":9,"filter_evaluations":7}],"per_topic":{"a\\b\"c{d=\"e\",f}":{"received":7,"dispatched":21},"plain":{"received":0,"dispatched":0}},"topics_overflowed":1}"#;
-    const FLOW: &str = r#"{"lambda_max":159677.25,"rho_max":0.30000000000000004,"w99_objective":0.01,"headroom":1,"source":"analytic","refreshes":9,"classes":2,"bucket_level":0.0000001,"bucket_burst":1596,"credit_window":64,"producers":4,"per_class":[{"class":0,"granted":5,"deferred":1,"shed":0},{"class":1,"granted":5,"deferred":1,"shed":0}]}"#;
+    // Less the parent's `credit_window` member: the wire has no credit window.
+    const FLOW: &str = r#"{"lambda_max":159677.25,"rho_max":0.30000000000000004,"w99_objective":0.01,"headroom":1,"source":"analytic","refreshes":9,"classes":2,"bucket_level":0.0000001,"bucket_burst":1596,"producers":4,"per_class":[{"class":0,"granted":5,"deferred":1,"shed":0},{"class":1,"granted":5,"deferred":1,"shed":0}]}"#;
     const TOPICS: &str = r#"{"elapsed_secs":2.5,"shards":2,"per_topic_cap":64,"overflowed_topics":3,"anchor":{"t_rcv":0.000000852,"t_fltr":0.00000702,"t_tx":0.000017,"t_store":0},"global":{"fitted":{"mode":"full","t_rcv":0.00000085,"t_fltr":0.000007,"t_tx":0.000017,"t_store":0,"residual_rms":0.0000001,"r_squared":1,"observations":4096},"verdict":{"kind":"drift","deviations":[{"component":"t_fltr","fitted":0.000009,"configured":0.00000702,"error":0.30000000000000004,"tolerance":0.25}]}},"topics":[{"name":"a\\b\"c{d=\"e\",f}","shard":0,"messages":4096,"arrival_rate":20000,"mean_filters":1,"mean_replication":2.5,"mean_service_time":0.000024999999999999998,"fitted":{"mode":"full","t_rcv":0.00000085,"t_fltr":0.000009,"t_tx":0.000017,"t_store":0,"residual_rms":0.0000001,"r_squared":1,"observations":4096},"verdict":{"kind":"drift","deviations":[{"component":"t_fltr","fitted":0.000009,"configured":0.00000702,"error":0.30000000000000004,"tolerance":0.25}]}},{"name":"b","shard":0,"messages":4096,"arrival_rate":12000,"mean_filters":1,"mean_replication":2.5,"mean_service_time":0.000024999999999999998,"fitted":null,"verdict":{"kind":"insufficient","samples":12,"required":256}},{"name":"c","shard":1,"messages":4096,"arrival_rate":4000,"mean_filters":1,"mean_replication":2.5,"mean_service_time":0.000024999999999999998,"fitted":null,"verdict":null}]}"#;
     const SHARDS: &str = r#"{"shards":[{"shard":0,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"insufficient","samples":3,"required":1000},"forecast":null},{"shard":1,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"overloaded","utilization":1.25},"forecast":null},{"shard":2,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"calibrated","measured":{"utilization":0.30000000000000004,"mean_service_time":0.0000249,"mean_waiting_time":0.0000001,"q99":0.0001},"predicted":{"utilization":0.3,"mean_service_time":0.0000249,"mean_waiting_time":0.0000053,"q99":0.00006},"violations":0},"forecast":null},{"shard":3,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"drift","measured":{"utilization":0.30000000000000004,"mean_service_time":0.0000249,"mean_waiting_time":0.0000001,"q99":0.0001},"predicted":{"utilization":0.3,"mean_service_time":0.0000249,"mean_waiting_time":0.0000053,"q99":0.00006},"violations":0},"forecast":null}],"rebalance":{"max_mean_ratio":1.777777777777778,"skewed":true,"flag_ratio":1.25,"target_ratio":1.1,"post_ratio":1.1111111111111112,"shares":[{"shard":0,"offered_load":0.7999999999999999,"arrival_share":0.8888888888888888,"load_share":0.888888888888889,"topics":2},{"shard":1,"offered_load":0.09999999999999999,"arrival_share":0.1111111111111111,"load_share":0.11111111111111112,"topics":1}],"moves":[{"topic":"b","from":0,"to":1,"load":0.3}]}}"#;
     const TRACES: &str = r#"{"recorded":6,"capacity":1024,"ns_per_tick":0.250000,"chains":[{"trace_id":7,"start_ticks":1000,"complete":true,"monotone":true,"total_duration_ns":1000,"events":[{"stage":"receive","start_ticks":1000,"offset_ns":0,"duration_ns":250,"aux":3},{"stage":"journal","start_ticks":1010,"offset_ns":2,"duration_ns":250,"aux":3},{"stage":"filter","start_ticks":1020,"offset_ns":5,"duration_ns":250,"aux":3},{"stage":"fanout","start_ticks":1030,"offset_ns":7,"duration_ns":250,"aux":3}]},{"trace_id":8,"start_ticks":2000,"complete":false,"monotone":true,"total_duration_ns":500,"events":[{"stage":"filter","start_ticks":2000,"offset_ns":0,"duration_ns":250,"aux":3},{"stage":"wire_flush","start_ticks":2040,"offset_ns":10,"duration_ns":250,"aux":3}]}]}"#;
@@ -1313,7 +1313,6 @@ mod tests {
                 classes: 2,
                 bucket_level: tiny,
                 bucket_burst: 1596.0,
-                credit_window: 64,
                 producers: 4,
                 per_class: (0..2)
                     .map(|class| ClassSnapshot { class, granted: 5, deferred: 1, shed: 0 })

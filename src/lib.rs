@@ -12,8 +12,7 @@
 //! * [`queueing`] — the `M/GI/1-∞` analysis ([`rjms_queueing`]),
 //! * [`desim`] — discrete-event simulation ([`rjms_desim`]),
 //! * [`net`] — the TCP wire layer ([`rjms_net`]),
-//! * [`flow`] — model-driven admission control and credit-based flow
-//!   control ([`rjms_flow`]),
+//! * [`flow`] — model-driven admission control ([`rjms_flow`]),
 //! * [`metrics`] — counters, histograms, the TSC clock ([`rjms_metrics`]),
 //! * [`trace`] — the tail-sampled flight recorder ([`rjms_trace`]),
 //! * [`obs`] — the waiting-time SLO engine: metric history, burn-rate
@@ -99,8 +98,8 @@ pub mod net {
     pub use rjms_net::*;
 }
 
-/// Model-driven admission control: λ_max inversion, priority-class token
-/// buckets, and credit windows (re-export of [`rjms_flow`]).
+/// Model-driven admission control: λ_max inversion and priority-class
+/// token buckets (re-export of [`rjms_flow`]).
 pub mod flow {
     pub use rjms_flow::*;
 }

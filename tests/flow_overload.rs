@@ -11,9 +11,11 @@
 //! 3. and a control run with the gate removed blows straight past the
 //!    objective, so the protection is the gate and not the workload.
 //!
-//! A second test checks wire compatibility: a pre-flow client (no Hello,
-//! original opcodes only) round-trips unchanged against a flow-enabled
-//! server — same response opcodes, no credit frames.
+//! The wire tests hold the contract "push-back on the wire is the publish
+//! reply": a pre-flow client (no Hello, original opcodes only) round-trips
+//! unchanged against a flow-enabled server and is denied with plain error
+//! frames, and a `FEATURE_FLOW` peer gets one reply per request and its
+//! denials as typed `PublishDenied` frames.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -164,11 +166,28 @@ fn gate_keeps_admitted_w99_inside_objective_through_an_overload_wave() {
     );
 }
 
+/// One write of request frames: `first` (request id 1), `publishes`
+/// untraced publishes of `message` to topic `t` (ids 2, 3, …), then a ping
+/// whose `Pong` marks the end of the replies.
+fn pipelined(
+    first: rjms::net::Request,
+    message: &rjms::broker::Message,
+    publishes: u32,
+) -> Vec<u8> {
+    use rjms::net::wire::{encode_request, Request, WireMessage};
+    let message = WireMessage::from_message(message).without_trace();
+    let publish =
+        |request_id| Request::Publish { request_id, topic: "t".into(), message: message.clone() };
+    let ping = Request::Ping { request_id: 2 + publishes };
+    let requests = std::iter::once(first).chain((2..2 + publishes).map(publish)).chain([ping]);
+    requests.flat_map(|request| encode_request(&request).to_vec()).collect()
+}
+
 mod wire_compat {
     //! A flow-enabled server must leave pre-flow clients byte-compatible:
-    //! original opcodes in, original opcodes out, no credit frames.
+    //! original opcodes in, original opcodes out, no flow frames.
 
-    use rjms::broker::{FlowConfig, Message};
+    use rjms::broker::{FlowConfig, Message, Priority};
     use rjms::net::server::BrokerServer;
     use rjms::net::wire::{
         decode_response, encode_request, read_frame, Request, Response, WireFilter, WireMessage,
@@ -207,7 +226,7 @@ mod wire_compat {
 
         // Every frame that comes back is from the original opcode set:
         // three Oks and one untraced delivery. In particular no
-        // CreditGrant (0x86) or PublishDenied (0x87) frame may appear on
+        // PublishDenied (0x87) frame, nor the retired 0x86, may appear on
         // a connection that never negotiated FEATURE_FLOW.
         //
         // Replies come back in request order, but a delivery is not a
@@ -233,6 +252,118 @@ mod wire_compat {
             }
             other => panic!("expected a pre-flow delivery, got {other:?}"),
         }
+        server.shutdown();
+    }
+
+    /// Over budget, the compatibility throttle answers a pre-flow client's
+    /// shed publishes with plain `Error` frames (0x82).
+    #[test]
+    fn pre_flow_client_over_budget_is_shed_with_plain_error_frames() {
+        let config = rjms::broker::BrokerConfig::builder().flow(FlowConfig::default()).build();
+        let server = BrokerServer::start(config, "127.0.0.1:0").expect("bind");
+        let burst = server.broker().flow().expect("flow control on").snapshot().bucket_burst;
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+
+        // No Hello; four buckets' worth of lowest-priority publishes.
+        let publishes = 4 * burst.ceil() as u32;
+        let create = Request::CreateTopic { request_id: 1, topic: "t".into() };
+        let message = Message::builder().priority(Priority::new(0)).build();
+        stream.write_all(&super::pipelined(create, &message, publishes)).expect("send burst");
+
+        let (mut oks, mut errors) = (0, 0);
+        loop {
+            let body = read_frame(&mut stream).expect("read frame").expect("connection open");
+            match body[0] {
+                0x81 => oks += 1,
+                0x82 => errors += 1,
+                0x84 => break,
+                other => panic!("unexpected response opcode {other:#x} for a pre-flow client"),
+            }
+        }
+        assert_eq!(oks + errors, publishes + 1, "one reply per request");
+        assert!(errors > 0, "{publishes} publishes against a bucket of {burst:.0} shed nothing");
+        server.shutdown();
+    }
+}
+
+mod flow_peer {
+    //! A peer that advertised `FEATURE_FLOW`: each request gets its reply
+    //! and nothing else, and admission's denials come back typed.
+
+    use rjms::broker::{BrokerConfig, FlowConfig, Message, Priority};
+    use rjms::net::wire::{decode_response, read_frame, Request, Response, FEATURE_FLOW};
+    use rjms::net::{BrokerServer, Error, RemoteBroker};
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    #[test]
+    fn a_flow_peer_gets_one_reply_per_request_and_no_other_frame() {
+        // A second of the budget in the bucket, all of it for one producer:
+        // the 100 publishes are admitted.
+        let flow = FlowConfig::default().burst_seconds(1.0).producer_share(1.0);
+        let server = BrokerServer::start(BrokerConfig::builder().flow(flow).build(), "127.0.0.1:0")
+            .expect("bind");
+        server.broker().create_topic("t").unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+
+        let hello = Request::Hello { request_id: 1, features: FEATURE_FLOW };
+        let frames = super::pipelined(hello, &Message::builder().build(), 100);
+        stream.write_all(&frames).expect("send");
+
+        // Replies in request order and nothing between them: the Hello's
+        // Ok, one Ok per publish, the Pong.
+        let mut next = || {
+            let body = read_frame(&mut stream).expect("read frame").expect("connection open");
+            decode_response(body).expect("response decodes")
+        };
+        for request_id in 1..102 {
+            assert_eq!(next(), Response::Ok { request_id });
+        }
+        assert_eq!(next(), Response::Pong { request_id: 102 });
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_burst_past_the_budget_is_shed_and_deferred_by_type_and_the_hint_holds() {
+        // Table I constants and 100 filters: a budget of at most
+        // 1/E[B] ≈ 1 390 msgs/s, a bucket of a twentieth of a second of it.
+        let config = BrokerConfig::builder().flow(FlowConfig::default()).build();
+        let server = BrokerServer::start(config, "127.0.0.1:0").expect("bind");
+        server.broker().create_topic("t").unwrap();
+        let gate = server.broker().flow().expect("flow control on");
+        assert!(gate.lambda_max() < 1_400.0, "budget {}", gate.lambda_max());
+        let attempts = 2 * gate.snapshot().bucket_burst.ceil() as usize;
+        let client = RemoteBroker::connect(server.local_addr()).expect("connect");
+        let at = |level| Message::builder().priority(Priority::new(level)).build();
+
+        // The burst is a few hundred round trips, well inside the first
+        // one-second refresh: the analytic budget holds throughout. The
+        // lowest class is admitted down to its reserve, then shed.
+        let shed = (0..attempts).find_map(|_| client.publish("t", &at(0)).err());
+        assert!(
+            matches!(shed, Some(Error::PublishShed { class: 0 })),
+            "priority 0 got {shed:?} where the bucket passed its reserve"
+        );
+
+        // The top class is never shed: admitted, or deferred with a hint.
+        let mut hint = None;
+        for _ in 0..attempts {
+            match client.publish("t", &at(9)) {
+                Ok(()) => {}
+                Err(Error::PublishDeferred { class: 2, retry_after_ms }) => {
+                    assert!(retry_after_ms >= 1, "a deferral without a retry hint");
+                    hint = Some(retry_after_ms);
+                }
+                Err(e) => panic!("priority 9 got {e:?}"),
+            }
+        }
+        let hint = hint.expect("twice the bucket deferred no top-class publish");
+
+        // The hint is whole milliseconds, rounded down: wait one more.
+        std::thread::sleep(Duration::from_millis(hint + 1));
+        client.publish("t", &at(9)).expect("a retry after the hint is admitted");
+        drop(client);
         server.shutdown();
     }
 }
