@@ -3,16 +3,13 @@
 //! Telemetry rides the dispatch path, so its cost is a `t_*` term of its
 //! own in the paper's service-time model (Eq. 1). Each row of [`GATES`]
 //! bounds one such term: the same broker runs with the feature off and on,
-//! and the feature may take at most the row's budget of throughput.
+//! and the feature may add at most the row's budget, in nanoseconds per
+//! message.
 //!
-//! **Workloads.** *calibrated* — 64 correlation-ID filters, one of which
-//! matches, with the paper's Table I cost constants scaled by 1/32 (the
-//! unscaled constants give ~2k msg/s, minutes per run): the regime the
-//! model describes, tens of microseconds of service per message. This is
-//! the workload the gate is on. *null-work* — the same topology without a
-//! cost model, so a message costs only the dispatch machinery (~2 µs) and
-//! a feature's fixed per-message cost is as visible as it can be; reported
-//! for transparency, never gated.
+//! **Workload.** The broker as shipped, with no cost model: 64
+//! correlation-ID filters per topic, one of which matches. A message costs
+//! the dispatch machinery alone, about a microsecond, so a feature's fixed
+//! per-message cost is not hidden under synthetic service time.
 //!
 //! **One measurement** ([`saturated_run`]) publishes a fixed count from
 //! the bench thread and times until the broker has received all of it — a
@@ -20,19 +17,19 @@
 //! two-CPU host measures the scheduler. The bounded publish queue
 //! back-pressures the publisher, so once it fills the elapsed time is the
 //! dispatcher's service time. Nothing drains the subscriber queues: they
-//! hold the whole count and overflow drops new copies, so throughput never
-//! depends on consumer scheduling.
+//! hold every copy of a run, so throughput never depends on consumer
+//! scheduling.
 //!
 //! **One pairing** ([`paired`]) alternates which arm runs first from one
 //! repetition to the next, so that slow drift (thermal, background load)
-//! cancels, and the estimate is the median of the per-repetition relative
-//! differences `1 − on/off`.
+//! cancels, and the estimate is the median of the per-repetition
+//! differences in time per message, `1e9/on − 1e9/off`
+//! ([`Pair::ns_per_msg`]): the feature's own `t_feature`.
 //!
 //! `ext_overhead [gate…] [--smoke]` runs the named gates (all when none is
 //! named), writes one `BENCH_ext_<gate>_overhead.json` each, and exits
-//! non-zero when a calibrated workload is over budget, so CI runs it as a
-//! regression gate. `--smoke` uses the rows' smaller counts; the full
-//! counts are large enough for stable numbers on an idle machine.
+//! non-zero when a feature is over budget, so CI runs it as a regression
+//! gate. `--smoke` runs fewer pairs per gate than a full run.
 
 use crate::{experiment_header, BenchReport, Table};
 use rjms_broker::{
@@ -46,10 +43,6 @@ use std::time::{Duration, Instant};
 
 /// Filters installed per bench topic (one of them matches).
 const N_FILTERS: u32 = 64;
-
-/// Table I correlation-ID constants are divided by this for the calibrated
-/// workload.
-const COST_SCALE: f64 = 32.0;
 
 /// One saturated fixed-count run; returns received msgs/s.
 ///
@@ -87,9 +80,10 @@ pub struct Pair {
 }
 
 impl Pair {
-    /// The share of throughput the feature cost (negative: it was faster).
-    pub fn diff(&self) -> f64 {
-        1.0 - self.on / self.off
+    /// What the feature added to each message, in nanoseconds (negative:
+    /// the `on` arm was faster).
+    pub fn ns_per_msg(&self) -> f64 {
+        1e9 / self.on - 1e9 / self.off
     }
 }
 
@@ -115,23 +109,23 @@ pub fn median(mut values: Vec<f64>) -> f64 {
     values[values.len() / 2]
 }
 
-/// Repetitions and message counts of one mode (smoke or full).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Counts {
-    /// Paired repetitions per workload.
-    pub reps: usize,
-    /// Messages per run of the calibrated workload.
-    pub calibrated: u64,
-    /// Messages per run of the null-work workload; `None`: not run.
-    pub null_work: Option<u64>,
-}
+/// Messages per run, about 0.2 s at native speed. A run and its warm-up
+/// publish 220 k copies to a topic's matching subscriber, which its queue
+/// holds: a copy dropped on a full queue is freed on the dispatcher, and
+/// runs of 400 k and 800 k that reached that regime lost 40–50 % of their
+/// throughput.
+const MESSAGES: u64 = 200_000;
 
-const SMOKE_3: Counts = Counts { reps: 3, calibrated: 12_000, null_work: Some(40_000) };
-/// 3-rep medians on small counts swing several points on a noisy CI host;
-/// 5 reps over 25k messages keep a smoke gate's spread well inside the 5%
-/// budget where the true overhead sits near zero.
-const SMOKE_5: Counts = Counts { reps: 5, calibrated: 25_000, null_work: Some(60_000) };
-const FULL: Counts = Counts { reps: 7, calibrated: 50_000, null_work: Some(100_000) };
+/// Holds every copy a run delivers.
+const SUBSCRIBER_QUEUE: usize = 1 << 18;
+const _: () = assert!(MESSAGES + MESSAGES / 10 <= SUBSCRIBER_QUEUE as u64);
+
+/// Paired repetitions under `--smoke`, CI's gate. Single pairs spread by
+/// ±100–300 ns on a shared 2-vCPU host, the median of 11 by about 45 ns.
+const SMOKE_REPS: usize = 11;
+
+/// Paired repetitions without `--smoke`.
+const FULL_REPS: usize = 21;
 
 /// A reading taken from the broker of the `on` arm after its run, shown as
 /// one more column.
@@ -162,15 +156,11 @@ pub struct Gate {
     pub label: &'static str,
     /// The PASS/FAIL line; `{}` is "is within" or "exceeds".
     pub verdict: &'static str,
-    /// Largest accepted calibrated overhead, as a share of throughput.
-    pub budget: f64,
-    /// Counts under `--smoke`.
-    pub smoke: Counts,
-    /// Counts without it.
-    pub full: Counts,
+    /// Largest accepted cost of the feature, in nanoseconds per message.
+    pub budget_ns: f64,
     /// Topics the traffic is spread over, each with its own 64 filters.
     pub topics: usize,
-    /// What the baseline is, printed under the workload lines.
+    /// What the baseline is, printed under the workload line.
     pub note: &'static str,
     /// Constants of the set-up recorded in the artifact.
     pub fields: &'static [(&'static str, f64)],
@@ -201,26 +191,22 @@ fn sampler(broker: &Broker, forecast: bool) -> Box<dyn Any> {
     Box::new(ObsRuntime::start(ObsCore::new(config), registry, None, SAMPLE_EVERY, Vec::new))
 }
 
-/// The flow gate's seed model is the calibrated workload scaled by this,
-/// so `λ_max` sits ~1.5× above the broker's dispatch capacity and the
-/// offered load near `ρ ≈ 0.65` of the budget.
-const GATE_SCALE: f64 = 0.65;
+/// The flow gate's seed model, a native-speed message: with 64 filters and
+/// one copy `E[B]` = 60 + 64 × 2.5 + 80 ns = 0.3 µs, under half of the
+/// 0.8–1.3 µs the workload takes, so `λ_max` sits at least 2× above the
+/// broker's dispatch capacity.
+const NATIVE_SEED: CostParams =
+    CostParams { t_rcv: 60e-9, t_fltr: 2.5e-9, t_tx: 80e-9, t_store: 0.0 };
 
 fn flow_gate(builder: BrokerConfigBuilder, on: bool) -> BrokerConfigBuilder {
     if !on {
         return with_metrics(builder);
     }
-    let table1 = CostParams::CORRELATION_ID;
-    let seed = CostParams::new(
-        table1.t_rcv / COST_SCALE * GATE_SCALE,
-        table1.t_fltr / COST_SCALE * GATE_SCALE,
-        table1.t_tx / COST_SCALE * GATE_SCALE,
-    );
     // Long refresh interval: the drift loop must not recalibrate the
     // budget mid-measurement. One producer, so no per-producer cap.
     with_metrics(builder).flow(
         FlowConfig::default()
-            .params(seed)
+            .params(NATIVE_SEED)
             .filters(N_FILTERS)
             .w99_objective(0.010)
             .producer_share(1.0)
@@ -243,24 +229,23 @@ fn flow_utilization(broker: &Broker, rate: f64) -> f64 {
     rate / snap.lambda_max
 }
 
-/// The six gates. All six share the 5% budget today; the column stays so
-/// that each row says what it is held to.
+/// The six gates. Each budget is the largest median of 25 rounds on a
+/// shared 2-vCPU host plus about 60 ns, rounded up to a multiple of 50 ns;
+/// EXPERIMENTS.md has the rounds.
 pub static GATES: [Gate; 6] = [
     // The metrics layer (per-message waiting/service/sojourn histograms
     // plus the sampled Eq. 1 stage decomposition) sits directly on the
     // dispatcher hot path. The baseline is a broker with no telemetry at
-    // all. On null-work its two clock reads per message (publish stamp +
-    // fan-out end; the dispatch start reuses the previous end) are a fixed
-    // ~100–150 ns made maximally visible.
+    // all. Per message: two clock reads (publish stamp + fan-out end; the
+    // dispatch start reuses the previous end), a backlog read and three
+    // staged histogram samples.
     Gate {
         name: "observer",
         section: "extension (observability)",
-        description: "dispatch throughput with the metrics layer on vs off; gate at 5%",
+        description: "per-message cost of the metrics layer: dispatch with it on vs off",
         label: "metrics",
-        verdict: "metrics layer {} the overhead budget on the calibrated workload",
-        budget: 0.05,
-        smoke: SMOKE_3,
-        full: FULL,
+        verdict: "metrics layer {} its budget",
+        budget_ns: 500.0,
         topics: 1,
         note: "",
         fields: &[],
@@ -279,12 +264,10 @@ pub static GATES: [Gate; 6] = [
     Gate {
         name: "trace",
         section: "extension (observability)",
-        description: "dispatch throughput with the flight recorder on vs off; gate at 5%",
+        description: "per-message cost of the flight recorder: dispatch with it on vs off",
         label: "trace",
-        verdict: "flight recorder {} the overhead budget on the calibrated workload",
-        budget: 0.05,
-        smoke: SMOKE_3,
-        full: FULL,
+        verdict: "flight recorder {} its budget",
+        budget_ns: 650.0,
         topics: 1,
         note: "baseline is metrics-on in both: the diff isolates the recorder",
         fields: &[],
@@ -308,12 +291,10 @@ pub static GATES: [Gate; 6] = [
     Gate {
         name: "obs",
         section: "extension (observability)",
-        description: "dispatch throughput with the SLO engine sampling vs not; gate at 5%",
+        description: "per-message cost of the SLO engine: dispatch with it sampling vs not",
         label: "obs",
-        verdict: "SLO engine {} the overhead budget on the calibrated workload",
-        budget: 0.05,
-        smoke: SMOKE_5,
-        full: FULL,
+        verdict: "SLO engine {} its budget",
+        budget_ns: 150.0,
         topics: 1,
         note: "baseline is metrics-on in both; sampler at 25 ms (production default 1 s)",
         fields: &[("sample_interval_ms", SAMPLE_EVERY.as_millis() as f64)],
@@ -323,23 +304,20 @@ pub static GATES: [Gate; 6] = [
     },
     // One token-bucket check under a mutex on every publish, plus a
     // decision-latency histogram sample. Measured with the gate's budget
-    // *above* the offered load (`GATE_SCALE`), the production regime:
-    // at or below ρ ≈ 0.7 of the budget, admission control must cost less
-    // than 5% and shed nothing (`flow_utilization` asserts the latter).
-    // Without a cost model there is no budget to sit below, so no
-    // null-work workload.
+    // *above* the offered load (`NATIVE_SEED`), the production regime:
+    // below budget, admission control must shed nothing
+    // (`flow_utilization` asserts it) and cost little.
     Gate {
         name: "flow",
         section: "extension (flow control)",
-        description: "publish throughput with the admission gate on vs off below budget; \
-                      gate at 5%",
+        description: "per-message cost of the admission gate below budget: publish with it on \
+                      vs off",
         label: "flow",
-        verdict: "admission gate {} the overhead budget below lambda_max",
-        budget: 0.05,
-        smoke: Counts { null_work: None, ..SMOKE_5 },
-        full: Counts { null_work: None, ..FULL },
+        verdict: "admission gate {} its budget below lambda_max",
+        budget_ns: 200.0,
         topics: 1,
-        note: "gate budget: same constants x 0.65, so lambda_max sits ~1.5x above capacity",
+        note: "gate seeded with E[B] = 0.3 us (t_rcv 60 ns, t_fltr 2.5 ns, t_tx 80 ns), so \
+               lambda_max sits >= 2x above capacity",
         fields: &[],
         configure: flow_gate,
         attach: |_, _| None,
@@ -347,25 +325,21 @@ pub static GATES: [Gate; 6] = [
             check: flow_utilization,
             column: "rho (budget)",
             field: "peak_budget_utilization",
-            summary: "peak budget utilization across reps: rho = {} (regime: rho <= 0.7)",
+            summary: "peak budget utilization across reps: rho = {} (regime: rho <= 0.5)",
         }),
     },
-    // One thread-local `HashMap` upsert per message (ten floating-point
-    // accumulations into the staged regression sums) plus a mutex-guarded
-    // merge into the shared table every `FLUSH_EVERY` messages or on idle.
-    // Traffic is spread over eight topics so that the staging map holds
-    // more than one entry and the merge path sees contention. Metrics on in
-    // both arms (the observatory implies them).
+    // One uncontended lock of the topic's observatory account and ten
+    // floating-point accumulations into its regression sums per message.
+    // Traffic is spread over eight topics so that eight accounts are
+    // written. Metrics on in both arms (the observatory implies them).
     Gate {
         name: "topic_obs",
         section: "extension (observability)",
-        description: "dispatch throughput with the per-topic observatory recording vs not; \
-                      gate at 5%",
+        description: "per-message cost of the per-topic observatory: dispatch with it recording \
+                      vs not",
         label: "obs",
-        verdict: "per-topic observatory {} the overhead budget",
-        budget: 0.05,
-        smoke: SMOKE_5,
-        full: FULL,
+        verdict: "per-topic observatory {} its budget",
+        budget_ns: 200.0,
         topics: 8,
         note: "baseline is metrics-on in both; observatory at its default cap",
         fields: &[],
@@ -390,12 +364,10 @@ pub static GATES: [Gate; 6] = [
     Gate {
         name: "forecast",
         section: "extension (observability)",
-        description: "dispatch throughput with the saturation forecaster on vs off; gate at 5%",
+        description: "per-message cost of the saturation forecaster: dispatch with it on vs off",
         label: "forecast",
-        verdict: "the forecaster {} the overhead budget on the calibrated workload",
-        budget: 0.05,
-        smoke: SMOKE_5,
-        full: FULL,
+        verdict: "the forecaster {} its budget",
+        budget_ns: 200.0,
         topics: 1,
         note: "baseline is metrics + SLO engine in both; sampler at 25 ms \
                (production default 1 s)",
@@ -409,16 +381,12 @@ pub static GATES: [Gate; 6] = [
 impl Gate {
     /// One arm's run on a broker of its own: msgs/s, and the `after`
     /// reading of an `on` arm.
-    fn measure(&self, on: bool, cost: Option<CostParams>, n: u64) -> (f64, Option<f64>) {
-        let mut builder = BrokerConfig::builder()
+    fn measure(&self, on: bool) -> (f64, Option<f64>) {
+        let builder = BrokerConfig::builder()
             .publish_queue_capacity(256)
-            .subscriber_queue_capacity(1 << 18)
+            .subscriber_queue_capacity(SUBSCRIBER_QUEUE)
             .overflow_policy(OverflowPolicy::DropNew);
-        builder = (self.configure)(builder, on);
-        if let Some(cost) = cost {
-            builder = builder.cost_model(cost);
-        }
-        let broker = Broker::start(builder.build());
+        let broker = Broker::start((self.configure)(builder, on).build());
         // Per topic one matching subscriber and 63 that do not match: the
         // dispatcher scans all 64 filters per message and copies once.
         let mut publishers = Vec::with_capacity(self.topics);
@@ -433,42 +401,37 @@ impl Gate {
             publishers.push(broker.publisher(&topic).unwrap());
         }
         let side_car = (self.attach)(&broker, on);
-        let rate = saturated_run(&broker, &publishers, n);
+        let rate = saturated_run(&broker, &publishers, MESSAGES);
         let reading = self.after.filter(|_| on).map(|after| (after.check)(&broker, rate));
         drop(side_car); // joins its thread before the broker goes away
         broker.shutdown();
         (rate, reading)
     }
 
-    /// Runs the gate, prints its tables, writes its artifact; `true` when
-    /// the calibrated overhead is within the budget.
+    /// The feature's cost, the median of the pairs' ns per message, and
+    /// whether it is within the budget.
+    fn judge(&self, pairs: &[Pair]) -> (f64, bool) {
+        let cost = median(pairs.iter().map(Pair::ns_per_msg).collect());
+        (cost, cost <= self.budget_ns)
+    }
+
+    /// Runs the gate, prints its table, writes its artifact; `true` when
+    /// the feature's cost is within the budget.
     pub fn run(&self, smoke: bool) -> bool {
         let id = format!("ext_{}_overhead", self.name);
         let mut report = BenchReport::new(&id);
-        let counts = if smoke { self.smoke } else { self.full };
+        let reps = if smoke { SMOKE_REPS } else { FULL_REPS };
         experiment_header(&id, self.section, self.description);
         if smoke {
-            println!("smoke mode: reduced counts and repetitions, CI regression gate\n");
+            println!("smoke mode: fewer repetitions, CI regression gate\n");
         }
-
-        let table1 = CostParams::CORRELATION_ID;
-        let calibrated = CostParams::new(
-            table1.t_rcv / COST_SCALE,
-            table1.t_fltr / COST_SCALE,
-            table1.t_tx / COST_SCALE,
-        );
         let spread = match self.topics {
             1 => String::new(),
             topics => format!(" x {topics} topics"),
         };
         println!(
-            "calibrated workload: Table I (correlation ID) / {COST_SCALE:.0}, \
-             {N_FILTERS} filters{spread} -> E[B] = {:.1} us/msg",
-            calibrated.mean_service_time(N_FILTERS, 1.0) * 1e6
+            "workload: no cost model, {N_FILTERS} filters{spread}, {MESSAGES} messages per run"
         );
-        if counts.null_work.is_some() {
-            println!("null-work workload:  no cost model, dispatch machinery only");
-        }
         if !self.note.is_empty() {
             println!("{}", self.note);
         }
@@ -479,71 +442,48 @@ impl Gate {
             "rep".to_owned(),
             format!("{label} off (msg/s)"),
             format!("{label} on (msg/s)"),
-            "overhead".to_owned(),
+            "ns/msg".to_owned(),
         ];
-        if counts.null_work.is_some() {
-            headers.insert(0, "workload".to_owned());
-        }
         headers.extend(self.after.map(|after| after.column.to_owned()));
         let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
         let mut table = Table::new(&headers);
         let mut readings = Vec::new();
-        let mut workload = |name: &str, cost: Option<CostParams>, n: u64| {
-            let first = readings.len();
-            let pairs = paired(counts.reps, |on| {
-                let (rate, reading) = self.measure(on, cost, n);
-                readings.extend(reading);
-                rate
-            });
-            for (rep, pair) in pairs.iter().enumerate() {
-                let mut cells = vec![
-                    (rep + 1).to_string(),
-                    format!("{:.0}", pair.off),
-                    format!("{:.0}", pair.on),
-                    format!("{:+.2}%", pair.diff() * 100.0),
-                ];
-                if counts.null_work.is_some() {
-                    cells.insert(0, name.to_owned());
-                }
-                cells.extend(readings.get(first + rep).map(|reading| format!("{reading:.2}")));
-                table.row_strings(cells);
-            }
-            median(pairs.iter().map(Pair::diff).collect())
-        };
-        let gated = workload("calibrated", Some(calibrated), counts.calibrated);
-        let null = counts.null_work.map(|n| workload("null-work", None, n));
+        let pairs = paired(reps, |on| {
+            let (rate, reading) = self.measure(on);
+            readings.extend(reading);
+            rate
+        });
+        for (rep, pair) in pairs.iter().enumerate() {
+            let mut cells = vec![
+                (rep + 1).to_string(),
+                format!("{:.0}", pair.off),
+                format!("{:.0}", pair.on),
+                format!("{:+.1}", pair.ns_per_msg()),
+            ];
+            cells.extend(readings.get(rep).map(|reading| format!("{reading:.2}")));
+            table.row_strings(cells);
+        }
         table.print();
 
+        let (cost, pass) = self.judge(&pairs);
         println!();
         println!(
-            "calibrated overhead (median of paired diffs): {:+.2}%  [GATE: budget {:.0}%]",
-            gated * 100.0,
-            self.budget * 100.0
+            "feature cost (median of paired diffs): {cost:+.1} ns/msg  [GATE: budget {:.0} ns/msg]",
+            self.budget_ns
         );
-        if let Some(null) = null {
-            println!(
-                "null-work overhead (median of paired diffs): {:+.2}%  [informational]",
-                null * 100.0
-            );
-        }
         let peak = readings.iter().copied().fold(0.0, f64::max);
         if let Some(after) = self.after {
             println!("{}", after.summary.replace("{}", &format!("{peak:.2}")));
         }
 
-        let pass = gated <= self.budget;
-        report.flag("smoke", smoke).uint("reps", counts.reps as u64);
+        report.flag("smoke", smoke).uint("reps", reps as u64).uint("messages", MESSAGES);
         for (field, value) in self.fields {
             report.num(field, *value);
         }
         if self.topics > 1 {
             report.uint("topics", self.topics as u64);
         }
-        match null {
-            Some(null) => report.num("calibrated_overhead", gated).num("null_work_overhead", null),
-            None => report.uint("messages", counts.calibrated).num("overhead", gated),
-        };
-        report.num("budget", self.budget);
+        report.num("ns_per_msg", cost).num("budget_ns", self.budget_ns);
         if let Some(after) = self.after {
             report.num(after.field, peak);
         }
@@ -573,8 +513,17 @@ mod tests {
         });
         assert_eq!(order, [false, true, true, false, false, true, true, false]);
         assert_eq!(pairs, vec![Pair { off: 100.0, on: 90.0 }; 4]);
-        assert!((pairs[0].diff() - 0.10).abs() < 1e-12);
         assert!(paired(0, |_| unreachable!()).is_empty());
+    }
+
+    #[test]
+    fn ns_per_msg_is_the_time_the_feature_adds_to_a_message() {
+        // 1 M msgs/s is 1000 ns a message, 800 k is 1250.
+        let slower = Pair { off: 1e6, on: 8e5 };
+        assert!((slower.ns_per_msg() - 250.0).abs() < 1e-9);
+        let faster = Pair { off: 8e5, on: 1e6 };
+        assert!((faster.ns_per_msg() + 250.0).abs() < 1e-9);
+        assert_eq!(Pair { off: 1e6, on: 1e6 }.ns_per_msg(), 0.0);
     }
 
     #[test]
@@ -584,15 +533,16 @@ mod tests {
         assert_eq!(median(vec![0.5]), 0.5);
     }
 
+    /// Against a 1 µs message, a feature 10 ns over its row's budget fails
+    /// and one 10 ns under passes.
     #[test]
-    fn six_percent_fails_a_five_percent_budget_and_four_passes() {
-        let overhead = |on_rate: f64| {
-            let pairs = paired(5, |on| if on { on_rate } else { 100.0 });
-            median(pairs.iter().map(Pair::diff).collect())
-        };
+    fn ten_ns_over_a_budget_fails_and_ten_under_passes() {
+        let pairs = |added_ns: f64| paired(5, |on| if on { 1e9 / (1e3 + added_ns) } else { 1e6 });
         for gate in &GATES {
-            assert!(overhead(94.0) > gate.budget, "{}: 6% must fail", gate.name);
-            assert!(overhead(96.0) <= gate.budget, "{}: 4% must pass", gate.name);
+            let (over, pass) = gate.judge(&pairs(gate.budget_ns + 10.0));
+            assert!(!pass && over > gate.budget_ns, "{}: {over} ns must fail", gate.name);
+            let (under, pass) = gate.judge(&pairs(gate.budget_ns - 10.0));
+            assert!(pass && under < gate.budget_ns, "{}: {under} ns must pass", gate.name);
         }
     }
 

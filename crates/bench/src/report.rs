@@ -6,8 +6,8 @@
 //! The shape is deliberately trivial — one object, scalar values only:
 //!
 //! ```json
-//! {"bench":"ext_observer_overhead","smoke":true,
-//!  "calibrated_overhead":0.013,"budget":0.05,"pass":true}
+//! {"bench":"ext_observer_overhead","smoke":true,"reps":11,"messages":200000,
+//!  "ns_per_msg":172.4,"budget_ns":500.0,"pass":true}
 //! ```
 
 use rjms_metrics::json::JsonWriter;

@@ -325,8 +325,8 @@ impl SubscriberQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{MetricsConfig, PersistenceConfig};
-    use crate::probe::NoProbe;
+    use crate::config::{BrokerConfigBuilder, MetricsConfig, PersistenceConfig, TraceConfig};
+    use crate::probe::{NoProbe, Telemetry};
     use crate::subscriptions::LiveFlag;
     use crate::{Broker, BrokerConfig, Filter, Subscriber};
     use crossbeam::channel::unbounded;
@@ -509,6 +509,69 @@ mod tests {
         broker.shutdown();
     }
 
+    /// Messages each clock-read count dispatches.
+    const CLOCKED: u64 = 100;
+
+    /// The probe's clock reads while the core dispatches [`CLOCKED`]
+    /// publishes, all queued beforehand, to a topic with one subscription
+    /// per entry of `selectors` (`None`: no filter). The first message has no
+    /// previous fan-out end to start at, like one the dispatcher blocked for.
+    fn clock_reads(config: BrokerConfig, selectors: &[Option<&str>]) -> u64 {
+        let broker = Broker::start(config);
+        broker.create_topic("t").unwrap();
+        let _subscribers: Vec<Subscriber> = selectors
+            .iter()
+            .map(|selector| {
+                let subscription = broker.subscription("t");
+                match selector {
+                    Some(source) => subscription.filter(Filter::selector(source).unwrap()),
+                    None => subscription,
+                }
+                .open()
+                .unwrap()
+            })
+            .collect();
+        let (publish_tx, publish_rx) = unbounded();
+        for _ in 0..CLOCKED {
+            let message = Message::builder().property("key", 0i64).build();
+            publish_tx.send(item(&broker, "t", message)).unwrap();
+        }
+        publish_tx.send(DispatchItem::Shutdown).unwrap();
+        let probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let before = Telemetry::clock_reads();
+        run(&broker.inner, 0, &publish_rx, probe);
+        let reads = Telemetry::clock_reads() - before;
+        broker.shutdown();
+        reads
+    }
+
+    /// A queued message whose stages are not clocked reads the clock once,
+    /// at its fan-out end. Each clocked stage reads it twice more: receive,
+    /// journal, the resolve step of a topic with selectors, the scan, and
+    /// one fan-out per copy. A sampled message clocks every stage, and so
+    /// does every message under tracing.
+    #[test]
+    fn a_message_reads_the_clock_once_and_twice_more_per_clocked_stage() {
+        // Two hits and a miss: a resolve step and two copies. One plain
+        // subscription: neither resolve nor a second copy.
+        let selectors = [Some("key = 0"), Some("key = 0"), Some("key = 1")];
+        let plain = [None];
+        let reads = |config: BrokerConfigBuilder| {
+            let config = config.build();
+            (clock_reads(config.clone(), &selectors), clock_reads(config, &plain))
+        };
+        let metrics = |every| {
+            BrokerConfig::builder().metrics(MetricsConfig::default().stage_sample_every(every))
+        };
+        // Receive, journal, resolve, scan and two fan-outs; receive,
+        // journal, scan and one fan-out.
+        let clocked = |stages: u64| 1 + CLOCKED * (1 + 2 * stages);
+        assert_eq!(reads(metrics(u64::MAX)), (1 + CLOCKED, 1 + CLOCKED));
+        assert_eq!(reads(metrics(1)), (clocked(6), clocked(4)));
+        let traced = metrics(u64::MAX).trace(TraceConfig::default());
+        assert_eq!(reads(traced), (clocked(6), clocked(4)));
+    }
+
     fn persistent_broker(tag: &str, fsync: FsyncPolicy, config: BrokerConfig) -> (Broker, PathBuf) {
         let dir = rjms_journal::scratch_dir(tag);
         // One segment: a rotation syncs megabytes, an outlier that a test
@@ -641,7 +704,7 @@ mod tests {
                 .unwrap();
         }
         publish_tx.send(DispatchItem::Shutdown).unwrap();
-        let probe = crate::probe::Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
         run(&broker.inner, 0, &publish_rx, probe);
 
         let after = journal_clock();

@@ -29,7 +29,7 @@ use crate::topic_obs::TopicObservatory;
 use rjms_metrics::{clock, Counter};
 use rjms_trace::{FlightRecorder, SpanEvent, Stage};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What the core knows about a message once its fan-out is complete.
 pub(crate) struct Dispatched<'a> {
@@ -90,6 +90,32 @@ pub(crate) trait DispatchProbe {
 pub(crate) struct NoProbe;
 
 impl DispatchProbe for NoProbe {}
+
+/// Reads the instrumentation clock (ticks); test builds count the reads
+/// on this thread ([`Telemetry::clock_reads`]).
+#[inline]
+fn now() -> u64 {
+    #[cfg(test)]
+    tests::CLOCK_READS.with(|reads| reads.set(reads.get() + 1));
+    clock::now()
+}
+
+/// Reads the clock a stage is timed with, counted like [`now`].
+#[inline]
+fn instant() -> Instant {
+    #[cfg(test)]
+    tests::CLOCK_READS.with(|reads| reads.set(reads.get() + 1));
+    Instant::now()
+}
+
+/// The time since `start`: one more read of [`instant`]'s clock, counted
+/// like [`now`].
+#[inline]
+fn elapsed(start: Instant) -> Duration {
+    #[cfg(test)]
+    tests::CLOCK_READS.with(|reads| reads.set(reads.get() + 1));
+    start.elapsed()
+}
 
 /// Fires once every `every` ticks (cheaper than a modulo on the hot
 /// path); never when `every` is 0.
@@ -231,6 +257,13 @@ impl<'a> Telemetry<'a> {
         })
     }
 
+    /// How many times a probe has read a clock on this thread (test
+    /// builds).
+    #[cfg(test)]
+    pub(crate) fn clock_reads() -> u64 {
+        tests::CLOCK_READS.with(std::cell::Cell::get)
+    }
+
     fn to_ns(&self, ticks: u64) -> u64 {
         (ticks as f64 * self.metrics.ns_per_tick) as u64
     }
@@ -305,7 +338,7 @@ impl DispatchProbe for Telemetry<'_> {
         self.scratch.record_backlog(backlog() as u64);
         self.sample_stages = self.stage_sampler.tick();
         let reuse = if was_queued { self.last_end } else { None };
-        self.dispatch_start = reuse.unwrap_or_else(clock::now);
+        self.dispatch_start = reuse.unwrap_or_else(now);
         self.enqueued_at = enqueued_at.unwrap_or(self.dispatch_start);
         self.stage_ns = [0; 4];
         self.uniform_keep = self.trace.as_mut().is_some_and(|t| t.uniform.tick());
@@ -331,9 +364,9 @@ impl DispatchProbe for Telemetry<'_> {
         // a scan over hundreds of filters stays cheap) and the time of the
         // stages nested inside it is subtracted afterwards.
         let nested_before: u64 = self.stage_ns.iter().sum();
-        let start = Instant::now();
+        let start = instant();
         let out = work(self);
-        let total = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let total = u64::try_from(elapsed(start).as_nanos()).unwrap_or(u64::MAX);
         let nested = self.stage_ns.iter().sum::<u64>() - nested_before;
         self.stage_ns[stage as usize] += total.saturating_sub(nested);
         out
@@ -362,7 +395,7 @@ impl DispatchProbe for Telemetry<'_> {
             metrics.stage_filter.record(filter);
             metrics.stage_fanout.record(fanout);
         }
-        let end = clock::now();
+        let end = now();
         self.last_end = Some(end);
         let dispatch_start = self.dispatch_start;
         // Saturating differences: cross-core tick skew must clamp to zero
@@ -406,7 +439,13 @@ mod tests {
     use super::*;
     use crate::config::MetricsConfig;
     use crate::{Broker, BrokerConfig};
+    use std::cell::Cell;
     use std::time::Duration;
+
+    thread_local! {
+        /// [`Telemetry::clock_reads`].
+        pub(super) static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
+    }
 
     /// An idle broker whose instruments a test-driven probe feeds; its topic.
     fn broker(stage_sample_every: u64) -> (Broker, Arc<Topic>) {
@@ -444,6 +483,24 @@ mod tests {
         assert!(probe.dispatch_start >= after_expiry, "stale dispatch start");
         assert!(probe.sample_stages, "the expired message's sample slot moved on");
         probe.on_done(&done(&topic, &message));
+        broker.shutdown();
+    }
+
+    /// A message the dispatcher found queued reads the clock once, at its
+    /// fan-out end, its start being the previous end; one it blocked for
+    /// reads it once more, for its start.
+    #[test]
+    fn a_queued_message_reads_the_clock_once_and_a_blocked_for_one_twice() {
+        let (broker, topic) = broker(u64::MAX);
+        let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let message = Message::builder().build();
+        let mut reads = |was_queued| {
+            let before = Telemetry::clock_reads();
+            probe.on_dequeue(&topic, &message, None, was_queued, || 0);
+            probe.on_done(&done(&topic, &message));
+            Telemetry::clock_reads() - before
+        };
+        assert_eq!([reads(false), reads(true), reads(true), reads(false)], [2, 1, 1, 2]);
         broker.shutdown();
     }
 
