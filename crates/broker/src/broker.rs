@@ -23,7 +23,7 @@
 //! dispatcher measures itself through its probe ([`crate::probe`]):
 //! per-message waiting, service and sojourn times land in lock-free
 //! histograms (see [`crate::metrics`]), with the Eq. 1 stage decomposition
-//! sampled every Nth message.
+//! sampled on one message in 64.
 
 use crate::config::{BrokerConfig, MetricsConfig, TRACE_EVENTS};
 use crate::dispatch::{self, SubscriberQueue, Wake};
@@ -31,10 +31,10 @@ use crate::durable::DurableState;
 use crate::error::{Error, TryPublishError};
 use crate::filter::Filter;
 use crate::message::Message;
-use crate::metrics::BrokerMetrics;
+use crate::metrics::{BrokerMetrics, PER_TOPIC_SERIES};
 use crate::pattern::TopicPattern;
 use crate::persist::{recover_topics, JournalRecord};
-use crate::probe::{NoProbe, Telemetry};
+use crate::probe::{NoProbe, Telemetry, STAGE_SAMPLE_EVERY};
 use crate::reports::{
     cost_anchor, flow_refresh_loop, model_text, shard_monitors_of, shard_reports_of, snapshot_of,
     ShardReport,
@@ -213,23 +213,24 @@ impl BrokerInner {
     }
 
     /// Builds a topic, created or recovered, and assigns what it owns in each
-    /// enabled per-topic table: the first [`MetricsConfig::per_topic_series`]
-    /// of the broker's topics (`existing` came before this one) get a labeled
-    /// series pair of their own, the first `per_topic_cap` an observatory
-    /// account; later ones share `__other__`. A topic denied a slot of its
-    /// own in either table is counted in `topics_overflowed` once, here.
+    /// enabled per-topic table: with metrics on, the first
+    /// [`PER_TOPIC_SERIES`] of the broker's topics (`existing` came before
+    /// this one) get a labeled series pair of their own, the first
+    /// `per_topic_cap` an observatory account; later ones share `__other__`.
+    /// A topic denied a slot of its own in either table is counted in
+    /// `topics_overflowed` once, here.
     fn new_topic(&self, name: &str, subs: Subscriptions, existing: usize) -> Arc<Topic> {
-        let series_cap = self.config.metrics.map(|m| m.per_topic_series).filter(|cap| *cap > 0);
         let account_cap = self.config.topic_obs.map(|o| o.per_topic_cap);
-        let series = series_cap.zip(self.metrics.as_ref()).map(|(cap, metrics)| {
-            let label = if existing < cap { name } else { OTHER_TOPIC };
+        let series = self.metrics.as_ref().map(|metrics| {
+            let label = if existing < PER_TOPIC_SERIES { name } else { OTHER_TOPIC };
             let counter = |base| metrics.registry.counter(&labeled(base, &[("topic", label)]));
             TopicSeries {
                 received: counter("broker.topic.received"),
                 dispatched: counter("broker.topic.dispatched"),
             }
         });
-        if [series_cap, account_cap].into_iter().flatten().any(|cap| existing >= cap) {
+        let series_overflow = self.metrics.is_some() && existing >= PER_TOPIC_SERIES;
+        if series_overflow || account_cap.is_some_and(|cap| existing >= cap) {
             self.stats.record_topic_overflowed();
             if let Some(metrics) = &self.metrics {
                 metrics.registry.counter("broker.topics_overflowed").inc();
@@ -331,10 +332,10 @@ impl Broker {
         let journal = config.persistence.as_ref().map(|persistence| {
             let (journal, _report) = Journal::open(persistence.journal.clone())
                 .expect("failed to open the write-ahead journal");
-            recovered = recover_topics(&journal, &config, &live_flags);
+            recovered = recover_topics(&journal, &live_flags);
             Mutex::new(journal)
         });
-        let metrics = config.metrics.map(|m| BrokerMetrics::new(m.stage_sample_every));
+        let metrics = config.metrics.map(|_| BrokerMetrics::new());
         if let (Some(metrics), Some(journal)) = (&metrics, &journal) {
             // The journal's always-on latency instruments surface in the
             // broker's registry under the `journal.*` names.
@@ -400,9 +401,13 @@ impl Broker {
                 // probe unless the broker holds live instruments.
                 std::thread::Builder::new()
                     .name(name)
-                    .spawn(move || match Telemetry::new(&dispatcher_inner, shard) {
-                        Some(probe) => dispatch::run(&dispatcher_inner, shard, &publish_rx, probe),
-                        None => dispatch::run(&dispatcher_inner, shard, &publish_rx, NoProbe),
+                    .spawn(move || {
+                        match Telemetry::new(&dispatcher_inner, shard, STAGE_SAMPLE_EVERY) {
+                            Some(probe) => {
+                                dispatch::run(&dispatcher_inner, shard, &publish_rx, probe)
+                            }
+                            None => dispatch::run(&dispatcher_inner, shard, &publish_rx, NoProbe),
+                        }
                     })
                     .expect("failed to spawn dispatcher thread")
             })
@@ -593,7 +598,7 @@ impl Broker {
     /// Connects to (or creates) a durable subscription.
     ///
     /// While no consumer is connected, matching messages are retained (up
-    /// to [`crate::BrokerConfig::durable_buffer_capacity`], oldest dropped)
+    /// to 65 536, the oldest dropped)
     /// and delivered ahead of live traffic on the next connect — the
     /// paper's *durable mode*. Reconnecting with a *different* filter
     /// discards the retained backlog, matching JMS's change-of-selector
@@ -991,29 +996,20 @@ impl Publisher {
     }
 
     /// Runs the admission gate (no-op when flow control is off),
-    /// converting shed/deferred outcomes into typed errors and counting
-    /// them in [`BrokerStats`].
+    /// converting shed/deferred outcomes into typed errors. The gate counts
+    /// its own decisions.
     fn admit(&self, message: &Message) -> Result<(), Error> {
         let Some(gate) = &self.inner.flow else { return Ok(()) };
         // With persistence on, every publish is durable (the paper's
         // persistent mode) and pins to the top admission class.
         let durable = self.inner.journal.is_some();
         match gate.admit(self.producer_id, message.priority().level(), durable) {
-            AdmissionOutcome::Granted => {
-                self.inner.stats.record_flow_granted();
-                Ok(())
-            }
-            AdmissionOutcome::Deferred { class, retry_after } => {
-                self.inner.stats.record_flow_deferred();
-                Err(Error::PublishDeferred {
-                    class,
-                    retry_after_ms: retry_after.as_millis() as u64,
-                })
-            }
-            AdmissionOutcome::Shed { class } => {
-                self.inner.stats.record_flow_shed();
-                Err(Error::PublishShed { class })
-            }
+            AdmissionOutcome::Granted => Ok(()),
+            AdmissionOutcome::Deferred { class, retry_after } => Err(Error::PublishDeferred {
+                class,
+                retry_after_ms: retry_after.as_millis() as u64,
+            }),
+            AdmissionOutcome::Shed { class } => Err(Error::PublishShed { class }),
         }
     }
 
@@ -1548,38 +1544,33 @@ mod tests {
         b.shutdown();
     }
 
+    /// Every message is timed; the stages of about one in 64.
     #[test]
     fn metrics_record_waiting_service_and_stages() {
-        let b = Broker::start(
-            BrokerConfig::builder().metrics(MetricsConfig::default().stage_sample_every(1)).build(),
-        );
+        const MESSAGES: u64 = 16 * STAGE_SAMPLE_EVERY;
+        let b = Broker::start(BrokerConfig::builder().metrics(MetricsConfig::default()).build());
         b.create_topic("t").unwrap();
         let sub = b.subscription("t").open().unwrap();
         let p = b.publisher("t").unwrap();
-        for _ in 0..16 {
+        for _ in 0..MESSAGES {
             p.publish(Message::builder().build()).unwrap();
-        }
-        for _ in 0..16 {
             assert!(sub.receive_timeout(Duration::from_secs(2)).is_some());
         }
         let registry = b.metrics().expect("metrics enabled");
         let mut snap = registry.snapshot();
         for _ in 0..200 {
-            if snap.histogram("broker.sojourn_ns").map(|h| h.count) == Some(16) {
+            if snap.histogram("broker.sojourn_ns").map(|h| h.count) == Some(MESSAGES) {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
             snap = registry.snapshot();
         }
-        for name in [
-            "broker.waiting_ns",
-            "broker.service_ns",
-            "broker.sojourn_ns",
-            "broker.stage.filter_ns",
-        ] {
+        for name in ["broker.waiting_ns", "broker.service_ns", "broker.sojourn_ns"] {
             let h = snap.histogram(name).unwrap_or_else(|| panic!("{name} empty"));
-            assert_eq!(h.count, 16, "{name}");
+            assert_eq!(h.count, MESSAGES, "{name}");
         }
+        let stages = snap.histogram("broker.stage.filter_ns").expect("sampled stages").count;
+        assert!((8..=32).contains(&stages), "{stages} of {MESSAGES} messages sampled");
         // Sojourn dominates each component.
         let sojourn = snap.histogram("broker.sojourn_ns").unwrap();
         let waiting = snap.histogram("broker.waiting_ns").unwrap();
@@ -1623,11 +1614,13 @@ mod tests {
         b.shutdown();
     }
 
+    /// The bucket holds a twentieth of a second of a budget of at most
+    /// 1 390 msgs/s (Table I constants, 100 filters): it drains after a few
+    /// dozen back-to-back publishes, and priority 0 maps to class 0 and is
+    /// shed. The snapshot's counters are the sums of the gate's per class.
     #[test]
     fn flow_gate_sheds_lowest_class_under_burst_overload() {
-        // A one-millisecond burst budget drains after a handful of
-        // back-to-back publishes; priority 0 maps to class 0 and is shed.
-        let config = crate::config::FlowConfig::default().burst_seconds(0.001);
+        let config = crate::config::FlowConfig::default();
         let b = Broker::start(BrokerConfig::builder().flow(config).build());
         b.create_topic("t").unwrap();
         let p = b.publisher("t").unwrap();
@@ -1647,12 +1640,19 @@ mod tests {
         let flow = b.snapshot().flow.expect("flow counters present");
         assert_eq!(flow.shed, shed);
         assert!(flow.granted > 0);
+        let per_class = b.flow().expect("gate present").snapshot().per_class;
+        let sum = |count: fn(&rjms_flow::ClassSnapshot) -> u64| per_class.iter().map(count).sum();
+        assert_eq!(
+            (flow.granted, flow.deferred, flow.shed),
+            (sum(|c| c.granted), sum(|c| c.deferred), sum(|c| c.shed))
+        );
+        assert_eq!(flow.granted + flow.deferred + flow.shed, 10_000);
         b.shutdown();
     }
 
     #[test]
     fn try_publish_denied_hands_the_message_back() {
-        let config = crate::config::FlowConfig::default().burst_seconds(0.001);
+        let config = crate::config::FlowConfig::default();
         let b = Broker::start(BrokerConfig::builder().flow(config).build());
         b.create_topic("t").unwrap();
         let p = b.publisher("t").unwrap();
@@ -1833,24 +1833,26 @@ mod tests {
     }
 
     /// A topic denied a slot of its own in either per-topic table is one
-    /// overflowed topic, counted when it is created: of five topics under a
-    /// series cap of 2 and an observatory cap of 3, the last three share the
-    /// `__other__` series and the last two the `__other__` account.
+    /// overflowed topic, counted when it is created: of 67 topics under the
+    /// series cap of 64 and an observatory cap of 3, the last 64 share the
+    /// `__other__` account and the last three the `__other__` series.
     #[test]
     fn a_topic_beyond_either_cap_is_counted_as_overflowed_once() {
         let config = BrokerConfig::builder()
             .shards(2)
-            .metrics(MetricsConfig::default().per_topic_series(2))
+            .metrics(MetricsConfig::default())
             .topic_obs(crate::TopicObsConfig::default().per_topic_cap(3))
             .build();
         let b = Broker::start(config);
-        for (created, topic) in ["a", "b", "c", "d", "e"].iter().enumerate() {
-            b.create_topic(topic).unwrap();
-            assert_eq!(b.snapshot().topics_overflowed, created.saturating_sub(1) as u64);
+        for created in 0..PER_TOPIC_SERIES + 3 {
+            b.create_topic(&format!("t{created}")).unwrap();
+            assert_eq!(b.snapshot().topics_overflowed, created.saturating_sub(2) as u64);
         }
-        let overflowed = b.metrics().unwrap().snapshot().counters["broker.topics_overflowed"];
+        let counters = b.metrics().unwrap().snapshot().counters;
+        let other = counters.keys().filter(|k| k.contains("topic=\"__other__\"")).count();
         let observatory = b.topic_observatory().unwrap();
-        assert_eq!((overflowed, observatory.overflowed_topics), (3, 2));
+        assert_eq!((other, observatory.overflowed_topics), (2, 64));
+        assert_eq!(counters["broker.topics_overflowed"], 64);
         assert!(observatory.topics.is_empty(), "no topic has seen a message");
         b.shutdown();
     }

@@ -21,16 +21,23 @@ pub enum OverflowPolicy {
     DropNew,
 }
 
-/// Durability settings: where the write-ahead journal lives and how
-/// aggressively durable-consumer progress is checkpointed into it.
+/// Deliveries to a connected durable consumer between checkpoint records,
+/// per durable subscription: the re-delivery window after a crash.
+pub(crate) const CHECKPOINT_EVERY: u64 = 256;
+
+/// Messages retained per *disconnected durable subscription*; the oldest
+/// retained message is dropped on overflow. A bound on memory, not a knob.
+pub(crate) const DURABLE_BUFFER_CAPACITY: usize = 65_536;
+
+/// Durability settings: where the write-ahead journal lives.
 ///
 /// With persistence enabled the dispatcher appends every accepted message
 /// to the journal *before* fan-out (write-ahead), and records a
-/// `DurableCheckpoint` after every `checkpoint_every` deliveries to a
-/// connected durable consumer. On restart the broker replays the journal,
-/// rebuilding topics, durable subscriptions and their retained backlogs;
-/// messages delivered after the last checkpoint are re-delivered
-/// (at-least-once semantics).
+/// `DurableCheckpoint` after every 256 deliveries to a connected durable
+/// consumer (and once more at a clean shutdown). On restart the broker
+/// replays the journal, rebuilding topics, durable subscriptions and their
+/// retained backlogs; messages delivered after the last checkpoint are
+/// re-delivered (at-least-once semantics).
 ///
 /// Journal I/O failure is fatal: a broker that cannot write its
 /// write-ahead log can no longer honor the durability contract, so it
@@ -43,42 +50,24 @@ pub enum OverflowPolicy {
 /// use rjms_journal::FsyncPolicy;
 ///
 /// let p = PersistenceConfig::new("/tmp/rjms-doc-persist")
-///     .checkpoint_every(64)
 ///     .journal(|j| j.fsync(FsyncPolicy::Always));
-/// assert_eq!(p.checkpoint_every, 64);
+/// assert_eq!(p.journal.fsync, FsyncPolicy::Always);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PersistenceConfig {
     /// Journal location, segment sizing, fsync policy, retention.
     pub journal: JournalConfig,
-    /// Deliveries to a connected durable consumer between checkpoint
-    /// records (per durable subscription). Lower values shrink the
-    /// re-delivery window after a crash at the cost of extra journal
-    /// traffic.
-    pub checkpoint_every: u64,
 }
 
 impl PersistenceConfig {
-    /// Persistence with journal defaults in `dir` and a checkpoint every
-    /// 256 deliveries.
+    /// Persistence with journal defaults in `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        PersistenceConfig { journal: JournalConfig::new(dir), checkpoint_every: 256 }
+        PersistenceConfig { journal: JournalConfig::new(dir) }
     }
 
     /// Adjusts the journal configuration in place.
     pub fn journal(mut self, adjust: impl FnOnce(JournalConfig) -> JournalConfig) -> Self {
         self.journal = adjust(self.journal);
-        self
-    }
-
-    /// Sets the checkpoint interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is 0.
-    pub fn checkpoint_every(mut self, every: u64) -> Self {
-        assert!(every > 0, "checkpoint_every must be > 0");
-        self.checkpoint_every = every;
         self
     }
 }
@@ -88,58 +77,26 @@ impl PersistenceConfig {
 /// With metrics enabled the dispatcher records per-message waiting,
 /// service and sojourn times into lock-free histograms, and decomposes the
 /// service time into its Eq. 1 stages (`t_rcv`, filter scan, fan-out,
-/// journal append) on every `stage_sample_every`-th message. Stage
-/// decomposition needs extra clock reads inside the filter loop, so it is
-/// sampled rather than exhaustive to keep dispatch overhead within the
-/// budget enforced by the `ext_observer_overhead` benchmark.
+/// journal append) on one message in 64. Stage decomposition needs extra
+/// clock reads inside the filter loop, so it is sampled rather than
+/// exhaustive to keep dispatch overhead within the budget of the
+/// `ext_overhead` benchmark's `observer` gate.
+///
+/// Each of the first 64 topics created (or recovered, in name order) is
+/// exported as a labeled `broker.topic.*` counter pair; topic names are
+/// unbounded client-controlled input, so later topics share one
+/// `topic="__other__"` pair.
 ///
 /// # Examples
 ///
 /// ```
 /// use rjms_broker::config::{BrokerConfig, MetricsConfig};
 ///
-/// let config =
-///     BrokerConfig::builder().metrics(MetricsConfig::default().stage_sample_every(32)).build();
-/// assert_eq!(config.metrics.unwrap().stage_sample_every, 32);
+/// let config = BrokerConfig::builder().metrics(MetricsConfig::default()).build();
+/// assert_eq!(config.metrics, Some(MetricsConfig::default()));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MetricsConfig {
-    /// Record the per-stage service-time decomposition on every Nth
-    /// dispatched message (1 = every message).
-    pub stage_sample_every: u64,
-    /// Maximum number of distinct topics exported as labeled
-    /// `broker.topic.*` counter series, broker-wide. Topic names are
-    /// unbounded client-controlled input, so the label cardinality is capped:
-    /// the first this-many topics created (or recovered, in name order) get
-    /// their own series, traffic on later topics is collapsed into a single
-    /// `topic="__other__"` series. 0 disables per-topic series entirely.
-    pub per_topic_series: usize,
-}
-
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        Self { stage_sample_every: 64, per_topic_series: 64 }
-    }
-}
-
-impl MetricsConfig {
-    /// Sets the stage-decomposition sampling interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is 0.
-    pub fn stage_sample_every(mut self, every: u64) -> Self {
-        assert!(every > 0, "stage_sample_every must be > 0");
-        self.stage_sample_every = every;
-        self
-    }
-
-    /// Sets the per-topic labeled-series cardinality cap (0 disables).
-    pub fn per_topic_series(mut self, cap: usize) -> Self {
-        self.per_topic_series = cap;
-        self
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct MetricsConfig {}
 
 /// End-to-end tracing settings (see `rjms-trace`).
 ///
@@ -194,7 +151,10 @@ impl TraceConfig {
 /// Configuration for a [`crate::Broker`].
 ///
 /// Build one with [`BrokerConfig::builder`], the supported construction
-/// surface; the public fields remain readable for introspection.
+/// surface; the public fields remain readable for introspection. A
+/// disconnected durable subscription retains at most 65 536 messages, the
+/// oldest dropped on overflow (and counted in
+/// [`crate::stats::BrokerStats::dropped`]).
 ///
 /// # Examples
 ///
@@ -229,9 +189,6 @@ pub struct BrokerConfig {
     /// dispatcher burns these Eq. 1 constants, `t_store` excepted. `None`
     /// runs the broker at native speed.
     pub cost_model: Option<CostParams>,
-    /// Maximum number of messages retained per *disconnected durable
-    /// subscription*; the oldest retained message is dropped on overflow.
-    pub durable_buffer_capacity: usize,
     /// Optional write-ahead persistence (see [`PersistenceConfig`]);
     /// `None` runs the broker purely in memory, as the seed model did.
     pub persistence: Option<PersistenceConfig>,
@@ -262,7 +219,6 @@ impl Default for BrokerConfig {
             subscriber_queue_capacity: 4096,
             overflow_policy: OverflowPolicy::Block,
             cost_model: None,
-            durable_buffer_capacity: 65_536,
             persistence: None,
             metrics: None,
             trace: None,
@@ -350,17 +306,6 @@ impl BrokerConfigBuilder {
         self
     }
 
-    /// Sets the per-durable-subscription retention buffer capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is 0.
-    pub fn durable_buffer_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "durable buffer capacity must be > 0");
-        self.config.durable_buffer_capacity = capacity;
-        self
-    }
-
     /// Enables write-ahead persistence.
     pub fn persistence(mut self, persistence: PersistenceConfig) -> Self {
         self.config.persistence = Some(persistence);
@@ -440,12 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn durable_buffer_capacity_configurable() {
-        let c = BrokerConfig::builder().durable_buffer_capacity(7).build();
-        assert_eq!(c.durable_buffer_capacity, 7);
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be > 0")]
     fn zero_capacity_rejected() {
         let _ = BrokerConfig::builder().publish_queue_capacity(0);
@@ -463,20 +402,12 @@ mod tests {
         let c = BrokerConfig::builder()
             .persistence(
                 PersistenceConfig::new("/tmp/rjms-cfg-test")
-                    .checkpoint_every(8)
                     .journal(|j| j.fsync(FsyncPolicy::Always)),
             )
             .build();
         let p = c.persistence.expect("persistence set");
-        assert_eq!(p.checkpoint_every, 8);
         assert_eq!(p.journal.fsync, FsyncPolicy::Always);
         assert!(BrokerConfig::default().persistence.is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpoint_every must be > 0")]
-    fn zero_checkpoint_interval_rejected() {
-        PersistenceConfig::new("/tmp/rjms-cfg-test").checkpoint_every(0);
     }
 
     #[test]
@@ -504,11 +435,5 @@ mod tests {
     #[should_panic(expected = "tail_quantile must be in [0, 1)")]
     fn trace_quantile_range_enforced() {
         TraceConfig::default().tail_quantile(1.0);
-    }
-
-    #[test]
-    fn per_topic_series_cap_configurable() {
-        assert_eq!(MetricsConfig::default().per_topic_series, 64);
-        assert_eq!(MetricsConfig::default().per_topic_series(0).per_topic_series, 0);
     }
 }

@@ -104,7 +104,7 @@ pub(crate) fn run<P: DispatchProbe>(
     mut probe: P,
 ) {
     let cost = inner.config.cost_model;
-    let mut checkpoints = Checkpoints::new(inner);
+    let mut checkpoints = Checkpoints::default();
     // A run is what one journal write covers. Without a journal there is
     // nothing to share, and a run of one is the paper's M/GI/1 server: one
     // message leaves the queue per service, so push-back is per message.
@@ -330,6 +330,7 @@ mod tests {
     use crate::subscriptions::LiveFlag;
     use crate::{Broker, BrokerConfig, Filter, Subscriber};
     use crossbeam::channel::unbounded;
+    use rjms_core::CostParams;
     use rjms_journal::FsyncPolicy;
     use std::path::PathBuf;
     use std::time::Duration;
@@ -514,9 +515,10 @@ mod tests {
 
     /// The probe's clock reads while the core dispatches [`CLOCKED`]
     /// publishes, all queued beforehand, to a topic with one subscription
-    /// per entry of `selectors` (`None`: no filter). The first message has no
-    /// previous fan-out end to start at, like one the dispatcher blocked for.
-    fn clock_reads(config: BrokerConfig, selectors: &[Option<&str>]) -> u64 {
+    /// per entry of `selectors` (`None`: no filter), clocking the stages of
+    /// one message in `every`. The first message has no previous fan-out end
+    /// to start at, like one the dispatcher blocked for.
+    fn clock_reads(config: BrokerConfig, every: u64, selectors: &[Option<&str>]) -> u64 {
         let broker = Broker::start(config);
         broker.create_topic("t").unwrap();
         let _subscribers: Vec<Subscriber> = selectors
@@ -537,7 +539,7 @@ mod tests {
             publish_tx.send(item(&broker, "t", message)).unwrap();
         }
         publish_tx.send(DispatchItem::Shutdown).unwrap();
-        let probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let probe = Telemetry::new(&broker.inner, 0, every).expect("metrics on");
         let before = Telemetry::clock_reads();
         run(&broker.inner, 0, &publish_rx, probe);
         let reads = Telemetry::clock_reads() - before;
@@ -556,20 +558,82 @@ mod tests {
         // subscription: neither resolve nor a second copy.
         let selectors = [Some("key = 0"), Some("key = 0"), Some("key = 1")];
         let plain = [None];
-        let reads = |config: BrokerConfigBuilder| {
+        let reads = |config: BrokerConfigBuilder, every| {
             let config = config.build();
-            (clock_reads(config.clone(), &selectors), clock_reads(config, &plain))
+            (clock_reads(config.clone(), every, &selectors), clock_reads(config, every, &plain))
         };
-        let metrics = |every| {
-            BrokerConfig::builder().metrics(MetricsConfig::default().stage_sample_every(every))
-        };
+        let metrics = || BrokerConfig::builder().metrics(MetricsConfig::default());
         // Receive, journal, resolve, scan and two fan-outs; receive,
         // journal, scan and one fan-out.
         let clocked = |stages: u64| 1 + CLOCKED * (1 + 2 * stages);
-        assert_eq!(reads(metrics(u64::MAX)), (1 + CLOCKED, 1 + CLOCKED));
-        assert_eq!(reads(metrics(1)), (clocked(6), clocked(4)));
-        let traced = metrics(u64::MAX).trace(TraceConfig::default());
-        assert_eq!(reads(traced), (clocked(6), clocked(4)));
+        assert_eq!(reads(metrics(), u64::MAX), (1 + CLOCKED, 1 + CLOCKED));
+        assert_eq!(reads(metrics(), 1), (clocked(6), clocked(4)));
+        let traced = metrics().trace(TraceConfig::default());
+        assert_eq!(reads(traced, u64::MAX), (clocked(6), clocked(4)));
+    }
+
+    /// The Eq. 1 stage decomposition adds up, whatever the subscription's
+    /// mode: with every message's stages clocked, the four
+    /// `broker.stage.*_ns` means sum to the `broker.service_ns` mean, and the
+    /// `t_tx` the cost model burns per copy is booked to the fan-out stage —
+    /// for a durable subscription (whose spin sat outside every stage until
+    /// it became a row of the one scan) as for a plain one. Means, because
+    /// they add up exactly: a stage booked twice, or left out on some
+    /// messages only, moves their sum off the service mean. The core runs
+    /// on a thread of its own and blocks for each message, as a dispatcher
+    /// does for a publisher that waits for every delivery.
+    fn assert_the_stages_add_up(durable: bool) {
+        const T_TX: f64 = 200e-6;
+        const MESSAGES: u64 = 50;
+        let config = BrokerConfig::builder()
+            .cost_model(CostParams::new(0.0, 0.0, T_TX))
+            .metrics(MetricsConfig::default())
+            .build();
+        let broker = Broker::start(config);
+        broker.create_topic("t").unwrap();
+        let subscription = broker.subscription("t");
+        let consumer =
+            if durable { subscription.durable("d") } else { subscription }.open().unwrap();
+        let (publish_tx, publish_rx) = unbounded();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let probe = Telemetry::new(&broker.inner, 0, 1).expect("metrics on");
+                run(&broker.inner, 0, &publish_rx, probe);
+            });
+            for _ in 0..MESSAGES {
+                publish_tx.send(item(&broker, "t", Message::builder().build())).unwrap();
+                consumer.receive_timeout(Duration::from_secs(5)).expect("delivered");
+            }
+            publish_tx.send(DispatchItem::Shutdown).unwrap();
+        });
+
+        let snapshot = broker.metrics().unwrap().snapshot();
+        let mean = |name: &str| {
+            let histogram = snapshot.histogram(name).unwrap_or_else(|| panic!("no {name}"));
+            assert_eq!(histogram.count, MESSAGES, "{name}");
+            histogram.mean()
+        };
+        let stages =
+            ["rcv", "journal", "filter", "fanout"].map(|s| mean(&format!("broker.stage.{s}_ns")));
+        let service = mean("broker.service_ns");
+        let [.., fanout] = stages;
+        assert!(fanout >= T_TX * 1e9, "fan-out stage {fanout:.0} ns misses t_tx: {stages:?}");
+        let sum: f64 = stages.iter().sum();
+        assert!(
+            (sum / service - 1.0).abs() <= 0.1,
+            "stages {stages:?} sum to {sum:.0} ns, service time is {service:.0} ns"
+        );
+        broker.shutdown();
+    }
+
+    #[test]
+    fn a_plain_subscribers_stages_sum_to_its_service_time() {
+        assert_the_stages_add_up(false);
+    }
+
+    #[test]
+    fn a_durable_subscribers_stages_sum_to_its_service_time() {
+        assert_the_stages_add_up(true);
     }
 
     fn persistent_broker(tag: &str, fsync: FsyncPolicy, config: BrokerConfig) -> (Broker, PathBuf) {
@@ -689,8 +753,7 @@ mod tests {
     #[test]
     fn sampled_journal_stage_agrees_with_the_journals_own_clock() {
         const MESSAGES: u64 = RUN_MAX as u64 * 1024;
-        let metrics = MetricsConfig::default().stage_sample_every(2);
-        let config = BrokerConfig::builder().metrics(metrics).build();
+        let config = BrokerConfig::builder().metrics(MetricsConfig::default()).build();
         let (broker, dir) = persistent_broker("dispatch-sampled", FsyncPolicy::Never, config);
         broker.create_topic("t").unwrap();
         let registry = broker.metrics().unwrap();
@@ -704,7 +767,7 @@ mod tests {
                 .unwrap();
         }
         publish_tx.send(DispatchItem::Shutdown).unwrap();
-        let probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let probe = Telemetry::new(&broker.inner, 0, 2).expect("metrics on");
         run(&broker.inner, 0, &publish_rx, probe);
 
         let after = journal_clock();

@@ -7,6 +7,7 @@
 //! already received.
 
 use crate::broker::{BrokerInner, Subscription, Topic};
+use crate::config::{CHECKPOINT_EVERY, DURABLE_BUFFER_CAPACITY};
 use crate::dispatch::{Delivery, SubscriberQueue};
 use crate::error::Error;
 use crate::filter::Filter;
@@ -24,7 +25,7 @@ use std::sync::Arc;
 pub(crate) struct DurableState {
     pub(crate) name: String,
     /// Messages retained while no consumer is connected (bounded by
-    /// `durable_buffer_capacity`, oldest dropped on overflow).
+    /// [`DURABLE_BUFFER_CAPACITY`], oldest dropped on overflow).
     pub(crate) retained: Mutex<VecDeque<Arc<Message>>>,
     /// The connected consumer's queue, if any.
     pub(crate) connection: Mutex<Option<SubscriberQueue>>,
@@ -152,7 +153,7 @@ impl DurableState {
             Some(Delivery::Disconnected) | None => {
                 *connection = None;
                 let mut retained = self.retained.lock();
-                if retained.len() >= inner.config.durable_buffer_capacity {
+                if retained.len() >= DURABLE_BUFFER_CAPACITY {
                     retained.pop_front();
                     inner.stats.record_dropped();
                 }
@@ -195,19 +196,14 @@ impl PendingCheckpoint {
 /// address) of the durable subscription's state, so that a delivery
 /// hashes one word and clones nothing. Only the dispatcher writes
 /// checkpoints, so this needs no locking.
+#[derive(Default)]
 pub(crate) struct Checkpoints {
-    every: u64,
     pending: HashMap<usize, PendingCheckpoint>,
 }
 
 impl Checkpoints {
-    pub(crate) fn new(inner: &BrokerInner) -> Self {
-        let every = inner.config.persistence.as_ref().map_or(u64::MAX, |p| p.checkpoint_every);
-        Self { every, pending: HashMap::new() }
-    }
-
     /// Notes that the publish at journal `offset` reached `durable`'s
-    /// consumer; every `checkpoint_every` deliveries this becomes a
+    /// consumer; every [`CHECKPOINT_EVERY`] deliveries this becomes a
     /// checkpoint record.
     fn delivered(
         &mut self,
@@ -226,7 +222,7 @@ impl Checkpoints {
         });
         entry.offset = offset;
         entry.deliveries += 1;
-        if entry.deliveries >= self.every {
+        if entry.deliveries >= CHECKPOINT_EVERY {
             entry.write(inner);
         }
     }

@@ -17,18 +17,23 @@
 //! | `broker.backlog{shard="i"}` | histogram | shard `i`'s queue depth at dispatch (sharded dispatch only) |
 //! | `broker.queue_depth{shard="i"}` | gauge | shard `i`'s latest queue depth (sharded dispatch only) |
 //! | `broker.in_flight{shard="i"}` | gauge | shard `i`'s in-flight message (sharded dispatch only) |
-//! | `broker.stage.rcv_ns` | histogram | receive stage (`t_rcv`), sampled |
+//! | `broker.stage.rcv_ns` | histogram | receive stage (`t_rcv`), sampled on one message in 64 |
 //! | `broker.stage.journal_ns` | histogram | write-ahead append (`t_store`), sampled |
 //! | `broker.stage.filter_ns` | histogram | filter-scan stage (`n_fltr · t_fltr`), sampled |
 //! | `broker.stage.fanout_ns` | histogram | copy/transmit stage (`R · t_tx`), sampled |
-//! | `broker.topic.received{topic="…"}` | counter | messages popped off the publish queue on the topic, expired ones included; the first `per_topic_series` topics created get their own series, later ones share `topic="__other__"` |
+//! | `broker.topic.received{topic="…"}` | counter | messages popped off the publish queue on the topic, expired ones included; the first 64 topics created ([`PER_TOPIC_SERIES`]) get their own series, later ones share `topic="__other__"` |
 //! | `broker.topic.dispatched{topic="…"}` | counter | copies delivered from the topic (same labels) |
-//! | `broker.topics_overflowed` | counter | topics created beyond the cap of an enabled per-topic table (`per_topic_series`, the observatory's `per_topic_cap`), which share that table's `__other__`; each counted once, when it is created |
+//! | `broker.topics_overflowed` | counter | topics created beyond the cap of a per-topic table (the 64 series, the observatory's `per_topic_cap`), which share that table's `__other__`; each counted once, when it is created |
 //! | `journal.append_ns` | histogram | every journal append (always on, from `rjms-journal`) |
 //! | `journal.fsync_ns` | histogram | every explicit fsync (always on, from `rjms-journal`) |
 
 use rjms_metrics::{clock, shard_series, Gauge, Histogram, LocalHistogram, MetricsRegistry};
 use std::sync::Arc;
+
+/// Topics exported as a labeled `broker.topic.*` pair of their own,
+/// broker-wide: topic names are client-controlled, so the label
+/// cardinality is bounded and later topics share `topic="__other__"`.
+pub(crate) const PER_TOPIC_SERIES: usize = 64;
 
 /// Dispatcher-local staging flushed into the shared histograms every this
 /// many samples (and whenever the dispatcher goes idle), bounding snapshot
@@ -46,15 +51,13 @@ pub(crate) struct BrokerMetrics {
     pub(crate) stage_journal: Arc<Histogram>,
     pub(crate) stage_filter: Arc<Histogram>,
     pub(crate) stage_fanout: Arc<Histogram>,
-    /// Record the stage decomposition on every Nth message.
-    pub(crate) stage_sample_every: u64,
     /// Tick-to-nanosecond scale of the instrumentation clock, resolved at
     /// construction so per-message conversions are a single multiply.
     pub(crate) ns_per_tick: f64,
 }
 
 impl BrokerMetrics {
-    pub(crate) fn new(stage_sample_every: u64) -> Self {
+    pub(crate) fn new() -> Self {
         let registry = MetricsRegistry::new();
         // The unlabeled gauge pair is on the surface whatever the shard
         // count; a sharded broker's dispatchers write their own pairs.
@@ -69,7 +72,6 @@ impl BrokerMetrics {
             stage_journal: registry.histogram("broker.stage.journal_ns"),
             stage_filter: registry.histogram("broker.stage.filter_ns"),
             stage_fanout: registry.histogram("broker.stage.fanout_ns"),
-            stage_sample_every,
             ns_per_tick: clock::ns_per_tick(),
             registry,
         }
@@ -187,7 +189,7 @@ mod tests {
 
     #[test]
     fn shard_scratch_feeds_labeled_twins() {
-        let m = BrokerMetrics::new(1);
+        let m = BrokerMetrics::new();
         let mut scratch = DispatcherScratch::new(&m, 2, 4);
         scratch.record(10, 20, 30);
         scratch.flush(&m);
@@ -202,7 +204,7 @@ mod tests {
 
     #[test]
     fn backlog_staging_feeds_histogram_and_gauges() {
-        let m = BrokerMetrics::new(1);
+        let m = BrokerMetrics::new();
         let mut scratch = DispatcherScratch::new(&m, 0, 1);
         scratch.record_backlog(3);
         scratch.record_backlog(5);
@@ -220,7 +222,7 @@ mod tests {
 
     #[test]
     fn sharded_backlog_uses_labeled_series_and_gauges() {
-        let m = BrokerMetrics::new(1);
+        let m = BrokerMetrics::new();
         let mut scratch = DispatcherScratch::new(&m, 1, 2);
         scratch.record_backlog(7);
         scratch.flush(&m);

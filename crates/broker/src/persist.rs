@@ -13,7 +13,7 @@
 //! journal format is decoupled from the selector AST.
 
 use crate::broker::BrokerInner;
-use crate::config::BrokerConfig;
+use crate::config::DURABLE_BUFFER_CAPACITY;
 use crate::dispatch::Queued;
 use crate::durable::DurableState;
 use crate::filter::Filter;
@@ -330,7 +330,7 @@ pub fn encode_publish_into(out: &mut Vec<u8>, topic: &str, message: &Message) {
 }
 
 /// A [`JournalRecord::DurableCheckpoint`] appended to `out` from borrowed
-/// names: the dispatcher writes one every `checkpoint_every` deliveries.
+/// names: the dispatcher writes one every 256 deliveries.
 pub(crate) fn encode_checkpoint_into(out: &mut Vec<u8>, topic: &str, name: &str, offset: u64) {
     out.push(TAG_DURABLE_CHECKPOINT);
     put_str(out, topic);
@@ -471,10 +471,9 @@ impl BrokerInner {
 /// publish logged after a durable subscription's registration but not
 /// covered by one of its checkpoint records goes back into its retained
 /// backlog (at-least-once re-delivery). Expired messages and backlog beyond
-/// `durable_buffer_capacity` are discarded, mirroring live behaviour.
+/// [`DURABLE_BUFFER_CAPACITY`] are discarded, mirroring live behaviour.
 pub(crate) fn recover_topics(
     journal: &Journal,
-    config: &BrokerConfig,
     live_flags: &LiveFlags,
 ) -> Vec<(String, Subscriptions)> {
     struct DurableRecovery {
@@ -544,7 +543,7 @@ pub(crate) fn recover_topics(
                 .filter(|message| !message.is_expired())
                 .collect();
             // Oldest first out, as on a live overflow.
-            retained.drain(..retained.len().saturating_sub(config.durable_buffer_capacity));
+            retained.drain(..retained.len().saturating_sub(DURABLE_BUFFER_CAPACITY));
             let state =
                 DurableState { name, retained: Mutex::new(retained), connection: Mutex::new(None) };
             subs.add(Arc::new(state).subscription(recovery.filter, live_flags.next()));
@@ -632,7 +631,7 @@ mod tests {
 
     #[test]
     fn without_a_journal_no_payload_is_built() {
-        let broker = crate::Broker::start(BrokerConfig::default());
+        let broker = crate::Broker::start(crate::BrokerConfig::default());
         let offset = broker.inner.append_record(|_| unreachable!("nothing would store it"));
         assert_eq!(offset, None);
     }

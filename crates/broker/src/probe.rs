@@ -118,7 +118,7 @@ fn elapsed(start: Instant) -> Duration {
 }
 
 /// Fires once every `every` ticks (cheaper than a modulo on the hot
-/// path); never when `every` is 0.
+/// path).
 struct Countdown {
     every: u64,
     left: u64,
@@ -128,7 +128,6 @@ struct Countdown {
 
 impl Countdown {
     fn new(every: u64) -> Self {
-        let every = if every == 0 { u64::MAX } else { every };
         Self { every, left: every, jitter: 0 }
     }
 
@@ -167,6 +166,11 @@ impl Countdown {
         self.left = 1;
     }
 }
+
+/// The stage decomposition is clocked on one message in this many
+/// (jittered, see [`Countdown::jittered`]): it takes extra clock reads
+/// inside the filter scan.
+pub(crate) const STAGE_SAMPLE_EVERY: u64 = 64;
 
 /// Messages between refreshes of the tail threshold from the live sojourn
 /// histogram: often enough to follow a load change within a second at
@@ -225,9 +229,14 @@ pub(crate) struct Telemetry<'a> {
 }
 
 impl<'a> Telemetry<'a> {
-    /// The telemetry probe for dispatcher `shard`; `None` when the broker
-    /// runs without metrics.
-    pub(crate) fn new(inner: &'a BrokerInner, shard: usize) -> Option<Self> {
+    /// The telemetry probe for dispatcher `shard`, clocking the stages of
+    /// one message in `stage_sample_every` ([`STAGE_SAMPLE_EVERY`] in the
+    /// broker); `None` when the broker runs without metrics.
+    pub(crate) fn new(
+        inner: &'a BrokerInner,
+        shard: usize,
+        stage_sample_every: u64,
+    ) -> Option<Self> {
         let metrics = inner.metrics.as_ref()?;
         let scratch = DispatcherScratch::new(metrics, shard, inner.config.shards);
         let trace = inner.tracer.as_deref().zip(inner.config.trace).map(|(recorder, config)| {
@@ -245,7 +254,7 @@ impl<'a> Telemetry<'a> {
             metrics,
             scratch,
             staged: 0,
-            stage_sampler: Countdown::jittered(metrics.stage_sample_every),
+            stage_sampler: Countdown::jittered(stage_sample_every),
             last_end: None,
             trace,
             topic_obs: inner.topic_obs.as_ref(),
@@ -448,9 +457,9 @@ mod tests {
     }
 
     /// An idle broker whose instruments a test-driven probe feeds; its topic.
-    fn broker(stage_sample_every: u64) -> (Broker, Arc<Topic>) {
-        let metrics = MetricsConfig::default().stage_sample_every(stage_sample_every);
-        let broker = Broker::start(BrokerConfig::builder().metrics(metrics).build());
+    fn broker() -> (Broker, Arc<Topic>) {
+        let broker =
+            Broker::start(BrokerConfig::builder().metrics(MetricsConfig::default()).build());
         broker.create_topic("t").unwrap();
         let topic = broker.lookup("t").unwrap();
         (broker, topic)
@@ -465,8 +474,8 @@ mod tests {
     /// and the stage sample it drew passes to the next message.
     #[test]
     fn expired_message_neither_lends_its_timestamp_nor_swallows_the_stage_sample() {
-        let (broker, topic) = broker(2);
-        let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let (broker, topic) = broker();
+        let mut probe = Telemetry::new(&broker.inner, 0, 2).expect("metrics on");
         let message = Message::builder().build();
 
         probe.on_dequeue(&topic, &message, Some(clock::now()), false, || 0);
@@ -491,8 +500,8 @@ mod tests {
     /// reads it once more, for its start.
     #[test]
     fn a_queued_message_reads_the_clock_once_and_a_blocked_for_one_twice() {
-        let (broker, topic) = broker(u64::MAX);
-        let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let (broker, topic) = broker();
+        let mut probe = Telemetry::new(&broker.inner, 0, u64::MAX).expect("metrics on");
         let message = Message::builder().build();
         let mut reads = |was_queued| {
             let before = Telemetry::clock_reads();
@@ -507,8 +516,8 @@ mod tests {
     /// Tick stamps become nanosecond waiting, service and sojourn samples.
     #[test]
     fn records_waiting_service_and_sojourn() {
-        let (broker, topic) = broker(1);
-        let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let (broker, topic) = broker();
+        let mut probe = Telemetry::new(&broker.inner, 0, 1).expect("metrics on");
         let message = Message::builder().build();
         let pause = Duration::from_millis(2);
 
@@ -532,8 +541,8 @@ mod tests {
     /// minus the fan-out inside it).
     #[test]
     fn stage_clocks_timed_messages_only_and_books_nested_time_once() {
-        let (broker, topic) = broker(2);
-        let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let (broker, topic) = broker();
+        let mut probe = Telemetry::new(&broker.inner, 0, 2).expect("metrics on");
         let message = Message::builder().build();
         let pause = Duration::from_millis(2);
         let scan = |probe: &mut Telemetry<'_>| {
@@ -572,7 +581,7 @@ mod tests {
     /// topics leave three exact pairs.
     #[test]
     fn counts_into_the_series_the_topics_hold() {
-        let (broker, _) = broker(64);
+        let (broker, _) = broker();
         let topics: Vec<Arc<Topic>> = ["a", "b", "c"]
             .iter()
             .map(|name| {
@@ -580,7 +589,7 @@ mod tests {
                 broker.lookup(name).unwrap()
             })
             .collect();
-        let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let mut probe = Telemetry::new(&broker.inner, 0, STAGE_SAMPLE_EVERY).expect("metrics on");
         let message = Message::builder().build();
         for index in 0..10_000usize {
             let topic = &topics[index % 3];
@@ -605,8 +614,8 @@ mod tests {
     fn stage_sampler_covers_every_position_of_a_run() {
         const RUN: usize = 64;
         const RUNS: usize = 4096;
-        let (broker, topic) = broker(MetricsConfig::default().stage_sample_every);
-        let mut probe = Telemetry::new(&broker.inner, 0).expect("metrics on");
+        let (broker, topic) = broker();
+        let mut probe = Telemetry::new(&broker.inner, 0, STAGE_SAMPLE_EVERY).expect("metrics on");
         let message = Message::builder().build();
         let mut sampled_at = [0u32; RUN];
         for index in 0..RUN * RUNS {

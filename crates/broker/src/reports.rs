@@ -9,7 +9,8 @@
 use crate::broker::{BrokerInner, Topic};
 use crate::config::BrokerConfig;
 use crate::stats::{
-    per_message, BrokerSnapshot, MessageCounters, ShardSnapshot, SubscriptionCounters, TopicStats,
+    per_message, BrokerSnapshot, FlowCounters, MessageCounters, ShardSnapshot,
+    SubscriptionCounters, TopicStats,
 };
 use rjms_core::{CostParams, ModelMonitor, ModelVerdict, ReplicationModel, ServerModel};
 use rjms_flow::FlowGate;
@@ -91,7 +92,13 @@ pub(crate) fn snapshot_of(inner: &BrokerInner) -> BrokerSnapshot {
             expired: stats.expired_subscriptions(),
         },
         journal: inner.journal.as_ref().map(|j| j.lock().stats()),
-        flow: inner.flow.as_ref().map(|_| stats.flow_counters()),
+        flow: inner.flow.as_ref().map(|gate| {
+            gate.class_counts().fold(FlowCounters::default(), |sum, class| FlowCounters {
+                granted: sum.granted + class.granted,
+                deferred: sum.deferred + class.deferred,
+                shed: sum.shed + class.shed,
+            })
+        }),
         shards: (inner.config.shards > 1).then_some(shards),
         per_topic,
         topics_overflowed: stats.topics_overflowed(),

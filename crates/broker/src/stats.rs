@@ -31,8 +31,10 @@ pub struct MessageCounters {
     /// Filter evaluations performed (brute force: one per subscription per
     /// message).
     pub filter_evaluations: u64,
-    /// Message copies dropped on full subscriber queues
-    /// (only under [`crate::config::OverflowPolicy::DropNew`]).
+    /// Message copies dropped: on full subscriber queues (only under
+    /// [`crate::config::OverflowPolicy::DropNew`]), and the oldest retained
+    /// message of a disconnected durable subscription whose retention
+    /// buffer is full.
     pub dropped: u64,
     /// Messages retained for disconnected durable subscriptions.
     pub retained: u64,
@@ -62,8 +64,8 @@ pub struct SubscriptionCounters {
 }
 
 /// Admission-control outcome counters, present when the broker runs with
-/// [`crate::config::FlowConfig`]. Per-class breakdowns live in the flow
-/// gate's own snapshot (`Broker::flow`).
+/// [`crate::config::FlowConfig`]: the sums over the classes of the flow
+/// gate's own snapshot (`Broker::flow`), which counts each decision once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlowCounters {
     /// Publishes admitted by the gate.
@@ -134,9 +136,9 @@ pub struct BrokerSnapshot {
     /// Per-topic message counters, keyed by topic name.
     pub per_topic: BTreeMap<String, TopicStats>,
     /// Topics folded into an `__other__` bucket of any enabled per-topic
-    /// table — the labeled metric series beyond
-    /// [`crate::config::MetricsConfig::per_topic_series`], the observatory's
-    /// rows beyond [`crate::TopicObsConfig::per_topic_cap`] — each counted
+    /// table — the labeled metric series beyond the first 64 topics, the
+    /// observatory's rows beyond [`crate::TopicObsConfig::per_topic_cap`] —
+    /// each counted
     /// once, when it is created. 0 when every topic got a slot of its own
     /// everywhere (or both features are off).
     #[serde(default)]
@@ -153,9 +155,6 @@ pub struct BrokerStats {
     expired_subscriptions: AtomicU64,
     retained: AtomicU64,
     expired_messages: AtomicU64,
-    flow_granted: AtomicU64,
-    flow_deferred: AtomicU64,
-    flow_shed: AtomicU64,
     topics_overflowed: AtomicU64,
 }
 
@@ -166,7 +165,9 @@ impl BrokerStats {
     }
 
     /// Records a message copy dropped because a subscriber queue was full
-    /// (only under [`crate::config::OverflowPolicy::DropNew`]).
+    /// (only under [`crate::config::OverflowPolicy::DropNew`]), or a retained
+    /// message dropped because a disconnected durable subscription's
+    /// retention buffer was full.
     pub fn record_dropped(&self) {
         self.dropped.fetch_add(1, Ordering::Relaxed);
     }
@@ -184,21 +185,6 @@ impl BrokerStats {
     /// Records a message discarded because its TTL elapsed.
     pub fn record_expired_message(&self) {
         self.expired_messages.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a publish admitted by the flow gate.
-    pub fn record_flow_granted(&self) {
-        self.flow_granted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a publish deferred by the flow gate.
-    pub fn record_flow_deferred(&self) {
-        self.flow_deferred.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a publish shed by the flow gate.
-    pub fn record_flow_shed(&self) {
-        self.flow_shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a topic denied a slot of its own in a per-topic table (the
@@ -229,34 +215,10 @@ impl BrokerStats {
         self.expired_messages.load(Ordering::Relaxed)
     }
 
-    /// Publishes admitted by the flow gate so far (0 without flow control).
-    pub fn flow_granted(&self) -> u64 {
-        self.flow_granted.load(Ordering::Relaxed)
-    }
-
-    /// Publishes deferred by the flow gate so far (0 without flow control).
-    pub fn flow_deferred(&self) -> u64 {
-        self.flow_deferred.load(Ordering::Relaxed)
-    }
-
-    /// Publishes shed by the flow gate so far (0 without flow control).
-    pub fn flow_shed(&self) -> u64 {
-        self.flow_shed.load(Ordering::Relaxed)
-    }
-
     /// Distinct topics folded into `__other__` so far (see
     /// [`BrokerStats::record_topic_overflowed`]).
     pub fn topics_overflowed(&self) -> u64 {
         self.topics_overflowed.load(Ordering::Relaxed)
-    }
-
-    /// Flow counters as one value.
-    pub fn flow_counters(&self) -> FlowCounters {
-        FlowCounters {
-            granted: self.flow_granted(),
-            deferred: self.flow_deferred(),
-            shed: self.flow_shed(),
-        }
     }
 }
 

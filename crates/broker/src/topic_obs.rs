@@ -20,8 +20,8 @@
 //! An account has one writer: a topic's messages all pass through its
 //! shard's dispatcher, and so do those of every topic sharing that shard's
 //! `__other__`. The per-message cost is therefore an uncontended lock and a
-//! dozen floating-point adds (gated by the `ext_topic_obs_overhead`
-//! benchmark); only a snapshot ever makes a dispatcher wait.
+//! dozen floating-point adds (gated by the `ext_overhead` benchmark's
+//! `topic_obs` gate); only a snapshot ever makes a dispatcher wait.
 
 use crate::broker::Topic;
 use parking_lot::Mutex;

@@ -130,22 +130,31 @@ fn reconnect_with_same_filter_keeps_backlog() {
     b.shutdown();
 }
 
+/// A disconnected durable subscription retains the newest 65 536.
 #[test]
 fn retained_buffer_drops_oldest_on_overflow() {
-    let b = Broker::start(BrokerConfig::builder().durable_buffer_capacity(3).build());
-    b.create_topic("t").unwrap();
+    const RETAINED_MAX: i64 = 65_536;
+    let b = broker();
     drop(b.subscription("t").durable("w").open().unwrap());
     let p = b.publisher("t").unwrap();
-    for i in 0..10i64 {
+    for i in 0..RETAINED_MAX + 3 {
         p.publish(Message::builder().property("seq", i).build()).unwrap();
     }
-    sync(&b, 10);
-    assert_eq!(b.retained_count("t", "w"), 3);
-    assert_eq!(b.snapshot().messages.dropped, 7);
+    // A message is counted received before it is retained: wait for the
+    // last drop.
+    sync(&b, RETAINED_MAX as u64 + 3);
+    for _ in 0..400 {
+        if b.snapshot().messages.dropped == 3 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(b.snapshot().messages.dropped, 3);
+    assert_eq!(b.retained_count("t", "w"), RETAINED_MAX as usize);
 
-    // The *newest* three survive.
+    // The three oldest are the ones dropped.
     let sub = b.subscription("t").durable("w").open().unwrap();
-    for i in 7..10i64 {
+    for i in 3..6i64 {
         let m = sub.receive_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(m.property("seq"), Some(&i.into()));
     }

@@ -15,9 +15,8 @@ use std::time::Duration;
 
 /// A persistent broker's configuration, its journal one segment file.
 fn config(dir: &Path, fsync: FsyncPolicy) -> rjms_broker::config::BrokerConfigBuilder {
-    let persistence = PersistenceConfig::new(dir)
-        .checkpoint_every(8)
-        .journal(|j| j.fsync(fsync).segment_max_bytes(1 << 30));
+    let persistence =
+        PersistenceConfig::new(dir).journal(|j| j.fsync(fsync).segment_max_bytes(1 << 30));
     BrokerConfig::builder().persistence(persistence)
 }
 
@@ -131,17 +130,18 @@ fn records(dir: &Path) -> Vec<(u64, JournalRecord)> {
 /// A crash mid-stream, with the dispatcher blocked half-way through a run:
 /// the journal holds the whole run, delivered or not, and a broker started
 /// on it re-delivers to the durable subscriber every publish no checkpoint
-/// covers, the run's undelivered tail included.
+/// covers, the run's undelivered tail included. The consumer reads past the
+/// checkpoint the broker writes at the 256th delivery.
 #[test]
 fn crash_mid_run_replays_everything_not_checkpointed() {
-    const MESSAGES: i64 = 200;
+    const MESSAGES: i64 = 400;
     const PLUG: i64 = 8;
-    const CONSUMED: usize = 24;
+    const CONSUMED: usize = 264;
     const QUEUE: usize = 4;
     let dir = scratch_dir("gc-crash");
     let broker = Broker::start(
         config(&dir, FsyncPolicy::Never)
-            .publish_queue_capacity(256)
+            .publish_queue_capacity(512)
             .subscriber_queue_capacity(QUEUE)
             .build(),
     );
@@ -219,7 +219,7 @@ fn crash_mid_run_replays_everything_not_checkpointed() {
             _ => None,
         })
         .max()
-        .expect("24 deliveries at a checkpoint every 8");
+        .expect("268 deliveries at a checkpoint every 256");
     let expected: Vec<i64> =
         publishes.iter().filter(|(offset, _)| *offset > checkpointed).map(|p| p.1).collect();
     assert!(expected.len() as i64 > last_on_file - delivered, "the tail is part of the replay");

@@ -13,10 +13,20 @@ use rjms_journal::scratch_dir;
 /// Three topic names, chosen so that with two shards both shards own one.
 const TOPICS: [&str; 3] = ["alpha", "beta", "gamma"];
 
+/// Topics exported as a labeled series pair of their own.
+const SERIES_CAP: usize = 64;
+
+/// Topics created between `beta` and `gamma`, so that `gamma` is the first
+/// beyond the series cap. Their series are two lines each, like `beta`'s,
+/// and are left out of the list.
+fn filler() -> impl Iterator<Item = String> {
+    (2..SERIES_CAP).map(|i| format!("filler-{i}"))
+}
+
 /// Runs a fixed workload and returns the registry's `name kind` lines.
 ///
-/// Two labeled topic series plus an observatory table of two rows against
-/// three topics force both `__other__` paths, so the lazily created
+/// The series cap and an observatory table of two rows against the three
+/// named topics force both `__other__` paths, so the lazily created
 /// overflow series are part of the surface too. The series cap is the
 /// broker's, not a dispatcher's: both surfaces name the same topic series.
 fn surface(shards: usize) -> Vec<String> {
@@ -24,7 +34,7 @@ fn surface(shards: usize) -> Vec<String> {
     let broker = Broker::start(
         BrokerConfig::builder()
             .shards(shards)
-            .metrics(MetricsConfig::default().per_topic_series(2))
+            .metrics(MetricsConfig::default())
             .trace(TraceConfig::default())
             .topic_obs(TopicObsConfig::default().per_topic_cap(2))
             .flow(FlowConfig::default())
@@ -34,6 +44,9 @@ fn surface(shards: usize) -> Vec<String> {
     let registry = broker.metrics().expect("metrics on");
     let mut subscribers = Vec::new();
     for topic in TOPICS {
+        if topic == "gamma" {
+            filler().for_each(|name| broker.create_topic(&name).unwrap());
+        }
         broker.create_topic(topic).unwrap();
         subscribers.push(broker.subscription(topic).open().unwrap());
         let publisher = broker.publisher(topic).unwrap();
@@ -47,7 +60,9 @@ fn surface(shards: usize) -> Vec<String> {
 
     let snap = registry.snapshot();
     let mut lines: Vec<String> = Vec::new();
-    lines.extend(snap.counters.keys().map(|name| format!("{name} counter")));
+    let filler: Vec<String> = filler().map(|name| format!("{{topic=\"{name}\"}}")).collect();
+    let counters = snap.counters.keys().filter(|name| !filler.iter().any(|f| name.ends_with(f)));
+    lines.extend(counters.map(|name| format!("{name} counter")));
     lines.extend(snap.gauges.keys().map(|name| format!("{name} gauge")));
     lines.extend(snap.histograms.keys().map(|name| format!("{name} histogram")));
     lines.sort();
@@ -165,19 +180,15 @@ fn two_shard_surface() {
     assert_surface(2, TWO_SHARDS);
 }
 
-/// The series cap bounds the registry whatever the shard count: of eight
-/// topics on four shards, the first two created get a pair of their own and
-/// the other six share `__other__`, each counted as overflowed once.
+/// The series cap bounds the registry whatever the shard count: of 66
+/// topics on four shards, the first 64 created get a pair of their own and
+/// the other two share `__other__`, each counted as overflowed once.
 #[test]
 fn the_series_cap_is_broker_wide() {
-    let broker = Broker::start(
-        BrokerConfig::builder()
-            .shards(4)
-            .metrics(MetricsConfig::default().per_topic_series(2))
-            .build(),
-    );
+    let broker =
+        Broker::start(BrokerConfig::builder().shards(4).metrics(MetricsConfig::default()).build());
     let registry = broker.metrics().expect("metrics on");
-    let topics: Vec<String> = (0..8).map(|i| format!("t{i}")).collect();
+    let topics: Vec<String> = (0..SERIES_CAP + 2).map(|i| format!("t{i}")).collect();
     for (i, topic) in topics.iter().enumerate() {
         broker.create_topic(topic).unwrap();
         let publisher = broker.publisher(topic).unwrap();
@@ -189,13 +200,14 @@ fn the_series_cap_is_broker_wide() {
     broker.shutdown();
 
     let counters = registry.snapshot().counters;
-    let received: Vec<(&str, u64)> = counters
-        .iter()
-        .filter_map(|(name, v)| Some((name.strip_prefix("broker.topic.received")?, *v)))
-        .collect();
-    // t0 and t1 saw 1 and 2 messages, t2..t7 saw 3 + 4 + … + 8 = 33.
-    let expected = [(r#"{topic="__other__"}"#, 33), (r#"{topic="t0"}"#, 1), (r#"{topic="t1"}"#, 2)];
-    assert_eq!(received, expected);
-    assert_eq!(counters.keys().filter(|k| k.starts_with("broker.topic.dispatched")).count(), 3);
-    assert_eq!((overflowed, counters["broker.topics_overflowed"]), (6, 6));
+    let received = |label: &str| counters[&format!("broker.topic.received{{topic=\"{label}\"}}")];
+    // t0..t63 saw 1..64 messages, t64 and t65 saw 65 + 66 = 131.
+    for (i, topic) in topics[..SERIES_CAP].iter().enumerate() {
+        assert_eq!(received(topic), i as u64 + 1, "{topic}");
+    }
+    assert_eq!(received("__other__"), 131);
+    let series = |base| counters.keys().filter(|k| k.starts_with(base)).count();
+    assert_eq!(series("broker.topic.received"), SERIES_CAP + 1);
+    assert_eq!(series("broker.topic.dispatched"), SERIES_CAP + 1);
+    assert_eq!((overflowed, counters["broker.topics_overflowed"]), (2, 2));
 }

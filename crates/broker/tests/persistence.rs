@@ -124,25 +124,22 @@ fn torn_tail_recovers_to_last_whole_frame_and_redelivers() {
     cleanup(&dir);
 }
 
+/// A checkpoint every 256 deliveries, and one at the shutdown for the
+/// deliveries after it.
 #[test]
 fn checkpointed_deliveries_are_not_redelivered_after_clean_shutdown() {
+    const DELIVERED: i64 = 256 + 5;
     let dir = scratch_dir("bkr-ckpt");
-    let config = BrokerConfig::builder()
-        .persistence(
-            PersistenceConfig::new(&dir)
-                .checkpoint_every(1)
-                .journal(|j| j.fsync(FsyncPolicy::Always)),
-        )
-        .build();
+    let config = persistent_config(&dir);
     {
         let b = Broker::start(config.clone());
         b.create_topic("t").unwrap();
         let sub = b.subscription("t").durable("w").open().unwrap();
         let p = b.publisher("t").unwrap();
-        for i in 0..5i64 {
+        for i in 0..DELIVERED {
             p.publish(Message::builder().property("seq", i).build()).unwrap();
         }
-        for _ in 0..5 {
+        for _ in 0..DELIVERED {
             sub.receive_timeout(Duration::from_secs(2)).expect("live message");
         }
         drop(sub);
@@ -161,13 +158,10 @@ fn checkpointed_deliveries_are_not_redelivered_after_clean_shutdown() {
 #[test]
 fn retained_for_offline_durable_survive_restart_but_delivered_do_not() {
     let dir = scratch_dir("bkr-mixed");
-    // Large checkpoint interval: rely on the shutdown flush.
+    // Two deliveries, far short of the periodic checkpoint at 256: rely on
+    // the shutdown flush.
     let config = BrokerConfig::builder()
-        .persistence(
-            PersistenceConfig::new(&dir)
-                .checkpoint_every(1_000)
-                .journal(|j| j.fsync(FsyncPolicy::EveryN(4))),
-        )
+        .persistence(PersistenceConfig::new(&dir).journal(|j| j.fsync(FsyncPolicy::EveryN(4))))
         .build();
     {
         let b = Broker::start(config.clone());

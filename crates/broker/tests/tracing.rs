@@ -74,17 +74,18 @@ fn chains_are_complete_and_monotone_for_all_published_messages() {
     broker.shutdown();
 }
 
+/// The first 64 topics get a series pair of their own; the 65th and 66th
+/// share `__other__`.
 #[test]
 fn per_topic_series_are_exported_and_capped() {
-    let broker = Broker::start(
-        BrokerConfig::builder().metrics(MetricsConfig::default().per_topic_series(2)).build(),
-    );
-    for name in ["a", "b", "c", "d"] {
+    let broker = Broker::start(BrokerConfig::builder().metrics(MetricsConfig::default()).build());
+    let names: Vec<String> = (0..66).map(|i| format!("t{i}")).collect();
+    for name in &names {
         broker.create_topic(name).unwrap();
     }
-    // One subscriber on "a" so its dispatched counter moves too.
-    let sub = broker.subscription("a").filter(Filter::None).open().unwrap();
-    for name in ["a", "b", "c", "d"] {
+    // One subscriber on "t0" so its dispatched counter moves too.
+    let sub = broker.subscription("t0").filter(Filter::None).open().unwrap();
+    for name in &names {
         let publisher = broker.publisher(name).unwrap();
         publisher.publish(Message::builder().build()).unwrap();
     }
@@ -92,24 +93,11 @@ fn per_topic_series_are_exported_and_capped() {
     std::thread::sleep(Duration::from_millis(50));
 
     let snap = broker.metrics().unwrap().snapshot();
-    assert_eq!(snap.counters.get("broker.topic.received{topic=\"a\"}"), Some(&1));
-    assert_eq!(snap.counters.get("broker.topic.received{topic=\"b\"}"), Some(&1));
+    assert_eq!(snap.counters.get("broker.topic.received{topic=\"t0\"}"), Some(&1));
+    assert_eq!(snap.counters.get("broker.topic.received{topic=\"t63\"}"), Some(&1));
     // Topics beyond the cap collapse into one overflow series.
     assert_eq!(snap.counters.get("broker.topic.received{topic=\"__other__\"}"), Some(&2));
-    assert!(!snap.counters.keys().any(|k| k.contains("topic=\"c\"")));
-    assert_eq!(snap.counters.get("broker.topic.dispatched{topic=\"a\"}"), Some(&1));
-    broker.shutdown();
-}
-
-#[test]
-fn per_topic_export_can_be_disabled() {
-    let broker = Broker::start(
-        BrokerConfig::builder().metrics(MetricsConfig::default().per_topic_series(0)).build(),
-    );
-    broker.create_topic("t").unwrap();
-    broker.publisher("t").unwrap().publish(Message::builder().build()).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
-    let snap = broker.metrics().unwrap().snapshot();
-    assert!(!snap.counters.keys().any(|k| k.starts_with("broker.topic.")));
+    assert!(!snap.counters.keys().any(|k| k.contains("topic=\"t64\"")));
+    assert_eq!(snap.counters.get("broker.topic.dispatched{topic=\"t0\"}"), Some(&1));
     broker.shutdown();
 }

@@ -22,7 +22,7 @@
 //!   emergency cut (floored so it can recover).
 //! * `Insufficient` — not enough samples; the budget is left alone.
 
-use crate::config::FlowConfig;
+use crate::config::{FlowConfig, HEADROOM, REPLICATION_GRADE};
 use rjms_core::{
     max_utilization_for_quantile, measured_service, CostParams, ModelVerdict, ReplicationModel,
     ServerModel, ServiceTime,
@@ -90,16 +90,14 @@ struct SeedModel {
 /// ```
 #[derive(Debug)]
 pub struct FlowController {
-    /// Inversion target: `w99_objective / headroom`, seconds.
+    /// Inversion target: `w99_objective / HEADROOM`, seconds.
     target: f64,
     objective: f64,
-    headroom: f64,
     /// Seed cost constants (without `t_store`, which the seed model
-    /// tracks) and operating point, kept so the seed can be rebuilt when
-    /// the measured journal cost arrives.
+    /// tracks) and filter count, kept so the seed can be rebuilt when the
+    /// measured journal cost arrives.
     params: CostParams,
     filters: u32,
-    replication_grade: f64,
     seed: Mutex<SeedModel>,
     /// Number of dispatcher shards sharing the budget. Each shard is one
     /// M/GI/1 server held at `rho_max`, so every inversion's per-server
@@ -125,19 +123,16 @@ impl FlowController {
     /// utilisation, so the aggregate budget is `shards · λ_per_shard`; `1`
     /// is the single-server budget.
     pub fn new(config: &FlowConfig, shards: usize) -> Self {
-        let analytic = ServerModel::new(config.params, config.filters)
-            .service_time(ReplicationModel::deterministic(config.replication_grade));
-        let target = config.w99_objective / config.headroom;
+        let analytic = seed_service(config.params, config.filters);
+        let target = config.w99_objective / HEADROOM;
         let shards = shards.max(1) as f64;
         let (rho_max, per_shard) = invert(&analytic, target);
         let lambda_max = per_shard * shards;
         Self {
             target,
             objective: config.w99_objective,
-            headroom: config.headroom,
             params: config.params,
             filters: config.filters,
-            replication_grade: config.replication_grade,
             seed: Mutex::new(SeedModel {
                 analytic,
                 analytic_lambda: lambda_max,
@@ -166,11 +161,6 @@ impl FlowController {
     /// The configured `W99` objective, seconds.
     pub fn objective(&self) -> f64 {
         self.objective
-    }
-
-    /// The inversion headroom factor.
-    pub fn headroom(&self) -> f64 {
-        self.headroom
     }
 
     /// Where the current budget came from.
@@ -238,8 +228,7 @@ impl FlowController {
         if (t_store - seed.t_store).abs() < 0.05 * seed.analytic.mean() {
             return None;
         }
-        let analytic = ServerModel::new(self.params.with_t_store(t_store), self.filters)
-            .service_time(ReplicationModel::deterministic(self.replication_grade));
+        let analytic = seed_service(self.params.with_t_store(t_store), self.filters);
         let (rho, per_shard) = invert(&analytic, self.target);
         let lambda = per_shard * self.shards;
         seed.analytic = analytic;
@@ -265,6 +254,12 @@ impl FlowController {
     }
 }
 
+/// Eq. 1's service time at the seed model's operating point.
+fn seed_service(params: CostParams, filters: u32) -> ServiceTime {
+    ServerModel::new(params, filters)
+        .service_time(ReplicationModel::deterministic(REPLICATION_GRADE))
+}
+
 /// The core inversion: largest `ρ` whose predicted `W99` fits `target`,
 /// and the arrival rate it implies.
 fn invert(service: &ServiceTime, target: f64) -> (f64, f64) {
@@ -279,8 +274,9 @@ mod tests {
     use rjms_metrics::Histogram;
     use std::time::Duration;
 
+    /// A 2.5 ms objective: the inversion targets 2 ms after the headroom.
     fn config() -> FlowConfig {
-        FlowConfig::default().w99_objective(0.002).headroom(1.0).filters(100)
+        FlowConfig::default().w99_objective(0.0025).filters(100)
     }
 
     /// Builds a verdict by feeding synthetic waiting/service histograms
@@ -297,7 +293,7 @@ mod tests {
         };
         let monitor = ModelMonitor::new(
             ServerModel::new(c.params, c.filters),
-            ReplicationModel::deterministic(c.replication_grade),
+            ReplicationModel::deterministic(REPLICATION_GRADE),
         )
         .with_tolerance(tolerance);
         let waiting = Histogram::new();
@@ -315,13 +311,12 @@ mod tests {
     fn inversion_meets_the_objective() {
         let c = config();
         let controller = FlowController::new(&c, 1);
-        let service = ServerModel::new(c.params, c.filters)
-            .service_time(ReplicationModel::deterministic(c.replication_grade));
+        let service = seed_service(c.params, c.filters);
         let rho = controller.rho_max();
         assert!(rho > 0.0 && rho <= 0.999);
         // The predicted W99 at the ceiling fits the target.
         let analysis = rjms_core::WaitingTimeAnalysis::for_service_time(service, rho).unwrap();
-        assert!(analysis.distribution().quantile(0.99) <= c.w99_objective / c.headroom * 1.001);
+        assert!(analysis.distribution().quantile(0.99) <= c.w99_objective / HEADROOM * 1.001);
         assert!((controller.lambda_max() - rho / service.mean()).abs() < 1e-9);
     }
 
@@ -335,7 +330,7 @@ mod tests {
 
         // Recalibration from a drift verdict keeps the shard multiplier.
         let c = config();
-        let e_b = c.params.mean_service_time(c.filters, c.replication_grade);
+        let e_b = c.params.mean_service_time(c.filters, REPLICATION_GRADE);
         let v = verdict(3.0 * e_b, 2.0 * e_b, 0.3 / e_b);
         let one_after = one.refresh(&v).expect("drift refreshes");
         let four_after = four.refresh(&v).expect("drift refreshes");
@@ -354,7 +349,7 @@ mod tests {
         let c = config();
         let controller = FlowController::new(&c, 1);
         let before = controller.lambda_max();
-        let e_b = c.params.mean_service_time(c.filters, c.replication_grade);
+        let e_b = c.params.mean_service_time(c.filters, REPLICATION_GRADE);
         // Server measured 3x slower than the model at a modest load: the
         // monitor flags drift and the budget shrinks roughly 3x.
         let v = verdict(3.0 * e_b, 2.0 * e_b, 0.3 / e_b);
@@ -376,7 +371,7 @@ mod tests {
         let c = config();
         let controller = FlowController::new(&c, 1);
         let before = controller.lambda_max();
-        let e_b = c.params.mean_service_time(c.filters, c.replication_grade);
+        let e_b = c.params.mean_service_time(c.filters, REPLICATION_GRADE);
         // Measured rho > 1: no finite prediction, budget halves.
         let v = verdict(e_b, 10.0 * e_b, 1.5 / e_b);
         assert!(matches!(v, ModelVerdict::Overloaded { .. }), "expected overload, got {v:?}");
@@ -398,7 +393,7 @@ mod tests {
         assert_eq!(controller.seeded_t_store(), 0.0);
         // A measured store cost comparable to E[B] roughly doubles the
         // service time; the analytic budget shrinks immediately.
-        let e_b = c.params.mean_service_time(c.filters, c.replication_grade);
+        let e_b = c.params.mean_service_time(c.filters, REPLICATION_GRADE);
         let after = controller.reseed_store_cost(e_b).expect("budget must re-invert");
         assert!(after < before * 0.7, "budget {after} should tighten below {before}");
         assert_eq!(controller.seeded_t_store(), e_b);
@@ -417,7 +412,7 @@ mod tests {
     fn reseed_while_measured_waits_for_recalibration() {
         let c = config();
         let controller = FlowController::new(&c, 1);
-        let e_b = c.params.mean_service_time(c.filters, c.replication_grade);
+        let e_b = c.params.mean_service_time(c.filters, REPLICATION_GRADE);
         // Drift first: the live budget comes from measured moments.
         let v = verdict(3.0 * e_b, 2.0 * e_b, 0.3 / e_b);
         controller.refresh(&v).expect("drift refreshes");

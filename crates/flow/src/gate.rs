@@ -2,7 +2,7 @@
 //! controller's arrival-rate budget.
 //!
 //! One global [`TokenBucket`] refills at `λ_max`; per-producer buckets
-//! refill at a configurable share of it. JMS priorities 0–9 map
+//! refill at half of it. JMS priorities 0–9 map
 //! proportionally onto `classes` priority classes, and each class `c` may
 //! only draw from the global bucket while its fill fraction is at least
 //! `(classes − 1 − c) / classes`: as the bucket drains under overload the
@@ -11,7 +11,7 @@
 //! needs only a single token and is *deferred*, never shed.
 
 use crate::bucket::TokenBucket;
-use crate::config::FlowConfig;
+use crate::config::{FlowConfig, BURST_SECONDS, HEADROOM, PRODUCER_SHARE};
 use crate::controller::FlowController;
 use rjms_core::ModelVerdict;
 use rjms_metrics::{labeled, Counter, Histogram, MetricsRegistry};
@@ -158,7 +158,7 @@ impl FlowGate {
     pub fn new(config: FlowConfig, shards: usize) -> Self {
         let controller = FlowController::new(&config, shards);
         let lambda = controller.lambda_max();
-        let global = TokenBucket::new(lambda, burst_for(lambda, &config));
+        let global = TokenBucket::new(lambda, burst_for(lambda, config.classes));
         let counters = (0..config.classes).map(|_| ClassCounters::default()).collect();
         Self {
             config,
@@ -307,7 +307,7 @@ impl FlowGate {
     fn apply_rate(&self, lambda: f64) {
         let now_ns = self.epoch.elapsed().as_nanos() as u64;
         self.global.lock().unwrap().set_rate(lambda, now_ns);
-        let producer_rate = lambda * self.config.producer_share;
+        let producer_rate = lambda * PRODUCER_SHARE;
         for bucket in self.producers.lock().unwrap().values_mut() {
             bucket.set_rate(producer_rate, now_ns);
         }
@@ -349,37 +349,40 @@ impl FlowGate {
             lambda_max: self.controller.lambda_max(),
             rho_max: self.controller.rho_max(),
             w99_objective: self.controller.objective(),
-            headroom: self.controller.headroom(),
+            headroom: HEADROOM,
             source: self.controller.source().as_str(),
             refreshes: self.controller.refreshes(),
             classes: self.config.classes,
             bucket_level,
             bucket_burst,
             producers: self.producers.lock().unwrap().len() as u64,
-            per_class: self
-                .counters
-                .iter()
-                .enumerate()
-                .map(|(class, c)| ClassSnapshot {
-                    class: class as u8,
-                    granted: c.granted.load(Ordering::Relaxed),
-                    deferred: c.deferred.load(Ordering::Relaxed),
-                    shed: c.shed.load(Ordering::Relaxed),
-                })
-                .collect(),
+            per_class: self.class_counts().collect(),
         }
     }
 
+    /// The per-class outcome counters, the one count of each decision:
+    /// relaxed loads only, without the bucket locks [`Self::snapshot`]
+    /// takes.
+    pub fn class_counts(&self) -> impl Iterator<Item = ClassSnapshot> + '_ {
+        self.counters.iter().enumerate().map(|(class, c)| ClassSnapshot {
+            class: class as u8,
+            granted: c.granted.load(Ordering::Relaxed),
+            deferred: c.deferred.load(Ordering::Relaxed),
+            shed: c.shed.load(Ordering::Relaxed),
+        })
+    }
+
     fn producer_bucket(&self) -> TokenBucket {
-        let rate = self.controller.lambda_max() * self.config.producer_share;
-        TokenBucket::new(rate, burst_for(rate, &self.config))
+        let rate = self.controller.lambda_max() * PRODUCER_SHARE;
+        TokenBucket::new(rate, burst_for(rate, self.config.classes))
     }
 }
 
-/// Bucket depth for a given rate: `burst_seconds` worth of tokens,
-/// floored so every class's reserve band can hold at least one token.
-fn burst_for(rate: f64, config: &FlowConfig) -> f64 {
-    (rate * config.burst_seconds).max(f64::from(config.classes))
+/// Bucket depth for a given rate: [`BURST_SECONDS`] worth of tokens,
+/// floored so each of the `classes` reserve bands can hold at least one
+/// token.
+fn burst_for(rate: f64, classes: u8) -> f64 {
+    (rate * BURST_SECONDS).max(f64::from(classes))
 }
 
 /// Retry hints stay in a sane band regardless of bucket geometry.
@@ -393,11 +396,9 @@ mod tests {
 
     fn gate() -> FlowGate {
         // Tight objective so lambda_max is small and tests drain the
-        // bucket quickly; one producer share disables per-producer caps.
-        FlowGate::new(
-            FlowConfig::default().w99_objective(0.002).headroom(1.0).producer_share(1.0),
-            1,
-        )
+        // bucket quickly. A producer may take half the bucket, so the
+        // tests that drain it give each publish a producer of its own.
+        FlowGate::new(FlowConfig::default().w99_objective(0.0025), 1)
     }
 
     #[test]
@@ -418,7 +419,7 @@ mod tests {
         let g = gate();
         // Drain the whole bucket with top-class messages at t=0.
         let mut granted = 0u64;
-        while g.admit_at(1, 9, false, 0).is_granted() {
+        while g.admit_at(granted, 9, false, 0).is_granted() {
             granted += 1;
         }
         assert!(granted >= 1);
@@ -436,20 +437,18 @@ mod tests {
         // (2/3): class 0 blocked, class 2 still granted.
         let burst = g.global.lock().unwrap().burst();
         let to_drain = (burst / 2.0).ceil() as u64; // fill ~0.5 < 2/3
-        for _ in 0..to_drain {
-            assert!(g.admit_at(1, 9, false, 0).is_granted());
+        for producer in 0..to_drain {
+            assert!(g.admit_at(producer, 9, false, 0).is_granted());
         }
-        assert!(!g.admit_at(1, 0, false, 0).is_granted());
-        assert!(g.admit_at(1, 9, false, 0).is_granted());
+        assert!(!g.admit_at(to_drain, 0, false, 0).is_granted());
+        assert!(g.admit_at(to_drain + 1, 9, false, 0).is_granted());
     }
 
     #[test]
     fn producer_share_defers_a_hog_while_others_proceed() {
-        let g = FlowGate::new(
-            FlowConfig::default().w99_objective(0.01).headroom(1.0).producer_share(0.1),
-            1,
-        );
-        // Producer 1 exhausts its 10% share; producer 2 is still granted.
+        let g = FlowGate::new(FlowConfig::default().w99_objective(0.0125), 1);
+        // Producer 1 exhausts its half of the bucket; producer 2 is still
+        // granted from the other half.
         let mut outcome = g.admit_at(1, 9, false, 0);
         while outcome.is_granted() {
             outcome = g.admit_at(1, 9, false, 0);

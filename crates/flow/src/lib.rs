@@ -19,7 +19,7 @@
 //!   emergency multiplicative cut, and a calibrated verdict restores the
 //!   analytic budget.
 //! * [`FlowGate`] enforces the budget: a global [`TokenBucket`] refilled at
-//!   `λ_max`, per-producer buckets at a configurable share, and priority
+//!   `λ_max`, per-producer buckets at half of it, and priority
 //!   classes that shed the lowest class first while the top (durable /
 //!   persistent) class is deferred but never shed. Every decision is a
 //!   typed [`AdmissionOutcome`].

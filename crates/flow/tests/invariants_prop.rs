@@ -64,19 +64,14 @@ proptest! {
     #[test]
     fn gate_partitions_offered_load(
         classes in 1u8..=10,
-        share in 0.1f64..=1.0,
         offered in prop::collection::vec(
             (0u64..5, 0u8..10, any::<bool>(), 0u64..100_000_000),
             1..500,
         ),
     ) {
-        let gate = FlowGate::new(
-            FlowConfig::default()
-                .w99_objective(0.002)
-                .classes(classes)
-                .producer_share(share),
-            1,
-        );
+        // Five producers, each capped at half the budget: some publishes
+        // are deferred by their producer's bucket, not the global one.
+        let gate = FlowGate::new(FlowConfig::default().w99_objective(0.002).classes(classes), 1);
         let mut now = 0u64;
         let top = classes - 1;
         for (producer, priority, durable, dt) in offered.iter().copied() {

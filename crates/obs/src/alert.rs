@@ -5,18 +5,18 @@
 //! ```text
 //!        fast ≥ thr                 fast ∧ slow ≥ thr
 //!   Ok ────────────▶ Warning ───────────────────────▶ Firing
-//!   ▲ ▲▼ forecast       │ fast < resolve·thr            │
+//!   ▲ ▲▼ forecast       │ fast < 0.9·thr                │
 //!   │ Pending           ▼                               │ fast ∧ slow <
-//!   │ cooldown         Ok                               │ resolve·thr for
-//!   │                                                   ▼ `resolve_after`
+//!   │ cooldown 2 min   Ok                               │ 0.9·thr for
+//!   │                                                   ▼ 1 min
 //!   └────────────────────────────────────────────── Resolved
 //! ```
 //!
 //! Hysteresis: leaving Firing requires the burn to drop below
-//! `resolve_ratio · threshold` (default 0.9×) and *stay* there for
-//! `resolve_after`, so an alert flapping around the threshold does not
-//! spam transitions. After resolving, a per-alert `cooldown` must elapse
-//! before the machine returns to Ok and may fire again.
+//! 0.9 × threshold and *stay* there for a minute, so an alert flapping
+//! around the threshold does not spam transitions. After resolving, two
+//! minutes of cooldown must elapse before the machine returns to Ok and
+//! may fire again.
 //!
 //! The proactive [`AlertState::Pending`] state sits *before* the burn
 //! windows can see anything: the saturation forecaster
@@ -230,34 +230,19 @@ pub(crate) fn quantile_members(h: &HistogramSnapshot, w: &mut JsonWriter) {
     }
 }
 
-/// Hysteresis and pacing knobs shared by all machines in an engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AlertPolicy {
-    /// Burn must stay below `resolve_ratio × threshold` for
-    /// `resolve_after` before a firing alert resolves.
-    pub resolve_ratio: f64,
-    /// How long the burn must stay low to resolve.
-    pub resolve_after: Duration,
-    /// Dwell time in Resolved before returning to Ok.
-    pub cooldown: Duration,
-}
-
-impl Default for AlertPolicy {
-    fn default() -> Self {
-        Self {
-            resolve_ratio: 0.9,
-            resolve_after: Duration::from_secs(60),
-            cooldown: Duration::from_secs(120),
-        }
-    }
-}
+/// Burn must stay below `RESOLVE_RATIO × threshold` for [`RESOLVE_AFTER`]
+/// before a firing alert resolves.
+const RESOLVE_RATIO: f64 = 0.9;
+/// How long the burn must stay low to resolve.
+const RESOLVE_AFTER: Duration = Duration::from_secs(60);
+/// Dwell time in Resolved before returning to Ok.
+const COOLDOWN: Duration = Duration::from_secs(120);
 
 /// The per-objective state machine.
 #[derive(Debug)]
 pub struct AlertMachine {
     name: String,
     threshold: f64,
-    policy: AlertPolicy,
     state: AlertState,
     /// When the current state was entered.
     since: Duration,
@@ -268,11 +253,10 @@ pub struct AlertMachine {
 
 impl AlertMachine {
     /// Creates a machine in [`AlertState::Ok`].
-    pub fn new(name: &str, threshold: f64, policy: AlertPolicy) -> Self {
+    pub fn new(name: &str, threshold: f64) -> Self {
         Self {
             name: name.to_string(),
             threshold,
-            policy,
             state: AlertState::Ok,
             since: Duration::ZERO,
             quiet_since: None,
@@ -317,7 +301,7 @@ impl AlertMachine {
     ) -> Option<AlertEvent> {
         let fast_hot = fast.burn >= self.threshold;
         let slow_hot = slow.burn >= self.threshold;
-        let quiet_level = self.policy.resolve_ratio * self.threshold;
+        let quiet_level = RESOLVE_RATIO * self.threshold;
         let quiet = fast.burn < quiet_level && slow.burn < quiet_level;
         let calm = if breach_forecast { AlertState::Pending } else { AlertState::Ok };
         let next = match self.state {
@@ -342,7 +326,7 @@ impl AlertMachine {
             AlertState::Firing => {
                 if quiet {
                     let start = *self.quiet_since.get_or_insert(now);
-                    if now.saturating_sub(start) >= self.policy.resolve_after {
+                    if now.saturating_sub(start) >= RESOLVE_AFTER {
                         AlertState::Resolved
                     } else {
                         AlertState::Firing
@@ -356,7 +340,7 @@ impl AlertMachine {
                 if fast_hot && slow_hot {
                     // Re-fire immediately: the incident came back.
                     AlertState::Firing
-                } else if now.saturating_sub(self.since) >= self.policy.cooldown {
+                } else if now.saturating_sub(self.since) >= COOLDOWN {
                     AlertState::Ok
                 } else {
                     AlertState::Resolved
@@ -494,21 +478,13 @@ mod tests {
         WindowBurn { burn: b, samples: 100, bad: 0 }
     }
 
-    fn policy() -> AlertPolicy {
-        AlertPolicy {
-            resolve_ratio: 0.9,
-            resolve_after: Duration::from_secs(10),
-            cooldown: Duration::from_secs(20),
-        }
-    }
-
     fn step_at(m: &mut AlertMachine, t: u64, fast: f64, slow: f64) -> Option<AlertEvent> {
         m.step(Duration::from_secs(t), burn(fast), burn(slow), Evidence::default)
     }
 
     #[test]
     fn full_lifecycle_ok_warning_firing_resolved_ok() {
-        let mut m = AlertMachine::new("w99", 2.0, policy());
+        let mut m = AlertMachine::new("w99", 2.0);
         assert!(step_at(&mut m, 1, 0.1, 0.1).is_none());
         // Fast hot only → Warning.
         let e = step_at(&mut m, 2, 3.0, 0.5).unwrap();
@@ -517,39 +493,39 @@ mod tests {
         let e = step_at(&mut m, 3, 3.0, 2.5).unwrap();
         assert_eq!(e.to, AlertState::Firing);
         assert!(e.evidence.is_some());
-        // Burn drops; must stay quiet for resolve_after (10 s).
+        // Burn drops; must stay quiet for a minute.
         assert!(step_at(&mut m, 4, 0.2, 0.2).is_none());
-        assert!(step_at(&mut m, 9, 0.2, 0.2).is_none());
-        let e = step_at(&mut m, 14, 0.2, 0.2).unwrap();
+        assert!(step_at(&mut m, 63, 0.2, 0.2).is_none());
+        let e = step_at(&mut m, 64, 0.2, 0.2).unwrap();
         assert_eq!(e.to, AlertState::Resolved);
         assert!(e.evidence.is_none());
-        // Cooldown (20 s) before returning to Ok.
-        assert!(step_at(&mut m, 20, 0.1, 0.1).is_none());
-        let e = step_at(&mut m, 35, 0.1, 0.1).unwrap();
+        // Two minutes of cooldown before returning to Ok.
+        assert!(step_at(&mut m, 183, 0.1, 0.1).is_none());
+        let e = step_at(&mut m, 184, 0.1, 0.1).unwrap();
         assert_eq!(e.to, AlertState::Ok);
     }
 
     #[test]
     fn flapping_burn_resets_the_resolve_clock() {
-        let mut m = AlertMachine::new("w99", 2.0, policy());
+        let mut m = AlertMachine::new("w99", 2.0);
         step_at(&mut m, 1, 3.0, 3.0).unwrap();
         assert_eq!(m.state(), AlertState::Firing);
         assert!(step_at(&mut m, 5, 0.2, 0.2).is_none());
         // Burn spikes again: quiet stretch restarts.
-        assert!(step_at(&mut m, 8, 3.0, 3.0).is_none());
-        assert!(step_at(&mut m, 12, 0.2, 0.2).is_none());
-        // 10 s after the *second* quiet start, not the first.
-        assert!(step_at(&mut m, 18, 0.2, 0.2).is_none());
-        let e = step_at(&mut m, 22, 0.2, 0.2).unwrap();
+        assert!(step_at(&mut m, 40, 3.0, 3.0).is_none());
+        assert!(step_at(&mut m, 50, 0.2, 0.2).is_none());
+        // A minute after the *second* quiet start, not the first.
+        assert!(step_at(&mut m, 70, 0.2, 0.2).is_none());
+        let e = step_at(&mut m, 110, 0.2, 0.2).unwrap();
         assert_eq!(e.to, AlertState::Resolved);
     }
 
     #[test]
     fn hysteresis_blocks_resolution_near_threshold() {
-        let mut m = AlertMachine::new("w99", 2.0, policy());
+        let mut m = AlertMachine::new("w99", 2.0);
         step_at(&mut m, 1, 3.0, 3.0).unwrap();
         // 1.85 is below threshold 2.0 but above 0.9×2.0 = 1.8: not quiet.
-        for t in 2..40 {
+        for t in 2..200 {
             assert!(step_at(&mut m, t, 1.85, 1.85).is_none());
         }
         assert_eq!(m.state(), AlertState::Firing);
@@ -557,7 +533,7 @@ mod tests {
 
     #[test]
     fn warning_needs_only_fast_window_and_clears() {
-        let mut m = AlertMachine::new("w99", 2.0, policy());
+        let mut m = AlertMachine::new("w99", 2.0);
         let e = step_at(&mut m, 1, 2.5, 0.0).unwrap();
         assert_eq!(e.to, AlertState::Warning);
         let e = step_at(&mut m, 2, 0.1, 0.0).unwrap();
@@ -566,20 +542,20 @@ mod tests {
 
     #[test]
     fn refire_from_resolved_skips_cooldown() {
-        let mut m = AlertMachine::new("w99", 2.0, policy());
+        let mut m = AlertMachine::new("w99", 2.0);
         step_at(&mut m, 1, 3.0, 3.0).unwrap();
-        for t in 2..=12 {
+        for t in 2..=62 {
             step_at(&mut m, t, 0.1, 0.1);
         }
         assert_eq!(m.state(), AlertState::Resolved);
-        let e = step_at(&mut m, 13, 3.0, 3.0).unwrap();
+        let e = step_at(&mut m, 63, 3.0, 3.0).unwrap();
         assert_eq!(e.to, AlertState::Firing);
     }
 
     #[test]
     fn exit_code_sink_tracks_worst() {
         let mut sink = ExitCodeSink::new();
-        let mut m = AlertMachine::new("w99", 2.0, policy());
+        let mut m = AlertMachine::new("w99", 2.0);
         let e = step_at(&mut m, 1, 2.5, 0.0).unwrap();
         sink.emit(&e);
         assert_eq!(sink.code(), 1);
@@ -590,7 +566,7 @@ mod tests {
 
     #[test]
     fn event_json_is_well_formed() {
-        let mut m = AlertMachine::new("w99", 2.0, policy());
+        let mut m = AlertMachine::new("w99", 2.0);
         let e = m
             .step(Duration::from_secs(3), burn(3.0), burn(2.5), || Evidence {
                 window_histogram: None,
@@ -629,7 +605,7 @@ mod tests {
         });
         evidence.model_verdict = Some("drift: \"Q99[W]\"".into());
         evidence.trace_ids = vec![7, 9];
-        let mut m = AlertMachine::new("w99", 2.0, policy());
+        let mut m = AlertMachine::new("w99", 2.0);
         let e = m.step(Duration::from_secs(3), burn(3.0), burn(2.5), || evidence).unwrap();
         assert_eq!(
             e.render_json(),
@@ -654,7 +630,7 @@ mod tests {
 
     #[test]
     fn forecast_raises_pending_before_any_burn_and_clears() {
-        let mut m = AlertMachine::new("w99", 2.0, policy());
+        let mut m = AlertMachine::new("w99", 2.0);
         // Clean burns + breach forecast → Pending, with the forecast as
         // evidence.
         let e = m
@@ -694,7 +670,7 @@ mod tests {
 
     #[test]
     fn pending_escalates_through_warning_and_firing() {
-        let mut m = AlertMachine::new("w99", 2.0, policy());
+        let mut m = AlertMachine::new("w99", 2.0);
         m.step_with_forecast(Duration::from_secs(1), burn(0.1), burn(0.1), true, forecast_evidence)
             .unwrap();
         let e = m
@@ -723,7 +699,7 @@ mod tests {
 
     #[test]
     fn warning_deescalates_to_pending_while_forecast_holds() {
-        let mut m = AlertMachine::new("w99", 2.0, policy());
+        let mut m = AlertMachine::new("w99", 2.0);
         m.step_with_forecast(
             Duration::from_secs(1),
             burn(2.5),
@@ -748,7 +724,7 @@ mod tests {
     #[test]
     fn exit_code_sink_counts_pending_as_warning_severity() {
         let mut sink = ExitCodeSink::new();
-        let mut m = AlertMachine::new("w99", 2.0, policy());
+        let mut m = AlertMachine::new("w99", 2.0);
         let e = m
             .step_with_forecast(
                 Duration::from_secs(1),
@@ -764,7 +740,7 @@ mod tests {
 
     #[test]
     fn pending_event_json_carries_the_forecast() {
-        let mut m = AlertMachine::new("w99", 2.0, policy());
+        let mut m = AlertMachine::new("w99", 2.0);
         let e = m
             .step_with_forecast(
                 Duration::from_secs(1),

@@ -13,11 +13,9 @@
 //! transitions, and the shared core handed to the HTTP layer for the
 //! `/history` and `/slo` endpoints.
 
-use crate::alert::{
-    quantile_members, AlertEvent, AlertMachine, AlertPolicy, AlertSink, AlertState, Evidence,
-};
+use crate::alert::{quantile_members, AlertEvent, AlertMachine, AlertSink, AlertState, Evidence};
 use crate::forecast::{BreachTargets, Forecast, ForecastConfig, Forecaster, BACKLOG_METRIC};
-use crate::history::{HistoryConfig, MetricHistory, Reduce, Window};
+use crate::history::{MetricHistory, Reduce, Window};
 use crate::slo::{evaluate_window, Objective, SloSpec, WindowBurn, SERVICE_METRIC, WAITING_METRIC};
 use rjms_core::{ModelMonitor, ModelVerdict};
 use rjms_metrics::{shard_series, JsonWriter, MetricsRegistry, RegistrySnapshot};
@@ -32,15 +30,14 @@ const EVENT_RING: usize = 256;
 /// Trace chains attached to one piece of firing evidence.
 const EVIDENCE_TRACES: usize = 8;
 
-/// Engine configuration.
+/// Engine configuration. The history keeps 600 fine slots and 720 coarse
+/// ones of 10 fine slots each (10 minutes and 2 hours at one tick a
+/// second); a firing alert resolves after a minute below 0.9 × its
+/// threshold and returns to Ok two minutes later.
 #[derive(Debug)]
 pub struct ObsConfig {
-    /// History ring geometry.
-    pub history: HistoryConfig,
     /// The objectives to evaluate.
     pub slos: Vec<SloSpec>,
-    /// Shared hysteresis/pacing policy.
-    pub policy: AlertPolicy,
     /// Predictive forecasting knobs (trend window, horizon, confidence
     /// gate). Forecasting is on by default; set `forecast.enabled =
     /// false` to run the engine purely reactively.
@@ -49,12 +46,7 @@ pub struct ObsConfig {
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        Self {
-            history: HistoryConfig::default(),
-            slos: SloSpec::defaults(),
-            policy: AlertPolicy::default(),
-            forecast: ForecastConfig::default(),
-        }
+        Self { slos: SloSpec::defaults(), forecast: ForecastConfig::default() }
     }
 }
 
@@ -125,14 +117,11 @@ impl std::fmt::Debug for ObsCore {
 impl ObsCore {
     /// Builds an engine from a configuration.
     pub fn new(config: ObsConfig) -> Self {
-        let machines = config
-            .slos
-            .iter()
-            .map(|s| AlertMachine::new(&s.name, s.burn_threshold, config.policy))
-            .collect();
+        let machines =
+            config.slos.iter().map(|s| AlertMachine::new(&s.name, s.burn_threshold)).collect();
         let targets = BreachTargets::from_specs(&config.slos);
         Self {
-            history: MetricHistory::new(config.history),
+            history: MetricHistory::default(),
             specs: config.slos,
             machines,
             monitors: Vec::new(),
@@ -515,27 +504,12 @@ mod tests {
     use rjms_core::{CostParams, ReplicationModel, ServerModel};
     use rjms_metrics::MetricsRegistry;
 
-    /// One `W99 ≤ 1 ms` objective on 4 s / 8 s windows over a 32 s ring.
+    /// One `W99 ≤ 1 ms` objective on 4 s / 8 s windows.
     fn quick_config() -> ObsConfig {
         ObsConfig {
-            history: HistoryConfig {
-                fine_interval: Duration::from_secs(1),
-                fine_slots: 32,
-                coarse_factor: 4,
-                coarse_slots: 16,
-            },
             slos: vec![SloSpec::latency("w99", WAITING_METRIC, 0.99, 1_000_000)
                 .windows(Duration::from_secs(4), Duration::from_secs(8))],
-            policy: quick_policy(),
             forecast: ForecastConfig::default(),
-        }
-    }
-
-    fn quick_policy() -> AlertPolicy {
-        AlertPolicy {
-            resolve_ratio: 0.9,
-            resolve_after: Duration::from_secs(2),
-            cooldown: Duration::from_secs(4),
         }
     }
 
@@ -565,8 +539,9 @@ mod tests {
             step(&mut core, true, &mut t);
         }
         assert_eq!(core.status()[0].state, AlertState::Firing);
-        // Recover; resolve_after = 2 s then cooldown back to Ok.
-        for _ in 0..16 {
+        // Recover: a minute quiet to resolve, then two minutes of cooldown
+        // back to Ok.
+        for _ in 0..200 {
             step(&mut core, false, &mut t);
         }
         assert_eq!(core.status()[0].state, AlertState::Ok);
@@ -632,15 +607,8 @@ mod tests {
         let service = registry.histogram(SERVICE_METRIC);
         let backlog = registry.histogram(BACKLOG_METRIC);
         let config = ObsConfig {
-            history: HistoryConfig {
-                fine_interval: Duration::from_secs(1),
-                fine_slots: 64,
-                coarse_factor: 4,
-                coarse_slots: 32,
-            },
             slos: vec![SloSpec::latency("w99", WAITING_METRIC, 0.99, 10_000_000)
                 .windows(Duration::from_secs(8), Duration::from_secs(16))],
-            policy: quick_policy(),
             forecast: ForecastConfig {
                 trend_window: Duration::from_secs(20),
                 horizon: Duration::from_secs(300),
@@ -721,7 +689,7 @@ mod tests {
         let (fast, slow) = (Duration::from_secs(10), Duration::from_secs(20));
         let slos = SloSpec::defaults().into_iter().map(|s| s.windows(fast, slow)).collect();
         let forecast = ForecastConfig { trend_window: fast, ..ForecastConfig::default() };
-        let mut core = ObsCore::new(ObsConfig { slos, forecast, ..ObsConfig::default() });
+        let mut core = ObsCore::new(ObsConfig { slos, forecast });
         core.set_monitors(vec![Some(ModelMonitor::new(model, replication)); SHARDS]);
         (core, e_b)
     }

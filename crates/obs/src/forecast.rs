@@ -535,20 +535,10 @@ fn littles_law_check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::HistoryConfig;
     use crate::slo::{SERVICE_METRIC, WAITING_METRIC};
     use rjms_metrics::MetricsRegistry;
 
     const E_B_NS: u64 = 1_000_000; // 1 ms deterministic-ish service
-
-    fn history() -> MetricHistory {
-        MetricHistory::new(HistoryConfig {
-            fine_interval: Duration::from_secs(1),
-            fine_slots: 64,
-            coarse_factor: 4,
-            coarse_slots: 32,
-        })
-    }
 
     /// Drives `seconds` ticks where second `t` carries `rate(t)` messages
     /// with consistent waiting/service/backlog samples.
@@ -596,7 +586,7 @@ mod tests {
     #[test]
     fn ramp_produces_breach_eta_with_band() {
         let registry = MetricsRegistry::new();
-        let mut h = history();
+        let mut h = MetricHistory::default();
         // λ ramps 100 → 400 msg/s over 30 s: slope ≈ 10.34 msg/s².
         drive(&registry, &mut h, 30, |t| 100 + 10 * t, 200_000);
         let fc = forecast(&h, 30).expect("forecast");
@@ -624,7 +614,7 @@ mod tests {
     #[test]
     fn flat_traffic_projects_no_breach_and_no_pending() {
         let registry = MetricsRegistry::new();
-        let mut h = history();
+        let mut h = MetricHistory::default();
         drive(&registry, &mut h, 30, |_| 200, 200_000);
         let config = ForecastConfig::default();
         let fc = forecast(&h, 30).expect("forecast");
@@ -636,7 +626,7 @@ mod tests {
     #[test]
     fn pending_requires_eta_inside_horizon() {
         let registry = MetricsRegistry::new();
-        let mut h = history();
+        let mut h = MetricHistory::default();
         drive(&registry, &mut h, 30, |t| 100 + 10 * t, 200_000);
         let fc = forecast(&h, 30).expect("forecast");
         // The ramp breaches within ~40 s — inside a 15 m horizon.
@@ -649,7 +639,7 @@ mod tests {
     #[test]
     fn inconsistent_littles_law_downgrades_confidence() {
         let registry = MetricsRegistry::new();
-        let mut h = history();
+        let mut h = MetricHistory::default();
         let waiting = registry.histogram(WAITING_METRIC);
         let service = registry.histogram(SERVICE_METRIC);
         let backlog = registry.histogram(BACKLOG_METRIC);
@@ -674,7 +664,7 @@ mod tests {
     #[test]
     fn missing_backlog_metric_skips_the_check_without_downgrade() {
         let registry = MetricsRegistry::new();
-        let mut h = history();
+        let mut h = MetricHistory::default();
         let waiting = registry.histogram(WAITING_METRIC);
         let service = registry.histogram(SERVICE_METRIC);
         h.record(Duration::ZERO, &registry.snapshot());
@@ -693,7 +683,7 @@ mod tests {
     #[test]
     fn noisy_trend_grades_low() {
         let registry = MetricsRegistry::new();
-        let mut h = history();
+        let mut h = MetricHistory::default();
         // Sawtooth: no identifiable slope.
         drive(&registry, &mut h, 30, |t| if t % 2 == 0 { 50 } else { 400 }, 200_000);
         let fc = forecast(&h, 30).expect("forecast");
@@ -704,7 +694,7 @@ mod tests {
     #[test]
     fn too_little_history_yields_no_forecast() {
         let registry = MetricsRegistry::new();
-        let mut h = history();
+        let mut h = MetricHistory::default();
         drive(&registry, &mut h, 3, |_| 100, 200_000);
         assert!(forecast(&h, 3).is_none());
     }
@@ -712,7 +702,7 @@ mod tests {
     #[test]
     fn already_breached_eta_is_zero() {
         let registry = MetricsRegistry::new();
-        let mut h = history();
+        let mut h = MetricHistory::default();
         // λ = 950 msg/s at E[B] = 1 ms → ρ > ceiling already.
         drive(&registry, &mut h, 30, |t| 900 + 5 * t, 200_000);
         let fc = forecast(&h, 30).expect("forecast");
@@ -722,7 +712,7 @@ mod tests {
     #[test]
     fn forecast_json_is_well_formed() {
         let registry = MetricsRegistry::new();
-        let mut h = history();
+        let mut h = MetricHistory::default();
         drive(&registry, &mut h, 30, |t| 100 + 10 * t, 200_000);
         let fc = forecast(&h, 30).expect("forecast");
         let json = JsonWriter::document(|w| fc.write_json(w));

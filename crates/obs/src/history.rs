@@ -11,55 +11,28 @@
 //!
 //! Two resolutions bound memory while covering both alerting windows:
 //!
-//! * a **fine** ring (default 1 s × 600 slots = 10 min) feeding the fast
-//!   burn-rate window and the console sparklines, and
-//! * a **coarse** ring (default 10 s × 720 slots = 2 h) built by merging
-//!   every `coarse_factor` fine slots — the property tests in
+//! * a **fine** ring of 600 slots (10 min at one snapshot a second) feeding
+//!   the fast burn-rate window and the console sparklines, and
+//! * a **coarse** ring of 720 slots (2 h at one snapshot a second) built by
+//!   merging every 10 fine slots — the property tests in
 //!   `tests/history_prop.rs` verify the merge reproduces the coarse
 //!   counts and quantile bounds exactly.
 //!
-//! Memory is `O(slots × live series)` and independent of uptime; slots
-//! store only non-empty deltas.
+//! A slot is as wide as the interval between two recorded snapshots, which
+//! the caller picks ([`crate::ObsRuntime::start`]'s `interval`). Memory is
+//! `O(slots × live series)` and independent of uptime; slots store only
+//! non-empty deltas.
 
 use rjms_metrics::{HistogramSnapshot, RegistrySnapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
-/// Ring geometry. The defaults give 10 minutes at 1 s and 2 hours at 10 s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistoryConfig {
-    /// Width of one fine slot (the sampling interval).
-    pub fine_interval: Duration,
-    /// Number of fine slots retained.
-    pub fine_slots: usize,
-    /// Fine slots merged into one coarse slot.
-    pub coarse_factor: usize,
-    /// Number of coarse slots retained.
-    pub coarse_slots: usize,
-}
-
-impl Default for HistoryConfig {
-    fn default() -> Self {
-        Self {
-            fine_interval: Duration::from_secs(1),
-            fine_slots: 600,
-            coarse_factor: 10,
-            coarse_slots: 720,
-        }
-    }
-}
-
-impl HistoryConfig {
-    /// Total span the fine ring covers.
-    pub fn fine_span(&self) -> Duration {
-        self.fine_interval * self.fine_slots as u32
-    }
-
-    /// Total span the coarse ring covers.
-    pub fn coarse_span(&self) -> Duration {
-        self.fine_interval * (self.coarse_factor * self.coarse_slots) as u32
-    }
-}
+/// Fine slots retained.
+const FINE_SLOTS: usize = 600;
+/// Fine slots merged into one coarse slot.
+const COARSE_FACTOR: usize = 10;
+/// Coarse slots retained.
+const COARSE_SLOTS: usize = 720;
 
 /// One interval's worth of activity: deltas for counters and histograms,
 /// the last observed value for gauges (gauges are levels, not flows).
@@ -165,9 +138,8 @@ pub enum Reduce {
 }
 
 /// The multi-resolution delta ring. See the [module docs](self).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MetricHistory {
-    config: HistoryConfig,
     /// Last cumulative snapshot, the subtrahend for the next delta.
     last: Option<(Duration, RegistrySnapshot)>,
     fine: VecDeque<HistorySlot>,
@@ -179,25 +151,6 @@ pub struct MetricHistory {
 }
 
 impl MetricHistory {
-    /// Creates an empty history with the given geometry.
-    pub fn new(config: HistoryConfig) -> Self {
-        assert!(config.fine_slots > 0 && config.coarse_slots > 0 && config.coarse_factor > 0);
-        Self {
-            config,
-            last: None,
-            fine: VecDeque::with_capacity(config.fine_slots),
-            pending_coarse: None,
-            pending_count: 0,
-            coarse: VecDeque::with_capacity(config.coarse_slots),
-            samples: 0,
-        }
-    }
-
-    /// The configured geometry.
-    pub fn config(&self) -> &HistoryConfig {
-        &self.config
-    }
-
     /// Cumulative snapshots recorded so far.
     pub fn samples(&self) -> u64 {
         self.samples
@@ -229,15 +182,15 @@ impl MetricHistory {
             None => self.pending_coarse = Some(slot.clone()),
         }
         self.pending_count += 1;
-        if self.pending_count >= self.config.coarse_factor {
+        if self.pending_count >= COARSE_FACTOR {
             let coarse = self.pending_coarse.take().expect("pending tracked with count");
             self.pending_count = 0;
-            if self.coarse.len() == self.config.coarse_slots {
+            if self.coarse.len() == COARSE_SLOTS {
                 self.coarse.pop_front();
             }
             self.coarse.push_back(coarse);
         }
-        if self.fine.len() == self.config.fine_slots {
+        if self.fine.len() == FINE_SLOTS {
             self.fine.pop_front();
         }
         self.fine.push_back(slot);
@@ -376,32 +329,27 @@ mod tests {
     use super::*;
     use rjms_metrics::MetricsRegistry;
 
-    fn cfg(fine_slots: usize, factor: usize, coarse_slots: usize) -> HistoryConfig {
-        HistoryConfig {
-            fine_interval: Duration::from_secs(1),
-            fine_slots,
-            coarse_factor: factor,
-            coarse_slots,
-        }
-    }
-
     #[test]
     fn series_spanning_past_the_fine_ring_appends_the_pending_tail() {
         let registry = MetricsRegistry::new();
         let c = registry.counter("msgs");
-        // Fine ring holds 4 slots; coarse slots are 2 fine slots wide.
-        let mut history = MetricHistory::new(cfg(4, 2, 10));
-        for t in 0..=7u64 {
+        // The fine ring holds the last 600 of 607 slots; coarse slots are
+        // 10 fine slots wide.
+        let mut history = MetricHistory::default();
+        for t in 0..=607u64 {
             c.add(100);
             history.record(Duration::from_secs(t), &registry.snapshot());
         }
         // Requesting more than the fine ring covers must not drop the
         // fine slots newer than the last completed coarse slot.
-        let points = history.series("msgs", Duration::from_secs(60), Reduce::Rate);
-        // Coarse slots 0-2, 2-4, 4-6 for the deep past, then the pending
-        // fine slot 6-7: complete coverage, nothing double counted.
+        let points = history.series("msgs", Duration::from_secs(700), Reduce::Rate);
+        // Coarse slots 0-10, …, 590-600 for the deep past, then the pending
+        // fine slots 600-601, …, 606-607: complete coverage, nothing double
+        // counted.
         let ends: Vec<u64> = points.iter().map(|p| p.elapsed_ms).collect();
-        assert_eq!(ends, vec![2_000, 4_000, 6_000, 7_000], "{points:?}");
+        let coarse = (1..=60).map(|slot| slot * 10_000);
+        let pending = (601..=607).map(|end| end * 1_000);
+        assert_eq!(ends, coarse.chain(pending).collect::<Vec<u64>>(), "{points:?}");
         assert!(points.iter().all(|p| (p.value - 100.0).abs() < 1e-9), "{points:?}");
     }
 
@@ -409,7 +357,7 @@ mod tests {
     fn window_recovers_counter_deltas_and_rates() {
         let registry = MetricsRegistry::new();
         let c = registry.counter("msgs");
-        let mut history = MetricHistory::new(cfg(10, 2, 10));
+        let mut history = MetricHistory::default();
         for t in 0..=6u64 {
             c.add(100);
             history.record(Duration::from_secs(t), &registry.snapshot());
@@ -426,7 +374,7 @@ mod tests {
     fn window_merges_histogram_deltas() {
         let registry = MetricsRegistry::new();
         let h = registry.histogram("lat_ns");
-        let mut history = MetricHistory::new(cfg(10, 5, 10));
+        let mut history = MetricHistory::default();
         history.record(Duration::from_secs(0), &registry.snapshot());
         h.record(1_000);
         history.record(Duration::from_secs(1), &registry.snapshot());
@@ -444,23 +392,22 @@ mod tests {
     fn fine_ring_evicts_but_coarse_retains() {
         let registry = MetricsRegistry::new();
         let c = registry.counter("msgs");
-        // Fine: 4 slots of 1 s; coarse: 2-slot aggregation, 8 retained.
-        let mut history = MetricHistory::new(cfg(4, 2, 8));
-        for t in 0..=12u64 {
+        let mut history = MetricHistory::default();
+        for t in 0..=620u64 {
             c.add(10);
             history.record(Duration::from_secs(t), &registry.snapshot());
         }
-        // 12 slots recorded; the fine ring holds only the last 4, but a
-        // 10 s window is still answerable from the coarse ring.
-        let deep = history.window(Duration::from_secs(10));
-        assert_eq!(deep.counters.get("msgs"), Some(&100), "slots {}", deep.slots);
+        // 620 slots recorded; the fine ring holds only the last 600, but a
+        // 610 s window is still answerable from the coarse ring.
+        let deep = history.window(Duration::from_secs(610));
+        assert_eq!(deep.counters.get("msgs"), Some(&6_100), "slots {}", deep.slots);
     }
 
     #[test]
     fn series_reports_per_slot_rates_oldest_first() {
         let registry = MetricsRegistry::new();
         let c = registry.counter("msgs");
-        let mut history = MetricHistory::new(cfg(10, 5, 10));
+        let mut history = MetricHistory::default();
         history.record(Duration::from_secs(0), &registry.snapshot());
         for t in 1..=3u64 {
             c.add(t * 10);
@@ -477,7 +424,7 @@ mod tests {
     fn mean_reduce_is_per_slot_sample_mean() {
         let registry = MetricsRegistry::new();
         let h = registry.histogram("broker.backlog");
-        let mut history = MetricHistory::new(cfg(10, 5, 10));
+        let mut history = MetricHistory::default();
         history.record(Duration::from_secs(0), &registry.snapshot());
         // Slot 1: samples {2, 4} → mean 3; slot 2: none → 0; slot 3: {9}.
         h.record(2);
@@ -495,7 +442,7 @@ mod tests {
     fn out_of_order_snapshots_are_dropped() {
         let registry = MetricsRegistry::new();
         let c = registry.counter("msgs");
-        let mut history = MetricHistory::new(cfg(10, 2, 10));
+        let mut history = MetricHistory::default();
         history.record(Duration::from_secs(5), &registry.snapshot());
         c.add(7);
         history.record(Duration::from_secs(5), &registry.snapshot());
@@ -512,7 +459,7 @@ mod tests {
     fn warmup_window_reports_actual_span() {
         let registry = MetricsRegistry::new();
         registry.counter("msgs").add(1);
-        let mut history = MetricHistory::new(cfg(600, 10, 720));
+        let mut history = MetricHistory::default();
         history.record(Duration::from_secs(0), &registry.snapshot());
         registry.counter("msgs").add(1);
         history.record(Duration::from_secs(1), &registry.snapshot());
@@ -525,7 +472,7 @@ mod tests {
     fn gauges_report_latest_level() {
         let registry = MetricsRegistry::new();
         let g = registry.gauge("depth");
-        let mut history = MetricHistory::new(cfg(10, 2, 10));
+        let mut history = MetricHistory::default();
         g.set(5);
         history.record(Duration::from_secs(0), &registry.snapshot());
         g.set(9);

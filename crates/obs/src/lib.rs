@@ -64,8 +64,8 @@ pub mod slo;
 pub mod topics;
 
 pub use alert::{
-    AlertEvent, AlertMachine, AlertPolicy, AlertSink, AlertState, Evidence, ExitCodeSink,
-    ForecastEvidence, MemorySink, StderrSink, WebhookSink,
+    AlertEvent, AlertMachine, AlertSink, AlertState, Evidence, ExitCodeSink, ForecastEvidence,
+    MemorySink, StderrSink, WebhookSink,
 };
 pub use engine::{
     verdict_summary, ObjectiveStatus, ObsConfig, ObsCore, ObsRuntime, ShardAssessment,
@@ -74,6 +74,6 @@ pub use forecast::{
     BreachTargets, Confidence, EtaBand, Forecast, ForecastConfig, Forecaster, LittlesLawCheck,
     BACKLOG_METRIC,
 };
-pub use history::{HistoryConfig, MetricHistory, Reduce, SeriesPoint, Window};
+pub use history::{MetricHistory, Reduce, SeriesPoint, Window};
 pub use slo::{evaluate_window, Objective, SloSpec, WindowBurn};
 pub use topics::{analyze_skew, ShardShare, SkewReport, TopicLoad, TopicMove, FLAG_RATIO};

@@ -1,36 +1,29 @@
 //! Property tests: window reconstruction from the history rings is
-//! bucket-exact. A trailing 10 s window built by merging 1 s fine slots —
-//! or, when the fine ring is too short, coarse slots plus the pending
-//! fine tail — must reproduce exactly the histogram a single continuous
-//! recording over those 10 s would have produced: same total count, same
-//! sum, and the same quantile at every probe point (merging log-linear
-//! histograms is per-bucket addition, so nothing is re-bucketed and no
-//! extra quantile error can appear).
+//! bucket-exact. A trailing window built by merging 1 s fine slots — or,
+//! when the window reaches past the 600-slot fine ring, coarse slots plus
+//! the pending fine tail — must reproduce exactly the histogram a single
+//! continuous recording over that window would have produced: same total
+//! count, same sum, and the same quantile at every probe point (merging
+//! log-linear histograms is per-bucket addition, so nothing is re-bucketed
+//! and no extra quantile error can appear).
 
 use proptest::prelude::*;
 use rjms_metrics::{Histogram, MetricsRegistry};
-use rjms_obs::{HistoryConfig, MetricHistory};
+use rjms_obs::MetricHistory;
 use std::time::Duration;
 
-fn config(fine_slots: usize, coarse_factor: usize) -> HistoryConfig {
-    HistoryConfig {
-        fine_interval: Duration::from_secs(1),
-        fine_slots,
-        coarse_factor,
-        coarse_slots: 720,
-    }
-}
-
-/// Replays `seconds` (one inner vec of samples per 1 s interval) through a
-/// history with the given ring geometry, then checks the merged trailing
-/// window against a direct histogram of the same samples.
-fn check(seconds: &[Vec<u64>], fine_slots: usize, coarse_factor: usize) {
+/// Records `lead` empty seconds, then replays `seconds` (one inner vec of
+/// samples per 1 s interval) through a history, and checks the merged
+/// trailing window over all of it against a direct histogram of the same
+/// samples.
+fn check(seconds: &[Vec<u64>], lead: usize) {
     let registry = MetricsRegistry::new();
     let live = registry.histogram("w");
     let direct = Histogram::new();
-    let mut history = MetricHistory::new(config(fine_slots, coarse_factor));
+    let mut history = MetricHistory::default();
     history.record(Duration::ZERO, &registry.snapshot()); // baseline
-    for (i, values) in seconds.iter().enumerate() {
+    let quiet = Vec::new();
+    for (i, values) in std::iter::repeat_n(&quiet, lead).chain(seconds).enumerate() {
         for &v in values {
             live.record(v);
             direct.record(v);
@@ -38,7 +31,7 @@ fn check(seconds: &[Vec<u64>], fine_slots: usize, coarse_factor: usize) {
         history.record(Duration::from_secs(i as u64 + 1), &registry.snapshot());
     }
     let expected = direct.snapshot();
-    let window = history.window(Duration::from_secs(seconds.len() as u64));
+    let window = history.window(Duration::from_secs((lead + seconds.len()) as u64));
     let Some(merged) = window.histogram("w") else {
         assert_eq!(expected.count, 0, "window lost every sample");
         return;
@@ -65,10 +58,11 @@ proptest! {
     ) {
         // Fine path: the ring holds every slot, the window is a pure
         // fine-slot merge.
-        check(&seconds, 600, 10);
-        // Coarse path: the fine ring holds only the last 5 slots, so any
-        // window deeper than 5 s must stitch completed coarse slots with
-        // the pending fine tail. Same samples, same answer.
-        check(&seconds, 5, 5);
+        check(&seconds, 0);
+        // Coarse path: after 600 empty seconds the fine ring no longer
+        // reaches back to the window's start, so the window must stitch
+        // completed coarse slots (the one holding the first samples among
+        // them) with the pending fine tail. Same samples, same answer.
+        check(&seconds, 600);
     }
 }

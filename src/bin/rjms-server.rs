@@ -43,8 +43,7 @@ use rjms::http::{HttpServer, HttpState};
 use rjms::model::params::CostParams;
 use rjms::net::server::BrokerServer;
 use rjms::obs::{
-    Confidence, ForecastConfig, HistoryConfig, ObsConfig, ObsCore, ObsRuntime, StderrSink,
-    WebhookSink,
+    Confidence, ForecastConfig, ObsConfig, ObsCore, ObsRuntime, StderrSink, WebhookSink,
 };
 use rjms::settings::{self, Key, Values, SETTINGS};
 use std::io::Write as _;
@@ -63,8 +62,9 @@ fn cost_model(values: &Values) -> Option<CostParams> {
 }
 
 /// Maps the effective settings onto the library's own config types: the
-/// broker's, and the SLO engine's when that is on.
-fn configs(values: &Values) -> (BrokerConfig, Option<ObsConfig>) {
+/// broker's, and the SLO engine's with its sampling interval when that is
+/// on.
+fn configs(values: &Values) -> (BrokerConfig, Option<(ObsConfig, Duration)>) {
     let count = |key| values.count(key).expect(DEFAULTED);
     let secs = |key| Duration::from_secs(count(key));
     let cost = cost_model(values);
@@ -103,9 +103,8 @@ fn configs(values: &Values) -> (BrokerConfig, Option<ObsConfig>) {
             builder.topic_obs(TopicObsConfig::default().per_topic_cap(cap).target_ratio(target));
     }
 
-    let obs = values.on(Key::Slo).then(|| ObsConfig {
-        history: HistoryConfig { fine_interval: secs(Key::History), ..HistoryConfig::default() },
-        forecast: ForecastConfig {
+    let obs = values.on(Key::Slo).then(|| {
+        let forecast = ForecastConfig {
             enabled: values.on(Key::Forecast),
             horizon: secs(Key::ForecastHorizon),
             trend_window: secs(Key::ForecastTrendWindow),
@@ -113,8 +112,8 @@ fn configs(values: &Values) -> (BrokerConfig, Option<ObsConfig>) {
                 .text(Key::ForecastConfidence)
                 .and_then(Confidence::parse)
                 .expect(DEFAULTED),
-        },
-        ..ObsConfig::default()
+        };
+        (ObsConfig { forecast, ..ObsConfig::default() }, secs(Key::History))
     });
     (builder.build(), obs)
 }
@@ -176,9 +175,8 @@ fn main() {
 
     // SLO engine: background sampler + burn-rate alerting over the
     // broker's dispatch instruments.
-    let obs_runtime = obs_config.map(|obs_config| {
+    let obs_runtime = obs_config.map(|(obs_config, interval)| {
         let registry = server.broker().metrics().expect("metrics enabled with the SLO engine");
-        let interval = obs_config.history.fine_interval;
         let forecast = obs_config.forecast;
         let mut core = ObsCore::new(obs_config);
         core.add_sink(Box::new(StderrSink));
@@ -281,7 +279,7 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn configs_for(argv: &[&str]) -> (BrokerConfig, Option<ObsConfig>) {
+    fn configs_for(argv: &[&str]) -> (BrokerConfig, Option<(ObsConfig, Duration)>) {
         let flags = settings::parse_flags(&SETTINGS, argv.iter().map(|s| (*s).to_owned())).unwrap();
         configs(&flags.over(Values::new(&SETTINGS)))
     }
@@ -297,8 +295,8 @@ mod tests {
         assert_eq!(broker.trace, Some(TraceConfig::default()));
         assert_eq!(broker.flow, Some(FlowConfig::default()));
         assert_eq!(broker.topic_obs, Some(TopicObsConfig::default()));
-        let obs = obs.expect("--slo");
-        assert_eq!(obs.history, HistoryConfig::default());
+        let (obs, interval) = obs.expect("--slo");
+        assert_eq!(interval, Duration::from_secs(1), "one history slot a second");
         assert_eq!(obs.forecast, ForecastConfig::default());
     }
 
@@ -338,8 +336,8 @@ mod tests {
         assert_eq!(flow.params, CostParams::APPLICATION_PROPERTY);
         let topic_obs = broker.topic_obs.expect("--topic-obs-cap implies --topic-obs");
         assert_eq!((topic_obs.per_topic_cap, topic_obs.target_ratio), (9, 2.0));
-        let obs = obs.expect("--history implies --slo");
-        assert_eq!(obs.history.fine_interval, Duration::from_secs(3));
+        let (obs, interval) = obs.expect("--history implies --slo");
+        assert_eq!(interval, Duration::from_secs(3));
         assert_eq!(obs.forecast.horizon, Duration::from_secs(60));
         assert_eq!(obs.forecast.min_confidence, Confidence::High);
         assert!(obs.forecast.enabled);

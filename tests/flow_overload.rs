@@ -100,11 +100,12 @@ fn shed_total(gate: &FlowGate) -> u64 {
 #[test]
 fn gate_keeps_admitted_w99_inside_objective_through_an_overload_wave() {
     // Table I workload: correlation-ID constants, 100 filters, E[R] = 1 —
-    // the FlowConfig defaults. Extra headroom keeps the admitted-traffic
-    // target comfortably inside the asserted objective.
-    let config = FlowConfig::default().w99_objective(0.010).headroom(1.5).producer_share(1.0);
-    let objective = config.w99_objective;
-    let gate = FlowGate::new(config, 1);
+    // the FlowConfig defaults. The gate is given a fifth less than the
+    // asserted objective, so that after its own 1.25 headroom it targets
+    // 6.7 ms, comfortably inside the 10 ms asserted. Four producers, none
+    // offered more than the half of the budget each may take.
+    let objective = 0.010;
+    let gate = FlowGate::new(FlowConfig::default().w99_objective(objective / 1.2), 1);
     let lambda_max = gate.lambda_max();
     assert!(lambda_max > 100.0, "budget too small for a meaningful wave: {lambda_max}/s");
     let e_b = CostParams::CORRELATION_ID.mean_service_time(100, 1.0);
@@ -291,6 +292,7 @@ mod flow_peer {
     //! and nothing else, and admission's denials come back typed.
 
     use rjms::broker::{BrokerConfig, FlowConfig, Message, Priority};
+    use rjms::model::params::CostParams;
     use rjms::net::wire::{decode_response, read_frame, Request, Response, FEATURE_FLOW};
     use rjms::net::{BrokerServer, Error, RemoteBroker};
     use std::io::Write;
@@ -299,9 +301,12 @@ mod flow_peer {
 
     #[test]
     fn a_flow_peer_gets_one_reply_per_request_and_no_other_frame() {
-        // A second of the budget in the bucket, all of it for one producer:
-        // the 100 publishes are admitted.
-        let flow = FlowConfig::default().burst_seconds(1.0).producer_share(1.0);
+        // A native-speed seed model (0.4 µs a message at 100 filters) puts
+        // `λ_max` in the millions a second: the twentieth of a second of it
+        // in the bucket, halved for the one producer, admits the 100
+        // publishes.
+        let native = CostParams::new(60e-9, 2.5e-9, 80e-9);
+        let flow = FlowConfig::default().params(native);
         let server = BrokerServer::start(BrokerConfig::builder().flow(flow).build(), "127.0.0.1:0")
             .expect("bind");
         server.broker().create_topic("t").unwrap();
@@ -392,12 +397,13 @@ mod sharded {
         // so what each shard measures is a few microseconds of service, far
         // from overload on any host: nothing here times the machine.
         let params = CostParams { t_rcv: 100e-6, t_fltr: 10e-6, t_tx: 140e-6, t_store: 0.0 };
+        // One publisher per shard: each is a producer of its own, offered a
+        // quarter of the load and allowed half the budget.
         let flow = FlowConfig::default()
             .params(params)
             .filters(1)
             .w99_objective(0.050)
-            .refresh_interval_ms(300)
-            .producer_share(1.0);
+            .refresh_interval_ms(300);
         let broker = Broker::start(BrokerConfig::builder().shards(SHARDS).flow(flow).build());
         let gate = broker.flow().expect("flow control on");
 

@@ -3,7 +3,7 @@
 //! Arrival rate climbs linearly from `0.5×λ_breach` to `1.1×λ_breach`
 //! while every tick records model-consistent telemetry: waiting samples
 //! at the analytic `W99(ρ)` for the current utilization, deterministic
-//! 1 ms service samples, and backlog samples equal to `λ·E[W]` so
+//! 1 ms service samples, and backlog samples whose mean is `λ·E[W]` so
 //! Little's law holds by construction. The engine must:
 //!
 //! 1. raise the proactive `Pending` state strictly before the reactive
@@ -20,8 +20,7 @@
 
 use rjms::metrics::MetricsRegistry;
 use rjms::obs::{
-    AlertEvent, AlertPolicy, AlertState, ForecastConfig, HistoryConfig, ObsConfig, ObsCore,
-    SloSpec, BACKLOG_METRIC,
+    AlertEvent, AlertState, ForecastConfig, ObsConfig, ObsCore, SloSpec, BACKLOG_METRIC,
 };
 use rjms::queueing::replication::ReplicationModel;
 use rjms::queueing::service::ServiceTime;
@@ -52,18 +51,7 @@ fn staged_ramp_pends_with_accurate_eta_before_firing() {
     let spec = SloSpec::latency("w99", "broker.waiting_ns", 0.99, (limit_s * 1e9) as u64)
         .windows(FAST, SLOW);
     let config = ObsConfig {
-        history: HistoryConfig {
-            fine_interval: Duration::from_secs(1),
-            fine_slots: 128,
-            coarse_factor: 4,
-            coarse_slots: 32,
-        },
         slos: vec![spec],
-        policy: AlertPolicy {
-            resolve_ratio: 0.9,
-            resolve_after: Duration::from_secs(2),
-            cooldown: Duration::from_secs(4),
-        },
         forecast: ForecastConfig {
             enabled: true,
             horizon: Duration::from_secs(300),
@@ -90,11 +78,14 @@ fn staged_ramp_pends_with_accurate_eta_before_firing() {
         let lambda = lambda_at(t);
         let rho = (lambda * E_B).min(0.995);
         let w_s = w99_at(rho);
-        let depth = (lambda * w_s).round() as u64;
-        for _ in 0..lambda.round() as u64 {
+        let depth = lambda * w_s;
+        for i in 0..lambda.round() as u64 {
             waiting.record((w_s * 1e9) as u64);
             service.record((E_B * 1e9) as u64);
-            backlog.record(depth);
+            // ⌊λ·W⌋ or ⌈λ·W⌉, so that the mean is λ·W: the first forecasts
+            // come at L ≈ 1.2, where a rounded depth would be 20 % off.
+            let queued = ((i + 1) as f64 * depth).floor() - (i as f64 * depth).floor();
+            backlog.record(queued as u64);
         }
         let now = Duration::from_secs(t);
         for event in core.tick(now, &registry.snapshot(), None) {

@@ -34,7 +34,7 @@ use rjms::broker::{
 };
 use rjms::desim::random::sample_exponential;
 use rjms::model::params::CostParams;
-use rjms::obs::{AlertPolicy, ForecastConfig, HistoryConfig, ObsConfig, ObsCore};
+use rjms::obs::{ForecastConfig, ObsConfig, ObsCore};
 use std::time::{Duration, Instant};
 
 /// Filters per topic (one of them matches every message).
@@ -106,14 +106,7 @@ fn paced_poisson_workload_satisfies_littles_law_per_shard() {
 
     let registry = broker.metrics().expect("metrics enabled above");
     let mut core = ObsCore::new(ObsConfig {
-        history: HistoryConfig {
-            fine_interval: TICK,
-            fine_slots: 64,
-            coarse_factor: 4,
-            coarse_slots: 32,
-        },
         slos: Vec::new(),
-        policy: AlertPolicy::default(),
         forecast: ForecastConfig { trend_window: TREND_WINDOW, ..ForecastConfig::default() },
     });
     core.set_monitors(broker.observer().shard_monitors());

@@ -23,9 +23,7 @@ use rjms::model::monitor::ModelMonitor;
 use rjms::model::params::CostParams;
 use rjms::model::slo::AnalyticSlo;
 use rjms::obs::minijson::{self, Value};
-use rjms::obs::{
-    AlertEvent, AlertPolicy, AlertState, ForecastConfig, HistoryConfig, ObsConfig, ObsCore, SloSpec,
-};
+use rjms::obs::{AlertEvent, AlertState, ForecastConfig, ObsConfig, ObsCore, SloSpec};
 use rjms::queueing::replication::ReplicationModel;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -83,16 +81,7 @@ fn overload_drives_w99_through_the_alert_lifecycle() {
         .find(|s| s.name == "w99")
         .expect("derived spec set includes w99")
         .windows(FAST, SLOW);
-    let config = ObsConfig {
-        history: HistoryConfig::default(),
-        slos: vec![w99_spec],
-        policy: AlertPolicy {
-            resolve_ratio: 0.9,
-            resolve_after: Duration::from_secs(2),
-            cooldown: Duration::from_secs(4),
-        },
-        forecast: ForecastConfig::default(),
-    };
+    let config = ObsConfig { slos: vec![w99_spec], forecast: ForecastConfig::default() };
     let monitor = ModelMonitor::new(ServerModel::new(params, n_fltr), replication);
     let mut core = ObsCore::new(config);
     core.set_monitors(vec![Some(monitor)]);
@@ -139,10 +128,10 @@ fn overload_drives_w99_through_the_alert_lifecycle() {
     );
 
     // Phase 3 — load drops to the plan point (queue drains): once the slow
-    // window flushes the incident and the quiet period passes, resolved.
+    // window flushes the incident and the minute of quiet passes, resolved.
     w = 0.0;
     let mut resolved = false;
-    for _ in 0..25 {
+    for _ in 0..90 {
         drive_second(&mut rng, healthy_rate, e_b, &mut w, &waiting, &service);
         now += Duration::from_secs(1);
         for event in core.lock().unwrap().tick(now, &registry.snapshot(), None) {
