@@ -47,7 +47,7 @@ use parking_lot::{Mutex, RwLock};
 use rjms_core::ModelMonitor;
 use rjms_flow::{AdmissionOutcome, FlowGate};
 use rjms_journal::Journal;
-use rjms_metrics::{labeled, Counter, MetricsRegistry};
+use rjms_metrics::{labeled, MetricsRegistry, RegistrySnapshot};
 use rjms_trace::FlightRecorder;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -103,19 +103,48 @@ pub(crate) struct Topic {
     pub(crate) filter_evaluations: AtomicU64,
     /// [`LiveFlags::cleared`] as of the dispatcher's last prune of `subs`.
     pub(crate) pruned_at: AtomicU64,
-    /// The labeled pair the telemetry probe bumps; `None` without metrics
-    /// or with a series cap of 0.
-    pub(crate) series: Option<TopicSeries>,
+    /// How many of the broker's topics were created before this one: the
+    /// first [`PER_TOPIC_SERIES`] get a `broker.topic.*` pair of their own
+    /// ([`topic_series`]).
+    pub(crate) ordinal: usize,
     /// The topic's own observatory account; `None` without an observatory
     /// or beyond its cap ([`TopicObservatory::account_of`]).
     pub(crate) account: Option<Account>,
 }
 
-/// One exported `broker.topic.received|dispatched{topic=…}` counter pair: a
-/// topic's own, or the shared `__other__` pair.
-pub(crate) struct TopicSeries {
-    pub(crate) received: Arc<Counter>,
-    pub(crate) dispatched: Arc<Counter>,
+/// The broker's topics by name. Topics are never deleted.
+pub(crate) type TopicTable = RwLock<HashMap<String, Arc<Topic>>>;
+
+/// Topics beyond the smallest cap among the enabled per-topic tables — the
+/// labeled series with `metrics` on, the observatory's accounts with an
+/// `account_cap` — which share that table's `__other__`. Topics are never
+/// deleted and take the slots in creation order, so that is every topic
+/// past the cap; 0 with neither table on.
+pub(crate) fn topics_overflowed(metrics: bool, account_cap: Option<usize>, topics: usize) -> u64 {
+    let cap = [metrics.then_some(PER_TOPIC_SERIES), account_cap].into_iter().flatten().min();
+    cap.map_or(0, |cap| topics.saturating_sub(cap) as u64)
+}
+
+/// The registry source of the per-topic series, read off the topics' own
+/// counters: a `broker.topic.{received,dispatched}{topic=…}` pair for each
+/// of the first [`PER_TOPIC_SERIES`] topics created, one `__other__` pair
+/// summing the rest, and `broker.topics_overflowed` once it is not 0.
+fn topic_series(topics: &TopicTable, account_cap: Option<usize>, snapshot: &mut RegistrySnapshot) {
+    let topics = topics.read();
+    for topic in topics.values() {
+        let label = if topic.ordinal < PER_TOPIC_SERIES { &topic.name } else { OTHER_TOPIC };
+        for (base, count) in [
+            ("broker.topic.received", &topic.received),
+            ("broker.topic.dispatched", &topic.dispatched),
+        ] {
+            let series = snapshot.counters.entry(labeled(base, &[("topic", label)])).or_default();
+            *series += count.load(Ordering::Relaxed);
+        }
+    }
+    let overflowed = topics_overflowed(true, account_cap, topics.len());
+    if overflowed > 0 {
+        snapshot.counters.insert("broker.topics_overflowed".to_owned(), overflowed);
+    }
 }
 
 /// Maps a topic name onto a dispatcher shard: a stable FNV-1a hash of the
@@ -175,7 +204,9 @@ pub(crate) struct BrokerInner {
     /// [`Broker::shard_reports`] are derived against this origin, matching
     /// the flow-refresh loop's convention.
     pub(crate) started: Instant,
-    pub(crate) topics: RwLock<HashMap<String, Arc<Topic>>>,
+    /// Shared with the registry's per-topic source ([`topic_series`]),
+    /// which holds the table and never the broker.
+    pub(crate) topics: Arc<TopicTable>,
     /// Wildcard subscriptions, attached to future topics on creation.
     patterns: RwLock<Vec<PatternSubscription>>,
     next_subscription_id: AtomicU64,
@@ -212,35 +243,16 @@ impl BrokerInner {
         self.topic_obs.as_ref().map(|o| o.snapshot(self.topics.read().values()))
     }
 
-    /// Builds a topic, created or recovered, and assigns what it owns in each
-    /// enabled per-topic table: with metrics on, the first
-    /// [`PER_TOPIC_SERIES`] of the broker's topics (`existing` came before
-    /// this one) get a labeled series pair of their own, the first
-    /// `per_topic_cap` an observatory account; later ones share `__other__`.
-    /// A topic denied a slot of its own in either table is counted in
-    /// `topics_overflowed` once, here.
+    /// Builds a topic, created or recovered, after `existing` others: the
+    /// first `per_topic_cap` of the broker's topics get an observatory
+    /// account of their own, later ones share `__other__`.
     fn new_topic(&self, name: &str, subs: Subscriptions, existing: usize) -> Arc<Topic> {
         let account_cap = self.config.topic_obs.map(|o| o.per_topic_cap);
-        let series = self.metrics.as_ref().map(|metrics| {
-            let label = if existing < PER_TOPIC_SERIES { name } else { OTHER_TOPIC };
-            let counter = |base| metrics.registry.counter(&labeled(base, &[("topic", label)]));
-            TopicSeries {
-                received: counter("broker.topic.received"),
-                dispatched: counter("broker.topic.dispatched"),
-            }
-        });
-        let series_overflow = self.metrics.is_some() && existing >= PER_TOPIC_SERIES;
-        if series_overflow || account_cap.is_some_and(|cap| existing >= cap) {
-            self.stats.record_topic_overflowed();
-            if let Some(metrics) = &self.metrics {
-                metrics.registry.counter("broker.topics_overflowed").inc();
-            }
-        }
         Arc::new(Topic {
             name: name.to_owned(),
             shard: shard_of(name, self.config.shards),
             subs: RwLock::new(subs),
-            series,
+            ordinal: existing,
             account: account_cap.filter(|cap| existing < *cap).map(|_| Account::default()),
             ..Topic::default()
         })
@@ -335,13 +347,22 @@ impl Broker {
             recovered = recover_topics(&journal, &live_flags);
             Mutex::new(journal)
         });
-        let metrics = config.metrics.map(|_| BrokerMetrics::new());
-        if let (Some(metrics), Some(journal)) = (&metrics, &journal) {
-            // The journal's always-on latency instruments surface in the
-            // broker's registry under the `journal.*` names.
-            let journal = journal.lock();
-            metrics.registry.register_histogram("journal.append_ns", journal.append_latency());
-            metrics.registry.register_histogram("journal.fsync_ns", journal.fsync_latency());
+        let topics = Arc::new(TopicTable::default());
+        let metrics = config.metrics.map(|_| BrokerMetrics::new(shards));
+        if let Some(registry) = metrics.as_ref().map(|m| &m.registry) {
+            let (table, account_cap) =
+                (Arc::clone(&topics), config.topic_obs.map(|o| o.per_topic_cap));
+            registry.register_source(move |snapshot| topic_series(&table, account_cap, snapshot));
+            if let Some(journal) = &journal {
+                // The journal's always-on latency instruments surface in the
+                // broker's registry under the `journal.*` names.
+                let journal = journal.lock();
+                let (append, fsync) = (journal.append_latency(), journal.fsync_latency());
+                registry.register_source(move |snapshot| {
+                    snapshot.histograms.insert("journal.append_ns".to_owned(), append.snapshot());
+                    snapshot.histograms.insert("journal.fsync_ns".to_owned(), fsync.snapshot());
+                });
+            }
         }
 
         let tracer = config.trace.map(|_| Arc::new(FlightRecorder::new(TRACE_EVENTS)));
@@ -367,7 +388,7 @@ impl Broker {
             config,
             stats,
             started: Instant::now(),
-            topics: RwLock::new(HashMap::new()),
+            topics,
             patterns: RwLock::new(Vec::new()),
             next_subscription_id: AtomicU64::new(1),
             live_flags,
@@ -1696,6 +1717,46 @@ mod tests {
         names.into_iter().map(Option::unwrap).collect()
     }
 
+    /// On a sharded broker the unlabeled gauges are the sums of the shards'
+    /// own: a dispatcher blocked on a full subscriber queue has a message in
+    /// flight and left a backlog behind it.
+    #[test]
+    fn a_sharded_brokers_unlabeled_gauges_sum_its_shards() {
+        let config = BrokerConfig::builder()
+            .shards(2)
+            .metrics(MetricsConfig::default())
+            .subscriber_queue_capacity(1)
+            .overflow_policy(OverflowPolicy::Block);
+        let b = Broker::start(config.build());
+        b.create_topic("t").unwrap();
+        let sub = b.subscription("t").open().unwrap();
+        let p = b.publisher("t").unwrap();
+        for _ in 0..5 {
+            p.publish(Message::builder().build()).unwrap();
+        }
+        // The queue holds one message, so the dispatcher blocks on the second
+        // or the third; freeing a slot lets it pop the third with the last two
+        // still queued behind it.
+        assert!(sub.receive_timeout(Duration::from_secs(2)).is_some());
+        let registry = b.metrics().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let gauges = loop {
+            let gauges = registry.snapshot().gauges;
+            if gauges["broker.in_flight"] >= 1 && gauges["broker.queue_depth"] >= 1 {
+                break gauges;
+            }
+            assert!(Instant::now() < deadline, "unlabeled gauges stayed at {gauges:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        let shard = shard_of("t", 2);
+        assert_eq!(
+            gauges["broker.in_flight"],
+            gauges[&format!("broker.in_flight{{shard=\"{shard}\"}}")]
+        );
+        drop(sub);
+        b.shutdown();
+    }
+
     #[test]
     fn single_dispatcher_snapshot_has_no_shards() {
         let b = broker();
@@ -1833,8 +1894,8 @@ mod tests {
     }
 
     /// A topic denied a slot of its own in either per-topic table is one
-    /// overflowed topic, counted when it is created: of 67 topics under the
-    /// series cap of 64 and an observatory cap of 3, the last 64 share the
+    /// overflowed topic, from its creation: of 67 topics under the series
+    /// cap of 64 and an observatory cap of 3, the last 64 share the
     /// `__other__` account and the last three the `__other__` series.
     #[test]
     fn a_topic_beyond_either_cap_is_counted_as_overflowed_once() {

@@ -13,16 +13,11 @@
 
 use std::time::{Duration, Instant};
 
-/// Burns CPU for one Eq. 1 term of `seconds`.
+/// Burns CPU for one Eq. 1 term of `seconds`, busy-waiting: sleeping is
+/// useless at microsecond scales (timer granularity), and a spin models CPU
+/// consumption, which is what saturates the paper's server.
 pub(crate) fn spin_secs(seconds: f64) {
-    spin_for(Duration::from_secs_f64(seconds));
-}
-
-/// Busy-waits for the given duration.
-///
-/// Sleeping is useless at microsecond scales (timer granularity); a spin
-/// models CPU consumption, which is what saturates the paper's server.
-pub fn spin_for(duration: Duration) {
+    let duration = Duration::from_secs_f64(seconds);
     if duration.is_zero() {
         return;
     }
@@ -37,16 +32,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spin_for_waits_at_least_duration() {
-        let d = Duration::from_micros(300);
+    fn spin_secs_waits_at_least_the_term() {
         let start = Instant::now();
-        spin_for(d);
-        assert!(start.elapsed() >= d);
+        spin_secs(300e-6);
+        assert!(start.elapsed() >= Duration::from_micros(300));
     }
 
     #[test]
-    fn spin_for_zero_returns_immediately() {
-        spin_for(Duration::ZERO);
+    fn spin_secs_of_zero_returns_immediately() {
         spin_secs(0.0);
     }
 }

@@ -115,7 +115,7 @@ pub(crate) fn run<P: DispatchProbe>(
         open = gather(publish_rx, &mut run, run_max, &mut probe);
         while let Some(current) = run.pop_front() {
             let (topic, message) = (&current.topic, &current.message);
-            probe.on_dequeue(topic, message, current.enqueued_at, current.was_queued, || {
+            probe.on_dequeue(message, current.enqueued_at, current.was_queued, || {
                 publish_rx.len() + run.len()
             });
 
@@ -326,6 +326,7 @@ impl SubscriberQueue {
 mod tests {
     use super::*;
     use crate::config::{BrokerConfigBuilder, MetricsConfig, PersistenceConfig, TraceConfig};
+    use crate::metrics::DispatcherScratch;
     use crate::probe::{NoProbe, Telemetry};
     use crate::subscriptions::LiveFlag;
     use crate::{Broker, BrokerConfig, Filter, Subscriber};
@@ -355,7 +356,6 @@ mod tests {
     impl DispatchProbe for RecordingProbe<'_> {
         fn on_dequeue(
             &mut self,
-            _: &Topic,
             _: &Message,
             _: Option<u64>,
             was_queued: bool,
@@ -570,6 +570,30 @@ mod tests {
         assert_eq!(reads(metrics(), 1), (clocked(6), clocked(4)));
         let traced = metrics().trace(TraceConfig::default());
         assert_eq!(reads(traced, u64::MAX), (clocked(6), clocked(4)));
+    }
+
+    /// A message stages four histogram records — its waiting, service and
+    /// sojourn samples and the backlog it left — into its dispatcher's own
+    /// series, on a sharded broker as on a single dispatcher: a sharded
+    /// broker's unlabeled series are merged when the registry is read.
+    #[test]
+    fn a_message_stages_four_histogram_records_at_one_shard_and_at_four() {
+        for shards in [1, 4] {
+            let config = BrokerConfig::builder().shards(shards).metrics(MetricsConfig::default());
+            let broker = Broker::start(config.build());
+            broker.create_topic("t").unwrap();
+            let _subscriber = broker.subscription("t").open().unwrap();
+            let (publish_tx, publish_rx) = unbounded();
+            for _ in 0..CLOCKED {
+                publish_tx.send(item(&broker, "t", Message::builder().build())).unwrap();
+            }
+            publish_tx.send(DispatchItem::Shutdown).unwrap();
+            let probe = Telemetry::new(&broker.inner, 0, u64::MAX).expect("metrics on");
+            let before = DispatcherScratch::records();
+            run(&broker.inner, 0, &publish_rx, probe);
+            assert_eq!(DispatcherScratch::records() - before, 4 * CLOCKED, "{shards} shards");
+            broker.shutdown();
+        }
     }
 
     /// The Eq. 1 stage decomposition adds up, whatever the subscription's

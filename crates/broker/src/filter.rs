@@ -112,16 +112,6 @@ impl Filter {
             Filter::Selector(s) => s.matches(message),
         }
     }
-
-    /// The filter-type label used in reports (mirrors the paper's
-    /// terminology).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Filter::None => "none",
-            Filter::CorrelationId(_) => "correlation-id",
-            Filter::Selector(_) => "application-property",
-        }
-    }
 }
 
 impl fmt::Display for Filter {
@@ -181,8 +171,5 @@ mod tests {
     #[test]
     fn display_labels() {
         assert_eq!(Filter::None.to_string(), "<none>");
-        assert_eq!(Filter::None.kind_name(), "none");
-        assert_eq!(Filter::correlation_id("[1;2]").unwrap().kind_name(), "correlation-id");
-        assert_eq!(Filter::selector("a = 1").unwrap().kind_name(), "application-property");
     }
 }

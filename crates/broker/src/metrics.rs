@@ -9,8 +9,8 @@
 //! | `broker.service_ns` | histogram | dispatch start → fan-out complete (the paper's `B`) |
 //! | `broker.sojourn_ns` | histogram | publish-enqueue → fan-out complete (`W + B`) |
 //! | `broker.backlog` | histogram | publish-queue depth sampled at each dispatch (PASTA: its window mean estimates the time-average queue length `L`) |
-//! | `broker.queue_depth` | gauge | latest publish-queue depth |
-//! | `broker.in_flight` | gauge | messages popped but not yet fanned out (0/1 per dispatcher) |
+//! | `broker.queue_depth` | gauge | latest publish-queue depth (summed over the shards when sharded) |
+//! | `broker.in_flight` | gauge | messages popped but not yet fanned out (0/1 per dispatcher, summed over the shards) |
 //! | `broker.waiting_ns{shard="i"}` | histogram | shard `i`'s waiting times (sharded dispatch only) |
 //! | `broker.service_ns{shard="i"}` | histogram | shard `i`'s service times (sharded dispatch only) |
 //! | `broker.sojourn_ns{shard="i"}` | histogram | shard `i`'s sojourn times (sharded dispatch only) |
@@ -23,11 +23,25 @@
 //! | `broker.stage.fanout_ns` | histogram | copy/transmit stage (`R · t_tx`), sampled |
 //! | `broker.topic.received{topic="…"}` | counter | messages popped off the publish queue on the topic, expired ones included; the first 64 topics created ([`PER_TOPIC_SERIES`]) get their own series, later ones share `topic="__other__"` |
 //! | `broker.topic.dispatched{topic="…"}` | counter | copies delivered from the topic (same labels) |
-//! | `broker.topics_overflowed` | counter | topics created beyond the cap of a per-topic table (the 64 series, the observatory's `per_topic_cap`), which share that table's `__other__`; each counted once, when it is created |
+//! | `broker.topics_overflowed` | counter | derived, not counted: the topics beyond the smallest cap of a per-topic table (the 64 series, the observatory's `per_topic_cap`), which share that table's `__other__`; present once there is one |
 //! | `journal.append_ns` | histogram | every journal append (always on, from `rjms-journal`) |
 //! | `journal.fsync_ns` | histogram | every explicit fsync (always on, from `rjms-journal`) |
+//!
+//! Each fact is written once, by its owner, and every other series of it is
+//! derived when the registry is read ([`MetricsRegistry::register_source`]):
+//! a dispatcher stages its samples into its own shard's series only — on a
+//! single-dispatcher broker that series *is* the unlabeled one, and on a
+//! sharded broker each unlabeled histogram (the first four rows) is the
+//! bucket-exact merge of its `{shard="i"}` series and each unlabeled gauge
+//! their sum. The `broker.topic.*` pairs and `broker.topics_overflowed` are
+//! read off the topics' own counters (`broker.rs`), so the pairs sum to
+//! `messages.received` and `messages.dispatched`; the `journal.*` series
+//! are the journal's own histograms.
 
-use rjms_metrics::{clock, shard_series, Gauge, Histogram, LocalHistogram, MetricsRegistry};
+use rjms_metrics::{
+    clock, shard_series, Gauge, Histogram, HistogramSnapshot, LocalHistogram, MetricsRegistry,
+    RegistrySnapshot,
+};
 use std::sync::Arc;
 
 /// Topics exported as a labeled `broker.topic.*` pair of their own,
@@ -40,13 +54,17 @@ pub(crate) const PER_TOPIC_SERIES: usize = 64;
 /// staleness under load to a few milliseconds.
 pub(crate) const FLUSH_EVERY: u64 = 1024;
 
-/// The dispatcher's instruments plus the registry they are published in.
+/// The per-message histograms each dispatcher writes into its own shard's
+/// series, in the order [`DispatcherScratch`] stages them.
+const SHARD_HISTOGRAMS: [&str; 4] =
+    ["broker.waiting_ns", "broker.service_ns", "broker.sojourn_ns", "broker.backlog"];
+
+/// The gauges each dispatcher sets in its own shard's series.
+const SHARD_GAUGES: [&str; 2] = ["broker.queue_depth", "broker.in_flight"];
+
+/// The dispatchers' instruments plus the registry they are published in.
 pub(crate) struct BrokerMetrics {
     pub(crate) registry: MetricsRegistry,
-    pub(crate) waiting: Arc<Histogram>,
-    pub(crate) service: Arc<Histogram>,
-    pub(crate) sojourn: Arc<Histogram>,
-    pub(crate) backlog: Arc<Histogram>,
     pub(crate) stage_rcv: Arc<Histogram>,
     pub(crate) stage_journal: Arc<Histogram>,
     pub(crate) stage_filter: Arc<Histogram>,
@@ -57,17 +75,23 @@ pub(crate) struct BrokerMetrics {
 }
 
 impl BrokerMetrics {
-    pub(crate) fn new() -> Self {
+    /// The instruments of a broker of `shards` dispatchers: every shard's
+    /// series is registered here, before any dispatcher runs, and a sharded
+    /// broker's unlabeled series are derived from them when read.
+    pub(crate) fn new(shards: usize) -> Self {
         let registry = MetricsRegistry::new();
-        // The unlabeled gauge pair is on the surface whatever the shard
-        // count; a sharded broker's dispatchers write their own pairs.
-        registry.gauge("broker.queue_depth");
-        registry.gauge("broker.in_flight");
+        for shard in 0..shards {
+            for base in SHARD_HISTOGRAMS {
+                registry.histogram(&shard_series(base, shard, shards));
+            }
+            for base in SHARD_GAUGES {
+                registry.gauge(&shard_series(base, shard, shards));
+            }
+        }
+        if shards > 1 {
+            registry.register_source(move |snapshot| merge_shards(snapshot, shards));
+        }
         Self {
-            waiting: registry.histogram("broker.waiting_ns"),
-            service: registry.histogram("broker.service_ns"),
-            sojourn: registry.histogram("broker.sojourn_ns"),
-            backlog: registry.histogram("broker.backlog"),
             stage_rcv: registry.histogram("broker.stage.rcv_ns"),
             stage_journal: registry.histogram("broker.stage.journal_ns"),
             stage_filter: registry.histogram("broker.stage.filter_ns"),
@@ -78,88 +102,84 @@ impl BrokerMetrics {
     }
 }
 
-/// One shard's labeled histogram triple plus its local staging. Only
-/// allocated for sharded dispatch (`shards > 1`): the single-dispatcher
-/// broker publishes no shard-labeled series, keeping its metric surface
-/// byte-identical to the pre-shard layout.
-struct ShardScratch {
-    waiting: (LocalHistogram, Arc<Histogram>),
-    service: (LocalHistogram, Arc<Histogram>),
-    sojourn: (LocalHistogram, Arc<Histogram>),
-    backlog: (LocalHistogram, Arc<Histogram>),
+/// A sharded broker's unlabeled series, read off its `shards` dispatchers'
+/// own: each histogram the bucket-exact merge of its `{shard="i"}` series,
+/// each gauge their sum.
+fn merge_shards(snapshot: &mut RegistrySnapshot, shards: usize) {
+    let series = |base: &'static str| (0..shards).map(move |s| shard_series(base, s, shards));
+    for base in SHARD_HISTOGRAMS {
+        let mut merged = HistogramSnapshot::default();
+        series(base)
+            .filter_map(|name| snapshot.histograms.get(&name))
+            .for_each(|h| merged.merge(h));
+        snapshot.histograms.insert(base.to_owned(), merged);
+    }
+    for base in SHARD_GAUGES {
+        let sum = series(base).filter_map(|name| snapshot.gauges.get(&name)).sum();
+        snapshot.gauges.insert(base.to_owned(), sum);
+    }
 }
 
 /// Single-writer staging for the per-message histograms: the dispatcher
-/// records into plain local buckets and flushes into the shared atomic
-/// instruments every [`FLUSH_EVERY`] samples and on idle, keeping the
+/// records into plain local buckets and flushes into its shard's shared
+/// atomic series every [`FLUSH_EVERY`] samples and on idle, keeping the
 /// per-message cost to non-atomic L1 increments.
 pub(crate) struct DispatcherScratch {
-    waiting: LocalHistogram,
-    service: LocalHistogram,
-    sojourn: LocalHistogram,
-    /// Publish-queue depth at each dispatch. By PASTA, the depth an
-    /// arriving (Poisson) message observes is distributed as the
-    /// time-average queue length, so this histogram's window mean is a
-    /// direct estimate of `L` for the Little's-law self-check.
-    backlog: LocalHistogram,
+    /// The local buckets of each [`SHARD_HISTOGRAMS`] series beside the
+    /// shard's shared histogram they flush into.
+    series: [(LocalHistogram, Arc<Histogram>); 4],
     /// Latest queue depth, for at-a-glance gauges and history rings.
     depth_gauge: Arc<Gauge>,
     /// 1 while a message is being fanned out, 0 when the dispatcher idles.
     in_flight_gauge: Arc<Gauge>,
-    /// Shard-labeled twins of the series, staged alongside the aggregates
-    /// so each shard's own distribution stays observable.
-    shard: Option<ShardScratch>,
 }
 
 impl DispatcherScratch {
-    /// Staging for dispatcher `shard` of `shards`. Its gauge pair is that
-    /// shard's series ([`shard_series`]): each dispatcher is the single
-    /// writer of its own pair, so shards never stomp one another's readings.
-    /// On a sharded broker its samples also feed the shard's labeled
-    /// histogram twins (`broker.waiting_ns{shard="i"}`, …) beside the
-    /// aggregates; a single dispatcher's series are the aggregates.
+    /// Staging for dispatcher `shard` of `shards`, into that shard's series
+    /// ([`shard_series`]): each dispatcher is the single writer of its own,
+    /// so shards never stomp one another's readings.
     pub(crate) fn new(metrics: &BrokerMetrics, shard: usize, shards: usize) -> Self {
         let series = |base| shard_series(base, shard, shards);
-        let twin = |base| (LocalHistogram::new(), metrics.registry.histogram(&series(base)));
         Self {
-            waiting: LocalHistogram::new(),
-            service: LocalHistogram::new(),
-            sojourn: LocalHistogram::new(),
-            backlog: LocalHistogram::new(),
+            series: SHARD_HISTOGRAMS
+                .map(|base| (LocalHistogram::new(), metrics.registry.histogram(&series(base)))),
             depth_gauge: metrics.registry.gauge(&series("broker.queue_depth")),
             in_flight_gauge: metrics.registry.gauge(&series("broker.in_flight")),
-            shard: (shards > 1).then(|| ShardScratch {
-                waiting: twin("broker.waiting_ns"),
-                service: twin("broker.service_ns"),
-                sojourn: twin("broker.sojourn_ns"),
-                backlog: twin("broker.backlog"),
-            }),
         }
+    }
+
+    /// How many samples have been staged on this thread (test builds).
+    #[cfg(test)]
+    pub(crate) fn records() -> u64 {
+        tests::RECORDS.with(std::cell::Cell::get)
+    }
+
+    /// Stages one sample of series `index`; test builds count it.
+    #[inline]
+    fn stage(&mut self, index: usize, value: u64) {
+        #[cfg(test)]
+        tests::RECORDS.with(|records| records.set(records.get() + 1));
+        self.series[index].0.record(value);
     }
 
     /// Stages one message's waiting/service/sojourn sample.
     pub(crate) fn record(&mut self, waiting: u64, service: u64, sojourn: u64) {
-        self.waiting.record(waiting);
-        self.service.record(service);
-        self.sojourn.record(sojourn);
-        if let Some(shard) = &mut self.shard {
-            shard.waiting.0.record(waiting);
-            shard.service.0.record(service);
-            shard.sojourn.0.record(sojourn);
-        }
+        self.stage(0, waiting);
+        self.stage(1, service);
+        self.stage(2, sojourn);
     }
 
     /// Stages the publish-queue depth observed when a message was popped
     /// (excluding the popped message itself, so it estimates the *waiting*
-    /// line `L_q`) and marks the dispatcher busy. The gauge store is a
-    /// single-writer relaxed write to a line nothing else touches.
+    /// line `L_q`; by PASTA the depth a Poisson arrival sees is distributed
+    /// as the time-average queue length, so the window mean estimates `L`
+    /// for the Little's-law self-check) and marks the dispatcher busy. The
+    /// gauge store is a single-writer relaxed write to a line nothing else
+    /// touches.
     pub(crate) fn record_backlog(&mut self, depth: u64) {
-        self.backlog.record(depth);
+        self.stage(3, depth);
         self.depth_gauge.set(depth as i64);
         self.in_flight_gauge.set(1);
-        if let Some(shard) = &mut self.shard {
-            shard.backlog.0.record(depth);
-        }
     }
 
     /// Marks the dispatcher idle: queue drained, nothing in flight.
@@ -169,16 +189,9 @@ impl DispatcherScratch {
     }
 
     /// Publishes every staged sample into the shared instruments.
-    pub(crate) fn flush(&mut self, metrics: &BrokerMetrics) {
-        self.waiting.flush_into(&metrics.waiting);
-        self.service.flush_into(&metrics.service);
-        self.sojourn.flush_into(&metrics.sojourn);
-        self.backlog.flush_into(&metrics.backlog);
-        if let Some(shard) = &mut self.shard {
-            shard.waiting.0.flush_into(&shard.waiting.1);
-            shard.service.0.flush_into(&shard.service.1);
-            shard.sojourn.0.flush_into(&shard.sojourn.1);
-            shard.backlog.0.flush_into(&shard.backlog.1);
+    pub(crate) fn flush(&mut self) {
+        for (local, shared) in &mut self.series {
+            local.flush_into(shared);
         }
     }
 }
@@ -186,25 +199,16 @@ impl DispatcherScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
-    #[test]
-    fn shard_scratch_feeds_labeled_twins() {
-        let m = BrokerMetrics::new();
-        let mut scratch = DispatcherScratch::new(&m, 2, 4);
-        scratch.record(10, 20, 30);
-        scratch.flush(&m);
-        let snap = m.registry.snapshot();
-        // Both the aggregate and the shard-labeled series carry the sample.
-        assert_eq!(snap.histogram("broker.waiting_ns").unwrap().count, 1);
-        assert_eq!(snap.histogram("broker.waiting_ns{shard=\"2\"}").unwrap().count, 1);
-        assert_eq!(snap.histogram("broker.sojourn_ns{shard=\"2\"}").unwrap().max, 30);
-        // Plain staging publishes no shard series.
-        assert!(snap.histogram("broker.waiting_ns{shard=\"0\"}").is_none());
+    thread_local! {
+        /// [`DispatcherScratch::records`].
+        pub(super) static RECORDS: Cell<u64> = const { Cell::new(0) };
     }
 
     #[test]
     fn backlog_staging_feeds_histogram_and_gauges() {
-        let m = BrokerMetrics::new();
+        let m = BrokerMetrics::new(1);
         let mut scratch = DispatcherScratch::new(&m, 0, 1);
         scratch.record_backlog(3);
         scratch.record_backlog(5);
@@ -213,25 +217,33 @@ mod tests {
         scratch.mark_idle();
         assert_eq!(m.registry.gauge("broker.queue_depth").get(), 0);
         assert_eq!(m.registry.gauge("broker.in_flight").get(), 0);
-        scratch.flush(&m);
+        scratch.flush();
         let snap = m.registry.snapshot();
         let backlog = snap.histogram("broker.backlog").unwrap();
         assert_eq!(backlog.count, 2);
         assert_eq!(backlog.max, 5);
     }
 
+    /// A sharded dispatcher stages into its own series only; the unlabeled
+    /// series are derived from every shard's when the registry is read.
     #[test]
-    fn sharded_backlog_uses_labeled_series_and_gauges() {
-        let m = BrokerMetrics::new();
-        let mut scratch = DispatcherScratch::new(&m, 1, 2);
-        scratch.record_backlog(7);
-        scratch.flush(&m);
+    fn a_shard_stages_its_own_series_and_the_aggregates_are_derived() {
+        let m = BrokerMetrics::new(4);
+        let mut scratches: Vec<_> = (0..4).map(|s| DispatcherScratch::new(&m, s, 4)).collect();
+        scratches[2].record(10, 20, 30);
+        scratches[2].record_backlog(7);
+        scratches[3].record(40, 50, 90);
+        scratches[3].record_backlog(1);
+        scratches.iter_mut().for_each(DispatcherScratch::flush);
         let snap = m.registry.snapshot();
-        // Aggregate and labeled histograms both carry the sample; the
-        // gauges are labeled only (single writer per shard).
-        assert_eq!(snap.histogram("broker.backlog").unwrap().count, 1);
-        assert_eq!(snap.histogram("broker.backlog{shard=\"1\"}").unwrap().count, 1);
-        assert_eq!(m.registry.gauge("broker.queue_depth{shard=\"1\"}").get(), 7);
-        assert_eq!(m.registry.gauge("broker.in_flight{shard=\"1\"}").get(), 1);
+        let h = |name: &str| snap.histograms[name].clone();
+        assert_eq!(h("broker.waiting_ns{shard=\"2\"}").count, 1);
+        assert_eq!(h("broker.sojourn_ns{shard=\"2\"}").max, 30);
+        assert_eq!(h("broker.waiting_ns{shard=\"0\"}").count, 0);
+        let mut merged = h("broker.sojourn_ns{shard=\"2\"}");
+        merged.merge(&h("broker.sojourn_ns{shard=\"3\"}"));
+        assert_eq!((h("broker.sojourn_ns"), h("broker.backlog").count), (merged, 2));
+        assert_eq!(m.registry.gauge("broker.queue_depth{shard=\"2\"}").get(), 7);
+        assert_eq!((snap.gauges["broker.queue_depth"], snap.gauges["broker.in_flight"]), (8, 2));
     }
 }

@@ -10,8 +10,8 @@
 //! sampler and the observatory are computed *from* the metrics timer, so
 //! separate probes would have to reach into each other.
 //!
-//! Hook contract, per message: `on_dequeue` (handed the message's topic, on
-//! which the core itself counts received, evaluations and copies), then any
+//! Hook contract, per message: `on_dequeue` (the core itself counts
+//! received, evaluations and copies on the message's topic), then any
 //! number of (possibly nested) `stage` calls, then exactly one of
 //! `on_expired` or `on_done`. The stages of a message that is fanned out:
 //! `Receive`, `Journal`, `Filter` once for the resolve step if the topic has
@@ -26,7 +26,7 @@ use crate::config::TraceConfig;
 use crate::message::Message;
 use crate::metrics::{BrokerMetrics, DispatcherScratch, FLUSH_EVERY};
 use crate::topic_obs::TopicObservatory;
-use rjms_metrics::{clock, Counter};
+use rjms_metrics::{clock, shard_series, Counter, Histogram, HistogramSnapshot};
 use rjms_trace::{FlightRecorder, SpanEvent, Stage};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,19 +45,11 @@ pub(crate) struct Dispatched<'a> {
 /// Observer of one dispatcher thread, owned by it (hence `&mut self`). The
 /// default bodies observe nothing.
 pub(crate) trait DispatchProbe {
-    /// A message of `Topic` was popped. `was_queued` is false when the
-    /// dispatcher had to block for it; `backlog` reads the queue depth left
-    /// behind (it takes the queue's lock, so only a probe that wants it pays).
+    /// A message was popped. `was_queued` is false when the dispatcher had
+    /// to block for it; `backlog` reads the queue depth left behind (it
+    /// takes the queue's lock, so only a probe that wants it pays).
     #[inline]
-    fn on_dequeue(
-        &mut self,
-        _: &Topic,
-        _: &Message,
-        _: Option<u64>,
-        _: bool,
-        _: impl FnOnce() -> usize,
-    ) {
-    }
+    fn on_dequeue(&mut self, _: &Message, _: Option<u64>, _: bool, _: impl FnOnce() -> usize) {}
 
     /// Runs one Eq. 1 stage of the current message. The probe is handed
     /// back to `work` so stages can nest; time spent in a nested stage
@@ -184,11 +176,14 @@ const TRACE_UNIFORM_EVERY: u64 = 128;
 
 /// Tail-sampled tracing state. The keep/discard decision is made after
 /// fan-out, when the sojourn time is known; the threshold refreshes
-/// periodically from the live sojourn histogram and starts at 0 so every
+/// periodically from the live sojourn histograms and starts at 0 so every
 /// chain is kept until the first refresh has data.
 struct TraceSampler<'a> {
     recorder: &'a FlightRecorder,
     config: TraceConfig,
+    /// Every shard's sojourn series: the threshold is the broker-wide
+    /// quantile, so a refresh merges them.
+    sojourn: Vec<Arc<Histogram>>,
     threshold_ns: u64,
     refresh: Countdown,
     /// The uniform baseline is interval-driven and thus known up front,
@@ -199,8 +194,8 @@ struct TraceSampler<'a> {
 }
 
 /// The probe of a broker with metrics on: histogram staging, sampled stage
-/// timing, tail-sampled tracing, the topics' exported series and their
-/// observatory accounts, for one dispatcher thread.
+/// timing, tail-sampled tracing and the topics' observatory accounts, for
+/// one dispatcher thread.
 pub(crate) struct Telemetry<'a> {
     metrics: &'a BrokerMetrics,
     /// Local staging for the per-message histograms, flushed on idle and
@@ -238,11 +233,17 @@ impl<'a> Telemetry<'a> {
         stage_sample_every: u64,
     ) -> Option<Self> {
         let metrics = inner.metrics.as_ref()?;
-        let scratch = DispatcherScratch::new(metrics, shard, inner.config.shards);
+        let shards = inner.config.shards;
+        let scratch = DispatcherScratch::new(metrics, shard, shards);
         let trace = inner.tracer.as_deref().zip(inner.config.trace).map(|(recorder, config)| {
             TraceSampler {
                 recorder,
                 config,
+                sojourn: (0..shards)
+                    .map(|s| {
+                        metrics.registry.histogram(&shard_series("broker.sojourn_ns", s, shards))
+                    })
+                    .collect(),
                 threshold_ns: 0,
                 refresh: Countdown::new(TRACE_REFRESH_EVERY),
                 uniform: Countdown::new(TRACE_UNIFORM_EVERY),
@@ -288,7 +289,7 @@ impl<'a> Telemetry<'a> {
     /// Publishes the staged histogram samples.
     fn flush(&mut self) {
         self.staged = 0;
-        self.scratch.flush(self.metrics);
+        self.scratch.flush();
     }
 
     /// Tail-sampling commit point: the waiting and sojourn times (ns) are
@@ -297,11 +298,12 @@ impl<'a> Telemetry<'a> {
         let Some(trace) = &mut self.trace else { return };
         let metrics = self.metrics;
         if trace.refresh.tick() {
-            // The threshold refreshes from the shared sojourn histogram, so
+            // The threshold refreshes from the shared sojourn histograms, so
             // this thread's staged samples go in first.
-            self.scratch.flush(metrics);
-            let tail = metrics.sojourn.snapshot().quantile(trace.config.tail_quantile);
-            if let Some(q) = tail {
+            self.scratch.flush();
+            let mut sojourn = HistogramSnapshot::default();
+            trace.sojourn.iter().for_each(|shard| sojourn.merge(&shard.snapshot()));
+            if let Some(q) = sojourn.quantile(trace.config.tail_quantile) {
                 trace.threshold_ns = q;
             }
         }
@@ -333,15 +335,11 @@ impl<'a> Telemetry<'a> {
 impl DispatchProbe for Telemetry<'_> {
     fn on_dequeue(
         &mut self,
-        topic: &Topic,
         message: &Message,
         enqueued_at: Option<u64>,
         was_queued: bool,
         backlog: impl FnOnce() -> usize,
     ) {
-        if let Some(series) = &topic.series {
-            series.received.inc();
-        }
         // Sampled at the dispatch epoch: the queue now holds exactly the
         // messages that arrived during this message's waiting time.
         self.scratch.record_backlog(backlog() as u64);
@@ -393,9 +391,6 @@ impl DispatchProbe for Telemetry<'_> {
     }
 
     fn on_done(&mut self, done: &Dispatched<'_>) {
-        if let Some(series) = &done.topic.series {
-            series.dispatched.add(done.copies);
-        }
         let metrics = self.metrics;
         if self.sample_stages {
             let [rcv, journal, filter, fanout] = self.stage_ns;
@@ -446,6 +441,7 @@ impl DispatchProbe for Telemetry<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker::DispatchItem;
     use crate::config::MetricsConfig;
     use crate::{Broker, BrokerConfig};
     use std::cell::Cell;
@@ -478,17 +474,17 @@ mod tests {
         let mut probe = Telemetry::new(&broker.inner, 0, 2).expect("metrics on");
         let message = Message::builder().build();
 
-        probe.on_dequeue(&topic, &message, Some(clock::now()), false, || 0);
+        probe.on_dequeue(&message, Some(clock::now()), false, || 0);
         assert!(!probe.sample_stages);
         probe.on_done(&done(&topic, &message));
         assert!(probe.last_end.is_some());
 
-        probe.on_dequeue(&topic, &message, Some(clock::now()), true, || 0);
+        probe.on_dequeue(&message, Some(clock::now()), true, || 0);
         assert!(probe.sample_stages, "every second message is sampled");
         probe.on_expired();
         let after_expiry = clock::now();
 
-        probe.on_dequeue(&topic, &message, Some(clock::now()), true, || 0);
+        probe.on_dequeue(&message, Some(clock::now()), true, || 0);
         assert!(probe.dispatch_start >= after_expiry, "stale dispatch start");
         assert!(probe.sample_stages, "the expired message's sample slot moved on");
         probe.on_done(&done(&topic, &message));
@@ -505,7 +501,7 @@ mod tests {
         let message = Message::builder().build();
         let mut reads = |was_queued| {
             let before = Telemetry::clock_reads();
-            probe.on_dequeue(&topic, &message, None, was_queued, || 0);
+            probe.on_dequeue(&message, None, was_queued, || 0);
             probe.on_done(&done(&topic, &message));
             Telemetry::clock_reads() - before
         };
@@ -523,7 +519,7 @@ mod tests {
 
         let enqueued = clock::now();
         std::thread::sleep(pause);
-        probe.on_dequeue(&topic, &message, Some(enqueued), false, || 0);
+        probe.on_dequeue(&message, Some(enqueued), false, || 0);
         std::thread::sleep(pause);
         probe.on_done(&done(&topic, &message));
         probe.on_exit();
@@ -554,11 +550,11 @@ mod tests {
         };
 
         // The first of every two messages is not sampled, so not clocked.
-        probe.on_dequeue(&topic, &message, None, false, || 0);
+        probe.on_dequeue(&message, None, false, || 0);
         assert_eq!((scan(&mut probe), probe.stage_ns), (7, [0; 4]));
         probe.on_done(&done(&topic, &message));
 
-        probe.on_dequeue(&topic, &message, None, true, || 0);
+        probe.on_dequeue(&message, None, true, || 0);
         let outer = Instant::now();
         scan(&mut probe);
         let outer = outer.elapsed().as_nanos() as u64;
@@ -576,26 +572,32 @@ mod tests {
         assert_eq!(stage("broker.stage.fanout_ns").max, fanout);
         broker.shutdown();
     }
-    /// The probe bumps the pair each topic was given when it was created and
-    /// keeps no per-topic state of its own: 10 000 messages over three
-    /// topics leave three exact pairs.
+    /// The `broker.topic.*` pairs are the counts the core keeps on each
+    /// topic, read when the registry is: 10 000 messages through the core
+    /// over three topics with no, one and two subscribers leave three exact
+    /// pairs, and a topic's pair exists from its creation.
     #[test]
     fn counts_into_the_series_the_topics_hold() {
         let (broker, _) = broker();
+        let (publish_tx, publish_rx) = crossbeam::channel::unbounded();
+        let mut subscribers = Vec::new();
         let topics: Vec<Arc<Topic>> = ["a", "b", "c"]
             .iter()
-            .map(|name| {
+            .enumerate()
+            .map(|(copies, name)| {
                 broker.create_topic(name).unwrap();
+                subscribers.extend((0..copies).map(|_| broker.subscription(name).open().unwrap()));
                 broker.lookup(name).unwrap()
             })
             .collect();
-        let mut probe = Telemetry::new(&broker.inner, 0, STAGE_SAMPLE_EVERY).expect("metrics on");
-        let message = Message::builder().build();
         for index in 0..10_000usize {
-            let topic = &topics[index % 3];
-            probe.on_dequeue(topic, &message, None, true, || 0);
-            probe.on_done(&Dispatched { copies: (index % 3) as u64, ..done(topic, &message) });
+            let topic = Arc::clone(&topics[index % 3]);
+            let message = Arc::new(Message::builder().build());
+            publish_tx.send(DispatchItem::Publish { topic, message, enqueued_at: None }).unwrap();
         }
+        publish_tx.send(DispatchItem::Shutdown).unwrap();
+        let probe = Telemetry::new(&broker.inner, 0, STAGE_SAMPLE_EVERY).expect("metrics on");
+        crate::dispatch::run(&broker.inner, 0, &publish_rx, probe);
         let counters = broker.metrics().unwrap().snapshot().counters;
         let pair = |topic: &str| {
             let series = |base: &str| counters[&format!("{base}{{topic=\"{topic}\"}}")];
@@ -603,6 +605,31 @@ mod tests {
         };
         assert_eq!([pair("a"), pair("b"), pair("c")], [(3334, 0), (3333, 3333), (3333, 6666)]);
         assert_eq!(pair("t"), (0, 0), "a topic's series exists from its creation");
+        drop(subscribers);
+        broker.shutdown();
+    }
+
+    /// The tail threshold is the broker-wide sojourn quantile: a dispatcher
+    /// refreshes it from every shard's series, not only from its own.
+    #[test]
+    fn the_trace_threshold_is_the_broker_wide_sojourn_quantile() {
+        let config = BrokerConfig::builder().shards(2).trace(TraceConfig::default()).build();
+        let broker = Broker::start(config);
+        broker.create_topic("t").unwrap();
+        let topic = broker.lookup("t").unwrap();
+        let registry = broker.metrics().unwrap();
+        registry.histogram("broker.sojourn_ns{shard=\"1\"}").record_n(1_000_000_000, 100_000);
+        let mut probe = Telemetry::new(&broker.inner, 0, u64::MAX).expect("metrics on");
+        let message = Message::builder().build();
+        for _ in 0..TRACE_REFRESH_EVERY {
+            probe.on_dequeue(&message, None, true, || 0);
+            probe.on_done(&done(&topic, &message));
+        }
+        let threshold = probe.trace.as_ref().unwrap().threshold_ns;
+        let sojourn = registry.snapshot().histograms["broker.sojourn_ns"].clone();
+        assert_eq!(sojourn.count, 100_000 + TRACE_REFRESH_EVERY);
+        assert_eq!(Some(threshold), sojourn.quantile(TraceConfig::default().tail_quantile));
+        assert!(threshold >= 900_000_000, "{threshold} ns");
         broker.shutdown();
     }
 
@@ -619,7 +646,7 @@ mod tests {
         let message = Message::builder().build();
         let mut sampled_at = [0u32; RUN];
         for index in 0..RUN * RUNS {
-            probe.on_dequeue(&topic, &message, None, true, || 0);
+            probe.on_dequeue(&message, None, true, || 0);
             sampled_at[index % RUN] += u32::from(probe.sample_stages);
             probe.on_done(&done(&topic, &message));
         }

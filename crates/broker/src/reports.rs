@@ -6,7 +6,7 @@
 //! handed to the SLO engine all read it from here. Nothing here runs on the
 //! dispatch path.
 
-use crate::broker::{BrokerInner, Topic};
+use crate::broker::{topics_overflowed, BrokerInner, Topic};
 use crate::config::BrokerConfig;
 use crate::stats::{
     per_message, BrokerSnapshot, FlowCounters, MessageCounters, ShardSnapshot,
@@ -101,7 +101,11 @@ pub(crate) fn snapshot_of(inner: &BrokerInner) -> BrokerSnapshot {
         }),
         shards: (inner.config.shards > 1).then_some(shards),
         per_topic,
-        topics_overflowed: stats.topics_overflowed(),
+        topics_overflowed: topics_overflowed(
+            inner.metrics.is_some(),
+            inner.config.topic_obs.map(|o| o.per_topic_cap),
+            topics.len(),
+        ),
     }
 }
 

@@ -137,10 +137,10 @@ pub struct BrokerSnapshot {
     pub per_topic: BTreeMap<String, TopicStats>,
     /// Topics folded into an `__other__` bucket of any enabled per-topic
     /// table — the labeled metric series beyond the first 64 topics, the
-    /// observatory's rows beyond [`crate::TopicObsConfig::per_topic_cap`] —
-    /// each counted
-    /// once, when it is created. 0 when every topic got a slot of its own
-    /// everywhere (or both features are off).
+    /// observatory's rows beyond [`crate::TopicObsConfig::per_topic_cap`]:
+    /// topics are never deleted and take the slots in creation order, so
+    /// this is the topics beyond the smallest enabled cap. 0 when every
+    /// topic got a slot of its own everywhere (or both features are off).
     #[serde(default)]
     pub topics_overflowed: u64,
 }
@@ -155,7 +155,6 @@ pub struct BrokerStats {
     expired_subscriptions: AtomicU64,
     retained: AtomicU64,
     expired_messages: AtomicU64,
-    topics_overflowed: AtomicU64,
 }
 
 impl BrokerStats {
@@ -187,14 +186,6 @@ impl BrokerStats {
         self.expired_messages.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a topic denied a slot of its own in a per-topic table (the
-    /// labeled metric series, the observatory's rows) because the table's
-    /// cap was reached. Called once per such topic, when it is created or
-    /// recovered.
-    pub fn record_topic_overflowed(&self) {
-        self.topics_overflowed.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Message copies dropped on full subscriber queues so far.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
@@ -213,12 +204,6 @@ impl BrokerStats {
     /// Messages discarded due to TTL expiry so far.
     pub fn expired_messages(&self) -> u64 {
         self.expired_messages.load(Ordering::Relaxed)
-    }
-
-    /// Distinct topics folded into `__other__` so far (see
-    /// [`BrokerStats::record_topic_overflowed`]).
-    pub fn topics_overflowed(&self) -> u64 {
-        self.topics_overflowed.load(Ordering::Relaxed)
     }
 }
 
@@ -294,11 +279,9 @@ mod tests {
         s.record_dropped();
         s.record_retained();
         s.record_expired_message();
-        s.record_topic_overflowed();
         assert_eq!(s.retained(), 1);
         assert_eq!(s.expired_messages(), 1);
         assert_eq!(s.dropped(), 1);
-        assert_eq!(s.topics_overflowed(), 1);
     }
 
     #[test]

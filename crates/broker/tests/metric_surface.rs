@@ -5,10 +5,13 @@
 //! name, so a refactor of the dispatch path must leave this list alone.
 
 use rjms_broker::{
-    shard_of, Broker, BrokerConfig, FlowConfig, Message, MetricsConfig, PersistenceConfig,
-    TopicObsConfig, TraceConfig,
+    shard_of, Broker, BrokerConfig, BrokerSnapshot, FlowConfig, Message, MetricsConfig,
+    PersistenceConfig, TopicObsConfig, TraceConfig,
 };
+use rjms_core::CostParams;
 use rjms_journal::scratch_dir;
+use rjms_metrics::{HistogramSnapshot, RegistrySnapshot};
+use std::time::{Duration, Instant};
 
 /// Three topic names, chosen so that with two shards both shards own one.
 const TOPICS: [&str; 3] = ["alpha", "beta", "gamma"];
@@ -180,26 +183,69 @@ fn two_shard_surface() {
     assert_surface(2, TWO_SHARDS);
 }
 
+/// Every view of a fact is the same number: the topic pairs sum to the
+/// broker's totals, each flow counter is its classes' sum and the broker's
+/// own, each unlabeled per-message histogram is the bucket-exact merge of
+/// its shard series, and the overflowed topics are 2 everywhere.
+fn assert_views_agree(registry: &RegistrySnapshot, broker: &BrokerSnapshot, shards: usize) {
+    let labeled_sum = |base: &str| -> u64 {
+        let prefix = format!("{base}{{");
+        registry.counters.iter().filter(|(name, _)| name.starts_with(&prefix)).map(|(_, n)| n).sum()
+    };
+    assert_eq!(labeled_sum("broker.topic.received"), broker.messages.received);
+    assert_eq!(labeled_sum("broker.topic.dispatched"), broker.messages.dispatched);
+    let flow = broker.flow.expect("flow on");
+    for (base, count) in
+        [("flow.granted", flow.granted), ("flow.deferred", flow.deferred), ("flow.shed", flow.shed)]
+    {
+        assert_eq!((registry.counters[base], labeled_sum(base)), (count, count), "{base}");
+    }
+    for base in ["broker.waiting_ns", "broker.service_ns", "broker.sojourn_ns", "broker.backlog"] {
+        let mut merged = HistogramSnapshot::default();
+        for shard in 0..shards {
+            merged.merge(&registry.histograms[&format!("{base}{{shard=\"{shard}\"}}")]);
+        }
+        assert_eq!(registry.histograms[base], merged, "{base}");
+    }
+    assert_eq!((broker.topics_overflowed, registry.counters["broker.topics_overflowed"]), (2, 2));
+}
+
 /// The series cap bounds the registry whatever the shard count: of 66
 /// topics on four shards, the first 64 created get a pair of their own and
-/// the other two share `__other__`, each counted as overflowed once.
+/// the other two share `__other__`, both counted as overflowed. The views
+/// agree ([`assert_views_agree`]) on a quiescent broker and after shutdown.
 #[test]
 fn the_series_cap_is_broker_wide() {
-    let broker =
-        Broker::start(BrokerConfig::builder().shards(4).metrics(MetricsConfig::default()).build());
-    let registry = broker.metrics().expect("metrics on");
+    const SHARDS: usize = 4;
+    // Seed constants cheap enough that no publish here is deferred or shed.
+    let flow = FlowConfig::default().params(CostParams::new(1e-7, 1e-8, 1e-8)).filters(1);
+    let broker = Broker::start(
+        BrokerConfig::builder().shards(SHARDS).metrics(MetricsConfig::default()).flow(flow).build(),
+    );
+    let (registry, observer) = (broker.metrics().expect("metrics on"), broker.observer());
     let topics: Vec<String> = (0..SERIES_CAP + 2).map(|i| format!("t{i}")).collect();
+    let mut subscribers = Vec::new();
     for (i, topic) in topics.iter().enumerate() {
         broker.create_topic(topic).unwrap();
+        subscribers.push(broker.subscription(topic).open().unwrap());
         let publisher = broker.publisher(topic).unwrap();
         for _ in 0..=i {
             publisher.publish(Message::builder().build()).unwrap();
         }
     }
-    let overflowed = broker.snapshot().topics_overflowed;
+    let total: u64 = (1..=topics.len() as u64).sum();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while observer.snapshot().messages.dispatched < total {
+        assert!(Instant::now() < deadline, "{:?}", observer.snapshot().messages);
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_views_agree(&registry.snapshot(), &observer.snapshot(), SHARDS);
     broker.shutdown();
+    let final_counts = registry.snapshot();
+    assert_views_agree(&final_counts, &observer.snapshot(), SHARDS);
+    assert_eq!(observer.snapshot().flow.unwrap().granted, total);
 
-    let counters = registry.snapshot().counters;
+    let counters = final_counts.counters;
     let received = |label: &str| counters[&format!("broker.topic.received{{topic=\"{label}\"}}")];
     // t0..t63 saw 1..64 messages, t64 and t65 saw 65 + 66 = 131.
     for (i, topic) in topics[..SERIES_CAP].iter().enumerate() {
@@ -209,5 +255,4 @@ fn the_series_cap_is_broker_wide() {
     let series = |base| counters.keys().filter(|k| k.starts_with(base)).count();
     assert_eq!(series("broker.topic.received"), SERIES_CAP + 1);
     assert_eq!(series("broker.topic.dispatched"), SERIES_CAP + 1);
-    assert_eq!((overflowed, counters["broker.topics_overflowed"]), (2, 2));
 }

@@ -13,8 +13,8 @@
 //!   methodology* (saturated publishers, trimmed window) against a synthetic
 //!   server with the ground-truth cost structure; feeds the calibration
 //!   pipeline,
-//! * [`stats`] — online statistics, empirical quantiles and batch-means
-//!   confidence intervals for simulation output.
+//! * [`stats`] — online statistics and empirical quantiles for simulation
+//!   output.
 //!
 //! ## Example: validating E[W] against theory
 //!
@@ -42,6 +42,6 @@ pub mod time;
 
 pub use kernel::Scheduler;
 pub use mg1sim::{simulate_event_driven, simulate_lindley, Mg1SimConfig, Mg1SimResult};
-pub use stats::{BatchMeans, OnlineStats, SampleQuantiles};
+pub use stats::{OnlineStats, SampleQuantiles};
 pub use testbed::{run_measurement, run_paper_grid, TestbedConfig, TestbedMeasurement};
 pub use time::SimTime;

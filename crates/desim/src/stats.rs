@@ -2,8 +2,7 @@
 //!
 //! Waiting-time samples from the M/G/1 simulator are summarized by an online
 //! mean/variance accumulator ([`OnlineStats`]) and an empirical-quantile
-//! estimator ([`SampleQuantiles`]); long runs can additionally use
-//! batch-means confidence intervals ([`BatchMeans`]) to judge convergence.
+//! estimator ([`SampleQuantiles`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -183,67 +182,6 @@ impl SampleQuantiles {
     }
 }
 
-/// Batch-means confidence interval for steady-state simulation output.
-///
-/// Splits the observation stream into `batches` consecutive batches and
-/// treats batch means as approximately independent normal observations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchMeans {
-    batch_size: usize,
-    current_sum: f64,
-    current_count: usize,
-    batch_means: Vec<f64>,
-}
-
-impl BatchMeans {
-    /// Creates an accumulator with the given batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is 0.
-    pub fn new(batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be > 0");
-        Self { batch_size, current_sum: 0.0, current_count: 0, batch_means: Vec::new() }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.current_sum += x;
-        self.current_count += 1;
-        if self.current_count == self.batch_size {
-            self.batch_means.push(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_count = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn batches(&self) -> usize {
-        self.batch_means.len()
-    }
-
-    /// Mean of batch means.
-    pub fn mean(&self) -> f64 {
-        if self.batch_means.is_empty() {
-            return 0.0;
-        }
-        self.batch_means.iter().sum::<f64>() / self.batch_means.len() as f64
-    }
-
-    /// Approximate 95% confidence half-width (`1.96·s/√k`); `None` with
-    /// fewer than 2 completed batches.
-    pub fn half_width_95(&self) -> Option<f64> {
-        let k = self.batch_means.len();
-        if k < 2 {
-            return None;
-        }
-        let mean = self.mean();
-        let var =
-            self.batch_means.iter().map(|m| (m - mean) * (m - mean)).sum::<f64>() / (k - 1) as f64;
-        Some(1.96 * (var / k as f64).sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,27 +247,5 @@ mod tests {
     #[should_panic(expected = "no samples")]
     fn quantile_of_empty_panics() {
         SampleQuantiles::new().quantile(0.5);
-    }
-
-    #[test]
-    fn batch_means_confidence() {
-        let mut b = BatchMeans::new(10);
-        for i in 0..100 {
-            b.push((i % 10) as f64);
-        }
-        assert_eq!(b.batches(), 10);
-        assert!((b.mean() - 4.5).abs() < 1e-12);
-        // All batch means identical → zero half-width.
-        assert_eq!(b.half_width_95(), Some(0.0));
-    }
-
-    #[test]
-    fn batch_means_incomplete_batch_ignored() {
-        let mut b = BatchMeans::new(10);
-        for _ in 0..15 {
-            b.push(1.0);
-        }
-        assert_eq!(b.batches(), 1);
-        assert_eq!(b.half_width_95(), None);
     }
 }

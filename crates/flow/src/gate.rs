@@ -9,12 +9,16 @@
 //! lowest class is locked out (and shed) first, then the middle classes,
 //! while the top class — where durable/persistent publishes are pinned —
 //! needs only a single token and is *deferred*, never shed.
+//!
+//! Each decision is counted once, in its class's atomics; the `/flow`
+//! snapshot, the broker's snapshot and the registry's `flow.*` counters
+//! ([`FlowGate::bind_registry`]) all read those.
 
 use crate::bucket::TokenBucket;
 use crate::config::{FlowConfig, BURST_SECONDS, HEADROOM, PRODUCER_SHARE};
 use crate::controller::FlowController;
 use rjms_core::ModelVerdict;
-use rjms_metrics::{labeled, Counter, Histogram, MetricsRegistry};
+use rjms_metrics::{labeled, Histogram, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 // Sync primitives come through the rjms-conc facade so the loom models
 // in `tests/loom.rs` exercise exactly this code (DESIGN.md §3.14).
@@ -55,7 +59,7 @@ impl AdmissionOutcome {
     }
 }
 
-/// Per-class decision counters.
+/// Per-class decision counters: the one count of each decision.
 #[derive(Debug, Default)]
 struct ClassCounters {
     granted: AtomicU64,
@@ -63,20 +67,14 @@ struct ClassCounters {
     shed: AtomicU64,
 }
 
-/// Registry instruments bound by [`FlowGate::bind_registry`].
-struct Instruments {
-    /// Per-class admission-decision latency histograms (nanoseconds).
-    decision_ns: Vec<Arc<Histogram>>,
-    /// Per-class outcome counters as labeled Prometheus series.
-    granted: Vec<Arc<Counter>>,
-    deferred: Vec<Arc<Counter>>,
-    shed: Vec<Arc<Counter>>,
-    /// Unlabeled aggregate outcome counters. These are what the obs
-    /// history rings record, so `rjms-top` can plot grant/shed *rates* on
-    /// the same timeline as W99 without summing label series.
-    granted_total: Arc<Counter>,
-    deferred_total: Arc<Counter>,
-    shed_total: Arc<Counter>,
+/// Relaxed loads of each class's counters, in class order.
+fn class_counts(counters: &[ClassCounters]) -> impl Iterator<Item = ClassSnapshot> + '_ {
+    counters.iter().enumerate().map(|(class, c)| ClassSnapshot {
+        class: class as u8,
+        granted: c.granted.load(Ordering::Relaxed),
+        deferred: c.deferred.load(Ordering::Relaxed),
+        shed: c.shed.load(Ordering::Relaxed),
+    })
 }
 
 /// Point-in-time view of one priority class, for `/flow` exposition.
@@ -137,8 +135,11 @@ pub struct FlowGate {
     controller: FlowController,
     global: Mutex<TokenBucket>,
     producers: Mutex<HashMap<u64, TokenBucket>>,
-    counters: Vec<ClassCounters>,
-    instruments: OnceLock<Instruments>,
+    /// Shared with the registry source [`Self::bind_registry`] registers.
+    counters: Arc<Vec<ClassCounters>>,
+    /// Per-class admission-decision latency histograms (nanoseconds),
+    /// bound by [`Self::bind_registry`].
+    decision_ns: OnceLock<Vec<Arc<Histogram>>>,
     epoch: Instant,
 }
 
@@ -165,8 +166,8 @@ impl FlowGate {
             controller,
             global: Mutex::new(global),
             producers: Mutex::new(HashMap::new()),
-            counters,
-            instruments: OnceLock::new(),
+            counters: Arc::new(counters),
+            decision_ns: OnceLock::new(),
             epoch: Instant::now(),
         }
     }
@@ -201,22 +202,9 @@ impl FlowGate {
         let started = Instant::now();
         let now_ns = (started - self.epoch).as_nanos() as u64;
         let outcome = self.admit_at(producer, priority, durable, now_ns);
-        if let Some(instruments) = self.instruments.get() {
+        if let Some(decision_ns) = self.decision_ns.get() {
             let class = usize::from(self.class_of(priority, durable));
-            instruments.decision_ns[class].record(started.elapsed().as_nanos() as u64);
-            let (counter, total) = match outcome {
-                AdmissionOutcome::Granted => {
-                    (&instruments.granted[class], &instruments.granted_total)
-                }
-                AdmissionOutcome::Deferred { .. } => {
-                    (&instruments.deferred[class], &instruments.deferred_total)
-                }
-                AdmissionOutcome::Shed { .. } => {
-                    (&instruments.shed[class], &instruments.shed_total)
-                }
-            };
-            counter.inc();
-            total.inc();
+            decision_ns[class].record(started.elapsed().as_nanos() as u64);
         }
         outcome
     }
@@ -313,28 +301,34 @@ impl FlowGate {
         }
     }
 
-    /// Registers per-class decision-latency histograms and outcome
-    /// counters (as labeled Prometheus series) in `registry`. The broker
-    /// calls this when metrics are enabled. The first binding wins: the
-    /// instruments sit on the publish hot path behind a lock-free
+    /// Registers per-class decision-latency histograms in `registry`, and a
+    /// source that reports the per-class outcome counters as labeled
+    /// `flow.{granted,deferred,shed}{class="c"}` series plus their unlabeled
+    /// totals (what the obs history rings record, so `rjms-top` can plot
+    /// grant/shed *rates* on the same timeline as W99). The broker calls
+    /// this when metrics are enabled. The first binding wins: the
+    /// histograms sit on the publish hot path behind a lock-free
     /// [`OnceLock`], so they cannot be rebound.
     pub fn bind_registry(&self, registry: &MetricsRegistry) {
-        let per_class = |base: &str| -> Vec<Arc<Counter>> {
-            (0..self.config.classes)
-                .map(|c| registry.counter(&labeled(base, &[("class", &c.to_string())])))
-                .collect()
-        };
         let decision_ns = (0..self.config.classes)
             .map(|c| registry.histogram(&labeled("flow.decision_ns", &[("class", &c.to_string())])))
             .collect();
-        let _ = self.instruments.set(Instruments {
-            decision_ns,
-            granted: per_class("flow.granted"),
-            deferred: per_class("flow.deferred"),
-            shed: per_class("flow.shed"),
-            granted_total: registry.counter("flow.granted"),
-            deferred_total: registry.counter("flow.deferred"),
-            shed_total: registry.counter("flow.shed"),
+        if self.decision_ns.set(decision_ns).is_err() {
+            return;
+        }
+        let counters = Arc::clone(&self.counters);
+        registry.register_source(move |snapshot| {
+            for class in class_counts(&counters) {
+                let label = class.class.to_string();
+                for (base, n) in [
+                    ("flow.granted", class.granted),
+                    ("flow.deferred", class.deferred),
+                    ("flow.shed", class.shed),
+                ] {
+                    snapshot.counters.insert(labeled(base, &[("class", &label)]), n);
+                    *snapshot.counters.entry(base.to_owned()).or_default() += n;
+                }
+            }
         });
     }
 
@@ -364,12 +358,7 @@ impl FlowGate {
     /// relaxed loads only, without the bucket locks [`Self::snapshot`]
     /// takes.
     pub fn class_counts(&self) -> impl Iterator<Item = ClassSnapshot> + '_ {
-        self.counters.iter().enumerate().map(|(class, c)| ClassSnapshot {
-            class: class as u8,
-            granted: c.granted.load(Ordering::Relaxed),
-            deferred: c.deferred.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-        })
+        class_counts(&self.counters)
     }
 
     fn producer_bucket(&self) -> TokenBucket {
@@ -478,10 +467,13 @@ mod tests {
         assert!(g.snapshot().producers <= MAX_TRACKED_PRODUCERS as u64);
     }
 
+    /// The registry reports the gate's own counts, per class and in total;
+    /// a second binding is ignored, so nothing is counted twice.
     #[test]
     fn registry_binding_mirrors_decisions() {
         let registry = MetricsRegistry::new();
         let g = gate();
+        g.bind_registry(&registry);
         g.bind_registry(&registry);
         assert!(g.admit(1, 9, false).is_granted());
         let snap = registry.snapshot();

@@ -49,8 +49,8 @@ pub fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
 
 /// The name of dispatcher shard `shard`'s series of `base` on a broker of
 /// `shards` dispatchers: `base` itself when there is one (that dispatcher's
-/// series *is* the aggregate, and no labeled twin is published), the
-/// `{shard="i"}` twin otherwise.
+/// series *is* the aggregate, and no labeled series is published), the
+/// `{shard="i"}` series otherwise.
 pub fn shard_series(base: &str, shard: usize, shards: usize) -> String {
     if shards == 1 {
         base.to_owned()

@@ -5,14 +5,21 @@
 //! are created on first request and returned as `Arc`s; recording never
 //! touches the registry lock again. `snapshot()` walks the registry once
 //! and produces an immutable [`RegistrySnapshot`] that renders as aligned
-//! text or JSON.
+//! text or JSON. A value another component already owns (a count it keeps
+//! anyway, a sum over other series) is not copied into an instrument on
+//! the hot path: a snapshot-time source
+//! ([`MetricsRegistry::register_source`]) writes it into each snapshot.
 
 use crate::counter::{Counter, Gauge};
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::json::JsonWriter;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::{Arc, Mutex};
+
+/// A snapshot-time source ([`MetricsRegistry::register_source`]).
+type Source = Arc<dyn Fn(&mut RegistrySnapshot) + Send + Sync>;
 
 /// Shared home for named instruments. Cheap to clone (`Arc` inside);
 /// clones observe the same instruments.
@@ -32,11 +39,23 @@ pub struct MetricsRegistry {
     inner: Arc<Mutex<Inner>>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, Arc<Counter>>,
     gauges: BTreeMap<String, Arc<Gauge>>,
     histograms: BTreeMap<String, Arc<Histogram>>,
+    sources: Vec<Source>,
+}
+
+impl fmt::Debug for Inner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Inner")
+            .field("counters", &self.counters)
+            .field("gauges", &self.gauges)
+            .field("histograms", &self.histograms)
+            .field("sources", &self.sources.len())
+            .finish()
+    }
 }
 
 impl MetricsRegistry {
@@ -63,22 +82,33 @@ impl MetricsRegistry {
         Arc::clone(inner.histograms.entry(name.to_string()).or_default())
     }
 
-    /// Registers an externally owned histogram under `name` (e.g. a
-    /// journal's always-on append-latency instrument), replacing any
-    /// previous instrument with that name.
-    pub fn register_histogram(&self, name: &str, histogram: Arc<Histogram>) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.histograms.insert(name.to_string(), histogram);
+    /// Registers a snapshot-time source: every [`Self::snapshot`] runs
+    /// `source` over its copy of the instruments, in registration order,
+    /// after the registry's lock is released. A source reports values the
+    /// registry does not own — read off their one owner, or derived from
+    /// the other series — so they cost the recording path nothing.
+    pub fn register_source(&self, source: impl Fn(&mut RegistrySnapshot) + Send + Sync + 'static) {
+        let mut inner = self.inner.lock().expect("a registry user panicked holding its lock");
+        inner.sources.push(Arc::new(source));
     }
 
-    /// Snapshots every registered instrument.
+    /// Snapshots every registered instrument, then runs the sources.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let inner = self.inner.lock().unwrap();
-        RegistrySnapshot {
-            counters: inner.counters.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
-            gauges: inner.gauges.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
-            histograms: inner.histograms.iter().map(|(k, v)| (k.clone(), v.snapshot())).collect(),
-        }
+        let (mut snapshot, sources) = {
+            let inner = self.inner.lock().expect("a registry user panicked holding its lock");
+            let snapshot = RegistrySnapshot {
+                counters: inner.counters.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
+                gauges: inner.gauges.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
+                histograms: inner
+                    .histograms
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.snapshot()))
+                    .collect(),
+            };
+            (snapshot, inner.sources.clone())
+        };
+        sources.iter().for_each(|source| source(&mut snapshot));
+        snapshot
     }
 }
 
@@ -191,15 +221,27 @@ mod tests {
         assert_eq!(r.snapshot().counters["a"], 3);
     }
 
+    /// A source reports a value the registry does not own, read when the
+    /// snapshot is taken, and sees the instruments the registry does; it
+    /// runs outside the lock, so it may use the registry itself.
     #[test]
-    fn register_external_histogram() {
+    fn sources_write_into_each_snapshot() {
         let r = MetricsRegistry::new();
-        let h = Arc::new(Histogram::new());
-        h.record(100);
-        r.register_histogram("journal.append_ns", Arc::clone(&h));
+        let owned = Arc::new(Histogram::new());
+        let (clone, read) = (r.clone(), Arc::clone(&owned));
+        r.register_source(move |snap| {
+            snap.histograms.insert("journal.append_ns".into(), read.snapshot());
+            let doubled = 2 * snap.counters.get("a").copied().unwrap_or(0);
+            snap.counters.insert("a.doubled".into(), doubled + clone.counter("b").get());
+        });
+        r.counter("a").add(3);
+        owned.record(100);
         let snap = r.snapshot();
         assert_eq!(snap.histogram("journal.append_ns").unwrap().count, 1);
+        assert_eq!(snap.counters["a.doubled"], 6);
         assert!(snap.histogram("missing").is_none());
+        owned.record(200);
+        assert_eq!(r.snapshot().histogram("journal.append_ns").unwrap().count, 2);
     }
 
     #[test]

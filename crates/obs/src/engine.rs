@@ -695,15 +695,16 @@ mod tests {
     }
 
     /// Twelve seconds of M/D/1 traffic (Lindley's recursion, service `e_b`)
-    /// into shard `i` at utilisation `rho[i]`, recorded as the dispatchers
-    /// record it — into the shard's labeled twins and into the aggregates,
-    /// which are their sums — with a tick a second. Returns the transitions.
+    /// into shard `i` at utilisation `rho[i]`, recorded into the shard's
+    /// labeled series and into the aggregates — which a sharded broker
+    /// derives as their merge — with a tick a second. Returns the
+    /// transitions.
     fn drive_shards(core: &mut ObsCore, e_b: f64, rho: [f64; SHARDS]) -> Vec<AlertEvent> {
         let registry = MetricsRegistry::new();
-        let twins = |base| -> Vec<_> {
+        let per_shard = |base| -> Vec<_> {
             (0..SHARDS).map(|i| registry.histogram(&shard_series(base, i, SHARDS))).collect()
         };
-        let (waiting, service) = (twins(WAITING_METRIC), twins(SERVICE_METRIC));
+        let (waiting, service) = (per_shard(WAITING_METRIC), per_shard(SERVICE_METRIC));
         let all = (registry.histogram(WAITING_METRIC), registry.histogram(SERVICE_METRIC));
         let (mut rng, mut w, mut events) = (StdRng::seed_from_u64(26), [0.0; SHARDS], Vec::new());
         for t in 1..=12 {

@@ -127,13 +127,6 @@ impl SloSpec {
         self
     }
 
-    /// Overrides the burn threshold.
-    pub fn threshold(mut self, burn: f64) -> Self {
-        assert!(burn > 0.0);
-        self.burn_threshold = burn;
-        self
-    }
-
     /// The paper-default objective set: `W99 ≤ 10 ms`, `W99.99 ≤ 100 ms`,
     /// `ρ ≤ 0.9`, and analytic-model health.
     pub fn defaults() -> Vec<SloSpec> {

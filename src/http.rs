@@ -1022,7 +1022,7 @@ mod tests {
         s.shutdown();
     }
 
-    /// A one-shard broker publishes no `{shard="0"}` twins: its one server's
+    /// A one-shard broker publishes no `{shard="0"}` series: its one server's
     /// series are the unlabeled ones, and its `/shards` row carries the
     /// forecast `/slo` shows.
     #[test]
