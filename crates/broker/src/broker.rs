@@ -108,7 +108,7 @@ pub(crate) struct Topic {
     /// ([`topic_series`]).
     pub(crate) ordinal: usize,
     /// The topic's own observatory account; `None` without an observatory
-    /// or beyond its cap ([`TopicObservatory::account_of`]).
+    /// or beyond its cap ([`TopicObservatory::lock_account`]).
     pub(crate) account: Option<Account>,
 }
 

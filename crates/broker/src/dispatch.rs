@@ -329,6 +329,7 @@ mod tests {
     use crate::metrics::DispatcherScratch;
     use crate::probe::{NoProbe, Telemetry};
     use crate::subscriptions::LiveFlag;
+    use crate::topic_obs::{TopicObsConfig, TopicObservatory};
     use crate::{Broker, BrokerConfig, Filter, Subscriber};
     use crossbeam::channel::unbounded;
     use rjms_core::CostParams;
@@ -513,6 +514,21 @@ mod tests {
     /// Messages each clock-read count dispatches.
     const CLOCKED: u64 = 100;
 
+    /// Runs the core over [`CLOCKED`] publishes of `message()` to `broker`'s
+    /// topic `t`, all queued beforehand, clocking the stages of one message
+    /// in `every`; returns how far `count` rose meanwhile.
+    fn counted(broker: &Broker, every: u64, message: fn() -> Message, count: fn() -> u64) -> u64 {
+        let (publish_tx, publish_rx) = unbounded();
+        for _ in 0..CLOCKED {
+            publish_tx.send(item(broker, "t", message())).unwrap();
+        }
+        publish_tx.send(DispatchItem::Shutdown).unwrap();
+        let probe = Telemetry::new(&broker.inner, 0, every).expect("metrics on");
+        let before = count();
+        run(&broker.inner, 0, &publish_rx, probe);
+        count() - before
+    }
+
     /// The probe's clock reads while the core dispatches [`CLOCKED`]
     /// publishes, all queued beforehand, to a topic with one subscription
     /// per entry of `selectors` (`None`: no filter), clocking the stages of
@@ -533,16 +549,8 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let (publish_tx, publish_rx) = unbounded();
-        for _ in 0..CLOCKED {
-            let message = Message::builder().property("key", 0i64).build();
-            publish_tx.send(item(&broker, "t", message)).unwrap();
-        }
-        publish_tx.send(DispatchItem::Shutdown).unwrap();
-        let probe = Telemetry::new(&broker.inner, 0, every).expect("metrics on");
-        let before = Telemetry::clock_reads();
-        run(&broker.inner, 0, &publish_rx, probe);
-        let reads = Telemetry::clock_reads() - before;
+        let message = || Message::builder().property("key", 0i64).build();
+        let reads = counted(&broker, every, message, Telemetry::clock_reads);
         broker.shutdown();
         reads
     }
@@ -572,6 +580,37 @@ mod tests {
         assert_eq!(reads(traced, u64::MAX), (clocked(6), clocked(4)));
     }
 
+    /// The observatory account locks the core takes for [`CLOCKED`]
+    /// messages from `message` to a topic `t` created second, and whether
+    /// `t` has an account of its own.
+    fn account_locks(config: BrokerConfig, message: fn() -> Message) -> (u64, bool) {
+        let broker = Broker::start(config);
+        broker.create_topic("first").unwrap();
+        broker.create_topic("t").unwrap();
+        let _subscriber = broker.subscription("t").open().unwrap();
+        let locks = counted(&broker, u64::MAX, message, TopicObservatory::account_locks);
+        let own = broker.lookup("t").unwrap().account.is_some();
+        broker.shutdown();
+        (locks, own)
+    }
+
+    /// With the observatory on, a dispatched message locks one account: its
+    /// topic's own, or its shard's `__other__` for a topic past the cap. An
+    /// expired message locks none, and without the observatory no message
+    /// does.
+    #[test]
+    fn a_dispatched_message_locks_one_observatory_account() {
+        let observed =
+            |cap| BrokerConfig::builder().topic_obs(TopicObsConfig::default().per_topic_cap(cap));
+        let fresh = || Message::builder().build();
+        let expired = || Message::builder().time_to_live(Duration::ZERO).build();
+        assert_eq!(account_locks(observed(2).build(), fresh), (CLOCKED, true));
+        assert_eq!(account_locks(observed(1).build(), fresh), (CLOCKED, false));
+        assert_eq!(account_locks(observed(2).build(), expired), (0, true));
+        let unobserved = BrokerConfig::builder().metrics(MetricsConfig::default()).build();
+        assert_eq!(account_locks(unobserved, fresh), (0, false));
+    }
+
     /// A message stages four histogram records — its waiting, service and
     /// sojourn samples and the backlog it left — into its dispatcher's own
     /// series, on a sharded broker as on a single dispatcher: a sharded
@@ -583,15 +622,9 @@ mod tests {
             let broker = Broker::start(config.build());
             broker.create_topic("t").unwrap();
             let _subscriber = broker.subscription("t").open().unwrap();
-            let (publish_tx, publish_rx) = unbounded();
-            for _ in 0..CLOCKED {
-                publish_tx.send(item(&broker, "t", Message::builder().build())).unwrap();
-            }
-            publish_tx.send(DispatchItem::Shutdown).unwrap();
-            let probe = Telemetry::new(&broker.inner, 0, u64::MAX).expect("metrics on");
-            let before = DispatcherScratch::records();
-            run(&broker.inner, 0, &publish_rx, probe);
-            assert_eq!(DispatcherScratch::records() - before, 4 * CLOCKED, "{shards} shards");
+            let message = || Message::builder().build();
+            let records = counted(&broker, u64::MAX, message, DispatcherScratch::records);
+            assert_eq!(records, 4 * CLOCKED, "{shards} shards");
             broker.shutdown();
         }
     }

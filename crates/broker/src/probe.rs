@@ -412,7 +412,7 @@ impl DispatchProbe for Telemetry<'_> {
             let service_secs =
                 end.saturating_sub(dispatch_start) as f64 * metrics.ns_per_tick * 1e-9;
             let evaluations = done.evaluations.min(u64::from(u32::MAX)) as u32;
-            observatory.account_of(done.topic).lock().observe(
+            observatory.lock_account(done.topic).observe(
                 evaluations,
                 done.copies as f64,
                 service_secs,

@@ -24,7 +24,7 @@
 //! `topic_obs` gate); only a snapshot ever makes a dispatcher wait.
 
 use crate::broker::Topic;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rjms_core::params::CostParams;
 use rjms_core::regression::{CostRegression, FittedCosts, RegressionTolerance, RegressionVerdict};
 use serde::{Deserialize, Serialize};
@@ -110,10 +110,20 @@ impl TopicObservatory {
         Self { config, anchor, started: Instant::now(), other }
     }
 
-    /// Where `topic`'s messages are accounted: its own account, else its
-    /// shard's `__other__`.
-    pub(crate) fn account_of<'a>(&'a self, topic: &'a Topic) -> &'a Account {
-        topic.account.as_ref().unwrap_or(&self.other[topic.shard])
+    /// Locks where `topic`'s messages are accounted: its own account, else
+    /// its shard's `__other__`. Test builds count the locks
+    /// (`account_locks`).
+    pub(crate) fn lock_account<'a>(&'a self, topic: &'a Topic) -> MutexGuard<'a, CostRegression> {
+        #[cfg(test)]
+        tests::ACCOUNT_LOCKS.with(|locks| locks.set(locks.get() + 1));
+        topic.account.as_ref().unwrap_or(&self.other[topic.shard]).lock()
+    }
+
+    /// How many accounts [`lock_account`](Self::lock_account) has locked on
+    /// this thread (test builds).
+    #[cfg(test)]
+    pub(crate) fn account_locks() -> u64 {
+        tests::ACCOUNT_LOCKS.with(std::cell::Cell::get)
     }
 
     /// Snapshots the accounts into self-contained rows, one per account
@@ -234,6 +244,12 @@ pub struct TopicObsRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// [`TopicObservatory::account_locks`].
+        pub(super) static ACCOUNT_LOCKS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn observatory(cap: usize, shards: usize) -> TopicObservatory {
         TopicObservatory::new(
@@ -255,7 +271,7 @@ mod tests {
         for i in 0..count {
             let r = rs(i);
             let service = truth.mean_service_time(n, r as f64);
-            obs.account_of(topic).lock().observe(n, r as f64, service);
+            obs.lock_account(topic).observe(n, r as f64, service);
         }
     }
 

@@ -24,8 +24,8 @@
 //!   persistent) class is deferred but never shed. Every decision is a
 //!   typed [`AdmissionOutcome`].
 //!
-//! On the wire (rjms-net) push-back is the publish reply; a peer that
-//! advertised `FEATURE_FLOW` gets a denial as a typed `PublishDenied` frame.
+//! On the wire (rjms-net) push-back is the publish reply, and a denial is a
+//! typed `PublishDenied` frame.
 //!
 //! The broker wires a gate in behind `BrokerConfig::flow`; embedded users
 //! can drive a [`FlowGate`] directly with a deterministic clock via

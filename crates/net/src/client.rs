@@ -10,7 +10,7 @@
 use crate::error::Error;
 use crate::wire::{
     decode_response, delivery_subscription, encode_request, FrameReader, Request, Response,
-    WireFilter, WireMessage, FEATURE_FLOW, FEATURE_TRACE,
+    WireFilter, WireMessage,
 };
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -62,11 +62,6 @@ pub struct RemoteBroker {
     metrics: MetricsRegistry,
     rtt: Arc<Histogram>,
     requests: Arc<Counter>,
-    /// Whether the server acknowledged the [`FEATURE_TRACE`] handshake.
-    /// Decided once during [`RemoteBroker::connect`]; when false, publishes
-    /// are stripped of their trace context so the frames stay in the
-    /// pre-trace format.
-    traced: bool,
 }
 
 impl std::fmt::Debug for RemoteBroker {
@@ -78,9 +73,9 @@ impl std::fmt::Debug for RemoteBroker {
 }
 
 impl RemoteBroker {
-    /// Connects to a broker server; a Hello offers it trace context and
-    /// typed admission denials ([`FEATURE_FLOW`]). There is no publish
-    /// window to open: a publish's reply is its push-back.
+    /// Connects to a broker server. Nothing is exchanged before the first
+    /// request, and there is no publish window to open: a publish's reply
+    /// is its push-back.
     ///
     /// # Errors
     ///
@@ -88,12 +83,12 @@ impl RemoteBroker {
     pub fn connect(addr: impl std::net::ToSocketAddrs) -> Result<RemoteBroker, Error> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Self::over(stream.try_clone()?, stream)
+        Ok(Self::over(stream.try_clone()?, stream))
     }
 
     /// [`connect`](Self::connect) reading from `reader`: the seam for tests that script reads.
     #[doc(hidden)]
-    pub fn over(reader: impl Read + Send + 'static, stream: TcpStream) -> Result<Self, Error> {
+    pub fn over(reader: impl Read + Send + 'static, stream: TcpStream) -> Self {
         let shared = Arc::new(ClientShared {
             stream: Mutex::new(stream),
             pending: Mutex::new(HashMap::new()),
@@ -107,7 +102,7 @@ impl RemoteBroker {
             .name("rjms-net-client-reader".to_owned())
             .spawn(move || client_reader_loop(reader, &reader_shared, &batch_frames))
             .expect("failed to spawn client reader");
-        let mut client = RemoteBroker {
+        RemoteBroker {
             shared,
             next_request_id: AtomicU32::new(1),
             next_subscription_id: AtomicU32::new(1),
@@ -115,24 +110,7 @@ impl RemoteBroker {
             rtt: metrics.histogram("net.rtt_ns"),
             requests: metrics.counter("net.requests"),
             metrics,
-            traced: false,
-        };
-        // Capability handshake: a server that understands the Hello opcode
-        // answers Ok and from then on both sides may use the traced frame
-        // variants. Anything else (an older server) leaves the connection
-        // in the pre-trace format. `FEATURE_FLOW` asks for admission
-        // denials as typed frames; a flow-less server never sends one.
-        let request_id = client.next_request_id();
-        client.traced = client
-            .call(Request::Hello { request_id, features: FEATURE_TRACE | FEATURE_FLOW }, request_id)
-            .is_ok();
-        Ok(client)
-    }
-
-    /// True when the server acknowledged trace-context propagation during
-    /// the connect-time handshake.
-    pub fn trace_negotiated(&self) -> bool {
-        self.traced
+        }
     }
 
     /// This client's instrument registry: histogram `net.rtt_ns` holds the
@@ -157,7 +135,8 @@ impl RemoteBroker {
 
     /// Publishes a message to a remote topic and waits for the broker's
     /// reply: that wait is the push-back, one publish in flight per calling
-    /// thread. The receiving broker re-stamps the message id and timestamp.
+    /// thread. The receiving broker re-stamps the message id and timestamp
+    /// and keeps its trace context.
     ///
     /// # Errors
     ///
@@ -166,10 +145,7 @@ impl RemoteBroker {
     /// [`Error::PublishShed`] / [`Error::PublishDeferred`].
     pub fn publish(&self, topic: &str, message: &Message) -> Result<(), Error> {
         let request_id = self.next_request_id();
-        let mut wire = WireMessage::from_message(message);
-        if !self.traced {
-            wire = wire.without_trace();
-        }
+        let wire = WireMessage::from_message(message);
         let request = Request::Publish { request_id, topic: topic.to_owned(), message: wire };
         match self.call_raw(request, request_id)? {
             Response::Ok { .. } => Ok(()),
@@ -295,8 +271,13 @@ impl RemoteBroker {
         }
     }
 
+    /// The next request id. It wraps past [`u32::MAX`] to 1: 0 is reserved
+    /// for the fire-and-forget unsubscribe of [`RemoteSubscriber`]'s drop.
     fn next_request_id(&self) -> u32 {
-        self.next_request_id.fetch_add(1, Ordering::Relaxed)
+        match self.next_request_id.fetch_add(1, Ordering::Relaxed) {
+            0 => self.next_request_id.fetch_add(1, Ordering::Relaxed),
+            id => id,
+        }
     }
 
     /// Sends a request and waits for its Ok/Error response.
@@ -475,5 +456,37 @@ impl Drop for RemoteSubscriber {
             });
             let _ = self.shared.stream.lock().write_all(&frame);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{decode_request, encode_response, read_frame};
+    use std::net::TcpListener;
+
+    #[test]
+    fn request_ids_wrap_past_the_reserved_zero() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Answers two pings and returns the request ids they carried.
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut ids = Vec::new();
+            for _ in 0..2 {
+                let request = read_frame(&mut stream).unwrap().expect("a request");
+                let Request::Ping { request_id } = decode_request(request).unwrap() else {
+                    panic!("not a ping")
+                };
+                ids.push(request_id);
+                stream.write_all(&encode_response(&Response::Pong { request_id })).unwrap();
+            }
+            ids
+        });
+        let client = RemoteBroker::connect(addr).unwrap();
+        client.next_request_id.store(u32::MAX, Ordering::Relaxed);
+        client.ping().unwrap();
+        client.ping().unwrap();
+        assert_eq!(peer.join().unwrap(), [u32::MAX, 1]);
     }
 }

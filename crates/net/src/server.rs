@@ -16,6 +16,11 @@
 //! flight, a copy queued after the clear rings again, one queued before it
 //! is seen by the drain that follows.
 //!
+//! A connection speaks [`wire`](crate::wire)'s one dialect from its first
+//! frame. A publish that admission control turns away is answered with
+//! [`Response::PublishDenied`]; a frame that does not decode, an unknown
+//! opcode among them, drops the connection.
+//!
 //! A client that stops reading fills its *bounded* subscriber queues and
 //! gets the broker's [`OverflowPolicy`](rjms_broker::OverflowPolicy) like
 //! an in-process consumer: `Block` pushes back on publishers, `DropNew`
@@ -34,12 +39,11 @@
 
 use crate::wire::{
     decode_request, encode_delivery_into, encode_response_into, FrameReader, Request, Response,
-    WireFilter, WireMessage, FEATURE_FLOW, FEATURE_TRACE,
+    WireFilter, WireMessage,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rjms_broker::{
-    Broker, BrokerConfig, Error, Filter, FlowGate, Message, Publisher, Subscriber, TopicPattern,
-    Wake,
+    Broker, BrokerConfig, Error, Filter, Message, Publisher, Subscriber, TopicPattern, Wake,
 };
 use rjms_metrics::{clock, Gauge, Histogram, MetricsRegistry};
 use rjms_trace::{FlightRecorder, SpanEvent, Stage};
@@ -49,7 +53,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A TCP front-end for an embedded [`Broker`].
 ///
@@ -220,9 +224,6 @@ fn build_filter(filter: WireFilter) -> Result<Filter, String> {
 enum Outbound {
     /// A reply to one of the client's requests.
     Reply(Response),
-    /// Whether the client negotiated [`FEATURE_TRACE`]: deliveries behind
-    /// this carry trace context, or go in the pre-trace opcodes as before it.
-    Traced(bool),
     /// The doorbell's token: a subscription may have a copy queued.
     Ring,
     /// The reader is done: write the replies queued before this and stop.
@@ -257,12 +258,6 @@ struct Connection {
     subscriptions: Subscriptions,
     /// The doorbell hook every subscription is opened with.
     ring: Wake,
-    /// The broker's admission gate, when flow control is enabled.
-    gate: Option<Arc<FlowGate>>,
-    /// Whether the client negotiated [`FEATURE_FLOW`] *and* the broker has
-    /// flow control on. Only then does a denial go out as
-    /// [`Response::PublishDenied`].
-    flow_negotiated: bool,
 }
 
 fn handle_connection(
@@ -281,15 +276,12 @@ fn handle_connection(
     stream.set_nodelay(true).ok();
     let (out_tx, out_rx) = unbounded();
     let (rung, ring) = doorbell(out_tx.clone());
-    let gate = broker.flow();
     let mut conn = Connection {
         broker,
         out: out_tx,
         publishers: HashMap::new(),
         subscriptions: Subscriptions::default(),
         ring,
-        gate,
-        flow_negotiated: false,
     };
 
     let active = metrics.gauge("net.connections.active");
@@ -341,7 +333,6 @@ fn writer_loop(
     // The batch's deliveries, kept until the write has returned.
     let mut taken: Vec<(u32, Arc<Message>)> = Vec::new();
     let mut open = true;
-    let mut traced = false;
     while open {
         let Ok(first) = out.recv() else { break };
         let mut replies = 0;
@@ -355,7 +346,6 @@ fn writer_loop(
                 // ORD: AcqRel swap, reads the doorbell's. Cleared before
                 // the queues are read, so a later copy rings again.
                 Outbound::Ring => _ = rung.swap(false, Ordering::AcqRel),
-                Outbound::Traced(negotiated) => traced = negotiated,
                 Outbound::Close => open = false,
             }
             let more = open && batch.len() < WRITE_BATCH_BYTES;
@@ -368,7 +358,7 @@ fn writer_loop(
                 found = false;
                 for (id, subscriber) in subscriptions.iter() {
                     let Some(message) = subscriber.try_receive() else { continue };
-                    encode_delivery_into(&mut batch, *id, &message, traced);
+                    encode_delivery_into(&mut batch, *id, &message);
                     taken.push((*id, message));
                     found = true;
                 }
@@ -385,7 +375,7 @@ fn writer_loop(
         batch_frames.record(replies + taken.len() as u64);
         // Every tail-sampled delivery of the batch gets a wire-flush span
         // on its chain: the one write that carried its bytes off the server.
-        let recorder = recorder.as_ref().filter(|_| traced && !taken.is_empty());
+        let recorder = recorder.as_ref().filter(|_| !taken.is_empty());
         let flush = recorder.map(|r| (r, clock::now(), Instant::now()));
         if stream.write_all(&batch).is_err() {
             // Not written: back to the front of their queues, newest first,
@@ -446,13 +436,6 @@ fn handle_request(conn: &mut Connection, request: Request) -> bool {
         Request::Ping { request_id } => {
             return conn.out.send(Outbound::Reply(Response::Pong { request_id })).is_ok();
         }
-        Request::Hello { request_id, features } => {
-            let _ = conn.out.send(Outbound::Traced(features & FEATURE_TRACE != 0));
-            // Flow control is only negotiated when both sides support it;
-            // otherwise the client is paced by the compatibility throttle.
-            conn.flow_negotiated = features & FEATURE_FLOW != 0 && conn.gate.is_some();
-            return conn.out.send(Outbound::Reply(Response::Ok { request_id })).is_ok();
-        }
         Request::CreateTopic { request_id, topic } => {
             (request_id, conn.broker.create_topic(&topic).map_err(|e| e.to_string()))
         }
@@ -503,49 +486,23 @@ fn handle_publish(
 ) -> bool {
     let response = match publish(conn, topic, message) {
         Ok(()) => Response::Ok { request_id },
-        Err(Error::PublishShed { class }) if conn.flow_negotiated => {
+        Err(Error::PublishShed { class }) => {
             Response::PublishDenied { request_id, class, deferred: false, retry_after_ms: 0 }
         }
-        Err(Error::PublishDeferred { class, retry_after_ms }) if conn.flow_negotiated => {
+        Err(Error::PublishDeferred { class, retry_after_ms }) => {
             Response::PublishDenied { request_id, class, deferred: true, retry_after_ms }
         }
-        // Pre-flow peers only ever see the original error frame.
         Err(e) => Response::Error { request_id, message: e.to_string() },
     };
     conn.out.send(Outbound::Reply(response)).is_ok()
 }
-
-/// Longest total delay the compatibility throttle puts on a pre-flow
-/// client's deferred publish before it answers with an error frame: long
-/// enough for a burst to drain, short of a client's request timeout.
-const COMPAT_MAX_WAIT: Duration = Duration::from_millis(250);
 
 fn publish(conn: &mut Connection, topic: &str, message: WireMessage) -> Result<(), Error> {
     if !conn.publishers.contains_key(topic) {
         let publisher = conn.broker.publisher(topic)?;
         conn.publishers.insert(topic.to_owned(), publisher);
     }
-    let publisher = conn.publishers.get(topic).expect("just inserted");
-    if conn.flow_negotiated || conn.gate.is_none() {
-        return publisher.publish(message.into_message());
-    }
-    // Compatibility throttle: a pre-flow peer cannot understand the flow
-    // opcodes, so deferred publishes are absorbed server-side — retry up
-    // to `COMPAT_MAX_WAIT`, then fall back to a plain error frame.
-    // Shed publishes fail immediately (waiting would not help).
-    let deadline = Instant::now() + COMPAT_MAX_WAIT;
-    loop {
-        match publisher.publish(message.clone().into_message()) {
-            Err(Error::PublishDeferred { class, retry_after_ms }) => {
-                let retry = Duration::from_millis(retry_after_ms);
-                if Instant::now() + retry > deadline {
-                    return Err(Error::PublishDeferred { class, retry_after_ms });
-                }
-                std::thread::sleep(retry);
-            }
-            other => return other,
-        }
-    }
+    conn.publishers.get(topic).expect("just inserted").publish(message.into_message())
 }
 
 enum SubscribeTarget {
@@ -590,6 +547,7 @@ mod tests {
     use super::*;
     use crate::wire::{encode_response, read_frame};
     use bytes::Bytes;
+    use std::time::Duration;
 
     /// The writer against a raw socket, everything queued before it starts:
     /// every kind of reply on its channel, and in four subscriptions'
@@ -638,7 +596,6 @@ mod tests {
         for reply in &replies {
             out_tx.send(Outbound::Reply(reply.clone())).unwrap();
         }
-        out_tx.send(Outbound::Traced(true)).unwrap();
         let (rung, ring) = doorbell(out_tx.clone());
         ring();
 
@@ -656,7 +613,7 @@ mod tests {
             let body = read_frame(&mut peer).unwrap().expect("a frame");
             let frame = [&(body.len() as u32).to_be_bytes()[..], &body[..]].concat();
             match body[0] {
-                0x83 | 0x85 => {
+                0x85 => {
                     let subscription_id = u32::from_be_bytes(body[1..5].try_into().unwrap());
                     delivered.entry(subscription_id).or_default().push(frame.into());
                 }

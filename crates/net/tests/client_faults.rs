@@ -34,25 +34,20 @@ fn guarded(test: impl FnOnce() + Send + 'static) {
     }
 }
 
-/// A peer that accepts one connection, answers the handshake and one
-/// subscribe (subscription 1) with `Ok`, lets `script` write what it likes,
-/// and then reads until the client closes.
+/// A peer that accepts one connection, answers the subscribe of
+/// subscription 1 with `Ok`, lets `script` write what it likes, and then
+/// reads until the client closes.
 fn scripted_peer(script: impl FnOnce(&mut TcpStream) + Send + 'static) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
         stream.set_nodelay(true).unwrap();
-        for _ in 0..2 {
-            let request = read_frame(&mut stream).unwrap().expect("a request");
-            let request_id = match decode_request(request).unwrap() {
-                Request::Hello { request_id, .. } | Request::Subscribe { request_id, .. } => {
-                    request_id
-                }
-                other => panic!("unexpected {other:?}"),
-            };
-            stream.write_all(&encode_response(&Response::Ok { request_id })).unwrap();
-        }
+        let request = read_frame(&mut stream).unwrap().expect("a request");
+        let Request::Subscribe { request_id, .. } = decode_request(request).unwrap() else {
+            panic!("not a subscribe")
+        };
+        stream.write_all(&encode_response(&Response::Ok { request_id })).unwrap();
         script(&mut stream);
         let _ = stream.read_to_end(&mut Vec::new());
     });
@@ -131,14 +126,14 @@ fn a_trailing_byte_closes_when_reached() {
 #[test]
 fn a_routable_frame_too_short_to_decode_closes_when_reached() {
     // Opcode and subscription id, nothing behind them.
-    three_good_then(frame(&[0x83, 0, 0, 0, 1]));
+    three_good_then(frame(&[0x85, 0, 0, 0, 1]));
 }
 
 #[test]
 fn a_delivery_too_short_to_route_closes_in_the_reader() {
     guarded(|| {
         let addr = scripted_peer(|stream| {
-            stream.write_all(&[delivery(1), frame(&[0x83, 0, 0])].concat()).unwrap();
+            stream.write_all(&[delivery(1), frame(&[0x85, 0, 0])].concat()).unwrap();
         });
         let (client, subscriber) = connect(addr);
         // What the reader held when it met the frame is still handed over.

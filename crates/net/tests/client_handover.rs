@@ -31,8 +31,8 @@ impl std::io::Read for Scripted {
 
 /// A client whose reads the returned sender scripts, with `subscriptions`
 /// subscriptions (ids 1, 2, …). Its requests go to the returned socket: the
-/// handshake and the subscribes have been read from it and answered, each
-/// `Ok` in a read of its own.
+/// subscribes have been read from it and answered, each `Ok` in a read of
+/// its own.
 fn scripted_client(
     subscriptions: u32,
 ) -> (RemoteBroker, Vec<RemoteSubscriber>, mpsc::Sender<Vec<u8>>, TcpStream) {
@@ -44,27 +44,23 @@ fn scripted_client(
     // A reply is read only after its request was written, as on a socket:
     // the call is registered by then.
     let responder = std::thread::spawn(move || {
-        for _ in 0..=subscriptions {
+        for _ in 0..subscriptions {
             let request = read_frame(&mut peer).unwrap().expect("a request");
-            let request_id = match decode_request(request).unwrap() {
-                Request::Hello { request_id, .. } | Request::Subscribe { request_id, .. } => {
-                    request_id
-                }
-                other => panic!("unexpected {other:?}"),
+            let Request::Subscribe { request_id, .. } = decode_request(request).unwrap() else {
+                panic!("not a subscribe")
             };
             replies.send(encode_response(&Response::Ok { request_id }).to_vec()).unwrap();
         }
         peer
     });
-    let client = RemoteBroker::over(Scripted(pieces), stream).unwrap();
+    let client = RemoteBroker::over(Scripted(pieces), stream);
     let subscribers: Vec<_> =
         (0..subscriptions).map(|_| client.subscribe("t", WireFilter::None).unwrap()).collect();
     assert!(subscribers.iter().map(RemoteSubscriber::id).eq(1..=subscriptions));
     (client, subscribers, reads, responder.join().unwrap())
 }
 
-/// The `seq`-th delivery frame of the script, for `subscription_id`; every
-/// third one in the traced encoding.
+/// The `seq`-th delivery frame of the script, for `subscription_id`.
 fn delivery(subscription_id: u32, seq: usize) -> Vec<u8> {
     let message = WireMessage {
         correlation_id: Some(format!("#{seq}")),
@@ -73,9 +69,7 @@ fn delivery(subscription_id: u32, seq: usize) -> Vec<u8> {
         ttl_millis: None,
         properties: vec![("seq".to_owned(), rjms_selector::Value::Int(seq as i64))],
         body: vec![seq as u8; seq % 40].into(),
-        trace: seq
-            .is_multiple_of(3)
-            .then_some(WireTrace { trace_id: seq as u64 + 1, origin_ns: 7 }),
+        trace: WireTrace { trace_id: seq as u64 + 1, origin_ns: 7 },
     };
     encode_response(&Response::Delivery { subscription_id, message }).to_vec()
 }

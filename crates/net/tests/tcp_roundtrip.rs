@@ -266,16 +266,16 @@ fn wire_metrics_record_rtt_and_connections() {
     }
     let snap = client.metrics().snapshot();
     let rtt = snap.histogram("net.rtt_ns").expect("round-trips recorded");
-    assert_eq!(rtt.count, 10); // connect-time hello + create_topic + 8 pings
+    assert_eq!(rtt.count, 9); // create_topic + 8 pings
     assert!(rtt.min > 0);
-    assert_eq!(snap.counters["net.requests"], 10);
+    assert_eq!(snap.counters["net.requests"], 9);
 
     let server_snap = server.metrics().snapshot();
     assert_eq!(server_snap.gauges["net.connections.active"], 1);
     assert!(server_snap.gauges.keys().any(|k| k.ends_with(".queue_depth")));
-    // Ten synchronous requests, ten replies: each was a write of one frame.
+    // Nine synchronous requests, nine replies: each was a write of one frame.
     let batches = server_snap.histogram("net.writer.batch_frames").expect("writes recorded");
-    assert_eq!((batches.count, batches.sum), (10, 10));
+    assert_eq!((batches.count, batches.sum), (9, 9));
 
     // Connection teardown returns the gauge to zero.
     drop(client);

@@ -1,96 +1,52 @@
-//! Trace-context wire compatibility: old-format clients interoperate with a
-//! new server, and negotiated clients propagate trace ids end to end.
+//! Trace context on the wire: every publish and every delivery carries it,
+//! so trace ids propagate end to end with nothing negotiated, and a peer
+//! that speaks a retired frame (the Hello handshake, the untraced publish)
+//! is dropped.
 
-use bytes::Bytes;
+use bytes::BufMut;
 use rjms_broker::{BrokerConfig, Message, TraceConfig};
 use rjms_net::client::RemoteBroker;
 use rjms_net::server::BrokerServer;
-use rjms_net::wire::{
-    decode_response, encode_request, read_frame, Request, Response, WireFilter, WireMessage,
-};
+use rjms_net::wire::{encode_request, read_frame, Request, WireFilter, WireMessage};
 use rjms_trace::{group_chains, Stage};
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// A minimal stand-in for a pre-trace client: it speaks only the original
-/// opcodes (messages without context, no connect-time Hello) over a raw
-/// socket.
-struct OldClient {
-    stream: TcpStream,
-}
-
-impl OldClient {
-    fn connect(addr: std::net::SocketAddr) -> OldClient {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).ok();
-        OldClient { stream }
-    }
-
-    fn send(&mut self, request: &Request) {
-        let frame = encode_request(request);
-        self.stream.write_all(&frame).expect("write frame");
-    }
-
-    /// Reads one frame and returns its raw body (opcode byte first).
-    fn read_raw(&mut self) -> Bytes {
-        read_frame(&mut self.stream).expect("read frame").expect("connection open")
-    }
+/// A frame around `body`.
+fn frame(body: &[u8]) -> Vec<u8> {
+    [&(body.len() as u32).to_be_bytes()[..], body].concat()
 }
 
 #[test]
-fn old_format_client_interoperates_with_new_server() {
-    let server = BrokerServer::start(
-        BrokerConfig::builder().trace(TraceConfig::default()).build(),
-        "127.0.0.1:0",
-    )
-    .expect("bind");
-    let mut old = OldClient::connect(server.local_addr());
-
-    // Pre-trace frames only: no Hello, message without context.
-    old.send(&Request::CreateTopic { request_id: 1, topic: "t".into() });
-    old.send(&Request::Subscribe {
-        request_id: 2,
-        subscription_id: 1,
-        topic: "t".into(),
-        filter: WireFilter::None,
-    });
-    let message = Message::builder().property("k", 7i64).build();
-    let wire = WireMessage::from_message(&message).without_trace();
-    let publish_frame =
-        encode_request(&Request::Publish { request_id: 3, topic: "t".into(), message: wire });
-    // The publish must itself be in the pre-trace format.
-    assert_eq!(publish_frame[4], 0x02, "stripped publish keeps the original opcode");
-    old.stream.write_all(&publish_frame).expect("write publish");
-
-    // Collect responses until the delivery and all three replies have
-    // arrived. Replies come in request order, but a delivery is not a reply:
-    // the writer may take it before the Ok of the publish that caused it
-    // (DESIGN.md §3.6b), so it is accepted at either side of the third Ok.
-    // The delivery to a client that never sent Hello must use the
-    // pre-trace opcode.
-    let mut oks = 0;
-    let mut delivery = None;
-    while oks < 3 || delivery.is_none() {
-        let body = old.read_raw();
-        match body[0] {
-            0x81 => oks += 1, // Ok
-            0x83 | 0x85 if delivery.is_none() => delivery = Some(body),
-            other => panic!("unexpected response opcode {other:#x}"),
-        }
+fn a_retired_frame_ends_the_connection() {
+    let server = BrokerServer::start(BrokerConfig::default(), "127.0.0.1:0").expect("bind");
+    server.broker().create_topic("t").unwrap();
+    // A Hello (0x09: request id 1, feature bits 3), and a publish in the
+    // untraced opcode 0x02: the traced frame less its context.
+    let mut hello = vec![0x09];
+    hello.put_u32(1);
+    hello.put_u32(3);
+    let message = WireMessage::from_message(&Message::builder().build());
+    let publish = encode_request(&Request::Publish { request_id: 1, topic: "t".into(), message });
+    let untraced = [&[0x02][..], &publish[5..publish.len() - 16]].concat();
+    for retired in [frame(&hello), frame(&untraced)] {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let ping = encode_request(&Request::Ping { request_id: 2 });
+        stream.write_all(&[&retired[..], &ping[..]].concat()).expect("send");
+        // No reply to either: the server closed at the first frame (a reset
+        // if the ping was still unread in its socket).
+        let end = read_frame(&mut stream);
+        let closed = match &end {
+            Ok(None) => true,
+            Ok(Some(_)) => false,
+            Err(e) => e.kind() == ErrorKind::ConnectionReset,
+        };
+        assert!(closed, "opcode {:#x}: got {end:?}", retired[4]);
     }
-    assert_eq!(oks, 3, "all three pre-trace requests answered Ok");
-    let delivery_body = delivery.expect("one delivery");
-    assert_eq!(delivery_body[0], 0x83, "delivery to an old client stays untraced");
-    let decoded = decode_response(delivery_body).expect("decodable");
-    match decoded {
-        Response::Delivery { subscription_id, message } => {
-            assert_eq!(subscription_id, 1);
-            assert!(message.trace.is_none());
-            assert_eq!(message.into_message().property("k"), Some(&7i64.into()));
-        }
-        other => panic!("expected delivery, got {other:?}"),
-    }
+    // The server itself is unaffected.
+    RemoteBroker::connect(server.local_addr()).unwrap().ping().expect("a new connection");
     server.shutdown();
 }
 
@@ -98,7 +54,6 @@ fn old_format_client_interoperates_with_new_server() {
 fn trace_ids_propagate_publisher_to_subscriber() {
     let server = BrokerServer::start(BrokerConfig::default(), "127.0.0.1:0").expect("bind");
     let client = RemoteBroker::connect(server.local_addr()).unwrap();
-    assert!(client.trace_negotiated(), "new server acknowledges the handshake");
     client.create_topic("t").unwrap();
     let sub = client.subscribe("t", WireFilter::None).unwrap();
 
@@ -116,8 +71,8 @@ fn trace_ids_propagate_publisher_to_subscriber() {
 #[test]
 fn wire_flush_spans_join_broker_chains() {
     // With tracing on and the tail threshold still at its initial zero,
-    // every message's chain is kept, and deliveries flushed to a negotiated
-    // client gain a fifth wire_flush span recorded by the writer thread.
+    // every message's chain is kept, and deliveries flushed to a client
+    // gain a fifth wire_flush span recorded by the writer thread.
     let server = BrokerServer::start(
         BrokerConfig::builder().trace(TraceConfig::default()).build(),
         "127.0.0.1:0",

@@ -12,9 +12,7 @@
 //!    objective, so the protection is the gate and not the workload.
 //!
 //! The wire tests hold the contract "push-back on the wire is the publish
-//! reply": a pre-flow client (no Hello, original opcodes only) round-trips
-//! unchanged against a flow-enabled server and is denied with plain error
-//! frames, and a `FEATURE_FLOW` peer gets one reply per request and its
+//! reply": a peer gets one reply per request and nothing else, and its
 //! denials as typed `PublishDenied` frames.
 
 use rand::rngs::StdRng;
@@ -167,133 +165,15 @@ fn gate_keeps_admitted_w99_inside_objective_through_an_overload_wave() {
     );
 }
 
-/// One write of request frames: `first` (request id 1), `publishes`
-/// untraced publishes of `message` to topic `t` (ids 2, 3, …), then a ping
-/// whose `Pong` marks the end of the replies.
-fn pipelined(
-    first: rjms::net::Request,
-    message: &rjms::broker::Message,
-    publishes: u32,
-) -> Vec<u8> {
-    use rjms::net::wire::{encode_request, Request, WireMessage};
-    let message = WireMessage::from_message(message).without_trace();
-    let publish =
-        |request_id| Request::Publish { request_id, topic: "t".into(), message: message.clone() };
-    let ping = Request::Ping { request_id: 2 + publishes };
-    let requests = std::iter::once(first).chain((2..2 + publishes).map(publish)).chain([ping]);
-    requests.flat_map(|request| encode_request(&request).to_vec()).collect()
-}
-
-mod wire_compat {
-    //! A flow-enabled server must leave pre-flow clients byte-compatible:
-    //! original opcodes in, original opcodes out, no flow frames.
-
-    use rjms::broker::{FlowConfig, Message, Priority};
-    use rjms::net::server::BrokerServer;
-    use rjms::net::wire::{
-        decode_response, encode_request, read_frame, Request, Response, WireFilter, WireMessage,
-    };
-    use std::io::Write;
-    use std::net::TcpStream;
-
-    #[test]
-    fn pre_flow_client_round_trips_unchanged_against_a_flow_enabled_server() {
-        let config = rjms::broker::BrokerConfig::builder().flow(FlowConfig::default()).build();
-        let server = BrokerServer::start(config, "127.0.0.1:0").expect("bind");
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        stream.set_nodelay(true).ok();
-
-        // Pre-flow frames only: no Hello, message without trace context.
-        stream
-            .write_all(&encode_request(&Request::CreateTopic { request_id: 1, topic: "t".into() }))
-            .expect("send create");
-        stream
-            .write_all(&encode_request(&Request::Subscribe {
-                request_id: 2,
-                subscription_id: 1,
-                topic: "t".into(),
-                filter: WireFilter::None,
-            }))
-            .expect("send subscribe");
-        let message = Message::builder().property("k", 7i64).build();
-        let wire = WireMessage::from_message(&message).without_trace();
-        stream
-            .write_all(&encode_request(&Request::Publish {
-                request_id: 3,
-                topic: "t".into(),
-                message: wire,
-            }))
-            .expect("send publish");
-
-        // Every frame that comes back is from the original opcode set:
-        // three Oks and one untraced delivery. In particular no
-        // PublishDenied (0x87) frame, nor the retired 0x86, may appear on
-        // a connection that never negotiated FEATURE_FLOW.
-        //
-        // Replies come back in request order, but a delivery is not a
-        // reply: the dispatcher and the forwarder can put it on the wire
-        // before the connection thread has queued the Ok of the publish
-        // that caused it. So the delivery is accepted at either side of
-        // the third Ok.
-        let mut oks = 0;
-        let mut delivery = None;
-        while oks < 3 || delivery.is_none() {
-            let body = read_frame(&mut stream).expect("read frame").expect("connection open");
-            match body[0] {
-                0x81 => oks += 1,
-                0x83 if delivery.is_none() => delivery = Some(body),
-                other => panic!("unexpected response opcode {other:#x} for a pre-flow client"),
-            }
-        }
-        assert_eq!(oks, 3, "all three pre-flow requests answered with plain Ok");
-        match decode_response(delivery.expect("loop ends with one")).expect("delivery decodes") {
-            Response::Delivery { subscription_id, message } => {
-                assert_eq!(subscription_id, 1);
-                assert_eq!(message.into_message().property("k"), Some(&7i64.into()));
-            }
-            other => panic!("expected a pre-flow delivery, got {other:?}"),
-        }
-        server.shutdown();
-    }
-
-    /// Over budget, the compatibility throttle answers a pre-flow client's
-    /// shed publishes with plain `Error` frames (0x82).
-    #[test]
-    fn pre_flow_client_over_budget_is_shed_with_plain_error_frames() {
-        let config = rjms::broker::BrokerConfig::builder().flow(FlowConfig::default()).build();
-        let server = BrokerServer::start(config, "127.0.0.1:0").expect("bind");
-        let burst = server.broker().flow().expect("flow control on").snapshot().bucket_burst;
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-
-        // No Hello; four buckets' worth of lowest-priority publishes.
-        let publishes = 4 * burst.ceil() as u32;
-        let create = Request::CreateTopic { request_id: 1, topic: "t".into() };
-        let message = Message::builder().priority(Priority::new(0)).build();
-        stream.write_all(&super::pipelined(create, &message, publishes)).expect("send burst");
-
-        let (mut oks, mut errors) = (0, 0);
-        loop {
-            let body = read_frame(&mut stream).expect("read frame").expect("connection open");
-            match body[0] {
-                0x81 => oks += 1,
-                0x82 => errors += 1,
-                0x84 => break,
-                other => panic!("unexpected response opcode {other:#x} for a pre-flow client"),
-            }
-        }
-        assert_eq!(oks + errors, publishes + 1, "one reply per request");
-        assert!(errors > 0, "{publishes} publishes against a bucket of {burst:.0} shed nothing");
-        server.shutdown();
-    }
-}
-
 mod flow_peer {
-    //! A peer that advertised `FEATURE_FLOW`: each request gets its reply
-    //! and nothing else, and admission's denials come back typed.
+    //! A peer over a flow-enabled server: each request gets its reply and
+    //! nothing else, and admission's denials come back typed.
 
     use rjms::broker::{BrokerConfig, FlowConfig, Message, Priority};
     use rjms::model::params::CostParams;
-    use rjms::net::wire::{decode_response, read_frame, Request, Response, FEATURE_FLOW};
+    use rjms::net::wire::{
+        decode_response, encode_request, read_frame, Request, Response, WireMessage,
+    };
     use rjms::net::{BrokerServer, Error, RemoteBroker};
     use std::io::Write;
     use std::net::TcpStream;
@@ -309,14 +189,24 @@ mod flow_peer {
         let flow = FlowConfig::default().params(native);
         let server = BrokerServer::start(BrokerConfig::builder().flow(flow).build(), "127.0.0.1:0")
             .expect("bind");
-        server.broker().create_topic("t").unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
 
-        let hello = Request::Hello { request_id: 1, features: FEATURE_FLOW };
-        let frames = super::pipelined(hello, &Message::builder().build(), 100);
+        // One write: the topic's creation (request id 1), 100 publishes
+        // (ids 2 to 101), a ping (102).
+        let message = WireMessage::from_message(&Message::builder().build());
+        let publish = |request_id| Request::Publish {
+            request_id,
+            topic: "t".into(),
+            message: message.clone(),
+        };
+        let requests = std::iter::once(Request::CreateTopic { request_id: 1, topic: "t".into() })
+            .chain((2..102).map(publish))
+            .chain([Request::Ping { request_id: 102 }]);
+        let frames: Vec<u8> =
+            requests.flat_map(|request| encode_request(&request).to_vec()).collect();
         stream.write_all(&frames).expect("send");
 
-        // Replies in request order and nothing between them: the Hello's
+        // Replies in request order and nothing between them: the creation's
         // Ok, one Ok per publish, the Pong.
         let mut next = || {
             let body = read_frame(&mut stream).expect("read frame").expect("connection open");
