@@ -59,6 +59,7 @@
 #![warn(missing_debug_implementations)]
 
 mod broker;
+pub mod codec;
 pub mod config;
 pub mod cost;
 mod dispatch;

@@ -6,6 +6,7 @@
 //! user properties and the `JMS*` header fields, which is why [`Message`]
 //! implements [`PropertySource`].
 
+use crate::codec::OwnedFields;
 use bytes::Bytes;
 use rjms_selector::eval::PropertySource;
 use rjms_selector::value::{Value, ValueRef};
@@ -35,7 +36,7 @@ impl MessageId {
     /// Keeps the id allocator above every id recovered from the journal,
     /// so post-recovery messages never collide with replayed ones.
     pub(crate) fn observe(raw: u64) {
-        ID_COUNTER.fetch_max(raw + 1, Ordering::Relaxed);
+        ID_COUNTER.fetch_max(raw.saturating_add(1), Ordering::Relaxed);
     }
 
     /// The raw numeric id.
@@ -274,20 +275,11 @@ impl Message {
     }
 
     /// Reassembles a message from journal-recovered parts, keeping the
-    /// original id and timestamps.
-    #[allow(clippy::too_many_arguments)]
+    /// original id and timestamps. The codec has checked the priority.
     pub(crate) fn from_stored_parts(
         id_raw: u64,
         timestamp_millis: u64,
-        correlation_id: Option<String>,
-        message_type: Option<String>,
-        priority: Priority,
-        reply_to: Option<String>,
-        expiration_millis: Option<u64>,
-        properties: BTreeMap<String, Value>,
-        body: Bytes,
-        trace_id: u64,
-        trace_origin_ns: u64,
+        fields: OwnedFields,
     ) -> Message {
         MessageId::observe(id_raw);
         let id = MessageId::from_raw(id_raw);
@@ -295,15 +287,15 @@ impl Message {
             id,
             id_text: MessageIdText::new(id),
             timestamp_millis,
-            correlation_id,
-            message_type,
-            priority,
-            reply_to,
-            expiration_millis,
-            properties,
-            body,
-            trace_id,
-            trace_origin_ns,
+            correlation_id: fields.correlation_id,
+            message_type: fields.message_type,
+            priority: Priority::new(fields.priority),
+            reply_to: fields.reply_to,
+            expiration_millis: fields.expiry,
+            properties: fields.properties.into_iter().collect(),
+            body: fields.body,
+            trace_id: fields.trace_id,
+            trace_origin_ns: fields.trace_origin_ns,
         }
     }
 

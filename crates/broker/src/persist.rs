@@ -1,10 +1,13 @@
-//! Broker persistence: the journal record encoding, the broker's write
-//! path into the journal, and recovery of the topic registry from it.
+//! Broker persistence: the journal's records, the broker's write path into
+//! the journal, and recovery of the topic registry from it.
 //!
-//! Every state change the broker must survive is one [`JournalRecord`],
-//! serialized into a journal frame payload with a compact little-endian,
-//! length-prefixed binary format. The journal layer adds checksums and
-//! torn-tail recovery; this module defines what is stored, appends it
+//! Every state change the broker must survive is one [`JournalRecord`]: a
+//! record tag and the record's items, as one journal frame payload. This
+//! module knows the tags; a string, a filter or a message is laid out by
+//! [`crate::codec`], which the TCP wire shares (a publish record is tag,
+//! topic, message id and timestamp, then the message's [`Fields`]). The
+//! journal layer adds checksums and torn-tail recovery; this module defines
+//! what is stored, appends it
 //! (`BrokerInner::append_record`) and replays it at start-up
 //! (`recover_topics`).
 //!
@@ -13,17 +16,16 @@
 //! journal format is decoupled from the selector AST.
 
 use crate::broker::BrokerInner;
+use crate::codec::{Fields, FilterSource, Put, Reader};
 use crate::config::DURABLE_BUFFER_CAPACITY;
 use crate::dispatch::Queued;
 use crate::durable::DurableState;
 use crate::filter::Filter;
-use crate::message::{Message, Priority};
+use crate::message::Message;
 use crate::subscriptions::{LiveFlags, Subscriptions};
 use parking_lot::Mutex;
 use rjms_journal::Journal;
-use rjms_selector::value::Value;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::fmt;
 use std::sync::Arc;
 
 /// One durable broker state change.
@@ -69,250 +71,13 @@ pub enum JournalRecord {
     },
 }
 
-/// A record that could not be decoded (format violation, not I/O).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError {
-    /// What was malformed.
-    pub message: String,
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "malformed journal record: {}", self.message)
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-fn err<T>(message: impl Into<String>) -> Result<T, DecodeError> {
-    Err(DecodeError { message: message.into() })
-}
+pub use crate::codec::DecodeError;
 
 const TAG_TOPIC_CREATED: u8 = 1;
 const TAG_PUBLISH: u8 = 2;
 const TAG_DURABLE_REGISTERED: u8 = 3;
 const TAG_DURABLE_CHECKPOINT: u8 = 4;
 const TAG_DURABLE_UNSUBSCRIBED: u8 = 5;
-
-const FILTER_NONE: u8 = 0;
-const FILTER_CORRELATION: u8 = 1;
-const FILTER_SELECTOR: u8 = 2;
-
-const VALUE_BOOL: u8 = 0;
-const VALUE_INT: u8 = 1;
-const VALUE_FLOAT: u8 = 2;
-const VALUE_STR: u8 = 3;
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_str(out, s);
-        }
-    }
-}
-
-fn put_value(out: &mut Vec<u8>, value: &Value) {
-    match value {
-        Value::Bool(b) => {
-            out.push(VALUE_BOOL);
-            out.push(*b as u8);
-        }
-        Value::Int(i) => {
-            out.push(VALUE_INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(x) => {
-            out.push(VALUE_FLOAT);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(VALUE_STR);
-            put_str(out, s);
-        }
-    }
-}
-
-fn put_filter(out: &mut Vec<u8>, filter: &Filter) {
-    match filter {
-        Filter::None => out.push(FILTER_NONE),
-        Filter::CorrelationId(c) => {
-            out.push(FILTER_CORRELATION);
-            put_str(out, &c.to_string());
-        }
-        Filter::Selector(s) => {
-            out.push(FILTER_SELECTOR);
-            put_str(out, s.source());
-        }
-    }
-}
-
-/// Byte-slice reader with bounds-checked accessors.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.buf.len() - self.at < n {
-            return err(format!(
-                "need {n} bytes at position {}, have {}",
-                self.at,
-                self.buf.len() - self.at
-            ));
-        }
-        let slice = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    fn string(&mut self) -> Result<String, DecodeError> {
-        let raw = self.bytes()?;
-        match std::str::from_utf8(raw) {
-            Ok(s) => Ok(s.to_owned()),
-            Err(_) => err("string field is not UTF-8"),
-        }
-    }
-
-    fn opt_string(&mut self) -> Result<Option<String>, DecodeError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.string()?)),
-            flag => err(format!("bad option flag {flag}")),
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, DecodeError> {
-        match self.u8()? {
-            VALUE_BOOL => Ok(Value::Bool(self.u8()? != 0)),
-            VALUE_INT => Ok(Value::Int(self.i64()?)),
-            VALUE_FLOAT => Ok(Value::Float(f64::from_bits(self.u64()?))),
-            VALUE_STR => Ok(Value::Str(self.string()?)),
-            tag => err(format!("bad value tag {tag}")),
-        }
-    }
-
-    fn filter(&mut self) -> Result<Filter, DecodeError> {
-        match self.u8()? {
-            FILTER_NONE => Ok(Filter::None),
-            FILTER_CORRELATION => {
-                let pattern = self.string()?;
-                Filter::correlation_id(&pattern)
-                    .map_err(|e| DecodeError { message: format!("stored correlation filter: {e}") })
-            }
-            FILTER_SELECTOR => {
-                let source = self.string()?;
-                Filter::selector(&source)
-                    .map_err(|e| DecodeError { message: format!("stored selector: {e}") })
-            }
-            tag => err(format!("bad filter tag {tag}")),
-        }
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            err(format!("{} trailing bytes", self.buf.len() - self.at))
-        }
-    }
-}
-
-fn put_message(out: &mut Vec<u8>, message: &Message) {
-    out.extend_from_slice(&message.id().as_u64().to_le_bytes());
-    out.extend_from_slice(&message.timestamp_millis().to_le_bytes());
-    put_opt_str(out, message.correlation_id());
-    put_opt_str(out, message.message_type());
-    out.push(message.priority().level());
-    put_opt_str(out, message.reply_to());
-    match message.expiration_millis() {
-        None => out.push(0),
-        Some(e) => {
-            out.push(1);
-            out.extend_from_slice(&e.to_le_bytes());
-        }
-    }
-    out.extend_from_slice(&(message.properties().len() as u32).to_le_bytes());
-    for (key, value) in message.properties() {
-        put_str(out, key);
-        put_value(out, value);
-    }
-    put_bytes(out, message.body());
-    out.extend_from_slice(&message.trace_id().to_le_bytes());
-    out.extend_from_slice(&message.trace_origin_ns().to_le_bytes());
-}
-
-fn read_message(cursor: &mut Cursor<'_>) -> Result<Message, DecodeError> {
-    let id_raw = cursor.u64()?;
-    let timestamp_millis = cursor.u64()?;
-    let correlation_id = cursor.opt_string()?;
-    let message_type = cursor.opt_string()?;
-    let priority_level = cursor.u8()?;
-    if priority_level > 9 {
-        return err(format!("priority {priority_level} out of the JMS 0-9 range"));
-    }
-    let reply_to = cursor.opt_string()?;
-    let expiration_millis = match cursor.u8()? {
-        0 => None,
-        1 => Some(cursor.u64()?),
-        flag => return err(format!("bad expiration flag {flag}")),
-    };
-    let property_count = cursor.u32()?;
-    let mut properties = BTreeMap::new();
-    for _ in 0..property_count {
-        let key = cursor.string()?;
-        let value = cursor.value()?;
-        properties.insert(key, value);
-    }
-    let body = cursor.bytes()?.to_vec();
-    let trace_id = cursor.u64()?;
-    let trace_origin_ns = cursor.u64()?;
-    Ok(Message::from_stored_parts(
-        id_raw,
-        timestamp_millis,
-        correlation_id,
-        message_type,
-        Priority::new(priority_level),
-        reply_to,
-        expiration_millis,
-        properties,
-        body.into(),
-        trace_id,
-        trace_origin_ns,
-    ))
-}
 
 /// Encodes a [`JournalRecord::Publish`] without cloning the message.
 pub fn encode_publish(topic: &str, message: &Message) -> Vec<u8> {
@@ -325,17 +90,19 @@ pub fn encode_publish(topic: &str, message: &Message) -> Vec<u8> {
 /// path, where `out` is the journal's own frame buffer.
 pub fn encode_publish_into(out: &mut Vec<u8>, topic: &str, message: &Message) {
     out.push(TAG_PUBLISH);
-    put_str(out, topic);
-    put_message(out, message);
+    out.str(topic);
+    out.u64(message.id().as_u64());
+    out.u64(message.timestamp_millis());
+    out.fields(Fields::of(message, message.expiration_millis()));
 }
 
 /// A [`JournalRecord::DurableCheckpoint`] appended to `out` from borrowed
 /// names: the dispatcher writes one every 256 deliveries.
 pub(crate) fn encode_checkpoint_into(out: &mut Vec<u8>, topic: &str, name: &str, offset: u64) {
     out.push(TAG_DURABLE_CHECKPOINT);
-    put_str(out, topic);
-    put_str(out, name);
-    out.extend_from_slice(&offset.to_le_bytes());
+    out.str(topic);
+    out.str(name);
+    out.u64(offset);
 }
 
 impl JournalRecord {
@@ -351,22 +118,22 @@ impl JournalRecord {
         match self {
             JournalRecord::TopicCreated { topic } => {
                 out.push(TAG_TOPIC_CREATED);
-                put_str(out, topic);
+                out.str(topic);
             }
             JournalRecord::Publish { topic, message } => encode_publish_into(out, topic, message),
             JournalRecord::DurableRegistered { topic, name, filter } => {
                 out.push(TAG_DURABLE_REGISTERED);
-                put_str(out, topic);
-                put_str(out, name);
-                put_filter(out, filter);
+                out.str(topic);
+                out.str(name);
+                out.filter(&FilterSource::of(filter));
             }
             JournalRecord::DurableCheckpoint { topic, name, offset } => {
                 encode_checkpoint_into(out, topic, name, *offset);
             }
             JournalRecord::DurableUnsubscribed { topic, name } => {
                 out.push(TAG_DURABLE_UNSUBSCRIBED);
-                put_str(out, topic);
-                put_str(out, name);
+                out.str(topic);
+                out.str(name);
             }
         }
     }
@@ -379,31 +146,34 @@ impl JournalRecord {
     /// its checksum but does not parse — a version skew or a bug, never a
     /// torn write).
     pub fn decode(payload: &[u8]) -> Result<JournalRecord, DecodeError> {
-        let mut cursor = Cursor { buf: payload, at: 0 };
-        let record = match cursor.u8()? {
-            TAG_TOPIC_CREATED => JournalRecord::TopicCreated { topic: cursor.string()? },
+        let mut r = Reader::new(payload);
+        let record = match r.u8()? {
+            TAG_TOPIC_CREATED => JournalRecord::TopicCreated { topic: r.string()? },
             TAG_PUBLISH => {
-                let topic = cursor.string()?;
-                let message = read_message(&mut cursor)?;
+                let topic = r.string()?;
+                let (id, timestamp_millis) = (r.u64()?, r.u64()?);
+                let message = Message::from_stored_parts(id, timestamp_millis, r.fields()?);
                 JournalRecord::Publish { topic, message }
             }
             TAG_DURABLE_REGISTERED => JournalRecord::DurableRegistered {
-                topic: cursor.string()?,
-                name: cursor.string()?,
-                filter: cursor.filter()?,
+                topic: r.string()?,
+                name: r.string()?,
+                filter: r
+                    .filter()?
+                    .parse()
+                    .map_err(|e| DecodeError::new(format!("stored filter: {e}")))?,
             },
             TAG_DURABLE_CHECKPOINT => JournalRecord::DurableCheckpoint {
-                topic: cursor.string()?,
-                name: cursor.string()?,
-                offset: cursor.u64()?,
+                topic: r.string()?,
+                name: r.string()?,
+                offset: r.u64()?,
             },
-            TAG_DURABLE_UNSUBSCRIBED => JournalRecord::DurableUnsubscribed {
-                topic: cursor.string()?,
-                name: cursor.string()?,
-            },
-            tag => return err(format!("unknown record tag {tag}")),
+            TAG_DURABLE_UNSUBSCRIBED => {
+                JournalRecord::DurableUnsubscribed { topic: r.string()?, name: r.string()? }
+            }
+            tag => return Err(DecodeError::new(format!("unknown record tag {tag}"))),
         };
-        cursor.finish()?;
+        r.finish()?;
         Ok(record)
     }
 }
@@ -556,6 +326,8 @@ pub(crate) fn recover_topics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::OwnedFields;
+    use rjms_selector::value::Value;
 
     fn roundtrip(record: JournalRecord) {
         let encoded = record.encode();
@@ -593,40 +365,90 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+    }
+
+    /// Every header set and one property of each value tag.
+    fn golden_message() -> Message {
+        let properties = vec![
+            ("price".to_owned(), Value::Float(49.5)),
+            ("symbol".to_owned(), Value::Str("ACME".into())),
+            ("urgent".to_owned(), Value::Bool(true)),
+            ("volume".to_owned(), Value::Int(1_000_000)),
+        ];
+        let fields = OwnedFields {
+            correlation_id: Some("#42".to_owned()),
+            message_type: Some("quote".to_owned()),
+            priority: 7,
+            reply_to: Some("replies".to_owned()),
+            expiry: Some(1_700_000_060_000),
+            properties,
+            body: bytes::Bytes::from_static(b"payload"),
+            trace_id: 0x0102_0304_0506_0708,
+            trace_origin_ns: 0x1112_1314_1516_1718,
+        };
+        Message::from_stored_parts(42, 1_700_000_000_000, fields)
+    }
+
+    /// A publish record as the journal has always written it.
+    const PUBLISH_HEX: &str = concat!(
+        "02",                                     // publish tag
+        "0600000073746f636b73",                   // topic "stocks"
+        "2a00000000000000",                       // message id 42
+        "0068e5cf8b010000",                       // timestamp
+        "0103000000233432",                       // correlation id "#42"
+        "010500000071756f7465",                   // type "quote"
+        "07",                                     // priority
+        "01070000007265706c696573",               // reply-to "replies"
+        "016052e6cf8b010000",                     // expiration
+        "04000000",                               // four properties
+        "050000007072696365020000000000c04840",   // price = 49.5
+        "0600000073796d626f6c030400000041434d45", // symbol = 'ACME'
+        "06000000757267656e740001",               // urgent = true
+        "06000000766f6c756d650140420f0000000000", // volume = 1000000
+        "070000007061796c6f6164",                 // body
+        "08070605040302011817161514131211",       // trace id, origin ns
+    );
+
+    /// A durable registration with a selector.
+    const REGISTERED_HEX: &str = concat!(
+        "03",                               // durable-registered tag
+        "0600000073746f636b73",             // topic "stocks"
+        "0700000061756469746f72",           // name "auditor"
+        "02",                               // selector
+        "0c0000007072696365203c2035302e30", // "price < 50.0"
+    );
+
+    /// Both publish encoders write the pinned bytes, and they decode back
+    /// to the whole message: headers, each property tag, id, timestamp and
+    /// trace context.
     #[test]
-    fn publish_roundtrips_full_message() {
-        let message = Message::builder()
-            .correlation_id("#42")
-            .message_type("quote")
-            .priority(Priority::new(7))
-            .reply_to("replies")
-            .property("symbol", "ACME")
-            .property("price", 49.5)
-            .property("urgent", true)
-            .property("volume", 1_000_000i64)
-            .body(&b"opaque payload"[..])
-            .build();
-        let record = JournalRecord::Publish { topic: "stocks".into(), message: message.clone() };
-        let decoded = JournalRecord::decode(&record.encode()).unwrap();
-        match decoded {
-            JournalRecord::Publish { topic, message: recovered } => {
-                assert_eq!(topic, "stocks");
-                assert_eq!(recovered.id(), message.id());
-                assert_eq!(recovered.timestamp_millis(), message.timestamp_millis());
-                assert_eq!(recovered.trace_id(), message.trace_id());
-                assert_eq!(recovered.trace_origin_ns(), message.trace_origin_ns());
-                assert_eq!(recovered, message);
-            }
-            other => panic!("decoded as {other:?}"),
+    fn records_are_pinned_to_the_byte() {
+        assert_eq!(hex(&encode_publish("stocks", &golden_message())), PUBLISH_HEX);
+        let publish = JournalRecord::Publish { topic: "stocks".into(), message: golden_message() };
+        let registered = JournalRecord::DurableRegistered {
+            topic: "stocks".into(),
+            name: "auditor".into(),
+            filter: Filter::selector("price < 50.0").unwrap(),
+        };
+        for (record, golden) in [(publish, PUBLISH_HEX), (registered, REGISTERED_HEX)] {
+            assert_eq!(hex(&record.encode()), golden);
+            assert_eq!(JournalRecord::decode(&unhex(golden)).unwrap(), record);
         }
     }
 
     #[test]
-    fn encode_publish_matches_record_encoding() {
-        let message = Message::builder().property("k", 1i64).body(&b"x"[..]).build();
-        let via_record =
-            JournalRecord::Publish { topic: "t".into(), message: message.clone() }.encode();
-        assert_eq!(encode_publish("t", &message), via_record);
+    fn a_zero_trace_id_does_not_decode() {
+        let mut record = unhex(PUBLISH_HEX);
+        let trace_at = record.len() - 16;
+        record[trace_at..trace_at + 8].fill(0);
+        let e = JournalRecord::decode(&record).unwrap_err();
+        assert!(e.message.contains("trace id"), "{e}");
     }
 
     #[test]

@@ -9,8 +9,8 @@
 
 use crate::error::Error;
 use crate::wire::{
-    decode_response, delivery_subscription, encode_request, FrameReader, Request, Response,
-    WireFilter, WireMessage,
+    decode_response, delivery_subscription, encode_request, oversized, FrameReader, Request,
+    Response, WireFilter, WireMessage, MAX_FRAME_LEN,
 };
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 use rjms_broker::Message;
 use rjms_metrics::{Counter, Histogram, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -289,14 +289,19 @@ impl RemoteBroker {
         }
     }
 
+    /// Sends a request and waits for its response. A frame the server would
+    /// refuse by ending the connection (above [`MAX_FRAME_LEN`]) is refused here.
     fn call_raw(&self, request: Request, request_id: u32) -> Result<Response, Error> {
         if self.shared.closed.load(Ordering::Relaxed) {
             return Err(Error::Closed);
         }
+        let frame = encode_request(&request);
+        if frame.len() - 4 > MAX_FRAME_LEN {
+            return Err(Error::Io(oversized(ErrorKind::InvalidInput, frame.len() - 4)));
+        }
         let (tx, rx) = bounded(1);
         self.shared.pending.lock().insert(request_id, tx);
 
-        let frame = encode_request(&request);
         self.requests.inc();
         let sent_at = Instant::now();
         {

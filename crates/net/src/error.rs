@@ -6,21 +6,16 @@
 //! [`Error::Remote`], malformed frames to [`Error::Decode`], and the
 //! client's request timeout / torn connection to [`Error::Timeout`] /
 //! [`Error::Closed`]. The `NetError` alias deprecated in 0.2.0 has been
-//! removed; match on the unified [`enum@Error`] directly.
-
-use crate::wire::DecodeError;
+//! removed; match on the unified [`enum@Error`] directly. A
+//! [`DecodeError`](crate::wire::DecodeError) converts into [`Error::Decode`]
+//! (the conversion lives beside the codec, in `rjms_broker::codec`).
 
 pub use rjms_core::Error;
-
-impl From<DecodeError> for Error {
-    fn from(e: DecodeError) -> Self {
-        Error::Decode { detail: e.message }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::DecodeError;
 
     #[test]
     fn display_variants() {

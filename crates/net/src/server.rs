@@ -43,7 +43,7 @@ use crate::wire::{
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rjms_broker::{
-    Broker, BrokerConfig, Error, Filter, Message, Publisher, Subscriber, TopicPattern, Wake,
+    Broker, BrokerConfig, Error, Message, Publisher, Subscriber, TopicPattern, Wake,
 };
 use rjms_metrics::{clock, Gauge, Histogram, MetricsRegistry};
 use rjms_trace::{FlightRecorder, SpanEvent, Stage};
@@ -208,15 +208,6 @@ impl BrokerServer {
 impl Drop for BrokerServer {
     fn drop(&mut self) {
         self.shutdown_in_place();
-    }
-}
-
-/// Converts a wire filter into a broker filter.
-fn build_filter(filter: WireFilter) -> Result<Filter, String> {
-    match filter {
-        WireFilter::None => Ok(Filter::None),
-        WireFilter::CorrelationId(p) => Filter::correlation_id(&p).map_err(|e| e.to_string()),
-        WireFilter::Selector(s) => Filter::selector(&s).map_err(|e| e.to_string()),
     }
 }
 
@@ -520,7 +511,7 @@ fn subscribe(
     if conn.subscriptions.lock().iter().any(|(id, _)| *id == subscription_id) {
         return Err(format!("subscription id {subscription_id} already in use"));
     }
-    let filter = build_filter(filter)?;
+    let filter = filter.parse()?;
     let builder = match target {
         SubscribeTarget::Topic(topic) => conn.broker.subscription(&topic),
         SubscribeTarget::Pattern(pattern) => {
@@ -547,6 +538,7 @@ mod tests {
     use super::*;
     use crate::wire::{encode_response, read_frame};
     use bytes::Bytes;
+    use rjms_broker::Filter;
     use std::time::Duration;
 
     /// The writer against a raw socket, everything queued before it starts:
@@ -611,10 +603,10 @@ mod tests {
         let mut delivered: HashMap<u32, Vec<Bytes>> = HashMap::new();
         for _ in 0..replies.len() + deliveries {
             let body = read_frame(&mut peer).unwrap().expect("a frame");
-            let frame = [&(body.len() as u32).to_be_bytes()[..], &body[..]].concat();
+            let frame = [&(body.len() as u32).to_le_bytes()[..], &body[..]].concat();
             match body[0] {
                 0x85 => {
-                    let subscription_id = u32::from_be_bytes(body[1..5].try_into().unwrap());
+                    let subscription_id = u32::from_le_bytes(body[1..5].try_into().unwrap());
                     delivered.entry(subscription_id).or_default().push(frame.into());
                 }
                 _ => reply_frames.push(Bytes::from(frame)),

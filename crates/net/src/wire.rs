@@ -1,10 +1,12 @@
 //! The wire format: length-prefixed binary frames.
 //!
-//! Every frame is `u32 length (big endian, of the remainder) ++ u8 opcode ++
-//! payload`. Strings are `u32 length ++ UTF-8 bytes`; optional fields are
-//! `u8 presence ++ value`. The format is hand-rolled on [`bytes`] — the
-//! workspace deliberately carries no serde wire backend — and round-trip
-//! property tested.
+//! Every frame is `u32 length (of the remainder) ++ u8 opcode ++ payload`,
+//! every integer little-endian. This module knows the frames and their
+//! opcodes; a string, a filter or a message inside one is laid out by
+//! [`rjms_broker::codec`], the journal's codec (a message goes out with its
+//! remaining time to live, and without id or timestamp). The format is
+//! hand-rolled — the workspace carries no serde wire backend — and
+//! round-trip property tested.
 //!
 //! There is one dialect and no handshake: a connection's first frame is a
 //! request. Every publish (opcode 0x0A) and every delivery (0x85) carries
@@ -12,35 +14,17 @@
 //! away is answered with [`Response::PublishDenied`]. Any opcode not listed
 //! here is a protocol violation, on which the server drops the connection.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{Buf, Bytes};
+use rjms_broker::codec::{Fields, Put, Reader};
 use rjms_broker::message::{Message, Priority};
 use rjms_selector::Value;
 use std::fmt;
 
+pub use rjms_broker::codec::{DecodeError, FilterSource as WireFilter};
+
 /// Maximum accepted frame size (16 MiB) — guards against corrupt length
 /// prefixes allocating unbounded memory.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
-
-/// A decoding failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError {
-    /// What went wrong.
-    pub message: String,
-}
-
-impl DecodeError {
-    fn new(message: impl Into<String>) -> Self {
-        Self { message: message.into() }
-    }
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "wire decode error: {}", self.message)
-    }
-}
-
-impl std::error::Error for DecodeError {}
 
 /// Frames sent from client to server.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,17 +144,6 @@ pub enum Response {
     },
 }
 
-/// A filter as it travels on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireFilter {
-    /// No filter.
-    None,
-    /// Correlation-ID filter pattern (e.g. `[7;13]`).
-    CorrelationId(String),
-    /// Full selector source text.
-    Selector(String),
-}
-
 /// End-to-end trace context carried alongside a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireTrace {
@@ -190,6 +163,8 @@ pub struct WireMessage {
     pub message_type: Option<String>,
     /// Priority 0–9.
     pub priority: u8,
+    /// `JMSReplyTo` header.
+    pub reply_to: Option<String>,
     /// Remaining time to live in milliseconds; `None` = never expires.
     /// (`Some(0)` is an already-expired message, which the receiving broker
     /// will discard — distinct from no expiration.)
@@ -215,6 +190,9 @@ impl WireMessage {
         if let Some(t) = self.message_type {
             b = b.message_type(t);
         }
+        if let Some(r) = self.reply_to {
+            b = b.reply_to(r);
+        }
         if let Some(ttl) = self.ttl_millis {
             b = b.time_to_live(std::time::Duration::from_millis(ttl));
         }
@@ -231,17 +209,13 @@ impl WireMessage {
             correlation_id: m.correlation_id().map(str::to_owned),
             message_type: m.message_type().map(str::to_owned),
             priority: m.priority().level(),
+            reply_to: m.reply_to().map(str::to_owned),
             ttl_millis: remaining_ttl(m),
             properties: m.properties().iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
             body: m.body().clone(),
-            trace: trace_of(m),
+            trace: WireTrace { trace_id: m.trace_id(), origin_ns: m.trace_origin_ns() },
         }
     }
-}
-
-/// The trace context a broker message goes on the wire with.
-fn trace_of(m: &Message) -> WireTrace {
-    WireTrace { trace_id: m.trace_id(), origin_ns: m.trace_origin_ns() }
 }
 
 /// The time to live a message goes on the wire with.
@@ -249,214 +223,34 @@ fn remaining_ttl(m: &Message) -> Option<u64> {
     m.expiration_millis().map(|e| e.saturating_sub(m.timestamp_millis()))
 }
 
-// --- primitive encoders/decoders -----------------------------------------
-
-fn put_str(buf: &mut impl BufMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// A wire message's fields, as the codec writes them.
+fn put_message(out: &mut Vec<u8>, m: &WireMessage) {
+    out.fields(Fields {
+        correlation_id: m.correlation_id.as_deref(),
+        message_type: m.message_type.as_deref(),
+        priority: m.priority,
+        reply_to: m.reply_to.as_deref(),
+        expiry: m.ttl_millis,
+        properties: m.properties.iter().map(|(k, v)| (k, v)),
+        body: &m.body,
+        trace_id: m.trace.trace_id,
+        trace_origin_ns: m.trace.origin_ns,
+    });
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String, DecodeError> {
-    let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(DecodeError::new("string length exceeds frame"));
-    }
-    let raw = buf[..len].to_vec();
-    buf.advance(len);
-    String::from_utf8(raw).map_err(|_| DecodeError::new("invalid UTF-8 string"))
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::new("truncated u32"));
-    }
-    Ok(buf.get_u32())
-}
-
-fn get_u64(buf: &mut Bytes) -> Result<u64, DecodeError> {
-    if buf.remaining() < 8 {
-        return Err(DecodeError::new("truncated u64"));
-    }
-    Ok(buf.get_u64())
-}
-
-fn get_u8(buf: &mut Bytes) -> Result<u8, DecodeError> {
-    if buf.remaining() < 1 {
-        return Err(DecodeError::new("truncated u8"));
-    }
-    Ok(buf.get_u8())
-}
-
-fn put_opt_str(buf: &mut impl BufMut, s: Option<&str>) {
-    match s {
-        None => buf.put_u8(0),
-        Some(v) => {
-            buf.put_u8(1);
-            put_str(buf, v);
-        }
-    }
-}
-
-fn get_opt_str(buf: &mut Bytes) -> Result<Option<String>, DecodeError> {
-    match get_u8(buf)? {
-        0 => Ok(None),
-        1 => Ok(Some(get_str(buf)?)),
-        other => Err(DecodeError::new(format!("invalid option tag {other}"))),
-    }
-}
-
-fn put_value(buf: &mut impl BufMut, v: &Value) {
-    match v {
-        Value::Bool(b) => {
-            buf.put_u8(0);
-            buf.put_u8(u8::from(*b));
-        }
-        Value::Int(i) => {
-            buf.put_u8(1);
-            buf.put_i64(*i);
-        }
-        Value::Float(f) => {
-            buf.put_u8(2);
-            buf.put_f64(*f);
-        }
-        Value::Str(s) => {
-            buf.put_u8(3);
-            put_str(buf, s);
-        }
-    }
-}
-
-fn get_value(buf: &mut Bytes) -> Result<Value, DecodeError> {
-    match get_u8(buf)? {
-        0 => Ok(Value::Bool(get_u8(buf)? != 0)),
-        1 => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::new("truncated i64"));
-            }
-            Ok(Value::Int(buf.get_i64()))
-        }
-        2 => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::new("truncated f64"));
-            }
-            Ok(Value::Float(buf.get_f64()))
-        }
-        3 => Ok(Value::Str(get_str(buf)?)),
-        other => Err(DecodeError::new(format!("invalid value tag {other}"))),
-    }
-}
-
-fn put_message(buf: &mut impl BufMut, m: &WireMessage) {
-    put_fields(
-        buf,
-        m.correlation_id.as_deref(),
-        m.message_type.as_deref(),
-        m.priority,
-        m.ttl_millis,
-        m.properties.iter().map(|(k, v)| (k.as_str(), v)),
-        &m.body,
-    );
-    put_trace(buf, &m.trace);
-}
-
-/// A message's fields in wire order, which nothing else knows: borrowed
-/// from a [`WireMessage`] by [`put_message`] and straight from a broker
-/// [`Message`] by [`encode_delivery_into`].
-fn put_fields<'a>(
-    buf: &mut impl BufMut,
-    correlation_id: Option<&str>,
-    message_type: Option<&str>,
-    priority: u8,
-    ttl_millis: Option<u64>,
-    properties: impl ExactSizeIterator<Item = (&'a str, &'a Value)>,
-    body: &[u8],
-) {
-    put_opt_str(buf, correlation_id);
-    put_opt_str(buf, message_type);
-    buf.put_u8(priority);
-    match ttl_millis {
-        None => buf.put_u8(0),
-        Some(ttl) => {
-            buf.put_u8(1);
-            buf.put_u64(ttl);
-        }
-    }
-    buf.put_u32(properties.len() as u32);
-    for (k, v) in properties {
-        put_str(buf, k);
-        put_value(buf, v);
-    }
-    buf.put_u32(body.len() as u32);
-    buf.put_slice(body);
-}
-
-/// A message and the trace context behind it.
-fn get_message(buf: &mut Bytes) -> Result<WireMessage, DecodeError> {
-    let correlation_id = get_opt_str(buf)?;
-    let message_type = get_opt_str(buf)?;
-    let priority = get_u8(buf)?;
-    let ttl_millis = match get_u8(buf)? {
-        0 => None,
-        1 => Some(get_u64(buf)?),
-        other => return Err(DecodeError::new(format!("invalid ttl tag {other}"))),
-    };
-    let prop_count = get_u32(buf)? as usize;
-    if prop_count > MAX_FRAME_LEN / 2 {
-        return Err(DecodeError::new("property count exceeds frame"));
-    }
-    let mut properties = Vec::with_capacity(prop_count.min(1024));
-    for _ in 0..prop_count {
-        let k = get_str(buf)?;
-        let v = get_value(buf)?;
-        properties.push((k, v));
-    }
-    let body_len = get_u32(buf)? as usize;
-    if buf.remaining() < body_len {
-        return Err(DecodeError::new("body length exceeds frame"));
-    }
-    // Copied out, as the strings are: a message that outlives its frame must
-    // not pin the read chunk (up to 64 KiB) the frame is a slice of.
-    let body = Bytes::copy_from_slice(&buf[..body_len]);
-    buf.advance(body_len);
-    let trace = get_trace(buf)?;
-    Ok(WireMessage { correlation_id, message_type, priority, ttl_millis, properties, body, trace })
-}
-
-fn put_trace(buf: &mut impl BufMut, t: &WireTrace) {
-    buf.put_u64(t.trace_id);
-    buf.put_u64(t.origin_ns);
-}
-
-fn get_trace(buf: &mut Bytes) -> Result<WireTrace, DecodeError> {
-    let trace_id = get_u64(buf)?;
-    if trace_id == 0 {
-        return Err(DecodeError::new("trace id must be nonzero"));
-    }
-    let origin_ns = get_u64(buf)?;
-    Ok(WireTrace { trace_id, origin_ns })
-}
-
-fn put_filter(buf: &mut impl BufMut, f: &WireFilter) {
-    match f {
-        WireFilter::None => buf.put_u8(0),
-        WireFilter::CorrelationId(p) => {
-            buf.put_u8(1);
-            put_str(buf, p);
-        }
-        WireFilter::Selector(s) => {
-            buf.put_u8(2);
-            put_str(buf, s);
-        }
-    }
-}
-
-fn get_filter(buf: &mut Bytes) -> Result<WireFilter, DecodeError> {
-    match get_u8(buf)? {
-        0 => Ok(WireFilter::None),
-        1 => Ok(WireFilter::CorrelationId(get_str(buf)?)),
-        2 => Ok(WireFilter::Selector(get_str(buf)?)),
-        other => Err(DecodeError::new(format!("invalid filter tag {other}"))),
-    }
+/// A wire message, as the codec reads it.
+fn read_message(r: &mut Reader<'_>) -> Result<WireMessage, DecodeError> {
+    let f = r.fields()?;
+    Ok(WireMessage {
+        correlation_id: f.correlation_id,
+        message_type: f.message_type,
+        priority: f.priority,
+        reply_to: f.reply_to,
+        ttl_millis: f.expiry,
+        properties: f.properties,
+        body: f.body,
+        trace: WireTrace { trace_id: f.trace_id, origin_ns: f.trace_origin_ns },
+    })
 }
 
 // --- frame encoders/decoders ----------------------------------------------
@@ -465,13 +259,13 @@ fn get_filter(buf: &mut Bytes) -> Result<WireFilter, DecodeError> {
 /// fills it in once the body has been appended behind it.
 fn begin_frame(out: &mut Vec<u8>) -> usize {
     let start = out.len();
-    out.put_u32(0);
+    out.u32(0);
     start
 }
 
 fn end_frame(out: &mut [u8], start: usize) {
     let len = (out.len() - start - 4) as u32;
-    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Encodes a request into one length-prefixed frame.
@@ -480,52 +274,52 @@ pub fn encode_request(req: &Request) -> Bytes {
     let start = begin_frame(&mut out);
     match req {
         Request::CreateTopic { request_id, topic } => {
-            out.put_u8(0x01);
-            out.put_u32(*request_id);
-            put_str(&mut out, topic);
+            out.push(0x01);
+            out.u32(*request_id);
+            out.str(topic);
         }
         Request::Publish { request_id, topic, message } => {
-            out.put_u8(0x0A);
-            out.put_u32(*request_id);
-            put_str(&mut out, topic);
+            out.push(0x0A);
+            out.u32(*request_id);
+            out.str(topic);
             put_message(&mut out, message);
         }
         Request::Subscribe { request_id, subscription_id, topic, filter } => {
-            out.put_u8(0x03);
-            out.put_u32(*request_id);
-            out.put_u32(*subscription_id);
-            put_str(&mut out, topic);
-            put_filter(&mut out, filter);
+            out.push(0x03);
+            out.u32(*request_id);
+            out.u32(*subscription_id);
+            out.str(topic);
+            out.filter(filter);
         }
         Request::SubscribePattern { request_id, subscription_id, pattern, filter } => {
-            out.put_u8(0x04);
-            out.put_u32(*request_id);
-            out.put_u32(*subscription_id);
-            put_str(&mut out, pattern);
-            put_filter(&mut out, filter);
+            out.push(0x04);
+            out.u32(*request_id);
+            out.u32(*subscription_id);
+            out.str(pattern);
+            out.filter(filter);
         }
         Request::Unsubscribe { request_id, subscription_id } => {
-            out.put_u8(0x05);
-            out.put_u32(*request_id);
-            out.put_u32(*subscription_id);
+            out.push(0x05);
+            out.u32(*request_id);
+            out.u32(*subscription_id);
         }
         Request::SubscribeDurable { request_id, subscription_id, topic, name, filter } => {
-            out.put_u8(0x07);
-            out.put_u32(*request_id);
-            out.put_u32(*subscription_id);
-            put_str(&mut out, topic);
-            put_str(&mut out, name);
-            put_filter(&mut out, filter);
+            out.push(0x07);
+            out.u32(*request_id);
+            out.u32(*subscription_id);
+            out.str(topic);
+            out.str(name);
+            out.filter(filter);
         }
         Request::UnsubscribeDurable { request_id, topic, name } => {
-            out.put_u8(0x08);
-            out.put_u32(*request_id);
-            put_str(&mut out, topic);
-            put_str(&mut out, name);
+            out.push(0x08);
+            out.u32(*request_id);
+            out.str(topic);
+            out.str(name);
         }
         Request::Ping { request_id } => {
-            out.put_u8(0x06);
-            out.put_u32(*request_id);
+            out.push(0x06);
+            out.u32(*request_id);
         }
     }
     end_frame(&mut out, start);
@@ -545,29 +339,28 @@ pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
     let start = begin_frame(out);
     match resp {
         Response::Ok { request_id } => {
-            out.put_u8(0x81);
-            out.put_u32(*request_id);
+            out.push(0x81);
+            out.u32(*request_id);
         }
         Response::Error { request_id, message } => {
-            out.put_u8(0x82);
-            out.put_u32(*request_id);
-            put_str(out, message);
+            out.push(0x82);
+            out.u32(*request_id);
+            out.str(message);
         }
         Response::Delivery { subscription_id, message } => {
-            out.put_u8(0x85);
-            out.put_u32(*subscription_id);
+            out.push(0x85);
+            out.u32(*subscription_id);
             put_message(out, message);
         }
         Response::Pong { request_id } => {
-            out.put_u8(0x84);
-            out.put_u32(*request_id);
+            out.push(0x84);
+            out.u32(*request_id);
         }
         Response::PublishDenied { request_id, class, deferred, retry_after_ms } => {
-            out.put_u8(0x87);
-            out.put_u32(*request_id);
-            out.put_u8(*class);
-            out.put_u8(u8::from(*deferred));
-            out.put_u64(*retry_after_ms);
+            out.push(0x87);
+            out.u32(*request_id);
+            out.extend_from_slice(&[*class, u8::from(*deferred)]);
+            out.u64(*retry_after_ms);
         }
     }
     end_frame(out, start);
@@ -579,91 +372,71 @@ pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
 /// or body is copied on the way.
 pub fn encode_delivery_into(out: &mut Vec<u8>, subscription_id: u32, message: &Message) {
     let start = begin_frame(out);
-    out.put_u8(0x85);
-    out.put_u32(subscription_id);
-    put_fields(
-        out,
-        message.correlation_id(),
-        message.message_type(),
-        message.priority().level(),
-        remaining_ttl(message),
-        message.properties().iter().map(|(k, v)| (k.as_str(), v)),
-        message.body(),
-    );
-    put_trace(out, &trace_of(message));
+    out.push(0x85);
+    out.u32(subscription_id);
+    out.fields(Fields::of(message, remaining_ttl(message)));
     end_frame(out, start);
 }
 
 /// Decodes a request frame *body* (the bytes after the length prefix).
-pub fn decode_request(mut body: Bytes) -> Result<Request, DecodeError> {
-    let req = match get_u8(&mut body)? {
-        0x01 => {
-            Request::CreateTopic { request_id: get_u32(&mut body)?, topic: get_str(&mut body)? }
-        }
+pub fn decode_request(body: Bytes) -> Result<Request, DecodeError> {
+    let mut r = Reader::new(&body);
+    let req = match r.u8()? {
+        0x01 => Request::CreateTopic { request_id: r.u32()?, topic: r.string()? },
         0x0A => Request::Publish {
-            request_id: get_u32(&mut body)?,
-            topic: get_str(&mut body)?,
-            message: get_message(&mut body)?,
+            request_id: r.u32()?,
+            topic: r.string()?,
+            message: read_message(&mut r)?,
         },
         0x03 => Request::Subscribe {
-            request_id: get_u32(&mut body)?,
-            subscription_id: get_u32(&mut body)?,
-            topic: get_str(&mut body)?,
-            filter: get_filter(&mut body)?,
+            request_id: r.u32()?,
+            subscription_id: r.u32()?,
+            topic: r.string()?,
+            filter: r.filter()?,
         },
         0x04 => Request::SubscribePattern {
-            request_id: get_u32(&mut body)?,
-            subscription_id: get_u32(&mut body)?,
-            pattern: get_str(&mut body)?,
-            filter: get_filter(&mut body)?,
+            request_id: r.u32()?,
+            subscription_id: r.u32()?,
+            pattern: r.string()?,
+            filter: r.filter()?,
         },
-        0x05 => Request::Unsubscribe {
-            request_id: get_u32(&mut body)?,
-            subscription_id: get_u32(&mut body)?,
-        },
-        0x06 => Request::Ping { request_id: get_u32(&mut body)? },
+        0x05 => Request::Unsubscribe { request_id: r.u32()?, subscription_id: r.u32()? },
+        0x06 => Request::Ping { request_id: r.u32()? },
         0x07 => Request::SubscribeDurable {
-            request_id: get_u32(&mut body)?,
-            subscription_id: get_u32(&mut body)?,
-            topic: get_str(&mut body)?,
-            name: get_str(&mut body)?,
-            filter: get_filter(&mut body)?,
+            request_id: r.u32()?,
+            subscription_id: r.u32()?,
+            topic: r.string()?,
+            name: r.string()?,
+            filter: r.filter()?,
         },
         0x08 => Request::UnsubscribeDurable {
-            request_id: get_u32(&mut body)?,
-            topic: get_str(&mut body)?,
-            name: get_str(&mut body)?,
+            request_id: r.u32()?,
+            topic: r.string()?,
+            name: r.string()?,
         },
         other => return Err(DecodeError::new(format!("unknown request opcode {other:#x}"))),
     };
-    ensure_drained(&body)?;
+    r.finish()?;
     Ok(req)
 }
 
 /// Decodes a response frame *body* (the bytes after the length prefix).
-pub fn decode_response(mut body: Bytes) -> Result<Response, DecodeError> {
-    let resp = match get_u8(&mut body)? {
-        0x81 => Response::Ok { request_id: get_u32(&mut body)? },
-        0x82 => Response::Error { request_id: get_u32(&mut body)?, message: get_str(&mut body)? },
-        0x85 => Response::Delivery {
-            subscription_id: get_u32(&mut body)?,
-            message: get_message(&mut body)?,
+pub fn decode_response(body: Bytes) -> Result<Response, DecodeError> {
+    let mut r = Reader::new(&body);
+    let resp = match r.u8()? {
+        0x81 => Response::Ok { request_id: r.u32()? },
+        0x82 => Response::Error { request_id: r.u32()?, message: r.string()? },
+        0x85 => Response::Delivery { subscription_id: r.u32()?, message: read_message(&mut r)? },
+        0x84 => Response::Pong { request_id: r.u32()? },
+        0x87 => Response::PublishDenied {
+            request_id: r.u32()?,
+            class: r.u8()?,
+            deferred: r.flag()?,
+            retry_after_ms: r.u64()?,
         },
-        0x84 => Response::Pong { request_id: get_u32(&mut body)? },
-        0x87 => {
-            let request_id = get_u32(&mut body)?;
-            let class = get_u8(&mut body)?;
-            let deferred = match get_u8(&mut body)? {
-                0 => false,
-                1 => true,
-                other => return Err(DecodeError::new(format!("invalid deferred tag {other}"))),
-            };
-            let retry_after_ms = get_u64(&mut body)?;
-            Response::PublishDenied { request_id, class, deferred, retry_after_ms }
-        }
         other => return Err(DecodeError::new(format!("unknown response opcode {other:#x}"))),
     };
-    ensure_drained(&body)?;
+    r.finish()?;
     Ok(resp)
 }
 
@@ -671,16 +444,8 @@ pub fn decode_response(mut body: Bytes) -> Result<Response, DecodeError> {
 /// bytes behind it: all a reader needs to route it. `None` for any other frame, or a short one.
 pub fn delivery_subscription(body: &[u8]) -> Option<u32> {
     match *body {
-        [0x85, a, b, c, d, ..] => Some(u32::from_be_bytes([a, b, c, d])),
+        [0x85, a, b, c, d, ..] => Some(u32::from_le_bytes([a, b, c, d])),
         _ => None,
-    }
-}
-
-fn ensure_drained(body: &Bytes) -> Result<(), DecodeError> {
-    if body.has_remaining() {
-        Err(DecodeError::new(format!("{} trailing bytes in frame", body.remaining())))
-    } else {
-        Ok(())
     }
 }
 
@@ -688,11 +453,10 @@ fn ensure_drained(body: &Bytes) -> Result<(), DecodeError> {
 /// bytes of frames. Frames that do not fit get an allocation of their own.
 const READ_BUFFER_LEN: usize = 64 * 1024;
 
-fn oversized(len: usize) -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("frame of {len} bytes exceeds limit"),
-    )
+/// The error for a frame body of `len` bytes, above [`MAX_FRAME_LEN`]:
+/// `InvalidData` when one is read, `InvalidInput` when one is to be sent.
+pub(crate) fn oversized(kind: std::io::ErrorKind, len: usize) -> std::io::Error {
+    std::io::Error::new(kind, format!("frame of {len} bytes exceeds limit"))
 }
 
 /// Reads frame bodies from a blocking reader: one `read` takes whatever the
@@ -734,7 +498,7 @@ impl<R: std::io::Read> FrameReader<R> {
     /// The length prefix at `buf[at..]` and the bytes read behind it.
     fn prefix_at(&self, at: usize) -> Option<(usize, &[u8])> {
         let (prefix, rest) = self.buf[at..self.end].split_first_chunk::<4>()?;
-        Some((u32::from_be_bytes(*prefix) as usize, rest))
+        Some((u32::from_le_bytes(*prefix) as usize, rest))
     }
 
     /// Whether the next [`next_frame`](Self::next_frame) returns without a
@@ -753,13 +517,13 @@ impl<R: std::io::Read> FrameReader<R> {
         use std::io::{Error, ErrorKind};
         loop {
             if let Some(prefix) = self.chunk.first_chunk::<4>() {
-                let mut frame = self.chunk.split_to(4 + u32::from_be_bytes(*prefix) as usize);
+                let mut frame = self.chunk.split_to(4 + u32::from_le_bytes(*prefix) as usize);
                 frame.advance(4);
                 return Ok(Some(frame));
             }
             if let Some((len, rest)) = self.prefix_at(0) {
                 if len > MAX_FRAME_LEN {
-                    return Err(oversized(len));
+                    return Err(oversized(ErrorKind::InvalidData, len));
                 }
                 if 4 + len > self.buf.len() {
                     // Larger than the buffer: it gets an allocation of its
@@ -818,9 +582,9 @@ pub fn read_frame<R: std::io::Read>(reader: &mut R) -> std::io::Result<Option<By
             n => filled += n,
         }
     }
-    let len = u32::from_be_bytes(len_buf) as usize;
+    let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME_LEN {
-        return Err(oversized(len));
+        return Err(oversized(ErrorKind::InvalidData, len));
     }
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body)?;
@@ -830,7 +594,6 @@ pub fn read_frame<R: std::io::Read>(reader: &mut R) -> std::io::Result<Option<By
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     fn roundtrip_request(req: Request) {
         let frame = encode_request(&req);
@@ -850,6 +613,7 @@ mod tests {
             correlation_id: Some("#7".into()),
             message_type: None,
             priority: 6,
+            reply_to: Some("replies".into()),
             ttl_millis: Some(1500),
             properties: vec![
                 ("color".into(), Value::Str("red".into())),
@@ -932,13 +696,11 @@ mod tests {
             assert!(decode_response(body.slice(..cut)).is_err(), "cut at {cut} did not error");
         }
         // An out-of-range deferred tag is rejected.
-        let mut forged = BytesMut::new();
-        forged.put_u8(0x87);
-        forged.put_u32(1);
-        forged.put_u8(0);
-        forged.put_u8(7); // invalid bool tag
-        forged.put_u64(0);
-        assert!(decode_response(forged.freeze()).is_err());
+        let mut forged = vec![0x87];
+        forged.u32(1);
+        forged.extend_from_slice(&[0, 7]); // class 0, invalid bool tag
+        forged.u64(0);
+        assert!(decode_response(forged.into()).is_err());
     }
 
     /// A message shaped like the ledger's (`#0`, `key` and `seq`, no TTL),
@@ -948,6 +710,7 @@ mod tests {
             correlation_id: Some("#0".into()),
             message_type: None,
             priority: 4,
+            reply_to: None,
             ttl_millis: None,
             properties: vec![("key".into(), Value::Int(0)), ("seq".into(), Value::Int(5))],
             body: Bytes::from_static(b"body"),
@@ -957,15 +720,16 @@ mod tests {
 
     /// The message's bytes, as both frames carry them.
     const LEDGER_MESSAGE_HEX: &str = concat!(
-        "01000000022330",                   // correlation id "#0"
+        "01020000002330",                   // correlation id "#0"
         "00",                               // no message type
         "04",                               // priority
+        "00",                               // no reply-to
         "00",                               // no TTL
-        "00000002",                         // two properties
-        "000000036b6579010000000000000000", // key = 0
-        "00000003736571010000000000000005", // seq = 5
-        "00000004626f6479",                 // body
-        "01020304050607081112131415161718", // trace id, origin ns
+        "02000000",                         // two properties
+        "030000006b6579010000000000000000", // key = 0
+        "03000000736571010500000000000000", // seq = 5
+        "04000000626f6479",                 // body
+        "08070605040302011817161514131211", // trace id, origin ns
     );
 
     fn hex(bytes: &[u8]) -> String {
@@ -978,12 +742,12 @@ mod tests {
         let publish =
             Request::Publish { request_id: 7, topic: "ledger".into(), message: ledger_message() };
         let expected =
-            ["00000055", "0a", "00000007", "00000006", "6c6564676572", LEDGER_MESSAGE_HEX];
+            ["56000000", "0a", "07000000", "06000000", "6c6564676572", LEDGER_MESSAGE_HEX];
         assert_eq!(hex(&encode_request(&publish)), expected.concat());
         // Length, opcode 0x85, subscription id 3, the message; from the
         // wire message and in place from the broker's.
         let delivery = Response::Delivery { subscription_id: 3, message: ledger_message() };
-        let expected = ["0000004b", "85", "00000003", LEDGER_MESSAGE_HEX].concat();
+        let expected = ["4c000000", "85", "03000000", LEDGER_MESSAGE_HEX].concat();
         assert_eq!(hex(&encode_response(&delivery)), expected);
         let mut in_place = Vec::new();
         encode_delivery_into(&mut in_place, 3, &ledger_message().into_message());
@@ -1002,7 +766,7 @@ mod tests {
         });
         let untraced_publish = [&[0x02][..], &untraced(publish)].concat();
         assert!(decode_request(untraced_publish.into()).is_err());
-        let hello = [0x09, 0, 0, 0, 1, 0, 0, 0, 3];
+        let hello = [0x09, 1, 0, 0, 0, 3, 0, 0, 0];
         assert!(decode_request(Bytes::copy_from_slice(&hello)).is_err());
         let delivery =
             encode_response(&Response::Delivery { subscription_id: 1, message: sample_message() });
@@ -1011,15 +775,30 @@ mod tests {
         assert!(decode_response(untraced_delivery.into()).is_err());
     }
 
+    /// A publish frame of `message`, encoded as it is: the decoder must
+    /// judge what a peer could send.
+    fn forged_publish(message: WireMessage) -> Bytes {
+        let mut frame = vec![0x0A];
+        frame.u32(1);
+        frame.str("t");
+        put_message(&mut frame, &message);
+        frame.into()
+    }
+
     #[test]
     fn zero_trace_id_on_the_wire_is_rejected() {
-        let mut frame = BytesMut::new();
-        frame.put_u8(0x0A);
-        frame.put_u32(1);
-        put_str(&mut frame, "t");
         let forged = WireTrace { trace_id: 0, origin_ns: 42 };
-        put_message(&mut frame, &WireMessage { trace: forged, ..sample_message() });
-        assert!(decode_request(frame.freeze()).is_err());
+        assert!(decode_request(forged_publish(WireMessage { trace: forged, ..sample_message() }))
+            .is_err());
+    }
+
+    #[test]
+    fn priority_above_nine_on_the_wire_is_rejected() {
+        let nine = forged_publish(WireMessage { priority: 9, ..sample_message() });
+        assert!(decode_request(nine).is_ok());
+        let ten = forged_publish(WireMessage { priority: 10, ..sample_message() });
+        let e = decode_request(ten).unwrap_err();
+        assert!(e.message.contains("priority 10"), "{e}");
     }
 
     #[test]
@@ -1035,6 +814,8 @@ mod tests {
         assert!(back.ttl_millis.is_some());
         assert_eq!(back.trace, wire.trace);
         assert_eq!(back.correlation_id, wire.correlation_id);
+        assert_eq!(msg.reply_to(), Some("replies"));
+        assert_eq!(back.reply_to, wire.reply_to);
         assert_eq!(back.priority, wire.priority);
         assert_eq!(back.body, wire.body);
         // Properties survive as a set (BTreeMap reorders them).
@@ -1047,20 +828,19 @@ mod tests {
 
     #[test]
     fn decode_rejects_unknown_opcode() {
-        let body = Bytes::from_static(&[0x7f, 0, 0, 0, 1]);
+        let body = Bytes::from_static(&[0x7f, 1, 0, 0, 0]);
         assert!(decode_request(body.clone()).is_err());
         assert!(decode_response(body).is_err());
         // 0x86, the retired credit grant, is as unknown as any other.
-        assert!(decode_response(Bytes::from_static(&[0x86, 0, 0, 0, 64])).is_err());
+        assert!(decode_response(Bytes::from_static(&[0x86, 64, 0, 0, 0])).is_err());
     }
 
     #[test]
     fn decode_rejects_trailing_garbage() {
-        let mut frame = BytesMut::new();
-        frame.put_u8(0x06);
-        frame.put_u32(1);
-        frame.put_u8(0xaa); // trailing byte
-        assert!(decode_request(frame.freeze()).is_err());
+        let mut frame = vec![0x06];
+        frame.u32(1);
+        frame.push(0xaa); // trailing byte
+        assert!(decode_request(frame.into()).is_err());
     }
 
     #[test]
@@ -1086,7 +866,7 @@ mod tests {
         let mut partial = Cursor::new(vec![0u8, 0]);
         assert!(read_frame(&mut partial).is_err());
         // EOF mid-body.
-        let mut short = Cursor::new(vec![0, 0, 0, 10, 1, 2]);
+        let mut short = Cursor::new(vec![10, 0, 0, 0, 1, 2]);
         assert!(read_frame(&mut short).is_err());
         // A full frame.
         let frame = encode_request(&Request::Ping { request_id: 9 });
@@ -1098,7 +878,7 @@ mod tests {
     #[test]
     fn oversized_frame_rejected() {
         let mut data = Vec::new();
-        data.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_be_bytes());
+        data.u32(MAX_FRAME_LEN as u32 + 1);
         let mut cursor = std::io::Cursor::new(data);
         assert!(read_frame(&mut cursor).is_err());
     }

@@ -75,7 +75,7 @@ fn delivery(seq: u8) -> Vec<u8> {
 
 /// A frame around `body`.
 fn frame(body: &[u8]) -> Vec<u8> {
-    [&(body.len() as u32).to_be_bytes()[..], body].concat()
+    [&(body.len() as u32).to_le_bytes()[..], body].concat()
 }
 
 fn assert_good(message: &Message, seq: u8) {
@@ -126,7 +126,7 @@ fn a_trailing_byte_closes_when_reached() {
 #[test]
 fn a_routable_frame_too_short_to_decode_closes_when_reached() {
     // Opcode and subscription id, nothing behind them.
-    three_good_then(frame(&[0x85, 0, 0, 0, 1]));
+    three_good_then(frame(&[0x85, 1, 0, 0, 0]));
 }
 
 #[test]

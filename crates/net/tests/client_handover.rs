@@ -66,6 +66,7 @@ fn delivery(subscription_id: u32, seq: usize) -> Vec<u8> {
         correlation_id: Some(format!("#{seq}")),
         message_type: None,
         priority: 4,
+        reply_to: None,
         ttl_millis: None,
         properties: vec![("seq".to_owned(), rjms_selector::Value::Int(seq as i64))],
         body: vec![seq as u8; seq % 40].into(),

@@ -4,7 +4,7 @@ use rjms_broker::{BrokerConfig, Message};
 use rjms_net::client::RemoteBroker;
 use rjms_net::error::Error;
 use rjms_net::server::BrokerServer;
-use rjms_net::wire::WireFilter;
+use rjms_net::wire::{WireFilter, MAX_FRAME_LEN};
 use std::time::{Duration, Instant};
 
 fn server() -> BrokerServer {
@@ -188,6 +188,42 @@ fn large_message_roundtrip() {
     client.publish("t", &Message::builder().body(body.clone()).build()).unwrap();
     let m = sub.receive_timeout(Duration::from_secs(10)).expect("large delivery");
     assert_eq!(m.body().as_ref(), body.as_slice());
+    server.shutdown();
+}
+
+#[test]
+fn reply_to_survives_the_wire() {
+    let server = server();
+    let client = RemoteBroker::connect(server.local_addr()).unwrap();
+    client.create_topic("t").unwrap();
+    let local = server.broker().subscription("t").open().unwrap();
+    let remote = client.subscribe("t", WireFilter::None).unwrap();
+
+    client.publish("t", &Message::builder().reply_to("replies").build()).unwrap();
+    let m = local.receive_timeout(Duration::from_secs(5)).expect("in-process delivery");
+    assert_eq!(m.reply_to(), Some("replies"));
+    let m = remote.receive_timeout(Duration::from_secs(5)).expect("remote delivery");
+    assert_eq!(m.reply_to(), Some("replies"));
+    server.shutdown();
+}
+
+#[test]
+fn an_oversized_publish_fails_and_the_connection_stays_up() {
+    let server = server();
+    let client = RemoteBroker::connect(server.local_addr()).unwrap();
+    client.create_topic("t").unwrap();
+    let sub = client.subscribe("t", WireFilter::None).unwrap();
+
+    // A frame the server would refuse by ending the connection.
+    let huge = Message::builder().body(vec![0u8; MAX_FRAME_LEN + 1]).build();
+    match client.publish("t", &huge) {
+        Err(Error::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        other => panic!("expected an InvalidInput error, got {other:?}"),
+    }
+    client.ping().expect("the connection survives the refusal");
+    client.publish("t", &Message::builder().property("seq", 1i64).build()).unwrap();
+    let m = sub.receive_timeout(Duration::from_secs(5)).expect("the subscription survives too");
+    assert_eq!(m.property("seq"), Some(&1i64.into()));
     server.shutdown();
 }
 

@@ -3,7 +3,6 @@
 //! that speaks a retired frame (the Hello handshake, the untraced publish)
 //! is dropped.
 
-use bytes::BufMut;
 use rjms_broker::{BrokerConfig, Message, TraceConfig};
 use rjms_net::client::RemoteBroker;
 use rjms_net::server::BrokerServer;
@@ -15,7 +14,7 @@ use std::time::Duration;
 
 /// A frame around `body`.
 fn frame(body: &[u8]) -> Vec<u8> {
-    [&(body.len() as u32).to_be_bytes()[..], body].concat()
+    [&(body.len() as u32).to_le_bytes()[..], body].concat()
 }
 
 #[test]
@@ -24,9 +23,7 @@ fn a_retired_frame_ends_the_connection() {
     server.broker().create_topic("t").unwrap();
     // A Hello (0x09: request id 1, feature bits 3), and a publish in the
     // untraced opcode 0x02: the traced frame less its context.
-    let mut hello = vec![0x09];
-    hello.put_u32(1);
-    hello.put_u32(3);
+    let hello = [&[0x09][..], &1u32.to_le_bytes(), &3u32.to_le_bytes()].concat();
     let message = WireMessage::from_message(&Message::builder().build());
     let publish = encode_request(&Request::Publish { request_id: 1, topic: "t".into(), message });
     let untraced = [&[0x02][..], &publish[5..publish.len() - 16]].concat();

@@ -33,17 +33,28 @@ fn message_strategy() -> impl Strategy<Value = WireMessage> {
         prop::option::of("[!-~]{0,24}"),
         prop::option::of("[a-z]{0,12}"),
         0u8..=9,
+        prop::option::of("[a-z.]{0,12}"),
         prop::option::of(any::<u64>()),
         prop::collection::vec(("[a-zA-Z_][a-zA-Z0-9_]{0,8}", value_strategy()), 0..6),
         prop::collection::vec(any::<u8>(), 0..256),
         trace_strategy(),
     )
         .prop_map(
-            |(correlation_id, message_type, priority, ttl_millis, properties, body, trace)| {
+            |(
+                correlation_id,
+                message_type,
+                priority,
+                reply_to,
+                ttl_millis,
+                properties,
+                body,
+                trace,
+            )| {
                 WireMessage {
                     correlation_id,
                     message_type,
                     priority,
+                    reply_to,
                     ttl_millis,
                     properties,
                     body: Bytes::from(body),
@@ -159,7 +170,7 @@ fn frame_reader_ends_like_read_frame() {
         }
         // An oversized length is refused on sight: no body follows it
         // here, so waiting or allocating for one would not get this far.
-        let oversized = (MAX_FRAME_LEN as u32 + 1).to_be_bytes();
+        let oversized = (MAX_FRAME_LEN as u32 + 1).to_le_bytes();
         let (frames, end) = frames_in(&[&ping[..], &oversized[..]].concat(), &[chunk]);
         assert_eq!(frames.len(), 1);
         assert_eq!(end.unwrap_err().kind(), ErrorKind::InvalidData);
@@ -203,7 +214,7 @@ proptest! {
             }
         }
         if oversized_tail {
-            stream.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_be_bytes());
+            stream.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
         }
         let mut reference = std::io::Cursor::new(&stream);
         let mut expected = Vec::new();

@@ -1,6 +1,6 @@
 //! Offline stand-in for `bytes`: a reference-counted immutable byte buffer
-//! ([`Bytes`]), a growable builder ([`BytesMut`]), and the big-endian
-//! [`Buf`]/[`BufMut`] accessor traits the wire codec uses.
+//! ([`Bytes`]) and the [`Buf`] trait's `advance`, with which the wire's
+//! frame reader drops a length prefix.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -165,64 +165,8 @@ impl FromIterator<u8> for Bytes {
     }
 }
 
-/// A growable byte buffer that freezes into [`Bytes`].
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    vec: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty builder with reserved capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        BytesMut { vec: Vec::with_capacity(capacity) }
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.vec.len()
-    }
-
-    /// Whether the builder is empty.
-    pub fn is_empty(&self) -> bool {
-        self.vec.is_empty()
-    }
-
-    /// Appends a slice.
-    pub fn extend_from_slice(&mut self, slice: &[u8]) {
-        self.vec.extend_from_slice(slice);
-    }
-
-    /// Converts into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.vec)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.vec
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.vec
-    }
-}
-
-impl fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        Bytes::copy_from_slice(&self.vec).fmt(f)
-    }
-}
-
-/// Read access to a byte buffer, big-endian (the `bytes` default).
+/// Read access to a byte buffer: the methods a `Buf` implementation must
+/// provide.
 pub trait Buf {
     /// Bytes left to consume.
     fn remaining(&self) -> usize;
@@ -230,48 +174,6 @@ pub trait Buf {
     fn chunk(&self) -> &[u8];
     /// Consumes `n` bytes.
     fn advance(&mut self, n: usize);
-
-    /// Whether any bytes remain.
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// Reads a `u8`.
-    ///
-    /// # Panics
-    ///
-    /// All `get_*` methods panic when fewer bytes remain than requested.
-    fn get_u8(&mut self) -> u8 {
-        let v = self.chunk()[0];
-        self.advance(1);
-        v
-    }
-
-    /// Reads a big-endian `u32`.
-    fn get_u32(&mut self) -> u32 {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self.chunk()[..4]);
-        self.advance(4);
-        u32::from_be_bytes(raw)
-    }
-
-    /// Reads a big-endian `u64`.
-    fn get_u64(&mut self) -> u64 {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.chunk()[..8]);
-        self.advance(8);
-        u64::from_be_bytes(raw)
-    }
-
-    /// Reads a big-endian `i64`.
-    fn get_i64(&mut self) -> i64 {
-        self.get_u64() as i64
-    }
-
-    /// Reads a big-endian `f64`.
-    fn get_f64(&mut self) -> f64 {
-        f64::from_bits(self.get_u64())
-    }
 }
 
 impl Buf for Bytes {
@@ -289,68 +191,15 @@ impl Buf for Bytes {
     }
 }
 
-/// Write access to a byte buffer, big-endian (the `bytes` default).
-pub trait BufMut {
-    /// Appends a slice.
-    fn put_slice(&mut self, slice: &[u8]);
-
-    /// Appends a `u8`.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Appends a big-endian `u32`.
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u64`.
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `i64`.
-    fn put_i64(&mut self, v: i64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `f64`.
-    fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, slice: &[u8]) {
-        self.vec.extend_from_slice(slice);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, slice: &[u8]) {
-        self.extend_from_slice(slice);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_primitives() {
-        let mut b = BytesMut::new();
-        b.put_u8(7);
-        b.put_u32(0xDEAD_BEEF);
-        b.put_u64(42);
-        b.put_i64(-42);
-        b.put_f64(2.5);
-        let mut bytes = b.freeze();
-        assert_eq!(bytes.get_u8(), 7);
-        assert_eq!(bytes.get_u32(), 0xDEAD_BEEF);
-        assert_eq!(bytes.get_u64(), 42);
-        assert_eq!(bytes.get_i64(), -42);
-        assert_eq!(bytes.get_f64(), 2.5);
-        assert!(!bytes.has_remaining());
+    fn advance_consumes_from_the_front() {
+        let mut b = Bytes::from(vec![1, 2, 3]);
+        b.advance(2);
+        assert_eq!((b.remaining(), b.chunk()), (1, &[3][..]));
     }
 
     #[test]
