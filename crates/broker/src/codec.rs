@@ -19,7 +19,6 @@
 use crate::filter::Filter;
 use bytes::Bytes;
 use rjms_selector::value::Value;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Bytes that do not decode: a format violation, not an I/O failure.
@@ -128,7 +127,7 @@ pub struct Fields<S, P, B> {
 /// The fields as [`Reader::fields`] returns them.
 pub type OwnedFields = Fields<String, Vec<(String, Value)>, Bytes>;
 
-impl<'a> Fields<&'a str, &'a BTreeMap<String, Value>, &'a [u8]> {
+impl<'a> Fields<&'a str, crate::message::Properties<'a>, &'a [u8]> {
     /// A broker message's fields, to go out with `expiry`.
     pub fn of(message: &'a crate::Message, expiry: Option<u64>) -> Self {
         Fields {
@@ -195,7 +194,7 @@ pub trait Put {
     /// A message's fields.
     fn fields<'a, P>(&mut self, fields: Fields<&'a str, P, &'a [u8]>)
     where
-        P: IntoIterator<Item = (&'a String, &'a Value)>,
+        P: IntoIterator<Item = (&'a str, &'a Value)>,
         P::IntoIter: ExactSizeIterator,
     {
         self.opt_str(fields.correlation_id);

@@ -9,6 +9,17 @@ use rjms_broker::{Filter, Message, Priority};
 use rjms_selector::Value;
 use std::time::Duration;
 
+/// Property names of 0–40 bytes, multi-byte characters included: both
+/// sides of the message's 22-byte inline limit.
+fn name_strategy() -> impl Strategy<Value = String> {
+    "[a-z_é€𝄞]{0,40}".prop_map(|mut name| {
+        while name.len() > 40 {
+            name.pop();
+        }
+        name
+    })
+}
+
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         any::<bool>().prop_map(Value::Bool),
@@ -23,7 +34,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
     (
         (prop::option::of("[!-~]{0,24}"), prop::option::of("[a-z]{0,12}"), 0u8..=9),
         (prop::option::of("[a-z.]{0,12}"), prop::option::of(0u64..1 << 40)),
-        prop::collection::vec(("[a-zA-Z_][a-zA-Z0-9_]{0,8}", value_strategy()), 0..6),
+        prop::collection::vec((name_strategy(), value_strategy()), 0..6),
         prop::collection::vec(any::<u8>(), 0..256),
         (any::<u64>(), any::<u64>()),
     )

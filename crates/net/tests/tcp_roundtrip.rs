@@ -4,7 +4,12 @@ use rjms_broker::{BrokerConfig, Message};
 use rjms_net::client::RemoteBroker;
 use rjms_net::error::Error;
 use rjms_net::server::BrokerServer;
-use rjms_net::wire::{WireFilter, MAX_FRAME_LEN};
+use rjms_net::wire::{
+    decode_response, encode_request, read_frame, Request, Response, WireFilter, WireMessage,
+    MAX_FRAME_LEN,
+};
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 fn server() -> BrokerServer {
@@ -133,6 +138,32 @@ fn ttl_survives_the_wire() {
     let m = sub.receive_timeout(Duration::from_secs(5)).expect("fresh message");
     assert!(m.expiration_millis().is_some());
     assert!(sub.receive_timeout(Duration::from_millis(100)).is_none());
+    server.shutdown();
+}
+
+#[test]
+fn the_largest_ttl_a_frame_can_carry_is_delivered_and_the_connection_stays_up() {
+    let server = server();
+    let client = RemoteBroker::connect(server.local_addr()).unwrap();
+    client.create_topic("t").unwrap();
+    let sub = client.subscribe("t", WireFilter::None).unwrap();
+
+    // On a raw socket, so that no client-side conversion touches the TTL.
+    let mut message = WireMessage::from_message(&Message::builder().property("k", 1i64).build());
+    message.ttl_millis = Some(u64::MAX);
+    let publish = encode_request(&Request::Publish { request_id: 1, topic: "t".into(), message });
+    let ping = encode_request(&Request::Ping { request_id: 2 });
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream.write_all(&[&publish[..], &ping[..]].concat()).expect("send");
+    for expected in [Response::Ok { request_id: 1 }, Response::Pong { request_id: 2 }] {
+        let frame = read_frame(&mut stream).expect("read").expect("the connection is up");
+        assert_eq!(decode_response(frame).unwrap(), expected);
+    }
+
+    let m = sub.receive_timeout(Duration::from_secs(5)).expect("delivered, not expired");
+    assert_eq!(m.property("k"), Some(&1i64.into()));
+    assert!(m.expiration_millis().is_some_and(|e| e > m.timestamp_millis()));
     server.shutdown();
 }
 

@@ -13,6 +13,17 @@ use rjms_selector::Value;
 use std::cell::Cell;
 use std::io::ErrorKind;
 
+/// Property names of 0–40 bytes, multi-byte characters included: both
+/// sides of the message's 22-byte inline limit.
+fn name_strategy() -> impl Strategy<Value = String> {
+    "[a-z_é€𝄞]{0,40}".prop_map(|mut name| {
+        while name.len() > 40 {
+            name.pop();
+        }
+        name
+    })
+}
+
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         any::<bool>().prop_map(Value::Bool),
@@ -35,7 +46,7 @@ fn message_strategy() -> impl Strategy<Value = WireMessage> {
         0u8..=9,
         prop::option::of("[a-z.]{0,12}"),
         prop::option::of(any::<u64>()),
-        prop::collection::vec(("[a-zA-Z_][a-zA-Z0-9_]{0,8}", value_strategy()), 0..6),
+        prop::collection::vec((name_strategy(), value_strategy()), 0..6),
         prop::collection::vec(any::<u8>(), 0..256),
         trace_strategy(),
     )
@@ -264,9 +275,7 @@ proptest! {
         wire in message_strategy(),
         behind in prop::collection::vec(any::<u8>(), 0..8),
     ) {
-        // A broker message adds the TTL to its timestamp: keep the sum in range.
-        let ttl_millis = wire.ttl_millis.map(|ttl| ttl >> 24);
-        let message = WireMessage { ttl_millis, ..wire }.into_message();
+        let message = wire.into_message();
         let reference = WireMessage::from_message(&message);
         let expected = encode_response(&Response::Delivery { subscription_id, message: reference });
         // Appended: what is already in the buffer stays.

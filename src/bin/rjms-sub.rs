@@ -51,7 +51,7 @@ fn main() {
                 received += 1;
                 if !flags.on(Sub::Quiet) {
                     let props: Vec<String> =
-                        m.properties().iter().map(|(k, v)| format!("{k}={v}")).collect();
+                        m.properties().map(|(k, v)| format!("{k}={v}")).collect();
                     println!(
                         "[{}] corr={} props={{{}}} body={}B trace={:016x}",
                         received,
