@@ -238,8 +238,8 @@ pub static GATES: [Gate; 6] = [
     // plus the sampled Eq. 1 stage decomposition) sits directly on the
     // dispatcher hot path. The baseline is a broker with no telemetry at
     // all. Per message: two clock reads (publish stamp + fan-out end; the
-    // dispatch start reuses the previous end), a backlog read and three
-    // staged histogram samples.
+    // dispatch start reuses the previous end; a stage-sampled message adds
+    // one per stage boundary), a backlog read and three staged samples.
     Gate {
         name: "observer",
         section: "extension (observability)",
@@ -254,14 +254,14 @@ pub static GATES: [Gate; 6] = [
         attach: |_, _| None,
         after: None,
     },
-    // Tracing arms the per-stage stopwatches for *every* message (the tail
-    // decision is post-hoc, so durations must exist before the verdict) and
-    // adds a threshold comparison, an occasional quantile refresh, and —
-    // for kept messages — four ring writes. Metrics are on in both arms,
-    // because tracing requires the sojourn histogram: the difference
-    // isolates the recorder, not the instruments underneath it. Default
-    // tail quantile and uniform baseline, so the kept fraction is
-    // production's.
+    // Tracing arms the stage stopwatch for *every* message (the tail
+    // decision is post-hoc, so durations must exist before the verdict):
+    // four TSC reads here, one per stage boundary. It adds a threshold
+    // comparison, a periodic quantile refresh, and — for kept messages —
+    // four ring writes. Metrics are on in both arms, because tracing
+    // requires the sojourn histogram: the difference isolates the recorder,
+    // not the instruments underneath it. Default tail quantile and uniform
+    // baseline, so the kept fraction is production's.
     Gate {
         name: "trace",
         section: "extension (observability)",

@@ -327,7 +327,7 @@ mod tests {
     use super::*;
     use crate::config::{BrokerConfigBuilder, MetricsConfig, PersistenceConfig, TraceConfig};
     use crate::metrics::DispatcherScratch;
-    use crate::probe::{NoProbe, Telemetry};
+    use crate::probe::{NoProbe, Telemetry, STAGE_SAMPLE_EVERY};
     use crate::subscriptions::LiveFlag;
     use crate::topic_obs::{TopicObsConfig, TopicObservatory};
     use crate::{Broker, BrokerConfig, Filter, Subscriber};
@@ -556,12 +556,13 @@ mod tests {
     }
 
     /// A queued message whose stages are not clocked reads the clock once,
-    /// at its fan-out end. Each clocked stage reads it twice more: receive,
-    /// journal, the resolve step of a topic with selectors, the scan, and
-    /// one fan-out per copy. A sampled message clocks every stage, and so
+    /// at its fan-out end. A clocked one reads it once more per stage
+    /// boundary: into journal and filter, into and out of each fan-out (the
+    /// dispatch start opens receive, and a scan behind a resolve step stays
+    /// in the filter stage). A sampled message clocks every stage, and so
     /// does every message under tracing.
     #[test]
-    fn a_message_reads_the_clock_once_and_twice_more_per_clocked_stage() {
+    fn a_message_reads_the_clock_once_and_once_more_per_stage_boundary() {
         // Two hits and a miss: a resolve step and two copies. One plain
         // subscription: neither resolve nor a second copy.
         let selectors = [Some("key = 0"), Some("key = 0"), Some("key = 1")];
@@ -571,9 +572,9 @@ mod tests {
             (clock_reads(config.clone(), every, &selectors), clock_reads(config, every, &plain))
         };
         let metrics = || BrokerConfig::builder().metrics(MetricsConfig::default());
-        // Receive, journal, resolve, scan and two fan-outs; receive,
-        // journal, scan and one fan-out.
-        let clocked = |stages: u64| 1 + CLOCKED * (1 + 2 * stages);
+        // Journal, filter and two fan-outs in and out; journal, filter and
+        // one fan-out in and out.
+        let clocked = |boundaries: u64| 1 + CLOCKED * (1 + boundaries);
         assert_eq!(reads(metrics(), u64::MAX), (1 + CLOCKED, 1 + CLOCKED));
         assert_eq!(reads(metrics(), 1), (clocked(6), clocked(4)));
         let traced = metrics().trace(TraceConfig::default());
@@ -614,7 +615,9 @@ mod tests {
     /// A message stages four histogram records — its waiting, service and
     /// sojourn samples and the backlog it left — into its dispatcher's own
     /// series, on a sharded broker as on a single dispatcher: a sharded
-    /// broker's unlabeled series are merged when the registry is read.
+    /// broker's unlabeled series are merged when the registry is read. The
+    /// stage histograms get the stage sample only: at [`STAGE_SAMPLE_EVERY`]
+    /// the jittered countdown fires at the 64th message, next at the 120th.
     #[test]
     fn a_message_stages_four_histogram_records_at_one_shard_and_at_four() {
         for shards in [1, 4] {
@@ -623,8 +626,12 @@ mod tests {
             broker.create_topic("t").unwrap();
             let _subscriber = broker.subscription("t").open().unwrap();
             let message = || Message::builder().build();
-            let records = counted(&broker, u64::MAX, message, DispatcherScratch::records);
+            let records = counted(&broker, STAGE_SAMPLE_EVERY, message, DispatcherScratch::records);
             assert_eq!(records, 4 * CLOCKED, "{shards} shards");
+            let snapshot = broker.metrics().unwrap().snapshot();
+            let stage = |s| snapshot.histogram(&format!("broker.stage.{s}_ns")).unwrap().count;
+            let stages = ["rcv", "journal", "filter", "fanout"].map(stage);
+            assert_eq!(stages, [1; 4], "{shards} shards");
             broker.shutdown();
         }
     }

@@ -53,7 +53,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// A TCP front-end for an embedded [`Broker`].
 ///
@@ -367,7 +366,7 @@ fn writer_loop(
         // Every tail-sampled delivery of the batch gets a wire-flush span
         // on its chain: the one write that carried its bytes off the server.
         let recorder = recorder.as_ref().filter(|_| !taken.is_empty());
-        let flush = recorder.map(|r| (r, clock::now(), Instant::now()));
+        let flush = recorder.map(|r| (r, clock::now()));
         if stream.write_all(&batch).is_err() {
             // Not written: back to the front of their queues, newest first,
             // so every subscription has them in order again.
@@ -379,8 +378,8 @@ fn writer_loop(
             }
             break;
         }
-        if let Some((recorder, start_ticks, t0)) = flush {
-            let duration_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        if let Some((recorder, start_ticks)) = flush {
+            let duration_ns = clock::ticks_to_ns(clock::now().saturating_sub(start_ticks));
             for (id, message) in &taken {
                 let trace_id = message.trace_id();
                 if recorder.is_sampled(trace_id) {

@@ -102,7 +102,7 @@ pub struct SpanEvent {
     /// Which pipeline stage this event covers.
     pub stage: Stage,
     /// Stage start in instrumentation-clock ticks (`rjms_metrics::clock`
-    /// domain); monotone within a chain by construction.
+    /// domain), as measured when the stage was first entered.
     pub start_ticks: u64,
     /// Stage duration in nanoseconds.
     pub duration_ns: u64,
