@@ -231,10 +231,10 @@ pub(crate) struct BrokerInner {
     /// Id source for publisher handles: the flow gate rate-limits per
     /// producer, so each [`Broker::publisher`] call gets a fresh identity.
     next_producer_id: AtomicU64,
-    /// The per-topic workload observatory, when enabled. Dispatchers stage
-    /// observations thread-locally and merge on the histogram-flush
-    /// cadence; snapshots feed the `/topics` endpoint and the skew
-    /// analyzer.
+    /// The per-topic workload observatory, when enabled. A dispatcher
+    /// observes each dispatched message into its topic's account under
+    /// that account's lock (`probe.rs`); snapshots feed the `/topics`
+    /// endpoint and the skew analyzer.
     pub(crate) topic_obs: Option<TopicObservatory>,
 }
 
@@ -1016,14 +1016,25 @@ impl Publisher {
         }
     }
 
-    /// Runs the admission gate (no-op when flow control is off),
+    /// With persistence on, refuses a message whose journal record would
+    /// not fit in a journal frame (the dispatcher could not write it). Then
+    /// runs the admission gate (no-op when flow control is off),
     /// converting shed/deferred outcomes into typed errors. The gate counts
     /// its own decisions.
     fn admit(&self, message: &Message) -> Result<(), Error> {
+        let durable = self.inner.journal.is_some();
+        let limit = rjms_journal::frame::MAX_PAYLOAD_LEN as usize;
+        // `approximate_size` over-estimates the record without reading a
+        // string; only a message it puts past the limit is counted exactly.
+        if durable && message.approximate_size() + self.topic.name.len() > limit {
+            let size = crate::persist::publish_record_len(&self.topic.name, message);
+            if size > limit {
+                return Err(Error::RecordTooLarge { size, limit });
+            }
+        }
         let Some(gate) = &self.inner.flow else { return Ok(()) };
         // With persistence on, every publish is durable (the paper's
         // persistent mode) and pins to the top admission class.
-        let durable = self.inner.journal.is_some();
         match gate.admit(self.producer_id, message.priority().level(), durable) {
             AdmissionOutcome::Granted => Ok(()),
             AdmissionOutcome::Deferred { class, retry_after } => Err(Error::PublishDeferred {
@@ -1040,9 +1051,12 @@ impl Publisher {
     /// # Errors
     ///
     /// Returns [`Error::Stopped`] once the broker has been shut down.
-    /// With [`BrokerConfig::flow`] set, returns [`Error::PublishShed`] or
-    /// [`Error::PublishDeferred`] when admission control rejects the
-    /// message before it reaches the publish queue.
+    /// With [`BrokerConfig::persistence`] set, returns
+    /// [`Error::RecordTooLarge`] for a message whose journal record exceeds
+    /// the journal's frame limit. With [`BrokerConfig::flow`] set, returns
+    /// [`Error::PublishShed`] or [`Error::PublishDeferred`] when admission
+    /// control rejects the message. Either refusal comes before the
+    /// message reaches the publish queue.
     pub fn publish(&self, message: Message) -> Result<(), Error> {
         if self.inner.stopped.load(Ordering::Relaxed) {
             return Err(Error::Stopped);
@@ -1058,8 +1072,8 @@ impl Publisher {
     ///
     /// [`TryPublishError::Full`] (carrying the rejected message) when the
     /// queue is full, [`TryPublishError::Denied`] (also carrying it) when
-    /// admission control rejects it, [`TryPublishError::Stopped`] when
-    /// the broker has been shut down.
+    /// [`Publisher::publish`] would refuse it, [`TryPublishError::Stopped`]
+    /// when the broker has been shut down.
     #[allow(clippy::result_large_err)] // the Err hands the message back (push-back)
     pub fn try_publish(&self, message: Message) -> Result<(), TryPublishError> {
         if self.inner.stopped.load(Ordering::Relaxed) {

@@ -22,10 +22,12 @@ pub enum TryPublishError {
     /// The publish queue is full; the message comes back to the caller so
     /// it can retry or shed load (the paper's publisher-side queueing).
     Full(Message),
-    /// Admission control denied the publish (flow control is enabled and
-    /// the broker is over its model-derived arrival budget). The message
-    /// comes back untouched together with the typed reason —
-    /// [`Error::PublishShed`] or [`Error::PublishDeferred`].
+    /// The publish was refused before it was queued: admission control
+    /// denied it (flow control is enabled and the broker is over its
+    /// model-derived arrival budget), or its journal record is too large.
+    /// The message comes back untouched together with the typed reason —
+    /// [`Error::PublishShed`], [`Error::PublishDeferred`] or
+    /// [`Error::RecordTooLarge`].
     Denied {
         /// The rejected message, handed back untouched.
         message: Message,

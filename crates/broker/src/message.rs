@@ -395,23 +395,22 @@ impl Message {
         }
     }
 
-    /// Total approximate wire size: headers + properties + payload.
+    /// The message's encoded size, over-estimated: its strings' and body's
+    /// bytes, 16 more for each header string and property, and 64 for the
+    /// rest. That bounds what the codec writes for a journal record without
+    /// its topic, and it reads no string, so a journaled publish can afford
+    /// it.
     pub fn approximate_size(&self) -> usize {
-        let header = 64
-            + self.correlation_id().map_or(0, str::len)
-            + self.message_type().map_or(0, str::len)
-            + self.reply_to().map_or(0, str::len);
-        let props: usize = self
-            .properties()
-            .map(|(k, v)| {
-                k.len()
-                    + match v {
-                        Value::Str(s) => s.len(),
-                        _ => 8,
-                    }
-            })
-            .sum();
-        header + props + self.body.len()
+        let strings = [&self.correlation_id, &self.message_type, &self.reply_to];
+        let header: usize =
+            strings.iter().map(|s| 16 + s.as_ref().map_or(0, |s| s.as_bytes().len())).sum();
+        let value_len = |v: &Value| match v {
+            Value::Str(s) => s.len(),
+            _ => 8,
+        };
+        let props: usize =
+            self.properties.0.iter().map(|(k, v)| 16 + k.as_bytes().len() + value_len(v)).sum();
+        64 + header + props + self.body.len()
     }
 }
 

@@ -88,12 +88,26 @@ pub fn encode_publish(topic: &str, message: &Message) -> Vec<u8> {
 
 /// [`encode_publish`] appended to `out` — the dispatcher's per-message hot
 /// path, where `out` is the journal's own frame buffer.
-pub fn encode_publish_into(out: &mut Vec<u8>, topic: &str, message: &Message) {
-    out.push(TAG_PUBLISH);
+pub fn encode_publish_into(out: &mut impl Put, topic: &str, message: &Message) {
+    out.raw(&[TAG_PUBLISH]);
     out.str(topic);
     out.u64(message.id().as_u64());
     out.u64(message.timestamp_millis());
     out.fields(Fields::of(message, message.expiration_millis()));
+}
+
+/// The length of [`encode_publish`]'s record, counted without writing it:
+/// a publisher checks it against the journal's frame limit before queueing.
+pub(crate) fn publish_record_len(topic: &str, message: &Message) -> usize {
+    struct Count(usize);
+    impl Put for Count {
+        fn raw(&mut self, bytes: &[u8]) {
+            self.0 += bytes.len();
+        }
+    }
+    let mut count = Count(0);
+    encode_publish_into(&mut count, topic, message);
+    count.0
 }
 
 /// A [`JournalRecord::DurableCheckpoint`] appended to `out` from borrowed
@@ -430,6 +444,7 @@ mod tests {
     #[test]
     fn records_are_pinned_to_the_byte() {
         assert_eq!(hex(&encode_publish("stocks", &golden_message())), PUBLISH_HEX);
+        assert_eq!(publish_record_len("stocks", &golden_message()), PUBLISH_HEX.len() / 2);
         let publish = JournalRecord::Publish { topic: "stocks".into(), message: golden_message() };
         let registered = JournalRecord::DurableRegistered {
             topic: "stocks".into(),
@@ -439,6 +454,20 @@ mod tests {
         for (record, golden) in [(publish, PUBLISH_HEX), (registered, REGISTERED_HEX)] {
             assert_eq!(hex(&record.encode()), golden);
             assert_eq!(JournalRecord::decode(&unhex(golden)).unwrap(), record);
+        }
+    }
+
+    /// A publisher counts a record only when `approximate_size` says it may
+    /// be near the frame limit, so that must bound it: with every header,
+    /// an expiry and each property kind, with long strings, and empty.
+    #[test]
+    fn the_approximate_size_bounds_the_publish_record() {
+        let long = "x".repeat(100);
+        let long_strings =
+            Message::builder().correlation_id(&long).property(&long, long.as_str()).build();
+        for message in [golden_message(), long_strings, Message::builder().build()] {
+            let bound = message.approximate_size() + "stocks".len();
+            assert!(publish_record_len("stocks", &message) <= bound);
         }
     }
 

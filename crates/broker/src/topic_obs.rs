@@ -26,7 +26,7 @@
 use crate::broker::Topic;
 use parking_lot::{Mutex, MutexGuard};
 use rjms_core::params::CostParams;
-use rjms_core::regression::{CostRegression, FittedCosts, RegressionTolerance, RegressionVerdict};
+use rjms_core::regression::{CostRegression, FittedCosts, RegressionVerdict};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -188,7 +188,7 @@ impl TopicObservatory {
             mean_replication: reg.mean_replication(),
             mean_service_time: reg.mean_service_time(),
             fitted: reg.fit(&fit_anchor).ok(),
-            verdict: self.anchor.map(|a| reg.assess(&a, &RegressionTolerance::default())),
+            verdict: self.anchor.map(|a| reg.assess(&a)),
         }
     }
 }

@@ -2,7 +2,9 @@
 //! crash recovery with re-delivery to durable subscribers, checkpointing,
 //! and the journal counters surfaced through `BrokerStats`.
 
-use rjms_broker::{Broker, BrokerConfig, Error, Filter, Message, PersistenceConfig};
+use rjms_broker::{
+    Broker, BrokerConfig, Error, Filter, Message, PersistenceConfig, TryPublishError,
+};
 use rjms_journal::{scratch_dir, segment::segment_file_name, FsyncPolicy};
 use std::path::Path;
 use std::time::Duration;
@@ -266,6 +268,44 @@ fn journal_counters_flow_into_broker_stats() {
     assert_eq!(journal.appends, 11);
     assert!(journal.bytes_appended > 0);
     assert!((2..=11).contains(&journal.fsyncs), "{} fsyncs", journal.fsyncs);
+    b.shutdown();
+    cleanup(&dir);
+}
+
+/// A message whose journal record would exceed the frame limit is refused
+/// by the publisher, so the dispatcher never meets it and goes on
+/// delivering.
+#[test]
+fn a_publish_too_large_to_journal_is_refused_and_the_broker_goes_on() {
+    let dir = scratch_dir("bkr-oversized");
+    let b = Broker::start(persistent_config(&dir));
+    b.create_topic("t").unwrap();
+    let sub = b.subscription("t").open().unwrap();
+    let p = b.publisher("t").unwrap();
+    let limit = rjms_journal::frame::MAX_PAYLOAD_LEN as usize;
+    let oversized = || Message::builder().body(vec![0u8; limit + 1]).build();
+
+    let refused = p.publish(oversized());
+    p.publish(Message::builder().correlation_id("small").build()).unwrap();
+    let delivered = sub.receive_timeout(Duration::from_secs(5)).expect("the small message");
+    assert_eq!(delivered.correlation_id(), Some("small"));
+    match refused {
+        Err(Error::RecordTooLarge { size, limit: named }) => {
+            assert!(size > limit, "{size}");
+            assert_eq!(named, limit);
+        }
+        other => panic!("publish of an oversized message: {other:?}"),
+    }
+
+    match p.try_publish(oversized()) {
+        Err(TryPublishError::Denied { message, reason }) => {
+            assert!(matches!(reason, Error::RecordTooLarge { .. }), "{reason}");
+            assert_eq!(message.body().len(), limit + 1);
+        }
+        Err(e) => panic!("try_publish of an oversized message: {e}"),
+        Ok(()) => panic!("try_publish queued an oversized message"),
+    }
+    assert_eq!(b.snapshot().messages.received, 1);
     b.shutdown();
     cleanup(&dir);
 }

@@ -104,6 +104,14 @@ pub enum Error {
     /// The requested journal offset is below retention or at/after the
     /// append head.
     UnknownOffset(u64),
+    /// A publish was refused before it was queued: its journal record
+    /// would exceed the journal's frame limit.
+    RecordTooLarge {
+        /// The record's length in bytes.
+        size: usize,
+        /// The largest record a journal frame holds.
+        limit: usize,
+    },
 
     // --- transport -----------------------------------------------------
     /// An underlying I/O operation failed.
@@ -161,6 +169,9 @@ impl fmt::Display for Error {
                 write!(f, "sealed segment {} corrupt at byte {file_pos}", segment.display())
             }
             Self::UnknownOffset(offset) => write!(f, "offset {offset} is not in the journal"),
+            Self::RecordTooLarge { size, limit } => {
+                write!(f, "journal record of {size} bytes exceeds the {limit} byte frame limit")
+            }
             Self::Io(e) => write!(f, "I/O error: {e}"),
             Self::Remote { message } => write!(f, "server error: {message}"),
             Self::Decode { detail } => write!(f, "decode error: {detail}"),

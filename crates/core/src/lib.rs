@@ -48,7 +48,6 @@ pub mod regression;
 pub mod report;
 pub mod scenario;
 pub mod slo;
-pub mod sweep;
 pub mod waiting;
 
 pub use architecture::{ClusterScenario, DistributedScenario};
@@ -60,13 +59,10 @@ pub use error::Error;
 pub use model::{ServerModel, ThroughputPrediction};
 pub use monitor::{DriftReport, DriftTolerance, ModelMonitor, ModelVerdict};
 pub use params::{CostParams, FilterType};
-pub use regression::{
-    CostRegression, FitMode, FittedCosts, RegressionReport, RegressionTolerance, RegressionVerdict,
-};
+pub use regression::{CostRegression, FitMode, FittedCosts, RegressionReport, RegressionVerdict};
 pub use report::plan_report;
 pub use scenario::{ApplicationScenario, ApplicationScenarioBuilder};
 pub use slo::{max_utilization_for_quantile, measured_service, AnalyticSlo};
-pub use sweep::{Series, SeriesPoint};
 pub use waiting::{WaitingTimeAnalysis, WaitingTimeReport};
 
 // Re-export the queueing vocabulary types that appear in this crate's API.

@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use rjms_core::params::CostParams;
-//! use rjms_core::regression::{CostRegression, RegressionTolerance, RegressionVerdict};
+//! use rjms_core::regression::{CostRegression, RegressionVerdict};
 //!
 //! let truth = CostParams::CORRELATION_ID;
 //! let mut reg = CostRegression::new();
@@ -39,7 +39,7 @@
 //!     let r = if i % 2 == 0 { 2.0 } else { 8.0 };
 //!     reg.observe(40, r, truth.mean_service_time(40, r));
 //! }
-//! let verdict = reg.assess(&truth, &RegressionTolerance::default());
+//! let verdict = reg.assess(&truth);
 //! assert!(matches!(verdict, RegressionVerdict::Stable(_)));
 //! ```
 
@@ -91,30 +91,14 @@ pub struct FittedCosts {
     pub observations: u64,
 }
 
-/// Relative tolerances for the fitted-vs-configured comparison.
-///
-/// Slopes are compared relatively; the intercept (`t_rcv + t_store`) is
-/// the least identified quantity — orders of magnitude below the slope
-/// terms at realistic filter counts — so its tolerance is loose, and it is
-/// only checked at all when the fit left it free ([`FitMode::Full`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RegressionTolerance {
-    /// Maximum relative error of the fitted intercept vs the configured
-    /// `t_rcv + t_store` (checked only in [`FitMode::Full`]).
-    pub t_rcv: f64,
-    /// Maximum relative error of the fitted `t_fltr`.
-    pub t_fltr: f64,
-    /// Maximum relative error of the fitted `t_tx`.
-    pub t_tx: f64,
-    /// Minimum number of observations for a meaningful verdict.
-    pub min_samples: u64,
-}
-
-impl Default for RegressionTolerance {
-    fn default() -> Self {
-        Self { t_rcv: 0.50, t_fltr: 0.25, t_tx: 0.25, min_samples: 256 }
-    }
-}
+/// Largest relative error of the fitted intercept vs `t_rcv + t_store`.
+const T_RCV_TOLERANCE: f64 = 0.50;
+/// Largest relative error of the fitted `t_fltr`.
+const T_FLTR_TOLERANCE: f64 = 0.25;
+/// Largest relative error of the fitted `t_tx`.
+const T_TX_TOLERANCE: f64 = 0.25;
+/// Fewest observations for a meaningful verdict.
+const MIN_SAMPLES: u64 = 256;
 
 /// One fitted component that exceeded its tolerance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -150,7 +134,7 @@ pub enum RegressionVerdict {
     Insufficient {
         /// Observations seen.
         samples: u64,
-        /// Observations required by the tolerance config.
+        /// Observations a verdict requires.
         required: u64,
     },
     /// Enough observations, but the design does not identify even a single
@@ -436,16 +420,15 @@ impl CostRegression {
     /// Judges the accumulated stream against the configured `anchor`
     /// params: the online analogue of
     /// [`ModelMonitor::assess`](crate::monitor::ModelMonitor::assess).
-    pub fn assess(
-        &self,
-        anchor: &CostParams,
-        tolerance: &RegressionTolerance,
-    ) -> RegressionVerdict {
-        if self.n < tolerance.min_samples {
-            return RegressionVerdict::Insufficient {
-                samples: self.n,
-                required: tolerance.min_samples,
-            };
+    ///
+    /// Slopes are compared relatively. The intercept (`t_rcv + t_store`)
+    /// is the least identified quantity — orders of magnitude below the
+    /// slope terms at realistic filter counts — so its tolerance is loose,
+    /// and it is only checked at all when the fit left it free
+    /// ([`FitMode::Full`]).
+    pub fn assess(&self, anchor: &CostParams) -> RegressionVerdict {
+        if self.n < MIN_SAMPLES {
+            return RegressionVerdict::Insufficient { samples: self.n, required: MIN_SAMPLES };
         }
         let fitted = match self.fit(anchor) {
             Ok(f) => f,
@@ -476,13 +459,13 @@ impl CostRegression {
                 "t_rcv",
                 fitted.params.t_rcv + fitted.params.t_store,
                 anchor.t_rcv + anchor.t_store,
-                tolerance.t_rcv,
+                T_RCV_TOLERANCE,
             );
         }
         if fitted.mode != FitMode::FixedFilter {
-            check("t_fltr", fitted.params.t_fltr, anchor.t_fltr, tolerance.t_fltr);
+            check("t_fltr", fitted.params.t_fltr, anchor.t_fltr, T_FLTR_TOLERANCE);
         }
-        check("t_tx", fitted.params.t_tx, anchor.t_tx, tolerance.t_tx);
+        check("t_tx", fitted.params.t_tx, anchor.t_tx, T_TX_TOLERANCE);
 
         let report = RegressionReport { fitted, anchor: *anchor, deviations };
         if report.deviations.is_empty() {
@@ -620,9 +603,9 @@ mod tests {
         for i in 0..10u32 {
             reg.observe(5, 1.0 + i as f64, truth.mean_service_time(5, 1.0 + i as f64));
         }
-        match reg.assess(&truth, &RegressionTolerance::default()) {
+        match reg.assess(&truth) {
             RegressionVerdict::Insufficient { samples: 10, required } => {
-                assert_eq!(required, RegressionTolerance::default().min_samples);
+                assert_eq!(required, MIN_SAMPLES);
             }
             other => panic!("expected insufficient, got {other:?}"),
         }
@@ -639,7 +622,7 @@ mod tests {
             let r = 1.0 + (i % 11) as f64;
             reg.observe(80, r, actual.mean_service_time(80, r) * noise(0.02));
         }
-        match reg.assess(&configured, &RegressionTolerance::default()) {
+        match reg.assess(&configured) {
             RegressionVerdict::Drift(report) => {
                 assert!(report.deviations.iter().any(|d| d.component == "t_fltr"));
             }
@@ -656,7 +639,7 @@ mod tests {
             let r = (i % 13) as f64;
             reg.observe(30, r, truth.mean_service_time(30, r) * noise(0.05));
         }
-        let verdict = reg.assess(&truth, &RegressionTolerance::default());
+        let verdict = reg.assess(&truth);
         assert!(matches!(verdict, RegressionVerdict::Stable(_)), "{verdict:?}");
     }
 

@@ -1,18 +1,19 @@
 //! # rjms-desim
 //!
-//! Discrete-event simulation substrate for the JMS performance study:
+//! Simulation substrate for the JMS performance study:
 //!
-//! * [`kernel`] — a minimal event-calendar scheduler over [`time::SimTime`],
 //! * [`random`] — exponential / replication-grade / service-time samplers
 //!   that share their distributions with the analytic crate so simulation
 //!   and analysis cannot drift apart,
-//! * [`mg1sim`] — an `M/GI/1-∞` simulator (Lindley recursion and
-//!   event-driven variants) used to validate the Pollaczek–Khinchine
-//!   formulas and the Gamma approximation of the waiting time,
+//! * [`mg1sim`] — an `M/GI/1-∞` simulator (the Lindley recursion) used to
+//!   validate the Pollaczek–Khinchine formulas and the Gamma approximation
+//!   of the waiting time,
 //! * [`testbed`] — a faithful simulation of the paper's *measurement
 //!   methodology* (saturated publishers, trimmed window) against a synthetic
 //!   server with the ground-truth cost structure; feeds the calibration
 //!   pipeline,
+//! * [`distributed`] — the bottleneck broker of the PSR / SSR architectures
+//!   (§IV-C), each broker one Lindley queue,
 //! * [`stats`] — online statistics and empirical quantiles for simulation
 //!   output.
 //!
@@ -33,15 +34,11 @@
 #![warn(missing_debug_implementations)]
 
 pub mod distributed;
-pub mod kernel;
 pub mod mg1sim;
 pub mod random;
 pub mod stats;
 pub mod testbed;
-pub mod time;
 
-pub use kernel::Scheduler;
-pub use mg1sim::{simulate_event_driven, simulate_lindley, Mg1SimConfig, Mg1SimResult};
+pub use mg1sim::{simulate_lindley, Mg1SimConfig, Mg1SimResult};
 pub use stats::{OnlineStats, SampleQuantiles};
 pub use testbed::{run_measurement, run_paper_grid, TestbedConfig, TestbedMeasurement};
-pub use time::SimTime;

@@ -6,15 +6,11 @@
 //! (time from arrival to start of service) and summarizes mean, moments and
 //! empirical quantiles.
 //!
-//! For a FIFO single-server queue the recursion
-//! `W_{n+1} = max(0, W_n + B_n − A_{n+1})` (Lindley) is much faster than an
-//! event calendar, but the event-driven variant exercises the [`kernel`]
-//! and also tracks the queue-length process; both are provided and tested
-//! against each other.
-//!
-//! [`kernel`]: crate::kernel
+//! For a FIFO single server the Lindley recursion
+//! `W_{n+1} = max(0, W_n + B_n − A_{n+1})` *is* the waiting-time process,
+//! so no event calendar is needed: one pass draws a service time and an
+//! exponential gap per message.
 
-use crate::kernel::Scheduler;
 use crate::random::ServiceSampler;
 use crate::stats::{OnlineStats, SampleQuantiles};
 use rand::rngs::StdRng;
@@ -51,8 +47,6 @@ pub struct Mg1SimResult {
     pub service: OnlineStats,
     /// Fraction of messages that had to wait (should approach ρ).
     pub waiting_probability: f64,
-    /// Peak number of messages simultaneously in the queue (buffer bound).
-    pub peak_queue_length: usize,
 }
 
 /// Runs the M/G/1 simulation with the (fast) Lindley recursion.
@@ -103,138 +97,6 @@ pub fn simulate_lindley<S: ServiceSampler>(config: &Mg1SimConfig, service: &S) -
         waiting_samples,
         service: service_stats,
         waiting_probability: delayed as f64 / config.samples as f64,
-        peak_queue_length: 0, // not tracked by the recursion
-    }
-}
-
-/// State of the event-driven M/G/1 simulation.
-struct EventDriven<S> {
-    rng: StdRng,
-    arrival_rate: f64,
-    service: S,
-    /// Arrival timestamps of queued messages (FIFO).
-    queue: std::collections::VecDeque<f64>,
-    server_busy: bool,
-    recorded: usize,
-    warmup: usize,
-    target: usize,
-    waiting: OnlineStats,
-    waiting_samples: SampleQuantiles,
-    service_stats: OnlineStats,
-    delayed: u64,
-    peak_queue: usize,
-    arrivals_seen: usize,
-}
-
-/// Runs the M/G/1 simulation with an explicit event calendar.
-///
-/// Slower than [`simulate_lindley`] but additionally tracks the
-/// queue-length process; the two implementations are cross-validated in the
-/// test suite.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate_lindley`].
-pub fn simulate_event_driven<S: ServiceSampler + 'static>(
-    config: &Mg1SimConfig,
-    service: S,
-) -> Mg1SimResult {
-    validate(config, &service);
-    let mut state = EventDriven {
-        rng: StdRng::seed_from_u64(config.seed),
-        arrival_rate: config.arrival_rate,
-        service,
-        queue: std::collections::VecDeque::new(),
-        server_busy: false,
-        recorded: 0,
-        warmup: config.warmup,
-        target: config.warmup + config.samples,
-        waiting: OnlineStats::new(),
-        waiting_samples: SampleQuantiles::with_capacity(config.samples),
-        service_stats: OnlineStats::new(),
-        delayed: 0,
-        peak_queue: 0,
-        arrivals_seen: 0,
-    };
-    let mut sched: Scheduler<EventDriven<S>> = Scheduler::new();
-    schedule_arrival(&mut sched, &mut state);
-    while state.recorded < state.target {
-        if !sched.step(&mut state) {
-            break;
-        }
-    }
-    Mg1SimResult {
-        waiting: state.waiting,
-        waiting_samples: state.waiting_samples,
-        service: state.service_stats,
-        waiting_probability: state.delayed as f64
-            / (state.recorded.saturating_sub(state.warmup)).max(1) as f64,
-        peak_queue_length: state.peak_queue,
-    }
-}
-
-fn schedule_arrival<S: ServiceSampler + 'static>(
-    sched: &mut Scheduler<EventDriven<S>>,
-    state: &mut EventDriven<S>,
-) {
-    let gap = crate::random::sample_exponential(&mut state.rng, state.arrival_rate);
-    sched.schedule_in(gap, arrival_event::<S>);
-}
-
-fn arrival_event<S: ServiceSampler + 'static>(
-    sched: &mut Scheduler<EventDriven<S>>,
-    state: &mut EventDriven<S>,
-) {
-    state.arrivals_seen += 1;
-    let now = sched.now().as_secs();
-    if state.server_busy {
-        state.queue.push_back(now);
-        state.peak_queue = state.peak_queue.max(state.queue.len());
-    } else {
-        state.server_busy = true;
-        record_wait(state, 0.0);
-        start_service(sched, state);
-    }
-    if state.arrivals_seen < state.target + 1 {
-        schedule_arrival(sched, state);
-    }
-}
-
-fn start_service<S: ServiceSampler + 'static>(
-    sched: &mut Scheduler<EventDriven<S>>,
-    state: &mut EventDriven<S>,
-) {
-    let b = state.service.sample(&mut state.rng);
-    if state.recorded > state.warmup {
-        state.service_stats.push(b);
-    }
-    sched.schedule_in(b, departure_event::<S>);
-}
-
-fn departure_event<S: ServiceSampler + 'static>(
-    sched: &mut Scheduler<EventDriven<S>>,
-    state: &mut EventDriven<S>,
-) {
-    match state.queue.pop_front() {
-        None => {
-            state.server_busy = false;
-        }
-        Some(arrived_at) => {
-            let wait = sched.now().as_secs() - arrived_at;
-            record_wait(state, wait);
-            start_service(sched, state);
-        }
-    }
-}
-
-fn record_wait<S>(state: &mut EventDriven<S>, wait: f64) {
-    state.recorded += 1;
-    if state.recorded > state.warmup {
-        state.waiting.push(wait);
-        state.waiting_samples.push(wait);
-        if wait > 0.0 {
-            state.delayed += 1;
-        }
     }
 }
 
@@ -323,19 +185,6 @@ mod tests {
             // messages would wait less than a quarter as long.
             assert!(model.mean_waiting_time() < 0.25 * simulated);
         }
-    }
-
-    #[test]
-    fn event_driven_agrees_with_lindley() {
-        let cfg = Mg1SimConfig { arrival_rate: 0.7, samples: 150_000, warmup: 20_000, seed: 11 };
-        let service = ExponentialService { mean: 1.0 };
-        let a = simulate_lindley(&cfg, &service);
-        let b = simulate_event_driven(&cfg, service);
-        let diff = (a.waiting.mean() - b.waiting.mean()).abs();
-        // Different event orderings, same distribution: means within 5%.
-        let tol = 0.05 * a.waiting.mean().max(0.1);
-        assert!(diff < tol * 3.0, "lindley {} vs event {}", a.waiting.mean(), b.waiting.mean());
-        assert!(b.peak_queue_length > 0);
     }
 
     #[test]

@@ -31,10 +31,10 @@
 //!
 //! The server keeps its own [`MetricsRegistry`] (see
 //! [`BrokerServer::metrics`]): gauge `net.connections.active` counts live
-//! connections, gauge `net.conn.<id>.queue_depth` is what a connection has
-//! still to write (replies queued plus copies waiting in its subscriptions'
-//! queues), so a saturated subscriber link shows up as a depth at its
-//! bound, and histogram `net.writer.batch_frames` has the frames per socket
+//! connections, gauge `net.conn.<id>.queue_depth` is what a live
+//! connection has still to write (replies queued plus copies waiting in its
+//! subscriptions' queues), so a saturated subscriber link shows up as a
+//! depth at its bound and a closed connection leaves no series, and histogram `net.writer.batch_frames` has the frames per socket
 //! write: the batch-size distribution `X` a client sees.
 
 use crate::wire::{
@@ -71,12 +71,15 @@ pub struct BrokerServer {
     local_addr: SocketAddr,
     stopping: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    /// Clones of the live connections' streams, so shutdown can tear them
-    /// down (a closed stream ends the connection's reader loop); each
-    /// connection's handler removes its own on the way out.
-    connections: Arc<parking_lot::Mutex<HashMap<u64, TcpStream>>>,
+    connections: Connections,
     metrics: MetricsRegistry,
 }
+
+/// The live connections by id: a clone of each one's stream, so shutdown
+/// can tear it down (a closed stream ends the connection's reader loop), and
+/// its write backlog, which the registry reports while the entry is here.
+/// Each connection's handler removes its own on the way out.
+type Connections = Arc<parking_lot::Mutex<HashMap<u64, (TcpStream, Arc<Gauge>)>>>;
 
 impl std::fmt::Debug for BrokerServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -101,7 +104,13 @@ impl BrokerServer {
         let stopping = Arc::new(AtomicBool::new(false));
         let metrics = MetricsRegistry::new();
 
-        let connections = Arc::new(parking_lot::Mutex::new(HashMap::new()));
+        let connections: Connections = Arc::default();
+        let live = Arc::clone(&connections);
+        metrics.register_source(move |snapshot| {
+            for (id, (_, depth)) in live.lock().iter() {
+                snapshot.gauges.insert(format!("net.conn.{id}.queue_depth"), depth.get());
+            }
+        });
         let accept_broker = Arc::clone(&broker);
         let accept_stopping = Arc::clone(&stopping);
         let accept_connections = Arc::clone(&connections);
@@ -126,16 +135,12 @@ impl BrokerServer {
                                 .spawn(move || {
                                     // Listed before `stopping` is read: a
                                     // shutdown that missed it is seen there.
+                                    let depth = Arc::new(Gauge::new());
                                     if let Ok(clone) = stream.try_clone() {
-                                        connections.lock().insert(connection_id, clone);
+                                        let entry = (clone, Arc::clone(&depth));
+                                        connections.lock().insert(connection_id, entry);
                                     }
-                                    handle_connection(
-                                        broker,
-                                        stopping,
-                                        stream,
-                                        metrics,
-                                        connection_id,
-                                    );
+                                    handle_connection(broker, stopping, stream, metrics, depth);
                                     connections.lock().remove(&connection_id);
                                 });
                         }
@@ -167,9 +172,9 @@ impl BrokerServer {
     }
 
     /// The server's wire-level instrument registry: gauge
-    /// `net.connections.active`, what each connection has still to write
-    /// under `net.conn.<id>.queue_depth` (reset to 0 when the connection
-    /// closes), and histogram `net.writer.batch_frames`, the frames each
+    /// `net.connections.active`, what each live connection has still to
+    /// write under `net.conn.<id>.queue_depth` (the series goes when the
+    /// connection closes), and histogram `net.writer.batch_frames`, the frames each
     /// socket write carried (all connections; one sample per write).
     /// Broker-side instruments live in
     /// [`Broker::metrics`](rjms_broker::Broker::metrics) instead.
@@ -198,7 +203,7 @@ impl BrokerServer {
         // Tear down live connections; their reader loops exit on the
         // closed streams and the embedded broker stops once the last
         // connection handler drops its handle.
-        for (_, stream) in self.connections.lock().drain() {
+        for (_, (stream, _)) in self.connections.lock().drain() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
     }
@@ -255,7 +260,7 @@ fn handle_connection(
     stopping: Arc<AtomicBool>,
     stream: TcpStream,
     metrics: MetricsRegistry,
-    connection_id: u64,
+    depth: Arc<Gauge>,
 ) {
     if stopping.load(Ordering::Relaxed) {
         return;
@@ -279,7 +284,6 @@ fn handle_connection(
     let subscriptions = Arc::clone(&conn.subscriptions);
     let bell = (rung, Arc::clone(&conn.ring));
     let recorder = conn.broker.tracer();
-    let depth = metrics.gauge(&format!("net.conn.{connection_id}.queue_depth"));
     let batch_frames = metrics.histogram("net.writer.batch_frames");
     let writer = std::thread::Builder::new()
         .name("rjms-net-writer".to_owned())

@@ -356,6 +356,32 @@ fn wire_metrics_record_rtt_and_connections() {
     server.shutdown();
 }
 
+/// Only live connections have a backlog gauge: connection churn does not
+/// grow the server's registry.
+#[test]
+fn a_closed_connection_leaves_no_queue_depth_gauge() {
+    let server = server();
+    for _ in 0..20 {
+        let client = RemoteBroker::connect(server.local_addr()).unwrap();
+        client.ping().unwrap();
+        drop(client);
+    }
+    let depth_gauges = |gauges: &std::collections::BTreeMap<String, i64>| {
+        gauges.keys().filter(|k| k.starts_with("net.conn.")).count()
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut gauges = server.metrics().snapshot().gauges;
+    while (gauges["net.connections.active"] > 0 || depth_gauges(&gauges) > 0)
+        && Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(10));
+        gauges = server.metrics().snapshot().gauges;
+    }
+    assert_eq!(gauges["net.connections.active"], 0);
+    assert_eq!(depth_gauges(&gauges), 0, "{gauges:?}");
+    server.shutdown();
+}
+
 #[test]
 fn deliveries_in_flight_do_not_wait_for_a_delayed_ack() {
     // Closed loop on the delivery, four messages in flight, publisher and

@@ -439,37 +439,6 @@ impl AlertSink for MemorySink {
     }
 }
 
-/// Tracks the worst state seen, for CI gating via process exit code
-/// (`0` ok, `1` warning or forecast-pending seen, `2` firing seen).
-#[derive(Debug, Clone, Default)]
-pub struct ExitCodeSink {
-    worst: Arc<Mutex<u8>>,
-}
-
-impl ExitCodeSink {
-    /// Creates a sink with a clean slate.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The exit code implied by the worst transition seen.
-    pub fn code(&self) -> u8 {
-        *self.worst.lock().expect("sink lock")
-    }
-}
-
-impl AlertSink for ExitCodeSink {
-    fn emit(&mut self, event: &AlertEvent) {
-        let severity = match event.to {
-            AlertState::Firing => 2,
-            AlertState::Warning | AlertState::Pending => 1,
-            AlertState::Ok | AlertState::Resolved => 0,
-        };
-        let mut worst = self.worst.lock().expect("sink lock");
-        *worst = (*worst).max(severity);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,18 +519,6 @@ mod tests {
         assert_eq!(m.state(), AlertState::Resolved);
         let e = step_at(&mut m, 63, 3.0, 3.0).unwrap();
         assert_eq!(e.to, AlertState::Firing);
-    }
-
-    #[test]
-    fn exit_code_sink_tracks_worst() {
-        let mut sink = ExitCodeSink::new();
-        let mut m = AlertMachine::new("w99", 2.0);
-        let e = step_at(&mut m, 1, 2.5, 0.0).unwrap();
-        sink.emit(&e);
-        assert_eq!(sink.code(), 1);
-        let e = step_at(&mut m, 2, 3.0, 3.0).unwrap();
-        sink.emit(&e);
-        assert_eq!(sink.code(), 2);
     }
 
     #[test]
@@ -719,23 +676,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!((e.from, e.to), (AlertState::Warning, AlertState::Pending));
-    }
-
-    #[test]
-    fn exit_code_sink_counts_pending_as_warning_severity() {
-        let mut sink = ExitCodeSink::new();
-        let mut m = AlertMachine::new("w99", 2.0);
-        let e = m
-            .step_with_forecast(
-                Duration::from_secs(1),
-                burn(0.1),
-                burn(0.1),
-                true,
-                forecast_evidence,
-            )
-            .unwrap();
-        sink.emit(&e);
-        assert_eq!(sink.code(), 1);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   their fast/slow burn-rate evaluation,
 //! * [`alert`] — the ok → warning → firing → resolved state machine with
 //!   hysteresis and cooldown, plus pluggable sinks (stderr, webhook,
-//!   in-memory, CI exit code),
+//!   in-memory),
 //! * [`forecast`] — the predictive layer: λ(t) trend estimation over the
 //!   history rings, analytic breach-point inversion, time-to-breach ETAs
 //!   with confidence bands, and the Little's-law telemetry self-check,
@@ -64,8 +64,8 @@ pub mod slo;
 pub mod topics;
 
 pub use alert::{
-    AlertEvent, AlertMachine, AlertSink, AlertState, Evidence, ExitCodeSink, ForecastEvidence,
-    MemorySink, StderrSink, WebhookSink,
+    AlertEvent, AlertMachine, AlertSink, AlertState, Evidence, ForecastEvidence, MemorySink,
+    StderrSink, WebhookSink,
 };
 pub use engine::{
     verdict_summary, ObjectiveStatus, ObsConfig, ObsCore, ObsRuntime, ShardAssessment,
