@@ -9,8 +9,8 @@
 
 use crate::error::Error;
 use crate::wire::{
-    decode_response, delivery_subscription, encode_request, oversized, FrameReader, Request,
-    Response, WireFilter, WireMessage, MAX_FRAME_LEN,
+    decode_delivery, decode_response, delivery_subscriptions, encode_request, oversized,
+    FrameReader, Request, Response, WireFilter, WireMessage, MAX_FRAME_LEN,
 };
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -339,6 +339,9 @@ impl Drop for RemoteBroker {
 
 /// Background reader: dispatches responses to pending calls and routes delivery
 /// frames, undecoded, to subscriber channels, once per read or when a reply is next.
+/// A frame goes to every subscription its id list names, as one shared `Bytes`
+/// each: the server sends a message once per connection, the client replicates
+/// it. A delivery it cannot route ends the connection.
 fn client_reader_loop(stream: impl Read, shared: &ClientShared, batch_frames: &Histogram) {
     let mut frames = FrameReader::new(stream);
     let mut routed: HashMap<u32, Frames> = HashMap::new();
@@ -351,23 +354,26 @@ fn client_reader_loop(stream: impl Read, shared: &ClientShared, batch_frames: &H
         }
     };
     while let Ok(Some(body)) = frames.next_frame() {
-        if let Some(subscription_id) = delivery_subscription(&body) {
-            routed.entry(subscription_id).or_default().push_back(body);
-        } else {
-            let Ok(response) = decode_response(body) else { break };
-            match response {
-                Response::Delivery { .. } => break, // too short to route: not a delivery
-                Response::Ok { request_id }
-                | Response::Pong { request_id }
-                | Response::Error { request_id, .. }
-                | Response::PublishDenied { request_id, .. } => {
+        match delivery_subscriptions(&body) {
+            Ok(Some(ids)) => {
+                ids.for_each(|id| routed.entry(id).or_default().push_back(body.clone()))
+            }
+            Ok(None) => match decode_response(body.clone()) {
+                Ok(
+                    response @ (Response::Ok { request_id }
+                    | Response::Pong { request_id }
+                    | Response::Error { request_id, .. }
+                    | Response::PublishDenied { request_id, .. }),
+                ) => {
                     // What preceded a reply on the wire is receivable when its call returns.
                     hand_over(&mut routed);
                     if let Some(tx) = shared.pending.lock().remove(&request_id) {
                         let _ = tx.send(response);
                     }
                 }
-            }
+                _ => break, // no response (a delivery was routed above)
+            },
+            Err(_) => break,
         }
         if !frames.buffered() {
             hand_over(&mut routed);
@@ -382,8 +388,9 @@ fn client_reader_loop(stream: impl Read, shared: &ClientShared, batch_frames: &H
 
 /// A remote subscription's consuming handle.
 ///
-/// `receive*` decodes the delivery frames, on the consumer's thread. So a
-/// message gets its id, `JMSTimestamp` and expiration base when it is
+/// `receive*` decodes the delivery frames, on the consumer's thread; a frame
+/// sent for several subscriptions is decoded once by each. So a message gets
+/// its id, `JMSTimestamp` and expiration base when it is
 /// *received*, not when it reached the socket; and a frame that does not decode
 /// is found when it is reached: the messages before it were delivered, that call
 /// and every later one fail as on a closed connection, which is then shut down.
@@ -436,7 +443,7 @@ impl RemoteSubscriber {
         if batch.is_empty() {
             *batch = more()?;
         }
-        if let Ok(Response::Delivery { message, .. }) = decode_response(batch.front()?.clone()) {
+        if let Ok(message) = decode_delivery(batch.front()?) {
             batch.pop_front();
             return Some(message.into_message());
         }

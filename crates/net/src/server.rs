@@ -5,8 +5,10 @@
 //! handles the client's requests, `rjms-net-writer` owns the socket's write
 //! half. A delivery takes the in-process path up to the socket: dispatcher
 //! → the subscription's bounded queue → the writer, which drains its
-//! connection's subscriptions itself and encodes each frame in place from
-//! the broker's `&Message` (DESIGN.md §3.6).
+//! connection's subscriptions itself, a copy from each per pass, and encodes
+//! one frame per message of a pass, in place from the broker's `&Message`,
+//! naming every subscription that took it (DESIGN.md §3.6). A frame above
+//! [`MAX_FRAME_LEN`], which the client would refuse, is left out and counted.
 //!
 //! The writer sleeps on one channel of [`Outbound`]s: replies, and a `Ring`
 //! token. Every subscription is opened with the connection's doorbell as
@@ -34,18 +36,21 @@
 //! connections, gauge `net.conn.<id>.queue_depth` is what a live
 //! connection has still to write (replies queued plus copies waiting in its
 //! subscriptions' queues), so a saturated subscriber link shows up as a
-//! depth at its bound and a closed connection leaves no series, and histogram `net.writer.batch_frames` has the frames per socket
-//! write: the batch-size distribution `X` a client sees.
+//! depth at its bound and a closed connection leaves no series, histogram
+//! `net.writer.batch_frames` has the frames per socket write (a delivery
+//! frame once, however many subscriptions it names): the batch-size
+//! distribution `X` a client sees, and counter `net.writer.oversized` the
+//! copies left out.
 
 use crate::wire::{
     decode_request, encode_delivery_into, encode_response_into, FrameReader, Request, Response,
-    WireFilter, WireMessage,
+    WireFilter, WireMessage, MAX_FRAME_LEN,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rjms_broker::{
     Broker, BrokerConfig, Error, Message, Publisher, Subscriber, TopicPattern, Wake,
 };
-use rjms_metrics::{clock, Gauge, Histogram, MetricsRegistry};
+use rjms_metrics::{clock, Counter, Gauge, MetricsRegistry};
 use rjms_trace::{FlightRecorder, SpanEvent, Stage};
 use std::collections::HashMap;
 use std::io::Write;
@@ -174,8 +179,11 @@ impl BrokerServer {
     /// The server's wire-level instrument registry: gauge
     /// `net.connections.active`, what each live connection has still to
     /// write under `net.conn.<id>.queue_depth` (the series goes when the
-    /// connection closes), and histogram `net.writer.batch_frames`, the frames each
-    /// socket write carried (all connections; one sample per write).
+    /// connection closes), histogram `net.writer.batch_frames`, the frames
+    /// each socket write carried (all connections; one sample per write),
+    /// and counter `net.writer.oversized`, the copies a writer left out
+    /// because their message's frame is above [`MAX_FRAME_LEN`]: the
+    /// subscription loses that message and the connection stays up.
     /// Broker-side instruments live in
     /// [`Broker::metrics`](rjms_broker::Broker::metrics) instead.
     pub fn metrics(&self) -> MetricsRegistry {
@@ -284,11 +292,10 @@ fn handle_connection(
     let subscriptions = Arc::clone(&conn.subscriptions);
     let bell = (rung, Arc::clone(&conn.ring));
     let recorder = conn.broker.tracer();
-    let batch_frames = metrics.histogram("net.writer.batch_frames");
     let writer = std::thread::Builder::new()
         .name("rjms-net-writer".to_owned())
         .spawn(move || {
-            writer_loop(write_stream, out_rx, subscriptions, bell, depth, batch_frames, recorder)
+            writer_loop(write_stream, out_rx, subscriptions, bell, depth, &metrics, recorder)
         })
         .expect("failed to spawn writer thread");
 
@@ -314,28 +321,31 @@ const WRITE_BATCH_BYTES: usize = 64 * 1024;
 /// are empty or the batch has [`WRITE_BATCH_BYTES`], and sends the lot with
 /// one `write_all`: a backlog costs one syscall per batch, an idle connection
 /// still sends a lone reply at once, a reply waits behind one batch at most.
+/// A pass's copies of one message go out as one frame (`encode_pass`).
 fn writer_loop(
     mut stream: TcpStream,
     out: Receiver<Outbound>,
     subscriptions: Subscriptions,
     (rung, ring): (Arc<AtomicBool>, Wake),
     depth: Arc<Gauge>,
-    batch_frames: Arc<Histogram>,
+    metrics: &MetricsRegistry,
     recorder: Option<Arc<FlightRecorder>>,
 ) {
+    let batch_frames = metrics.histogram("net.writer.batch_frames");
+    let oversized = metrics.counter("net.writer.oversized");
     let mut batch = Vec::with_capacity(WRITE_BATCH_BYTES);
     // The batch's deliveries, kept until the write has returned.
     let mut taken: Vec<(u32, Arc<Message>)> = Vec::new();
     let mut open = true;
     while open {
         let Ok(first) = out.recv() else { break };
-        let mut replies = 0;
+        let mut frames = 0;
         let mut next = Some(first);
         while let Some(outbound) = next {
             match outbound {
                 Outbound::Reply(response) => {
                     encode_response_into(&mut batch, &response);
-                    replies += 1;
+                    frames += 1;
                 }
                 // ORD: AcqRel swap, reads the doorbell's. Cleared before
                 // the queues are read, so a later copy rings again.
@@ -349,13 +359,12 @@ fn writer_loop(
             let subscriptions = subscriptions.lock();
             let mut found = true;
             while found && batch.len() < WRITE_BATCH_BYTES {
-                found = false;
+                let pass = taken.len();
                 for (id, subscriber) in subscriptions.iter() {
-                    let Some(message) = subscriber.try_receive() else { continue };
-                    encode_delivery_into(&mut batch, *id, &message);
-                    taken.push((*id, message));
-                    found = true;
+                    taken.extend(subscriber.try_receive().map(|message| (*id, message)));
                 }
+                found = taken.len() > pass;
+                frames += encode_pass(&mut batch, &mut taken, pass, &oversized);
             }
             let left: usize = subscriptions.iter().map(|(_, s)| s.queued()).sum();
             depth.set((out.len() + left) as i64);
@@ -364,9 +373,12 @@ fn writer_loop(
             }
         }
         if batch.is_empty() {
-            continue; // a ring whose copy an earlier drain had taken
+            // A ring whose copy an earlier drain had taken, or an oversized
+            // frame that must not pin its allocation to the connection.
+            batch.shrink_to(2 * WRITE_BATCH_BYTES);
+            continue;
         }
-        batch_frames.record(replies + taken.len() as u64);
+        batch_frames.record(frames);
         // Every tail-sampled delivery of the batch gets a wire-flush span
         // on its chain: the one write that carried its bytes off the server.
         let recorder = recorder.as_ref().filter(|_| !taken.is_empty());
@@ -408,6 +420,33 @@ fn writer_loop(
     subscriptions.lock().clear();
     depth.set(0);
     let _ = stream.shutdown(std::net::Shutdown::Both);
+}
+
+/// Encodes the copies of one pass, `taken[pass..]`, as one frame per message
+/// (in `Arc` address order: a pass has at most one copy per subscription) and
+/// returns the frames. A message whose frame is above [`MAX_FRAME_LEN`] leaves
+/// the batch and `taken`, its copies counted in `oversized`.
+fn encode_pass(
+    batch: &mut Vec<u8>,
+    taken: &mut Vec<(u32, Arc<Message>)>,
+    pass: usize,
+    oversized: &Counter,
+) -> u64 {
+    taken[pass..].sort_by_key(|(_, message)| Arc::as_ptr(message));
+    let (mut at, mut frames) = (pass, 0);
+    while let Some((_, message)) = taken.get(at) {
+        let copies = taken[at..].iter().take_while(|(_, m)| Arc::ptr_eq(m, message)).count();
+        let start = batch.len();
+        encode_delivery_into(batch, taken[at..at + copies].iter().map(|(id, _)| *id), message);
+        if batch.len() - start - 4 <= MAX_FRAME_LEN {
+            (at, frames) = (at + copies, frames + 1);
+        } else {
+            batch.truncate(start);
+            taken.drain(at..at + copies);
+            oversized.add(copies as u64);
+        }
+    }
+    frames
 }
 
 fn reader_loop(stream: TcpStream, conn: &mut Connection) {
@@ -539,7 +578,7 @@ fn subscribe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{encode_response, read_frame};
+    use crate::wire::{delivery_subscriptions, encode_response, read_frame};
     use bytes::Bytes;
     use rjms_broker::Filter;
     use std::time::Duration;
@@ -547,8 +586,10 @@ mod tests {
     /// The writer against a raw socket, everything queued before it starts:
     /// every kind of reply on its channel, and in four subscriptions'
     /// queues deliveries enough to pass the batch cap a few times, one of
-    /// them larger than the cap. The reference for a delivery's bytes is
-    /// the `WireMessage` route.
+    /// them larger than the cap. Three subscriptions take every one of 700
+    /// messages in the same pass: one frame each, naming all three. The
+    /// reference for a subscription's bytes is the `WireMessage` route's
+    /// frame for it alone.
     #[test]
     fn writer_puts_replies_and_queued_deliveries_on_the_socket_in_order_and_in_batches() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -576,8 +617,8 @@ mod tests {
         };
         publish(&[6], "#9", 3 * WRITE_BATCH_BYTES);
         (0..700).for_each(|_| publish(&[0, 1, 2], "#1", 100));
-        let deliveries = 1 + 3 * 700;
-        while subscriptions.iter().map(|(_, s)| s.queued()).sum::<usize>() < deliveries {
+        let (copies, messages) = (1 + 3 * 700, 1 + 700);
+        while subscriptions.iter().map(|(_, s)| s.queued()).sum::<usize>() < copies {
             std::thread::sleep(Duration::from_millis(1));
         }
 
@@ -595,25 +636,32 @@ mod tests {
         ring();
 
         let metrics = MetricsRegistry::new();
-        let batch_frames = metrics.histogram("net.writer.batch_frames");
         let subscriptions = Arc::new(parking_lot::Mutex::new(subscriptions));
-        let (depth, frames) = (metrics.gauge("depth"), Arc::clone(&batch_frames));
+        let (depth, registry) = (metrics.gauge("depth"), metrics.clone());
         let writer = std::thread::spawn(move || {
-            writer_loop(stream, out_rx, subscriptions, (rung, ring), depth, frames, None)
+            writer_loop(stream, out_rx, subscriptions, (rung, ring), depth, &registry, None)
         });
 
+        // Each delivery frame expanded into the frame its message would be
+        // for each id it names alone.
         let mut reply_frames = Vec::new();
         let mut delivered: HashMap<u32, Vec<Bytes>> = HashMap::new();
-        for _ in 0..replies.len() + deliveries {
+        let mut id_lists: HashMap<Vec<u32>, usize> = HashMap::new();
+        for _ in 0..replies.len() + messages {
             let body = read_frame(&mut peer).unwrap().expect("a frame");
-            let frame = [&(body.len() as u32).to_le_bytes()[..], &body[..]].concat();
-            match body[0] {
-                0x85 => {
-                    let subscription_id = u32::from_le_bytes(body[1..5].try_into().unwrap());
-                    delivered.entry(subscription_id).or_default().push(frame.into());
-                }
-                _ => reply_frames.push(Bytes::from(frame)),
+            let Some(ids) = delivery_subscriptions(&body).unwrap() else {
+                let frame = [&(body.len() as u32).to_le_bytes()[..], &body[..]].concat();
+                reply_frames.push(Bytes::from(frame));
+                continue;
+            };
+            let ids: Vec<u32> = ids.collect();
+            let fields = &body[5 + 4 * ids.len()..];
+            for &id in &ids {
+                let len = (fields.len() as u32 + 9).to_le_bytes();
+                let frame = [&len[..], &[0x85, 1, 0, 0, 0], &id.to_le_bytes(), fields].concat();
+                delivered.entry(id).or_default().push(frame.into());
             }
+            *id_lists.entry(ids).or_default() += 1;
         }
         out_tx.send(Outbound::Close).unwrap();
         writer.join().unwrap();
@@ -622,12 +670,17 @@ mod tests {
         let expected_replies: Vec<Bytes> = replies.iter().map(encode_response).collect();
         assert!(reply_frames == expected_replies, "replies differ from the frames in queue order");
         assert!(delivered == expected, "a subscription's bytes differ from its frames in order");
+        // One frame per message: 700 name subscriptions 0, 1 and 2, not
+        // 2 100 name one each.
+        assert_eq!(id_lists, HashMap::from([(vec![6], 1), (vec![0, 1, 2], 700)]));
         // One sample per write, each frame counted once: the oversized
         // delivery closes the first batch, the rest go out a cap at a time.
-        let batches = batch_frames.snapshot();
-        assert_eq!(batches.sum, (replies.len() + deliveries) as u64);
+        let snapshot = metrics.snapshot();
+        let batches = snapshot.histogram("net.writer.batch_frames").expect("writes recorded");
+        assert_eq!(batches.sum, (replies.len() + messages) as u64);
         assert!(batches.count < 10, "{} writes for {} frames", batches.count, batches.sum);
-        assert_eq!(metrics.snapshot().gauges["depth"], 0);
+        assert_eq!(snapshot.gauges["depth"], 0);
+        assert_eq!(snapshot.counters["net.writer.oversized"], 0);
         broker.shutdown();
     }
 }

@@ -13,6 +13,13 @@
 //! its message's trace context, and a publish that admission control turns
 //! away is answered with [`Response::PublishDenied`]. Any opcode not listed
 //! here is a protocol violation, on which the server drops the connection.
+//!
+//! A delivery is `0x85 ++ u32 count ++ count × u32 subscription id ++ the
+//! message`: one frame per message per connection, replicated by the
+//! client; [`Response::Delivery`] is the frame for one subscription. The
+//! server groups the copies of one pass over its queues, at most one per
+//! subscription, so no subscription's order can change; grouping across
+//! passes could reorder one (DESIGN.md §3.6).
 
 use bytes::{Buf, Bytes};
 use rjms_broker::codec::{Fields, Put, Reader};
@@ -118,7 +125,7 @@ pub enum Response {
         /// Human-readable reason.
         message: String,
     },
-    /// A delivered message (not correlated to a request).
+    /// A delivered message (not correlated to a request) for one subscription.
     Delivery {
         /// The subscription it belongs to.
         subscription_id: u32,
@@ -354,8 +361,7 @@ pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
             out.str(message);
         }
         Response::Delivery { subscription_id, message } => {
-            out.push(0x85);
-            out.u32(*subscription_id);
+            put_delivery_head(out, std::iter::once(*subscription_id));
             put_message(out, message);
         }
         Response::Pong { request_id } => {
@@ -372,14 +378,25 @@ pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
     end_frame(out, start);
 }
 
-/// Appends the frame [`encode_response_into`] gives for a
-/// [`Response::Delivery`] of [`WireMessage::from_message`]`(message)`,
-/// encoding from the broker's message in place: no header string, property
-/// or body is copied on the way.
-pub fn encode_delivery_into(out: &mut Vec<u8>, subscription_id: u32, message: &Message) {
-    let start = begin_frame(out);
+/// A delivery frame's opcode and id list.
+fn put_delivery_head(out: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = u32>) {
     out.push(0x85);
-    out.u32(subscription_id);
+    out.u32(ids.len() as u32);
+    ids.for_each(|id| out.u32(id));
+}
+
+/// Appends one delivery frame of `message` for all of `subscription_ids`,
+/// encoding from the broker's message in place: no header string, property
+/// or body is copied on the way. For one id it is the frame
+/// [`encode_response_into`] gives for a [`Response::Delivery`] of
+/// [`WireMessage::from_message`]`(message)`.
+pub fn encode_delivery_into(
+    out: &mut Vec<u8>,
+    subscription_ids: impl IntoIterator<Item = u32, IntoIter: ExactSizeIterator>,
+    message: &Message,
+) {
+    let start = begin_frame(out);
+    put_delivery_head(out, subscription_ids.into_iter());
     out.fields(Fields::of(message, remaining_ttl(message)));
     end_frame(out, start);
 }
@@ -432,7 +449,13 @@ pub fn decode_response(body: Bytes) -> Result<Response, DecodeError> {
     let resp = match r.u8()? {
         0x81 => Response::Ok { request_id: r.u32()? },
         0x82 => Response::Error { request_id: r.u32()?, message: r.string()? },
-        0x85 => Response::Delivery { subscription_id: r.u32()?, message: read_message(&mut r)? },
+        0x85 => {
+            let Ok(id) = <[u8; 4]>::try_from(split_delivery(&body)?.0) else {
+                return Err(DecodeError::new("a delivery for more than one subscription"));
+            };
+            let message = decode_delivery(&body)?;
+            return Ok(Response::Delivery { subscription_id: u32::from_le_bytes(id), message });
+        }
         0x84 => Response::Pong { request_id: r.u32()? },
         0x87 => Response::PublishDenied {
             request_id: r.u32()?,
@@ -446,13 +469,39 @@ pub fn decode_response(body: Bytes) -> Result<Response, DecodeError> {
     Ok(resp)
 }
 
-/// The subscription a response frame body is a delivery for, from the opcode and the four
-/// bytes behind it: all a reader needs to route it. `None` for any other frame, or a short one.
-pub fn delivery_subscription(body: &[u8]) -> Option<u32> {
-    match *body {
-        [0x85, a, b, c, d, ..] => Some(u32::from_le_bytes([a, b, c, d])),
-        _ => None,
+/// A delivery frame body's id list, four bytes an id, and the message behind
+/// it. An empty list, or one longer than the body, does not decode.
+fn split_delivery(body: &[u8]) -> Result<(&[u8], &[u8]), DecodeError> {
+    let (count, rest) = body
+        .strip_prefix(&[0x85])
+        .and_then(<[u8]>::split_first_chunk)
+        .ok_or_else(|| DecodeError::new("not a delivery with an id count"))?;
+    match u32::from_le_bytes(*count) as usize {
+        count @ 1.. if count <= rest.len() / 4 => Ok(rest.split_at(4 * count)),
+        count => Err(DecodeError::new(format!("{count} subscription ids in {} bytes", rest.len()))),
     }
+}
+
+/// The subscriptions a response frame body is a delivery for, from the
+/// opcode and the id list behind it: all a reader needs to route it.
+/// `Ok(None)` for any other frame.
+pub fn delivery_subscriptions(
+    body: &[u8],
+) -> Result<Option<impl Iterator<Item = u32> + '_>, DecodeError> {
+    if body.first() != Some(&0x85) {
+        return Ok(None);
+    }
+    let ids = split_delivery(body)?.0.chunks_exact(4);
+    Ok(Some(ids.map(|id| u32::from_le_bytes(id.try_into().expect("4 bytes")))))
+}
+
+/// The message of a delivery frame body: what each subscription it names
+/// receives.
+pub fn decode_delivery(body: &[u8]) -> Result<WireMessage, DecodeError> {
+    let mut r = Reader::new(split_delivery(body)?.1);
+    let message = read_message(&mut r)?;
+    r.finish()?;
+    Ok(message)
 }
 
 /// Size of a [`FrameReader`]'s buffer: one `read` can bring in this many
@@ -750,13 +799,21 @@ mod tests {
         let expected =
             ["56000000", "0a", "07000000", "06000000", "6c6564676572", LEDGER_MESSAGE_HEX];
         assert_eq!(hex(&encode_request(&publish)), expected.concat());
-        // Length, opcode 0x85, subscription id 3, the message; from the
+        // Length, opcode 0x85, one subscription id: 3, the message; from the
         // wire message and in place from the broker's.
         let delivery = Response::Delivery { subscription_id: 3, message: ledger_message() };
-        let expected = ["4c000000", "85", "03000000", LEDGER_MESSAGE_HEX].concat();
+        let expected = ["50000000", "85", "01000000", "03000000", LEDGER_MESSAGE_HEX].concat();
         assert_eq!(hex(&encode_response(&delivery)), expected);
+        let message = ledger_message().into_message();
         let mut in_place = Vec::new();
-        encode_delivery_into(&mut in_place, 3, &ledger_message().into_message());
+        encode_delivery_into(&mut in_place, [3], &message);
+        assert_eq!(hex(&in_place), expected);
+        // For four subscriptions: one frame, 16 bytes longer than the 0x4c
+        // of a frame that named one subscription without a count.
+        let ids = ["04000000", "00000000", "01000000", "02000000", "03000000"];
+        let expected = ["5c000000", "85", &ids.concat(), LEDGER_MESSAGE_HEX].concat();
+        in_place.clear();
+        encode_delivery_into(&mut in_place, [0, 1, 2, 3], &message);
         assert_eq!(hex(&in_place), expected);
     }
 
@@ -777,7 +834,7 @@ mod tests {
         let delivery =
             encode_response(&Response::Delivery { subscription_id: 1, message: sample_message() });
         let untraced_delivery = [&[0x83][..], &untraced(delivery)].concat();
-        assert!(delivery_subscription(&untraced_delivery).is_none());
+        assert!(matches!(delivery_subscriptions(&untraced_delivery), Ok(None)));
         assert!(decode_response(untraced_delivery.into()).is_err());
     }
 

@@ -125,22 +125,28 @@ fn a_trailing_byte_closes_when_reached() {
 
 #[test]
 fn a_routable_frame_too_short_to_decode_closes_when_reached() {
-    // Opcode and subscription id, nothing behind them.
-    three_good_then(frame(&[0x85, 1, 0, 0, 0]));
+    // Opcode, an id count of 1 and subscription id 1, nothing behind them.
+    three_good_then(frame(&[0x85, 1, 0, 0, 0, 1, 0, 0, 0]));
 }
 
 #[test]
-fn a_delivery_too_short_to_route_closes_in_the_reader() {
-    guarded(|| {
-        let addr = scripted_peer(|stream| {
-            stream.write_all(&[delivery(1), frame(&[0x85, 0, 0])].concat()).unwrap();
+fn a_delivery_that_cannot_be_routed_closes_in_the_reader() {
+    // A count cut short, an id list longer than the frame, no id at all.
+    let unroutable: [&[u8]; 3] =
+        [&[0x85, 1, 0], &[0x85, 2, 0, 0, 0, 1, 0, 0, 0], &[0x85, 0, 0, 0, 0, 1, 0, 0, 0]];
+    for bad in unroutable {
+        let bad = frame(bad);
+        guarded(move || {
+            let addr = scripted_peer(move |stream| {
+                stream.write_all(&[delivery(1), bad].concat()).unwrap();
+            });
+            let (client, subscriber) = connect(addr);
+            // What the reader held when it met the frame is still handed over.
+            assert_good(&subscriber.receive().expect("the good delivery"), 1);
+            assert!(matches!(subscriber.receive(), Err(Error::Closed)));
+            assert!(matches!(client.ping(), Err(Error::Closed)));
         });
-        let (client, subscriber) = connect(addr);
-        // What the reader held when it met the frame is still handed over.
-        assert_good(&subscriber.receive().expect("the good delivery"), 1);
-        assert!(matches!(subscriber.receive(), Err(Error::Closed)));
-        assert!(matches!(client.ping(), Err(Error::Closed)));
-    });
+    }
 }
 
 #[test]

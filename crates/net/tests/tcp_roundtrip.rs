@@ -259,6 +259,26 @@ fn an_oversized_publish_fails_and_the_connection_stays_up() {
 }
 
 #[test]
+fn an_oversized_delivery_is_left_out_and_counted_and_the_connection_stays_up() {
+    let server = server();
+    let client = RemoteBroker::connect(server.local_addr()).unwrap();
+    client.create_topic("t").unwrap();
+    let sub = client.subscribe("t", WireFilter::None).unwrap();
+
+    // In process, where no frame limit applies on the way in: a frame the
+    // client would refuse by ending the connection, then a small one.
+    let publisher = server.broker().publisher("t").unwrap();
+    publisher.publish(Message::builder().body(vec![0u8; MAX_FRAME_LEN + 1]).build()).unwrap();
+    publisher.publish(Message::builder().body(vec![1u8; 8]).build()).unwrap();
+    let m = sub.receive_timeout(Duration::from_secs(5)).expect("the small message arrives");
+    assert_eq!(m.body().as_ref(), [1u8; 8]);
+    client.ping().expect("the connection is up");
+    assert!(sub.try_receive().is_none());
+    assert_eq!(server.metrics().snapshot().counters["net.writer.oversized"], 1);
+    server.shutdown();
+}
+
+#[test]
 fn ping_pong() {
     let server = server();
     let client = RemoteBroker::connect(server.local_addr()).unwrap();

@@ -1,13 +1,15 @@
-//! Property tests for the wire codec: arbitrary frames round-trip, the
-//! decoder is total (never panics) on arbitrary bytes, and `FrameReader`
+//! Property tests for the wire codec: arbitrary frames round-trip, a
+//! delivery for any id list routes to each id and decodes to its message,
+//! the decoder is total (never panics) on arbitrary bytes, and `FrameReader`
 //! finds the frames `read_frame` finds however the stream is cut up.
 //! `PROPTEST_CASES` sets the case count (256 by default).
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use rjms_net::wire::{
-    decode_request, decode_response, encode_delivery_into, encode_request, encode_response,
-    read_frame, FrameReader, Request, Response, WireFilter, WireMessage, WireTrace, MAX_FRAME_LEN,
+    decode_delivery, decode_request, decode_response, delivery_subscriptions, encode_delivery_into,
+    encode_request, encode_response, read_frame, FrameReader, Request, Response, WireFilter,
+    WireMessage, WireTrace, MAX_FRAME_LEN,
 };
 use rjms_selector::Value;
 use std::cell::Cell;
@@ -280,16 +282,90 @@ proptest! {
         let expected = encode_response(&Response::Delivery { subscription_id, message: reference });
         // Appended: what is already in the buffer stays.
         let mut out = behind.clone();
-        encode_delivery_into(&mut out, subscription_id, &message);
+        encode_delivery_into(&mut out, [subscription_id], &message);
         prop_assert_eq!(&out[..behind.len()], &behind[..]);
         prop_assert_eq!(&out[behind.len()..], &expected[..]);
+    }
+
+    /// One frame for any id list: the reader routes it to every id in
+    /// order, each decodes the one message, and only a list of one is a
+    /// `Response`.
+    #[test]
+    fn a_delivery_for_any_id_list_routes_to_each_and_decodes_its_message(
+        ids in prop::collection::vec(any::<u32>(), 1..12),
+        wire in message_strategy(),
+    ) {
+        let message = wire.into_message();
+        let mut frame = Vec::new();
+        encode_delivery_into(&mut frame, ids.iter().copied(), &message);
+        let body = Bytes::from(frame).slice(4..);
+        let routed: Vec<u32> =
+            delivery_subscriptions(&body).unwrap().expect("a delivery").collect();
+        prop_assert_eq!(&routed, &ids);
+        prop_assert_eq!(decode_delivery(&body).unwrap(), WireMessage::from_message(&message));
+        prop_assert_eq!(decode_response(body).is_ok(), ids.len() == 1);
+    }
+
+    /// A delivery for no subscription, or whose id list the frame cannot
+    /// hold, does not route and does not decode; a cut anywhere in a
+    /// delivery is refused and nothing panics.
+    #[test]
+    fn a_delivery_with_a_bad_id_list_or_cut_short_is_refused(
+        ids in prop::collection::vec(any::<u32>(), 1..12),
+        wire in message_strategy(),
+        cut_ratio in 0.0f64..1.0,
+        extra in 1u32..1000,
+    ) {
+        let message = wire.into_message();
+        let mut frame = Vec::new();
+        encode_delivery_into(&mut frame, ids.iter().copied(), &message);
+        let body = frame[4..].to_vec();
+        let refused = |body: &[u8]| {
+            delivery_subscriptions(body).is_err()
+                && decode_delivery(body).is_err()
+                && decode_response(Bytes::copy_from_slice(body)).is_err()
+        };
+        // More ids than the frame has room for behind the count.
+        let room = (body.len() as u32 - 5) / 4;
+        let mut long = body.clone();
+        long[1..5].copy_from_slice(&(room + extra).to_le_bytes());
+        prop_assert!(refused(&long));
+        let mut none = Vec::new();
+        encode_delivery_into(&mut none, [], &message);
+        prop_assert!(refused(&none[4..]));
+        // Cut inside the id list: unroutable; behind it: routable, but the
+        // message does not decode.
+        let cut = ((body.len() as f64) * cut_ratio) as usize;
+        let short = &body[..cut];
+        prop_assert!(decode_delivery(short).is_err());
+        prop_assert!(decode_response(Bytes::copy_from_slice(short)).is_err());
+        let routable = matches!(delivery_subscriptions(short), Ok(Some(_)));
+        prop_assert_eq!(routable, cut >= 5 + 4 * ids.len());
     }
 
     #[test]
     fn decoder_total_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         // Must never panic; errors are fine.
         let _ = decode_request(Bytes::from(bytes.clone()));
-        let _ = decode_response(Bytes::from(bytes));
+        let _ = decode_response(Bytes::from(bytes.clone()));
+        let _ = decode_delivery(&bytes);
+        let _ = delivery_subscriptions(&bytes).map(|ids| ids.map(Iterator::count));
+    }
+
+    /// Arbitrary bytes behind a delivery's opcode: the router and the
+    /// decoders never panic, and agree on what is routable.
+    #[test]
+    fn delivery_decoders_total_behind_the_opcode(
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let body = [&[0x85][..], &bytes].concat();
+        let routable = delivery_subscriptions(&body).map(|ids| ids.map(Iterator::count));
+        if decode_delivery(&body).is_ok() {
+            prop_assert!(matches!(routable, Ok(Some(n)) if n > 0));
+        }
+        if routable.is_err() {
+            prop_assert!(decode_response(Bytes::from(body)).is_err());
+        }
     }
 
     #[test]
