@@ -8,7 +8,7 @@
 //! cluster's advantage is structural (publisher-count independence, one
 //! logical server), and SSR is recovered as the `k = m` corner case.
 
-use rjms_bench::{experiment_header, BenchReport, Table};
+use rjms_bench::{experiment_header, Table};
 use rjms_core::architecture::{ClusterScenario, DistributedScenario};
 use rjms_core::params::CostParams;
 
@@ -39,14 +39,10 @@ fn main() {
     let ssr = psr_base.ssr_capacity();
 
     println!("m = {m} subscribers, 10 filters each, E[R] = 1, rho = 0.9\n");
-    let mut report = BenchReport::new("ext_cluster_scaling");
-    report.uint("subscribers", m as u64).num("ssr_capacity", ssr);
     let mut table = Table::new(&["k brokers", "cluster msgs/s", "PSR(n=k) msgs/s", "SSR msgs/s"]);
     for k in [1u32, 2, 5, 10, 50, 100, 500, 1_000, 10_000] {
         let clus = ClusterScenario { brokers: k, ..base };
         let psr = DistributedScenario { publishers: k, ..psr_base };
-        report.num(&format!("cluster_capacity_k{k}"), clus.capacity());
-        report.num(&format!("psr_capacity_k{k}"), psr.psr_capacity());
         table.row_strings(vec![
             k.to_string(),
             format!("{:.1}", clus.capacity()),
@@ -55,7 +51,6 @@ fn main() {
         ]);
     }
     table.print();
-    report.emit();
 
     println!();
     println!("observations:");

@@ -9,7 +9,7 @@
 //! many). This experiment runs the Fig. 10–12 pipeline under geometric `R`
 //! and validates the analytics against simulation.
 
-use rjms_bench::{experiment_header, BenchReport, Table};
+use rjms_bench::{experiment_header, Table};
 use rjms_core::model::ServerModel;
 use rjms_core::params::CostParams;
 use rjms_core::waiting::WaitingTimeAnalysis;
@@ -31,7 +31,6 @@ fn main() {
     let mut table =
         Table::new(&["E[R]", "cvar[B]", "rho", "E[W] analytic", "E[W] sim", "Q99.99/E[B]"]);
 
-    let mut artifact = BenchReport::new("ext_geometric_replication");
     for &mean_r in &[2.0, 10.0, 30.0] {
         let replication = ReplicationModel::geometric(mean_r);
         for &rho in &[0.7, 0.9] {
@@ -52,10 +51,6 @@ fn main() {
                 },
                 &sampler,
             );
-            let tag = format!("r{mean_r:.0}_rho{}", (rho * 100.0) as u32);
-            artifact.num(&format!("ew_analytic_ms_{tag}"), report.mean_waiting_time * 1e3);
-            artifact.num(&format!("ew_sim_ms_{tag}"), sim.waiting.mean() * 1e3);
-            artifact.num(&format!("cvar_{tag}"), report.service_cvar);
             table.row_strings(vec![
                 format!("{mean_r:.0}"),
                 format!("{:.3}", report.service_cvar),
@@ -67,7 +62,6 @@ fn main() {
         }
     }
     table.print();
-    artifact.emit();
 
     println!();
     println!("findings:");

@@ -30,7 +30,7 @@ fn main() {
             })
             .collect()
     };
-    // Every chosen gate runs and writes its artifact before the verdict.
+    // Every chosen gate runs and prints its table before the verdict.
     let failed: Vec<&str> =
         chosen.iter().filter(|gate| !gate.run(smoke)).map(|gate| gate.name).collect();
     if !failed.is_empty() {

@@ -18,7 +18,7 @@
 //! Exits 1 if, without fsync, a record in a run of 64 is not cheaper than
 //! a single append (the CI smoke check).
 
-use rjms_bench::{experiment_header, BenchReport, Table};
+use rjms_bench::{experiment_header, Table};
 use rjms_broker::persist::{encode_publish, encode_publish_into};
 use rjms_broker::Message;
 use rjms_core::capacity::server_capacity;
@@ -165,8 +165,6 @@ fn main() {
         "capacity vs mem",
         "E[W] rho=0.9",
     ]);
-    let mut artifact = BenchReport::new("ext_persistence_cost");
-    artifact.num("memory_only_capacity", base_capacity);
     for cost in &costs {
         let params = memory_only.with_t_store(cost.t_store);
         let capacity = server_capacity(&params, n_fltr, mean_r, rho);
@@ -174,14 +172,6 @@ fn main() {
             WaitingTimeAnalysis::for_model(&ServerModel::new(params, n_fltr), replication, rho)
                 .expect("stable at rho < 1");
         let report = analysis.report();
-        let tag: String = cost
-            .policy
-            .label()
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect();
-        artifact.num(&format!("t_store_us_{tag}"), cost.t_store * 1e6);
-        artifact.num(&format!("capacity_ratio_{tag}"), capacity / base_capacity);
         table.row_strings(vec![
             cost.policy.label(),
             format!("{:.2}us", cost.t_store * 1e6),
@@ -220,13 +210,6 @@ fn main() {
     }
     runs.print();
     let never = &costs[0];
-    let (t_frame, t_write) = never.fit();
-    artifact.num("t_store_us_never_run1", never.batched[0] * 1e6);
-    artifact.num("t_store_us_never_run8", never.batched[1] * 1e6);
-    artifact.num("t_store_us_never_run64", never.batched[2] * 1e6);
-    artifact.num("t_frame_us_never", t_frame * 1e6);
-    artifact.num("t_write_us_never", t_write * 1e6);
-    artifact.emit();
 
     println!();
     println!(

@@ -27,11 +27,11 @@
 //! ([`Pair::ns_per_msg`]): the feature's own `t_feature`.
 //!
 //! `ext_overhead [gate…] [--smoke]` runs the named gates (all when none is
-//! named), writes one `BENCH_ext_<gate>_overhead.json` each, and exits
-//! non-zero when a feature is over budget, so CI runs it as a regression
-//! gate. `--smoke` runs fewer pairs per gate than a full run.
+//! named), prints each one's `feature cost … ns/msg [GATE: budget …]` line,
+//! and exits non-zero when a feature is over budget, so CI runs it as a
+//! regression gate. `--smoke` runs fewer pairs per gate than a full run.
 
-use crate::{experiment_header, BenchReport, Table};
+use crate::{experiment_header, Table};
 use rjms_broker::{
     Broker, BrokerConfig, BrokerConfigBuilder, Filter, FlowConfig, Message, MetricsConfig,
     OverflowPolicy, Publisher, TopicObsConfig, TraceConfig,
@@ -136,8 +136,6 @@ pub struct After {
     pub check: fn(&Broker, rate: f64) -> f64,
     /// The table column's header.
     pub column: &'static str,
-    /// The artifact field that takes the largest reading.
-    pub field: &'static str,
     /// The summary line; `{}` is the largest reading.
     pub summary: &'static str,
 }
@@ -146,7 +144,7 @@ pub struct After {
 #[derive(Debug, Clone, Copy)]
 pub struct Gate {
     /// Short name: the command-line argument, and `ext_<name>_overhead` is
-    /// the header id and the artifact's name.
+    /// the header id.
     pub name: &'static str,
     /// The EXPERIMENTS.md section.
     pub section: &'static str,
@@ -162,8 +160,6 @@ pub struct Gate {
     pub topics: usize,
     /// What the baseline is, printed under the workload line.
     pub note: &'static str,
-    /// Constants of the set-up recorded in the artifact.
-    pub fields: &'static [(&'static str, f64)],
     /// Adds what the arm (`on` or off) runs with to the shared builder.
     pub configure: fn(BrokerConfigBuilder, on: bool) -> BrokerConfigBuilder,
     /// Starts what runs beside the broker; dropped before shutdown.
@@ -249,7 +245,6 @@ pub static GATES: [Gate; 6] = [
         budget_ns: 500.0,
         topics: 1,
         note: "",
-        fields: &[],
         configure: |builder, on| if on { with_metrics(builder) } else { builder },
         attach: |_, _| None,
         after: None,
@@ -271,7 +266,6 @@ pub static GATES: [Gate; 6] = [
         budget_ns: 650.0,
         topics: 1,
         note: "baseline is metrics-on in both: the diff isolates the recorder",
-        fields: &[],
         configure: |builder, on| {
             let builder = with_metrics(builder);
             if on {
@@ -298,7 +292,6 @@ pub static GATES: [Gate; 6] = [
         budget_ns: 150.0,
         topics: 1,
         note: "baseline is metrics-on in both; sampler at 25 ms (production default 1 s)",
-        fields: &[("sample_interval_ms", SAMPLE_EVERY.as_millis() as f64)],
         configure: |builder, _| with_metrics(builder),
         attach: |broker, on| on.then(|| sampler(broker, false)),
         after: None,
@@ -319,13 +312,11 @@ pub static GATES: [Gate; 6] = [
         topics: 1,
         note: "gate seeded with E[B] = 0.15 us (t_rcv 30 ns, t_fltr 1.25 ns, t_tx 40 ns), so \
                lambda_max sits >= 4x above capacity",
-        fields: &[],
         configure: flow_gate,
         attach: |_, _| None,
         after: Some(After {
             check: flow_utilization,
             column: "rho (budget)",
-            field: "peak_budget_utilization",
             summary: "peak budget utilization across reps: rho = {} (regime: rho <= 0.25)",
         }),
     },
@@ -343,7 +334,6 @@ pub static GATES: [Gate; 6] = [
         budget_ns: 200.0,
         topics: 8,
         note: "baseline is metrics-on in both; observatory at its default cap",
-        fields: &[],
         configure: |builder, on| {
             let builder = with_metrics(builder);
             if on {
@@ -372,7 +362,6 @@ pub static GATES: [Gate; 6] = [
         topics: 1,
         note: "baseline is metrics + SLO engine in both; sampler at 25 ms \
                (production default 1 s)",
-        fields: &[("sample_interval_ms", SAMPLE_EVERY.as_millis() as f64)],
         configure: |builder, _| with_metrics(builder),
         attach: |broker, on| Some(sampler(broker, on)),
         after: None,
@@ -416,11 +405,10 @@ impl Gate {
         (cost, cost <= self.budget_ns)
     }
 
-    /// Runs the gate, prints its table, writes its artifact; `true` when
-    /// the feature's cost is within the budget.
+    /// Runs the gate and prints its table; `true` when the feature's cost
+    /// is within the budget.
     pub fn run(&self, smoke: bool) -> bool {
         let id = format!("ext_{}_overhead", self.name);
-        let mut report = BenchReport::new(&id);
         let reps = if smoke { SMOKE_REPS } else { FULL_REPS };
         experiment_header(&id, self.section, self.description);
         if smoke {
@@ -476,20 +464,6 @@ impl Gate {
         if let Some(after) = self.after {
             println!("{}", after.summary.replace("{}", &format!("{peak:.2}")));
         }
-
-        report.flag("smoke", smoke).uint("reps", reps as u64).uint("messages", MESSAGES);
-        for (field, value) in self.fields {
-            report.num(field, *value);
-        }
-        if self.topics > 1 {
-            report.uint("topics", self.topics as u64);
-        }
-        report.num("ns_per_msg", cost).num("budget_ns", self.budget_ns);
-        if let Some(after) = self.after {
-            report.num(after.field, peak);
-        }
-        report.flag("pass", pass);
-        report.emit();
 
         let outcome = if pass { "is within" } else { "exceeds" };
         println!("{}: {}", if pass { "PASS" } else { "FAIL" }, self.verdict.replace("{}", outcome));

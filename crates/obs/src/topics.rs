@@ -10,7 +10,9 @@
 //! greedy set of topic moves that brings the ratio back under target.
 //!
 //! The greedy is largest-first: repeatedly move the heaviest topic on the
-//! most loaded shard to the least loaded shard, as long as the move
+//! most loaded shard that fits on the least loaded shard without pushing
+//! it past the target; when none fits, move the heaviest one whose move
+//! still lowers the maximum (`min + l < max`). It stops when no move
 //! strictly shrinks the spread. Since the mean shard load is invariant
 //! under moves, shrinking the maximum is exactly shrinking the max/mean
 //! ratio.
@@ -178,9 +180,13 @@ pub fn analyze_skew(topics: &[TopicLoad], shards: usize, target_ratio: f64) -> S
                 .map(|(s, &l)| (s, l))
                 .expect("shards >= 1");
             // Largest topic on the hottest shard that still fits on the
-            // coldest shard without pushing *it* past the target.
+            // coldest shard without pushing *it* past the target; failing
+            // that, the largest whose move still lowers the maximum.
             let headroom = target_load - min_l;
-            let pick = pinned[max_s].iter().rposition(|&(l, _)| l > 0.0 && l <= headroom);
+            let pick =
+                pinned[max_s].iter().rposition(|&(l, _)| l > 0.0 && l <= headroom).or_else(|| {
+                    pinned[max_s].iter().rposition(|&(l, _)| l > 0.0 && min_l + l < load[max_s])
+                });
             let Some(pos) = pick else { break };
             let (l, idx) = pinned[max_s].remove(pos);
             load[max_s] -= l;
@@ -303,6 +309,20 @@ mod tests {
         assert!(!report.skewed);
         assert_eq!(report.shares.len(), 4);
         assert!((report.max_mean_ratio - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_move_past_the_target_is_taken_when_it_lowers_the_maximum() {
+        // Eight topics pinned hot, one measured heavier than its peers. Once
+        // the other shards sit near the target no topic of 150 fits, but
+        // moving one still lowers the maximum, and the advisor goes on.
+        let mut topics: Vec<TopicLoad> =
+            (0..7).map(|i| topic(&format!("hot{i}"), 0, 150.0, 1e-3)).collect();
+        topics.push(topic("heavy", 0, 185.0, 1e-3));
+        topics.extend((1..4).map(|s| topic(&format!("cold{s}"), s, 40.0, 1e-3)));
+        let report = analyze_skew(&topics, 4, TARGET);
+        assert!(report.post_ratio <= TARGET, "post {} via {:?}", report.post_ratio, report.moves);
+        assert_eq!(report.moves.len(), 7);
     }
 
     #[test]
