@@ -2,9 +2,9 @@
 //! [`BrokerSnapshot`] and the per-shard model reports — the one place the
 //! paper's method (measure an operating point, evaluate Eq. 1 + M/GI/1
 //! *for that server*, compare) is spelled. `/shards`, `/model`, the
-//! periodic text report, the flow-refresh thread and the per-shard monitors
-//! handed to the SLO engine all read it from here. Nothing here runs on the
-//! dispatch path.
+//! periodic text report and the per-shard monitors handed to the SLO engine
+//! all read it from here, and the flow-refresh thread its shards'
+//! measurements. Nothing here runs on the dispatch path.
 
 use crate::broker::{topics_overflowed, BrokerInner, Topic};
 use crate::config::BrokerConfig;
@@ -12,9 +12,12 @@ use crate::stats::{
     per_message, BrokerSnapshot, FlowCounters, MessageCounters, ShardSnapshot,
     SubscriptionCounters, TopicStats,
 };
-use rjms_core::{CostParams, ModelMonitor, ModelVerdict, ReplicationModel, ServerModel};
+use rjms_core::monitor::MIN_SAMPLES;
+use rjms_core::{
+    CostParams, MeasuredSummary, ModelMonitor, ModelVerdict, ReplicationModel, ServerModel,
+};
 use rjms_flow::FlowGate;
-use rjms_metrics::{clock, shard_series, RegistrySnapshot};
+use rjms_metrics::{clock, shard_series};
 use rjms_trace::{group_chains, FlightRecorder};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -109,15 +112,19 @@ pub(crate) fn snapshot_of(inner: &BrokerInner) -> BrokerSnapshot {
     }
 }
 
-/// Periodically re-calibrates the flow gate's arrival budget from the
-/// per-shard model reports: every refresh interval it assesses each shard
-/// at its *measured* operating point ([`shard_reports_in`]) and feeds the
-/// shard that bounds W99 ([`ModelVerdict::bounding`]; the gate's budget is
-/// `k · λ_per_shard`) to [`FlowGate::refresh`] — drift re-derives λ_max
-/// from that shard's measured moments, overload tightens the budget.
+/// Periodically re-inverts the flow gate's arrival budget from what the
+/// dispatchers measured: every refresh interval it summarizes each shard's
+/// waiting and service histograms over the broker's lifetime
+/// ([`MeasuredSummary::of`]) and feeds the busiest shard's to
+/// [`FlowGate::refresh`], with the number of servers the traffic spans,
+/// `Σλ_i / λ_busiest` — `k` at even load, 1 when one shard takes it all —
+/// so the busiest shard is held at `ρ_max` however the topics spread. The
+/// measured service time is the sum of the four dispatch stages, the
+/// journal's write among them, so it already carries `t_store`.
 pub(crate) fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
     let Some(metrics) = &inner.metrics else { return };
     let interval = Duration::from_millis(gate.config().refresh_interval_ms.max(1));
+    let shards = inner.config.shards;
     loop {
         // Sleep in short slices so shutdown is prompt.
         let deadline = Instant::now() + interval;
@@ -128,21 +135,23 @@ pub(crate) fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
             std::thread::sleep(Duration::from_millis(25));
         }
         let snap = metrics.registry.snapshot();
-        // Journal-aware budget: with persistence on, feed the *measured*
-        // per-message store cost (mean append plus amortized fsync time)
-        // into the gate's analytic seed, closing Eq. 1's t_store term
-        // over the live journal instead of a configured guess. (The
-        // series exists only with a journal and reads `None` while empty.)
-        if let Some(append) = snap.histogram("journal.append_ns") {
-            let mut store_ns = append.mean();
-            if let Some(fsync) = snap.histogram("journal.fsync_ns") {
-                store_ns += fsync.mean() * fsync.count as f64 / append.count as f64;
-            }
-            gate.reseed_store_cost(store_ns * 1e-9);
+        let elapsed = inner.started.elapsed();
+        let (mut dispatched, mut busiest) = (0, None::<MeasuredSummary>);
+        for shard in 0..shards {
+            let series = |base| snap.histogram(&shard_series(base, shard, shards));
+            let (Some(waiting), Some(service)) =
+                (series("broker.waiting_ns"), series("broker.service_ns"))
+            else {
+                continue;
+            };
+            dispatched += waiting.count;
+            busiest = (busiest.into_iter())
+                .chain(MeasuredSummary::of(waiting, service, elapsed))
+                .max_by(|a, b| a.utilization.total_cmp(&b.utilization));
         }
-        let reports = shard_reports_in(inner, &snap);
-        if let Some(verdict) = ModelVerdict::bounding(reports.iter().map(|r| &r.verdict)) {
-            gate.refresh(verdict);
+        if let Some(busiest) = busiest {
+            let servers = dispatched as f64 / elapsed.as_secs_f64() / busiest.arrival_rate;
+            gate.refresh(&busiest, servers);
         }
     }
 }
@@ -155,8 +164,7 @@ pub(crate) fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
 /// ([`ClusterScenario`](rjms_core::ClusterScenario)).
 ///
 /// Produced by [`Broker::shard_reports`](crate::Broker::shard_reports);
-/// served by the `/shards` and `/model` HTTP endpoints, and what the flow
-/// gate is refreshed from.
+/// served by the `/shards` and `/model` HTTP endpoints.
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     /// Shard index in `0..shards`.
@@ -215,15 +223,10 @@ pub(crate) fn shard_monitors_of(inner: &BrokerInner) -> Vec<Option<ModelMonitor>
 /// metrics are off (nothing measured) or no cost anchor exists (Eq. 1 has
 /// no constants to predict with).
 pub(crate) fn shard_reports_of(inner: &BrokerInner) -> Vec<ShardReport> {
-    match &inner.metrics {
-        Some(metrics) => shard_reports_in(inner, &metrics.registry.snapshot()),
-        None => Vec::new(),
-    }
-}
-
-/// [`shard_reports_of`] over an already-taken registry snapshot.
-fn shard_reports_in(inner: &BrokerInner, snap: &RegistrySnapshot) -> Vec<ShardReport> {
-    let Some(params) = cost_anchor(&inner.config) else { return Vec::new() };
+    let (Some(metrics), Some(params)) = (&inner.metrics, cost_anchor(&inner.config)) else {
+        return Vec::new();
+    };
+    let snap = metrics.registry.snapshot();
     let elapsed = inner.started.elapsed();
     let shards = inner.config.shards;
     let (_, per_shard) = totals(&inner.topics.read(), shards, |_, _| {});
@@ -240,10 +243,7 @@ fn shard_reports_in(inner: &BrokerInner, snap: &RegistrySnapshot) -> Vec<ShardRe
                 (Some(waiting), Some(service)) => {
                     (waiting.count, monitor.assess(waiting, service, elapsed))
                 }
-                _ => {
-                    let required = monitor.tolerance().min_samples;
-                    (0, ModelVerdict::Insufficient { samples: 0, required })
-                }
+                _ => (0, ModelVerdict::Insufficient { samples: 0, required: MIN_SAMPLES }),
             };
             let secs = elapsed.as_secs_f64();
             let arrival_rate = if secs > 0.0 { samples as f64 / secs } else { 0.0 };

@@ -2,11 +2,11 @@
 //!
 //! Every rjms crate surfaces failures through one [`enum@Error`]: broker
 //! control-plane rejections, subscriber receive failures, journal
-//! persistence faults, and network transport problems. Domain crates keep
-//! deprecated aliases (`BrokerError`, `NetError`, …) for one release and
-//! convert their internal error types via `From` impls, so callers match
-//! on a single `#[non_exhaustive]` enum with [`std::error::Error::source`]
-//! chaining instead of juggling per-crate types.
+//! persistence faults, and network transport problems. Domain crates
+//! re-export it and convert their internal error types via `From` impls,
+//! so callers match on a single `#[non_exhaustive]` enum with
+//! [`std::error::Error::source`] chaining instead of juggling per-crate
+//! types.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

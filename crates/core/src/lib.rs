@@ -57,7 +57,7 @@ pub use calibrate::{
 pub use capacity::{break_even_match_probability, filter_benefit, server_capacity, FilterBenefit};
 pub use error::Error;
 pub use model::{ServerModel, ThroughputPrediction};
-pub use monitor::{DriftReport, DriftTolerance, ModelMonitor, ModelVerdict};
+pub use monitor::{DriftReport, MeasuredSummary, ModelMonitor, ModelVerdict};
 pub use params::{CostParams, FilterType};
 pub use regression::{CostRegression, FitMode, FittedCosts, RegressionReport, RegressionVerdict};
 pub use report::plan_report;

@@ -18,7 +18,7 @@
 //! ## Example
 //!
 //! ```
-//! use rjms_core::monitor::{DriftTolerance, ModelMonitor, ModelVerdict};
+//! use rjms_core::monitor::{ModelMonitor, ModelVerdict};
 //! use rjms_core::{CostParams, ReplicationModel, ServerModel};
 //! use rjms_metrics::Histogram;
 //! use std::time::Duration;
@@ -41,37 +41,22 @@ use rjms_queueing::replication::ReplicationModel;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// Relative tolerances for the analytic-vs-measured comparison.
-///
-/// The defaults are deliberately loose: histogram quantization contributes
-/// up to 3.125%, the Gamma quantile approximation (Eq. 20) a few percent
-/// more, and finite measurement windows add sampling noise on top.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DriftTolerance {
-    /// Maximum relative error of measured `E[B]` vs the Eq. 1 prediction.
-    pub service_mean: f64,
-    /// Maximum absolute error of measured `c_var[B]` vs the model.
-    pub service_cvar: f64,
-    /// Maximum relative error of measured `E[W]` vs the M/GI/1 prediction.
-    pub waiting_mean: f64,
-    /// Maximum relative error of the measured 99% waiting-time quantile vs
-    /// the Gamma-approximated `Q_0.99[W]`.
-    pub waiting_q99: f64,
-    /// Minimum number of waiting-time samples for a meaningful verdict.
-    pub min_samples: u64,
-}
+// The analytic-vs-measured tolerances. Deliberately loose: histogram
+// quantization contributes up to 3.125%, the Gamma quantile approximation
+// (Eq. 20) a few percent more, and finite measurement windows add sampling
+// noise on top.
 
-impl Default for DriftTolerance {
-    fn default() -> Self {
-        Self {
-            service_mean: 0.15,
-            service_cvar: 0.25,
-            waiting_mean: 0.30,
-            waiting_q99: 0.35,
-            min_samples: 1_000,
-        }
-    }
-}
+/// Largest relative error of measured `E[B]` vs the Eq. 1 prediction.
+const SERVICE_MEAN_TOLERANCE: f64 = 0.15;
+/// Largest absolute error of measured `c_var[B]` vs the model.
+const SERVICE_CVAR_TOLERANCE: f64 = 0.25;
+/// Largest relative error of measured `E[W]` vs the M/GI/1 prediction.
+const WAITING_MEAN_TOLERANCE: f64 = 0.30;
+/// Largest relative error of the measured 99% waiting-time quantile vs the
+/// Gamma-approximated `Q_0.99[W]`.
+const WAITING_Q99_TOLERANCE: f64 = 0.35;
+/// Fewest waiting-time samples a window needs to be summarized at all.
+pub const MIN_SAMPLES: u64 = 1_000;
 
 /// Measured-side summary extracted from the live histograms (seconds).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -92,6 +77,36 @@ pub struct MeasuredSummary {
     pub q99: f64,
     /// Measured 99.99% waiting-time quantile, seconds.
     pub q9999: f64,
+}
+
+impl MeasuredSummary {
+    /// Summarizes one measurement window: `waiting` and `service` are
+    /// histograms of per-message waiting and service times in
+    /// **nanoseconds** (as recorded by the broker's dispatcher), `elapsed`
+    /// the wall-clock length of the window, which gives the arrival rate.
+    /// `None` below [`MIN_SAMPLES`] samples or for a zero-length window.
+    pub fn of(
+        waiting: &HistogramSnapshot,
+        service: &HistogramSnapshot,
+        elapsed: Duration,
+    ) -> Option<Self> {
+        let samples = waiting.count.min(service.count);
+        if samples < MIN_SAMPLES || elapsed.is_zero() {
+            return None;
+        }
+        const NS: f64 = 1e9;
+        let arrival_rate = waiting.count as f64 / elapsed.as_secs_f64();
+        Some(Self {
+            samples,
+            arrival_rate,
+            mean_service_time: service.mean() / NS,
+            service_cvar: service.cvar(),
+            utilization: arrival_rate * service.mean() / NS,
+            mean_waiting_time: waiting.mean() / NS,
+            q99: waiting.quantile(0.99).unwrap_or(0) as f64 / NS,
+            q9999: waiting.quantile(0.9999).unwrap_or(0) as f64 / NS,
+        })
+    }
 }
 
 /// One analytic-vs-measured comparison that exceeded its tolerance.
@@ -164,7 +179,7 @@ pub enum ModelVerdict {
     Insufficient {
         /// Waiting-time samples seen.
         samples: u64,
-        /// Samples required by the tolerance config.
+        /// Samples required ([`MIN_SAMPLES`]).
         required: u64,
     },
     /// The measured operating point has no stationary M/GI/1 regime
@@ -200,7 +215,7 @@ impl ModelVerdict {
     /// most overloaded one) before any other, else the highest measured
     /// utilisation, else — no server has enough samples yet — the one with
     /// the most. One server's verdict is itself; `None` only for no verdicts.
-    /// The flow gate is refreshed from it and the SLO engine judges it.
+    /// The SLO engine judges it.
     pub fn bounding<'a>(verdicts: impl IntoIterator<Item = &'a Self>) -> Option<&'a Self> {
         let load = |verdict: &Self| match verdict {
             Self::Overloaded { utilization } => (2, *utilization),
@@ -220,20 +235,13 @@ impl ModelVerdict {
 pub struct ModelMonitor {
     model: ServerModel,
     replication: ReplicationModel,
-    tolerance: DriftTolerance,
 }
 
 impl ModelMonitor {
     /// Creates a monitor for the calibrated `model` under the expected
-    /// replication-grade distribution, with default tolerances.
+    /// replication-grade distribution.
     pub fn new(model: ServerModel, replication: ReplicationModel) -> Self {
-        Self { model, replication, tolerance: DriftTolerance::default() }
-    }
-
-    /// Replaces the drift tolerances.
-    pub fn with_tolerance(mut self, tolerance: DriftTolerance) -> Self {
-        self.tolerance = tolerance;
-        self
+        Self { model, replication }
     }
 
     /// The analytic reference model.
@@ -241,46 +249,24 @@ impl ModelMonitor {
         &self.model
     }
 
-    /// The configured tolerances.
-    pub fn tolerance(&self) -> &DriftTolerance {
-        &self.tolerance
-    }
-
-    /// Judges one measurement window.
-    ///
-    /// `waiting` and `service` are histograms of per-message waiting and
-    /// service times in **nanoseconds** (as recorded by the broker's
-    /// dispatcher); `elapsed` is the wall-clock length of the window, used
-    /// to compute the measured arrival rate.
+    /// Judges one measurement window, summarized by
+    /// [`MeasuredSummary::of`].
     pub fn assess(
         &self,
         waiting: &HistogramSnapshot,
         service: &HistogramSnapshot,
         elapsed: Duration,
     ) -> ModelVerdict {
-        let samples = waiting.count.min(service.count);
-        if samples < self.tolerance.min_samples || elapsed.is_zero() {
-            return ModelVerdict::Insufficient { samples, required: self.tolerance.min_samples };
-        }
-
-        const NS: f64 = 1e9;
-        let arrival_rate = waiting.count as f64 / elapsed.as_secs_f64();
-        let measured = MeasuredSummary {
-            samples,
-            arrival_rate,
-            mean_service_time: service.mean() / NS,
-            service_cvar: service.cvar(),
-            utilization: arrival_rate * service.mean() / NS,
-            mean_waiting_time: waiting.mean() / NS,
-            q99: waiting.quantile(0.99).unwrap_or(0) as f64 / NS,
-            q9999: waiting.quantile(0.9999).unwrap_or(0) as f64 / NS,
+        let Some(measured) = MeasuredSummary::of(waiting, service, elapsed) else {
+            let samples = waiting.count.min(service.count);
+            return ModelVerdict::Insufficient { samples, required: MIN_SAMPLES };
         };
 
         // Predict at the *measured* arrival rate with the *calibrated*
         // service time: drift in the real per-message costs then shows up
         // as disagreement in both E[B] and E[W].
         let service_model = self.model.service_time(self.replication);
-        let rho = arrival_rate * service_model.mean();
+        let rho = measured.arrival_rate * service_model.mean();
         let analysis = match WaitingTimeAnalysis::for_service_time(service_model, rho) {
             Ok(a) => a,
             Err(_) => return ModelVerdict::Overloaded { utilization: rho },
@@ -302,23 +288,23 @@ impl ModelMonitor {
             "E[B]",
             measured.mean_service_time,
             predicted.mean_service_time,
-            self.tolerance.service_mean,
+            SERVICE_MEAN_TOLERANCE,
         );
         check_rel(
             "E[W]",
             measured.mean_waiting_time,
             predicted.mean_waiting_time,
-            self.tolerance.waiting_mean,
+            WAITING_MEAN_TOLERANCE,
         );
-        check_rel("Q99[W]", measured.q99, predicted.q99, self.tolerance.waiting_q99);
+        check_rel("Q99[W]", measured.q99, predicted.q99, WAITING_Q99_TOLERANCE);
         let cvar_error = (measured.service_cvar - predicted.service_cvar).abs();
-        if cvar_error > self.tolerance.service_cvar {
+        if cvar_error > SERVICE_CVAR_TOLERANCE {
             violations.push(DriftViolation {
                 quantity: "c_var[B]",
                 measured: measured.service_cvar,
                 predicted: predicted.service_cvar,
                 error: cvar_error,
-                tolerance: self.tolerance.service_cvar,
+                tolerance: SERVICE_CVAR_TOLERANCE,
             });
         }
 
@@ -342,14 +328,36 @@ mod tests {
         ModelMonitor::new(model, ReplicationModel::deterministic(5.0))
     }
 
+    /// Waiting and service histograms of `n` samples each.
+    fn window(n: u64) -> (HistogramSnapshot, HistogramSnapshot) {
+        let (waiting, service) = (Histogram::new(), Histogram::new());
+        for _ in 0..n {
+            waiting.record(1_000);
+            service.record(1_000);
+        }
+        (waiting.snapshot(), service.snapshot())
+    }
+
+    #[test]
+    fn a_window_is_summarized_from_min_samples_on() {
+        let second = Duration::from_secs(1);
+        let (waiting, service) = window(MIN_SAMPLES - 1);
+        assert_eq!(MeasuredSummary::of(&waiting, &service, second), None);
+        let (waiting, service) = window(MIN_SAMPLES);
+        assert_eq!(MeasuredSummary::of(&waiting, &service, Duration::ZERO), None);
+        let summary = MeasuredSummary::of(&waiting, &service, second).expect("enough samples");
+        assert_eq!(summary.samples, MIN_SAMPLES);
+        assert_eq!(summary.arrival_rate, MIN_SAMPLES as f64);
+    }
+
     #[test]
     fn too_few_samples_is_insufficient() {
-        let waiting = Histogram::new();
-        let service = Histogram::new();
-        waiting.record(1_000);
-        service.record(1_000);
-        let v = monitor().assess(&waiting.snapshot(), &service.snapshot(), Duration::from_secs(1));
-        assert!(matches!(v, ModelVerdict::Insufficient { samples: 1, .. }));
+        let (waiting, service) = window(MIN_SAMPLES - 1);
+        let v = monitor().assess(&waiting, &service, Duration::from_secs(1));
+        assert_eq!(
+            v,
+            ModelVerdict::Insufficient { samples: MIN_SAMPLES - 1, required: MIN_SAMPLES }
+        );
     }
 
     #[test]

@@ -23,12 +23,12 @@ pub(crate) const PRODUCER_SHARE: f64 = 0.5;
 /// Configuration for model-driven admission control.
 ///
 /// The model half (`params`, `filters`, `w99_objective`) seeds the
-/// [`FlowController`](crate::FlowController) until live drift verdicts
-/// recalibrate it; the mechanism half (`classes`, `refresh_interval_ms`)
-/// shapes how the budget is enforced. The inversion targets the objective
-/// divided by a headroom of 1.25 and assumes one copy per message; the
-/// global bucket holds 50 ms of `λ_max` and each producer may take half of
-/// it.
+/// [`FlowController`](crate::FlowController)'s first budget, which every
+/// refresh then re-inverts from the measured service time; the mechanism
+/// half (`classes`, `refresh_interval_ms`) shapes how the budget is
+/// enforced. The inversion targets the objective divided by a headroom of
+/// 1.25 and the seed assumes one copy per message; the global bucket holds
+/// 50 ms of `λ_max` and each producer may take half of it.
 ///
 /// # Examples
 ///
@@ -53,8 +53,8 @@ pub struct FlowConfig {
     pub params: CostParams,
     /// Assumed filter count `n_fltr` until live calibration takes over.
     pub filters: u32,
-    /// How often the broker re-assesses drift and refreshes the budget,
-    /// in milliseconds.
+    /// How often the broker re-inverts the budget from the measured service
+    /// time, in milliseconds.
     pub refresh_interval_ms: u64,
 }
 
@@ -108,7 +108,7 @@ impl FlowConfig {
         self
     }
 
-    /// Sets the drift-refresh interval in milliseconds.
+    /// Sets the budget-refresh interval in milliseconds.
     ///
     /// # Panics
     ///

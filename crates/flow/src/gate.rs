@@ -17,7 +17,7 @@
 use crate::bucket::TokenBucket;
 use crate::config::{FlowConfig, BURST_SECONDS, HEADROOM, PRODUCER_SHARE};
 use crate::controller::FlowController;
-use rjms_core::ModelVerdict;
+use rjms_core::MeasuredSummary;
 use rjms_metrics::{labeled, Histogram, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 // Sync primitives come through the rjms-conc facade so the loom models
@@ -101,7 +101,7 @@ pub struct FlowSnapshot {
     pub w99_objective: f64,
     /// Inversion headroom factor.
     pub headroom: f64,
-    /// Where the budget came from (`analytic`, `measured`, `tightened`).
+    /// Where the budget came from (`analytic`, `measured`).
     pub source: &'static str,
     /// Budget refreshes applied since start.
     pub refreshes: u64,
@@ -273,20 +273,11 @@ impl FlowGate {
         outcome
     }
 
-    /// Feeds a drift verdict to the controller; if the budget changed,
-    /// re-rates the global and producer buckets.
-    pub fn refresh(&self, verdict: &ModelVerdict) {
-        if let Some(lambda) = self.controller.refresh(verdict) {
-            self.apply_rate(lambda);
-        }
-    }
-
-    /// Re-seeds the controller's analytic model with a measured
-    /// per-message store cost (seconds); if that immediately changed the
-    /// budget, re-rates the buckets (see
-    /// [`FlowController::reseed_store_cost`]).
-    pub fn reseed_store_cost(&self, t_store: f64) {
-        if let Some(lambda) = self.controller.reseed_store_cost(t_store) {
+    /// Feeds the busiest shard's measurement, and the `servers` its load
+    /// is a share of, to the controller ([`FlowController::refresh`]); if
+    /// the budget changed, re-rates the global and producer buckets.
+    pub fn refresh(&self, busiest: &MeasuredSummary, servers: f64) {
+        if let Some(lambda) = self.controller.refresh(busiest, servers) {
             self.apply_rate(lambda);
         }
     }

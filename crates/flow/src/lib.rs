@@ -9,15 +9,14 @@
 //! Two layers:
 //!
 //! * [`FlowController`] inverts the `M/GI/1-∞` waiting-time predictor: for
-//!   the current service-time calibration `B` and a configured `W99`
-//!   objective it computes the largest utilization `ρ_max` whose predicted
-//!   99th waiting-time percentile stays inside the objective, and from it
-//!   the maximum sustainable arrival rate `λ_max = ρ_max / E[B]`. Live
-//!   [`ModelVerdict`]s from the drift monitor feed back into the budget: a
-//!   drifting model re-inverts with the *measured* service moments (a
-//!   slower server tightens `λ_max`), an overloaded verdict applies an
-//!   emergency multiplicative cut, and a calibrated verdict restores the
-//!   analytic budget.
+//!   a service-time model `B` and a configured `W99` objective it computes
+//!   the largest utilization `ρ_max` whose predicted 99th waiting-time
+//!   percentile stays inside the objective, and from it the maximum
+//!   sustainable arrival rate `λ_max = ρ_max / E[B]`. The seed model in
+//!   [`FlowConfig`] gives the first budget; every refresh after that
+//!   re-inverts from a [`MeasuredSummary`] of the dispatcher's own
+//!   histograms, so a slower server tightens `λ_max` and a faster one
+//!   loosens it.
 //! * [`FlowGate`] enforces the budget: a global [`TokenBucket`] refilled at
 //!   `λ_max`, per-producer buckets at half of it, and priority
 //!   classes that shed the lowest class first while the top (durable /
@@ -46,5 +45,5 @@ pub use controller::{CalibrationSource, FlowController};
 pub use gate::{AdmissionOutcome, ClassSnapshot, FlowGate, FlowSnapshot};
 
 // Re-exported so callers configuring a gate don't need a direct rjms-core
-// dependency for the verdict type they feed into `FlowGate::refresh`.
-pub use rjms_core::ModelVerdict;
+// dependency for the measurement they feed into `FlowGate::refresh`.
+pub use rjms_core::MeasuredSummary;

@@ -17,7 +17,7 @@
 // `tests/loom.rs` exercise exactly this code (DESIGN.md §3.14).
 use rjms_conc::sync::atomic::{AtomicU64, Ordering};
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of linear sub-buckets per power-of-two octave (as a bit shift).
 ///
@@ -496,39 +496,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Times a scope and records the elapsed nanoseconds into a [`Histogram`]
-/// on drop.
-///
-/// # Examples
-///
-/// ```
-/// use rjms_metrics::{Histogram, Stopwatch};
-/// let h = Histogram::new();
-/// {
-///     let _t = Stopwatch::start(&h);
-///     // ... timed work ...
-/// }
-/// assert_eq!(h.count(), 1);
-/// ```
-#[derive(Debug)]
-pub struct Stopwatch<'a> {
-    histogram: &'a Histogram,
-    started: Instant,
-}
-
-impl<'a> Stopwatch<'a> {
-    /// Starts timing against `histogram`.
-    pub fn start(histogram: &'a Histogram) -> Self {
-        Self { histogram, started: Instant::now() }
-    }
-}
-
-impl Drop for Stopwatch<'_> {
-    fn drop(&mut self) {
-        self.histogram.record_duration(self.started.elapsed());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,18 +657,6 @@ mod tests {
             handle.join().unwrap();
         }
         assert_eq!(h.snapshot().count, 40_000);
-    }
-
-    #[test]
-    fn stopwatch_records_on_drop() {
-        let h = Histogram::new();
-        {
-            let _t = Stopwatch::start(&h);
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 1);
-        assert!(snap.max >= 2_000_000, "recorded {} ns", snap.max);
     }
 
     #[test]

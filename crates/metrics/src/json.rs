@@ -2,7 +2,7 @@
 //!
 //! The workspace's `serde` shim provides marker traits only, so every JSON
 //! body the workspace emits — registry snapshots, the SLO engine's
-//! payloads, the HTTP endpoints, bench artifacts — is built with the one
+//! payloads, the HTTP endpoints — is built with the one
 //! [`JsonWriter`] here. A body, or a block of one, is rendered by a function
 //! `(&value, &mut JsonWriter)` that writes one JSON value at the writer's
 //! position — a `write_json` method where the crate owns the type, a free

@@ -46,7 +46,7 @@ pub mod prometheus;
 pub mod registry;
 
 pub use counter::{Counter, Gauge};
-pub use histogram::{Histogram, HistogramSnapshot, LocalHistogram, Stopwatch};
+pub use histogram::{Histogram, HistogramSnapshot, LocalHistogram};
 pub use json::JsonWriter;
 pub use prometheus::{labeled, shard_series};
 pub use registry::{MetricsRegistry, RegistrySnapshot};

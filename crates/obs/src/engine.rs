@@ -172,7 +172,7 @@ impl ObsCore {
     }
 
     /// The latest model verdict of the shard that bounds W99
-    /// ([`ModelVerdict::bounding`], the flow gate's rule), when a shard has
+    /// ([`ModelVerdict::bounding`]), when a shard has
     /// a model and samples.
     pub fn latest_verdict(&self) -> Option<&ModelVerdict> {
         bounding_verdict(&self.shards)

@@ -24,6 +24,11 @@ use rjms::model::params::CostParams;
 /// Offered-load phases, seconds of simulated time each.
 const PHASE_SECS: f64 = 5.0;
 
+/// Held by the two tests that read a budget from measured service times, so
+/// that the hot-shard test's spinning dispatcher does not stretch the
+/// native-speed test's measurement.
+static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Simulation state threaded through the phases: the arrival clock, the
 /// Lindley waiting-time recursion over *admitted* arrivals, and the
 /// collected waiting samples.
@@ -265,9 +270,10 @@ mod flow_peer {
 
 mod sharded {
     //! Flow control on a sharded broker. `k` dispatchers are `k` independent
-    //! M/GI/1 servers, so the gate's budget is `k · λ_per_shard` and the
-    //! verdict that bounds W99 is the busiest shard's — never one server
-    //! assessed at the aggregate arrival rate `Σλ`.
+    //! M/GI/1 servers, so the gate's budget is the busiest shard's
+    //! `λ_per_shard` times the servers the traffic spans (`k` at even load,
+    //! one when one shard takes it all) — never one server assessed at the
+    //! aggregate arrival rate `Σλ`.
 
     use rjms::broker::{shard_of, Broker, BrokerConfig, Filter, FlowConfig, Message};
     use rjms::model::monitor::ModelVerdict;
@@ -360,6 +366,171 @@ mod sharded {
             "the budget fell to {lowest_budget:.0}/s, below the {offered}/s the shards carry easily"
         );
         assert_eq!(denied, 0, "an under-budget workload was shed or deferred");
+        broker.shutdown();
+    }
+
+    #[test]
+    fn a_hot_shard_is_held_below_saturation_when_one_topic_takes_all_the_traffic() {
+        let _measuring = super::MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+        const SHARDS: usize = 4;
+        const OFFERED: f64 = 6_000.0;
+        const RUN: Duration = Duration::from_secs(3);
+        const SETTLED: Duration = Duration::from_millis(1_500);
+        // The broker spins the seed's own costs, 250 µs a message (one
+        // filter, one copy): one shard serves at most 4 000 msgs/s. All the
+        // traffic is on one topic, so one shard of the four takes 6 000
+        // msgs/s. A budget of four even shards admits all of it and holds
+        // that shard saturated; the budget of the one shard the traffic
+        // spans holds it near ρ_max.
+        let params = CostParams { t_rcv: 100e-6, t_fltr: 10e-6, t_tx: 140e-6, t_store: 0.0 };
+        let flow = FlowConfig::default()
+            .params(params)
+            .filters(1)
+            .w99_objective(0.0025)
+            .refresh_interval_ms(300);
+        let config = BrokerConfig::builder().shards(SHARDS).cost_model(params).flow(flow).build();
+        let broker = Broker::start(config);
+        let gate = broker.flow().expect("flow control on");
+        let metrics = broker.metrics().expect("flow implies metrics");
+        broker.create_topic("orders").unwrap();
+        let hot = shard_of("orders", SHARDS);
+        let sub = broker
+            .subscription("orders")
+            .filter(Filter::correlation_id("#1").unwrap())
+            .open()
+            .unwrap();
+        // Two producers, so the budget is not capped by one producer's half.
+        let publishers = [broker.publisher("orders").unwrap(), broker.publisher("orders").unwrap()];
+        // The hot shard's busy time, nanoseconds, and when it was read.
+        let busy = || {
+            let series = format!("broker.service_ns{{shard=\"{hot}\"}}");
+            (metrics.snapshot().histogram(&series).map_or(0, |h| h.sum), Instant::now())
+        };
+
+        // `try_publish`: a saturated shard's full queue must not block this
+        // thread, which is also the subscriber's only reader.
+        let started = Instant::now();
+        let (mut sent, mut refused) = (0u64, 0u64);
+        let mut window_start = None;
+        while started.elapsed() < RUN {
+            while (sent as f64) < OFFERED * started.elapsed().as_secs_f64() {
+                let message = Message::builder().correlation_id("#1").build();
+                refused += u64::from(publishers[sent as usize % 2].try_publish(message).is_err());
+                sent += 1;
+            }
+            sub.drain();
+            if started.elapsed() >= SETTLED {
+                window_start.get_or_insert_with(busy);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let ((busy_from, from), (busy_to, to)) = (window_start.expect("a window"), busy());
+        let rho = (busy_to - busy_from) as f64 / (to - from).as_nanos() as f64;
+        let snapshot = gate.snapshot();
+        eprintln!(
+            "offered {OFFERED}/s on shard {hot} of {SHARDS} for {RUN:?}: sent {sent}, refused \
+             {refused}; gate lambda_max {:.0}/s, rho_max {:.2}, source {} after {} refreshes; hot \
+             shard busy {rho:.2} of the time after {SETTLED:?}",
+            snapshot.lambda_max, snapshot.rho_max, snapshot.source, snapshot.refreshes
+        );
+        assert_eq!(snapshot.source, "measured");
+        assert!(
+            snapshot.lambda_max < OFFERED,
+            "a budget of {:.0}/s admits more than one shard serves",
+            snapshot.lambda_max
+        );
+        assert!(rho < 0.9, "the hot shard was busy {rho:.2} of the time: held saturated");
+        broker.shutdown();
+    }
+}
+
+mod native_speed {
+    //! The gate budgets from what the dispatcher measured. A seed model far
+    //! slower than the broker sets the first budget only: its verdict on a
+    //! shard the broker serves easily does not throttle that shard.
+
+    use rjms::broker::{Broker, BrokerConfig, Filter, FlowConfig, Message};
+    use rjms::model::monitor::ModelVerdict;
+    use rjms::model::params::CostParams;
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn a_shard_the_seed_calls_overloaded_is_budgeted_from_its_measured_service() {
+        let _measuring = super::MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+        const OFFERED: f64 = 6_000.0;
+        // Four seconds: a budget halved at each `Overloaded` verdict would be
+        // below the offered rate by then.
+        const RUN: Duration = Duration::from_secs(4);
+        const SETTLED: Duration = Duration::from_secs(2);
+        // The seed says 250 µs a message, so at 6 000 msgs/s its model has no
+        // stationary regime and the shard's verdict reads `Overloaded`; its
+        // inversion admits under 4 000 msgs/s. The broker runs at native
+        // speed, a few microseconds a message, so the shard is a few per cent
+        // busy: once a refresh has the 1 000 samples a summary needs, the
+        // budget is in the hundreds of thousands.
+        let params = CostParams { t_rcv: 100e-6, t_fltr: 10e-6, t_tx: 140e-6, t_store: 0.0 };
+        let flow = FlowConfig::default()
+            .params(params)
+            .filters(1)
+            .w99_objective(0.050)
+            .refresh_interval_ms(300);
+        let broker = Broker::start(BrokerConfig::builder().flow(flow).build());
+        let gate = broker.flow().expect("flow control on");
+        broker.create_topic("orders").unwrap();
+        let filter = Filter::correlation_id("#1").unwrap();
+        let sub = broker.subscription("orders").filter(filter).open().unwrap();
+        let publisher = broker.publisher("orders").unwrap();
+
+        let started = Instant::now();
+        let (mut sent, mut denied, mut denied_measured) = (0u64, 0u64, 0u64);
+        let mut lowest_settled_budget = f64::INFINITY;
+        // Whether the gate was `measured` a loop turn (over 1 ms) ago. The
+        // bucket keeps the level the seed budget drained it to, and at the
+        // measured rate refills it within a millisecond. Its depth stays 50
+        // ms of the seed budget (under 100 tokens for this producer), so a
+        // turn sends at most `CATCH_UP` publishes, and one that follows a
+        // host stall does not burst past it.
+        const CATCH_UP: u64 = 30;
+        let mut measured_a_turn_ago = false;
+        while started.elapsed() < RUN {
+            let measured = gate.snapshot().source == "measured";
+            let due = (OFFERED * started.elapsed().as_secs_f64()).ceil() as u64;
+            let batch = due.saturating_sub(sent).min(CATCH_UP);
+            for _ in 0..batch {
+                let message = Message::builder().correlation_id("#1").build();
+                let refused = u64::from(publisher.publish(message).is_err());
+                denied += refused;
+                denied_measured += refused * u64::from(measured_a_turn_ago);
+            }
+            sent += batch;
+            measured_a_turn_ago = measured;
+            sub.drain();
+            if started.elapsed() >= SETTLED {
+                lowest_settled_budget = lowest_settled_budget.min(gate.lambda_max());
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let reports = broker.shard_reports();
+        let snapshot = gate.snapshot();
+        eprintln!(
+            "offered {OFFERED}/s for {RUN:?}: sent {sent}, denied {denied} ({denied_measured} \
+             under a measured budget); gate lambda_max {:.0}/s (lowest after {SETTLED:?} \
+             {lowest_settled_budget:.0}/s) source {} after {} refreshes; shard verdict {:?}",
+            snapshot.lambda_max, snapshot.source, snapshot.refreshes, reports[0].verdict
+        );
+        assert!(
+            matches!(reports[0].verdict, ModelVerdict::Overloaded { .. }),
+            "the seed model must call the shard overloaded for this test to mean anything"
+        );
+        assert!(
+            lowest_settled_budget >= OFFERED,
+            "the budget fell to {lowest_settled_budget:.0}/s, below the {OFFERED}/s the shard \
+             carries easily"
+        );
+        // Every denial came under the seed budget, before the first refresh
+        // had the samples a summary needs, or in the millisecond after it.
+        assert_eq!(denied_measured, 0, "{denied_measured} publishes denied by a measured budget");
         broker.shutdown();
     }
 }
