@@ -108,28 +108,27 @@ pub(crate) struct Topic {
     /// ([`topic_series`]).
     pub(crate) ordinal: usize,
     /// The topic's own observatory account; `None` without an observatory
-    /// or beyond its cap ([`TopicObservatory::lock_account`]).
+    /// or beyond the first [`PER_TOPIC_SERIES`] topics
+    /// ([`TopicObservatory::lock_account`]).
     pub(crate) account: Option<Account>,
 }
 
 /// The broker's topics by name. Topics are never deleted.
 pub(crate) type TopicTable = RwLock<HashMap<String, Arc<Topic>>>;
 
-/// Topics beyond the smallest cap among the enabled per-topic tables — the
-/// labeled series with `metrics` on, the observatory's accounts with an
-/// `account_cap` — which share that table's `__other__`. Topics are never
-/// deleted and take the slots in creation order, so that is every topic
-/// past the cap; 0 with neither table on.
-pub(crate) fn topics_overflowed(metrics: bool, account_cap: Option<usize>, topics: usize) -> u64 {
-    let cap = [metrics.then_some(PER_TOPIC_SERIES), account_cap].into_iter().flatten().min();
-    cap.map_or(0, |cap| topics.saturating_sub(cap) as u64)
+/// Topics beyond [`PER_TOPIC_SERIES`], the cap of both per-topic tables —
+/// the labeled series, and the observatory's accounts, which imply metrics
+/// — which share `__other__`. Topics are never deleted and take the slots
+/// in creation order, so that is every topic past the cap.
+pub(crate) fn topics_overflowed(topics: usize) -> u64 {
+    topics.saturating_sub(PER_TOPIC_SERIES) as u64
 }
 
 /// The registry source of the per-topic series, read off the topics' own
 /// counters: a `broker.topic.{received,dispatched}{topic=…}` pair for each
 /// of the first [`PER_TOPIC_SERIES`] topics created, one `__other__` pair
 /// summing the rest, and `broker.topics_overflowed` once it is not 0.
-fn topic_series(topics: &TopicTable, account_cap: Option<usize>, snapshot: &mut RegistrySnapshot) {
+fn topic_series(topics: &TopicTable, snapshot: &mut RegistrySnapshot) {
     let topics = topics.read();
     for topic in topics.values() {
         let label = if topic.ordinal < PER_TOPIC_SERIES { &topic.name } else { OTHER_TOPIC };
@@ -141,7 +140,7 @@ fn topic_series(topics: &TopicTable, account_cap: Option<usize>, snapshot: &mut 
             *series += count.load(Ordering::Relaxed);
         }
     }
-    let overflowed = topics_overflowed(true, account_cap, topics.len());
+    let overflowed = topics_overflowed(topics.len());
     if overflowed > 0 {
         snapshot.counters.insert("broker.topics_overflowed".to_owned(), overflowed);
     }
@@ -243,17 +242,17 @@ impl BrokerInner {
         self.topic_obs.as_ref().map(|o| o.snapshot(self.topics.read().values()))
     }
 
-    /// Builds a topic, created or recovered, after `existing` others: the
-    /// first `per_topic_cap` of the broker's topics get an observatory
-    /// account of their own, later ones share `__other__`.
+    /// Builds a topic, created or recovered, after `existing` others: with
+    /// the observatory on, the first [`PER_TOPIC_SERIES`] of the broker's
+    /// topics get an account of their own, later ones share `__other__`.
     fn new_topic(&self, name: &str, subs: Subscriptions, existing: usize) -> Arc<Topic> {
-        let account_cap = self.config.topic_obs.map(|o| o.per_topic_cap);
+        let own_account = self.topic_obs.is_some() && existing < PER_TOPIC_SERIES;
         Arc::new(Topic {
             name: name.to_owned(),
             shard: shard_of(name, self.config.shards),
             subs: RwLock::new(subs),
             ordinal: existing,
-            account: account_cap.filter(|cap| existing < *cap).map(|_| Account::default()),
+            account: own_account.then(Account::default),
             ..Topic::default()
         })
     }
@@ -350,9 +349,8 @@ impl Broker {
         let topics = Arc::new(TopicTable::default());
         let metrics = config.metrics.map(|_| BrokerMetrics::new(shards));
         if let Some(registry) = metrics.as_ref().map(|m| &m.registry) {
-            let (table, account_cap) =
-                (Arc::clone(&topics), config.topic_obs.map(|o| o.per_topic_cap));
-            registry.register_source(move |snapshot| topic_series(&table, account_cap, snapshot));
+            let table = Arc::clone(&topics);
+            registry.register_source(move |snapshot| topic_series(&table, snapshot));
             if let Some(journal) = &journal {
                 // The journal's always-on latency instruments surface in the
                 // broker's registry under the `journal.*` names.
@@ -367,8 +365,8 @@ impl Broker {
 
         let tracer = config.trace.map(|_| Arc::new(FlightRecorder::new(TRACE_EVENTS)));
 
-        // The admission budget is split per shard: each dispatcher is one
-        // M/GI/1 server, so the aggregate budget scales with their number.
+        // One admission lane per shard: each dispatcher is one M/GI/1
+        // server, budgeted from its own measurement.
         let flow = config.flow.map(|f| Arc::new(FlowGate::new(f, shards)));
         if let (Some(gate), Some(metrics)) = (&flow, &metrics) {
             gate.bind_registry(&metrics.registry);
@@ -512,6 +510,7 @@ impl Broker {
         // resolved once here, not per publish.
         let publish_tx = self.publish_txs[topic.shard].clone();
         Ok(Publisher {
+            shard: topic.shard,
             topic,
             publish_tx,
             inner: Arc::clone(&self.inner),
@@ -991,6 +990,9 @@ pub struct Publisher {
     /// [`Broker::publisher`] call gets a fresh id; clones share it (they
     /// share the producer's rate budget).
     producer_id: u64,
+    /// `topic.shard`, the admission lane: a copy, as a publish that reads
+    /// the `Topic` shares cache lines with its dispatcher's counters.
+    shard: usize,
 }
 
 impl fmt::Debug for Publisher {
@@ -1035,7 +1037,7 @@ impl Publisher {
         let Some(gate) = &self.inner.flow else { return Ok(()) };
         // With persistence on, every publish is durable (the paper's
         // persistent mode) and pins to the top admission class.
-        match gate.admit(self.producer_id, message.priority().level(), durable) {
+        match gate.admit(self.shard, self.producer_id, message.priority().level(), durable) {
             AdmissionOutcome::Granted => Ok(()),
             AdmissionOutcome::Deferred { class, retry_after } => Err(Error::PublishDeferred {
                 class,
@@ -1907,27 +1909,28 @@ mod tests {
         b.shutdown();
     }
 
-    /// A topic denied a slot of its own in either per-topic table is one
-    /// overflowed topic, from its creation: of 67 topics under the series
-    /// cap of 64 and an observatory cap of 3, the last 64 share the
-    /// `__other__` account and the last three the `__other__` series.
+    /// A topic denied a slot of its own in the per-topic tables is one
+    /// overflowed topic, from its creation: of 67 topics under the cap of
+    /// 64, the last three share the `__other__` account and the `__other__`
+    /// series.
     #[test]
-    fn a_topic_beyond_either_cap_is_counted_as_overflowed_once() {
+    fn a_topic_beyond_the_cap_is_counted_as_overflowed_once() {
         let config = BrokerConfig::builder()
             .shards(2)
             .metrics(MetricsConfig::default())
-            .topic_obs(crate::TopicObsConfig::default().per_topic_cap(3))
+            .topic_obs(crate::TopicObsConfig::default())
             .build();
         let b = Broker::start(config);
-        for created in 0..PER_TOPIC_SERIES + 3 {
+        for created in 1..=PER_TOPIC_SERIES + 3 {
             b.create_topic(&format!("t{created}")).unwrap();
-            assert_eq!(b.snapshot().topics_overflowed, created.saturating_sub(2) as u64);
+            let beyond = created.saturating_sub(PER_TOPIC_SERIES) as u64;
+            assert_eq!(b.snapshot().topics_overflowed, beyond);
         }
         let counters = b.metrics().unwrap().snapshot().counters;
         let other = counters.keys().filter(|k| k.contains("topic=\"__other__\"")).count();
         let observatory = b.topic_observatory().unwrap();
-        assert_eq!((other, observatory.overflowed_topics), (2, 64));
-        assert_eq!(counters["broker.topics_overflowed"], 64);
+        assert_eq!((other, observatory.overflowed_topics), (2, 3));
+        assert_eq!(counters["broker.topics_overflowed"], 3);
         assert!(observatory.topics.is_empty(), "no topic has seen a message");
         b.shutdown();
     }

@@ -375,11 +375,9 @@ mod tests {
 
     #[test]
     fn topic_obs_config_builder() {
-        let c = BrokerConfig::builder()
-            .topic_obs(TopicObsConfig::default().per_topic_cap(16).target_ratio(1.5))
-            .build();
+        let c =
+            BrokerConfig::builder().topic_obs(TopicObsConfig::default().target_ratio(1.5)).build();
         let t = c.topic_obs.expect("topic_obs set");
-        assert_eq!(t.per_topic_cap, 16);
         assert_eq!(t.target_ratio, 1.5);
         assert!(BrokerConfig::default().topic_obs.is_none());
     }

@@ -582,11 +582,13 @@ mod tests {
     }
 
     /// The observatory account locks the core takes for [`CLOCKED`]
-    /// messages from `message` to a topic `t` created second, and whether
-    /// `t` has an account of its own.
-    fn account_locks(config: BrokerConfig, message: fn() -> Message) -> (u64, bool) {
+    /// messages from `message` to a topic `t` created after `before` others,
+    /// and whether `t` has an account of its own.
+    fn account_locks(config: BrokerConfig, before: usize, message: fn() -> Message) -> (u64, bool) {
         let broker = Broker::start(config);
-        broker.create_topic("first").unwrap();
+        for created in 0..before {
+            broker.create_topic(&format!("before-{created}")).unwrap();
+        }
         broker.create_topic("t").unwrap();
         let _subscriber = broker.subscription("t").open().unwrap();
         let locks = counted(&broker, u64::MAX, message, TopicObservatory::account_locks);
@@ -601,15 +603,15 @@ mod tests {
     /// does.
     #[test]
     fn a_dispatched_message_locks_one_observatory_account() {
-        let observed =
-            |cap| BrokerConfig::builder().topic_obs(TopicObsConfig::default().per_topic_cap(cap));
+        let observed = || BrokerConfig::builder().topic_obs(TopicObsConfig::default()).build();
         let fresh = || Message::builder().build();
         let expired = || Message::builder().time_to_live(Duration::ZERO).build();
-        assert_eq!(account_locks(observed(2).build(), fresh), (CLOCKED, true));
-        assert_eq!(account_locks(observed(1).build(), fresh), (CLOCKED, false));
-        assert_eq!(account_locks(observed(2).build(), expired), (0, true));
+        let past_the_cap = crate::metrics::PER_TOPIC_SERIES;
+        assert_eq!(account_locks(observed(), 1, fresh), (CLOCKED, true));
+        assert_eq!(account_locks(observed(), past_the_cap, fresh), (CLOCKED, false));
+        assert_eq!(account_locks(observed(), 1, expired), (0, true));
         let unobserved = BrokerConfig::builder().metrics(MetricsConfig::default()).build();
-        assert_eq!(account_locks(unobserved, fresh), (0, false));
+        assert_eq!(account_locks(unobserved, 1, fresh), (0, false));
     }
 
     /// A message stages four histogram records — its waiting, service and

@@ -97,3 +97,7 @@ pub use stats::{
     SubscriptionCounters, Throughput, ThroughputProbe, TopicStats,
 };
 pub use topic_obs::{TopicObsRow, TopicObservatorySnapshot, OTHER_TOPIC};
+
+/// How many topics, in creation order, get a `broker.topic.*` series pair
+/// and an observatory account of their own; later ones share `__other__`.
+pub const PER_TOPIC_SERIES: usize = metrics::PER_TOPIC_SERIES;

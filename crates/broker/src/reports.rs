@@ -3,8 +3,8 @@
 //! paper's method (measure an operating point, evaluate Eq. 1 + M/GI/1
 //! *for that server*, compare) is spelled. `/shards`, `/model`, the
 //! periodic text report and the per-shard monitors handed to the SLO engine
-//! all read it from here, and the flow-refresh thread its shards'
-//! measurements. Nothing here runs on the dispatch path.
+//! all read it from here, and the flow-refresh thread each shard's own
+//! measurement. Nothing here runs on the dispatch path.
 
 use crate::broker::{topics_overflowed, BrokerInner, Topic};
 use crate::config::BrokerConfig;
@@ -104,23 +104,17 @@ pub(crate) fn snapshot_of(inner: &BrokerInner) -> BrokerSnapshot {
         }),
         shards: (inner.config.shards > 1).then_some(shards),
         per_topic,
-        topics_overflowed: topics_overflowed(
-            inner.metrics.is_some(),
-            inner.config.topic_obs.map(|o| o.per_topic_cap),
-            topics.len(),
-        ),
+        topics_overflowed: inner.metrics.as_ref().map_or(0, |_| topics_overflowed(topics.len())),
     }
 }
 
-/// Periodically re-inverts the flow gate's arrival budget from what the
-/// dispatchers measured: every refresh interval it summarizes each shard's
+/// Periodically re-inverts each of the flow gate's lanes from what its own
+/// dispatcher measured: every refresh interval it summarizes each shard's
 /// waiting and service histograms over the broker's lifetime
-/// ([`MeasuredSummary::of`]) and feeds the busiest shard's to
-/// [`FlowGate::refresh`], with the number of servers the traffic spans,
-/// `Σλ_i / λ_busiest` — `k` at even load, 1 when one shard takes it all —
-/// so the busiest shard is held at `ρ_max` however the topics spread. The
-/// measured service time is the sum of the four dispatch stages, the
-/// journal's write among them, so it already carries `t_store`.
+/// ([`MeasuredSummary::of`]) and feeds that shard's lane
+/// ([`FlowGate::refresh`]), so each shard is held at `ρ_max` however the
+/// topics spread. The measured service time is the sum of the four dispatch
+/// stages, the journal's write among them, so it already carries `t_store`.
 pub(crate) fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
     let Some(metrics) = &inner.metrics else { return };
     let interval = Duration::from_millis(gate.config().refresh_interval_ms.max(1));
@@ -136,7 +130,6 @@ pub(crate) fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
         }
         let snap = metrics.registry.snapshot();
         let elapsed = inner.started.elapsed();
-        let (mut dispatched, mut busiest) = (0, None::<MeasuredSummary>);
         for shard in 0..shards {
             let series = |base| snap.histogram(&shard_series(base, shard, shards));
             let (Some(waiting), Some(service)) =
@@ -144,14 +137,9 @@ pub(crate) fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
             else {
                 continue;
             };
-            dispatched += waiting.count;
-            busiest = (busiest.into_iter())
-                .chain(MeasuredSummary::of(waiting, service, elapsed))
-                .max_by(|a, b| a.utilization.total_cmp(&b.utilization));
-        }
-        if let Some(busiest) = busiest {
-            let servers = dispatched as f64 / elapsed.as_secs_f64() / busiest.arrival_rate;
-            gate.refresh(&busiest, servers);
+            if let Some(measured) = MeasuredSummary::of(waiting, service, elapsed) {
+                gate.refresh(shard, &measured);
+            }
         }
     }
 }
@@ -184,9 +172,10 @@ pub struct ShardReport {
     pub verdict: ModelVerdict,
 }
 
-/// The Eq. 1 constants model verdicts are anchored on: the flow model's
-/// calibrated params when flow control is on, the synthetic cost model
-/// otherwise, none when the broker runs at native speed unmodeled.
+/// The Eq. 1 constants model verdicts are anchored on: the flow gate's seed
+/// params (`FlowConfig::params`, which only set its first budget) when flow
+/// control is on, the synthetic cost model otherwise, none when the broker
+/// runs at native speed unmodeled.
 pub(crate) fn cost_anchor(config: &BrokerConfig) -> Option<CostParams> {
     config.flow.as_ref().map(|flow| flow.params).or(config.cost_model)
 }

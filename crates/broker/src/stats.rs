@@ -135,12 +135,12 @@ pub struct BrokerSnapshot {
     pub shards: Option<Vec<ShardSnapshot>>,
     /// Per-topic message counters, keyed by topic name.
     pub per_topic: BTreeMap<String, TopicStats>,
-    /// Topics folded into an `__other__` bucket of any enabled per-topic
-    /// table — the labeled metric series beyond the first 64 topics, the
-    /// observatory's rows beyond [`crate::TopicObsConfig::per_topic_cap`]:
-    /// topics are never deleted and take the slots in creation order, so
-    /// this is the topics beyond the smallest enabled cap. 0 when every
-    /// topic got a slot of its own everywhere (or both features are off).
+    /// Topics folded into the `__other__` bucket of the per-topic tables —
+    /// the labeled metric series and the observatory's rows beyond the
+    /// first [`crate::PER_TOPIC_SERIES`] topics: topics are never deleted
+    /// and take the slots in creation order, so this is the topics beyond
+    /// the cap. 0 when every topic got a slot of its own (or metrics are
+    /// off).
     #[serde(default)]
     pub topics_overflowed: u64,
 }

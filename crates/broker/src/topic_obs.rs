@@ -10,12 +10,12 @@
 //! shard's offered-load share (the input of the skew analyzer in
 //! `rjms-obs`).
 //!
-//! Cardinality is capped exactly like the Prometheus exporter's per-topic
-//! series, and in the same place: the first `per_topic_cap` topics are
-//! given an [`Account`] of their own when they are created (by the broker's
-//! one topic constructor), every later topic accounts into its shard's
-//! `__other__` (so its load still lands on the right shard in the skew
-//! analysis).
+//! Cardinality is capped by the Prometheus exporter's per-topic series cap,
+//! and in the same place: the first [`PER_TOPIC_SERIES`](crate::PER_TOPIC_SERIES)
+//! topics are given an [`Account`] of their own when they are created (by
+//! the broker's one topic constructor), every later topic accounts into its
+//! shard's `__other__` (so its load still lands on the right shard in the
+//! skew analysis).
 //!
 //! An account has one writer: a topic's messages all pass through its
 //! shard's dispatcher, and so do those of every topic sharing that shard's
@@ -45,37 +45,22 @@ pub const OTHER_TOPIC: &str = "__other__";
 /// use rjms_broker::config::{BrokerConfig, TopicObsConfig};
 ///
 /// let config =
-///     BrokerConfig::builder().topic_obs(TopicObsConfig::default().per_topic_cap(16)).build();
-/// assert_eq!(config.topic_obs.unwrap().per_topic_cap, 16);
+///     BrokerConfig::builder().topic_obs(TopicObsConfig::default().target_ratio(1.5)).build();
+/// assert_eq!(config.topic_obs.unwrap().target_ratio, 1.5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TopicObsConfig {
-    /// Maximum number of distinct topics with their own accounting row.
-    /// Topic names are unbounded client-controlled input, so the table is
-    /// capped: further topics collapse into a per-shard `__other__` row.
-    pub per_topic_cap: usize,
     /// Ratio the rebalance advisor's moves aim to get under.
     pub target_ratio: f64,
 }
 
 impl Default for TopicObsConfig {
     fn default() -> Self {
-        Self { per_topic_cap: 64, target_ratio: 1.10 }
+        Self { target_ratio: 1.10 }
     }
 }
 
 impl TopicObsConfig {
-    /// Sets the per-topic row cardinality cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is 0.
-    pub fn per_topic_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "per_topic_cap must be > 0");
-        self.per_topic_cap = cap;
-        self
-    }
-
     /// Sets the rebalance advisor's target ratio.
     ///
     /// # Panics
@@ -201,12 +186,12 @@ pub struct TopicObservatorySnapshot {
     /// The configured reference params the verdicts compare against
     /// (`None` when the broker runs at native speed with no flow model).
     pub anchor: Option<CostParams>,
-    /// The observatory's configuration (cap and skew thresholds).
+    /// The observatory's configuration (the skew target).
     pub config: TopicObsConfig,
     /// Number of dispatcher shards.
     pub shards: usize,
-    /// Topics created beyond the cap, which account into their shard's
-    /// `__other__` row (a signal the cap is too small).
+    /// Topics created beyond the [`PER_TOPIC_SERIES`](crate::PER_TOPIC_SERIES)
+    /// cap, which account into their shard's `__other__` row.
     pub overflowed_topics: u64,
     /// The fit over *all* observations pooled (n_fltr varies across
     /// topics, so this is where the full 3-parameter fit is identifiable).
@@ -251,12 +236,8 @@ mod tests {
         pub(super) static ACCOUNT_LOCKS: Cell<u64> = const { Cell::new(0) };
     }
 
-    fn observatory(cap: usize, shards: usize) -> TopicObservatory {
-        TopicObservatory::new(
-            TopicObsConfig::default().per_topic_cap(cap),
-            Some(CostParams::CORRELATION_ID),
-            shards,
-        )
+    fn observatory(shards: usize) -> TopicObservatory {
+        TopicObservatory::new(TopicObsConfig::default(), Some(CostParams::CORRELATION_ID), shards)
     }
 
     /// A topic on `shard`, with an account of its own if `own`.
@@ -277,7 +258,7 @@ mod tests {
 
     #[test]
     fn observations_land_in_the_topics_own_account() {
-        let obs = observatory(8, 2);
+        let obs = observatory(2);
         let topics = [topic("a", 0, true), topic("b", 1, true), topic("idle", 1, true)];
         drive(&obs, &topics[0], 10, |_| 3, 50);
         drive(&obs, &topics[1], 40, |_| 1, 20);
@@ -297,7 +278,7 @@ mod tests {
     /// receives, and its messages pool with its shard's other such topics.
     #[test]
     fn topics_beyond_the_cap_pool_in_their_shards_other() {
-        let obs = observatory(2, 2);
+        let obs = observatory(2);
         let topics = [
             topic("a", 0, true),
             topic("b", 0, true),
@@ -321,7 +302,7 @@ mod tests {
 
     #[test]
     fn per_topic_fit_converges_on_the_true_slopes() {
-        let obs = observatory(8, 1);
+        let obs = observatory(1);
         let truth = CostParams::CORRELATION_ID;
         let t = topic("t", 0, true);
         // Vary R within the topic so the anchored 2-parameter fit is
@@ -336,7 +317,7 @@ mod tests {
 
     #[test]
     fn global_fit_pools_across_topics() {
-        let obs = observatory(8, 1);
+        let obs = observatory(1);
         let truth = CostParams::CORRELATION_ID;
         let topics = [("lo", 5u32), ("mid", 50), ("hi", 150)].map(|(name, n)| {
             let topic = topic(name, 0, true);
@@ -359,19 +340,6 @@ mod tests {
         assert!(snap.anchor.is_none());
         assert!(snap.topics[0].verdict.is_none());
         assert_eq!(snap.topics[0].messages, 400);
-    }
-
-    #[test]
-    fn config_setters_validate() {
-        let c = TopicObsConfig::default().per_topic_cap(5).target_ratio(1.5);
-        assert_eq!(c.per_topic_cap, 5);
-        assert_eq!(c.target_ratio, 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "per_topic_cap must be > 0")]
-    fn zero_cap_rejected() {
-        TopicObsConfig::default().per_topic_cap(0);
     }
 
     #[test]

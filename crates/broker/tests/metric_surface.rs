@@ -28,10 +28,10 @@ fn filler() -> impl Iterator<Item = String> {
 
 /// Runs a fixed workload and returns the registry's `name kind` lines.
 ///
-/// The series cap and an observatory table of two rows against the three
-/// named topics force both `__other__` paths, so the lazily created
-/// overflow series are part of the surface too. The series cap is the
-/// broker's, not a dispatcher's: both surfaces name the same topic series.
+/// The series cap, which bounds the observatory's table too, against the
+/// 65 topics forces both `__other__` paths, so the lazily created overflow
+/// series are part of the surface too. The series cap is the broker's, not
+/// a dispatcher's: both surfaces name the same topic series.
 fn surface(shards: usize) -> Vec<String> {
     let dir = scratch_dir(&format!("bkr-surface-{shards}"));
     let broker = Broker::start(
@@ -39,7 +39,7 @@ fn surface(shards: usize) -> Vec<String> {
             .shards(shards)
             .metrics(MetricsConfig::default())
             .trace(TraceConfig::default())
-            .topic_obs(TopicObsConfig::default().per_topic_cap(2))
+            .topic_obs(TopicObsConfig::default())
             .flow(FlowConfig::default())
             .persistence(PersistenceConfig::new(&dir))
             .build(),

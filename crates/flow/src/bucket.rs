@@ -84,26 +84,24 @@ impl TokenBucket {
         self.burst
     }
 
-    /// The refill rate in tokens per second.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// Fraction of the burst ceiling currently filled, in `[0, 1]`.
     pub fn fill_fraction(&self) -> f64 {
         self.tokens / self.burst
     }
 
-    /// Swaps the refill rate (budget refresh). Elapsed time is credited at
-    /// the *old* rate first so the change never retro-credits the past.
+    /// Swaps the refill rate and the burst ceiling (budget refresh) and
+    /// keeps the [fill fraction](Self::fill_fraction), so a bucket that was
+    /// a third full is a third full at its new depth. Elapsed time is
+    /// credited at the *old* rate first so the change never retro-credits
+    /// the past.
     ///
     /// # Panics
     ///
-    /// Panics if `rate` is not finite and positive.
-    pub fn set_rate(&mut self, rate: f64, now_ns: u64) {
-        assert!(rate.is_finite() && rate > 0.0, "token rate must be finite and > 0, got {rate}");
+    /// Panics on the arguments [`new`](Self::new) refuses.
+    pub fn set_rate(&mut self, rate: f64, burst: f64, now_ns: u64) {
         self.refill(now_ns);
-        self.rate = rate;
+        let fill = self.fill_fraction();
+        *self = Self { tokens: fill * burst, last_ns: self.last_ns, ..Self::new(rate, burst) };
     }
 
     /// Nanoseconds until the level reaches `target` tokens at the current
@@ -159,8 +157,25 @@ mod tests {
         }
         // 1 ms elapsed at the old 1000/s rate = 1 token, even though the
         // new rate is 1M/s.
-        b.set_rate(1_000_000.0, 1_000_000);
+        b.set_rate(1_000_000.0, 10.0, 1_000_000);
         assert!((b.level() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn set_rate_keeps_the_fill_fraction_at_the_new_depth() {
+        let mut b = TokenBucket::new(1000.0, 40.0);
+        for _ in 0..30 {
+            assert!(b.try_take(0));
+        }
+        // A quarter full at 40 tokens is a quarter full at 400.
+        b.set_rate(10_000.0, 400.0, 0);
+        assert_eq!((b.burst(), b.level()), (400.0, 100.0));
+        // It refills at the new rate: 10 tokens a millisecond.
+        b.refill(1_000_000);
+        assert!((b.level() - 110.0).abs() < 1e-9);
+        // And at a shallower depth.
+        b.set_rate(100.0, 4.0, 1_000_000);
+        assert!((b.level() - 4.0 * 0.275).abs() < 1e-9);
     }
 
     #[test]

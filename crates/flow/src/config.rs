@@ -12,23 +12,25 @@ pub(crate) const HEADROOM: f64 = 1.25;
 /// takes over.
 pub(crate) const REPLICATION_GRADE: f64 = 1.0;
 
-/// Depth of the global token bucket, in seconds of `λ_max` (the burst
-/// allowance above the sustained rate).
+/// Depth of every token bucket, in seconds of its rate (the burst
+/// allowance above the sustained rate); a refresh re-sizes the buckets to
+/// it.
 pub(crate) const BURST_SECONDS: f64 = 0.05;
 
-/// Per-producer cap as a share of `λ_max`: no single producer may take more
-/// than half the budget (the global gate still applies).
+/// Per-producer cap as a share of its lane's `λ_max`: no single producer
+/// may take more than half the budget (the lane bucket still applies).
 pub(crate) const PRODUCER_SHARE: f64 = 0.5;
 
 /// Configuration for model-driven admission control.
 ///
-/// The model half (`params`, `filters`, `w99_objective`) seeds the
-/// [`FlowController`](crate::FlowController)'s first budget, which every
-/// refresh then re-inverts from the measured service time; the mechanism
-/// half (`classes`, `refresh_interval_ms`) shapes how the budget is
-/// enforced. The inversion targets the objective divided by a headroom of
-/// 1.25 and the seed assumes one copy per message; the global bucket holds
-/// 50 ms of `λ_max` and each producer may take half of it.
+/// The model half (`params`, `filters`, `w99_objective`) seeds each
+/// dispatcher's [`FlowController`](crate::FlowController) with the budget
+/// of one server, which every refresh then re-inverts from that shard's
+/// measured service time; the mechanism half (`classes`,
+/// `refresh_interval_ms`) shapes how the budget is enforced. The inversion
+/// targets the objective divided by a headroom of 1.25 and the seed assumes
+/// one copy per message; a shard's bucket holds 50 ms of its `λ_max`, and
+/// each producer may take half of it.
 ///
 /// # Examples
 ///

@@ -13,10 +13,9 @@
 //! the dispatcher measured — the paper's method, measure the service time
 //! and predict the waiting time from it: a service time rebuilt from the
 //! measured `E[B]` and `c_var[B]`, so a slower or more variable server
-//! tightens `λ_max` and a faster one loosens it. On a sharded broker the
-//! measurement is the busiest shard's, and the budget is scaled by how many
-//! of that shard's loads the admitted traffic makes: the busiest shard is
-//! held at `ρ_max` however the topics spread over the shards.
+//! tightens `λ_max` and a faster one loosens it. A controller budgets one
+//! server: on a sharded broker each dispatcher has its own, fed that
+//! shard's own measurement ([`FlowGate`](crate::FlowGate)'s lanes).
 
 use crate::config::{FlowConfig, HEADROOM, REPLICATION_GRADE};
 use rjms_core::{
@@ -26,8 +25,9 @@ use rjms_core::{
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
-/// Where the current `λ_max` came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Where the current `λ_max` came from; a measured budget orders after the
+/// analytic seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum CalibrationSource {
     /// The analytic seed model, before the first measured refresh.
     Analytic,
@@ -61,7 +61,7 @@ struct ControllerState {
 /// ```
 /// use rjms_flow::{FlowConfig, FlowController};
 ///
-/// let controller = FlowController::new(&FlowConfig::default(), 1);
+/// let controller = FlowController::new(&FlowConfig::default());
 /// // A finite budget exists for any positive objective.
 /// assert!(controller.lambda_max() > 0.0);
 /// assert!(controller.rho_max() <= 0.999);
@@ -70,26 +70,22 @@ struct ControllerState {
 pub struct FlowController {
     /// Inversion target: `w99_objective / HEADROOM`, seconds.
     target: f64,
-    objective: f64,
     state: Mutex<ControllerState>,
 }
 
 impl FlowController {
     /// Builds the controller and performs the initial inversion of the seed
-    /// model in `config`. The seed budget is split evenly across `shards`
-    /// dispatchers, each one M/GI/1 server held at the inverted
-    /// utilisation, so it is `shards · λ_per_shard`; `1` is the
-    /// single-server budget.
-    pub fn new(config: &FlowConfig, shards: usize) -> Self {
+    /// model in `config`: the budget of one M/GI/1 server held at the
+    /// inverted utilisation.
+    pub fn new(config: &FlowConfig) -> Self {
         let seed = seed_service(config.params, config.filters);
         let target = config.w99_objective / HEADROOM;
-        let (rho_max, per_shard) = invert(&seed, target);
+        let (rho_max, lambda_max) = invert(&seed, target);
         Self {
             target,
-            objective: config.w99_objective,
             state: Mutex::new(ControllerState {
                 rho_max,
-                lambda_max: per_shard * shards.max(1) as f64,
+                lambda_max,
                 source: CalibrationSource::Analytic,
                 refreshes: 0,
             }),
@@ -106,11 +102,6 @@ impl FlowController {
         self.state.lock().unwrap().rho_max
     }
 
-    /// The configured `W99` objective, seconds.
-    pub fn objective(&self) -> f64 {
-        self.objective
-    }
-
     /// Where the current budget came from.
     pub fn source(&self) -> CalibrationSource {
         self.state.lock().unwrap().source
@@ -121,18 +112,13 @@ impl FlowController {
         self.state.lock().unwrap().refreshes
     }
 
-    /// Re-inverts the budget from the busiest shard's measured service
-    /// moments. `servers` is how many of that shard's loads the admitted
-    /// traffic makes, `Σλ_i / λ_busiest` over the shards: `k` when the
-    /// topics spread evenly over `k` shards, 1 when one shard takes it all
-    /// (and below 1 counts as 1). The budget is `servers · ρ_max / E[B]`,
-    /// which holds the busiest shard at `ρ_max` whatever the skew. Returns
-    /// the new `λ_max` if it changed, `None` if the budget was left alone —
-    /// also for a degenerate measurement ([`measured_service`]).
-    pub fn refresh(&self, busiest: &MeasuredSummary, servers: f64) -> Option<f64> {
-        let service = measured_service(busiest.mean_service_time, busiest.service_cvar)?;
-        let (rho, per_shard) = invert(&service, self.target);
-        let lambda = per_shard * servers.max(1.0);
+    /// Re-inverts the budget from the server's measured service moments:
+    /// `λ_max = ρ_max / E[B]`. Returns the new `λ_max` if it changed, `None`
+    /// if the budget was left alone — also for a degenerate measurement
+    /// ([`measured_service`]).
+    pub fn refresh(&self, measured: &MeasuredSummary) -> Option<f64> {
+        let service = measured_service(measured.mean_service_time, measured.service_cvar)?;
+        let (rho, lambda) = invert(&service, self.target);
         let mut state = self.state.lock().unwrap();
         if lambda == state.lambda_max && state.source == CalibrationSource::Measured {
             return None;
@@ -161,7 +147,7 @@ fn invert(service: &ServiceTime, target: f64) -> (f64, f64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rjms_core::{ModelMonitor, ModelVerdict};
     use rjms_metrics::Histogram;
@@ -180,7 +166,7 @@ mod tests {
     /// A window that measured a deterministic service of `service_s`
     /// seconds at `rate` messages per second. The waiting fields do not
     /// enter the budget.
-    fn measured(service_s: f64, rate: f64) -> MeasuredSummary {
+    pub(crate) fn measured(service_s: f64, rate: f64) -> MeasuredSummary {
         MeasuredSummary {
             samples: 2000,
             arrival_rate: rate,
@@ -195,7 +181,7 @@ mod tests {
 
     #[test]
     fn inversion_meets_the_objective() {
-        let controller = FlowController::new(&config(), 1);
+        let controller = FlowController::new(&config());
         let service = seed();
         let rho = controller.rho_max();
         assert!(rho > 0.0 && rho <= 0.999);
@@ -205,45 +191,18 @@ mod tests {
             analysis.distribution().quantile(0.99) <= config().w99_objective / HEADROOM * 1.001
         );
         assert!((controller.lambda_max() - rho / service.mean()).abs() < 1e-9);
-    }
 
-    #[test]
-    fn sharded_budget_scales_linearly() {
-        let one = FlowController::new(&config(), 1);
-        let four = FlowController::new(&config(), 4);
-        // Same per-shard utilisation ceiling, 4x the aggregate rate.
-        assert_eq!(one.rho_max(), four.rho_max());
-        assert!((four.lambda_max() - 4.0 * one.lambda_max()).abs() < 1e-9);
-
-        // A measured refresh scales by the servers the load spans: four
-        // evenly loaded shards get four times one shard's budget.
-        let e_b = seed().mean();
-        let m = measured(3.0 * e_b, 0.3 / e_b);
-        let one_after = one.refresh(&m, 1.0).expect("a measurement refreshes");
-        let four_after = four.refresh(&m, 4.0).expect("a measurement refreshes");
-        assert!((four_after - 4.0 * one_after).abs() < 1e-9);
-    }
-
-    #[test]
-    fn a_skewed_load_is_budgeted_for_its_hot_shard() {
-        // Four shards, all the traffic on one: the budget is that one
-        // shard's, a quarter of the even-load budget, and a share that
-        // reads below one server counts as one.
-        let four = FlowController::new(&config(), 4);
-        let e_b = seed().mean();
-        let m = measured(e_b, 0.3 / e_b);
-        let even = four.refresh(&m, 4.0).expect("refreshes");
-        let hot = four.refresh(&m, 1.0).expect("refreshes");
-        assert!((even - 4.0 * hot).abs() < 1e-9, "even {even}, one hot shard {hot}");
-        assert_eq!(four.refresh(&m, 0.5), None);
-        assert_eq!(four.refresh(&m, f64::NAN), None);
-        assert!((hot - four.rho_max() / e_b).abs() < 1e-9);
+        // A measured refresh is the same inversion of the measured service:
+        // the budget is `ρ_max / E[B]` of the one server.
+        let e_b = 3.0 * service.mean();
+        let lambda = controller.refresh(&measured(e_b, 0.1 / e_b)).expect("refreshes");
+        assert!((lambda - controller.rho_max() / e_b).abs() < 1e-9);
     }
 
     #[test]
     fn tighter_objective_means_smaller_budget() {
-        let loose = FlowController::new(&config().w99_objective(0.01), 1);
-        let tight = FlowController::new(&config().w99_objective(0.001), 1);
+        let loose = FlowController::new(&config().w99_objective(0.01));
+        let tight = FlowController::new(&config().w99_objective(0.001));
         assert!(tight.lambda_max() < loose.lambda_max());
     }
 
@@ -251,12 +210,12 @@ mod tests {
     fn a_slower_measured_service_tightens_the_budget() {
         // An objective of a thousand service times holds both servers near
         // the utilisation cap, so the budget tracks `1 / E[B]`.
-        let controller = FlowController::new(&config().w99_objective(1.0), 1);
+        let controller = FlowController::new(&config().w99_objective(1.0));
         let before = controller.lambda_max();
         // A server measured 3x slower than the seed: the budget shrinks
         // about 3x.
         let e_b = seed().mean();
-        let after = controller.refresh(&measured(3.0 * e_b, 0.3 / e_b), 1.0).expect("refreshes");
+        let after = controller.refresh(&measured(3.0 * e_b, 0.3 / e_b)).expect("refreshes");
         let ratio = before / after;
         assert!((2.7..3.3).contains(&ratio), "budget {before} → {after}, {ratio:.2}x");
         assert_eq!(controller.source(), CalibrationSource::Measured);
@@ -265,14 +224,14 @@ mod tests {
 
     #[test]
     fn a_measurement_at_the_seed_returns_the_analytic_budget() {
-        let analytic = FlowController::new(&config(), 1).lambda_max();
-        let controller = FlowController::new(&config(), 1);
+        let analytic = FlowController::new(&config()).lambda_max();
+        let controller = FlowController::new(&config());
         let e_b = seed().mean();
-        controller.refresh(&measured(3.0 * e_b, 0.3 / e_b), 1.0).expect("refreshes");
-        let back = controller.refresh(&measured(e_b, 0.3 / e_b), 1.0).expect("refreshes");
+        controller.refresh(&measured(3.0 * e_b, 0.3 / e_b)).expect("refreshes");
+        let back = controller.refresh(&measured(e_b, 0.3 / e_b)).expect("refreshes");
         assert!((back / analytic - 1.0).abs() < 0.05, "measured {back} vs analytic {analytic}");
         // The same measurement again changes nothing.
-        assert_eq!(controller.refresh(&measured(e_b, 0.3 / e_b), 1.0), None);
+        assert_eq!(controller.refresh(&measured(e_b, 0.3 / e_b)), None);
         assert_eq!(controller.refreshes(), 2);
     }
 
@@ -297,18 +256,18 @@ mod tests {
         let verdict = monitor.assess(&waiting, &service, elapsed);
         assert!(matches!(verdict, ModelVerdict::Overloaded { .. }), "got {verdict:?}");
 
-        let controller = FlowController::new(&c, 1);
+        let controller = FlowController::new(&c);
         let summary = MeasuredSummary::of(&waiting, &service, elapsed).expect("enough samples");
-        let lambda = controller.refresh(&summary, 1.0).expect("refreshes");
+        let lambda = controller.refresh(&summary).expect("refreshes");
         assert!(lambda > 10.0 * rate, "budget {lambda}/s for a load of {rate}/s");
     }
 
     #[test]
     fn a_degenerate_measurement_leaves_the_budget_alone() {
-        let controller = FlowController::new(&config(), 1);
+        let controller = FlowController::new(&config());
         let before = controller.lambda_max();
         for service_s in [0.0, f64::NAN] {
-            assert!(controller.refresh(&measured(service_s, 1000.0), 1.0).is_none());
+            assert!(controller.refresh(&measured(service_s, 1000.0)).is_none());
         }
         assert_eq!(controller.lambda_max(), before);
         assert_eq!(controller.refreshes(), 0);

@@ -1,10 +1,14 @@
 //! The admission gate: priority-class token-bucket enforcement of the
-//! controller's arrival-rate budget.
+//! controllers' arrival-rate budgets.
 //!
-//! One global [`TokenBucket`] refills at `λ_max`; per-producer buckets
-//! refill at half of it. JMS priorities 0–9 map
+//! The gate has one lane per dispatcher shard, because each dispatcher is
+//! one M/GI/1 server and a topic is pinned to one of them: a lane is that
+//! server's [`FlowController`], a lane bucket refilled at its `λ_max`, and
+//! the buckets of the producers publishing to it, refilled at half of it.
+//! A publish is admitted by its own shard's lane only, so a hot shard
+//! drains its own bucket and no other. JMS priorities 0–9 map
 //! proportionally onto `classes` priority classes, and each class `c` may
-//! only draw from the global bucket while its fill fraction is at least
+//! only draw from the lane bucket while its fill fraction is at least
 //! `(classes − 1 − c) / classes`: as the bucket drains under overload the
 //! lowest class is locked out (and shed) first, then the middle classes,
 //! while the top class — where durable/persistent publishes are pinned —
@@ -16,7 +20,7 @@
 
 use crate::bucket::TokenBucket;
 use crate::config::{FlowConfig, BURST_SECONDS, HEADROOM, PRODUCER_SHARE};
-use crate::controller::FlowController;
+use crate::controller::{CalibrationSource, FlowController};
 use rjms_core::MeasuredSummary;
 use rjms_metrics::{labeled, Histogram, MetricsRegistry};
 use serde::{Deserialize, Serialize};
@@ -27,9 +31,9 @@ use rjms_conc::sync::{Arc, Mutex, OnceLock};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// Producer buckets tracked before the gate stops allocating new ones
+/// Producer buckets a lane tracks before it stops allocating new ones
 /// (protects the map from unbounded producer-id churn; overflow producers
-/// are only subject to the global gate).
+/// are only subject to the lane bucket).
 const MAX_TRACKED_PRODUCERS: usize = 8192;
 
 /// The typed result of one admission decision.
@@ -90,26 +94,29 @@ pub struct ClassSnapshot {
     pub shed: u64,
 }
 
-/// Point-in-time view of the whole gate, for `/flow` exposition.
+/// Point-in-time view of the whole gate, for `/flow` exposition. The
+/// budgets, counts and buckets are the sums over the lanes, so at one shard
+/// they are that lane's.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowSnapshot {
     /// Current arrival-rate budget, messages per second.
     pub lambda_max: f64,
-    /// Utilization ceiling behind the budget.
+    /// Utilization ceiling behind the budget: the smallest lane's.
     pub rho_max: f64,
     /// Configured `W99` objective, seconds.
     pub w99_objective: f64,
     /// Inversion headroom factor.
     pub headroom: f64,
-    /// Where the budget came from (`analytic`, `measured`).
+    /// `measured` once any lane was re-inverted from a measurement, else
+    /// `analytic`.
     pub source: &'static str,
     /// Budget refreshes applied since start.
     pub refreshes: u64,
     /// Number of priority classes.
     pub classes: u8,
-    /// Global bucket level, tokens.
+    /// Lane bucket level, tokens.
     pub bucket_level: f64,
-    /// Global bucket ceiling, tokens.
+    /// Lane bucket ceiling, tokens.
     pub bucket_burst: f64,
     /// Producer buckets currently tracked.
     pub producers: u64,
@@ -118,23 +125,24 @@ pub struct FlowSnapshot {
 }
 
 /// The admission gate. See the [module docs](self) and the
-/// [crate docs](crate).
+/// [crate docs](crate). A method that takes a `shard` panics unless it is
+/// below the shard count the gate was built for.
 ///
 /// # Examples
 ///
 /// ```
 /// use rjms_flow::{AdmissionOutcome, FlowConfig, FlowGate};
 ///
-/// let gate = FlowGate::new(FlowConfig::default(), 1);
-/// // A full bucket admits the first message of any class.
-/// assert!(gate.admit(1, 0, false).is_granted());
-/// assert!(gate.snapshot().per_class[0].granted >= 1);
+/// let gate = FlowGate::new(FlowConfig::default(), 2);
+/// // A full bucket admits the first message of any class, on either shard.
+/// assert!(gate.admit(0, 1, 0, false).is_granted());
+/// assert!(gate.admit(1, 2, 0, false).is_granted());
+/// assert_eq!(gate.snapshot().per_class[0].granted, 2);
 /// ```
 pub struct FlowGate {
     config: FlowConfig,
-    controller: FlowController,
-    global: Mutex<TokenBucket>,
-    producers: Mutex<HashMap<u64, TokenBucket>>,
+    /// One per dispatcher shard, in shard order.
+    lanes: Vec<Lane>,
     /// Shared with the registry source [`Self::bind_registry`] registers.
     counters: Arc<Vec<ClassCounters>>,
     /// Per-class admission-decision latency histograms (nanoseconds),
@@ -143,29 +151,39 @@ pub struct FlowGate {
     epoch: Instant,
 }
 
+/// One dispatcher shard's admission: the budget of that one server, its
+/// bucket, and the buckets of the producers that publish to it.
+struct Lane {
+    controller: FlowController,
+    bucket: Mutex<TokenBucket>,
+    producers: Mutex<HashMap<u64, TokenBucket>>,
+}
+
 impl std::fmt::Debug for FlowGate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlowGate")
-            .field("lambda_max", &self.controller.lambda_max())
+            .field("lambda_max", &self.lambda_max())
             .field("classes", &self.config.classes)
             .finish_non_exhaustive()
     }
 }
 
 impl FlowGate {
-    /// Builds a gate from the config for a broker of `shards` dispatchers
-    /// (see [`FlowController::new`]): runs the initial analytic inversion
-    /// and fills the global bucket.
+    /// Builds a gate from the config with one lane for each of `shards`
+    /// dispatchers (at least one): each runs the initial analytic inversion
+    /// of one server ([`FlowController::new`]) and starts with a full
+    /// bucket.
     pub fn new(config: FlowConfig, shards: usize) -> Self {
-        let controller = FlowController::new(&config, shards);
-        let lambda = controller.lambda_max();
-        let global = TokenBucket::new(lambda, burst_for(lambda, config.classes));
+        let lane = || {
+            let controller = FlowController::new(&config);
+            let bucket = Mutex::new(bucket_for(controller.lambda_max(), config.classes));
+            Lane { controller, bucket, producers: Mutex::new(HashMap::new()) }
+        };
+        let lanes = (0..shards.max(1)).map(|_| lane()).collect();
         let counters = (0..config.classes).map(|_| ClassCounters::default()).collect();
         Self {
             config,
-            controller,
-            global: Mutex::new(global),
-            producers: Mutex::new(HashMap::new()),
+            lanes,
             counters: Arc::new(counters),
             decision_ns: OnceLock::new(),
             epoch: Instant::now(),
@@ -177,14 +195,15 @@ impl FlowGate {
         &self.config
     }
 
-    /// The budget controller.
-    pub fn controller(&self) -> &FlowController {
-        &self.controller
+    /// Current arrival-rate budget, messages per second: the sum of the
+    /// lanes' budgets.
+    pub fn lambda_max(&self) -> f64 {
+        self.lanes.iter().map(|lane| lane.controller.lambda_max()).sum()
     }
 
-    /// Current arrival-rate budget, messages per second.
-    pub fn lambda_max(&self) -> f64 {
-        self.controller.lambda_max()
+    /// The arrival-rate budget of `shard`'s lane, messages per second.
+    pub fn shard_budget(&self, shard: usize) -> f64 {
+        self.lanes[shard].controller.lambda_max()
     }
 
     /// Maps a JMS priority (0–9) to a class index; durable/persistent
@@ -197,11 +216,18 @@ impl FlowGate {
         (u16::from(priority.min(9)) * u16::from(k) / 10) as u8
     }
 
-    /// Admission decision on the gate's own monotone clock.
-    pub fn admit(&self, producer: u64, priority: u8, durable: bool) -> AdmissionOutcome {
+    /// Admission decision by `shard`'s lane on the gate's own monotone
+    /// clock.
+    pub fn admit(
+        &self,
+        shard: usize,
+        producer: u64,
+        priority: u8,
+        durable: bool,
+    ) -> AdmissionOutcome {
         let started = Instant::now();
         let now_ns = (started - self.epoch).as_nanos() as u64;
-        let outcome = self.admit_at(producer, priority, durable, now_ns);
+        let outcome = self.admit_at(shard, producer, priority, durable, now_ns);
         if let Some(decision_ns) = self.decision_ns.get() {
             let class = usize::from(self.class_of(priority, durable));
             decision_ns[class].record(started.elapsed().as_nanos() as u64);
@@ -209,11 +235,12 @@ impl FlowGate {
         outcome
     }
 
-    /// Admission decision with a caller-supplied clock (nanoseconds on
-    /// any monotone axis). Deterministic: this is the entry point the
-    /// overload test and the property tests drive.
+    /// Admission decision by `shard`'s lane with a caller-supplied clock
+    /// (nanoseconds on any monotone axis). Deterministic: this is the entry
+    /// point the overload test and the property tests drive.
     pub fn admit_at(
         &self,
+        shard: usize,
         producer: u64,
         priority: u8,
         durable: bool,
@@ -221,12 +248,14 @@ impl FlowGate {
     ) -> AdmissionOutcome {
         let class = self.class_of(priority, durable);
         let k = self.config.classes;
+        let lane = &self.lanes[shard];
         let outcome = {
-            let mut global = self.global.lock().unwrap();
-            global.refill(now_ns);
-            let mut producers = self.producers.lock().unwrap();
+            let mut shared = lane.bucket.lock().unwrap();
+            shared.refill(now_ns);
+            let mut producers = lane.producers.lock().unwrap();
             if !producers.contains_key(&producer) && producers.len() < MAX_TRACKED_PRODUCERS {
-                producers.insert(producer, self.producer_bucket());
+                let rate = lane.controller.lambda_max() * PRODUCER_SHARE;
+                producers.insert(producer, bucket_for(rate, k));
             }
             let mut producer_bucket = producers.get_mut(&producer);
             let producer_ready = match producer_bucket.as_mut() {
@@ -236,14 +265,14 @@ impl FlowGate {
                 }
                 None => true,
             };
-            // Class c may only draw while the global fill fraction is at
+            // Class c may only draw while the lane's fill fraction is at
             // or above its reserve threshold. The class policy dominates:
             // the per-producer cap only converts an otherwise-grantable
             // publish into a defer, it never turns one into a shed.
             let reserve = f64::from(k - 1 - class) / f64::from(k);
-            if global.level() >= 1.0 && global.fill_fraction() >= reserve {
+            if shared.level() >= 1.0 && shared.fill_fraction() >= reserve {
                 if producer_ready {
-                    global.try_take(now_ns);
+                    shared.try_take(now_ns);
                     if let Some(bucket) = producer_bucket {
                         bucket.try_take(now_ns);
                     }
@@ -254,13 +283,13 @@ impl FlowGate {
                 }
             } else if class == k - 1 {
                 // Top class (durable/persistent): never shed.
-                let retry = global.nanos_until(1.0);
+                let retry = shared.nanos_until(1.0);
                 AdmissionOutcome::Deferred { class, retry_after: clamp_retry(retry) }
-            } else if class == 0 || global.fill_fraction() < reserve / 2.0 {
+            } else if class == 0 || shared.fill_fraction() < reserve / 2.0 {
                 AdmissionOutcome::Shed { class }
             } else {
-                let target = reserve * global.burst() + 1.0;
-                let retry = global.nanos_until(target);
+                let target = reserve * shared.burst() + 1.0;
+                let retry = shared.nanos_until(target);
                 AdmissionOutcome::Deferred { class, retry_after: clamp_retry(retry) }
             }
         };
@@ -273,22 +302,21 @@ impl FlowGate {
         outcome
     }
 
-    /// Feeds the busiest shard's measurement, and the `servers` its load
-    /// is a share of, to the controller ([`FlowController::refresh`]); if
-    /// the budget changed, re-rates the global and producer buckets.
-    pub fn refresh(&self, busiest: &MeasuredSummary, servers: f64) {
-        if let Some(lambda) = self.controller.refresh(busiest, servers) {
-            self.apply_rate(lambda);
-        }
-    }
-
-    /// Applies a new aggregate budget to the global and producer buckets.
-    fn apply_rate(&self, lambda: f64) {
+    /// Feeds `shard`'s own measurement to its lane's controller
+    /// ([`FlowController::refresh`]); if the budget changed, re-rates the
+    /// lane's bucket and its producers' buckets and re-sizes each to
+    /// [`BURST_SECONDS`] of its new rate, at the fill fraction it had.
+    pub fn refresh(&self, shard: usize, measured: &MeasuredSummary) {
+        let lane = &self.lanes[shard];
+        let Some(lambda) = lane.controller.refresh(measured) else { return };
         let now_ns = self.epoch.elapsed().as_nanos() as u64;
-        self.global.lock().unwrap().set_rate(lambda, now_ns);
-        let producer_rate = lambda * PRODUCER_SHARE;
-        for bucket in self.producers.lock().unwrap().values_mut() {
-            bucket.set_rate(producer_rate, now_ns);
+        let classes = self.config.classes;
+        let rerate = |bucket: &mut TokenBucket, rate| {
+            bucket.set_rate(rate, burst_for(rate, classes), now_ns);
+        };
+        rerate(&mut lane.bucket.lock().unwrap(), lambda);
+        for bucket in lane.producers.lock().unwrap().values_mut() {
+            rerate(bucket, lambda * PRODUCER_SHARE);
         }
     }
 
@@ -325,24 +353,33 @@ impl FlowGate {
 
     /// Point-in-time view for the `/flow` endpoint and the dashboard.
     pub fn snapshot(&self) -> FlowSnapshot {
-        let (bucket_level, bucket_burst) = {
-            let mut global = self.global.lock().unwrap();
-            global.refill(self.epoch.elapsed().as_nanos() as u64);
-            (global.level(), global.burst())
-        };
-        FlowSnapshot {
-            lambda_max: self.controller.lambda_max(),
-            rho_max: self.controller.rho_max(),
-            w99_objective: self.controller.objective(),
+        let now_ns = self.epoch.elapsed().as_nanos() as u64;
+        let source = self.lanes.iter().map(|lane| lane.controller.source()).max();
+        let mut snapshot = FlowSnapshot {
+            lambda_max: 0.0,
+            rho_max: f64::INFINITY,
+            w99_objective: self.config.w99_objective,
             headroom: HEADROOM,
-            source: self.controller.source().as_str(),
-            refreshes: self.controller.refreshes(),
+            source: source.unwrap_or(CalibrationSource::Analytic).as_str(),
+            refreshes: 0,
             classes: self.config.classes,
-            bucket_level,
-            bucket_burst,
-            producers: self.producers.lock().unwrap().len() as u64,
+            bucket_level: 0.0,
+            bucket_burst: 0.0,
+            producers: 0,
             per_class: self.class_counts().collect(),
+        };
+        for lane in &self.lanes {
+            let controller = &lane.controller;
+            let mut bucket = lane.bucket.lock().unwrap();
+            bucket.refill(now_ns);
+            snapshot.lambda_max += controller.lambda_max();
+            snapshot.rho_max = snapshot.rho_max.min(controller.rho_max());
+            snapshot.refreshes += controller.refreshes();
+            snapshot.bucket_level += bucket.level();
+            snapshot.bucket_burst += bucket.burst();
+            snapshot.producers += lane.producers.lock().unwrap().len() as u64;
         }
+        snapshot
     }
 
     /// The per-class outcome counters, the one count of each decision:
@@ -350,11 +387,6 @@ impl FlowGate {
     /// takes.
     pub fn class_counts(&self) -> impl Iterator<Item = ClassSnapshot> + '_ {
         class_counts(&self.counters)
-    }
-
-    fn producer_bucket(&self) -> TokenBucket {
-        let rate = self.controller.lambda_max() * PRODUCER_SHARE;
-        TokenBucket::new(rate, burst_for(rate, self.config.classes))
     }
 }
 
@@ -365,6 +397,11 @@ fn burst_for(rate: f64, classes: u8) -> f64 {
     (rate * BURST_SECONDS).max(f64::from(classes))
 }
 
+/// A full bucket refilled at `rate`, [`burst_for`] deep.
+fn bucket_for(rate: f64, classes: u8) -> TokenBucket {
+    TokenBucket::new(rate, burst_for(rate, classes))
+}
+
 /// Retry hints stay in a sane band regardless of bucket geometry.
 fn clamp_retry(nanos: u64) -> Duration {
     Duration::from_nanos(nanos.clamp(1_000_000, 1_000_000_000))
@@ -373,6 +410,7 @@ fn clamp_retry(nanos: u64) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::tests::measured;
 
     fn gate() -> FlowGate {
         // Tight objective so lambda_max is small and tests drain the
@@ -399,15 +437,21 @@ mod tests {
         let g = gate();
         // Drain the whole bucket with top-class messages at t=0.
         let mut granted = 0u64;
-        while g.admit_at(granted, 9, false, 0).is_granted() {
+        while g.admit_at(0, granted, 9, false, 0).is_granted() {
             granted += 1;
         }
         assert!(granted >= 1);
         // Low class is locked out well before the bucket empties, so at
         // empty it is shed; the top class is deferred, never shed.
-        assert!(matches!(g.admit_at(1, 0, false, 0), AdmissionOutcome::Shed { class: 0 }));
-        assert!(matches!(g.admit_at(1, 9, false, 0), AdmissionOutcome::Deferred { class: 2, .. }));
-        assert!(matches!(g.admit_at(1, 0, true, 0), AdmissionOutcome::Deferred { class: 2, .. }));
+        assert!(matches!(g.admit_at(0, 1, 0, false, 0), AdmissionOutcome::Shed { class: 0 }));
+        assert!(matches!(
+            g.admit_at(0, 1, 9, false, 0),
+            AdmissionOutcome::Deferred { class: 2, .. }
+        ));
+        assert!(matches!(
+            g.admit_at(0, 1, 0, true, 0),
+            AdmissionOutcome::Deferred { class: 2, .. }
+        ));
     }
 
     #[test]
@@ -415,13 +459,13 @@ mod tests {
         let g = gate();
         // Drain until the fill fraction drops below the class-0 reserve
         // (2/3): class 0 blocked, class 2 still granted.
-        let burst = g.global.lock().unwrap().burst();
+        let burst = g.lanes[0].bucket.lock().unwrap().burst();
         let to_drain = (burst / 2.0).ceil() as u64; // fill ~0.5 < 2/3
         for producer in 0..to_drain {
-            assert!(g.admit_at(producer, 9, false, 0).is_granted());
+            assert!(g.admit_at(0, producer, 9, false, 0).is_granted());
         }
-        assert!(!g.admit_at(to_drain, 0, false, 0).is_granted());
-        assert!(g.admit_at(to_drain + 1, 9, false, 0).is_granted());
+        assert!(!g.admit_at(0, to_drain, 0, false, 0).is_granted());
+        assert!(g.admit_at(0, to_drain + 1, 9, false, 0).is_granted());
     }
 
     #[test]
@@ -429,12 +473,12 @@ mod tests {
         let g = FlowGate::new(FlowConfig::default().w99_objective(0.0125), 1);
         // Producer 1 exhausts its half of the bucket; producer 2 is still
         // granted from the other half.
-        let mut outcome = g.admit_at(1, 9, false, 0);
+        let mut outcome = g.admit_at(0, 1, 9, false, 0);
         while outcome.is_granted() {
-            outcome = g.admit_at(1, 9, false, 0);
+            outcome = g.admit_at(0, 1, 9, false, 0);
         }
         assert!(matches!(outcome, AdmissionOutcome::Deferred { .. }));
-        assert!(g.admit_at(2, 9, false, 0).is_granted());
+        assert!(g.admit_at(0, 2, 9, false, 0).is_granted());
     }
 
     #[test]
@@ -442,7 +486,7 @@ mod tests {
         let g = gate();
         let offered = 5000u64;
         for i in 0..offered {
-            g.admit_at(i % 7, (i % 10) as u8, false, i * 1_000);
+            g.admit_at(0, i % 7, (i % 10) as u8, false, i * 1_000);
         }
         let snap = g.snapshot();
         let total: u64 = snap.per_class.iter().map(|c| c.granted + c.deferred + c.shed).sum();
@@ -453,9 +497,36 @@ mod tests {
     fn bound_on_tracked_producers_holds() {
         let g = gate();
         for producer in 0..(MAX_TRACKED_PRODUCERS as u64 + 100) {
-            g.admit_at(producer, 9, false, u64::MAX / 2);
+            g.admit_at(0, producer, 9, false, u64::MAX / 2);
         }
         assert!(g.snapshot().producers <= MAX_TRACKED_PRODUCERS as u64);
+    }
+
+    #[test]
+    fn each_shard_is_admitted_and_refreshed_by_its_own_lane() {
+        let g = FlowGate::new(FlowConfig::default().w99_objective(0.0025), 2);
+        let seed = g.shard_budget(0);
+        assert_eq!(g.shard_budget(1), seed);
+        assert_eq!(g.lambda_max(), 2.0 * seed);
+        // Drain lane 0 with top-class publishes: lane 1 still grants.
+        let mut producer = 0;
+        while g.admit_at(0, producer, 9, false, 0).is_granted() {
+            producer += 1;
+        }
+        assert!(g.admit_at(1, producer, 0, false, 0).is_granted());
+
+        // A measurement of shard 1 moves lane 1's budget only.
+        g.refresh(1, &measured(1e-6, 300_000.0));
+        assert_eq!(g.shard_budget(0), seed);
+        assert!(g.shard_budget(1) > 100.0 * seed, "lane 1 at {}/s", g.shard_budget(1));
+        let snapshot = g.snapshot();
+        assert_eq!((snapshot.source, snapshot.refreshes), ("measured", 1));
+        assert_eq!(snapshot.lambda_max, g.shard_budget(0) + g.shard_budget(1));
+        // Lane 1's bucket is re-sized to 50 ms of its new rate, and lane 0's
+        // stays drained.
+        let lane1 = g.lanes[1].bucket.lock().unwrap().burst();
+        assert!((lane1 - g.shard_budget(1) * BURST_SECONDS).abs() < 1e-6);
+        assert!(!g.admit_at(0, producer, 0, false, 0).is_granted());
     }
 
     /// The registry reports the gate's own counts, per class and in total;
@@ -466,7 +537,7 @@ mod tests {
         let g = gate();
         g.bind_registry(&registry);
         g.bind_registry(&registry);
-        assert!(g.admit(1, 9, false).is_granted());
+        assert!(g.admit(0, 1, 9, false).is_granted());
         let snap = registry.snapshot();
         assert_eq!(snap.counters.get("flow.granted{class=\"2\"}"), Some(&1));
         assert!(snap.histogram("flow.decision_ns{class=\"2\"}").is_some());

@@ -8,20 +8,21 @@
 //!
 //! Two layers:
 //!
-//! * [`FlowController`] inverts the `M/GI/1-∞` waiting-time predictor: for
-//!   a service-time model `B` and a configured `W99` objective it computes
-//!   the largest utilization `ρ_max` whose predicted 99th waiting-time
-//!   percentile stays inside the objective, and from it the maximum
-//!   sustainable arrival rate `λ_max = ρ_max / E[B]`. The seed model in
-//!   [`FlowConfig`] gives the first budget; every refresh after that
-//!   re-inverts from a [`MeasuredSummary`] of the dispatcher's own
+//! * [`FlowController`] inverts the `M/GI/1-∞` waiting-time predictor for
+//!   one server: for a service-time model `B` and a configured `W99`
+//!   objective it computes the largest utilization `ρ_max` whose predicted
+//!   99th waiting-time percentile stays inside the objective, and from it
+//!   the maximum sustainable arrival rate `λ_max = ρ_max / E[B]`. The seed
+//!   model in [`FlowConfig`] gives the first budget; every refresh after
+//!   that re-inverts from a [`MeasuredSummary`] of the dispatcher's own
 //!   histograms, so a slower server tightens `λ_max` and a faster one
 //!   loosens it.
-//! * [`FlowGate`] enforces the budget: a global [`TokenBucket`] refilled at
-//!   `λ_max`, per-producer buckets at half of it, and priority
-//!   classes that shed the lowest class first while the top (durable /
-//!   persistent) class is deferred but never shed. Every decision is a
-//!   typed [`AdmissionOutcome`].
+//! * [`FlowGate`] enforces the budgets, one lane per dispatcher shard: a
+//!   lane is one controller, a [`TokenBucket`] refilled at its `λ_max`, and
+//!   per-producer buckets at half of it. A publish is admitted by its own
+//!   shard's lane, and priority classes shed the lowest class first while
+//!   the top (durable / persistent) class is deferred but never shed.
+//!   Every decision is a typed [`AdmissionOutcome`].
 //!
 //! On the wire (rjms-net) push-back is the publish reply, and a denial is a
 //! typed `PublishDenied` frame.

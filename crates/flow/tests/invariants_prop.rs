@@ -70,13 +70,13 @@ proptest! {
         ),
     ) {
         // Five producers, each capped at half the budget: some publishes
-        // are deferred by their producer's bucket, not the global one.
+        // are deferred by their producer's bucket, not the lane's.
         let gate = FlowGate::new(FlowConfig::default().w99_objective(0.002).classes(classes), 1);
         let mut now = 0u64;
         let top = classes - 1;
         for (producer, priority, durable, dt) in offered.iter().copied() {
             now += dt;
-            let outcome = gate.admit_at(producer, priority, durable, now);
+            let outcome = gate.admit_at(0, producer, priority, durable, now);
             if let AdmissionOutcome::Shed { class } = outcome {
                 prop_assert!(class < top || classes == 1, "top class was shed");
                 prop_assert!(!durable, "durable publish was shed");

@@ -46,9 +46,9 @@ fn gate_accounts_for_every_racing_admission() {
         let gate = Arc::new(FlowGate::new(FlowConfig::default(), 1));
         let racer = {
             let gate = Arc::clone(&gate);
-            thread::spawn(move || gate.admit_at(1, 9, true, 0))
+            thread::spawn(move || gate.admit_at(0, 1, 9, true, 0))
         };
-        let mine = gate.admit_at(2, 9, true, 0);
+        let mine = gate.admit_at(0, 2, 9, true, 0);
         let theirs = racer.join().unwrap();
         for outcome in [&mine, &theirs] {
             assert!(

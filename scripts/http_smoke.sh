@@ -125,11 +125,12 @@ GRANTED=$(tr ',' '\n' < "$WORKDIR/flow.json" | awk -F: '/"granted"/ { n += $2 } 
 SHED=$(tr -d '}]' < "$WORKDIR/flow.json" | tr ',' '\n' | awk -F: '/"shed"/ { n += $2 } END { print n + 0 }')
 [ "$GRANTED" -ge "$COUNT" ] || fail "/flow granted $GRANTED < published $COUNT"
 [ "$SHED" = 0 ] || fail "/flow shed $SHED messages from an under-budget workload"
-# Two shards are two servers: the aggregate arrival rate of an
-# under-budget workload must not read as overload and tighten the gate.
-if grep -q '"source":"tightened"' "$WORKDIR/flow.json"; then
-  fail "/flow: the gate tightened under an under-budget workload"
-fi
+# A lane is re-inverted only from a shard's 1 000-sample summary, and the
+# smoke workload is fewer messages than that: the seed budget holds.
+grep -q '"source":"analytic"' "$WORKDIR/flow.json" \
+  || fail "/flow re-inverted a lane from fewer samples than a summary needs"
+grep -q '"refreshes":0,' "$WORKDIR/flow.json" \
+  || fail "/flow refreshed a lane from fewer samples than a summary needs"
 grep -q '"flow":{"granted":' "$WORKDIR/snapshot.json" \
   || fail "/snapshot.json missing the flow counters"
 

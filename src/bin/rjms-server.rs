@@ -20,9 +20,9 @@
 //! anchor for its per-shard model check: the measured waiting/service
 //! distributions against the Eq. 1 + M/GI/1 prediction at each shard's
 //! measured arrival rate, filter count and replication grade (the paper's
-//! Figs. 10–12, live). `/model` and `/shards` compute it on request, the
-//! flow gate is refreshed from it, and with `--metrics-interval` each
-//! instrument report ends with it. On a DRIFT verdict the `--trace` flight
+//! Figs. 10–12, live). `/model` and `/shards` compute it on request, and
+//! with `--metrics-interval` each instrument report ends with it; the flow
+//! gate budgets each shard from that shard's measured service time. On a DRIFT verdict the `--trace` flight
 //! recorder is dumped, so the span chains of the slow tail that produced
 //! the anomaly survive. `--topic-obs` judges each topic's fitted costs
 //! against the same constants.
@@ -38,6 +38,7 @@
 
 use rjms::broker::{
     BrokerConfig, FlowConfig, MetricsConfig, ThroughputProbe, TopicObsConfig, TraceConfig,
+    PER_TOPIC_SERIES,
 };
 use rjms::http::{HttpServer, HttpState};
 use rjms::model::params::CostParams;
@@ -97,10 +98,8 @@ fn configs(values: &Values) -> (BrokerConfig, Option<(ObsConfig, Duration)>) {
         builder = builder.flow(flow);
     }
     if values.on(Key::TopicObs) {
-        let cap = usize::try_from(count(Key::TopicObsCap)).unwrap_or(usize::MAX);
         let target = values.number(Key::TopicObsTarget).expect(DEFAULTED);
-        builder =
-            builder.topic_obs(TopicObsConfig::default().per_topic_cap(cap).target_ratio(target));
+        builder = builder.topic_obs(TopicObsConfig::default().target_ratio(target));
     }
 
     let obs = values.on(Key::Slo).then(|| {
@@ -169,7 +168,7 @@ fn main() {
     if let Some(snap) = server.broker().observer().topic_observatory() {
         println!(
             "topic observatory on (cap {} topics, skew target ratio {:.2}, /topics)",
-            snap.config.per_topic_cap, snap.config.target_ratio,
+            PER_TOPIC_SERIES, snap.config.target_ratio,
         );
     }
 
@@ -317,8 +316,6 @@ mod tests {
             "5",
             "--flow-classes",
             "4",
-            "--topic-obs-cap",
-            "9",
             "--topic-obs-target",
             "2",
             "--history",
@@ -334,8 +331,8 @@ mod tests {
         let flow = broker.flow.expect("--flow-w99 implies --flow");
         assert_eq!((flow.w99_objective, flow.classes), (0.005, 4));
         assert_eq!(flow.params, CostParams::APPLICATION_PROPERTY);
-        let topic_obs = broker.topic_obs.expect("--topic-obs-cap implies --topic-obs");
-        assert_eq!((topic_obs.per_topic_cap, topic_obs.target_ratio), (9, 2.0));
+        let topic_obs = broker.topic_obs.expect("--topic-obs-target implies --topic-obs");
+        assert_eq!(topic_obs.target_ratio, 2.0);
         let (obs, interval) = obs.expect("--history implies --slo");
         assert_eq!(interval, Duration::from_secs(3));
         assert_eq!(obs.forecast.horizon, Duration::from_secs(60));

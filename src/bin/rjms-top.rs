@@ -9,7 +9,7 @@
 //!   ten minutes plus the merged-window quantile summary,
 //! * a **throughput pane**: sparkline of messages per slot,
 //! * a **flow pane** (when the server runs `--flow`): the live `λ_max`
-//!   budget and its calibration source, the global bucket fill, the
+//!   budget and its calibration source, the shards' bucket fill, the
 //!   granted/deferred/shed admission counters, and a **sheds timeline**
 //!   — granted- and shed-rate sparklines on the same ten-minute window
 //!   as the waiting-time pane, so an operator sees *when* the gate

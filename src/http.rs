@@ -19,6 +19,7 @@
 
 use rjms_broker::{
     BrokerObserver, BrokerSnapshot, FlowGate, FlowSnapshot, ShardReport, TopicObservatorySnapshot,
+    PER_TOPIC_SERIES,
 };
 use rjms_core::regression::{FittedCosts, RegressionVerdict};
 use rjms_core::{CostParams, ModelVerdict};
@@ -619,8 +620,8 @@ fn chains_json(
 }
 
 /// The `/shards` body. When flow control is attached, each shard also
-/// carries its slice of the admission budget (`lambda_max / shards` — the
-/// controller holds every shard at the same inverted utilisation). When
+/// carries its own admission budget, its lane's `λ_max`
+/// ([`FlowGate::shard_budget`]). When
 /// the SLO engine is attached and judges as many shards, each shard carries
 /// the engine's latest forecast for it ([`ObsCore::shards`]). When the
 /// topic observatory is on, the body also carries the skew analyzer's
@@ -633,11 +634,6 @@ fn shards_json(
 ) {
     let obs_core = state.obs.as_ref().and_then(|o| o.lock().ok());
     let engine = obs_core.as_ref().map(|core| core.shards()).filter(|s| s.len() == reports.len());
-    let lambda_budget = state
-        .flow
-        .as_ref()
-        .filter(|_| !reports.is_empty())
-        .map(|gate| gate.snapshot().lambda_max / reports.len() as f64);
     w.object(|w| {
         w.key("shards").array(|w| {
             for r in reports {
@@ -648,7 +644,7 @@ fn shards_json(
                     w.field("arrival_rate", r.arrival_rate);
                     w.field("filters", r.filters);
                     w.field("replication_grade", r.replication_grade);
-                    w.field("lambda_budget", lambda_budget);
+                    w.field("lambda_budget", state.flow.as_ref().map(|g| g.shard_budget(r.shard)));
                     w.key("verdict");
                     model_verdict_json(&r.verdict, w);
                     w.key("forecast").optional(forecast, Forecast::write_json);
@@ -737,7 +733,7 @@ fn topics_json(snap: &TopicObservatorySnapshot, w: &mut JsonWriter) {
     w.object(|w| {
         w.field("elapsed_secs", snap.elapsed.as_secs_f64());
         w.field("shards", snap.shards);
-        w.field("per_topic_cap", snap.config.per_topic_cap);
+        w.field("per_topic_cap", PER_TOPIC_SERIES);
         w.field("overflowed_topics", snap.overflowed_topics);
         w.key("anchor").optional(snap.anchor.as_ref(), |a, w| w.object(|w| cost_members(a, w)));
         w.key("global").object(|w| {

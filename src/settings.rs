@@ -55,7 +55,6 @@
 //! classes = 4
 //!
 //! [topic_obs]
-//! cap = 128
 //! target_ratio = 1.2
 //! ```
 
@@ -86,7 +85,6 @@ pub enum Key {
     FlowW99,
     FlowClasses,
     TopicObs,
-    TopicObsCap,
     TopicObsTarget,
 }
 
@@ -164,7 +162,7 @@ const fn row<K>(
     Row { key, flag, file, kind, default, implies, help }
 }
 
-const ROWS: usize = 23;
+const ROWS: usize = 22;
 const ANY: u64 = u64::MAX;
 const AT_LEAST_1: Kind = Kind::Count { min: 1, max: ANY };
 
@@ -238,8 +236,6 @@ pub static SETTINGS: [Row; ROWS] = [
         "priority classes, 1..=10"),
     row(Key::TopicObs, "--topic-obs", "topic_obs.enabled", Kind::Toggle, "", None,
         "per-topic accounting with fitted Eq. 1 costs, shard-skew analysis, rebalance advice"),
-    row(Key::TopicObsCap, "--topic-obs-cap N", "topic_obs.cap", AT_LEAST_1, "64", Some(Key::TopicObs),
-        "topics with an accounting row of their own"),
     row(Key::TopicObsTarget, "--topic-obs-target RATIO", "topic_obs.target_ratio", Kind::Number(finite_at_least_1, ">= 1"), "1.10", Some(Key::TopicObs),
         "max/mean shard-load ratio the advised moves aim under"),
 ];
@@ -855,8 +851,8 @@ mod tests {
             "--config --listen --topic --shards --stats-every --metrics-interval --cost-model \
              --http --trace --trace-quantile --slo --history --alert-sink --forecast \
              --forecast-horizon --forecast-confidence --flow --flow-w99 --flow-classes \
-             --topic-obs --topic-obs-cap --topic-obs-target --help",
-            "23 flags"
+             --topic-obs --topic-obs-target --help",
+            "22 flags"
         );
         assert_eq!(
             flag_list(&PUB),
@@ -877,7 +873,7 @@ mod tests {
              forecast.enabled forecast.horizon_secs forecast.trend_window_secs \
              forecast.min_confidence \
              flow.enabled flow.w99_ms flow.classes \
-             topic_obs.enabled topic_obs.cap topic_obs.target_ratio",
+             topic_obs.enabled topic_obs.target_ratio",
             "7 top-level keys, 5 sections"
         );
         assert_eq!(sections(), "trace|slo|forecast|flow|topic_obs");
@@ -911,8 +907,6 @@ mod tests {
             (Key::FlowW99, "0", "at least 1"),
             (Key::FlowClasses, "0", "1..=10"),
             (Key::FlowClasses, "11", "1..=10"),
-            (Key::TopicObsCap, "0", "at least 1"),
-            (Key::TopicObsCap, "many", "non-negative integer"),
             (Key::TopicObsTarget, "0.9", ">= 1"),
             (Key::TopicObsTarget, "inf", ">= 1"),
         ];
@@ -1068,7 +1062,6 @@ mod tests {
         const TUNING: &[(Key, Key, &str, &str)] = &[
             (Key::Flow, Key::FlowW99, "5", "7"),
             (Key::Flow, Key::FlowClasses, "2", "4"),
-            (Key::TopicObs, Key::TopicObsCap, "32", "256"),
             (Key::TopicObs, Key::TopicObsTarget, "1.5", "2"),
             (Key::Slo, Key::History, "2", "3"),
         ];
@@ -1122,7 +1115,7 @@ mod tests {
                  TraceQuantile=0.99 Slo=on History=2 \
                  AlertSinks=stderr,webhook:127.0.0.1:9200/alerts Forecast=on \
                  ForecastHorizon=600 ForecastTrendWindow=120 ForecastConfidence=high Flow=off \
-                 FlowW99=5 FlowClasses=4 TopicObs=on TopicObsCap=128 TopicObsTarget=1.2",
+                 FlowW99=5 FlowClasses=4 TopicObs=on TopicObsTarget=1.2",
             ),
             // 3: flags over the full file
             (
@@ -1144,15 +1137,15 @@ mod tests {
             ),
             // 5: topic_obs flags override file values (was an rjms-server test)
             (
-                "--topic-obs-cap 256 --topic-obs-target 1.05",
-                "[topic_obs]\ncap = 32\ntarget_ratio = 1.5\n",
-                "TopicObs=on TopicObsCap=256 TopicObsTarget=1.05",
+                "--topic-obs-target 1.05",
+                "[topic_obs]\ntarget_ratio = 1.5\n",
+                "TopicObs=on TopicObsTarget=1.05",
             ),
             // 6: `--topic-obs` re-enables over `enabled = false`, tuning kept
             (
                 "--topic-obs",
-                "[topic_obs]\nenabled = false\ncap = 32\n",
-                "TopicObs=on TopicObsCap=32",
+                "[topic_obs]\nenabled = false\ntarget_ratio = 1.5\n",
+                "TopicObs=on TopicObsTarget=1.5",
             ),
             // 7: an integer where a number is expected is coerced
             ("", "[topic_obs]\ntarget_ratio = 2\n", "TopicObs=on TopicObsTarget=2"),
@@ -1161,8 +1154,8 @@ mod tests {
             // 9–11: switched-off sections keep their tuning and stay off
             (
                 "",
-                "[topic_obs]\nenabled = false\ncap = 32\ntarget_ratio = 1.5\n",
-                "TopicObs=off TopicObsCap=32 TopicObsTarget=1.5",
+                "[topic_obs]\nenabled = false\ntarget_ratio = 1.5\n",
+                "TopicObs=off TopicObsTarget=1.5",
             ),
             ("", "[flow]\nenabled = false\nw99_ms = 5\n", "Flow=off FlowW99=5"),
             ("", "[slo]\nenabled = false\nhistory_secs = 2\n", "Slo=off History=2"),

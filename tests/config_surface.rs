@@ -83,7 +83,6 @@ BrokerConfig {
     ),
     topic_obs: Some(
         TopicObsConfig {
-            per_topic_cap: 64,
             target_ratio: 1.1,
         },
     ),
@@ -105,7 +104,6 @@ FlowConfig {
 
 const TOPIC_OBS: &str = r#"
 TopicObsConfig {
-    per_topic_cap: 64,
     target_ratio: 1.1,
 }"#;
 

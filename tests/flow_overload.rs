@@ -24,8 +24,8 @@ use rjms::model::params::CostParams;
 /// Offered-load phases, seconds of simulated time each.
 const PHASE_SECS: f64 = 5.0;
 
-/// Held by the two tests that read a budget from measured service times, so
-/// that the hot-shard test's spinning dispatcher does not stretch the
+/// Held by the tests that read a budget from measured service times, so
+/// that the hot-shard tests' spinning dispatchers do not stretch the
 /// native-speed test's measurement.
 static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -70,7 +70,7 @@ impl Sim {
             let admitted = match gate {
                 None => true,
                 Some(g) => {
-                    g.admit_at(producer, priority, false, (self.now_s * 1e9) as u64).is_granted()
+                    g.admit_at(0, producer, priority, false, (self.now_s * 1e9) as u64).is_granted()
                 }
             };
             if admitted {
@@ -270,12 +270,13 @@ mod flow_peer {
 
 mod sharded {
     //! Flow control on a sharded broker. `k` dispatchers are `k` independent
-    //! M/GI/1 servers, so the gate's budget is the busiest shard's
-    //! `λ_per_shard` times the servers the traffic spans (`k` at even load,
-    //! one when one shard takes it all) — never one server assessed at the
-    //! aggregate arrival rate `Σλ`.
+    //! M/GI/1 servers, so the gate has one lane per shard, each budgeted as
+    //! one server from that shard's own measurement — never one server
+    //! assessed at the aggregate arrival rate `Σλ`.
 
-    use rjms::broker::{shard_of, Broker, BrokerConfig, Filter, FlowConfig, Message};
+    use rjms::broker::{
+        shard_of, Broker, BrokerConfig, Filter, FlowConfig, Message, TryPublishError,
+    };
     use rjms::model::monitor::ModelVerdict;
     use rjms::model::params::CostParams;
     use std::time::{Duration, Instant};
@@ -324,7 +325,7 @@ mod sharded {
         let offered = PER_SHARD_RATE * SHARDS as f64;
         let started = Instant::now();
         let (mut sent, mut denied) = (0u64, 0u64);
-        let (mut tightened, mut lowest_budget) = (false, f64::INFINITY);
+        let mut lowest_budget = f64::INFINITY;
         while started.elapsed() < Duration::from_secs(3) {
             while (sent as f64) < offered * started.elapsed().as_secs_f64() {
                 let (publisher, _) = &lanes[sent as usize % SHARDS];
@@ -335,9 +336,7 @@ mod sharded {
             for (_, sub) in &lanes {
                 sub.drain();
             }
-            let now = gate.snapshot();
-            tightened |= now.source == "tightened";
-            lowest_budget = lowest_budget.min(now.lambda_max);
+            lowest_budget = lowest_budget.min(gate.snapshot().lambda_max);
             std::thread::sleep(Duration::from_millis(1));
         }
 
@@ -345,7 +344,7 @@ mod sharded {
         let snapshot = gate.snapshot();
         eprintln!(
             "offered {offered}/s for 3 s: sent {sent}, denied {denied}; gate lambda_max {:.0}/s \
-             (lowest {lowest_budget:.0}/s) source {} (tightened seen: {tightened}) after {} refreshes",
+             (lowest {lowest_budget:.0}/s) source {} after {} refreshes",
             snapshot.lambda_max, snapshot.source, snapshot.refreshes
         );
         for r in &reports {
@@ -360,7 +359,7 @@ mod sharded {
             "every shard has a measured-vs-predicted verdict, none overloaded: {reports:?}"
         );
         assert!(!reports.iter().any(|r| matches!(r.verdict, ModelVerdict::Overloaded { .. })));
-        assert!(!tightened, "no shard is overloaded, yet the gate tightened its budget");
+        assert_eq!(snapshot.source, "measured", "no lane was re-inverted from its measurement");
         assert!(
             lowest_budget >= offered,
             "the budget fell to {lowest_budget:.0}/s, below the {offered}/s the shards carry easily"
@@ -435,11 +434,98 @@ mod sharded {
         );
         assert_eq!(snapshot.source, "measured");
         assert!(
-            snapshot.lambda_max < OFFERED,
+            gate.shard_budget(hot) < OFFERED,
             "a budget of {:.0}/s admits more than one shard serves",
-            snapshot.lambda_max
+            gate.shard_budget(hot)
         );
         assert!(rho < 0.9, "the hot shard was busy {rho:.2} of the time: held saturated");
+        broker.shutdown();
+    }
+
+    #[test]
+    fn a_cold_shard_is_not_denied_for_a_hot_one_which_is_budgeted_from_the_start() {
+        let _measuring = super::MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+        const SHARDS: usize = 4;
+        const HOT: f64 = 6_000.0;
+        const COLD: f64 = 100.0;
+        const RUN: Duration = Duration::from_secs(3);
+        // The first refresh is due at 300 ms.
+        const BEFORE_REFRESH: Duration = Duration::from_millis(250);
+        // The load of `a_hot_shard…`: 250 µs a message spun, 6 000 msgs/s on
+        // one topic from two producers, which one shard serves at most 4 000
+        // of. Beside it a topic on another shard takes 100 msgs/s from a
+        // publisher of its own, a fortieth of its shard's time. Each shard
+        // is its own server: the hot one is budgeted as one server from the
+        // first publish on, and the cold one is never denied for the hot
+        // one's load.
+        let params = CostParams { t_rcv: 100e-6, t_fltr: 10e-6, t_tx: 140e-6, t_store: 0.0 };
+        let flow = FlowConfig::default()
+            .params(params)
+            .filters(1)
+            .w99_objective(0.0025)
+            .refresh_interval_ms(300);
+        let config = BrokerConfig::builder().shards(SHARDS).cost_model(params).flow(flow).build();
+        let broker = Broker::start(config);
+        let gate = broker.flow().expect("flow control on");
+        let hot = shard_of("orders", SHARDS);
+        let cold_topic =
+            (0..).map(|i| format!("audit-{i}")).find(|t| shard_of(t, SHARDS) != hot).unwrap();
+        let open = |topic: &str| {
+            broker.create_topic(topic).unwrap();
+            broker.subscription(topic).filter(Filter::correlation_id("#1").unwrap()).open().unwrap()
+        };
+        let (hot_sub, cold_sub) = (open("orders"), open(&cold_topic));
+        let publishers = [broker.publisher("orders").unwrap(), broker.publisher("orders").unwrap()];
+        let cold_publisher = broker.publisher(&cold_topic).unwrap();
+        // A refusal by the gate, not by a full publish queue.
+        let denied = |sent: Result<(), TryPublishError>| {
+            u64::from(matches!(sent, Err(TryPublishError::Denied { .. })))
+        };
+        let message = || Message::builder().correlation_id("#1").build();
+
+        let started = Instant::now();
+        let (mut hot_sent, mut cold_sent) = (0u64, 0u64);
+        let (mut hot_denied_early, mut cold_denied, mut cold_denied_measured) = (0u64, 0u64, 0u64);
+        // Whether the gate was `measured` a loop turn (over 1 ms) ago.
+        let mut measured_a_turn_ago = false;
+        while started.elapsed() < RUN {
+            let measured = gate.snapshot().source == "measured";
+            let elapsed = started.elapsed();
+            let early = u64::from(elapsed < BEFORE_REFRESH);
+            while (hot_sent as f64) < HOT * elapsed.as_secs_f64() {
+                hot_denied_early +=
+                    early * denied(publishers[hot_sent as usize % 2].try_publish(message()));
+                hot_sent += 1;
+            }
+            while (cold_sent as f64) < COLD * elapsed.as_secs_f64() {
+                let refused = denied(cold_publisher.try_publish(message()));
+                cold_denied += refused;
+                cold_denied_measured += refused * u64::from(measured_a_turn_ago);
+                cold_sent += 1;
+            }
+            measured_a_turn_ago = measured;
+            hot_sub.drain();
+            cold_sub.drain();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let snapshot = gate.snapshot();
+        eprintln!(
+            "hot shard {hot}: {HOT}/s, sent {hot_sent}, denied {hot_denied_early} before \
+             {BEFORE_REFRESH:?}; cold topic {cold_topic}: {COLD}/s, sent {cold_sent}, denied \
+             {cold_denied} ({cold_denied_measured} under a measured gate); gate source {} after {} \
+             refreshes",
+            snapshot.source, snapshot.refreshes
+        );
+        assert_eq!(snapshot.source, "measured", "no lane was re-inverted from its measurement");
+        assert_eq!(
+            cold_denied_measured, 0,
+            "the cold topic was denied {cold_denied_measured} of {cold_sent} for the hot shard's load"
+        );
+        assert!(
+            hot_denied_early > 0,
+            "6 000 msgs/s on one shard admitted in full before the first refresh"
+        );
         broker.shutdown();
     }
 }
@@ -484,12 +570,12 @@ mod native_speed {
         let started = Instant::now();
         let (mut sent, mut denied, mut denied_measured) = (0u64, 0u64, 0u64);
         let mut lowest_settled_budget = f64::INFINITY;
-        // Whether the gate was `measured` a loop turn (over 1 ms) ago. The
-        // bucket keeps the level the seed budget drained it to, and at the
-        // measured rate refills it within a millisecond. Its depth stays 50
-        // ms of the seed budget (under 100 tokens for this producer), so a
-        // turn sends at most `CATCH_UP` publishes, and one that follows a
-        // host stall does not burst past it.
+        // Whether the gate was `measured` a loop turn (over 1 ms) ago. A
+        // refresh re-sizes the producer's bucket to 50 ms of the measured
+        // rate at the fill fraction the seed budget drained it to, and at
+        // that rate it refills within a millisecond. A turn sends at most
+        // `CATCH_UP` publishes, so a backlog left by a host stall is not
+        // sent at once.
         const CATCH_UP: u64 = 30;
         let mut measured_a_turn_ago = false;
         while started.elapsed() < RUN {

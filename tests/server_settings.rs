@@ -18,7 +18,7 @@ w99_ms = 5
 
 [topic_obs]
 enabled = false
-cap = 32
+target_ratio = 1.5
 
 [slo]
 enabled = false
@@ -88,7 +88,7 @@ fn the_toggle_flag_switches_it_on_with_the_files_tuning() {
     let lines = startup_lines("on", SWITCHED_OFF, &["--flow", "--topic-obs", "--slo"]);
     for line in [
         "W99 <= 5.0 ms, 3 classes)",
-        "topic observatory on (cap 32 topics",
+        "topic observatory on (cap 64 topics, skew target ratio 1.50",
         "slo engine on (2s sampling",
     ] {
         assert!(lines.iter().any(|l| l.contains(line)), "`{line}` not in {lines:?}");

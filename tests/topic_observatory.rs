@@ -12,13 +12,14 @@
 //!    most of the offered load, the observatory flags skew and the
 //!    advised moves, when applied, bring the max/mean shard-load ratio
 //!    under the 1.25 flag threshold.
-//! 3. **Cardinality cap** — topics beyond `per_topic_cap` collapse into
+//! 3. **Cardinality cap** — topics beyond the first `PER_TOPIC_SERIES`
+//!    (64) collapse into
 //!    the `__other__` row and are counted in `overflowed_topics` (and in
 //!    the snapshot's `topics_overflowed`).
 
 use rjms::broker::{
     shard_of, Broker, BrokerConfig, Filter, Message, TopicObsConfig, TopicObservatorySnapshot,
-    OTHER_TOPIC,
+    OTHER_TOPIC, PER_TOPIC_SERIES,
 };
 use rjms::model::params::CostParams;
 use rjms::obs::topics::{analyze_skew, TopicLoad, FLAG_RATIO};
@@ -257,9 +258,12 @@ fn advisor_moves_rebalance_a_skewed_placement() {
 #[test]
 fn per_topic_cap_overflows_into_other() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let broker = Broker::start(
-        BrokerConfig::builder().topic_obs(TopicObsConfig::default().per_topic_cap(2)).build(),
-    );
+    let broker =
+        Broker::start(BrokerConfig::builder().topic_obs(TopicObsConfig::default()).build());
+    // Idle topics take all but two of the accounts and show no row.
+    for i in 2..PER_TOPIC_SERIES {
+        broker.create_topic(&format!("idle-{i}")).unwrap();
+    }
     let mut subscribers = Vec::new();
     for i in 0..4 {
         let topic = format!("t{i}");
