@@ -7,13 +7,15 @@
 //! for each, and what a binary prints is its only record.
 //!
 //! This library crate carries the shared plumbing: a fixed-width text-table
-//! writer, the standard experiment header, and the paired overhead gates
-//! ([`overhead`]).
+//! writer, the standard experiment header, the paper's saturated
+//! measurement grid run on the broker itself ([`grid`]), and the paired
+//! overhead gates ([`overhead`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod grid;
 pub mod overhead;
 pub mod table;
 

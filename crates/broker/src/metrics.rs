@@ -23,7 +23,7 @@
 //! | `broker.stage.fanout_ns` | histogram | copy/transmit stage (`R · t_tx`), sampled |
 //! | `broker.topic.received{topic="…"}` | counter | messages popped off the publish queue on the topic, expired ones included; the first 64 topics created ([`PER_TOPIC_SERIES`]) get their own series, later ones share `topic="__other__"` |
 //! | `broker.topic.dispatched{topic="…"}` | counter | copies delivered from the topic (same labels) |
-//! | `broker.topics_overflowed` | counter | derived, not counted: the topics beyond the smallest cap of a per-topic table (the 64 series, the observatory's `per_topic_cap`), which share that table's `__other__`; present once there is one |
+//! | `broker.topics_overflowed` | counter | derived, not counted: the topics beyond the one per-topic cap ([`PER_TOPIC_SERIES`], 64), which share the labeled series' `__other__` and the observatory's `__other__` rows; present once there is one |
 //! | `journal.append_ns` | histogram | every journal append (always on, from `rjms-journal`) |
 //! | `journal.fsync_ns` | histogram | every explicit fsync (always on, from `rjms-journal`) |
 //!

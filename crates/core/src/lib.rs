@@ -17,8 +17,8 @@
 //! * [`waiting`] — the `M/GI/1-∞` waiting-time analysis: mean,
 //!   distribution and quantiles (Eqs. 4–20, Figs. 10–12),
 //! * [`scenario`] — high-level application scenarios,
-//! * [`slo`] — analytic SLO targets: predicted-quantile latency limits and
-//!   the utilization ceiling where the latency budget is exhausted,
+//! * [`slo`] — the waiting-time quantile inverted: the utilization ceiling
+//!   where a latency limit is exhausted,
 //! * [`architecture`] — the PSR / SSR distributed architectures
 //!   (Eqs. 21–23, Fig. 15).
 //!
@@ -62,7 +62,7 @@ pub use params::{CostParams, FilterType};
 pub use regression::{CostRegression, FitMode, FittedCosts, RegressionReport, RegressionVerdict};
 pub use report::plan_report;
 pub use scenario::{ApplicationScenario, ApplicationScenarioBuilder};
-pub use slo::{max_utilization_for_quantile, measured_service, AnalyticSlo};
+pub use slo::{max_utilization_for_quantile, measured_service};
 pub use waiting::{WaitingTimeAnalysis, WaitingTimeReport};
 
 // Re-export the queueing vocabulary types that appear in this crate's API.

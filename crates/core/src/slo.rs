@@ -1,84 +1,16 @@
-//! Analytic derivation of waiting-time SLO targets (paper §IV-B applied
-//! to operations).
+//! The waiting-time quantile inverted (paper §IV-B applied to operations).
 //!
 //! The paper's waiting-time machinery answers "what does `W` look like at
-//! utilization `ρ`?" — this module runs it in both directions to produce
-//! *service-level objectives* an alerting engine can evaluate:
-//!
-//! * **forward**: at a planned operating point `ρ_plan`, the Gamma
-//!   approximation (Eq. 20) predicts `W99`/`W99.99`; multiplying by a
-//!   headroom factor yields defensible latency limits instead of folklore
-//!   round numbers, and
-//! * **inverse**: given a latency limit, [`max_utilization_for_quantile`]
-//!   binary-searches the highest `ρ` whose predicted quantile still meets
-//!   it — the utilization ceiling at which the latency budget is exactly
-//!   exhausted (the Fig. 12 curves read right-to-left).
-//!
-//! The derived [`AnalyticSlo`] carries the predicted operating point so an
-//! alert that fires against these targets can attach the model's own
-//! expectation as evidence.
+//! utilization `ρ`?". Given a latency limit, [`max_utilization_for_quantile`]
+//! binary-searches the highest `ρ` whose predicted quantile still meets it
+//! — the utilization ceiling at which the latency budget is exactly
+//! exhausted (the Fig. 12 curves read right-to-left). The flow gate budgets
+//! admission with it, and the forecaster places its W99 breach point with
+//! it, both over [`measured_service`]: the service time as measured.
 
-use crate::model::ServerModel;
-use crate::waiting::{WaitingTimeAnalysis, WaitingTimeReport};
-use rjms_queueing::mg1::Mg1Error;
+use crate::waiting::WaitingTimeAnalysis;
 use rjms_queueing::replication::ReplicationModel;
 use rjms_queueing::service::ServiceTime;
-use serde::{Deserialize, Serialize};
-
-/// Latency/utilization objectives derived from the analytic model at a
-/// planned operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AnalyticSlo {
-    /// 99th-percentile waiting-time limit, seconds.
-    pub w99_limit: f64,
-    /// 99.99th-percentile waiting-time limit, seconds.
-    pub w9999_limit: f64,
-    /// Utilization ceiling: the `ρ` at which the predicted `W99` exactly
-    /// exhausts `w99_limit`. Always at least the planned `ρ`.
-    pub rho_ceiling: f64,
-    /// The model's prediction at the planned operating point — attached to
-    /// alerts as the analytic side of the evidence.
-    pub plan: WaitingTimeReport,
-}
-
-impl AnalyticSlo {
-    /// Derives objectives for a server model under a replication-grade
-    /// distribution at planned utilization `rho_plan`, with `headroom`
-    /// (e.g. `1.5` = targets 50% looser than the prediction, `1.0` =
-    /// targets exactly at the prediction).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Mg1Error`] if `rho_plan >= 1` (no stationary regime) and
-    /// panics if `headroom < 1`.
-    pub fn derive(
-        model: &ServerModel,
-        replication: ReplicationModel,
-        rho_plan: f64,
-        headroom: f64,
-    ) -> Result<Self, Mg1Error> {
-        Self::for_service_time(model.service_time(replication), rho_plan, headroom)
-    }
-
-    /// [`AnalyticSlo::derive`] for an explicit service time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Mg1Error`] if `rho_plan >= 1`.
-    pub fn for_service_time(
-        service: ServiceTime,
-        rho_plan: f64,
-        headroom: f64,
-    ) -> Result<Self, Mg1Error> {
-        assert!(headroom >= 1.0, "headroom must be >= 1, got {headroom}");
-        let analysis = WaitingTimeAnalysis::for_service_time(service, rho_plan)?;
-        let plan = analysis.report();
-        let w99_limit = plan.q99 * headroom;
-        let w9999_limit = plan.q9999 * headroom;
-        let rho_ceiling = max_utilization_for_quantile(analysis.service(), 0.99, w99_limit);
-        Ok(Self { w99_limit, w9999_limit, rho_ceiling, plan })
-    }
-}
 
 /// The highest utilization `ρ` at which the predicted waiting-time
 /// quantile `W_p` still meets `limit_seconds` — the latency budget's
@@ -129,51 +61,11 @@ pub fn measured_service(mean_seconds: f64, cvar: f64) -> Option<ServiceTime> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ServerModel;
     use crate::params::CostParams;
 
     fn model() -> ServerModel {
         ServerModel::new(CostParams::CORRELATION_ID, 50)
-    }
-
-    fn slo(rho: f64, headroom: f64) -> AnalyticSlo {
-        AnalyticSlo::derive(&model(), ReplicationModel::binomial(50.0, 0.2), rho, headroom).unwrap()
-    }
-
-    #[test]
-    fn limits_scale_with_headroom_and_sit_above_prediction() {
-        let tight = slo(0.9, 1.0);
-        let loose = slo(0.9, 2.0);
-        assert!((tight.w99_limit - tight.plan.q99).abs() < 1e-12);
-        assert!((loose.w99_limit - 2.0 * tight.w99_limit).abs() < 1e-12);
-        assert!(loose.w9999_limit > loose.w99_limit);
-    }
-
-    #[test]
-    fn ceiling_is_where_the_budget_is_exhausted() {
-        let s = slo(0.8, 1.5);
-        assert!(s.rho_ceiling >= 0.8, "ceiling {} below plan", s.rho_ceiling);
-        assert!(s.rho_ceiling < 1.0);
-        // At the ceiling the predicted W99 matches the limit (up to the
-        // binary-search bracket).
-        let at_ceiling = WaitingTimeAnalysis::for_model(
-            &model(),
-            ReplicationModel::binomial(50.0, 0.2),
-            s.rho_ceiling,
-        )
-        .unwrap()
-        .report();
-        assert!(
-            (at_ceiling.q99 - s.w99_limit).abs() / s.w99_limit < 1e-6,
-            "q99 at ceiling {} vs limit {}",
-            at_ceiling.q99,
-            s.w99_limit
-        );
-    }
-
-    #[test]
-    fn headroom_one_puts_ceiling_at_plan() {
-        let s = slo(0.7, 1.0);
-        assert!((s.rho_ceiling - 0.7).abs() < 1e-6, "ceiling {}", s.rho_ceiling);
     }
 
     #[test]
@@ -203,11 +95,5 @@ mod tests {
         let hi = max_utilization_for_quantile(&service, 0.99, 2.0 * w99_at_06);
         assert!((lo - 0.6).abs() < 1e-6, "inverse of forward should recover rho, got {lo}");
         assert!(hi > lo);
-    }
-
-    #[test]
-    #[should_panic(expected = "headroom must be >= 1")]
-    fn sub_unit_headroom_rejected() {
-        slo(0.9, 0.5);
     }
 }

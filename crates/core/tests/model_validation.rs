@@ -1,72 +1,16 @@
-//! End-to-end validation of the performance model against simulation.
-//!
-//! 1. The calibration pipeline must recover the Table I ground truth from
-//!    noisy simulated-testbed measurements (the paper's §III-B.2 workflow).
-//! 2. The analytic M/G/1 waiting-time results (mean, quantiles, CDF) must
-//!    agree with discrete-event simulation (the paper cites [23] for the
-//!    Gamma approximation's accuracy; we verify it).
+//! Validation of the performance model against simulation: the analytic
+//! M/G/1 waiting-time results (mean, quantiles, CDF) must agree with
+//! discrete-event simulation (the paper cites [23] for the Gamma
+//! approximation's accuracy; we verify it). The calibration against the
+//! paper's measurement grid runs on the broker itself
+//! (`crates/bench/tests/paper_grid.rs`).
 
-use rjms_core::calibrate::{fit_cost_params, Observation};
 use rjms_core::model::ServerModel;
 use rjms_core::params::CostParams;
 use rjms_core::waiting::WaitingTimeAnalysis;
 use rjms_desim::mg1sim::{simulate_lindley, Mg1SimConfig};
 use rjms_desim::random::ReplicationService;
-use rjms_desim::testbed::{run_paper_grid, TestbedConfig};
 use rjms_queueing::replication::ReplicationModel;
-
-#[test]
-fn calibration_recovers_table_one_from_simulated_testbed() {
-    for (label, truth) in [
-        ("correlation-ID", CostParams::CORRELATION_ID),
-        ("application-property", CostParams::APPLICATION_PROPERTY),
-    ] {
-        let cfg = TestbedConfig::quick(truth.t_rcv, truth.t_fltr, truth.t_tx);
-        let grid = run_paper_grid(&cfg);
-        let observations: Vec<Observation> = grid
-            .iter()
-            .map(|m| Observation {
-                n_fltr: m.n_fltr,
-                mean_replication: m.mean_replication,
-                received_per_sec: m.received_per_sec,
-            })
-            .collect();
-        let cal = fit_cost_params(&observations).expect("calibration succeeds");
-        assert!(
-            (cal.params.t_fltr - truth.t_fltr).abs() / truth.t_fltr < 0.02,
-            "{label}: t_fltr {} vs {}",
-            cal.params.t_fltr,
-            truth.t_fltr
-        );
-        assert!(
-            (cal.params.t_tx - truth.t_tx).abs() / truth.t_tx < 0.02,
-            "{label}: t_tx {} vs {}",
-            cal.params.t_tx,
-            truth.t_tx
-        );
-        assert!(cal.r_squared > 0.999, "{label}: R² = {}", cal.r_squared);
-    }
-}
-
-#[test]
-fn model_predicts_simulated_throughput_within_3_percent() {
-    // Fig. 4's agreement between solid (measured) and dashed (model) lines.
-    let truth = CostParams::CORRELATION_ID;
-    let cfg = TestbedConfig::quick(truth.t_rcv, truth.t_fltr, truth.t_tx);
-    for m in run_paper_grid(&cfg) {
-        let model = ServerModel::new(truth, m.n_fltr);
-        let predicted = model.predict_throughput(m.mean_replication);
-        let rel = (predicted.received_per_sec - m.received_per_sec).abs() / m.received_per_sec;
-        assert!(
-            rel < 0.03,
-            "n_fltr={} R={}: model {} vs measured {}",
-            m.n_fltr,
-            m.mean_replication,
-            predicted.received_per_sec,
-            m.received_per_sec
-        );
-    }
-}
 
 #[test]
 fn analytic_mean_waiting_matches_simulation() {

@@ -1,6 +1,7 @@
 //! # rjms-desim
 //!
-//! Simulation substrate for the JMS performance study:
+//! Simulation references for the JMS performance study (the paper's
+//! measurement grid runs on the broker itself, `rjms-bench`'s `grid`):
 //!
 //! * [`random`] — exponential / replication-grade / service-time samplers
 //!   that share their distributions with the analytic crate so simulation
@@ -8,10 +9,6 @@
 //! * [`mg1sim`] — an `M/GI/1-∞` simulator (the Lindley recursion) used to
 //!   validate the Pollaczek–Khinchine formulas and the Gamma approximation
 //!   of the waiting time,
-//! * [`testbed`] — a faithful simulation of the paper's *measurement
-//!   methodology* (saturated publishers, trimmed window) against a synthetic
-//!   server with the ground-truth cost structure; feeds the calibration
-//!   pipeline,
 //! * [`distributed`] — the bottleneck broker of the PSR / SSR architectures
 //!   (§IV-C), each broker one Lindley queue,
 //! * [`stats`] — online statistics and empirical quantiles for simulation
@@ -37,8 +34,6 @@ pub mod distributed;
 pub mod mg1sim;
 pub mod random;
 pub mod stats;
-pub mod testbed;
 
 pub use mg1sim::{simulate_lindley, Mg1SimConfig, Mg1SimResult};
 pub use stats::{OnlineStats, SampleQuantiles};
-pub use testbed::{run_measurement, run_paper_grid, TestbedConfig, TestbedMeasurement};

@@ -16,7 +16,7 @@
 //! 2. **Inversion** — the analytic breach points: `λ_sat = ρ_ceiling /
 //!    E[B]` and the W99 budget exhaustion point via
 //!    [`max_utilization_for_quantile`] (the same bisection the
-//!    FlowController and [`rjms_core::AnalyticSlo`] use), both at the
+//!    FlowController uses), both at the
 //!    *measured* service time: the window's service histogram,
 //!    moment-matched like the flow layer's recalibration.
 //! 3. **Projection** — ETAs where the fitted λ(t) line crosses each

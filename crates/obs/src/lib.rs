@@ -11,8 +11,10 @@
 //! W99 and W99.99 stay small right up until utilization approaches 1,
 //! then explode. An average-based alert misses the onset entirely; this
 //! crate alerts on exactly the quantities the paper analyzes, and uses
-//! the paper's own machinery ([`rjms_core::slo::AnalyticSlo`]) to derive
-//! the limits.
+//! the paper's own machinery to explain them: a firing record carries the
+//! model's prediction at the measured load, and the forecaster inverts the
+//! W99 quantile ([`rjms_core::max_utilization_for_quantile`]) to place its
+//! breach point.
 //!
 //! Layers, bottom up:
 //!

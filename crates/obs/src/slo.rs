@@ -21,11 +21,9 @@
 //! Default objectives come straight from the paper's headline numbers —
 //! `W99 ≤ 10 ms`, `W99.99 ≤ 100 ms` (§IV-B reports sub-second 99.99%
 //! quantiles for 20 ms service times; a 10 ms W99 target matches the
-//! Fig. 12 operating regime) — or analytically from
-//! [`rjms_core::slo::AnalyticSlo`] via [`SloSpec::from_analytic`].
+//! Fig. 12 operating regime); others are passed in `ObsConfig::slos`.
 
 use crate::history::Window;
-use rjms_core::slo::AnalyticSlo;
 use rjms_metrics::{shard_series, HistogramSnapshot};
 use std::time::Duration;
 
@@ -134,19 +132,6 @@ impl SloSpec {
             SloSpec::latency("w99", WAITING_METRIC, 0.99, 10_000_000),
             SloSpec::latency("w9999", WAITING_METRIC, 0.9999, 100_000_000),
             SloSpec::utilization("rho", 0.9),
-            SloSpec::drift_health("model"),
-        ]
-    }
-
-    /// Objectives derived from the analytic model's predictions
-    /// ([`AnalyticSlo`]): latency limits at the model's predicted
-    /// quantiles (with the analytic headroom already applied) and the
-    /// utilization ceiling where the latency budget is exhausted.
-    pub fn from_analytic(slo: &AnalyticSlo) -> Vec<SloSpec> {
-        vec![
-            SloSpec::latency("w99", WAITING_METRIC, 0.99, (slo.w99_limit * 1e9) as u64),
-            SloSpec::latency("w9999", WAITING_METRIC, 0.9999, (slo.w9999_limit * 1e9) as u64),
-            SloSpec::utilization("rho", slo.rho_ceiling.clamp(1e-6, 1.0)),
             SloSpec::drift_health("model"),
         ]
     }
@@ -261,31 +246,6 @@ mod tests {
         let spec = SloSpec::drift_health("model");
         assert_eq!(evaluate_window(&spec.objective, &w, 1, false).burn, 0.0);
         assert_eq!(evaluate_window(&spec.objective, &w, 1, true).burn, 1.0);
-    }
-
-    #[test]
-    fn analytic_targets_translate_to_specs() {
-        use rjms_core::params::CostParams;
-        use rjms_core::{AnalyticSlo, ReplicationModel, ServerModel};
-        let model = ServerModel::new(CostParams::CORRELATION_ID, 50);
-        let analytic =
-            AnalyticSlo::derive(&model, ReplicationModel::binomial(50.0, 0.2), 0.9, 1.5).unwrap();
-        let specs = SloSpec::from_analytic(&analytic);
-        let w99 = specs.iter().find(|s| s.name == "w99").unwrap();
-        match &w99.objective {
-            Objective::LatencyQuantile { limit_ns, .. } => {
-                assert!(*limit_ns > 0);
-                assert_eq!(*limit_ns, (analytic.w99_limit * 1e9) as u64);
-            }
-            other => panic!("unexpected objective {other:?}"),
-        }
-        let rho = specs.iter().find(|s| s.name == "rho").unwrap();
-        match &rho.objective {
-            Objective::UtilizationCeiling { ceiling } => {
-                assert!((*ceiling - analytic.rho_ceiling).abs() < 1e-12)
-            }
-            other => panic!("unexpected objective {other:?}"),
-        }
     }
 
     #[test]

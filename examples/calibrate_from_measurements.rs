@@ -1,23 +1,23 @@
 //! Calibrating the cost model from measurements — the paper's §III-B
-//! workflow against the simulated testbed, and optionally against the real
-//! threaded broker.
+//! workflow on the broker's saturated grid, its counted work priced at the
+//! Table I constants.
 //!
 //! Run with: `cargo run --release --example calibrate_from_measurements`
 
-use rjms::desim::testbed::{run_paper_grid, TestbedConfig};
 use rjms::model::calibrate::{fit_cost_params, Observation};
 use rjms::model::model::ServerModel;
 use rjms::model::params::CostParams;
+use rjms_bench::grid::{measure, paper_grid};
 
 fn main() {
-    // Ground truth: the Table I constants (what the 2006 testbed "was").
+    // Ground truth: the Table I constants, the price of each counted unit
+    // of work.
     let truth = CostParams::CORRELATION_ID;
     println!("ground truth        : {truth}");
 
-    // 1. Run the paper's 36-point measurement grid on the simulated testbed
-    //    (saturated publishers, 90 s trimmed window, 2% jitter).
-    let cfg = TestbedConfig::paper_methodology(truth.t_rcv, truth.t_fltr, truth.t_tx);
-    let grid = run_paper_grid(&cfg);
+    // 1. Run the paper's 36-point measurement grid on the broker: each
+    //    point counts what its dispatcher received, evaluated and copied.
+    let grid = paper_grid(&truth);
     println!("measured {} operating points; examples:", grid.len());
     for m in grid.iter().step_by(13) {
         println!(
@@ -48,14 +48,10 @@ fn main() {
     // 3. Use the freshly calibrated model for a prediction and compare it
     //    with a new measurement at an unseen operating point.
     let n_fltr = 64u32;
-    let e_r = 8.0;
-    let predicted = ServerModel::new(calibration.params, n_fltr).predict_throughput(e_r);
-    let measured = rjms::desim::testbed::run_measurement(
-        &cfg,
-        n_fltr,
-        &rjms::queueing::replication::ReplicationModel::deterministic(e_r),
-    );
-    println!("\nhold-out check at n_fltr = {n_fltr}, R = {e_r}:");
+    let r = 8u32;
+    let predicted = ServerModel::new(calibration.params, n_fltr).predict_throughput(f64::from(r));
+    let measured = measure(&truth, n_fltr, |_| r);
+    println!("\nhold-out check at n_fltr = {n_fltr}, R = {r}:");
     println!("  model    : {:>9.1} msg/s received", predicted.received_per_sec);
     println!("  measured : {:>9.1} msg/s received", measured.received_per_sec);
     let rel =

@@ -1,14 +1,16 @@
 //! Integration of the analytic pipeline across crates: scenario →
 //! calibration → waiting time → distributed architectures, with the
-//! simulator as referee.
+//! simulator and the broker's saturated grid as referees.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rjms::desim::mg1sim::{simulate_lindley, Mg1SimConfig};
-use rjms::desim::random::ReplicationService;
-use rjms::desim::testbed::{run_measurement, TestbedConfig};
+use rjms::desim::random::{sample_replication, ReplicationService};
 use rjms::model::architecture::DistributedScenario;
 use rjms::model::params::{CostParams, FilterType};
 use rjms::model::scenario::ApplicationScenario;
 use rjms::queueing::replication::ReplicationModel;
+use rjms_bench::grid::{measure, MESSAGES};
 
 /// A scenario's waiting-time report is consistent with a direct M/G/1
 /// simulation of the same workload.
@@ -42,8 +44,9 @@ fn scenario_report_matches_simulation() {
     );
 }
 
-/// The testbed simulator, the scenario capacity formula and the raw model
-/// agree on where saturation sits.
+/// The broker's saturated throughput, the scenario capacity formula and
+/// the raw model agree on where saturation sits. Each message's grade is a
+/// seeded binomial draw, so the point's mean R is the sample's, not E[R].
 #[test]
 fn capacity_formula_matches_saturated_testbed() {
     let params = CostParams::APPLICATION_PROPERTY;
@@ -52,12 +55,15 @@ fn capacity_formula_matches_saturated_testbed() {
         .filters_per_subscriber(1)
         .match_probability(0.1)
         .build();
-    // The saturated testbed throughput is the rho = 1 capacity.
-    let cfg = TestbedConfig::quick(params.t_rcv, params.t_fltr, params.t_tx);
-    let m = run_measurement(&cfg, scenario.total_filters(), &scenario.replication_model());
+    // The saturated broker's throughput is the rho = 1 capacity.
+    let mut rng = StdRng::seed_from_u64(42);
+    let replication = scenario.replication_model();
+    let grades: Vec<u32> =
+        (0..MESSAGES).map(|_| sample_replication(&mut rng, &replication)).collect();
+    let m = measure(&params, scenario.total_filters(), |i| grades[i as usize]);
     let cap_full = scenario.capacity(1.0);
     let rel = (m.received_per_sec - cap_full).abs() / cap_full;
-    assert!(rel < 0.03, "testbed {} vs capacity {}", m.received_per_sec, cap_full);
+    assert!(rel < 0.03, "broker {} vs capacity {}", m.received_per_sec, cap_full);
     // And the 90% budget is exactly 0.9 of it.
     assert!((scenario.capacity(0.9) - 0.9 * cap_full).abs() / cap_full < 1e-12);
 }
