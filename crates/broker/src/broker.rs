@@ -523,10 +523,10 @@ impl Broker {
     /// `target` is either a literal topic name (`orders.eu`) or a
     /// hierarchical wildcard pattern (`orders.*`, `sensors.>`); wildcards
     /// subscribe to every matching topic, current and future. Configure the
-    /// subscription with [`SubscriptionBuilder::filter`],
-    /// [`SubscriptionBuilder::durable`] and
-    /// [`SubscriptionBuilder::queue_capacity`], then call
-    /// [`SubscriptionBuilder::open`].
+    /// subscription with [`SubscriptionBuilder::filter`] and
+    /// [`SubscriptionBuilder::durable`], then call
+    /// [`SubscriptionBuilder::open`]. Every subscription's queue holds
+    /// [`crate::BrokerConfig::subscriber_queue_capacity`] messages.
     ///
     /// # Examples
     ///
@@ -544,12 +544,8 @@ impl Broker {
     ///     .subscription("orders.*")
     ///     .filter(Filter::selector("amount > 100").unwrap())
     ///     .open()?;
-    /// // Durable subscription with a private queue bound:
-    /// let durable = broker
-    ///     .subscription("orders.eu")
-    ///     .durable("audit")
-    ///     .queue_capacity(128)
-    ///     .open()?;
+    /// // Durable subscription:
+    /// let durable = broker.subscription("orders.eu").durable("audit").open()?;
     /// # drop((plain, wild, durable));
     /// # Ok(())
     /// # }
@@ -560,7 +556,6 @@ impl Broker {
             target: target.to_owned(),
             filter: Filter::None,
             durable: None,
-            queue_capacity: None,
             wake: None,
         }
     }
@@ -897,7 +892,6 @@ pub struct SubscriptionBuilder<'a> {
     target: String,
     filter: Filter,
     durable: Option<String>,
-    queue_capacity: Option<usize>,
     wake: Option<Wake>,
 }
 
@@ -920,18 +914,6 @@ impl SubscriptionBuilder<'_> {
     /// subscriptions require a literal topic, not a wildcard pattern.
     pub fn durable(mut self, name: &str) -> Self {
         self.durable = Some(name.to_owned());
-        self
-    }
-
-    /// Overrides [`crate::BrokerConfig::subscriber_queue_capacity`] for
-    /// this subscription alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is 0.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "subscriber queue capacity must be > 0");
-        self.queue_capacity = Some(capacity);
         self
     }
 
@@ -958,9 +940,8 @@ impl SubscriptionBuilder<'_> {
     /// connected under the durable name, and [`Error::Stopped`] after
     /// shutdown.
     pub fn open(self) -> Result<Subscriber, Error> {
-        let SubscriptionBuilder { broker, target, filter, durable, queue_capacity, wake } = self;
-        let capacity = queue_capacity.unwrap_or(broker.inner.config.subscriber_queue_capacity);
-        let (sender, rx) = bounded(capacity);
+        let SubscriptionBuilder { broker, target, filter, durable, wake } = self;
+        let (sender, rx) = bounded(broker.inner.config.subscriber_queue_capacity);
         let queue = SubscriberQueue { sender, wake };
         // A target without a wildcard character is a literal topic (or not
         // a valid pattern at all): no need to parse it to find that out.
@@ -1347,8 +1328,9 @@ mod tests {
 
     #[test]
     fn builder_opens_durable_subscriptions() {
-        let b = broker();
-        let d = b.subscription("t").durable("audit").queue_capacity(8).open().unwrap();
+        let b = Broker::start(BrokerConfig::builder().subscriber_queue_capacity(8).build());
+        b.create_topic("t").unwrap();
+        let d = b.subscription("t").durable("audit").open().unwrap();
         assert!(d.is_durable());
         assert_eq!(d.durable_name(), Some("audit"));
         assert!(matches!(

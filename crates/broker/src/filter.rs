@@ -8,36 +8,8 @@
 
 use crate::message::Message;
 use rjms_selector::corrid::{CorrelationFilter, ParseCorrelationFilterError};
-use rjms_selector::typecheck::TypeReport;
 use rjms_selector::{ParseError, Selector};
 use std::fmt;
-
-/// Error from [`Filter::selector_checked`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum CheckedSelectorError {
-    /// The selector is syntactically invalid.
-    Parse(ParseError),
-    /// The selector parses but the static analysis found problems that
-    /// would make it silently never match.
-    Type(Box<TypeReport>),
-}
-
-impl fmt::Display for CheckedSelectorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Parse(e) => write!(f, "{e}"),
-            Self::Type(report) => {
-                write!(f, "selector rejected by type analysis:")?;
-                for issue in &report.issues {
-                    write!(f, " {issue};")?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckedSelectorError {}
 
 /// A subscription's message filter.
 ///
@@ -83,25 +55,6 @@ impl Filter {
     /// provider to reject them when the subscription is created.
     pub fn selector(selector: &str) -> Result<Self, ParseError> {
         Ok(Filter::Selector(Selector::parse(selector)?))
-    }
-
-    /// Like [`Filter::selector`], but additionally runs the static type
-    /// analysis and rejects selectors that can never match any message
-    /// (contradictory property types, constant falsehood, wrong-typed
-    /// literals) — the silent footguns of three-valued logic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckedSelectorError::Parse`] for syntax errors and
-    /// [`CheckedSelectorError::Type`] with the full [`TypeReport`] when the
-    /// analysis finds issues.
-    pub fn selector_checked(selector: &str) -> Result<Self, CheckedSelectorError> {
-        let parsed = Selector::parse(selector).map_err(CheckedSelectorError::Parse)?;
-        let report = rjms_selector::typecheck::analyze(parsed.expr());
-        if !report.is_clean() {
-            return Err(CheckedSelectorError::Type(Box::new(report)));
-        }
-        Ok(Filter::Selector(parsed))
     }
 
     /// Whether the filter forwards the given message.
@@ -156,16 +109,6 @@ mod tests {
     fn invalid_selector_rejected_at_creation() {
         assert!(Filter::selector("((broken").is_err());
         assert!(Filter::correlation_id("[9;1]").is_err());
-    }
-
-    #[test]
-    fn checked_selector_rejects_type_conflicts() {
-        assert!(Filter::selector_checked("price < 50").is_ok());
-        let err = Filter::selector_checked("x > 5 AND x LIKE 'a%'").unwrap_err();
-        assert!(matches!(err, CheckedSelectorError::Type(_)));
-        assert!(err.to_string().contains("never match"));
-        let err = Filter::selector_checked("((broken").unwrap_err();
-        assert!(matches!(err, CheckedSelectorError::Parse(_)));
     }
 
     #[test]

@@ -309,7 +309,8 @@ fn returned_message_is_received_next_and_survives_disconnect() {
 /// is its backlog, what was queued, then what was published later.
 #[test]
 fn dropping_a_durable_with_a_full_queue_does_not_wait_for_the_blocked_dispatcher() {
-    let b = broker();
+    let b = Broker::start(BrokerConfig::builder().subscriber_queue_capacity(1).build());
+    b.create_topic("t").unwrap();
     drop(b.subscription("t").durable("d").open().unwrap());
     let p = b.publisher("t").unwrap();
     let publish = |seq: i64| p.publish(Message::builder().property("seq", seq).build()).unwrap();
@@ -317,7 +318,7 @@ fn dropping_a_durable_with_a_full_queue_does_not_wait_for_the_blocked_dispatcher
     sync(&b, 1);
     // seq 0 is the backlog; 1 fills the queue, the dispatcher blocks on 2
     // and 3 waits in the publish queue.
-    let sub = b.subscription("t").durable("d").queue_capacity(1).open().unwrap();
+    let sub = b.subscription("t").durable("d").open().unwrap();
     (1..=3).for_each(publish);
     sync(&b, 3);
 

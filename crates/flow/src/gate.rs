@@ -258,12 +258,15 @@ impl FlowGate {
                 producers.insert(producer, bucket_for(rate, k));
             }
             let mut producer_bucket = producers.get_mut(&producer);
-            let producer_ready = match producer_bucket.as_mut() {
+            // How long until the producer has a whole token (0: it has one
+            // now). A deferral's hint is the later of this and the lane's
+            // wait, so a retry after it finds both buckets ready.
+            let producer_wait = match producer_bucket.as_mut() {
                 Some(bucket) => {
                     bucket.refill(now_ns);
-                    bucket.level() >= 1.0
+                    bucket.nanos_until(1.0)
                 }
-                None => true,
+                None => 0,
             };
             // Class c may only draw while the lane's fill fraction is at
             // or above its reserve threshold. The class policy dominates:
@@ -271,25 +274,24 @@ impl FlowGate {
             // publish into a defer, it never turns one into a shed.
             let reserve = f64::from(k - 1 - class) / f64::from(k);
             if shared.level() >= 1.0 && shared.fill_fraction() >= reserve {
-                if producer_ready {
+                if producer_wait == 0 {
                     shared.try_take(now_ns);
                     if let Some(bucket) = producer_bucket {
                         bucket.try_take(now_ns);
                     }
                     AdmissionOutcome::Granted
                 } else {
-                    let retry = producer_bucket.map(|b| b.nanos_until(1.0)).unwrap_or(0);
-                    AdmissionOutcome::Deferred { class, retry_after: clamp_retry(retry) }
+                    AdmissionOutcome::Deferred { class, retry_after: clamp_retry(producer_wait) }
                 }
             } else if class == k - 1 {
                 // Top class (durable/persistent): never shed.
-                let retry = shared.nanos_until(1.0);
+                let retry = shared.nanos_until(1.0).max(producer_wait);
                 AdmissionOutcome::Deferred { class, retry_after: clamp_retry(retry) }
             } else if class == 0 || shared.fill_fraction() < reserve / 2.0 {
                 AdmissionOutcome::Shed { class }
             } else {
                 let target = reserve * shared.burst() + 1.0;
-                let retry = shared.nanos_until(target);
+                let retry = shared.nanos_until(target).max(producer_wait);
                 AdmissionOutcome::Deferred { class, retry_after: clamp_retry(retry) }
             }
         };
@@ -479,6 +481,36 @@ mod tests {
         }
         assert!(matches!(outcome, AdmissionOutcome::Deferred { .. }));
         assert!(g.admit_at(0, 2, 9, false, 0).is_granted());
+    }
+
+    /// A top-class publish deferred by an empty lane from a producer that
+    /// is short as well: the hint covers the producer's slower refill, so
+    /// the retry it names is admitted and one a millisecond earlier is not.
+    #[test]
+    fn a_deferral_hint_waits_for_the_producer_too() {
+        let g = gate();
+        let rate = g.shard_budget(0);
+        let hint = |outcome| match outcome {
+            AdmissionOutcome::Deferred { class: 2, retry_after } => retry_after.as_nanos() as u64,
+            other => panic!("the top class got {other:?}"),
+        };
+        // Producer 1 empties its bucket, then takes the token the producer
+        // cap's hint says it refilled: it is left with well under half a
+        // token, which at λ/2 takes longer than any lane refill (1/λ).
+        while g.admit_at(0, 1, 9, false, 0).is_granted() {}
+        let now = hint(g.admit_at(0, 1, 9, false, 0));
+        assert!(g.admit_at(0, 1, 9, false, now).is_granted());
+        // Other producers empty the lane.
+        let mut producer = 2;
+        while g.lanes[0].bucket.lock().unwrap().level() >= 1.0 {
+            if !g.admit_at(0, producer, 9, false, now).is_granted() {
+                producer += 1;
+            }
+        }
+        let retry = hint(g.admit_at(0, 1, 9, false, now));
+        assert!(retry as f64 > 1.5e9 / rate, "hint {retry} ns at λ = {rate}/s");
+        assert!(!g.admit_at(0, 1, 9, false, now + retry - 1_000_000).is_granted());
+        assert!(g.admit_at(0, 1, 9, false, now + retry).is_granted());
     }
 
     #[test]

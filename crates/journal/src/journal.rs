@@ -382,20 +382,6 @@ impl Journal {
     pub fn replay(&self, from: u64) -> Replay<'_> {
         Replay { journal: self, next: from.max(self.first_offset()) }
     }
-
-    /// Drops sealed segments whose every frame is below `offset` (e.g. the
-    /// minimum checkpoint across consumers). The active segment survives
-    /// regardless. Returns the number of segments removed.
-    pub fn truncate_before(&mut self, offset: u64) -> Result<usize> {
-        let mut removed = 0;
-        while self.segments.len() > 1 && self.segments[0].end_offset() <= offset {
-            let segment = self.segments.remove(0);
-            std::fs::remove_file(segment.path())?;
-            self.stats.segments_removed += 1;
-            removed += 1;
-        }
-        Ok(removed)
-    }
 }
 
 /// The append side of a [`Journal`] for the length of one

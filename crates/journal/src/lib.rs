@@ -351,35 +351,10 @@ mod tests {
     }
 
     #[test]
-    fn truncate_before_drops_whole_sealed_segments_only() {
-        let dir = scratch_dir("truncate");
-        let config = JournalConfig::new(&dir).segment_max_bytes(64);
-        let (mut journal, _) = Journal::open(config.clone()).unwrap();
-        for _ in 0..20 {
-            journal.append(&[1u8; 24]).unwrap();
-        }
-        let sealed = journal.stats().segments_rotated as usize;
-        assert!(sealed >= 2, "test needs multiple segments, got {sealed}");
-
-        let removed = journal.truncate_before(journal.next_offset()).unwrap();
-        assert_eq!(removed, sealed);
-        assert!(journal.first_offset() > 0);
-        // Frames at or above the floor are still readable.
-        let floor = journal.first_offset();
-        assert_eq!(journal.read(floor).unwrap(), [1u8; 24]);
-        assert!(matches!(journal.read(floor - 1), Err(JournalError::UnknownOffset(_))));
-        drop(journal);
-
-        let (journal, _) = Journal::open(config).unwrap();
-        assert_eq!(journal.first_offset(), floor);
-        cleanup(&dir);
-    }
-
-    #[test]
     fn max_sealed_segments_retention() {
         let dir = scratch_dir("retention");
         let config = JournalConfig::new(&dir).segment_max_bytes(64).max_sealed_segments(2);
-        let (mut journal, _) = Journal::open(config).unwrap();
+        let (mut journal, _) = Journal::open(config.clone()).unwrap();
         for _ in 0..40 {
             journal.append(&[2u8; 24]).unwrap();
         }
@@ -387,6 +362,14 @@ mod tests {
         assert!(journal.first_offset() > 0);
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert!(files <= 3, "retention left {files} segment files");
+        // The floor is readable, a read below it is refused, and a reopen
+        // keeps the floor.
+        let floor = journal.first_offset();
+        assert_eq!(journal.read(floor).unwrap(), [2u8; 24]);
+        assert!(matches!(journal.read(floor - 1), Err(JournalError::UnknownOffset(_))));
+        drop(journal);
+        let (journal, _) = Journal::open(config).unwrap();
+        assert_eq!(journal.first_offset(), floor);
         cleanup(&dir);
     }
 }

@@ -186,56 +186,6 @@ impl Expr {
             other => Expr::Neg(Box::new(other)),
         }
     }
-
-    /// Number of AST nodes; a proxy for the per-filter evaluation cost
-    /// (`t_fltr` in the paper's model grows with selector complexity).
-    pub fn node_count(&self) -> usize {
-        1 + match self {
-            Expr::Literal(_) | Expr::Ident(_) => 0,
-            Expr::Not(e) | Expr::Neg(e) => e.node_count(),
-            Expr::And(a, b) | Expr::Or(a, b) => a.node_count() + b.node_count(),
-            Expr::Cmp { lhs, rhs, .. } | Expr::Arith { lhs, rhs, .. } => {
-                lhs.node_count() + rhs.node_count()
-            }
-            Expr::Between { expr, lo, hi, .. } => {
-                expr.node_count() + lo.node_count() + hi.node_count()
-            }
-            Expr::InList { expr, .. } => expr.node_count(),
-            Expr::Like { expr, .. } => expr.node_count(),
-            Expr::IsNull { expr, .. } => expr.node_count(),
-        }
-    }
-
-    /// All property identifiers referenced by the expression.
-    pub fn referenced_properties(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_idents(&mut out);
-        out
-    }
-
-    fn collect_idents<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            Expr::Literal(_) => {}
-            Expr::Ident(name) => out.push(name),
-            Expr::Not(e) | Expr::Neg(e) => e.collect_idents(out),
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                a.collect_idents(out);
-                b.collect_idents(out);
-            }
-            Expr::Cmp { lhs, rhs, .. } | Expr::Arith { lhs, rhs, .. } => {
-                lhs.collect_idents(out);
-                rhs.collect_idents(out);
-            }
-            Expr::Between { expr, lo, hi, .. } => {
-                expr.collect_idents(out);
-                lo.collect_idents(out);
-                hi.collect_idents(out);
-            }
-            Expr::InList { expr, .. } | Expr::Like { expr, .. } | Expr::IsNull { expr, .. } => {
-                expr.collect_idents(out)
-            }
-        }
-    }
 }
 
 impl fmt::Display for Expr {
@@ -307,28 +257,6 @@ mod tests {
             Box::new(Expr::IsNull { expr: Box::new(Expr::Ident("size".into())), negated: true }),
         );
         assert_eq!(e.to_string(), "((color) = ('red')) AND ((size) IS NOT NULL)");
-    }
-
-    #[test]
-    fn node_count_counts_all_nodes() {
-        let e = Expr::cmp(
-            CmpOp::Lt,
-            Expr::arith(ArithOp::Add, Expr::Ident("a".into()), Expr::Literal(Value::Int(1))),
-            Expr::Literal(Value::Int(10)),
-        );
-        // Cmp + Arith + Ident + Lit + Lit = 5
-        assert_eq!(e.node_count(), 5);
-    }
-
-    #[test]
-    fn referenced_properties_in_order() {
-        let e = Expr::Between {
-            expr: Box::new(Expr::Ident("w".into())),
-            lo: Box::new(Expr::Ident("lo".into())),
-            hi: Box::new(Expr::Literal(Value::Int(9))),
-            negated: false,
-        };
-        assert_eq!(e.referenced_properties(), vec!["w", "lo"]);
     }
 
     #[test]

@@ -4,6 +4,14 @@
 //! not set on the message, and any type-incompatible operation, yields
 //! *unknown*; `AND`/`OR`/`NOT` combine truth values by the three-valued truth
 //! tables; the message is forwarded only if the whole selector is *true*.
+//!
+//! The tree walker here is the reference semantics, not a dispatch path:
+//! [`crate::Selector`] and the broker run the compiled [`crate::Program`],
+//! and the tests hold it to this module's answers — `tests/conformance.rs`
+//! (every row through both), `tests/proptests.rs::
+//! program_agrees_with_the_tree_walker`, `program.rs`' exhaustive
+//! operator × literal × value table, and the broker's
+//! `subscriptions.rs::bound_evaluation_agrees_with_the_tree_walker`.
 
 use crate::ast::{ArithOp, CmpOp, Expr};
 pub use crate::like::like_match;
@@ -56,23 +64,9 @@ impl<T: PropertySource + ?Sized> PropertySource for &T {
     }
 }
 
-/// The empty property source: every lookup is `None`.
-///
-/// Useful for evaluating selectors that only reference literals, and in
-/// tests that exercise unknown-propagation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoProperties;
-
-impl PropertySource for NoProperties {
-    fn property(&self, _name: &str) -> Option<ValueRef<'_>> {
-        None
-    }
-}
-
 /// Evaluates a selector expression against a property source by walking
-/// the tree: the reference semantics. [`crate::Selector`] runs the
-/// compiled [`crate::Program`] instead, and `tests/proptests.rs` holds the
-/// two to the same answers.
+/// the tree: the reference semantics (see the module doc for the tests
+/// that hold the compiled [`crate::Program`] to it).
 ///
 /// Never panics, regardless of the expression or message contents: all type
 /// mismatches yield [`Truth::Unknown`], as the JMS specification requires.
@@ -346,9 +340,9 @@ mod tests {
     #[test]
     fn matches_only_on_true() {
         let e = parse("missing = 1").unwrap();
-        assert!(!matches(&e, &NoProperties));
+        assert!(!matches(&e, &props(&[])));
         let e = parse("1 = 1").unwrap();
-        assert!(matches(&e, &NoProperties));
+        assert!(matches(&e, &props(&[])));
     }
 
     #[test]

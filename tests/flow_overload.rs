@@ -226,20 +226,34 @@ mod flow_peer {
 
     #[test]
     fn a_burst_past_the_budget_is_shed_and_deferred_by_type_and_the_hint_holds() {
-        // Table I constants and 100 filters: a budget of at most
-        // 1/E[B] ≈ 1 390 msgs/s, a bucket of a twentieth of a second of it.
-        let config = BrokerConfig::builder().flow(FlowConfig::default()).build();
-        let server = BrokerServer::start(config, "127.0.0.1:0").expect("bind");
+        // Table I's costs and objective, each 200 times longer: the same
+        // utilisation ceiling, so a budget of Table I's λ_max/200, under 6
+        // msgs/s. The lane's bucket and the connection's producer bucket
+        // both hold their floor, one token per class (3). Class 0 draws the
+        // lane down to its reserve (2 of 3) in two publishes, and the third
+        // is shed unless it comes 1/λ_max ≈ 180 ms after the first; the
+        // producer, refilled at half the lane's rate, cannot fall a token
+        // behind the lane sooner than 2/λ_max. At Table I's own budget
+        // (≈ 1 100 msgs/s, a 57-token lane) the producer's half would run
+        // dry first unless the client published faster than 2·λ_max, a
+        // round trip under 0.45 ms. The burst is a dozen publishes: no
+        // refresh has the samples to move the budget.
+        const SLOWER: f64 = 200.0;
+        let t = CostParams::CORRELATION_ID;
+        let slow = CostParams::new(t.t_rcv * SLOWER, t.t_fltr * SLOWER, t.t_tx * SLOWER);
+        let flow = FlowConfig::default();
+        let flow = flow.params(slow).w99_objective(flow.w99_objective * SLOWER);
+        let server = BrokerServer::start(BrokerConfig::builder().flow(flow).build(), "127.0.0.1:0")
+            .expect("bind");
         server.broker().create_topic("t").unwrap();
         let gate = server.broker().flow().expect("flow control on");
-        assert!(gate.lambda_max() < 1_400.0, "budget {}", gate.lambda_max());
+        assert!(gate.lambda_max() < 10.0, "budget {}", gate.lambda_max());
+        assert_eq!(gate.snapshot().bucket_burst, 3.0);
         let attempts = 2 * gate.snapshot().bucket_burst.ceil() as usize;
         let client = RemoteBroker::connect(server.local_addr()).expect("connect");
         let at = |level| Message::builder().priority(Priority::new(level)).build();
 
-        // The burst is a few hundred round trips, well inside the first
-        // one-second refresh: the analytic budget holds throughout. The
-        // lowest class is admitted down to its reserve, then shed.
+        // The lowest class is admitted down to its reserve, then shed.
         let shed = (0..attempts).find_map(|_| client.publish("t", &at(0)).err());
         assert!(
             matches!(shed, Some(Error::PublishShed { class: 0 })),
@@ -247,6 +261,7 @@ mod flow_peer {
         );
 
         // The top class is never shed: admitted, or deferred with a hint.
+        // The hint is the later of the lane's wait and the producer's.
         let mut hint = None;
         for _ in 0..attempts {
             match client.publish("t", &at(9)) {
