@@ -199,7 +199,7 @@ fn flow_gate(builder: BrokerConfigBuilder, on: bool) -> BrokerConfigBuilder {
     if !on {
         return with_metrics(builder);
     }
-    // Long refresh interval: the drift loop must not recalibrate the
+    // Long refresh interval: no dispatcher may re-invert its lane's
     // budget mid-measurement. The one producer may take half of `λ_max`,
     // still above what the broker can dispatch.
     with_metrics(builder).flow(

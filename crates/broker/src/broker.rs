@@ -36,8 +36,7 @@ use crate::pattern::TopicPattern;
 use crate::persist::{recover_topics, JournalRecord};
 use crate::probe::{NoProbe, Telemetry, STAGE_SAMPLE_EVERY};
 use crate::reports::{
-    cost_anchor, flow_refresh_loop, model_text, shard_monitors_of, shard_reports_of, snapshot_of,
-    ShardReport,
+    cost_anchor, model_text, shard_monitors_of, shard_reports_of, snapshot_of, ShardReport,
 };
 use crate::stats::{BrokerSnapshot, BrokerStats};
 use crate::subscriptions::{LiveFlag, LiveFlags, Sink, Subscriptions};
@@ -199,9 +198,9 @@ pub(crate) enum DispatchItem {
 pub(crate) struct BrokerInner {
     pub(crate) config: BrokerConfig,
     pub(crate) stats: Arc<BrokerStats>,
-    /// When the broker started; per-shard arrival rates in
-    /// [`Broker::shard_reports`] are derived against this origin, matching
-    /// the flow-refresh loop's convention.
+    /// When the broker started: the origin of every shard's measured
+    /// arrival rate, in [`Broker::shard_reports`] and in the dispatchers'
+    /// refreshes of their admission lanes alike.
     pub(crate) started: Instant,
     /// Shared with the registry's per-topic source ([`topic_series`]),
     /// which holds the table and never the broker.
@@ -224,8 +223,8 @@ pub(crate) struct BrokerInner {
     /// wire-flush events for sampled trace ids.
     pub(crate) tracer: Option<Arc<FlightRecorder>>,
     /// The admission gate, when flow control is enabled. Publishers
-    /// consult it before enqueueing; the flow-refresh thread re-calibrates
-    /// its arrival budget against the live histograms.
+    /// consult it before enqueueing; each dispatcher re-inverts its own
+    /// shard's lane from that shard's live histograms (`probe.rs`).
     pub(crate) flow: Option<Arc<FlowGate>>,
     /// Id source for publisher handles: the flow gate rate-limits per
     /// producer, so each [`Broker::publisher`] call gets a fresh identity.
@@ -295,9 +294,6 @@ pub struct Broker {
     publish_txs: Vec<Sender<DispatchItem>>,
     /// The dispatcher threads, one per shard; joined on shutdown.
     dispatchers: Vec<JoinHandle<()>>,
-    /// The flow-refresh thread, when flow control is enabled; joined on
-    /// shutdown like the dispatchers.
-    flow_refresh: Option<JoinHandle<()>>,
 }
 
 impl fmt::Debug for Broker {
@@ -431,15 +427,7 @@ impl Broker {
                     .expect("failed to spawn dispatcher thread")
             })
             .collect();
-        let flow_refresh = inner.flow.as_ref().map(|gate| {
-            let gate = Arc::clone(gate);
-            let refresh_inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("rjms-flow-refresh".to_owned())
-                .spawn(move || flow_refresh_loop(&refresh_inner, &gate))
-                .expect("failed to spawn flow-refresh thread")
-        });
-        Broker { inner, publish_txs, dispatchers, flow_refresh }
+        Broker { inner, publish_txs, dispatchers }
     }
 
     /// Creates a topic.
@@ -800,10 +788,6 @@ impl Broker {
             let _ = tx.send(DispatchItem::Shutdown);
         }
         for handle in self.dispatchers.drain(..) {
-            let _ = handle.join();
-        }
-        // The refresh thread polls `stopped` between sleep slices.
-        if let Some(handle) = self.flow_refresh.take() {
             let _ = handle.join();
         }
     }
@@ -1618,7 +1602,8 @@ mod tests {
             BrokerConfig::builder().flow(crate::config::FlowConfig::default()).build(),
         );
         b.create_topic("t").unwrap();
-        // Flow implies metrics (the refresh loop reads the histograms).
+        // Flow implies metrics (each dispatcher refreshes its lane from its
+        // shard's histograms).
         assert!(b.metrics().is_some());
         let gate = b.flow().expect("gate present");
         assert!(gate.lambda_max() > 0.0);

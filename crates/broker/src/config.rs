@@ -201,8 +201,8 @@ pub struct BrokerConfig {
     pub trace: Option<TraceConfig>,
     /// Optional model-driven admission control (see [`FlowConfig`]);
     /// `None` admits every publish unconditionally. Enabling flow control
-    /// auto-enables default metrics, which the drift-refresh loop feeds
-    /// from.
+    /// auto-enables default metrics: each dispatcher re-inverts its shard's
+    /// admission lane from that shard's waiting and service histograms.
     pub flow: Option<FlowConfig>,
     /// Optional per-topic workload observatory (see [`TopicObsConfig`]);
     /// `None` keeps the dispatcher free of per-topic accounting. Enabling

@@ -67,6 +67,8 @@ pub(crate) struct BrokerMetrics {
     pub(crate) registry: MetricsRegistry,
     /// `broker.stage.*_ns`, in `Stage::BROKER_STAGES` order.
     pub(crate) stages: [Arc<Histogram>; 4],
+    /// Each shard's [`SHARD_HISTOGRAMS`], in shard order.
+    pub(crate) shards: Vec<[Arc<Histogram>; 4]>,
 }
 
 impl BrokerMetrics {
@@ -77,22 +79,32 @@ impl BrokerMetrics {
         // The clock calibrates (a 10 ms sleep) here, before any dispatcher runs.
         clock::ns_per_tick();
         let registry = MetricsRegistry::new();
-        for shard in 0..shards {
-            for base in SHARD_HISTOGRAMS {
-                registry.histogram(&shard_series(base, shard, shards));
-            }
-            for base in SHARD_GAUGES {
-                registry.gauge(&shard_series(base, shard, shards));
-            }
-        }
+        let per_shard = (0..shards)
+            .map(|shard| {
+                for base in SHARD_GAUGES {
+                    registry.gauge(&shard_series(base, shard, shards));
+                }
+                SHARD_HISTOGRAMS.map(|base| registry.histogram(&shard_series(base, shard, shards)))
+            })
+            .collect();
         if shards > 1 {
             registry.register_source(move |snapshot| merge_shards(snapshot, shards));
         }
         Self {
             stages: ["rcv", "journal", "filter", "fanout"]
                 .map(|stage| registry.histogram(&format!("broker.stage.{stage}_ns"))),
+            shards: per_shard,
             registry,
         }
+    }
+
+    /// Shard `shard`'s measurement, the input of the paper's method for that
+    /// one server: its waiting and service samples so far. The flow gate's
+    /// lane refresh (`probe.rs`) and the shard reports (`reports.rs`) both
+    /// read it here.
+    pub(crate) fn measurement(&self, shard: usize) -> (HistogramSnapshot, HistogramSnapshot) {
+        let [waiting, service, ..] = &self.shards[shard];
+        (waiting.snapshot(), service.snapshot())
     }
 }
 
@@ -135,8 +147,7 @@ impl DispatcherScratch {
     pub(crate) fn new(metrics: &BrokerMetrics, shard: usize, shards: usize) -> Self {
         let series = |base| shard_series(base, shard, shards);
         Self {
-            series: SHARD_HISTOGRAMS
-                .map(|base| (LocalHistogram::new(), metrics.registry.histogram(&series(base)))),
+            series: metrics.shards[shard].clone().map(|shared| (LocalHistogram::new(), shared)),
             depth_gauge: metrics.registry.gauge(&series("broker.queue_depth")),
             in_flight_gauge: metrics.registry.gauge(&series("broker.in_flight")),
         }

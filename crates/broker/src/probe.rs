@@ -4,11 +4,12 @@
 //! nothing else; everything that *observes* the loop hangs off one
 //! statically dispatched [`DispatchProbe`], picked once per dispatcher
 //! thread: zero-sized [`NoProbe`], or [`Telemetry`] for everything
-//! `MetricsConfig`, `TraceConfig` and `TopicObsConfig` turn on. One struct
-//! rather than one probe per feature: `Broker::start` forces metrics on
-//! whenever tracing, flow control or the observatory is set, and the trace
-//! sampler and the observatory are computed *from* the metrics timer, so
-//! separate probes would have to reach into each other.
+//! `MetricsConfig`, `TraceConfig`, `TopicObsConfig` and `FlowConfig` turn
+//! on. One struct rather than one probe per feature: `Broker::start` forces
+//! metrics on whenever tracing, flow control or the observatory is set, and
+//! the trace sampler, the observatory and the admission-lane refresh are
+//! computed *from* the metrics timer, so separate probes would have to
+//! reach into each other.
 //!
 //! Hook contract, per message: `on_dequeue` (the core itself counts
 //! received, evaluations and copies on the message's topic), then any
@@ -26,9 +27,12 @@ use crate::config::TraceConfig;
 use crate::message::Message;
 use crate::metrics::{BrokerMetrics, DispatcherScratch, FLUSH_EVERY};
 use crate::topic_obs::TopicObservatory;
-use rjms_metrics::{clock, shard_series, Counter, Histogram, HistogramSnapshot};
+use rjms_core::MeasuredSummary;
+use rjms_flow::FlowGate;
+use rjms_metrics::{clock, Counter, HistogramSnapshot};
 use rjms_trace::{FlightRecorder, SpanEvent, Stage};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// What the core knows about a message once its fan-out is complete.
 pub(crate) struct Dispatched<'a> {
@@ -158,14 +162,12 @@ const TRACE_UNIFORM_EVERY: u64 = 128;
 
 /// Tail-sampled tracing state. The keep/discard decision is made after
 /// fan-out, when the sojourn time is known; the threshold refreshes
-/// periodically from the live sojourn histograms and starts at 0 so every
-/// chain is kept until the first refresh has data.
+/// periodically from every shard's live sojourn histogram (it is the
+/// broker-wide quantile) and starts at 0 so every chain is kept until the
+/// first refresh has data.
 struct TraceSampler<'a> {
     recorder: &'a FlightRecorder,
     config: TraceConfig,
-    /// Every shard's sojourn series: the threshold is the broker-wide
-    /// quantile, so a refresh merges them.
-    sojourn: Vec<Arc<Histogram>>,
     threshold_ns: u64,
     refresh: Countdown,
     /// The uniform baseline is interval-driven and thus known up front,
@@ -175,9 +177,41 @@ struct TraceSampler<'a> {
     kept_uniform: Arc<Counter>,
 }
 
+/// The dispatcher's share of flow control: at its first flush after each
+/// refresh interval it re-inverts its own shard's admission lane
+/// ([`FlowGate::refresh`]) from that shard's measurement over the broker's
+/// lifetime ([`BrokerMetrics::measurement`], [`MeasuredSummary::of`]), so
+/// each shard is held at `ρ_max` however the topics spread. The measured
+/// service time is the sum of the four dispatch stages, the journal's write
+/// among them, so it already carries `t_store`.
+struct LaneRefresh<'a> {
+    gate: &'a FlowGate,
+    shard: usize,
+    started: Instant,
+    /// The refresh interval in clock ticks, and the tick the next refresh
+    /// is due at.
+    every: u64,
+    due: u64,
+}
+
+impl LaneRefresh<'_> {
+    /// Refreshes the lane if it is due; one clock read either way.
+    fn at_flush(&mut self, metrics: &BrokerMetrics) {
+        let stamp = now();
+        if stamp < self.due {
+            return;
+        }
+        self.due = stamp.saturating_add(self.every);
+        let (waiting, service) = metrics.measurement(self.shard);
+        if let Some(measured) = MeasuredSummary::of(&waiting, &service, self.started.elapsed()) {
+            self.gate.refresh(self.shard, &measured);
+        }
+    }
+}
+
 /// The probe of a broker with metrics on: histogram staging, sampled stage
-/// timing, tail-sampled tracing and the topics' observatory accounts, for
-/// one dispatcher thread.
+/// timing, tail-sampled tracing, the topics' observatory accounts and the
+/// refresh of the shard's admission lane, for one dispatcher thread.
 pub(crate) struct Telemetry<'a> {
     metrics: &'a BrokerMetrics,
     /// Local staging for the per-message histograms, flushed on idle and
@@ -191,6 +225,7 @@ pub(crate) struct Telemetry<'a> {
     last_end: Option<u64>,
     trace: Option<TraceSampler<'a>>,
     topic_obs: Option<&'a TopicObservatory>,
+    lane: Option<LaneRefresh<'a>>,
 
     // State of the message in flight, reset by `on_dequeue`. Timestamps
     // are instrumentation-clock ticks (`clock::now`).
@@ -227,17 +262,18 @@ impl<'a> Telemetry<'a> {
             TraceSampler {
                 recorder,
                 config,
-                sojourn: (0..shards)
-                    .map(|s| {
-                        metrics.registry.histogram(&shard_series("broker.sojourn_ns", s, shards))
-                    })
-                    .collect(),
                 threshold_ns: 0,
                 refresh: Countdown::new(TRACE_REFRESH_EVERY),
                 uniform: Countdown::new(TRACE_UNIFORM_EVERY),
                 kept_tail: metrics.registry.counter("trace.chains.tail"),
                 kept_uniform: metrics.registry.counter("trace.chains.uniform"),
             }
+        });
+        let lane = inner.flow.as_deref().map(|gate| {
+            let interval_ns = gate.config().refresh_interval_ms.max(1) as f64 * 1e6;
+            let every = (interval_ns / clock::ns_per_tick()) as u64;
+            let due = now().saturating_add(every);
+            LaneRefresh { gate, shard, started: inner.started, every, due }
         });
         Some(Self {
             metrics,
@@ -247,6 +283,7 @@ impl<'a> Telemetry<'a> {
             last_end: None,
             trace,
             topic_obs: inner.topic_obs.as_ref(),
+            lane,
             dispatch_start: 0,
             waiting: 0,
             sample_stages: false,
@@ -277,10 +314,14 @@ impl<'a> Telemetry<'a> {
         }
     }
 
-    /// Publishes the staged histogram samples.
+    /// Publishes the staged histogram samples, then refreshes the shard's
+    /// admission lane when that is due (flow control only).
     fn flush(&mut self) {
         self.staged = 0;
         self.scratch.flush();
+        if let Some(lane) = &mut self.lane {
+            lane.at_flush(self.metrics);
+        }
     }
 
     /// Tail-sampling commit point: the sojourn time (ns) is now known.
@@ -291,7 +332,9 @@ impl<'a> Telemetry<'a> {
             // this thread's staged samples go in first.
             self.scratch.flush();
             let mut sojourn = HistogramSnapshot::default();
-            trace.sojourn.iter().for_each(|shard| sojourn.merge(&shard.snapshot()));
+            for [_, _, shard, _] in &self.metrics.shards {
+                sojourn.merge(&shard.snapshot());
+            }
             if let Some(q) = sojourn.quantile(trace.config.tail_quantile) {
                 trace.threshold_ns = q;
             }
@@ -623,6 +666,64 @@ mod tests {
         assert_eq!(sojourn.count, 100_000 + TRACE_REFRESH_EVERY);
         assert_eq!(Some(threshold), sojourn.quantile(TraceConfig::default().tail_quantile));
         assert!(threshold >= 900_000_000, "{threshold} ns");
+        broker.shutdown();
+    }
+
+    /// With flow on, a dispatcher re-inverts its own shard's admission lane
+    /// at its first flush after the refresh interval, from what that shard
+    /// has flushed: a shard short of the samples a summary needs stays on
+    /// the seed budget, and before the interval has passed nothing is
+    /// refreshed. A flush reads the clock once with flow on and never
+    /// without.
+    #[test]
+    fn a_flush_re_inverts_its_own_lane_once_the_interval_passed_and_the_shard_measured() {
+        use crate::config::FlowConfig;
+        use rjms_core::monitor::MIN_SAMPLES;
+        let message = Message::builder().build();
+        // Dispatches `messages` through a probe of `shard`, then goes idle
+        // (a flush) after `pause`; the flush's clock reads.
+        let dispatch = |broker: &Broker, shard, messages, pause| {
+            let topic = broker.lookup("t").unwrap();
+            let mut probe = Telemetry::new(&broker.inner, shard, u64::MAX).expect("metrics on");
+            for _ in 0..messages {
+                probe.on_dequeue(&message, None, false, || 0);
+                probe.on_done(&done(&topic, &message));
+            }
+            std::thread::sleep(pause);
+            let before = Telemetry::clock_reads();
+            probe.on_idle();
+            Telemetry::clock_reads() - before
+        };
+        let flow = |interval_ms| {
+            let flow = FlowConfig::default().refresh_interval_ms(interval_ms);
+            let broker = Broker::start(BrokerConfig::builder().shards(2).flow(flow).build());
+            broker.create_topic("t").unwrap();
+            broker
+        };
+        let lane = |broker: &Broker| {
+            let snapshot = broker.flow().expect("flow on").snapshot();
+            (snapshot.source, snapshot.refreshes)
+        };
+        let pause = Duration::from_millis(2);
+
+        let gated = flow(1);
+        let seed = gated.flow().unwrap().shard_budget(1);
+        assert_eq!(dispatch(&gated, 1, MIN_SAMPLES - 1, pause), 1);
+        assert_eq!(lane(&gated), ("analytic", 0), "a shard short of samples was re-inverted");
+        assert_eq!(dispatch(&gated, 0, MIN_SAMPLES, pause), 1);
+        let (source, refreshes) = lane(&gated);
+        assert!(source == "measured" && refreshes >= 1, "{source} after {refreshes} refreshes");
+        assert_eq!(gated.flow().unwrap().shard_budget(1), seed, "shard 1's lane moved");
+        gated.shutdown();
+
+        // The overhead gate's interval: no refresh is due within the test.
+        let gated = flow(60_000);
+        assert_eq!(dispatch(&gated, 0, MIN_SAMPLES, pause), 1);
+        assert_eq!(lane(&gated), ("analytic", 0));
+        gated.shutdown();
+
+        let (broker, _) = broker();
+        assert_eq!(dispatch(&broker, 0, MIN_SAMPLES, pause), 0, "a flow-off flush read a clock");
         broker.shutdown();
     }
 

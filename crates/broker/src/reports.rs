@@ -3,8 +3,10 @@
 //! paper's method (measure an operating point, evaluate Eq. 1 + M/GI/1
 //! *for that server*, compare) is spelled. `/shards`, `/model`, the
 //! periodic text report and the per-shard monitors handed to the SLO engine
-//! all read it from here, and the flow-refresh thread each shard's own
-//! measurement. Nothing here runs on the dispatch path.
+//! all read it from here; each shard's measurement is its dispatcher's own
+//! two histograms (`BrokerMetrics::measurement`), which the dispatcher
+//! itself also reads to refresh its admission lane (`probe.rs`). Nothing
+//! here runs on the dispatch path.
 
 use crate::broker::{topics_overflowed, BrokerInner, Topic};
 use crate::config::BrokerConfig;
@@ -12,18 +14,13 @@ use crate::stats::{
     per_message, BrokerSnapshot, FlowCounters, MessageCounters, ShardSnapshot,
     SubscriptionCounters, TopicStats,
 };
-use rjms_core::monitor::MIN_SAMPLES;
-use rjms_core::{
-    CostParams, MeasuredSummary, ModelMonitor, ModelVerdict, ReplicationModel, ServerModel,
-};
-use rjms_flow::FlowGate;
-use rjms_metrics::{clock, shard_series};
+use rjms_core::{CostParams, ModelMonitor, ModelVerdict, ReplicationModel, ServerModel};
+use rjms_metrics::clock;
 use rjms_trace::{group_chains, FlightRecorder};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Folds the topics' counters — the only place the per-message facts are
 /// written — into the broker's total (its `shard` reads 0) and one total per
@@ -108,42 +105,6 @@ pub(crate) fn snapshot_of(inner: &BrokerInner) -> BrokerSnapshot {
     }
 }
 
-/// Periodically re-inverts each of the flow gate's lanes from what its own
-/// dispatcher measured: every refresh interval it summarizes each shard's
-/// waiting and service histograms over the broker's lifetime
-/// ([`MeasuredSummary::of`]) and feeds that shard's lane
-/// ([`FlowGate::refresh`]), so each shard is held at `ρ_max` however the
-/// topics spread. The measured service time is the sum of the four dispatch
-/// stages, the journal's write among them, so it already carries `t_store`.
-pub(crate) fn flow_refresh_loop(inner: &BrokerInner, gate: &FlowGate) {
-    let Some(metrics) = &inner.metrics else { return };
-    let interval = Duration::from_millis(gate.config().refresh_interval_ms.max(1));
-    let shards = inner.config.shards;
-    loop {
-        // Sleep in short slices so shutdown is prompt.
-        let deadline = Instant::now() + interval;
-        while Instant::now() < deadline {
-            if inner.stopped.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        let snap = metrics.registry.snapshot();
-        let elapsed = inner.started.elapsed();
-        for shard in 0..shards {
-            let series = |base| snap.histogram(&shard_series(base, shard, shards));
-            let (Some(waiting), Some(service)) =
-                (series("broker.waiting_ns"), series("broker.service_ns"))
-            else {
-                continue;
-            };
-            if let Some(measured) = MeasuredSummary::of(waiting, service, elapsed) {
-                gate.refresh(shard, &measured);
-            }
-        }
-    }
-}
-
 /// One dispatcher shard's live model assessment: the shard's measured
 /// operating point (arrival rate, filter count, replication grade from its
 /// own counters and histograms) compared against the Eq. 1 + M/GI/1 model
@@ -215,25 +176,16 @@ pub(crate) fn shard_reports_of(inner: &BrokerInner) -> Vec<ShardReport> {
     let (Some(metrics), Some(params)) = (&inner.metrics, cost_anchor(&inner.config)) else {
         return Vec::new();
     };
-    let snap = metrics.registry.snapshot();
     let elapsed = inner.started.elapsed();
-    let shards = inner.config.shards;
-    let (_, per_shard) = totals(&inner.topics.read(), shards, |_, _| {});
-    (0..shards)
-        .map(|shard| {
-            let series = |base| snap.histogram(&shard_series(base, shard, shards));
-            let (waiting, service) = (series("broker.waiting_ns"), series("broker.service_ns"));
-            let total = &per_shard[shard];
+    let (_, per_shard) = totals(&inner.topics.read(), inner.config.shards, |_, _| {});
+    per_shard
+        .iter()
+        .enumerate()
+        .map(|(shard, total)| {
+            let (waiting, service) = metrics.measurement(shard);
             let (filters, replication_grade) = operating_point(total);
-            let monitor = shard_monitor(params, total);
-            // A shard whose histograms have not materialized yet (no
-            // dispatch flushed) is an idle server, not a missing one.
-            let (samples, verdict) = match (waiting, service) {
-                (Some(waiting), Some(service)) => {
-                    (waiting.count, monitor.assess(waiting, service, elapsed))
-                }
-                _ => (0, ModelVerdict::Insufficient { samples: 0, required: MIN_SAMPLES }),
-            };
+            let verdict = shard_monitor(params, total).assess(&waiting, &service, elapsed);
+            let samples = waiting.count;
             let secs = elapsed.as_secs_f64();
             let arrival_rate = if secs > 0.0 { samples as f64 / secs } else { 0.0 };
             ShardReport { shard, samples, arrival_rate, filters, replication_grade, verdict }

@@ -251,11 +251,6 @@ impl ClusterScenario {
                 + self.mean_replication * self.params.t_tx;
         Some((shrinking / budget).ceil().max(1.0) as u32)
     }
-
-    /// Ingress network load: every message crosses to all `k` brokers.
-    pub fn ingress_network_load(&self) -> f64 {
-        self.capacity() * self.brokers as f64
-    }
 }
 
 #[cfg(test)]
@@ -481,12 +476,5 @@ mod tests {
         let c = cluster(1, 100);
         let max_possible = 0.9 / CostParams::CORRELATION_ID.t_rcv;
         assert_eq!(c.brokers_needed_for(max_possible * 1.01), None);
-    }
-
-    #[test]
-    fn cluster_ingress_grows_with_k() {
-        let c2 = cluster(2, 1000);
-        let c20 = cluster(20, 1000);
-        assert!(c20.ingress_network_load() > c2.ingress_network_load());
     }
 }

@@ -24,7 +24,6 @@ pub struct OnlineStats {
     count: u64,
     mean: f64,
     m2: f64,
-    sum3: f64,
     min: f64,
     max: f64,
 }
@@ -32,7 +31,7 @@ pub struct OnlineStats {
 impl OnlineStats {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        Self { count: 0, mean: 0.0, m2: 0.0, sum3: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
+        Self { count: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
     }
 
     /// Adds one observation.
@@ -41,7 +40,6 @@ impl OnlineStats {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-        self.sum3 += x * x * x;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -68,20 +66,6 @@ impl OnlineStats {
     /// Standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Second raw moment `E[X²]`.
-    pub fn m2_raw(&self) -> f64 {
-        self.variance() + self.mean * self.mean
-    }
-
-    /// Third raw moment `E[X³]`.
-    pub fn m3_raw(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum3 / self.count as f64
-        }
     }
 
     /// Coefficient of variation; 0 when the mean is 0.
@@ -198,16 +182,6 @@ mod tests {
         assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_raw_moments() {
-        let mut s = OnlineStats::new();
-        for x in [1.0, 2.0, 3.0] {
-            s.push(x);
-        }
-        assert!((s.m2_raw() - 14.0 / 3.0).abs() < 1e-12);
-        assert!((s.m3_raw() - 12.0).abs() < 1e-12);
     }
 
     #[test]

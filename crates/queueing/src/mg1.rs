@@ -197,30 +197,6 @@ impl Mg1 {
         Some((self.mean_waiting_time() / rho, self.waiting_time_m2() / rho))
     }
 
-    /// Mean number of messages in the *system* (queue + server), by
-    /// Little's law: `E[L] = λ·E[T]`.
-    pub fn mean_number_in_system(&self) -> f64 {
-        self.lambda * self.mean_sojourn_time()
-    }
-
-    /// Mean busy period of the server, `E[BP] = E[B]/(1−ρ)`.
-    ///
-    /// The busy period bounds how long the push-back mechanism keeps
-    /// publishers blocked in a row.
-    pub fn mean_busy_period(&self) -> f64 {
-        let rho = self.utilization();
-        if self.service.m1 == 0.0 {
-            return 0.0;
-        }
-        self.service.m1 / (1.0 - rho)
-    }
-
-    /// Second raw moment of the busy period, `E[BP²] = E[B²]/(1−ρ)³`.
-    pub fn busy_period_m2(&self) -> f64 {
-        let rho = self.utilization();
-        self.service.m2 / (1.0 - rho).powi(3)
-    }
-
     /// Buffer-space estimate (paper §V): the number of message slots the
     /// server must provision so that a message's queueing backlog exceeds it
     /// only with probability `1 − p`. Computed as `⌈λ · Q_p[W]⌉` — the
@@ -279,11 +255,6 @@ impl WaitingTimeDistribution {
     /// The probability that a message waits at all (`p_w = ρ`).
     pub fn waiting_probability(&self) -> f64 {
         self.rho
-    }
-
-    /// The fitted Gamma distribution of the conditional delay `W₁`, if any.
-    pub fn delayed_distribution(&self) -> Option<&Gamma> {
-        self.delayed.as_ref()
     }
 
     /// `P(W <= t)` (Eq. 20).
@@ -460,34 +431,6 @@ mod tests {
                 assert!(w.cdf(0.0) >= p);
             }
         }
-    }
-
-    #[test]
-    fn busy_period_mm1_closed_form() {
-        // M/M/1: E[BP] = 1/(μ−λ).
-        let (lambda, mu) = (0.5, 2.0);
-        let q = Mg1::new(lambda, exp_moments(mu)).unwrap();
-        assert!((q.mean_busy_period() - 1.0 / (mu - lambda)).abs() < 1e-12);
-        // E[BP²] = E[B²]/(1−ρ)³.
-        let rho = lambda / mu;
-        assert!((q.busy_period_m2() - (2.0 / (mu * mu)) / (1.0 - rho).powi(3)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn busy_period_grows_with_utilization() {
-        let low = Mg1::with_utilization(0.5, exp_moments(1.0)).unwrap();
-        let high = Mg1::with_utilization(0.95, exp_moments(1.0)).unwrap();
-        assert!(high.mean_busy_period() > low.mean_busy_period());
-    }
-
-    #[test]
-    fn mean_number_in_system_littles_law() {
-        let q = Mg1::with_utilization(0.8, exp_moments(2.0)).unwrap();
-        assert!(
-            (q.mean_number_in_system() - q.arrival_rate() * q.mean_sojourn_time()).abs() < 1e-12
-        );
-        // L = L_q + ρ.
-        assert!((q.mean_number_in_system() - q.mean_queue_length() - 0.8).abs() < 1e-12);
     }
 
     #[test]
