@@ -21,15 +21,32 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long [`RemoteBroker`] waits for a request's response.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Undecoded delivery frames in wire order: what one read held for one subscription.
-type Frames = VecDeque<Bytes>;
+/// Delivery frames in wire order: what one read held for one subscription.
+type Frames = VecDeque<Arc<Delivery>>;
+
+/// One delivery frame, shared by every subscription it names: the first to
+/// reach it decodes it, on its own thread; `None` when it does not decode.
+struct Delivery {
+    body: Bytes,
+    message: OnceLock<Option<Message>>,
+}
+
+impl Delivery {
+    fn message(&self) -> &Option<Message> {
+        self.message.get_or_init(|| {
+            #[cfg(test)]
+            tests::DECODES.with(|decodes| decodes.set(decodes.get() + 1));
+            decode_delivery(&self.body).ok().map(WireMessage::into_message)
+        })
+    }
+}
 
 /// Shared client state touched by the background reader and subscriber
 /// handles.
@@ -46,6 +63,8 @@ struct ClientShared {
 /// Ends the connection from this side, once; the reader's exit wakes every caller.
 fn shut_down(shared: &ClientShared) {
     if !shared.closed.swap(true, Ordering::Relaxed) {
+        #[cfg(test)]
+        tests::SHUTDOWNS.with(|shutdowns| shutdowns.set(shutdowns.get() + 1));
         let _ = shared.stream.lock().shutdown(std::net::Shutdown::Both);
     }
 }
@@ -99,7 +118,7 @@ impl RemoteBroker {
         let reader_shared = Arc::clone(&shared);
         let batch_frames = metrics.histogram("net.client.batch_frames");
         let reader = std::thread::Builder::new()
-            .name("rjms-net-client-reader".to_owned())
+            .name("rjms-net-client".to_owned())
             .spawn(move || client_reader_loop(reader, &reader_shared, &batch_frames))
             .expect("failed to spawn client reader");
         RemoteBroker {
@@ -339,9 +358,9 @@ impl Drop for RemoteBroker {
 
 /// Background reader: dispatches responses to pending calls and routes delivery
 /// frames, undecoded, to subscriber channels, once per read or when a reply is next.
-/// A frame goes to every subscription its id list names, as one shared `Bytes`
-/// each: the server sends a message once per connection, the client replicates
-/// it. A delivery it cannot route ends the connection.
+/// A frame goes to every subscription its id list names, as one `Arc<Delivery>`
+/// clone each: the server sends a message once per connection, the client decodes
+/// it once and replicates it. A delivery it cannot route ends the connection.
 fn client_reader_loop(stream: impl Read, shared: &ClientShared, batch_frames: &Histogram) {
     let mut frames = FrameReader::new(stream);
     let mut routed: HashMap<u32, Frames> = HashMap::new();
@@ -356,7 +375,8 @@ fn client_reader_loop(stream: impl Read, shared: &ClientShared, batch_frames: &H
     while let Ok(Some(body)) = frames.next_frame() {
         match delivery_subscriptions(&body) {
             Ok(Some(ids)) => {
-                ids.for_each(|id| routed.entry(id).or_default().push_back(body.clone()))
+                let delivery = Arc::new(Delivery { body: body.clone(), message: OnceLock::new() });
+                ids.for_each(|id| routed.entry(id).or_default().push_back(Arc::clone(&delivery)))
             }
             Ok(None) => match decode_response(body.clone()) {
                 Ok(
@@ -389,18 +409,22 @@ fn client_reader_loop(stream: impl Read, shared: &ClientShared, batch_frames: &H
 /// A remote subscription's consuming handle.
 ///
 /// `receive*` decodes the delivery frames, on the consumer's thread; a frame
-/// sent for several subscriptions is decoded once by each. So a message gets
-/// its id, `JMSTimestamp` and expiration base when it is
-/// *received*, not when it reached the socket; and a frame that does not decode
-/// is found when it is reached: the messages before it were delivered, that call
-/// and every later one fail as on a closed connection, which is then shut down.
+/// sent for several subscriptions of the connection is decoded and built once,
+/// by the first of them to reach it, and the others get a clone that shares its
+/// body; the last to take it moves it out. So a message gets its id,
+/// `JMSTimestamp` and expiration base when it is first *received*, not when it
+/// reached the socket, and every copy of one frame carries the same three, as
+/// in-process subscribers share one message. A frame that does not decode is
+/// found by each subscription that reaches it: the messages before it were
+/// delivered, that call and every later one fail as on a closed connection,
+/// which is then shut down.
 /// Threads sharing the handle take turns, a message each: a call waits behind
 /// another thread's wait, except `try_receive`, which returns `None`.
 /// Dropping the handle cancels the remote subscription best-effort.
 pub struct RemoteSubscriber {
     subscription_id: u32,
     deliveries: Receiver<Frames>,
-    /// Frames handed over and not yet decoded, next one first; locked for a turn.
+    /// Frames handed over and not yet taken, next one first; locked for a turn.
     batch: Mutex<Frames>,
     shared: Arc<ClientShared>,
 }
@@ -437,18 +461,21 @@ impl RemoteSubscriber {
         self.next(&mut *self.batch.try_lock()?, || self.deliveries.try_recv().ok())
     }
 
-    /// Decodes the frame at the front of `batch`, which `more` refills when it is empty.
+    /// Takes the message of the frame at the front of `batch`, which `more` refills
+    /// when it is empty: moved out by the frame's last holder, cloned by the others.
     /// A frame that does not decode stays there, and the subscription with it.
     fn next(&self, batch: &mut Frames, more: impl Fn() -> Option<Frames>) -> Option<Message> {
         if batch.is_empty() {
             *batch = more()?;
         }
-        if let Ok(message) = decode_delivery(batch.front()?) {
-            batch.pop_front();
-            return Some(message.into_message());
+        if batch.front()?.message().is_none() {
+            shut_down(&self.shared);
+            return None;
         }
-        shut_down(&self.shared);
-        None
+        match Arc::try_unwrap(batch.pop_front()?) {
+            Ok(last) => last.message.into_inner().flatten(),
+            Err(shared) => shared.message().clone(),
+        }
     }
 }
 
@@ -474,8 +501,146 @@ impl Drop for RemoteSubscriber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_request, encode_response, read_frame};
+    use crate::wire::{decode_request, encode_delivery_into, encode_response, read_frame};
+    use std::cell::Cell;
     use std::net::TcpListener;
+
+    thread_local! {
+        /// Delivery frames [`Delivery::message`] decoded on this thread.
+        pub(super) static DECODES: Cell<u64> = const { Cell::new(0) };
+        /// Connections [`shut_down`] shut down from this thread.
+        pub(super) static SHUTDOWNS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// How long a call that must return may wait before the test fails instead of hanging.
+    const GUARD: Duration = Duration::from_secs(5);
+
+    fn decodes() -> u64 {
+        DECODES.with(Cell::get)
+    }
+
+    /// A client with `subscriptions` subscriptions (ids 1, 2, …), the last one
+    /// dropped when `drop_last`, connected to a peer that answers the
+    /// subscribes, waits for that unsubscribe, writes `frames` and then reads
+    /// until the client closes.
+    fn client(
+        subscriptions: u32,
+        drop_last: bool,
+        frames: Vec<u8>,
+    ) -> (RemoteBroker, Vec<RemoteSubscriber>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            for _ in 0..subscriptions {
+                let request = read_frame(&mut stream).unwrap().expect("a subscribe");
+                let Request::Subscribe { request_id, .. } = decode_request(request).unwrap() else {
+                    panic!("not a subscribe")
+                };
+                stream.write_all(&encode_response(&Response::Ok { request_id })).unwrap();
+            }
+            if drop_last {
+                let request = read_frame(&mut stream).unwrap().expect("the unsubscribe");
+                assert!(matches!(decode_request(request).unwrap(), Request::Unsubscribe { .. }));
+            }
+            stream.write_all(&frames).unwrap();
+            let _ = stream.read_to_end(&mut Vec::new());
+        });
+        let client = RemoteBroker::connect(addr).unwrap();
+        let mut subscribers: Vec<_> =
+            (0..subscriptions).map(|_| client.subscribe("t", WireFilter::None).unwrap()).collect();
+        if drop_last {
+            drop(subscribers.pop());
+        }
+        (client, subscribers)
+    }
+
+    /// The delivery frame of message `#seq` for `ids`.
+    fn frame(ids: &[u32], seq: u32) -> Vec<u8> {
+        let message = Message::builder()
+            .correlation_id(format!("#{seq}"))
+            .property("seq", i64::from(seq))
+            .body(vec![seq as u8; seq as usize % 40])
+            .build();
+        let mut out = Vec::new();
+        encode_delivery_into(&mut out, ids.iter().copied(), &message);
+        out
+    }
+
+    /// What is left on `subscriber` until the connection closes, as correlation ids.
+    fn drain(subscriber: &RemoteSubscriber) -> Vec<String> {
+        let received = std::iter::from_fn(|| subscriber.receive().ok());
+        received.map(|m| m.correlation_id().unwrap().to_owned()).collect()
+    }
+
+    #[test]
+    fn a_frame_is_decoded_and_built_once_for_all_the_subscriptions_it_names() {
+        // One, two and four ids, and two of which the second was dropped.
+        let lists: [&[u32]; 4] = [&[1], &[1, 2], &[1, 2, 3, 4], &[2, 5]];
+        let frames = lists.iter().zip(1..).flat_map(|(ids, seq)| frame(ids, seq)).collect();
+        let (_client, subscribers) = client(5, true, frames);
+        for (ids, seq) in lists.iter().zip(1..) {
+            let before = decodes();
+            let copies: Vec<Message> = (ids.iter().filter(|id| **id <= 4))
+                .map(|id| subscribers[*id as usize - 1].receive_timeout(GUARD).expect("a copy"))
+                .collect();
+            assert_eq!(decodes() - before, 1, "frame #{seq}");
+            assert_eq!(copies[0].correlation_id(), Some(format!("#{seq}").as_str()));
+            for copy in &copies[1..] {
+                // `MessageId::next()` runs once per build: one id is one build.
+                assert_eq!(copy.id(), copies[0].id(), "frame #{seq}");
+                assert_eq!(copy.timestamp_millis(), copies[0].timestamp_millis());
+                assert_eq!(copy, &copies[0]);
+            }
+        }
+        assert!(subscribers.iter().all(|s| s.try_receive().is_none()));
+    }
+
+    #[test]
+    fn a_shared_frame_that_does_not_decode_closes_each_subscription_once_reached() {
+        let mut bad = frame(&[1, 2], 4);
+        bad.push(0xAA); // a trailing byte
+        let len = bad.len() as u32 - 4;
+        bad[..4].copy_from_slice(&len.to_le_bytes());
+        let frames = [frame(&[1, 2], 1), frame(&[1], 2), frame(&[2], 3), bad, frame(&[1, 2], 5)];
+        let (client, subscribers) = client(2, false, frames.concat());
+        let shutdowns = SHUTDOWNS.with(Cell::get);
+        let before = decodes();
+        assert_eq!(drain(&subscribers[0]), ["#1", "#2"]);
+        assert_eq!(drain(&subscribers[1]), ["#1", "#3"]);
+        // The bad frame too was decoded once, by the first to reach it.
+        assert_eq!(decodes() - before, 4);
+        assert_eq!(SHUTDOWNS.with(Cell::get) - shutdowns, 1);
+        assert!(subscribers.iter().all(|s| s.try_receive().is_none()));
+        assert!(matches!(client.ping(), Err(Error::Closed)));
+    }
+
+    #[test]
+    fn two_threads_draining_two_subscriptions_share_each_frame_once() {
+        const FRAMES: u32 = 2_000;
+        let frames = (0..FRAMES).flat_map(|seq| frame(&[1, 2], seq)).collect();
+        let (_client, subscribers) = client(2, false, frames);
+        // Each thread's received messages and the frames it decoded.
+        let drained: Vec<(Vec<Message>, u64)> = std::thread::scope(|scope| {
+            let drains: Vec<_> = (subscribers.iter())
+                .map(|subscriber| {
+                    scope.spawn(move || {
+                        let received = (0..FRAMES)
+                            .map(|_| subscriber.receive_timeout(GUARD).expect("a copy"))
+                            .collect();
+                        (received, decodes())
+                    })
+                })
+                .collect();
+            drains.into_iter().map(|drain| drain.join().unwrap()).collect()
+        });
+        assert_eq!(drained[0].1 + drained[1].1, u64::from(FRAMES), "one decode per frame");
+        for (seq, (a, b)) in drained[0].0.iter().zip(&drained[1].0).enumerate() {
+            assert_eq!(a.correlation_id(), Some(format!("#{seq}").as_str()));
+            assert_eq!(a, b, "frame #{seq}");
+        }
+        assert!(subscribers.iter().all(|s| s.try_receive().is_none()));
+    }
 
     #[test]
     fn request_ids_wrap_past_the_reserved_zero() {

@@ -243,7 +243,7 @@ fn main() {
         let wire_metrics = server.metrics();
         let observer = server.broker().observer();
         std::thread::Builder::new()
-            .name("rjms-metrics-export".to_owned())
+            .name("rjms-export".to_owned())
             .spawn(move || loop {
                 std::thread::sleep(Duration::from_secs(secs));
                 let mut out = String::from("--- metrics ---\n");
