@@ -14,10 +14,10 @@
 //!   [`crate::dispatch`].
 //! * Subscribers consume from bounded per-subscription queues.
 //!
-//! With [`BrokerConfig::cost_model`] set ([`crate::cost`]), the dispatcher
-//! additionally burns `t_rcv` per message, `t_fltr` per filter evaluation and
-//! `t_tx` per forwarded copy, so a saturated broker reproduces Eq. 1 in wall
-//! clock time.
+//! With [`BrokerConfig::cost_model`] set, the dispatcher additionally burns
+//! `t_rcv` per message, `t_fltr` per filter evaluation and `t_tx` per
+//! forwarded copy on its clock ([`crate::probe`]), so a saturated broker
+//! reproduces Eq. 1 in wall clock time.
 //!
 //! With [`MetricsConfig`](crate::config::MetricsConfig) installed, the
 //! dispatcher measures itself through its probe ([`crate::probe`]):
@@ -34,7 +34,7 @@ use crate::message::Message;
 use crate::metrics::{BrokerMetrics, PER_TOPIC_SERIES};
 use crate::pattern::TopicPattern;
 use crate::persist::{recover_topics, JournalRecord};
-use crate::probe::{NoProbe, Telemetry, STAGE_SAMPLE_EVERY};
+use crate::probe::{NoProbe, Telemetry, Tsc, STAGE_SAMPLE_EVERY};
 use crate::reports::{
     cost_anchor, model_text, shard_monitors_of, shard_reports_of, snapshot_of, ShardReport,
 };
@@ -417,7 +417,7 @@ impl Broker {
                 std::thread::Builder::new()
                     .name(name)
                     .spawn(move || {
-                        match Telemetry::new(&dispatcher_inner, shard, STAGE_SAMPLE_EVERY) {
+                        match Telemetry::new(&dispatcher_inner, shard, STAGE_SAMPLE_EVERY, Tsc) {
                             Some(probe) => {
                                 dispatch::run(&dispatcher_inner, shard, &publish_rx, probe)
                             }

@@ -185,9 +185,10 @@ pub struct BrokerConfig {
     pub subscriber_queue_capacity: usize,
     /// Behaviour on full subscriber queues.
     pub overflow_policy: OverflowPolicy,
-    /// Optional synthetic CPU cost per message (see [`crate::cost`]): the
-    /// dispatcher burns these Eq. 1 constants, `t_store` excepted. `None`
-    /// runs the broker at native speed.
+    /// Optional synthetic CPU cost per message: the dispatcher busy-waits
+    /// these Eq. 1 constants, `t_store` excepted, so that a saturated
+    /// broker's throughput follows Eq. 1 on any host. `None` runs the
+    /// broker at native speed.
     pub cost_model: Option<CostParams>,
     /// Optional write-ahead persistence (see [`PersistenceConfig`]);
     /// `None` runs the broker purely in memory, as the seed model did.

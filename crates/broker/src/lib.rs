@@ -16,8 +16,8 @@
 //!   FioranoMQ performs no identical-filter optimization,
 //! * one enqueue per matching subscriber (the replication grade `R`).
 //!
-//! An optional cost model ([`BrokerConfig::cost_model`], [`cost`]) burns
-//! calibrated CPU per message / filter / copy so that saturated wall-clock
+//! An optional cost model ([`BrokerConfig::cost_model`]) burns calibrated
+//! CPU per message / filter / copy so that saturated wall-clock
 //! throughput reproduces the paper's measurements on modern hardware. An optional
 //! [`config::MetricsConfig`] turns on live observability: the dispatcher
 //! records per-message waiting/service/sojourn times (and a sampled Eq. 1
@@ -61,7 +61,6 @@
 mod broker;
 pub mod codec;
 pub mod config;
-pub mod cost;
 mod dispatch;
 mod durable;
 pub mod error;

@@ -20,19 +20,22 @@
 //! nested in it per match — whether the match's sink is a plain subscriber
 //! or a durable subscription.
 //! `on_idle` runs each time the publish queue is found empty, before the
-//! dispatcher blocks; `on_exit` runs once, after the last message.
+//! dispatcher blocks; `on_exit` runs once, after the last message. The
+//! core's spins and idle wait and the probe's stamps go through one
+//! [`Clock`]: [`Tsc`] in the broker, virtual time in tests.
 
-use crate::broker::{BrokerInner, Topic};
+use crate::broker::{BrokerInner, DispatchItem, Topic};
 use crate::config::TraceConfig;
 use crate::message::Message;
 use crate::metrics::{BrokerMetrics, DispatcherScratch, FLUSH_EVERY};
 use crate::topic_obs::TopicObservatory;
+use crossbeam::channel::Receiver;
 use rjms_core::MeasuredSummary;
 use rjms_flow::FlowGate;
 use rjms_metrics::{clock, Counter, HistogramSnapshot};
 use rjms_trace::{FlightRecorder, SpanEvent, Stage};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What the core knows about a message once its fan-out is complete.
 pub(crate) struct Dispatched<'a> {
@@ -78,6 +81,12 @@ pub(crate) trait DispatchProbe {
     /// The dispatcher is shutting down; no further hook will run.
     #[inline]
     fn on_exit(&mut self) {}
+
+    /// The clock the core spins and waits on and the probe stamps with.
+    #[inline]
+    fn clock(&self) -> &impl Clock {
+        &Tsc
+    }
 }
 
 /// The probe of a broker without metrics: the trait's empty defaults, so
@@ -86,13 +95,51 @@ pub(crate) struct NoProbe;
 
 impl DispatchProbe for NoProbe {}
 
-/// Reads the instrumentation clock (ticks); test builds count the reads
-/// on this thread ([`Telemetry::clock_reads`]).
-#[inline]
-fn now() -> u64 {
-    #[cfg(test)]
-    tests::CLOCK_READS.with(|reads| reads.set(reads.get() + 1));
-    clock::now()
+/// The dispatcher's one source of time.
+pub(crate) trait Clock {
+    /// The current reading, in ticks; only differences mean anything.
+    fn now(&self) -> u64;
+    fn ns_per_tick(&self) -> f64;
+    /// Burns one Eq. 1 term of `seconds`.
+    fn spin(&self, seconds: f64);
+    /// The next item of the empty publish queue; `None` once none can come.
+    fn wait(&self, queue: &Receiver<DispatchItem>) -> Option<DispatchItem>;
+    /// A tick difference in nanoseconds.
+    fn to_ns(&self, ticks: u64) -> u64 {
+        (ticks as f64 * self.ns_per_tick()) as u64
+    }
+}
+
+/// The broker's clock: `rjms_metrics::clock`'s TSC, a blocking receive,
+/// and for the cost model ([`BrokerConfig::cost_model`](crate::BrokerConfig::cost_model))
+/// a busy-wait on `Instant` — a sleep is too coarse at microsecond scales,
+/// and a spin is CPU spent, which is what saturated the paper's server. So a
+/// saturated broker's throughput follows Eq. 1 on any host (`t_store`,
+/// the journal's real I/O, is never spun).
+pub(crate) struct Tsc;
+
+impl Clock for Tsc {
+    #[inline]
+    fn now(&self) -> u64 {
+        clock::now()
+    }
+    #[inline]
+    fn ns_per_tick(&self) -> f64 {
+        clock::ns_per_tick()
+    }
+    fn spin(&self, seconds: f64) {
+        let duration = Duration::from_secs_f64(seconds);
+        if duration.is_zero() {
+            return;
+        }
+        let start = Instant::now();
+        while start.elapsed() < duration {
+            std::hint::spin_loop();
+        }
+    }
+    fn wait(&self, queue: &Receiver<DispatchItem>) -> Option<DispatchItem> {
+        queue.recv().ok()
+    }
 }
 
 /// Fires once every `every` ticks (cheaper than a modulo on the hot
@@ -196,8 +243,8 @@ struct LaneRefresh<'a> {
 
 impl LaneRefresh<'_> {
     /// Refreshes the lane if it is due; one clock read either way.
-    fn at_flush(&mut self, metrics: &BrokerMetrics) {
-        let stamp = now();
+    fn at_flush(&mut self, metrics: &BrokerMetrics, clock: &impl Clock) {
+        let stamp = clock.now();
         if stamp < self.due {
             return;
         }
@@ -212,7 +259,8 @@ impl LaneRefresh<'_> {
 /// The probe of a broker with metrics on: histogram staging, sampled stage
 /// timing, tail-sampled tracing, the topics' observatory accounts and the
 /// refresh of the shard's admission lane, for one dispatcher thread.
-pub(crate) struct Telemetry<'a> {
+pub(crate) struct Telemetry<'a, C: Clock = Tsc> {
+    clock: C,
     metrics: &'a BrokerMetrics,
     /// Local staging for the per-message histograms, flushed on idle and
     /// every [`FLUSH_EVERY`] messages (`staged` counts them).
@@ -228,7 +276,7 @@ pub(crate) struct Telemetry<'a> {
     lane: Option<LaneRefresh<'a>>,
 
     // State of the message in flight, reset by `on_dequeue`. Timestamps
-    // are instrumentation-clock ticks (`clock::now`).
+    // are ticks of `clock`.
     dispatch_start: u64,
     /// Nanoseconds from the publish stamp (0 without one) to the dispatch.
     waiting: u64,
@@ -246,14 +294,15 @@ pub(crate) struct Telemetry<'a> {
     entered: [Option<u64>; 4],
 }
 
-impl<'a> Telemetry<'a> {
-    /// The telemetry probe for dispatcher `shard`, clocking the stages of
-    /// one message in `stage_sample_every` ([`STAGE_SAMPLE_EVERY`] in the
-    /// broker); `None` when the broker runs without metrics.
+impl<'a, C: Clock> Telemetry<'a, C> {
+    /// The telemetry probe for dispatcher `shard` on `clock`, clocking the
+    /// stages of one message in `stage_sample_every` ([`STAGE_SAMPLE_EVERY`]
+    /// in the broker); `None` when the broker runs without metrics.
     pub(crate) fn new(
         inner: &'a BrokerInner,
         shard: usize,
         stage_sample_every: u64,
+        clock: C,
     ) -> Option<Self> {
         let metrics = inner.metrics.as_ref()?;
         let shards = inner.config.shards;
@@ -271,11 +320,12 @@ impl<'a> Telemetry<'a> {
         });
         let lane = inner.flow.as_deref().map(|gate| {
             let interval_ns = gate.config().refresh_interval_ms.max(1) as f64 * 1e6;
-            let every = (interval_ns / clock::ns_per_tick()) as u64;
-            let due = now().saturating_add(every);
+            let every = (interval_ns / clock.ns_per_tick()) as u64;
+            let due = clock.now().saturating_add(every);
             LaneRefresh { gate, shard, started: inner.started, every, due }
         });
         Some(Self {
+            clock,
             metrics,
             scratch,
             staged: 0,
@@ -296,18 +346,11 @@ impl<'a> Telemetry<'a> {
         })
     }
 
-    /// How many times a probe has read a clock on this thread (test
-    /// builds).
-    #[cfg(test)]
-    pub(crate) fn clock_reads() -> u64 {
-        tests::CLOCK_READS.with(std::cell::Cell::get)
-    }
-
     /// Opens `stage` with one clock read, booking the ticks since the last
     /// stamp to the open stage; no read if `stage` is the open one.
     fn enter(&mut self, stage: Stage) {
         if stage != self.open {
-            let stamp = now();
+            let stamp = self.clock.now();
             self.stage_ticks[self.open as usize] += stamp.saturating_sub(self.mark);
             (self.mark, self.open) = (stamp, stage);
             self.entered[stage as usize].get_or_insert(stamp);
@@ -320,7 +363,7 @@ impl<'a> Telemetry<'a> {
         self.staged = 0;
         self.scratch.flush();
         if let Some(lane) = &mut self.lane {
-            lane.at_flush(self.metrics);
+            lane.at_flush(self.metrics, &self.clock);
         }
     }
 
@@ -353,7 +396,7 @@ impl<'a> Telemetry<'a> {
             Stage::BROKER_STAGES.into_iter().zip(self.stage_ticks).zip(self.entered).zip(aux)
         {
             let start_ticks = entered.unwrap_or(next_start);
-            let duration_ns = clock::ticks_to_ns(ticks);
+            let duration_ns = self.clock.to_ns(ticks);
             trace.recorder.record(SpanEvent { trace_id, stage, start_ticks, duration_ns, aux });
             next_start = start_ticks + ticks;
         }
@@ -366,7 +409,7 @@ impl<'a> Telemetry<'a> {
     }
 }
 
-impl DispatchProbe for Telemetry<'_> {
+impl<C: Clock> DispatchProbe for Telemetry<'_, C> {
     fn on_dequeue(
         &mut self,
         message: &Message,
@@ -379,8 +422,8 @@ impl DispatchProbe for Telemetry<'_> {
         self.scratch.record_backlog(backlog() as u64);
         self.sample_stages = self.stage_sampler.tick();
         let reuse = if was_queued { self.last_end } else { None };
-        let start = reuse.unwrap_or_else(now);
-        self.waiting = enqueued_at.map_or(0, |at| clock::ticks_to_ns(start.saturating_sub(at)));
+        let start = reuse.unwrap_or_else(|| self.clock.now());
+        self.waiting = enqueued_at.map_or(0, |at| self.clock.to_ns(start.saturating_sub(at)));
         (self.dispatch_start, self.mark, self.open) = (start, start, Stage::Receive);
         (self.stage_ticks, self.entered) = ([0; 4], [None; 4]);
         self.uniform_keep = self.trace.as_mut().is_some_and(|t| t.uniform.tick());
@@ -431,16 +474,16 @@ impl DispatchProbe for Telemetry<'_> {
     }
 
     fn on_done(&mut self, done: &Dispatched<'_>) {
-        let end = now();
+        let end = self.clock.now();
         self.last_end = Some(end);
         // The end stamp closes the open stage; cross-core tick skew saturates.
         self.stage_ticks[self.open as usize] += end.saturating_sub(self.mark);
         if self.sample_stages {
             for (histogram, ticks) in self.metrics.stages.iter().zip(self.stage_ticks) {
-                histogram.record(clock::ticks_to_ns(ticks));
+                histogram.record(self.clock.to_ns(ticks));
             }
         }
-        let service = clock::ticks_to_ns(end.saturating_sub(self.dispatch_start));
+        let service = self.clock.to_ns(end.saturating_sub(self.dispatch_start));
         let sojourn = self.waiting.saturating_add(service);
         self.scratch.record(self.waiting, service, sojourn);
         if let Some(observatory) = self.topic_obs {
@@ -466,20 +509,89 @@ impl DispatchProbe for Telemetry<'_> {
         // Every staged sample is visible after shutdown.
         self.on_idle();
     }
+
+    #[inline]
+    fn clock(&self) -> &impl Clock {
+        &self.clock
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::broker::DispatchItem;
     use crate::config::MetricsConfig;
     use crate::{Broker, BrokerConfig};
-    use std::cell::Cell;
-    use std::time::Duration;
+    use crossbeam::channel::Sender;
+    use std::cell::{Cell, RefCell};
+    use std::collections::VecDeque;
+
+    /// A term in whole nanoseconds, as [`Virtual`] spins it.
+    pub(crate) fn ns(seconds: f64) -> u64 {
+        (seconds * 1e9).round() as u64
+    }
 
     thread_local! {
-        /// [`Telemetry::clock_reads`].
-        pub(super) static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
+        static READS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Virtual time in ns, its readings counted on this thread: a spin adds
+    /// its term, the idle wait jumps to the first of `arrivals`, and each
+    /// reading first sends every arrival due by then to `queue`, stamped
+    /// with its arrival time, so the backlog a message leaves is what
+    /// arrived while it waited.
+    #[derive(Default)]
+    pub(crate) struct Virtual {
+        pub(crate) now: Cell<u64>,
+        pub(crate) arrivals: RefCell<VecDeque<(u64, DispatchItem)>>,
+        pub(crate) queue: Option<Sender<DispatchItem>>,
+    }
+
+    impl Virtual {
+        pub(crate) fn reads() -> u64 {
+            READS.with(Cell::get)
+        }
+
+        fn queue_due(&self) {
+            let mut arrivals = self.arrivals.borrow_mut();
+            while arrivals.front().is_some_and(|(at, _)| *at <= self.now.get()) {
+                let (at, mut item) = arrivals.pop_front().unwrap();
+                if let DispatchItem::Publish { enqueued_at, .. } = &mut item {
+                    *enqueued_at = Some(at);
+                }
+                self.queue.as_ref().expect("arrivals go to a queue").send(item).unwrap();
+            }
+        }
+    }
+
+    impl Clock for Virtual {
+        fn now(&self) -> u64 {
+            READS.with(|reads| reads.set(reads.get() + 1));
+            self.queue_due();
+            self.now.get()
+        }
+        fn ns_per_tick(&self) -> f64 {
+            1.0
+        }
+        fn spin(&self, seconds: f64) {
+            self.now.set(self.now.get() + ns(seconds));
+        }
+        fn wait(&self, queue: &Receiver<DispatchItem>) -> Option<DispatchItem> {
+            self.now.set(self.arrivals.borrow().front()?.0);
+            self.queue_due();
+            queue.try_recv().ok()
+        }
+    }
+
+    #[test]
+    fn a_spin_waits_at_least_the_term() {
+        let start = Instant::now();
+        Tsc.spin(300e-6);
+        assert!(start.elapsed() >= Duration::from_micros(300));
+    }
+
+    #[test]
+    fn a_spin_of_zero_returns_immediately() {
+        Tsc.spin(0.0);
     }
 
     /// An idle broker whose instruments a test-driven probe feeds; its topic.
@@ -505,22 +617,23 @@ mod tests {
         broker.create_topic("t").unwrap();
         let topic = broker.lookup("t").unwrap();
         // Both countdowns first fire at the same message.
-        let mut probe = Telemetry::new(&broker.inner, 0, TRACE_UNIFORM_EVERY).expect("metrics on");
+        let mut probe =
+            Telemetry::new(&broker.inner, 0, TRACE_UNIFORM_EVERY, Tsc).expect("metrics on");
         let message = Message::builder().build();
 
         for _ in 1..TRACE_UNIFORM_EVERY {
-            probe.on_dequeue(&message, Some(clock::now()), false, || 0);
+            probe.on_dequeue(&message, Some(Tsc.now()), false, || 0);
             assert!(!probe.sample_stages && !probe.uniform_keep);
             probe.on_done(&done(&topic, &message));
         }
         assert!(probe.last_end.is_some());
 
-        probe.on_dequeue(&message, Some(clock::now()), true, || 0);
+        probe.on_dequeue(&message, Some(Tsc.now()), true, || 0);
         assert!(probe.sample_stages && probe.uniform_keep, "the message draws both");
         probe.on_expired();
-        let after_expiry = clock::now();
+        let after_expiry = Tsc.now();
 
-        probe.on_dequeue(&message, Some(clock::now()), true, || 0);
+        probe.on_dequeue(&message, Some(Tsc.now()), true, || 0);
         assert!(probe.dispatch_start >= after_expiry, "stale dispatch start");
         assert!(probe.sample_stages, "the expired message's sample slot moved on");
         assert!(probe.uniform_keep, "the expired message's uniform slot moved on");
@@ -534,55 +647,32 @@ mod tests {
     #[test]
     fn a_queued_message_reads_the_clock_once_and_a_blocked_for_one_twice() {
         let (broker, topic) = broker();
-        let mut probe = Telemetry::new(&broker.inner, 0, u64::MAX).expect("metrics on");
+        let mut probe =
+            Telemetry::new(&broker.inner, 0, u64::MAX, Virtual::default()).expect("metrics on");
         let message = Message::builder().build();
         let mut reads = |was_queued| {
-            let before = Telemetry::clock_reads();
+            let before = Virtual::reads();
             probe.on_dequeue(&message, None, was_queued, || 0);
             probe.on_done(&done(&topic, &message));
-            Telemetry::clock_reads() - before
+            Virtual::reads() - before
         };
         assert_eq!([reads(false), reads(true), reads(true), reads(false)], [2, 1, 1, 2]);
         broker.shutdown();
     }
 
-    /// Tick stamps become nanosecond waiting, service and sojourn samples.
-    #[test]
-    fn records_waiting_service_and_sojourn() {
-        let (broker, topic) = broker();
-        let mut probe = Telemetry::new(&broker.inner, 0, 1).expect("metrics on");
-        let message = Message::builder().build();
-        let pause = Duration::from_millis(2);
-
-        let enqueued = clock::now();
-        std::thread::sleep(pause);
-        probe.on_dequeue(&message, Some(enqueued), false, || 0);
-        std::thread::sleep(pause);
-        probe.on_done(&done(&topic, &message));
-        probe.on_exit();
-
-        let snap = broker.metrics().unwrap().snapshot();
-        let max = |name| snap.histogram(name).unwrap().max;
-        let (waiting, service) = (max("broker.waiting_ns"), max("broker.service_ns"));
-        assert!(waiting >= 2_000_000 && service >= 2_000_000, "{waiting} {service}");
-        assert_eq!(max("broker.sojourn_ns"), waiting + service);
-        broker.shutdown();
-    }
-
     /// Stages are clocked only on timed messages, and an enclosing stage
     /// books its own time without the stage nested in it (the filter scan
-    /// minus the fan-out inside it): the ticks booked to the timed message's
-    /// stages fit between a stamp before its dispatch start and one after.
+    /// minus the fan-out inside it).
     #[test]
     fn stage_clocks_timed_messages_only_and_books_nested_time_once() {
         let (broker, topic) = broker();
-        let mut probe = Telemetry::new(&broker.inner, 0, 2).expect("metrics on");
+        let mut probe =
+            Telemetry::new(&broker.inner, 0, 2, Virtual::default()).expect("metrics on");
         let message = Message::builder().build();
-        let pause = Duration::from_millis(2);
-        let scan = |probe: &mut Telemetry<'_>| {
+        let scan = |probe: &mut Telemetry<'_, Virtual>| {
             probe.stage(Stage::Filter, |probe| {
-                std::thread::sleep(pause);
-                probe.stage(Stage::Fanout, |_| std::thread::sleep(pause));
+                probe.clock().spin(2e-3);
+                probe.stage(Stage::Fanout, |probe| probe.clock().spin(3e-3));
                 7
             })
         };
@@ -592,19 +682,19 @@ mod tests {
         assert_eq!((scan(&mut probe), probe.stage_ticks), (7, [0; 4]));
         probe.on_done(&done(&topic, &message));
 
-        let outer = clock::now();
         probe.on_dequeue(&message, None, false, || 0);
         scan(&mut probe);
         probe.on_done(&done(&topic, &message));
-        let (outer, booked) = (clock::now() - outer, probe.stage_ticks.iter().sum::<u64>());
-        assert!(booked <= outer, "nested time booked twice: {booked} ticks of {outer}");
+        assert_eq!(probe.stage_ticks, [0, 0, 2_000_000, 3_000_000]);
 
         // Only the sampled message reached the stage histograms.
         let snap = broker.metrics().unwrap().snapshot();
         let stage = |name| snap.histogram(name).unwrap();
         let (filter, fanout) = (stage("broker.stage.filter_ns"), stage("broker.stage.fanout_ns"));
-        assert_eq!((filter.count, fanout.count), (1, 1));
-        assert!(filter.max >= 2_000_000 && fanout.max >= 2_000_000, "{filter:?} {fanout:?}");
+        assert_eq!(
+            [filter.count, filter.sum, fanout.count, fanout.sum],
+            [1, 2e6 as u64, 1, 3e6 as u64]
+        );
         broker.shutdown();
     }
 
@@ -632,7 +722,7 @@ mod tests {
             publish_tx.send(DispatchItem::Publish { topic, message, enqueued_at: None }).unwrap();
         }
         publish_tx.send(DispatchItem::Shutdown).unwrap();
-        let probe = Telemetry::new(&broker.inner, 0, STAGE_SAMPLE_EVERY).expect("metrics on");
+        let probe = Telemetry::new(&broker.inner, 0, STAGE_SAMPLE_EVERY, Tsc).expect("metrics on");
         crate::dispatch::run(&broker.inner, 0, &publish_rx, probe);
         let counters = broker.metrics().unwrap().snapshot().counters;
         let pair = |topic: &str| {
@@ -655,7 +745,7 @@ mod tests {
         let topic = broker.lookup("t").unwrap();
         let registry = broker.metrics().unwrap();
         registry.histogram("broker.sojourn_ns{shard=\"1\"}").record_n(1_000_000_000, 100_000);
-        let mut probe = Telemetry::new(&broker.inner, 0, u64::MAX).expect("metrics on");
+        let mut probe = Telemetry::new(&broker.inner, 0, u64::MAX, Tsc).expect("metrics on");
         let message = Message::builder().build();
         for _ in 0..TRACE_REFRESH_EVERY {
             probe.on_dequeue(&message, None, true, || 0);
@@ -680,19 +770,22 @@ mod tests {
         use crate::config::FlowConfig;
         use rjms_core::monitor::MIN_SAMPLES;
         let message = Message::builder().build();
-        // Dispatches `messages` through a probe of `shard`, then goes idle
-        // (a flush) after `pause`; the flush's clock reads.
-        let dispatch = |broker: &Broker, shard, messages, pause| {
+        // Dispatches `messages` of 1 µs through a probe of `shard` on
+        // virtual time, then goes idle (a flush) 2 ms later; the flush's
+        // clock reads.
+        let dispatch = |broker: &Broker, shard, messages| {
             let topic = broker.lookup("t").unwrap();
-            let mut probe = Telemetry::new(&broker.inner, shard, u64::MAX).expect("metrics on");
+            let mut probe = Telemetry::new(&broker.inner, shard, u64::MAX, Virtual::default())
+                .expect("metrics on");
             for _ in 0..messages {
                 probe.on_dequeue(&message, None, false, || 0);
+                probe.clock().spin(1e-6);
                 probe.on_done(&done(&topic, &message));
             }
-            std::thread::sleep(pause);
-            let before = Telemetry::clock_reads();
+            probe.clock().spin(2e-3);
+            let before = Virtual::reads();
             probe.on_idle();
-            Telemetry::clock_reads() - before
+            Virtual::reads() - before
         };
         let flow = |interval_ms| {
             let flow = FlowConfig::default().refresh_interval_ms(interval_ms);
@@ -704,13 +797,12 @@ mod tests {
             let snapshot = broker.flow().expect("flow on").snapshot();
             (snapshot.source, snapshot.refreshes)
         };
-        let pause = Duration::from_millis(2);
 
         let gated = flow(1);
         let seed = gated.flow().unwrap().shard_budget(1);
-        assert_eq!(dispatch(&gated, 1, MIN_SAMPLES - 1, pause), 1);
+        assert_eq!(dispatch(&gated, 1, MIN_SAMPLES - 1), 1);
         assert_eq!(lane(&gated), ("analytic", 0), "a shard short of samples was re-inverted");
-        assert_eq!(dispatch(&gated, 0, MIN_SAMPLES, pause), 1);
+        assert_eq!(dispatch(&gated, 0, MIN_SAMPLES), 1);
         let (source, refreshes) = lane(&gated);
         assert!(source == "measured" && refreshes >= 1, "{source} after {refreshes} refreshes");
         assert_eq!(gated.flow().unwrap().shard_budget(1), seed, "shard 1's lane moved");
@@ -718,12 +810,12 @@ mod tests {
 
         // The overhead gate's interval: no refresh is due within the test.
         let gated = flow(60_000);
-        assert_eq!(dispatch(&gated, 0, MIN_SAMPLES, pause), 1);
+        assert_eq!(dispatch(&gated, 0, MIN_SAMPLES), 1);
         assert_eq!(lane(&gated), ("analytic", 0));
         gated.shutdown();
 
         let (broker, _) = broker();
-        assert_eq!(dispatch(&broker, 0, MIN_SAMPLES, pause), 0, "a flow-off flush read a clock");
+        assert_eq!(dispatch(&broker, 0, MIN_SAMPLES), 0, "a flow-off flush read a clock");
         broker.shutdown();
     }
 
@@ -736,7 +828,8 @@ mod tests {
         const RUN: usize = 64;
         const RUNS: usize = 4096;
         let (broker, topic) = broker();
-        let mut probe = Telemetry::new(&broker.inner, 0, STAGE_SAMPLE_EVERY).expect("metrics on");
+        let mut probe =
+            Telemetry::new(&broker.inner, 0, STAGE_SAMPLE_EVERY, Tsc).expect("metrics on");
         let message = Message::builder().build();
         let mut sampled_at = [0u32; RUN];
         for index in 0..RUN * RUNS {

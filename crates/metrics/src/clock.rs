@@ -1,8 +1,8 @@
 //! A low-overhead monotonic tick counter: the one clock of the per-message
-//! instruments. The dispatcher's probe stamps a message's dispatch start,
-//! every Eq. 1 stage boundary and its end with it, the TCP writer a traced
-//! delivery's socket write, so every stage and span is a difference of two
-//! readings. `Instant::now()` goes through the vDSO (tens of nanoseconds
+//! instruments. The broker's dispatcher reads it through its `Tsc` clock
+//! (`rjms-broker`'s `probe.rs`; tests put virtual time in its place) to stamp
+//! every Eq. 1 stage boundary, the TCP writer a traced delivery's socket
+//! write, so every stage and span is a difference of two readings. `Instant::now()` goes through the vDSO (tens of nanoseconds
 //! plus register pressure); on x86-64 this module reads the invariant TSC
 //! directly (single-digit nanoseconds) and converts ticks to nanoseconds
 //! with a once-per-process calibration against the OS monotonic clock. On
