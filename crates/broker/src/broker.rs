@@ -199,8 +199,7 @@ pub(crate) struct BrokerInner {
     pub(crate) config: BrokerConfig,
     pub(crate) stats: Arc<BrokerStats>,
     /// When the broker started: the origin of every shard's measured
-    /// arrival rate, in [`Broker::shard_reports`] and in the dispatchers'
-    /// refreshes of their admission lanes alike.
+    /// arrival rate in [`Broker::shard_reports`] (`reports.rs`).
     pub(crate) started: Instant,
     /// Shared with the registry's per-topic source ([`topic_series`]),
     /// which holds the table and never the broker.
@@ -369,7 +368,7 @@ impl Broker {
         }
 
         let topic_obs =
-            config.topic_obs.map(|t| TopicObservatory::new(t, cost_anchor(&config), shards));
+            config.topic_obs.map(|_| TopicObservatory::new(cost_anchor(&config), shards));
 
         let mut publish_txs = Vec::with_capacity(shards);
         let mut publish_rxs = Vec::with_capacity(shards);

@@ -376,10 +376,8 @@ mod tests {
 
     #[test]
     fn topic_obs_config_builder() {
-        let c =
-            BrokerConfig::builder().topic_obs(TopicObsConfig::default().target_ratio(1.5)).build();
-        let t = c.topic_obs.expect("topic_obs set");
-        assert_eq!(t.target_ratio, 1.5);
+        let c = BrokerConfig::builder().topic_obs(TopicObsConfig::default()).build();
+        assert!(c.topic_obs.is_some());
         assert!(BrokerConfig::default().topic_obs.is_none());
     }
 

@@ -95,7 +95,9 @@ pub use stats::{
     BrokerSnapshot, BrokerStats, FlowCounters, MessageCounters, ShardSnapshot,
     SubscriptionCounters, Throughput, ThroughputProbe, TopicStats,
 };
-pub use topic_obs::{TopicObsRow, TopicObservatorySnapshot, OTHER_TOPIC};
+pub use topic_obs::{
+    ShardShare, Skew, TopicObsRow, TopicObservatorySnapshot, FLAG_RATIO, OTHER_TOPIC,
+};
 
 /// How many topics, in creation order, get a `broker.topic.*` series pair
 /// and an observatory account of their own; later ones share `__other__`.

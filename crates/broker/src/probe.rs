@@ -226,15 +226,16 @@ struct TraceSampler<'a> {
 
 /// The dispatcher's share of flow control: at its first flush after each
 /// refresh interval it re-inverts its own shard's admission lane
-/// ([`FlowGate::refresh`]) from that shard's measurement over the broker's
-/// lifetime ([`BrokerMetrics::measurement`], [`MeasuredSummary::of`]), so
-/// each shard is held at `ρ_max` however the topics spread. The measured
-/// service time is the sum of the four dispatch stages, the journal's write
-/// among them, so it already carries `t_store`.
+/// ([`FlowGate::refresh`]) from that shard's measurement over the
+/// dispatcher's lifetime on its clock ([`BrokerMetrics::measurement`],
+/// [`MeasuredSummary::of`]), so each shard is held at `ρ_max` however the
+/// topics spread. The measured service time is the sum of the four dispatch
+/// stages, the journal's write among them, so it already carries `t_store`.
 struct LaneRefresh<'a> {
     gate: &'a FlowGate,
     shard: usize,
-    started: Instant,
+    /// The tick the probe was made at: the origin of the measured window.
+    origin: u64,
     /// The refresh interval in clock ticks, and the tick the next refresh
     /// is due at.
     every: u64,
@@ -250,7 +251,8 @@ impl LaneRefresh<'_> {
         }
         self.due = stamp.saturating_add(self.every);
         let (waiting, service) = metrics.measurement(self.shard);
-        if let Some(measured) = MeasuredSummary::of(&waiting, &service, self.started.elapsed()) {
+        let window = Duration::from_nanos(clock.to_ns(stamp - self.origin));
+        if let Some(measured) = MeasuredSummary::of(&waiting, &service, window) {
             self.gate.refresh(self.shard, &measured);
         }
     }
@@ -321,8 +323,8 @@ impl<'a, C: Clock> Telemetry<'a, C> {
         let lane = inner.flow.as_deref().map(|gate| {
             let interval_ns = gate.config().refresh_interval_ms.max(1) as f64 * 1e6;
             let every = (interval_ns / clock.ns_per_tick()) as u64;
-            let due = clock.now().saturating_add(every);
-            LaneRefresh { gate, shard, started: inner.started, every, due }
+            let origin = clock.now();
+            LaneRefresh { gate, shard, origin, every, due: origin.saturating_add(every) }
         });
         Some(Self {
             clock,

@@ -6,16 +6,15 @@
 //! per-topic accounting table: for each topic it accumulates the arrival
 //! count, the realized filter evaluations and replication grade, and an
 //! online [`CostRegression`] over the measured `(n_fltr, R, B)` triples —
-//! enough to fit each topic's own cost constants and to compute each
-//! shard's offered-load share (the input of the skew analyzer in
-//! `rjms-obs`).
+//! enough to fit each topic's own cost constants and to measure each
+//! shard's share of the offered load ([`TopicObservatorySnapshot::skew`]).
 //!
 //! Cardinality is capped by the Prometheus exporter's per-topic series cap,
 //! and in the same place: the first [`PER_TOPIC_SERIES`](crate::PER_TOPIC_SERIES)
 //! topics are given an [`Account`] of their own when they are created (by
 //! the broker's one topic constructor), every later topic accounts into its
 //! shard's `__other__` (so its load still lands on the right shard in the
-//! skew analysis).
+//! skew measurement).
 //!
 //! An account has one writer: a topic's messages all pass through its
 //! shard's dispatcher, and so do those of every topic sharing that shard's
@@ -34,7 +33,8 @@ use std::time::{Duration, Instant};
 /// Name of the overflow bucket rows (same label as the metrics exporter).
 pub const OTHER_TOPIC: &str = "__other__";
 
-/// Per-topic observatory settings.
+/// Per-topic observatory settings: none; setting it switches the
+/// observatory on.
 ///
 /// Enabling the observatory auto-enables default metrics (the observatory
 /// reads the dispatcher's per-message service timings).
@@ -44,44 +44,23 @@ pub const OTHER_TOPIC: &str = "__other__";
 /// ```
 /// use rjms_broker::config::{BrokerConfig, TopicObsConfig};
 ///
-/// let config =
-///     BrokerConfig::builder().topic_obs(TopicObsConfig::default().target_ratio(1.5)).build();
-/// assert_eq!(config.topic_obs.unwrap().target_ratio, 1.5);
+/// let config = BrokerConfig::builder().topic_obs(TopicObsConfig::default()).build();
+/// assert_eq!(config.topic_obs, Some(TopicObsConfig {}));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TopicObsConfig {
-    /// Ratio the rebalance advisor's moves aim to get under.
-    pub target_ratio: f64,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TopicObsConfig {}
 
-impl Default for TopicObsConfig {
-    fn default() -> Self {
-        Self { target_ratio: 1.10 }
-    }
-}
-
-impl TopicObsConfig {
-    /// Sets the rebalance advisor's target ratio.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ratio >= 1.0`.
-    pub fn target_ratio(mut self, ratio: f64) -> Self {
-        assert!(ratio >= 1.0 && ratio.is_finite(), "target_ratio must be >= 1, got {ratio}");
-        self.target_ratio = ratio;
-        self
-    }
-}
+/// Max/mean shard-load ratio above which [`Skew::skewed`] is set.
+pub const FLAG_RATIO: f64 = 1.25;
 
 /// The accumulated workload observations of one topic, or of the topics
 /// that share a shard's `__other__`; written by that shard's dispatcher.
 pub(crate) type Account = Mutex<CostRegression>;
 
-/// The broker's per-topic workload observatory: configuration, reference
-/// params and the accounts no single topic owns.
+/// The broker's per-topic workload observatory: reference params and the
+/// accounts no single topic owns.
 #[derive(Debug)]
 pub(crate) struct TopicObservatory {
-    config: TopicObsConfig,
     anchor: Option<CostParams>,
     started: Instant,
     /// Per-shard overflow buckets, so collapsed topics still contribute
@@ -90,9 +69,9 @@ pub(crate) struct TopicObservatory {
 }
 
 impl TopicObservatory {
-    pub(crate) fn new(config: TopicObsConfig, anchor: Option<CostParams>, shards: usize) -> Self {
+    pub(crate) fn new(anchor: Option<CostParams>, shards: usize) -> Self {
         let other = (0..shards.max(1)).map(|_| Account::default()).collect();
-        Self { config, anchor, started: Instant::now(), other }
+        Self { anchor, started: Instant::now(), other }
     }
 
     /// Locks where `topic`'s messages are accounted: its own account, else
@@ -142,7 +121,6 @@ impl TopicObservatory {
         TopicObservatorySnapshot {
             elapsed,
             anchor: self.anchor,
-            config: self.config,
             shards: self.other.len(),
             overflowed_topics,
             global_fitted: global_row.fitted,
@@ -186,8 +164,6 @@ pub struct TopicObservatorySnapshot {
     /// The configured reference params the verdicts compare against
     /// (`None` when the broker runs at native speed with no flow model).
     pub anchor: Option<CostParams>,
-    /// The observatory's configuration (the skew target).
-    pub config: TopicObsConfig,
     /// Number of dispatcher shards.
     pub shards: usize,
     /// Topics created beyond the [`PER_TOPIC_SERIES`](crate::PER_TOPIC_SERIES)
@@ -201,6 +177,63 @@ pub struct TopicObservatorySnapshot {
     /// Per-topic rows, busiest first; overflow buckets appear as
     /// [`OTHER_TOPIC`] rows (one per shard with traffic).
     pub topics: Vec<TopicObsRow>,
+}
+
+impl TopicObservatorySnapshot {
+    /// Each shard's share of the offered load `ρ_s = Σ λ_t·E[B_t]` over its
+    /// rows, and the max/mean ratio of those loads. Rows on an out-of-range
+    /// shard, or with a non-finite or negative load or rate, are ignored.
+    pub fn skew(&self) -> Skew {
+        let shards = self.shards.max(1);
+        let (mut load, mut rate) = (vec![0.0f64; shards], vec![0.0f64; shards]);
+        for t in &self.topics {
+            let l = t.arrival_rate * t.mean_service_time;
+            if t.shard < shards && l.is_finite() && l >= 0.0 && t.arrival_rate >= 0.0 {
+                load[t.shard] += l;
+                rate[t.shard] += t.arrival_rate;
+            }
+        }
+        let total_load: f64 = load.iter().sum();
+        let total_rate: f64 = rate.iter().sum();
+        let max = load.iter().copied().fold(0.0, f64::max);
+        let mean = total_load / shards as f64;
+        let max_mean_ratio = if mean > 0.0 { max / mean } else { 1.0 };
+        let share = |part: f64, total: f64| if total > 0.0 { part / total } else { 0.0 };
+        let shares = (0..shards)
+            .map(|s| ShardShare {
+                shard: s,
+                offered_load: load[s],
+                arrival_share: share(rate[s], total_rate),
+                load_share: share(load[s], total_load),
+            })
+            .collect();
+        Skew { shares, max_mean_ratio, skewed: max_mean_ratio > FLAG_RATIO }
+    }
+}
+
+/// How the offered load spreads over the shards
+/// ([`TopicObservatorySnapshot::skew`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Skew {
+    /// Per-shard load shares, indexed by shard.
+    pub shares: Vec<ShardShare>,
+    /// Max/mean shard-load ratio (1.0 = perfectly balanced).
+    pub max_mean_ratio: f64,
+    /// Whether the ratio exceeds [`FLAG_RATIO`].
+    pub skewed: bool,
+}
+
+/// One shard's slice of the total offered work.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShardShare {
+    /// Shard index.
+    pub shard: usize,
+    /// Offered load `ρ_s = Σ λ_t·E[B_t]` over the shard's rows.
+    pub offered_load: f64,
+    /// Fraction of the total arrival rate landing on this shard.
+    pub arrival_share: f64,
+    /// Fraction of the total offered load landing on this shard.
+    pub load_share: f64,
 }
 
 /// One topic's observed workload and fitted cost constants.
@@ -237,7 +270,7 @@ mod tests {
     }
 
     fn observatory(shards: usize) -> TopicObservatory {
-        TopicObservatory::new(TopicObsConfig::default(), Some(CostParams::CORRELATION_ID), shards)
+        TopicObservatory::new(Some(CostParams::CORRELATION_ID), shards)
     }
 
     /// A topic on `shard`, with an account of its own if `own`.
@@ -333,7 +366,7 @@ mod tests {
 
     #[test]
     fn no_anchor_means_no_verdict_but_still_rates() {
-        let obs = TopicObservatory::new(TopicObsConfig::default(), None, 1);
+        let obs = TopicObservatory::new(None, 1);
         let t = topic("t", 0, true);
         drive(&obs, &t, 10, |_| 2, 400);
         let snap = obs.snapshot([&t].into_iter());
@@ -342,9 +375,41 @@ mod tests {
         assert_eq!(snap.topics[0].messages, 400);
     }
 
+    /// A snapshot of `shards` with one topic of 100 messages on each of
+    /// `on`; every message costs the same, so loads go as message counts.
+    fn snapshot_of(shards: usize, on: &[usize]) -> TopicObservatorySnapshot {
+        let obs = observatory(shards);
+        let topics: Vec<_> = on.iter().map(|&shard| topic("t", shard, true)).collect();
+        for t in &topics {
+            drive(&obs, t, 10, |_| 1, 100);
+        }
+        obs.snapshot(topics.iter())
+    }
+
     #[test]
-    #[should_panic(expected = "target_ratio must be >= 1")]
-    fn sub_unity_target_ratio_rejected() {
-        TopicObsConfig::default().target_ratio(0.9);
+    fn skew_is_the_max_mean_ratio_of_the_valid_rows() {
+        let balanced = snapshot_of(3, &[0, 1, 2]).skew();
+        assert!(!balanced.skewed);
+        assert!((balanced.max_mean_ratio - 1.0).abs() < 1e-9);
+        assert_eq!(balanced.shares.len(), 3);
+        for s in &balanced.shares {
+            assert!((s.load_share - 1.0 / 3.0).abs() < 1e-9);
+        }
+        let single = snapshot_of(1, &[0]).skew();
+        assert!(!single.skewed && (single.max_mean_ratio - 1.0).abs() < 1e-9);
+        let empty = snapshot_of(4, &[]).skew();
+        assert!(!empty.skewed && empty.max_mean_ratio == 1.0 && empty.shares.len() == 4);
+
+        // Out of range, NaN and negative rows land nowhere: shard 0 holds
+        // all the load of two shards, a ratio of 2.
+        let mut invalid = snapshot_of(2, &[0]);
+        let valid = invalid.topics[0].clone();
+        for (shard, arrival_rate) in [(9, 100.0), (1, f64::NAN), (1, -5.0)] {
+            invalid.topics.push(TopicObsRow { shard, arrival_rate, ..valid.clone() });
+        }
+        let invalid = invalid.skew();
+        assert!(invalid.skewed && (invalid.max_mean_ratio - 2.0).abs() < 1e-9);
+        assert_eq!(invalid.shares[1].offered_load, 0.0);
+        assert_eq!((invalid.shares[0].arrival_share, invalid.shares[0].load_share), (1.0, 1.0));
     }
 }

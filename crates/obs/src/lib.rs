@@ -31,9 +31,7 @@
 //! * [`engine`] — [`ObsCore`], the deterministic tick-driven engine, and
 //!   [`ObsRuntime`], its production sampling thread,
 //! * [`minijson`] — the dependency-free JSON parser the operator console
-//!   uses to read the engine's HTTP payloads back,
-//! * [`topics`] — the shard-skew analyzer and rebalance advisor over the
-//!   broker's per-topic workload observatory.
+//!   uses to read the engine's HTTP payloads back.
 //!
 //! ## Quickstart
 //!
@@ -63,7 +61,6 @@ pub mod forecast;
 pub mod history;
 pub mod minijson;
 pub mod slo;
-pub mod topics;
 
 pub use alert::{
     AlertEvent, AlertMachine, AlertSink, AlertState, Evidence, ForecastEvidence, MemorySink,
@@ -78,4 +75,3 @@ pub use forecast::{
 };
 pub use history::{MetricHistory, Reduce, SeriesPoint, Window};
 pub use slo::{evaluate_window, Objective, SloSpec, WindowBurn};
-pub use topics::{analyze_skew, ShardShare, SkewReport, TopicLoad, TopicMove, FLAG_RATIO};

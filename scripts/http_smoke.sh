@@ -178,10 +178,10 @@ grep -q '"forecast":' "$WORKDIR/shards.json" || fail "/shards missing per-shard 
 grep -q '"shards":\[' "$WORKDIR/snapshot.json" || fail "/snapshot.json missing the shards section"
 SHARD_RECEIVED=$(tr '{' '\n' < "$WORKDIR/shards.json" | awk -F'[:,]' '/"samples"/ { n += $4 } END { print n + 0 }')
 echo "per-shard model samples: $SHARD_RECEIVED"
-# With the observatory on, /shards also carries the skew analyzer's advice.
+# With the observatory on, /shards also carries the skew measurement.
 grep -q '"rebalance":{' "$WORKDIR/shards.json" || fail "/shards missing the rebalance block"
 grep -q '"max_mean_ratio":' "$WORKDIR/shards.json" || fail "/shards rebalance missing the skew ratio"
-grep -q '"moves":\[' "$WORKDIR/shards.json" || fail "/shards rebalance missing the advised moves"
+grep -q '"shares":\[' "$WORKDIR/shards.json" || fail "/shards rebalance missing the per-shard shares"
 
 # --- /topics: the per-topic workload observatory -----------------------
 # The accounting scratch flushes on dispatcher idle, so poll until the

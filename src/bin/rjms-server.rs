@@ -98,8 +98,7 @@ fn configs(values: &Values) -> (BrokerConfig, Option<(ObsConfig, Duration)>) {
         builder = builder.flow(flow);
     }
     if values.on(Key::TopicObs) {
-        let target = values.number(Key::TopicObsTarget).expect(DEFAULTED);
-        builder = builder.topic_obs(TopicObsConfig::default().target_ratio(target));
+        builder = builder.topic_obs(TopicObsConfig::default());
     }
 
     let obs = values.on(Key::Slo).then(|| {
@@ -165,11 +164,8 @@ fn main() {
             gate.config().classes,
         );
     }
-    if let Some(snap) = server.broker().observer().topic_observatory() {
-        println!(
-            "topic observatory on (cap {} topics, skew target ratio {:.2}, /topics)",
-            PER_TOPIC_SERIES, snap.config.target_ratio,
-        );
+    if server.broker().observer().topic_observatory().is_some() {
+        println!("topic observatory on (cap {PER_TOPIC_SERIES} topics, /topics)");
     }
 
     // SLO engine: background sampler + burn-rate alerting over the
@@ -316,8 +312,6 @@ mod tests {
             "5",
             "--flow-classes",
             "4",
-            "--topic-obs-target",
-            "2",
             "--history",
             "3",
             "--forecast-horizon",
@@ -331,8 +325,6 @@ mod tests {
         let flow = broker.flow.expect("--flow-w99 implies --flow");
         assert_eq!((flow.w99_objective, flow.classes), (0.005, 4));
         assert_eq!(flow.params, CostParams::APPLICATION_PROPERTY);
-        let topic_obs = broker.topic_obs.expect("--topic-obs-target implies --topic-obs");
-        assert_eq!(topic_obs.target_ratio, 2.0);
         let (obs, interval) = obs.expect("--history implies --slo");
         assert_eq!(interval, Duration::from_secs(3));
         assert_eq!(obs.forecast.horizon, Duration::from_secs(60));

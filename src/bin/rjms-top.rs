@@ -20,8 +20,8 @@
 //!   projected breach, and the Little's-law self-check verdict backing
 //!   the forecast's confidence grade,
 //! * a **topic pane** (when the server runs `--topic-obs`): a skew gauge
-//!   from the `/shards` rebalance block (max/mean shard-load ratio,
-//!   advised moves and the ratio they would reach), then the hottest
+//!   from the `/shards` rebalance block (the max/mean shard-load ratio
+//!   and whether it passes the flag ratio), then the hottest
 //!   topics from `/topics` with their arrival rate, fitted Eq. 1 filter
 //!   and replication costs, and the regression verdict against the
 //!   configured cost model,
@@ -337,22 +337,14 @@ fn render_frame(addr: &str) -> Result<(String, i32), String> {
         if overflowed > 0 {
             out.push_str(&format!("  \x1b[33m{overflowed} overflowed into __other__\x1b[0m"));
         }
-        // Skew gauge: the /shards rebalance block analyzes the same table.
+        // Skew gauge: the /shards rebalance block measures the same table.
         if let Ok(shards) = get_json(addr, "/shards") {
             if let Some(reb) = shards.get("rebalance") {
                 if let Some(ratio) = reb.get("max_mean_ratio").and_then(Value::as_f64) {
                     let skewed = matches!(reb.get("skewed"), Some(Value::Bool(true)));
-                    let moves = reb.get("moves").map(Value::items).unwrap_or_default().len();
                     let tag =
                         if skewed { "\x1b[31mSKEWED\x1b[0m" } else { "\x1b[32mbalanced\x1b[0m" };
                     out.push_str(&format!("  shard skew {ratio:.2}x mean {tag}"));
-                    if moves > 0 {
-                        let post = reb.get("post_ratio").and_then(Value::as_f64).unwrap_or(0.0);
-                        out.push_str(&format!(
-                            "  ({moves} move{} advised -> {post:.2}x)",
-                            if moves == 1 { "" } else { "s" }
-                        ));
-                    }
                 }
             }
         }

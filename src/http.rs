@@ -19,12 +19,11 @@
 
 use rjms_broker::{
     BrokerObserver, BrokerSnapshot, FlowGate, FlowSnapshot, ShardReport, TopicObservatorySnapshot,
-    PER_TOPIC_SERIES,
+    FLAG_RATIO, PER_TOPIC_SERIES,
 };
 use rjms_core::regression::{FittedCosts, RegressionVerdict};
 use rjms_core::{CostParams, ModelVerdict};
 use rjms_metrics::{clock, JsonWriter, MetricsRegistry};
-use rjms_obs::topics::{analyze_skew, TopicLoad, FLAG_RATIO};
 use rjms_obs::{Forecast, ObsCore, Reduce};
 use rjms_trace::{group_chains, FlightRecorder, TraceChain};
 use std::io::{Read, Write};
@@ -199,7 +198,7 @@ const ROUTES: &[Route] = &[
     ("/history", JSON, "metric history series (?metric=&window=&reduce=)", history),
     ("/slo", JSON, "objective burn rates, forecast and alert feed (JSON)", slo),
     ("/flow", JSON, "admission-gate calibration and counters (JSON)", flow),
-    ("/shards", JSON, "per-shard model assessments + rebalance advice (JSON)", shards),
+    ("/shards", JSON, "per-shard model assessments + shard-skew measurement (JSON)", shards),
     ("/topics", JSON, "per-topic workload observatory (JSON)", topics),
 ];
 
@@ -312,7 +311,7 @@ fn flow(state: &HttpState, _: &str) -> Reply {
 /// Eq. 1 + M/GI/1 evaluated per dispatcher shard; empty unless the broker
 /// can anchor the model on a cost model or flow control). With the topic
 /// observatory on, the body also carries a `rebalance` block: per-shard
-/// load shares, the max/mean skew ratio, and the advisor's topic moves.
+/// load shares and the max/mean skew ratio.
 /// 404 with no broker attached.
 fn shards(state: &HttpState, _: &str) -> Reply {
     let observer = observer(state)?;
@@ -624,8 +623,8 @@ fn chains_json(
 /// ([`FlowGate::shard_budget`]). When
 /// the SLO engine is attached and judges as many shards, each shard carries
 /// the engine's latest forecast for it ([`ObsCore::shards`]). When the
-/// topic observatory is on, the body also carries the skew analyzer's
-/// `rebalance` block.
+/// topic observatory is on, the body also carries its skew measurement as
+/// the `rebalance` block.
 fn shards_json(
     reports: &[ShardReport],
     observatory: Option<&TopicObservatorySnapshot>,
@@ -683,45 +682,21 @@ fn model_verdict_json(verdict: &ModelVerdict, w: &mut JsonWriter) {
     });
 }
 
-/// The skew analyzer's report (shares, ratio, advised moves) from an
+/// The shard-skew measurement (ratio, flag, per-shard shares) of an
 /// observatory snapshot: the `rebalance` block of `/shards`.
 fn rebalance_json(snap: &TopicObservatorySnapshot, w: &mut JsonWriter) {
-    let loads: Vec<TopicLoad> = snap
-        .topics
-        .iter()
-        .map(|t| TopicLoad {
-            name: t.name.clone(),
-            shard: t.shard,
-            arrival_rate: t.arrival_rate,
-            mean_service_time: t.mean_service_time,
-        })
-        .collect();
-    let target_ratio = snap.config.target_ratio;
-    let report = analyze_skew(&loads, snap.shards, target_ratio);
+    let skew = snap.skew();
     w.object(|w| {
-        w.field("max_mean_ratio", report.max_mean_ratio);
-        w.field("skewed", report.skewed);
+        w.field("max_mean_ratio", skew.max_mean_ratio);
+        w.field("skewed", skew.skewed);
         w.field("flag_ratio", FLAG_RATIO);
-        w.field("target_ratio", target_ratio);
-        w.field("post_ratio", report.post_ratio);
         w.key("shares").array(|w| {
-            for s in &report.shares {
+            for s in &skew.shares {
                 w.object(|w| {
                     w.field("shard", s.shard);
                     w.field("offered_load", s.offered_load);
                     w.field("arrival_share", s.arrival_share);
                     w.field("load_share", s.load_share);
-                    w.field("topics", s.topics);
-                });
-            }
-        });
-        w.key("moves").array(|w| {
-            for m in &report.moves {
-                w.object(|w| {
-                    w.field("topic", &m.topic);
-                    w.field("from", m.from);
-                    w.field("to", m.to);
-                    w.field("load", m.load);
                 });
             }
         });
@@ -1135,7 +1110,7 @@ mod tests {
         // The observatory also feeds the /shards rebalance block.
         let r = get(s.local_addr(), "/shards");
         assert_eq!(status_of(&r), "HTTP/1.1 200 OK");
-        for key in ["\"rebalance\":{", "\"max_mean_ratio\":", "\"moves\":[", "\"shares\":["] {
+        for key in ["\"rebalance\":{", "\"max_mean_ratio\":", "\"shares\":["] {
             assert!(r.contains(key), "missing {key} in {r}");
         }
         // And the snapshot carries the overflow counter.
@@ -1230,7 +1205,7 @@ mod tests {
     // Less the parent's `credit_window` member: the wire has no credit window.
     const FLOW: &str = r#"{"lambda_max":159677.25,"rho_max":0.30000000000000004,"w99_objective":0.01,"headroom":1,"source":"analytic","refreshes":9,"classes":2,"bucket_level":0.0000001,"bucket_burst":1596,"producers":4,"per_class":[{"class":0,"granted":5,"deferred":1,"shed":0},{"class":1,"granted":5,"deferred":1,"shed":0}]}"#;
     const TOPICS: &str = r#"{"elapsed_secs":2.5,"shards":2,"per_topic_cap":64,"overflowed_topics":3,"anchor":{"t_rcv":0.000000852,"t_fltr":0.00000702,"t_tx":0.000017,"t_store":0},"global":{"fitted":{"mode":"full","t_rcv":0.00000085,"t_fltr":0.000007,"t_tx":0.000017,"t_store":0,"residual_rms":0.0000001,"r_squared":1,"observations":4096},"verdict":{"kind":"drift","deviations":[{"component":"t_fltr","fitted":0.000009,"configured":0.00000702,"error":0.30000000000000004,"tolerance":0.25}]}},"topics":[{"name":"a\\b\"c{d=\"e\",f}","shard":0,"messages":4096,"arrival_rate":20000,"mean_filters":1,"mean_replication":2.5,"mean_service_time":0.000024999999999999998,"fitted":{"mode":"full","t_rcv":0.00000085,"t_fltr":0.000009,"t_tx":0.000017,"t_store":0,"residual_rms":0.0000001,"r_squared":1,"observations":4096},"verdict":{"kind":"drift","deviations":[{"component":"t_fltr","fitted":0.000009,"configured":0.00000702,"error":0.30000000000000004,"tolerance":0.25}]}},{"name":"b","shard":0,"messages":4096,"arrival_rate":12000,"mean_filters":1,"mean_replication":2.5,"mean_service_time":0.000024999999999999998,"fitted":null,"verdict":{"kind":"insufficient","samples":12,"required":256}},{"name":"c","shard":1,"messages":4096,"arrival_rate":4000,"mean_filters":1,"mean_replication":2.5,"mean_service_time":0.000024999999999999998,"fitted":null,"verdict":null}]}"#;
-    const SHARDS: &str = r#"{"shards":[{"shard":0,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"insufficient","samples":3,"required":1000},"forecast":null},{"shard":1,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"overloaded","utilization":1.25},"forecast":null},{"shard":2,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"calibrated","measured":{"utilization":0.30000000000000004,"mean_service_time":0.0000249,"mean_waiting_time":0.0000001,"q99":0.0001},"predicted":{"utilization":0.3,"mean_service_time":0.0000249,"mean_waiting_time":0.0000053,"q99":0.00006},"violations":0},"forecast":null},{"shard":3,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"drift","measured":{"utilization":0.30000000000000004,"mean_service_time":0.0000249,"mean_waiting_time":0.0000001,"q99":0.0001},"predicted":{"utilization":0.3,"mean_service_time":0.0000249,"mean_waiting_time":0.0000053,"q99":0.00006},"violations":0},"forecast":null}],"rebalance":{"max_mean_ratio":1.777777777777778,"skewed":true,"flag_ratio":1.25,"target_ratio":1.1,"post_ratio":1.1111111111111112,"shares":[{"shard":0,"offered_load":0.7999999999999999,"arrival_share":0.8888888888888888,"load_share":0.888888888888889,"topics":2},{"shard":1,"offered_load":0.09999999999999999,"arrival_share":0.1111111111111111,"load_share":0.11111111111111112,"topics":1}],"moves":[{"topic":"b","from":0,"to":1,"load":0.3}]}}"#;
+    const SHARDS: &str = r#"{"shards":[{"shard":0,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"insufficient","samples":3,"required":1000},"forecast":null},{"shard":1,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"overloaded","utilization":1.25},"forecast":null},{"shard":2,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"calibrated","measured":{"utilization":0.30000000000000004,"mean_service_time":0.0000249,"mean_waiting_time":0.0000001,"q99":0.0001},"predicted":{"utilization":0.3,"mean_service_time":0.0000249,"mean_waiting_time":0.0000053,"q99":0.00006},"violations":0},"forecast":null},{"shard":3,"samples":5000,"arrival_rate":12000,"filters":1,"replication_grade":2.5,"lambda_budget":null,"verdict":{"kind":"drift","measured":{"utilization":0.30000000000000004,"mean_service_time":0.0000249,"mean_waiting_time":0.0000001,"q99":0.0001},"predicted":{"utilization":0.3,"mean_service_time":0.0000249,"mean_waiting_time":0.0000053,"q99":0.00006},"violations":0},"forecast":null}],"rebalance":{"max_mean_ratio":1.777777777777778,"skewed":true,"flag_ratio":1.25,"shares":[{"shard":0,"offered_load":0.7999999999999999,"arrival_share":0.8888888888888888,"load_share":0.888888888888889},{"shard":1,"offered_load":0.09999999999999999,"arrival_share":0.1111111111111111,"load_share":0.11111111111111112}]}}"#;
     const TRACES: &str = r#"{"recorded":6,"capacity":1024,"ns_per_tick":0.250000,"chains":[{"trace_id":7,"start_ticks":1000,"complete":true,"monotone":true,"total_duration_ns":1000,"events":[{"stage":"receive","start_ticks":1000,"offset_ns":0,"duration_ns":250,"aux":3},{"stage":"journal","start_ticks":1010,"offset_ns":2,"duration_ns":250,"aux":3},{"stage":"filter","start_ticks":1020,"offset_ns":5,"duration_ns":250,"aux":3},{"stage":"fanout","start_ticks":1030,"offset_ns":7,"duration_ns":250,"aux":3}]},{"trace_id":8,"start_ticks":2000,"complete":false,"monotone":true,"total_duration_ns":500,"events":[{"stage":"filter","start_ticks":2000,"offset_ns":0,"duration_ns":250,"aux":3},{"stage":"wire_flush","start_ticks":2040,"offset_ns":10,"duration_ns":250,"aux":3}]}]}"#;
 
     /// Fixed inputs for the golden bodies: values include `1.0`, `1e-7` and
@@ -1238,8 +1213,7 @@ mod tests {
     mod fixture {
         use rjms_broker::{
             BrokerSnapshot, FlowCounters, FlowSnapshot, JournalStats, MessageCounters, ShardReport,
-            ShardSnapshot, SubscriptionCounters, TopicObsConfig, TopicObsRow,
-            TopicObservatorySnapshot, TopicStats,
+            ShardSnapshot, SubscriptionCounters, TopicObsRow, TopicObservatorySnapshot, TopicStats,
         };
         use rjms_core::monitor::{DriftReport, MeasuredSummary};
         use rjms_core::regression::{
@@ -1355,7 +1329,6 @@ mod tests {
             TopicObservatorySnapshot {
                 elapsed: Duration::from_millis(2500),
                 anchor: Some(anchor),
-                config: TopicObsConfig::default(),
                 shards: 2,
                 overflowed_topics: 3,
                 global_fitted: Some(fitted(7e-6)),

@@ -54,8 +54,7 @@
 //! w99_ms = 5
 //! classes = 4
 //!
-//! [topic_obs]
-//! target_ratio = 1.2
+//! [topic_obs]   # a bare section switches its feature on
 //! ```
 
 use std::fmt::Write as _;
@@ -85,7 +84,6 @@ pub enum Key {
     FlowW99,
     FlowClasses,
     TopicObs,
-    TopicObsTarget,
 }
 
 /// What a setting's value may be. Each kind has its range check in
@@ -162,7 +160,7 @@ const fn row<K>(
     Row { key, flag, file, kind, default, implies, help }
 }
 
-const ROWS: usize = 22;
+const ROWS: usize = 21;
 const ANY: u64 = u64::MAX;
 const AT_LEAST_1: Kind = Kind::Count { min: 1, max: ANY };
 
@@ -180,10 +178,6 @@ fn alert_sink(sink: &str) -> Result<(), String> {
 
 fn open_unit_interval(q: f64) -> bool {
     q > 0.0 && q < 1.0
-}
-
-fn finite_at_least_1(r: f64) -> bool {
-    r >= 1.0 && r.is_finite()
 }
 
 /// Every setting of `rjms-server`, in [`Key`] order. `--config` is the one
@@ -235,9 +229,7 @@ pub static SETTINGS: [Row; ROWS] = [
     row(Key::FlowClasses, "--flow-classes N", "flow.classes", Kind::Count { min: 1, max: 10 }, "3", Some(Key::Flow),
         "priority classes, 1..=10"),
     row(Key::TopicObs, "--topic-obs", "topic_obs.enabled", Kind::Toggle, "", None,
-        "per-topic accounting with fitted Eq. 1 costs, shard-skew analysis, rebalance advice"),
-    row(Key::TopicObsTarget, "--topic-obs-target RATIO", "topic_obs.target_ratio", Kind::Number(finite_at_least_1, ">= 1"), "1.10", Some(Key::TopicObs),
-        "max/mean shard-load ratio the advised moves aim under"),
+        "per-topic accounting with fitted Eq. 1 costs and the shard-skew measurement"),
 ];
 
 /// Names one flag of `rjms-pub`.
@@ -851,8 +843,8 @@ mod tests {
             "--config --listen --topic --shards --stats-every --metrics-interval --cost-model \
              --http --trace --trace-quantile --slo --history --alert-sink --forecast \
              --forecast-horizon --forecast-confidence --flow --flow-w99 --flow-classes \
-             --topic-obs --topic-obs-target --help",
-            "22 flags"
+             --topic-obs --help",
+            "21 flags"
         );
         assert_eq!(
             flag_list(&PUB),
@@ -873,7 +865,7 @@ mod tests {
              forecast.enabled forecast.horizon_secs forecast.trend_window_secs \
              forecast.min_confidence \
              flow.enabled flow.w99_ms flow.classes \
-             topic_obs.enabled topic_obs.target_ratio",
+             topic_obs.enabled",
             "7 top-level keys, 5 sections"
         );
         assert_eq!(sections(), "trace|slo|forecast|flow|topic_obs");
@@ -907,8 +899,6 @@ mod tests {
             (Key::FlowW99, "0", "at least 1"),
             (Key::FlowClasses, "0", "1..=10"),
             (Key::FlowClasses, "11", "1..=10"),
-            (Key::TopicObsTarget, "0.9", ">= 1"),
-            (Key::TopicObsTarget, "inf", ">= 1"),
         ];
         for &(key, value, expected) in REJECTED {
             let row = row_of(key);
@@ -947,8 +937,8 @@ mod tests {
             ("[nope]\n", &["line 1", "unknown section `[nope]`"]),
             ("[topics_obs]\n", &["line 1", "unknown section", "topic_obs"]),
             (
-                "[topic_obs]\ncardinality = 64\n",
-                &["line 2", "unknown key `cardinality` in [topic_obs]"],
+                "[topic_obs]\ntarget_ratio = 1.1\n",
+                &["line 2", "unknown key `target_ratio` in [topic_obs]"],
             ),
             ("[forecast]\neta = 5\n", &["line 2", "unknown key `eta` in [forecast]"]),
             ("[topic_obs]\n\ncap 64\n", &["line 3", "key = value"]),
@@ -994,7 +984,6 @@ mod tests {
             (Key::CostPreset, "app", "corr"),
             (Key::ForecastConfidence, "high", "low"),
             (Key::TraceQuantile, "0.9", "0.5"),
-            (Key::TopicObsTarget, "2", "1.5"),
         ];
         for &(key, by_flag, by_file) in SCALARS {
             let row = row_of(key);
@@ -1062,7 +1051,6 @@ mod tests {
         const TUNING: &[(Key, Key, &str, &str)] = &[
             (Key::Flow, Key::FlowW99, "5", "7"),
             (Key::Flow, Key::FlowClasses, "2", "4"),
-            (Key::TopicObs, Key::TopicObsTarget, "1.5", "2"),
             (Key::Slo, Key::History, "2", "3"),
         ];
         for &(toggle, tuning, in_file, by_flag) in TUNING {
@@ -1091,7 +1079,7 @@ mod tests {
 
     /// Fixed command lines and files against the values the parent
     /// computed for them (its `Settings` after `merge`, plus the
-    /// `*_enabled` it derived in `main`); cases 9–11 are the intended
+    /// `*_enabled` it derived in `main`); cases 7–8 are the intended
     /// differences, where the parent switched the feature on.
     #[test]
     fn effective_values_match_the_parents() {
@@ -1115,7 +1103,7 @@ mod tests {
                  TraceQuantile=0.99 Slo=on History=2 \
                  AlertSinks=stderr,webhook:127.0.0.1:9200/alerts Forecast=on \
                  ForecastHorizon=600 ForecastTrendWindow=120 ForecastConfidence=high Flow=off \
-                 FlowW99=5 FlowClasses=4 TopicObs=on TopicObsTarget=1.2",
+                 FlowW99=5 FlowClasses=4 TopicObs=on",
             ),
             // 3: flags over the full file
             (
@@ -1135,45 +1123,28 @@ mod tests {
                 "Trace=on Slo=on Forecast=on Flow=on TopicObs=on Shards=2 Topics=smoke \
                  Http=127.0.0.1:7881",
             ),
-            // 5: topic_obs flags override file values (was an rjms-server test)
-            (
-                "--topic-obs-target 1.05",
-                "[topic_obs]\ntarget_ratio = 1.5\n",
-                "TopicObs=on TopicObsTarget=1.05",
-            ),
-            // 6: `--topic-obs` re-enables over `enabled = false`, tuning kept
-            (
-                "--topic-obs",
-                "[topic_obs]\nenabled = false\ntarget_ratio = 1.5\n",
-                "TopicObs=on TopicObsTarget=1.5",
-            ),
-            // 7: an integer where a number is expected is coerced
-            ("", "[topic_obs]\ntarget_ratio = 2\n", "TopicObs=on TopicObsTarget=2"),
-            // 8: a bare section enables its feature with default tuning
+            // 5: `--topic-obs` re-enables over `enabled = false`
+            ("--topic-obs", "[topic_obs]\nenabled = false\n", "TopicObs=on"),
+            // 6: a bare section enables its feature with default tuning
             ("", "[flow]\n[trace]\n", "Flow=on FlowW99=10 Trace=on Slo=-"),
-            // 9–11: switched-off sections keep their tuning and stay off
-            (
-                "",
-                "[topic_obs]\nenabled = false\ntarget_ratio = 1.5\n",
-                "TopicObs=off TopicObsTarget=1.5",
-            ),
+            // 7–8: switched-off sections keep their tuning and stay off
             ("", "[flow]\nenabled = false\nw99_ms = 5\n", "Flow=off FlowW99=5"),
             ("", "[slo]\nenabled = false\nhistory_secs = 2\n", "Slo=off History=2"),
-            // 12: forecasting asked for by flag switches the engine on
+            // 9: forecasting asked for by flag switches the engine on
             ("--forecast-horizon 60", "", "Forecast=on Slo=on ForecastHorizon=60"),
-            // 13: and so does an enabled [forecast] section
+            // 10: and so does an enabled [forecast] section
             ("", "[forecast]\nhorizon_secs = 300\n", "Forecast=on Slo=on ForecastHorizon=300"),
-            // 14: a switched-off one turns forecasting off and asks for nothing
+            // 11: a switched-off one turns forecasting off and asks for nothing
             (
                 "",
                 "[forecast]\nenabled = false\nhorizon_secs = 300\n",
                 "Forecast=off Slo=- ForecastHorizon=300",
             ),
-            // 15: with the engine on by its own flag, forecasting stays off
+            // 12: with the engine on by its own flag, forecasting stays off
             ("--slo", "[forecast]\nenabled = false\n", "Forecast=off Slo=on"),
-            // 16: `--forecast` wins over the file's `enabled = false`
+            // 13: `--forecast` wins over the file's `enabled = false`
             ("--forecast", "[forecast]\nenabled = false\n", "Forecast=on Slo=on"),
-            // 17: `--history` implies the engine; forecasting defaults on
+            // 14: `--history` implies the engine; forecasting defaults on
             ("--history 5", "", "Slo=on History=5 Forecast=on"),
         ];
         for (number, (argv, file, expected)) in cases.iter().enumerate() {

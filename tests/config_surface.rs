@@ -82,9 +82,7 @@ BrokerConfig {
         },
     ),
     topic_obs: Some(
-        TopicObsConfig {
-            target_ratio: 1.1,
-        },
+        TopicObsConfig,
     ),
 }"#;
 
@@ -103,9 +101,7 @@ FlowConfig {
 }"#;
 
 const TOPIC_OBS: &str = r#"
-TopicObsConfig {
-    target_ratio: 1.1,
-}"#;
+TopicObsConfig"#;
 
 const TRACE: &str = r#"
 TraceConfig {

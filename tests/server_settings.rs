@@ -10,7 +10,7 @@ use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// Three sections, each switched off, each with a tuning key.
+/// Three sections, each switched off; `[flow]` and `[slo]` keep a tuning key.
 const SWITCHED_OFF: &str = "\
 [flow]
 enabled = false
@@ -18,7 +18,6 @@ w99_ms = 5
 
 [topic_obs]
 enabled = false
-target_ratio = 1.5
 
 [slo]
 enabled = false
@@ -88,7 +87,7 @@ fn the_toggle_flag_switches_it_on_with_the_files_tuning() {
     let lines = startup_lines("on", SWITCHED_OFF, &["--flow", "--topic-obs", "--slo"]);
     for line in [
         "W99 <= 5.0 ms, 3 classes)",
-        "topic observatory on (cap 64 topics, skew target ratio 1.50",
+        "topic observatory on (cap 64 topics, /topics)",
         "slo engine on (2s sampling",
     ] {
         assert!(lines.iter().any(|l| l.contains(line)), "`{line}` not in {lines:?}");
