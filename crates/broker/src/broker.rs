@@ -405,11 +405,12 @@ impl Broker {
             .map(|(shard, publish_rx)| {
                 let dispatcher_inner = Arc::clone(&inner);
                 // Keep the historical thread name for the single-dispatcher
-                // broker; sharded dispatchers are numbered.
+                // broker; sharded dispatchers are numbered, inside the 15
+                // bytes Linux keeps of a name up to shard 99 999.
                 let name = if shards == 1 {
                     "rjms-dispatcher".to_owned()
                 } else {
-                    format!("rjms-dispatcher-{shard}")
+                    format!("rjms-disp-{shard}")
                 };
                 // The probe is chosen here, once per thread: the no-op
                 // probe unless the broker holds live instruments.

@@ -101,9 +101,6 @@ pub enum Error {
         /// File position of the first invalid byte.
         file_pos: u64,
     },
-    /// The requested journal offset is below retention or at/after the
-    /// append head.
-    UnknownOffset(u64),
     /// A publish was refused before it was queued: its journal record
     /// would exceed the journal's frame limit.
     RecordTooLarge {
@@ -168,7 +165,6 @@ impl fmt::Display for Error {
             Self::JournalCorrupt { segment, file_pos } => {
                 write!(f, "sealed segment {} corrupt at byte {file_pos}", segment.display())
             }
-            Self::UnknownOffset(offset) => write!(f, "offset {offset} is not in the journal"),
             Self::RecordTooLarge { size, limit } => {
                 write!(f, "journal record of {size} bytes exceeds the {limit} byte frame limit")
             }

@@ -1,15 +1,17 @@
-//! The journal proper: an ordered chain of segments with an offset index,
-//! durability policy, recovery, and retention.
+//! The journal proper: an ordered chain of segments, durability policy,
+//! recovery, retention, and the forward replay.
 
+use std::collections::VecDeque;
 use std::fmt;
-use std::io;
+use std::fs::File;
+use std::io::{self, Read};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::config::{FsyncPolicy, JournalConfig};
-use crate::frame::encode_frame_with;
-use crate::segment::{parse_segment_file_name, ScanTail, Segment};
+use crate::frame::{decode_frame, encode_frame_with, FrameDecode};
+use crate::segment::{parse_segment_file_name, segment_file_name, ActiveSegment, Scan};
 use rjms_metrics::Histogram;
 
 /// Journal failure.
@@ -19,15 +21,14 @@ pub enum JournalError {
     Io(io::Error),
     /// A *sealed* segment contains an invalid frame. Sealed segments were
     /// synced at rotation, so this is real corruption, not a torn tail,
-    /// and recovery refuses to guess.
+    /// and recovery refuses to guess. Replay reports a frame that no longer
+    /// decodes, in any segment, the same way.
     Corrupt {
         /// The corrupt segment file.
         segment: PathBuf,
         /// File position of the first invalid byte.
         file_pos: u64,
     },
-    /// The requested offset is below retention or at/after the append head.
-    UnknownOffset(u64),
 }
 
 impl fmt::Display for JournalError {
@@ -36,9 +37,6 @@ impl fmt::Display for JournalError {
             JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
             JournalError::Corrupt { segment, file_pos } => {
                 write!(f, "sealed segment {} corrupt at byte {file_pos}", segment.display())
-            }
-            JournalError::UnknownOffset(offset) => {
-                write!(f, "offset {offset} is not in the journal")
             }
         }
     }
@@ -66,7 +64,6 @@ impl From<JournalError> for rjms_core::Error {
             JournalError::Corrupt { segment, file_pos } => {
                 rjms_core::Error::JournalCorrupt { segment, file_pos }
             }
-            JournalError::UnknownOffset(offset) => rjms_core::Error::UnknownOffset(offset),
         }
     }
 }
@@ -119,7 +116,10 @@ const COMMIT_BYTES: usize = 64 * 1024;
 ///
 /// Frames are appended through [`Journal::batch`], which encodes any
 /// number of them into one buffer and writes it with one `write_all`
-/// (group commit); [`Journal::append`] is the batch of one.
+/// (group commit); [`Journal::append`] is the batch of one. They are read
+/// back only in order, by [`Journal::replay`]. The journal keeps no index:
+/// a sealed segment is its base offset, and the active segment's file is
+/// the only one it holds open.
 ///
 /// # Examples
 ///
@@ -135,19 +135,22 @@ const COMMIT_BYTES: usize = 64 * 1024;
 ///
 /// let (journal, recovery) = Journal::open(config).unwrap();
 /// assert_eq!(recovery.frames_recovered, 1);
-/// assert_eq!(journal.read(offset).unwrap(), b"hello");
+/// let replayed: Vec<_> = journal.replay(0).map(Result::unwrap).collect();
+/// assert_eq!(replayed, [(offset, b"hello".to_vec())]);
 /// std::fs::remove_dir_all(&dir).unwrap();
 /// ```
 #[derive(Debug)]
 pub struct Journal {
     config: JournalConfig,
-    /// Ordered by base offset; the last entry is the active segment.
-    segments: Vec<Segment>,
+    /// The base offsets of the sealed segments, oldest first. Offsets
+    /// chain, so each one ends where the next segment begins.
+    sealed: VecDeque<u64>,
+    active: ActiveSegment,
     /// The encoded frames of the batch in progress, not written yet, and
-    /// where each of them starts. Both are reused from batch to batch; no
-    /// method but the batch itself can see them.
+    /// how many they are. The buffer is reused from batch to batch; no
+    /// method but the batch itself can see it.
     buf: Vec<u8>,
-    starts: Vec<usize>,
+    buffered: u64,
     appends_since_sync: u32,
     last_sync: Instant,
     stats: JournalStats,
@@ -183,40 +186,46 @@ impl Journal {
         }
         bases.sort_unstable_by_key(|(base, _)| *base);
 
-        let mut segments = Vec::with_capacity(bases.len().max(1));
+        let mut sealed = VecDeque::with_capacity(bases.len());
+        let mut active = None;
+        let mut contents = Vec::new();
+        let mut end = None;
         let mut frames_recovered = 0u64;
         let mut torn_bytes_truncated = 0u64;
         let count = bases.len();
         for (index, (base, path)) in bases.into_iter().enumerate() {
-            let is_active = index + 1 == count;
-            let (segment, report) = Segment::open(&path, base, is_active)?;
-            if let ScanTail::Torn { valid_len, invalid_bytes } = report.tail {
-                if !is_active {
-                    return Err(JournalError::Corrupt { segment: path, file_pos: valid_len });
-                }
-                torn_bytes_truncated = invalid_bytes;
-            }
             // Offsets must chain across segments; a gap means a segment
             // file was deleted by hand.
-            if segment.base_offset() != base
-                || segments
-                    .last()
-                    .is_some_and(|prev: &Segment| prev.end_offset() != segment.base_offset())
-            {
+            if end.is_some_and(|end| end != base) {
                 return Err(JournalError::Corrupt { segment: path, file_pos: 0 });
             }
-            frames_recovered += segment.frame_count() as u64;
-            segments.push(segment);
+            let is_active = index + 1 == count;
+            let scan = Scan::read(&path, is_active, &mut contents)?;
+            if scan.valid_len < scan.len {
+                if !is_active {
+                    return Err(JournalError::Corrupt { segment: path, file_pos: scan.valid_len });
+                }
+                torn_bytes_truncated = scan.len - scan.valid_len;
+            }
+            frames_recovered += scan.frames;
+            end = Some(base + scan.frames);
+            if is_active {
+                active = Some(ActiveSegment::resume(base, scan)?);
+            } else {
+                sealed.push_back(base);
+            }
         }
-
-        if segments.is_empty() {
-            segments.push(Segment::create(&config.dir, 0)?);
-        }
+        let active = match active {
+            Some(active) => active,
+            None => ActiveSegment::create(&config.dir, 0)?,
+        };
 
         let journal = Journal {
             config,
+            sealed,
+            active,
             buf: Vec::new(),
-            starts: Vec::new(),
+            buffered: 0,
             appends_since_sync: 0,
             last_sync: Instant::now(),
             stats: JournalStats {
@@ -224,7 +233,6 @@ impl Journal {
                 torn_bytes_truncated,
                 ..JournalStats::default()
             },
-            segments,
             append_latency: Arc::new(Histogram::new()),
             fsync_latency: Arc::new(Histogram::new()),
         };
@@ -237,18 +245,14 @@ impl Journal {
         Ok((journal, report))
     }
 
-    fn active(&mut self) -> &mut Segment {
-        self.segments.last_mut().expect("journal always has an active segment")
-    }
-
     /// Offset of the oldest frame still on disk.
     pub fn first_offset(&self) -> u64 {
-        self.segments[0].base_offset()
+        self.sealed.front().copied().unwrap_or(self.active.base)
     }
 
     /// Offset the next append will be assigned.
     pub fn next_offset(&self) -> u64 {
-        self.segments.last().expect("active segment").end_offset()
+        self.active.end()
     }
 
     /// Counter snapshot.
@@ -276,11 +280,14 @@ impl Journal {
         &self.config
     }
 
+    /// Seals the active segment (its file is synced and closed) and starts
+    /// the next one.
     fn rotate(&mut self) -> Result<()> {
-        self.active().sync()?;
+        self.active.sync()?;
         self.stats.fsyncs += 1;
-        let next = self.next_offset();
-        self.segments.push(Segment::create(&self.config.dir.clone(), next)?);
+        let next = ActiveSegment::create(&self.config.dir, self.next_offset())?;
+        let sealed = std::mem::replace(&mut self.active, next);
+        self.sealed.push_back(sealed.base);
         self.stats.segments_rotated += 1;
         self.enforce_retention()?;
         Ok(())
@@ -290,10 +297,10 @@ impl Journal {
         let Some(max_sealed) = self.config.max_sealed_segments else {
             return Ok(());
         };
-        // Last segment is active and exempt.
-        while self.segments.len() > max_sealed + 1 {
-            let removed = self.segments.remove(0);
-            std::fs::remove_file(removed.path())?;
+        // The active segment is exempt.
+        while self.sealed.len() > max_sealed {
+            let base = self.sealed.pop_front().expect("more sealed segments than the cap");
+            std::fs::remove_file(self.config.dir.join(segment_file_name(base)))?;
             self.stats.segments_removed += 1;
         }
         Ok(())
@@ -314,7 +321,7 @@ impl Journal {
     pub fn batch<T>(&mut self, fill: impl FnOnce(&mut Batch<'_>) -> Result<T>) -> Result<T> {
         // What a failed batch left behind was never written.
         self.buf.clear();
-        self.starts.clear();
+        self.buffered = 0;
         let mut batch = Batch { journal: self, mark: Instant::now() };
         let out = fill(&mut batch)?;
         batch.commit()?;
@@ -324,11 +331,10 @@ impl Journal {
     /// Writes the buffered frames, which are `buf[..end]`, to the active
     /// segment and applies the fsync policy, once for all of them.
     fn write_buffered(&mut self, end: usize) -> Result<()> {
-        let frames = self.starts.len() as u64;
-        let active = self.segments.last_mut().expect("journal always has an active segment");
-        active.write_frames(&self.buf[..end], &self.starts)?;
+        let frames = self.buffered;
+        self.active.write_frames(&self.buf[..end], frames)?;
         self.buf.drain(..end);
-        self.starts.clear();
+        self.buffered = 0;
         if self.buf.capacity() > 4 * COMMIT_BYTES {
             // One huge body must not pin its size for the journal's lifetime.
             self.buf.shrink_to(COMMIT_BYTES);
@@ -352,7 +358,7 @@ impl Journal {
     /// Forces everything appended so far to stable storage.
     pub fn sync(&mut self) -> Result<()> {
         let start = Instant::now();
-        self.active().sync()?;
+        self.active.sync()?;
         self.fsync_latency.record_duration(start.elapsed());
         self.stats.fsyncs += 1;
         self.appends_since_sync = 0;
@@ -360,27 +366,23 @@ impl Journal {
         Ok(())
     }
 
-    fn segment_for(&self, offset: u64) -> Result<&Segment> {
-        if offset < self.first_offset() || offset >= self.next_offset() {
-            return Err(JournalError::UnknownOffset(offset));
-        }
-        let index = self
-            .segments
-            .partition_point(|s| s.base_offset() <= offset)
-            .checked_sub(1)
-            .ok_or(JournalError::UnknownOffset(offset))?;
-        Ok(&self.segments[index])
-    }
-
-    /// Reads the payload appended at `offset`.
-    pub fn read(&self, offset: u64) -> Result<Vec<u8>> {
-        Ok(self.segment_for(offset)?.read(offset)?)
-    }
-
     /// Iterates `(offset, payload)` pairs from `from` (clamped up to the
-    /// retention floor) to the append head.
+    /// retention floor) to the append head. Each segment from the one that
+    /// holds `from` on is read with one read and decoded forward; an error
+    /// ends the iteration.
     pub fn replay(&self, from: u64) -> Replay<'_> {
-        Replay { journal: self, next: from.max(self.first_offset()) }
+        let next = from.max(self.first_offset());
+        Replay { journal: self, next, segment_end: next, base: 0, contents: Vec::new(), pos: 0 }
+    }
+
+    /// The base and end offsets of the segment that holds `offset`, which
+    /// is in `first_offset()..next_offset()`.
+    fn segment_of(&self, offset: u64) -> (u64, u64) {
+        if offset >= self.active.base {
+            return (self.active.base, self.active.end());
+        }
+        let index = self.sealed.partition_point(|&base| base <= offset);
+        (self.sealed[index - 1], self.sealed.get(index).copied().unwrap_or(self.active.base))
     }
 }
 
@@ -407,22 +409,19 @@ impl Batch<'_> {
 
         // Rotation happens between frames: what is buffered before this
         // one belongs to the segment being sealed, this one opens the next.
-        let active = journal.segments.last().expect("journal always has an active segment");
-        let holds_frames = !active.is_empty() || start > 0;
+        let active = &journal.active;
+        let holds_frames = active.frames > 0 || start > 0;
         let needs_rotation = holds_frames
-            && active.len() + journal.buf.len() as u64 > journal.config.segment_max_bytes;
-        let start = if needs_rotation {
+            && active.len + journal.buf.len() as u64 > journal.config.segment_max_bytes;
+        if needs_rotation {
             // The commit takes the written bytes off the buffer's front.
             self.commit_to(start)?;
             self.journal.rotate()?;
-            0
-        } else {
-            start
-        };
+        }
 
         let journal = &mut *self.journal;
-        let offset = journal.next_offset() + journal.starts.len() as u64;
-        journal.starts.push(start);
+        let offset = journal.next_offset() + journal.buffered;
+        journal.buffered += 1;
         if journal.buf.len() >= COMMIT_BYTES {
             self.commit()?;
         }
@@ -436,7 +435,7 @@ impl Batch<'_> {
     /// Commits the frames registered so far, which end at `buf[end]`, and
     /// books the wall time since the last commit to them in equal shares.
     fn commit_to(&mut self, end: usize) -> Result<()> {
-        let frames = self.journal.starts.len() as u64;
+        let frames = self.journal.buffered;
         if frames == 0 {
             return Ok(());
         }
@@ -453,18 +452,57 @@ impl Batch<'_> {
 #[derive(Debug)]
 pub struct Replay<'a> {
     journal: &'a Journal,
+    /// The offset of the record the iterator yields next.
     next: u64,
+    /// The end offset and the base offset of the segment in `contents`,
+    /// whose frame at `pos` is `next`'s.
+    segment_end: u64,
+    base: u64,
+    contents: Vec<u8>,
+    pos: usize,
+}
+
+impl Replay<'_> {
+    /// Reads the segment that holds `next` and steps to its frame.
+    fn load(&mut self) -> Result<()> {
+        (self.base, self.segment_end) = self.journal.segment_of(self.next);
+        let path = self.journal.config.dir.join(segment_file_name(self.base));
+        self.contents.clear();
+        File::open(path)?.read_to_end(&mut self.contents)?;
+        self.pos = 0;
+        for _ in self.base..self.next {
+            self.frame()?;
+        }
+        Ok(())
+    }
+
+    /// Decodes the frame at `pos` and steps past it.
+    fn frame(&mut self) -> Result<&[u8]> {
+        match decode_frame(&self.contents[self.pos..]) {
+            FrameDecode::Complete { payload, consumed } => {
+                self.pos += consumed;
+                Ok(payload)
+            }
+            FrameDecode::Incomplete | FrameDecode::Corrupt => Err(JournalError::Corrupt {
+                segment: self.journal.config.dir.join(segment_file_name(self.base)),
+                file_pos: self.pos as u64,
+            }),
+        }
+    }
 }
 
 impl Iterator for Replay<'_> {
     type Item = Result<(u64, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.journal.next_offset() {
+        let (offset, end) = (self.next, self.journal.next_offset());
+        if offset >= end {
             return None;
         }
-        let offset = self.next;
-        self.next += 1;
-        Some(self.journal.read(offset).map(|payload| (offset, payload)))
+        let loaded = if offset == self.segment_end { self.load() } else { Ok(()) };
+        let record = loaded.and_then(|()| Ok((offset, self.frame()?.to_vec())));
+        // An error ends the replay.
+        self.next = if record.is_ok() { offset + 1 } else { end };
+        Some(record)
     }
 }

@@ -5,16 +5,19 @@
 //! persistent store, which adds a per-message storage term to the service
 //! time. This crate supplies that store: an append-only log of
 //! CRC-checked, length-prefixed frames split across size-rotated
-//! segment files, with an in-memory offset index, a configurable fsync
-//! policy, and a recovery scan that cuts torn tails back to the last whole
-//! frame.
+//! segment files, a configurable fsync policy, a recovery scan that cuts
+//! torn tails back to the last whole frame, and a replay that reads the
+//! log forward. It is a log, not an index: the journal remembers each
+//! sealed segment by its base offset alone and holds one file open, the
+//! active segment's.
 //!
 //! Layering:
 //!
 //! - [`frame`] — the `[len | crc32 | payload]` on-disk record format.
-//! - [`segment`] — one append-only file plus its frame index.
+//! - [`segment`] — segment file names, the recovery scan and the active
+//!   segment.
 //! - [`Journal`] — the segment chain: offsets, group commit
-//!   ([`Journal::batch`]), durability, recovery, retention.
+//!   ([`Journal::batch`]), durability, recovery, retention, replay.
 //!
 //! The broker appends publishes before dispatch and checkpoints durable
 //! consumer progress; `rjms-core` turns the measured append cost into the
@@ -55,6 +58,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// The first record `replay(offset)` yields.
+    fn first_from(journal: &Journal, offset: u64) -> Option<(u64, Vec<u8>)> {
+        journal.replay(offset).next().map(Result::unwrap)
+    }
+
     #[test]
     fn append_read_roundtrip_and_reopen() {
         let dir = scratch_dir("roundtrip");
@@ -65,7 +73,7 @@ mod tests {
             let offset = journal.append(format!("record-{i}").as_bytes()).unwrap();
             assert_eq!(offset, i as u64);
         }
-        assert_eq!(journal.read(42).unwrap(), b"record-42");
+        assert_eq!(first_from(&journal, 42), Some((42, b"record-42".to_vec())));
         drop(journal);
 
         let (journal, recovery) = Journal::open(config).unwrap();
@@ -121,8 +129,8 @@ mod tests {
         assert_eq!(recovery.frames_recovered, 9);
         assert!(recovery.torn_bytes_truncated > 0);
         assert_eq!(journal.next_offset(), 9);
-        assert_eq!(journal.read(8).unwrap(), b"msg-0008");
-        assert!(matches!(journal.read(9), Err(JournalError::UnknownOffset(9))));
+        assert_eq!(first_from(&journal, 8), Some((8, b"msg-0008".to_vec())));
+        assert_eq!(first_from(&journal, 9), None, "nothing past the head");
         cleanup(&dir);
     }
 
@@ -148,7 +156,7 @@ mod tests {
 
         let (journal, recovery) = Journal::open(config).unwrap();
         assert_eq!(recovery.frames_recovered, 5);
-        assert_eq!(journal.read(4).unwrap(), b"after");
+        assert_eq!(first_from(&journal, 4), Some((4, b"after".to_vec())));
         cleanup(&dir);
     }
 
@@ -231,7 +239,7 @@ mod tests {
                 for i in 0..5u8 {
                     offsets.push(batch.append_with(|out| out.extend_from_slice(&[i; 20]))?);
                     // Buffered, not written: the file is as the last commit
-                    // left it (and the borrow keeps `read` and `replay` out).
+                    // left it (and the borrow keeps `replay` out).
                     assert_eq!(bytes_on_file(&dir), committed);
                 }
                 Ok(offsets)
@@ -241,7 +249,7 @@ mod tests {
         assert_eq!(journal.next_offset(), 6);
         assert_eq!(bytes_on_file(&dir).len(), committed.len() + 5 * 28);
         for (i, offset) in offsets.into_iter().enumerate() {
-            assert_eq!(journal.read(offset).unwrap(), [i as u8; 20]);
+            assert_eq!(first_from(&journal, offset), Some((offset, vec![i as u8; 20])));
         }
         assert_eq!(journal.stats().appends, 6);
         // One sample per frame, whatever the commit they shared.
@@ -256,7 +264,7 @@ mod tests {
         journal.append(b"kept").unwrap();
         let failed: Result<()> = journal.batch(|batch| {
             batch.append_with(|out| out.extend_from_slice(b"lost"))?;
-            Err(JournalError::UnknownOffset(0))
+            Err(JournalError::Io(std::io::Error::other("the fill failed")))
         });
         assert!(failed.is_err());
         assert_eq!(journal.next_offset(), 1);
@@ -312,7 +320,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(journal.stats().fsyncs, 2);
-        assert_eq!(journal.read(99).unwrap(), payload(99));
+        assert_eq!(first_from(&journal, 99), Some((99, payload(99))));
         cleanup(&dir);
     }
 
@@ -362,14 +370,55 @@ mod tests {
         assert!(journal.first_offset() > 0);
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert!(files <= 3, "retention left {files} segment files");
-        // The floor is readable, a read below it is refused, and a reopen
-        // keeps the floor.
+        // The floor is readable, a replay from below it starts at it, and a
+        // reopen keeps the floor.
         let floor = journal.first_offset();
-        assert_eq!(journal.read(floor).unwrap(), [2u8; 24]);
-        assert!(matches!(journal.read(floor - 1), Err(JournalError::UnknownOffset(_))));
+        assert_eq!(first_from(&journal, floor), Some((floor, vec![2u8; 24])));
+        assert_eq!(first_from(&journal, floor - 1), Some((floor, vec![2u8; 24])));
         drop(journal);
         let (journal, _) = Journal::open(config).unwrap();
         assert_eq!(journal.first_offset(), floor);
+        cleanup(&dir);
+    }
+
+    /// Open descriptors of this process on files in `dir`.
+    #[cfg(target_os = "linux")]
+    fn open_files_in(dir: &std::path::Path) -> usize {
+        let dir = dir.canonicalize().unwrap();
+        std::fs::read_dir("/proc/self/fd")
+            .unwrap()
+            .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+            .filter(|target| target.starts_with(&dir))
+            .count()
+    }
+
+    /// A sealed segment keeps no open file, before a reopen or after it,
+    /// and replay walks every segment forward.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_thousand_sealed_segments_hold_one_file_open() {
+        const FRAMES: u64 = 1_001;
+        let dir = scratch_dir("sealed-fds");
+        // A 16-byte frame fills a 16-byte segment: one segment per frame.
+        let config = JournalConfig::new(&dir).segment_max_bytes(16).fsync(FsyncPolicy::Never);
+        let (mut journal, _) = Journal::open(config.clone()).unwrap();
+        for i in 0..FRAMES {
+            journal.append(&i.to_le_bytes()).unwrap();
+            if i % 100 == 0 {
+                assert_eq!(open_files_in(&dir), 1, "appending frame {i}");
+            }
+        }
+        assert_eq!(journal.stats().segments_rotated, FRAMES - 1);
+        drop(journal);
+
+        let (journal, recovery) = Journal::open(config).unwrap();
+        assert_eq!(recovery.frames_recovered, FRAMES);
+        assert_eq!(open_files_in(&dir), 1, "after a reopen");
+        let replayed: Vec<_> = journal.replay(0).map(Result::unwrap).collect();
+        let expected: Vec<_> = (0..FRAMES).map(|i| (i, i.to_le_bytes().to_vec())).collect();
+        assert_eq!(replayed, expected);
+        assert_eq!(first_from(&journal, 500), Some((500, 500u64.to_le_bytes().to_vec())));
+        assert_eq!(open_files_in(&dir), 1, "after the replay");
         cleanup(&dir);
     }
 }

@@ -1,0 +1,32 @@
+//! Replay reads the segment files again, after open: a frame that no longer
+//! decodes there is reported where it is, and ends the replay.
+
+use rjms_journal::segment::segment_file_name;
+use rjms_journal::{scratch_dir, Journal, JournalConfig, JournalError};
+
+#[test]
+fn a_frame_corrupted_after_open_ends_the_replay_at_its_position() {
+    let dir = scratch_dir("replay-corrupt");
+    // 32-byte frames, two to a 64-byte segment.
+    let (mut journal, _) = Journal::open(JournalConfig::new(&dir).segment_max_bytes(64)).unwrap();
+    for _ in 0..6 {
+        journal.append(&[7u8; 24]).unwrap();
+    }
+    // The second frame of the segment that starts at offset 2.
+    let path = dir.join(segment_file_name(2));
+    let mut contents = std::fs::read(&path).unwrap();
+    contents[40] ^= 0xFF;
+    std::fs::write(&path, &contents).unwrap();
+
+    let mut replay = journal.replay(1);
+    assert_eq!(replay.next().unwrap().unwrap().0, 1);
+    assert_eq!(replay.next().unwrap().unwrap().0, 2);
+    match replay.next() {
+        Some(Err(JournalError::Corrupt { segment, file_pos })) => {
+            assert_eq!((segment, file_pos), (path, 32));
+        }
+        other => panic!("expected the corrupt frame at offset 3, got {other:?}"),
+    }
+    assert!(replay.next().is_none(), "an error ends the replay");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
