@@ -309,17 +309,19 @@ impl Broker {
     /// thread.
     ///
     /// With [`BrokerConfig::persistence`] set, the write-ahead journal is
-    /// opened (truncating a torn tail back to the last whole frame) and
-    /// replayed: topics and durable subscriptions are re-created and
+    /// opened (truncating a torn tail off the active segment back to the
+    /// last whole frame) and replayed, which reads every segment once and
+    /// checks it: topics and durable subscriptions are re-created and
     /// messages published but not yet checkpointed as delivered go back
     /// into each durable subscription's retained backlog, ready for
-    /// re-delivery on the next connect.
+    /// re-delivery on the next connect. Both run on the calling thread.
     ///
     /// # Panics
     ///
-    /// Panics if the journal cannot be opened or replayed (I/O failure or
-    /// corruption in a sealed segment) — a broker that cannot read its
-    /// write-ahead log must not silently start empty.
+    /// Panics if the journal cannot be opened (I/O failure) or replayed
+    /// (I/O failure, or a corrupt sealed segment, which only the replay
+    /// reads) — a broker that cannot read its write-ahead log must not
+    /// silently start empty.
     pub fn start(mut config: BrokerConfig) -> Broker {
         // Defensive: the builder rejects zero, but the fields are public.
         let shards = config.shards.max(1);

@@ -269,9 +269,10 @@ pub(crate) fn recover_topics(
     // By name, so that which topics get a metric series of their own does
     // not depend on the run.
     let mut recovered: BTreeMap<String, HashMap<String, DurableRecovery>> = BTreeMap::new();
-    for item in journal.replay(journal.first_offset()) {
-        let (offset, payload) = item.expect("failed to read back the write-ahead journal");
-        let record = JournalRecord::decode(&payload).unwrap_or_else(|e| {
+    // Replay checks every segment as it lends it, the sealed ones `open`
+    // left unread included, so a corrupt journal panics here.
+    let replayed = journal.replay(journal.first_offset(), |offset, payload| {
+        let record = JournalRecord::decode(payload).unwrap_or_else(|e| {
             // The frame passed its CRC, so this is version skew or a bug,
             // not a torn write — refuse to guess at broker state.
             panic!("journal frame {offset} is checksummed but undecodable: {e}")
@@ -314,7 +315,8 @@ pub(crate) fn recover_topics(
                 }
             }
         }
-    }
+    });
+    replayed.expect("failed to read back the write-ahead journal");
 
     let mut topics = Vec::with_capacity(recovered.len());
     for (topic_name, durables) in recovered {

@@ -128,6 +128,40 @@ fn torn_tail_recovers_to_last_whole_frame_and_redelivers() {
 
 /// A checkpoint every 256 deliveries, and one at the shutdown for the
 /// deliveries after it.
+/// `Journal::open` reads no sealed segment, so a corrupt one is found by
+/// the replay `Broker::start` runs, and the broker refuses to start.
+#[test]
+fn a_corrupt_sealed_segment_is_refused_by_the_start_up_replay() {
+    let dir = scratch_dir("bkr-sealed-corrupt");
+    // Every publish record overflows a 64-byte segment: one segment each.
+    let config = || {
+        BrokerConfig::builder()
+            .persistence(PersistenceConfig::new(&dir).journal(|j| j.segment_max_bytes(64)))
+            .build()
+    };
+    {
+        let b = Broker::start(config());
+        b.create_topic("stocks").unwrap();
+        let p = b.publisher("stocks").unwrap();
+        for i in 0..3i64 {
+            p.publish(Message::builder().property("seq", i).build()).unwrap();
+        }
+        sync(&b, 3);
+        b.shutdown();
+    }
+    // The topic record, in the first (sealed) segment: one payload byte.
+    let path = dir.join(segment_file_name(0));
+    let mut contents = std::fs::read(&path).unwrap();
+    contents[10] ^= 0xFF;
+    std::fs::write(&path, &contents).unwrap();
+
+    let panic = std::panic::catch_unwind(|| Broker::start(config()))
+        .expect_err("a broker started on a corrupt sealed segment");
+    let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+    assert!(message.starts_with("failed to read back the write-ahead journal"), "{message}");
+    cleanup(&dir);
+}
+
 #[test]
 fn checkpointed_deliveries_are_not_redelivered_after_clean_shutdown() {
     const DELIVERED: i64 = 256 + 5;

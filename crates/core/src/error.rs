@@ -92,9 +92,11 @@ pub enum Error {
     Disconnected,
 
     // --- journal -------------------------------------------------------
-    /// A *sealed* journal segment contains an invalid frame. Sealed
-    /// segments were synced at rotation, so this is real corruption, not a
-    /// torn tail, and recovery refuses to guess.
+    /// A journal segment does not hold the frames its place in the chain
+    /// says it does (a frame that does not decode, too few, or bytes after
+    /// them), found by the replay recovery runs. A sealed segment was
+    /// synced at rotation, so this is real corruption, not a torn tail,
+    /// and recovery refuses to guess.
     JournalCorrupt {
         /// The corrupt segment file.
         segment: PathBuf,
@@ -163,7 +165,7 @@ impl fmt::Display for Error {
                 f.write_str("subscription closed: broker stopped and queue drained")
             }
             Self::JournalCorrupt { segment, file_pos } => {
-                write!(f, "sealed segment {} corrupt at byte {file_pos}", segment.display())
+                write!(f, "journal segment {} corrupt at byte {file_pos}", segment.display())
             }
             Self::RecordTooLarge { size, limit } => {
                 write!(f, "journal record of {size} bytes exceeds the {limit} byte frame limit")

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use crate::config::{FsyncPolicy, JournalConfig};
 use crate::frame::{decode_frame, encode_frame_with, FrameDecode};
-use crate::segment::{parse_segment_file_name, segment_file_name, ActiveSegment, Scan};
+use crate::segment::{parse_segment_file_name, segment_file_name, ActiveSegment};
 use rjms_metrics::Histogram;
 
 /// Journal failure.
@@ -19,14 +19,17 @@ use rjms_metrics::Histogram;
 pub enum JournalError {
     /// An underlying filesystem operation failed.
     Io(io::Error),
-    /// A *sealed* segment contains an invalid frame. Sealed segments were
-    /// synced at rotation, so this is real corruption, not a torn tail,
-    /// and recovery refuses to guess. Replay reports a frame that no longer
-    /// decodes, in any segment, the same way.
+    /// [`Journal::replay`] found a journal segment that does not hold the
+    /// frames its place in the chain says it does: a frame that does not
+    /// decode, fewer frames than reach the next segment's base, or bytes
+    /// after the last of them. A sealed segment was synced at rotation, so
+    /// this is real corruption, not a torn tail, and recovery refuses to
+    /// guess.
     Corrupt {
         /// The corrupt segment file.
         segment: PathBuf,
-        /// File position of the first invalid byte.
+        /// File position of the first frame that is missing or invalid,
+        /// or of the first byte past the frames the segment should end at.
         file_pos: u64,
     },
 }
@@ -36,7 +39,7 @@ impl fmt::Display for JournalError {
         match self {
             JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
             JournalError::Corrupt { segment, file_pos } => {
-                write!(f, "sealed segment {} corrupt at byte {file_pos}", segment.display())
+                write!(f, "journal segment {} corrupt at byte {file_pos}", segment.display())
             }
         }
     }
@@ -80,9 +83,10 @@ pub struct JournalStats {
     pub bytes_appended: u64,
     /// Explicit `fdatasync` calls issued (policy, rotation, and manual).
     pub fsyncs: u64,
-    /// Intact frames found on disk by the recovery scan at open.
+    /// Frames on disk at open, `next_offset − first_offset`: the sealed
+    /// segments are counted by their bases, and only replay checks them.
     pub frames_recovered: u64,
-    /// Bytes of torn tail cut off by the recovery scan at open.
+    /// Bytes of torn tail cut off the active segment at open.
     pub torn_bytes_truncated: u64,
     /// Segments sealed and replaced with a fresh active segment.
     pub segments_rotated: u64,
@@ -93,7 +97,7 @@ pub struct JournalStats {
 /// What recovery found when the journal was opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Intact frames available for replay.
+    /// Frames available for replay, `next_offset − first_offset`.
     pub frames_recovered: u64,
     /// Bytes of torn tail truncated from the active segment.
     pub torn_bytes_truncated: u64,
@@ -135,7 +139,8 @@ const COMMIT_BYTES: usize = 64 * 1024;
 ///
 /// let (journal, recovery) = Journal::open(config).unwrap();
 /// assert_eq!(recovery.frames_recovered, 1);
-/// let replayed: Vec<_> = journal.replay(0).map(Result::unwrap).collect();
+/// let mut replayed = Vec::new();
+/// journal.replay(0, |offset, payload| replayed.push((offset, payload.to_vec()))).unwrap();
 /// assert_eq!(replayed, [(offset, b"hello".to_vec())]);
 /// std::fs::remove_dir_all(&dir).unwrap();
 /// ```
@@ -167,58 +172,30 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (or creates) the journal in `config.dir`, scanning every
-    /// segment and truncating a torn tail on the active one.
+    /// Opens (or creates) the journal in `config.dir`: lists the segment
+    /// files, takes every one but the newest as sealed by its base alone,
+    /// and scans the newest, the active segment, cutting a torn tail off
+    /// it. A sealed segment's file is not read here; [`Journal::replay`]
+    /// checks it, and recovery always replays.
     ///
     /// # Errors
     ///
-    /// I/O failure, or [`JournalError::Corrupt`] if a *sealed* segment
-    /// fails validation.
+    /// I/O failure.
     pub fn open(config: JournalConfig) -> Result<(Journal, RecoveryReport)> {
         std::fs::create_dir_all(&config.dir)?;
-
         let mut bases = Vec::new();
         for entry in std::fs::read_dir(&config.dir)? {
-            let entry = entry?;
-            if let Some(base) = entry.file_name().to_str().and_then(parse_segment_file_name) {
-                bases.push((base, entry.path()));
+            if let Some(base) = entry?.file_name().to_str().and_then(parse_segment_file_name) {
+                bases.push(base);
             }
         }
-        bases.sort_unstable_by_key(|(base, _)| *base);
-
-        let mut sealed = VecDeque::with_capacity(bases.len());
-        let mut active = None;
-        let mut contents = Vec::new();
-        let mut end = None;
-        let mut frames_recovered = 0u64;
-        let mut torn_bytes_truncated = 0u64;
-        let count = bases.len();
-        for (index, (base, path)) in bases.into_iter().enumerate() {
-            // Offsets must chain across segments; a gap means a segment
-            // file was deleted by hand.
-            if end.is_some_and(|end| end != base) {
-                return Err(JournalError::Corrupt { segment: path, file_pos: 0 });
-            }
-            let is_active = index + 1 == count;
-            let scan = Scan::read(&path, is_active, &mut contents)?;
-            if scan.valid_len < scan.len {
-                if !is_active {
-                    return Err(JournalError::Corrupt { segment: path, file_pos: scan.valid_len });
-                }
-                torn_bytes_truncated = scan.len - scan.valid_len;
-            }
-            frames_recovered += scan.frames;
-            end = Some(base + scan.frames);
-            if is_active {
-                active = Some(ActiveSegment::resume(base, scan)?);
-            } else {
-                sealed.push_back(base);
-            }
-        }
-        let active = match active {
-            Some(active) => active,
-            None => ActiveSegment::create(&config.dir, 0)?,
+        bases.sort_unstable();
+        let (active, torn_bytes_truncated) = match bases.pop() {
+            Some(base) => ActiveSegment::resume(&config.dir, base)?,
+            None => (ActiveSegment::create(&config.dir, 0)?, 0),
         };
+        let sealed = VecDeque::from(bases);
+        let frames_recovered = active.end() - sealed.front().copied().unwrap_or(active.base);
 
         let journal = Journal {
             config,
@@ -366,23 +343,43 @@ impl Journal {
         Ok(())
     }
 
-    /// Iterates `(offset, payload)` pairs from `from` (clamped up to the
-    /// retention floor) to the append head. Each segment from the one that
-    /// holds `from` on is read with one read and decoded forward; an error
-    /// ends the iteration.
-    pub fn replay(&self, from: u64) -> Replay<'_> {
-        let next = from.max(self.first_offset());
-        Replay { journal: self, next, segment_end: next, base: 0, contents: Vec::new(), pos: 0 }
-    }
-
-    /// The base and end offsets of the segment that holds `offset`, which
-    /// is in `first_offset()..next_offset()`.
-    fn segment_of(&self, offset: u64) -> (u64, u64) {
-        if offset >= self.active.base {
-            return (self.active.base, self.active.end());
+    /// Lends `record` each `(offset, payload)` from `from` (clamped up to
+    /// the retention floor) to the append head, in order. Each segment from
+    /// the one that holds `from` on is read with one read into one buffer,
+    /// reused from segment to segment, and decoded forward; a payload is
+    /// borrowed from that buffer, so replay never allocates per record.
+    ///
+    /// # Errors
+    ///
+    /// I/O failure, or [`JournalError::Corrupt`] where a segment does not
+    /// hold exactly the frames from its base to the next segment's (the
+    /// append head for the active one) and nothing after them. The error
+    /// ends the replay; `record` has seen every frame before it.
+    pub fn replay(&self, from: u64, mut record: impl FnMut(u64, &[u8])) -> Result<()> {
+        let from = from.max(self.first_offset());
+        let bases = self.sealed.iter().copied().chain([self.active.base]);
+        let ends = bases.clone().skip(1).chain([self.next_offset()]);
+        let mut contents = Vec::new();
+        for (base, end) in bases.zip(ends).filter(|&(_, end)| end > from) {
+            let segment = self.config.dir.join(segment_file_name(base));
+            contents.clear();
+            File::open(&segment)?.read_to_end(&mut contents)?;
+            let mut pos = 0;
+            for offset in base..end {
+                let FrameDecode::Complete { payload, consumed } = decode_frame(&contents[pos..])
+                else {
+                    return Err(JournalError::Corrupt { segment, file_pos: pos as u64 });
+                };
+                if offset >= from {
+                    record(offset, payload);
+                }
+                pos += consumed;
+            }
+            if pos < contents.len() {
+                return Err(JournalError::Corrupt { segment, file_pos: pos as u64 });
+            }
         }
-        let index = self.sealed.partition_point(|&base| base <= offset);
-        (self.sealed[index - 1], self.sealed.get(index).copied().unwrap_or(self.active.base))
+        Ok(())
     }
 }
 
@@ -445,64 +442,5 @@ impl Batch<'_> {
         self.journal.append_latency.record_n(elapsed / frames, frames);
         self.mark = now;
         written
-    }
-}
-
-/// Iterator over journal records; see [`Journal::replay`].
-#[derive(Debug)]
-pub struct Replay<'a> {
-    journal: &'a Journal,
-    /// The offset of the record the iterator yields next.
-    next: u64,
-    /// The end offset and the base offset of the segment in `contents`,
-    /// whose frame at `pos` is `next`'s.
-    segment_end: u64,
-    base: u64,
-    contents: Vec<u8>,
-    pos: usize,
-}
-
-impl Replay<'_> {
-    /// Reads the segment that holds `next` and steps to its frame.
-    fn load(&mut self) -> Result<()> {
-        (self.base, self.segment_end) = self.journal.segment_of(self.next);
-        let path = self.journal.config.dir.join(segment_file_name(self.base));
-        self.contents.clear();
-        File::open(path)?.read_to_end(&mut self.contents)?;
-        self.pos = 0;
-        for _ in self.base..self.next {
-            self.frame()?;
-        }
-        Ok(())
-    }
-
-    /// Decodes the frame at `pos` and steps past it.
-    fn frame(&mut self) -> Result<&[u8]> {
-        match decode_frame(&self.contents[self.pos..]) {
-            FrameDecode::Complete { payload, consumed } => {
-                self.pos += consumed;
-                Ok(payload)
-            }
-            FrameDecode::Incomplete | FrameDecode::Corrupt => Err(JournalError::Corrupt {
-                segment: self.journal.config.dir.join(segment_file_name(self.base)),
-                file_pos: self.pos as u64,
-            }),
-        }
-    }
-}
-
-impl Iterator for Replay<'_> {
-    type Item = Result<(u64, Vec<u8>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (offset, end) = (self.next, self.journal.next_offset());
-        if offset >= end {
-            return None;
-        }
-        let loaded = if offset == self.segment_end { self.load() } else { Ok(()) };
-        let record = loaded.and_then(|()| Ok((offset, self.frame()?.to_vec())));
-        // An error ends the replay.
-        self.next = if record.is_ok() { offset + 1 } else { end };
-        Some(record)
     }
 }

@@ -5,17 +5,18 @@
 //! persistent store, which adds a per-message storage term to the service
 //! time. This crate supplies that store: an append-only log of
 //! CRC-checked, length-prefixed frames split across size-rotated
-//! segment files, a configurable fsync policy, a recovery scan that cuts
-//! torn tails back to the last whole frame, and a replay that reads the
-//! log forward. It is a log, not an index: the journal remembers each
-//! sealed segment by its base offset alone and holds one file open, the
-//! active segment's.
+//! segment files, a configurable fsync policy, an open that cuts a torn
+//! tail off the active segment back to the last whole frame, and a replay
+//! that reads the log forward once. It is a log, not an index: the journal
+//! remembers each sealed segment by its base offset alone and holds one
+//! file open, the active segment's. Opening reads only that file; a
+//! corrupt sealed segment is refused by the replay recovery runs, which
+//! checks every frame as it lends it.
 //!
 //! Layering:
 //!
 //! - [`frame`] — the `[len | crc32 | payload]` on-disk record format.
-//! - [`segment`] — segment file names, the recovery scan and the active
-//!   segment.
+//! - [`segment`] — segment file names and the active segment.
 //! - [`Journal`] — the segment chain: offsets, group commit
 //!   ([`Journal::batch`]), durability, recovery, retention, replay.
 //!
@@ -32,7 +33,7 @@ pub mod segment;
 
 pub use config::{FsyncPolicy, JournalConfig};
 pub use crc32::crc32;
-pub use journal::{Batch, Journal, JournalError, JournalStats, RecoveryReport, Replay, Result};
+pub use journal::{Batch, Journal, JournalError, JournalStats, RecoveryReport, Result};
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,9 +59,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// The first record `replay(offset)` yields.
+    /// The records `replay(offset, …)` lends, copied.
+    fn replayed(journal: &Journal, offset: u64) -> Vec<(u64, Vec<u8>)> {
+        let mut records = Vec::new();
+        journal.replay(offset, |offset, payload| records.push((offset, payload.to_vec()))).unwrap();
+        records
+    }
+
+    /// The first record `replay(offset, …)` lends.
     fn first_from(journal: &Journal, offset: u64) -> Option<(u64, Vec<u8>)> {
-        journal.replay(offset).next().map(Result::unwrap)
+        replayed(journal, offset).into_iter().next()
     }
 
     #[test]
@@ -80,9 +88,9 @@ mod tests {
         assert_eq!(recovery.frames_recovered, 100);
         assert_eq!(recovery.torn_bytes_truncated, 0);
         assert_eq!(journal.next_offset(), 100);
-        let replayed: Vec<_> = journal.replay(0).map(|r| r.unwrap()).collect();
-        assert_eq!(replayed.len(), 100);
-        assert_eq!(replayed[7].1, b"record-7");
+        let records = replayed(&journal, 0);
+        assert_eq!(records.len(), 100);
+        assert_eq!(records[7].1, b"record-7");
         cleanup(&dir);
     }
 
@@ -99,8 +107,7 @@ mod tests {
 
         let (journal, recovery) = Journal::open(config).unwrap();
         assert_eq!(recovery.frames_recovered, 50);
-        for (i, record) in journal.replay(0).enumerate() {
-            let (offset, payload) = record.unwrap();
+        for (i, (offset, payload)) in replayed(&journal, 0).into_iter().enumerate() {
             assert_eq!(offset, i as u64);
             assert_eq!(payload, [0xAB; 32]);
         }
@@ -160,9 +167,13 @@ mod tests {
         cleanup(&dir);
     }
 
+    /// `open` reads no sealed segment, so it takes any one-byte flip in
+    /// one; the replay recovery runs refuses it at the frame that holds the
+    /// byte, having lent every frame before that one.
     #[test]
     fn corrupt_sealed_segment_is_an_error_not_a_truncation() {
         let dir = scratch_dir("sealed-corrupt");
+        // 32-byte frames, two to a 64-byte segment.
         let config = JournalConfig::new(&dir).segment_max_bytes(64);
         let (mut journal, _) = Journal::open(config.clone()).unwrap();
         for _ in 0..20 {
@@ -171,16 +182,26 @@ mod tests {
         journal.sync().unwrap();
         drop(journal);
 
-        // Flip a payload byte in the first (sealed) segment.
         let path = dir.join(segment::segment_file_name(0));
-        let mut contents = std::fs::read(&path).unwrap();
-        let mid = contents.len() / 2;
-        contents[mid] ^= 0xFF;
-        std::fs::write(&path, &contents).unwrap();
+        let intact = std::fs::read(&path).unwrap();
+        let frame = frame::frame_len(24);
+        assert_eq!(intact.len() as u64, 2 * frame);
+        for byte in 0..intact.len() {
+            let mut contents = intact.clone();
+            contents[byte] ^= 0xFF;
+            std::fs::write(&path, &contents).unwrap();
 
-        match Journal::open(config) {
-            Err(JournalError::Corrupt { segment, .. }) => assert_eq!(segment, path),
-            other => panic!("expected sealed-segment corruption error, got {other:?}"),
+            let (journal, recovery) = Journal::open(config.clone()).unwrap();
+            assert_eq!(recovery.frames_recovered, 20);
+            let mut seen = Vec::new();
+            let frame_start = byte as u64 / frame * frame;
+            match journal.replay(0, |offset, _| seen.push(offset)) {
+                Err(JournalError::Corrupt { segment, file_pos }) => {
+                    assert_eq!((segment, file_pos), (path.clone(), frame_start), "byte {byte}");
+                }
+                other => panic!("byte {byte}: expected sealed-segment corruption, got {other:?}"),
+            }
+            assert_eq!(seen, (0..frame_start / frame).collect::<Vec<_>>(), "byte {byte}");
         }
         cleanup(&dir);
     }
@@ -269,8 +290,7 @@ mod tests {
         assert!(failed.is_err());
         assert_eq!(journal.next_offset(), 1);
         assert_eq!(journal.append(b"next").unwrap(), 1);
-        let replayed: Vec<_> = journal.replay(0).map(|r| r.unwrap().1).collect();
-        assert_eq!(replayed, [b"kept".to_vec(), b"next".to_vec()]);
+        assert_eq!(replayed(&journal, 0), [(0, b"kept".to_vec()), (1, b"next".to_vec())]);
         cleanup(&dir);
     }
 
@@ -301,8 +321,8 @@ mod tests {
 
         let (journal, recovery) = Journal::open(config).unwrap();
         assert_eq!(recovery.frames_recovered, 200);
-        for (i, record) in journal.replay(0).enumerate() {
-            assert_eq!(record.unwrap(), (i as u64, payload(i as u64)));
+        for (i, record) in replayed(&journal, 0).into_iter().enumerate() {
+            assert_eq!(record, (i as u64, payload(i as u64)));
         }
         cleanup(&dir);
 
@@ -392,8 +412,17 @@ mod tests {
             .count()
     }
 
-    /// A sealed segment keeps no open file, before a reopen or after it,
-    /// and replay walks every segment forward.
+    /// Bytes this thread has read with `read`-family calls so far, from
+    /// the kernel's per-thread `rchar` (other threads do not move it).
+    #[cfg(target_os = "linux")]
+    fn bytes_read() -> u64 {
+        let io = std::fs::read_to_string("/proc/thread-self/io").unwrap();
+        io.lines().find_map(|line| line.strip_prefix("rchar: ")).unwrap().parse().unwrap()
+    }
+
+    /// A sealed segment keeps no open file, before a reopen or after it, a
+    /// reopen reads the active segment alone, and replay walks every
+    /// segment forward.
     #[cfg(target_os = "linux")]
     #[test]
     fn a_thousand_sealed_segments_hold_one_file_open() {
@@ -411,12 +440,15 @@ mod tests {
         assert_eq!(journal.stats().segments_rotated, FRAMES - 1);
         drop(journal);
 
+        let active = std::fs::metadata(dir.join(segment::segment_file_name(FRAMES - 1))).unwrap();
+        let before = bytes_read();
         let (journal, recovery) = Journal::open(config).unwrap();
+        let read = bytes_read() - before;
+        assert!(read <= active.len() + 4096, "the reopen read {read} bytes");
         assert_eq!(recovery.frames_recovered, FRAMES);
         assert_eq!(open_files_in(&dir), 1, "after a reopen");
-        let replayed: Vec<_> = journal.replay(0).map(Result::unwrap).collect();
         let expected: Vec<_> = (0..FRAMES).map(|i| (i, i.to_le_bytes().to_vec())).collect();
-        assert_eq!(replayed, expected);
+        assert_eq!(replayed(&journal, 0), expected);
         assert_eq!(first_from(&journal, 500), Some((500, 500u64.to_le_bytes().to_vec())));
         assert_eq!(open_files_in(&dir), 1, "after the replay");
         cleanup(&dir);

@@ -1,5 +1,5 @@
-//! Segment files: their names, the recovery scan, and the active segment,
-//! which is the journal's one open file.
+//! Segment files: their names, and the active segment, which is the
+//! journal's one open file.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, Write};
@@ -19,36 +19,6 @@ pub(crate) fn parse_segment_file_name(name: &str) -> Option<u64> {
         return None;
     }
     stem.parse().ok()
-}
-
-/// A segment file as the recovery scan found it.
-#[derive(Debug)]
-pub(crate) struct Scan {
-    file: File,
-    /// Intact frames from the start of the file.
-    pub(crate) frames: u64,
-    /// Bytes those frames span; what follows is a torn or corrupt tail.
-    pub(crate) valid_len: u64,
-    /// The file's length.
-    pub(crate) len: u64,
-}
-
-impl Scan {
-    /// Reads the segment file at `path` into `contents` (one read, the
-    /// buffer reused from file to file) and counts its intact frames. The
-    /// file stays open for writing only if `writable` is set.
-    pub(crate) fn read(path: &Path, writable: bool, contents: &mut Vec<u8>) -> io::Result<Scan> {
-        let mut file = OpenOptions::new().read(true).write(writable).open(path)?;
-        contents.clear();
-        file.read_to_end(contents)?;
-        let mut frames = 0;
-        let mut pos = 0;
-        while let FrameDecode::Complete { consumed, .. } = decode_frame(&contents[pos..]) {
-            frames += 1;
-            pos += consumed;
-        }
-        Ok(Scan { file, frames, valid_len: pos as u64, len: contents.len() as u64 })
-    }
 }
 
 /// The segment appends go to. A sealed segment is only its base offset in
@@ -73,18 +43,28 @@ impl ActiveSegment {
         Ok(ActiveSegment { base, frames: 0, len: 0, file })
     }
 
-    /// Appends to the scanned segment starting at `base`, first cutting a
-    /// torn or corrupt tail off at the last intact frame.
-    pub(crate) fn resume(base: u64, scan: Scan) -> io::Result<ActiveSegment> {
-        let Scan { mut file, frames, valid_len, len } = scan;
-        if valid_len < len {
-            file.set_len(valid_len)?;
+    /// Reopens the segment starting at `base` for appending: reads it (one
+    /// read), counts its intact frames, and cuts a torn or corrupt tail off
+    /// at the last of them. Returns the segment and the bytes cut.
+    pub(crate) fn resume(dir: &Path, base: u64) -> io::Result<(ActiveSegment, u64)> {
+        let path = dir.join(segment_file_name(base));
+        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+        let mut contents = Vec::new();
+        file.read_to_end(&mut contents)?;
+        let (mut frames, mut len) = (0, 0);
+        while let FrameDecode::Complete { consumed, .. } = decode_frame(&contents[len..]) {
+            frames += 1;
+            len += consumed;
+        }
+        let torn = (contents.len() - len) as u64;
+        if torn > 0 {
+            file.set_len(len as u64)?;
             file.sync_data()?;
         }
-        // The scan left the cursor at the old end of file; park it at the
+        // The read left the cursor at the old end of file; park it at the
         // valid end so the next append leaves no hole.
-        file.seek(io::SeekFrom::Start(valid_len))?;
-        Ok(ActiveSegment { base, frames, len: valid_len, file })
+        file.seek(io::SeekFrom::Start(len as u64))?;
+        Ok((ActiveSegment { base, frames, len: len as u64, file }, torn))
     }
 
     /// The offset one past its last frame.

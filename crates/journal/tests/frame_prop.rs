@@ -8,6 +8,13 @@ use rjms_journal::frame::{decode_frame, encode_frame, frame_len, FrameDecode};
 use rjms_journal::segment::segment_file_name;
 use rjms_journal::{crc32, scratch_dir, FsyncPolicy, Journal, JournalConfig};
 
+/// Every record of the journal, copied out of the replay.
+fn replayed(journal: &Journal) -> Vec<(u64, Vec<u8>)> {
+    let mut records = Vec::new();
+    journal.replay(0, |offset, payload| records.push((offset, payload.to_vec()))).unwrap();
+    records
+}
+
 proptest! {
     #[test]
     fn encode_decode_roundtrip(payload in prop::collection::vec(any::<u8>(), 0..2048)) {
@@ -97,7 +104,7 @@ proptest! {
         let (journal, recovery) = Journal::open(config).unwrap();
         prop_assert_eq!(recovery.frames_recovered, expected);
         prop_assert_eq!(journal.next_offset(), expected);
-        let replayed: Vec<_> = journal.replay(0).map(|r| r.unwrap()).collect();
+        let replayed = replayed(&journal);
         prop_assert_eq!(replayed.len() as u64, expected);
         for (offset, payload) in replayed {
             prop_assert_eq!(payload, vec![offset as u8; payload_lens[offset as usize]]);
@@ -137,9 +144,9 @@ proptest! {
             let expected = frame_ends.iter().filter(|&&end| end <= cut as u64).count();
             let (journal, recovery) = Journal::open(JournalConfig::new(&crashed)).unwrap();
             prop_assert_eq!(recovery.frames_recovered, expected as u64, "cut at {}", cut);
-            let replayed: Vec<_> = journal.replay(0).map(|r| r.unwrap().1).collect();
+            let replayed = replayed(&journal);
             prop_assert_eq!(replayed.len(), expected, "cut at {}", cut);
-            for (i, payload) in replayed.iter().enumerate() {
+            for (i, (_, payload)) in replayed.iter().enumerate() {
                 prop_assert_eq!(payload, &vec![i as u8; payload_lens[i]], "cut at {}", cut);
             }
         }

@@ -1,6 +1,7 @@
 //! A persistent broker's journal holds one segment file open, however many
 //! segments it has sealed: counted from `/proc/self/fd` while publishing
-//! through more than a thousand rotations and after a restart, which then
+//! through more than a thousand rotations and after a restart, which reads
+//! the journal once (`rchar` from `/proc/thread-self/io`) and then
 //! replays every retained message in order.
 #![cfg(target_os = "linux")]
 
@@ -19,6 +20,20 @@ fn open_files_in(dir: &Path) -> usize {
         .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
         .filter(|target| target.starts_with(&dir))
         .count()
+}
+
+/// Bytes this thread has read with `read`-family calls so far, from the
+/// kernel's per-thread `rchar` (other threads do not move it).
+fn bytes_read() -> u64 {
+    let io = std::fs::read_to_string("/proc/thread-self/io").expect("thread io counters");
+    let rchar = io.lines().find_map(|line| line.strip_prefix("rchar: "));
+    rchar.expect("an rchar line").parse().expect("a byte count")
+}
+
+/// The bytes of every file in `dir`.
+fn bytes_in(dir: &Path) -> u64 {
+    let files = std::fs::read_dir(dir).expect("journal directory");
+    files.map(|file| file.expect("a directory entry").metadata().expect("metadata").len()).sum()
 }
 
 fn wait_for(what: &str, ready: impl Fn() -> bool) {
@@ -62,7 +77,15 @@ fn sealed_segments_hold_no_file_open_through_a_thousand_rotations_and_a_restart(
     assert!(journal.segments_rotated >= 1_000, "{} rotations", journal.segments_rotated);
     broker.shutdown();
 
+    // `Broker::start` opens and replays the journal on this thread.
+    let journal_bytes = bytes_in(&dir);
+    let before = bytes_read();
     let broker = Broker::start(config());
+    let read = bytes_read() - before;
+    assert!(
+        (journal_bytes..=journal_bytes + 4096).contains(&read),
+        "the restart read {read} bytes of a {journal_bytes}-byte journal"
+    );
     let open = open_files_in(&dir);
     assert!(open <= 2, "{open} journal files open after the restart");
     assert_eq!(broker.retained_count("ticks", "archive"), MESSAGES as usize);
