@@ -36,7 +36,6 @@ use rjms_broker::{
     Broker, BrokerConfig, BrokerConfigBuilder, Filter, FlowConfig, Message, MetricsConfig,
     OverflowPolicy, Publisher, TopicObsConfig, TraceConfig,
 };
-use rjms_core::CostParams;
 use rjms_obs::{ForecastConfig, ObsConfig, ObsCore, ObsRuntime};
 use std::any::Any;
 use std::time::{Duration, Instant};
@@ -127,19 +126,6 @@ const SMOKE_REPS: usize = 11;
 /// Paired repetitions without `--smoke`.
 const FULL_REPS: usize = 21;
 
-/// A reading taken from the broker of the `on` arm after its run, shown as
-/// one more column.
-#[derive(Debug, Clone, Copy)]
-pub struct After {
-    /// Checks the broker and returns the reading; `rate` is the run's
-    /// msgs/s.
-    pub check: fn(&Broker, rate: f64) -> f64,
-    /// The table column's header.
-    pub column: &'static str,
-    /// The summary line; `{}` is the largest reading.
-    pub summary: &'static str,
-}
-
 /// One overhead gate.
 #[derive(Debug, Clone, Copy)]
 pub struct Gate {
@@ -164,8 +150,9 @@ pub struct Gate {
     pub configure: fn(BrokerConfigBuilder, on: bool) -> BrokerConfigBuilder,
     /// Starts what runs beside the broker; dropped before shutdown.
     pub attach: fn(&Broker, on: bool) -> Option<Box<dyn Any>>,
-    /// A post-run check and reading of the `on` arm.
-    pub after: Option<After>,
+    /// A post-run check of the `on` arm's broker; it panics when the pair
+    /// would compare unequal work.
+    pub check: Option<fn(&Broker)>,
 }
 
 fn with_metrics(builder: BrokerConfigBuilder) -> BrokerConfigBuilder {
@@ -187,33 +174,21 @@ fn sampler(broker: &Broker, forecast: bool) -> Box<dyn Any> {
     Box::new(ObsRuntime::start(ObsCore::new(config), registry, None, SAMPLE_EVERY, Vec::new))
 }
 
-/// The flow gate's seed model, a native-speed message: with 64 filters and
-/// one copy `E[B]` = 30 + 64 × 1.25 + 40 ns = 0.15 µs, under a fifth of the
-/// 0.8–1.3 µs the workload takes, so `λ_max` sits at least 4× above the
-/// broker's dispatch capacity and the one publisher's half of it at least
-/// 2×: a broker twice as fast still sees no producer-bucket defer.
-const NATIVE_SEED: CostParams =
-    CostParams { t_rcv: 30e-9, t_fltr: 1.25e-9, t_tx: 40e-9, t_store: 0.0 };
-
 fn flow_gate(builder: BrokerConfigBuilder, on: bool) -> BrokerConfigBuilder {
     if !on {
         return with_metrics(builder);
     }
-    // Long refresh interval: no dispatcher may re-invert its lane's
-    // budget mid-measurement. The one producer may take half of `λ_max`,
-    // still above what the broker can dispatch.
-    with_metrics(builder).flow(
-        FlowConfig::default()
-            .params(NATIVE_SEED)
-            .filters(N_FILTERS)
-            .w99_objective(0.010)
-            .refresh_interval_ms(60_000),
-    )
+    // No cost model, so no seed: each lane's buckets are unbounded and
+    // every publish passes one lane-bucket and one producer-bucket check,
+    // the work of a lane under its budget. Long refresh interval: no
+    // dispatcher may re-invert its lane's budget mid-measurement.
+    with_metrics(builder)
+        .flow(FlowConfig::default().w99_objective(0.010).refresh_interval_ms(60_000))
 }
 
-/// Budget utilization of the run; panics if the gate deferred or shed
-/// anything, because the pairing would then compare unequal work.
-fn flow_utilization(broker: &Broker, rate: f64) -> f64 {
+/// Panics if the gate deferred or shed anything, because the pairing would
+/// then compare unequal work.
+fn flow_sheds_nothing(broker: &Broker) {
     let snap = broker.flow().expect("the `on` arm runs the gate").snapshot();
     let (deferred, shed): (u64, u64) =
         snap.per_class.iter().fold((0, 0), |(d, s), c| (d + c.deferred, s + c.shed));
@@ -223,7 +198,6 @@ fn flow_utilization(broker: &Broker, rate: f64) -> f64 {
         "the gate interfered below budget (deferred {deferred}, shed {shed}): \
          the off/on pairing would compare unequal work"
     );
-    rate / snap.lambda_max
 }
 
 /// The six gates. Each budget is the largest median of 25 rounds on a
@@ -247,7 +221,7 @@ pub static GATES: [Gate; 6] = [
         note: "",
         configure: |builder, on| if on { with_metrics(builder) } else { builder },
         attach: |_, _| None,
-        after: None,
+        check: None,
     },
     // Tracing arms the stage stopwatch for *every* message (the tail
     // decision is post-hoc, so durations must exist before the verdict):
@@ -275,7 +249,7 @@ pub static GATES: [Gate; 6] = [
             }
         },
         attach: |_, _| None,
-        after: None,
+        check: None,
     },
     // The SLO engine never touches the dispatcher: a sampling thread
     // snapshots the registry, folds the delta into the history rings and
@@ -294,13 +268,14 @@ pub static GATES: [Gate; 6] = [
         note: "baseline is metrics-on in both; sampler at 25 ms (production default 1 s)",
         configure: |builder, _| with_metrics(builder),
         attach: |broker, on| on.then(|| sampler(broker, false)),
-        after: None,
+        check: None,
     },
-    // One token-bucket check under a mutex on every publish, plus a
-    // decision-latency histogram sample. Measured with the gate's budget
-    // *above* the offered load (`NATIVE_SEED`), the production regime:
-    // below budget, admission control must shed nothing
-    // (`flow_utilization` asserts it) and cost little.
+    // A lane-bucket and a producer-bucket check under their mutexes on
+    // every publish, plus a decision-latency histogram sample. Measured
+    // with the gate's budget *above* the offered load (an unseeded lane's
+    // is unbounded), the production regime: below budget, admission
+    // control must shed nothing (`flow_sheds_nothing` asserts it) and cost
+    // little.
     Gate {
         name: "flow",
         section: "extension (flow control)",
@@ -310,15 +285,11 @@ pub static GATES: [Gate; 6] = [
         verdict: "admission gate {} its budget below lambda_max",
         budget_ns: 200.0,
         topics: 1,
-        note: "gate seeded with E[B] = 0.15 us (t_rcv 30 ns, t_fltr 1.25 ns, t_tx 40 ns), so \
-               lambda_max sits >= 4x above capacity",
+        note: "gate unseeded (no cost model): lambda_max unbounded, both buckets checked per \
+               publish",
         configure: flow_gate,
         attach: |_, _| None,
-        after: Some(After {
-            check: flow_utilization,
-            column: "rho (budget)",
-            summary: "peak budget utilization across reps: rho = {} (regime: rho <= 0.25)",
-        }),
+        check: Some(flow_sheds_nothing),
     },
     // One uncontended lock of the topic's observatory account and ten
     // floating-point accumulations into its regression sums per message.
@@ -343,7 +314,7 @@ pub static GATES: [Gate; 6] = [
             }
         },
         attach: |_, _| None,
-        after: None,
+        check: None,
     },
     // The forecaster is sampler-side arithmetic: each engine tick fits an
     // arrival-rate trend over the history rings, moment-matches the
@@ -364,14 +335,14 @@ pub static GATES: [Gate; 6] = [
                (production default 1 s)",
         configure: |builder, _| with_metrics(builder),
         attach: |broker, on| Some(sampler(broker, on)),
-        after: None,
+        check: None,
     },
 ];
 
 impl Gate {
-    /// One arm's run on a broker of its own: msgs/s, and the `after`
-    /// reading of an `on` arm.
-    fn measure(&self, on: bool) -> (f64, Option<f64>) {
+    /// One arm's run on a broker of its own, in msgs/s; an `on` arm's is
+    /// checked.
+    fn measure(&self, on: bool) -> f64 {
         let builder = BrokerConfig::builder()
             .publish_queue_capacity(256)
             .subscriber_queue_capacity(SUBSCRIBER_QUEUE)
@@ -392,10 +363,12 @@ impl Gate {
         }
         let side_car = (self.attach)(&broker, on);
         let rate = saturated_run(&broker, &publishers, MESSAGES);
-        let reading = self.after.filter(|_| on).map(|after| (after.check)(&broker, rate));
+        if let (true, Some(check)) = (on, self.check) {
+            check(&broker);
+        }
         drop(side_car); // joins its thread before the broker goes away
         broker.shutdown();
-        (rate, reading)
+        rate
     }
 
     /// The feature's cost, the median of the pairs' ns per message, and
@@ -427,30 +400,16 @@ impl Gate {
         println!();
 
         let label = self.label;
-        let mut headers = vec![
-            "rep".to_owned(),
-            format!("{label} off (msg/s)"),
-            format!("{label} on (msg/s)"),
-            "ns/msg".to_owned(),
-        ];
-        headers.extend(self.after.map(|after| after.column.to_owned()));
-        let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
-        let mut table = Table::new(&headers);
-        let mut readings = Vec::new();
-        let pairs = paired(reps, |on| {
-            let (rate, reading) = self.measure(on);
-            readings.extend(reading);
-            rate
-        });
+        let (off, on) = (format!("{label} off (msg/s)"), format!("{label} on (msg/s)"));
+        let mut table = Table::new(&["rep", &off, &on, "ns/msg"]);
+        let pairs = paired(reps, |on| self.measure(on));
         for (rep, pair) in pairs.iter().enumerate() {
-            let mut cells = vec![
+            table.row_strings(vec![
                 (rep + 1).to_string(),
                 format!("{:.0}", pair.off),
                 format!("{:.0}", pair.on),
                 format!("{:+.1}", pair.ns_per_msg()),
-            ];
-            cells.extend(readings.get(rep).map(|reading| format!("{reading:.2}")));
-            table.row_strings(cells);
+            ]);
         }
         table.print();
 
@@ -460,10 +419,6 @@ impl Gate {
             "feature cost (median of paired diffs): {cost:+.1} ns/msg  [GATE: budget {:.0} ns/msg]",
             self.budget_ns
         );
-        let peak = readings.iter().copied().fold(0.0, f64::max);
-        if let Some(after) = self.after {
-            println!("{}", after.summary.replace("{}", &format!("{peak:.2}")));
-        }
 
         let outcome = if pass { "is within" } else { "exceeds" };
         println!("{}: {}", if pass { "PASS" } else { "FAIL" }, self.verdict.replace("{}", outcome));

@@ -36,14 +36,14 @@ use crate::pattern::TopicPattern;
 use crate::persist::{recover_topics, JournalRecord};
 use crate::probe::{NoProbe, Telemetry, Tsc, STAGE_SAMPLE_EVERY};
 use crate::reports::{
-    cost_anchor, model_text, shard_monitors_of, shard_reports_of, snapshot_of, ShardReport,
+    model_text, shard_anchors, shard_monitors_of, shard_reports_of, snapshot_of, ShardReport,
 };
 use crate::stats::{BrokerSnapshot, BrokerStats};
 use crate::subscriptions::{LiveFlag, LiveFlags, Sink, Subscriptions};
-use crate::topic_obs::{Account, TopicObservatory, TopicObservatorySnapshot, OTHER_TOPIC};
+use crate::topic_obs::{self, Account, TopicObservatorySnapshot, OTHER_TOPIC};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
-use rjms_core::ModelMonitor;
+use rjms_core::{ModelMonitor, ReplicationModel, ServerModel};
 use rjms_flow::{AdmissionOutcome, FlowGate};
 use rjms_journal::Journal;
 use rjms_metrics::{labeled, MetricsRegistry, RegistrySnapshot};
@@ -106,9 +106,7 @@ pub(crate) struct Topic {
     /// first [`PER_TOPIC_SERIES`] get a `broker.topic.*` pair of their own
     /// ([`topic_series`]).
     pub(crate) ordinal: usize,
-    /// The topic's own observatory account; `None` without an observatory
-    /// or beyond the first [`PER_TOPIC_SERIES`] topics
-    /// ([`TopicObservatory::lock_account`]).
+    /// The topic's observatory account; `None` without an observatory.
     pub(crate) account: Option<Account>,
 }
 
@@ -116,8 +114,8 @@ pub(crate) struct Topic {
 pub(crate) type TopicTable = RwLock<HashMap<String, Arc<Topic>>>;
 
 /// Topics beyond [`PER_TOPIC_SERIES`], the cap of both per-topic tables —
-/// the labeled series, and the observatory's accounts, which imply metrics
-/// — which share `__other__`. Topics are never deleted and take the slots
+/// the labeled series, and the observatory's rows, which imply metrics —
+/// which share `__other__`. Topics are never deleted and take the slots
 /// in creation order, so that is every topic past the cap.
 pub(crate) fn topics_overflowed(topics: usize) -> u64 {
     topics.saturating_sub(PER_TOPIC_SERIES) as u64
@@ -228,29 +226,25 @@ pub(crate) struct BrokerInner {
     /// Id source for publisher handles: the flow gate rate-limits per
     /// producer, so each [`Broker::publisher`] call gets a fresh identity.
     next_producer_id: AtomicU64,
-    /// The per-topic workload observatory, when enabled. A dispatcher
-    /// observes each dispatched message into its topic's account under
-    /// that account's lock (`probe.rs`); snapshots feed the `/topics`
-    /// endpoint and the skew analyzer.
-    pub(crate) topic_obs: Option<TopicObservatory>,
 }
 
 impl BrokerInner {
     fn topic_observatory(&self) -> Option<TopicObservatorySnapshot> {
-        self.topic_obs.as_ref().map(|o| o.snapshot(self.topics.read().values()))
+        self.config.topic_obs?;
+        let (topics, cost_model) = (self.topics.read(), self.config.cost_model);
+        let elapsed = self.started.elapsed();
+        Some(topic_obs::snapshot(topics.values(), elapsed, cost_model, &shard_anchors(self)))
     }
 
-    /// Builds a topic, created or recovered, after `existing` others: with
-    /// the observatory on, the first [`PER_TOPIC_SERIES`] of the broker's
-    /// topics get an account of their own, later ones share `__other__`.
+    /// Builds a topic, created or recovered, after `existing` others, with
+    /// an observatory account when the observatory is on.
     fn new_topic(&self, name: &str, subs: Subscriptions, existing: usize) -> Arc<Topic> {
-        let own_account = self.topic_obs.is_some() && existing < PER_TOPIC_SERIES;
         Arc::new(Topic {
             name: name.to_owned(),
             shard: shard_of(name, self.config.shards),
             subs: RwLock::new(subs),
             ordinal: existing,
-            account: own_account.then(Account::default),
+            account: self.config.topic_obs.map(|_| Account::default()),
             ..Topic::default()
         })
     }
@@ -364,13 +358,15 @@ impl Broker {
 
         // One admission lane per shard: each dispatcher is one M/GI/1
         // server, budgeted from its own measurement.
-        let flow = config.flow.map(|f| Arc::new(FlowGate::new(f, shards)));
+        // A lane's seed, if any, is the cost model's cheapest delivered
+        // message (`n_fltr = 0`, `R = 1`): no less than the spun model serves.
+        let seed = config.cost_model.map(|params| {
+            ServerModel::new(params, 0).service_time(ReplicationModel::deterministic(1.0))
+        });
+        let flow = config.flow.map(|f| Arc::new(FlowGate::new(f, shards, seed)));
         if let (Some(gate), Some(metrics)) = (&flow, &metrics) {
             gate.bind_registry(&metrics.registry);
         }
-
-        let topic_obs =
-            config.topic_obs.map(|_| TopicObservatory::new(cost_anchor(&config), shards));
 
         let mut publish_txs = Vec::with_capacity(shards);
         let mut publish_rxs = Vec::with_capacity(shards);
@@ -393,7 +389,6 @@ impl Broker {
             tracer,
             flow,
             next_producer_id: AtomicU64::new(1),
-            topic_obs,
         });
         let mut topics = inner.topics.write();
         for (name, subs) in recovered {
@@ -729,9 +724,11 @@ impl Broker {
     /// operating point compared against Eq. 1 + M/GI/1 evaluated for that
     /// shard alone (see [`ShardReport`]).
     ///
-    /// Requires metrics plus a cost anchor ([`BrokerConfig::flow`] or
-    /// [`BrokerConfig::cost_model`]); returns an empty vector otherwise.
-    /// With `shards == 1` the single report covers the whole broker.
+    /// Requires metrics; returns an empty vector otherwise. Each shard is
+    /// judged against its [`CostAnchor`](crate::CostAnchor):
+    /// [`BrokerConfig::cost_model`] when set, else the shard's own Eq. 1
+    /// fit (with the measured `c_var[B]`) past the regression's floor. With
+    /// `shards == 1` the single report covers the whole broker.
     pub fn shard_reports(&self) -> Vec<ShardReport> {
         shard_reports_of(&self.inner)
     }
@@ -858,7 +855,7 @@ impl BrokerObserver {
     /// grade per message so far; an idle shard's are 0): the models the
     /// shard reports judge with, for the SLO engine
     /// (`ObsCore::set_monitors`). One entry per shard, each `None` without
-    /// a cost anchor (the flow model's constants, else the cost model's).
+    /// [`BrokerConfig::cost_model`]: a shard's own fit anchors no alert.
     pub fn shard_monitors(&self) -> Vec<Option<ModelMonitor>> {
         shard_monitors_of(&self.inner)
     }
@@ -1180,7 +1177,7 @@ mod tests {
     use super::*;
     use crate::config::{MetricsConfig, OverflowPolicy};
     use crate::message::Priority;
-    use rjms_core::ModelVerdict;
+    use crate::CostAnchor;
 
     fn broker() -> Broker {
         let b = Broker::start(BrokerConfig::default());
@@ -1598,36 +1595,24 @@ mod tests {
         b.shutdown();
     }
 
-    #[test]
-    fn flow_gate_grants_within_budget_and_implies_metrics() {
-        let b = Broker::start(
-            BrokerConfig::builder().flow(crate::config::FlowConfig::default()).build(),
-        );
-        b.create_topic("t").unwrap();
-        // Flow implies metrics (each dispatcher refreshes its lane from its
-        // shard's histograms).
-        assert!(b.metrics().is_some());
-        let gate = b.flow().expect("gate present");
-        assert!(gate.lambda_max() > 0.0);
-        let p = b.publisher("t").unwrap();
-        for _ in 0..5 {
-            p.publish(Message::builder().build()).unwrap();
-        }
-        let snap = b.snapshot();
-        let flow = snap.flow.expect("flow counters present");
-        assert_eq!(flow.granted, 5);
-        assert_eq!(flow.shed + flow.deferred, 0);
-        b.shutdown();
+    /// A flow broker whose lane is seeded at Table I's 720 µs a message
+    /// (correlation-ID constants, 100 filters), all of it spun as `t_rcv`:
+    /// a budget of at most 1 390 msgs/s, a twentieth of a second of it in
+    /// the bucket.
+    fn slow_flow_broker() -> Broker {
+        let e_b = rjms_core::CostParams::CORRELATION_ID.mean_service_time(100, 1.0);
+        let config = BrokerConfig::builder().cost_model(rjms_core::CostParams::new(e_b, 0.0, 0.0));
+        Broker::start(config.flow(crate::config::FlowConfig::default()).build())
     }
 
-    /// The bucket holds a twentieth of a second of a budget of at most
-    /// 1 390 msgs/s (Table I constants, 100 filters): it drains after a few
-    /// dozen back-to-back publishes, and priority 0 maps to class 0 and is
-    /// shed. The snapshot's counters are the sums of the gate's per class.
+    /// The slow lane's bucket drains after a few dozen back-to-back
+    /// publishes, and priority 0 maps to class 0 and is shed. The
+    /// snapshot's counters are the sums of the gate's per class. Flow
+    /// implies metrics (each dispatcher refreshes its lane from them).
     #[test]
     fn flow_gate_sheds_lowest_class_under_burst_overload() {
-        let config = crate::config::FlowConfig::default();
-        let b = Broker::start(BrokerConfig::builder().flow(config).build());
+        let b = slow_flow_broker();
+        assert!(b.metrics().is_some());
         b.create_topic("t").unwrap();
         let p = b.publisher("t").unwrap();
         let mut shed = 0u64;
@@ -1658,8 +1643,7 @@ mod tests {
 
     #[test]
     fn try_publish_denied_hands_the_message_back() {
-        let config = crate::config::FlowConfig::default();
-        let b = Broker::start(BrokerConfig::builder().flow(config).build());
+        let b = slow_flow_broker();
         b.create_topic("t").unwrap();
         let p = b.publisher("t").unwrap();
         let mut denied = false;
@@ -1827,60 +1811,53 @@ mod tests {
         b.shutdown();
     }
 
+    /// With metrics on and no cost model every shard has a report, judged
+    /// against the shard's own Eq. 1 fit once that has its floor: one copy
+    /// per message pins the fit to `t_tx` = the mean service time, so the
+    /// model's predicted `E[B]` and `c_var[B]` are the measured ones, and
+    /// `/model` names the fit it used. The SLO engine gets no model.
     #[test]
-    fn shard_reports_cover_every_shard() {
+    fn without_a_cost_model_each_shard_is_judged_against_its_own_fit() {
         const SHARDS: usize = 2;
-        let b = Broker::start(
-            BrokerConfig::builder()
-                .shards(SHARDS)
-                .cost_model(rjms_core::CostParams::CORRELATION_ID)
-                .metrics(MetricsConfig::default())
-                .build(),
-        );
-        let topics = topic_per_shard(SHARDS);
-        let subs: Vec<_> = topics
-            .iter()
-            .map(|t| {
-                b.create_topic(t).unwrap();
-                b.subscription(t.as_str()).open().unwrap()
-            })
-            .collect();
-        for topic in &topics {
+        const MESSAGES: u64 = 1_200;
+        let config = BrokerConfig::builder().shards(SHARDS).metrics(MetricsConfig::default());
+        let b = Broker::start(config.subscriber_queue_capacity(2 * MESSAGES as usize).build());
+        let mut subscribers = Vec::new();
+        for topic in &topic_per_shard(SHARDS) {
+            b.create_topic(topic).unwrap();
+            subscribers.push(b.subscription(topic.as_str()).open().unwrap());
             let p = b.publisher(topic).unwrap();
-            for _ in 0..5 {
-                p.publish(Message::builder().build()).unwrap();
-            }
+            (0..MESSAGES).for_each(|_| p.publish(Message::builder().build()).unwrap());
         }
-        for sub in &subs {
-            for _ in 0..5 {
-                assert!(sub.receive_timeout(Duration::from_secs(2)).is_some());
-            }
-        }
-        // Histogram samples land after the dispatcher's idle flush; poll
-        // until both shards report all five.
-        let mut reports = b.shard_reports();
-        for _ in 0..200 {
-            if reports.len() == SHARDS && reports.iter().all(|r| r.samples == 5) {
+        let fitted = |r: &ShardReport| matches!(r.anchor, Some(CostAnchor::Fit(f)) if f.observations == MESSAGES);
+        for _ in 0..400 {
+            if b.shard_reports().iter().all(|r| fitted(r) && r.samples == MESSAGES) {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
-            reports = b.shard_reports();
         }
+        let reports = b.shard_reports();
         assert_eq!(reports.len(), SHARDS);
         for (shard, r) in reports.iter().enumerate() {
-            assert_eq!(r.shard, shard);
-            assert_eq!(r.samples, 5);
-            assert!(r.arrival_rate > 0.0);
-            assert!((r.replication_grade - 1.0).abs() < 1e-9);
-            // Far too few samples for a calibration verdict.
-            assert!(matches!(r.verdict, ModelVerdict::Insufficient { .. }));
+            assert_eq!((r.shard, r.replication_grade), (shard, 1.0));
+            let Some(CostAnchor::Fit(fit)) = r.anchor else { panic!("{r:?}") };
+            assert_eq!((fit.mode, fit.observations), (rjms_core::FitMode::FixedFilter, MESSAGES));
+            let report = r.verdict.report().unwrap_or_else(|| panic!("{:?}", r.verdict));
+            let error = report.predicted.mean_service_time / report.measured.mean_service_time;
+            assert!((error - 1.0).abs() < 1e-9, "shard {shard}: E[B] off by {error}");
+            let spread = report.predicted.service_cvar - report.measured.service_cvar;
+            assert!(spread.abs() < 1e-9, "shard {shard}: c_var[B] off by {spread}");
         }
+        assert!(b.observer().shard_monitors().iter().all(Option::is_none), "no SLO model");
+        let text = b.observer().model_text();
+        let named = format!("anchor: fit: fixed-fltr, {MESSAGES} observations\n");
+        assert_eq!(text.matches(&named).count(), SHARDS, "{text}");
         b.shutdown();
     }
 
     /// A topic denied a slot of its own in the per-topic tables is one
     /// overflowed topic, from its creation: of 67 topics under the cap of
-    /// 64, the last three share the `__other__` account and the `__other__`
+    /// 64, the last three share the `__other__` row and the `__other__`
     /// series.
     #[test]
     fn a_topic_beyond_the_cap_is_counted_as_overflowed_once() {

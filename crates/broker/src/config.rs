@@ -187,8 +187,9 @@ pub struct BrokerConfig {
     pub overflow_policy: OverflowPolicy,
     /// Optional synthetic CPU cost per message: the dispatcher busy-waits
     /// these Eq. 1 constants, `t_store` excepted, so that a saturated
-    /// broker's throughput follows Eq. 1 on any host. `None` runs the
-    /// broker at native speed.
+    /// broker's throughput follows Eq. 1 on any host. It anchors every
+    /// shard's model verdicts and seeds the flow gate's lanes. `None` runs
+    /// the broker at native speed, each shard judged against its own fit.
     pub cost_model: Option<CostParams>,
     /// Optional write-ahead persistence (see [`PersistenceConfig`]);
     /// `None` runs the broker purely in memory, as the seed model did.
@@ -203,7 +204,8 @@ pub struct BrokerConfig {
     /// Optional model-driven admission control (see [`FlowConfig`]);
     /// `None` admits every publish unconditionally. Enabling flow control
     /// auto-enables default metrics: each dispatcher re-inverts its shard's
-    /// admission lane from that shard's waiting and service histograms.
+    /// admission lane from that shard's waiting and service histograms;
+    /// until then a lane is seeded by the `cost_model`, or unbounded.
     pub flow: Option<FlowConfig>,
     /// Optional per-topic workload observatory (see [`TopicObsConfig`]);
     /// `None` keeps the dispatcher free of per-topic accounting. Enabling

@@ -327,11 +327,12 @@ mod tests {
     use super::*;
     use crate::config::{BrokerConfigBuilder, MetricsConfig, PersistenceConfig, TraceConfig};
     use crate::metrics::DispatcherScratch;
-    use crate::probe::tests::{ns, Virtual};
+    use crate::probe::tests::{fit_locks, ns, Virtual};
     use crate::probe::{NoProbe, Telemetry, Tsc, STAGE_SAMPLE_EVERY};
+    use crate::reports::{shard_monitor, totals, ZERO};
     use crate::subscriptions::LiveFlag;
-    use crate::topic_obs::{TopicObsConfig, TopicObservatory};
-    use crate::{shard_of, Broker, BrokerConfig, Filter, Subscriber};
+    use crate::topic_obs::{tests::account_locks as locked, TopicObsConfig};
+    use crate::{shard_of, Broker, BrokerConfig, CostAnchor, Filter, Subscriber};
     use crossbeam::channel::unbounded;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -592,7 +593,7 @@ mod tests {
 
     /// The observatory account locks the core takes for [`CLOCKED`]
     /// messages from `message` to a topic `t` created after `before` others,
-    /// and whether `t` has an account of its own.
+    /// and whether `t` has an account.
     fn account_locks(config: BrokerConfig, before: usize, message: fn() -> Message) -> (u64, bool) {
         let broker = Broker::start(config);
         for created in 0..before {
@@ -600,16 +601,16 @@ mod tests {
         }
         broker.create_topic("t").unwrap();
         let _subscriber = broker.subscription("t").open().unwrap();
-        let locks = counted(&broker, u64::MAX, message, TopicObservatory::account_locks);
+        let locks = counted(&broker, u64::MAX, message, locked);
         let own = broker.lookup("t").unwrap().account.is_some();
         broker.shutdown();
         (locks, own)
     }
 
-    /// With the observatory on, a dispatched message locks one account: its
-    /// topic's own, or its shard's `__other__` for a topic past the cap. An
-    /// expired message locks none, and without the observatory no message
-    /// does.
+    /// With the observatory on, a dispatched message locks one account, its
+    /// topic's, past the cap of the observatory's rows as well. An expired
+    /// message locks none, and without the observatory no message
+    /// does. The shard's estimator takes one lock per flush.
     #[test]
     fn a_dispatched_message_locks_one_observatory_account() {
         let observed = || BrokerConfig::builder().topic_obs(TopicObsConfig::default()).build();
@@ -617,10 +618,17 @@ mod tests {
         let expired = || Message::builder().time_to_live(Duration::ZERO).build();
         let past_the_cap = crate::metrics::PER_TOPIC_SERIES;
         assert_eq!(account_locks(observed(), 1, fresh), (CLOCKED, true));
-        assert_eq!(account_locks(observed(), past_the_cap, fresh), (CLOCKED, false));
+        assert_eq!(account_locks(observed(), past_the_cap, fresh), (CLOCKED, true));
         assert_eq!(account_locks(observed(), 1, expired), (0, true));
         let unobserved = BrokerConfig::builder().metrics(MetricsConfig::default()).build();
         assert_eq!(account_locks(unobserved, 1, fresh), (0, false));
+        // The shard's estimator is merged at a flush, not locked per
+        // message: the queued messages flush once, at exit.
+        let broker = Broker::start(observed());
+        broker.create_topic("t").unwrap();
+        assert_eq!(counted(&broker, u64::MAX, fresh, fit_locks), 1);
+        assert_eq!(broker.inner.metrics.as_ref().unwrap().fits[0].lock().rejected(), CLOCKED);
+        broker.shutdown();
     }
 
     /// A message stages four histogram records — its waiting, service and
@@ -663,7 +671,8 @@ mod tests {
     /// Subscription `j` of `n` takes the paper's range `[j;n]`, the first
     /// durably, so message `#R` is copied `R` times. Rows: a deterministic,
     /// a scaled-Bernoulli and a binomial `R`; and shard 1 of two under
-    /// `shard_scaling.rs`'s cluster model, M/D/1 at E[B] = 3 ms.
+    /// `shard_scaling.rs`'s cluster model, M/D/1 at E[B] = 3 ms. Each row's
+    /// shard, judged against its own Eq. 1 fit, is calibrated.
     #[test]
     fn the_core_on_virtual_time_is_the_lindley_recursion() {
         const MESSAGES: usize = 20_000;
@@ -761,8 +770,92 @@ mod tests {
             let errors = ratios.map(|ratio| ratio - 1.0);
             let within = errors.iter().zip(BOUNDS).all(|(error, bound)| error.abs() <= bound);
             assert!(within, "{row}: E[W], W99, backlog off by {errors:.4?}");
+
+            // Against its own fit, with the spread it measured (the
+            // scaled-Bernoulli row's `c_var[B]` 0.4 is past the 0.25 a
+            // spread-free prediction may miss by), the shard is calibrated.
+            let metrics = broker.inner.metrics.as_ref().unwrap();
+            let fit = CostAnchor::Fit(metrics.fits[shard].lock().fit(&ZERO).unwrap());
+            let (_, totals) = totals(&broker.inner.topics.read(), shards, |_, _| {});
+            let (waiting, service) = metrics.measurement(shard);
+            let monitor = shard_monitor(fit, &totals[shard], service.cvar());
+            let verdict = monitor.assess(&waiting, &service, Duration::from_nanos(at));
+            assert!(verdict.is_calibrated(), "{row}: {verdict:?}");
             broker.shutdown();
         }
+    }
+
+    /// The two-population workload of `tests/topic_observatory.rs` on
+    /// virtual time: topics with 16 and 8 `lvl >= i` selectors, `lvl`
+    /// cycling through `1..=n`, and spun costs of 200 / 200 / 300 µs, so
+    /// that every service time is exactly its Eq. 1 cost. Each topic row
+    /// (anchored on the cost model), the pooled fit and the shard's own
+    /// zero-anchored fit are the spun constants to float error, and every
+    /// verdict is stable. Then `t_tx` spins ten times as long, and the
+    /// shard fit's verdict against the cost model turns to drift at the
+    /// second round of 24 messages, where its `t_tx` is 35 % off (the
+    /// tolerance is 25 %).
+    #[test]
+    fn the_estimators_recover_the_spun_constants_and_see_a_step() {
+        let cost = CostParams::new(200e-6, 200e-6, 300e-6);
+        let config = BrokerConfig::builder().cost_model(cost).topic_obs(TopicObsConfig::default());
+        let broker = Broker::start(config.subscriber_queue_capacity(1 << 12).build());
+        let populations = [("wide", 16i64), ("narrow", 8)];
+        // Durable: a dispatcher's exit disconnects the plain ones.
+        let mut subscribers = Vec::new();
+        for (topic, filters) in populations {
+            broker.create_topic(topic).unwrap();
+            for i in 1..=filters {
+                let filter = Filter::selector(&format!("lvl >= {i}")).unwrap();
+                let subscription = broker.subscription(topic).filter(filter);
+                subscribers.push(subscription.durable(&format!("{topic}-{i}")).open().unwrap());
+            }
+        }
+        // Dispatches `rounds` rounds, each one message of every `lvl` on
+        // each topic (24 messages), with `t_tx` spun `scale` times as long.
+        let dispatch = |rounds, scale| {
+            let (publish_tx, publish_rx) = unbounded();
+            for _ in 0..rounds {
+                for (topic, filters) in populations {
+                    for lvl in 1..=filters {
+                        let message = Message::builder().property("lvl", lvl).build();
+                        publish_tx.send(item(&broker, topic, message)).unwrap();
+                    }
+                }
+            }
+            publish_tx.send(DispatchItem::Shutdown).unwrap();
+            let clock = Virtual { scaled: Some((cost.t_tx, scale)), ..Virtual::default() };
+            let probe = Telemetry::new(&broker.inner, 0, u64::MAX, clock).expect("metrics on");
+            run(&broker.inner, 0, &publish_rx, probe);
+            subscribers.iter().for_each(|s| drop(s.drain()));
+        };
+        let exact = |f: CostParams, what: &str| {
+            let ratios = [f.t_rcv / cost.t_rcv, f.t_fltr / cost.t_fltr, f.t_tx / cost.t_tx];
+            assert!(ratios.iter().all(|r| (r - 1.0).abs() < 1e-9), "{what}: {f:?}");
+        };
+        let shard_fit = || *broker.inner.metrics.as_ref().unwrap().fits[0].lock();
+
+        dispatch(50, 1.0);
+        let snap = broker.topic_observatory().expect("observatory on");
+        assert_eq!(snap.topics.len(), 2);
+        for row in &snap.topics {
+            exact(row.fitted.expect("a fit").params, &row.name);
+            assert_eq!(row.verdict.as_ref().map(|v| v.kind()), Some("stable"), "{}", row.name);
+        }
+        exact(snap.global_fitted.expect("a pooled fit").params, "pooled");
+        assert_eq!(snap.global_verdict.as_ref().map(|v| v.kind()), Some("stable"));
+        let fit = shard_fit().fit(&ZERO).expect("identifiable");
+        assert_eq!(fit.mode, rjms_core::FitMode::Full, "n_fltr and R both vary");
+        exact(fit.params, "shard");
+        assert_eq!(shard_fit().assess(&cost).kind(), "stable");
+
+        let mut stepped = 0;
+        while shard_fit().assess(&cost).kind() == "stable" && stepped < 48 {
+            dispatch(1, 10.0);
+            stepped += 24;
+        }
+        assert_eq!((stepped, shard_fit().assess(&cost).kind()), (48, "drift"));
+        broker.shutdown();
     }
 
     fn persistent_broker(tag: &str, fsync: FsyncPolicy, config: BrokerConfig) -> (Broker, PathBuf) {

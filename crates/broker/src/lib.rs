@@ -87,7 +87,7 @@ pub use error::{Error, TryPublishError};
 pub use filter::Filter;
 pub use message::{Message, MessageBuilder, MessageId, Priority};
 pub use pattern::TopicPattern;
-pub use reports::ShardReport;
+pub use reports::{CostAnchor, ShardReport};
 pub use rjms_flow::{AdmissionOutcome, FlowGate, FlowSnapshot};
 pub use rjms_journal::{FsyncPolicy, JournalConfig, JournalStats, RecoveryReport};
 pub use rjms_metrics::MetricsRegistry;

@@ -38,6 +38,8 @@
 //! `messages.received` and `messages.dispatched`; the `journal.*` series
 //! are the journal's own histograms.
 
+use parking_lot::Mutex;
+use rjms_core::CostRegression;
 use rjms_metrics::{
     clock, shard_series, Gauge, Histogram, HistogramSnapshot, LocalHistogram, MetricsRegistry,
     RegistrySnapshot,
@@ -69,6 +71,9 @@ pub(crate) struct BrokerMetrics {
     pub(crate) stages: [Arc<Histogram>; 4],
     /// Each shard's [`SHARD_HISTOGRAMS`], in shard order.
     pub(crate) shards: Vec<[Arc<Histogram>; 4]>,
+    /// Each shard's Eq. 1 estimator, the online [`CostRegression`] over its
+    /// messages' `(n_fltr, R, B)`, merged in at its dispatcher's flushes.
+    pub(crate) fits: Vec<Mutex<CostRegression>>,
 }
 
 impl BrokerMetrics {
@@ -94,6 +99,7 @@ impl BrokerMetrics {
             stages: ["rcv", "journal", "filter", "fanout"]
                 .map(|stage| registry.histogram(&format!("broker.stage.{stage}_ns"))),
             shards: per_shard,
+            fits: (0..shards).map(|_| Mutex::default()).collect(),
             registry,
         }
     }

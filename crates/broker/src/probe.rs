@@ -28,9 +28,9 @@ use crate::broker::{BrokerInner, DispatchItem, Topic};
 use crate::config::TraceConfig;
 use crate::message::Message;
 use crate::metrics::{BrokerMetrics, DispatcherScratch, FLUSH_EVERY};
-use crate::topic_obs::TopicObservatory;
+use crate::topic_obs;
 use crossbeam::channel::Receiver;
-use rjms_core::MeasuredSummary;
+use rjms_core::{CostRegression, MeasuredSummary};
 use rjms_flow::FlowGate;
 use rjms_metrics::{clock, Counter, HistogramSnapshot};
 use rjms_trace::{FlightRecorder, SpanEvent, Stage};
@@ -233,7 +233,6 @@ struct TraceSampler<'a> {
 /// stages, the journal's write among them, so it already carries `t_store`.
 struct LaneRefresh<'a> {
     gate: &'a FlowGate,
-    shard: usize,
     /// The tick the probe was made at: the origin of the measured window.
     origin: u64,
     /// The refresh interval in clock ticks, and the tick the next refresh
@@ -243,30 +242,34 @@ struct LaneRefresh<'a> {
 }
 
 impl LaneRefresh<'_> {
-    /// Refreshes the lane if it is due; one clock read either way.
-    fn at_flush(&mut self, metrics: &BrokerMetrics, clock: &impl Clock) {
+    /// Refreshes `shard`'s lane if it is due; one clock read either way.
+    fn at_flush(&mut self, metrics: &BrokerMetrics, shard: usize, clock: &impl Clock) {
         let stamp = clock.now();
         if stamp < self.due {
             return;
         }
         self.due = stamp.saturating_add(self.every);
-        let (waiting, service) = metrics.measurement(self.shard);
+        let (waiting, service) = metrics.measurement(shard);
         let window = Duration::from_nanos(clock.to_ns(stamp - self.origin));
         if let Some(measured) = MeasuredSummary::of(&waiting, &service, window) {
-            self.gate.refresh(self.shard, &measured);
+            self.gate.refresh(shard, &measured);
         }
     }
 }
 
-/// The probe of a broker with metrics on: histogram staging, sampled stage
-/// timing, tail-sampled tracing, the topics' observatory accounts and the
-/// refresh of the shard's admission lane, for one dispatcher thread.
+/// The probe of a broker with metrics on: histogram and estimator staging,
+/// sampled stage timing, tail-sampled tracing, the topics' observatory
+/// accounts and the refresh of the shard's admission lane, for one
+/// dispatcher thread.
 pub(crate) struct Telemetry<'a, C: Clock = Tsc> {
     clock: C,
     metrics: &'a BrokerMetrics,
-    /// Local staging for the per-message histograms, flushed on idle and
-    /// every [`FLUSH_EVERY`] messages (`staged` counts them).
+    shard: usize,
+    /// Local staging for the per-message histograms and the shard's
+    /// estimator, flushed on idle and every [`FLUSH_EVERY`] messages
+    /// (`staged` counts them).
     scratch: DispatcherScratch,
+    fit: CostRegression,
     staged: u64,
     stage_sampler: Countdown,
     /// The previous message's fan-out end. An already queued next message
@@ -274,7 +277,6 @@ pub(crate) struct Telemetry<'a, C: Clock = Tsc> {
     /// a second clock read per message.
     last_end: Option<u64>,
     trace: Option<TraceSampler<'a>>,
-    topic_obs: Option<&'a TopicObservatory>,
     lane: Option<LaneRefresh<'a>>,
 
     // State of the message in flight, reset by `on_dequeue`. Timestamps
@@ -324,17 +326,18 @@ impl<'a, C: Clock> Telemetry<'a, C> {
             let interval_ns = gate.config().refresh_interval_ms.max(1) as f64 * 1e6;
             let every = (interval_ns / clock.ns_per_tick()) as u64;
             let origin = clock.now();
-            LaneRefresh { gate, shard, origin, every, due: origin.saturating_add(every) }
+            LaneRefresh { gate, origin, every, due: origin.saturating_add(every) }
         });
         Some(Self {
             clock,
             metrics,
+            shard,
             scratch,
+            fit: CostRegression::new(),
             staged: 0,
             stage_sampler: Countdown::jittered(stage_sample_every),
             last_end: None,
             trace,
-            topic_obs: inner.topic_obs.as_ref(),
             lane,
             dispatch_start: 0,
             waiting: 0,
@@ -359,13 +362,17 @@ impl<'a, C: Clock> Telemetry<'a, C> {
         }
     }
 
-    /// Publishes the staged histogram samples, then refreshes the shard's
-    /// admission lane when that is due (flow control only).
+    /// Publishes the staged samples and observations (one estimator lock),
+    /// then refreshes the shard's admission lane when that is due (flow
+    /// control only).
     fn flush(&mut self) {
         self.staged = 0;
         self.scratch.flush();
+        #[cfg(test)]
+        tests::FIT_LOCKS.with(|locks| locks.set(locks.get() + 1));
+        self.metrics.fits[self.shard].lock().merge(&std::mem::take(&mut self.fit));
         if let Some(lane) = &mut self.lane {
-            lane.at_flush(self.metrics, &self.clock);
+            lane.at_flush(self.metrics, self.shard, &self.clock);
         }
     }
 
@@ -488,10 +495,11 @@ impl<C: Clock> DispatchProbe for Telemetry<'_, C> {
         let service = self.clock.to_ns(end.saturating_sub(self.dispatch_start));
         let sojourn = self.waiting.saturating_add(service);
         self.scratch.record(self.waiting, service, sojourn);
-        if let Some(observatory) = self.topic_obs {
-            let evaluations = done.evaluations.min(u64::from(u32::MAX)) as u32;
-            let (copies, service_secs) = (done.copies as f64, service as f64 * 1e-9);
-            observatory.lock_account(done.topic).observe(evaluations, copies, service_secs);
+        let evaluations = done.evaluations.min(u64::from(u32::MAX)) as u32;
+        let (copies, service_secs) = (done.copies as f64, service as f64 * 1e-9);
+        self.fit.observe(evaluations, copies, service_secs);
+        if let Some(account) = &done.topic.account {
+            topic_obs::lock(account).observe(evaluations, copies, service_secs);
         }
         self.staged += 1;
         if self.staged >= FLUSH_EVERY {
@@ -534,18 +542,25 @@ pub(crate) mod tests {
 
     thread_local! {
         static READS: Cell<u64> = const { Cell::new(0) };
+        pub(super) static FIT_LOCKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// How many shard estimator locks this thread's flushes have taken.
+    pub(crate) fn fit_locks() -> u64 {
+        FIT_LOCKS.with(Cell::get)
     }
 
     /// Virtual time in ns, its readings counted on this thread: a spin adds
-    /// its term, the idle wait jumps to the first of `arrivals`, and each
-    /// reading first sends every arrival due by then to `queue`, stamped
-    /// with its arrival time, so the backlog a message leaves is what
-    /// arrived while it waited.
+    /// its term (a spin of `scaled`'s term that many times over), the idle
+    /// wait jumps to the first of `arrivals`, and each reading first sends
+    /// every arrival due by then to `queue`, stamped with its arrival time,
+    /// so the backlog a message leaves is what arrived while it waited.
     #[derive(Default)]
     pub(crate) struct Virtual {
         pub(crate) now: Cell<u64>,
         pub(crate) arrivals: RefCell<VecDeque<(u64, DispatchItem)>>,
         pub(crate) queue: Option<Sender<DispatchItem>>,
+        pub(crate) scaled: Option<(f64, f64)>,
     }
 
     impl Virtual {
@@ -575,7 +590,8 @@ pub(crate) mod tests {
             1.0
         }
         fn spin(&self, seconds: f64) {
-            self.now.set(self.now.get() + ns(seconds));
+            let scale = self.scaled.filter(|(term, _)| *term == seconds).map_or(1.0, |(_, k)| k);
+            self.now.set(self.now.get() + ns(seconds * scale));
         }
         fn wait(&self, queue: &Receiver<DispatchItem>) -> Option<DispatchItem> {
             self.now.set(self.arrivals.borrow().front()?.0);
@@ -763,8 +779,8 @@ pub(crate) mod tests {
 
     /// With flow on, a dispatcher re-inverts its own shard's admission lane
     /// at its first flush after the refresh interval, from what that shard
-    /// has flushed: a shard short of the samples a summary needs stays on
-    /// the seed budget, and before the interval has passed nothing is
+    /// has flushed: a shard short of the samples a summary needs stays
+    /// unseeded, and before the interval has passed nothing is
     /// refreshed. A flush reads the clock once with flow on and never
     /// without.
     #[test]
@@ -803,7 +819,7 @@ pub(crate) mod tests {
         let gated = flow(1);
         let seed = gated.flow().unwrap().shard_budget(1);
         assert_eq!(dispatch(&gated, 1, MIN_SAMPLES - 1), 1);
-        assert_eq!(lane(&gated), ("analytic", 0), "a shard short of samples was re-inverted");
+        assert_eq!(lane(&gated), ("unseeded", 0), "a shard short of samples was re-inverted");
         assert_eq!(dispatch(&gated, 0, MIN_SAMPLES), 1);
         let (source, refreshes) = lane(&gated);
         assert!(source == "measured" && refreshes >= 1, "{source} after {refreshes} refreshes");
@@ -813,7 +829,7 @@ pub(crate) mod tests {
         // The overhead gate's interval: no refresh is due within the test.
         let gated = flow(60_000);
         assert_eq!(dispatch(&gated, 0, MIN_SAMPLES), 1);
-        assert_eq!(lane(&gated), ("analytic", 0));
+        assert_eq!(lane(&gated), ("unseeded", 0));
         gated.shutdown();
 
         let (broker, _) = broker();

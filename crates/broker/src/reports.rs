@@ -5,16 +5,19 @@
 //! periodic text report and the per-shard monitors handed to the SLO engine
 //! all read it from here; each shard's measurement is its dispatcher's own
 //! two histograms (`BrokerMetrics::measurement`), which the dispatcher
-//! itself also reads to refresh its admission lane (`probe.rs`). Nothing
+//! itself also reads to refresh its admission lane (`probe.rs`); its Eq. 1
+//! constants are its [`CostAnchor`], which `/topics` judges by too. Nothing
 //! here runs on the dispatch path.
 
 use crate::broker::{topics_overflowed, BrokerInner, Topic};
-use crate::config::BrokerConfig;
 use crate::stats::{
     per_message, BrokerSnapshot, FlowCounters, MessageCounters, ShardSnapshot,
     SubscriptionCounters, TopicStats,
 };
-use rjms_core::{CostParams, ModelMonitor, ModelVerdict, ReplicationModel, ServerModel};
+use rjms_core::regression::{CostRegression, FittedCosts, MIN_SAMPLES};
+use rjms_core::{
+    measured_service, CostParams, ModelMonitor, ModelVerdict, ReplicationModel, ServerModel,
+};
 use rjms_metrics::clock;
 use rjms_trace::{group_chains, FlightRecorder};
 use std::collections::{BTreeMap, HashMap};
@@ -127,18 +130,51 @@ pub struct ShardReport {
     pub filters: f64,
     /// Measured replication grade `E[R]` on this shard.
     pub replication_grade: f64,
+    /// The Eq. 1 constants the verdict is judged against, if any yet.
+    pub anchor: Option<CostAnchor>,
     /// The model verdict at the shard's measured operating point; the
     /// `Calibrated`/`Drift` variants carry the full measured-vs-predicted
-    /// comparison.
+    /// comparison. Without an anchor, the fit's observations `Insufficient`
+    /// for the regression's floor.
     pub verdict: ModelVerdict,
 }
 
-/// The Eq. 1 constants model verdicts are anchored on: the flow gate's seed
-/// params (`FlowConfig::params`, which only set its first budget) when flow
-/// control is on, the synthetic cost model otherwise, none when the broker
-/// runs at native speed unmodeled.
-pub(crate) fn cost_anchor(config: &BrokerConfig) -> Option<CostParams> {
-    config.flow.as_ref().map(|flow| flow.params).or(config.cost_model)
+/// Where a shard's Eq. 1 constants come from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CostAnchor {
+    /// [`BrokerConfig::cost_model`](crate::BrokerConfig::cost_model).
+    CostModel(CostParams),
+    /// The shard's own zero-anchored online fit over all its messages.
+    Fit(FittedCosts),
+}
+
+impl CostAnchor {
+    /// The constants themselves.
+    pub fn params(&self) -> CostParams {
+        match self {
+            Self::CostModel(params) => *params,
+            Self::Fit(fit) => fit.params,
+        }
+    }
+}
+
+/// Zero constants: what a fit is anchored on without a cost model, so that
+/// its slopes absorb the (native, sub-microsecond) intercept.
+pub(crate) const ZERO: CostParams = CostParams { t_rcv: 0.0, t_fltr: 0.0, t_tx: 0.0, t_store: 0.0 };
+
+/// Every shard's estimator (empty without metrics) and the anchor it
+/// gives, in shard order: the cost model when one is configured, else the
+/// shard's own fit once it has the regression's floor and is identifiable
+/// against [`ZERO`].
+pub(crate) fn shard_anchors(inner: &BrokerInner) -> Vec<(CostRegression, Option<CostAnchor>)> {
+    let anchor = |shard: usize| {
+        let fit =
+            inner.metrics.as_ref().map_or_else(CostRegression::new, |m| *m.fits[shard].lock());
+        let own = (fit.len() >= MIN_SAMPLES).then(|| fit.fit(&ZERO).ok()).flatten();
+        let anchor = inner.config.cost_model.map(CostAnchor::CostModel);
+        (fit, anchor.or(own.map(CostAnchor::Fit)))
+    };
+    (0..inner.config.shards).map(anchor).collect()
 }
 
 /// A shard's measured operating point: its mean filter evaluations and
@@ -148,35 +184,40 @@ fn operating_point(total: &ShardSnapshot) -> (f64, f64) {
     (filters, total.replication_grade().unwrap_or(0.0))
 }
 
-/// The workspace's one assessment: Eq. 1 + M/GI/1 anchored on `params`,
+/// The workspace's one assessment: Eq. 1 + M/GI/1 anchored on `anchor`,
 /// evaluated at one shard's measured operating point — its filters per
-/// message (rounded) and its replication grade. Each dispatcher is one
-/// server, so the shard reports and the SLO engine
-/// ([`shard_monitors_of`]) judge every shard with its own.
-fn shard_monitor(params: CostParams, total: &ShardSnapshot) -> ModelMonitor {
+/// message (rounded) and its replication grade, `R` deterministic at it.
+/// A fit has measured `E[B]` but no spread: its `E[B]` goes with the
+/// measured `c_var[B]` (`cvar`), rebuilt as the flow controller rebuilds
+/// its service time (an idle fit, `E[B]` = 0, has none to rebuild).
+pub(crate) fn shard_monitor(anchor: CostAnchor, total: &ShardSnapshot, cvar: f64) -> ModelMonitor {
     let (filters, grade) = operating_point(total);
-    let model = ServerModel::new(params, filters.round() as u32);
-    ModelMonitor::new(model, ReplicationModel::deterministic(grade))
+    let model = ServerModel::new(anchor.params(), filters.round() as u32);
+    let service = model.service_time(ReplicationModel::deterministic(grade));
+    ModelMonitor::for_service_time(match anchor {
+        CostAnchor::CostModel(_) => service,
+        CostAnchor::Fit(_) => measured_service(service.mean(), cvar).unwrap_or(service),
+    })
 }
 
 /// The models behind
 /// [`BrokerObserver::shard_monitors`](crate::BrokerObserver::shard_monitors):
-/// one entry per dispatcher shard, each `None` without a cost anchor.
+/// one entry per dispatcher shard, each `None` without a cost model. Against
+/// a fit only the queue can disagree, and M/GI/1 has no term for the
+/// dispatcher's wake-up, a native shard's whole `E[W]`: the SLO engine
+/// pages on a configured model only.
 pub(crate) fn shard_monitors_of(inner: &BrokerInner) -> Vec<Option<ModelMonitor>> {
-    let params = cost_anchor(&inner.config);
     let (_, per_shard) = totals(&inner.topics.read(), inner.config.shards, |_, _| {});
-    per_shard.iter().map(|total| Some(shard_monitor(params?, total))).collect()
+    let anchor = inner.config.cost_model.map(CostAnchor::CostModel);
+    per_shard.iter().map(|total| Some(shard_monitor(anchor?, total, 0.0))).collect()
 }
 
 /// Builds the per-shard model reports behind
-/// [`Broker::shard_reports`](crate::Broker::shard_reports): none when
-/// metrics are off (nothing measured) or no cost anchor exists (Eq. 1 has
-/// no constants to predict with).
+/// [`Broker::shard_reports`](crate::Broker::shard_reports): one per shard,
+/// none when metrics are off (nothing measured).
 pub(crate) fn shard_reports_of(inner: &BrokerInner) -> Vec<ShardReport> {
-    let (Some(metrics), Some(params)) = (&inner.metrics, cost_anchor(&inner.config)) else {
-        return Vec::new();
-    };
-    let elapsed = inner.started.elapsed();
+    let Some(metrics) = &inner.metrics else { return Vec::new() };
+    let (elapsed, anchors) = (inner.started.elapsed(), shard_anchors(inner));
     let (_, per_shard) = totals(&inner.topics.read(), inner.config.shards, |_, _| {});
     per_shard
         .iter()
@@ -184,39 +225,54 @@ pub(crate) fn shard_reports_of(inner: &BrokerInner) -> Vec<ShardReport> {
         .map(|(shard, total)| {
             let (waiting, service) = metrics.measurement(shard);
             let (filters, replication_grade) = operating_point(total);
-            let verdict = shard_monitor(params, total).assess(&waiting, &service, elapsed);
+            let (fit, anchor) = anchors[shard];
+            let verdict = match anchor {
+                Some(a) => {
+                    shard_monitor(a, total, service.cvar()).assess(&waiting, &service, elapsed)
+                }
+                None => ModelVerdict::Insufficient { samples: fit.len(), required: MIN_SAMPLES },
+            };
             let samples = waiting.count;
             let secs = elapsed.as_secs_f64();
             let arrival_rate = if secs > 0.0 { samples as f64 / secs } else { 0.0 };
-            ShardReport { shard, samples, arrival_rate, filters, replication_grade, verdict }
+            ShardReport {
+                shard,
+                samples,
+                arrival_rate,
+                filters,
+                replication_grade,
+                anchor,
+                verdict,
+            }
         })
         .collect()
 }
 
 /// Renders the `/model` text and the periodic report's model check from
 /// the per-shard reports: per shard that has served messages, the verdict
-/// line and the measured-vs-predicted table (prefixed `shard i` on a
-/// sharded broker); after a `Drift`, the recorder's slowest chains, so the
-/// spans of the tail that produced the anomaly survive. Empty when there
-/// is nothing to assess.
+/// line (prefixed `shard i` on a sharded broker), the anchor it was judged
+/// against and the measured-vs-predicted table; after a `Drift`, the
+/// recorder's slowest chains, so the spans of the tail that produced the
+/// anomaly survive. Empty when there is nothing to assess.
 pub(crate) fn model_text(reports: &[ShardReport], recorder: Option<&FlightRecorder>) -> String {
     let mut out = String::new();
     for r in reports.iter().filter(|r| r.samples > 0) {
         if reports.len() > 1 {
             let _ = write!(out, "shard {} ", r.shard);
         }
-        match &r.verdict {
-            ModelVerdict::Calibrated(report) => {
-                out.push_str("model check: CALIBRATED (all within tolerance)\n");
-                out.push_str(&report.render_text());
-            }
-            ModelVerdict::Drift(report) => {
-                out.push_str("model check: DRIFT\n");
-                out.push_str(&report.render_text());
-            }
-            verdict => {
-                let _ = writeln!(out, "model check: {verdict:?}");
-            }
+        let verdict = match &r.verdict {
+            ModelVerdict::Calibrated(_) => "CALIBRATED (all within tolerance)".to_owned(),
+            ModelVerdict::Drift(_) => "DRIFT".to_owned(),
+            verdict => format!("{verdict:?}"),
+        };
+        let anchor = match r.anchor {
+            Some(CostAnchor::CostModel(_)) => "cost model".to_owned(),
+            Some(CostAnchor::Fit(f)) => format!("fit: {}, {} observations", f.mode, f.observations),
+            None => "none".to_owned(),
+        };
+        let _ = writeln!(out, "model check: {verdict}\nanchor: {anchor}");
+        if let Some(report) = r.verdict.report() {
+            out.push_str(&report.render_text());
         }
     }
     let drift = reports.iter().any(|r| matches!(r.verdict, ModelVerdict::Drift(_)));
@@ -274,6 +330,7 @@ mod tests {
             arrival_rate: 12_000.0,
             filters: 1.0,
             replication_grade: 1.0,
+            anchor: Some(CostAnchor::CostModel(CostParams::CORRELATION_ID)),
             verdict,
         };
         verdicts.into_iter().enumerate().map(report).collect()
@@ -282,18 +339,24 @@ mod tests {
     #[test]
     fn model_text_is_one_block_per_shard_that_served() {
         let table = |v: &ModelVerdict| v.report().expect("busy").render_text();
-        // One shard: the text the periodic report has always ended with.
+        // One shard: the verdict, the anchor, the table.
         let calibrated = busy(0.3, Calibrated);
-        let expected =
-            format!("model check: CALIBRATED (all within tolerance)\n{}", table(&calibrated));
+        let expected = format!(
+            "model check: CALIBRATED (all within tolerance)\nanchor: cost model\n{}",
+            table(&calibrated)
+        );
         assert_eq!(model_text(&reports(vec![calibrated]), None), expected);
         // Several: a block each, labeled; recorder chains after a drift.
         let recorder = FlightRecorder::new(16);
         let overloaded = ModelVerdict::Overloaded { utilization: 1.25 };
-        let text = model_text(&reports(vec![busy(0.4, Drift), overloaded]), Some(&recorder));
-        let drift = format!("shard 0 model check: DRIFT\n{}", table(&busy(0.4, Drift)));
+        let mut several = reports(vec![busy(0.4, Drift), overloaded]);
+        several[1].anchor = None;
+        let text = model_text(&several, Some(&recorder));
+        let drift =
+            format!("shard 0 model check: DRIFT\nanchor: cost model\n{}", table(&busy(0.4, Drift)));
         assert!(text.starts_with(&drift), "{text}");
-        assert!(text.contains("\nshard 1 model check: Overloaded { utilization: 1.25 }\n"));
+        let overloaded = "\nshard 1 model check: Overloaded { utilization: 1.25 }\nanchor: none\n";
+        assert!(text.contains(overloaded), "{text}");
         assert!(text.contains("drift traces (slowest sampled chains):\n  (recorder empty)\n"));
         // A shard that has served nothing has nothing to assess.
         let mut idle = reports(vec![IDLE]);

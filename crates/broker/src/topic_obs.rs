@@ -6,29 +6,32 @@
 //! per-topic accounting table: for each topic it accumulates the arrival
 //! count, the realized filter evaluations and replication grade, and an
 //! online [`CostRegression`] over the measured `(n_fltr, R, B)` triples —
-//! enough to fit each topic's own cost constants and to measure each
-//! shard's share of the offered load ([`TopicObservatorySnapshot::skew`]).
+//! enough to fit each topic's own cost constants, judge them against its
+//! shard's anchor and measure each shard's share of the offered load
+//! ([`TopicObservatorySnapshot::skew`]); the pooled fit merges the shards' own.
 //!
-//! Cardinality is capped by the Prometheus exporter's per-topic series cap,
-//! and in the same place: the first [`PER_TOPIC_SERIES`](crate::PER_TOPIC_SERIES)
-//! topics are given an [`Account`] of their own when they are created (by
-//! the broker's one topic constructor), every later topic accounts into its
-//! shard's `__other__` (so its load still lands on the right shard in the
-//! skew measurement).
+//! Every topic has an [`Account`] while the observatory is on, assigned by
+//! the broker's one topic constructor. The rows' cardinality is capped by
+//! the Prometheus exporter's per-topic series cap, and in the same place:
+//! the first [`PER_TOPIC_SERIES`] topics created have a row of their own,
+//! every later one pools into its shard's `__other__` row (so its load
+//! still lands on the right shard in the skew measurement).
 //!
 //! An account has one writer: a topic's messages all pass through its
-//! shard's dispatcher, and so do those of every topic sharing that shard's
-//! `__other__`. The per-message cost is therefore an uncontended lock and a
-//! dozen floating-point adds (gated by the `ext_overhead` benchmark's
-//! `topic_obs` gate); only a snapshot ever makes a dispatcher wait.
+//! shard's dispatcher. The per-message cost is therefore an uncontended
+//! lock and a dozen floating-point adds (gated by the `ext_overhead`
+//! benchmark's `topic_obs` gate); only a snapshot ever makes a dispatcher
+//! wait.
 
 use crate::broker::Topic;
+use crate::metrics::PER_TOPIC_SERIES;
+use crate::reports::{CostAnchor, ZERO};
 use parking_lot::{Mutex, MutexGuard};
 use rjms_core::params::CostParams;
 use rjms_core::regression::{CostRegression, FittedCosts, RegressionVerdict};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Name of the overflow bucket rows (same label as the metrics exporter).
 pub const OTHER_TOPIC: &str = "__other__";
@@ -53,106 +56,74 @@ pub struct TopicObsConfig {}
 /// Max/mean shard-load ratio above which [`Skew::skewed`] is set.
 pub const FLAG_RATIO: f64 = 1.25;
 
-/// The accumulated workload observations of one topic, or of the topics
-/// that share a shard's `__other__`; written by that shard's dispatcher.
+/// The accumulated workload observations of one topic, written by its
+/// shard's dispatcher.
 pub(crate) type Account = Mutex<CostRegression>;
 
-/// The broker's per-topic workload observatory: reference params and the
-/// accounts no single topic owns.
-#[derive(Debug)]
-pub(crate) struct TopicObservatory {
-    anchor: Option<CostParams>,
-    started: Instant,
-    /// Per-shard overflow buckets, so collapsed topics still contribute
-    /// their load to the right shard.
-    other: Vec<Account>,
+/// Locks `account`; test builds count the locks.
+pub(crate) fn lock(account: &Account) -> MutexGuard<'_, CostRegression> {
+    #[cfg(test)]
+    tests::ACCOUNT_LOCKS.with(|locks| locks.set(locks.get() + 1));
+    account.lock()
 }
 
-impl TopicObservatory {
-    pub(crate) fn new(anchor: Option<CostParams>, shards: usize) -> Self {
-        let other = (0..shards.max(1)).map(|_| Account::default()).collect();
-        Self { anchor, started: Instant::now(), other }
+/// Snapshots the broker's `topics` into self-contained rows, one per
+/// topic or `__other__` pool that has seen a message, each judged against
+/// its shard's anchor; `elapsed` is the broker's uptime, `anchors` its
+/// shards' estimators and anchors (`reports.rs::shard_anchors`), and the
+/// pooled fit is judged against `cost_model`.
+pub(crate) fn snapshot<'a>(
+    topics: impl Iterator<Item = &'a Arc<Topic>>,
+    elapsed: Duration,
+    cost_model: Option<CostParams>,
+    anchors: &[(CostRegression, Option<CostAnchor>)],
+) -> TopicObservatorySnapshot {
+    let mut other = vec![CostRegression::new(); anchors.len()];
+    let (mut accounts, mut overflowed_topics) = (Vec::new(), 0);
+    for topic in topics {
+        let Some(account) = &topic.account else { continue };
+        if topic.ordinal < PER_TOPIC_SERIES {
+            accounts.push((topic.name.as_str(), topic.shard, *account.lock()));
+        } else {
+            other[topic.shard].merge(&account.lock());
+            overflowed_topics += 1;
+        }
     }
-
-    /// Locks where `topic`'s messages are accounted: its own account, else
-    /// its shard's `__other__`. Test builds count the locks
-    /// (`account_locks`).
-    pub(crate) fn lock_account<'a>(&'a self, topic: &'a Topic) -> MutexGuard<'a, CostRegression> {
-        #[cfg(test)]
-        tests::ACCOUNT_LOCKS.with(|locks| locks.set(locks.get() + 1));
-        topic.account.as_ref().unwrap_or(&self.other[topic.shard]).lock()
-    }
-
-    /// How many accounts [`lock_account`](Self::lock_account) has locked on
-    /// this thread (test builds).
-    #[cfg(test)]
-    pub(crate) fn account_locks() -> u64 {
-        tests::ACCOUNT_LOCKS.with(std::cell::Cell::get)
-    }
-
-    /// Snapshots the accounts into self-contained rows, one per account
-    /// that has seen a message; `topics` are the broker's.
-    pub(crate) fn snapshot<'a>(
-        &self,
-        topics: impl Iterator<Item = &'a Arc<Topic>>,
-    ) -> TopicObservatorySnapshot {
-        let elapsed = self.started.elapsed();
-        let other = self.other.iter().enumerate();
-        let mut accounts: Vec<_> =
-            other.map(|(shard, a)| (OTHER_TOPIC, shard, *a.lock())).collect();
-        let mut overflowed_topics = 0;
-        for topic in topics {
-            match &topic.account {
-                Some(own) => accounts.push((&topic.name, topic.shard, *own.lock())),
-                None => overflowed_topics += 1,
+    accounts.extend(other.into_iter().enumerate().map(|(shard, pool)| (OTHER_TOPIC, shard, pool)));
+    let secs = elapsed.as_secs_f64();
+    let mut rows: Vec<_> = accounts
+        .into_iter()
+        .map(|(name, shard, reg)| (name, shard, reg, reg.len() + reg.rejected()))
+        .filter(|&(.., messages)| messages > 0)
+        .map(|(name, shard, reg, messages)| {
+            // Without an anchor the zero one lets the slopes absorb the
+            // intercept, and no verdict is rendered.
+            let anchor = anchors.get(shard).and_then(|(_, a)| a.map(|a| a.params()));
+            TopicObsRow {
+                name: name.to_owned(),
+                shard,
+                messages,
+                arrival_rate: if secs > 0.0 { messages as f64 / secs } else { 0.0 },
+                mean_filters: reg.mean_filters(),
+                mean_replication: reg.mean_replication(),
+                mean_service_time: reg.mean_service_time(),
+                fitted: reg.fit(&anchor.unwrap_or(ZERO)).ok(),
+                verdict: anchor.map(|a| reg.assess(&a)),
             }
-        }
-        let mut global = CostRegression::new();
-        let mut rows = Vec::new();
-        for (name, shard, regression) in &accounts {
-            if regression.len() + regression.rejected() > 0 {
-                global.merge(regression);
-                rows.push(self.summarize(name, *shard, regression, elapsed));
-            }
-        }
-        // Deterministic order: busiest first, name as tie-break.
-        rows.sort_by(|a, b| b.messages.cmp(&a.messages).then_with(|| a.name.cmp(&b.name)));
-        let global_row = self.summarize(OTHER_TOPIC, 0, &global, elapsed);
-        TopicObservatorySnapshot {
-            elapsed,
-            anchor: self.anchor,
-            shards: self.other.len(),
-            overflowed_topics,
-            global_fitted: global_row.fitted,
-            global_verdict: global_row.verdict,
-            topics: rows,
-        }
-    }
-
-    fn summarize(
-        &self,
-        name: &str,
-        shard: usize,
-        reg: &CostRegression,
-        elapsed: Duration,
-    ) -> TopicObsRow {
-        // Anchored fits need reference params; without any configured cost
-        // model the zero anchor lets the slopes absorb the (native,
-        // sub-microsecond) intercept, and no verdict is rendered.
-        let fit_anchor = self.anchor.unwrap_or_else(|| CostParams::new(0.0, 0.0, 0.0));
-        let messages = reg.len() + reg.rejected();
-        let secs = elapsed.as_secs_f64();
-        TopicObsRow {
-            name: name.to_string(),
-            shard,
-            messages,
-            arrival_rate: if secs > 0.0 { messages as f64 / secs } else { 0.0 },
-            mean_filters: reg.mean_filters(),
-            mean_replication: reg.mean_replication(),
-            mean_service_time: reg.mean_service_time(),
-            fitted: reg.fit(&fit_anchor).ok(),
-            verdict: self.anchor.map(|a| reg.assess(&a)),
-        }
+        })
+        .collect();
+    // Deterministic order: busiest first, name as tie-break.
+    rows.sort_by(|a, b| b.messages.cmp(&a.messages).then_with(|| a.name.cmp(&b.name)));
+    let mut global = CostRegression::new();
+    anchors.iter().for_each(|(fit, _)| global.merge(fit));
+    TopicObservatorySnapshot {
+        elapsed,
+        anchor: cost_model,
+        shards: anchors.len(),
+        overflowed_topics,
+        global_fitted: global.fit(&cost_model.unwrap_or(ZERO)).ok(),
+        global_verdict: cost_model.map(|a| global.assess(&a)),
+        topics: rows,
     }
 }
 
@@ -161,18 +132,20 @@ impl TopicObservatory {
 pub struct TopicObservatorySnapshot {
     /// Time since the broker started (the denominator of the rates).
     pub elapsed: Duration,
-    /// The configured reference params the verdicts compare against
-    /// (`None` when the broker runs at native speed with no flow model).
+    /// The configured cost model (`None` at native speed): the pooled
+    /// fit's verdict compares against it. Each row is judged against its
+    /// shard's anchor, this cost model when there is one.
     pub anchor: Option<CostParams>,
     /// Number of dispatcher shards.
     pub shards: usize,
     /// Topics created beyond the [`PER_TOPIC_SERIES`](crate::PER_TOPIC_SERIES)
     /// cap, which account into their shard's `__other__` row.
     pub overflowed_topics: u64,
-    /// The fit over *all* observations pooled (n_fltr varies across
-    /// topics, so this is where the full 3-parameter fit is identifiable).
+    /// The fit over *all* observations pooled: the shards' estimators
+    /// merged (n_fltr varies across topics, so this is where the full
+    /// 3-parameter fit is identifiable).
     pub global_fitted: Option<FittedCosts>,
-    /// Verdict for the pooled fit (`None` without an anchor).
+    /// Verdict for the pooled fit (`None` without a cost model).
     pub global_verdict: Option<RegressionVerdict>,
     /// Per-topic rows, busiest first; overflow buckets appear as
     /// [`OTHER_TOPIC`] rows (one per shard with traffic).
@@ -255,48 +228,57 @@ pub struct TopicObsRow {
     pub mean_service_time: f64,
     /// The adaptive online fit (when identifiable).
     pub fitted: Option<FittedCosts>,
-    /// Confidence-gated verdict vs the anchor (`None` without an anchor).
+    /// Confidence-gated verdict vs the shard's anchor (`None` without
+    /// one).
     pub verdict: Option<RegressionVerdict>,
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::cell::Cell;
 
     thread_local! {
-        /// [`TopicObservatory::account_locks`].
         pub(super) static ACCOUNT_LOCKS: Cell<u64> = const { Cell::new(0) };
     }
 
-    fn observatory(shards: usize) -> TopicObservatory {
-        TopicObservatory::new(Some(CostParams::CORRELATION_ID), shards)
+    /// How many accounts [`lock`] has locked on this thread.
+    pub(crate) fn account_locks() -> u64 {
+        ACCOUNT_LOCKS.with(Cell::get)
     }
 
-    /// A topic on `shard`, with an account of its own if `own`.
+    /// A snapshot of `topics` on `shards` 2 s in, every shard anchored on
+    /// Table I's constants.
+    fn snapshot(shards: usize, topics: &[Arc<Topic>]) -> TopicObservatorySnapshot {
+        let anchor =
+            (CostRegression::new(), Some(CostAnchor::CostModel(CostParams::CORRELATION_ID)));
+        let (elapsed, cost_model) = (Duration::from_secs(2), Some(CostParams::CORRELATION_ID));
+        super::snapshot(topics.iter(), elapsed, cost_model, &vec![anchor; shards])
+    }
+
+    /// A topic on `shard`, with a row of its own if `own`.
     fn topic(name: &str, shard: usize, own: bool) -> Arc<Topic> {
-        let account = own.then(Account::default);
-        Arc::new(Topic { name: name.to_owned(), shard, account, ..Topic::default() })
+        let (ordinal, account) = (if own { 0 } else { PER_TOPIC_SERIES }, Some(Account::default()));
+        Arc::new(Topic { name: name.to_owned(), shard, ordinal, account, ..Topic::default() })
     }
 
     /// What the probe does per message: `count` times `(n, r)` on `topic`.
-    fn drive(obs: &TopicObservatory, topic: &Topic, n: u32, rs: impl Fn(u32) -> u32, count: u32) {
+    fn drive(topic: &Topic, n: u32, rs: impl Fn(u32) -> u32, count: u32) {
         let truth = CostParams::CORRELATION_ID;
         for i in 0..count {
             let r = rs(i);
             let service = truth.mean_service_time(n, r as f64);
-            obs.lock_account(topic).observe(n, r as f64, service);
+            lock(topic.account.as_ref().unwrap()).observe(n, r as f64, service);
         }
     }
 
     #[test]
     fn observations_land_in_the_topics_own_account() {
-        let obs = observatory(2);
         let topics = [topic("a", 0, true), topic("b", 1, true), topic("idle", 1, true)];
-        drive(&obs, &topics[0], 10, |_| 3, 50);
-        drive(&obs, &topics[1], 40, |_| 1, 20);
+        drive(&topics[0], 10, |_| 3, 50);
+        drive(&topics[1], 40, |_| 1, 20);
 
-        let snap = obs.snapshot(topics.iter());
+        let snap = snapshot(2, &topics);
         // A topic that has seen no message has an account and no row.
         assert_eq!(snap.topics.len(), 2);
         assert_eq!(snap.topics[0].name, "a"); // busiest first
@@ -307,11 +289,10 @@ mod tests {
         assert_eq!((snap.shards, snap.overflowed_topics), (2, 0));
     }
 
-    /// A topic without an account of its own is counted once, whatever it
-    /// receives, and its messages pool with its shard's other such topics.
+    /// A topic past the cap is counted once, whatever it receives, and its
+    /// messages pool with its shard's other such topics.
     #[test]
     fn topics_beyond_the_cap_pool_in_their_shards_other() {
-        let obs = observatory(2);
         let topics = [
             topic("a", 0, true),
             topic("b", 0, true),
@@ -320,11 +301,11 @@ mod tests {
             topic("e", 1, false),
         ];
         for (topic, count) in topics.iter().zip([5, 5, 7, 9, 0]) {
-            drive(&obs, topic, 10, |_| 1, count);
-            drive(&obs, topic, 10, |_| 1, count);
+            drive(topic, 10, |_| 1, count);
+            drive(topic, 10, |_| 1, count);
         }
 
-        let snap = obs.snapshot(topics.iter());
+        let snap = snapshot(2, &topics);
         assert_eq!(snap.overflowed_topics, 3);
         let others: Vec<_> = snap.topics.iter().filter(|t| t.name == OTHER_TOPIC).collect();
         assert_eq!(others.len(), 2);
@@ -334,42 +315,15 @@ mod tests {
     }
 
     #[test]
-    fn per_topic_fit_converges_on_the_true_slopes() {
-        let obs = observatory(1);
-        let truth = CostParams::CORRELATION_ID;
-        let t = topic("t", 0, true);
-        // Vary R within the topic so the anchored 2-parameter fit is
-        // identifiable.
-        drive(&obs, &t, 25, |i| 1 + (i % 6), 600);
-        let snap = obs.snapshot([&t].into_iter());
-        let row = &snap.topics[0];
-        let fitted = row.fitted.expect("identifiable").params;
-        assert!((fitted.t_tx - truth.t_tx).abs() / truth.t_tx < 0.01);
-        assert!(matches!(row.verdict, Some(RegressionVerdict::Stable(_))), "{:?}", row.verdict);
-    }
-
-    #[test]
-    fn global_fit_pools_across_topics() {
-        let obs = observatory(1);
-        let truth = CostParams::CORRELATION_ID;
-        let topics = [("lo", 5u32), ("mid", 50), ("hi", 150)].map(|(name, n)| {
-            let topic = topic(name, 0, true);
-            drive(&obs, &topic, n, |i| 1 + (i % 8), 400);
-            topic
-        });
-        let snap = obs.snapshot(topics.iter());
-        let global = snap.global_fitted.expect("identifiable").params;
-        assert!((global.t_fltr - truth.t_fltr).abs() / truth.t_fltr < 0.01);
-        assert!((global.t_tx - truth.t_tx).abs() / truth.t_tx < 0.01);
-        assert!(matches!(snap.global_verdict, Some(RegressionVerdict::Stable(_))));
-    }
-
-    #[test]
     fn no_anchor_means_no_verdict_but_still_rates() {
-        let obs = TopicObservatory::new(None, 1);
         let t = topic("t", 0, true);
-        drive(&obs, &t, 10, |_| 2, 400);
-        let snap = obs.snapshot([&t].into_iter());
+        drive(&t, 10, |_| 2, 400);
+        let snap = super::snapshot(
+            [&t].into_iter(),
+            Duration::from_secs(2),
+            None,
+            &[(CostRegression::new(), None)],
+        );
         assert!(snap.anchor.is_none());
         assert!(snap.topics[0].verdict.is_none());
         assert_eq!(snap.topics[0].messages, 400);
@@ -378,12 +332,11 @@ mod tests {
     /// A snapshot of `shards` with one topic of 100 messages on each of
     /// `on`; every message costs the same, so loads go as message counts.
     fn snapshot_of(shards: usize, on: &[usize]) -> TopicObservatorySnapshot {
-        let obs = observatory(shards);
         let topics: Vec<_> = on.iter().map(|&shard| topic("t", shard, true)).collect();
         for t in &topics {
-            drive(&obs, t, 10, |_| 1, 100);
+            drive(t, 10, |_| 1, 100);
         }
-        obs.snapshot(topics.iter())
+        snapshot(shards, &topics)
     }
 
     #[test]

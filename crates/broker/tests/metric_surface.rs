@@ -8,7 +8,6 @@ use rjms_broker::{
     shard_of, Broker, BrokerConfig, BrokerSnapshot, FlowConfig, Message, MetricsConfig,
     PersistenceConfig, TopicObsConfig, TraceConfig,
 };
-use rjms_core::CostParams;
 use rjms_journal::scratch_dir;
 use rjms_metrics::{HistogramSnapshot, RegistrySnapshot};
 use std::time::{Duration, Instant};
@@ -217,8 +216,8 @@ fn assert_views_agree(registry: &RegistrySnapshot, broker: &BrokerSnapshot, shar
 #[test]
 fn the_series_cap_is_broker_wide() {
     const SHARDS: usize = 4;
-    // Seed constants cheap enough that no publish here is deferred or shed.
-    let flow = FlowConfig::default().params(CostParams::new(1e-7, 1e-8, 1e-8)).filters(1);
+    // No seed: a lane grants every publish until its first refresh.
+    let flow = FlowConfig::default();
     let broker = Broker::start(
         BrokerConfig::builder().shards(SHARDS).metrics(MetricsConfig::default()).flow(flow).build(),
     );

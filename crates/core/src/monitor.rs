@@ -38,6 +38,7 @@ use crate::model::ServerModel;
 use crate::waiting::{WaitingTimeAnalysis, WaitingTimeReport};
 use rjms_metrics::HistogramSnapshot;
 use rjms_queueing::replication::ReplicationModel;
+use rjms_queueing::service::ServiceTime;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -233,20 +234,21 @@ impl ModelVerdict {
 /// model. See the [module docs](self) for the methodology.
 #[derive(Debug, Clone)]
 pub struct ModelMonitor {
-    model: ServerModel,
-    replication: ReplicationModel,
+    service: ServiceTime,
 }
 
 impl ModelMonitor {
     /// Creates a monitor for the calibrated `model` under the expected
     /// replication-grade distribution.
     pub fn new(model: ServerModel, replication: ReplicationModel) -> Self {
-        Self { model, replication }
+        Self::for_service_time(model.service_time(replication))
     }
 
-    /// The analytic reference model.
-    pub fn model(&self) -> &ServerModel {
-        &self.model
+    /// Creates a monitor for a service-time model given directly, such as
+    /// one rebuilt from measured moments
+    /// ([`measured_service`](crate::measured_service)).
+    pub fn for_service_time(service: ServiceTime) -> Self {
+        Self { service }
     }
 
     /// Judges one measurement window, summarized by
@@ -265,9 +267,8 @@ impl ModelMonitor {
         // Predict at the *measured* arrival rate with the *calibrated*
         // service time: drift in the real per-message costs then shows up
         // as disagreement in both E[B] and E[W].
-        let service_model = self.model.service_time(self.replication);
-        let rho = measured.arrival_rate * service_model.mean();
-        let analysis = match WaitingTimeAnalysis::for_service_time(service_model, rho) {
+        let rho = measured.arrival_rate * self.service.mean();
+        let analysis = match WaitingTimeAnalysis::for_service_time(self.service, rho) {
             Ok(a) => a,
             Err(_) => return ModelVerdict::Overloaded { utilization: rho },
         };

@@ -97,8 +97,8 @@ const T_RCV_TOLERANCE: f64 = 0.50;
 const T_FLTR_TOLERANCE: f64 = 0.25;
 /// Largest relative error of the fitted `t_tx`.
 const T_TX_TOLERANCE: f64 = 0.25;
-/// Fewest observations for a meaningful verdict.
-const MIN_SAMPLES: u64 = 256;
+/// Fewest observations for a meaningful verdict, or to anchor a model.
+pub const MIN_SAMPLES: u64 = 256;
 
 /// One fitted component that exceeded its tolerance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

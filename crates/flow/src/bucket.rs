@@ -39,15 +39,16 @@ pub struct TokenBucket {
 }
 
 impl TokenBucket {
-    /// Creates a bucket that starts full.
+    /// Creates a bucket that starts full. A bucket of infinite rate and
+    /// burst never runs dry: every take succeeds and it stays full.
     ///
     /// # Panics
     ///
-    /// Panics if `rate` is not finite and positive, or `burst < 1` (a
-    /// bucket that can never hold a whole token can never admit anything).
+    /// Panics unless `rate > 0` and `burst >= 1` (a bucket that can never
+    /// hold a whole token can never admit anything).
     pub fn new(rate: f64, burst: f64) -> Self {
-        assert!(rate.is_finite() && rate > 0.0, "token rate must be finite and > 0, got {rate}");
-        assert!(burst.is_finite() && burst >= 1.0, "burst must be finite and >= 1, got {burst}");
+        assert!(rate > 0.0, "token rate must be > 0, got {rate}");
+        assert!(burst >= 1.0, "burst must be >= 1, got {burst}");
         Self { rate, burst, tokens: burst, last_ns: 0 }
     }
 
@@ -84,9 +85,10 @@ impl TokenBucket {
         self.burst
     }
 
-    /// Fraction of the burst ceiling currently filled, in `[0, 1]`.
+    /// Fraction of the burst ceiling currently filled, in `[0, 1]`; an
+    /// infinite bucket's ∞/∞ is NaN, which `min` reads as full.
     pub fn fill_fraction(&self) -> f64 {
-        self.tokens / self.burst
+        (self.tokens / self.burst).min(1.0)
     }
 
     /// Swaps the refill rate and the burst ceiling (budget refresh) and

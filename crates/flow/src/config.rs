@@ -1,16 +1,11 @@
 //! Configuration for the flow-control subsystem.
 
-use rjms_core::CostParams;
 use serde::{Deserialize, Serialize};
 
 /// Safety headroom applied when inverting the model: the controller targets
 /// `w99_objective / HEADROOM`, leaving margin for burst admission and
 /// estimation error.
 pub(crate) const HEADROOM: f64 = 1.25;
-
-/// Replication grade `E[R]` the seed model assumes until live calibration
-/// takes over.
-pub(crate) const REPLICATION_GRADE: f64 = 1.0;
 
 /// Depth of every token bucket, in seconds of its rate (the burst
 /// allowance above the sustained rate); a refresh re-sizes the buckets to
@@ -23,14 +18,14 @@ pub(crate) const PRODUCER_SHARE: f64 = 0.5;
 
 /// Configuration for model-driven admission control.
 ///
-/// The model half (`params`, `filters`, `w99_objective`) seeds each
-/// dispatcher's [`FlowController`](crate::FlowController) with the budget
-/// of one server, which every refresh then re-inverts from that shard's
-/// measured service time; the mechanism half (`classes`,
-/// `refresh_interval_ms`) shapes how the budget is enforced. The inversion
-/// targets the objective divided by a headroom of 1.25 and the seed assumes
-/// one copy per message; a shard's bucket holds 50 ms of its `λ_max`, and
-/// each producer may take half of it.
+/// `w99_objective` is what each dispatcher's
+/// [`FlowController`](crate::FlowController) inverts that shard's measured
+/// service time against, at every refresh; `classes` and
+/// `refresh_interval_ms` shape how the budget is enforced. The config holds
+/// no service model: a lane's first budget is the seed handed to
+/// [`FlowGate::new`](crate::FlowGate::new), if any. The inversion targets
+/// the objective divided by a headroom of 1.25; a shard's bucket holds
+/// 50 ms of its `λ_max`, and each producer may take half of it.
 ///
 /// # Examples
 ///
@@ -51,10 +46,6 @@ pub struct FlowConfig {
     /// proportionally onto classes; class 0 is shed first and the top
     /// class is deferred but never shed.
     pub classes: u8,
-    /// Per-message cost constants seeding the analytic service time.
-    pub params: CostParams,
-    /// Assumed filter count `n_fltr` until live calibration takes over.
-    pub filters: u32,
     /// How often the broker re-inverts the budget from the measured service
     /// time, in milliseconds.
     pub refresh_interval_ms: u64,
@@ -62,13 +53,7 @@ pub struct FlowConfig {
 
 impl Default for FlowConfig {
     fn default() -> Self {
-        Self {
-            w99_objective: 0.010,
-            classes: 3,
-            params: CostParams::CORRELATION_ID,
-            filters: 100,
-            refresh_interval_ms: 1000,
-        }
+        Self { w99_objective: 0.010, classes: 3, refresh_interval_ms: 1000 }
     }
 }
 
@@ -98,18 +83,6 @@ impl FlowConfig {
         self
     }
 
-    /// Sets the cost constants of the seed model.
-    pub fn params(mut self, params: CostParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// Sets the assumed filter count of the seed model.
-    pub fn filters(mut self, filters: u32) -> Self {
-        self.filters = filters;
-        self
-    }
-
     /// Sets the budget-refresh interval in milliseconds.
     ///
     /// # Panics
@@ -128,14 +101,9 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = FlowConfig::default()
-            .w99_objective(0.02)
-            .classes(5)
-            .filters(10)
-            .refresh_interval_ms(500);
+        let c = FlowConfig::default().w99_objective(0.02).classes(5).refresh_interval_ms(500);
         assert_eq!(c.w99_objective, 0.02);
         assert_eq!(c.classes, 5);
-        assert_eq!(c.filters, 10);
         assert_eq!(c.refresh_interval_ms, 500);
     }
 

@@ -8,28 +8,28 @@
 //! predicted 99th percentile still fits, and publishes the corresponding
 //! arrival-rate budget `λ_max = ρ_max / E[B]`.
 //!
-//! The seed model ([`FlowConfig`]'s `params` and `filters`) sets the first
-//! budget only. After that, [`FlowController::refresh`] re-inverts from what
-//! the dispatcher measured — the paper's method, measure the service time
-//! and predict the waiting time from it: a service time rebuilt from the
+//! A seed service time, when the caller has one, sets the first budget
+//! only; without one the budget is unbounded until the first measurement.
+//! After that, [`FlowController::refresh`] re-inverts from what the
+//! dispatcher measured — the paper's method, measure the service time and
+//! predict the waiting time from it: a service time rebuilt from the
 //! measured `E[B]` and `c_var[B]`, so a slower or more variable server
 //! tightens `λ_max` and a faster one loosens it. A controller budgets one
 //! server: on a sharded broker each dispatcher has its own, fed that
 //! shard's own measurement ([`FlowGate`](crate::FlowGate)'s lanes).
 
-use crate::config::{FlowConfig, HEADROOM, REPLICATION_GRADE};
-use rjms_core::{
-    max_utilization_for_quantile, measured_service, CostParams, MeasuredSummary, ReplicationModel,
-    ServerModel, ServiceTime,
-};
+use crate::config::{FlowConfig, HEADROOM};
+use rjms_core::{max_utilization_for_quantile, measured_service, MeasuredSummary, ServiceTime};
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 /// Where the current `λ_max` came from; a measured budget orders after the
-/// analytic seed.
+/// analytic seed, and that after none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum CalibrationSource {
-    /// The analytic seed model, before the first measured refresh.
+    /// No seed: the budget is unbounded until the first measured refresh.
+    Unseeded,
+    /// The seed service time, before the first measured refresh.
     Analytic,
     /// Re-inverted from the measured service moments.
     Measured,
@@ -39,6 +39,7 @@ impl CalibrationSource {
     /// Stable lowercase name for JSON exposition.
     pub fn as_str(self) -> &'static str {
         match self {
+            Self::Unseeded => "unseeded",
             Self::Analytic => "analytic",
             Self::Measured => "measured",
         }
@@ -59,9 +60,12 @@ struct ControllerState {
 /// # Examples
 ///
 /// ```
+/// use rjms_core::{CostParams, ReplicationModel, ServerModel};
 /// use rjms_flow::{FlowConfig, FlowController};
 ///
-/// let controller = FlowController::new(&FlowConfig::default());
+/// let seed = ServerModel::new(CostParams::CORRELATION_ID, 100)
+///     .service_time(ReplicationModel::deterministic(1.0));
+/// let controller = FlowController::new(&FlowConfig::default(), Some(&seed));
 /// // A finite budget exists for any positive objective.
 /// assert!(controller.lambda_max() > 0.0);
 /// assert!(controller.rho_max() <= 0.999);
@@ -74,21 +78,19 @@ pub struct FlowController {
 }
 
 impl FlowController {
-    /// Builds the controller and performs the initial inversion of the seed
-    /// model in `config`: the budget of one M/GI/1 server held at the
-    /// inverted utilisation.
-    pub fn new(config: &FlowConfig) -> Self {
-        let seed = seed_service(config.params, config.filters);
+    /// Builds the controller for `config`'s objective. With a `seed` service
+    /// time it performs the initial inversion: the budget of one M/GI/1
+    /// server held at the inverted utilisation. Without one, `λ_max` and
+    /// `ρ_max` are infinite until the first [`refresh`](Self::refresh).
+    pub fn new(config: &FlowConfig, seed: Option<&ServiceTime>) -> Self {
         let target = config.w99_objective / HEADROOM;
-        let (rho_max, lambda_max) = invert(&seed, target);
+        let ((rho_max, lambda_max), source) = match seed {
+            Some(seed) => (invert(seed, target), CalibrationSource::Analytic),
+            None => ((f64::INFINITY, f64::INFINITY), CalibrationSource::Unseeded),
+        };
         Self {
             target,
-            state: Mutex::new(ControllerState {
-                rho_max,
-                lambda_max,
-                source: CalibrationSource::Analytic,
-                refreshes: 0,
-            }),
+            state: Mutex::new(ControllerState { rho_max, lambda_max, source, refreshes: 0 }),
         }
     }
 
@@ -133,12 +135,6 @@ impl FlowController {
     }
 }
 
-/// Eq. 1's service time at the seed model's operating point.
-fn seed_service(params: CostParams, filters: u32) -> ServiceTime {
-    ServerModel::new(params, filters)
-        .service_time(ReplicationModel::deterministic(REPLICATION_GRADE))
-}
-
 /// The core inversion: largest `ρ` whose predicted `W99` fits `target`,
 /// and the arrival rate it implies.
 fn invert(service: &ServiceTime, target: f64) -> (f64, f64) {
@@ -149,18 +145,18 @@ fn invert(service: &ServiceTime, target: f64) -> (f64, f64) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use rjms_core::{ModelMonitor, ModelVerdict};
-    use rjms_metrics::Histogram;
-    use std::time::Duration;
+    use rjms_core::{CostParams, ReplicationModel, ServerModel};
 
     /// A 2.5 ms objective: the inversion targets 2 ms after the headroom.
     fn config() -> FlowConfig {
-        FlowConfig::default().w99_objective(0.0025).filters(100)
+        FlowConfig::default().w99_objective(0.0025)
     }
 
-    /// The seed model's service time under [`config`].
-    fn seed() -> ServiceTime {
-        seed_service(config().params, config().filters)
+    /// The seed the tests budget from: Table I's service time at 100
+    /// filters and one copy, 720 µs.
+    pub(crate) fn seed() -> ServiceTime {
+        let table_one = ServerModel::new(CostParams::CORRELATION_ID, 100);
+        table_one.service_time(ReplicationModel::deterministic(1.0))
     }
 
     /// A window that measured a deterministic service of `service_s`
@@ -181,7 +177,7 @@ pub(crate) mod tests {
 
     #[test]
     fn inversion_meets_the_objective() {
-        let controller = FlowController::new(&config());
+        let controller = FlowController::new(&config(), Some(&seed()));
         let service = seed();
         let rho = controller.rho_max();
         assert!(rho > 0.0 && rho <= 0.999);
@@ -201,8 +197,8 @@ pub(crate) mod tests {
 
     #[test]
     fn tighter_objective_means_smaller_budget() {
-        let loose = FlowController::new(&config().w99_objective(0.01));
-        let tight = FlowController::new(&config().w99_objective(0.001));
+        let loose = FlowController::new(&config().w99_objective(0.01), Some(&seed()));
+        let tight = FlowController::new(&config().w99_objective(0.001), Some(&seed()));
         assert!(tight.lambda_max() < loose.lambda_max());
     }
 
@@ -210,7 +206,7 @@ pub(crate) mod tests {
     fn a_slower_measured_service_tightens_the_budget() {
         // An objective of a thousand service times holds both servers near
         // the utilisation cap, so the budget tracks `1 / E[B]`.
-        let controller = FlowController::new(&config().w99_objective(1.0));
+        let controller = FlowController::new(&config().w99_objective(1.0), Some(&seed()));
         let before = controller.lambda_max();
         // A server measured 3x slower than the seed: the budget shrinks
         // about 3x.
@@ -224,8 +220,8 @@ pub(crate) mod tests {
 
     #[test]
     fn a_measurement_at_the_seed_returns_the_analytic_budget() {
-        let analytic = FlowController::new(&config()).lambda_max();
-        let controller = FlowController::new(&config());
+        let analytic = FlowController::new(&config(), Some(&seed())).lambda_max();
+        let controller = FlowController::new(&config(), Some(&seed()));
         let e_b = seed().mean();
         controller.refresh(&measured(3.0 * e_b, 0.3 / e_b)).expect("refreshes");
         let back = controller.refresh(&measured(e_b, 0.3 / e_b)).expect("refreshes");
@@ -235,36 +231,9 @@ pub(crate) mod tests {
         assert_eq!(controller.refreshes(), 2);
     }
 
-    /// The seed says 720 µs a message, so at 50 k msgs/s its model has no
-    /// stationary regime; the shard measures 1 µs, 5 % busy. The budget
-    /// follows the measurement, not the verdict.
-    #[test]
-    fn a_shard_the_seed_calls_overloaded_keeps_its_measured_budget() {
-        let (rate, n) = (50_000.0, 10_000u64);
-        let (waiting, service) = (Histogram::new(), Histogram::new());
-        for _ in 0..n {
-            waiting.record(500);
-            service.record(1_000);
-        }
-        let (waiting, service) = (waiting.snapshot(), service.snapshot());
-        let elapsed = Duration::from_secs_f64(n as f64 / rate);
-        let c = config();
-        let monitor = ModelMonitor::new(
-            ServerModel::new(c.params, c.filters),
-            ReplicationModel::deterministic(REPLICATION_GRADE),
-        );
-        let verdict = monitor.assess(&waiting, &service, elapsed);
-        assert!(matches!(verdict, ModelVerdict::Overloaded { .. }), "got {verdict:?}");
-
-        let controller = FlowController::new(&c);
-        let summary = MeasuredSummary::of(&waiting, &service, elapsed).expect("enough samples");
-        let lambda = controller.refresh(&summary).expect("refreshes");
-        assert!(lambda > 10.0 * rate, "budget {lambda}/s for a load of {rate}/s");
-    }
-
     #[test]
     fn a_degenerate_measurement_leaves_the_budget_alone() {
-        let controller = FlowController::new(&config());
+        let controller = FlowController::new(&config(), Some(&seed()));
         let before = controller.lambda_max();
         for service_s in [0.0, f64::NAN] {
             assert!(controller.refresh(&measured(service_s, 1000.0)).is_none());

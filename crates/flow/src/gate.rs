@@ -21,7 +21,7 @@
 use crate::bucket::TokenBucket;
 use crate::config::{FlowConfig, BURST_SECONDS, HEADROOM, PRODUCER_SHARE};
 use crate::controller::{CalibrationSource, FlowController};
-use rjms_core::MeasuredSummary;
+use rjms_core::{MeasuredSummary, ServiceTime};
 use rjms_metrics::{labeled, Histogram, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 // Sync primitives come through the rjms-conc facade so the loom models
@@ -96,7 +96,8 @@ pub struct ClassSnapshot {
 
 /// Point-in-time view of the whole gate, for `/flow` exposition. The
 /// budgets, counts and buckets are the sums over the lanes, so at one shard
-/// they are that lane's.
+/// they are that lane's; one unseeded lane makes `lambda_max` and the
+/// bucket sums infinite (`null` in `/flow`), whatever the others measured.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowSnapshot {
     /// Current arrival-rate budget, messages per second.
@@ -108,7 +109,7 @@ pub struct FlowSnapshot {
     /// Inversion headroom factor.
     pub headroom: f64,
     /// `measured` once any lane was re-inverted from a measurement, else
-    /// `analytic`.
+    /// `analytic` for a seeded gate and `unseeded` for one without a seed.
     pub source: &'static str,
     /// Budget refreshes applied since start.
     pub refreshes: u64,
@@ -133,8 +134,8 @@ pub struct FlowSnapshot {
 /// ```
 /// use rjms_flow::{AdmissionOutcome, FlowConfig, FlowGate};
 ///
-/// let gate = FlowGate::new(FlowConfig::default(), 2);
-/// // A full bucket admits the first message of any class, on either shard.
+/// let gate = FlowGate::new(FlowConfig::default(), 2, None);
+/// // An unseeded lane admits the first message of any class, on either shard.
 /// assert!(gate.admit(0, 1, 0, false).is_granted());
 /// assert!(gate.admit(1, 2, 0, false).is_granted());
 /// assert_eq!(gate.snapshot().per_class[0].granted, 2);
@@ -170,12 +171,14 @@ impl std::fmt::Debug for FlowGate {
 
 impl FlowGate {
     /// Builds a gate from the config with one lane for each of `shards`
-    /// dispatchers (at least one): each runs the initial analytic inversion
-    /// of one server ([`FlowController::new`]) and starts with a full
-    /// bucket.
-    pub fn new(config: FlowConfig, shards: usize) -> Self {
+    /// dispatchers (at least one), each starting with a full bucket. With a
+    /// `seed` service time each lane runs the initial inversion of one
+    /// server ([`FlowController::new`]); without one a lane's buckets are
+    /// infinite, so it grants every publish through the same two bucket
+    /// checks until its first measured refresh.
+    pub fn new(config: FlowConfig, shards: usize, seed: Option<ServiceTime>) -> Self {
         let lane = || {
-            let controller = FlowController::new(&config);
+            let controller = FlowController::new(&config, seed.as_ref());
             let bucket = Mutex::new(bucket_for(controller.lambda_max(), config.classes));
             Lane { controller, bucket, producers: Mutex::new(HashMap::new()) }
         };
@@ -362,7 +365,7 @@ impl FlowGate {
             rho_max: f64::INFINITY,
             w99_objective: self.config.w99_objective,
             headroom: HEADROOM,
-            source: source.unwrap_or(CalibrationSource::Analytic).as_str(),
+            source: source.unwrap_or(CalibrationSource::Unseeded).as_str(),
             refreshes: 0,
             classes: self.config.classes,
             bucket_level: 0.0,
@@ -412,13 +415,14 @@ fn clamp_retry(nanos: u64) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::tests::measured;
+    use crate::controller::tests::{measured, seed};
 
     fn gate() -> FlowGate {
-        // Tight objective so lambda_max is small and tests drain the
-        // bucket quickly. A producer may take half the bucket, so the
-        // tests that drain it give each publish a producer of its own.
-        FlowGate::new(FlowConfig::default().w99_objective(0.0025), 1)
+        // Seeded with Table I's service time and a tight objective, so
+        // lambda_max is small and tests drain the bucket quickly. A producer
+        // may take half the bucket, so the tests that drain it give each
+        // publish a producer of its own.
+        FlowGate::new(FlowConfig::default().w99_objective(0.0025), 1, Some(seed()))
     }
 
     #[test]
@@ -472,7 +476,7 @@ mod tests {
 
     #[test]
     fn producer_share_defers_a_hog_while_others_proceed() {
-        let g = FlowGate::new(FlowConfig::default().w99_objective(0.0125), 1);
+        let g = FlowGate::new(FlowConfig::default().w99_objective(0.0125), 1, Some(seed()));
         // Producer 1 exhausts its half of the bucket; producer 2 is still
         // granted from the other half.
         let mut outcome = g.admit_at(0, 1, 9, false, 0);
@@ -536,7 +540,7 @@ mod tests {
 
     #[test]
     fn each_shard_is_admitted_and_refreshed_by_its_own_lane() {
-        let g = FlowGate::new(FlowConfig::default().w99_objective(0.0025), 2);
+        let g = FlowGate::new(FlowConfig::default().w99_objective(0.0025), 2, Some(seed()));
         let seed = g.shard_budget(0);
         assert_eq!(g.shard_budget(1), seed);
         assert_eq!(g.lambda_max(), 2.0 * seed);
@@ -559,6 +563,20 @@ mod tests {
         let lane1 = g.lanes[1].bucket.lock().unwrap().burst();
         assert!((lane1 - g.shard_budget(1) * BURST_SECONDS).abs() < 1e-6);
         assert!(!g.admit_at(0, producer, 0, false, 0).is_granted());
+    }
+
+    /// An unseeded lane grants every publish of every class, however many
+    /// come at once from one producer, until its first refresh gives it a
+    /// finite budget and full buckets of 50 ms of it.
+    #[test]
+    fn an_unseeded_lane_grants_everything_until_measured() {
+        let g = FlowGate::new(FlowConfig::default(), 1, None);
+        assert!((0..10_000).all(|i| g.admit_at(0, 1, (i % 10) as u8, false, 0).is_granted()));
+        assert_eq!((g.snapshot().source, g.lambda_max()), ("unseeded", f64::INFINITY));
+        g.refresh(0, &measured(1e-3, 100.0));
+        let (lambda, bucket) = (g.shard_budget(0), g.lanes[0].bucket.lock().unwrap().clone());
+        assert!(lambda.is_finite() && lambda > 0.0 && g.snapshot().source == "measured");
+        assert_eq!((bucket.level(), bucket.burst()), (bucket.burst(), lambda * BURST_SECONDS));
     }
 
     /// The registry reports the gate's own counts, per class and in total;

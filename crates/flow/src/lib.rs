@@ -12,9 +12,9 @@
 //!   one server: for a service-time model `B` and a configured `W99`
 //!   objective it computes the largest utilization `ρ_max` whose predicted
 //!   99th waiting-time percentile stays inside the objective, and from it
-//!   the maximum sustainable arrival rate `λ_max = ρ_max / E[B]`. The seed
-//!   model in [`FlowConfig`] gives the first budget; every refresh after
-//!   that re-inverts from a [`MeasuredSummary`] of the dispatcher's own
+//!   the maximum sustainable arrival rate `λ_max = ρ_max / E[B]`. A seed
+//!   service time, if any, gives the first budget (none: unbounded); every
+//!   refresh re-inverts from a [`MeasuredSummary`] of the dispatcher's own
 //!   histograms, so a slower server tightens `λ_max` and a faster one
 //!   loosens it.
 //! * [`FlowGate`] enforces the budgets, one lane per dispatcher shard: a

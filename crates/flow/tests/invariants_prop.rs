@@ -6,6 +6,7 @@
 //!   deferrals + sheds == offered — and never sheds the top class.
 
 use proptest::prelude::*;
+use rjms_core::{CostParams, ReplicationModel, ServerModel};
 use rjms_flow::{AdmissionOutcome, FlowConfig, FlowGate, TokenBucket};
 
 proptest! {
@@ -70,8 +71,12 @@ proptest! {
         ),
     ) {
         // Five producers, each capped at half the budget: some publishes
-        // are deferred by their producer's bucket, not the lane's.
-        let gate = FlowGate::new(FlowConfig::default().w99_objective(0.002).classes(classes), 1);
+        // are deferred by their producer's bucket, not the lane's. The
+        // lanes are seeded with Table I's service time (100 filters).
+        let seed = ServerModel::new(CostParams::CORRELATION_ID, 100)
+            .service_time(ReplicationModel::deterministic(1.0));
+        let config = FlowConfig::default().w99_objective(0.002).classes(classes);
+        let gate = FlowGate::new(config, 1, Some(seed));
         let mut now = 0u64;
         let top = classes - 1;
         for (producer, priority, durable, dt) in offered.iter().copied() {

@@ -9,6 +9,7 @@
 
 use loom::sync::{Arc, Mutex};
 use loom::thread;
+use rjms_core::{CostParams, ReplicationModel, ServerModel};
 use rjms_flow::{AdmissionOutcome, FlowConfig, FlowGate, TokenBucket};
 
 /// Two producers race for the last token in a shared bucket: exactly one
@@ -43,7 +44,10 @@ fn bucket_grants_are_conserved_under_contention() {
 #[test]
 fn gate_accounts_for_every_racing_admission() {
     loom::model(|| {
-        let gate = Arc::new(FlowGate::new(FlowConfig::default(), 1));
+        // Seeded with Table I's service time (100 filters).
+        let seed = ServerModel::new(CostParams::CORRELATION_ID, 100)
+            .service_time(ReplicationModel::deterministic(1.0));
+        let gate = Arc::new(FlowGate::new(FlowConfig::default(), 1, Some(seed)));
         let racer = {
             let gate = Arc::clone(&gate);
             thread::spawn(move || gate.admit_at(0, 1, 9, true, 0))

@@ -15,17 +15,22 @@
 //! process.
 //!
 //! **The model as a runtime check.** With `--cost-model` the broker burns
-//! the paper's Table I per-message CPU costs, and `--flow` seeds its
-//! admission model from the same constants. Either gives the broker an
-//! anchor for its per-shard model check: the measured waiting/service
-//! distributions against the Eq. 1 + M/GI/1 prediction at each shard's
-//! measured arrival rate, filter count and replication grade (the paper's
-//! Figs. 10–12, live). `/model` and `/shards` compute it on request, and
-//! with `--metrics-interval` each instrument report ends with it; the flow
-//! gate budgets each shard from that shard's measured service time. On a DRIFT verdict the `--trace` flight
-//! recorder is dumped, so the span chains of the slow tail that produced
-//! the anomaly survive. `--topic-obs` judges each topic's fitted costs
-//! against the same constants.
+//! the paper's Table I per-message CPU costs, and those constants anchor
+//! its per-shard model check; without it each shard is anchored on its own
+//! online Eq. 1 fit, once that has 256 observations, with the measured
+//! service spread (a fit has none of its own). The check sets the
+//! measured waiting/service distributions against the Eq. 1 + M/GI/1
+//! prediction at each shard's measured arrival rate, filter count and
+//! replication grade (the paper's Figs. 10–12, live). `/model` and
+//! `/shards` compute it on request, and with `--metrics-interval` each
+//! instrument report ends with it. The flow gate budgets each shard from
+//! that shard's measured service time; until then a lane's budget is the
+//! cost model's cheapest message, or unbounded without `--cost-model`. On a
+//! DRIFT verdict the `--trace` flight recorder is dumped, so the span
+//! chains of the slow tail that produced the anomaly survive. The `--slo`
+//! engine's `model` objective judges only against `--cost-model`.
+//! `--topic-obs` judges each topic's fitted costs against its shard's
+//! anchor.
 //!
 //! **Forecasting** rides on the SLO engine and runs whenever the engine
 //! does. Because it is already the default, `--forecast` and its tuning
@@ -87,14 +92,9 @@ fn configs(values: &Values) -> (BrokerConfig, Option<(ObsConfig, Duration)>) {
         builder = builder.cost_model(cost);
     }
     if values.on(Key::Flow) {
-        let mut flow = FlowConfig::default()
+        let flow = FlowConfig::default()
             .w99_objective(count(Key::FlowW99) as f64 / 1e3)
             .classes(u8::try_from(count(Key::FlowClasses)).expect("checked to be in 1..=10"));
-        if let Some(params) = cost {
-            // Seed the gate's analytic model with the same cost constants
-            // the broker burns, so λ_max matches the machine it polices.
-            flow = flow.params(params);
-        }
         builder = builder.flow(flow);
     }
     if values.on(Key::TopicObs) {
@@ -324,7 +324,6 @@ mod tests {
         assert!(broker.trace.is_none(), "a trace tuning flag implies nothing, as at the parent");
         let flow = broker.flow.expect("--flow-w99 implies --flow");
         assert_eq!((flow.w99_objective, flow.classes), (0.005, 4));
-        assert_eq!(flow.params, CostParams::APPLICATION_PROPERTY);
         let (obs, interval) = obs.expect("--history implies --slo");
         assert_eq!(interval, Duration::from_secs(3));
         assert_eq!(obs.forecast.horizon, Duration::from_secs(60));

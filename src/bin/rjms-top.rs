@@ -282,12 +282,13 @@ fn render_frame(addr: &str) -> Result<(String, i32), String> {
     // Flow pane: admission-control state, when the server runs --flow.
     // /flow is 404 on a flow-less server; skip the pane quietly.
     if let Ok(flow) = get_json(addr, "/flow") {
-        let lambda = flow.get("lambda_max").and_then(Value::as_f64).unwrap_or(0.0);
+        // null: an unseeded lane's infinite budget and buckets.
+        let unbounded = |key| flow.get(key).and_then(Value::as_f64).unwrap_or(f64::INFINITY);
+        let (lambda, level, burst) =
+            (unbounded("lambda_max"), unbounded("bucket_level"), unbounded("bucket_burst"));
         let w99 = flow.get("w99_objective").and_then(Value::as_f64).unwrap_or(0.0);
         let source = flow.get("source").and_then(Value::as_str).unwrap_or("?");
-        let level = flow.get("bucket_level").and_then(Value::as_f64).unwrap_or(0.0);
-        let burst = flow.get("bucket_burst").and_then(Value::as_f64).unwrap_or(0.0);
-        let fill = if burst > 0.0 { level / burst } else { 0.0 };
+        let fill = if level >= burst { 1.0 } else { level / burst };
         out.push_str(&format!(
             "  flow        lambda_max {lambda:.0}/s ({source})  W99 obj {}  bucket {}\n",
             fmt_ms(w99 * 1e9),

@@ -300,16 +300,17 @@ fn history(state: &HttpState, query: &str) -> Reply {
 }
 
 /// `/flow` — the admission gate's live calibration (λ_max, its source,
-/// bucket fill, per-class grant/defer/shed counters). 404 without flow
-/// control.
+/// bucket fill, per-class grant/defer/shed counters), summed over the
+/// shards' lanes: one unseeded lane makes λ_max and the bucket totals
+/// `null`. 404 without flow control.
 fn flow(state: &HttpState, _: &str) -> Reply {
     let gate = state.flow.as_ref().ok_or((NOT_FOUND, "flow control disabled\n"))?;
     Ok(JsonWriter::document(|w| flow_json(&gate.snapshot(), w)))
 }
 
 /// `/shards` — per-shard model assessments (measured operating point vs
-/// Eq. 1 + M/GI/1 evaluated per dispatcher shard; empty unless the broker
-/// can anchor the model on a cost model or flow control). With the topic
+/// Eq. 1 + M/GI/1 evaluated per dispatcher shard, anchored on the cost
+/// model or else the shard's own fit; empty without metrics). With the topic
 /// observatory on, the body also carries a `rebalance` block: per-shard
 /// load shares and the max/mean skew ratio.
 /// 404 with no broker attached.
@@ -321,7 +322,8 @@ fn shards(state: &HttpState, _: &str) -> Reply {
 
 /// `/topics` — the per-topic workload observatory: arrival rates, mean
 /// filter/replication/service observations, online-fitted Eq. 1 cost
-/// constants and drift verdicts per topic plus the pooled global fit. 404
+/// constants and drift verdicts per topic against its shard's anchor, plus
+/// the shards' pooled fit, judged against the cost model (`anchor`). 404
 /// unless the broker runs with `topic_obs` enabled.
 fn topics(state: &HttpState, _: &str) -> Reply {
     let snap = observer(state)?.topic_observatory();
@@ -936,11 +938,11 @@ mod tests {
     #[test]
     fn flow_endpoint_renders_gate_snapshot() {
         use rjms_broker::FlowConfig;
-        let gate = Arc::new(FlowGate::new(FlowConfig::default(), 1));
+        let gate = Arc::new(FlowGate::new(FlowConfig::default(), 1, None));
         let s = server(HttpState::new().flow(gate));
         let r = get(s.local_addr(), "/flow");
         assert_eq!(status_of(&r), "HTTP/1.1 200 OK");
-        for key in ["\"lambda_max\":", "\"source\":\"analytic\"", "\"per_class\":["] {
+        for key in ["\"lambda_max\":null", "\"source\":\"unseeded\"", "\"per_class\":["] {
             assert!(r.contains(key), "missing {key} in body: {r}");
         }
         s.shutdown();
@@ -1378,6 +1380,7 @@ mod tests {
                 arrival_rate: 12_000.0,
                 filters: one,
                 replication_grade: 2.5,
+                anchor: None,
                 verdict,
             })
             .collect()

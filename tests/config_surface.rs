@@ -71,13 +71,6 @@ BrokerConfig {
         FlowConfig {
             w99_objective: 0.01,
             classes: 3,
-            params: CostParams {
-                t_rcv: 8.52e-7,
-                t_fltr: 7.02e-6,
-                t_tx: 1.7e-5,
-                t_store: 0.0,
-            },
-            filters: 100,
             refresh_interval_ms: 1000,
         },
     ),
@@ -90,13 +83,6 @@ const FLOW: &str = r#"
 FlowConfig {
     w99_objective: 0.01,
     classes: 3,
-    params: CostParams {
-        t_rcv: 8.52e-7,
-        t_fltr: 7.02e-6,
-        t_tx: 1.7e-5,
-        t_store: 0.0,
-    },
-    filters: 100,
     refresh_interval_ms: 1000,
 }"#;
 

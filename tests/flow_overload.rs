@@ -20,6 +20,7 @@ use rand::SeedableRng;
 use rjms::desim::random::sample_exponential;
 use rjms::flow::{FlowConfig, FlowGate};
 use rjms::model::params::CostParams;
+use rjms::model::{ReplicationModel, ServerModel};
 
 /// Offered-load phases, seconds of simulated time each.
 const PHASE_SECS: f64 = 5.0;
@@ -102,13 +103,15 @@ fn shed_total(gate: &FlowGate) -> u64 {
 
 #[test]
 fn gate_keeps_admitted_w99_inside_objective_through_an_overload_wave() {
-    // Table I workload: correlation-ID constants, 100 filters, E[R] = 1 —
-    // the FlowConfig defaults. The gate is given a fifth less than the
-    // asserted objective, so that after its own 1.25 headroom it targets
-    // 6.7 ms, comfortably inside the 10 ms asserted. Four producers, none
-    // offered more than the half of the budget each may take.
+    // Table I workload: correlation-ID constants, 100 filters, E[R] = 1,
+    // the gate's seed. The gate is given a fifth less than the asserted
+    // objective, so that after its own 1.25 headroom it targets 6.7 ms,
+    // comfortably inside the 10 ms asserted. Four producers, none offered
+    // more than the half of the budget each may take.
     let objective = 0.010;
-    let gate = FlowGate::new(FlowConfig::default().w99_objective(objective / 1.2), 1);
+    let seed = ServerModel::new(CostParams::CORRELATION_ID, 100)
+        .service_time(ReplicationModel::deterministic(1.0));
+    let gate = FlowGate::new(FlowConfig::default().w99_objective(objective / 1.2), 1, Some(seed));
     let lambda_max = gate.lambda_max();
     assert!(lambda_max > 100.0, "budget too small for a meaningful wave: {lambda_max}/s");
     let e_b = CostParams::CORRELATION_ID.mean_service_time(100, 1.0);
@@ -175,6 +178,7 @@ mod flow_peer {
     //! nothing else, and admission's denials come back typed.
 
     use rjms::broker::{BrokerConfig, FlowConfig, Message, Priority};
+    use rjms::flow::MeasuredSummary;
     use rjms::model::params::CostParams;
     use rjms::net::wire::{
         decode_response, encode_request, read_frame, Request, Response, WireMessage,
@@ -186,14 +190,10 @@ mod flow_peer {
 
     #[test]
     fn a_flow_peer_gets_one_reply_per_request_and_no_other_frame() {
-        // A native-speed seed model (0.4 µs a message at 100 filters) puts
-        // `λ_max` in the millions a second: the twentieth of a second of it
-        // in the bucket, halved for the one producer, admits the 100
-        // publishes.
-        let native = CostParams::new(60e-9, 2.5e-9, 80e-9);
-        let flow = FlowConfig::default().params(native);
-        let server = BrokerServer::start(BrokerConfig::builder().flow(flow).build(), "127.0.0.1:0")
-            .expect("bind");
+        // No cost model, so no seed: the lane admits every publish until
+        // its first refresh, which 100 publishes do not reach.
+        let config = BrokerConfig::builder().flow(FlowConfig::default()).build();
+        let server = BrokerServer::start(config, "127.0.0.1:0").expect("bind");
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
 
         // One write: the topic's creation (request id 1), 100 publishes
@@ -226,27 +226,38 @@ mod flow_peer {
 
     #[test]
     fn a_burst_past_the_budget_is_shed_and_deferred_by_type_and_the_hint_holds() {
-        // Table I's costs and objective, each 200 times longer: the same
-        // utilisation ceiling, so a budget of Table I's λ_max/200, under 6
-        // msgs/s. The lane's bucket and the connection's producer bucket
-        // both hold their floor, one token per class (3). Class 0 draws the
-        // lane down to its reserve (2 of 3) in two publishes, and the third
-        // is shed unless it comes 1/λ_max ≈ 180 ms after the first; the
-        // producer, refilled at half the lane's rate, cannot fall a token
-        // behind the lane sooner than 2/λ_max. At Table I's own budget
-        // (≈ 1 100 msgs/s, a 57-token lane) the producer's half would run
-        // dry first unless the client published faster than 2·λ_max, a
-        // round trip under 0.45 ms. The burst is a dozen publishes: no
-        // refresh has the samples to move the budget.
+        // The lane is refreshed from a measurement of Table I's service
+        // time (100 filters), and the objective is Table I's, each 200
+        // times longer: the same utilisation ceiling, so a budget of Table
+        // I's λ_max/200, under 6 msgs/s. The lane's bucket and the
+        // connection's producer bucket both hold their floor, one token per
+        // class (3). Class 0 draws the lane down to its reserve (2 of 3) in
+        // two publishes, and the third is shed unless it comes 1/λ_max ≈
+        // 180 ms after the first; the producer, refilled at half the lane's
+        // rate, cannot fall a token behind the lane sooner than 2/λ_max. At
+        // Table I's own budget (≈ 1 100 msgs/s, a 57-token lane) the
+        // producer's half would run dry first unless the client published
+        // faster than 2·λ_max, a round trip under 0.45 ms. The burst is a
+        // dozen publishes: no refresh has the samples to move the budget.
         const SLOWER: f64 = 200.0;
-        let t = CostParams::CORRELATION_ID;
-        let slow = CostParams::new(t.t_rcv * SLOWER, t.t_fltr * SLOWER, t.t_tx * SLOWER);
         let flow = FlowConfig::default();
-        let flow = flow.params(slow).w99_objective(flow.w99_objective * SLOWER);
+        let flow = flow.w99_objective(flow.w99_objective * SLOWER);
         let server = BrokerServer::start(BrokerConfig::builder().flow(flow).build(), "127.0.0.1:0")
             .expect("bind");
         server.broker().create_topic("t").unwrap();
         let gate = server.broker().flow().expect("flow control on");
+        let e_b = CostParams::CORRELATION_ID.mean_service_time(100, 1.0) * SLOWER;
+        let measured = MeasuredSummary {
+            samples: 1000,
+            arrival_rate: 0.0,
+            mean_service_time: e_b,
+            service_cvar: 0.0,
+            utilization: 0.0,
+            mean_waiting_time: 0.0,
+            q99: 0.0,
+            q9999: 0.0,
+        };
+        gate.refresh(0, &measured);
         assert!(gate.lambda_max() < 10.0, "budget {}", gate.lambda_max());
         assert_eq!(gate.snapshot().bucket_burst, 3.0);
         let attempts = 2 * gate.snapshot().bucket_burst.ceil() as usize;
@@ -300,22 +311,14 @@ mod sharded {
     fn gate_is_not_tightened_by_the_aggregate_arrival_rate() {
         const SHARDS: usize = 4;
         const PER_SHARD_RATE: f64 = 1_200.0;
-        // The gate's model says 250 µs per message (one filter, one copy):
-        // at 1 200 msgs/s a shard is 30 % busy by the model, and the four
-        // together are 120 % of *one* server — the operating point a
-        // single-server reading of the aggregate histograms calls overloaded.
-        // (The filter term is small, so that reading does not hinge on how
-        // n_fltr = 0.99… is rounded.) The broker itself runs at native speed,
-        // so what each shard measures is a few microseconds of service, far
-        // from overload on any host: nothing here times the machine.
-        let params = CostParams { t_rcv: 100e-6, t_fltr: 10e-6, t_tx: 140e-6, t_store: 0.0 };
+        // 1 200 msgs/s a shard, 4 800 in all. The broker runs at native
+        // speed, so what each shard measures is a few microseconds of
+        // service, far from overload on any host, and each shard is judged
+        // against its own fit: nothing here times the machine, and no
+        // single-server reading of the aggregate rate may tighten a lane.
         // One publisher per shard: each is a producer of its own, offered a
         // quarter of the load and allowed half the budget.
-        let flow = FlowConfig::default()
-            .params(params)
-            .filters(1)
-            .w99_objective(0.050)
-            .refresh_interval_ms(300);
+        let flow = FlowConfig::default().w99_objective(0.050).refresh_interval_ms(300);
         let broker = Broker::start(BrokerConfig::builder().shards(SHARDS).flow(flow).build());
         let gate = broker.flow().expect("flow control on");
 
@@ -390,18 +393,15 @@ mod sharded {
         const OFFERED: f64 = 6_000.0;
         const RUN: Duration = Duration::from_secs(3);
         const SETTLED: Duration = Duration::from_millis(1_500);
-        // The broker spins the seed's own costs, 250 µs a message (one
-        // filter, one copy): one shard serves at most 4 000 msgs/s. All the
+        // The broker spins 250 µs a message (one filter, one copy), and its
+        // lanes are seeded at 240 µs (no filter): one shard serves at most
+        // 4 000 msgs/s. All the
         // traffic is on one topic, so one shard of the four takes 6 000
         // msgs/s. A budget of four even shards admits all of it and holds
         // that shard saturated; the budget of the one shard the traffic
         // spans holds it near ρ_max.
         let params = CostParams { t_rcv: 100e-6, t_fltr: 10e-6, t_tx: 140e-6, t_store: 0.0 };
-        let flow = FlowConfig::default()
-            .params(params)
-            .filters(1)
-            .w99_objective(0.0025)
-            .refresh_interval_ms(300);
+        let flow = FlowConfig::default().w99_objective(0.0025).refresh_interval_ms(300);
         let config = BrokerConfig::builder().shards(SHARDS).cost_model(params).flow(flow).build();
         let broker = Broker::start(config);
         let gate = broker.flow().expect("flow control on");
@@ -466,19 +466,15 @@ mod sharded {
         const RUN: Duration = Duration::from_secs(3);
         // The first refresh is due at 300 ms.
         const BEFORE_REFRESH: Duration = Duration::from_millis(250);
-        // The load of `a_hot_shard…`: 250 µs a message spun, 6 000 msgs/s on
-        // one topic from two producers, which one shard serves at most 4 000
-        // of. Beside it a topic on another shard takes 100 msgs/s from a
+        // The load of `a_hot_shard…`: 250 µs a message spun (the lanes seeded
+        // at 240 µs), 6 000 msgs/s on one topic from two producers, which
+        // one shard serves at most 4 000 of. Beside it a topic on another shard takes 100 msgs/s from a
         // publisher of its own, a fortieth of its shard's time. Each shard
         // is its own server: the hot one is budgeted as one server from the
         // first publish on, and the cold one is never denied for the hot
         // one's load.
         let params = CostParams { t_rcv: 100e-6, t_fltr: 10e-6, t_tx: 140e-6, t_store: 0.0 };
-        let flow = FlowConfig::default()
-            .params(params)
-            .filters(1)
-            .w99_objective(0.0025)
-            .refresh_interval_ms(300);
+        let flow = FlowConfig::default().w99_objective(0.0025).refresh_interval_ms(300);
         let config = BrokerConfig::builder().shards(SHARDS).cost_model(params).flow(flow).build();
         let broker = Broker::start(config);
         let gate = broker.flow().expect("flow control on");
@@ -546,35 +542,28 @@ mod sharded {
 }
 
 mod native_speed {
-    //! The gate budgets from what the dispatcher measured. A seed model far
-    //! slower than the broker sets the first budget only: its verdict on a
-    //! shard the broker serves easily does not throttle that shard.
+    //! The gate budgets from what the dispatcher measured. Without a cost
+    //! model a lane has no seed: it admits every publish until its first
+    //! measured refresh, and the shard is judged against its own fit.
 
-    use rjms::broker::{Broker, BrokerConfig, Filter, FlowConfig, Message};
+    use rjms::broker::{Broker, BrokerConfig, CostAnchor, Filter, FlowConfig, Message};
     use rjms::model::monitor::ModelVerdict;
-    use rjms::model::params::CostParams;
     use std::time::{Duration, Instant};
 
     #[test]
-    fn a_shard_the_seed_calls_overloaded_is_budgeted_from_its_measured_service() {
+    fn an_unseeded_shard_denies_nothing_and_is_budgeted_as_measured() {
         let _measuring = super::MEASURING.lock().unwrap_or_else(|e| e.into_inner());
         const OFFERED: f64 = 6_000.0;
-        // Four seconds: a budget halved at each `Overloaded` verdict would be
-        // below the offered rate by then.
         const RUN: Duration = Duration::from_secs(4);
         const SETTLED: Duration = Duration::from_secs(2);
-        // The seed says 250 µs a message, so at 6 000 msgs/s its model has no
-        // stationary regime and the shard's verdict reads `Overloaded`; its
-        // inversion admits under 4 000 msgs/s. The broker runs at native
-        // speed, a few microseconds a message, so the shard is a few per cent
-        // busy: once a refresh has the 1 000 samples a summary needs, the
-        // budget is in the hundreds of thousands.
-        let params = CostParams { t_rcv: 100e-6, t_fltr: 10e-6, t_tx: 140e-6, t_store: 0.0 };
-        let flow = FlowConfig::default()
-            .params(params)
-            .filters(1)
-            .w99_objective(0.050)
-            .refresh_interval_ms(300);
+        // The broker runs at native speed, a few microseconds a message, so
+        // the shard is a few per cent busy: once a refresh has the 1 000
+        // samples a summary needs, the budget is in the hundreds of
+        // thousands, and before it the lane is unbounded. A lane seeded at
+        // 250 µs a message would deny about a tenth of this load before the
+        // first refresh, and a shard judged against that seed would read
+        // `Overloaded`.
+        let flow = FlowConfig::default().w99_objective(0.050).refresh_interval_ms(300);
         let broker = Broker::start(BrokerConfig::builder().flow(flow).build());
         let gate = broker.flow().expect("flow control on");
         broker.create_topic("orders").unwrap();
@@ -583,28 +572,20 @@ mod native_speed {
         let publisher = broker.publisher("orders").unwrap();
 
         let started = Instant::now();
-        let (mut sent, mut denied, mut denied_measured) = (0u64, 0u64, 0u64);
+        let (mut sent, mut denied) = (0u64, 0u64);
         let mut lowest_settled_budget = f64::INFINITY;
-        // Whether the gate was `measured` a loop turn (over 1 ms) ago. A
-        // refresh re-sizes the producer's bucket to 50 ms of the measured
-        // rate at the fill fraction the seed budget drained it to, and at
-        // that rate it refills within a millisecond. A turn sends at most
-        // `CATCH_UP` publishes, so a backlog left by a host stall is not
-        // sent at once.
+        // A refresh re-sizes the producer's bucket to 50 ms of the measured
+        // rate, full. A turn sends at most `CATCH_UP` publishes, so a
+        // backlog left by a host stall is not sent at once.
         const CATCH_UP: u64 = 30;
-        let mut measured_a_turn_ago = false;
         while started.elapsed() < RUN {
-            let measured = gate.snapshot().source == "measured";
             let due = (OFFERED * started.elapsed().as_secs_f64()).ceil() as u64;
             let batch = due.saturating_sub(sent).min(CATCH_UP);
             for _ in 0..batch {
                 let message = Message::builder().correlation_id("#1").build();
-                let refused = u64::from(publisher.publish(message).is_err());
-                denied += refused;
-                denied_measured += refused * u64::from(measured_a_turn_ago);
+                denied += u64::from(publisher.publish(message).is_err());
             }
             sent += batch;
-            measured_a_turn_ago = measured;
             sub.drain();
             if started.elapsed() >= SETTLED {
                 lowest_settled_budget = lowest_settled_budget.min(gate.lambda_max());
@@ -615,23 +596,40 @@ mod native_speed {
         let reports = broker.shard_reports();
         let snapshot = gate.snapshot();
         eprintln!(
-            "offered {OFFERED}/s for {RUN:?}: sent {sent}, denied {denied} ({denied_measured} \
-             under a measured budget); gate lambda_max {:.0}/s (lowest after {SETTLED:?} \
-             {lowest_settled_budget:.0}/s) source {} after {} refreshes; shard verdict {:?}",
-            snapshot.lambda_max, snapshot.source, snapshot.refreshes, reports[0].verdict
+            "offered {OFFERED}/s for {RUN:?}: sent {sent}, denied {denied}; gate lambda_max \
+             {:.0}/s (lowest after {SETTLED:?} {lowest_settled_budget:.0}/s) source {} after {} \
+             refreshes; shard anchor {:?}, verdict {:?}",
+            snapshot.lambda_max,
+            snapshot.source,
+            snapshot.refreshes,
+            reports[0].anchor,
+            reports[0].verdict
+        );
+        assert_eq!(denied, 0, "{denied} of {sent} publishes denied");
+        assert!(
+            matches!(reports[0].anchor, Some(CostAnchor::Fit(_))),
+            "the shard is judged against its own fit"
         );
         assert!(
-            matches!(reports[0].verdict, ModelVerdict::Overloaded { .. }),
-            "the seed model must call the shard overloaded for this test to mean anything"
+            !matches!(reports[0].verdict, ModelVerdict::Overloaded { .. }),
+            "a shard a few per cent busy was called overloaded"
         );
+        // The fit's `E[B]` goes with the measured `c_var[B]`, so only the
+        // queue can disagree: `E[W]` here is the dispatcher's wake-up, which
+        // M/GI/1 has no term for.
+        let report = reports[0].verdict.report().expect("past the monitor's floor");
+        let service = ["E[B]", "c_var[B]"];
+        assert!(
+            report.violations.iter().all(|v| !service.contains(&v.quantity)),
+            "the shard's own fit disagrees with its service times: {:?}",
+            report.violations
+        );
+        assert_eq!(snapshot.source, "measured", "no lane was re-inverted from its measurement");
         assert!(
             lowest_settled_budget >= OFFERED,
             "the budget fell to {lowest_settled_budget:.0}/s, below the {OFFERED}/s the shard \
              carries easily"
         );
-        // Every denial came under the seed budget, before the first refresh
-        // had the samples a summary needs, or in the millisecond after it.
-        assert_eq!(denied_measured, 0, "{denied_measured} publishes denied by a measured budget");
         broker.shutdown();
     }
 }

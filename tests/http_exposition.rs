@@ -164,9 +164,11 @@ fn snapshot_model_and_unknown_paths() {
         "unbalanced JSON: {body}"
     );
 
+    // No cost model: the shard is judged against its own fit, which ten
+    // messages leave short of its floor.
     let (status, body) = http_get(fixture.http.local_addr(), "/model");
     assert_eq!(status, "HTTP/1.1 200 OK");
-    assert_eq!(body, "no model assessment yet\n");
+    assert_eq!(body, "model check: Insufficient { samples: 10, required: 256 }\nanchor: none\n");
 
     let (status, _) = http_get(fixture.http.local_addr(), "/nope");
     assert_eq!(status, "HTTP/1.1 404 Not Found");

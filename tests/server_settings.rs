@@ -120,8 +120,10 @@ fn get(server: &Server, path: &str) -> String {
 }
 
 /// `/model` is computed from the broker's shard reports at request time:
-/// flow control alone gives the model its anchor, and no report thread
-/// (`--metrics-interval`) or `--cost-model` has to be on for it to answer.
+/// flow control alone (which implies metrics) gives the shard reports, each
+/// shard anchored on its own fit once that has its floor, and no report
+/// thread (`--metrics-interval`) or `--cost-model` has to be on for it to
+/// answer.
 #[test]
 fn model_endpoint_answers_with_flow_control_alone() {
     let server = start("model", "", &["--slo", "--flow", "--topic", "t"]);
@@ -134,9 +136,12 @@ fn model_endpoint_answers_with_flow_control_alone() {
 /// the engine on and the report thread (`--metrics-interval`) off, `/slo`
 /// carries a model verdict once two of its samples have traffic between
 /// them (the first sample, a second after start-up, is only the baseline).
+/// The engine judges against `--cost-model` only (without one, see
+/// `slo_overload.rs::without_a_cost_model_the_model_objective_stays_ok`).
 #[test]
 fn slo_engine_has_a_model_verdict_without_the_report_thread() {
-    let server = start("slo-verdict", "", &["--slo", "--flow", "--topic", "t"]);
+    let args = ["--slo", "--flow", "--cost-model", "corr", "--topic", "t"];
+    let server = start("slo-verdict", "", &args);
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         traffic(&server);

@@ -12,9 +12,14 @@
 //! and the `/slo` HTTP endpoint must return the firing record carrying
 //! its evidence: the offending window's histogram and the analytic model's
 //! prediction at the measured (overloaded) operating point.
+//!
+//! A broker run without a cost model gives the engine no model to page on:
+//! its `model` objective stays `ok` while `/model` judges each shard
+//! against its own fit.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rjms::broker::{Broker, BrokerConfig, CostAnchor, Message, MetricsConfig};
 use rjms::desim::random::sample_exponential;
 use rjms::http::{HttpServer, HttpState};
 use rjms::metrics::{Histogram, MetricsRegistry};
@@ -178,4 +183,43 @@ fn overload_drives_w99_through_the_alert_lifecycle() {
     // measured utilization sits between 0.5 and 0.98, strictly above plan.
     assert!(rho > 0.55, "prediction should sit above the rho=0.5 plan point, got {rho}");
     http.shutdown();
+}
+
+/// A native-speed broker without a cost model, past both floors (the fit's
+/// 256 observations, the monitor's 1 000 samples): each shard report is
+/// judged against the shard's own fit, and the SLO engine, given
+/// `shard_monitors`, has no model for the `model` objective to burn on.
+#[test]
+fn without_a_cost_model_the_model_objective_stays_ok() {
+    const MESSAGES: u64 = 2_000;
+    let broker = Broker::start(BrokerConfig::builder().metrics(MetricsConfig::default()).build());
+    broker.create_topic("t").unwrap();
+    let sub = broker.subscription("t").open().unwrap();
+    let publisher = broker.publisher("t").unwrap();
+    let registry = broker.metrics().expect("metrics on");
+    let slos = SloSpec::defaults().into_iter().map(|s| s.windows(FAST, SLOW)).collect();
+    let mut core = ObsCore::new(ObsConfig { slos, forecast: ForecastConfig::default() });
+    let mut events = core.tick(Duration::from_secs(1), &registry.snapshot(), None);
+    for _ in 0..MESSAGES {
+        publisher.publish(Message::builder().build()).unwrap();
+    }
+    for _ in 0..400 {
+        if broker.shard_reports()[0].verdict.report().is_some() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let report = &broker.shard_reports()[0];
+    assert!(matches!(report.anchor, Some(CostAnchor::Fit(_))), "{report:?}");
+    assert!(report.verdict.report().is_some(), "{report:?}");
+    sub.drain();
+    for t in 2..=3 {
+        core.set_monitors(broker.observer().shard_monitors());
+        events.extend(core.tick(Duration::from_secs(t), &registry.snapshot(), None));
+    }
+    assert!(core.shards().iter().all(|s| s.verdict.is_none()));
+    let model = core.status().iter().find(|s| s.name == "model").expect("a default objective");
+    assert_eq!((model.state, model.fast.burn, model.slow.burn), (AlertState::Ok, 0.0, 0.0));
+    assert!(events.iter().all(|e| e.name != "model"), "{events:?}");
+    broker.shutdown();
 }
