@@ -17,7 +17,6 @@
 //! more items than the bytes behind a count can hold.
 
 use crate::filter::Filter;
-use bytes::Bytes;
 use rjms_selector::value::Value;
 use std::fmt;
 
@@ -98,9 +97,9 @@ impl FilterSource {
 
 /// A message's fields in the order both formats lay them out. [`Put`]
 /// writes them borrowed (`S = &str`, `B = &[u8]`, `P` iterates the
-/// properties), [`Reader::fields`] reads them back owned ([`OwnedFields`]).
-/// The id and timestamp are not among them: the journal stores them in
-/// front, the wire not at all.
+/// properties), and [`Reader::fields`] reads them back borrowed. The id and
+/// timestamp are not among them: the journal stores them in front, the
+/// wire not at all.
 #[derive(Debug)]
 pub struct Fields<S, P, B> {
     /// Correlation id header.
@@ -124,8 +123,16 @@ pub struct Fields<S, P, B> {
     pub trace_origin_ns: u64,
 }
 
-/// The fields as [`Reader::fields`] returns them.
-pub type OwnedFields = Fields<String, Vec<(String, Value)>, Bytes>;
+/// What [`Message::read`](crate::Message::read) stamps a message with.
+#[derive(Debug, Clone, Copy)]
+pub enum Stamp {
+    /// Off the wire: a new id and `JMSTimestamp`, and an expiration of the
+    /// expiry field, a time to live, from then.
+    Fresh,
+    /// Off the journal: the raw id and the `JMSTimestamp` stored in front
+    /// of the fields; the expiry field is the expiration.
+    Stored(u64, u64),
+}
 
 impl<'a> Fields<&'a str, crate::message::Properties<'a>, &'a [u8]> {
     /// A broker message's fields, to go out with `expiry`.
@@ -297,14 +304,18 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
-    /// A string.
-    pub fn string(&mut self) -> Result<String, DecodeError> {
-        let raw = self.bytes()?;
-        std::str::from_utf8(raw).map(str::to_owned).map_err(|_| DecodeError::new("not UTF-8"))
+    /// A string, borrowed.
+    fn str(&mut self) -> Result<&'a str, DecodeError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| DecodeError::new("not UTF-8"))
     }
 
-    fn opt_string(&mut self) -> Result<Option<String>, DecodeError> {
-        Ok(if self.flag()? { Some(self.string()?) } else { None })
+    /// A string.
+    pub fn string(&mut self) -> Result<String, DecodeError> {
+        self.str().map(str::to_owned)
+    }
+
+    fn opt_str(&mut self) -> Result<Option<&'a str>, DecodeError> {
+        Ok(if self.flag()? { Some(self.str()?) } else { None })
     }
 
     fn value(&mut self) -> Result<Value, DecodeError> {
@@ -327,17 +338,19 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A message's fields. A priority above 9 or a zero trace id does not
-    /// decode. The body is copied out: a message that outlives its bytes
-    /// must not pin the buffer they are a slice of.
-    pub fn fields(&mut self) -> Result<OwnedFields, DecodeError> {
-        let correlation_id = self.opt_string()?;
-        let message_type = self.opt_string()?;
+    /// A message's fields, borrowed, each property made by `property`, in
+    /// wire order. A priority above 9 or a zero trace id does not decode.
+    pub fn fields<T>(
+        &mut self,
+        mut property: impl FnMut(&'a str, Value) -> T,
+    ) -> Result<Fields<&'a str, Vec<T>, &'a [u8]>, DecodeError> {
+        let correlation_id = self.opt_str()?;
+        let message_type = self.opt_str()?;
         let priority = self.u8()?;
         if priority > 9 {
             return err(format!("priority {priority} out of the JMS 0-9 range"));
         }
-        let reply_to = self.opt_string()?;
+        let reply_to = self.opt_str()?;
         let expiry = if self.flag()? { Some(self.u64()?) } else { None };
         let count = self.u32()? as usize;
         if count > self.buf.len() / MIN_PROPERTY_LEN {
@@ -345,9 +358,9 @@ impl<'a> Reader<'a> {
         }
         let mut properties = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            properties.push((self.string()?, self.value()?));
+            properties.push(property(self.str()?, self.value()?));
         }
-        let body = Bytes::copy_from_slice(self.bytes()?);
+        let body = self.bytes()?;
         let trace_id = self.u64()?;
         if trace_id == 0 {
             return err("trace id must be nonzero");

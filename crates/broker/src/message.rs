@@ -6,7 +6,7 @@
 //! user properties and the `JMS*` header fields, which is why [`Message`]
 //! implements [`PropertySource`].
 
-use crate::codec::OwnedFields;
+use crate::codec::{DecodeError, Reader, Stamp};
 use bytes::Bytes;
 use rjms_selector::eval::PropertySource;
 use rjms_selector::value::{Value, ValueRef};
@@ -142,18 +142,17 @@ impl PropertyList {
         }
     }
 
-    /// Collects decoded properties; of a name given twice the last value
-    /// wins, as `collect()` into a map does. The stable sort first makes
-    /// every `set` an append or a replacement of the last entry, so names
-    /// in any order cost O(n log n), and the codec's name order is one
-    /// linear pass.
-    fn from_decoded(mut decoded: Vec<(String, Value)>) -> Self {
-        decoded.sort_by(|(a, _), (b, _)| a.cmp(b));
-        let mut properties = PropertyList(Vec::with_capacity(decoded.len()));
-        for (name, value) in decoded {
-            properties.set(&name, value);
+    /// Properties in wire order, name order when the codec wrote them. Out
+    /// of order, a stable sort of the reversed list puts the last value of
+    /// a name given twice first, where `dedup_by` keeps it: O(n log n), not
+    /// the O(n²) of inserting each in place.
+    fn from_wire_order(mut properties: Vec<(ShortStr, Value)>) -> Self {
+        if !properties.is_sorted_by(|(a, _), (b, _)| a.as_bytes() < b.as_bytes()) {
+            properties.reverse();
+            properties.sort_by(|(a, _), (b, _)| a.as_bytes().cmp(b.as_bytes()));
+            properties.dedup_by(|(a, _), (b, _)| a.as_bytes() == b.as_bytes());
         }
-        properties
+        PropertyList(properties)
     }
 }
 
@@ -368,31 +367,37 @@ impl Message {
         self.trace_origin_ns
     }
 
-    /// Reassembles a message from journal-recovered parts, keeping the
-    /// original id and timestamps. The codec has checked the priority; of a
-    /// name stored twice the last value wins.
-    pub(crate) fn from_stored_parts(
-        id_raw: u64,
-        timestamp_millis: u64,
-        fields: OwnedFields,
-    ) -> Message {
-        MessageId::observe(id_raw);
-        let id = MessageId::from_raw(id_raw);
-        let short = |s: Option<String>| s.as_deref().map(ShortStr::new);
-        Message {
+    /// Reads a message's fields off `r` straight into a message stamped by
+    /// `stamp`: strings of ≤ 22 bytes inline, one property vector, the body
+    /// copied out. Refuses what [`Reader::fields`] refuses; the caller ends
+    /// the read ([`Reader::finish`]).
+    pub fn read(r: &mut Reader<'_>, stamp: Stamp) -> Result<Message, DecodeError> {
+        let f = r.fields(|name, value| (ShortStr::new(name), value))?;
+        let (id, timestamp_millis, expiration_millis) = match stamp {
+            Stamp::Fresh => {
+                let now = now_unix_millis();
+                let expiration = f.expiry.map(|ttl| now.saturating_add(ttl).min(i64::MAX as u64));
+                (MessageId::next(), now, expiration)
+            }
+            Stamp::Stored(id, timestamp_millis) => {
+                MessageId::observe(id);
+                (MessageId::from_raw(id), timestamp_millis, f.expiry)
+            }
+        };
+        Ok(Message {
             id,
             id_text: id_text(id),
             timestamp_millis,
-            correlation_id: short(fields.correlation_id),
-            message_type: short(fields.message_type),
-            priority: Priority::new(fields.priority),
-            reply_to: short(fields.reply_to),
-            expiration_millis: fields.expiry,
-            properties: PropertyList::from_decoded(fields.properties),
-            body: fields.body,
-            trace_id: fields.trace_id,
-            trace_origin_ns: fields.trace_origin_ns,
-        }
+            correlation_id: f.correlation_id.map(ShortStr::new),
+            message_type: f.message_type.map(ShortStr::new),
+            priority: Priority::new(f.priority),
+            reply_to: f.reply_to.map(ShortStr::new),
+            expiration_millis,
+            properties: PropertyList::from_wire_order(f.properties),
+            body: Bytes::copy_from_slice(f.body),
+            trace_id: f.trace_id,
+            trace_origin_ns: f.trace_origin_ns,
+        })
     }
 
     /// The message's encoded size, over-estimated: its strings' and body's
@@ -798,31 +803,43 @@ mod tests {
         }
     }
 
+    /// The message of a journal record's `fields`, read with a stored stamp.
+    fn stored(fields: &[u8]) -> Message {
+        let mut r = Reader::new(fields);
+        let message = Message::read(&mut r, Stamp::Stored(1, 0)).unwrap();
+        r.finish().unwrap();
+        message
+    }
+
     #[test]
     fn a_record_that_stores_a_name_twice_decodes_with_the_last_value() {
-        use crate::codec::{Fields, Put, Reader};
+        use crate::codec::{Fields, Put};
         let (one, two) = (Value::Int(1), Value::Int(2));
-        let mut bytes = Vec::new();
-        bytes.fields(Fields {
-            correlation_id: None,
-            message_type: None,
-            priority: 4,
-            reply_to: None,
-            expiry: None,
-            properties: [("k", &one), ("j", &one), ("k", &two)],
-            body: &[],
-            trace_id: 1,
-            trace_origin_ns: 0,
-        });
-        let fields = Reader::new(&bytes).fields().unwrap();
-        let decoded = Message::from_stored_parts(1, 0, fields);
-        let stored: Vec<(&str, &Value)> = decoded.properties().collect();
-        assert_eq!(stored, [("j", &one), ("k", &two)]);
+        // Out of name order, and in it with the name repeated.
+        for properties in
+            [[("k", &one), ("j", &one), ("k", &two)], [("j", &one), ("k", &one), ("k", &two)]]
+        {
+            let mut bytes = Vec::new();
+            bytes.fields(Fields {
+                correlation_id: None,
+                message_type: None,
+                priority: 4,
+                reply_to: None,
+                expiry: None,
+                properties,
+                body: &[],
+                trace_id: 1,
+                trace_origin_ns: 0,
+            });
+            let decoded = stored(&bytes);
+            let stored: Vec<(&str, &Value)> = decoded.properties().collect();
+            assert_eq!(stored, [("j", &one), ("k", &two)]);
+        }
     }
 
     #[test]
     fn a_record_with_many_names_in_reverse_order_decodes_in_n_log_n() {
-        use crate::codec::{Fields, Put, Reader};
+        use crate::codec::{Fields, Put};
         // Inserting each name at the front would shift every entry stored
         // before it: ≈ 10^12 bytes moved for 200 000 names, a minute or
         // more instead of well under a second.
@@ -840,9 +857,8 @@ mod tests {
             trace_id: 1,
             trace_origin_ns: 0,
         });
-        let fields = Reader::new(&bytes).fields().unwrap();
         let start = std::time::Instant::now();
-        let decoded = Message::from_stored_parts(1, 0, fields);
+        let decoded = stored(&bytes);
         let took = start.elapsed();
         assert!(took < Duration::from_secs(10), "{took:?}");
         assert_eq!(decoded.properties().len(), names.len());
@@ -864,5 +880,28 @@ mod tests {
         // Header strings and names inline, properties in one vector: no
         // larger than the 208 bytes of the map-based message.
         assert!(std::mem::size_of::<Message>() <= 208, "{}", std::mem::size_of::<Message>());
+    }
+
+    #[test]
+    fn a_message_read_off_a_delivery_keeps_that_shape() {
+        use crate::codec::{Fields, Put};
+        // The benchmark's delivery (`#0`, `key`, `seq`, a 64-byte body),
+        // and names up to the inline limit.
+        let names = boundary_names().into_iter().filter(|name| name.len() <= INLINE_LEN);
+        let builder = Message::builder().correlation_id("#0").property("key", 0i64);
+        let sent = names.fold(builder.property("seq", 7i64), |b, name| b.property(name, 1i64));
+        let sent = sent.body(vec![7u8; 64]).build();
+        let mut bytes = Vec::new();
+        bytes.fields(Fields::of(&sent, None));
+        let mut r = Reader::new(&bytes);
+        let read = Message::read(&mut r, Stamp::Fresh).unwrap();
+        r.finish().unwrap();
+        assert_eq!((&read.properties, read.body()), (&sent.properties, sent.body()));
+        // Besides its `Arc`, two heap blocks: the body and the property
+        // vector, which has no room to spare; every string is inline.
+        assert_eq!(read.properties.0.capacity(), read.properties.0.len());
+        let inline = |s: &ShortStr| matches!(s, ShortStr::Inline { .. });
+        assert!(read.properties.0.iter().all(|(name, _)| inline(name)));
+        assert!(read.correlation_id.as_ref().is_some_and(inline));
     }
 }

@@ -16,7 +16,7 @@
 //! journal format is decoupled from the selector AST.
 
 use crate::broker::BrokerInner;
-use crate::codec::{Fields, FilterSource, Put, Reader};
+use crate::codec::{Fields, FilterSource, Put, Reader, Stamp};
 use crate::config::DURABLE_BUFFER_CAPACITY;
 use crate::dispatch::Queued;
 use crate::durable::DurableState;
@@ -166,7 +166,7 @@ impl JournalRecord {
             TAG_PUBLISH => {
                 let topic = r.string()?;
                 let (id, timestamp_millis) = (r.u64()?, r.u64()?);
-                let message = Message::from_stored_parts(id, timestamp_millis, r.fields()?);
+                let message = Message::read(&mut r, Stamp::Stored(id, timestamp_millis))?;
                 JournalRecord::Publish { topic, message }
             }
             TAG_DURABLE_REGISTERED => JournalRecord::DurableRegistered {
@@ -342,7 +342,6 @@ pub(crate) fn recover_topics(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::OwnedFields;
     use rjms_selector::value::Value;
 
     fn roundtrip(record: JournalRecord) {
@@ -391,24 +390,26 @@ mod tests {
 
     /// Every header set and one property of each value tag.
     fn golden_message() -> Message {
-        let properties = vec![
-            ("price".to_owned(), Value::Float(49.5)),
-            ("symbol".to_owned(), Value::Str("ACME".into())),
-            ("urgent".to_owned(), Value::Bool(true)),
-            ("volume".to_owned(), Value::Int(1_000_000)),
+        let properties = [
+            ("price", &Value::Float(49.5)),
+            ("symbol", &Value::Str("ACME".into())),
+            ("urgent", &Value::Bool(true)),
+            ("volume", &Value::Int(1_000_000)),
         ];
-        let fields = OwnedFields {
-            correlation_id: Some("#42".to_owned()),
-            message_type: Some("quote".to_owned()),
+        let mut fields = Vec::new();
+        fields.fields(Fields {
+            correlation_id: Some("#42"),
+            message_type: Some("quote"),
             priority: 7,
-            reply_to: Some("replies".to_owned()),
+            reply_to: Some("replies"),
             expiry: Some(1_700_000_060_000),
             properties,
-            body: bytes::Bytes::from_static(b"payload"),
+            body: b"payload",
             trace_id: 0x0102_0304_0506_0708,
             trace_origin_ns: 0x1112_1314_1516_1718,
-        };
-        Message::from_stored_parts(42, 1_700_000_000_000, fields)
+        });
+        let stamp = Stamp::Stored(42, 1_700_000_000_000);
+        Message::read(&mut Reader::new(&fields), stamp).unwrap()
     }
 
     /// A publish record as the journal has always written it.

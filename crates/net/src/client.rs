@@ -9,10 +9,9 @@
 
 use crate::error::Error;
 use crate::wire::{
-    decode_delivery, decode_response, delivery_subscriptions, encode_request, oversized,
-    FrameReader, Request, Response, WireFilter, WireMessage, MAX_FRAME_LEN,
+    decode_response, delivery_subscriptions, encode_request, oversized, read_delivery, FrameReader,
+    Request, Response, WireFilter, WireMessage, MAX_FRAME_LEN,
 };
-use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rjms_broker::Message;
@@ -21,32 +20,15 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long [`RemoteBroker`] waits for a request's response.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Delivery frames in wire order: what one read held for one subscription.
-type Frames = VecDeque<Arc<Delivery>>;
-
-/// One delivery frame, shared by every subscription it names: the first to
-/// reach it decodes it, on its own thread; `None` when it does not decode.
-struct Delivery {
-    body: Bytes,
-    message: OnceLock<Option<Message>>,
-}
-
-impl Delivery {
-    fn message(&self) -> &Option<Message> {
-        self.message.get_or_init(|| {
-            #[cfg(test)]
-            tests::DECODES.with(|decodes| decodes.set(decodes.get() + 1));
-            decode_delivery(&self.body).ok().map(WireMessage::into_message)
-        })
-    }
-}
+/// What one read held for one subscription, in wire order, each message shared.
+type Frames = VecDeque<Arc<Message>>;
 
 /// Shared client state touched by the background reader and subscriber
 /// handles.
@@ -58,13 +40,15 @@ struct ClientShared {
     /// subscription id → delivery channel, one send per read that held frames for it.
     subscriptions: Mutex<HashMap<u32, Sender<Frames>>>,
     closed: AtomicBool,
+    #[cfg(test)]
+    counts: tests::Counts,
 }
 
 /// Ends the connection from this side, once; the reader's exit wakes every caller.
 fn shut_down(shared: &ClientShared) {
     if !shared.closed.swap(true, Ordering::Relaxed) {
         #[cfg(test)]
-        tests::SHUTDOWNS.with(|shutdowns| shutdowns.set(shutdowns.get() + 1));
+        shared.counts.shutdowns.fetch_add(1, Ordering::Relaxed);
         let _ = shared.stream.lock().shutdown(std::net::Shutdown::Both);
     }
 }
@@ -113,6 +97,8 @@ impl RemoteBroker {
             pending: Mutex::new(HashMap::new()),
             subscriptions: Mutex::new(HashMap::new()),
             closed: AtomicBool::new(false),
+            #[cfg(test)]
+            counts: tests::Counts::default(),
         });
         let metrics = MetricsRegistry::new();
         let reader_shared = Arc::clone(&shared);
@@ -356,11 +342,10 @@ impl Drop for RemoteBroker {
     }
 }
 
-/// Background reader: dispatches responses to pending calls and routes delivery
-/// frames, undecoded, to subscriber channels, once per read or when a reply is next.
-/// A frame goes to every subscription its id list names, as one `Arc<Delivery>`
-/// clone each: the server sends a message once per connection, the client decodes
-/// it once and replicates it. A delivery it cannot route ends the connection.
+/// Background reader: dispatches responses to pending calls and decodes each delivery
+/// frame once, into one `Arc<Message>` cloned to every subscription its id list names,
+/// handed over once per read or when a reply is next. A delivery that does not route or
+/// decode ends the connection, after what was routed before it is handed over.
 fn client_reader_loop(stream: impl Read, shared: &ClientShared, batch_frames: &Histogram) {
     let mut frames = FrameReader::new(stream);
     let mut routed: HashMap<u32, Frames> = HashMap::new();
@@ -375,8 +360,10 @@ fn client_reader_loop(stream: impl Read, shared: &ClientShared, batch_frames: &H
     while let Ok(Some(body)) = frames.next_frame() {
         match delivery_subscriptions(&body) {
             Ok(Some(ids)) => {
-                let delivery = Arc::new(Delivery { body: body.clone(), message: OnceLock::new() });
-                ids.for_each(|id| routed.entry(id).or_default().push_back(Arc::clone(&delivery)))
+                #[cfg(test)]
+                shared.counts.decodes.fetch_add(1, Ordering::Relaxed);
+                let Ok(message) = read_delivery(&body).map(Arc::new) else { break };
+                ids.for_each(|id| routed.entry(id).or_default().push_back(Arc::clone(&message)))
             }
             Ok(None) => match decode_response(body.clone()) {
                 Ok(
@@ -408,23 +395,18 @@ fn client_reader_loop(stream: impl Read, shared: &ClientShared, batch_frames: &H
 
 /// A remote subscription's consuming handle.
 ///
-/// `receive*` decodes the delivery frames, on the consumer's thread; a frame
-/// sent for several subscriptions of the connection is decoded and built once,
-/// by the first of them to reach it, and the others get a clone that shares its
-/// body; the last to take it moves it out. So a message gets its id,
-/// `JMSTimestamp` and expiration base when it is first *received*, not when it
-/// reached the socket, and every copy of one frame carries the same three, as
-/// in-process subscribers share one message. A frame that does not decode is
-/// found by each subscription that reaches it: the messages before it were
-/// delivered, that call and every later one fail as on a closed connection,
-/// which is then shut down.
+/// The connection's reader decodes each delivery frame once, so a message gets its id,
+/// `JMSTimestamp` and expiration base when it is read off the socket, and every copy of
+/// one frame carries the same three, as in-process subscribers share one message; the
+/// last subscription to take it moves it out, the others clone it. A frame that does not
+/// decode ends the connection after the messages before it are delivered.
 /// Threads sharing the handle take turns, a message each: a call waits behind
 /// another thread's wait, except `try_receive`, which returns `None`.
 /// Dropping the handle cancels the remote subscription best-effort.
 pub struct RemoteSubscriber {
     subscription_id: u32,
     deliveries: Receiver<Frames>,
-    /// Frames handed over and not yet taken, next one first; locked for a turn.
+    /// Messages handed over and not yet taken, next one first; locked for a turn.
     batch: Mutex<Frames>,
     shared: Arc<ClientShared>,
 }
@@ -448,34 +430,26 @@ impl RemoteSubscriber {
     /// [`Error::Closed`] once the connection is gone and the local
     /// buffer is drained.
     pub fn receive(&self) -> Result<Message, Error> {
-        self.next(&mut self.batch.lock(), || self.deliveries.recv().ok()).ok_or(Error::Closed)
+        Self::next(&mut self.batch.lock(), || self.deliveries.recv().ok()).ok_or(Error::Closed)
     }
 
     /// Receive with a timeout; `None` on timeout or closed connection.
     pub fn receive_timeout(&self, timeout: Duration) -> Option<Message> {
-        self.next(&mut self.batch.lock(), || self.deliveries.recv_timeout(timeout).ok())
+        Self::next(&mut self.batch.lock(), || self.deliveries.recv_timeout(timeout).ok())
     }
 
     /// Non-blocking receive.
     pub fn try_receive(&self) -> Option<Message> {
-        self.next(&mut *self.batch.try_lock()?, || self.deliveries.try_recv().ok())
+        Self::next(&mut *self.batch.try_lock()?, || self.deliveries.try_recv().ok())
     }
 
-    /// Takes the message of the frame at the front of `batch`, which `more` refills
-    /// when it is empty: moved out by the frame's last holder, cloned by the others.
-    /// A frame that does not decode stays there, and the subscription with it.
-    fn next(&self, batch: &mut Frames, more: impl Fn() -> Option<Frames>) -> Option<Message> {
+    /// Takes the message at the front of `batch`, which `more` refills when
+    /// it is empty: moved out by the frame's last holder, cloned by the others.
+    fn next(batch: &mut Frames, more: impl Fn() -> Option<Frames>) -> Option<Message> {
         if batch.is_empty() {
             *batch = more()?;
         }
-        if batch.front()?.message().is_none() {
-            shut_down(&self.shared);
-            return None;
-        }
-        match Arc::try_unwrap(batch.pop_front()?) {
-            Ok(last) => last.message.into_inner().flatten(),
-            Err(shared) => shared.message().clone(),
-        }
+        Some(Arc::try_unwrap(batch.pop_front()?).unwrap_or_else(|shared| Message::clone(&shared)))
     }
 }
 
@@ -502,21 +476,24 @@ impl Drop for RemoteSubscriber {
 mod tests {
     use super::*;
     use crate::wire::{decode_request, encode_delivery_into, encode_response, read_frame};
-    use std::cell::Cell;
     use std::net::TcpListener;
+    use std::sync::atomic::AtomicU64;
 
-    thread_local! {
-        /// Delivery frames [`Delivery::message`] decoded on this thread.
-        pub(super) static DECODES: Cell<u64> = const { Cell::new(0) };
-        /// Connections [`shut_down`] shut down from this thread.
-        pub(super) static SHUTDOWNS: Cell<u64> = const { Cell::new(0) };
+    /// What one connection did, counted where it happens, so that tests
+    /// running side by side do not count each other.
+    #[derive(Default)]
+    pub(super) struct Counts {
+        /// Delivery frames the reader decoded, or tried to.
+        pub(super) decodes: AtomicU64,
+        /// Shut-downs [`shut_down`] carried out.
+        pub(super) shutdowns: AtomicU64,
     }
 
     /// How long a call that must return may wait before the test fails instead of hanging.
     const GUARD: Duration = Duration::from_secs(5);
 
-    fn decodes() -> u64 {
-        DECODES.with(Cell::get)
+    fn decodes(client: &RemoteBroker) -> u64 {
+        client.shared.counts.decodes.load(Ordering::Relaxed)
     }
 
     /// A client with `subscriptions` subscriptions (ids 1, 2, …), the last one
@@ -567,9 +544,10 @@ mod tests {
         out
     }
 
-    /// What is left on `subscriber` until the connection closes, as correlation ids.
+    /// What is left on `subscriber` until the connection closes (or a guard passes
+    /// without a message), as correlation ids.
     fn drain(subscriber: &RemoteSubscriber) -> Vec<String> {
-        let received = std::iter::from_fn(|| subscriber.receive().ok());
+        let received = std::iter::from_fn(|| subscriber.receive_timeout(GUARD));
         received.map(|m| m.correlation_id().unwrap().to_owned()).collect()
     }
 
@@ -578,21 +556,20 @@ mod tests {
         // One, two and four ids, and two of which the second was dropped.
         let lists: [&[u32]; 4] = [&[1], &[1, 2], &[1, 2, 3, 4], &[2, 5]];
         let frames = lists.iter().zip(1..).flat_map(|(ids, seq)| frame(ids, seq)).collect();
-        let (_client, subscribers) = client(5, true, frames);
+        let (client, subscribers) = client(5, true, frames);
         for (ids, seq) in lists.iter().zip(1..) {
-            let before = decodes();
             let copies: Vec<Message> = (ids.iter().filter(|id| **id <= 4))
                 .map(|id| subscribers[*id as usize - 1].receive_timeout(GUARD).expect("a copy"))
                 .collect();
-            assert_eq!(decodes() - before, 1, "frame #{seq}");
             assert_eq!(copies[0].correlation_id(), Some(format!("#{seq}").as_str()));
             for copy in &copies[1..] {
-                // `MessageId::next()` runs once per build: one id is one build.
+                // `MessageId::next()` runs once per decode: one id is one decode.
                 assert_eq!(copy.id(), copies[0].id(), "frame #{seq}");
                 assert_eq!(copy.timestamp_millis(), copies[0].timestamp_millis());
                 assert_eq!(copy, &copies[0]);
             }
         }
+        assert_eq!(decodes(&client), lists.len() as u64, "one decode per frame");
         assert!(subscribers.iter().all(|s| s.try_receive().is_none()));
     }
 
@@ -604,13 +581,11 @@ mod tests {
         bad[..4].copy_from_slice(&len.to_le_bytes());
         let frames = [frame(&[1, 2], 1), frame(&[1], 2), frame(&[2], 3), bad, frame(&[1, 2], 5)];
         let (client, subscribers) = client(2, false, frames.concat());
-        let shutdowns = SHUTDOWNS.with(Cell::get);
-        let before = decodes();
         assert_eq!(drain(&subscribers[0]), ["#1", "#2"]);
         assert_eq!(drain(&subscribers[1]), ["#1", "#3"]);
-        // The bad frame too was decoded once, by the first to reach it.
-        assert_eq!(decodes() - before, 4);
-        assert_eq!(SHUTDOWNS.with(Cell::get) - shutdowns, 1);
+        // The bad frame too was decoded once, and it ended the read.
+        assert_eq!(decodes(&client), 4);
+        assert_eq!(client.shared.counts.shutdowns.load(Ordering::Relaxed), 1);
         assert!(subscribers.iter().all(|s| s.try_receive().is_none()));
         assert!(matches!(client.ping(), Err(Error::Closed)));
     }
@@ -619,23 +594,21 @@ mod tests {
     fn two_threads_draining_two_subscriptions_share_each_frame_once() {
         const FRAMES: u32 = 2_000;
         let frames = (0..FRAMES).flat_map(|seq| frame(&[1, 2], seq)).collect();
-        let (_client, subscribers) = client(2, false, frames);
-        // Each thread's received messages and the frames it decoded.
-        let drained: Vec<(Vec<Message>, u64)> = std::thread::scope(|scope| {
+        let (client, subscribers) = client(2, false, frames);
+        let drained: Vec<Vec<Message>> = std::thread::scope(|scope| {
             let drains: Vec<_> = (subscribers.iter())
                 .map(|subscriber| {
                     scope.spawn(move || {
-                        let received = (0..FRAMES)
+                        (0..FRAMES)
                             .map(|_| subscriber.receive_timeout(GUARD).expect("a copy"))
-                            .collect();
-                        (received, decodes())
+                            .collect()
                     })
                 })
                 .collect();
             drains.into_iter().map(|drain| drain.join().unwrap()).collect()
         });
-        assert_eq!(drained[0].1 + drained[1].1, u64::from(FRAMES), "one decode per frame");
-        for (seq, (a, b)) in drained[0].0.iter().zip(&drained[1].0).enumerate() {
+        assert_eq!(decodes(&client), u64::from(FRAMES), "one decode per frame");
+        for (seq, (a, b)) in drained[0].iter().zip(&drained[1]).enumerate() {
             assert_eq!(a.correlation_id(), Some(format!("#{seq}").as_str()));
             assert_eq!(a, b, "frame #{seq}");
         }

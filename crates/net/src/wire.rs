@@ -22,7 +22,7 @@
 //! passes could reorder one (DESIGN.md §3.6).
 
 use bytes::{Buf, Bytes};
-use rjms_broker::codec::{Fields, Put, Reader};
+use rjms_broker::codec::{Fields, Put, Reader, Stamp};
 use rjms_broker::message::{Message, Priority};
 use rjms_selector::Value;
 use std::fmt;
@@ -253,15 +253,15 @@ fn put_message(out: &mut Vec<u8>, m: &WireMessage) {
 
 /// A wire message, as the codec reads it.
 fn read_message(r: &mut Reader<'_>) -> Result<WireMessage, DecodeError> {
-    let f = r.fields()?;
+    let f = r.fields(|name, value| (name.to_owned(), value))?;
     Ok(WireMessage {
-        correlation_id: f.correlation_id,
-        message_type: f.message_type,
+        correlation_id: f.correlation_id.map(str::to_owned),
+        message_type: f.message_type.map(str::to_owned),
         priority: f.priority,
-        reply_to: f.reply_to,
+        reply_to: f.reply_to.map(str::to_owned),
         ttl_millis: f.expiry,
         properties: f.properties,
-        body: f.body,
+        body: Bytes::copy_from_slice(f.body),
         trace: WireTrace { trace_id: f.trace_id, origin_ns: f.trace_origin_ns },
     })
 }
@@ -500,8 +500,15 @@ pub fn delivery_subscriptions(
 pub fn decode_delivery(body: &[u8]) -> Result<WireMessage, DecodeError> {
     let mut r = Reader::new(split_delivery(body)?.1);
     let message = read_message(&mut r)?;
-    r.finish()?;
-    Ok(message)
+    r.finish().map(|()| message)
+}
+
+/// [`decode_delivery`] straight into a broker [`Message`], stamped when it
+/// is read ([`Stamp::Fresh`]): what the client hands each subscription.
+pub fn read_delivery(body: &[u8]) -> Result<Message, DecodeError> {
+    let mut r = Reader::new(split_delivery(body)?.1);
+    let message = Message::read(&mut r, Stamp::Fresh)?;
+    r.finish().map(|()| message)
 }
 
 /// Size of a [`FrameReader`]'s buffer: one `read` can bring in this many

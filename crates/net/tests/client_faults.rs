@@ -1,8 +1,8 @@
-//! What a subscriber sees when the stream goes wrong. Delivery frames are
-//! decoded by `RemoteSubscriber::receive*`, not by the connection's
-//! reader, so a frame that does not decode ends the connection
-//! when it is *reached* — everything queued before it is delivered first —
-//! and a stream that merely arrives in pieces loses nothing. The peer is a
+//! What a subscriber sees when the stream goes wrong. The connection's
+//! reader decodes each delivery frame as it reads it, so a frame that does
+//! not decode ends the connection when the reader *reaches* it — everything
+//! routed before it is delivered first — and a stream that merely arrives
+//! in pieces loses nothing. The peer is a
 //! scripted socket; nothing is timed beyond the guard on each test.
 
 use rjms_broker::Message;

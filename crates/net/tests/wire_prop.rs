@@ -1,19 +1,23 @@
 //! Property tests for the wire codec: arbitrary frames round-trip, a
 //! delivery for any id list routes to each id and decodes to its message,
-//! the decoder is total (never panics) on arbitrary bytes, and `FrameReader`
-//! finds the frames `read_frame` finds however the stream is cut up.
-//! `PROPTEST_CASES` sets the case count (256 by default).
+//! the client's `read_delivery` reads the message `decode_delivery` decodes
+//! and refuses what it refuses, the decoders are total (never panic) on
+//! arbitrary bytes, and `FrameReader` finds the frames `read_frame` finds
+//! however the stream is cut up. `PROPTEST_CASES` sets the case count (256
+//! by default).
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use rjms_broker::Message;
 use rjms_net::wire::{
     decode_delivery, decode_request, decode_response, delivery_subscriptions, encode_delivery_into,
-    encode_request, encode_response, read_frame, FrameReader, Request, Response, WireFilter,
-    WireMessage, WireTrace, MAX_FRAME_LEN,
+    encode_request, encode_response, read_delivery, read_frame, FrameReader, Request, Response,
+    WireFilter, WireMessage, WireTrace, MAX_FRAME_LEN,
 };
 use rjms_selector::Value;
 use std::cell::Cell;
 use std::io::ErrorKind;
+use std::time::{Duration, Instant};
 
 /// Property names of 0–40 bytes, multi-byte characters included: both
 /// sides of the message's 22-byte inline limit.
@@ -211,6 +215,62 @@ fn frame_reader_passes_frames_larger_than_its_buffer() {
     assert_eq!(end.unwrap_err().kind(), ErrorKind::UnexpectedEof);
 }
 
+/// The bytes of a message apart from its id, timestamp and expiration
+/// base: two reads of one frame at different instants agree on these. A
+/// time to live is counted from the timestamp, except at the `i64::MAX`
+/// ceiling, where what is left depends on when the frame was read.
+fn stamp_free(message: &Message) -> Bytes {
+    let mut wire = WireMessage::from_message(message);
+    if message.expiration_millis() == Some(i64::MAX as u64) {
+        wire.ttl_millis = Some(u64::MAX);
+    }
+    encode_response(&Response::Delivery { subscription_id: 0, message: wire })
+}
+
+/// What the client's reader makes of a delivery frame body against the
+/// `WireMessage` route it replaced: both accept it or both refuse it, and
+/// what they accept is one message.
+fn reads_like_the_wire_route(body: &[u8]) -> Result<bool, TestCaseError> {
+    let read = read_delivery(body);
+    let decoded = decode_delivery(body).map(WireMessage::into_message);
+    prop_assert_eq!(read.is_ok(), decoded.is_ok());
+    if let (Ok(read), Ok(decoded)) = (&read, &decoded) {
+        prop_assert_eq!(stamp_free(read), stamp_free(decoded));
+    }
+    Ok(read.is_ok())
+}
+
+/// The body of a delivery frame of `wire` for `ids`, its properties sent
+/// as they are: in their order, a name given twice sent twice.
+fn delivery_body(ids: &[u32], wire: &WireMessage) -> Vec<u8> {
+    let one = encode_response(&Response::Delivery { subscription_id: 0, message: wire.clone() });
+    let mut body = vec![0x85];
+    body.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+    ids.iter().for_each(|id| body.extend_from_slice(&id.to_le_bytes()));
+    // Behind the length, the opcode, the count and the one id.
+    body.extend_from_slice(&one[13..]);
+    body
+}
+
+#[test]
+fn a_delivery_with_many_names_in_reverse_order_reads_in_n_log_n() {
+    // Inserting each name at its place would shift every entry read before
+    // it: ≈ 10^12 bytes moved for 200 000 names, a minute or more of the
+    // client's reader instead of well under a second.
+    let names = (0..200_000).rev().map(|i| format!("p{i:06}"));
+    let message = WireMessage {
+        properties: names.zip(0..).map(|(name, i)| (name, Value::Int(i))).collect(),
+        ..WireMessage::from_message(&Message::builder().build())
+    };
+    let body = delivery_body(&[1], &message);
+    let start = Instant::now();
+    let read = read_delivery(&body).unwrap();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(10), "{took:?}");
+    assert_eq!(read.properties().len(), 200_000);
+    assert!(read.properties().map(|(_, v)| v.clone()).eq((0..200_000).rev().map(Value::Int)));
+}
+
 proptest! {
     #[test]
     fn frame_reader_agrees_with_read_frame_on_any_chunking(
@@ -303,7 +363,32 @@ proptest! {
             delivery_subscriptions(&body).unwrap().expect("a delivery").collect();
         prop_assert_eq!(&routed, &ids);
         prop_assert_eq!(decode_delivery(&body).unwrap(), WireMessage::from_message(&message));
+        prop_assert!(reads_like_the_wire_route(&body)?);
         prop_assert_eq!(decode_response(body).is_ok(), ids.len() == 1);
+    }
+
+    /// The reader the client decodes with reads the message the
+    /// `WireMessage` route builds, whatever the properties' order and
+    /// repeated names; a byte behind the message is refused by both, and
+    /// one byte changed anywhere in the frame is accepted by both or
+    /// refused by both.
+    #[test]
+    fn read_delivery_reads_what_the_wire_route_builds(
+        ids in prop::collection::vec(any::<u32>(), 1..6),
+        wire in message_strategy(),
+        // Names from a small set: most lists repeat one, out of order.
+        repeated in prop::collection::vec(("[ab]{0,2}", value_strategy()), 0..8),
+        at_ratio in 0.0f64..1.0,
+        byte in any::<u8>(),
+    ) {
+        let mut wire = wire;
+        wire.properties.extend(repeated);
+        let mut body = delivery_body(&ids, &wire);
+        prop_assert!(reads_like_the_wire_route(&body)?);
+        prop_assert!(!reads_like_the_wire_route(&[&body[..], &[byte]].concat())?);
+        let at = ((body.len() as f64) * at_ratio) as usize;
+        body[at] = byte;
+        reads_like_the_wire_route(&body)?;
     }
 
     /// A delivery for no subscription, or whose id list the frame cannot
@@ -323,6 +408,7 @@ proptest! {
         let refused = |body: &[u8]| {
             delivery_subscriptions(body).is_err()
                 && decode_delivery(body).is_err()
+                && read_delivery(body).is_err()
                 && decode_response(Bytes::copy_from_slice(body)).is_err()
         };
         // More ids than the frame has room for behind the count.
@@ -338,6 +424,7 @@ proptest! {
         let cut = ((body.len() as f64) * cut_ratio) as usize;
         let short = &body[..cut];
         prop_assert!(decode_delivery(short).is_err());
+        prop_assert!(!reads_like_the_wire_route(short)?);
         prop_assert!(decode_response(Bytes::copy_from_slice(short)).is_err());
         let routable = matches!(delivery_subscriptions(short), Ok(Some(_)));
         prop_assert_eq!(routable, cut >= 5 + 4 * ids.len());
@@ -348,7 +435,7 @@ proptest! {
         // Must never panic; errors are fine.
         let _ = decode_request(Bytes::from(bytes.clone()));
         let _ = decode_response(Bytes::from(bytes.clone()));
-        let _ = decode_delivery(&bytes);
+        reads_like_the_wire_route(&bytes)?;
         let _ = delivery_subscriptions(&bytes).map(|ids| ids.map(Iterator::count));
     }
 
@@ -360,7 +447,7 @@ proptest! {
     ) {
         let body = [&[0x85][..], &bytes].concat();
         let routable = delivery_subscriptions(&body).map(|ids| ids.map(Iterator::count));
-        if decode_delivery(&body).is_ok() {
+        if reads_like_the_wire_route(&body)? {
             prop_assert!(matches!(routable, Ok(Some(n)) if n > 0));
         }
         if routable.is_err() {
