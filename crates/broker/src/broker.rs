@@ -303,19 +303,19 @@ impl Broker {
     /// thread.
     ///
     /// With [`BrokerConfig::persistence`] set, the write-ahead journal is
-    /// opened (truncating a torn tail off the active segment back to the
-    /// last whole frame) and replayed, which reads every segment once and
-    /// checks it: topics and durable subscriptions are re-created and
-    /// messages published but not yet checkpointed as delivered go back
-    /// into each durable subscription's retained backlog, ready for
-    /// re-delivery on the next connect. Both run on the calling thread.
+    /// recovered on the calling thread, in one pass that reads every
+    /// segment once, checks it and cuts a torn tail off the active segment
+    /// back to the last whole frame: topics and durable subscriptions are
+    /// re-created from the records and messages published but not yet
+    /// checkpointed as delivered go back into each durable subscription's
+    /// retained backlog, ready for re-delivery on the next connect.
     ///
     /// # Panics
     ///
-    /// Panics if the journal cannot be opened (I/O failure) or replayed
-    /// (I/O failure, or a corrupt sealed segment, which only the replay
-    /// reads) — a broker that cannot read its write-ahead log must not
-    /// silently start empty.
+    /// Panics if the journal cannot be recovered (I/O failure, or a corrupt
+    /// sealed segment), or if a checksummed record does not decode — a
+    /// broker that cannot read its write-ahead log must not silently start
+    /// empty.
     pub fn start(mut config: BrokerConfig) -> Broker {
         // Defensive: the builder rejects zero, but the fields are public.
         let shards = config.shards.max(1);
@@ -332,9 +332,8 @@ impl Broker {
         let live_flags = LiveFlags::default();
         let mut recovered = Vec::new(); // in name order
         let journal = config.persistence.as_ref().map(|persistence| {
-            let (journal, _report) = Journal::open(persistence.journal.clone())
-                .expect("failed to open the write-ahead journal");
-            recovered = recover_topics(&journal, &live_flags);
+            let journal;
+            (journal, recovered) = recover_topics(persistence.journal.clone(), &live_flags);
             Mutex::new(journal)
         });
         let topics = Arc::new(TopicTable::default());

@@ -35,13 +35,13 @@ pub(crate) const DURABLE_BUFFER_CAPACITY: usize = 65_536;
 /// to the journal *before* fan-out (write-ahead), and records a
 /// `DurableCheckpoint` after every 256 deliveries to a connected durable
 /// consumer (and once more at a clean shutdown). On restart the broker
-/// replays the journal, rebuilding topics, durable subscriptions and their
-/// retained backlogs; messages delivered after the last checkpoint are
-/// re-delivered (at-least-once semantics).
+/// recovers the journal, reading each segment once, to rebuild topics,
+/// durable subscriptions and their retained backlogs; messages delivered
+/// after the last checkpoint are re-delivered (at-least-once semantics).
 ///
-/// Journal I/O failure is fatal: a broker that cannot write its
-/// write-ahead log can no longer honor the durability contract, so it
-/// panics rather than silently degrading to in-memory mode.
+/// Journal I/O failure or corruption is fatal: a broker that cannot write
+/// or recover its write-ahead log cannot honor the durability contract, so
+/// it panics rather than silently degrading to in-memory mode.
 ///
 /// # Examples
 ///

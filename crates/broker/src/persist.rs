@@ -8,8 +8,8 @@
 //! topic, message id and timestamp, then the message's [`Fields`]). The
 //! journal layer adds checksums and torn-tail recovery; this module defines
 //! what is stored, appends it
-//! (`BrokerInner::append_record`) and replays it at start-up
-//! (`recover_topics`).
+//! (`BrokerInner::append_record`) and rebuilds the topics from its records
+//! at start-up (`recover_topics`, through `Journal::recover`).
 //!
 //! Filters are persisted by their textual form ([`Filter::correlation_id`]
 //! pattern syntax / selector source) and re-parsed on recovery, so the
@@ -24,7 +24,7 @@ use crate::filter::Filter;
 use crate::message::Message;
 use crate::subscriptions::{LiveFlags, Subscriptions};
 use parking_lot::Mutex;
-use rjms_journal::Journal;
+use rjms_journal::{Journal, JournalConfig};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -250,16 +250,18 @@ impl BrokerInner {
     }
 }
 
-/// Replays the journal into the recovered topics' names (in order) and
-/// durable subscriptions, from which `Broker::start` builds the topics: every
-/// publish logged after a durable subscription's registration but not
-/// covered by one of its checkpoint records goes back into its retained
-/// backlog (at-least-once re-delivery). Expired messages and backlog beyond
-/// [`DURABLE_BUFFER_CAPACITY`] are discarded, mirroring live behaviour.
+/// Recovers the journal and rebuilds from its records the topics' names (in
+/// order) and durable subscriptions, from which `Broker::start` builds the
+/// topics: every publish logged after a durable subscription's registration
+/// but not covered by one of its checkpoint records goes back into its
+/// retained backlog (at-least-once re-delivery). Expired messages and
+/// backlog beyond [`DURABLE_BUFFER_CAPACITY`] are discarded, mirroring live
+/// behaviour. A journal that cannot be recovered panics, as does a
+/// checksummed record that does not decode.
 pub(crate) fn recover_topics(
-    journal: &Journal,
+    journal: JournalConfig,
     live_flags: &LiveFlags,
-) -> Vec<(String, Subscriptions)> {
+) -> (Journal, Vec<(String, Subscriptions)>) {
     struct DurableRecovery {
         filter: Filter,
         /// `(journal offset, message)` publishes awaiting a checkpoint.
@@ -269,9 +271,7 @@ pub(crate) fn recover_topics(
     // By name, so that which topics get a metric series of their own does
     // not depend on the run.
     let mut recovered: BTreeMap<String, HashMap<String, DurableRecovery>> = BTreeMap::new();
-    // Replay checks every segment as it lends it, the sealed ones `open`
-    // left unread included, so a corrupt journal panics here.
-    let replayed = journal.replay(journal.first_offset(), |offset, payload| {
+    let (journal, _report) = Journal::recover(journal, |offset, payload| {
         let record = JournalRecord::decode(payload).unwrap_or_else(|e| {
             // The frame passed its CRC, so this is version skew or a bug,
             // not a torn write — refuse to guess at broker state.
@@ -315,8 +315,8 @@ pub(crate) fn recover_topics(
                 }
             }
         }
-    });
-    replayed.expect("failed to read back the write-ahead journal");
+    })
+    .expect("failed to recover the write-ahead journal");
 
     let mut topics = Vec::with_capacity(recovered.len());
     for (topic_name, durables) in recovered {
@@ -336,7 +336,7 @@ pub(crate) fn recover_topics(
         }
         topics.push((topic_name, subs));
     }
-    topics
+    (journal, topics)
 }
 
 #[cfg(test)]

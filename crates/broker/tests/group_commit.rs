@@ -117,13 +117,11 @@ fn every_delivered_message_is_already_on_the_file() {
 
 /// Every record of the journal in `dir`, decoded.
 fn records(dir: &Path) -> Vec<(u64, JournalRecord)> {
-    let (journal, _) = Journal::open(JournalConfig::new(dir)).unwrap();
     let mut records = Vec::new();
-    journal
-        .replay(0, |offset, payload| {
-            records.push((offset, JournalRecord::decode(payload).unwrap()));
-        })
-        .unwrap();
+    Journal::recover(JournalConfig::new(dir), |offset, payload| {
+        records.push((offset, JournalRecord::decode(payload).unwrap()));
+    })
+    .unwrap();
     records
 }
 

@@ -126,12 +126,10 @@ fn torn_tail_recovers_to_last_whole_frame_and_redelivers() {
     cleanup(&dir);
 }
 
-/// A checkpoint every 256 deliveries, and one at the shutdown for the
-/// deliveries after it.
-/// `Journal::open` reads no sealed segment, so a corrupt one is found by
-/// the replay `Broker::start` runs, and the broker refuses to start.
+/// The recovery `Broker::start` runs reads every sealed segment, so a
+/// corrupt one is found there, and the broker refuses to start.
 #[test]
-fn a_corrupt_sealed_segment_is_refused_by_the_start_up_replay() {
+fn a_corrupt_sealed_segment_is_refused_by_the_start_up_recovery() {
     let dir = scratch_dir("bkr-sealed-corrupt");
     // Every publish record overflows a 64-byte segment: one segment each.
     let config = || {
@@ -158,10 +156,12 @@ fn a_corrupt_sealed_segment_is_refused_by_the_start_up_replay() {
     let panic = std::panic::catch_unwind(|| Broker::start(config()))
         .expect_err("a broker started on a corrupt sealed segment");
     let message = panic.downcast_ref::<String>().expect("a formatted panic message");
-    assert!(message.starts_with("failed to read back the write-ahead journal"), "{message}");
+    assert!(message.starts_with("failed to recover the write-ahead journal"), "{message}");
     cleanup(&dir);
 }
 
+/// A checkpoint every 256 deliveries, and one at the shutdown for the
+/// deliveries after it.
 #[test]
 fn checkpointed_deliveries_are_not_redelivered_after_clean_shutdown() {
     const DELIVERED: i64 = 256 + 5;

@@ -92,9 +92,9 @@ pub enum Error {
     Disconnected,
 
     // --- journal -------------------------------------------------------
-    /// A journal segment does not hold the frames its place in the chain
-    /// says it does (a frame that does not decode, too few, or bytes after
-    /// them), found by the replay recovery runs. A sealed segment was
+    /// A sealed journal segment does not hold the frames its place in the
+    /// chain says it does (a frame that does not decode, too few, or bytes
+    /// after them), found as the journal is recovered. A sealed segment was
     /// synced at rotation, so this is real corruption, not a torn tail,
     /// and recovery refuses to guess.
     JournalCorrupt {

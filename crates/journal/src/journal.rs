@@ -1,9 +1,9 @@
 //! The journal proper: an ordered chain of segments, durability policy,
-//! recovery, retention, and the forward replay.
+//! retention, and recovery, the one forward pass that reads it back.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::fs::File;
+use std::fs::OpenOptions;
 use std::io::{self, Read};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use rjms_metrics::Histogram;
 pub enum JournalError {
     /// An underlying filesystem operation failed.
     Io(io::Error),
-    /// [`Journal::replay`] found a journal segment that does not hold the
+    /// [`Journal::recover`] found a sealed segment that does not hold the
     /// frames its place in the chain says it does: a frame that does not
     /// decode, fewer frames than reach the next segment's base, or bytes
     /// after the last of them. A sealed segment was synced at rotation, so
@@ -83,8 +83,7 @@ pub struct JournalStats {
     pub bytes_appended: u64,
     /// Explicit `fdatasync` calls issued (policy, rotation, and manual).
     pub fsyncs: u64,
-    /// Frames on disk at open, `next_offset − first_offset`: the sealed
-    /// segments are counted by their bases, and only replay checks them.
+    /// Frames recovery handed over at open, `next_offset − first_offset`.
     pub frames_recovered: u64,
     /// Bytes of torn tail cut off the active segment at open.
     pub torn_bytes_truncated: u64,
@@ -94,10 +93,10 @@ pub struct JournalStats {
     pub segments_removed: u64,
 }
 
-/// What recovery found when the journal was opened.
+/// What [`Journal::recover`] found when the journal was opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Frames available for replay, `next_offset − first_offset`.
+    /// Frames read and handed over, in order, `next_offset − first_offset`.
     pub frames_recovered: u64,
     /// Bytes of torn tail truncated from the active segment.
     pub torn_bytes_truncated: u64,
@@ -121,9 +120,9 @@ const COMMIT_BYTES: usize = 64 * 1024;
 /// Frames are appended through [`Journal::batch`], which encodes any
 /// number of them into one buffer and writes it with one `write_all`
 /// (group commit); [`Journal::append`] is the batch of one. They are read
-/// back only in order, by [`Journal::replay`]. The journal keeps no index:
-/// a sealed segment is its base offset, and the active segment's file is
-/// the only one it holds open.
+/// back once, in order, by [`Journal::recover`] as it opens the journal.
+/// The journal keeps no index: a sealed segment is its base offset, and the
+/// active segment's file is the only one it holds open.
 ///
 /// # Examples
 ///
@@ -137,11 +136,12 @@ const COMMIT_BYTES: usize = 64 * 1024;
 /// let offset = journal.append(b"hello").unwrap();
 /// drop(journal);
 ///
-/// let (journal, recovery) = Journal::open(config).unwrap();
+/// let mut recovered = Vec::new();
+/// let (_journal, recovery) =
+///     Journal::recover(config, |offset, payload| recovered.push((offset, payload.to_vec())))
+///         .unwrap();
 /// assert_eq!(recovery.frames_recovered, 1);
-/// let mut replayed = Vec::new();
-/// journal.replay(0, |offset, payload| replayed.push((offset, payload.to_vec()))).unwrap();
-/// assert_eq!(replayed, [(offset, b"hello".to_vec())]);
+/// assert_eq!(recovered, [(offset, b"hello".to_vec())]);
 /// std::fs::remove_dir_all(&dir).unwrap();
 /// ```
 #[derive(Debug)]
@@ -172,16 +172,27 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (or creates) the journal in `config.dir`: lists the segment
-    /// files, takes every one but the newest as sealed by its base alone,
-    /// and scans the newest, the active segment, cutting a torn tail off
-    /// it. A sealed segment's file is not read here; [`Journal::replay`]
-    /// checks it, and recovery always replays.
+    /// Opens (or creates) the journal in `config.dir`: [`Journal::recover`]
+    /// with nobody to hand the records to.
+    pub fn open(config: JournalConfig) -> Result<(Journal, RecoveryReport)> {
+        Journal::recover(config, |_, _| {})
+    }
+
+    /// Opens (or creates) the journal in `config.dir` in one forward pass
+    /// that reads each segment file once into one reused buffer and lends
+    /// `record` each `(offset, payload)` from it, in order. A sealed
+    /// segment must hold exactly the frames from its base to the next
+    /// one's; the newest, the active segment, is lent up to its first frame
+    /// that does not decode, and the rest (a torn tail) is cut off.
     ///
     /// # Errors
     ///
-    /// I/O failure.
-    pub fn open(config: JournalConfig) -> Result<(Journal, RecoveryReport)> {
+    /// I/O failure, or [`JournalError::Corrupt`] where a sealed segment
+    /// does not hold its frames; `record` has seen every frame before it.
+    pub fn recover(
+        config: JournalConfig,
+        mut record: impl FnMut(u64, &[u8]),
+    ) -> Result<(Journal, RecoveryReport)> {
         std::fs::create_dir_all(&config.dir)?;
         let mut bases = Vec::new();
         for entry in std::fs::read_dir(&config.dir)? {
@@ -190,10 +201,40 @@ impl Journal {
             }
         }
         bases.sort_unstable();
-        let (active, torn_bytes_truncated) = match bases.pop() {
-            Some(base) => ActiveSegment::resume(&config.dir, base)?,
+
+        let (mut contents, mut resumed) = (Vec::new(), None);
+        for (i, &base) in bases.iter().enumerate() {
+            // The next base, where a sealed segment ends; none for the newest.
+            let end = bases.get(i + 1).copied();
+            let segment = config.dir.join(segment_file_name(base));
+            let mut file = OpenOptions::new().read(true).write(end.is_none()).open(&segment)?;
+            contents.clear();
+            file.read_to_end(&mut contents)?;
+            let (mut frames, mut pos) = (0, 0);
+            while end.is_none_or(|end| base + frames < end) {
+                let FrameDecode::Complete { payload, consumed } = decode_frame(&contents[pos..])
+                else {
+                    break;
+                };
+                record(base + frames, payload);
+                frames += 1;
+                pos += consumed;
+            }
+            match end {
+                None => {
+                    resumed = Some(ActiveSegment::resume(file, base, frames, pos, contents.len())?);
+                }
+                Some(end) if base + frames < end || pos < contents.len() => {
+                    return Err(JournalError::Corrupt { segment, file_pos: pos as u64 });
+                }
+                Some(_) => {}
+            }
+        }
+        let (active, torn_bytes_truncated) = match resumed {
+            Some(resumed) => resumed,
             None => (ActiveSegment::create(&config.dir, 0)?, 0),
         };
+        bases.pop(); // the active segment's
         let sealed = VecDeque::from(bases);
         let frames_recovered = active.end() - sealed.front().copied().unwrap_or(active.base);
 
@@ -340,45 +381,6 @@ impl Journal {
         self.stats.fsyncs += 1;
         self.appends_since_sync = 0;
         self.last_sync = Instant::now();
-        Ok(())
-    }
-
-    /// Lends `record` each `(offset, payload)` from `from` (clamped up to
-    /// the retention floor) to the append head, in order. Each segment from
-    /// the one that holds `from` on is read with one read into one buffer,
-    /// reused from segment to segment, and decoded forward; a payload is
-    /// borrowed from that buffer, so replay never allocates per record.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure, or [`JournalError::Corrupt`] where a segment does not
-    /// hold exactly the frames from its base to the next segment's (the
-    /// append head for the active one) and nothing after them. The error
-    /// ends the replay; `record` has seen every frame before it.
-    pub fn replay(&self, from: u64, mut record: impl FnMut(u64, &[u8])) -> Result<()> {
-        let from = from.max(self.first_offset());
-        let bases = self.sealed.iter().copied().chain([self.active.base]);
-        let ends = bases.clone().skip(1).chain([self.next_offset()]);
-        let mut contents = Vec::new();
-        for (base, end) in bases.zip(ends).filter(|&(_, end)| end > from) {
-            let segment = self.config.dir.join(segment_file_name(base));
-            contents.clear();
-            File::open(&segment)?.read_to_end(&mut contents)?;
-            let mut pos = 0;
-            for offset in base..end {
-                let FrameDecode::Complete { payload, consumed } = decode_frame(&contents[pos..])
-                else {
-                    return Err(JournalError::Corrupt { segment, file_pos: pos as u64 });
-                };
-                if offset >= from {
-                    record(offset, payload);
-                }
-                pos += consumed;
-            }
-            if pos < contents.len() {
-                return Err(JournalError::Corrupt { segment, file_pos: pos as u64 });
-            }
-        }
         Ok(())
     }
 }

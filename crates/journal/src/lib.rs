@@ -5,20 +5,20 @@
 //! persistent store, which adds a per-message storage term to the service
 //! time. This crate supplies that store: an append-only log of
 //! CRC-checked, length-prefixed frames split across size-rotated
-//! segment files, a configurable fsync policy, an open that cuts a torn
-//! tail off the active segment back to the last whole frame, and a replay
-//! that reads the log forward once. It is a log, not an index: the journal
-//! remembers each sealed segment by its base offset alone and holds one
-//! file open, the active segment's. Opening reads only that file; a
-//! corrupt sealed segment is refused by the replay recovery runs, which
-//! checks every frame as it lends it.
+//! segment files, a configurable fsync policy, and a recovery that reads
+//! the log forward once as it opens it: it lends every record in order,
+//! refuses a corrupt sealed segment and cuts a torn tail off the active
+//! segment back to the last whole frame. It is a log, not an index: the
+//! journal remembers each sealed segment by its base offset alone and holds
+//! one file open, the active segment's.
 //!
 //! Layering:
 //!
 //! - [`frame`] — the `[len | crc32 | payload]` on-disk record format.
 //! - [`segment`] — segment file names and the active segment.
 //! - [`Journal`] — the segment chain: offsets, group commit
-//!   ([`Journal::batch`]), durability, recovery, retention, replay.
+//!   ([`Journal::batch`]), durability, retention, and recovery
+//!   ([`Journal::recover`]).
 //!
 //! The broker appends publishes before dispatch and checkpoints durable
 //! consumer progress; `rjms-core` turns the measured append cost into the
@@ -59,16 +59,22 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// The records `replay(offset, …)` lends, copied.
-    fn replayed(journal: &Journal, offset: u64) -> Vec<(u64, Vec<u8>)> {
+    /// Reopens the journal through `recover`: the journal, its report and
+    /// the records recovery lent, copied.
+    fn reopen(config: &JournalConfig) -> (Journal, RecoveryReport, Vec<(u64, Vec<u8>)>) {
         let mut records = Vec::new();
-        journal.replay(offset, |offset, payload| records.push((offset, payload.to_vec()))).unwrap();
-        records
+        let (journal, recovery) = Journal::recover(config.clone(), |offset, payload| {
+            records.push((offset, payload.to_vec()));
+        })
+        .unwrap();
+        (journal, recovery, records)
     }
 
-    /// The first record `replay(offset, …)` lends.
+    /// The first record from `offset` on that a recovery of `journal`'s
+    /// files lends, through a second handle on them, dropped at once.
     fn first_from(journal: &Journal, offset: u64) -> Option<(u64, Vec<u8>)> {
-        replayed(journal, offset).into_iter().next()
+        let (_, _, records) = reopen(journal.config());
+        records.into_iter().find(|record| record.0 >= offset)
     }
 
     #[test]
@@ -84,11 +90,10 @@ mod tests {
         assert_eq!(first_from(&journal, 42), Some((42, b"record-42".to_vec())));
         drop(journal);
 
-        let (journal, recovery) = Journal::open(config).unwrap();
+        let (journal, recovery, records) = reopen(&config);
         assert_eq!(recovery.frames_recovered, 100);
         assert_eq!(recovery.torn_bytes_truncated, 0);
         assert_eq!(journal.next_offset(), 100);
-        let records = replayed(&journal, 0);
         assert_eq!(records.len(), 100);
         assert_eq!(records[7].1, b"record-7");
         cleanup(&dir);
@@ -105,9 +110,9 @@ mod tests {
         assert!(journal.stats().segments_rotated > 0);
         drop(journal);
 
-        let (journal, recovery) = Journal::open(config).unwrap();
+        let (_, recovery, records) = reopen(&config);
         assert_eq!(recovery.frames_recovered, 50);
-        for (i, (offset, payload)) in replayed(&journal, 0).into_iter().enumerate() {
+        for (i, (offset, payload)) in records.into_iter().enumerate() {
             assert_eq!(offset, i as u64);
             assert_eq!(payload, [0xAB; 32]);
         }
@@ -132,12 +137,12 @@ mod tests {
         file.set_len(len - 3).unwrap();
         drop(file);
 
-        let (journal, recovery) = Journal::open(config).unwrap();
+        let (journal, recovery, records) = reopen(&config);
         assert_eq!(recovery.frames_recovered, 9);
         assert!(recovery.torn_bytes_truncated > 0);
         assert_eq!(journal.next_offset(), 9);
-        assert_eq!(first_from(&journal, 8), Some((8, b"msg-0008".to_vec())));
-        assert_eq!(first_from(&journal, 9), None, "nothing past the head");
+        assert_eq!(records.last(), Some(&(8, b"msg-0008".to_vec())), "nothing past the head");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 9 * frame::frame_len(8));
         cleanup(&dir);
     }
 
@@ -161,15 +166,15 @@ mod tests {
         assert_eq!(offset, 4);
         drop(journal);
 
-        let (journal, recovery) = Journal::open(config).unwrap();
+        let (_, recovery, records) = reopen(&config);
         assert_eq!(recovery.frames_recovered, 5);
-        assert_eq!(first_from(&journal, 4), Some((4, b"after".to_vec())));
+        assert_eq!(records[4], (4, b"after".to_vec()));
         cleanup(&dir);
     }
 
-    /// `open` reads no sealed segment, so it takes any one-byte flip in
-    /// one; the replay recovery runs refuses it at the frame that holds the
-    /// byte, having lent every frame before that one.
+    /// Recovery refuses any one-byte flip in a sealed segment at the frame
+    /// that holds the byte, having lent every frame before that one, and
+    /// `open` refuses it alike.
     #[test]
     fn corrupt_sealed_segment_is_an_error_not_a_truncation() {
         let dir = scratch_dir("sealed-corrupt");
@@ -191,17 +196,19 @@ mod tests {
             contents[byte] ^= 0xFF;
             std::fs::write(&path, &contents).unwrap();
 
-            let (journal, recovery) = Journal::open(config.clone()).unwrap();
-            assert_eq!(recovery.frames_recovered, 20);
             let mut seen = Vec::new();
             let frame_start = byte as u64 / frame * frame;
-            match journal.replay(0, |offset, _| seen.push(offset)) {
+            match Journal::recover(config.clone(), |offset, _| seen.push(offset)) {
                 Err(JournalError::Corrupt { segment, file_pos }) => {
                     assert_eq!((segment, file_pos), (path.clone(), frame_start), "byte {byte}");
                 }
                 other => panic!("byte {byte}: expected sealed-segment corruption, got {other:?}"),
             }
             assert_eq!(seen, (0..frame_start / frame).collect::<Vec<_>>(), "byte {byte}");
+            assert!(
+                matches!(Journal::open(config.clone()), Err(JournalError::Corrupt { .. })),
+                "byte {byte}: open took the flip"
+            );
         }
         cleanup(&dir);
     }
@@ -260,7 +267,7 @@ mod tests {
                 for i in 0..5u8 {
                     offsets.push(batch.append_with(|out| out.extend_from_slice(&[i; 20]))?);
                     // Buffered, not written: the file is as the last commit
-                    // left it (and the borrow keeps `replay` out).
+                    // left it (and the borrow keeps every other method out).
                     assert_eq!(bytes_on_file(&dir), committed);
                 }
                 Ok(offsets)
@@ -290,7 +297,9 @@ mod tests {
         assert!(failed.is_err());
         assert_eq!(journal.next_offset(), 1);
         assert_eq!(journal.append(b"next").unwrap(), 1);
-        assert_eq!(replayed(&journal, 0), [(0, b"kept".to_vec()), (1, b"next".to_vec())]);
+        let config = journal.config().clone();
+        drop(journal);
+        assert_eq!(reopen(&config).2, [(0, b"kept".to_vec()), (1, b"next".to_vec())]);
         cleanup(&dir);
     }
 
@@ -319,9 +328,9 @@ mod tests {
         assert_eq!(journal.next_offset(), 200);
         drop(journal);
 
-        let (journal, recovery) = Journal::open(config).unwrap();
+        let (_, recovery, records) = reopen(&config);
         assert_eq!(recovery.frames_recovered, 200);
-        for (i, record) in replayed(&journal, 0).into_iter().enumerate() {
+        for (i, record) in records.into_iter().enumerate() {
             assert_eq!(record, (i as u64, payload(i as u64)));
         }
         cleanup(&dir);
@@ -390,11 +399,9 @@ mod tests {
         assert!(journal.first_offset() > 0);
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert!(files <= 3, "retention left {files} segment files");
-        // The floor is readable, a replay from below it starts at it, and a
-        // reopen keeps the floor.
+        // A recovery starts at the floor, and a reopen keeps it.
         let floor = journal.first_offset();
-        assert_eq!(first_from(&journal, floor), Some((floor, vec![2u8; 24])));
-        assert_eq!(first_from(&journal, floor - 1), Some((floor, vec![2u8; 24])));
+        assert_eq!(first_from(&journal, 0), Some((floor, vec![2u8; 24])));
         drop(journal);
         let (journal, _) = Journal::open(config).unwrap();
         assert_eq!(journal.first_offset(), floor);
@@ -420,9 +427,8 @@ mod tests {
         io.lines().find_map(|line| line.strip_prefix("rchar: ")).unwrap().parse().unwrap()
     }
 
-    /// A sealed segment keeps no open file, before a reopen or after it, a
-    /// reopen reads the active segment alone, and replay walks every
-    /// segment forward.
+    /// A sealed segment keeps no open file, before a reopen or after it, and
+    /// a recovery reads the journal once, lending every record in order.
     #[cfg(target_os = "linux")]
     #[test]
     fn a_thousand_sealed_segments_hold_one_file_open() {
@@ -440,17 +446,60 @@ mod tests {
         assert_eq!(journal.stats().segments_rotated, FRAMES - 1);
         drop(journal);
 
-        let active = std::fs::metadata(dir.join(segment::segment_file_name(FRAMES - 1))).unwrap();
+        let journal_bytes = bytes_on_file(&dir).len() as u64;
         let before = bytes_read();
-        let (journal, recovery) = Journal::open(config).unwrap();
+        let (journal, recovery, records) = reopen(&config);
         let read = bytes_read() - before;
-        assert!(read <= active.len() + 4096, "the reopen read {read} bytes");
+        assert!(read <= journal_bytes + 4096, "the reopen read {read} of {journal_bytes} bytes");
         assert_eq!(recovery.frames_recovered, FRAMES);
         assert_eq!(open_files_in(&dir), 1, "after a reopen");
         let expected: Vec<_> = (0..FRAMES).map(|i| (i, i.to_le_bytes().to_vec())).collect();
-        assert_eq!(replayed(&journal, 0), expected);
+        assert_eq!(records, expected);
         assert_eq!(first_from(&journal, 500), Some((500, 500u64.to_le_bytes().to_vec())));
-        assert_eq!(open_files_in(&dir), 1, "after the replay");
+        assert_eq!(open_files_in(&dir), 1, "after a second recovery");
+        cleanup(&dir);
+    }
+
+    /// A restart reads each byte of the journal once: the active segment
+    /// (here 545 KB, past what the 4 KiB slack could hide) is read by the
+    /// same pass that lends its records, not once to count its frames and
+    /// again to lend them.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_recovery_reads_each_segment_once_and_lends_every_record_in_order() {
+        const FRAMES: u64 = 2_560;
+        let dir = scratch_dir("recover-once");
+        // 1 032-byte frames, 1 016 to a 1 MiB segment: two sealed segments
+        // and 528 frames in the active one.
+        let config = JournalConfig::new(&dir).segment_max_bytes(1 << 20).fsync(FsyncPolicy::Never);
+        let payload = |i: u64| {
+            let mut payload = vec![i as u8; 1024];
+            payload[..8].copy_from_slice(&i.to_le_bytes());
+            payload
+        };
+        let (mut journal, _) = Journal::open(config.clone()).unwrap();
+        for i in 0..FRAMES {
+            journal.append(&payload(i)).unwrap();
+        }
+        assert_eq!(journal.stats().segments_rotated, 2);
+        drop(journal);
+        let active = std::fs::metadata(dir.join(segment::segment_file_name(2 * 1016))).unwrap();
+        assert!(active.len() >= 256 * 1024, "an active segment of {} bytes", active.len());
+
+        let journal_bytes = bytes_on_file(&dir).len() as u64;
+        let mut next = 0;
+        let before = bytes_read();
+        let (journal, recovery) = Journal::recover(config, |offset, record| {
+            assert_eq!((offset, record), (next, &payload(next)[..]));
+            next += 1;
+        })
+        .unwrap();
+        let read = bytes_read() - before;
+        assert!(read <= journal_bytes + 4096, "the restart read {read} of {journal_bytes} bytes");
+        assert_eq!(
+            (next, recovery.frames_recovered, journal.next_offset()),
+            (FRAMES, FRAMES, FRAMES)
+        );
         cleanup(&dir);
     }
 }

@@ -2,10 +2,8 @@
 //! journal's one open file.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, Write};
+use std::io::{self, Seek, Write};
 use std::path::Path;
-
-use crate::frame::{decode_frame, FrameDecode};
 
 /// The file name of the segment starting at `base_offset`.
 pub fn segment_file_name(base_offset: u64) -> String {
@@ -22,7 +20,7 @@ pub(crate) fn parse_segment_file_name(name: &str) -> Option<u64> {
 }
 
 /// The segment appends go to. A sealed segment is only its base offset in
-/// the journal: its file was synced when it was sealed, and only replay
+/// the journal: its file was synced when it was sealed, and only recovery
 /// opens it again.
 #[derive(Debug)]
 pub(crate) struct ActiveSegment {
@@ -43,28 +41,25 @@ impl ActiveSegment {
         Ok(ActiveSegment { base, frames: 0, len: 0, file })
     }
 
-    /// Reopens the segment starting at `base` for appending: reads it (one
-    /// read), counts its intact frames, and cuts a torn or corrupt tail off
-    /// at the last of them. Returns the segment and the bytes cut.
-    pub(crate) fn resume(dir: &Path, base: u64) -> io::Result<(ActiveSegment, u64)> {
-        let path = dir.join(segment_file_name(base));
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut contents = Vec::new();
-        file.read_to_end(&mut contents)?;
-        let (mut frames, mut len) = (0, 0);
-        while let FrameDecode::Complete { consumed, .. } = decode_frame(&contents[len..]) {
-            frames += 1;
-            len += consumed;
-        }
-        let torn = (contents.len() - len) as u64;
-        if torn > 0 {
-            file.set_len(len as u64)?;
+    /// Takes over `file`, the segment from `base`, for appending, once
+    /// recovery found `frames` whole frames in the first `len` of its `read`
+    /// bytes: cuts the rest (a torn tail) and returns its length as well.
+    pub(crate) fn resume(
+        mut file: File,
+        base: u64,
+        frames: u64,
+        len: usize,
+        read: usize,
+    ) -> io::Result<(ActiveSegment, u64)> {
+        let len = len as u64;
+        if len < read as u64 {
+            file.set_len(len)?;
             file.sync_data()?;
+            // The read left the cursor at the old end of file; park it at
+            // the valid end so the next append leaves no hole.
+            file.seek(io::SeekFrom::Start(len))?;
         }
-        // The read left the cursor at the old end of file; park it at the
-        // valid end so the next append leaves no hole.
-        file.seek(io::SeekFrom::Start(len as u64))?;
-        Ok((ActiveSegment { base, frames, len: len as u64, file }, torn))
+        Ok((ActiveSegment { base, frames, len, file }, read as u64 - len))
     }
 
     /// The offset one past its last frame.

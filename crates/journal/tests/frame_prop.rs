@@ -1,18 +1,21 @@
 //! Property tests for the frame codec and torn-tail recovery: round-trips
-//! hold, corruption is detected, a truncated journal is never replayed
+//! hold, corruption is detected, a truncated journal is never recovered
 //! past the last whole frame, wherever a group commit was cut, and the
 //! sliced CRC is the bitwise one.
 
 use proptest::prelude::*;
 use rjms_journal::frame::{decode_frame, encode_frame, frame_len, FrameDecode};
 use rjms_journal::segment::segment_file_name;
-use rjms_journal::{crc32, scratch_dir, FsyncPolicy, Journal, JournalConfig};
+use rjms_journal::{crc32, scratch_dir, FsyncPolicy, Journal, JournalConfig, RecoveryReport};
 
-/// Every record of the journal, copied out of the replay.
-fn replayed(journal: &Journal) -> Vec<(u64, Vec<u8>)> {
+/// Reopens the journal through `recover`: its report and every record it
+/// lent, copied.
+fn recovered(config: JournalConfig) -> (RecoveryReport, Vec<(u64, Vec<u8>)>) {
     let mut records = Vec::new();
-    journal.replay(0, |offset, payload| records.push((offset, payload.to_vec()))).unwrap();
-    records
+    let (_, recovery) =
+        Journal::recover(config, |offset, payload| records.push((offset, payload.to_vec())))
+            .unwrap();
+    (recovery, records)
 }
 
 proptest! {
@@ -101,10 +104,9 @@ proptest! {
             .unwrap();
 
         let expected = frame_ends.iter().filter(|&&end| end <= cut).count() as u64;
-        let (journal, recovery) = Journal::open(config).unwrap();
+        let (recovery, replayed) = recovered(config);
         prop_assert_eq!(recovery.frames_recovered, expected);
-        prop_assert_eq!(journal.next_offset(), expected);
-        let replayed = replayed(&journal);
+        prop_assert_eq!(recovery.next_offset, expected);
         prop_assert_eq!(replayed.len() as u64, expected);
         for (offset, payload) in replayed {
             prop_assert_eq!(payload, vec![offset as u8; payload_lens[offset as usize]]);
@@ -142,9 +144,8 @@ proptest! {
         for cut in 0..=written.len() {
             std::fs::write(crashed.join(segment_file_name(0)), &written[..cut]).unwrap();
             let expected = frame_ends.iter().filter(|&&end| end <= cut as u64).count();
-            let (journal, recovery) = Journal::open(JournalConfig::new(&crashed)).unwrap();
+            let (recovery, replayed) = recovered(JournalConfig::new(&crashed));
             prop_assert_eq!(recovery.frames_recovered, expected as u64, "cut at {}", cut);
-            let replayed = replayed(&journal);
             prop_assert_eq!(replayed.len(), expected, "cut at {}", cut);
             for (i, (_, payload)) in replayed.iter().enumerate() {
                 prop_assert_eq!(payload, &vec![i as u8; payload_lens[i]], "cut at {}", cut);

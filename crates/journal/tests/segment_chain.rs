@@ -1,6 +1,6 @@
-//! Open takes a sealed segment by its base alone, so the chain of bases is
-//! checked by replay: a sealed segment must hold exactly the frames from
-//! its base to the next segment's, and nothing after them. A segment
+//! The journal remembers a sealed segment by its base alone, so recovery
+//! checks the chain of bases: a sealed segment must hold exactly the frames
+//! from its base to the next segment's, and nothing after them. A segment
 //! deleted by hand, or a frame added to a sealed one, is refused there,
 //! naming the segment before the break at the end of its expected frames.
 
@@ -20,15 +20,19 @@ fn five_segments(dir: &Path) -> JournalConfig {
     config
 }
 
-/// Opens the journal and replays it from the start: the offsets it lent
-/// and the segment and position it refused.
+/// Recovers the journal: the offsets it lent and the segment and position
+/// it refused. `open` refuses it at the same place.
 fn refused(config: JournalConfig) -> (Vec<u64>, std::path::PathBuf, u64) {
-    let (journal, _) = Journal::open(config).unwrap();
-    let mut seen = Vec::new();
-    match journal.replay(0, |offset, _| seen.push(offset)) {
-        Err(JournalError::Corrupt { segment, file_pos }) => (seen, segment, file_pos),
+    let corrupt_at = |result| match result {
+        Err(JournalError::Corrupt { segment, file_pos }) => (segment, file_pos),
         other => panic!("expected a broken chain to be refused, got {other:?}"),
-    }
+    };
+    let mut seen = Vec::new();
+    let (segment, file_pos) = corrupt_at(Journal::recover(config.clone(), |offset, _| {
+        seen.push(offset);
+    }));
+    assert_eq!(corrupt_at(Journal::open(config)), (segment.clone(), file_pos));
+    (seen, segment, file_pos)
 }
 
 #[test]
