@@ -642,7 +642,7 @@ impl Broker {
                 name: name.to_owned(),
             });
         };
-        if durable.connection.lock().is_some() {
+        if durable.connection.lock().queue.is_some() {
             return Err(Error::DurableStillConnected {
                 topic: topic.name.clone(),
                 name: name.to_owned(),
@@ -672,7 +672,7 @@ impl Broker {
     /// Whether a consumer is currently connected to the named durable
     /// subscription (`false` for unknown names).
     pub fn durable_connected(&self, topic: &str, name: &str) -> bool {
-        self.with_durable(topic, name, |d| d.connection.lock().is_some()).unwrap_or(false)
+        self.with_durable(topic, name, |d| d.connection.lock().queue.is_some()).unwrap_or(false)
     }
 
     /// The number of messages currently retained for a disconnected

@@ -55,7 +55,11 @@ pub(crate) const DURABLE_BUFFER_CAPACITY: usize = 65_536;
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PersistenceConfig {
-    /// Journal location, segment sizing, fsync policy, retention.
+    /// Journal location, segment sizing, fsync policy, retention. The
+    /// broker does not know about retention
+    /// (`JournalConfig::max_sealed_segments`): a restart after it has
+    /// removed the segment holding a topic's or a durable subscription's
+    /// record loses that topic or durable, and its backlog, with no error.
     pub journal: JournalConfig,
 }
 

@@ -17,7 +17,6 @@
 
 use crate::broker::{BrokerInner, DispatchItem, Topic};
 use crate::config::OverflowPolicy;
-use crate::durable::Checkpoints;
 use crate::message::Message;
 use crate::probe::{Clock, DispatchProbe, Dispatched};
 use crate::subscriptions::{Entry, Sink, Subscriptions};
@@ -42,7 +41,8 @@ pub(crate) struct Queued {
     enqueued_at: Option<u64>,
     /// False when the dispatcher had to block for it.
     was_queued: bool,
-    /// Where the run's commit put its publish record.
+    /// Where the run's commit put its publish record; `None` without
+    /// persistence, and until that commit.
     pub(crate) publish_offset: Option<u64>,
 }
 
@@ -96,7 +96,7 @@ fn gather<P: DispatchProbe>(
 /// One dispatcher thread: pops publish items from its shard's queue and
 /// fans out message copies until it pops `Shutdown` or every sender is
 /// gone. A broker runs one per shard (the single-dispatcher broker: shard
-/// 0), each with its own probe and checkpoint bookkeeping.
+/// 0), each with its own probe.
 pub(crate) fn run<P: DispatchProbe>(
     inner: &BrokerInner,
     shard: usize,
@@ -104,7 +104,6 @@ pub(crate) fn run<P: DispatchProbe>(
     mut probe: P,
 ) {
     let cost = inner.config.cost_model;
-    let mut checkpoints = Checkpoints::default();
     // A run is what one journal write covers. Without a journal there is
     // nothing to share, and a run of one is the paper's M/GI/1 server: one
     // message leaves the queue per service, so push-back is per message.
@@ -113,14 +112,13 @@ pub(crate) fn run<P: DispatchProbe>(
     let mut open = true;
     while open {
         open = gather(publish_rx, &mut run, run_max, &mut probe);
-        while let Some(current) = run.pop_front() {
-            let (topic, message) = (&current.topic, &current.message);
-            probe.on_dequeue(message, current.enqueued_at, current.was_queued, || {
+        while let Some(mut current) = run.pop_front() {
+            probe.on_dequeue(&current.message, current.enqueued_at, current.was_queued, || {
                 publish_rx.len() + run.len()
             });
 
             // Counted at dequeue: an expired message was received too.
-            topic.received.fetch_add(1, Ordering::Relaxed);
+            current.topic.received.fetch_add(1, Ordering::Relaxed);
             probe.stage(Stage::Receive, |probe| {
                 if let Some(c) = &cost {
                     probe.clock().spin(c.t_rcv);
@@ -129,7 +127,7 @@ pub(crate) fn run<P: DispatchProbe>(
 
             // TTL: expired messages are never delivered (JMS §4.8); the
             // receive work has already been paid.
-            if message.is_expired() {
+            if current.message.is_expired() {
                 inner.stats.record_expired_message();
                 probe.on_expired();
                 continue;
@@ -141,9 +139,12 @@ pub(crate) fn run<P: DispatchProbe>(
             // ones find their offset assigned. This is the real-I/O
             // counterpart of the synthetic `t_rcv`/`t_fltr`/`t_tx` spins —
             // the `t_store` term of the extended cost model.
-            let publish_offset = probe.stage(Stage::Journal, |_| {
-                current.publish_offset.or_else(|| inner.append_publishes(&current, &mut run))
+            probe.stage(Stage::Journal, |_| {
+                if current.publish_offset.is_none() {
+                    inner.append_publishes(&mut current, &mut run);
+                }
             });
+            let (topic, message) = (&current.topic, &current.message);
 
             // A subscription gone anywhere since this topic was last pruned:
             // prune it now, before the scan, which then reads no liveness.
@@ -164,35 +165,35 @@ pub(crate) fn run<P: DispatchProbe>(
                     resolved = probe.stage(Stage::Filter, |_| subs.slots().resolve(message));
                     resolved.as_slice()
                 };
-                let copies = fan_out(
-                    inner,
-                    &current,
-                    &subs,
-                    resolved,
-                    publish_offset,
-                    &mut checkpoints,
-                    &mut probe,
-                );
+                let copies = fan_out(inner, &current, &subs, resolved, &mut probe);
                 (subs.len() as u64, copies)
             };
 
             topic.filter_evaluations.fetch_add(evaluations, Ordering::Relaxed);
             topic.dispatched.fetch_add(copies, Ordering::Relaxed);
 
+            let publish_offset = current.publish_offset;
             probe.on_done(&Dispatched { topic, message, evaluations, copies, publish_offset });
         }
     }
     probe.on_exit();
-    checkpoints.finish(inner);
 
-    // Drop the subscriptions of this shard's topics so that blocked or
-    // future subscriber receives observe disconnection once their queues
-    // drain. Each dispatcher clears only its own shard: another shard may
-    // still be draining its queue into its topics.
-    for topic in inner.topics.read().values() {
-        if topic.shard == shard {
-            topic.subs.write().clear_plain();
+    // Each dispatcher winds down only its own shard's topics: another shard
+    // may still be draining its queue into its topics. First every durable
+    // subscription's last checkpoint, forced to disk so that a clean stop
+    // never re-delivers already-consumed messages; then the plain
+    // subscriptions go, so that blocked or future subscriber receives
+    // observe disconnection once their queues drain.
+    let topics = inner.topics.read();
+    let own = topics.values().filter(|topic| topic.shard == shard);
+    for topic in own.clone() {
+        for (durable, _) in topic.subs.read().durables() {
+            durable.finish(inner, &topic.name);
         }
+    }
+    inner.sync_journal();
+    for topic in own {
+        topic.subs.write().clear_plain();
     }
 }
 
@@ -202,15 +203,12 @@ pub(crate) fn run<P: DispatchProbe>(
 /// in subscription order; returns the copies sent. It walks the scan
 /// table's runs: a column of compact rows in one pass, whose hits are
 /// delivered before the next run is evaluated, any other run entry by
-/// entry. `publish_offset` and `checkpoints` are what only a durable sink
-/// needs.
+/// entry. A durable sink reads the publish's journal offset off `current`.
 fn fan_out<P: DispatchProbe>(
     inner: &BrokerInner,
     current: &Queued,
     subs: &Subscriptions,
     resolved: &[Option<ValueRef<'_>>],
-    publish_offset: Option<u64>,
-    checkpoints: &mut Checkpoints,
     probe: &mut P,
 ) -> u64 {
     let cost = inner.config.cost_model;
@@ -225,15 +223,14 @@ fn fan_out<P: DispatchProbe>(
             match column {
                 Some(column) => column.run(resolved, |at| {
                     let entry = &entries[at];
-                    copies += deliver(inner, current, entry, publish_offset, checkpoints, probe);
+                    copies += deliver(inner, current, entry, probe);
                 }),
                 // Rows without a compact form: the loop stays this plain,
                 // each delivery inlined (`inproc_fanout` is this loop).
                 None => {
                     for entry in entries {
                         if entry.matches(&current.message, resolved) {
-                            copies +=
-                                deliver(inner, current, entry, publish_offset, checkpoints, probe);
+                            copies += deliver(inner, current, entry, probe);
                         }
                     }
                 }
@@ -250,21 +247,17 @@ fn deliver<P: DispatchProbe>(
     inner: &BrokerInner,
     current: &Queued,
     entry: &Entry,
-    publish_offset: Option<u64>,
-    checkpoints: &mut Checkpoints,
     probe: &mut P,
 ) -> u64 {
     let cost = inner.config.cost_model;
-    let (topic, message) = (&current.topic.name, &current.message);
+    let message = &current.message;
     let delivery = probe.stage(Stage::Fanout, |probe| {
         if let Some(c) = &cost {
             probe.clock().spin(c.t_tx);
         }
         match &entry.sub.sink {
             Sink::Plain(queue) => queue.deliver(Arc::clone(message), inner.config.overflow_policy),
-            Sink::Durable(state) => {
-                state.deliver(inner, topic, message, publish_offset, checkpoints)
-            }
+            Sink::Durable(state) => state.deliver(inner, current),
         }
     });
     match delivery {

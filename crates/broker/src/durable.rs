@@ -1,14 +1,15 @@
 //! Durable subscriptions (paper §II-A: in the durable mode, messages are
 //! also forwarded to subscribers that are currently not connected — the
 //! broker retains them): the server-side state of one named subscription,
-//! its connect/disconnect protocol, what the dispatcher's one fan-out loop
-//! ([`crate::dispatch`]) does with a match whose sink is durable, and the
-//! checkpoint bookkeeping that lets journal replay skip what a consumer
-//! already received.
+//! its connect/disconnect protocol, and what the dispatcher's one fan-out
+//! loop ([`crate::dispatch`]) does with a match whose sink is durable. A
+//! subscription keeps its own checkpoint progress, beside its consumer
+//! under one lock: the checkpoint records let journal replay skip what a
+//! consumer already received.
 
 use crate::broker::{BrokerInner, Subscription, Topic};
 use crate::config::{CHECKPOINT_EVERY, DURABLE_BUFFER_CAPACITY};
-use crate::dispatch::{Delivery, SubscriberQueue};
+use crate::dispatch::{Delivery, Queued, SubscriberQueue};
 use crate::error::Error;
 use crate::filter::Filter;
 use crate::message::Message;
@@ -16,7 +17,7 @@ use crate::persist::{encode_checkpoint_into, JournalRecord};
 use crate::subscriptions::{LiveFlag, Sink};
 use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Server-side state of a named durable subscription. Its filter lives
@@ -27,8 +28,8 @@ pub(crate) struct DurableState {
     /// Messages retained while no consumer is connected (bounded by
     /// [`DURABLE_BUFFER_CAPACITY`], oldest dropped on overflow).
     pub(crate) retained: Mutex<VecDeque<Arc<Message>>>,
-    /// The connected consumer's queue, if any.
-    pub(crate) connection: Mutex<Option<SubscriberQueue>>,
+    /// The connected consumer, and its progress.
+    pub(crate) connection: Mutex<Connection>,
 }
 
 impl DurableState {
@@ -69,7 +70,7 @@ impl DurableState {
             Some((state, current)) => {
                 let state = Arc::clone(state);
                 let mut connection = state.connection.lock();
-                if connection.is_some() {
+                if connection.queue.is_some() {
                     return Err(Error::DurableNameInUse {
                         topic: topic.name.clone(),
                         name: name.to_owned(),
@@ -83,7 +84,7 @@ impl DurableState {
                     subs.add(state.subscription(filter.clone(), inner.live_flags.next()));
                     inner.append_record(|out| registered(filter, out));
                 }
-                *connection = Some(queue);
+                connection.queue = Some(queue);
                 drop(connection);
                 state
             }
@@ -91,7 +92,7 @@ impl DurableState {
                 let state = Arc::new(DurableState {
                     name: name.to_owned(),
                     retained: Mutex::new(VecDeque::new()),
-                    connection: Mutex::new(Some(queue)),
+                    connection: Mutex::new(Connection { queue: Some(queue), ..Default::default() }),
                 });
                 subs.add(state.subscription(filter.clone(), inner.live_flags.next()));
                 inner.append_record(|out| registered(filter, out));
@@ -125,33 +126,28 @@ impl DurableState {
                 None => std::thread::yield_now(),
             }
         };
-        *connection = None;
+        connection.queue = None;
         backlog.extend(receiver.try_iter());
         self.retained.lock().extend(backlog);
     }
 
-    /// The dispatcher's hand-over of one matching `message`, all under the
+    /// The dispatcher's hand-over of one matching publish, all under the
     /// `connection` lock: to the connected consumer's queue, else (nobody
     /// connected, or the consumer found gone) into the retained buffer,
     /// dropping the oldest message beyond its capacity.
     ///
     /// A message handed to a consumer — or consciously dropped by the
     /// overflow policy — is progress a checkpoint record may cover, noted
-    /// under its journal offset when it has one. Retained messages are
-    /// deliberately NOT checkpointed, so replay rebuilds the backlog.
-    pub(crate) fn deliver(
-        self: &Arc<Self>,
-        inner: &BrokerInner,
-        topic: &str,
-        message: &Arc<Message>,
-        publish_offset: Option<u64>,
-        checkpoints: &mut Checkpoints,
-    ) -> Delivery {
+    /// under its journal offset when it has one; every
+    /// [`CHECKPOINT_EVERY`] deliveries that progress becomes a record.
+    /// Retained messages are deliberately NOT checkpointed, so replay
+    /// rebuilds the backlog.
+    pub(crate) fn deliver(&self, inner: &BrokerInner, current: &Queued) -> Delivery {
         let mut connection = self.connection.lock();
-        let policy = inner.config.overflow_policy;
-        match connection.as_ref().map(|queue| queue.deliver(Arc::clone(message), policy)) {
+        let (policy, message) = (inner.config.overflow_policy, &current.message);
+        match connection.queue.as_ref().map(|queue| queue.deliver(Arc::clone(message), policy)) {
             Some(Delivery::Disconnected) | None => {
-                *connection = None;
+                connection.queue = None;
                 let mut retained = self.retained.lock();
                 if retained.len() >= DURABLE_BUFFER_CAPACITY {
                     retained.pop_front();
@@ -161,80 +157,49 @@ impl DurableState {
                 Delivery::Retained
             }
             Some(delivery) => {
-                if let Some(offset) = publish_offset {
-                    checkpoints.delivered(inner, topic, self, offset);
+                if let Some(offset) = current.publish_offset {
+                    connection.offset = offset;
+                    connection.unrecorded += 1;
+                    if connection.unrecorded >= CHECKPOINT_EVERY {
+                        connection.checkpoint(inner, &current.topic.name, &self.name);
+                    }
                 }
                 delivery
             }
         }
     }
+
+    /// The dispatcher's exit: writes a checkpoint record for the progress
+    /// no record covers yet, if there is any. The dispatcher syncs the
+    /// journal after its last one, so a clean stop never re-delivers
+    /// already-consumed messages.
+    pub(crate) fn finish(&self, inner: &BrokerInner, topic: &str) {
+        let mut connection = self.connection.lock();
+        if connection.unrecorded > 0 {
+            connection.checkpoint(inner, topic, &self.name);
+        }
+    }
 }
 
-/// Progress of one durable subscription's consumer that no checkpoint
-/// record covers yet.
-struct PendingCheckpoint {
-    /// Keeps the subscription, and with it the address it is keyed by,
-    /// alive; its name and the topic's are read when a record is written.
-    durable: Arc<DurableState>,
-    topic: String,
-    /// The highest delivered publish offset.
+/// What a durable subscription's `connection` lock guards: the connected
+/// consumer, and the progress of its deliveries that no checkpoint record
+/// covers yet. The topic's dispatcher alone notes progress, under the lock
+/// it takes to deliver anyway.
+#[derive(Default)]
+pub(crate) struct Connection {
+    /// The connected consumer's queue, if any.
+    pub(crate) queue: Option<SubscriberQueue>,
+    /// The highest publish offset handed to a consumer.
     offset: u64,
     /// Deliveries since the last checkpoint record.
-    deliveries: u64,
+    unrecorded: u64,
 }
 
-impl PendingCheckpoint {
-    fn write(&mut self, inner: &BrokerInner) {
-        inner.append_record(|out| {
-            encode_checkpoint_into(out, &self.topic, &self.durable.name, self.offset);
-        });
-        self.deliveries = 0;
-    }
-}
-
-/// One dispatcher's checkpoint bookkeeping, keyed by the identity (the
-/// address) of the durable subscription's state, so that a delivery
-/// hashes one word and clones nothing. Only the dispatcher writes
-/// checkpoints, so this needs no locking.
-#[derive(Default)]
-pub(crate) struct Checkpoints {
-    pending: HashMap<usize, PendingCheckpoint>,
-}
-
-impl Checkpoints {
-    /// Notes that the publish at journal `offset` reached `durable`'s
-    /// consumer; every [`CHECKPOINT_EVERY`] deliveries this becomes a
-    /// checkpoint record.
-    fn delivered(
-        &mut self,
-        inner: &BrokerInner,
-        topic: &str,
-        durable: &Arc<DurableState>,
-        offset: u64,
-    ) {
-        let entry = self.pending.entry(Arc::as_ptr(durable) as usize).or_insert_with(|| {
-            PendingCheckpoint {
-                durable: Arc::clone(durable),
-                topic: topic.to_owned(),
-                offset,
-                deliveries: 0,
-            }
-        });
-        entry.offset = offset;
-        entry.deliveries += 1;
-        if entry.deliveries >= CHECKPOINT_EVERY {
-            entry.write(inner);
-        }
-    }
-
-    /// Shutdown: writes the final checkpoints and forces the journal to
-    /// disk so a clean stop never re-delivers already-consumed messages.
-    pub(crate) fn finish(self, inner: &BrokerInner) {
-        for mut pending in self.pending.into_values() {
-            if pending.deliveries > 0 {
-                pending.write(inner);
-            }
-        }
-        inner.sync_journal();
+impl Connection {
+    /// Writes the checkpoint record of `topic`'s durable subscription
+    /// `name` at the progress so far.
+    fn checkpoint(&mut self, inner: &BrokerInner, topic: &str, name: &str) {
+        inner.append_record(|out| encode_checkpoint_into(out, topic, name, self.offset));
+        self.unrecorded = 0;
     }
 }

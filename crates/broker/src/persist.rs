@@ -24,7 +24,7 @@ use crate::filter::Filter;
 use crate::message::Message;
 use crate::subscriptions::{LiveFlags, Subscriptions};
 use parking_lot::Mutex;
-use rjms_journal::{Journal, JournalConfig};
+use rjms_journal::{Batch, Journal, JournalConfig};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -197,48 +197,47 @@ impl JournalRecord {
 const APPEND_FAILED: &str = "write-ahead journal append failed; cannot continue durably";
 
 impl BrokerInner {
+    /// One commit: `fill` appends its records to a batch under the journal
+    /// lock, and they are on the file (per the fsync policy) when this
+    /// returns `fill`'s result. The broker's one append failure site.
+    /// Without persistence this is a no-op and `fill` is never called, so
+    /// a broker with no journal does not serialise what it would not
+    /// store.
+    fn commit<T>(&self, fill: impl FnOnce(&mut Batch<'_>) -> rjms_journal::Result<T>) -> Option<T> {
+        let mut journal = self.journal.as_ref()?.lock();
+        Some(journal.batch(fill).expect(APPEND_FAILED))
+    }
+
     /// Appends one record to the journal — a commit of its own, for the
     /// rare records (topic, durable registration, checkpoint) — and returns
     /// the record's journal offset. `payload` writes the record into the
-    /// journal's frame buffer. Without persistence this is a no-op and
-    /// `payload` is never called, so a broker with no journal does not
-    /// serialise what it would not store.
+    /// journal's frame buffer.
     pub(crate) fn append_record(&self, payload: impl FnOnce(&mut Vec<u8>)) -> Option<u64> {
-        let mut journal = self.journal.as_ref()?.lock();
-        let offset = journal.batch(|batch| batch.append_with(payload)).expect(APPEND_FAILED);
-        Some(offset)
+        self.commit(|batch| batch.append_with(payload))
     }
 
     /// The write-ahead step of a run (DESIGN.md §3.3b "Group commit"):
     /// appends the publish record of `first` and of every message of
-    /// `rest` that is neither journalled yet nor expired, under one journal
-    /// lock and as one commit, notes each one's offset on it and returns
-    /// `first`'s. When this returns, every live message of the run is on
-    /// the file (per the fsync policy) and none of them has been
-    /// delivered. `None` without persistence.
-    pub(crate) fn append_publishes(
-        &self,
-        first: &Queued,
-        rest: &mut VecDeque<Queued>,
-    ) -> Option<u64> {
-        let mut journal = self.journal.as_ref()?.lock();
-        let offset = journal
-            .batch(|batch| {
-                let mut append = |queued: &Queued| {
-                    batch.append_with(|out| {
-                        encode_publish_into(out, &queued.topic.name, &queued.message);
-                    })
-                };
-                let offset = append(first)?;
-                for queued in rest.iter_mut() {
-                    if queued.publish_offset.is_none() && !queued.message.is_expired() {
-                        queued.publish_offset = Some(append(queued)?);
-                    }
+    /// `rest` that is neither journalled yet nor expired, as one commit,
+    /// and notes each one's offset on it. When this returns, every live
+    /// message of the run is on the file (per the fsync policy) and none
+    /// of them has been delivered; without persistence, no offset is set.
+    pub(crate) fn append_publishes(&self, first: &mut Queued, rest: &mut VecDeque<Queued>) {
+        self.commit(|batch| {
+            let mut append = |queued: &mut Queued| {
+                let offset = batch.append_with(|out| {
+                    encode_publish_into(out, &queued.topic.name, &queued.message);
+                });
+                offset.map(|offset| queued.publish_offset = Some(offset))
+            };
+            append(first)?;
+            for queued in rest.iter_mut() {
+                if queued.publish_offset.is_none() && !queued.message.is_expired() {
+                    append(queued)?;
                 }
-                Ok(offset)
-            })
-            .expect(APPEND_FAILED);
-        Some(offset)
+            }
+            Ok(())
+        });
     }
 
     /// Forces the journal to stable storage (no-op without persistence).
@@ -330,8 +329,8 @@ pub(crate) fn recover_topics(
                 .collect();
             // Oldest first out, as on a live overflow.
             retained.drain(..retained.len().saturating_sub(DURABLE_BUFFER_CAPACITY));
-            let state =
-                DurableState { name, retained: Mutex::new(retained), connection: Mutex::new(None) };
+            let retained = Mutex::new(retained);
+            let state = DurableState { name, retained, connection: Default::default() };
             subs.add(Arc::new(state).subscription(recovery.filter, live_flags.next()));
         }
         topics.push((topic_name, subs));

@@ -235,3 +235,52 @@ fn crash_mid_run_replays_everything_not_checkpointed() {
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&crashed);
 }
+
+/// The checkpoint cadence, pinned: a connected durable that consumes 1 000
+/// publishes gets a checkpoint record at its 256th, 512th and 768th
+/// delivery and one at shutdown for the rest, each at the offset of the
+/// last publish it covers, and the journal holds nothing else.
+#[test]
+fn checkpoint_cadence_is_one_record_per_256_deliveries_and_one_at_shutdown() {
+    const MESSAGES: i64 = 1_000;
+    let dir = scratch_dir("gc-cadence");
+    let broker = Broker::start(config(&dir, FsyncPolicy::Never).build());
+    broker.create_topic("t").unwrap();
+    let consumer = broker.subscription("t").durable("d").open().unwrap();
+    let publisher = broker.publisher("t").unwrap();
+    for seq in 0..MESSAGES {
+        publisher.publish(numbered(seq)).unwrap();
+    }
+    for seq in 0..MESSAGES {
+        let message = consumer.receive_timeout(Duration::from_secs(10)).expect("a delivery");
+        assert_eq!(seq_of(&message), seq);
+    }
+    drop(consumer);
+    broker.shutdown();
+
+    let on_file = records(&dir);
+    assert!(matches!(&on_file[0].1, JournalRecord::TopicCreated { topic } if topic == "t"));
+    assert!(matches!(
+        &on_file[1].1,
+        JournalRecord::DurableRegistered { topic, name, .. } if topic == "t" && name == "d"
+    ));
+    let mut publishes = Vec::new();
+    let mut checkpoints = Vec::new();
+    for (offset, record) in &on_file[2..] {
+        match record {
+            JournalRecord::Publish { topic, message } if topic == "t" => {
+                assert_eq!(seq_of(message), publishes.len() as i64);
+                publishes.push(*offset);
+            }
+            JournalRecord::DurableCheckpoint { topic, name, offset } if topic == "t" => {
+                assert_eq!(name, "d");
+                checkpoints.push(*offset);
+            }
+            other => panic!("an unexpected record at {offset}: {other:?}"),
+        }
+    }
+    assert_eq!(publishes.len(), MESSAGES as usize);
+    let covered = [256, 512, 768, 1_000].map(|nth| publishes[nth - 1]);
+    assert_eq!(checkpoints, covered);
+    let _ = std::fs::remove_dir_all(&dir);
+}

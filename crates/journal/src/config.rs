@@ -56,7 +56,11 @@ pub struct JournalConfig {
     /// Durability policy for appends.
     pub fsync: FsyncPolicy,
     /// Cap on *sealed* segments kept on disk; the oldest are removed first.
-    /// The active segment never counts and is never removed.
+    /// The active segment never counts and is never removed. Retention
+    /// does not know what a record means: for a broker, a restart after it
+    /// has removed a segment holding a topic's creation or a durable
+    /// subscription's registration loses that topic or durable, and its
+    /// backlog, with no error.
     pub max_sealed_segments: Option<usize>,
 }
 
